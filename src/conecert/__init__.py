@@ -10,9 +10,10 @@ from .problem import (ActiveSets, NlpEq, NlpIneq, PolyhedralSet, Problem,
                       check_feasible, evaluate_objective, load_problem_file,
                       load_problem_text, problem_to_text,
                       squared_generators, subdifferential_generators)
-from .geometry import (GeneratorSet, SamplingSpec, build_generator_set,
-                       dist_to_cone, eta_generators, nA_generators,
-                       project_psd_neg, project_soc, tangent_membership)
+from .geometry import (GeneratorSet, PointContext, SamplingSpec,
+                       build_generator_set, dist_to_cone, eta_generators,
+                       nA_generators, project_psd_neg, project_soc,
+                       tangent_membership)
 from .linkernel import (det, lp_chebyshev_center, lp_direction_margin,
                         lp_membership, rank, simplex_solve,
                         solve_positive_combination)

@@ -19,10 +19,9 @@ from . import firstorder as fo
 from . import registry
 from . import secondorder as so
 from .expr import ExprError
-from .geometry import SamplingSpec, build_generator_set
+from .geometry import PointContext, SamplingSpec
 from .oracle import TooFewFeasibleSamples, growth_probe
-from .problem import (ProblemFormatError, ToleranceSet, activity,
-                      check_feasible, evaluate_objective, load_problem_file,
+from .problem import (ProblemFormatError, ToleranceSet, load_problem_file,
                       problem_to_text)
 
 SCHEMA_VERSION = 1
@@ -186,7 +185,8 @@ def cmd_check(args) -> int:
             "rcq": "not checked",
         },
     }
-    feas = check_feasible(problem, x)
+    ctx = PointContext(problem, x, sampling)
+    feas = ctx.feasibility
     report["feasibility"] = {
         "feasible": feas.feasible, "max_violation": feas.max_violation,
         "violations": [{"where": w, "amount": a} for w, a in feas.violations]}
@@ -195,15 +195,14 @@ def cmd_check(args) -> int:
         _emit(args, report)
         return EXIT_REFUTED
 
-    F, act_scen = evaluate_objective(problem, x)
     report["objective"] = {
-        "value": F,
+        "value": ctx.act.F_value,
         "active": [{"scenario": s.index, "sign": s.sign, "value": s.value}
-                   for s in act_scen]}
+                   for s in ctx.act.scenarios]}
 
-    nec = fo.necessary_check(problem, x, sampling)
+    nec = fo.necessary_check(problem, x, sampling, ctx)
     report["necessary"] = nec.to_json()
-    suf = fo.sufficient_check(problem, x, sampling)
+    suf = fo.sufficient_check(problem, x, sampling, ctx)
     report["sufficient"] = suf.to_json()
 
     refuted = False
@@ -218,7 +217,7 @@ def cmd_check(args) -> int:
 
     report["flavor_search"] = None
     if args.flavor:
-        G = build_generator_set(problem, x, activity(problem, x), sampling)
+        G = ctx.generators
         try:
             cadre = fo.find_cadre(G, args.flavor,
                                   eps_det=problem.tolerances.eps_det)
@@ -241,11 +240,10 @@ def cmd_check(args) -> int:
     if args.second_order:
         report["second_order"] = []
         if nec.zero_in_D and nec.multipliers is not None:
-            nec2 = so.second_order_necessary(problem, x, nec,
-                                             sampling=sampling, seed=args.seed)
-            suf2 = so.second_order_sufficient(problem, x, nec,
-                                              sampling=sampling,
-                                              seed=args.seed)
+            nec2 = so.second_order_necessary(problem, x, nec, seed=args.seed,
+                                             ctx=ctx)
+            suf2 = so.second_order_sufficient(problem, x, nec, seed=args.seed,
+                                              ctx=ctx)
             report["second_order"] = [nec2.to_json(), suf2.to_json()]
             if nec2.refuted:
                 refuted = True
@@ -256,7 +254,8 @@ def cmd_check(args) -> int:
 
     report["penalty"] = None
     if args.penalty is not None:
-        pen = fo.penalty_subdiff_check(problem, x, args.penalty, sampling)
+        pen = fo.penalty_subdiff_check(problem, x, args.penalty, sampling,
+                                       ctx)
         report["penalty"] = pen.to_json()
         if not pen.zero_in_subdiff and not refuted:
             inconclusive = True
@@ -433,10 +432,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_values(argv):
+    """argparse takes a value that starts with '-' and holds a comma, such
+    as the point "-0.5,1", for an option; glue such values to their flag."""
+    out, args = [], iter(argv)
+    for arg in args:
+        value = next(args, None) if arg in ("--at", "--vectors") else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _glue_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as err:
         # argparse exits 2 on usage errors; map that onto the error code
         return EXIT_OK if err.code in (0, None) else EXIT_ERROR

@@ -16,14 +16,12 @@ from itertools import combinations
 import numpy as np
 
 from . import expr as ex
-from .geometry import (GeneratorSet, Provenance, SamplingSpec, TangentTester,
-                       axis_directions, block_distances, build_generator_set,
-                       sdp_entry_grads, sdp_null_directions, soc_jacobian,
-                       spectral_data, unit_directions)
+from .geometry import (GeneratorSet, PointContext, Provenance, SamplingSpec,
+                       block_distances, point_context)
 from .linkernel import (det, lp_chebyshev_center, lp_membership, rank,
                         simplex_solve, solve_positive_combination)
-from .problem import (ActiveSets, NlpEq, NlpIneq, Problem, Sdp, SemiInfinite,
-                      Soc, activity, check_feasible, evaluate_objective)
+from .problem import (NlpIneq, Problem, SemiInfinite, activity,
+                      evaluate_objective)
 
 __all__ = [
     "Cadre", "AlternanceFailure", "Zbasis", "MultiplierWitness",
@@ -328,7 +326,10 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
 
 @dataclass
 class MultiplierWitness:
-    """Structured dual data reassembled from membership-LP weights."""
+    """Structured dual data reassembled from membership-LP weights.
+
+    The block duals sit in one table per block kind, named after the
+    kind and keyed by block position."""
 
     alpha: list                  # (scenario_index, sign, weight)
     nlp_ineq: dict               # block -> {constraint: weight}
@@ -339,6 +340,22 @@ class MultiplierWitness:
     semi_infinite: dict          # block -> {grid_index: weight}
     nA: list                     # (provenance, weight)
     stationarity_residual: float = math.nan
+
+    def block_duals(self, P: Problem):
+        """(position, block, dual) for each block this witness has a dual
+        for, in block order."""
+        for pos, blk in enumerate(P.blocks):
+            dual = getattr(self, blk.kind).get(pos)
+            if dual is not None:
+                yield pos, blk, dual
+
+    def cone_gradient(self, P: Problem, x) -> np.ndarray:
+        """Gradient of the dual pairing: sum over blocks of
+        <dual, G_block(x)>."""
+        total = np.zeros(P.d)
+        for _, blk, dual in self.block_duals(P):
+            total = total + blk.dual_gradient(x, dual)
+        return total
 
     def lambda_l1(self) -> float:
         """l1 size of the cone-constraint dual (used as a penalty threshold)."""
@@ -373,61 +390,30 @@ class MultiplierWitness:
         }
 
 
-def _assemble_witness(P: Problem, x, G: GeneratorSet, lam, mu) -> MultiplierWitness:
-    alpha = []
-    for pr, w in zip(G.grads_prov, lam):
-        if w > 0:
-            alpha.append((pr.index, pr.sign, float(w)))
-    nlp_ineq: dict = {}
-    nlp_eq: dict = {}
-    soc: dict = {}
-    sdp: dict = {}
-    sdp_gamma: dict = {}
-    semi: dict = {}
-    nA = []
+def _assemble_witness(ctx: PointContext, G: GeneratorSet,
+                      lam, mu) -> MultiplierWitness:
+    w = MultiplierWitness(
+        alpha=[(pr.index, pr.sign, float(l))
+               for pr, l in zip(G.grads_prov, lam) if l > 0],
+        nlp_ineq={}, nlp_eq={}, soc={}, sdp={}, sdp_gamma={},
+        semi_infinite={}, nA=[])
     n_eta = len(G.eta)
-    for k, w in enumerate(mu):
-        if w <= 0:
+    for k, weight in enumerate(mu):
+        if weight <= 0:
             continue
-        w = float(w)
+        weight = float(weight)
         if k < n_eta:
             pr = G.eta_prov[k]
-            if pr.kind == "nlp_ineq":
-                nlp_ineq.setdefault(pr.block, {})
-                nlp_ineq[pr.block][pr.index] = \
-                    nlp_ineq[pr.block].get(pr.index, 0.0) + w
-            elif pr.kind == "nlp_eq":
-                nlp_eq.setdefault(pr.block, {})
-                nlp_eq[pr.block][pr.index] = \
-                    nlp_eq[pr.block].get(pr.index, 0.0) + pr.sign * w
-            elif pr.kind == "soc_boundary":
-                blk = P.blocks[pr.block]
-                vals = np.array([ex.eval_value(g, x) for g in blk.g])
-                dual = np.concatenate([[-vals[0]], vals[1:]])
-                soc[pr.block] = soc.get(pr.block, np.zeros(len(vals))) + w * dual
-            elif pr.kind == "soc_apex":
-                v = np.asarray(pr.detail, dtype=float)
-                dual = np.concatenate([[-1.0], v])
-                soc[pr.block] = soc.get(
-                    pr.block, np.zeros(len(v) + 1)) + w * dual
-            elif pr.kind == "sdp_null":
-                q = np.asarray(pr.detail, dtype=float)
-                sdp[pr.block] = sdp.get(
-                    pr.block, np.zeros((len(q), len(q)))) + w * np.outer(q, q)
-            elif pr.kind == "semi_infinite":
-                semi.setdefault(pr.block, {})
-                semi[pr.block][pr.index] = \
-                    semi[pr.block].get(pr.index, 0.0) + w
+            blk = ctx.problem.blocks[pr.block]
+            table = getattr(w, blk.kind)
+            table[pr.block] = blk.add_dual(table.get(pr.block), pr,
+                                           weight * G.eta_dual[k])
         else:
-            nA.append((G.nA_prov[k - n_eta], w))
-    for b, M in sdp.items():
-        spec = spectral_data(P.blocks[b], np.asarray(x, dtype=float),
-                             P.tolerances.eps_rank)
-        Q0 = spec.null_basis
-        sdp_gamma[b] = Q0.T @ M @ Q0 if Q0.shape[1] else np.zeros((0, 0))
-    return MultiplierWitness(alpha=alpha, nlp_ineq=nlp_ineq, nlp_eq=nlp_eq,
-                             soc=soc, sdp=sdp, sdp_gamma=sdp_gamma,
-                             semi_infinite=semi, nA=nA)
+            w.nA.append((G.nA_prov[k - n_eta], weight))
+    for b, M in w.sdp.items():
+        Q0 = ctx.act.blocks[b].null_basis
+        w.sdp_gamma[b] = Q0.T @ M @ Q0
+    return w
 
 
 def _witness_residual(P: Problem, x, w: MultiplierWitness,
@@ -442,26 +428,7 @@ def _witness_residual(P: Problem, x, w: MultiplierWitness,
             grad = ((dual.value - P.psi[scen - 1]) * dual.grad
                     if squared else sign * dual.grad)
         total = total + weight * grad
-    for b, table in w.nlp_ineq.items():
-        blk = P.blocks[b]
-        for i, weight in table.items():
-            total = total + weight * ex.eval2(blk.g[i], x).grad
-    for b, table in w.nlp_eq.items():
-        blk = P.blocks[b]
-        for j, weight in table.items():
-            total = total + weight * ex.eval2(blk.b[j], x).grad
-    for b, dual in w.soc.items():
-        J = soc_jacobian(P.blocks[b], x)
-        total = total + J.T @ dual
-    for b, M in w.sdp.items():
-        grads = sdp_entry_grads(P.blocks[b], x)
-        total = total + np.einsum("ij,ijk->k", M, grads)
-    for b, table in w.semi_infinite.items():
-        blk = P.blocks[b]
-        for j, weight in table.items():
-            t = blk.grid[j]
-            total = total + weight * ex.eval2(
-                blk.g, np.concatenate([x, [t]])).grad[:P.d]
+    total = total + w.cone_gradient(P, x)
     for pr, weight in w.nA:
         vec = np.zeros(P.d)
         if pr.kind == "bound":
@@ -574,26 +541,29 @@ class NecessaryReport:
         }
 
 
+def _feasible_context(P, x, sampling, ctx) -> PointContext:
+    ctx = point_context(P, x, sampling, ctx)
+    if not ctx.feasibility.feasible:
+        raise NotFeasible(f"candidate violates constraints by "
+                          f"{ctx.feasibility.max_violation:.3g}")
+    return ctx
+
+
 def necessary_check(P: Problem, x, sampling: SamplingSpec | None = None,
-                    act: ActiveSets | None = None,
+                    ctx: PointContext | None = None,
                     squared: bool = False,
                     budget: int = DEFAULT_BUDGET) -> NecessaryReport:
     """Membership test 0 in D(x) with multiplier and cadre witnesses."""
-    x = np.asarray(x, dtype=float)
-    feas = check_feasible(P, x)
-    if not feas.feasible:
-        raise NotFeasible(f"candidate violates constraints by "
-                          f"{feas.max_violation:.3g}")
-    act = act or activity(P, x)
-    G = build_generator_set(P, x, act, sampling, squared=squared)
+    ctx = _feasible_context(P, x, sampling, ctx)
+    G = ctx.squared if squared else ctx.generators
     weights = lp_membership(np.zeros(P.d), G.grads_F, list(G.eta) + list(G.nA))
     witness = None
     zero_in_D = weights is not None
     if zero_in_D:
         lam, mu = weights
-        witness = _assemble_witness(P, x, G, lam, mu)
+        witness = _assemble_witness(ctx, G, lam, mu)
         witness.stationarity_residual = _witness_residual(
-            P, x, witness, squared=squared)
+            P, ctx.x, witness, squared=squared)
         if witness.stationarity_residual > 1e-8 * max(
                 1.0, max(np.linalg.norm(v) for v in G.grads_F)):
             # never report an unverified witness
@@ -643,7 +613,7 @@ class SufficientReport:
 
 
 def sufficient_check(P: Problem, x, sampling: SamplingSpec | None = None,
-                     act: ActiveSets | None = None, squared: bool = False,
+                     ctx: PointContext | None = None, squared: bool = False,
                      n_growth_samples: int = 256,
                      budget: int = DEFAULT_BUDGET) -> SufficientReport:
     """Interior test 0 in int D(x) with a certified ball radius.
@@ -652,13 +622,8 @@ def sufficient_check(P: Problem, x, sampling: SamplingSpec | None = None,
     signed axis directions spans an l1 ball inside the generated set, and
     that ball contains the Euclidean ball of radius margin/sqrt(d).
     """
-    x = np.asarray(x, dtype=float)
-    feas = check_feasible(P, x)
-    if not feas.feasible:
-        raise NotFeasible(f"candidate violates constraints by "
-                          f"{feas.max_violation:.3g}")
-    act = act or activity(P, x)
-    G = build_generator_set(P, x, act, sampling, squared=squared)
+    ctx = _feasible_context(P, x, sampling, ctx)
+    G = ctx.squared if squared else ctx.generators
     cone = list(G.eta) + list(G.nA)
     interior = lp_chebyshev_center(G.grads_F, cone, d=P.d)
     margin = interior.margin if interior.feasible else 0.0
@@ -675,8 +640,8 @@ def sufficient_check(P: Problem, x, sampling: SamplingSpec | None = None,
     except CombinatorialBudgetExceeded:
         budget_exceeded = True
 
-    growth = _growth_constant_estimate(P, x, G, act, sampling,
-                                       n_growth_samples)
+    growth, _ = _min_feasible_slope(ctx, G.grads_F, n_growth_samples,
+                                    ctx.sampling.seed + 101)
     sampling_limited = G.sampled and not verdict
     return SufficientReport(zero_in_int_D=verdict, margin=margin,
                             radius=radius, complete_alternance=complete,
@@ -686,23 +651,25 @@ def sufficient_check(P: Problem, x, sampling: SamplingSpec | None = None,
                             budget_exceeded=budget_exceeded)
 
 
-def _growth_constant_estimate(P, x, G, act, sampling, n_samples):
-    """Sampled lower-envelope estimate of the linearized growth constant:
-    min over sampled linearized-feasible unit h of max <v, h>."""
-    rng = np.random.default_rng((sampling.seed if sampling else 0) + 101)
-    tester = TangentTester(P, x, act, sampling)
+def _min_feasible_slope(ctx: PointContext, grads, n_samples: int, seed: int):
+    """Sampled lower envelope of the linearized growth: the least, over
+    sampled linearized-feasible unit h, of max <v, h>, and the number of
+    feasible samples."""
+    rng = np.random.default_rng(seed)
     best = None
+    kept = 0
     for _ in range(n_samples):
-        h = rng.standard_normal(P.d)
+        h = rng.standard_normal(ctx.problem.d)
         norm = np.linalg.norm(h)
         if norm < 1e-12:
             continue
         h /= norm
-        if not tester.accepts(h):
+        if not ctx.tester.accepts(h):
             continue
-        val = directional_derivative(G.grads_F, h)
+        kept += 1
+        val = directional_derivative(grads, h)
         best = val if best is None else min(best, val)
-    return best
+    return best, kept
 
 
 # ---------------------------------------------------------------------------
@@ -719,67 +686,16 @@ def penalty_value(P: Problem, x, c: float) -> float:
     return F + c * float(sum(block_distances(P, x)))
 
 
-def _penalty_groups(P: Problem, x, act: ActiveSets, sampling: SamplingSpec):
-    """Generator groups of the penalty-term subdifferential at a feasible x.
-
-    Each group carries vectors whose convex weights may total at most 1
-    (one group per scalar inequality/equality, one per cone block)."""
-    x = np.asarray(x, dtype=float)
-    groups = []
-    for ba, blk in zip(act.blocks, P.blocks):
-        if isinstance(blk, NlpIneq):
-            for i in ba.active:
-                groups.append([ex.eval2(blk.g[i], x).grad])
-        elif isinstance(blk, NlpEq):
-            for b in blk.b:
-                grad = ex.eval2(b, x).grad
-                groups.append([grad, -grad])
-        elif isinstance(blk, Soc):
-            if ba.soc_state == "inactive":
-                continue
-            J = soc_jacobian(blk, x)
-            if ba.soc_state == "boundary":
-                vals = ba.soc_value
-                dual = np.concatenate([[-vals[0]], vals[1:]])
-                norm = np.linalg.norm(dual)
-                if norm > 0:
-                    groups.append([J.T @ (dual / norm)])
-            else:
-                vecs = []
-                dirs = sampling.extras_for(sampling.soc_extra, ba.position)
-                dirs += axis_directions(blk.l)
-                dirs += unit_directions(blk.l, sampling.soc_dirs,
-                                        sampling.seed + 7 * ba.position + 1)
-                for v in dirs:
-                    v = np.asarray(v, dtype=float)
-                    nv = np.linalg.norm(v)
-                    if nv < 1e-12:
-                        continue
-                    dual = np.concatenate([[-1.0], v / nv]) / math.sqrt(2.0)
-                    vecs.append(J.T @ dual)
-                if vecs:
-                    groups.append(vecs)
-        elif isinstance(blk, Sdp):
-            spec = spectral_data(blk, x, P.tolerances.eps_rank)
-            if spec.null_basis.shape[1] == 0:
-                continue
-            entry_grads = sdp_entry_grads(blk, x)
-            qs = sdp_null_directions(
-                spec.null_basis, sampling.sdp_dirs,
-                sampling.seed + 7 * ba.position + 3,
-                sampling.extras_for(sampling.sdp_extra, ba.position))
-            vecs = [np.einsum("i,ijk,j->k", q, entry_grads, q) for q in qs]
-            if vecs:
-                groups.append(vecs)
-        elif isinstance(blk, SemiInfinite):
-            vecs = []
-            for j in ba.active:
-                t = blk.grid[j]
-                vecs.append(ex.eval2(
-                    blk.g, np.concatenate([x, [t]])).grad[:P.d])
-            if vecs:
-                groups.append(vecs)
-    return groups
+def _penalty_groups(P: Problem, G: GeneratorSet):
+    """Generator groups of the penalty-term subdifferential at a feasible x:
+    the normal-cone generators with unit-norm duals, one group per scalar
+    constraint of a separable block and one per other block.  The convex
+    weights within a group may total at most 1."""
+    groups = {}
+    for v, pr, dual in zip(G.eta, G.eta_prov, G.eta_dual):
+        key = (pr.block, pr.index if P.blocks[pr.block].separable else None)
+        groups.setdefault(key, []).append(v / np.linalg.norm(dual))
+    return list(groups.values())
 
 
 @dataclass
@@ -795,7 +711,7 @@ class PenaltyReport:
                 "verified_at_2c": self.verified_at_2c}
 
 
-def _penalty_inclusion(P, x, c, G, groups) -> bool:
+def _penalty_inclusion(P, c, G, groups) -> bool:
     """Feasibility of 0 = sum(alpha grad_F) + c*sum(group weights) + cone(nA)
     with convex alpha and per-group total weight at most 1."""
     d = P.d
@@ -835,25 +751,22 @@ def _penalty_inclusion(P, x, c, G, groups) -> bool:
 
 def penalty_subdiff_check(P: Problem, x, c: float,
                           sampling: SamplingSpec | None = None,
-                          act: ActiveSets | None = None,
+                          ctx: PointContext | None = None,
                           check_double: bool = True) -> PenaltyReport:
     """Inclusion 0 in subdiff(F + c dist)(x) + N_A(x) at a feasible x."""
     if c < 0:
         raise ValueError("penalty parameter must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    feas = check_feasible(P, x)
-    if not feas.feasible:
+    ctx = point_context(P, x, sampling, ctx)
+    if not ctx.feasibility.feasible:
         raise NotFeasible("penalty subdifferential test requires a feasible "
                           "point")
-    sampling = sampling or SamplingSpec()
-    act = act or activity(P, x)
-    G = build_generator_set(P, x, act, sampling)
-    groups = _penalty_groups(P, x, act, sampling)
-    ok = _penalty_inclusion(P, x, c, G, groups)
+    G = ctx.generators
+    groups = _penalty_groups(P, G)
+    ok = _penalty_inclusion(P, c, G, groups)
     double = None
     if ok and check_double:
-        double = _penalty_inclusion(P, x, 2 * c, G, groups)
-    return PenaltyReport(c=c, value=penalty_value(P, x, c),
+        double = _penalty_inclusion(P, 2 * c, G, groups)
+    return PenaltyReport(c=c, value=penalty_value(P, ctx.x, c),
                          zero_in_subdiff=ok, verified_at_2c=double)
 
 
@@ -880,31 +793,17 @@ class SpotCheckReport:
 
 def linearized_spot_check(P: Problem, x, n_samples: int = 500,
                           sampling: SamplingSpec | None = None,
-                          seed: int = 0, eps: float = 1e-8) -> SpotCheckReport:
+                          seed: int = 0, eps: float = 1e-8,
+                          ctx: PointContext | None = None) -> SpotCheckReport:
     """Sampled probe of the linearized problem at x.
 
     A sampled direction with strictly negative directional derivative is a
     sound refutation of first-order necessity; a nonnegative minimum over
     the samples is evidence only.
     """
-    x = np.asarray(x, dtype=float)
-    act = activity(P, x)
-    G = build_generator_set(P, x, act, sampling)
-    rng = np.random.default_rng(seed + 211)
-    tester = TangentTester(P, x, act, sampling)
-    best = None
-    kept = 0
-    for _ in range(n_samples):
-        h = rng.standard_normal(P.d)
-        norm = np.linalg.norm(h)
-        if norm < 1e-12:
-            continue
-        h /= norm
-        if not tester.accepts(h):
-            continue
-        kept += 1
-        val = directional_derivative(G.grads_F, h)
-        best = val if best is None else min(best, val)
+    ctx = point_context(P, x, sampling, ctx)
+    best, kept = _min_feasible_slope(ctx, ctx.generators.grads_F, n_samples,
+                                     seed + 211)
     refuted = best is not None and best < -eps
     return SpotCheckReport(n_samples=n_samples, n_feasible_directions=kept,
                            min_directional_derivative=best, refuted=refuted,

@@ -1,4 +1,5 @@
-"""Cone geometry: projections, normal-cone generator families, tangent tests.
+"""Cone geometry at a point: normal-cone generator sets, tangent tests, and
+the per-point context the checks share.
 
 The generator families are exact for the polyhedral parts (nonlinear
 inequalities/equalities, bounds, affine equalities, semi-infinite grid
@@ -12,34 +13,30 @@ from them remain valid; only completeness of a failed search degrades.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
-from . import expr as ex
-from .problem import (ActiveSets, NlpEq, NlpIneq, PolyhedralSet, Problem, Sdp,
-                      SemiInfinite, Soc, activity, squared_generators,
-                      subdifferential_generators)
+from .cones import (EigenFailure, Provenance, SpectralData, axis_directions,
+                    project_psd_neg, project_soc, sdp_null_directions,
+                    spectral_split, unit_directions)
+from .problem import (ActiveSets, FeasibilityReport, PolyhedralSet, Problem,
+                      Sdp, _sdp_matrix, activity, check_feasible,
+                      squared_generators, subdifferential_generators)
 
 __all__ = [
     "SamplingSpec", "Provenance", "GeneratorSet", "SpectralData",
-    "PointNotInSet", "EigenFailure",
+    "PointNotInSet", "EigenFailure", "PointContext", "point_context",
     "project_soc", "project_psd_neg", "unit_directions",
     "eta_generators", "nA_generators", "build_generator_set",
     "tangent_membership", "TangentReport", "TangentTester",
     "block_distances", "dist_to_cone",
-    "soc_jacobian", "sdp_entry_grads", "axis_directions", "sdp_null_directions",
-    "spectral_data",
+    "axis_directions", "sdp_null_directions", "spectral_data",
 ]
 
 
 class PointNotInSet(Exception):
-    pass
-
-
-class EigenFailure(Exception):
     pass
 
 
@@ -57,40 +54,13 @@ class SamplingSpec:
         return [np.asarray(v, dtype=float) for p, v in table if p == position]
 
 
-@dataclass(frozen=True)
-class Provenance:
-    kind: str            # 'scenario'|'nlp_ineq'|'nlp_eq'|'soc_boundary'|
-                         # 'soc_apex'|'sdp_null'|'semi_infinite'|'bound'|
-                         # 'set_eq'|'aux_sum'|'aux_hull'
-    block: int | None = None
-    index: int | None = None   # constraint / scenario / grid index
-    sign: int = 1
-    detail: tuple = ()         # sampled direction, when applicable
-
-    def to_json(self):
-        out = {"kind": self.kind, "sign": self.sign}
-        if self.block is not None:
-            out["block"] = self.block
-        if self.index is not None:
-            out["index"] = self.index
-        if self.detail:
-            out["detail"] = list(self.detail)
-        return out
-
-
-@dataclass
-class SpectralData:
-    eigenvalues: np.ndarray      # descending
-    Q: np.ndarray                # orthonormal eigenvectors, matching order
-    null_basis: np.ndarray       # columns spanning the kernel
-
-
 @dataclass
 class GeneratorSet:
     """Finite generator families for the first-order machinery.
 
     grads_F spans the objective subdifferential, eta the cone-constraint
-    normal cone, nA the normal cone of the polyhedral set.  ``sampled`` is
+    normal cone, nA the normal cone of the polyhedral set.  eta_dual holds
+    the block-space dual each eta vector is the image of.  ``sampled`` is
     set when eta contains sampled (inner-approximation) directions.
     """
 
@@ -99,141 +69,20 @@ class GeneratorSet:
     grads_prov: list = field(default_factory=list)
     eta: list = field(default_factory=list)
     eta_prov: list = field(default_factory=list)
+    eta_dual: list = field(default_factory=list)
     nA: list = field(default_factory=list)
     nA_prov: list = field(default_factory=list)
     sampled: bool = False
 
 
-def project_soc(y) -> np.ndarray:
-    """Euclidean projection onto {(y0, ybar) : y0 >= |ybar|}."""
-    y = np.asarray(y, dtype=float)
-    y0, ybar = y[0], y[1:]
-    nbar = float(np.linalg.norm(ybar))
-    if y0 > nbar:
-        return y.copy()
-    if y0 <= -nbar:
-        return np.zeros_like(y)
-    coef = 0.5 * (y0 + nbar)
-    out = np.empty_like(y)
-    out[0] = coef
-    out[1:] = coef * ybar / nbar
-    return out
-
-
-def project_psd_neg(M) -> np.ndarray:
-    """Projection onto negative-semidefinite matrices: clamp eigenvalues at 0."""
-    M = np.asarray(M, dtype=float)
-    if np.max(np.abs(M - M.T)) > 1e-10:
-        raise ValueError("matrix must be symmetric")
-    try:
-        sigma, Q = np.linalg.eigh(0.5 * (M + M.T))
-    except np.linalg.LinAlgError as err:
-        raise EigenFailure(str(err)) from err
-    clamped = np.minimum(sigma, 0.0)
-    P = (Q * clamped) @ Q.T
-    return 0.5 * (P + P.T)
-
-
-def unit_directions(dim: int, count: int, seed: int) -> list[np.ndarray]:
-    """Deterministic low-discrepancy unit vectors (Sobol points pushed
-    through the normal inverse CDF, then normalized)."""
-    if dim < 1 or count < 1:
-        return []
-    if dim == 1:
-        return [np.array([1.0]), np.array([-1.0])][:max(count, 2)]
-    sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    # draw a power-of-two batch (Sobol balance), drop the leading point,
-    # truncate to the requested count
-    n_draw = 1 << max(1, (count + 1).bit_length())
-    raw = sampler.random(n_draw)[1:count + 1]
-    out = []
-    for row in raw:
-        z = ndtri(np.clip(row, 1e-12, 1 - 1e-12))
-        norm = np.linalg.norm(z)
-        if norm > 1e-12:
-            out.append(z / norm)
-    return out
-
-
-def axis_directions(dim: int) -> list[np.ndarray]:
-    out = []
-    for k in range(dim):
-        e = np.zeros(dim)
-        e[k] = 1.0
-        out.append(e)
-        out.append(-e)
-    return out
-
-
-def soc_jacobian(blk: Soc, x) -> np.ndarray:
-    return np.array([ex.eval2(g, x).grad for g in blk.g])
-
-
-def sdp_entry_grads(blk: Sdp, x) -> np.ndarray:
-    """grads[i, j, :] = gradient of entry (i, j); symmetrized."""
-    n = blk.size
-    d = len(x)
-    out = np.zeros((n, n, d))
-    for i in range(n):
-        for j in range(i, n):
-            g = ex.eval2(blk.G0[i][j], x).grad
-            out[i, j] = g
-            out[j, i] = g
-    return out
-
-
 def spectral_data(blk: Sdp, x, eps_rank: float) -> SpectralData:
-    from .problem import _sdp_matrix
-    M = _sdp_matrix(blk, x)
-    try:
-        sigma, Q = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as err:
-        raise EigenFailure(str(err)) from err
-    order = np.argsort(sigma)[::-1]
-    sigma = sigma[order]
-    Q = Q[:, order]
-    scale = max(1.0, float(np.max(np.abs(sigma))))
-    null_cols = [j for j in range(len(sigma))
-                 if abs(sigma[j]) <= eps_rank * scale]
-    Q0 = Q[:, null_cols] if null_cols else np.zeros((blk.size, 0))
-    return SpectralData(eigenvalues=sigma, Q=Q, null_basis=Q0)
+    return spectral_split(_sdp_matrix(blk, x), eps_rank)
 
 
-def sdp_null_directions(Q0: np.ndarray, count: int, seed: int,
-                         extras) -> list[np.ndarray]:
-    """Unit kernel vectors q: axis-aligned ones first, then the basis
-    columns, user extras, then sampled combinations.  q and -q give the
-    same generator, so antipodal duplicates are removed."""
-    l, r = Q0.shape
-    if r == 0:
-        return []
-    dirs: list[np.ndarray] = []
-
-    def push(q):
-        norm = np.linalg.norm(q)
-        if norm < 1e-12:
-            return
-        q = q / norm
-        for known in dirs:
-            if min(np.linalg.norm(known - q), np.linalg.norm(known + q)) < 1e-9:
-                return
-        dirs.append(q)
-
-    proj = Q0 @ Q0.T
-    for i in range(l):
-        e = np.zeros(l)
-        e[i] = 1.0
-        if np.linalg.norm(proj @ e - e) <= 1e-9:
-            push(e)
-    for j in range(r):
-        push(Q0[:, j])
-    for q in extras:
-        push(np.asarray(q, dtype=float))
-    if r == 1:
-        return dirs
-    for u in unit_directions(r, count, seed):
-        push(Q0 @ u)
-    return dirs
+def _normal_generators(P: Problem, x, act: ActiveSets, sampling):
+    sampling = sampling or SamplingSpec()
+    return [gen for ba, blk in zip(act.blocks, P.blocks)
+            for gen in blk.normal_generators(x, ba, sampling)]
 
 
 def eta_generators(P: Problem, x, act: ActiveSets,
@@ -242,77 +91,9 @@ def eta_generators(P: Problem, x, act: ActiveSets,
 
     Returns (vectors, provenance, sampled_flag).
     """
-    x = np.asarray(x, dtype=float)
-    sampling = sampling or SamplingSpec()
-    vecs, prov = [], []
-    sampled = False
-    for ba, blk in zip(act.blocks, P.blocks):
-        pos = ba.position
-        if isinstance(blk, NlpIneq):
-            for i in ba.active:
-                vecs.append(ex.eval2(blk.g[i], x).grad)
-                prov.append(Provenance("nlp_ineq", pos, i))
-        elif isinstance(blk, NlpEq):
-            for j, b in enumerate(blk.b):
-                grad = ex.eval2(b, x).grad
-                vecs.append(grad)
-                prov.append(Provenance("nlp_eq", pos, j, sign=1))
-                vecs.append(-grad)
-                prov.append(Provenance("nlp_eq", pos, j, sign=-1))
-        elif isinstance(blk, Soc):
-            if ba.soc_state == "inactive":
-                continue
-            J = soc_jacobian(blk, x)
-            if ba.soc_state == "boundary":
-                vals = ba.soc_value
-                dual = np.concatenate([[-vals[0]], vals[1:]])
-                vecs.append(J.T @ dual)
-                prov.append(Provenance("soc_boundary", pos))
-            else:  # apex: extreme dual rays (-1, v) over unit v, sampled
-                l = blk.l
-                if l >= 2:
-                    sampled = True
-                dirs = sampling.extras_for(sampling.soc_extra, pos)
-                dirs += axis_directions(l)
-                dirs += unit_directions(l, sampling.soc_dirs,
-                                        sampling.seed + 7 * pos + 1)
-                seen = []
-                for v in dirs:
-                    v = np.asarray(v, dtype=float)
-                    norm = np.linalg.norm(v)
-                    if norm < 1e-12:
-                        continue
-                    v = v / norm
-                    if any(np.linalg.norm(v - w) < 1e-9 for w in seen):
-                        continue
-                    seen.append(v)
-                    dual = np.concatenate([[-1.0], v])
-                    vecs.append(J.T @ dual)
-                    prov.append(Provenance("soc_apex", pos,
-                                           detail=tuple(v.tolist())))
-        elif isinstance(blk, Sdp):
-            spec = spectral_data(blk, x, P.tolerances.eps_rank)
-            if spec.null_basis.shape[1] == 0:
-                continue
-            entry_grads = sdp_entry_grads(blk, x)
-            extras = sampling.extras_for(sampling.sdp_extra, pos)
-            qs = sdp_null_directions(spec.null_basis, sampling.sdp_dirs,
-                                      sampling.seed + 7 * pos + 3, extras)
-            if spec.null_basis.shape[1] > 1:
-                sampled = True
-            for q in qs:
-                row = np.einsum("i,ijk,j->k", q, entry_grads, q)
-                vecs.append(row)
-                prov.append(Provenance("sdp_null", pos,
-                                       detail=tuple(q.tolist())))
-        elif isinstance(blk, SemiInfinite):
-            for j in ba.active:
-                t = blk.grid[j]
-                grad_full = ex.eval2(blk.g, np.concatenate([x, [t]])).grad
-                vecs.append(grad_full[:P.d])
-                prov.append(Provenance("semi_infinite", pos, j,
-                                       detail=(float(t),)))
-    return vecs, prov, sampled
+    gens = _normal_generators(P, np.asarray(x, dtype=float), act, sampling)
+    return ([v for v, _, _ in gens], [pr for _, pr, _ in gens],
+            any(ba.sampled for ba in act.blocks))
 
 
 def nA_generators(A: PolyhedralSet, x, eps_feas: float = 1e-8):
@@ -359,11 +140,14 @@ def build_generator_set(P: Problem, x, act: ActiveSets | None = None,
         grads = subdifferential_generators(P, x, act.scenarios)
     gprov = [Provenance("scenario", index=s.index, sign=s.sign)
              for s in act.scenarios]
-    eta, eprov, sampled = eta_generators(P, x, act, sampling)
+    eta = _normal_generators(P, x, act, sampling)
     na, nprov = nA_generators(P.set_A, x, P.tolerances.eps_feas)
     return GeneratorSet(d=P.d, grads_F=grads, grads_prov=gprov,
-                        eta=eta, eta_prov=eprov, nA=na, nA_prov=nprov,
-                        sampled=sampled)
+                        eta=[v for v, _, _ in eta],
+                        eta_prov=[pr for _, pr, _ in eta],
+                        eta_dual=[dual for _, _, dual in eta],
+                        nA=na, nA_prov=nprov,
+                        sampled=any(ba.sampled for ba in act.blocks))
 
 
 @dataclass
@@ -376,85 +160,35 @@ class TangentReport:
 class TangentTester:
     """Precomputed linearized-feasibility test at one point.
 
-    Builds every gradient, Jacobian, and kernel direction once so that the
-    per-direction test is a handful of dot products; the sampling loops in
-    the certificate checks call it thousands of times."""
+    Each block tests a direction against its normal-cone generators (or its
+    own rows, see the blocks' ``tangent_test``), the polyhedral set against
+    its normal-cone generators, so the per-direction test is a handful of
+    dot products; the sampling loops in the certificate checks call it
+    thousands of times.  The generators come from ``generators`` when
+    given, else from a fresh generator set."""
 
     def __init__(self, P: Problem, x, act: ActiveSets | None = None,
                  sampling: SamplingSpec | None = None,
-                 eps: float | None = None):
+                 eps: float | None = None,
+                 generators: GeneratorSet | None = None):
         x = np.asarray(x, dtype=float)
         act = act or activity(P, x)
-        sampling = sampling or SamplingSpec()
+        G = generators or build_generator_set(P, x, act, sampling)
         self.eps = P.tolerances.eps_feas if eps is None else eps
-        self._rows_le = []      # rows r with <r, h> <= eps required
-        self._rows_eq = []      # rows r with |<r, h>| <= eps required
-        self._soc_origin = []   # (position, Jacobian) needing Jh in the cone
-        self._block_rows = []   # (position, kind, rows_le for this block)
-        for ba, blk in zip(act.blocks, P.blocks):
-            rows = []
-            if isinstance(blk, NlpIneq):
-                rows = [ex.eval2(blk.g[i], x).grad for i in ba.active]
-            elif isinstance(blk, NlpEq):
-                for b in blk.b:
-                    self._rows_eq.append((ba.position, ex.eval2(b, x).grad))
-            elif isinstance(blk, Soc):
-                J = soc_jacobian(blk, x)
-                if ba.soc_state == "boundary":
-                    vals = ba.soc_value
-                    nbar = float(np.linalg.norm(vals[1:]))
-                    # gradient of |ybar| - y0 composed with the Jacobian
-                    rows = [J[1:].T @ (vals[1:] / nbar) - J[0]]
-                elif ba.soc_state == "origin":
-                    self._soc_origin.append((ba.position, J))
-            elif isinstance(blk, Sdp):
-                spec = spectral_data(blk, x, P.tolerances.eps_rank)
-                if spec.null_basis.shape[1] > 0:
-                    entry_grads = sdp_entry_grads(blk, x)
-                    qs = sdp_null_directions(
-                        spec.null_basis, sampling.sdp_dirs,
-                        sampling.seed + 7 * ba.position + 3,
-                        sampling.extras_for(sampling.sdp_extra, ba.position))
-                    rows = [np.einsum("i,ijk,j->k", q, entry_grads, q)
-                            for q in qs]
-            elif isinstance(blk, SemiInfinite):
-                rows = [ex.eval2(blk.g, np.concatenate([x, [blk.grid[j]]])
-                                 ).grad[:P.d] for j in ba.active]
-            self._block_rows.append((ba.position, blk.kind, rows))
-        A = P.set_A
-        self._A_rows_le = []
-        for i in range(P.d):
-            if A.lb[i] != -math.inf and abs(x[i] - A.lb[i]) <= P.tolerances.eps_feas:
-                e = np.zeros(P.d)
-                e[i] = -1.0
-                self._A_rows_le.append(e)
-            if A.ub[i] != math.inf and abs(A.ub[i] - x[i]) <= P.tolerances.eps_feas:
-                e = np.zeros(P.d)
-                e[i] = 1.0
-                self._A_rows_le.append(e)
-        self._A_rows_eq = [np.asarray(r, dtype=float) for r in A.E]
+        rows = {ba.position: [] for ba in act.blocks}
+        for v, pr in zip(G.eta, G.eta_prov):
+            rows[pr.block].append(v)
+        self._blocks = [(ba.position, blk.kind,
+                         blk.tangent_test(x, ba, rows[ba.position]))
+                        for ba, blk in zip(act.blocks, P.blocks)]
+        # bound rows and both signs of every affine equality row
+        self._A_rows = G.nA
 
     def report(self, h) -> TangentReport:
         h = np.asarray(h, dtype=float)
-        eps = self.eps
-        blocks = []
-        eq_bad = {pos for pos, r in self._rows_eq
-                  if abs(float(r @ h)) > eps}
-        for pos, kind, rows in self._block_rows:
-            ok = pos not in eq_bad
-            if ok:
-                for r in rows:
-                    if float(r @ h) > eps:
-                        ok = False
-                        break
-            blocks.append((pos, kind, ok))
-        for pos, J in self._soc_origin:
-            Jh = J @ h
-            if Jh[0] < float(np.linalg.norm(Jh[1:])) - eps:
-                blocks = [(p, k, o if p != pos else False)
-                          for p, k, o in blocks]
-        in_A = all(float(r @ h) <= eps for r in self._A_rows_le) and \
-            all(abs(float(r @ h)) <= eps for r in self._A_rows_eq)
+        blocks = [(pos, kind, test(h, self.eps))
+                  for pos, kind, test in self._blocks]
+        in_A = all(float(r @ h) <= self.eps for r in self._A_rows)
         overall = in_A and all(ok for _, _, ok in blocks)
         return TangentReport(overall=overall, blocks=blocks, in_tangent_A=in_A)
 
@@ -474,26 +208,62 @@ def block_distances(P: Problem, x) -> list[float]:
     (Euclidean residual for second-order cones, Frobenius for matrix cones,
     max over the grid for semi-infinite, l1 pieces for the nonlinear parts)."""
     x = np.asarray(x, dtype=float)
-    out = []
-    for blk in P.blocks:
-        if isinstance(blk, NlpIneq):
-            out.append(sum(max(0.0, ex.eval_value(g, x)) for g in blk.g))
-        elif isinstance(blk, NlpEq):
-            out.append(sum(abs(ex.eval_value(b, x)) for b in blk.b))
-        elif isinstance(blk, Soc):
-            vals = np.array([ex.eval_value(g, x) for g in blk.g])
-            out.append(float(np.linalg.norm(vals - project_soc(vals))))
-        elif isinstance(blk, Sdp):
-            from .problem import _sdp_matrix
-            M = _sdp_matrix(blk, x)
-            out.append(float(np.linalg.norm(M - project_psd_neg(M), "fro")))
-        elif isinstance(blk, SemiInfinite):
-            worst = max(ex.eval_value(blk.g, np.concatenate([x, [t]]))
-                        for t in blk.grid)
-            out.append(max(0.0, worst))
-    return out
+    return [blk.distance(x) for blk in P.blocks]
 
 
 def dist_to_cone(P: Problem, x) -> float:
     """l1 combination of the block distances; the exact penalty term."""
     return float(sum(block_distances(P, x)))
+
+
+class PointContext:
+    """The data every check needs at one point, each part computed on first
+    use and then shared: feasibility, the objective with its active sets
+    and block states (the matrix spectral data among them), the plain and
+    squared generator sets (holding the one sample of apex and kernel
+    directions) and the tangent tester.  Build one per problem, point and
+    sampling, and pass it to each check as ``ctx``."""
+
+    def __init__(self, problem: Problem, x,
+                 sampling: SamplingSpec | None = None):
+        self.problem = problem
+        self.x = np.asarray(x, dtype=float)
+        self.sampling = sampling or SamplingSpec()
+
+    @cached_property
+    def feasibility(self) -> FeasibilityReport:
+        return check_feasible(self.problem, self.x)
+
+    @cached_property
+    def act(self) -> ActiveSets:
+        return activity(self.problem, self.x)
+
+    @cached_property
+    def generators(self) -> GeneratorSet:
+        return build_generator_set(self.problem, self.x, self.act,
+                                   self.sampling)
+
+    @cached_property
+    def squared(self) -> GeneratorSet:
+        """The generator set of the squared-deviation formulation."""
+        return replace(self.generators, grads_F=squared_generators(
+            self.problem, self.x, self.act.scenarios))
+
+    @cached_property
+    def tester(self) -> TangentTester:
+        return TangentTester(self.problem, self.x, self.act, self.sampling,
+                             generators=self.generators)
+
+
+def point_context(P: Problem, x, sampling: SamplingSpec | None = None,
+                  ctx: PointContext | None = None) -> PointContext:
+    """``ctx`` when given, after checking that it belongs to P, x and
+    sampling; otherwise a new context."""
+    if ctx is None:
+        return PointContext(P, x, sampling)
+    if (ctx.problem is not P
+            or not np.array_equal(ctx.x, np.asarray(x, dtype=float))
+            or sampling not in (None, ctx.sampling)):
+        raise ValueError("the point context was built for another problem, "
+                         "point or sampling")
+    return ctx

@@ -14,7 +14,7 @@ import numpy as np
 
 __all__ = [
     "det", "rank", "solve_positive_combination",
-    "LpProblem", "LpResult", "simplex_solve",
+    "LpResult", "simplex_solve",
     "lp_membership", "lp_direction_margin", "lp_chebyshev_center",
     "InteriorReport",
 ]
@@ -79,18 +79,6 @@ def solve_positive_combination(V, eps: float = 1e-8, eps_pos: float = 1e-8,
 # ---------------------------------------------------------------------------
 # simplex
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class LpProblem:
-    """min c @ x  subject to  A @ x = b,  x >= 0."""
-
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-
-    def solve(self, max_iter: int = 20000) -> "LpResult":
-        return simplex_solve(self.c, self.A, self.b, max_iter=max_iter)
 
 
 @dataclass

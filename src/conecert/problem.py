@@ -6,6 +6,33 @@ semi-infinite), a polyhedral set given by bounds and affine equalities, and
 the tolerance set used for all activity and feasibility decisions.  All
 pointwise queries (objective, active scenarios, subdifferential generators,
 feasibility) live here.
+
+Each block kind is one class (NlpIneq, NlpEq, Soc, Sdp, SemiInfinite) that
+carries every operation the rest of the package needs from a block, so no
+other module branches on the kind:
+
+- ``activity(x, tol, position)``: the block's BlockActivity at x (active
+  indices, second-order-cone state, matrix spectral data);
+- ``violations(x, position)``: (description, amount) pairs for
+  check_feasible;
+- ``distance(x)``: distance of the block value to its cone in the block
+  norm, the exact-penalty term;
+- ``normal_generators(x, state, sampling)``: (vector, Provenance, dual)
+  triples generating the normal cone, where dual is the block-space
+  multiplier whose image under the derivative is the vector; apex and
+  kernel directions are sampled here and nowhere else;
+- ``tangent_test(x, state, rows)``: given the block's generator vectors,
+  a test ``(h, eps) -> bool`` of linearized feasibility of a direction;
+- ``add_dual(dual, provenance, amount)``: adds an LP weight times a
+  generator's dual to the block's multiplier;
+- ``dual_gradient(x, dual)`` and ``dual_hessian(x, dual)``: first and
+  second derivatives of the pairing <dual, G_block(x)>;
+- ``to_text()``: the block's section of the problem file format.
+
+Two class attributes complete the protocol: ``polyhedral`` (the normal
+cone is finitely generated, so no curvature term arises) and ``separable``
+(the block distance sums over scalar constraints, so each is its own
+penalty group).
 """
 
 from __future__ import annotations
@@ -16,6 +43,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import expr as ex
+from .cones import (Provenance, axis_directions, project_psd_neg,
+                    project_soc, sdp_null_directions, spectral_split,
+                    unit_directions)
 
 __all__ = [
     "ToleranceSet", "PolyhedralSet", "NlpIneq", "NlpEq", "Soc", "Sdp",
@@ -73,20 +103,136 @@ class PolyhedralSet:
                 and all(hi == math.inf for hi in self.ub))
 
 
+@dataclass
+class BlockActivity:
+    position: int
+    kind: str
+    active: list = field(default_factory=list)   # constraint / grid indices
+    soc_state: str = ""                          # 'inactive'|'boundary'|'origin'
+    soc_value: np.ndarray | None = None
+    eigenvalues: np.ndarray | None = None        # descending, sdp only
+    null_basis: np.ndarray | None = None         # columns span ker G0(x)
+    sampled: bool = False    # the normal cone's generators are a sample
+
+
+class _Block:
+    """Defaults shared by every block kind (the protocol is listed in the
+    module docstring)."""
+
+    separable = False
+
+    def tangent_test(self, x, state, rows):
+        """Linearized feasibility: <r, h> <= eps for every generator r of
+        the block's normal cone at x."""
+        return lambda h, eps: all(float(r @ h) <= eps for r in rows)
+
+
+class _ScalarBlock(_Block):
+    """Blocks of scalar constraints; a dual is an {index: weight} table.
+    Subclasses give ``_dual2(x, i)``, the value, gradient and Hessian of
+    constraint i (a semi-infinite block's gradient also covers t)."""
+
+    polyhedral = True
+
+    def _grad(self, x, i) -> np.ndarray:
+        return self._dual2(x, i).grad[:len(x)]
+
+    def add_dual(self, dual, prov, amount):
+        dual = {} if dual is None else dual
+        dual[prov.index] = dual.get(prov.index, 0.0) + amount
+        return dual
+
+    def dual_gradient(self, x, dual) -> np.ndarray:
+        total = np.zeros(len(x))
+        for i, weight in dual.items():
+            total = total + weight * self._grad(x, i)
+        return total
+
+    def dual_hessian(self, x, dual) -> np.ndarray:
+        d = len(x)
+        total = np.zeros((d, d))
+        for i, weight in dual.items():
+            total = total + weight * self._dual2(x, i).hess[:d, :d]
+        return total
+
+
+class _ConeBlock(_Block):
+    """Blocks whose value must lie in a curved cone; a dual is an array."""
+
+    polyhedral = False
+
+    def add_dual(self, dual, prov, amount):
+        return (0.0 if dual is None else dual) + amount
+
+
 @dataclass(frozen=True)
-class NlpIneq:
+class NlpIneq(_ScalarBlock):
     g: tuple  # expressions g_i(x) <= 0
     kind: str = "nlp_ineq"
+    separable = True
+
+    def _dual2(self, x, i):
+        return ex.eval2(self.g[i], x)
+
+    def activity(self, x, tol, position):
+        vals = [ex.eval_value(g, x) for g in self.g]
+        return BlockActivity(position, self.kind, active=[
+            i for i, v in enumerate(vals)
+            if abs(v) <= tol.eps_active or v > 0])
+
+    def violations(self, x, position):
+        return [(f"block {position} inequality {i + 1}", ex.eval_value(g, x))
+                for i, g in enumerate(self.g)]
+
+    def distance(self, x):
+        return sum(max(0.0, ex.eval_value(g, x)) for g in self.g)
+
+    def normal_generators(self, x, state, sampling):
+        return [(self._grad(x, i), Provenance("nlp_ineq", state.position, i),
+                 1.0) for i in state.active]
+
+    def to_text(self):
+        return "[nlp_ineq] " + " ".join(
+            f'g="{ex.to_string(g)}"' for g in self.g)
 
 
 @dataclass(frozen=True)
-class NlpEq:
+class NlpEq(_ScalarBlock):
     b: tuple  # expressions b_j(x) = 0
     kind: str = "nlp_eq"
+    separable = True
+
+    def _dual2(self, x, j):
+        return ex.eval2(self.b[j], x)
+
+    def activity(self, x, tol, position):
+        return BlockActivity(position, self.kind,
+                             active=list(range(len(self.b))))
+
+    def violations(self, x, position):
+        return [(f"block {position} equality {j + 1}",
+                 abs(ex.eval_value(b, x))) for j, b in enumerate(self.b)]
+
+    def distance(self, x):
+        return sum(abs(ex.eval_value(b, x)) for b in self.b)
+
+    def normal_generators(self, x, state, sampling):
+        out = []
+        for j in range(len(self.b)):
+            grad = self._grad(x, j)
+            out.append((grad, Provenance("nlp_eq", state.position, j, sign=1),
+                        1.0))
+            out.append((-grad, Provenance("nlp_eq", state.position, j,
+                                          sign=-1), -1.0))
+        return out
+
+    def to_text(self):
+        return "[nlp_eq] " + " ".join(
+            f'b="{ex.to_string(b)}"' for b in self.b)
 
 
 @dataclass(frozen=True)
-class Soc:
+class Soc(_ConeBlock):
     g: tuple  # l+1 expressions; (g[0], g[1:]) must lie in the second-order cone
     kind: str = "soc"
 
@@ -94,9 +240,95 @@ class Soc:
     def l(self) -> int:
         return len(self.g) - 1
 
+    def _values(self, x) -> np.ndarray:
+        return np.array([ex.eval_value(g, x) for g in self.g])
+
+    def jacobian(self, x) -> np.ndarray:
+        return np.array([ex.eval2(g, x).grad for g in self.g])
+
+    def activity(self, x, tol, position):
+        vals = self._values(x)
+        if np.linalg.norm(vals) <= tol.eps_active:
+            state = "origin"
+        elif abs(vals[0] - float(np.linalg.norm(vals[1:]))) <= tol.eps_active:
+            state = "boundary"
+        else:
+            state = "inactive"
+        return BlockActivity(position, self.kind, soc_state=state,
+                             soc_value=vals,
+                             sampled=state == "origin" and self.l >= 2)
+
+    def violations(self, x, position):
+        vals = self._values(x)
+        return [(f"block {position} second-order cone",
+                 float(np.linalg.norm(vals[1:])) - vals[0])]
+
+    def distance(self, x):
+        vals = self._values(x)
+        return float(np.linalg.norm(vals - project_soc(vals)))
+
+    def normal_generators(self, x, state, sampling):
+        if state.soc_state == "inactive":
+            return []
+        J = self.jacobian(x)
+        pos = state.position
+        if state.soc_state == "boundary":
+            vals = state.soc_value
+            dual = np.concatenate([[-vals[0]], vals[1:]])
+            return [(J.T @ dual, Provenance("soc_boundary", pos), dual)]
+        # apex: extreme dual rays (-1, v) over unit v, sampled
+        dirs = sampling.extras_for(sampling.soc_extra, pos)
+        dirs += axis_directions(self.l)
+        dirs += unit_directions(self.l, sampling.soc_dirs,
+                                sampling.seed + 7 * pos + 1)
+        out, seen = [], []
+        for v in dirs:
+            v = np.asarray(v, dtype=float)
+            norm = np.linalg.norm(v)
+            if norm < 1e-12:
+                continue
+            v = v / norm
+            if any(np.linalg.norm(v - w) < 1e-9 for w in seen):
+                continue
+            seen.append(v)
+            dual = np.concatenate([[-1.0], v])
+            prov = Provenance("soc_apex", pos, detail=tuple(v.tolist()))
+            out.append((J.T @ dual, prov, dual))
+        return out
+
+    def tangent_test(self, x, state, rows):
+        if state.soc_state == "inactive":
+            return lambda h, eps: True
+        J = self.jacobian(x)
+        if state.soc_state == "boundary":
+            ybar = state.soc_value[1:]
+            # gradient of |ybar| - y0 composed with the Jacobian
+            row = J[1:].T @ (ybar / float(np.linalg.norm(ybar))) - J[0]
+            return lambda h, eps: float(row @ h) <= eps
+
+        def stays_in_cone(h, eps):   # at the apex J h itself must lie in K
+            Jh = J @ h
+            return Jh[0] >= float(np.linalg.norm(Jh[1:])) - eps
+        return stays_in_cone
+
+    def dual_gradient(self, x, dual):
+        return self.jacobian(x).T @ dual
+
+    def dual_hessian(self, x, dual):
+        d = len(x)
+        total = np.zeros((d, d))
+        for g, lam in zip(self.g, dual):
+            if lam != 0.0:
+                total = total + lam * ex.eval2(g, x).hess
+        return total
+
+    def to_text(self):
+        return "[soc] " + " ".join(
+            f'g{i + 1}="{ex.to_string(g)}"' for i, g in enumerate(self.g))
+
 
 @dataclass(frozen=True)
-class Sdp:
+class Sdp(_ConeBlock):
     G0: tuple  # l rows of l expressions, symmetric; G0(x) must be neg. semidefinite
     kind: str = "sdp"
 
@@ -104,12 +336,107 @@ class Sdp:
     def size(self) -> int:
         return len(self.G0)
 
+    def entry_grads(self, x) -> np.ndarray:
+        """grads[i, j, :] = gradient of entry (i, j); symmetrized."""
+        n = self.size
+        out = np.zeros((n, n, len(x)))
+        for i in range(n):
+            for j in range(i, n):
+                g = ex.eval2(self.G0[i][j], x).grad
+                out[i, j] = g
+                out[j, i] = g
+        return out
+
+    def activity(self, x, tol, position):
+        spec = spectral_split(_sdp_matrix(self, x), tol.eps_rank)
+        return BlockActivity(position, self.kind, eigenvalues=spec.eigenvalues,
+                             null_basis=spec.null_basis,
+                             sampled=spec.null_basis.shape[1] > 1)
+
+    def violations(self, x, position):
+        sigma = np.linalg.eigvalsh(_sdp_matrix(self, x))
+        return [(f"block {position} matrix cone", float(sigma[-1]))]
+
+    def distance(self, x):
+        M = _sdp_matrix(self, x)
+        return float(np.linalg.norm(M - project_psd_neg(M), "fro"))
+
+    def normal_generators(self, x, state, sampling):
+        Q0 = state.null_basis
+        if Q0.shape[1] == 0:
+            return []
+        pos = state.position
+        grads = self.entry_grads(x)
+        qs = sdp_null_directions(Q0, sampling.sdp_dirs,
+                                 sampling.seed + 7 * pos + 3,
+                                 sampling.extras_for(sampling.sdp_extra, pos))
+        return [(np.einsum("i,ijk,j->k", q, grads, q),
+                 Provenance("sdp_null", pos, detail=tuple(q.tolist())),
+                 np.outer(q, q)) for q in qs]
+
+    def dual_gradient(self, x, dual):
+        return np.einsum("ij,ijk->k", dual, self.entry_grads(x))
+
+    def dual_hessian(self, x, dual):
+        d = len(x)
+        total = np.zeros((d, d))
+        for i in range(self.size):
+            for j in range(i, self.size):
+                w = dual[i, j] * (1.0 if i == j else 2.0)
+                if w != 0.0:
+                    total = total + w * ex.eval2(self.G0[i][j], x).hess
+        return total
+
+    def to_text(self):
+        parts = [f"size={self.size}"]
+        for i in range(self.size):
+            for j in range(i, self.size):
+                parts.append(f'entry({i + 1},{j + 1})='
+                             f'"{ex.to_string(self.G0[i][j])}"')
+        return "[sdp] " + " ".join(parts)
+
 
 @dataclass(frozen=True)
-class SemiInfinite:
+class SemiInfinite(_ScalarBlock):
     g: ex.Expression  # in x(1..d) and the parameter t = x(d+1)
     grid: tuple       # sorted, duplicate-free points of the compact index set
     kind: str = "semi_infinite"
+
+    def __post_init__(self):
+        if not self.grid:
+            raise ValueError("semi-infinite grid must be non-empty")
+        if list(self.grid) != sorted(set(self.grid)):
+            raise ValueError("semi-infinite grid must be sorted and "
+                             "duplicate-free")
+
+    def _dual2(self, x, j):
+        return ex.eval2(self.g, np.concatenate([x, [self.grid[j]]]))
+
+    def _values(self, x):
+        return [ex.eval_value(self.g, np.concatenate([x, [t]]))
+                for t in self.grid]
+
+    def activity(self, x, tol, position):
+        return BlockActivity(position, self.kind, active=[
+            j for j, v in enumerate(self._values(x))
+            if abs(v) <= tol.eps_active or v > 0])
+
+    def violations(self, x, position):
+        return [(f"block {position} semi-infinite", max(self._values(x)))]
+
+    def distance(self, x):
+        return max(0.0, max(self._values(x)))
+
+    def normal_generators(self, x, state, sampling):
+        return [(self._grad(x, j),
+                 Provenance("semi_infinite", state.position, j,
+                            detail=(float(self.grid[j]),)), 1.0)
+                for j in state.active]
+
+    def to_text(self):
+        a, b = self.grid[0], self.grid[-1]
+        return (f'[semiinf] g="{ex.to_string(self.g)}" '
+                f'grid={_fmt_num(a)}:{_fmt_num(b)}:{len(self.grid)}')
 
 
 @dataclass(frozen=True)
@@ -135,13 +462,6 @@ class Problem:
         if self.set_A is None:
             object.__setattr__(self, "set_A", PolyhedralSet.free(self.d))
         self.set_A.validate(self.d)
-        for blk in self.blocks:
-            if isinstance(blk, SemiInfinite):
-                if not blk.grid:
-                    raise ValueError("semi-infinite grid must be non-empty")
-                if list(blk.grid) != sorted(set(blk.grid)):
-                    raise ValueError("semi-infinite grid must be sorted and "
-                                     "duplicate-free")
 
     def with_tolerances(self, tol: ToleranceSet) -> "Problem":
         return replace(self, tolerances=tol)
@@ -152,17 +472,6 @@ class ActiveScenario:
     index: int   # 1-based scenario number
     sign: int    # +1 for minimax; +1/-1 deviation sign for chebyshev
     value: float  # f(x) (minimax) or f(x) - psi (chebyshev)
-
-
-@dataclass
-class BlockActivity:
-    position: int
-    kind: str
-    active: list = field(default_factory=list)   # constraint / grid indices
-    soc_state: str = ""                          # 'inactive'|'boundary'|'origin'
-    soc_value: np.ndarray | None = None
-    eigenvalues: np.ndarray | None = None        # descending, sdp only
-    null_basis: np.ndarray | None = None         # columns span ker G0(x)
 
 
 @dataclass
@@ -207,52 +516,12 @@ def evaluate_objective(P: Problem, x) -> tuple[float, list]:
     return F, act
 
 
-def _soc_split(values: np.ndarray):
-    y0, ybar = values[0], values[1:]
-    return y0, ybar, float(np.linalg.norm(ybar))
-
-
 def activity(P: Problem, x) -> ActiveSets:
     """Everything cone-specific machinery needs at the point x."""
     x = np.asarray(x, dtype=float)
-    tol = P.tolerances
     F, scen = evaluate_objective(P, x)
-    blocks = []
-    for pos, blk in enumerate(P.blocks):
-        ba = BlockActivity(position=pos, kind=blk.kind)
-        if isinstance(blk, NlpIneq):
-            gvals = [ex.eval_value(g, x) for g in blk.g]
-            ba.active = [i for i, v in enumerate(gvals) if abs(v) <= tol.eps_active
-                         or v > 0]
-        elif isinstance(blk, NlpEq):
-            ba.active = list(range(len(blk.b)))
-        elif isinstance(blk, Soc):
-            vals = np.array([ex.eval_value(g, x) for g in blk.g])
-            ba.soc_value = vals
-            y0, ybar, nbar = _soc_split(vals)
-            if np.linalg.norm(vals) <= tol.eps_active:
-                ba.soc_state = "origin"
-            elif abs(y0 - nbar) <= tol.eps_active:
-                ba.soc_state = "boundary"
-            else:
-                ba.soc_state = "inactive"
-        elif isinstance(blk, Sdp):
-            M = _sdp_matrix(blk, x)
-            sigma, Q = np.linalg.eigh(M)
-            order = np.argsort(sigma)[::-1]
-            sigma = sigma[order]
-            Q = Q[:, order]
-            scale = max(1.0, float(np.max(np.abs(sigma))) if sigma.size else 0.0)
-            null_cols = [j for j in range(len(sigma))
-                         if abs(sigma[j]) <= tol.eps_rank * scale]
-            ba.eigenvalues = sigma
-            ba.null_basis = Q[:, null_cols] if null_cols else np.zeros((blk.size, 0))
-        elif isinstance(blk, SemiInfinite):
-            vals = [ex.eval_value(blk.g, np.concatenate([x, [t]]))
-                    for t in blk.grid]
-            ba.active = [j for j, v in enumerate(vals)
-                         if abs(v) <= tol.eps_active or v > 0]
-        blocks.append(ba)
+    blocks = [blk.activity(x, P.tolerances, pos)
+              for pos, blk in enumerate(P.blocks)]
     return ActiveSets(F_value=F, scenarios=scen, blocks=blocks)
 
 
@@ -282,23 +551,8 @@ def check_feasible(P: Problem, x) -> FeasibilityReport:
             bad.append((desc, float(amount)))
 
     for pos, blk in enumerate(P.blocks):
-        if isinstance(blk, NlpIneq):
-            for i, g in enumerate(blk.g):
-                record(f"block {pos} inequality {i + 1}", ex.eval_value(g, x))
-        elif isinstance(blk, NlpEq):
-            for j, b in enumerate(blk.b):
-                record(f"block {pos} equality {j + 1}", abs(ex.eval_value(b, x)))
-        elif isinstance(blk, Soc):
-            vals = np.array([ex.eval_value(g, x) for g in blk.g])
-            y0, ybar, nbar = _soc_split(vals)
-            record(f"block {pos} second-order cone", nbar - y0)
-        elif isinstance(blk, Sdp):
-            sigma = np.linalg.eigvalsh(_sdp_matrix(blk, x))
-            record(f"block {pos} matrix cone", float(sigma[-1]))
-        elif isinstance(blk, SemiInfinite):
-            worst = max(ex.eval_value(blk.g, np.concatenate([x, [t]]))
-                        for t in blk.grid)
-            record(f"block {pos} semi-infinite", worst)
+        for desc, amount in blk.violations(x, pos):
+            record(desc, amount)
     A = P.set_A
     for i in range(P.d):
         if A.lb[i] != -math.inf:
@@ -551,7 +805,10 @@ def load_problem_text(text: str, source: str = "<memory>",
                                          name, grid_txt[1])
             grid = tuple(np.linspace(a, b, n).tolist())
             g = _parse_expr(g_txt[0], d, name, g_txt[1], params=("t",))
-            blocks.append(SemiInfinite(g, grid))
+            try:
+                blocks.append(SemiInfinite(g, grid))
+            except ValueError as err:
+                raise ProblemFormatError(str(err), name, grid_txt[1])
         elif name == "set":
             for k, v, ln in pairs:
                 if k in ("lb", "ub"):
@@ -645,27 +902,7 @@ def problem_to_text(P: Problem) -> str:
         if P.kind == "chebyshev":
             entry += f" psi={_fmt_num(P.psi[i])}"
         lines.append(entry)
-    for blk in P.blocks:
-        if isinstance(blk, NlpIneq):
-            lines.append("[nlp_ineq] " + " ".join(
-                f'g="{ex.to_string(g)}"' for g in blk.g))
-        elif isinstance(blk, NlpEq):
-            lines.append("[nlp_eq] " + " ".join(
-                f'b="{ex.to_string(b)}"' for b in blk.b))
-        elif isinstance(blk, Soc):
-            lines.append("[soc] " + " ".join(
-                f'g{i + 1}="{ex.to_string(g)}"' for i, g in enumerate(blk.g)))
-        elif isinstance(blk, Sdp):
-            parts = [f"size={blk.size}"]
-            for i in range(blk.size):
-                for j in range(i, blk.size):
-                    parts.append(f'entry({i + 1},{j + 1})='
-                                 f'"{ex.to_string(blk.G0[i][j])}"')
-            lines.append("[sdp] " + " ".join(parts))
-        elif isinstance(blk, SemiInfinite):
-            a, b = blk.grid[0], blk.grid[-1]
-            lines.append(f'[semiinf] g="{ex.to_string(blk.g)}" '
-                         f'grid={_fmt_num(a)}:{_fmt_num(b)}:{len(blk.grid)}')
+    lines.extend(blk.to_text() for blk in P.blocks)
     A = P.set_A
     set_parts = []
     if any(lo != -math.inf for lo in A.lb):

@@ -10,7 +10,6 @@ critical cone is sufficient regardless of the cone types.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -18,11 +17,11 @@ import numpy as np
 
 from . import expr as ex
 from .firstorder import (MultiplierWitness, NecessaryReport,
+                         _assemble_witness, _witness_residual,
                          directional_derivative)
-from .geometry import (SamplingSpec, TangentTester, build_generator_set,
-                       sdp_entry_grads, soc_jacobian)
+from .geometry import PointContext, SamplingSpec, point_context
 from .linkernel import rank
-from .problem import NlpEq, NlpIneq, Problem, SemiInfinite, activity
+from .problem import Problem
 
 __all__ = [
     "DDMultiplierSet", "HessianBundle", "CriticalConeSample", "EmptySet",
@@ -84,14 +83,14 @@ def _polytope_vertices(Aeq, beq, n):
 
 
 def dd_multipliers(P: Problem, x, witness: MultiplierWitness,
-                   sampling: SamplingSpec | None = None) -> DDMultiplierSet:
+                   sampling: SamplingSpec | None = None,
+                   ctx: PointContext | None = None) -> DDMultiplierSet:
     """All convex scenario weights that make the weighted gradient cancel
     the fixed cone-constraint dual inside the polyhedral normal cone."""
-    x = np.asarray(x, dtype=float)
-    act = activity(P, x)
-    G = build_generator_set(P, x, act, sampling)
+    ctx = point_context(P, x, sampling, ctx)
+    G = ctx.generators
     m = len(G.grads_F)
-    dual_pull = _dual_gradient_pull(P, x, witness)
+    dual_pull = witness.cone_gradient(P, ctx.x)
     # Sum_s w_s grad_s + dual_pull + Sum_k nu_k nA_k = 0, w in simplex, nu >= 0
     n = m + len(G.nA)
     Aeq = np.zeros((P.d + 1, n))
@@ -110,32 +109,8 @@ def dd_multipliers(P: Problem, x, witness: MultiplierWitness,
         if not any(np.linalg.norm(w - u) < 1e-9 for u in verts):
             verts.append(w)
     interior = np.mean(verts, axis=0)
-    scen = [(s.index, s.sign) for s in act.scenarios]
+    scen = [(s.index, s.sign) for s in ctx.act.scenarios]
     return DDMultiplierSet(scenarios=scen, vertices=verts, interior=interior)
-
-
-def _dual_gradient_pull(P: Problem, x, w: MultiplierWitness) -> np.ndarray:
-    """Gradient contribution <duals, DG(x)> of the stored cone duals."""
-    total = np.zeros(P.d)
-    for b, table in w.nlp_ineq.items():
-        blk = P.blocks[b]
-        for i, weight in table.items():
-            total += weight * ex.eval2(blk.g[i], x).grad
-    for b, table in w.nlp_eq.items():
-        blk = P.blocks[b]
-        for j, weight in table.items():
-            total += weight * ex.eval2(blk.b[j], x).grad
-    for b, dual in w.soc.items():
-        total += soc_jacobian(P.blocks[b], x).T @ dual
-    for b, M in w.sdp.items():
-        total += np.einsum("ij,ijk->k", M, sdp_entry_grads(P.blocks[b], x))
-    for b, table in w.semi_infinite.items():
-        blk = P.blocks[b]
-        for j, weight in table.items():
-            t = blk.grid[j]
-            total += weight * ex.eval2(blk.g,
-                                       np.concatenate([x, [t]])).grad[:P.d]
-    return total
 
 
 @dataclass
@@ -168,38 +143,9 @@ def hessian_bundle(P: Problem, x, witness: MultiplierWitness,
         scen_part = scen_part + w * hess
     cons_part = np.zeros((P.d, P.d))
     tags = []
-    for b, table in witness.nlp_ineq.items():
-        blk = P.blocks[b]
-        for i, weight in table.items():
-            cons_part = cons_part + weight * ex.eval2(blk.g[i], x).hess
-        tags.append({"block": b, "kind": "nlp_ineq"})
-    for b, table in witness.nlp_eq.items():
-        blk = P.blocks[b]
-        for j, weight in table.items():
-            cons_part = cons_part + weight * ex.eval2(blk.b[j], x).hess
-        tags.append({"block": b, "kind": "nlp_eq"})
-    for b, dual in witness.soc.items():
-        blk = P.blocks[b]
-        for comp, lam in enumerate(dual):
-            if lam != 0.0:
-                cons_part = cons_part + lam * ex.eval2(blk.g[comp], x).hess
-        tags.append({"block": b, "kind": "soc"})
-    for b, M in witness.sdp.items():
-        blk = P.blocks[b]
-        n = blk.size
-        for i in range(n):
-            for j in range(i, n):
-                w = M[i, j] * (1.0 if i == j else 2.0)
-                if w != 0.0:
-                    cons_part = cons_part + w * ex.eval2(blk.G0[i][j], x).hess
-        tags.append({"block": b, "kind": "sdp"})
-    for b, table in witness.semi_infinite.items():
-        blk = P.blocks[b]
-        for j, weight in table.items():
-            t = blk.grid[j]
-            full = ex.eval2(blk.g, np.concatenate([x, [t]])).hess
-            cons_part = cons_part + weight * full[:P.d, :P.d]
-        tags.append({"block": b, "kind": "semi_infinite"})
+    for b, blk, dual in witness.block_duals(P):
+        cons_part = cons_part + blk.dual_hessian(x, dual)
+        tags.append({"block": b, "kind": blk.kind})
     return HessianBundle(matrix=scen_part + cons_part,
                          scenario_part=scen_part,
                          constraint_part=cons_part, block_tags=tags)
@@ -221,24 +167,30 @@ class MultiplierVertices:
 
 
 def _all_polyhedral(P: Problem) -> bool:
-    return all(isinstance(b, (NlpIneq, NlpEq, SemiInfinite)) for b in P.blocks)
+    return all(b.polyhedral for b in P.blocks)
+
+
+def _aligned_alpha(w: MultiplierWitness, scen) -> np.ndarray:
+    """The witness's scenario weights over the (index, sign) list scen."""
+    alpha = np.zeros(len(scen))
+    for s, sg, weight in w.alpha:
+        for j, (idx, sign) in enumerate(scen):
+            if idx == s and sign == sg:
+                alpha[j] = weight
+                break
+    return alpha
 
 
 def multiplier_vertices(P: Problem, x, report: NecessaryReport,
-                        sampling: SamplingSpec | None = None) -> MultiplierVertices:
-    from .firstorder import _assemble_witness, _witness_residual
-    x = np.asarray(x, dtype=float)
+                        sampling: SamplingSpec | None = None,
+                        ctx: PointContext | None = None) -> MultiplierVertices:
+    ctx = point_context(P, x, sampling, ctx)
     G = report.generators
     scen = [(pr.index, pr.sign) for pr in G.grads_prov]
     if not _all_polyhedral(P):
         w = report.multipliers
-        alpha = np.zeros(len(scen))
-        for s, sg, weight in w.alpha:
-            for j, (idx, sign) in enumerate(scen):
-                if idx == s and sign == sg:
-                    alpha[j] = weight
-                    break
-        return MultiplierVertices(pairs=[(w, alpha, scen)], exhaustive=False)
+        return MultiplierVertices(pairs=[(w, _aligned_alpha(w, scen), scen)],
+                                  exhaustive=False)
     # joint polytope over (alpha, cone weights, nA weights)
     cols = list(G.grads_F) + list(G.eta) + list(G.nA)
     n = len(cols)
@@ -252,20 +204,14 @@ def multiplier_vertices(P: Problem, x, report: NecessaryReport,
     verts = _polytope_vertices(Aeq, beq, n)
     pairs = []
     for v in verts:
-        w = _assemble_witness(P, x, G, v[:m], v[m:])
-        w.stationarity_residual = _witness_residual(P, x, w)
+        w = _assemble_witness(ctx, G, v[:m], v[m:])
+        w.stationarity_residual = _witness_residual(P, ctx.x, w)
         if w.stationarity_residual > 1e-7:
             continue
         pairs.append((w, v[:m].copy(), scen))
     if not pairs and report.multipliers is not None:
         w = report.multipliers
-        alpha = np.zeros(len(scen))
-        for s, sg, weight in w.alpha:
-            for j, (idx, sign) in enumerate(scen):
-                if idx == s and sign == sg:
-                    alpha[j] = weight
-                    break
-        pairs = [(w, alpha, scen)]
+        pairs = [(w, _aligned_alpha(w, scen), scen)]
     return MultiplierVertices(pairs=pairs, exhaustive=bool(pairs))
 
 
@@ -289,22 +235,21 @@ def critical_cone_sample(P: Problem, x, first: NecessaryReport,
                          n_dirs: int = 512,
                          sampling: SamplingSpec | None = None,
                          seed: int = 0,
-                         eps_crit: float = 1e-8) -> CriticalConeSample:
+                         eps_crit: float = 1e-8,
+                         ctx: PointContext | None = None) -> CriticalConeSample:
     """Public entry for the sampled critical cone at a certified point."""
-    act = activity(P, np.asarray(x, dtype=float))
-    dirs = _critical_directions(P, x, first.generators, act,
-                                sampling or SamplingSpec(), n_dirs, seed,
+    ctx = point_context(P, x, sampling, ctx)
+    dirs = _critical_directions(ctx, first.generators, n_dirs, seed,
                                 eps_crit)
     return CriticalConeSample(directions=dirs, eps_crit=eps_crit,
                               n_candidates=n_dirs + 2 * P.d)
 
 
-def _critical_directions(P: Problem, x, G, act, sampling, n_dirs, seed,
-                         eps_crit):
+def _critical_directions(ctx: PointContext, G, n_dirs, seed, eps_crit):
     """Unit directions passing the linearized feasibility and zero-slope
     tests.  Random samples are augmented with canonical axes and with a
     basis of the equality subspace where every active gradient is flat."""
-    d = P.d
+    d = ctx.problem.d
     rng = np.random.default_rng(seed + 307)
     candidates = []
     for k in range(d):
@@ -324,7 +269,6 @@ def _critical_directions(P: Problem, x, G, act, sampling, n_dirs, seed,
             candidates.append(-row)
     for _ in range(n_dirs):
         candidates.append(rng.standard_normal(d))
-    tester = TangentTester(P, x, act, sampling)
     out = []
     for h in candidates:
         norm = np.linalg.norm(h)
@@ -333,7 +277,7 @@ def _critical_directions(P: Problem, x, G, act, sampling, n_dirs, seed,
         h = h / norm
         if any(np.linalg.norm(h - u) < 1e-9 for u in out):
             continue
-        if not tester.accepts(h):
+        if not ctx.tester.accepts(h):
             continue
         if abs(directional_derivative(G.grads_F, h)) > eps_crit:
             continue
@@ -368,30 +312,29 @@ class SecondOrderReport:
                 "notes": self.notes}
 
 
-def _interior_of_A(P: Problem, x) -> bool:
-    A = P.set_A
-    x = np.asarray(x, dtype=float)
-    if A.E:
-        return False
-    for i in range(P.d):
-        if A.lb[i] != -math.inf and x[i] - A.lb[i] <= P.tolerances.eps_feas:
-            return False
-        if A.ub[i] != math.inf and A.ub[i] - x[i] <= P.tolerances.eps_feas:
-            return False
-    return True
+def _worst_form(P: Problem, x, verts: MultiplierVertices, dirs):
+    """Per direction h, the largest h'Bh over the Lagrangian Hessians B of
+    the multiplier pairs; also the least of those values and a direction
+    attaining it."""
+    bundles = [hessian_bundle(P, x, w, alpha, scen)
+               for w, alpha, scen in verts.pairs]
+    best = [max(float(h @ B.matrix @ h) for B in bundles) for h in dirs]
+    k = min(range(len(dirs)), key=best.__getitem__)
+    return best, best[k], dirs[k].tolist()
 
 
 def second_order_necessary(P: Problem, x, first: NecessaryReport,
                            n_dirs: int = 512,
                            sampling: SamplingSpec | None = None,
                            seed: int = 0,
-                           eps_crit: float = 1e-8) -> SecondOrderReport:
+                           eps_crit: float = 1e-8,
+                           ctx: PointContext | None = None) -> SecondOrderReport:
     """Sampled test: along every critical direction some multiplier pair
     must give a nonnegative quadratic form (polyhedral blocks only; with
     curved blocks a negative form cannot refute and is only reported)."""
-    x = np.asarray(x, dtype=float)
+    ctx = point_context(P, x, sampling, ctx)
     notes = []
-    if not _interior_of_A(P, x):
+    if first.generators.nA:   # x lies on the boundary of A
         return SecondOrderReport(
             mode="necessary", applicable=False, refuted=False, passed=False,
             critical_cone_trivial=False, conservative_refutation_only=True,
@@ -402,12 +345,9 @@ def second_order_necessary(P: Problem, x, first: NecessaryReport,
     if not first.zero_in_D or first.multipliers is None:
         raise ValueError("second-order tests need a successful first-order "
                          "necessary check")
-    act = activity(P, x)
-    G = first.generators
-    sampling = sampling or SamplingSpec()
-    verts = multiplier_vertices(P, x, first, sampling)
+    verts = multiplier_vertices(P, x, first, ctx=ctx)
     polyhedral = _all_polyhedral(P)
-    dirs = _critical_directions(P, x, G, act, sampling, n_dirs, seed, eps_crit)
+    dirs = _critical_directions(ctx, first.generators, n_dirs, seed, eps_crit)
     if not dirs:
         return SecondOrderReport(
             mode="necessary", applicable=True, refuted=False, passed=True,
@@ -417,15 +357,7 @@ def second_order_necessary(P: Problem, x, first: NecessaryReport,
             n_directions=0, worst_value=None, witness_direction=None,
             notes=["no nonzero critical directions found; the test is "
                    "vacuously satisfied"])
-    bundles = [(hessian_bundle(P, x, w, alpha, scen), w)
-               for w, alpha, scen in verts.pairs]
-    worst = math.inf
-    witness_dir = None
-    for h in dirs:
-        sup = max(float(h @ B.matrix @ h) for B, _ in bundles)
-        if sup < worst:
-            worst = sup
-            witness_dir = h
+    _, worst, witness_dir = _worst_form(P, ctx.x, verts, dirs)
     refuted = polyhedral and verts.exhaustive and worst < -eps_crit
     if not polyhedral:
         notes.append("curved cone blocks present: the omitted curvature "
@@ -436,29 +368,27 @@ def second_order_necessary(P: Problem, x, first: NecessaryReport,
         passed=worst >= -eps_crit, critical_cone_trivial=False,
         conservative_refutation_only=not polyhedral,
         multiplier_set_exhaustive=verts.exhaustive,
-        n_directions=len(dirs), worst_value=float(worst),
-        witness_direction=None if witness_dir is None else witness_dir.tolist(),
-        notes=notes)
+        n_directions=len(dirs), worst_value=worst,
+        witness_direction=witness_dir, notes=notes)
 
 
 def second_order_sufficient(P: Problem, x, first: NecessaryReport,
                             n_dirs: int = 512,
                             sampling: SamplingSpec | None = None,
                             seed: int = 0, eps_crit: float = 1e-8,
-                            eps_pos: float | None = None) -> SecondOrderReport:
+                            eps_pos: float | None = None,
+                            ctx: PointContext | None = None) -> SecondOrderReport:
     """Sampled sufficiency: every sampled critical direction must admit a
     multiplier pair with strictly positive quadratic form.  Sampling cannot
-    prove positivity over the whole cone, so a pass is labelled sampled."""
-    x = np.asarray(x, dtype=float)
+    prove positivity over the whole cone, so a pass is labelled sampled,
+    and a failure refutes nothing: ``refuted`` is always false."""
+    ctx = point_context(P, x, sampling, ctx)
     if not first.zero_in_D or first.multipliers is None:
         raise ValueError("second-order tests need a successful first-order "
                          "necessary check")
     eps_pos = P.tolerances.eps_pos if eps_pos is None else eps_pos
-    act = activity(P, x)
-    G = first.generators
-    sampling = sampling or SamplingSpec()
-    verts = multiplier_vertices(P, x, first, sampling)
-    dirs = _critical_directions(P, x, G, act, sampling, n_dirs, seed, eps_crit)
+    verts = multiplier_vertices(P, x, first, ctx=ctx)
+    dirs = _critical_directions(ctx, first.generators, n_dirs, seed, eps_crit)
     notes = ["pass is over sampled directions only; it cannot certify the "
              "full critical cone"]
     if not _all_polyhedral(P):
@@ -472,23 +402,11 @@ def second_order_sufficient(P: Problem, x, first: NecessaryReport,
             multiplier_set_exhaustive=verts.exhaustive, n_directions=0,
             worst_value=None, witness_direction=None,
             notes=notes + ["critical cone sampling found only the origin"])
-    bundles = [(hessian_bundle(P, x, w, alpha, scen), w)
-               for w, alpha, scen in verts.pairs]
-    worst = math.inf
-    witness_dir = None
-    all_pass = True
-    for h in dirs:
-        best = max(float(h @ B.matrix @ h) for B, _ in bundles)
-        if best < worst:
-            worst = best
-            witness_dir = h
-        if best <= eps_pos:
-            all_pass = False
+    best, worst, witness_dir = _worst_form(P, ctx.x, verts, dirs)
     return SecondOrderReport(
-        mode="sufficient", applicable=True, refuted=not all_pass,
-        passed=all_pass, critical_cone_trivial=False,
+        mode="sufficient", applicable=True, refuted=False,
+        passed=all(v > eps_pos for v in best), critical_cone_trivial=False,
         conservative_refutation_only=False,
         multiplier_set_exhaustive=verts.exhaustive,
-        n_directions=len(dirs), worst_value=float(worst),
-        witness_direction=None if witness_dir is None else witness_dir.tolist(),
-        notes=notes)
+        n_directions=len(dirs), worst_value=worst,
+        witness_direction=witness_dir, notes=notes)

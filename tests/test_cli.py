@@ -183,3 +183,55 @@ def test_registry_unknown_name():
 def test_usage_error_maps_to_one():
     code, _, _ = run_cli("check", "--bogus-flag")
     assert code == 1
+
+
+def test_values_with_leading_minus_in_both_spellings(tmp_path):
+    spaced = run_cli("check", "--registry", "dem", "--at", "-0.0,-3")
+    glued = run_cli("check", "--registry", "dem", "--at=-0.0,-3")
+    assert spaced[0] == glued[0] == 0
+    assert spaced[1] == glued[1]
+    src = tmp_path / "si.prob"
+    src.write_text('[problem] dim=1\n[scenario] f="x(1)"\n'
+                   '[semiinf] g="x(1) - t" grid=0:1:5\n')
+    spaced = run_cli("discretize", "--file", str(src), "--at", "-0.0")
+    glued = run_cli("discretize", "--file", str(src), "--at=-0.0")
+    assert spaced[0] == glued[0] == 0
+    assert spaced[1] == glued[1] and "[nlp_ineq]" in spaced[1]
+    spaced = run_cli("verify-alternance", "--vectors", "-1,1;1,1;0,-1")
+    glued = run_cli("verify-alternance", "--vectors=-1,1;1,1;0,-1")
+    assert spaced[0] == glued[0] == 0
+    assert spaced[1] == glued[1]
+
+
+def test_check_builds_point_data_once(monkeypatch):
+    """One check computes the active sets, the generator set, the kernel
+    sample and the tangent tester once, however many tests read them."""
+    from conecert import geometry, problem
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items()
+               if name == "conecert" or name.startswith("conecert.")]
+    for owner, attr in ((geometry, "build_generator_set"),
+                        (geometry, "sdp_null_directions"),
+                        (problem, "activity")):
+        original = getattr(owner, attr)
+        wrapper = counting(attr, original)
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, wrapper)
+    tester = geometry.TangentTester
+    monkeypatch.setattr(tester, "__init__",
+                        counting("TangentTester", tester.__init__))
+    code, out, _ = run_cli("check", "--registry", "sdp-example",
+                           "--second-order", "--penalty", "10",
+                           "--flavor", "generalised", "--json")
+    assert code == 0 and json.loads(out)["penalty"]["zero_in_subdiff"]
+    assert counts == {"build_generator_set": 1, "sdp_null_directions": 1,
+                      "TangentTester": 1, "activity": 1}

@@ -98,9 +98,8 @@ def test_simplex_against_bruteforce(rng):
 
 
 def test_lp_problem_wrapper():
-    lp = lk.LpProblem(c=np.array([1.0, 0.0]),
-                      A=np.array([[1.0, 1.0]]), b=np.array([2.0]))
-    res = lp.solve()
+    res = lk.simplex_solve(np.array([1.0, 0.0]), np.array([[1.0, 1.0]]),
+                           np.array([2.0]))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(0.0)
 

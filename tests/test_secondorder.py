@@ -109,6 +109,16 @@ def test_second_order_saddle_refuted_along_axis():
     assert not srep.passed
 
 
+def test_failed_sufficient_test_refutes_nothing():
+    # 0 is the global minimum of x^4, yet its Hessian vanishes there
+    P = _simple('[problem] dim=1\n[scenario] f="x(1)^4"\n')
+    nec = fo.necessary_check(P, (0.0,))
+    rep = so.second_order_sufficient(P, (0.0,), nec)
+    assert not rep.passed and not rep.refuted
+    assert not so.second_order_necessary(P, (0.0,), nec).refuted
+    assert not growth_probe(P, (0.0,), order=1).refuted
+
+
 def test_second_order_bowl_passes():
     P = _simple('[problem] dim=3\n'
                 '[scenario] f="x(1)^2 + x(2)^2 + x(3)^2"\n')
