@@ -217,18 +217,7 @@ def cmd_check(args) -> int:
 
     report["flavor_search"] = None
     if args.flavor:
-        G = ctx.generators
-        try:
-            cadre = fo.find_cadre(G, args.flavor,
-                                  eps_det=problem.tolerances.eps_det)
-            complete = cadre
-            if complete is None or not complete.complete:
-                complete = fo.find_cadre(G, args.flavor, p_min=problem.d + 1,
-                                         eps_det=problem.tolerances.eps_det)
-        except fo.CombinatorialBudgetExceeded:
-            cadre = None
-            complete = None
-            inconclusive = True
+        cadre, complete = _flavor_search(args.flavor, ctx, nec, suf)
         report["flavor_search"] = {
             "flavor": args.flavor,
             "cadre": cadre.to_json() if cadre else None,
@@ -279,6 +268,32 @@ def cmd_check(args) -> int:
     report["exit_code"] = code
     _emit(args, report)
     return code
+
+
+def _flavor_search(flavor, ctx, nec, suf):
+    """The flavor's first cadre and its complete cadre, both None when a
+    search's budget ran out.  The necessary check already ran the plain
+    search and the sufficient check the complete generalised one, on the
+    same generators with the same budget, so their results are reused."""
+    G = ctx.generators
+    eps_det = ctx.problem.tolerances.eps_det
+    try:
+        if flavor == "plain":
+            if nec.budget_exceeded:
+                return None, None
+            cadre = nec.cadre
+        else:
+            cadre = fo.find_cadre(G, flavor, eps_det=eps_det)
+        if cadre is not None and cadre.complete:
+            return cadre, cadre
+        if flavor == "generalised":
+            if suf.budget_exceeded:
+                return None, None
+            return cadre, suf.complete_alternance
+        return cadre, fo.find_cadre(G, flavor, p_min=ctx.problem.d + 1,
+                                    eps_det=eps_det)
+    except fo.CombinatorialBudgetExceeded:
+        return None, None
 
 
 def _emit(args, report):

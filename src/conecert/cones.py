@@ -17,7 +17,7 @@ from scipy.stats import qmc
 __all__ = [
     "EigenFailure", "Provenance", "SpectralData", "spectral_split",
     "project_soc", "project_psd_neg", "unit_directions", "axis_directions",
-    "sdp_null_directions",
+    "sdp_null_directions", "KeptRows",
 ]
 
 
@@ -121,6 +121,30 @@ def unit_directions(dim: int, count: int, seed: int) -> list[np.ndarray]:
     return out
 
 
+class KeptRows:
+    """Vectors kept in insertion order as the rows of one growing array, so
+    that a candidate is compared with every kept row in one call."""
+
+    def __init__(self, dim: int):
+        self._rows = np.empty((8, dim))
+        self._n = 0
+
+    def near(self, v, tol: float, antipodal: bool = False) -> bool:
+        """Whether some kept row lies within tol of v (or of -v, when
+        antipodal)."""
+        kept = self._rows[:self._n]
+        dist = np.linalg.norm(kept - v, axis=1)
+        if antipodal:
+            dist = np.minimum(dist, np.linalg.norm(kept + v, axis=1))
+        return bool(np.any(dist < tol))
+
+    def append(self, v):
+        if self._n == len(self._rows):
+            self._rows = np.vstack([self._rows, np.empty_like(self._rows)])
+        self._rows[self._n] = v
+        self._n += 1
+
+
 def axis_directions(dim: int) -> list[np.ndarray]:
     out = []
     for k in range(dim):
@@ -140,15 +164,16 @@ def sdp_null_directions(Q0: np.ndarray, count: int, seed: int,
     if r == 0:
         return []
     dirs: list[np.ndarray] = []
+    kept = KeptRows(l)
 
     def push(q):
         norm = np.linalg.norm(q)
         if norm < 1e-12:
             return
         q = q / norm
-        for known in dirs:
-            if min(np.linalg.norm(known - q), np.linalg.norm(known + q)) < 1e-9:
-                return
+        if kept.near(q, 1e-9, antipodal=True):
+            return
+        kept.append(q)
         dirs.append(q)
 
     proj = Q0 @ Q0.T

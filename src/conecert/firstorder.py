@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from . import expr as ex
+from .cones import KeptRows
 from .geometry import (GeneratorSet, PointContext, Provenance, SamplingSpec,
                        block_distances, point_context)
-from .linkernel import (det, lp_chebyshev_center, lp_membership, rank,
-                        simplex_solve, solve_positive_combination)
+from .linkernel import (SCREEN_CHUNK, det, lp_chebyshev_center,
+                        lp_membership, rank, simplex_solve,
+                        solve_positive_combination, stacked_rank)
 from .problem import (NlpIneq, Problem, SemiInfinite, activity,
                       evaluate_objective)
 
@@ -195,15 +197,25 @@ def verify_alternance(vectors, k0: int | None = None, i0: int | None = None,
 _AUX_PAIR_CAP = 24
 
 
-def _dedup_push(pool, prov, vec, pr):
+def _unit_rows(pool) -> KeptRows:
+    units = KeptRows(len(pool[0]))
+    for v in pool:
+        norm = np.linalg.norm(v)
+        if norm > 0:
+            units.append(v / norm)
+    return units
+
+
+def _dedup_push(pool, prov, units: KeptRows, vec, pr):
+    """Append vec unless its direction repeats one in the pool, whose unit
+    vectors ``units`` holds."""
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
         return
     unit = vec / norm
-    for known in pool:
-        kn = np.linalg.norm(known)
-        if kn > 0 and np.linalg.norm(known / kn - unit) < 1e-12:
-            return
+    if units.near(unit, 1e-12):
+        return
+    units.append(unit)
     pool.append(vec)
     prov.append(pr)
 
@@ -214,11 +226,13 @@ def _cone_pool(base, base_prov, generalised: bool):
     if not generalised or len(base) < 2 or len(base) > _AUX_PAIR_CAP:
         return pool, prov
     n = len(base)
+    units = _unit_rows(pool)
     for i, j in combinations(range(n), 2):
-        _dedup_push(pool, prov, pool[i] + pool[j],
+        _dedup_push(pool, prov, units, pool[i] + pool[j],
                     Provenance("aux_sum", detail=(i, j)))
     total = np.sum([np.asarray(v, dtype=float) for v in base], axis=0)
-    _dedup_push(pool, prov, total, Provenance("aux_sum", detail=tuple(range(n))))
+    _dedup_push(pool, prov, units, total,
+                Provenance("aux_sum", detail=tuple(range(n))))
     return pool, prov
 
 
@@ -249,8 +263,19 @@ def _hull_pool(grads, grads_prov, generalised: bool):
     if np.linalg.norm(aux) < 1e-12:
         return pool, prov
     if lp_membership(aux, pool) is not None:
-        _dedup_push(pool, prov, aux, Provenance("aux_hull"))
+        _dedup_push(pool, prov, _unit_rows(pool), aux, Provenance("aux_hull"))
     return pool, prov
+
+
+def _subsets(n_grads, n_eta, n_na, k0, e, a):
+    """Index tuples into the joined pool (objective gradients, then cone
+    generators, then polyhedral-set generators), in enumeration order."""
+    eta = range(n_grads, n_grads + n_eta)
+    na = range(n_grads + n_eta, n_grads + n_eta + n_na)
+    for gi in combinations(range(n_grads), k0):
+        for ei in combinations(eta, e):
+            for ai in combinations(na, a):
+                yield gi + ei + ai
 
 
 def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
@@ -264,7 +289,10 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
     generalised flavor extends the pools with verified interior points
     (sums of generators within one cone; a checked hull point); the weak
     flavor merges the two cone segments and adds their pairwise sums.
-    Returns the first cadre found or None.
+    Subsets are screened in chunks by one stacked rank computation; only
+    those of rank p-1, which the positive-combination test demands, go on
+    to it and to the alternance test, in enumeration order.  Every subset
+    counts against the budget.  Returns the first cadre found or None.
     """
     if flavor not in ("plain", "generalised", "weak"):
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -287,6 +315,9 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
         aux = flavor == "generalised"
         eta_pool, eta_prov = _cone_pool(G.eta, G.eta_prov, aux)
         na_pool, na_prov = _cone_pool(G.nA, G.nA_prov, aux)
+    pool = grads + eta_pool + na_pool
+    pool_prov = grads_prov + eta_prov + na_prov
+    stacked = np.array(pool)
 
     tried = 0
     for p in range(p_min, p_max + 1):
@@ -296,27 +327,39 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
                 a = rest - e
                 if a > len(na_pool):
                     continue
-                for gi in combinations(range(len(grads)), k0):
-                    for ei in combinations(range(len(eta_pool)), e):
-                        for ai in combinations(range(len(na_pool)), a):
-                            tried += 1
-                            if tried > budget:
-                                raise CombinatorialBudgetExceeded(tried)
-                            vecs = ([grads[i] for i in gi]
-                                    + [eta_pool[i] for i in ei]
-                                    + [na_pool[i] for i in ai])
-                            beta = solve_positive_combination(vecs)
-                            if beta is None:
-                                continue
-                            prov = ([grads_prov[i] for i in gi]
-                                    + [eta_prov[i] for i in ei]
-                                    + [na_prov[i] for i in ai])
-                            result = verify_alternance(
-                                vecs, k0=k0, i0=k0 + e, Z=Z, eps_det=eps_det,
-                                flavor=flavor, provenance=prov)
-                            if isinstance(result, Cadre):
-                                return result
+                subsets = _subsets(len(grads), len(eta_pool), len(na_pool),
+                                   k0, e, a)
+                while chunk := list(islice(
+                        subsets, min(SCREEN_CHUNK, budget - tried + 1))):
+                    # the subset after the budget's last is never tried
+                    over = tried + len(chunk) > budget
+                    if over:
+                        chunk.pop()
+                    for sub in _rank_screen(stacked, chunk, p):
+                        vecs = [pool[i] for i in sub]
+                        if solve_positive_combination(vecs) is None:
+                            continue
+                        result = verify_alternance(
+                            vecs, k0=k0, i0=k0 + e, Z=Z, eps_det=eps_det,
+                            flavor=flavor,
+                            provenance=[pool_prov[i] for i in sub])
+                        if isinstance(result, Cadre):
+                            return result
+                    tried += len(chunk)
+                    if over:
+                        raise CombinatorialBudgetExceeded(tried + 1)
     return None
+
+
+def _rank_screen(stacked, chunk, p):
+    """The subsets of the chunk whose vectors (rows of ``stacked``) have
+    rank p - 1, in order.  A single vector passes only when it is zero,
+    and that test is relative to its own norm, so p = 1 is not screened."""
+    if p == 1 or not chunk:
+        return chunk
+    mats = stacked[np.array(chunk)].transpose(0, 2, 1)
+    ranks, _ = stacked_rank(mats)
+    return [chunk[j] for j in np.flatnonzero(ranks == p - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +379,6 @@ class MultiplierWitness:
     nlp_eq: dict                 # block -> {equality: signed weight}
     soc: dict                    # block -> dual vector (length l+1)
     sdp: dict                    # block -> dual matrix (l x l, PSD)
-    sdp_gamma: dict              # block -> matrix in the kernel basis
     semi_infinite: dict          # block -> {grid_index: weight}
     nA: list                     # (provenance, weight)
     stationarity_residual: float = math.nan
@@ -395,8 +437,7 @@ def _assemble_witness(ctx: PointContext, G: GeneratorSet,
     w = MultiplierWitness(
         alpha=[(pr.index, pr.sign, float(l))
                for pr, l in zip(G.grads_prov, lam) if l > 0],
-        nlp_ineq={}, nlp_eq={}, soc={}, sdp={}, sdp_gamma={},
-        semi_infinite={}, nA=[])
+        nlp_ineq={}, nlp_eq={}, soc={}, sdp={}, semi_infinite={}, nA=[])
     n_eta = len(G.eta)
     for k, weight in enumerate(mu):
         if weight <= 0:
@@ -410,9 +451,6 @@ def _assemble_witness(ctx: PointContext, G: GeneratorSet,
                                            weight * G.eta_dual[k])
         else:
             w.nA.append((G.nA_prov[k - n_eta], weight))
-    for b, M in w.sdp.items():
-        Q0 = ctx.act.blocks[b].null_basis
-        w.sdp_gamma[b] = Q0.T @ M @ Q0
     return w
 
 
@@ -456,7 +494,6 @@ def witness_from_json(data) -> MultiplierWitness:
              for b, v in data["soc"].items()},
         sdp={int(b): np.asarray(M, dtype=float)
              for b, M in data["sdp"].items()},
-        sdp_gamma={},
         semi_infinite={int(b): {int(i): w for i, w in t.items()}
                        for b, t in data["semi_infinite"].items()},
         nA=[(_prov(rec["prov"]), rec["weight"]) for rec in data["nA"]],

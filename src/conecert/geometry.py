@@ -222,13 +222,16 @@ class PointContext:
     and block states (the matrix spectral data among them), the plain and
     squared generator sets (holding the one sample of apex and kernel
     directions) and the tangent tester.  Build one per problem, point and
-    sampling, and pass it to each check as ``ctx``."""
+    sampling, and pass it to each check as ``ctx``.  ``memo`` holds what
+    the checks derive from these and share (the second-order tests keep
+    their multiplier vertices and critical directions there)."""
 
     def __init__(self, problem: Problem, x,
                  sampling: SamplingSpec | None = None):
         self.problem = problem
         self.x = np.asarray(x, dtype=float)
         self.sampling = sampling or SamplingSpec()
+        self.memo = {}
 
     @cached_property
     def feasibility(self) -> FeasibilityReport:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "det", "rank", "solve_positive_combination",
+    "det", "rank", "stacked_rank", "SCREEN_CHUNK",
+    "solve_positive_combination",
     "LpResult", "simplex_solve",
     "lp_membership", "lp_direction_margin", "lp_chebyshev_center",
     "InteriorReport",
@@ -30,15 +31,27 @@ def det(M) -> float:
     return float(np.linalg.det(M))
 
 
+# matrices per stacked rank screen in the subset enumerations: large
+# enough to amortise the call, small enough to keep the stacks small
+SCREEN_CHUNK = 256
+
+
+def stacked_rank(stack, eps_rank: float = 1e-9):
+    """Ranks of the matrices stacked along the leading axes of ``stack``
+    (number of singular values above eps_rank times the largest), from one
+    SVD call, and the singular values, largest first.  ``rank`` is this
+    call on a single matrix, so a stacked screen agrees with it bit for
+    bit."""
+    sigma = np.linalg.svd(stack, compute_uv=False)
+    return np.sum(sigma > eps_rank * sigma[..., :1], axis=-1), sigma
+
+
 def rank(M, eps_rank: float = 1e-9) -> int:
     """Number of singular values above eps_rank * sigma_max."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0
-    sigma = np.linalg.svd(M, compute_uv=False)
-    if sigma[0] <= 0.0:
-        return 0
-    return int(np.sum(sigma > eps_rank * sigma[0]))
+    return int(stacked_rank(M, eps_rank)[0])
 
 
 def solve_positive_combination(V, eps: float = 1e-8, eps_pos: float = 1e-8,

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import expr as ex
-from .cones import (Provenance, axis_directions, project_psd_neg,
+from .cones import (KeptRows, Provenance, axis_directions, project_psd_neg,
                     project_soc, sdp_null_directions, spectral_split,
                     unit_directions)
 
@@ -281,14 +281,14 @@ class Soc(_ConeBlock):
         dirs += axis_directions(self.l)
         dirs += unit_directions(self.l, sampling.soc_dirs,
                                 sampling.seed + 7 * pos + 1)
-        out, seen = [], []
+        out, seen = [], KeptRows(self.l)
         for v in dirs:
             v = np.asarray(v, dtype=float)
             norm = np.linalg.norm(v)
             if norm < 1e-12:
                 continue
             v = v / norm
-            if any(np.linalg.norm(v - w) < 1e-9 for w in seen):
+            if seen.near(v, 1e-9):
                 continue
             seen.append(v)
             dual = np.concatenate([[-1.0], v])

@@ -11,16 +11,18 @@ critical cone is sufficient regardless of the cone types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import expr as ex
+from .cones import KeptRows
 from .firstorder import (MultiplierWitness, NecessaryReport,
                          _assemble_witness, _witness_residual,
                          directional_derivative)
 from .geometry import PointContext, SamplingSpec, point_context
-from .linkernel import rank
+from .linkernel import SCREEN_CHUNK, rank, stacked_rank
 from .problem import Problem
 
 __all__ = [
@@ -57,29 +59,81 @@ def _polytope_vertices(Aeq, beq, n):
     """Vertices of {w >= 0 : Aeq w = beq} by basic-solution enumeration.
 
     Supports of every size up to min(m, n) are tried, so vertices of
-    degenerate systems (dependent equality rows) are not missed."""
+    degenerate systems (dependent equality rows) are not missed.  Each
+    chunk of supports is screened first (``_support_screen``); the scalar
+    test below still decides every support the screen lets through."""
     m = Aeq.shape[0]
     verts = []
     scale = max(1.0, float(np.linalg.norm(beq)))
     for size in range(0, min(m, n) + 1):
-        for support in combinations(range(n), size):
-            B = Aeq[:, support] if support else np.zeros((m, 0))
-            if support and rank(B) < len(support):
-                continue
-            if support:
-                sol, *_ = np.linalg.lstsq(B, beq, rcond=None)
-            else:
-                sol = np.zeros(0)
-            full = np.zeros(n)
-            full[list(support)] = sol
-            if np.any(full < -1e-9):
-                continue
-            if np.linalg.norm(Aeq @ full - beq) > 1e-8 * scale:
-                continue
-            full = np.maximum(full, 0.0)
-            if not any(np.linalg.norm(full - v) < 1e-8 for v in verts):
-                verts.append(full)
+        supports = combinations(range(n), size)
+        while chunk := list(islice(supports, SCREEN_CHUNK)):
+            for support in _support_screen(Aeq, beq, chunk, verts, scale):
+                B = Aeq[:, support] if support else np.zeros((m, 0))
+                if support and rank(B) < len(support):
+                    continue
+                if support:
+                    sol, *_ = np.linalg.lstsq(B, beq, rcond=None)
+                else:
+                    sol = np.zeros(0)
+                full = np.zeros(n)
+                full[list(support)] = sol
+                if np.any(full < -1e-9):
+                    continue
+                if np.linalg.norm(Aeq @ full - beq) > 1e-8 * scale:
+                    continue
+                full = np.maximum(full, 0.0)
+                if not any(np.linalg.norm(full - v) < 1e-8 for v in verts):
+                    verts.append(full)
     return verts
+
+
+def _support_screen(Aeq, beq, chunk, verts, scale):
+    """The supports of the chunk (all of one size) that the scalar test in
+    ``_polytope_vertices`` could turn into a new vertex, in order.
+
+    One stacked SVD drops the rank-deficient supports; it is the scalar
+    rank test, bit for bit.  A stacked QR solve of the rest gives basic
+    solutions w that differ from the scalar least-squares ones by at most
+    delta, a perturbation bound (Wedin) built from each support's
+    condition number.  A support is dropped only when, even moved by
+    delta, its residual misses beq, an entry of w lies below -1e-9, or its
+    vertex repeats one already kept.  The last covers supports whose
+    basic solution has a (near) zero entry: in exact arithmetic their
+    vertex is that of the smaller support without it, found earlier."""
+    k = len(chunk[0])
+    if k == 0:
+        return chunk
+    m, n = Aeq.shape
+    idx = np.array(chunk)
+    B = Aeq[:, idx].transpose(1, 0, 2)
+    ranks, sigma = stacked_rank(B)
+    keep = np.flatnonzero(ranks == k)
+    if not len(keep):
+        return []
+    idx, B, sigma = idx[keep], B[keep], sigma[keep]
+    Q, R = np.linalg.qr(B)
+    w = np.linalg.solve(R, Q.transpose(0, 2, 1) @ beq[:, None])[..., 0]
+    resid = np.linalg.norm((B @ w[..., None])[..., 0] - beq, axis=1)
+    # backward error of Householder QR and of the SVD least-squares solve,
+    # relative to |B|, with room for the rounding of the norms compared
+    unit = 16.0 * (m + 1) * (n + 1) * np.finfo(float).eps
+    smax = sigma[:, 0]
+    kappa = smax / sigma[:, -1]
+    tilt = unit * kappa
+    wnorm = np.linalg.norm(w, axis=1)
+    bound = 4.0 * tilt / (1.0 - tilt) * (2.0 * wnorm
+                                         + (kappa + 1.0) * resid / smax)
+    delta = np.where(tilt < 0.5, bound + unit * wnorm, np.inf)
+    drop = (resid - smax * delta - unit * (smax * wnorm + scale)
+            > 1e-8 * scale)
+    drop |= np.min(w, axis=1) + delta < -1e-9
+    if verts:
+        cand = np.zeros((len(idx), n))
+        np.put_along_axis(cand, idx, np.maximum(w, 0.0), axis=1)
+        near = cdist(cand, np.array(verts)).min(axis=1)
+        drop |= (near + delta) * (1.0 + unit) < 1e-8
+    return [chunk[j] for j, dropped in zip(keep, drop) if not dropped]
 
 
 def dd_multipliers(P: Problem, x, witness: MultiplierWitness,
@@ -269,18 +323,19 @@ def _critical_directions(ctx: PointContext, G, n_dirs, seed, eps_crit):
             candidates.append(-row)
     for _ in range(n_dirs):
         candidates.append(rng.standard_normal(d))
-    out = []
+    out, kept = [], KeptRows(d)
     for h in candidates:
         norm = np.linalg.norm(h)
         if norm < 1e-12:
             continue
         h = h / norm
-        if any(np.linalg.norm(h - u) < 1e-9 for u in out):
+        if kept.near(h, 1e-9):
             continue
         if not ctx.tester.accepts(h):
             continue
         if abs(directional_derivative(G.grads_F, h)) > eps_crit:
             continue
+        kept.append(h)
         out.append(h)
     return out
 
@@ -310,6 +365,22 @@ class SecondOrderReport:
                 "worst_value": self.worst_value,
                 "witness_direction": self.witness_direction,
                 "notes": self.notes}
+
+
+def _second_order_inputs(first: NecessaryReport, n_dirs, seed, eps_crit,
+                         ctx: PointContext):
+    """The multiplier vertices and the sampled critical directions for the
+    generator set of ``first``, computed once per point context and shared
+    by both second-order tests.  The memo entry holds the generator set,
+    so its id cannot be reused while the entry lives."""
+    G = first.generators
+    key = ("second_order", id(G), n_dirs, seed, eps_crit)
+    if key not in ctx.memo:
+        ctx.memo[key] = (
+            G, multiplier_vertices(ctx.problem, ctx.x, first, ctx=ctx),
+            _critical_directions(ctx, G, n_dirs, seed, eps_crit))
+    _, verts, dirs = ctx.memo[key]
+    return verts, dirs
 
 
 def _worst_form(P: Problem, x, verts: MultiplierVertices, dirs):
@@ -345,9 +416,8 @@ def second_order_necessary(P: Problem, x, first: NecessaryReport,
     if not first.zero_in_D or first.multipliers is None:
         raise ValueError("second-order tests need a successful first-order "
                          "necessary check")
-    verts = multiplier_vertices(P, x, first, ctx=ctx)
+    verts, dirs = _second_order_inputs(first, n_dirs, seed, eps_crit, ctx)
     polyhedral = _all_polyhedral(P)
-    dirs = _critical_directions(ctx, first.generators, n_dirs, seed, eps_crit)
     if not dirs:
         return SecondOrderReport(
             mode="necessary", applicable=True, refuted=False, passed=True,
@@ -387,8 +457,7 @@ def second_order_sufficient(P: Problem, x, first: NecessaryReport,
         raise ValueError("second-order tests need a successful first-order "
                          "necessary check")
     eps_pos = P.tolerances.eps_pos if eps_pos is None else eps_pos
-    verts = multiplier_vertices(P, x, first, ctx=ctx)
-    dirs = _critical_directions(ctx, first.generators, n_dirs, seed, eps_crit)
+    verts, dirs = _second_order_inputs(first, n_dirs, seed, eps_crit, ctx)
     notes = ["pass is over sampled directions only; it cannot certify the "
              "full critical cone"]
     if not _all_polyhedral(P):

@@ -203,10 +203,9 @@ def test_values_with_leading_minus_in_both_spellings(tmp_path):
     assert spaced[1] == glued[1]
 
 
-def test_check_builds_point_data_once(monkeypatch):
-    """One check computes the active sets, the generator set, the kernel
-    sample and the tangent tester once, however many tests read them."""
-    from conecert import geometry, problem
+def _count_calls(monkeypatch, *targets):
+    """Count the calls of each (owner, attribute) target, under the
+    attribute's name, wherever a conecert module binds it."""
     counts = {}
 
     def counting(name, fn):
@@ -217,21 +216,79 @@ def test_check_builds_point_data_once(monkeypatch):
 
     modules = [m for name, m in sys.modules.items()
                if name == "conecert" or name.startswith("conecert.")]
-    for owner, attr in ((geometry, "build_generator_set"),
-                        (geometry, "sdp_null_directions"),
-                        (problem, "activity")):
+    for owner, attr in targets:
         original = getattr(owner, attr)
         wrapper = counting(attr, original)
+        if isinstance(owner, type):
+            monkeypatch.setattr(owner, attr, wrapper)
+            continue
         for mod in modules:
             for key, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, key, wrapper)
-    tester = geometry.TangentTester
-    monkeypatch.setattr(tester, "__init__",
-                        counting("TangentTester", tester.__init__))
+    return counts
+
+
+def test_check_builds_point_data_once(monkeypatch):
+    """One check computes the active sets, the generator set, the kernel
+    sample and the tangent tester once, however many tests read them."""
+    from conecert import geometry, problem
+    counts = _count_calls(monkeypatch, (geometry, "build_generator_set"),
+                          (geometry, "sdp_null_directions"),
+                          (problem, "activity"),
+                          (geometry.TangentTester, "__init__"))
     code, out, _ = run_cli("check", "--registry", "sdp-example",
                            "--second-order", "--penalty", "10",
                            "--flavor", "generalised", "--json")
     assert code == 0 and json.loads(out)["penalty"]["zero_in_subdiff"]
     assert counts == {"build_generator_set": 1, "sdp_null_directions": 1,
-                      "TangentTester": 1, "activity": 1}
+                      "__init__": 1, "activity": 1}
+
+
+def test_check_enumerates_second_order_data_once(monkeypatch, tmp_path):
+    """Both second-order tests read one enumeration of the multiplier
+    vertices and one sample of critical directions."""
+    from conecert import secondorder
+    bowl = tmp_path / "bowl.prob"
+    bowl.write_text('[problem] dim=2\n[scenario] f="x(1)^2 + x(2)^2"\n')
+    counts = _count_calls(monkeypatch,
+                          (secondorder, "multiplier_vertices"),
+                          (secondorder, "_critical_directions"))
+    code, out, _ = run_cli("check", "--file", str(bowl), "--at", "0,0",
+                           "--second-order", "--json")
+    tests = json.loads(out)["second_order"]
+    assert [t["mode"] for t in tests] == ["necessary", "sufficient"]
+    assert tests[0]["n_directions"] == tests[1]["n_directions"] > 0
+    assert counts == {"multiplier_vertices": 1, "_critical_directions": 1}
+
+
+def test_flavor_search_reuses_the_checks_searches(monkeypatch):
+    """The plain search of the necessary check and the complete
+    generalised search of the sufficient check are not run again."""
+    for flavor in ("plain", "generalised"):
+        counts = _count_calls(monkeypatch, (fo, "find_cadre"))
+        code, out, _ = run_cli("check", "--registry", "linf", "--dim", "3",
+                               "--at=0,0,0", "--flavor", flavor, "--json")
+        found = json.loads(out)["flavor_search"]
+        assert found["cadre"]["p"] == 2
+        # necessary, sufficient, and one search of the flavor's own
+        assert counts == {"find_cadre": 3}
+        monkeypatch.undo()
+
+
+def test_flavor_search_budget_out_is_inconclusive():
+    """When the reused search ran out of budget, both flavor results are
+    null, as when a fresh search runs out."""
+    from dataclasses import replace
+
+    from conecert.cli import _flavor_search
+    from conecert.geometry import PointContext
+    P, x, sampling = registry.get("linf", 3)
+    ctx = PointContext(P, x, sampling)
+    nec = fo.necessary_check(P, x, sampling, ctx)
+    suf = fo.sufficient_check(P, x, sampling, ctx)
+    assert _flavor_search("generalised", ctx, nec, suf)[1] is not None
+    nec = replace(nec, cadre=None, budget_exceeded=True)
+    suf = replace(suf, complete_alternance=None, budget_exceeded=True)
+    for flavor in ("plain", "generalised"):
+        assert _flavor_search(flavor, ctx, nec, suf) == (None, None)

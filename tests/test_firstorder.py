@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 import conecert as cc
 from conecert import firstorder as fo
 from conecert import registry
-from conecert.geometry import GeneratorSet, Provenance, build_generator_set
-from conecert.linkernel import lp_membership
+from conecert.geometry import (GeneratorSet, PointContext, Provenance,
+                               build_generator_set)
+from conecert.linkernel import (SCREEN_CHUNK, lp_membership,
+                                solve_positive_combination)
 from conecert.oracle import hull_membership_bruteforce
 from conecert.problem import activity, load_problem_text
 from conftest import random_generator_family
@@ -170,6 +173,101 @@ def test_find_cadre_respects_budget():
     G = _gen_set(2, hull, cone_eta=[(1, 1)] * 6, cone_na=[(1, -1)] * 6)
     with pytest.raises(fo.CombinatorialBudgetExceeded):
         fo.find_cadre(G, "plain", budget=3)
+
+
+def _reference_search(G, flavor, p_min=1):
+    """The cadre search without the rank screen: every subset in order,
+    straight to the positive-combination and alternance tests.  Yields
+    (subset number, cadre or None) for each subset."""
+    relaxed = flavor in ("generalised", "weak")
+    grads, gprov = fo._hull_pool(G.grads_F, G.grads_prov, relaxed)
+    if flavor == "weak":
+        eta, eprov = fo._cone_pool(list(G.eta) + list(G.nA),
+                                   list(G.eta_prov) + list(G.nA_prov), True)
+        na, nprov = [], []
+    else:
+        eta, eprov = fo._cone_pool(G.eta, G.eta_prov, flavor == "generalised")
+        na, nprov = fo._cone_pool(G.nA, G.nA_prov, flavor == "generalised")
+    tried = 0
+    for p in range(p_min, G.d + 2):
+        for k0 in range(min(p, len(grads)), 0, -1):
+            for e in range(min(p - k0, len(eta)), -1, -1):
+                a = p - k0 - e
+                if a > len(na):
+                    continue
+                for gi in combinations(range(len(grads)), k0):
+                    for ei in combinations(range(len(eta)), e):
+                        for ai in combinations(range(len(na)), a):
+                            tried += 1
+                            vecs = ([grads[i] for i in gi]
+                                    + [eta[i] for i in ei]
+                                    + [na[i] for i in ai])
+                            found = None
+                            if solve_positive_combination(vecs) is not None:
+                                prov = ([gprov[i] for i in gi]
+                                        + [eprov[i] for i in ei]
+                                        + [nprov[i] for i in ai])
+                                found = fo.verify_alternance(
+                                    vecs, k0=k0, i0=k0 + e, flavor=flavor,
+                                    provenance=prov)
+                            yield tried, (found if isinstance(found, fo.Cadre)
+                                          else None)
+
+
+def _reference_cadre(G, flavor, p_min=1):
+    """(cadre, subset number) of the first cadre, or (None, subset count)."""
+    tried = 0
+    for tried, cadre in _reference_search(G, flavor, p_min):
+        if cadre is not None:
+            return cadre, tried
+    return None, tried
+
+
+def _same_cadre(a, b):
+    if a is None or b is None:
+        return a is b
+    return (a.p == b.p and a.k0 == b.k0 and a.i0 == b.i0
+            and a.flavor == b.flavor and a.provenance == b.provenance
+            and all(np.array_equal(u, v) for u, v in zip(a.vectors, b.vectors))
+            and np.array_equal(a.determinants, b.determinants)
+            and np.array_equal(a.multipliers, b.multipliers)
+            and a.residual == b.residual)
+
+
+_SCREEN_CASES = ([(name, None) for name in registry.NAMES if name != "linf"]
+                 + [("linf", d) for d in range(2, 7)])
+
+
+@pytest.mark.parametrize("name,dim", _SCREEN_CASES)
+def test_find_cadre_matches_unscreened_search(name, dim):
+    P, x, sampling = registry.get(name, dim)
+    G = PointContext(P, x, sampling).generators
+    for flavor in ("plain", "generalised", "weak"):
+        for p_min in (1, P.d + 1):
+            ref, _ = _reference_cadre(G, flavor, p_min)
+            got = fo.find_cadre(G, flavor, p_min=p_min)
+            assert _same_cadre(got, ref), (flavor, p_min)
+
+
+@pytest.mark.parametrize("name,dim,flavor,p_min", [
+    ("sdp-example", None, "plain", 1),     # found at subset 4492
+    ("linf", 6, "generalised", 7),         # found at subset 638
+    ("linf", 6, "plain", 7),               # 792 subsets, no cadre
+])
+def test_find_cadre_budget_is_exact(name, dim, flavor, p_min):
+    """A cadre found at subset number ``budget`` is returned; one subset
+    less raises with subsets_tried == budget + 1, as the unscreened
+    search does, across chunk boundaries."""
+    P, x, sampling = registry.get(name, dim)
+    G = PointContext(P, x, sampling).generators
+    ref, n = _reference_cadre(G, flavor, p_min)
+    assert n > SCREEN_CHUNK
+    got = fo.find_cadre(G, flavor, p_min=p_min, budget=n)
+    assert _same_cadre(got, ref)
+    for budget in (n - 1, SCREEN_CHUNK, SCREEN_CHUNK - 1, 0):
+        with pytest.raises(fo.CombinatorialBudgetExceeded) as err:
+            fo.find_cadre(G, flavor, p_min=p_min, budget=budget)
+        assert err.value.subsets_tried == budget + 1
 
 
 def test_find_cadre_needs_objective_vector():

@@ -230,3 +230,38 @@ def test_unit_directions_deterministic():
     assert any(not np.array_equal(u, v) for u, v in zip(a, c))
     for u in a:
         assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+
+
+def _loop_dedup(vectors, tol, antipodal):
+    kept = []
+    for v in vectors:
+        if any(min(np.linalg.norm(k - v),
+                   np.linalg.norm(k + v) if antipodal else np.inf) < tol
+               for k in kept):
+            continue
+        kept.append(v)
+    return kept
+
+
+@pytest.mark.parametrize("antipodal", [False, True])
+def test_kept_rows_filter_matches_pairwise_loop(rng, antipodal):
+    """The one-call comparison keeps the same vectors, in the same order,
+    as comparing with each kept vector in turn."""
+    from conecert.cones import KeptRows
+    base = [v / np.linalg.norm(v) for v in rng.standard_normal((40, 4))]
+    vectors = []
+    for v in base:
+        vectors.append(v)
+        vectors.append(v + 1e-11 * rng.standard_normal(4))   # within tol
+        vectors.append(v + 1e-7 * rng.standard_normal(4))    # beyond it
+        vectors.append(-v)
+    order = rng.permutation(len(vectors))
+    vectors = [vectors[i] for i in order]
+    kept, rows = [], KeptRows(4)
+    for v in vectors:
+        if not rows.near(v, 1e-9, antipodal=antipodal):
+            rows.append(v)
+            kept.append(v)
+    ref = _loop_dedup(vectors, 1e-9, antipodal)
+    assert len(kept) == len(ref) < len(vectors)
+    assert all(k is r for k, r in zip(kept, ref))

@@ -28,6 +28,26 @@ def test_rank_examples():
     assert lk.rank(np.column_stack([(1, 0, 0), (0, 1, 0), (1, 1, 0)])) == 2
 
 
+def test_stacked_rank_matches_one_matrix_at_a_time(rng):
+    """The stacked screen reads the same singular values, bit for bit, as
+    one SVD per matrix built the way the scalar tests build it (columns
+    stacked), so its ranks agree with the scalar rank test."""
+    pool = np.vstack([rng.integers(-1, 2, size=(12, 5)).astype(float),
+                      rng.standard_normal((6, 5)),
+                      np.zeros((1, 5))])
+    pool[-2] = pool[0] + 1e-9 * pool[1]      # dependent at the threshold
+    for p in (2, 3, 5, 6):
+        idx = np.array([rng.choice(len(pool), p, replace=False)
+                        for _ in range(300)])
+        ranks, sigma = lk.stacked_rank(pool[idx].transpose(0, 2, 1))
+        for sub, r, sv in zip(idx, ranks, sigma):
+            M = np.column_stack([pool[i] for i in sub])
+            one = np.linalg.svd(M, compute_uv=False)
+            assert np.array_equal(sv, one)
+            expected = 0 if one[0] <= 0 else int(np.sum(one > 1e-9 * one[0]))
+            assert r == expected == lk.rank(M)
+
+
 def test_positive_combination_dem():
     beta = lk.solve_positive_combination([(5, 1), (-5, 1), (0, -2)])
     assert beta is not None

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ import conecert as cc
 from conecert import firstorder as fo
 from conecert import registry
 from conecert import secondorder as so
+from conecert.geometry import PointContext
+from conecert.linkernel import rank
 from conecert.oracle import fd_hessian, growth_probe
 from conecert.problem import load_problem_text
 from conftest import random_expression
@@ -89,8 +93,7 @@ def test_hessian_vs_fd_random_instances(rng):
         if np.max(np.abs(dual.hess)) > 1e3:
             continue
         w = fo.MultiplierWitness(alpha=[(1, 1, 1.0)], nlp_ineq={}, nlp_eq={},
-                                 soc={}, sdp={}, sdp_gamma={},
-                                 semi_infinite={}, nA=[])
+                                 soc={}, sdp={}, semi_infinite={}, nA=[])
         B = so.hessian_bundle(P, x, w, [1.0])
         H_fd = fd_hessian(f, x)
         scale = max(1.0, float(np.max(np.abs(H_fd))))
@@ -206,8 +209,72 @@ def test_critical_cone_sample_invariants():
 def test_dd_empty_set_raises():
     P = _simple('[problem] dim=1\n[scenario] f="x(1)^2"\n')
     bogus = fo.MultiplierWitness(alpha=[(1, 1, 1.0)], nlp_ineq={}, nlp_eq={},
-                                 soc={}, sdp={}, sdp_gamma={},
-                                 semi_infinite={}, nA=[])
+                                 soc={}, sdp={}, semi_infinite={}, nA=[])
     # evaluating away from the stationary point leaves no valid weights
     with pytest.raises(so.EmptySet):
         so.dd_multipliers(P, (1.0,), bogus)
+
+
+def _reference_vertices(Aeq, beq, n):
+    """Basic-solution enumeration without the stacked screen: every
+    support goes through the rank, least-squares, sign, residual and
+    duplicate tests."""
+    m = Aeq.shape[0]
+    verts = []
+    scale = max(1.0, float(np.linalg.norm(beq)))
+    for size in range(0, min(m, n) + 1):
+        for support in combinations(range(n), size):
+            B = Aeq[:, support] if support else np.zeros((m, 0))
+            if support and rank(B) < len(support):
+                continue
+            sol = (np.linalg.lstsq(B, beq, rcond=None)[0] if support
+                   else np.zeros(0))
+            full = np.zeros(n)
+            full[list(support)] = sol
+            if np.any(full < -1e-9):
+                continue
+            if np.linalg.norm(Aeq @ full - beq) > 1e-8 * scale:
+                continue
+            full = np.maximum(full, 0.0)
+            if not any(np.linalg.norm(full - v) < 1e-8 for v in verts):
+                verts.append(full)
+    return verts
+
+
+def _linf_system(d):
+    """The joint multiplier system of linf at the origin: the gradients
+    +-e_i, whose weights sum to one; every support mixing pairs is
+    degenerate."""
+    P, x, sampling = registry.get("linf", d)
+    grads = PointContext(P, x, sampling).generators.grads_F
+    Aeq = np.vstack([np.column_stack(grads), np.ones(len(grads))])
+    beq = np.zeros(d + 1)
+    beq[d] = 1.0
+    return Aeq, beq
+
+
+def _dependent_rows_system(rng):
+    """Small integer columns with a third row that is the sum of the first
+    two, so the rank of Aeq is below its row count, and a right-hand side
+    reached by a sparse nonnegative combination."""
+    top = rng.integers(-1, 2, size=(3, 9)).astype(float)
+    Aeq = np.vstack([top[:2], top[0] + top[1], top[2:], np.ones(9)])
+    w0 = np.zeros(9)
+    w0[rng.choice(9, 3, replace=False)] = [0.5, 0.25, 0.25]
+    return Aeq, Aeq @ w0
+
+
+@pytest.mark.parametrize("system", ["linf4", "dependent0", "dependent1",
+                                    "dependent2", "dependent3"])
+def test_polytope_vertices_match_unscreened_enumeration(system):
+    if system == "linf4":
+        Aeq, beq = _linf_system(4)
+    else:
+        Aeq, beq = _dependent_rows_system(
+            np.random.default_rng(int(system[-1])))
+    n = Aeq.shape[1]
+    got = so._polytope_vertices(Aeq, beq, n)
+    ref = _reference_vertices(Aeq, beq, n)
+    assert ref
+    assert len(got) == len(ref)
+    assert all(np.array_equal(u, v) for u, v in zip(got, ref))
