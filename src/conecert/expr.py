@@ -9,6 +9,8 @@ derivatives are exact up to rounding, never finite differences.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +21,6 @@ __all__ = [
     "VariableIndexOutOfRange", "DomainError",
     "parse", "to_string", "eval2", "eval_value", "substitute", "variables_used",
 ]
-
-FUNCTIONS = ("sin", "cos", "exp", "abs", "sqrt")
 
 
 class ExprError(Exception):
@@ -58,56 +58,273 @@ class DomainError(ExprError):
     sqrt of a nonpositive number, abs differentiated at its kink, ...)."""
 
 
+# ---------------------------------------------------------------------------
+# forward-mode carrier
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Dual2:
+    """Second-order forward-mode carrier: value, gradient, Hessian.
+
+    The Hessian stays bitwise symmetric: every rule below builds it from
+    symmetric pieces (``outer(g, g)``, ``outer(a, b) + outer(b, a)``).
+    """
+
+    value: float
+    grad: np.ndarray
+    hess: np.ndarray
+
+    def __add__(self, o: "Dual2") -> "Dual2":
+        return Dual2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
+
+    def __sub__(self, o: "Dual2") -> "Dual2":
+        return Dual2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
+
+    def __neg__(self) -> "Dual2":
+        return Dual2(-self.value, -self.grad, -self.hess)
+
+    def __mul__(self, o: "Dual2") -> "Dual2":
+        cross = np.outer(self.grad, o.grad)
+        # build the rank-two part as one exactly-symmetric matrix before
+        # summing, so rounding cannot break H == H.T bitwise
+        sym = cross + cross.T
+        hess = o.value * self.hess + self.value * o.hess + sym
+        return Dual2(self.value * o.value,
+                     o.value * self.grad + self.value * o.grad, hess)
+
+    def __truediv__(self, o: "Dual2") -> "Dual2":
+        if o.value == 0.0:
+            raise DomainError("division by zero")
+        value = self.value / o.value
+        grad = (self.grad - value * o.grad) / o.value
+        cross = np.outer(grad, o.grad)
+        sym = cross + cross.T
+        hess = (self.hess - sym - value * o.hess) / o.value
+        return Dual2(value, grad, hess)
+
+
+def _chain(u: Dual2, f0: float, f1: float, f2: float) -> Dual2:
+    """Carrier for f(u) given f(u.value), f'(u.value), f''(u.value)."""
+    return Dual2(f0, f1 * u.grad, f1 * u.hess + f2 * np.outer(u.grad, u.grad))
+
+
+def _constant(value: float, d: int) -> Dual2:
+    return Dual2(value, np.zeros(d), np.zeros((d, d)))
+
+
+# ---------------------------------------------------------------------------
+# nodes
+# ---------------------------------------------------------------------------
+
+# printing precedence, loosest first; a child printed below the level its
+# parent requires gets parentheses
+_LVL_ADD, _LVL_MUL, _LVL_UNARY, _LVL_POW, _LVL_ATOM = 1, 2, 3, 4, 5
+
+
 class Expression:
+    """A node of an expression tree.  Every kind implements ``text()``
+    (printed at precedence ``level``), ``value_at(x)`` (value only),
+    ``dual_at(x, d)`` (value, gradient and Hessian as a ``Dual2``),
+    ``substitute(index, value)`` and ``variables()``."""
+
     __slots__ = ()
+    level = _LVL_ATOM
 
     def __str__(self) -> str:
-        return to_string(self)
+        return self.text()
+
+
+def _paren(child: Expression, minimum: int) -> str:
+    s = child.text()
+    return f"({s})" if child.level < minimum else s
 
 
 @dataclass(frozen=True)
 class Const(Expression):
     value: float
 
+    @property
+    def level(self) -> int:
+        return _LVL_UNARY if self.value < 0 else _LVL_ATOM
+
+    def text(self) -> str:
+        return repr(self.value)
+
+    def value_at(self, x) -> float:
+        return self.value
+
+    def dual_at(self, x, d) -> Dual2:
+        return _constant(self.value, d)
+
+    def substitute(self, index, value) -> Expression:
+        return self
+
+    def variables(self) -> set[int]:
+        return set()
+
 
 @dataclass(frozen=True)
 class Var(Expression):
     index: int  # 1-based
 
+    def text(self) -> str:
+        return f"x({self.index})"
+
+    def value_at(self, x) -> float:
+        return float(x[self.index - 1])
+
+    def dual_at(self, x, d) -> Dual2:
+        grad = np.zeros(d)
+        grad[self.index - 1] = 1.0
+        return Dual2(x[self.index - 1], grad, np.zeros((d, d)))
+
+    def substitute(self, index, value) -> Expression:
+        return Const(value) if self.index == index else self
+
+    def variables(self) -> set[int]:
+        return {self.index}
+
 
 @dataclass(frozen=True)
 class Neg(Expression):
     arg: Expression
+    level = _LVL_UNARY
+
+    def text(self) -> str:
+        return "-" + _paren(self.arg, _LVL_UNARY)
+
+    def value_at(self, x) -> float:
+        return -self.arg.value_at(x)
+
+    def dual_at(self, x, d) -> Dual2:
+        return -self.arg.dual_at(x, d)
+
+    def substitute(self, index, value) -> Expression:
+        return Neg(self.arg.substitute(index, value))
+
+    def variables(self) -> set[int]:
+        return self.arg.variables()
 
 
 @dataclass(frozen=True)
-class Add(Expression):
+class _Binary(Expression):
+    """``lhs op rhs``; each subclass names its operator ``op`` (applied to
+    floats and to ``Dual2`` alike), its printed separator and its level."""
+
     lhs: Expression
     rhs: Expression
+
+    def text(self) -> str:
+        return (f"{_paren(self.lhs, self.level)}{self.sep}"
+                f"{_paren(self.rhs, self.level + 1)}")
+
+    def value_at(self, x) -> float:
+        return self.op(self.lhs.value_at(x), self.rhs.value_at(x))
+
+    def dual_at(self, x, d) -> Dual2:
+        return self.op(self.lhs.dual_at(x, d), self.rhs.dual_at(x, d))
+
+    def substitute(self, index, value) -> Expression:
+        return type(self)(self.lhs.substitute(index, value),
+                          self.rhs.substitute(index, value))
+
+    def variables(self) -> set[int]:
+        return self.lhs.variables() | self.rhs.variables()
 
 
 @dataclass(frozen=True)
-class Sub(Expression):
-    lhs: Expression
-    rhs: Expression
+class Add(_Binary):
+    op, sep, level = operator.add, " + ", _LVL_ADD
 
 
 @dataclass(frozen=True)
-class Mul(Expression):
-    lhs: Expression
-    rhs: Expression
+class Sub(_Binary):
+    op, sep, level = operator.sub, " - ", _LVL_ADD
 
 
 @dataclass(frozen=True)
-class Div(Expression):
-    lhs: Expression
-    rhs: Expression
+class Mul(_Binary):
+    op, sep, level = operator.mul, "*", _LVL_MUL
+
+
+@dataclass(frozen=True)
+class Div(_Binary):
+    op, sep, level = operator.truediv, "/", _LVL_MUL
+
+    def value_at(self, x) -> float:
+        denom = self.rhs.value_at(x)
+        if denom == 0.0:
+            raise DomainError("division by zero")
+        return self.lhs.value_at(x) / denom
 
 
 @dataclass(frozen=True)
 class Pow(Expression):
     base: Expression
     exponent: int
+    level = _LVL_POW
+
+    def text(self) -> str:
+        return f"{_paren(self.base, _LVL_ATOM)}^{self.exponent}"
+
+    def value_at(self, x) -> float:
+        base = self.base.value_at(x)
+        if self.exponent < 0 and base == 0.0:
+            raise DomainError("zero raised to a negative power")
+        return base ** self.exponent
+
+    def dual_at(self, x, d) -> Dual2:
+        u, n = self.base.dual_at(x, d), self.exponent
+        if n == 0:
+            return _constant(1.0, d)
+        if n == 1:
+            return u
+        if n < 0 and u.value == 0.0:
+            raise DomainError("zero raised to a negative power")
+        v = u.value
+        return _chain(u, v ** n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2))
+
+    def substitute(self, index, value) -> Expression:
+        return Pow(self.base.substitute(index, value), self.exponent)
+
+    def variables(self) -> set[int]:
+        return self.base.variables()
+
+
+def _sqrt_value(v):
+    if v < 0.0:
+        raise DomainError("sqrt of a negative number")
+    return float(np.sqrt(v))
+
+
+def _sqrt_rule(v):
+    if v <= 0.0:
+        raise DomainError("sqrt requires a strictly positive argument "
+                          "for differentiation")
+    s = np.sqrt(v)
+    return s, 0.5 / s, -0.25 / (s * v)
+
+
+def _abs_rule(v):
+    if v == 0.0:
+        raise DomainError("abs has no derivative at 0")
+    return abs(v), 1.0 if v > 0 else -1.0, 0.0
+
+
+# name -> (value-only f(v), derivative rule v -> (f(v), f'(v), f''(v))).
+# Value-only evaluation allows abs at 0 and sqrt(0), which only lack
+# derivatives, not values.
+_FUNCS = {
+    "sin": (lambda v: float(np.sin(v)),
+            lambda v: (np.sin(v), np.cos(v), -np.sin(v))),
+    "cos": (lambda v: float(np.cos(v)),
+            lambda v: (np.cos(v), -np.sin(v), -np.cos(v))),
+    "exp": (lambda v: float(np.exp(v)), lambda v: (np.exp(v),) * 3),
+    "abs": (abs, _abs_rule),
+    "sqrt": (_sqrt_value, _sqrt_rule),
+}
+FUNCTIONS = tuple(_FUNCS)
 
 
 @dataclass(frozen=True)
@@ -115,54 +332,52 @@ class Func(Expression):
     name: str
     arg: Expression
 
+    def text(self) -> str:
+        return f"{self.name}({self.arg.text()})"
+
+    def value_at(self, x) -> float:
+        return _FUNCS[self.name][0](self.arg.value_at(x))
+
+    def dual_at(self, x, d) -> Dual2:
+        u = self.arg.dual_at(x, d)
+        return _chain(u, *_FUNCS[self.name][1](u.value))
+
+    def substitute(self, index, value) -> Expression:
+        return Func(self.name, self.arg.substitute(index, value))
+
+    def variables(self) -> set[int]:
+        return self.arg.variables()
+
 
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_OPS = "+-*/^()"
+# Each match is leading whitespace, then one token: a number, a run of word
+# characters, an operator or any other character.  Digits are ASCII only.
+# An identifier is a word run that starts with a letter or '_'; a run that
+# starts with any other word character, and any other character, is a
+# syntax error at its offset.
+_TOKEN = re.compile(r"""(\s*)(?:
+    ((?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (\w+)
+  | ([-+*/^()])
+  | (\S))""", re.VERBOSE)
 
 
 def _tokenize(text: str):
-    """Yield (kind, value, offset) with 1-based offsets."""
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-            tokens.append(("num", text[i:j], i + 1))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i + 1))
-            i = j
-            continue
-        if c in _OPS:
-            tokens.append((c, c, i + 1))
-            i += 1
-            continue
-        raise ExprSyntaxError(i + 1, "a number, identifier, or operator")
-    tokens.append(("end", "", n + 1))
+    """Return (kind, value, offset) tuples with 1-based offsets; an
+    operator's kind is the operator itself."""
+    tokens, offset = [], 1
+    # the matches tile the text up to trailing whitespace, so offsets add up
+    for space, num, ident, op, bad in _TOKEN.findall(text):
+        offset += len(space)
+        if bad or (ident and not (ident[0].isalpha() or ident[0] == "_")):
+            raise ExprSyntaxError(offset, "a number, identifier, or operator")
+        value = num or ident or op
+        tokens.append(("num" if num else "ident" if ident else op, value, offset))
+        offset += len(value)
+    tokens.append(("end", "", len(text) + 1))
     return tokens
 
 
@@ -278,242 +493,32 @@ def parse(text: str, d: int, params: tuple[str, ...] = ()) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# printing
+# entry points
 # ---------------------------------------------------------------------------
-
-_LVL_ADD, _LVL_MUL, _LVL_UNARY, _LVL_POW, _LVL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(e: Expression) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _LVL_ADD
-    if isinstance(e, (Mul, Div)):
-        return _LVL_MUL
-    if isinstance(e, Neg):
-        return _LVL_UNARY
-    if isinstance(e, Const) and e.value < 0:
-        return _LVL_UNARY
-    if isinstance(e, Pow):
-        return _LVL_POW
-    return _LVL_ATOM
-
-
-def _paren(child: Expression, minimum: int) -> str:
-    s = to_string(child)
-    return f"({s})" if _level(child) < minimum else s
 
 
 def to_string(e: Expression) -> str:
     """Render so that ``parse(to_string(e), d)`` is structurally identical."""
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return f"x({e.index})"
-    if isinstance(e, Neg):
-        return "-" + _paren(e.arg, _LVL_UNARY)
-    if isinstance(e, Add):
-        return f"{_paren(e.lhs, _LVL_ADD)} + {_paren(e.rhs, _LVL_ADD + 1)}"
-    if isinstance(e, Sub):
-        return f"{_paren(e.lhs, _LVL_ADD)} - {_paren(e.rhs, _LVL_ADD + 1)}"
-    if isinstance(e, Mul):
-        return f"{_paren(e.lhs, _LVL_MUL)}*{_paren(e.rhs, _LVL_MUL + 1)}"
-    if isinstance(e, Div):
-        return f"{_paren(e.lhs, _LVL_MUL)}/{_paren(e.rhs, _LVL_MUL + 1)}"
-    if isinstance(e, Pow):
-        return f"{_paren(e.base, _LVL_ATOM)}^{e.exponent}"
-    if isinstance(e, Func):
-        return f"{e.name}({to_string(e.arg)})"
-    raise TypeError(f"not an Expression: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# forward-mode evaluation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Dual2:
-    """Second-order forward-mode carrier: value, gradient, Hessian.
-
-    The Hessian stays bitwise symmetric: every rule below builds it from
-    symmetric pieces (``outer(g, g)``, ``outer(a, b) + outer(b, a)``).
-    """
-
-    value: float
-    grad: np.ndarray
-    hess: np.ndarray
-
-    def __add__(self, o: "Dual2") -> "Dual2":
-        return Dual2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
-
-    def __sub__(self, o: "Dual2") -> "Dual2":
-        return Dual2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
-
-    def __neg__(self) -> "Dual2":
-        return Dual2(-self.value, -self.grad, -self.hess)
-
-    def __mul__(self, o: "Dual2") -> "Dual2":
-        cross = np.outer(self.grad, o.grad)
-        # build the rank-two part as one exactly-symmetric matrix before
-        # summing, so rounding cannot break H == H.T bitwise
-        sym = cross + cross.T
-        hess = o.value * self.hess + self.value * o.hess + sym
-        return Dual2(self.value * o.value,
-                     o.value * self.grad + self.value * o.grad, hess)
-
-    def __truediv__(self, o: "Dual2") -> "Dual2":
-        if o.value == 0.0:
-            raise DomainError("division by zero")
-        value = self.value / o.value
-        grad = (self.grad - value * o.grad) / o.value
-        cross = np.outer(grad, o.grad)
-        sym = cross + cross.T
-        hess = (self.hess - sym - value * o.hess) / o.value
-        return Dual2(value, grad, hess)
-
-
-def _chain(u: Dual2, f0: float, f1: float, f2: float) -> Dual2:
-    """Carrier for f(u) given f(u.value), f'(u.value), f''(u.value)."""
-    return Dual2(f0, f1 * u.grad, f1 * u.hess + f2 * np.outer(u.grad, u.grad))
-
-
-def _pow_dual(u: Dual2, n: int) -> Dual2:
-    if n == 0:
-        d = u.grad.shape[0]
-        return Dual2(1.0, np.zeros(d), np.zeros((d, d)))
-    if n == 1:
-        return u
-    if n < 0 and u.value == 0.0:
-        raise DomainError("zero raised to a negative power")
-    v = u.value
-    return _chain(u, v ** n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2))
+    return e.text()
 
 
 def eval2(e: Expression, x) -> Dual2:
     """Evaluate value, gradient, and Hessian of ``e`` at the point ``x``."""
     x = np.asarray(x, dtype=float)
-    d = x.shape[0]
-    return _eval2(e, x, d)
-
-
-def _eval2(e: Expression, x: np.ndarray, d: int) -> Dual2:
-    if isinstance(e, Const):
-        return Dual2(e.value, np.zeros(d), np.zeros((d, d)))
-    if isinstance(e, Var):
-        grad = np.zeros(d)
-        grad[e.index - 1] = 1.0
-        return Dual2(x[e.index - 1], grad, np.zeros((d, d)))
-    if isinstance(e, Neg):
-        return -_eval2(e.arg, x, d)
-    if isinstance(e, Add):
-        return _eval2(e.lhs, x, d) + _eval2(e.rhs, x, d)
-    if isinstance(e, Sub):
-        return _eval2(e.lhs, x, d) - _eval2(e.rhs, x, d)
-    if isinstance(e, Mul):
-        return _eval2(e.lhs, x, d) * _eval2(e.rhs, x, d)
-    if isinstance(e, Div):
-        return _eval2(e.lhs, x, d) / _eval2(e.rhs, x, d)
-    if isinstance(e, Pow):
-        return _pow_dual(_eval2(e.base, x, d), e.exponent)
-    if isinstance(e, Func):
-        u = _eval2(e.arg, x, d)
-        v = u.value
-        if e.name == "sin":
-            return _chain(u, np.sin(v), np.cos(v), -np.sin(v))
-        if e.name == "cos":
-            return _chain(u, np.cos(v), -np.sin(v), -np.cos(v))
-        if e.name == "exp":
-            ev = np.exp(v)
-            return _chain(u, ev, ev, ev)
-        if e.name == "sqrt":
-            if v <= 0.0:
-                raise DomainError("sqrt requires a strictly positive argument "
-                                  "for differentiation")
-            s = np.sqrt(v)
-            return _chain(u, s, 0.5 / s, -0.25 / (s * v))
-        if e.name == "abs":
-            if v == 0.0:
-                raise DomainError("abs has no derivative at 0")
-            sign = 1.0 if v > 0 else -1.0
-            return _chain(u, abs(v), sign, 0.0)
-    raise TypeError(f"not an Expression: {e!r}")
+    return e.dual_at(x, x.shape[0])
 
 
 def eval_value(e: Expression, x) -> float:
     """Value-only evaluation (allows abs at 0 and sqrt(0), which only lack
     derivatives, not values)."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return float(x[e.index - 1])
-    if isinstance(e, Neg):
-        return -eval_value(e.arg, x)
-    if isinstance(e, Add):
-        return eval_value(e.lhs, x) + eval_value(e.rhs, x)
-    if isinstance(e, Sub):
-        return eval_value(e.lhs, x) - eval_value(e.rhs, x)
-    if isinstance(e, Mul):
-        return eval_value(e.lhs, x) * eval_value(e.rhs, x)
-    if isinstance(e, Div):
-        denom = eval_value(e.rhs, x)
-        if denom == 0.0:
-            raise DomainError("division by zero")
-        return eval_value(e.lhs, x) / denom
-    if isinstance(e, Pow):
-        base = eval_value(e.base, x)
-        if e.exponent < 0 and base == 0.0:
-            raise DomainError("zero raised to a negative power")
-        return base ** e.exponent
-    if isinstance(e, Func):
-        v = eval_value(e.arg, x)
-        if e.name == "sin":
-            return float(np.sin(v))
-        if e.name == "cos":
-            return float(np.cos(v))
-        if e.name == "exp":
-            return float(np.exp(v))
-        if e.name == "sqrt":
-            if v < 0.0:
-                raise DomainError("sqrt of a negative number")
-            return float(np.sqrt(v))
-        if e.name == "abs":
-            return abs(v)
-    raise TypeError(f"not an Expression: {e!r}")
+    return e.value_at(x)
 
 
 def substitute(e: Expression, index: int, value: float) -> Expression:
     """Replace x(index) by the constant ``value`` (used to pin the
     semi-infinite parameter to a grid point)."""
-    if isinstance(e, Var):
-        return Const(value) if e.index == index else e
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, index, value))
-    if isinstance(e, Add):
-        return Add(substitute(e.lhs, index, value), substitute(e.rhs, index, value))
-    if isinstance(e, Sub):
-        return Sub(substitute(e.lhs, index, value), substitute(e.rhs, index, value))
-    if isinstance(e, Mul):
-        return Mul(substitute(e.lhs, index, value), substitute(e.rhs, index, value))
-    if isinstance(e, Div):
-        return Div(substitute(e.lhs, index, value), substitute(e.rhs, index, value))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, index, value), e.exponent)
-    if isinstance(e, Func):
-        return Func(e.name, substitute(e.arg, index, value))
-    raise TypeError(f"not an Expression: {e!r}")
+    return e.substitute(index, value)
 
 
 def variables_used(e: Expression) -> set[int]:
-    if isinstance(e, Var):
-        return {e.index}
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, (Neg, Func)):
-        return variables_used(e.arg if isinstance(e, Neg) else e.arg)
-    if isinstance(e, Pow):
-        return variables_used(e.base)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return variables_used(e.lhs) | variables_used(e.rhs)
-    raise TypeError(f"not an Expression: {e!r}")
+    return e.variables()

@@ -20,7 +20,7 @@ from .cones import KeptRows
 from .geometry import (GeneratorSet, PointContext, Provenance, SamplingSpec,
                        block_distances, point_context)
 from .linkernel import (SCREEN_CHUNK, det, lp_chebyshev_center,
-                        lp_membership, rank, simplex_solve,
+                        lp_membership, rank, simplex_checked,
                         solve_positive_combination, stacked_rank)
 from .problem import (NlpIneq, Problem, SemiInfinite, activity,
                       evaluate_objective)
@@ -778,12 +778,7 @@ def _penalty_inclusion(P, c, G, groups) -> bool:
         A[d + 1 + gidx, s:t] = 1.0
         A[d + 1 + gidx, n_core + gidx] = 1.0
         b[d + 1 + gidx] = 1.0
-    res = simplex_solve(np.zeros(n), A, b)
-    if res.status != "optimal":
-        return False
-    # never report an inclusion whose weights do not actually reproduce it
-    return float(np.linalg.norm(A @ res.x - b)) <= 1e-8 * max(
-        1.0, float(np.max(np.abs(A))))
+    return simplex_checked(np.zeros(n), A, b).status == "optimal"
 
 
 def penalty_subdiff_check(P: Problem, x, c: float,

@@ -15,7 +15,7 @@ import numpy as np
 __all__ = [
     "det", "rank", "stacked_rank", "SCREEN_CHUNK",
     "solve_positive_combination",
-    "LpResult", "simplex_solve",
+    "LpResult", "simplex_solve", "simplex_checked",
     "lp_membership", "lp_direction_margin", "lp_chebyshev_center",
     "InteriorReport",
 ]
@@ -206,6 +206,20 @@ def simplex_solve(c, A, b, max_iter: int = 20000) -> LpResult:
     return LpResult("optimal", x=x, objective=float(c @ x), iterations=it1 + it2)
 
 
+def simplex_checked(c, A, b) -> LpResult:
+    """``simplex_solve``, re-verified: an optimal x counts only when it
+    reproduces the constraints, ||Ax - b|| <= 1e-8 * max(1, max|A|).
+    One that does not reads as ``infeasible``, so no caller reports a
+    solution without the evidence for it."""
+    res = simplex_solve(c, A, b)
+    if res.status != "optimal":
+        return res
+    residual = float(np.linalg.norm(A @ res.x - b))
+    if residual > 1e-8 * max(1.0, float(np.max(np.abs(A)))):
+        return LpResult("infeasible", iterations=res.iterations)
+    return res
+
+
 # ---------------------------------------------------------------------------
 # membership and interior tests over co(hull) + cone(cone)
 # ---------------------------------------------------------------------------
@@ -231,7 +245,7 @@ def lp_membership(target, hull, cone=()):
     A[:d] = _stack(hull, cone, d)
     A[d, :nh] = 1.0
     b = np.concatenate([target, [1.0]])
-    res = simplex_solve(np.zeros(nh + nc), A, b)
+    res = simplex_checked(np.zeros(nh + nc), A, b)
     if res.status != "optimal":
         return None
     return res.x[:nh].copy(), res.x[nh:].copy()
@@ -255,7 +269,7 @@ def lp_direction_margin(direction, hull, cone=()):
     b = np.concatenate([np.zeros(d), [1.0]])
     c = np.zeros(nh + nc + 1)
     c[-1] = -1.0
-    res = simplex_solve(c, A, b)
+    res = simplex_checked(c, A, b)
     if res.status == "unbounded":
         return math.inf
     if res.status != "optimal":

@@ -98,10 +98,6 @@ class PolyhedralSet:
             if rank(E) != len(self.E):
                 raise ValueError("equality rows must be linearly independent")
 
-    def is_free(self) -> bool:
-        return (not self.E and all(lo == -math.inf for lo in self.lb)
-                and all(hi == math.inf for hi in self.ub))
-
 
 @dataclass
 class BlockActivity:

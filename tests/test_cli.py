@@ -56,6 +56,16 @@ def test_check_missing_file_exit_one():
     assert "missing.toml" in err
 
 
+def test_check_non_ascii_digit_exit_one(tmp_path):
+    path = tmp_path / "sup.prob"
+    path.write_text('[problem] dim=1\n[scenario] f="x(1)^\u00b2"\n',
+                    encoding="utf-8")
+    code, out, err = run_cli("check", "--file", str(path), "--at", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "syntax error at offset 6" in err
+
+
 def test_check_infeasible_point_refuted():
     code, out, _ = run_cli("check", "--registry", "bazaraa45", "--at", "0,0")
     assert code == 2

@@ -1,3 +1,7 @@
+import re
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -155,3 +159,468 @@ def test_ad_matches_finite_differences(rng):
         assert h_err < 1e-4
         checked += 1
     assert checked == 1000
+
+
+# ---------------------------------------------------------------------------
+# the node protocol against a frozen copy of the type-switch implementation
+# ---------------------------------------------------------------------------
+
+def _ascii_digit(c):
+    return "0" <= c <= "9"
+
+
+def _ref_tokenize(text, isdigit=str.isdigit):
+    """The character-scanning tokenizer the regular expression replaced.
+    Its digit test was ``str.isdigit``; with ``isdigit=_ascii_digit`` it
+    states the ASCII-only number rule that replaced it."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if isdigit(c) or (c == "." and i + 1 < n and isdigit(text[i + 1])):
+            j = i
+            seen_dot = False
+            while j < n and (isdigit(text[j]) or (text[j] == "." and not seen_dot)):
+                if text[j] == ".":
+                    seen_dot = True
+                j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and isdigit(text[k]):
+                    while k < n and isdigit(text[k]):
+                        k += 1
+                    j = k
+            tokens.append(("num", text[i:j], i + 1))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], i + 1))
+            i = j
+            continue
+        if c in "+-*/^()":
+            tokens.append((c, c, i + 1))
+            i += 1
+            continue
+        raise ex.ExprSyntaxError(i + 1, "a number, identifier, or operator")
+    tokens.append(("end", "", n + 1))
+    return tokens
+
+
+def _ref_level(e):
+    if isinstance(e, (ex.Add, ex.Sub)):
+        return 1
+    if isinstance(e, (ex.Mul, ex.Div)):
+        return 2
+    if isinstance(e, ex.Neg):
+        return 3
+    if isinstance(e, ex.Const) and e.value < 0:
+        return 3
+    if isinstance(e, ex.Pow):
+        return 4
+    return 5
+
+
+def _ref_paren(child, minimum):
+    s = _ref_to_string(child)
+    return f"({s})" if _ref_level(child) < minimum else s
+
+
+def _ref_to_string(e):
+    if isinstance(e, ex.Const):
+        return repr(e.value)
+    if isinstance(e, ex.Var):
+        return f"x({e.index})"
+    if isinstance(e, ex.Neg):
+        return "-" + _ref_paren(e.arg, 3)
+    if isinstance(e, ex.Add):
+        return f"{_ref_paren(e.lhs, 1)} + {_ref_paren(e.rhs, 2)}"
+    if isinstance(e, ex.Sub):
+        return f"{_ref_paren(e.lhs, 1)} - {_ref_paren(e.rhs, 2)}"
+    if isinstance(e, ex.Mul):
+        return f"{_ref_paren(e.lhs, 2)}*{_ref_paren(e.rhs, 3)}"
+    if isinstance(e, ex.Div):
+        return f"{_ref_paren(e.lhs, 2)}/{_ref_paren(e.rhs, 3)}"
+    if isinstance(e, ex.Pow):
+        return f"{_ref_paren(e.base, 5)}^{e.exponent}"
+    if isinstance(e, ex.Func):
+        return f"{e.name}({_ref_to_string(e.arg)})"
+    raise TypeError(f"not an Expression: {e!r}")
+
+
+def _ref_chain(u, f0, f1, f2):
+    return ex.Dual2(f0, f1 * u.grad,
+                    f1 * u.hess + f2 * np.outer(u.grad, u.grad))
+
+
+def _ref_pow_dual(u, n):
+    if n == 0:
+        d = u.grad.shape[0]
+        return ex.Dual2(1.0, np.zeros(d), np.zeros((d, d)))
+    if n == 1:
+        return u
+    if n < 0 and u.value == 0.0:
+        raise ex.DomainError("zero raised to a negative power")
+    v = u.value
+    return _ref_chain(u, v ** n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2))
+
+
+def _ref_eval2(e, x):
+    x = np.asarray(x, dtype=float)
+    return _ref_eval2_at(e, x, x.shape[0])
+
+
+def _ref_eval2_at(e, x, d):
+    if isinstance(e, ex.Const):
+        return ex.Dual2(e.value, np.zeros(d), np.zeros((d, d)))
+    if isinstance(e, ex.Var):
+        grad = np.zeros(d)
+        grad[e.index - 1] = 1.0
+        return ex.Dual2(x[e.index - 1], grad, np.zeros((d, d)))
+    if isinstance(e, ex.Neg):
+        return -_ref_eval2_at(e.arg, x, d)
+    if isinstance(e, ex.Add):
+        return _ref_eval2_at(e.lhs, x, d) + _ref_eval2_at(e.rhs, x, d)
+    if isinstance(e, ex.Sub):
+        return _ref_eval2_at(e.lhs, x, d) - _ref_eval2_at(e.rhs, x, d)
+    if isinstance(e, ex.Mul):
+        return _ref_eval2_at(e.lhs, x, d) * _ref_eval2_at(e.rhs, x, d)
+    if isinstance(e, ex.Div):
+        return _ref_eval2_at(e.lhs, x, d) / _ref_eval2_at(e.rhs, x, d)
+    if isinstance(e, ex.Pow):
+        return _ref_pow_dual(_ref_eval2_at(e.base, x, d), e.exponent)
+    if isinstance(e, ex.Func):
+        u = _ref_eval2_at(e.arg, x, d)
+        v = u.value
+        if e.name == "sin":
+            return _ref_chain(u, np.sin(v), np.cos(v), -np.sin(v))
+        if e.name == "cos":
+            return _ref_chain(u, np.cos(v), -np.sin(v), -np.cos(v))
+        if e.name == "exp":
+            ev = np.exp(v)
+            return _ref_chain(u, ev, ev, ev)
+        if e.name == "sqrt":
+            if v <= 0.0:
+                raise ex.DomainError("sqrt requires a strictly positive "
+                                     "argument for differentiation")
+            s = np.sqrt(v)
+            return _ref_chain(u, s, 0.5 / s, -0.25 / (s * v))
+        if e.name == "abs":
+            if v == 0.0:
+                raise ex.DomainError("abs has no derivative at 0")
+            sign = 1.0 if v > 0 else -1.0
+            return _ref_chain(u, abs(v), sign, 0.0)
+    raise TypeError(f"not an Expression: {e!r}")
+
+
+def _ref_eval_value(e, x):
+    if isinstance(e, ex.Const):
+        return e.value
+    if isinstance(e, ex.Var):
+        return float(x[e.index - 1])
+    if isinstance(e, ex.Neg):
+        return -_ref_eval_value(e.arg, x)
+    if isinstance(e, ex.Add):
+        return _ref_eval_value(e.lhs, x) + _ref_eval_value(e.rhs, x)
+    if isinstance(e, ex.Sub):
+        return _ref_eval_value(e.lhs, x) - _ref_eval_value(e.rhs, x)
+    if isinstance(e, ex.Mul):
+        return _ref_eval_value(e.lhs, x) * _ref_eval_value(e.rhs, x)
+    if isinstance(e, ex.Div):
+        denom = _ref_eval_value(e.rhs, x)
+        if denom == 0.0:
+            raise ex.DomainError("division by zero")
+        return _ref_eval_value(e.lhs, x) / denom
+    if isinstance(e, ex.Pow):
+        base = _ref_eval_value(e.base, x)
+        if e.exponent < 0 and base == 0.0:
+            raise ex.DomainError("zero raised to a negative power")
+        return base ** e.exponent
+    if isinstance(e, ex.Func):
+        v = _ref_eval_value(e.arg, x)
+        if e.name == "sin":
+            return float(np.sin(v))
+        if e.name == "cos":
+            return float(np.cos(v))
+        if e.name == "exp":
+            return float(np.exp(v))
+        if e.name == "sqrt":
+            if v < 0.0:
+                raise ex.DomainError("sqrt of a negative number")
+            return float(np.sqrt(v))
+        if e.name == "abs":
+            return abs(v)
+    raise TypeError(f"not an Expression: {e!r}")
+
+
+def _ref_substitute(e, index, value):
+    if isinstance(e, ex.Var):
+        return ex.Const(value) if e.index == index else e
+    if isinstance(e, ex.Const):
+        return e
+    if isinstance(e, ex.Neg):
+        return ex.Neg(_ref_substitute(e.arg, index, value))
+    if isinstance(e, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
+        return type(e)(_ref_substitute(e.lhs, index, value),
+                       _ref_substitute(e.rhs, index, value))
+    if isinstance(e, ex.Pow):
+        return ex.Pow(_ref_substitute(e.base, index, value), e.exponent)
+    if isinstance(e, ex.Func):
+        return ex.Func(e.name, _ref_substitute(e.arg, index, value))
+    raise TypeError(f"not an Expression: {e!r}")
+
+
+def _ref_variables_used(e):
+    if isinstance(e, ex.Var):
+        return {e.index}
+    if isinstance(e, ex.Const):
+        return set()
+    if isinstance(e, (ex.Neg, ex.Func)):
+        return _ref_variables_used(e.arg)
+    if isinstance(e, ex.Pow):
+        return _ref_variables_used(e.base)
+    if isinstance(e, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
+        return _ref_variables_used(e.lhs) | _ref_variables_used(e.rhs)
+    raise TypeError(f"not an Expression: {e!r}")
+
+
+def _outcome(fn, *args):
+    """('ok', result) or ('raised', exception type, message)."""
+    try:
+        return "ok", fn(*args)
+    except ex.ExprError as err:
+        return "raised", type(err), str(err)
+
+
+def _same_value(a, b):
+    return type(a) is type(b) and (a == b or (a != a and b != b))
+
+
+def _assert_same_evaluation(node, x):
+    with np.errstate(all="ignore"):
+        got = _outcome(ex.eval_value, node, x)
+        ref = _outcome(_ref_eval_value, node, x)
+        assert got[0] == ref[0] and (
+            _same_value(got[1], ref[1]) if got[0] == "ok" else got == ref), node
+        got, ref = _outcome(ex.eval2, node, x), _outcome(_ref_eval2, node, x)
+    assert got[0] == ref[0], node
+    if got[0] == "raised":
+        assert got == ref
+        return
+    assert _same_value(got[1].value, ref[1].value), node
+    assert np.array_equal(got[1].grad, ref[1].grad, equal_nan=True), node
+    assert np.array_equal(got[1].hess, ref[1].hess, equal_nan=True), node
+
+
+def _assert_same_tree_ops(node, d):
+    """Printing, variable sets and substitution of every index agree."""
+    assert ex.to_string(node) == _ref_to_string(node)
+    assert str(node) == _ref_to_string(node)
+    assert ex.variables_used(node) == _ref_variables_used(node)
+    for index in range(1, d + 2):
+        for value in (0.0, -1.5, 0.25):
+            pinned = ex.substitute(node, index, value)
+            assert pinned == _ref_substitute(node, index, value)
+            assert _ref_to_string(pinned) == ex.to_string(pinned)
+
+
+def _assert_same_tokens(text):
+    """The tokenizer is the old scanner with ASCII digits, and equals the
+    old scanner itself on text without other digit characters."""
+    got = _outcome(ex._tokenize, text)
+    assert got == _outcome(_ref_tokenize, text, _ascii_digit), text
+    if not any(c.isdigit() and not c.isascii() for c in text):
+        assert got == _outcome(_ref_tokenize, text), text
+
+
+def _random_tree(rng, d, depth=4):
+    """Random tree over x(1)..x(d) and the parameter t = x(d+1), with
+    every node kind and function, negative powers and division, so that
+    domain errors occur too."""
+    if depth == 0 or rng.random() < 0.25:
+        r = rng.random()
+        if r < 0.45:
+            return ex.Var(int(rng.integers(1, d + 2)))
+        if r < 0.55:
+            return ex.Const(float(rng.choice([0.0, 1.0, -1.0, 0.5])))
+        return ex.Const(float(np.round(rng.uniform(-3, 3), 3)))
+    sub = lambda: _random_tree(rng, d, depth - 1)  # noqa: E731
+    kind = int(rng.integers(0, 8))
+    if kind < 4:
+        return (ex.Add, ex.Sub, ex.Mul, ex.Div)[kind](sub(), sub())
+    if kind == 4:
+        return ex.Pow(sub(), int(rng.integers(-3, 5)))
+    if kind == 5:
+        return ex.Neg(sub())
+    return ex.Func(str(rng.choice(ex.FUNCTIONS)), sub())
+
+
+def _quoted_expressions(text):
+    """Expression bodies of a problem text; [set] bounds and equalities
+    use their own syntax."""
+    return [body for key, body in re.findall(r'([\w(),]+)="([^"]*)"', text)
+            if key not in ("lb", "ub", "eq")]
+
+
+def _reference_parse(text, d, params=()):
+    """The unchanged parser fed by the frozen tokenizer."""
+    parser = ex._Parser(_ref_tokenize(text), d, params)
+    node = parser.parse_expr()
+    if parser.peek()[0] != "end":
+        raise ex.ExprSyntaxError(parser.peek()[2], "end of input")
+    return node
+
+
+def _assert_text_matches_reference(text, d, point, full=True):
+    """Tokens, tree and evaluation at ``point`` agree; ``full`` adds the
+    tree operations and evaluation at ``point`` as a list."""
+    _assert_same_tokens(text)
+    node = _reference_parse(text, d)
+    assert ex.parse(text, d) == node
+    _assert_same_evaluation(node, np.asarray(point, dtype=float))
+    if full:
+        _assert_same_tree_ops(node, d)
+        _assert_same_evaluation(node, list(point))
+
+
+def test_registry_expressions_match_reference():
+    from conecert import registry
+    entries = list(registry._FIXED.values())
+    entries += [registry._linf_entry(d) for d in range(2, 8)]
+    seen = 0
+    for entry in entries:
+        d = len(entry.candidate)
+        _assert_same_tokens(entry.text)
+        for body in _quoted_expressions(entry.text):
+            for point in (entry.candidate, np.linspace(-0.7, 1.3, d)):
+                _assert_text_matches_reference(body, d, point)
+            seen += 1
+    assert seen >= 80
+
+
+def _perfbench_workloads():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads
+
+
+def test_alternance_texts_match_reference():
+    workloads = _perfbench_workloads()
+    for case in workloads.alternance_cases(seed=1):
+        (text,) = case.files.values()
+        d = int(re.search(r"dim=(\d+)", text).group(1))
+        at = [float(v) for v in case.argv[2][len("--at="):].split(",")]
+        for k, line in enumerate(text.splitlines()[1:]):
+            (body,) = _quoted_expressions(line)
+            _assert_text_matches_reference(body, d, at, full=k % 97 == 0)
+
+
+def test_random_trees_match_reference(rng):
+    d = 3
+    raised = set()
+    for _ in range(600):
+        node = _random_tree(rng, d)
+        _assert_same_tree_ops(node, d)
+        # the printed text, with t as the parameter, parses the same way
+        printed = _ref_to_string(node).replace(f"x({d + 1})", "t")
+        _assert_same_tokens(printed)
+        assert (ex.parse(printed, d, params=("t",))
+                == _reference_parse(printed, d, ("t",)))
+        for point in (rng.uniform(-2, 2, size=d + 1),
+                      rng.choice([0.0, 1.0, -1.0], size=d + 1)):
+            _assert_same_evaluation(node, point)
+            for fn in (ex.eval_value, ex.eval2):
+                outcome = _outcome(fn, node, point)
+                if outcome[0] == "raised":
+                    raised.add(outcome[2])
+    # every domain rule was exercised
+    assert raised == {
+        "division by zero", "zero raised to a negative power",
+        "sqrt of a negative number", "abs has no derivative at 0",
+        "sqrt requires a strictly positive argument for differentiation"}
+
+
+@pytest.mark.parametrize("text,point", [
+    ("1/x(1)", (0.0,)),
+    ("x(1)/(x(1) - x(1))", (2.0,)),
+    ("sqrt(1/x(1))", (0.0,)),
+    ("1/x(1)*sqrt(x(1))", (0.0,)),
+    ("sqrt(x(1) - 1)/x(1)", (0.0,)),
+    ("sqrt(x(1))", (-1.0,)),
+    ("sqrt(x(1))", (0.0,)),
+    ("abs(x(1))", (0.0,)),
+    ("abs(x(1) - 1)*exp(x(1))", (1.0,)),
+    ("x(1)^-1", (0.0,)),
+    ("(x(1) - 2)^-3 + sqrt(-x(1))", (2.0,)),
+    ("x(1)^0/x(1)", (0.0,)),
+    ("sin(x(1))/cos(x(1))^-2", (0.0,)),
+])
+def test_domain_errors_match_reference(text, point):
+    node = ex.parse(text, d=1)
+    assert _reference_parse(text, 1) == node
+    _assert_same_evaluation(node, np.asarray(point))
+    _assert_same_evaluation(node, list(point))
+
+
+def test_substitute_and_variables_on_every_node_kind():
+    t = ex.Var(3)
+    cases = [
+        (ex.Const(2.5), set(), ex.Const(2.5)),
+        (ex.Var(1), {1}, ex.Var(1)),
+        (t, {3}, ex.Const(0.5)),
+        (ex.Neg(t), {3}, ex.Neg(ex.Const(0.5))),
+        (ex.Pow(t, -2), {3}, ex.Pow(ex.Const(0.5), -2)),
+        (ex.Func("exp", t), {3}, ex.Func("exp", ex.Const(0.5))),
+    ]
+    for cls in (ex.Add, ex.Sub, ex.Mul, ex.Div):
+        cases.append((cls(ex.Var(2), t), {2, 3}, cls(ex.Var(2), ex.Const(0.5))))
+    for node, used, pinned in cases:
+        assert ex.variables_used(node) == used == _ref_variables_used(node)
+        got = ex.substitute(node, 3, 0.5)
+        assert got == pinned == _ref_substitute(node, 3, 0.5)
+        assert type(got) is type(pinned)
+        assert ex.variables_used(got) == used - {3}
+        # substituting an index the node does not use changes nothing
+        assert ex.substitute(node, 4, 1.0) == node
+
+
+_TRICKY = ("0123456789.eE+-*/^() \t\n_xtsincoepqrabl$,="
+           "\u00a0\u2003\u00b2\u00b9\u0663\u00bd\u2167\u00e9\u4e09\u0301")
+
+
+def test_tokens_match_reference_on_random_text(rng):
+    for _ in range(6000):
+        n = int(rng.integers(1, 9))
+        text = "".join(rng.choice(list(_TRICKY), size=n))
+        _assert_same_tokens(text)
+
+
+def test_token_character_classes_match_str_methods():
+    # the regular expression's \s and \w must be str.isspace and
+    # "str.isalnum or '_'", which the old scanner used, on every code point
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+    assert re.findall(r"\w", every) == [c for c in every
+                                         if c.isalnum() or c == "_"]
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("x(1)^\u00b2", 6), ("x(\u00b2)", 3), ("\u00b2", 1),
+    ("x(1\u0663)", 4), ("\u0663", 1), ("1.5\u00b2", 4),
+])
+def test_non_ascii_digits_are_syntax_errors(text, offset):
+    with pytest.raises(ex.ExprSyntaxError) as err:
+        ex.parse(text, d=2)
+    assert err.value.offset == offset
+    assert str(err.value) == (f"syntax error at offset {offset}: expected "
+                              "a number, identifier, or operator")

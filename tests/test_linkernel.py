@@ -188,3 +188,20 @@ def test_direction_margin_values():
     assert lk.lp_direction_margin((0.0, 1.0), hull, cone) == pytest.approx(0.0)
     # a direction the set never touches reports infeasible
     assert lk.lp_direction_margin((0.0, 1.0), hull, ()) is None
+
+
+def test_unverified_simplex_solutions_read_as_no_solution(monkeypatch):
+    hull, cone = [(5, 1), (-5, 1), (0, -2)], [(0.0, -1.0)]
+    assert lk.lp_membership(np.zeros(2), hull, cone) is not None
+    assert lk.lp_direction_margin((0.0, 1.0), hull, cone) > 0
+    solve = lk.simplex_solve
+
+    def perturbed(c, A, b, **kw):
+        res = solve(c, A, b, **kw)
+        if res.status == "optimal":
+            res.x = res.x + 1e-6   # an "optimal" x that misses Ax = b
+        return res
+
+    monkeypatch.setattr(lk, "simplex_solve", perturbed)
+    assert lk.lp_membership(np.zeros(2), hull, cone) is None
+    assert lk.lp_direction_margin((0.0, 1.0), hull, cone) is None
