@@ -1,6 +1,8 @@
 """Cone primitives shared by the constraint blocks and the generator sets:
 projections, deterministic direction sampling, the spectral split of a
-symmetric matrix, and the provenance record every generator carries.
+symmetric matrix, the provenance record every generator carries, and the
+row-wise products, norms and maxima that screen a stack of points or
+directions bit for bit as a loop over them would.
 
 Nothing here knows about problems; ``problem`` builds its blocks on these
 and ``geometry`` re-exports them.
@@ -17,7 +19,8 @@ from scipy.stats import qmc
 __all__ = [
     "EigenFailure", "Provenance", "SpectralData", "spectral_split",
     "project_soc", "project_psd_neg", "unit_directions", "axis_directions",
-    "sdp_null_directions", "KeptRows",
+    "sdp_null_directions", "KeptRows", "pair_dots", "row_norms",
+    "builtin_max",
 ]
 
 
@@ -118,6 +121,41 @@ def unit_directions(dim: int, count: int, seed: int) -> list[np.ndarray]:
         norm = np.linalg.norm(z)
         if norm > 1e-12:
             out.append(z / norm)
+    return out
+
+
+# A stacked matrix product may sum in another order than one dot product
+# of two vectors, and ``np.linalg.norm(H, axis=1)`` than the norm of one
+# row.  A stack of (1 x k) @ (k x 1) products makes numpy call the same BLAS
+# dot, row by row, as ``np.dot(u, v)`` and ``np.linalg.norm(u)`` do, so
+# these match the loops bit for bit.  For k = 1 numpy's product adds the
+# one term to 0.0 instead, which turns a -0.0 into 0.0, so that case is the
+# plain product.
+
+
+def pair_dots(H, R) -> np.ndarray:
+    """out[i, j] = np.dot(H[i], R[j]), each computed as for one pair."""
+    H = np.ascontiguousarray(H, dtype=float)
+    R = np.ascontiguousarray(R, dtype=float)
+    if H.shape[1] == 1:
+        return H * R.T
+    return np.matmul(H[:, None, None, :], R[:, :, None])[:, :, 0, 0]
+
+
+def row_norms(H) -> np.ndarray:
+    """np.linalg.norm of each row of H, computed as for one row."""
+    H = np.ascontiguousarray(H, dtype=float)
+    return np.sqrt(np.matmul(H[:, None, :], H[:, :, None])[:, 0, 0])
+
+
+def builtin_max(rows) -> np.ndarray:
+    """Column by column, Python's ``max`` over the rows in order: a row
+    replaces the running value only where it is strictly greater, so NaN
+    and signed zeros come out as the builtin's do."""
+    rows = iter(rows)
+    out = next(rows)
+    for row in rows:
+        out = np.where(row > out, row, out)
     return out
 
 

@@ -5,10 +5,16 @@ The grammar (documented in docs/grammar.md) covers constants, variables
 minus, and the functions ``sin cos exp abs sqrt``.  Evaluation propagates
 a second-order forward-mode carrier (value, gradient, Hessian), so all
 derivatives are exact up to rounding, never finite differences.
+
+Values alone are evaluated at one point (``eval_value``) or at a stack of
+points held as the columns of an array (``eval_values``).  The stacked
+evaluation gives every value bit for bit as the one-point evaluation does,
+and flags the points where that would raise a DomainError.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -19,7 +25,8 @@ __all__ = [
     "Expression", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Func",
     "Dual2", "ExprError", "ExprSyntaxError", "UnknownIdentifier",
     "VariableIndexOutOfRange", "DomainError",
-    "parse", "to_string", "eval2", "eval_value", "substitute", "variables_used",
+    "parse", "to_string", "eval2", "eval_value", "eval_values", "substitute",
+    "variables_used",
 ]
 
 
@@ -55,7 +62,8 @@ class VariableIndexOutOfRange(ExprError):
 
 class DomainError(ExprError):
     """Evaluation left the domain of an operation (division by zero,
-    sqrt of a nonpositive number, abs differentiated at its kink, ...)."""
+    sqrt of a nonpositive number, abs differentiated at its kink, a power
+    beyond the floating-point range, ...)."""
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +133,10 @@ _LVL_ADD, _LVL_MUL, _LVL_UNARY, _LVL_POW, _LVL_ATOM = 1, 2, 3, 4, 5
 class Expression:
     """A node of an expression tree.  Every kind implements ``text()``
     (printed at precedence ``level``), ``value_at(x)`` (value only),
-    ``dual_at(x, d)`` (value, gradient and Hessian as a ``Dual2``),
-    ``substitute(index, value)`` and ``variables()``."""
+    ``values_at(X)`` (the values at the columns of X, and a flag per column
+    where ``value_at`` would raise), ``dual_at(x, d)`` (value, gradient and
+    Hessian as a ``Dual2``), ``substitute(index, value)`` and
+    ``variables()``."""
 
     __slots__ = ()
     level = _LVL_ATOM
@@ -154,6 +164,10 @@ class Const(Expression):
     def value_at(self, x) -> float:
         return self.value
 
+    def values_at(self, X):
+        n = X.shape[1]
+        return np.full(n, self.value, dtype=float), np.zeros(n, dtype=bool)
+
     def dual_at(self, x, d) -> Dual2:
         return _constant(self.value, d)
 
@@ -173,6 +187,9 @@ class Var(Expression):
 
     def value_at(self, x) -> float:
         return float(x[self.index - 1])
+
+    def values_at(self, X):
+        return X[self.index - 1], np.zeros(X.shape[1], dtype=bool)
 
     def dual_at(self, x, d) -> Dual2:
         grad = np.zeros(d)
@@ -196,6 +213,10 @@ class Neg(Expression):
 
     def value_at(self, x) -> float:
         return -self.arg.value_at(x)
+
+    def values_at(self, X):
+        v, bad = self.arg.values_at(X)
+        return -v, bad
 
     def dual_at(self, x, d) -> Dual2:
         return -self.arg.dual_at(x, d)
@@ -221,6 +242,11 @@ class _Binary(Expression):
 
     def value_at(self, x) -> float:
         return self.op(self.lhs.value_at(x), self.rhs.value_at(x))
+
+    def values_at(self, X):
+        lhs, lbad = self.lhs.values_at(X)
+        rhs, rbad = self.rhs.values_at(X)
+        return self.op(lhs, rhs), lbad | rbad
 
     def dual_at(self, x, d) -> Dual2:
         return self.op(self.lhs.dual_at(x, d), self.rhs.dual_at(x, d))
@@ -258,6 +284,14 @@ class Div(_Binary):
             raise DomainError("division by zero")
         return self.lhs.value_at(x) / denom
 
+    def values_at(self, X):
+        denom, rbad = self.rhs.values_at(X)
+        num, lbad = self.lhs.values_at(X)
+        return num / denom, lbad | rbad | (denom == 0.0)
+
+
+_POW_RANGE = "power outside the floating-point range"
+
 
 @dataclass(frozen=True)
 class Pow(Expression):
@@ -272,7 +306,28 @@ class Pow(Expression):
         base = self.base.value_at(x)
         if self.exponent < 0 and base == 0.0:
             raise DomainError("zero raised to a negative power")
-        return base ** self.exponent
+        try:
+            return base ** self.exponent
+        except OverflowError:
+            raise DomainError(_POW_RANGE) from None
+
+    def values_at(self, X):
+        base, bad = self.base.values_at(X)
+        n = self.exponent
+        # Python's float power, element by element: numpy's power rounds
+        # differently from the C library's pow that ``**`` calls
+        try:
+            return np.array([v ** n for v in base.tolist()], dtype=float), bad
+        except (OverflowError, ZeroDivisionError):
+            pass
+        out = np.empty(len(base))
+        bad = bad.copy()
+        for j, v in enumerate(base.tolist()):
+            try:
+                out[j] = v ** n
+            except (OverflowError, ZeroDivisionError):
+                out[j], bad[j] = math.nan, True
+        return out, bad
 
     def dual_at(self, x, d) -> Dual2:
         u, n = self.base.dual_at(x, d), self.exponent
@@ -283,7 +338,15 @@ class Pow(Expression):
         if n < 0 and u.value == 0.0:
             raise DomainError("zero raised to a negative power")
         v = u.value
-        return _chain(u, v ** n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2))
+        try:
+            with np.errstate(over="ignore"):
+                rule = v ** n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2)
+        except OverflowError:
+            raise DomainError(_POW_RANGE) from None
+        # a numpy float overflows to inf where a Python float raises
+        if math.isfinite(v) and not all(map(math.isfinite, rule)):
+            raise DomainError(_POW_RANGE)
+        return _chain(u, *rule)
 
     def substitute(self, index, value) -> Expression:
         return Pow(self.base.substitute(index, value), self.exponent)
@@ -312,17 +375,20 @@ def _abs_rule(v):
     return abs(v), 1.0 if v > 0 else -1.0, 0.0
 
 
-# name -> (value-only f(v), derivative rule v -> (f(v), f'(v), f''(v))).
-# Value-only evaluation allows abs at 0 and sqrt(0), which only lack
-# derivatives, not values.
+# name -> (value-only f(v), stacked f over an array of values returning
+# the values and the flags of those where f(v) raises, derivative rule
+# v -> (f(v), f'(v), f''(v))).  Value-only evaluation allows abs at 0 and
+# sqrt(0), which only lack derivatives, not values.  numpy computes the
+# stacked values as it computes one value.
 _FUNCS = {
-    "sin": (lambda v: float(np.sin(v)),
+    "sin": (lambda v: float(np.sin(v)), lambda v: (np.sin(v), False),
             lambda v: (np.sin(v), np.cos(v), -np.sin(v))),
-    "cos": (lambda v: float(np.cos(v)),
+    "cos": (lambda v: float(np.cos(v)), lambda v: (np.cos(v), False),
             lambda v: (np.cos(v), -np.sin(v), -np.cos(v))),
-    "exp": (lambda v: float(np.exp(v)), lambda v: (np.exp(v),) * 3),
-    "abs": (abs, _abs_rule),
-    "sqrt": (_sqrt_value, _sqrt_rule),
+    "exp": (lambda v: float(np.exp(v)), lambda v: (np.exp(v), False),
+            lambda v: (np.exp(v),) * 3),
+    "abs": (abs, lambda v: (np.abs(v), False), _abs_rule),
+    "sqrt": (_sqrt_value, lambda v: (np.sqrt(v), v < 0.0), _sqrt_rule),
 }
 FUNCTIONS = tuple(_FUNCS)
 
@@ -338,9 +404,14 @@ class Func(Expression):
     def value_at(self, x) -> float:
         return _FUNCS[self.name][0](self.arg.value_at(x))
 
+    def values_at(self, X):
+        v, bad = self.arg.values_at(X)
+        out, own = _FUNCS[self.name][1](v)
+        return out, bad | own
+
     def dual_at(self, x, d) -> Dual2:
         u = self.arg.dual_at(x, d)
-        return _chain(u, *_FUNCS[self.name][1](u.value))
+        return _chain(u, *_FUNCS[self.name][2](u.value))
 
     def substitute(self, index, value) -> Expression:
         return Func(self.name, self.arg.substitute(index, value))
@@ -379,6 +450,15 @@ def _tokenize(text: str):
         offset += len(value)
     tokens.append(("end", "", len(text) + 1))
     return tokens
+
+
+def _integer(tok, what: str) -> int:
+    """The value of a digits-only number token; a token longer than the
+    interpreter converts to an integer is a syntax error at its offset."""
+    try:
+        return int(tok[1])
+    except ValueError:
+        raise ExprSyntaxError(tok[2], f"{what} of fewer digits") from None
 
 
 class _Parser:
@@ -443,7 +523,7 @@ class _Parser:
         tok = self.take()
         if tok[0] != "num" or any(ch in tok[1] for ch in ".eE"):
             raise ExprSyntaxError(tok[2], "an integer exponent")
-        return sign * int(tok[1])
+        return sign * _integer(tok, "an integer exponent")
 
     def parse_atom(self) -> Expression:
         tok = self.take()
@@ -460,7 +540,7 @@ class _Parser:
                 idx_tok = self.take()
                 if idx_tok[0] != "num" or not idx_tok[1].isdigit():
                     raise ExprSyntaxError(idx_tok[2], "a variable index")
-                index = int(idx_tok[1])
+                index = _integer(idx_tok, "a variable index")
                 self.expect(")", "')'")
                 if not 1 <= index <= self.dim:
                     raise VariableIndexOutOfRange(index, self.dim, offset)
@@ -512,6 +592,16 @@ def eval_value(e: Expression, x) -> float:
     """Value-only evaluation (allows abs at 0 and sqrt(0), which only lack
     derivatives, not values)."""
     return e.value_at(x)
+
+
+def eval_values(e: Expression, X) -> tuple[np.ndarray, np.ndarray]:
+    """Value-only evaluation at every column of X (one row per variable):
+    the values, equal bit for bit to ``eval_value`` at each column, and a
+    flag per column that is set where ``eval_value`` would raise a
+    DomainError (the value there is meaningless)."""
+    X = np.ascontiguousarray(X, dtype=float)
+    with np.errstate(all="ignore"):
+        return e.values_at(X)
 
 
 def substitute(e: Expression, index: int, value: float) -> Expression:

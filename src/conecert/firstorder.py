@@ -16,7 +16,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from . import expr as ex
-from .cones import KeptRows
+from .cones import KeptRows, builtin_max, pair_dots, row_norms
 from .geometry import (GeneratorSet, PointContext, Provenance, SamplingSpec,
                        block_distances, point_context)
 from .linkernel import (SCREEN_CHUNK, det, lp_chebyshev_center,
@@ -28,7 +28,7 @@ from .problem import (NlpIneq, Problem, SemiInfinite, activity,
 __all__ = [
     "Cadre", "AlternanceFailure", "Zbasis", "MultiplierWitness",
     "CombinatorialBudgetExceeded", "NotFeasible",
-    "verify_alternance", "find_cadre", "directional_derivative",
+    "verify_alternance", "find_cadre", "directional_derivatives",
     "necessary_check", "sufficient_check",
     "penalty_value", "penalty_subdiff_check",
     "linearized_spot_check", "semiinfinite_discretize",
@@ -39,9 +39,9 @@ DEFAULT_BUDGET = 10 ** 6
 
 
 class CombinatorialBudgetExceeded(Exception):
-    def __init__(self, subsets_tried: int):
+    def __init__(self, subsets_tried: int, search: str = "cadre search"):
         self.subsets_tried = subsets_tried
-        super().__init__(f"cadre search budget exhausted after "
+        super().__init__(f"{search} budget exhausted after "
                          f"{subsets_tried} subsets")
 
 
@@ -550,9 +550,9 @@ def reverify_report(P: Problem, report: dict, eps: float = 1e-8) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def directional_derivative(grads, h) -> float:
-    h = np.asarray(h, dtype=float)
-    return max(float(np.dot(v, h)) for v in grads)
+def directional_derivatives(grads, H) -> np.ndarray:
+    """max over v in grads of <v, h>, for each row h of H."""
+    return builtin_max(pair_dots(H, np.array(grads, dtype=float)).T)
 
 
 @dataclass
@@ -692,21 +692,16 @@ def _min_feasible_slope(ctx: PointContext, grads, n_samples: int, seed: int):
     """Sampled lower envelope of the linearized growth: the least, over
     sampled linearized-feasible unit h, of max <v, h>, and the number of
     feasible samples."""
-    rng = np.random.default_rng(seed)
-    best = None
-    kept = 0
-    for _ in range(n_samples):
-        h = rng.standard_normal(ctx.problem.d)
-        norm = np.linalg.norm(h)
-        if norm < 1e-12:
-            continue
-        h /= norm
-        if not ctx.tester.accepts(h):
-            continue
-        kept += 1
-        val = directional_derivative(grads, h)
-        best = val if best is None else min(best, val)
-    return best, kept
+    H = np.random.default_rng(seed).standard_normal((n_samples,
+                                                     ctx.problem.d))
+    norms = row_norms(H)
+    usable = ~(norms < 1e-12)
+    H = H[usable] / norms[usable, None]
+    H = H[ctx.tester.accepted(H)]
+    if not len(H):
+        return None, 0
+    best = min(directional_derivatives(grads, H).tolist())
+    return best, len(H)
 
 
 # ---------------------------------------------------------------------------

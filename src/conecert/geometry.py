@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .cones import (EigenFailure, Provenance, SpectralData, axis_directions,
-                    project_psd_neg, project_soc, sdp_null_directions,
-                    spectral_split, unit_directions)
+                    pair_dots, project_psd_neg, project_soc,
+                    sdp_null_directions, spectral_split, unit_directions)
 from .problem import (ActiveSets, FeasibilityReport, PolyhedralSet, Problem,
                       Sdp, _sdp_matrix, activity, check_feasible,
                       squared_generators, subdifferential_generators)
@@ -160,12 +160,12 @@ class TangentReport:
 class TangentTester:
     """Precomputed linearized-feasibility test at one point.
 
-    Each block tests a direction against its normal-cone generators (or its
+    Each block tests directions against its normal-cone generators (or its
     own rows, see the blocks' ``tangent_test``), the polyhedral set against
-    its normal-cone generators, so the per-direction test is a handful of
-    dot products; the sampling loops in the certificate checks call it
-    thousands of times.  The generators come from ``generators`` when
-    given, else from a fresh generator set."""
+    its normal-cone generators.  ``screen`` and ``accepted`` test a stack of
+    directions (the rows of H) at once, as the sampled checks need;
+    ``report`` and ``accepts`` are the one-direction case.  The generators
+    come from ``generators`` when given, else from a fresh generator set."""
 
     def __init__(self, P: Problem, x, act: ActiveSets | None = None,
                  sampling: SamplingSpec | None = None,
@@ -182,13 +182,29 @@ class TangentTester:
                          blk.tangent_test(x, ba, rows[ba.position]))
                         for ba, blk in zip(act.blocks, P.blocks)]
         # bound rows and both signs of every affine equality row
-        self._A_rows = G.nA
+        self._A_rows = np.array(G.nA, dtype=float).reshape(len(G.nA), P.d)
+
+    def screen(self, H) -> tuple[list, np.ndarray]:
+        """For the directions in the rows of H: per block, whether each
+        passes the block's test, and whether each passes the polyhedral
+        set's."""
+        H = np.ascontiguousarray(H, dtype=float)
+        blocks = [test(H, self.eps) for _, _, test in self._blocks]
+        in_A = np.all(pair_dots(H, self._A_rows) <= self.eps, axis=1)
+        return blocks, in_A
+
+    def accepted(self, H) -> np.ndarray:
+        """Whether each row of H is linearized feasible."""
+        blocks, in_A = self.screen(H)
+        for ok in blocks:
+            in_A = in_A & ok
+        return in_A
 
     def report(self, h) -> TangentReport:
-        h = np.asarray(h, dtype=float)
-        blocks = [(pos, kind, test(h, self.eps))
-                  for pos, kind, test in self._blocks]
-        in_A = all(float(r @ h) <= self.eps for r in self._A_rows)
+        blocks, in_A = self.screen(np.asarray(h, dtype=float)[None, :])
+        blocks = [(pos, kind, bool(ok[0]))
+                  for (pos, kind, _), ok in zip(self._blocks, blocks)]
+        in_A = bool(in_A[0])
         overall = in_A and all(ok for _, _, ok in blocks)
         return TangentReport(overall=overall, blocks=blocks, in_tangent_A=in_A)
 

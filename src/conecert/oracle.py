@@ -15,7 +15,9 @@ from itertools import combinations
 import numpy as np
 
 from . import expr as ex
-from .problem import Problem, check_feasible, evaluate_objective
+from .cones import row_norms
+from .problem import (Problem, evaluate_objective, feasibility,
+                      objective_values)
 
 __all__ = [
     "TooFewFeasibleSamples", "GrowthProbe",
@@ -60,7 +62,13 @@ def growth_probe(P: Problem, x, order: int = 1, n_samples: int = 2000,
                  eps: float = 1e-9, min_feasible: int = 50) -> GrowthProbe:
     """Sample feasible points near x and fit the growth constant
     min (F(y) - F(x)) / |y - x|^order; any strictly lower objective value
-    refutes local optimality outright."""
+    refutes local optimality outright.
+
+    The samples are drawn one by one, then screened together: a sample
+    counts when it is feasible, lies off x and every constraint and
+    scenario value is defined there.  The first counted sample in draw
+    order with a lower value refutes; otherwise the constant is the first
+    least quotient."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     x = np.asarray(x, dtype=float)
@@ -70,39 +78,43 @@ def growth_probe(P: Problem, x, order: int = 1, n_samples: int = 2000,
     k = frame.shape[1]
     if k == 0:
         raise TooFewFeasibleSamples(0, min_feasible)
-    kept = 0
-    best = math.inf
-    worst_point = None
-    refuted = False
-    for _ in range(n_samples):
-        u = rng.standard_normal(k)
-        norm = np.linalg.norm(u)
-        if norm < 1e-12:
-            continue
-        step = radius * rng.random() ** (1.0 / k) * (u / norm)
-        y = x + frame @ step
-        if not check_feasible(P, y).feasible:
-            continue
-        dist = float(np.linalg.norm(y - x))
-        if dist < 1e-12:
-            continue
-        kept += 1
-        Fy, _ = evaluate_objective(P, y)
-        if Fy < F0 - eps:
-            refuted = True
-            worst_point = y.tolist()
-            break
-        quotient = (Fy - F0) / dist ** order
-        if quotient < best:
-            best = quotient
-            worst_point = y.tolist()
-    if refuted:
-        return GrowthProbe(order=order, n_feasible=kept, refuted=True,
-                           constant=None, worst_point=worst_point)
-    if kept < min_feasible:
-        raise TooFewFeasibleSamples(kept, min_feasible)
-    return GrowthProbe(order=order, n_feasible=kept, refuted=False,
-                       constant=float(best), worst_point=worst_point)
+    # a direction, then a radius unless the direction is null: the
+    # interleaving fixes the random stream, so the draws stay one by one
+    U = np.empty((n_samples, k))
+    norms = np.empty(n_samples)
+    radii = []
+    for i in range(n_samples):
+        U[i] = rng.standard_normal(k)
+        norms[i] = math.sqrt(U[i].dot(U[i]))   # as np.linalg.norm(U[i])
+        if not norms[i] < 1e-12:
+            radii.append(radius * rng.random() ** (1.0 / k))
+    drawn = ~(norms < 1e-12)
+    steps = np.array(radii).reshape(-1, 1) * (U[drawn] / norms[drawn, None])
+    # one matrix-vector product per sample, as frame @ step computes it
+    Y = x + np.matmul(frame, steps[:, :, None])[:, :, 0]
+    feasible, _ = feasibility(P, Y.T)
+    dist = row_norms(Y - x)
+    keep = feasible & ~(dist < 1e-12)
+    Y, dist = Y[keep], dist[keep]
+    F, undefined = objective_values(P, Y.T)
+    Y, dist, F = Y[~undefined], dist[~undefined], F[~undefined]
+    lower = np.flatnonzero(F < F0 - eps)
+    if len(lower):
+        first = int(lower[0])
+        return GrowthProbe(order=order, n_feasible=first + 1, refuted=True,
+                           constant=None, worst_point=Y[first].tolist())
+    if len(F) < min_feasible:
+        raise TooFewFeasibleSamples(len(F), min_feasible)
+    quotients = (F - F0) / np.array([r ** order for r in dist.tolist()])
+    # a NaN quotient never becomes the minimum; argmin takes the first least
+    least = np.where(np.isnan(quotients), math.inf, quotients)
+    if not np.any(least < math.inf):
+        return GrowthProbe(order=order, n_feasible=len(F), refuted=False,
+                           constant=math.inf, worst_point=None)
+    j = int(np.argmin(least))
+    return GrowthProbe(order=order, n_feasible=len(F), refuted=False,
+                       constant=float(quotients[j]),
+                       worst_point=Y[j].tolist())
 
 
 def hull_membership_bruteforce(target, hull, cone=(), eps: float = 1e-9) -> bool:

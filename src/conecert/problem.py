@@ -5,7 +5,9 @@ inequalities/equalities, second-order cone, semidefinite, discretized
 semi-infinite), a polyhedral set given by bounds and affine equalities, and
 the tolerance set used for all activity and feasibility decisions.  All
 pointwise queries (objective, active scenarios, subdifferential generators,
-feasibility) live here.
+feasibility) live here.  Feasibility and the objective value are also
+computed over a stack of points at once (``feasibility``,
+``objective_values``); ``check_feasible`` is the one-point case.
 
 Each block kind is one class (NlpIneq, NlpEq, Soc, Sdp, SemiInfinite) that
 carries every operation the rest of the package needs from a block, so no
@@ -13,8 +15,8 @@ other module branches on the kind:
 
 - ``activity(x, tol, position)``: the block's BlockActivity at x (active
   indices, second-order-cone state, matrix spectral data);
-- ``violations(x, position)``: (description, amount) pairs for
-  check_feasible;
+- ``violations(pts, position)``: (description, amounts) pairs, one amount
+  per point of the stack ``pts``, for check_feasible and feasibility;
 - ``distance(x)``: distance of the block value to its cone in the block
   norm, the exact-penalty term;
 - ``normal_generators(x, state, sampling)``: (vector, Provenance, dual)
@@ -22,7 +24,8 @@ other module branches on the kind:
   multiplier whose image under the derivative is the vector; apex and
   kernel directions are sampled here and nowhere else;
 - ``tangent_test(x, state, rows)``: given the block's generator vectors,
-  a test ``(h, eps) -> bool`` of linearized feasibility of a direction;
+  a test ``(H, eps) -> bool array`` of linearized feasibility of each
+  direction in the rows of H;
 - ``add_dual(dual, provenance, amount)``: adds an LP weight times a
   generator's dual to the block's multiplier;
 - ``dual_gradient(x, dual)`` and ``dual_hessian(x, dual)``: first and
@@ -43,15 +46,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import expr as ex
-from .cones import (KeptRows, Provenance, axis_directions, project_psd_neg,
-                    project_soc, sdp_null_directions, spectral_split,
-                    unit_directions)
+from .cones import (KeptRows, Provenance, axis_directions, builtin_max,
+                    pair_dots, project_psd_neg, project_soc, row_norms,
+                    sdp_null_directions, spectral_split, unit_directions)
 
 __all__ = [
     "ToleranceSet", "PolyhedralSet", "NlpIneq", "NlpEq", "Soc", "Sdp",
     "SemiInfinite", "Problem", "ActiveScenario", "BlockActivity", "ActiveSets",
     "FeasibilityReport", "ProblemFormatError",
-    "evaluate_objective", "activity", "check_feasible",
+    "evaluate_objective", "objective_values", "activity", "check_feasible",
+    "feasibility",
     "subdifferential_generators", "squared_generators",
     "load_problem_text", "load_problem_file", "problem_to_text",
 ]
@@ -111,6 +115,44 @@ class BlockActivity:
     sampled: bool = False    # the normal cone's generators are a sample
 
 
+class _Points:
+    """Points stacked as the columns of ``X`` (one row per variable).
+
+    ``values`` evaluates an expression at every point and collects in
+    ``undefined`` the points where a value is undefined (where the
+    one-point evaluation raises a DomainError).  ``raise_undefined`` raises
+    that error for the first undefined value met, so a one-point stack
+    fails as the one-point evaluation does."""
+
+    # columns per evaluation when a block repeats the points (the
+    # semi-infinite grid), which bounds the memory of a stacked evaluation
+    MAX_COLUMNS = 1 << 16
+
+    def __init__(self, X):
+        self.X = np.ascontiguousarray(X, dtype=float)
+        self.n = self.X.shape[1]
+        self.undefined = np.zeros(self.n, dtype=bool)
+        self._first = None
+
+    def values(self, e, X=None) -> np.ndarray:
+        """Values of e at the columns of X: by default the points; else
+        blocks of n columns, each block a copy of the points extended by
+        parameter rows."""
+        X = self.X if X is None else X
+        vals, bad = ex.eval_values(e, X)
+        if bad.any():
+            if self._first is None:
+                self._first = (e, X[:, np.argmax(bad)])
+            self.undefined |= bad.reshape(-1, self.n).any(axis=0)
+        return vals
+
+    def raise_undefined(self):
+        if self._first is not None:
+            e, column = self._first
+            e.value_at(column)
+            raise ex.DomainError("undefined value")
+
+
 class _Block:
     """Defaults shared by every block kind (the protocol is listed in the
     module docstring)."""
@@ -120,7 +162,8 @@ class _Block:
     def tangent_test(self, x, state, rows):
         """Linearized feasibility: <r, h> <= eps for every generator r of
         the block's normal cone at x."""
-        return lambda h, eps: all(float(r @ h) <= eps for r in rows)
+        R = np.array(rows, dtype=float).reshape(len(rows), len(x))
+        return lambda H, eps: np.all(pair_dots(H, R) <= eps, axis=1)
 
 
 class _ScalarBlock(_Block):
@@ -176,8 +219,8 @@ class NlpIneq(_ScalarBlock):
             i for i, v in enumerate(vals)
             if abs(v) <= tol.eps_active or v > 0])
 
-    def violations(self, x, position):
-        return [(f"block {position} inequality {i + 1}", ex.eval_value(g, x))
+    def violations(self, pts, position):
+        return [(f"block {position} inequality {i + 1}", pts.values(g))
                 for i, g in enumerate(self.g)]
 
     def distance(self, x):
@@ -205,9 +248,9 @@ class NlpEq(_ScalarBlock):
         return BlockActivity(position, self.kind,
                              active=list(range(len(self.b))))
 
-    def violations(self, x, position):
-        return [(f"block {position} equality {j + 1}",
-                 abs(ex.eval_value(b, x))) for j, b in enumerate(self.b)]
+    def violations(self, pts, position):
+        return [(f"block {position} equality {j + 1}", np.abs(pts.values(b)))
+                for j, b in enumerate(self.b)]
 
     def distance(self, x):
         return sum(abs(ex.eval_value(b, x)) for b in self.b)
@@ -254,10 +297,10 @@ class Soc(_ConeBlock):
                              soc_value=vals,
                              sampled=state == "origin" and self.l >= 2)
 
-    def violations(self, x, position):
-        vals = self._values(x)
+    def violations(self, pts, position):
+        vals = np.array([pts.values(g) for g in self.g])
         return [(f"block {position} second-order cone",
-                 float(np.linalg.norm(vals[1:])) - vals[0])]
+                 row_norms(vals[1:].T) - vals[0])]
 
     def distance(self, x):
         vals = self._values(x)
@@ -294,17 +337,18 @@ class Soc(_ConeBlock):
 
     def tangent_test(self, x, state, rows):
         if state.soc_state == "inactive":
-            return lambda h, eps: True
+            return lambda H, eps: np.ones(len(H), dtype=bool)
         J = self.jacobian(x)
         if state.soc_state == "boundary":
             ybar = state.soc_value[1:]
             # gradient of |ybar| - y0 composed with the Jacobian
             row = J[1:].T @ (ybar / float(np.linalg.norm(ybar))) - J[0]
-            return lambda h, eps: float(row @ h) <= eps
+            return lambda H, eps: pair_dots(H, row[None])[:, 0] <= eps
 
-        def stays_in_cone(h, eps):   # at the apex J h itself must lie in K
-            Jh = J @ h
-            return Jh[0] >= float(np.linalg.norm(Jh[1:])) - eps
+        def stays_in_cone(H, eps):   # at the apex J h itself must lie in K
+            # one matrix-vector product per direction, as J @ h computes it
+            JH = np.matmul(J, np.ascontiguousarray(H)[:, :, None])[:, :, 0]
+            return JH[:, 0] >= row_norms(JH[:, 1:]) - eps
         return stays_in_cone
 
     def dual_gradient(self, x, dual):
@@ -349,9 +393,14 @@ class Sdp(_ConeBlock):
                              null_basis=spec.null_basis,
                              sampled=spec.null_basis.shape[1] > 1)
 
-    def violations(self, x, position):
-        sigma = np.linalg.eigvalsh(_sdp_matrix(self, x))
-        return [(f"block {position} matrix cone", float(sigma[-1]))]
+    def violations(self, pts, position):
+        n = self.size
+        M = np.empty((pts.n, n, n))
+        for i in range(n):
+            for j in range(n):
+                M[:, i, j] = pts.values(self.G0[i][j])
+        sigma = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))
+        return [(f"block {position} matrix cone", sigma[:, -1])]
 
     def distance(self, x):
         M = _sdp_matrix(self, x)
@@ -417,8 +466,16 @@ class SemiInfinite(_ScalarBlock):
             j for j, v in enumerate(self._values(x))
             if abs(v) <= tol.eps_active or v > 0])
 
-    def violations(self, x, position):
-        return [(f"block {position} semi-infinite", max(self._values(x)))]
+    def violations(self, pts, position):
+        # the grid points in chunks, each chunk's columns t-major
+        step = max(1, pts.MAX_COLUMNS // max(pts.n, 1))
+
+        def rows():
+            for lo in range(0, len(self.grid), step):
+                t = np.array(self.grid[lo:lo + step])
+                X = np.vstack([np.tile(pts.X, len(t)), np.repeat(t, pts.n)])
+                yield from pts.values(self.g, X).reshape(len(t), pts.n)
+        return [(f"block {position} semi-infinite", builtin_max(rows()))]
 
     def distance(self, x):
         return max(0.0, max(self._values(x)))
@@ -484,6 +541,16 @@ def _scenario_values(P: Problem, x):
     return vals
 
 
+def objective_values(P: Problem, X) -> tuple[np.ndarray, np.ndarray]:
+    """F at each column of X, as ``evaluate_objective`` computes it, and the
+    columns where a scenario value is undefined (F is meaningless there)."""
+    pts = _Points(X)
+    devs = np.array([pts.values(f) for f in P.scenarios])
+    if P.kind == "chebyshev":
+        devs = np.abs(devs - np.array(P.psi)[:, None])
+    return builtin_max(devs), pts.undefined
+
+
 def evaluate_objective(P: Problem, x) -> tuple[float, list]:
     """F(x) and the active scenario list.
 
@@ -537,26 +604,44 @@ class FeasibilityReport:
     violations: list  # (description, amount)
 
 
-def check_feasible(P: Problem, x) -> FeasibilityReport:
-    x = np.asarray(x, dtype=float)
-    eps = P.tolerances.eps_feas
-    bad = []
-
-    def record(desc, amount):
-        if amount > eps:
-            bad.append((desc, float(amount)))
-
-    for pos, blk in enumerate(P.blocks):
-        for desc, amount in blk.violations(x, pos):
-            record(desc, amount)
-    A = P.set_A
+def _violations(P: Problem, pts: _Points):
+    """(description, amounts) for every constraint, one amount per point;
+    a constraint is violated where its amount exceeds eps_feas."""
+    out = [pair for pos, blk in enumerate(P.blocks)
+           for pair in blk.violations(pts, pos)]
+    A, X = P.set_A, pts.X
     for i in range(P.d):
         if A.lb[i] != -math.inf:
-            record(f"lower bound on x({i + 1})", A.lb[i] - x[i])
+            out.append((f"lower bound on x({i + 1})", A.lb[i] - X[i]))
         if A.ub[i] != math.inf:
-            record(f"upper bound on x({i + 1})", x[i] - A.ub[i])
-    for r, (row, rhs) in enumerate(zip(A.E, A.e)):
-        record(f"affine equality {r + 1}", abs(float(np.dot(row, x)) - rhs))
+            out.append((f"upper bound on x({i + 1})", X[i] - A.ub[i]))
+    if A.E:
+        dots = pair_dots(X.T, A.E)
+        out += [(f"affine equality {r + 1}", np.abs(dots[:, r] - rhs))
+                for r, rhs in enumerate(A.e)]
+    return out
+
+
+def feasibility(P: Problem, X) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each column of X is feasible, and whether a constraint value
+    is undefined there (such a point counts as infeasible)."""
+    pts = _Points(X)
+    feasible = np.ones(pts.n, dtype=bool)
+    for _, amounts in _violations(P, pts):
+        feasible &= ~(amounts > P.tolerances.eps_feas)
+    return feasible & ~pts.undefined, pts.undefined
+
+
+def check_feasible(P: Problem, x) -> FeasibilityReport:
+    """The one-point case of ``feasibility``, with the description and
+    amount of each violated constraint; an undefined constraint value
+    raises its DomainError."""
+    x = np.asarray(x, dtype=float)
+    pts = _Points(x[:, None])
+    amounts = _violations(P, pts)
+    pts.raise_undefined()
+    bad = [(desc, float(a[0])) for desc, a in amounts
+           if a[0] > P.tolerances.eps_feas]
     worst = max((amt for _, amt in bad), default=0.0)
     return FeasibilityReport(feasible=not bad, max_violation=worst, violations=bad)
 

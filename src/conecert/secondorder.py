@@ -17,10 +17,11 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import expr as ex
-from .cones import KeptRows
-from .firstorder import (MultiplierWitness, NecessaryReport,
+from .cones import KeptRows, row_norms
+from .firstorder import (DEFAULT_BUDGET, CombinatorialBudgetExceeded,
+                         MultiplierWitness, NecessaryReport,
                          _assemble_witness, _witness_residual,
-                         directional_derivative)
+                         directional_derivatives)
 from .geometry import PointContext, SamplingSpec, point_context
 from .linkernel import SCREEN_CHUNK, rank, stacked_rank
 from .problem import Problem
@@ -55,19 +56,27 @@ class DDMultiplierSet:
                 "interior": list(map(float, self.interior))}
 
 
-def _polytope_vertices(Aeq, beq, n):
+def _polytope_vertices(Aeq, beq, n, budget: int = DEFAULT_BUDGET):
     """Vertices of {w >= 0 : Aeq w = beq} by basic-solution enumeration.
 
     Supports of every size up to min(m, n) are tried, so vertices of
     degenerate systems (dependent equality rows) are not missed.  Each
     chunk of supports is screened first (``_support_screen``); the scalar
-    test below still decides every support the screen lets through."""
+    test below still decides every support the screen lets through.  Every
+    support counts against the budget; trying one more raises
+    CombinatorialBudgetExceeded."""
     m = Aeq.shape[0]
     verts = []
     scale = max(1.0, float(np.linalg.norm(beq)))
+    tried = 0
     for size in range(0, min(m, n) + 1):
         supports = combinations(range(n), size)
-        while chunk := list(islice(supports, SCREEN_CHUNK)):
+        while chunk := list(islice(supports,
+                                   min(SCREEN_CHUNK, budget - tried + 1))):
+            # the support after the budget's last is never tried
+            over = tried + len(chunk) > budget
+            if over:
+                chunk.pop()
             for support in _support_screen(Aeq, beq, chunk, verts, scale):
                 B = Aeq[:, support] if support else np.zeros((m, 0))
                 if support and rank(B) < len(support):
@@ -85,6 +94,10 @@ def _polytope_vertices(Aeq, beq, n):
                 full = np.maximum(full, 0.0)
                 if not any(np.linalg.norm(full - v) < 1e-8 for v in verts):
                     verts.append(full)
+            tried += len(chunk)
+            if over:
+                raise CombinatorialBudgetExceeded(
+                    tried + 1, "multiplier-vertex enumeration")
     return verts
 
 
@@ -101,9 +114,9 @@ def _support_screen(Aeq, beq, chunk, verts, scale):
     vertex repeats one already kept.  The last covers supports whose
     basic solution has a (near) zero entry: in exact arithmetic their
     vertex is that of the smaller support without it, found earlier."""
-    k = len(chunk[0])
-    if k == 0:
+    if not chunk or not chunk[0]:
         return chunk
+    k = len(chunk[0])
     m, n = Aeq.shape
     idx = np.array(chunk)
     B = Aeq[:, idx].transpose(1, 0, 2)
@@ -213,11 +226,12 @@ def hessian_bundle(P: Problem, x, witness: MultiplierWitness,
 @dataclass
 class MultiplierVertices:
     """Joint (dual, scenario weight) vertices.  Exhaustive for problems
-    whose blocks are all polyhedral; otherwise the single reconstructed
-    witness, flagged partial."""
+    whose blocks are all polyhedral, unless the enumeration ran out of its
+    budget; otherwise the single reconstructed witness, flagged partial."""
 
     pairs: list            # (MultiplierWitness, alpha array, scenario list)
     exhaustive: bool
+    budget_exceeded: bool = False
 
 
 def _all_polyhedral(P: Problem) -> bool:
@@ -237,14 +251,17 @@ def _aligned_alpha(w: MultiplierWitness, scen) -> np.ndarray:
 
 def multiplier_vertices(P: Problem, x, report: NecessaryReport,
                         sampling: SamplingSpec | None = None,
-                        ctx: PointContext | None = None) -> MultiplierVertices:
+                        ctx: PointContext | None = None,
+                        budget: int = DEFAULT_BUDGET) -> MultiplierVertices:
+    """The multiplier pairs at the vertices of the joint polytope; at most
+    ``budget`` supports are tried (see ``_polytope_vertices``)."""
     ctx = point_context(P, x, sampling, ctx)
     G = report.generators
     scen = [(pr.index, pr.sign) for pr in G.grads_prov]
+    w = report.multipliers
+    partial = [] if w is None else [(w, _aligned_alpha(w, scen), scen)]
     if not _all_polyhedral(P):
-        w = report.multipliers
-        return MultiplierVertices(pairs=[(w, _aligned_alpha(w, scen), scen)],
-                                  exhaustive=False)
+        return MultiplierVertices(pairs=partial, exhaustive=False)
     # joint polytope over (alpha, cone weights, nA weights)
     cols = list(G.grads_F) + list(G.eta) + list(G.nA)
     n = len(cols)
@@ -255,7 +272,11 @@ def multiplier_vertices(P: Problem, x, report: NecessaryReport,
     Aeq[P.d, :m] = 1.0
     beq = np.zeros(P.d + 1)
     beq[P.d] = 1.0
-    verts = _polytope_vertices(Aeq, beq, n)
+    try:
+        verts = _polytope_vertices(Aeq, beq, n, budget)
+    except CombinatorialBudgetExceeded:
+        return MultiplierVertices(pairs=partial, exhaustive=False,
+                                  budget_exceeded=True)
     pairs = []
     for v in verts:
         w = _assemble_witness(ctx, G, v[:m], v[m:])
@@ -263,9 +284,7 @@ def multiplier_vertices(P: Problem, x, report: NecessaryReport,
         if w.stationarity_residual > 1e-7:
             continue
         pairs.append((w, v[:m].copy(), scen))
-    if not pairs and report.multipliers is not None:
-        w = report.multipliers
-        pairs = [(w, _aligned_alpha(w, scen), scen)]
+    pairs = pairs or partial
     return MultiplierVertices(pairs=pairs, exhaustive=bool(pairs))
 
 
@@ -302,15 +321,13 @@ def critical_cone_sample(P: Problem, x, first: NecessaryReport,
 def _critical_directions(ctx: PointContext, G, n_dirs, seed, eps_crit):
     """Unit directions passing the linearized feasibility and zero-slope
     tests.  Random samples are augmented with canonical axes and with a
-    basis of the equality subspace where every active gradient is flat."""
+    basis of the equality subspace where every active gradient is flat.
+    All candidates are screened at once; the first of near-duplicate
+    survivors is kept, in candidate order."""
     d = ctx.problem.d
-    rng = np.random.default_rng(seed + 307)
-    candidates = []
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = 1.0
-        candidates.append(e)
-        candidates.append(-e)
+    axes = np.repeat(np.eye(d), 2, axis=0)
+    axes[1::2] *= -1.0
+    candidates = [axes]
     rows = [np.asarray(v, dtype=float) for v in G.grads_F]
     rows += [np.asarray(v, dtype=float) for v in G.eta]
     rows += [np.asarray(v, dtype=float) for v in G.nA]
@@ -318,25 +335,19 @@ def _critical_directions(ctx: PointContext, G, n_dirs, seed, eps_crit):
         M = np.vstack(rows)
         _, s, Vt = np.linalg.svd(M)
         null = Vt[int(np.sum(s > 1e-10)):]
-        for row in null:
-            candidates.append(row)
-            candidates.append(-row)
-    for _ in range(n_dirs):
-        candidates.append(rng.standard_normal(d))
+        candidates.append(np.stack([null, -null], axis=1).reshape(-1, d))
+    rng = np.random.default_rng(seed + 307)
+    candidates.append(rng.standard_normal((n_dirs, d)))
+    H = np.vstack(candidates)
+    norms = row_norms(H)
+    usable = ~(norms < 1e-12)
+    H = H[usable] / norms[usable, None]
+    flat = ~(np.abs(directional_derivatives(G.grads_F, H)) > eps_crit)
     out, kept = [], KeptRows(d)
-    for h in candidates:
-        norm = np.linalg.norm(h)
-        if norm < 1e-12:
-            continue
-        h = h / norm
-        if kept.near(h, 1e-9):
-            continue
-        if not ctx.tester.accepts(h):
-            continue
-        if abs(directional_derivative(G.grads_F, h)) > eps_crit:
-            continue
-        kept.append(h)
-        out.append(h)
+    for h in H[ctx.tester.accepted(H) & flat]:
+        if not kept.near(h, 1e-9):
+            kept.append(h)
+            out.append(h)
     return out
 
 
@@ -394,6 +405,14 @@ def _worst_form(P: Problem, x, verts: MultiplierVertices, dirs):
     return best, best[k], dirs[k].tolist()
 
 
+def _budget_notes(verts: MultiplierVertices) -> list:
+    if not verts.budget_exceeded:
+        return []
+    return ["the multiplier-vertex enumeration ran out of its budget, so the "
+            "multiplier set is not exhaustive and a negative form refutes "
+            "nothing"]
+
+
 def second_order_necessary(P: Problem, x, first: NecessaryReport,
                            n_dirs: int = 512,
                            sampling: SamplingSpec | None = None,
@@ -404,7 +423,6 @@ def second_order_necessary(P: Problem, x, first: NecessaryReport,
     must give a nonnegative quadratic form (polyhedral blocks only; with
     curved blocks a negative form cannot refute and is only reported)."""
     ctx = point_context(P, x, sampling, ctx)
-    notes = []
     if first.generators.nA:   # x lies on the boundary of A
         return SecondOrderReport(
             mode="necessary", applicable=False, refuted=False, passed=False,
@@ -418,6 +436,7 @@ def second_order_necessary(P: Problem, x, first: NecessaryReport,
                          "necessary check")
     verts, dirs = _second_order_inputs(first, n_dirs, seed, eps_crit, ctx)
     polyhedral = _all_polyhedral(P)
+    notes = _budget_notes(verts)
     if not dirs:
         return SecondOrderReport(
             mode="necessary", applicable=True, refuted=False, passed=True,
@@ -425,8 +444,8 @@ def second_order_necessary(P: Problem, x, first: NecessaryReport,
             conservative_refutation_only=not polyhedral,
             multiplier_set_exhaustive=verts.exhaustive,
             n_directions=0, worst_value=None, witness_direction=None,
-            notes=["no nonzero critical directions found; the test is "
-                   "vacuously satisfied"])
+            notes=notes + ["no nonzero critical directions found; the test "
+                           "is vacuously satisfied"])
     _, worst, witness_dir = _worst_form(P, ctx.x, verts, dirs)
     refuted = polyhedral and verts.exhaustive and worst < -eps_crit
     if not polyhedral:
@@ -459,7 +478,7 @@ def second_order_sufficient(P: Problem, x, first: NecessaryReport,
     eps_pos = P.tolerances.eps_pos if eps_pos is None else eps_pos
     verts, dirs = _second_order_inputs(first, n_dirs, seed, eps_crit, ctx)
     notes = ["pass is over sampled directions only; it cannot certify the "
-             "full critical cone"]
+             "full critical cone"] + _budget_notes(verts)
     if not _all_polyhedral(P):
         notes.append("curvature terms are nonpositive here, so a positive "
                      "form without them implies the corrected condition for "

@@ -302,3 +302,38 @@ def test_flavor_search_budget_out_is_inconclusive():
     suf = replace(suf, complete_alternance=None, budget_exceeded=True)
     for flavor in ("plain", "generalised"):
         assert _flavor_search(flavor, ctx, nec, suf) == (None, None)
+
+def test_check_oracle_skips_undefined_samples(tmp_path):
+    """The growth probe draws points left of 0, where sqrt(x(1)) is
+    undefined; it skips them instead of ending the check with exit 1."""
+    path = tmp_path / "sqrt.prob"
+    path.write_text('[problem] dim=1\n[scenario] f="x(1)"\n'
+                    '[nlp_ineq] g="0.05 - x(1)" g="sqrt(x(1)) - 2"\n')
+    assert run_cli("check", "--file", str(path), "--at", "0.05")[0] == 0
+    code, out, err = run_cli("check", "--file", str(path), "--at", "0.05",
+                             "--oracle", "--json")
+    assert (code, err) == (0, "")
+    probe = json.loads(out)["oracle"]
+    assert not probe["refuted"] and 50 <= probe["n_feasible"] < 2000
+
+
+def test_check_power_overflow_exit_one(tmp_path):
+    path = tmp_path / "pow.prob"
+    path.write_text('[problem] dim=1\n[scenario] f="x(1)^400"\n')
+    code, _, err = run_cli("check", "--file", str(path), "--at", "10")
+    assert code == 1
+    assert err == "error: power outside the floating-point range\n"
+
+
+def test_check_exponent_past_the_integer_limit_exit_one(tmp_path):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        import pytest
+        pytest.skip("the interpreter converts integers of any length")
+    path = tmp_path / "long.prob"
+    path.write_text('[problem] dim=1\n[scenario] f="x(1)^' + "7" * 5000
+                    + '"\n')
+    code, _, err = run_cli("check", "--file", str(path), "--at", "1")
+    assert code == 1
+    assert err.startswith("error: bad expression")
+    assert err.endswith("syntax error at offset 6: expected an integer "
+                        "exponent of fewer digits in [scenario] (line 2)\n")

@@ -624,3 +624,105 @@ def test_non_ascii_digits_are_syntax_errors(text, offset):
     assert err.value.offset == offset
     assert str(err.value) == (f"syntax error at offset {offset}: expected "
                               "a number, identifier, or operator")
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation: eval_values over a stack of points against eval_value
+# at each point
+# ---------------------------------------------------------------------------
+
+
+def _same_float(a, b):
+    a, b = np.float64(a), np.float64(b)
+    return (a != a and b != b) or a.tobytes() == b.tobytes()
+
+
+def _assert_stacked_matches(node, X):
+    """eval_values gives eval_value's value at every column of X, bit for
+    bit, and flags exactly the columns where eval_value raises.  Returns
+    the messages raised."""
+    vals, bad = ex.eval_values(node, X)
+    assert vals.shape == bad.shape == (X.shape[1],)
+    raised = set()
+    for j in range(X.shape[1]):
+        with np.errstate(all="ignore"):
+            outcome = _outcome(ex.eval_value, node, X[:, j])
+        assert bool(bad[j]) == (outcome[0] == "raised"), (node, X[:, j])
+        if outcome[0] == "ok":
+            assert _same_float(vals[j], outcome[1]), (node, X[:, j])
+        else:
+            raised.add(outcome[2])
+    return raised
+
+
+def test_stacked_values_match_on_registry_expressions(rng):
+    from conecert import registry
+    entries = list(registry._FIXED.values())
+    entries += [registry._linf_entry(d) for d in range(2, 8)]
+    for entry in entries:
+        d = len(entry.candidate)
+        X = np.column_stack([entry.candidate, np.linspace(-0.7, 1.3, d),
+                             np.zeros(d), rng.normal(size=(d, 20))])
+        for body in _quoted_expressions(entry.text):
+            _assert_stacked_matches(ex.parse(body, d), X)
+
+
+def test_stacked_values_match_on_alternance_expressions(rng):
+    workloads = _perfbench_workloads()
+    for case in workloads.alternance_cases(seed=1):
+        (text,) = case.files.values()
+        d = int(re.search(r"dim=(\d+)", text).group(1))
+        at = np.array([float(v) for v in
+                       case.argv[2][len("--at="):].split(",")])
+        X = np.column_stack([at, at + rng.normal(scale=1e-3, size=d),
+                             rng.normal(size=d)])
+        for line in text.splitlines()[1:]:
+            (body,) = _quoted_expressions(line)
+            _assert_stacked_matches(ex.parse(body, d), X)
+
+
+def test_stacked_values_match_on_random_trees(rng):
+    d = 3
+    X = np.column_stack([rng.uniform(-2, 2, size=(d + 1, 12)),
+                         rng.choice([0.0, 1.0, -1.0], size=(d + 1, 12)),
+                         [np.nan, np.inf, -0.0, 1e-200]])
+    raised = set()
+    for _ in range(600):
+        raised |= _assert_stacked_matches(_random_tree(rng, d), X)
+    big = np.array([[10.0, 0.01, 1.0, 0.0, -0.0, np.nan, np.inf, 1e-320]])
+    for n in (400, -400, 10 ** 300, -3, 0):
+        node = ex.Pow(ex.Sub(ex.Var(1), ex.Const(0.0)), n)
+        raised |= _assert_stacked_matches(node, big)
+    assert raised == {"division by zero", "zero raised to a negative power",
+                      "sqrt of a negative number",
+                      "power outside the floating-point range"}
+
+
+@pytest.mark.parametrize("text,point", [
+    ("x(1)^400", 10.0), ("x(1)^-400", 0.01), ("(x(1)^-1)^3", 1e-300),
+    ("2*x(1)^300 + 1", 1e10),
+])
+def test_power_overflow_is_a_domain_error(text, point):
+    node = ex.parse(text, d=1)
+    for fn in (ex.eval_value, ex.eval2):
+        with pytest.raises(ex.DomainError) as err:
+            fn(node, [point])
+        assert str(err.value) == "power outside the floating-point range"
+    assert ex.eval_values(node, np.array([[point, 1.0]]))[1].tolist() == [
+        True, False]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the interpreter converts integers of any length")
+@pytest.mark.parametrize("text,offset,what", [
+    ("x(1)^" + "7" * 5000, 6, "an integer exponent"),
+    ("x(1)^-" + "7" * 5000, 7, "an integer exponent"),
+    ("x(" + "1" * 5000 + ")", 3, "a variable index"),
+])
+def test_integer_past_the_interpreter_limit_is_a_syntax_error(text, offset,
+                                                             what):
+    with pytest.raises(ex.ExprSyntaxError) as err:
+        ex.parse(text, d=2)
+    assert err.value.offset == offset
+    assert str(err.value) == (f"syntax error at offset {offset}: expected "
+                              f"{what} of fewer digits")

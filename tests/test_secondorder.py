@@ -278,3 +278,40 @@ def test_polytope_vertices_match_unscreened_enumeration(system):
     assert ref
     assert len(got) == len(ref)
     assert all(np.array_equal(u, v) for u, v in zip(got, ref))
+
+
+def test_polytope_vertices_budget_counts_every_support():
+    """As in the cadre search, every support counts against the budget,
+    across chunk boundaries, and the support after the budget's last is
+    reported as the one that ran it out."""
+    from math import comb
+    Aeq, beq = _linf_system(5)
+    n = Aeq.shape[1]
+    total = sum(comb(n, k) for k in range(min(Aeq.shape) + 1))
+    assert total > so.SCREEN_CHUNK
+    full = so._polytope_vertices(Aeq, beq, n)
+    within = so._polytope_vertices(Aeq, beq, n, budget=total)
+    assert len(within) == len(full)
+    assert all(np.array_equal(u, v) for u, v in zip(within, full))
+    for budget in (0, 1, so.SCREEN_CHUNK, so.SCREEN_CHUNK + 1, total - 1):
+        with pytest.raises(fo.CombinatorialBudgetExceeded) as err:
+            so._polytope_vertices(Aeq, beq, n, budget=budget)
+        assert err.value.subsets_tried == budget + 1
+        assert str(err.value).startswith("multiplier-vertex enumeration "
+                                         "budget exhausted")
+
+
+def test_vertex_budget_out_draws_no_refutation(monkeypatch):
+    from functools import partial
+    P = _simple('[problem] dim=2\n[scenario] f="x(1)^2 - x(2)^2"\n')
+    nec = fo.necessary_check(P, (0.0, 0.0))
+    assert so.second_order_necessary(P, (0.0, 0.0), nec).refuted
+    verts = so.multiplier_vertices(P, (0.0, 0.0), nec, budget=0)
+    assert verts.budget_exceeded and not verts.exhaustive
+    assert [w for w, _, _ in verts.pairs] == [nec.multipliers]
+    monkeypatch.setattr(so, "multiplier_vertices",
+                        partial(so.multiplier_vertices, budget=0))
+    for test in (so.second_order_necessary, so.second_order_sufficient):
+        rep = test(P, (0.0, 0.0), nec)
+        assert not rep.refuted and not rep.multiplier_set_exhaustive
+        assert sum("ran out of its budget" in note for note in rep.notes) == 1
