@@ -164,8 +164,8 @@ class TangentTester:
     own rows, see the blocks' ``tangent_test``), the polyhedral set against
     its normal-cone generators.  ``screen`` and ``accepted`` test a stack of
     directions (the rows of H) at once, as the sampled checks need;
-    ``report`` and ``accepts`` are the one-direction case.  The generators
-    come from ``generators`` when given, else from a fresh generator set."""
+    ``report`` is the one-direction case.  The generators come from
+    ``generators`` when given, else from a fresh generator set."""
 
     def __init__(self, P: Problem, x, act: ActiveSets | None = None,
                  sampling: SamplingSpec | None = None,
@@ -207,9 +207,6 @@ class TangentTester:
         in_A = bool(in_A[0])
         overall = in_A and all(ok for _, _, ok in blocks)
         return TangentReport(overall=overall, blocks=blocks, in_tangent_A=in_A)
-
-    def accepts(self, h) -> bool:
-        return self.report(h).overall
 
 
 def tangent_membership(P: Problem, x, h, act: ActiveSets | None = None,

@@ -150,7 +150,6 @@ class _Points:
         if self._first is not None:
             e, column = self._first
             e.value_at(column)
-            raise ex.DomainError("undefined value")
 
 
 class _Block:
@@ -399,6 +398,9 @@ class Sdp(_ConeBlock):
         for i in range(n):
             for j in range(n):
                 M[:, i, j] = pts.values(self.G0[i][j])
+        # an undefined point is infeasible whatever its eigenvalues; a NaN
+        # matrix in the stack could make eigvalsh fail for every point
+        M[pts.undefined] = 0.0
         sigma = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))
         return [(f"block {position} matrix cone", sigma[:, -1])]
 

@@ -251,10 +251,9 @@ def _aligned_alpha(w: MultiplierWitness, scen) -> np.ndarray:
 
 def multiplier_vertices(P: Problem, x, report: NecessaryReport,
                         sampling: SamplingSpec | None = None,
-                        ctx: PointContext | None = None,
-                        budget: int = DEFAULT_BUDGET) -> MultiplierVertices:
+                        ctx: PointContext | None = None) -> MultiplierVertices:
     """The multiplier pairs at the vertices of the joint polytope; at most
-    ``budget`` supports are tried (see ``_polytope_vertices``)."""
+    ``DEFAULT_BUDGET`` supports are tried (see ``_polytope_vertices``)."""
     ctx = point_context(P, x, sampling, ctx)
     G = report.generators
     scen = [(pr.index, pr.sign) for pr in G.grads_prov]
@@ -273,7 +272,7 @@ def multiplier_vertices(P: Problem, x, report: NecessaryReport,
     beq = np.zeros(P.d + 1)
     beq[P.d] = 1.0
     try:
-        verts = _polytope_vertices(Aeq, beq, n, budget)
+        verts = _polytope_vertices(Aeq, beq, n)
     except CombinatorialBudgetExceeded:
         return MultiplierVertices(pairs=partial, exhaustive=False,
                                   budget_exceeded=True)

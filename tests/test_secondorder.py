@@ -306,11 +306,11 @@ def test_vertex_budget_out_draws_no_refutation(monkeypatch):
     P = _simple('[problem] dim=2\n[scenario] f="x(1)^2 - x(2)^2"\n')
     nec = fo.necessary_check(P, (0.0, 0.0))
     assert so.second_order_necessary(P, (0.0, 0.0), nec).refuted
-    verts = so.multiplier_vertices(P, (0.0, 0.0), nec, budget=0)
+    monkeypatch.setattr(so, "_polytope_vertices",
+                        partial(so._polytope_vertices, budget=0))
+    verts = so.multiplier_vertices(P, (0.0, 0.0), nec)
     assert verts.budget_exceeded and not verts.exhaustive
     assert [w for w, _, _ in verts.pairs] == [nec.multipliers]
-    monkeypatch.setattr(so, "multiplier_vertices",
-                        partial(so.multiplier_vertices, budget=0))
     for test in (so.second_order_necessary, so.second_order_sufficient):
         rep = test(P, (0.0, 0.0), nec)
         assert not rep.refuted and not rep.multiplier_set_exhaustive

@@ -376,6 +376,12 @@ def test_growth_probe_matches_the_loop_on_other_draws():
             _assert_same(got, ref, name)
 
 
+# negative semidefinite for x(1) >= 0, undefined for x(1) < 0
+_SDP_SQRT = ('[problem] dim=1\n[scenario] f="abs(x(1) - 0.01)"\n'
+             '[sdp] size=2 entry(1,1)="-x(1)" entry(1,2)="sqrt(x(1))" '
+             'entry(2,2)="-1"\n')
+
+
 def test_growth_probe_skips_undefined_samples():
     """Samples where a constraint or scenario value is undefined are
     passed over, as the loop would pass over them if evaluation did not
@@ -387,8 +393,9 @@ def test_growth_probe_skips_undefined_samples():
         '[scenario] f="-x(2)"\n',
         '[problem] dim=2\n[scenario] f="x(1)^2 + x(2)^2"\n'
         '[semiinf] g="sqrt(x(1)) - 1 - t" grid=0:1:5\n',
+        _SDP_SQRT,
     ]
-    points = [(0.05,), (0.01, 0.0), (0.01, 0.0)]
+    points = [(0.05,), (0.01, 0.0), (0.01, 0.0), (0.01,)]
     for text, x in zip(texts, points):
         P = load_problem_text(text)
         with pytest.raises(ex.DomainError):
@@ -461,7 +468,7 @@ def test_tangent_report_matches_the_loop(rng):
         assert ctx.tester.accepted(H).tolist() == expected, name
         for h in H:
             _assert_same(ctx.tester.report(h), ref.report(h), name)
-            assert ctx.tester.accepts(h) == ref.accepts(h)
+            assert ctx.tester.accepted(h[None])[0] == ref.accepts(h)
 
 
 def test_check_feasible_matches_the_loop(rng):
@@ -498,6 +505,29 @@ def test_check_feasible_raises_the_first_undefined_value():
         P, np.array([(-1.0, 0.0), (0.0, 0.0), (0.25, -1.0)]).T)
     assert undefined.tolist() == [True, True, False]
     assert feasible.tolist() == [False, False, True]
+
+
+def test_undefined_matrix_entries_reach_no_eigensolver(monkeypatch):
+    """The matrices of undefined points are not passed to eigvalsh: one NaN
+    matrix could make it fail for the whole stack."""
+    eigvalsh = np.linalg.eigvalsh
+
+    def finite_only(M):
+        assert np.isfinite(M).all()
+        return eigvalsh(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", finite_only)
+    P = load_problem_text(_SDP_SQRT)
+    feasible, undefined = pb.feasibility(P, np.array([[-1.0, 0.0, 0.25]]))
+    assert undefined.tolist() == [True, False, False]
+    assert feasible.tolist() == [False, True, True]
+    for y in ((-1.0,), (-1e-3,)):
+        ref = _outcome(_ref_check_feasible, P, y)
+        assert ref == (ex.DomainError, "sqrt of a negative number")
+        assert _outcome(pb.check_feasible, P, y) == ref
+    assert pb.check_feasible(P, (0.25,)).feasible
+    probe = oracle.growth_probe(P, (0.01,))
+    assert 0 < probe.n_feasible < 2000 and not probe.refuted
 
 
 def test_semi_infinite_chunks_keep_the_grid_order(monkeypatch):
