@@ -10,6 +10,12 @@ Values alone are evaluated at one point (``eval_value``) or at a stack of
 points held as the columns of an array (``eval_values``).  The stacked
 evaluation gives every value bit for bit as the one-point evaluation does,
 and flags the points where that would raise a DomainError.
+
+Many texts that differ only in their decimal literals, as the scenarios of
+a discretised Chebyshev fit do, are parsed together (``parse_families``):
+each distinct shape is parsed once into a ``Family``, whose template
+holds every member's literals as arrays.  The template evaluates all
+members at once, and a member's own tree is built on request.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ __all__ = [
     "Expression", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Func",
     "Dual2", "ExprError", "ExprSyntaxError", "UnknownIdentifier",
     "VariableIndexOutOfRange", "DomainError",
-    "parse", "to_string", "eval2", "eval_value", "eval_values", "substitute",
+    "Column", "Family", "parse", "parse_families", "to_string", "eval2",
+    "eval_value", "eval_values", "substitute", "fold_constants",
     "variables_used",
 ]
 
@@ -135,14 +142,22 @@ class Expression:
     (printed at precedence ``level``), ``value_at(x)`` (value only),
     ``values_at(X)`` (the values at the columns of X, and a flag per column
     where ``value_at`` would raise), ``dual_at(x, d)`` (value, gradient and
-    Hessian as a ``Dual2``), ``substitute(index, value)`` and
-    ``variables()``."""
+    Hessian as a ``Dual2``), ``map_nodes(fn)`` (the tree rebuilt bottom-up
+    with ``fn`` applied to every node) and ``variables()``."""
 
     __slots__ = ()
     level = _LVL_ATOM
 
     def __str__(self) -> str:
         return self.text()
+
+    def map_nodes(self, fn) -> "Expression":
+        return fn(self)   # a leaf; inner nodes rebuild their children first
+
+    def member(self, k) -> "Expression":
+        """The node in member k of a family, once its children are (only a
+        ``Column`` leaf differs between members)."""
+        return self
 
 
 def _paren(child: Expression, minimum: int) -> str:
@@ -171,9 +186,6 @@ class Const(Expression):
     def dual_at(self, x, d) -> Dual2:
         return _constant(self.value, d)
 
-    def substitute(self, index, value) -> Expression:
-        return self
-
     def variables(self) -> set[int]:
         return set()
 
@@ -196,11 +208,26 @@ class Var(Expression):
         grad[self.index - 1] = 1.0
         return Dual2(x[self.index - 1], grad, np.zeros((d, d)))
 
-    def substitute(self, index, value) -> Expression:
-        return Const(value) if self.index == index else self
-
     def variables(self) -> set[int]:
         return {self.index}
+
+
+@dataclass(frozen=True, eq=False)
+class Column(Expression):
+    """A literal of a family template (see ``Family``): ``value[k]`` is its
+    value in member k.  It evaluates stacked over the members, on axis 0,
+    and becomes ``Const(value[k])`` in the tree of member k."""
+
+    value: np.ndarray
+
+    def values_at(self, X):
+        return self.value[:, None], np.zeros(X.shape[1], dtype=bool)
+
+    def member(self, k) -> Expression:
+        return Const(float(self.value[k]))
+
+    def variables(self) -> set[int]:
+        return set()
 
 
 @dataclass(frozen=True)
@@ -221,8 +248,8 @@ class Neg(Expression):
     def dual_at(self, x, d) -> Dual2:
         return -self.arg.dual_at(x, d)
 
-    def substitute(self, index, value) -> Expression:
-        return Neg(self.arg.substitute(index, value))
+    def map_nodes(self, fn) -> Expression:
+        return fn(Neg(self.arg.map_nodes(fn)))
 
     def variables(self) -> set[int]:
         return self.arg.variables()
@@ -251,9 +278,8 @@ class _Binary(Expression):
     def dual_at(self, x, d) -> Dual2:
         return self.op(self.lhs.dual_at(x, d), self.rhs.dual_at(x, d))
 
-    def substitute(self, index, value) -> Expression:
-        return type(self)(self.lhs.substitute(index, value),
-                          self.rhs.substitute(index, value))
+    def map_nodes(self, fn) -> Expression:
+        return fn(type(self)(self.lhs.map_nodes(fn), self.rhs.map_nodes(fn)))
 
     def variables(self) -> set[int]:
         return self.lhs.variables() | self.rhs.variables()
@@ -313,21 +339,21 @@ class Pow(Expression):
 
     def values_at(self, X):
         base, bad = self.base.values_at(X)
-        n = self.exponent
+        n, flat = self.exponent, base.ravel().tolist()
         # Python's float power, element by element: numpy's power rounds
         # differently from the C library's pow that ``**`` calls
         try:
-            return np.array([v ** n for v in base.tolist()], dtype=float), bad
+            return np.array([v ** n for v in flat]).reshape(base.shape), bad
         except (OverflowError, ZeroDivisionError):
             pass
-        out = np.empty(len(base))
-        bad = bad.copy()
-        for j, v in enumerate(base.tolist()):
+        out = np.empty(len(flat))
+        over = np.zeros(len(flat), dtype=bool)
+        for j, v in enumerate(flat):
             try:
                 out[j] = v ** n
             except (OverflowError, ZeroDivisionError):
-                out[j], bad[j] = math.nan, True
-        return out, bad
+                out[j], over[j] = math.nan, True
+        return out.reshape(base.shape), bad | over.reshape(base.shape)
 
     def dual_at(self, x, d) -> Dual2:
         u, n = self.base.dual_at(x, d), self.exponent
@@ -348,8 +374,8 @@ class Pow(Expression):
             raise DomainError(_POW_RANGE)
         return _chain(u, *rule)
 
-    def substitute(self, index, value) -> Expression:
-        return Pow(self.base.substitute(index, value), self.exponent)
+    def map_nodes(self, fn) -> Expression:
+        return fn(Pow(self.base.map_nodes(fn), self.exponent))
 
     def variables(self) -> set[int]:
         return self.base.variables()
@@ -413,8 +439,8 @@ class Func(Expression):
         u = self.arg.dual_at(x, d)
         return _chain(u, *_FUNCS[self.name][2](u.value))
 
-    def substitute(self, index, value) -> Expression:
-        return Func(self.name, self.arg.substitute(index, value))
+    def map_nodes(self, fn) -> Expression:
+        return fn(Func(self.name, self.arg.map_nodes(fn)))
 
     def variables(self) -> set[int]:
         return self.arg.variables()
@@ -462,12 +488,14 @@ def _integer(tok, what: str) -> int:
 
 
 class _Parser:
-    def __init__(self, tokens, dim: int, params):
+    def __init__(self, tokens, dim: int, params, literals=()):
         self.tokens = tokens
         self.pos = 0
         self.dim = dim
         # extra parameter names (e.g. "t") map to indices dim+1, dim+2, ...
         self.params = {name: dim + 1 + k for k, name in enumerate(params)}
+        # the leaf of each free literal of a skeleton ("lit" tokens)
+        self.literals = literals
 
     def peek(self):
         return self.tokens[self.pos]
@@ -503,8 +531,8 @@ class _Parser:
         if self.peek()[0] == "-":
             self.take()
             arg = self.parse_unary()
-            if isinstance(arg, Const):
-                return Const(-arg.value)
+            if isinstance(arg, (Const, Column)):
+                return type(arg)(-arg.value)
             return Neg(arg)
         return self.parse_power()
 
@@ -530,6 +558,8 @@ class _Parser:
         kind, value, offset = tok
         if kind == "num":
             return Const(float(value))
+        if kind == "lit":
+            return self.literals[value]
         if kind == "(":
             node = self.parse_expr()
             self.expect(")", "')'")
@@ -556,6 +586,15 @@ class _Parser:
         raise ExprSyntaxError(offset, "a number, variable, or '('")
 
 
+def _parse_tokens(tokens, d, params, literals=()) -> Expression:
+    parser = _Parser(tokens, d, params, literals)
+    node = parser.parse_expr()
+    tok = parser.peek()
+    if tok[0] != "end":
+        raise ExprSyntaxError(tok[2], "end of input")
+    return node
+
+
 def parse(text: str, d: int, params: tuple[str, ...] = ()) -> Expression:
     """Parse ``text`` over variables x(1)..x(d).
 
@@ -564,12 +603,71 @@ def parse(text: str, d: int, params: tuple[str, ...] = ()) -> Expression:
     """
     if not text or text.isspace():
         raise ExprSyntaxError(1, "a non-empty expression")
-    parser = _Parser(_tokenize(text), d, params)
-    node = parser.parse_expr()
-    tok = parser.peek()
-    if tok[0] != "end":
-        raise ExprSyntaxError(tok[2], "end of input")
-    return node
+    return _parse_tokens(_tokenize(text), d, params)
+
+
+# A free literal: a number token with a '.' or an exponent, which can never
+# be an integer exponent or a variable index, so a text's shape does not
+# depend on it.  The look-behind admits only token starts (digits inside an
+# identifier stay in the shape).  A number token right after a word
+# character or '.' follows another token with no operator between them, a
+# syntax error; its skeleton fails too, and its texts go to ``parse``.
+_FREE_LITERAL = re.compile(r"(?<![\w.])((?:[0-9]+\.[0-9]*|\.[0-9]+)"
+                           r"(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+)")
+
+
+@dataclass(frozen=True, eq=False)
+class Family:
+    """Parsed texts of one shape.  ``template`` is their common tree, in
+    which each free literal is a ``Column`` holding its value in every
+    member, in the order of ``members``, the members' positions in the
+    parsed list.  ``eval_values(template, X)`` evaluates every member at
+    once, one row per member (a template without a ``Column`` gives one
+    row, the same for all)."""
+
+    template: Expression
+    members: np.ndarray
+
+    def tree(self, k: int) -> Expression:
+        """The tree of member k, equal to ``parse`` of its text."""
+        return self.template.map_nodes(lambda node: node.member(k))
+
+
+def parse_families(texts, d: int, params: tuple[str, ...] = ()) -> list:
+    """Parse every text of ``texts`` as ``parse`` does, into families.
+
+    One regex pass splits each text into its skeleton, the text around its
+    free literals, and those literals; the texts of one skeleton form a
+    family, and each distinct skeleton is tokenized and parsed once, with
+    the members' literals as the ``Column`` leaves.  The parser's
+    unary-minus folding negates a whole column as it negates one literal,
+    so every member's tree equals its own parse.  A skeleton that does not
+    parse is not shared: its texts go through ``parse`` one at a time, so
+    that the first of them raises its own error.  Families come in the
+    order of their first members; nothing is kept between calls.
+    """
+    shapes = {}
+    for i, text in enumerate(texts):
+        parts = _FREE_LITERAL.split(text)
+        members, literals = shapes.setdefault(tuple(parts[::2]), ([], []))
+        members.append(i)
+        literals.append([float(v) for v in parts[1::2]])
+    families = []
+    for pieces, (members, literals) in shapes.items():
+        columns = np.array(literals).reshape(len(members), len(pieces) - 1)
+        try:
+            # each piece's end token gives way to the next literal
+            tokens = _tokenize(pieces[0])
+            for slot, piece in enumerate(pieces[1:]):
+                tokens[-1:] = [("lit", slot, 0)] + _tokenize(piece)
+            template = _parse_tokens(tokens, d, params,
+                                     [Column(c) for c in columns.T])
+        except ExprError:
+            families += [Family(parse(texts[i], d, params), np.array([i]))
+                         for i in members]
+            continue
+        families.append(Family(template, np.array(members)))
+    return families
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +705,22 @@ def eval_values(e: Expression, X) -> tuple[np.ndarray, np.ndarray]:
 def substitute(e: Expression, index: int, value: float) -> Expression:
     """Replace x(index) by the constant ``value`` (used to pin the
     semi-infinite parameter to a grid point)."""
-    return e.substitute(index, value)
+    var = Var(index)
+    return e.map_nodes(lambda node: Const(value) if node == var else node)
+
+
+def fold_constants(e: Expression) -> Expression:
+    """Replace every subtree without variables by its value, where that is
+    defined, so that differentiation never applies a derivative rule to a
+    subtree that does not vary (abs of a pinned t = 0, say)."""
+    def fold(node):
+        if node.variables():
+            return node
+        try:
+            return Const(node.value_at(None))
+        except DomainError:
+            return node
+    return e.map_nodes(fold)
 
 
 def variables_used(e: Expression) -> set[int]:

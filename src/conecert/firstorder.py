@@ -861,11 +861,7 @@ def semiinfinite_discretize(P: Problem, x):
         chosen = list(ba.active)
         capped = False
         if len(chosen) > P.d + 1:
-            norms = []
-            for j in chosen:
-                t = blk.grid[j]
-                g = ex.eval2(blk.g, np.concatenate([x, [t]])).grad[:P.d]
-                norms.append(float(np.linalg.norm(g)))
+            norms = [float(np.linalg.norm(blk._grad(x, j))) for j in chosen]
             order = sorted(range(len(chosen)),
                            key=lambda k: (-norms[k], chosen[k]))
             chosen = sorted(chosen[k] for k in order[:P.d + 1])

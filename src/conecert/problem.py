@@ -36,11 +36,21 @@ Two class attributes complete the protocol: ``polyhedral`` (the normal
 cone is finitely generated, so no curvature term arises) and ``separable``
 (the block distance sums over scalar constraints, so each is its own
 penalty group).
+
+Scenarios are held in families (``expr.Family``), one per expression
+shape.  A discretised Chebyshev fit has thousands of scenarios that differ
+only in their decimal literals; loading such a file parses each distinct
+shape once and keeps the literals as arrays, ``evaluate_objective`` and
+``objective_values`` evaluate one family at a time, stacked over its
+members, and ``P.scenarios[i]`` builds scenario i's tree on first access,
+which only the few active scenarios ever need.  A Problem built from
+trees puts each tree in a family of its own.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -168,12 +178,12 @@ class _Block:
 class _ScalarBlock(_Block):
     """Blocks of scalar constraints; a dual is an {index: weight} table.
     Subclasses give ``_dual2(x, i)``, the value, gradient and Hessian of
-    constraint i (a semi-infinite block's gradient also covers t)."""
+    constraint i in x."""
 
     polyhedral = True
 
     def _grad(self, x, i) -> np.ndarray:
-        return self._dual2(x, i).grad[:len(x)]
+        return self._dual2(x, i).grad
 
     def add_dual(self, dual, prov, amount):
         dual = {} if dual is None else dual
@@ -190,7 +200,7 @@ class _ScalarBlock(_Block):
         d = len(x)
         total = np.zeros((d, d))
         for i, weight in dual.items():
-            total = total + weight * self._dual2(x, i).hess[:d, :d]
+            total = total + weight * self._dual2(x, i).hess
         return total
 
 
@@ -398,11 +408,14 @@ class Sdp(_ConeBlock):
         for i in range(n):
             for j in range(n):
                 M[:, i, j] = pts.values(self.G0[i][j])
-        # an undefined point is infeasible whatever its eigenvalues; a NaN
-        # matrix in the stack could make eigvalsh fail for every point
-        M[pts.undefined] = 0.0
-        sigma = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))
-        return [(f"block {position} matrix cone", sigma[:, -1])]
+        # a matrix with an undefined or non-finite entry has no
+        # eigenvalues: its amount is NaN, a violation; a NaN matrix in the
+        # stack could make eigvalsh fail for every point
+        nonfinite = ~np.isfinite(M).all(axis=(1, 2))
+        M[pts.undefined | nonfinite] = 0.0
+        sigma = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, -1]
+        sigma[nonfinite] = math.nan
+        return [(f"block {position} matrix cone", sigma)]
 
     def distance(self, x):
         M = _sdp_matrix(self, x)
@@ -457,7 +470,9 @@ class SemiInfinite(_ScalarBlock):
                              "duplicate-free")
 
     def _dual2(self, x, j):
-        return ex.eval2(self.g, np.concatenate([x, [self.grid[j]]]))
+        # t pinned and terms in t alone folded, so only x is differentiated
+        g = ex.substitute(self.g, len(x) + 1, self.grid[j])
+        return ex.eval2(ex.fold_constants(g), x)
 
     def _values(self, x):
         return [ex.eval_value(self.g, np.concatenate([x, [t]]))
@@ -471,13 +486,20 @@ class SemiInfinite(_ScalarBlock):
     def violations(self, pts, position):
         # the grid points in chunks, each chunk's columns t-major
         step = max(1, pts.MAX_COLUMNS // max(pts.n, 1))
+        nan = np.zeros(pts.n, dtype=bool)
 
         def rows():
             for lo in range(0, len(self.grid), step):
                 t = np.array(self.grid[lo:lo + step])
                 X = np.vstack([np.tile(pts.X, len(t)), np.repeat(t, pts.n)])
-                yield from pts.values(self.g, X).reshape(len(t), pts.n)
-        return [(f"block {position} semi-infinite", builtin_max(rows()))]
+                chunk = pts.values(self.g, X).reshape(len(t), pts.n)
+                nan[:] |= np.isnan(chunk).any(axis=0)
+                yield from chunk
+        # the maximum skips a NaN after the first grid point; NaN anywhere
+        # on the grid is a violation
+        amounts = builtin_max(rows())
+        return [(f"block {position} semi-infinite",
+                 np.where(nan, math.nan, amounts))]
 
     def distance(self, x):
         return max(0.0, max(self._values(x)))
@@ -494,11 +516,41 @@ class SemiInfinite(_ScalarBlock):
                 f'grid={_fmt_num(a)}:{_fmt_num(b)}:{len(self.grid)}')
 
 
+class _Scenarios(Sequence):
+    """The scenario trees, grouped into families; a tree is built from its
+    family on first access and kept for the life of the sequence.  Threads
+    that build one tree at once build equal trees, and either is kept."""
+
+    def __init__(self, families, trees=None):
+        self.families = tuple(families)
+        self._where = {}
+        for fam in self.families:
+            for k, i in enumerate(fam.members.tolist()):
+                self._where[i] = (fam, k)
+        self._trees = list(trees) if trees else [None] * len(self._where)
+
+    @classmethod
+    def of_trees(cls, trees):
+        trees = tuple(trees)
+        return cls([ex.Family(f, np.array([i])) for i, f in enumerate(trees)],
+                   trees)
+
+    def __len__(self):
+        return len(self._trees)
+
+    def __getitem__(self, i):
+        i = range(len(self._trees))[i]
+        if self._trees[i] is None:
+            fam, k = self._where[i]
+            self._trees[i] = fam.tree(k)
+        return self._trees[i]
+
+
 @dataclass(frozen=True)
 class Problem:
     d: int
     kind: str  # 'minimax' | 'chebyshev'
-    scenarios: tuple        # expressions f_omega
+    scenarios: Sequence     # expressions f_omega (a tuple, or parsed families)
     psi: tuple = ()         # chebyshev targets, one per scenario
     blocks: tuple = ()
     set_A: PolyhedralSet | None = None
@@ -506,6 +558,9 @@ class Problem:
     source: str = "<memory>"
 
     def __post_init__(self):
+        if not isinstance(self.scenarios, _Scenarios):
+            object.__setattr__(self, "scenarios",
+                               _Scenarios.of_trees(self.scenarios))
         if self.d < 1:
             raise ValueError("dimension must be at least 1")
         if not self.scenarios:
@@ -536,21 +591,36 @@ class ActiveSets:
     blocks: list
 
 
-def _scenario_values(P: Problem, x):
-    vals = [ex.eval_value(f, x) for f in P.scenarios]
-    if P.kind == "chebyshev":
-        return [v - t for v, t in zip(vals, P.psi)]
-    return vals
+def _deviations(P: Problem, X):
+    """Every scenario's value at every column of X, less its target in a
+    Chebyshev problem, one row per scenario, and the flags of the undefined
+    values; one stacked pass per family."""
+    shape = (len(P.scenarios), X.shape[1])
+    devs, bad = np.zeros(shape), np.zeros(shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for fam in P.scenarios.families:
+            if shape[1] == len(fam.members) == 1:
+                # one value: the one-point evaluation of its tree costs less
+                i = fam.members[0]
+                try:
+                    devs[i, 0] = P.scenarios[i].value_at(X[:, 0])
+                except ex.DomainError:
+                    bad[i, 0] = True
+                continue
+            # a template without a Column leaf gives one row for all
+            devs[fam.members], bad[fam.members] = fam.template.values_at(X)
+        if P.kind == "chebyshev":
+            devs -= np.array(P.psi)[:, None]
+    return devs, bad
 
 
 def objective_values(P: Problem, X) -> tuple[np.ndarray, np.ndarray]:
     """F at each column of X, as ``evaluate_objective`` computes it, and the
     columns where a scenario value is undefined (F is meaningless there)."""
-    pts = _Points(X)
-    devs = np.array([pts.values(f) for f in P.scenarios])
+    devs, bad = _deviations(P, np.ascontiguousarray(X, dtype=float))
     if P.kind == "chebyshev":
-        devs = np.abs(devs - np.array(P.psi)[:, None])
-    return builtin_max(devs), pts.undefined
+        devs = np.abs(devs)
+    return builtin_max(devs), bad.any(axis=0)
 
 
 def evaluate_objective(P: Problem, x) -> tuple[float, list]:
@@ -558,11 +628,16 @@ def evaluate_objective(P: Problem, x) -> tuple[float, list]:
 
     For Chebyshev problems each active scenario carries the sign of its
     deviation; a deviation within eps_active of zero is expanded into both
-    signs, since either signed copy attains the maximum there.
+    signs, since either signed copy attains the maximum there.  An
+    undefined scenario value raises the DomainError of the first such
+    scenario.
     """
     x = np.asarray(x, dtype=float)
     eps = P.tolerances.eps_active
-    devs = _scenario_values(P, x)
+    devs, bad = _deviations(P, x[:, None])
+    if bad.any():
+        ex.eval_value(P.scenarios[int(np.argmax(bad[:, 0]))], x)
+    devs = devs[:, 0].tolist()
     if P.kind == "minimax":
         F = max(devs)
         act = [ActiveScenario(i + 1, 1, v)
@@ -630,7 +705,8 @@ def feasibility(P: Problem, X) -> tuple[np.ndarray, np.ndarray]:
     pts = _Points(X)
     feasible = np.ones(pts.n, dtype=bool)
     for _, amounts in _violations(P, pts):
-        feasible &= ~(amounts > P.tolerances.eps_feas)
+        # an amount that is not within eps_feas, NaN included, is violated
+        feasible &= amounts <= P.tolerances.eps_feas
     return feasible & ~pts.undefined, pts.undefined
 
 
@@ -643,8 +719,10 @@ def check_feasible(P: Problem, x) -> FeasibilityReport:
     amounts = _violations(P, pts)
     pts.raise_undefined()
     bad = [(desc, float(a[0])) for desc, a in amounts
-           if a[0] > P.tolerances.eps_feas]
-    worst = max((amt for _, amt in bad), default=0.0)
+           if not a[0] <= P.tolerances.eps_feas]
+    worst = [amt for _, amt in bad]
+    worst = (math.nan if any(map(math.isnan, worst))
+             else max(worst, default=0.0))
     return FeasibilityReport(feasible=not bad, max_violation=worst, violations=bad)
 
 
@@ -770,6 +848,40 @@ def _parse_expr(text_value, d, section, line, params=()):
                                  section, line)
 
 
+def _scenario_entry(sec):
+    """((f text, its line), psi or None) of a [scenario] section."""
+    name, f_txt, target = sec["name"], None, None
+    for k, v, ln in sec["pairs"]:
+        if k == "f":
+            f_txt = (v, ln)
+        elif k == "psi":
+            target = _parse_number(v, name, ln)
+        else:
+            raise ProblemFormatError(f"unknown key {k!r}", name, ln)
+    if f_txt is None:
+        raise ProblemFormatError("scenario needs f=...", name, sec["line"])
+    return f_txt, target
+
+
+def _scenario_families(sections, d):
+    """The scenario texts parsed into families, or None when one of them
+    does not parse.  A malformed [scenario] section ends the texts: the
+    section loop raises its error, or an earlier one, before any family is
+    used.  The loop also re-parses every text when this returns None, so
+    every error keeps its place in file order."""
+    texts = []
+    for sec in sections[1:]:
+        if sec["name"] == "scenario":
+            try:
+                texts.append(_scenario_entry(sec)[0][0])
+            except ProblemFormatError:
+                break
+    try:
+        return ex.parse_families(texts, d)
+    except ex.ExprError:
+        return None
+
+
 def load_problem_text(text: str, source: str = "<memory>",
                       tolerances: ToleranceSet | None = None) -> Problem:
     sections = _parse_sections(text)
@@ -783,7 +895,8 @@ def load_problem_text(text: str, source: str = "<memory>",
     d = int(_parse_number(dim_value, "problem", dim_line))
     kind = head.get("kind", ("minimax", 0))[0]
 
-    scenarios, psi = [], []
+    families = _scenario_families(sections, d)
+    psi = []
     blocks = []
     lb = [-math.inf] * d
     ub = [math.inf] * d
@@ -792,18 +905,10 @@ def load_problem_text(text: str, source: str = "<memory>",
     for sec in sections[1:]:
         name, line, pairs = sec["name"], sec["line"], sec["pairs"]
         if name == "scenario":
-            f_txt = None
-            target = None
-            for k, v, ln in pairs:
-                if k == "f":
-                    f_txt = (v, ln)
-                elif k == "psi":
-                    target = _parse_number(v, name, ln)
-                else:
-                    raise ProblemFormatError(f"unknown key {k!r}", name, ln)
-            if f_txt is None:
-                raise ProblemFormatError("scenario needs f=...", name, line)
-            scenarios.append(_parse_expr(f_txt[0], d, name, f_txt[1]))
+            (f_txt, f_line), target = _scenario_entry(sec)
+            if families is None:
+                # some scenario text is bad: raise its error in file order
+                _parse_expr(f_txt, d, name, f_line)
             psi.append(target)
         elif name == "nlp_ineq":
             gs = [v for k, v, ln in pairs if k == "g"]
@@ -918,7 +1023,7 @@ def load_problem_text(text: str, source: str = "<memory>",
         else:
             raise ProblemFormatError(f"unknown section [{name}]", name, line)
 
-    if not scenarios:
+    if not psi:
         raise ProblemFormatError("no [scenario] sections", "problem", 1)
     if kind == "chebyshev":
         if any(t is None for t in psi):
@@ -932,7 +1037,7 @@ def load_problem_text(text: str, source: str = "<memory>",
         psi_t = ()
     try:
         return Problem(
-            d=d, kind=kind, scenarios=tuple(scenarios), psi=psi_t,
+            d=d, kind=kind, scenarios=_Scenarios(families), psi=psi_t,
             blocks=tuple(blocks),
             set_A=PolyhedralSet(tuple(lb), tuple(ub),
                                 tuple(eq_rows), tuple(eq_rhs)),

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -337,3 +338,66 @@ def test_check_exponent_past_the_integer_limit_exit_one(tmp_path):
     assert err.startswith("error: bad expression")
     assert err.endswith("syntax error at offset 6: expected an integer "
                         "exponent of fewer digits in [scenario] (line 2)\n")
+
+
+def _feasibility(tmp_path, text, at):
+    path = tmp_path / "nan.prob"
+    path.write_text(text)
+    code, out, err = run_cli("check", "--file", str(path), f"--at={at}",
+                             "--json")
+    return code, json.loads(out)["feasibility"]
+
+
+def test_check_nan_matrix_entry_is_infeasible(tmp_path):
+    """exp(1000) - exp(1000) is inf - inf: the matrix has no eigenvalues,
+    and entry (2,2) = 1 alone makes it infeasible.  The parent reported
+    feasible: true with max_violation 0."""
+    code, feas = _feasibility(
+        tmp_path, '[problem] dim=1\n[scenario] f="x(1)"\n[sdp] size=2 '
+        'entry(1,1)="exp(x(1)) - exp(x(1))" entry(1,2)="0" entry(2,2)="1"\n',
+        "1000")
+    assert code == 2 and feas["feasible"] is False
+    assert [v["where"] for v in feas["violations"]] == ["block 0 matrix cone"]
+    assert math.isnan(feas["violations"][0]["amount"])
+    assert math.isnan(feas["max_violation"])
+
+
+def test_check_nan_inequality_is_infeasible(tmp_path):
+    code, feas = _feasibility(
+        tmp_path, '[problem] dim=1\n[scenario] f="x(1)"\n'
+        '[nlp_ineq] g="x(1) - 2000" g="x(1) - 500" '
+        'g="exp(x(1)) - exp(x(1))"\n', "1000")
+    assert code == 2 and feas["feasible"] is False
+    assert [v["where"] for v in feas["violations"]] == [
+        "block 0 inequality 2", "block 0 inequality 3"]
+    # the largest violation is undefined, not 500
+    assert math.isnan(feas["max_violation"])
+
+
+def test_check_kink_in_t_alone_is_differentiable_in_x(tmp_path):
+    """abs(t) has no derivative at the active grid point t = 0, but only
+    x-derivatives are needed; the parent ended with exit 1."""
+    path = tmp_path / "kink.prob"
+    path.write_text('[problem] dim=2\n[scenario] f="x(1)"\n'
+                    '[scenario] f="-x(1)"\n'
+                    '[semiinf] g="x(2) - 1 - abs(t)" grid=-1:1:21\n')
+    code, out, err = run_cli("check", "--file", str(path), "--at", "0,1",
+                             "--json")
+    assert (code, err) == (3, "")
+    report = json.loads(out)
+    assert report["feasibility"]["feasible"] is True
+    assert report["necessary"]["zero_in_D"] is True
+
+
+def test_discretize_caps_past_a_kink_in_t(tmp_path):
+    """All five grid points are active, so the cap ranks them by gradient
+    norm in x, which abs(t) at t = 0 does not enter; the parent ended with
+    exit 1."""
+    src = tmp_path / "kink.prob"
+    src.write_text('[problem] dim=2\n[scenario] f="x(1)"\n'
+                   '[scenario] f="-x(1)"\n'
+                   '[semiinf] g="x(2) - 1 + abs(t) - abs(t)" grid=-1:1:5\n')
+    code, out, err = run_cli("discretize", "--file", str(src), "--at", "0,1")
+    assert code == 0
+    assert err == "warning: block 0 kept 3 of its active points (cap d+1)\n"
+    assert out.count("abs(") == 6

@@ -1,0 +1,332 @@
+"""Scenario families: texts of one shape parsed once, trees built on
+demand, the objective evaluated one family at a time.  Every member's tree
+must equal its own parse, and every family value must equal the one-point
+evaluation of that tree bit for bit."""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from conecert import expr as ex
+from conecert import problem as pb
+from conecert.problem import (Problem, evaluate_objective, load_problem_text,
+                              objective_values, problem_to_text)
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+
+def _chebyshev_text(n=8, points=2001):
+    """The fit of t^n by a polynomial of degree < n on a cosine grid, written
+    as a discretised Chebyshev problem writes it: one scenario per grid point,
+    signed decimal coefficients."""
+    lines = [f"[problem] dim={n} kind=chebyshev"]
+    for t in np.cos(np.pi * np.arange(points) / (points - 1)).tolist():
+        terms = ["x(1)"]
+        for j in range(1, n):
+            a = t ** j
+            terms.append(f"{'-' if a < 0 else '+'} {abs(a)!r}*x({j + 1})")
+        lines.append(f'[scenario] f="{" ".join(terms)}" psi={t ** n!r}')
+    return "\n".join(lines) + "\n"
+
+
+def _scenario_texts(text):
+    return [line.split('"')[1] for line in text.splitlines()
+            if line.startswith("[scenario]")]
+
+
+def _mixed_texts(rng, count=60):
+    """Scenarios of a few shapes with '^', sin and sqrt, and literals written
+    in several ways; some are undefined at some points (sqrt of a negative
+    number, a zero divisor)."""
+    shapes = [
+        "x(1)^2*{} + sin({}*x(2)) - sqrt({} + x(1)^2)",
+        "-{}*x(1)^3 + x(2)/({} + x(1)^2) + {}",
+        "sqrt(x(1) - {}) + cos(x(2))^2*{} - -{}",
+        "{}/(x(1) - {}) - exp(-{}*x(2))",
+    ]
+    formats = [repr, lambda v: f"{v:.3e}", lambda v: f"{v:.4f}",
+               lambda v: f"{v:.2E}"]
+    out = []
+    for k in range(count):
+        vals = (np.abs(rng.normal(size=3)) + 0.1).tolist()
+        fmt = formats[k % len(formats)]
+        out.append(shapes[k % len(shapes)].format(*map(fmt, vals)))
+    return out
+
+
+# literals of every spelling, signs folded once, twice and through
+# parentheses, digits-only numbers that stay in the shape, indices and
+# exponents of several digits, identifiers with digits, every function
+_CORPUS = [
+    ".5*x(1)", "5.*x(1)", "1e5*x(1)", "2.5E-3*x(1)", "-0.0*x(1)", "-0.0",
+    "- -0.5*x(1)", "-2.5 + x(1)", "-(0.5)*x(2)", "-.5^2*x(1)", "-(-(1.5))",
+    "2*x(1)", "3*x(1)", "2.0*x(1)", "x(12)", "x(1)^3", "x(12)^10*0.5",
+    "a1*0.5 + x(1)", "x(1)*a1 - 1e-3*a1", "sin(0.5*x(1))", "cos(x(1))^2*2.5",
+    "sqrt(1.5 + x(2)^2)", "exp(-1.5*x(1))", "abs(x(1) - 0.25)",
+    "x(1)/0.5", "1.5/x(2)", "x(1)*1e-300*1e300", "1e400*x(1)", "0.1+0.2",
+    "x(1) + 0.5", "x(1)+0.5", "  x(1)  +  0.5 ", "x(1) + 0.25",
+    "x(1)^-2*0.5", "(x(1) + 0.5)^2 - -(x(2))", "1.5e+2 - x(3)*.25E1",
+]
+
+
+def _same_tree(a, b):
+    """Structural equality, and the same printed literals, so that -0.0 and
+    0.0 count as different."""
+    return a == b and a.text() == b.text()
+
+
+def _family_trees(texts, d, params=()):
+    trees = [None] * len(texts)
+    for fam in ex.parse_families(texts, d, params):
+        for k, i in enumerate(fam.members.tolist()):
+            assert trees[i] is None
+            trees[i] = fam.tree(k)
+    return trees
+
+
+# ---------------------------------------------------------------------------
+# the family parse is exact
+# ---------------------------------------------------------------------------
+
+
+def test_family_trees_equal_their_own_parse():
+    trees = _family_trees(_CORPUS, 12, params=("a1",))
+    for text, tree in zip(_CORPUS, trees):
+        assert _same_tree(tree, ex.parse(text, 12, ("a1",))), text
+
+
+def test_family_trees_equal_their_own_parse_on_generated_texts(rng):
+    cheb = _scenario_texts(_chebyshev_text(n=6, points=301))
+    for texts, d in ((cheb, 6), (_mixed_texts(rng), 2)):
+        for text, tree in zip(texts, _family_trees(texts, d)):
+            assert _same_tree(tree, ex.parse(text, d)), text
+
+
+def test_one_family_per_shape():
+    fams = ex.parse_families(["x(1) + 0.5", "2*x(1)", "x(1) + 1e-3",
+                              "3*x(1)", "-x(1) + 0.5", "x(1) + -0.5"], 1)
+    assert [f.members.tolist() for f in fams] == [[0, 2], [1], [3], [4], [5]]
+    # digits inside an identifier are not a literal
+    fams = ex.parse_families(["a1e5 + 0.5", "a1e5 + 0.25"], 1, ("a1e5",))
+    assert [f.members.tolist() for f in fams] == [[0, 1]]
+    # the generated fits of t^n have one shape per sign pattern of t^k
+    fams = ex.parse_families(_scenario_texts(_chebyshev_text()), 8)
+    assert len(fams) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "", "   ", "x(1) +", "x(1)^2.5", "x(1.5)", "x(1e0)", "x(1) + 1.5.5",
+    "x.5e-3.5", "1.2.5e-3.5", "y + 0.5", "x(3) + 0.5", "sqrt 0.5",
+    "0.5 $ x(1)", "2x", "x(1)^" + "7" * 5000,
+])
+def test_a_text_that_does_not_parse_raises_its_own_error(text):
+    if len(text) > 4000 and not hasattr(__import__("sys"),
+                                        "get_int_max_str_digits"):
+        pytest.skip("the interpreter converts integers of any length")
+    with pytest.raises(ex.ExprError) as want:
+        ex.parse(text, 2)
+    with pytest.raises(ex.ExprError) as got:
+        ex.parse_families(["x(1) + 0.5", text, "x(2) + 0.25", text], 2)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_load_keeps_every_error_in_file_order():
+    bad_scenario_first = ('[problem] dim=2\n[scenario] f="x(1) + 0.5"\n'
+                          '[scenario] f="x(1) + 0.5 *"\n[weird] a=1\n')
+    with pytest.raises(pb.ProblemFormatError) as err:
+        load_problem_text(bad_scenario_first)
+    assert str(err.value) == (
+        "bad expression 'x(1) + 0.5 *': syntax error at offset 13: expected "
+        "a number, variable, or '(' in [scenario] (line 3)")
+    section_first = ('[problem] dim=2\n[scenario] f="x(1) + 0.5"\n'
+                     '[weird] a=1\n[scenario] f="x(1) + 0.5 *"\n')
+    with pytest.raises(pb.ProblemFormatError) as err:
+        load_problem_text(section_first)
+    assert str(err.value) == "unknown section [weird] in [weird] (line 3)"
+    malformed_first = ('[problem] dim=2\n[scenario] psi=1\n'
+                       '[scenario] f="x(1) +"\n')
+    with pytest.raises(pb.ProblemFormatError) as err:
+        load_problem_text(malformed_first)
+    assert str(err.value) == "scenario needs f=... in [scenario] (line 2)"
+
+
+# ---------------------------------------------------------------------------
+# family evaluation is bit-exact
+# ---------------------------------------------------------------------------
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _assert_family_values_exact(texts, d, X):
+    trees = [ex.parse(t, d) for t in texts]
+    for fam in ex.parse_families(texts, d):
+        shape = (len(fam.members), X.shape[1])
+        vals, bad = map(np.broadcast_to, ex.eval_values(fam.template, X),
+                        (shape, shape))
+        for k, i in enumerate(fam.members.tolist()):
+            for j in range(X.shape[1]):
+                try:
+                    want = ex.eval_value(trees[i], X[:, j])
+                except ex.DomainError:
+                    assert bad[k, j], (texts[i], X[:, j])
+                    continue
+                assert not bad[k, j]
+                assert _bits(vals[k, j]) == _bits(want), (texts[i], X[:, j])
+
+
+def test_family_values_equal_eval_value_on_the_chebyshev_fit(rng):
+    texts = _scenario_texts(_chebyshev_text())
+    X = rng.normal(size=(8, 4))
+    _assert_family_values_exact(texts, 8, X)
+
+
+def test_family_values_equal_eval_value_on_mixed_shapes(rng):
+    X = np.concatenate([rng.normal(size=(2, 12)) * 2,
+                        [[1.0, 0.0, 3.0], [0.0, 1.0, -2.0]]], axis=1)
+    _assert_family_values_exact(_mixed_texts(rng), 2, X)
+    _assert_family_values_exact([t for t in _CORPUS if "a1" not in t], 12,
+                                rng.normal(size=(12, 5)))
+
+
+def _ref_evaluate_objective(P, trees, x):
+    """The one-scenario-at-a-time objective that families replaced."""
+    eps = P.tolerances.eps_active
+    with np.errstate(over="ignore"):
+        devs = [ex.eval_value(f, x) for f in trees]
+    if P.kind == "chebyshev":
+        devs = [v - t for v, t in zip(devs, P.psi)]
+    if P.kind == "minimax":
+        F = max(devs)
+        return F, [(i + 1, 1, v) for i, v in enumerate(devs) if F - v <= eps]
+    F = max(abs(v) for v in devs)
+    act = []
+    for i, v in enumerate(devs):
+        if F - abs(v) > eps:
+            continue
+        if abs(v) <= eps:
+            act += [(i + 1, 1, v), (i + 1, -1, v)]
+        else:
+            act.append((i + 1, 1 if v > 0 else -1, v))
+    return F, act
+
+
+def _problem_text(texts, kind, d=2):
+    lines = [f"[problem] dim={d} kind={kind}"]
+    for i, t in enumerate(texts):
+        psi = f" psi={0.1 * i!r}" if kind == "chebyshev" else ""
+        lines.append(f'[scenario] f="{t}"{psi}')
+    return "\n".join(lines) + "\n"
+
+
+def test_objective_equals_the_scenario_loop(rng):
+    n = 8
+    mono = np.polynomial.chebyshev.cheb2poly([0] * n + [1])
+    best = -mono[:n] / 2.0 ** (n - 1)
+    mixed = [t for t in _mixed_texts(rng)
+             if not t.startswith("sqrt") and "/(x(1) -" not in t]
+    cases = [(_chebyshev_text(), n, [best, best + 1e-9 * rng.normal(size=n),
+                                     rng.normal(size=n)])]
+    cases += [(_problem_text(mixed, kind), 2,
+               [rng.normal(size=2) for _ in range(4)])
+              for kind in ("minimax", "chebyshev")]
+    # inf - inf: a NaN deviation, first and later in the list
+    nan = "exp(500.0*x(1)) - exp(500.0*x(1))"
+    for texts in ([nan, "x(1)", "-x(1)", "0.5*x(2)"],
+                  ["x(1)", nan, "-x(1) + 1e-9", "x(1) - 0.0"]):
+        cases += [(_problem_text(texts, kind), 2,
+                   [np.array([3.0, 0.0]), np.array([0.0, 1.0])])
+                  for kind in ("minimax", "chebyshev")]
+    for text, d, points in cases:
+        P = load_problem_text(text)
+        trees = [ex.parse(t, d) for t in _scenario_texts(text)]
+        for x in points:
+            F, act = evaluate_objective(P, x)
+            want_F, want_act = _ref_evaluate_objective(P, trees, x)
+            assert _bits(F) == _bits(want_F)
+            assert _bits([a.value for a in act]).tolist() == _bits(
+                [v for _, _, v in want_act]).tolist()
+            assert [(a.index, a.sign) for a in act] == [
+                (i, sign) for i, sign, _ in want_act]
+            assert all(type(a.value) is float for a in act)
+            vals, undefined = objective_values(P, np.array(x)[:, None])
+            assert _bits(vals[0]) == _bits(F) and not undefined[0]
+
+
+@pytest.mark.parametrize("texts, message", [
+    # scenarios 2 and 3 are undefined at 1 in both orders
+    (["x(1)", "1.5/(x(1) - 1)", "sqrt(x(1) - 2.5)"], "division by zero"),
+    (["x(1)", "sqrt(x(1) - 2.5)", "1.5/(x(1) - 1)"], "sqrt of a negative"),
+    # two undefined members of one family, each with its own error
+    (["x(1)", "sqrt(x(1) - 3.5)/(x(1) - 2.0)",
+      "sqrt(x(1) - 3.5)/(x(1) - 1.0)"], "sqrt of a negative"),
+    (["x(1)", "sqrt(x(1) - 3.5)/(x(1) - 1.0)",
+      "sqrt(x(1) - 3.5)/(x(1) - 2.0)"], "division by zero"),
+])
+def test_the_lowest_undefined_scenario_raises_its_own_error(texts, message):
+    P = load_problem_text(_problem_text(texts, "minimax", d=1))
+    assert len(P.scenarios.families) == 3 - (texts[1][:4] == texts[2][:4])
+    with pytest.raises(ex.DomainError, match=message):
+        evaluate_objective(P, [1.0])
+
+
+# ---------------------------------------------------------------------------
+# trees on demand, nothing kept past the Problem
+# ---------------------------------------------------------------------------
+
+
+def test_problem_to_text_of_a_large_fit_is_unchanged():
+    text = _chebyshev_text()
+    P = load_problem_text(text)
+    Q = Problem(d=8, kind="chebyshev",
+                scenarios=tuple(ex.parse(t, 8) for t in _scenario_texts(text)),
+                psi=P.psi)
+    assert len(P.scenarios) == 2001 and len(Q.scenarios.families) == 2001
+    assert problem_to_text(P) == problem_to_text(Q)
+
+
+def test_only_the_scenarios_asked_for_are_built(monkeypatch):
+    built = []
+    real = ex.Family.tree
+    monkeypatch.setattr(ex.Family, "tree",
+                        lambda fam, k: built.append(k) or real(fam, k))
+    P = load_problem_text(_chebyshev_text(n=6, points=301))
+    mono = np.polynomial.chebyshev.cheb2poly([0] * 6 + [1])
+    x = -mono[:6] / 2.0 ** 5
+    F, act = evaluate_objective(P, x)
+    assert built == [] and len(act) == 7
+    pb.subdifferential_generators(P, x, act)
+    assert len(built) == 7
+    assert P.scenarios[act[0].index - 1] is P.scenarios[act[0].index - 1]
+    assert len(built) == 7
+
+
+def test_a_problem_from_trees_has_one_family_per_tree():
+    trees = (ex.parse("x(1) + 0.5", 1), ex.parse("x(1) + 0.25", 1))
+    P = Problem(d=1, kind="minimax", scenarios=trees)
+    assert [f.members.tolist() for f in P.scenarios.families] == [[0], [1]]
+    assert P.scenarios[0] is trees[0] and P.scenarios[-1] is trees[1]
+    assert list(P.scenarios) == list(trees)
+    with pytest.raises(IndexError):
+        P.scenarios[2]
+
+
+def test_no_family_or_tree_outlives_its_problem():
+    P = load_problem_text(_chebyshev_text(n=6, points=301))
+    P.scenarios[3]
+    refs = [weakref.ref(P.scenarios)] + [
+        weakref.ref(f) for f in P.scenarios.families]
+    del P
+    gc.collect()
+    assert all(r() is None for r in refs)
+    # two loads of one text share nothing
+    text = _chebyshev_text(n=6, points=31)
+    A, B = load_problem_text(text), load_problem_text(text)
+    assert not {id(f.template) for f in A.scenarios.families} & {
+        id(f.template) for f in B.scenarios.families}

@@ -243,3 +243,48 @@ def test_plain_vs_squared_verdicts_agree(rng):
 def ex_val(f, x):
     from conecert.expr import eval_value
     return eval_value(f, x)
+
+
+def test_semi_infinite_nan_anywhere_on_the_grid_is_a_violation():
+    """exp(1000 t) - exp(1000 t) is -1 + 0 at t = 0 and inf - inf past
+    t = 0.71; the maximum over the grid skipped that NaN."""
+    P = load_problem_text('[problem] dim=1\n[scenario] f="x(1)"\n'
+                          '[semiinf] g="exp(x(1)*t) - exp(x(1)*t) - 1" '
+                          'grid=0:1:11\n')
+    report = cc.check_feasible(P, [1000.0])
+    assert not report.feasible and np.isnan(report.max_violation)
+    feasible, undefined = cc.problem.feasibility(P, np.array([[1000.0, 1.0]]))
+    assert feasible.tolist() == [False, True]
+    assert not undefined.any()
+    assert cc.check_feasible(P, [1.0]).feasible
+
+
+def test_semi_infinite_gradients_are_in_x_alone():
+    """t is pinned and terms in t alone are folded before differentiating,
+    so a kink in t at a grid point is harmless; the gradient is the x part
+    of the gradient in (x, t) wherever that exists."""
+    P = load_problem_text(
+        '[problem] dim=2\n[scenario] f="x(1)"\n'
+        '[semiinf] g="x(2) - 1 - abs(t) + x(1)*t^2 - sqrt(t + 1)*x(2)" '
+        'grid=-1:1:5\n')
+    blk, x = P.blocks[0], np.array([0.3, -0.7])
+    for j, t in enumerate(blk.grid):
+        got = blk._grad(x, j)
+        if t in (0.0, -1.0):   # abs or sqrt has no derivative in t there
+            with pytest.raises(cc.DomainError):
+                cc.eval2(blk.g, np.append(x, t))
+        else:
+            want = cc.eval2(blk.g, np.append(x, t)).grad[:2]
+            assert got.tolist() == want.tolist()
+        assert got.tolist() == [t * t, 1 - np.sqrt(t + 1)]
+
+
+def test_fold_constants_keeps_undefined_subtrees():
+    ex = cc.expr
+    g = ex.substitute(ex.parse("x(1) - abs(t) + sqrt(t - 1)*x(1)", 1, ("t",)),
+                      2, 0.0)
+    folded = ex.fold_constants(g)
+    assert folded == ex.Add(ex.Sub(ex.Var(1), ex.Const(0.0)),
+                            ex.Mul(ex.Func("sqrt", ex.Const(-1.0)),
+                                   ex.Var(1)))
+    assert ex.to_string(g) == "x(1) - abs(0.0) + sqrt(0.0 - 1.0)*x(1)"
