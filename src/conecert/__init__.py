@@ -11,18 +11,17 @@ from .problem import (ActiveSets, NlpEq, NlpIneq, PolyhedralSet, Problem,
                       load_problem_text, problem_to_text,
                       squared_generators, subdifferential_generators)
 from .geometry import (GeneratorSet, PointContext, SamplingSpec,
-                       build_generator_set, dist_to_cone, eta_generators,
-                       nA_generators, project_psd_neg, project_soc,
-                       tangent_membership)
+                       TangentTester, block_distances, build_generator_set,
+                       nA_generators, project_psd_neg, project_soc)
 from .linkernel import (det, lp_chebyshev_center, lp_direction_margin,
                         lp_membership, rank, simplex_solve,
                         solve_positive_combination)
 from .firstorder import (Cadre, CombinatorialBudgetExceeded, NotFeasible,
-                         Zbasis, find_cadre, linearized_spot_check,
-                         necessary_check, penalty_subdiff_check,
-                         penalty_value, semiinfinite_discretize,
-                         sufficient_check, verify_alternance)
-from .secondorder import (dd_multipliers, hessian_bundle,
+                         Zbasis, find_cadre, necessary_check,
+                         penalty_subdiff_check, penalty_value,
+                         semiinfinite_discretize, sufficient_check,
+                         verify_alternance)
+from .secondorder import (hessian_bundle, multiplier_vertices,
                           second_order_necessary, second_order_sufficient)
 from .oracle import (fd_check, growth_probe, hull_membership_bruteforce)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -77,12 +76,6 @@ def _load(args):
         raise SystemExit(f"error: candidate has {len(candidate)} components, "
                          f"problem dimension is {problem.d}")
     return problem, np.asarray(candidate, dtype=float), sampling
-
-
-def _json_default(v):
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
-    raise TypeError(type(v))
 
 
 def _print_human(report):
@@ -200,9 +193,9 @@ def cmd_check(args) -> int:
         "active": [{"scenario": s.index, "sign": s.sign, "value": s.value}
                    for s in ctx.act.scenarios]}
 
-    nec = fo.necessary_check(problem, x, sampling, ctx)
+    nec = fo.necessary_check(ctx)
     report["necessary"] = nec.to_json()
-    suf = fo.sufficient_check(problem, x, sampling, ctx)
+    suf = fo.sufficient_check(ctx)
     report["sufficient"] = suf.to_json()
 
     refuted = False
@@ -229,10 +222,8 @@ def cmd_check(args) -> int:
     if args.second_order:
         report["second_order"] = []
         if nec.zero_in_D and nec.multipliers is not None:
-            nec2 = so.second_order_necessary(problem, x, nec, seed=args.seed,
-                                             ctx=ctx)
-            suf2 = so.second_order_sufficient(problem, x, nec, seed=args.seed,
-                                              ctx=ctx)
+            nec2 = so.second_order_necessary(ctx, nec)
+            suf2 = so.second_order_sufficient(ctx, nec)
             report["second_order"] = [nec2.to_json(), suf2.to_json()]
             if nec2.refuted:
                 refuted = True
@@ -243,8 +234,7 @@ def cmd_check(args) -> int:
 
     report["penalty"] = None
     if args.penalty is not None:
-        pen = fo.penalty_subdiff_check(problem, x, args.penalty, sampling,
-                                       ctx)
+        pen = fo.penalty_subdiff_check(ctx, args.penalty)
         report["penalty"] = pen.to_json()
         if not pen.zero_in_subdiff and not refuted:
             inconclusive = True
@@ -298,12 +288,12 @@ def _flavor_search(flavor, ctx, nec, suf):
 
 def _emit(args, report):
     if args.json:
-        print(json.dumps(report, indent=2, default=_json_default))
+        print(json.dumps(report, indent=2))
     else:
         _print_human(report)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, default=_json_default)
+            json.dump(report, fh, indent=2)
 
 
 def _parse_vectors(text: str):
@@ -342,7 +332,7 @@ def cmd_verify_alternance(args) -> int:
         payload = {"schema": SCHEMA_VERSION, "accepted": True,
                    "cadre": result.to_json()}
         if args.json:
-            print(json.dumps(payload, indent=2, default=_json_default))
+            print(json.dumps(payload, indent=2))
         else:
             dets = ", ".join(f"{v:.9g}" for v in result.determinants)
             print(f"determinants: [{dets}]")

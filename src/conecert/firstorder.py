@@ -17,8 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from .cones import KeptRows, builtin_max, pair_dots, row_norms
-from .geometry import (GeneratorSet, PointContext, Provenance, SamplingSpec,
-                       block_distances, point_context)
+from .geometry import GeneratorSet, PointContext, Provenance, block_distances
 from .linkernel import (SCREEN_CHUNK, det, lp_chebyshev_center,
                         lp_membership, rank, simplex_checked,
                         solve_positive_combination, stacked_rank)
@@ -30,12 +29,13 @@ __all__ = [
     "CombinatorialBudgetExceeded", "NotFeasible",
     "verify_alternance", "find_cadre", "directional_derivatives",
     "necessary_check", "sufficient_check",
-    "penalty_value", "penalty_subdiff_check",
-    "linearized_spot_check", "semiinfinite_discretize",
-    "NecessaryReport", "SufficientReport", "PenaltyReport", "SpotCheckReport",
+    "penalty_value", "penalty_subdiff_check", "semiinfinite_discretize",
+    "NecessaryReport", "SufficientReport", "PenaltyReport",
 ]
 
 DEFAULT_BUDGET = 10 ** 6
+# sampled unit directions behind the sufficient check's growth estimate
+GROWTH_SAMPLES = 256
 
 
 class CombinatorialBudgetExceeded(Exception):
@@ -47,6 +47,27 @@ class CombinatorialBudgetExceeded(Exception):
 
 class NotFeasible(Exception):
     pass
+
+
+def _budgeted_chunks(groups, budget: int, search: str):
+    """The subsets of each (key, subsets) group, in order, as (key, chunk)
+    pairs of at most SCREEN_CHUNK subsets of one group; the budget search
+    of ``find_cadre`` and ``_polytope_vertices``.  Every subset handed out
+    counts against the budget.  The one after the budget's last is never
+    handed out: asking for it raises CombinatorialBudgetExceeded with
+    subsets_tried == budget + 1."""
+    tried = 0
+    for key, subsets in groups:
+        while chunk := list(islice(subsets,
+                                   min(SCREEN_CHUNK, budget - tried + 1))):
+            # the subset after the budget's last is never tried
+            over = tried + len(chunk) > budget
+            if over:
+                chunk.pop()
+            yield key, chunk
+            tried += len(chunk)
+            if over:
+                raise CombinatorialBudgetExceeded(tried + 1, search)
 
 
 @dataclass(frozen=True)
@@ -318,36 +339,23 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
     pool = grads + eta_pool + na_pool
     pool_prov = grads_prov + eta_prov + na_prov
     stacked = np.array(pool)
-
-    tried = 0
-    for p in range(p_min, p_max + 1):
-        for k0 in range(min(p, len(grads)), 0, -1):
-            rest = p - k0
-            for e in range(min(rest, len(eta_pool)), -1, -1):
-                a = rest - e
-                if a > len(na_pool):
-                    continue
-                subsets = _subsets(len(grads), len(eta_pool), len(na_pool),
-                                   k0, e, a)
-                while chunk := list(islice(
-                        subsets, min(SCREEN_CHUNK, budget - tried + 1))):
-                    # the subset after the budget's last is never tried
-                    over = tried + len(chunk) > budget
-                    if over:
-                        chunk.pop()
-                    for sub in _rank_screen(stacked, chunk, p):
-                        vecs = [pool[i] for i in sub]
-                        if solve_positive_combination(vecs) is None:
-                            continue
-                        result = verify_alternance(
-                            vecs, k0=k0, i0=k0 + e, Z=Z, eps_det=eps_det,
-                            flavor=flavor,
-                            provenance=[pool_prov[i] for i in sub])
-                        if isinstance(result, Cadre):
-                            return result
-                    tried += len(chunk)
-                    if over:
-                        raise CombinatorialBudgetExceeded(tried + 1)
+    sizes = (len(grads), len(eta_pool), len(na_pool))
+    groups = (((p, k0, e), _subsets(*sizes, k0, e, p - k0 - e))
+              for p in range(p_min, p_max + 1)
+              for k0 in range(min(p, len(grads)), 0, -1)
+              for e in range(min(p - k0, len(eta_pool)), -1, -1)
+              if p - k0 - e <= len(na_pool))
+    for (p, k0, e), chunk in _budgeted_chunks(groups, budget,
+                                              "cadre search"):
+        for sub in _rank_screen(stacked, chunk, p):
+            vecs = [pool[i] for i in sub]
+            if solve_positive_combination(vecs) is None:
+                continue
+            result = verify_alternance(
+                vecs, k0=k0, i0=k0 + e, Z=Z, eps_det=eps_det, flavor=flavor,
+                provenance=[pool_prov[i] for i in sub])
+            if isinstance(result, Cadre):
+                return result
     return None
 
 
@@ -578,20 +586,18 @@ class NecessaryReport:
         }
 
 
-def _feasible_context(P, x, sampling, ctx) -> PointContext:
-    ctx = point_context(P, x, sampling, ctx)
+def _feasible_context(ctx: PointContext) -> None:
+    """Raise NotFeasible unless the context's point is feasible."""
     if not ctx.feasibility.feasible:
         raise NotFeasible(f"candidate violates constraints by "
                           f"{ctx.feasibility.max_violation:.3g}")
-    return ctx
 
 
-def necessary_check(P: Problem, x, sampling: SamplingSpec | None = None,
-                    ctx: PointContext | None = None,
-                    squared: bool = False,
-                    budget: int = DEFAULT_BUDGET) -> NecessaryReport:
+def necessary_check(ctx: PointContext,
+                    squared: bool = False) -> NecessaryReport:
     """Membership test 0 in D(x) with multiplier and cadre witnesses."""
-    ctx = _feasible_context(P, x, sampling, ctx)
+    _feasible_context(ctx)
+    P = ctx.problem
     G = ctx.squared if squared else ctx.generators
     weights = lp_membership(np.zeros(P.d), G.grads_F, list(G.eta) + list(G.nA))
     witness = None
@@ -609,8 +615,7 @@ def necessary_check(P: Problem, x, sampling: SamplingSpec | None = None,
     cadre = None
     budget_exceeded = False
     try:
-        cadre = find_cadre(G, "plain", eps_det=P.tolerances.eps_det,
-                           budget=budget)
+        cadre = find_cadre(G, "plain", eps_det=P.tolerances.eps_det)
     except CombinatorialBudgetExceeded:
         budget_exceeded = True
     agreement = (cadre is not None) == zero_in_D
@@ -649,17 +654,16 @@ class SufficientReport:
         }
 
 
-def sufficient_check(P: Problem, x, sampling: SamplingSpec | None = None,
-                     ctx: PointContext | None = None, squared: bool = False,
-                     n_growth_samples: int = 256,
-                     budget: int = DEFAULT_BUDGET) -> SufficientReport:
+def sufficient_check(ctx: PointContext,
+                     squared: bool = False) -> SufficientReport:
     """Interior test 0 in int D(x) with a certified ball radius.
 
     The reported radius is margin/sqrt(d): the common margin over the 2d
     signed axis directions spans an l1 ball inside the generated set, and
     that ball contains the Euclidean ball of radius margin/sqrt(d).
     """
-    ctx = _feasible_context(P, x, sampling, ctx)
+    _feasible_context(ctx)
+    P = ctx.problem
     G = ctx.squared if squared else ctx.generators
     cone = list(G.eta) + list(G.nA)
     interior = lp_chebyshev_center(G.grads_F, cone, d=P.d)
@@ -673,11 +677,11 @@ def sufficient_check(P: Problem, x, sampling: SamplingSpec | None = None,
     budget_exceeded = False
     try:
         complete = find_cadre(G, "generalised", p_min=P.d + 1,
-                              eps_det=P.tolerances.eps_det, budget=budget)
+                              eps_det=P.tolerances.eps_det)
     except CombinatorialBudgetExceeded:
         budget_exceeded = True
 
-    growth, _ = _min_feasible_slope(ctx, G.grads_F, n_growth_samples,
+    growth, _ = _min_feasible_slope(ctx, G.grads_F, GROWTH_SAMPLES,
                                     ctx.sampling.seed + 101)
     sampling_limited = G.sampled and not verdict
     return SufficientReport(zero_in_int_D=verdict, margin=margin,
@@ -776,65 +780,21 @@ def _penalty_inclusion(P, c, G, groups) -> bool:
     return simplex_checked(np.zeros(n), A, b).status == "optimal"
 
 
-def penalty_subdiff_check(P: Problem, x, c: float,
-                          sampling: SamplingSpec | None = None,
-                          ctx: PointContext | None = None,
-                          check_double: bool = True) -> PenaltyReport:
-    """Inclusion 0 in subdiff(F + c dist)(x) + N_A(x) at a feasible x."""
+def penalty_subdiff_check(ctx: PointContext, c: float) -> PenaltyReport:
+    """Inclusion 0 in subdiff(F + c dist)(x) + N_A(x) at a feasible x;
+    when it holds, it is checked at 2c as well."""
     if c < 0:
         raise ValueError("penalty parameter must be nonnegative")
-    ctx = point_context(P, x, sampling, ctx)
-    if not ctx.feasibility.feasible:
-        raise NotFeasible("penalty subdifferential test requires a feasible "
-                          "point")
+    _feasible_context(ctx)
+    P = ctx.problem
     G = ctx.generators
     groups = _penalty_groups(P, G)
     ok = _penalty_inclusion(P, c, G, groups)
     double = None
-    if ok and check_double:
+    if ok:
         double = _penalty_inclusion(P, 2 * c, G, groups)
     return PenaltyReport(c=c, value=penalty_value(P, ctx.x, c),
                          zero_in_subdiff=ok, verified_at_2c=double)
-
-
-# ---------------------------------------------------------------------------
-# linearized spot check
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SpotCheckReport:
-    n_samples: int
-    n_feasible_directions: int
-    min_directional_derivative: float | None
-    refuted: bool
-    evidence_only: bool
-
-    def to_json(self):
-        return {"n_samples": self.n_samples,
-                "n_feasible_directions": self.n_feasible_directions,
-                "min_directional_derivative": self.min_directional_derivative,
-                "refuted": self.refuted,
-                "evidence_only": self.evidence_only}
-
-
-def linearized_spot_check(P: Problem, x, n_samples: int = 500,
-                          sampling: SamplingSpec | None = None,
-                          seed: int = 0, eps: float = 1e-8,
-                          ctx: PointContext | None = None) -> SpotCheckReport:
-    """Sampled probe of the linearized problem at x.
-
-    A sampled direction with strictly negative directional derivative is a
-    sound refutation of first-order necessity; a nonnegative minimum over
-    the samples is evidence only.
-    """
-    ctx = point_context(P, x, sampling, ctx)
-    best, kept = _min_feasible_slope(ctx, ctx.generators.grads_F, n_samples,
-                                     seed + 211)
-    refuted = best is not None and best < -eps
-    return SpotCheckReport(n_samples=n_samples, n_feasible_directions=kept,
-                           min_directional_derivative=best, refuted=refuted,
-                           evidence_only=not refuted)
 
 
 # ---------------------------------------------------------------------------

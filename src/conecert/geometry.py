@@ -20,19 +20,17 @@ import numpy as np
 
 from .cones import (EigenFailure, Provenance, SpectralData, axis_directions,
                     pair_dots, project_psd_neg, project_soc,
-                    sdp_null_directions, spectral_split, unit_directions)
+                    sdp_null_directions, unit_directions)
 from .problem import (ActiveSets, FeasibilityReport, PolyhedralSet, Problem,
-                      Sdp, _sdp_matrix, activity, check_feasible,
-                      squared_generators, subdifferential_generators)
+                      activity, check_feasible, squared_generators,
+                      subdifferential_generators)
 
 __all__ = [
     "SamplingSpec", "Provenance", "GeneratorSet", "SpectralData",
-    "PointNotInSet", "EigenFailure", "PointContext", "point_context",
+    "PointNotInSet", "EigenFailure", "PointContext",
     "project_soc", "project_psd_neg", "unit_directions",
-    "eta_generators", "nA_generators", "build_generator_set",
-    "tangent_membership", "TangentReport", "TangentTester",
-    "block_distances", "dist_to_cone",
-    "axis_directions", "sdp_null_directions", "spectral_data",
+    "nA_generators", "build_generator_set", "TangentTester",
+    "block_distances", "axis_directions", "sdp_null_directions",
 ]
 
 
@@ -75,27 +73,6 @@ class GeneratorSet:
     sampled: bool = False
 
 
-def spectral_data(blk: Sdp, x, eps_rank: float) -> SpectralData:
-    return spectral_split(_sdp_matrix(blk, x), eps_rank)
-
-
-def _normal_generators(P: Problem, x, act: ActiveSets, sampling):
-    sampling = sampling or SamplingSpec()
-    return [gen for ba, blk in zip(act.blocks, P.blocks)
-            for gen in blk.normal_generators(x, ba, sampling)]
-
-
-def eta_generators(P: Problem, x, act: ActiveSets,
-                   sampling: SamplingSpec | None = None):
-    """Generators of the cone-constraint normal cone, with provenance.
-
-    Returns (vectors, provenance, sampled_flag).
-    """
-    gens = _normal_generators(P, np.asarray(x, dtype=float), act, sampling)
-    return ([v for v, _, _ in gens], [pr for _, pr, _ in gens],
-            any(ba.sampled for ba in act.blocks))
-
-
 def nA_generators(A: PolyhedralSet, x, eps_feas: float = 1e-8):
     """Extreme rays of the normal cone of the box/affine set at x."""
     x = np.asarray(x, dtype=float)
@@ -129,18 +106,16 @@ def nA_generators(A: PolyhedralSet, x, eps_feas: float = 1e-8):
     return vecs, prov
 
 
-def build_generator_set(P: Problem, x, act: ActiveSets | None = None,
-                        sampling: SamplingSpec | None = None,
-                        squared: bool = False) -> GeneratorSet:
+def build_generator_set(P: Problem, x, act: ActiveSets,
+                        sampling: SamplingSpec) -> GeneratorSet:
+    """The generator families at x: the objective's (sub)gradients, each
+    block's normal-cone generators and the polyhedral set's."""
     x = np.asarray(x, dtype=float)
-    act = act or activity(P, x)
-    if squared:
-        grads = squared_generators(P, x, act.scenarios)
-    else:
-        grads = subdifferential_generators(P, x, act.scenarios)
+    grads = subdifferential_generators(P, x, act.scenarios)
     gprov = [Provenance("scenario", index=s.index, sign=s.sign)
              for s in act.scenarios]
-    eta = _normal_generators(P, x, act, sampling)
+    eta = [gen for ba, blk in zip(act.blocks, P.blocks)
+           for gen in blk.normal_generators(x, ba, sampling)]
     na, nprov = nA_generators(P.set_A, x, P.tolerances.eps_feas)
     return GeneratorSet(d=P.d, grads_F=grads, grads_prov=gprov,
                         eta=[v for v, _, _ in eta],
@@ -150,46 +125,33 @@ def build_generator_set(P: Problem, x, act: ActiveSets | None = None,
                         sampled=any(ba.sampled for ba in act.blocks))
 
 
-@dataclass
-class TangentReport:
-    overall: bool
-    blocks: list          # (position, kind, ok)
-    in_tangent_A: bool
-
-
 class TangentTester:
     """Precomputed linearized-feasibility test at one point.
 
-    Each block tests directions against its normal-cone generators (or its
-    own rows, see the blocks' ``tangent_test``), the polyhedral set against
-    its normal-cone generators.  ``screen`` and ``accepted`` test a stack of
-    directions (the rows of H) at once, as the sampled checks need;
-    ``report`` is the one-direction case.  The generators come from
-    ``generators`` when given, else from a fresh generator set."""
+    Each block tests directions against its normal-cone generators in
+    ``generators`` (or its own rows, see the blocks' ``tangent_test``),
+    the polyhedral set against its normal-cone generators.  ``screen`` and ``accepted``
+    test a stack of directions (the rows of H) at once."""
 
-    def __init__(self, P: Problem, x, act: ActiveSets | None = None,
-                 sampling: SamplingSpec | None = None,
-                 eps: float | None = None,
-                 generators: GeneratorSet | None = None):
+    def __init__(self, P: Problem, x, act: ActiveSets,
+                 generators: GeneratorSet):
         x = np.asarray(x, dtype=float)
-        act = act or activity(P, x)
-        G = generators or build_generator_set(P, x, act, sampling)
-        self.eps = P.tolerances.eps_feas if eps is None else eps
+        self.eps = P.tolerances.eps_feas
         rows = {ba.position: [] for ba in act.blocks}
-        for v, pr in zip(G.eta, G.eta_prov):
+        for v, pr in zip(generators.eta, generators.eta_prov):
             rows[pr.block].append(v)
-        self._blocks = [(ba.position, blk.kind,
-                         blk.tangent_test(x, ba, rows[ba.position]))
-                        for ba, blk in zip(act.blocks, P.blocks)]
+        self._tests = [blk.tangent_test(x, ba, rows[ba.position])
+                       for ba, blk in zip(act.blocks, P.blocks)]
         # bound rows and both signs of every affine equality row
-        self._A_rows = np.array(G.nA, dtype=float).reshape(len(G.nA), P.d)
+        nA = generators.nA
+        self._A_rows = np.array(nA, dtype=float).reshape(len(nA), P.d)
 
     def screen(self, H) -> tuple[list, np.ndarray]:
         """For the directions in the rows of H: per block, whether each
         passes the block's test, and whether each passes the polyhedral
         set's."""
         H = np.ascontiguousarray(H, dtype=float)
-        blocks = [test(H, self.eps) for _, _, test in self._blocks]
+        blocks = [test(H, self.eps) for test in self._tests]
         in_A = np.all(pair_dots(H, self._A_rows) <= self.eps, axis=1)
         return blocks, in_A
 
@@ -200,33 +162,14 @@ class TangentTester:
             in_A = in_A & ok
         return in_A
 
-    def report(self, h) -> TangentReport:
-        blocks, in_A = self.screen(np.asarray(h, dtype=float)[None, :])
-        blocks = [(pos, kind, bool(ok[0]))
-                  for (pos, kind, _), ok in zip(self._blocks, blocks)]
-        in_A = bool(in_A[0])
-        overall = in_A and all(ok for _, _, ok in blocks)
-        return TangentReport(overall=overall, blocks=blocks, in_tangent_A=in_A)
-
-
-def tangent_membership(P: Problem, x, h, act: ActiveSets | None = None,
-                       sampling: SamplingSpec | None = None,
-                       eps: float | None = None) -> TangentReport:
-    """Linearized feasibility of the direction h at the feasible point x."""
-    return TangentTester(P, x, act, sampling, eps).report(h)
-
 
 def block_distances(P: Problem, x) -> list[float]:
     """Distance of each block's value to its cone, in the block norms
     (Euclidean residual for second-order cones, Frobenius for matrix cones,
-    max over the grid for semi-infinite, l1 pieces for the nonlinear parts)."""
+    max over the grid for semi-infinite, l1 pieces for the nonlinear parts);
+    their sum is the exact penalty term."""
     x = np.asarray(x, dtype=float)
     return [blk.distance(x) for blk in P.blocks]
-
-
-def dist_to_cone(P: Problem, x) -> float:
-    """l1 combination of the block distances; the exact penalty term."""
-    return float(sum(block_distances(P, x)))
 
 
 class PointContext:
@@ -235,9 +178,9 @@ class PointContext:
     and block states (the matrix spectral data among them), the plain and
     squared generator sets (holding the one sample of apex and kernel
     directions) and the tangent tester.  Build one per problem, point and
-    sampling, and pass it to each check as ``ctx``.  ``memo`` holds what
-    the checks derive from these and share (the second-order tests keep
-    their multiplier vertices and critical directions there)."""
+    sampling, and pass it to each check.  ``memo`` holds what the checks
+    derive from these and share (the second-order tests keep their
+    multiplier vertices and critical directions there)."""
 
     def __init__(self, problem: Problem, x,
                  sampling: SamplingSpec | None = None):
@@ -267,19 +210,4 @@ class PointContext:
 
     @cached_property
     def tester(self) -> TangentTester:
-        return TangentTester(self.problem, self.x, self.act, self.sampling,
-                             generators=self.generators)
-
-
-def point_context(P: Problem, x, sampling: SamplingSpec | None = None,
-                  ctx: PointContext | None = None) -> PointContext:
-    """``ctx`` when given, after checking that it belongs to P, x and
-    sampling; otherwise a new context."""
-    if ctx is None:
-        return PointContext(P, x, sampling)
-    if (ctx.problem is not P
-            or not np.array_equal(ctx.x, np.asarray(x, dtype=float))
-            or sampling not in (None, ctx.sampling)):
-        raise ValueError("the point context was built for another problem, "
-                         "point or sampling")
-    return ctx
+        return TangentTester(self.problem, self.x, self.act, self.generators)

@@ -11,7 +11,7 @@ critical cone is sufficient regardless of the cone types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -20,40 +20,23 @@ from . import expr as ex
 from .cones import KeptRows, row_norms
 from .firstorder import (DEFAULT_BUDGET, CombinatorialBudgetExceeded,
                          MultiplierWitness, NecessaryReport,
-                         _assemble_witness, _witness_residual,
-                         directional_derivatives)
-from .geometry import PointContext, SamplingSpec, point_context
+                         _assemble_witness, _budgeted_chunks,
+                         _witness_residual, directional_derivatives)
+from .geometry import PointContext
 from .linkernel import SCREEN_CHUNK, rank, stacked_rank
 from .problem import Problem
 
 __all__ = [
-    "DDMultiplierSet", "HessianBundle", "CriticalConeSample", "EmptySet",
-    "dd_multipliers", "hessian_bundle", "critical_cone_sample",
-    "second_order_necessary", "second_order_sufficient",
-    "SecondOrderReport", "MultiplierVertices", "multiplier_vertices",
+    "HessianBundle", "hessian_bundle", "second_order_necessary",
+    "second_order_sufficient", "SecondOrderReport", "MultiplierVertices",
+    "multiplier_vertices",
 ]
 
-
-class EmptySet(Exception):
-    """The scenario-weight polytope for the given dual data is empty."""
-
-
-@dataclass
-class DDMultiplierSet:
-    """Polytope of convex scenario weights stationary for fixed duals.
-
-    ``vertices`` lists weight vectors over the active scenarios (signed
-    scenarios for Chebyshev problems, where the weights apply to the signed
-    gradients and sum to one in absolute value)."""
-
-    scenarios: list          # (index, sign) pairs, aligned with weights
-    vertices: list           # arrays of convex weights
-    interior: np.ndarray
-
-    def to_json(self):
-        return {"scenarios": [[s, sg] for s, sg in self.scenarios],
-                "vertices": [list(map(float, v)) for v in self.vertices],
-                "interior": list(map(float, self.interior))}
+# candidate directions drawn at random for the critical-cone sample, and
+# the slope within which a direction counts as critical; the same bound
+# decides whether a negative quadratic form refutes
+N_CRITICAL_DIRS = 512
+EPS_CRIT = 1e-8
 
 
 def _polytope_vertices(Aeq, beq, n, budget: int = DEFAULT_BUDGET):
@@ -68,36 +51,27 @@ def _polytope_vertices(Aeq, beq, n, budget: int = DEFAULT_BUDGET):
     m = Aeq.shape[0]
     verts = []
     scale = max(1.0, float(np.linalg.norm(beq)))
-    tried = 0
-    for size in range(0, min(m, n) + 1):
-        supports = combinations(range(n), size)
-        while chunk := list(islice(supports,
-                                   min(SCREEN_CHUNK, budget - tried + 1))):
-            # the support after the budget's last is never tried
-            over = tried + len(chunk) > budget
-            if over:
-                chunk.pop()
-            for support in _support_screen(Aeq, beq, chunk, verts, scale):
-                B = Aeq[:, support] if support else np.zeros((m, 0))
-                if support and rank(B) < len(support):
-                    continue
-                if support:
-                    sol, *_ = np.linalg.lstsq(B, beq, rcond=None)
-                else:
-                    sol = np.zeros(0)
-                full = np.zeros(n)
-                full[list(support)] = sol
-                if np.any(full < -1e-9):
-                    continue
-                if np.linalg.norm(Aeq @ full - beq) > 1e-8 * scale:
-                    continue
-                full = np.maximum(full, 0.0)
-                if not any(np.linalg.norm(full - v) < 1e-8 for v in verts):
-                    verts.append(full)
-            tried += len(chunk)
-            if over:
-                raise CombinatorialBudgetExceeded(
-                    tried + 1, "multiplier-vertex enumeration")
+    groups = ((size, combinations(range(n), size))
+              for size in range(0, min(m, n) + 1))
+    for _, chunk in _budgeted_chunks(groups, budget,
+                                     "multiplier-vertex enumeration"):
+        for support in _support_screen(Aeq, beq, chunk, verts, scale):
+            B = Aeq[:, support] if support else np.zeros((m, 0))
+            if support and rank(B) < len(support):
+                continue
+            if support:
+                sol, *_ = np.linalg.lstsq(B, beq, rcond=None)
+            else:
+                sol = np.zeros(0)
+            full = np.zeros(n)
+            full[list(support)] = sol
+            if np.any(full < -1e-9):
+                continue
+            if np.linalg.norm(Aeq @ full - beq) > 1e-8 * scale:
+                continue
+            full = np.maximum(full, 0.0)
+            if not any(np.linalg.norm(full - v) < 1e-8 for v in verts):
+                verts.append(full)
     return verts
 
 
@@ -147,37 +121,6 @@ def _support_screen(Aeq, beq, chunk, verts, scale):
         near = cdist(cand, np.array(verts)).min(axis=1)
         drop |= (near + delta) * (1.0 + unit) < 1e-8
     return [chunk[j] for j, dropped in zip(keep, drop) if not dropped]
-
-
-def dd_multipliers(P: Problem, x, witness: MultiplierWitness,
-                   sampling: SamplingSpec | None = None,
-                   ctx: PointContext | None = None) -> DDMultiplierSet:
-    """All convex scenario weights that make the weighted gradient cancel
-    the fixed cone-constraint dual inside the polyhedral normal cone."""
-    ctx = point_context(P, x, sampling, ctx)
-    G = ctx.generators
-    m = len(G.grads_F)
-    dual_pull = witness.cone_gradient(P, ctx.x)
-    # Sum_s w_s grad_s + dual_pull + Sum_k nu_k nA_k = 0, w in simplex, nu >= 0
-    n = m + len(G.nA)
-    Aeq = np.zeros((P.d + 1, n))
-    for j, g in enumerate(G.grads_F):
-        Aeq[:P.d, j] = g
-    for j, v in enumerate(G.nA):
-        Aeq[:P.d, m + j] = v
-    Aeq[P.d, :m] = 1.0
-    beq = np.concatenate([-dual_pull, [1.0]])
-    verts_full = _polytope_vertices(Aeq, beq, n)
-    if not verts_full:
-        raise EmptySet("no scenario weights are stationary for these duals")
-    verts = []
-    for v in verts_full:
-        w = v[:m]
-        if not any(np.linalg.norm(w - u) < 1e-9 for u in verts):
-            verts.append(w)
-    interior = np.mean(verts, axis=0)
-    scen = [(s.index, s.sign) for s in ctx.act.scenarios]
-    return DDMultiplierSet(scenarios=scen, vertices=verts, interior=interior)
 
 
 @dataclass
@@ -249,12 +192,11 @@ def _aligned_alpha(w: MultiplierWitness, scen) -> np.ndarray:
     return alpha
 
 
-def multiplier_vertices(P: Problem, x, report: NecessaryReport,
-                        sampling: SamplingSpec | None = None,
-                        ctx: PointContext | None = None) -> MultiplierVertices:
+def multiplier_vertices(ctx: PointContext,
+                        report: NecessaryReport) -> MultiplierVertices:
     """The multiplier pairs at the vertices of the joint polytope; at most
     ``DEFAULT_BUDGET`` supports are tried (see ``_polytope_vertices``)."""
-    ctx = point_context(P, x, sampling, ctx)
+    P = ctx.problem
     G = report.generators
     scen = [(pr.index, pr.sign) for pr in G.grads_prov]
     w = report.multipliers
@@ -292,34 +234,10 @@ def multiplier_vertices(P: Problem, x, report: NecessaryReport,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CriticalConeSample:
-    """Unit directions that passed all three criticality tests: linearized
-    feasibility of the polyhedral set, linearized feasibility of the cone
-    blocks, and a directional derivative within eps of zero."""
-
-    directions: list
-    eps_crit: float
-    n_candidates: int
-
-
-def critical_cone_sample(P: Problem, x, first: NecessaryReport,
-                         n_dirs: int = 512,
-                         sampling: SamplingSpec | None = None,
-                         seed: int = 0,
-                         eps_crit: float = 1e-8,
-                         ctx: PointContext | None = None) -> CriticalConeSample:
-    """Public entry for the sampled critical cone at a certified point."""
-    ctx = point_context(P, x, sampling, ctx)
-    dirs = _critical_directions(ctx, first.generators, n_dirs, seed,
-                                eps_crit)
-    return CriticalConeSample(directions=dirs, eps_crit=eps_crit,
-                              n_candidates=n_dirs + 2 * P.d)
-
-
-def _critical_directions(ctx: PointContext, G, n_dirs, seed, eps_crit):
+def _critical_directions(ctx: PointContext, G):
     """Unit directions passing the linearized feasibility and zero-slope
-    tests.  Random samples are augmented with canonical axes and with a
+    (within EPS_CRIT) tests.  N_CRITICAL_DIRS random samples, seeded from
+    the context's sampling seed, are augmented with canonical axes and with a
     basis of the equality subspace where every active gradient is flat.
     All candidates are screened at once; the first of near-duplicate
     survivors is kept, in candidate order."""
@@ -335,13 +253,13 @@ def _critical_directions(ctx: PointContext, G, n_dirs, seed, eps_crit):
         _, s, Vt = np.linalg.svd(M)
         null = Vt[int(np.sum(s > 1e-10)):]
         candidates.append(np.stack([null, -null], axis=1).reshape(-1, d))
-    rng = np.random.default_rng(seed + 307)
-    candidates.append(rng.standard_normal((n_dirs, d)))
+    rng = np.random.default_rng(ctx.sampling.seed + 307)
+    candidates.append(rng.standard_normal((N_CRITICAL_DIRS, d)))
     H = np.vstack(candidates)
     norms = row_norms(H)
     usable = ~(norms < 1e-12)
     H = H[usable] / norms[usable, None]
-    flat = ~(np.abs(directional_derivatives(G.grads_F, H)) > eps_crit)
+    flat = ~(np.abs(directional_derivatives(G.grads_F, H)) > EPS_CRIT)
     out, kept = [], KeptRows(d)
     for h in H[ctx.tester.accepted(H) & flat]:
         if not kept.near(h, 1e-9):
@@ -377,18 +295,16 @@ class SecondOrderReport:
                 "notes": self.notes}
 
 
-def _second_order_inputs(first: NecessaryReport, n_dirs, seed, eps_crit,
-                         ctx: PointContext):
+def _second_order_inputs(ctx: PointContext, first: NecessaryReport):
     """The multiplier vertices and the sampled critical directions for the
     generator set of ``first``, computed once per point context and shared
     by both second-order tests.  The memo entry holds the generator set,
     so its id cannot be reused while the entry lives."""
     G = first.generators
-    key = ("second_order", id(G), n_dirs, seed, eps_crit)
+    key = ("second_order", id(G))
     if key not in ctx.memo:
-        ctx.memo[key] = (
-            G, multiplier_vertices(ctx.problem, ctx.x, first, ctx=ctx),
-            _critical_directions(ctx, G, n_dirs, seed, eps_crit))
+        ctx.memo[key] = (G, multiplier_vertices(ctx, first),
+                         _critical_directions(ctx, G))
     _, verts, dirs = ctx.memo[key]
     return verts, dirs
 
@@ -412,16 +328,11 @@ def _budget_notes(verts: MultiplierVertices) -> list:
             "nothing"]
 
 
-def second_order_necessary(P: Problem, x, first: NecessaryReport,
-                           n_dirs: int = 512,
-                           sampling: SamplingSpec | None = None,
-                           seed: int = 0,
-                           eps_crit: float = 1e-8,
-                           ctx: PointContext | None = None) -> SecondOrderReport:
+def second_order_necessary(ctx: PointContext,
+                           first: NecessaryReport) -> SecondOrderReport:
     """Sampled test: along every critical direction some multiplier pair
     must give a nonnegative quadratic form (polyhedral blocks only; with
     curved blocks a negative form cannot refute and is only reported)."""
-    ctx = point_context(P, x, sampling, ctx)
     if first.generators.nA:   # x lies on the boundary of A
         return SecondOrderReport(
             mode="necessary", applicable=False, refuted=False, passed=False,
@@ -433,8 +344,8 @@ def second_order_necessary(P: Problem, x, first: NecessaryReport,
     if not first.zero_in_D or first.multipliers is None:
         raise ValueError("second-order tests need a successful first-order "
                          "necessary check")
-    verts, dirs = _second_order_inputs(first, n_dirs, seed, eps_crit, ctx)
-    polyhedral = _all_polyhedral(P)
+    verts, dirs = _second_order_inputs(ctx, first)
+    polyhedral = _all_polyhedral(ctx.problem)
     notes = _budget_notes(verts)
     if not dirs:
         return SecondOrderReport(
@@ -445,37 +356,32 @@ def second_order_necessary(P: Problem, x, first: NecessaryReport,
             n_directions=0, worst_value=None, witness_direction=None,
             notes=notes + ["no nonzero critical directions found; the test "
                            "is vacuously satisfied"])
-    _, worst, witness_dir = _worst_form(P, ctx.x, verts, dirs)
-    refuted = polyhedral and verts.exhaustive and worst < -eps_crit
+    _, worst, witness_dir = _worst_form(ctx.problem, ctx.x, verts, dirs)
+    refuted = polyhedral and verts.exhaustive and worst < -EPS_CRIT
     if not polyhedral:
         notes.append("curved cone blocks present: the omitted curvature "
                      "term could rescue a negative form, so no refutation "
                      "is drawn")
     return SecondOrderReport(
         mode="necessary", applicable=True, refuted=refuted,
-        passed=worst >= -eps_crit, critical_cone_trivial=False,
+        passed=worst >= -EPS_CRIT, critical_cone_trivial=False,
         conservative_refutation_only=not polyhedral,
         multiplier_set_exhaustive=verts.exhaustive,
         n_directions=len(dirs), worst_value=worst,
         witness_direction=witness_dir, notes=notes)
 
 
-def second_order_sufficient(P: Problem, x, first: NecessaryReport,
-                            n_dirs: int = 512,
-                            sampling: SamplingSpec | None = None,
-                            seed: int = 0, eps_crit: float = 1e-8,
-                            eps_pos: float | None = None,
-                            ctx: PointContext | None = None) -> SecondOrderReport:
+def second_order_sufficient(ctx: PointContext,
+                            first: NecessaryReport) -> SecondOrderReport:
     """Sampled sufficiency: every sampled critical direction must admit a
     multiplier pair with strictly positive quadratic form.  Sampling cannot
     prove positivity over the whole cone, so a pass is labelled sampled,
     and a failure refutes nothing: ``refuted`` is always false."""
-    ctx = point_context(P, x, sampling, ctx)
+    P = ctx.problem
     if not first.zero_in_D or first.multipliers is None:
         raise ValueError("second-order tests need a successful first-order "
                          "necessary check")
-    eps_pos = P.tolerances.eps_pos if eps_pos is None else eps_pos
-    verts, dirs = _second_order_inputs(first, n_dirs, seed, eps_crit, ctx)
+    verts, dirs = _second_order_inputs(ctx, first)
     notes = ["pass is over sampled directions only; it cannot certify the "
              "full critical cone"] + _budget_notes(verts)
     if not _all_polyhedral(P):
@@ -492,7 +398,8 @@ def second_order_sufficient(P: Problem, x, first: NecessaryReport,
     best, worst, witness_dir = _worst_form(P, ctx.x, verts, dirs)
     return SecondOrderReport(
         mode="sufficient", applicable=True, refuted=False,
-        passed=all(v > eps_pos for v in best), critical_cone_trivial=False,
+        passed=all(v > P.tolerances.eps_pos for v in best),
+        critical_cone_trivial=False,
         conservative_refutation_only=False,
         multiplier_set_exhaustive=verts.exhaustive,
         n_directions=len(dirs), worst_value=worst,

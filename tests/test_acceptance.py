@@ -13,7 +13,8 @@ import conecert as cc
 from conecert import firstorder as fo
 from conecert import registry
 from conecert import secondorder as so
-from conecert.geometry import build_generator_set, project_psd_neg, project_soc
+from conecert.geometry import (PointContext, build_generator_set,
+                               project_psd_neg, project_soc)
 from conecert.linkernel import lp_direction_margin, lp_membership
 from conecert.oracle import (fd_hessian, growth_probe,
                              hull_membership_bruteforce)
@@ -35,7 +36,7 @@ def test_criterion_01_bazaraa45():
     ok = isinstance(res, fo.Cadre)
     ok = ok and np.allclose(res.determinants, [-3, 456, -36], atol=1e-9)
     ok = ok and res.complete
-    suf = fo.sufficient_check(P, x, samp)
+    suf = fo.sufficient_check(PointContext(P, x, samp))
     ok = ok and suf.radius > 0
     _report(1, ok, "determinants -3, 456, -36; positive radius")
 
@@ -44,8 +45,9 @@ def test_criterion_02_dem():
     P, x, samp = registry.get("dem")
     _, act = evaluate_objective(P, x)
     ok = {s.index for s in act} == {1, 2, 3}
-    nec = fo.necessary_check(P, x, samp)
-    suf = fo.sufficient_check(P, x, samp)
+    ctx = PointContext(P, x, samp)
+    nec = fo.necessary_check(ctx)
+    suf = fo.sufficient_check(ctx)
     ok = ok and nec.zero_in_D and suf.zero_in_int_D
     ok = ok and nec.cadre is not None and np.allclose(
         nec.cadre.determinants, [10, -10, 10], atol=1e-9)
@@ -85,7 +87,7 @@ def test_criterion_04_linf_family():
                     for i in range(1, d + 1)] + [1.0]
         ok = ok and gen is not None and np.allclose(
             gen.determinants, expected, atol=1e-9)
-        suf = fo.sufficient_check(P, x, samp)
+        suf = fo.sufficient_check(PointContext(P, x, samp))
         bound = 1.0 / (2.0 * math.sqrt(d)) - 1e-6
         ok = ok and suf.radius >= bound
         details.append(f"d={d} radius {suf.radius:.4f}")
@@ -269,14 +271,14 @@ def test_criterion_10_directional_derivative():
 
 def test_criterion_11_penalty_suite():
     P, x, samp = registry.get("bazaraa45")
-    nec = fo.necessary_check(P, x, samp)
+    ctx = PointContext(P, x, samp)
+    nec = fo.necessary_check(ctx)
     lam1 = nec.multipliers.lambda_l1()
     grid = [0.0, 0.5 * lam1, lam1, 2.0 * lam1]
-    verdicts = [fo.penalty_subdiff_check(P, x, c, samp).zero_in_subdiff
+    verdicts = [fo.penalty_subdiff_check(ctx, c).zero_in_subdiff
                 for c in grid]
     ok = verdicts == [False, False, True, True]
-    ok = ok and fo.penalty_subdiff_check(P, x, lam1 + 0.1,
-                                         samp).zero_in_subdiff
+    ok = ok and fo.penalty_subdiff_check(ctx, lam1 + 0.1).zero_in_subdiff
     F, _ = evaluate_objective(P, x)
     for c in (0.0, 1.0, lam1):
         ok = ok and fo.penalty_value(P, x, c) == F
@@ -287,14 +289,14 @@ def test_criterion_12_second_order_suite():
     ok = True
     # saddle refuted along the second axis
     P = load_problem_text('[problem] dim=2\n[scenario] f="x(1)^2 - x(2)^2"\n')
-    nec = fo.necessary_check(P, (0.0, 0.0))
-    rep = so.second_order_necessary(P, (0.0, 0.0), nec)
+    ctx = PointContext(P, (0.0, 0.0))
+    rep = so.second_order_necessary(ctx, fo.necessary_check(ctx))
     ok = ok and rep.refuted and abs(rep.witness_direction[1]) == \
         pytest.approx(1.0)
     # bowl passes every sample
     P = load_problem_text('[problem] dim=2\n[scenario] f="x(1)^2 + x(2)^2"\n')
-    nec = fo.necessary_check(P, (0.0, 0.0))
-    srep = so.second_order_sufficient(P, (0.0, 0.0), nec)
+    ctx = PointContext(P, (0.0, 0.0))
+    srep = so.second_order_sufficient(ctx, fo.necessary_check(ctx))
     ok = ok and srep.passed
     # forward-mode Hessians against central differences
     rng = np.random.default_rng(1212)
@@ -329,10 +331,11 @@ def test_criterion_12_second_order_suite():
             scenarios.append(f)
         C = cc.Problem(d=d, kind="chebyshev", scenarios=tuple(scenarios),
                        psi=tuple(psi))
-        nec_p = fo.necessary_check(C, x0)
-        nec_s = fo.necessary_check(C, x0, squared=True)
-        suf_p = fo.sufficient_check(C, x0)
-        suf_s = fo.sufficient_check(C, x0, squared=True)
+        ctx = PointContext(C, x0)
+        nec_p = fo.necessary_check(ctx)
+        nec_s = fo.necessary_check(ctx, squared=True)
+        suf_p = fo.sufficient_check(ctx)
+        suf_s = fo.sufficient_check(ctx, squared=True)
         assert nec_p.zero_in_D == nec_s.zero_in_D
         assert suf_p.zero_in_int_D == suf_s.zero_in_int_D
         agreements += 1

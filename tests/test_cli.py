@@ -296,8 +296,8 @@ def test_flavor_search_budget_out_is_inconclusive():
     from conecert.geometry import PointContext
     P, x, sampling = registry.get("linf", 3)
     ctx = PointContext(P, x, sampling)
-    nec = fo.necessary_check(P, x, sampling, ctx)
-    suf = fo.sufficient_check(P, x, sampling, ctx)
+    nec = fo.necessary_check(ctx)
+    suf = fo.sufficient_check(ctx)
     assert _flavor_search("generalised", ctx, nec, suf)[1] is not None
     nec = replace(nec, cadre=None, budget_exceeded=True)
     suf = replace(suf, complete_alternance=None, budget_exceeded=True)
@@ -372,6 +372,23 @@ def test_check_nan_inequality_is_infeasible(tmp_path):
         "block 0 inequality 2", "block 0 inequality 3"]
     # the largest violation is undefined, not 500
     assert math.isnan(feas["max_violation"])
+
+
+def test_report_writes_non_finite_numbers_as_bare_tokens(tmp_path):
+    """An equality constraint in one dimension makes its normal cone the
+    whole line, so the interior margin is unbounded; the report writes it
+    as the token Infinity, as it writes a NaN amount as NaN."""
+    path = tmp_path / "eq.prob"
+    path.write_text('[problem] dim=1\n[scenario] f="x(1)"\n'
+                    '[nlp_eq] b="x(1)"\n')
+    code, out, _ = run_cli("check", "--file", str(path), "--at=0", "--json")
+    assert code == 0
+    assert '"margin": Infinity,' in out and '"radius": Infinity,' in out
+    assert json.loads(out)["sufficient"]["radius"] == math.inf
+    path.write_text('[problem] dim=1\n[scenario] f="x(1)"\n'
+                    '[nlp_ineq] g="exp(x(1)) - exp(x(1))"\n')
+    _, out, _ = run_cli("check", "--file", str(path), "--at=1000", "--json")
+    assert '"max_violation": NaN,' in out
 
 
 def test_check_kink_in_t_alone_is_differentiable_in_x(tmp_path):

@@ -311,7 +311,7 @@ def test_cadre_membership_oracle_agreement(rng):
 
 def test_necessary_dem():
     P, x, samp = registry.get("dem")
-    rep = fo.necessary_check(P, x, samp)
+    rep = fo.necessary_check(PointContext(P, x, samp))
     assert rep.zero_in_D and rep.agreement
     weights = [w for _, _, w in rep.multipliers.alpha]
     np.testing.assert_allclose(sorted(weights), [1 / 3] * 3, atol=1e-9)
@@ -320,7 +320,7 @@ def test_necessary_dem():
 
 def test_necessary_dem_wrong_point():
     P, _, samp = registry.get("dem")
-    rep = fo.necessary_check(P, (0.0, 0.0), samp)
+    rep = fo.necessary_check(PointContext(P, (0.0, 0.0), samp))
     assert not rep.zero_in_D
     assert rep.cadre is None and rep.agreement
     # independent confirmation by the brute-force oracle
@@ -331,7 +331,7 @@ def test_necessary_dem_wrong_point():
 
 def test_necessary_bazaraa_multipliers():
     P, x, samp = registry.get("bazaraa45")
-    rep = fo.necessary_check(P, x, samp)
+    rep = fo.necessary_check(PointContext(P, x, samp))
     assert rep.zero_in_D
     duals = rep.multipliers.nlp_ineq[0]
     assert duals[0] == pytest.approx(152.0, abs=1e-6)
@@ -341,12 +341,12 @@ def test_necessary_bazaraa_multipliers():
 def test_necessary_rejects_infeasible_point():
     P, _, samp = registry.get("bazaraa45")
     with pytest.raises(fo.NotFeasible):
-        fo.necessary_check(P, (0.0, 0.0), samp)
+        fo.necessary_check(PointContext(P, (0.0, 0.0), samp))
 
 
 def test_sufficient_dem():
     P, x, samp = registry.get("dem")
-    rep = fo.sufficient_check(P, x, samp)
+    rep = fo.sufficient_check(PointContext(P, x, samp))
     assert rep.zero_in_int_D and rep.radius > 0
     assert rep.complete_alternance is not None
     assert rep.growth_constant_estimate is not None
@@ -355,7 +355,7 @@ def test_sufficient_dem():
 
 def test_sufficient_linf_without_plain_complete():
     P, x, samp = registry.get("linf", dim=2)
-    rep = fo.sufficient_check(P, x, samp)
+    rep = fo.sufficient_check(PointContext(P, x, samp))
     assert rep.zero_in_int_D and rep.radius > 0
     G = build_generator_set(P, x, activity(P, x), samp)
     assert fo.find_cadre(G, "plain", p_min=3) is None
@@ -363,7 +363,7 @@ def test_sufficient_linf_without_plain_complete():
 
 def test_sufficient_fails_on_halfspace():
     P = load_problem_text('[problem] dim=2\n[scenario] f="x(1) + x(2)"\n')
-    rep = fo.sufficient_check(P, (0.0, 0.0))
+    rep = fo.sufficient_check(PointContext(P, (0.0, 0.0)))
     assert not rep.zero_in_int_D
     assert rep.radius == 0.0
 
@@ -371,8 +371,9 @@ def test_sufficient_fails_on_halfspace():
 def test_interior_implies_membership_consistency():
     for name in ("dem", "bazaraa45", "madsen"):
         P, x, samp = registry.get(name)
-        nec = fo.necessary_check(P, x, samp)
-        suf = fo.sufficient_check(P, x, samp)
+        ctx = PointContext(P, x, samp)
+        nec = fo.necessary_check(ctx)
+        suf = fo.sufficient_check(ctx)
         if suf.zero_in_int_D:
             assert nec.zero_in_D
         if suf.complete_alternance is not None:
@@ -401,46 +402,46 @@ def test_penalty_value_monotone_in_c(rng):
 
 def test_penalty_thresholds_bazaraa():
     P, x, samp = registry.get("bazaraa45")
-    nec = fo.necessary_check(P, x, samp)
+    ctx = PointContext(P, x, samp)
+    nec = fo.necessary_check(ctx)
     lam1 = nec.multipliers.lambda_l1()
     assert lam1 == pytest.approx(164.0, abs=1e-6)
     grid = [0.0, 0.5 * lam1, lam1, 2.0 * lam1]
-    verdicts = [fo.penalty_subdiff_check(P, x, c, samp).zero_in_subdiff
+    verdicts = [fo.penalty_subdiff_check(ctx, c).zero_in_subdiff
                 for c in grid]
     assert verdicts == [False, False, True, True]
-    rep = fo.penalty_subdiff_check(P, x, lam1 + 0.1, samp)
+    rep = fo.penalty_subdiff_check(ctx, lam1 + 0.1)
     assert rep.zero_in_subdiff and rep.verified_at_2c
 
 
 def test_penalty_zero_c_single_gradient():
     P, x, samp = registry.get("bazaraa45")
-    rep = fo.penalty_subdiff_check(P, x, 0.0, samp)
+    rep = fo.penalty_subdiff_check(PointContext(P, x, samp), 0.0)
     assert not rep.zero_in_subdiff
 
 
 # ---------------------------------------------------------------------------
-# spot check and discretization
+# sampled growth estimate and discretization
 # ---------------------------------------------------------------------------
 
 
 def test_spot_check_dem_positive():
     P, x, samp = registry.get("dem")
-    rep = fo.linearized_spot_check(P, x, 500, samp)
-    assert not rep.refuted
-    assert rep.min_directional_derivative > 0
+    rep = fo.sufficient_check(PointContext(P, x, samp))
+    assert rep.growth_constant_estimate == pytest.approx(1.3193, abs=1e-4)
 
 
 def test_spot_check_refutes_linear():
+    # F = x(1) falls at unit rate along -e1, a sound refutation
     P = load_problem_text('[problem] dim=1\n[scenario] f="x(1)"\n')
-    rep = fo.linearized_spot_check(P, (0.0,), 200)
-    assert rep.refuted
+    rep = fo.sufficient_check(PointContext(P, (0.0,)))
+    assert rep.growth_constant_estimate == -1.0
 
 
 def test_spot_check_madsen():
     P, x, samp = registry.get("madsen")
-    rep = fo.linearized_spot_check(P, x, 500, samp)
-    assert not rep.refuted
-    assert rep.min_directional_derivative > 0
+    rep = fo.sufficient_check(PointContext(P, x, samp))
+    assert rep.growth_constant_estimate == pytest.approx(1.0654, abs=1e-4)
 
 
 def test_discretize_active_points():
@@ -482,8 +483,9 @@ def test_discretize_certificate_stable_under_cap(rng):
     x = (0.0, 0.0)
     Q, actions = fo.semiinfinite_discretize(P, x)
     assert actions[0][1] == "capped"
-    nec_capped = fo.necessary_check(Q, x)
-    nec_full = fo.necessary_check(P, x)  # grid handled directly, uncapped
+    nec_capped = fo.necessary_check(PointContext(Q, x))
+    # the grid handled directly, uncapped
+    nec_full = fo.necessary_check(PointContext(P, x))
     assert nec_capped.zero_in_D == nec_full.zero_in_D
 
 
@@ -493,7 +495,7 @@ def test_semiinfinite_direct_certification():
     P = load_problem_text(
         '[problem] dim=1\n[scenario] f="x(1)"\n'
         '[semiinf] g="-x(1) - t*(1 - t)" grid=0:1:5\n')
-    rep = fo.necessary_check(P, (0.0,))
+    rep = fo.necessary_check(PointContext(P, (0.0,)))
     assert rep.zero_in_D and rep.agreement
     support = rep.multipliers.semi_infinite[0]
     assert set(support) <= {0, 4}
@@ -501,13 +503,14 @@ def test_semiinfinite_direct_certification():
     assert rep.multipliers.stationarity_residual <= 1e-10
     # discretizing first and certifying the flat problem agrees
     Q, _ = fo.semiinfinite_discretize(P, (0.0,))
-    rep2 = fo.necessary_check(Q, (0.0,))
+    rep2 = fo.necessary_check(PointContext(Q, (0.0,)))
     assert rep2.zero_in_D
 
 
 def test_penalty_inclusion_monotone_on_fixtures():
     P, x, samp = registry.get("madsen")
-    answers = [fo.penalty_subdiff_check(P, x, c, samp).zero_in_subdiff
+    ctx = PointContext(P, x, samp)
+    answers = [fo.penalty_subdiff_check(ctx, c).zero_in_subdiff
                for c in (0.0, 0.5, 1.0, 2.0)]
     # once true it must stay true as c grows
     seen_true = False
@@ -520,8 +523,9 @@ def test_penalty_inclusion_monotone_on_fixtures():
 def test_reverify_roundtrip_bazaraa():
     import json
     P, x, samp = registry.get("bazaraa45")
-    nec = fo.necessary_check(P, x, samp)
-    suf = fo.sufficient_check(P, x, samp)
+    ctx = PointContext(P, x, samp)
+    nec = fo.necessary_check(ctx)
+    suf = fo.sufficient_check(ctx)
     report = {"candidate": list(x), "necessary": nec.to_json(),
               "sufficient": suf.to_json()}
     report = json.loads(json.dumps(report))

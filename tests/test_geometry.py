@@ -6,7 +6,9 @@ import pytest
 import conecert as cc
 from conecert import geometry as geo
 from conecert import registry
-from conecert.problem import PolyhedralSet, activity, load_problem_text
+from conecert.cones import spectral_split
+from conecert.problem import (PolyhedralSet, _sdp_matrix, activity,
+                              load_problem_text)
 
 SQ2 = math.sqrt(2.0)
 
@@ -84,9 +86,9 @@ def test_project_psd_neg_variational(rng):
 
 def test_eta_soc_example_rows():
     P, x, samp = registry.get("soc-example")
-    act = activity(P, x)
-    vecs, prov, sampled = geo.eta_generators(P, x, act, samp)
-    assert sampled
+    G = geo.build_generator_set(P, x, activity(P, x), samp)
+    vecs, prov = G.eta, G.eta_prov
+    assert G.sampled
     boundary_rows = [v for v, p in zip(vecs, prov) if p.kind == "soc_boundary"]
     np.testing.assert_allclose(boundary_rows[0], [0.0, 1.0], atol=1e-12)
     apex = {tuple(np.round(v, 9)) for v, p in zip(vecs, prov)
@@ -96,8 +98,8 @@ def test_eta_soc_example_rows():
 
 def test_eta_sdp_example_rows():
     P, x, samp = registry.get("sdp-example")
-    act = activity(P, x)
-    vecs, prov, sampled = geo.eta_generators(P, x, act, samp)
+    G = geo.build_generator_set(P, x, activity(P, x), samp)
+    vecs, prov = G.eta, G.eta_prov
     rows = [tuple(np.round(v, 9)) for v, p in zip(vecs, prov)
             if p.kind == "sdp_null"]
     assert rows[0] == (1.0, 2.0, 0.0)
@@ -108,9 +110,9 @@ def test_eta_empty_when_inactive():
     P = load_problem_text(
         '[problem] dim=2\n[scenario] f="x(1)"\n'
         '[nlp_ineq] g="x(1) - 5"\n')
-    act = activity(P, (0.0, 0.0))
-    vecs, prov, sampled = geo.eta_generators(P, (0.0, 0.0), act)
-    assert vecs == [] and not sampled
+    G = geo.build_generator_set(P, (0.0, 0.0), activity(P, (0.0, 0.0)),
+                                geo.SamplingSpec())
+    assert G.eta == [] and not G.sampled
 
 
 def test_nA_generators_box_corner():
@@ -141,28 +143,30 @@ def test_nA_generators_outside_raises():
         geo.nA_generators(A, (-1.0,))
 
 
+def _tangent(P, x, H, sampling=None):
+    """Whether each row of H is linearized feasible at x."""
+    return geo.PointContext(P, x, sampling).tester.accepted(
+        np.array(H, dtype=float)).tolist()
+
+
 def test_tangent_membership_no_active_constraints():
     P = load_problem_text(
         '[problem] dim=2\n[scenario] f="x(1)"\n'
         '[nlp_ineq] g="x(1) - 5"\n')
-    rep = geo.tangent_membership(P, (0.0, 0.0), (1.0, 1.0))
-    assert rep.overall
+    assert _tangent(P, (0.0, 0.0), [(1.0, 1.0)]) == [True]
 
 
 def test_tangent_membership_madsen_direction():
     P, x, _ = registry.get("madsen")
-    assert geo.tangent_membership(P, x, (0.0, 1.0)).overall
-    assert not geo.tangent_membership(P, x, (-1.0, 0.0)).overall
+    assert _tangent(P, x, [(0.0, 1.0), (-1.0, 0.0)]) == [True, False]
 
 
 def test_tangent_membership_sdp_direction():
     P, x, samp = registry.get("sdp-example")
     # the kernel vector e1 forces <(1,2,0), h> <= 0
-    assert geo.tangent_membership(P, x, (-1.0, 0.0, 0.0), sampling=samp).overall
-    assert not geo.tangent_membership(P, x, (1.0, 0.0, 0.0),
-                                      sampling=samp).overall
+    assert _tangent(P, x, [(-1.0, 0.0, 0.0), (1.0, 0.0, 0.0)],
+                    samp) == [True, False]
     # finite-difference check on the top eigenvalue along the accepted ray
-    from conecert.problem import _sdp_matrix
     blk = P.blocks[0]
     h = np.array([-1.0, 0.0, 0.0])
     tau = 1e-6
@@ -174,27 +178,18 @@ def test_tangent_membership_sdp_direction():
 def test_eta_vectors_oppose_tangent_directions(rng):
     for name in ("madsen", "bazaraa45", "soc-example", "sdp-example"):
         P, x, samp = registry.get(name)
-        act = activity(P, x)
-        vecs, prov, _ = geo.eta_generators(P, x, act, samp)
-        na, _ = geo.nA_generators(P.set_A, x)
-        normals = list(vecs) + list(na)
+        ctx = geo.PointContext(P, x, samp)
+        normals = list(ctx.generators.eta) + list(ctx.generators.nA)
         if not normals:
             continue
-        kept = 0
-        for _ in range(500):
-            h = rng.standard_normal(P.d)
-            norm = np.linalg.norm(h)
-            if norm < 1e-12:
-                continue
-            h /= norm
-            if not geo.tangent_membership(P, x, h, act, samp).overall:
-                continue
-            kept += 1
-            for v in normals:
-                assert float(np.dot(v, h)) <= 1e-6
+        H = rng.standard_normal((500, P.d))
+        norms = np.linalg.norm(H, axis=1)
+        H = H[norms >= 1e-12] / norms[norms >= 1e-12, None]
+        kept = H[ctx.tester.accepted(H)]
+        assert np.all(kept @ np.array(normals).T <= 1e-6)
         # the soc example's linearized cone is {0}; elsewhere directions exist
         if name in ("madsen", "bazaraa45"):
-            assert kept > 0
+            assert len(kept) > 0
 
 
 def test_block_distances_shared_with_penalty():
@@ -203,19 +198,17 @@ def test_block_distances_shared_with_penalty():
     from conecert.problem import evaluate_objective
     pt = np.asarray(x) + np.array([0.3, -0.2])
     F, _ = evaluate_objective(P, pt)
-    dist = geo.dist_to_cone(P, pt)
+    dist = sum(geo.block_distances(P, pt))
     assert penalty_value(P, pt, 2.5) == F + 2.5 * dist
 
 
 def test_spectral_data_invariants():
     P, x, _ = registry.get("sdp-example")
-    spec = geo.spectral_data(P.blocks[0], np.asarray(x, dtype=float),
-                             P.tolerances.eps_rank)
+    M = _sdp_matrix(P.blocks[0], np.asarray(x, dtype=float))
+    spec = spectral_split(M, P.tolerances.eps_rank)
     Q = spec.Q
     assert np.max(np.abs(Q.T @ Q - np.eye(3))) <= 1e-10
     assert list(spec.eigenvalues) == sorted(spec.eigenvalues, reverse=True)
-    from conecert.problem import _sdp_matrix
-    M = _sdp_matrix(P.blocks[0], np.asarray(x, dtype=float))
     for j in range(Q.shape[1]):
         q = Q[:, j]
         assert np.linalg.norm(M @ q - spec.eigenvalues[j] * q) <= 1e-8

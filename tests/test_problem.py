@@ -4,6 +4,7 @@ import pytest
 import conecert as cc
 from conecert import firstorder as fo
 from conecert import registry
+from conecert.geometry import PointContext
 from conecert.problem import (ProblemFormatError, ToleranceSet, activity,
                               evaluate_objective, load_problem_text)
 from conftest import random_expression
@@ -232,11 +233,12 @@ def test_plain_vs_squared_verdicts_agree(rng):
             scenarios.append(f)
         C = cc.Problem(d=d, kind="chebyshev", scenarios=tuple(scenarios),
                        psi=tuple(psi))
-        nec_plain = fo.necessary_check(C, x0)
-        nec_squared = fo.necessary_check(C, x0, squared=True)
+        ctx = PointContext(C, x0)
+        nec_plain = fo.necessary_check(ctx)
+        nec_squared = fo.necessary_check(ctx, squared=True)
         assert nec_plain.zero_in_D == nec_squared.zero_in_D
-        suf_plain = fo.sufficient_check(C, x0)
-        suf_squared = fo.sufficient_check(C, x0, squared=True)
+        suf_plain = fo.sufficient_check(ctx)
+        suf_squared = fo.sufficient_check(ctx, squared=True)
         assert suf_plain.zero_in_int_D == suf_squared.zero_in_int_D
 
 

@@ -1,0 +1,36 @@
+"""The README's Python examples run as written and give the results their
+comments state."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import numpy as np
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _python_blocks():
+    return re.findall(r"^```python\n(.*?)^```", README.read_text("utf-8"),
+                      flags=re.M | re.S)
+
+
+def test_readme_examples_run_in_order():
+    blocks = _python_blocks()
+    assert len(blocks) >= 3
+    ns = {"__name__": "readme"}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), ns)
+    # the library example on the dem problem
+    np.testing.assert_allclose(ns["nec"].cadre.determinants,
+                               [10.0, -10.0, 10.0], atol=1e-9)
+    assert ns["suf"].radius > 0
+    assert ns["pen"].zero_in_subdiff is True and ns["so2"].refuted is False
+    # the stacked evaluation example
+    assert ns["vals"][0] == 1.0
+    assert ns["bad"].tolist() == [False, True, True]
+    # the scenario family example
+    assert [f.members.tolist() for f in ns["fams"]] == [[0, 1], [2]]
+    assert ns["fams"][0].tree(1) == ns["ex"].parse("x(1) + 0.25*x(2)", 2)

@@ -7,7 +7,7 @@ import conecert as cc
 from conecert import firstorder as fo
 from conecert import registry
 from conecert import secondorder as so
-from conecert.geometry import PointContext
+from conecert.geometry import PointContext, TangentTester
 from conecert.linkernel import rank
 from conecert.oracle import fd_hessian, growth_probe
 from conecert.problem import load_problem_text
@@ -18,45 +18,56 @@ def _simple(text):
     return load_problem_text(text)
 
 
+def _alphas(P, x, samp=None):
+    """The scenario weights of the multiplier vertices at x."""
+    ctx = PointContext(P, x, samp)
+    verts = so.multiplier_vertices(ctx, fo.necessary_check(ctx))
+    assert verts.exhaustive
+    return [alpha for _, alpha, _ in verts.pairs]
+
+
 def test_dd_single_scenario_unique():
     P = _simple('[problem] dim=2\n[scenario] f="x(1)^2 + x(2)^2"\n')
-    nec = fo.necessary_check(P, (0.0, 0.0))
-    dd = so.dd_multipliers(P, (0.0, 0.0), nec.multipliers)
-    assert len(dd.vertices) == 1
-    np.testing.assert_allclose(dd.vertices[0], [1.0])
+    alphas = _alphas(P, (0.0, 0.0))
+    assert len(alphas) == 1
+    np.testing.assert_allclose(alphas[0], [1.0])
 
 
 def test_dd_dem_forced_weights():
     P, x, samp = registry.get("dem")
-    nec = fo.necessary_check(P, x, samp)
-    dd = so.dd_multipliers(P, x, nec.multipliers, samp)
-    for v in dd.vertices:
+    alphas = _alphas(P, x, samp)
+    for v in alphas:
         np.testing.assert_allclose(v, [1 / 3] * 3, atol=1e-8)
-    np.testing.assert_allclose(dd.interior, [1 / 3] * 3, atol=1e-8)
+    np.testing.assert_allclose(np.mean(alphas, axis=0), [1 / 3] * 3,
+                               atol=1e-8)
 
 
 def test_dd_opposite_gradients_forced_half():
     P = _simple('[problem] dim=1\n[scenario] f="x(1)"\n[scenario] f="-x(1)"\n')
-    nec = fo.necessary_check(P, (0.0,))
-    dd = so.dd_multipliers(P, (0.0,), nec.multipliers)
-    assert len(dd.vertices) == 1
-    np.testing.assert_allclose(dd.vertices[0], [0.5, 0.5], atol=1e-9)
+    alphas = _alphas(P, (0.0,))
+    assert len(alphas) == 1
+    np.testing.assert_allclose(alphas[0], [0.5, 0.5], atol=1e-9)
 
 
 def test_dd_all_weights_convex_and_stationary():
     for name in ("dem", "madsen", "bazaraa45"):
         P, x, samp = registry.get(name)
-        nec = fo.necessary_check(P, x, samp)
-        dd = so.dd_multipliers(P, x, nec.multipliers, samp)
-        for v in dd.vertices:
+        ctx = PointContext(P, x, samp)
+        verts = so.multiplier_vertices(ctx, fo.necessary_check(ctx))
+        assert verts.exhaustive and verts.pairs
+        for w, v, _ in verts.pairs:
             assert v.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(v >= -1e-12)
+            assert w.stationarity_residual <= 1e-7
+        if name == "madsen":
+            assert sorted(v.tolist() for _, v, _ in verts.pairs) == [
+                [0.0, 1.0], [1.0, 0.0]]
 
 
 def test_hessian_linear_problem_is_zero():
     P = _simple('[problem] dim=2\n[scenario] f="x(1) + 2*x(2)"\n'
                 '[nlp_ineq] g="-x(1)" g="-x(2)"\n')
-    nec = fo.necessary_check(P, (0.0, 0.0))
+    nec = fo.necessary_check(PointContext(P, (0.0, 0.0)))
     assert nec.zero_in_D
     B = so.hessian_bundle(P, (0.0, 0.0), nec.multipliers,
                           [w for _, _, w in nec.multipliers.alpha])
@@ -65,14 +76,14 @@ def test_hessian_linear_problem_is_zero():
 
 def test_hessian_bowl():
     P = _simple('[problem] dim=2\n[scenario] f="x(1)^2 + x(2)^2"\n')
-    nec = fo.necessary_check(P, (0.0, 0.0))
+    nec = fo.necessary_check(PointContext(P, (0.0, 0.0)))
     B = so.hessian_bundle(P, (0.0, 0.0), nec.multipliers, [1.0])
     np.testing.assert_allclose(B.matrix, 2 * np.eye(2), atol=1e-12)
 
 
 def test_hessian_bazaraa_matches_finite_differences():
     P, x, samp = registry.get("bazaraa45")
-    nec = fo.necessary_check(P, x, samp)
+    nec = fo.necessary_check(PointContext(P, x, samp))
     alpha = [w for _, _, w in nec.multipliers.alpha]
     B = so.hessian_bundle(P, x, nec.multipliers, alpha)
     # constraints are linear, so the bundle equals the objective Hessian
@@ -104,52 +115,64 @@ def test_hessian_vs_fd_random_instances(rng):
 
 def test_second_order_saddle_refuted_along_axis():
     P = _simple('[problem] dim=2\n[scenario] f="x(1)^2 - x(2)^2"\n')
-    nec = fo.necessary_check(P, (0.0, 0.0))
-    rep = so.second_order_necessary(P, (0.0, 0.0), nec)
+    ctx = PointContext(P, (0.0, 0.0))
+    nec = fo.necessary_check(ctx)
+    rep = so.second_order_necessary(ctx, nec)
     assert rep.refuted
     assert abs(rep.witness_direction[1]) == pytest.approx(1.0)
-    srep = so.second_order_sufficient(P, (0.0, 0.0), nec)
+    srep = so.second_order_sufficient(ctx, nec)
     assert not srep.passed
 
 
 def test_failed_sufficient_test_refutes_nothing():
     # 0 is the global minimum of x^4, yet its Hessian vanishes there
     P = _simple('[problem] dim=1\n[scenario] f="x(1)^4"\n')
-    nec = fo.necessary_check(P, (0.0,))
-    rep = so.second_order_sufficient(P, (0.0,), nec)
+    ctx = PointContext(P, (0.0,))
+    nec = fo.necessary_check(ctx)
+    rep = so.second_order_sufficient(ctx, nec)
     assert not rep.passed and not rep.refuted
-    assert not so.second_order_necessary(P, (0.0,), nec).refuted
+    assert not so.second_order_necessary(ctx, nec).refuted
     assert not growth_probe(P, (0.0,), order=1).refuted
 
 
 def test_second_order_bowl_passes():
     P = _simple('[problem] dim=3\n'
                 '[scenario] f="x(1)^2 + x(2)^2 + x(3)^2"\n')
-    nec = fo.necessary_check(P, (0.0, 0.0, 0.0))
-    rep = so.second_order_sufficient(P, (0.0, 0.0, 0.0), nec)
+    ctx = PointContext(P, (0.0, 0.0, 0.0))
+    nec = fo.necessary_check(ctx)
+    rep = so.second_order_sufficient(ctx, nec)
     assert rep.passed and rep.n_directions > 0
-    nrep = so.second_order_necessary(P, (0.0, 0.0, 0.0), nec)
+    nrep = so.second_order_necessary(ctx, nec)
     assert nrep.passed and not nrep.refuted
+
+
+def test_sufficient_form_must_clear_eps_pos():
+    # the form of this flat bowl is positive, but not above eps_pos
+    P = _simple('[problem] dim=2\n[scenario] f="1e-12*(x(1)^2 + x(2)^2)"\n')
+    ctx = PointContext(P, (0.0, 0.0))
+    rep = so.second_order_sufficient(ctx, fo.necessary_check(ctx))
+    assert 0 < rep.worst_value <= P.tolerances.eps_pos
+    assert not rep.passed
 
 
 def test_second_order_bazaraa_trivial_cone():
     P, x, samp = registry.get("bazaraa45")
-    nec = fo.necessary_check(P, x, samp)
-    rep = so.second_order_necessary(P, x, nec, sampling=samp)
+    ctx = PointContext(P, x, samp)
+    rep = so.second_order_necessary(ctx, fo.necessary_check(ctx))
     assert rep.critical_cone_trivial and rep.passed
 
 
 def test_second_order_skipped_on_boundary_of_A():
     P, x, samp = registry.get("madsen")
-    nec = fo.necessary_check(P, x, samp)
-    rep = so.second_order_necessary(P, x, nec, sampling=samp)
+    ctx = PointContext(P, x, samp)
+    rep = so.second_order_necessary(ctx, fo.necessary_check(ctx))
     assert not rep.applicable
 
 
 def test_second_order_conservative_label_with_curved_cones():
     P, x, samp = registry.get("sdp-example")
-    nec = fo.necessary_check(P, x, samp)
-    rep = so.second_order_necessary(P, x, nec, sampling=samp)
+    ctx = PointContext(P, x, samp)
+    rep = so.second_order_necessary(ctx, fo.necessary_check(ctx))
     assert rep.conservative_refutation_only
 
 
@@ -159,8 +182,8 @@ def test_second_order_growth_cross_check():
                 '[scenario] f="x(1)^2 + x(2)^2 + x(1)"\n'
                 '[scenario] f="x(1)^2 + x(2)^2 - x(1)"\n')
     x = (0.0, 0.0)
-    nec = fo.necessary_check(P, x)
-    rep = so.second_order_sufficient(P, x, nec)
+    ctx = PointContext(P, x)
+    rep = so.second_order_sufficient(ctx, fo.necessary_check(ctx))
     assert rep.passed
     probe = growth_probe(P, x, order=2, n_samples=3000, radius=0.05)
     assert not probe.refuted
@@ -171,11 +194,13 @@ def test_scaling_invariance_of_verdicts():
     base = ('[problem] dim=2\n'
             '[scenario] f="{s}*(x(1)^2 - x(2)^2)"\n')
     verdicts = []
-    for s in ("0.5", "1.0", "2.0"):
+    # 1e-6 keeps the saddle's form above the refutation bound EPS_CRIT
+    for s in ("1e-6", "0.5", "1.0", "2.0"):
         P = _simple(base.format(s=s))
-        nec = fo.necessary_check(P, (0.0, 0.0))
-        rep = so.second_order_necessary(P, (0.0, 0.0), nec)
-        srep = so.second_order_sufficient(P, (0.0, 0.0), nec)
+        ctx = PointContext(P, (0.0, 0.0))
+        nec = fo.necessary_check(ctx)
+        rep = so.second_order_necessary(ctx, nec)
+        srep = so.second_order_sufficient(ctx, nec)
         verdicts.append((rep.refuted, rep.passed, srep.passed))
     assert len(set(verdicts)) == 1
 
@@ -185,34 +210,26 @@ def test_quadratic_growth_with_constraints():
     P = _simple('[problem] dim=2\n'
                 '[scenario] f="x(1)^2 + x(2)^2"\n'
                 '[nlp_ineq] g="-x(1) - 1"\n')
-    nec = fo.necessary_check(P, (0.0, 0.0))
-    rep = so.second_order_sufficient(P, (0.0, 0.0), nec)
+    ctx = PointContext(P, (0.0, 0.0))
+    rep = so.second_order_sufficient(ctx, fo.necessary_check(ctx))
     assert rep.passed
 
 
 def test_critical_cone_sample_invariants():
-    from conecert.geometry import tangent_membership
     P = _simple('[problem] dim=2\n[scenario] f="x(1)^2 + x(2)^2"\n'
                 '[nlp_ineq] g="-x(1) - 1"\n')
-    x = (0.0, 0.0)
-    nec = fo.necessary_check(P, x)
-    sample = so.critical_cone_sample(P, x, nec, n_dirs=128)
-    assert sample.directions
+    ctx = PointContext(P, (0.0, 0.0))
+    nec = fo.necessary_check(ctx)
+    directions = so._critical_directions(ctx, nec.generators)
+    assert directions
     gens = nec.generators.grads_F
-    for h in sample.directions:
+    # a fresh tester, so the check does not rest on the one that screened
+    tester = TangentTester(P, ctx.x, ctx.act, ctx.generators)
+    assert tester.accepted(np.array(directions)).all()
+    for h in directions:
         assert np.linalg.norm(h) == pytest.approx(1.0, abs=1e-9)
-        assert tangent_membership(P, x, h).overall
         slope = max(float(np.dot(g, h)) for g in gens)
-        assert abs(slope) <= sample.eps_crit
-
-
-def test_dd_empty_set_raises():
-    P = _simple('[problem] dim=1\n[scenario] f="x(1)^2"\n')
-    bogus = fo.MultiplierWitness(alpha=[(1, 1, 1.0)], nlp_ineq={}, nlp_eq={},
-                                 soc={}, sdp={}, semi_infinite={}, nA=[])
-    # evaluating away from the stationary point leaves no valid weights
-    with pytest.raises(so.EmptySet):
-        so.dd_multipliers(P, (1.0,), bogus)
+        assert abs(slope) <= so.EPS_CRIT
 
 
 def _reference_vertices(Aeq, beq, n):
@@ -304,14 +321,17 @@ def test_polytope_vertices_budget_counts_every_support():
 def test_vertex_budget_out_draws_no_refutation(monkeypatch):
     from functools import partial
     P = _simple('[problem] dim=2\n[scenario] f="x(1)^2 - x(2)^2"\n')
-    nec = fo.necessary_check(P, (0.0, 0.0))
-    assert so.second_order_necessary(P, (0.0, 0.0), nec).refuted
+    ctx = PointContext(P, (0.0, 0.0))
+    assert so.second_order_necessary(ctx, fo.necessary_check(ctx)).refuted
     monkeypatch.setattr(so, "_polytope_vertices",
                         partial(so._polytope_vertices, budget=0))
-    verts = so.multiplier_vertices(P, (0.0, 0.0), nec)
+    # a new context: the first one holds the full enumeration
+    ctx = PointContext(P, (0.0, 0.0))
+    nec = fo.necessary_check(ctx)
+    verts = so.multiplier_vertices(ctx, nec)
     assert verts.budget_exceeded and not verts.exhaustive
     assert [w for w, _, _ in verts.pairs] == [nec.multipliers]
     for test in (so.second_order_necessary, so.second_order_sufficient):
-        rep = test(P, (0.0, 0.0), nec)
+        rep = test(ctx, nec)
         assert not rep.refuted and not rep.multiplier_set_exhaustive
         assert sum("ran out of its budget" in note for note in rep.notes) == 1

@@ -1,12 +1,12 @@
 """The stacked sample screens against frozen copies of the one-sample loops
 they replaced.  The growth probe, the sampled slope of the sufficient
-check, the critical-direction screen, the tangent tester's report and
-check_feasible must give the same results bit for bit: the same samples,
-in the same order, with the same floats."""
+check, the critical-direction screen, the tangent tester's per-block
+screen and check_feasible must give the same results bit for bit: the
+same samples, in the same order, with the same floats."""
 
 import math
 import struct
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -109,16 +109,16 @@ class _RefTester:
         self._A_rows = G.nA
 
     def report(self, h):
+        """Per block, whether h passes the block's test, and whether h
+        passes the polyhedral set's."""
         h = np.asarray(h, dtype=float)
-        blocks = [(pos, kind, test(h, self.eps))
-                  for pos, kind, test in self._blocks]
+        blocks = [test(h, self.eps) for _, _, test in self._blocks]
         in_A = all(float(r @ h) <= self.eps for r in self._A_rows)
-        overall = in_A and all(ok for _, _, ok in blocks)
-        return geo.TangentReport(overall=overall, blocks=blocks,
-                                 in_tangent_A=in_A)
+        return blocks, in_A
 
     def accepts(self, h):
-        return self.report(h).overall
+        blocks, in_A = self.report(h)
+        return in_A and all(blocks)
 
 
 def _ref_directional_derivative(grads, h):
@@ -437,18 +437,20 @@ def _critical_cases():
                geo.SamplingSpec(soc_dirs=dirs, sdp_dirs=dirs))
 
 
-def test_critical_directions_match_the_loop():
+def test_critical_directions_match_the_loop(monkeypatch):
     kept = 0
     for name, P, x, sampling in _critical_cases():
         if not pb.check_feasible(P, x).feasible:
             continue
-        ctx = geo.PointContext(P, x, sampling)
-        for G in (ctx.generators, ctx.squared) if P.kind == "chebyshev" \
-                else (ctx.generators,):
-            for seed, eps_crit in ((0, 1e-8), (3, 0.5)):
-                got = so._critical_directions(ctx, G, 512, seed, eps_crit)
-                ref = _ref_critical_directions(_ref_tester(ctx), P.d, G, 512,
-                                               seed, eps_crit)
+        for seed, eps_crit in ((0, 1e-8), (3, 0.5)):
+            monkeypatch.setattr(so, "EPS_CRIT", eps_crit)
+            ctx = geo.PointContext(P, x, replace(sampling, seed=seed))
+            for G in (ctx.generators, ctx.squared) \
+                    if P.kind == "chebyshev" else (ctx.generators,):
+                got = so._critical_directions(ctx, G)
+                ref = _ref_critical_directions(_ref_tester(ctx), P.d, G,
+                                               so.N_CRITICAL_DIRS, seed,
+                                               eps_crit)
                 _assert_same(got, ref, name)
                 kept += len(got)
     assert kept > 500
@@ -466,8 +468,11 @@ def test_tangent_report_matches_the_loop(rng):
         H[3::4] /= np.linalg.norm(H[3::4], axis=1, keepdims=True) + 1.0
         expected = [ref.accepts(h) for h in H]
         assert ctx.tester.accepted(H).tolist() == expected, name
-        for h in H:
-            _assert_same(ctx.tester.report(h), ref.report(h), name)
+        blocks, in_A = ctx.tester.screen(H)
+        for i, h in enumerate(H):
+            ref_blocks, ref_in_A = ref.report(h)
+            _assert_same([ok[i] for ok in blocks], ref_blocks, name)
+            _assert_same(in_A[i], ref_in_A, name)
             assert ctx.tester.accepted(h[None])[0] == ref.accepts(h)
 
 
