@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -32,18 +34,14 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _tolerances_from(args) -> ToleranceSet:
-    return ToleranceSet(
-        eps_active=args.eps_active, eps_rank=args.eps_rank,
-        eps_det=args.eps_det, eps_feas=args.eps_feas, eps_pos=args.eps_pos)
+    return ToleranceSet(**{f.name: getattr(args, f.name)
+                           for f in fields(ToleranceSet)})
 
 
 def _add_tolerance_flags(p):
-    tol = ToleranceSet()
-    p.add_argument("--eps-active", type=float, default=tol.eps_active)
-    p.add_argument("--eps-rank", type=float, default=tol.eps_rank)
-    p.add_argument("--eps-det", type=float, default=tol.eps_det)
-    p.add_argument("--eps-feas", type=float, default=tol.eps_feas)
-    p.add_argument("--eps-pos", type=float, default=tol.eps_pos)
+    for f in fields(ToleranceSet):
+        p.add_argument("--" + f.name.replace("_", "-"), type=float,
+                       default=f.default)
 
 
 def _parse_point(text: str) -> tuple:
@@ -155,6 +153,9 @@ def _print_human(report):
 
 
 def cmd_check(args) -> int:
+    if args.penalty is not None and not 0.0 <= args.penalty < math.inf:
+        raise SystemExit(f"error: --penalty must be a finite number >= 0, "
+                         f"got {args.penalty}")
     problem, x, sampling = _load(args)
     report = {
         "schema": SCHEMA_VERSION,
@@ -164,13 +165,7 @@ def cmd_check(args) -> int:
         "seed": args.seed,
         "sampling": {"soc_dirs": sampling.soc_dirs,
                      "sdp_dirs": sampling.sdp_dirs, "seed": sampling.seed},
-        "tolerances": {
-            "eps_active": problem.tolerances.eps_active,
-            "eps_rank": problem.tolerances.eps_rank,
-            "eps_det": problem.tolerances.eps_det,
-            "eps_feas": problem.tolerances.eps_feas,
-            "eps_pos": problem.tolerances.eps_pos,
-        },
+        "tolerances": asdict(problem.tolerances),
         # regularity of the constraint system is never verified here, so
         # every converse direction that needs it stays conditional
         "flags": {

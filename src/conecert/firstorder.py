@@ -10,7 +10,7 @@ failed search is reported as sampling-limited rather than as a refutation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations, islice
 
 import numpy as np
@@ -21,8 +21,8 @@ from .geometry import GeneratorSet, PointContext, Provenance, block_distances
 from .linkernel import (SCREEN_CHUNK, det, lp_chebyshev_center,
                         lp_membership, rank, simplex_checked,
                         solve_positive_combination, stacked_rank)
-from .problem import (NlpIneq, Problem, SemiInfinite, activity,
-                      evaluate_objective)
+from .problem import (BLOCK_CLASSES, NlpIneq, Problem, SemiInfinite,
+                      activity, evaluate_objective)
 
 __all__ = [
     "Cadre", "AlternanceFailure", "Zbasis", "MultiplierWitness",
@@ -379,73 +379,50 @@ def _rank_screen(stacked, chunk, p):
 class MultiplierWitness:
     """Structured dual data reassembled from membership-LP weights.
 
-    The block duals sit in one table per block kind, named after the
-    kind and keyed by block position."""
+    ``duals`` maps a block's position to the block and its dual, whose
+    form the block defines (see ``problem``)."""
 
     alpha: list                  # (scenario_index, sign, weight)
-    nlp_ineq: dict               # block -> {constraint: weight}
-    nlp_eq: dict                 # block -> {equality: signed weight}
-    soc: dict                    # block -> dual vector (length l+1)
-    sdp: dict                    # block -> dual matrix (l x l, PSD)
-    semi_infinite: dict          # block -> {grid_index: weight}
-    nA: list                     # (provenance, weight)
+    duals: dict = field(default_factory=dict)   # position -> (block, dual)
+    nA: list = field(default_factory=list)      # (provenance, weight)
     stationarity_residual: float = math.nan
 
-    def block_duals(self, P: Problem):
+    def block_duals(self):
         """(position, block, dual) for each block this witness has a dual
         for, in block order."""
-        for pos, blk in enumerate(P.blocks):
-            dual = getattr(self, blk.kind).get(pos)
-            if dual is not None:
-                yield pos, blk, dual
+        for pos in sorted(self.duals):
+            yield (pos, *self.duals[pos])
 
     def cone_gradient(self, P: Problem, x) -> np.ndarray:
         """Gradient of the dual pairing: sum over blocks of
         <dual, G_block(x)>."""
         total = np.zeros(P.d)
-        for _, blk, dual in self.block_duals(P):
+        for _, blk, dual in self.block_duals():
             total = total + blk.dual_gradient(x, dual)
         return total
 
     def lambda_l1(self) -> float:
         """l1 size of the cone-constraint dual (used as a penalty threshold)."""
-        total = 0.0
-        for table in self.nlp_ineq.values():
-            total += sum(abs(w) for w in table.values())
-        for table in self.nlp_eq.values():
-            total += sum(abs(w) for w in table.values())
-        for vec in self.soc.values():
-            total += float(np.linalg.norm(vec))
-        for M in self.sdp.values():
-            total += float(np.linalg.norm(M, "fro"))
-        for table in self.semi_infinite.values():
-            total += sum(abs(w) for w in table.values())
-        return total
+        return sum((blk.dual_size(dual)
+                    for _, blk, dual in self.block_duals()), 0.0)
 
     def to_json(self):
-        return {
-            "alpha": [{"scenario": s, "sign": sg, "weight": w}
-                      for s, sg, w in self.alpha],
-            "nlp_ineq": {str(b): {str(i): w for i, w in t.items()}
-                         for b, t in self.nlp_ineq.items()},
-            "nlp_eq": {str(b): {str(i): w for i, w in t.items()}
-                       for b, t in self.nlp_eq.items()},
-            "soc": {str(b): list(map(float, v)) for b, v in self.soc.items()},
-            "sdp": {str(b): [list(map(float, row)) for row in M]
-                    for b, M in self.sdp.items()},
-            "semi_infinite": {str(b): {str(i): w for i, w in t.items()}
-                              for b, t in self.semi_infinite.items()},
-            "nA": [{"prov": pr.to_json(), "weight": w} for pr, w in self.nA],
-            "stationarity_residual": self.stationarity_residual,
-        }
+        out = {"alpha": [{"scenario": s, "sign": sg, "weight": w}
+                         for s, sg, w in self.alpha]}
+        # one table per block kind, each keyed by block position
+        for cls in BLOCK_CLASSES:
+            out[cls.kind] = {str(b): blk.dual_to_json(dual)
+                             for b, (blk, dual) in self.duals.items()
+                             if blk.kind == cls.kind}
+        out["nA"] = [{"prov": pr.to_json(), "weight": w} for pr, w in self.nA]
+        out["stationarity_residual"] = self.stationarity_residual
+        return out
 
 
 def _assemble_witness(ctx: PointContext, G: GeneratorSet,
                       lam, mu) -> MultiplierWitness:
-    w = MultiplierWitness(
-        alpha=[(pr.index, pr.sign, float(l))
-               for pr, l in zip(G.grads_prov, lam) if l > 0],
-        nlp_ineq={}, nlp_eq={}, soc={}, sdp={}, semi_infinite={}, nA=[])
+    w = MultiplierWitness(alpha=[(pr.index, pr.sign, float(l))
+                                 for pr, l in zip(G.grads_prov, lam) if l > 0])
     n_eta = len(G.eta)
     for k, weight in enumerate(mu):
         if weight <= 0:
@@ -454,9 +431,9 @@ def _assemble_witness(ctx: PointContext, G: GeneratorSet,
         if k < n_eta:
             pr = G.eta_prov[k]
             blk = ctx.problem.blocks[pr.block]
-            table = getattr(w, blk.kind)
-            table[pr.block] = blk.add_dual(table.get(pr.block), pr,
-                                           weight * G.eta_dual[k])
+            _, dual = w.duals.get(pr.block, (blk, None))
+            w.duals[pr.block] = (blk, blk.add_dual(dual, pr,
+                                                   weight * G.eta_dual[k]))
         else:
             w.nA.append((G.nA_prov[k - n_eta], weight))
     return w
@@ -485,25 +462,23 @@ def _witness_residual(P: Problem, x, w: MultiplierWitness,
     return float(np.linalg.norm(total))
 
 
-def witness_from_json(data) -> MultiplierWitness:
-    """Rebuild a multiplier witness from its JSON form."""
+def witness_from_json(P: Problem, data) -> MultiplierWitness:
+    """Rebuild a multiplier witness of the problem P from its JSON form."""
     def _prov(d):
         return Provenance(kind=d["kind"], block=d.get("block"),
                           index=d.get("index"), sign=d.get("sign", 1),
                           detail=tuple(d.get("detail", ())))
+    duals = {}
+    for cls in BLOCK_CLASSES:
+        for b, dual in data[cls.kind].items():
+            blk = P.blocks[int(b)]
+            if blk.kind != cls.kind:
+                raise ValueError(f"block {b} is {blk.kind}, not {cls.kind}")
+            duals[int(b)] = (blk, blk.dual_from_json(dual))
     return MultiplierWitness(
         alpha=[(rec["scenario"], rec["sign"], rec["weight"])
                for rec in data["alpha"]],
-        nlp_ineq={int(b): {int(i): w for i, w in t.items()}
-                  for b, t in data["nlp_ineq"].items()},
-        nlp_eq={int(b): {int(i): w for i, w in t.items()}
-                for b, t in data["nlp_eq"].items()},
-        soc={int(b): np.asarray(v, dtype=float)
-             for b, v in data["soc"].items()},
-        sdp={int(b): np.asarray(M, dtype=float)
-             for b, M in data["sdp"].items()},
-        semi_infinite={int(b): {int(i): w for i, w in t.items()}
-                       for b, t in data["semi_infinite"].items()},
+        duals=duals,
         nA=[(_prov(rec["prov"]), rec["weight"]) for rec in data["nA"]],
         stationarity_residual=data.get("stationarity_residual", math.nan))
 
@@ -540,7 +515,7 @@ def reverify_report(P: Problem, report: dict, eps: float = 1e-8) -> dict:
         out["checks"].append({"what": "sufficient.complete_alternance",
                               "ok": ok, "residual": resid})
     if nec.get("multipliers"):
-        w = witness_from_json(nec["multipliers"])
+        w = witness_from_json(P, nec["multipliers"])
         resid = _witness_residual(P, x, w)
         out["checks"].append({"what": "necessary.multipliers",
                               "ok": resid <= 1e-7, "residual": resid})

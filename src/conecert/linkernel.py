@@ -8,7 +8,7 @@ instances and produces the same answer on every run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -289,7 +289,6 @@ class InteriorReport:
 
     feasible: bool
     margin: float  # may be math.inf
-    directions: list = field(default_factory=list)  # (direction, margin)
 
 
 def lp_chebyshev_center(hull, cone=(), d: int | None = None) -> InteriorReport:
@@ -305,13 +304,10 @@ def lp_chebyshev_center(hull, cone=(), d: int | None = None) -> InteriorReport:
         dirs.append(e)
         dirs.append(-e)
     dirs.append(-np.ones(d) / math.sqrt(d))
-    margins = []
     overall = math.inf
     for u in dirs:
         r = lp_direction_margin(u, hull, cone)
         if r is None:
-            return InteriorReport(feasible=False, margin=0.0,
-                                  directions=[(u.tolist(), None)])
-        margins.append((u.tolist(), r))
+            return InteriorReport(feasible=False, margin=0.0)
         overall = min(overall, r)
-    return InteriorReport(feasible=True, margin=overall, directions=margins)
+    return InteriorReport(feasible=True, margin=overall)

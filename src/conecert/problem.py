@@ -30,12 +30,17 @@ other module branches on the kind:
   generator's dual to the block's multiplier;
 - ``dual_gradient(x, dual)`` and ``dual_hessian(x, dual)``: first and
   second derivatives of the pairing <dual, G_block(x)>;
-- ``to_text()``: the block's section of the problem file format.
+- ``dual_size(dual)``, ``dual_to_json(dual)`` and ``dual_from_json(data)``:
+  the size of a multiplier (summed into its l1 size) and its JSON form;
+- ``from_section(pairs, d, line)`` and ``to_text(d)``: the block read
+  from and printed as its section of the problem file format (d is the
+  problem dimension).
 
-Two class attributes complete the protocol: ``polyhedral`` (the normal
-cone is finitely generated, so no curvature term arises) and ``separable``
-(the block distance sums over scalar constraints, so each is its own
-penalty group).
+Class attributes complete the protocol: ``kind`` (the block's name in
+reports), ``section`` (its section name in problem files), ``polyhedral``
+(the normal cone is finitely generated, so no curvature term arises) and
+``separable`` (the block distance sums over scalar constraints, so each is
+its own penalty group).
 
 Scenarios are held in families (``expr.Family``), one per expression
 shape.  A discretised Chebyshev fit has thousands of scenarios that differ
@@ -50,8 +55,9 @@ trees puts each tree in a family of its own.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -62,7 +68,8 @@ from .cones import (KeptRows, Provenance, axis_directions, builtin_max,
 
 __all__ = [
     "ToleranceSet", "PolyhedralSet", "NlpIneq", "NlpEq", "Soc", "Sdp",
-    "SemiInfinite", "Problem", "ActiveScenario", "BlockActivity", "ActiveSets",
+    "SemiInfinite", "BLOCK_CLASSES", "Problem", "ActiveScenario",
+    "BlockActivity", "ActiveSets",
     "FeasibilityReport", "ProblemFormatError",
     "evaluate_objective", "objective_values", "activity", "check_feasible",
     "feasibility",
@@ -80,9 +87,9 @@ class ToleranceSet:
     eps_pos: float = 1e-8
 
     def __post_init__(self):
-        for name in ("eps_active", "eps_rank", "eps_det", "eps_feas", "eps_pos"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -176,9 +183,9 @@ class _Block:
 
 
 class _ScalarBlock(_Block):
-    """Blocks of scalar constraints; a dual is an {index: weight} table.
-    Subclasses give ``_dual2(x, i)``, the value, gradient and Hessian of
-    constraint i in x."""
+    """Blocks of scalar constraints; a dual is an {index: weight} table,
+    measured by its absolute sum.  Subclasses give ``_dual2(x, i)``, the
+    value, gradient and Hessian of constraint i in x."""
 
     polyhedral = True
 
@@ -203,24 +210,68 @@ class _ScalarBlock(_Block):
             total = total + weight * self._dual2(x, i).hess
         return total
 
+    def dual_size(self, dual) -> float:
+        return sum(abs(w) for w in dual.values())
+
+    def dual_to_json(self, dual):
+        return {str(i): w for i, w in dual.items()}
+
+    def dual_from_json(self, data):
+        return {int(i): w for i, w in data.items()}
+
 
 class _ConeBlock(_Block):
-    """Blocks whose value must lie in a curved cone; a dual is an array."""
+    """Blocks whose value must lie in a curved cone; a dual is an array,
+    measured by its (Frobenius) norm."""
 
     polyhedral = False
 
     def add_dual(self, dual, prov, amount):
         return (0.0 if dual is None else dual) + amount
 
+    def dual_size(self, dual) -> float:
+        return float(np.linalg.norm(dual))
 
-@dataclass(frozen=True)
-class NlpIneq(_ScalarBlock):
-    g: tuple  # expressions g_i(x) <= 0
-    kind: str = "nlp_ineq"
+    def dual_to_json(self, dual):
+        return dual.tolist()
+
+    def dual_from_json(self, data):
+        return np.asarray(data, dtype=float)
+
+
+class _NlpBlock(_ScalarBlock):
+    """Expressions in x, one per constraint, each given as ``key="..."`` in
+    the block's section: NlpIneq (g_i(x) <= 0) and NlpEq (b_j(x) = 0)."""
+
     separable = True
 
+    @property
+    def exprs(self) -> tuple:
+        return getattr(self, self.key)
+
     def _dual2(self, x, i):
-        return ex.eval2(self.g[i], x)
+        return ex.eval2(self.exprs[i], x)
+
+    @classmethod
+    def from_section(cls, pairs, d, line):
+        texts = [v for k, v, _ in pairs if k == cls.key]
+        if not texts or len(texts) != len(pairs):
+            raise ProblemFormatError(
+                f"{cls.section} takes only {cls.key}=... entries",
+                cls.section, line)
+        return cls(tuple(_parse_expr(t, d, cls.section, line)
+                         for t in texts))
+
+    def to_text(self, d):
+        return f"[{self.section}] " + " ".join(
+            f'{self.key}="{ex.to_string(e)}"' for e in self.exprs)
+
+
+@dataclass(frozen=True)
+class NlpIneq(_NlpBlock):
+    g: tuple  # expressions g_i(x) <= 0
+    kind = section = "nlp_ineq"
+    key = "g"
 
     def activity(self, x, tol, position):
         vals = [ex.eval_value(g, x) for g in self.g]
@@ -239,19 +290,12 @@ class NlpIneq(_ScalarBlock):
         return [(self._grad(x, i), Provenance("nlp_ineq", state.position, i),
                  1.0) for i in state.active]
 
-    def to_text(self):
-        return "[nlp_ineq] " + " ".join(
-            f'g="{ex.to_string(g)}"' for g in self.g)
-
 
 @dataclass(frozen=True)
-class NlpEq(_ScalarBlock):
+class NlpEq(_NlpBlock):
     b: tuple  # expressions b_j(x) = 0
-    kind: str = "nlp_eq"
-    separable = True
-
-    def _dual2(self, x, j):
-        return ex.eval2(self.b[j], x)
+    kind = section = "nlp_eq"
+    key = "b"
 
     def activity(self, x, tol, position):
         return BlockActivity(position, self.kind,
@@ -274,15 +318,11 @@ class NlpEq(_ScalarBlock):
                                           sign=-1), -1.0))
         return out
 
-    def to_text(self):
-        return "[nlp_eq] " + " ".join(
-            f'b="{ex.to_string(b)}"' for b in self.b)
-
 
 @dataclass(frozen=True)
 class Soc(_ConeBlock):
     g: tuple  # l+1 expressions; (g[0], g[1:]) must lie in the second-order cone
-    kind: str = "soc"
+    kind = section = "soc"
 
     @property
     def l(self) -> int:
@@ -371,7 +411,23 @@ class Soc(_ConeBlock):
                 total = total + lam * ex.eval2(g, x).hess
         return total
 
-    def to_text(self):
+    @classmethod
+    def from_section(cls, pairs, d, line):
+        name, comps = cls.section, {}
+        for k, v, ln in pairs:
+            if not (k.startswith("g") and k[1:].isdigit()):
+                raise ProblemFormatError(f"unknown key {k!r}", name, ln)
+            comps[int(k[1:])] = (v, ln)
+        if not comps or sorted(comps) != list(range(1, len(comps) + 1)):
+            raise ProblemFormatError("soc needs g1..gk consecutively",
+                                     name, line)
+        if len(comps) < 2:
+            raise ProblemFormatError("soc needs at least g1 and g2",
+                                     name, line)
+        return cls(tuple(_parse_expr(comps[i][0], d, name, comps[i][1])
+                         for i in range(1, len(comps) + 1)))
+
+    def to_text(self, d):
         return "[soc] " + " ".join(
             f'g{i + 1}="{ex.to_string(g)}"' for i, g in enumerate(self.g))
 
@@ -379,7 +435,7 @@ class Soc(_ConeBlock):
 @dataclass(frozen=True)
 class Sdp(_ConeBlock):
     G0: tuple  # l rows of l expressions, symmetric; G0(x) must be neg. semidefinite
-    kind: str = "sdp"
+    kind = section = "sdp"
 
     @property
     def size(self) -> int:
@@ -447,7 +503,38 @@ class Sdp(_ConeBlock):
                     total = total + w * ex.eval2(self.G0[i][j], x).hess
         return total
 
-    def to_text(self):
+    @classmethod
+    def from_section(cls, pairs, d, line):
+        name, size, entries = cls.section, None, {}
+        for k, v, ln in pairs:
+            if k == "size":
+                size = int(_parse_number(v, name, ln))
+            elif k.startswith("entry(") and k.endswith(")"):
+                try:
+                    i_s, j_s = k[6:-1].split(",")
+                    entries[(int(i_s), int(j_s))] = (v, ln)
+                except ValueError:
+                    raise ProblemFormatError(f"bad entry key {k!r}", name, ln)
+            else:
+                raise ProblemFormatError(f"unknown key {k!r}", name, ln)
+        if size is None or size < 1:
+            raise ProblemFormatError("sdp needs size=l", name, line)
+        rows = [[None] * size for _ in range(size)]
+        for (i, j), (v, ln) in entries.items():
+            if not (1 <= i <= size and 1 <= j <= size):
+                raise ProblemFormatError(f"entry({i},{j}) outside matrix",
+                                         name, ln)
+            node = _parse_expr(v, d, name, ln)
+            rows[i - 1][j - 1] = node
+            rows[j - 1][i - 1] = node
+        for i in range(size):
+            for j in range(i, size):
+                if rows[i][j] is None:
+                    raise ProblemFormatError(
+                        f"missing entry({i + 1},{j + 1})", name, line)
+        return cls(tuple(tuple(r) for r in rows))
+
+    def to_text(self, d):
         parts = [f"size={self.size}"]
         for i in range(self.size):
             for j in range(i, self.size):
@@ -460,7 +547,8 @@ class Sdp(_ConeBlock):
 class SemiInfinite(_ScalarBlock):
     g: ex.Expression  # in x(1..d) and the parameter t = x(d+1)
     grid: tuple       # sorted, duplicate-free points of the compact index set
-    kind: str = "semi_infinite"
+    kind = "semi_infinite"
+    section = "semiinf"
 
     def __post_init__(self):
         if not self.grid:
@@ -510,10 +598,46 @@ class SemiInfinite(_ScalarBlock):
                             detail=(float(self.grid[j]),)), 1.0)
                 for j in state.active]
 
-    def to_text(self):
+    @classmethod
+    def from_section(cls, pairs, d, line):
+        name, g_txt, grid_txt = cls.section, None, None
+        for k, v, ln in pairs:
+            if k == "g":
+                g_txt = (v, ln)
+            elif k == "grid":
+                grid_txt = (v, ln)
+            else:
+                raise ProblemFormatError(f"unknown key {k!r}", name, ln)
+        if g_txt is None or grid_txt is None:
+            raise ProblemFormatError("semiinf needs g=... and grid=a:b:n",
+                                     name, line)
+        parts, ln = grid_txt[0].split(":"), grid_txt[1]
+        if len(parts) != 3:
+            raise ProblemFormatError("grid must be a:b:n", name, ln)
+        a = _parse_number(parts[0], name, ln)
+        b = _parse_number(parts[1], name, ln)
+        n = int(_parse_number(parts[2], name, ln))
+        if n < 1 or (n == 1 and a != b) or b < a:
+            raise ProblemFormatError("grid must satisfy a <= b, n >= 1",
+                                     name, ln)
+        grid = tuple(np.linspace(a, b, n).tolist())
+        g = _parse_expr(g_txt[0], d, name, g_txt[1], params=("t",))
+        try:
+            return cls(g, grid)
+        except ValueError as err:
+            raise ProblemFormatError(str(err), name, ln)
+
+    def to_text(self, d):
         a, b = self.grid[0], self.grid[-1]
-        return (f'[semiinf] g="{ex.to_string(self.g)}" '
+        # the parameter x(d+1) prints as the t it is read as
+        g = ex.to_string(self.g).replace(f"x({d + 1})", "t")
+        return (f'[semiinf] g="{g}" '
                 f'grid={_fmt_num(a)}:{_fmt_num(b)}:{len(self.grid)}')
+
+
+# the block classes, in the order of their multiplier tables in a report
+BLOCK_CLASSES = (NlpIneq, NlpEq, Soc, Sdp, SemiInfinite)
+_SECTION_BLOCKS = {cls.section: cls for cls in BLOCK_CLASSES}
 
 
 class _Scenarios(Sequence):
@@ -769,35 +893,24 @@ class ProblemFormatError(Exception):
         super().__init__(f"{message}{where}")
 
 
+# one key=value pair after optional whitespace: a key of alphanumerics and
+# "_(),", then a quoted value (group 3 is None when the quote never closes)
+# or a bare one; group 5 is the rest of the text when no pair starts there
+_KV = re.compile(r'\s*(?:([\w(),]+)=(?:"([^"]*)(")?|(\S*))|(\S.*))', re.S)
+
+
 def _split_kv(text: str, section: str, line: int):
     """Split 'key=value key2="quoted value"' pairs."""
     pairs = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and (text[j].isalnum() or text[j] in "_()," ):
-            j += 1
-        key = text[i:j]
-        if not key or j >= n or text[j] != "=":
-            raise ProblemFormatError(f"expected key=value, got {text[i:]!r}",
+    for m in _KV.finditer(text):
+        key, quoted, closed, bare, rest = m.groups()
+        if rest is not None:
+            raise ProblemFormatError(f"expected key=value, got {rest!r}",
                                      section, line)
-        j += 1
-        if j < n and text[j] == '"':
-            k = text.find('"', j + 1)
-            if k < 0:
-                raise ProblemFormatError("unterminated quoted value", section, line)
-            value = text[j + 1:k]
-            i = k + 1
-        else:
-            k = j
-            while k < n and not text[k].isspace():
-                k += 1
-            value = text[j:k]
-            i = k
-        pairs.append((key, value, line))
+        if quoted is not None and closed is None:
+            raise ProblemFormatError("unterminated quoted value",
+                                     section, line)
+        pairs.append((key, bare if quoted is None else quoted, line))
     return pairs
 
 
@@ -863,23 +976,27 @@ def _scenario_entry(sec):
     return f_txt, target
 
 
-def _scenario_families(sections, d):
-    """The scenario texts parsed into families, or None when one of them
-    does not parse.  A malformed [scenario] section ends the texts: the
-    section loop raises its error, or an earlier one, before any family is
-    used.  The loop also re-parses every text when this returns None, so
-    every error keeps its place in file order."""
-    texts = []
-    for sec in sections[1:]:
-        if sec["name"] == "scenario":
-            try:
-                texts.append(_scenario_entry(sec)[0][0])
-            except ProblemFormatError:
-                break
-    try:
-        return ex.parse_families(texts, d)
-    except ex.ExprError:
-        return None
+def _read_set(pairs, d, bounds, eq_rows, eq_rhs):
+    """Read a [set] section into the bound vectors and equality rows."""
+    name = "set"
+    for k, v, ln in pairs:
+        if k in bounds:
+            vals = [_parse_number(s, name, ln) for s in v.split(",")]
+            if len(vals) != d:
+                raise ProblemFormatError(
+                    f"{k} needs {d} comma-separated values", name, ln)
+            bounds[k] = vals
+        elif k == "eq":
+            if "=" not in v:
+                raise ProblemFormatError("eq must look like "
+                                         "\"<expr> = <number>\"", name, ln)
+            lhs_txt, rhs_txt = v.rsplit("=", 1)
+            rhs = _parse_number(rhs_txt, name, ln)
+            node = _parse_expr(lhs_txt, d, name, ln)
+            eq_rows.append(tuple(_linear_row(node, d, name, ln)))
+            eq_rhs.append(rhs)
+        else:
+            raise ProblemFormatError(f"unknown key {k!r}", name, ln)
 
 
 def load_problem_text(text: str, source: str = "<memory>",
@@ -895,133 +1012,33 @@ def load_problem_text(text: str, source: str = "<memory>",
     d = int(_parse_number(dim_value, "problem", dim_line))
     kind = head.get("kind", ("minimax", 0))[0]
 
-    families = _scenario_families(sections, d)
+    texts = []   # (scenario text, its line)
     psi = []
     blocks = []
-    lb = [-math.inf] * d
-    ub = [math.inf] * d
+    bounds = {"lb": [-math.inf] * d, "ub": [math.inf] * d}
     eq_rows, eq_rhs = [], []
-
-    for sec in sections[1:]:
-        name, line, pairs = sec["name"], sec["line"], sec["pairs"]
-        if name == "scenario":
-            (f_txt, f_line), target = _scenario_entry(sec)
-            if families is None:
-                # some scenario text is bad: raise its error in file order
-                _parse_expr(f_txt, d, name, f_line)
-            psi.append(target)
-        elif name == "nlp_ineq":
-            gs = [v for k, v, ln in pairs if k == "g"]
-            if not gs or len(gs) != len(pairs):
-                raise ProblemFormatError("nlp_ineq takes only g=... entries",
+    try:
+        for sec in sections[1:]:
+            name, line, pairs = sec["name"], sec["line"], sec["pairs"]
+            if name == "scenario":
+                f_txt, target = _scenario_entry(sec)
+                texts.append(f_txt)
+                psi.append(target)
+            elif name == "set":
+                _read_set(pairs, d, bounds, eq_rows, eq_rhs)
+            elif name in _SECTION_BLOCKS:
+                blocks.append(
+                    _SECTION_BLOCKS[name].from_section(pairs, d, line))
+            else:
+                raise ProblemFormatError(f"unknown section [{name}]",
                                          name, line)
-            blocks.append(NlpIneq(tuple(_parse_expr(g, d, name, line)
-                                        for g in gs)))
-        elif name == "nlp_eq":
-            bs = [v for k, v, ln in pairs if k == "b"]
-            if not bs or len(bs) != len(pairs):
-                raise ProblemFormatError("nlp_eq takes only b=... entries",
-                                         name, line)
-            blocks.append(NlpEq(tuple(_parse_expr(b, d, name, line)
-                                      for b in bs)))
-        elif name == "soc":
-            comps = {}
-            for k, v, ln in pairs:
-                if not (k.startswith("g") and k[1:].isdigit()):
-                    raise ProblemFormatError(f"unknown key {k!r}", name, ln)
-                comps[int(k[1:])] = (v, ln)
-            if not comps or sorted(comps) != list(range(1, len(comps) + 1)):
-                raise ProblemFormatError("soc needs g1..gk consecutively",
-                                         name, line)
-            if len(comps) < 2:
-                raise ProblemFormatError("soc needs at least g1 and g2",
-                                         name, line)
-            gs = tuple(_parse_expr(comps[i][0], d, name, comps[i][1])
-                       for i in range(1, len(comps) + 1))
-            blocks.append(Soc(gs))
-        elif name == "sdp":
-            size = None
-            entries = {}
-            for k, v, ln in pairs:
-                if k == "size":
-                    size = int(_parse_number(v, name, ln))
-                elif k.startswith("entry(") and k.endswith(")"):
-                    try:
-                        i_s, j_s = k[6:-1].split(",")
-                        entries[(int(i_s), int(j_s))] = (v, ln)
-                    except ValueError:
-                        raise ProblemFormatError(f"bad entry key {k!r}", name, ln)
-                else:
-                    raise ProblemFormatError(f"unknown key {k!r}", name, ln)
-            if size is None or size < 1:
-                raise ProblemFormatError("sdp needs size=l", name, line)
-            rows = [[None] * size for _ in range(size)]
-            for (i, j), (v, ln) in entries.items():
-                if not (1 <= i <= size and 1 <= j <= size):
-                    raise ProblemFormatError(f"entry({i},{j}) outside matrix",
-                                             name, ln)
-                node = _parse_expr(v, d, name, ln)
-                rows[i - 1][j - 1] = node
-                rows[j - 1][i - 1] = node
-            for i in range(size):
-                for j in range(size):
-                    if rows[i][j] is None:
-                        if i <= j:
-                            raise ProblemFormatError(
-                                f"missing entry({i + 1},{j + 1})", name, line)
-            blocks.append(Sdp(tuple(tuple(r) for r in rows)))
-        elif name == "semiinf":
-            g_txt = grid_txt = None
-            for k, v, ln in pairs:
-                if k == "g":
-                    g_txt = (v, ln)
-                elif k == "grid":
-                    grid_txt = (v, ln)
-                else:
-                    raise ProblemFormatError(f"unknown key {k!r}", name, ln)
-            if g_txt is None or grid_txt is None:
-                raise ProblemFormatError("semiinf needs g=... and grid=a:b:n",
-                                         name, line)
-            parts = grid_txt[0].split(":")
-            if len(parts) != 3:
-                raise ProblemFormatError("grid must be a:b:n", name, grid_txt[1])
-            a = _parse_number(parts[0], name, grid_txt[1])
-            b = _parse_number(parts[1], name, grid_txt[1])
-            n = int(_parse_number(parts[2], name, grid_txt[1]))
-            if n < 1 or (n == 1 and a != b) or b < a:
-                raise ProblemFormatError("grid must satisfy a <= b, n >= 1",
-                                         name, grid_txt[1])
-            grid = tuple(np.linspace(a, b, n).tolist())
-            g = _parse_expr(g_txt[0], d, name, g_txt[1], params=("t",))
-            try:
-                blocks.append(SemiInfinite(g, grid))
-            except ValueError as err:
-                raise ProblemFormatError(str(err), name, grid_txt[1])
-        elif name == "set":
-            for k, v, ln in pairs:
-                if k in ("lb", "ub"):
-                    vals = [_parse_number(s, name, ln) for s in v.split(",")]
-                    if len(vals) != d:
-                        raise ProblemFormatError(
-                            f"{k} needs {d} comma-separated values", name, ln)
-                    if k == "lb":
-                        lb = vals
-                    else:
-                        ub = vals
-                elif k == "eq":
-                    if "=" not in v:
-                        raise ProblemFormatError("eq must look like "
-                                                 "\"<expr> = <number>\"", name, ln)
-                    lhs_txt, rhs_txt = v.rsplit("=", 1)
-                    rhs = _parse_number(rhs_txt, name, ln)
-                    node = _parse_expr(lhs_txt, d, name, ln)
-                    row = _linear_row(node, d, name, ln)
-                    eq_rows.append(tuple(row))
-                    eq_rhs.append(rhs)
-                else:
-                    raise ProblemFormatError(f"unknown key {k!r}", name, ln)
-        else:
-            raise ProblemFormatError(f"unknown section [{name}]", name, line)
+        families = ex.parse_families([t for t, _ in texts], d)
+    except Exception:
+        # errors keep file order: a bad scenario text read before the
+        # failure raises its own error first
+        for f_txt, f_line in texts:
+            _parse_expr(f_txt, d, "scenario", f_line)
+        raise
 
     if not psi:
         raise ProblemFormatError("no [scenario] sections", "problem", 1)
@@ -1039,7 +1056,7 @@ def load_problem_text(text: str, source: str = "<memory>",
         return Problem(
             d=d, kind=kind, scenarios=_Scenarios(families), psi=psi_t,
             blocks=tuple(blocks),
-            set_A=PolyhedralSet(tuple(lb), tuple(ub),
+            set_A=PolyhedralSet(tuple(bounds["lb"]), tuple(bounds["ub"]),
                                 tuple(eq_rows), tuple(eq_rhs)),
             tolerances=tolerances or ToleranceSet(), source=source)
     except ValueError as err:
@@ -1090,7 +1107,7 @@ def problem_to_text(P: Problem) -> str:
         if P.kind == "chebyshev":
             entry += f" psi={_fmt_num(P.psi[i])}"
         lines.append(entry)
-    lines.extend(blk.to_text() for blk in P.blocks)
+    lines.extend(blk.to_text(P.d) for blk in P.blocks)
     A = P.set_A
     set_parts = []
     if any(lo != -math.inf for lo in A.lb):

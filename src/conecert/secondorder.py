@@ -27,7 +27,7 @@ from .linkernel import SCREEN_CHUNK, rank, stacked_rank
 from .problem import Problem
 
 __all__ = [
-    "HessianBundle", "hessian_bundle", "second_order_necessary",
+    "hessian_bundle", "second_order_necessary",
     "second_order_sufficient", "SecondOrderReport", "MultiplierVertices",
     "multiplier_vertices",
 ]
@@ -123,42 +123,21 @@ def _support_screen(Aeq, beq, chunk, verts, scale):
     return [chunk[j] for j, dropped in zip(keep, drop) if not dropped]
 
 
-@dataclass
-class HessianBundle:
-    matrix: np.ndarray
-    scenario_part: np.ndarray
-    constraint_part: np.ndarray
-    block_tags: list
-
-    def to_json(self):
-        return {"matrix": [list(map(float, r)) for r in self.matrix],
-                "block_tags": self.block_tags}
-
-
-def hessian_bundle(P: Problem, x, witness: MultiplierWitness,
-                   alpha, scenarios=None) -> HessianBundle:
-    """Hessian of the weighted Lagrangian: scenario-weighted objective
-    Hessians plus the second derivative of the dual pairing.
-
-    ``alpha`` are weights over ``scenarios`` ((index, sign) pairs,
-    defaulting to the witness's own support order)."""
+def hessian_bundle(P: Problem, x, w: MultiplierWitness) -> np.ndarray:
+    """Hessian of the weighted Lagrangian: the objective Hessians weighted
+    by the witness's scenario weights, plus the second derivative of the
+    pairing with its block duals."""
     x = np.asarray(x, dtype=float)
-    if scenarios is None:
-        scenarios = [(s, sg) for s, sg, _ in witness.alpha]
     scen_part = np.zeros((P.d, P.d))
-    for (idx, sign), w in zip(scenarios, alpha):
+    for idx, sign, weight in w.alpha:
         hess = ex.eval2(P.scenarios[idx - 1], x).hess
         if P.kind == "chebyshev":
             hess = sign * hess
-        scen_part = scen_part + w * hess
+        scen_part = scen_part + weight * hess
     cons_part = np.zeros((P.d, P.d))
-    tags = []
-    for b, blk, dual in witness.block_duals(P):
+    for _, blk, dual in w.block_duals():
         cons_part = cons_part + blk.dual_hessian(x, dual)
-        tags.append({"block": b, "kind": blk.kind})
-    return HessianBundle(matrix=scen_part + cons_part,
-                         scenario_part=scen_part,
-                         constraint_part=cons_part, block_tags=tags)
+    return scen_part + cons_part
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +151,7 @@ class MultiplierVertices:
     whose blocks are all polyhedral, unless the enumeration ran out of its
     budget; otherwise the single reconstructed witness, flagged partial."""
 
-    pairs: list            # (MultiplierWitness, alpha array, scenario list)
+    pairs: list            # MultiplierWitness per vertex
     exhaustive: bool
     budget_exceeded: bool = False
 
@@ -181,26 +160,13 @@ def _all_polyhedral(P: Problem) -> bool:
     return all(b.polyhedral for b in P.blocks)
 
 
-def _aligned_alpha(w: MultiplierWitness, scen) -> np.ndarray:
-    """The witness's scenario weights over the (index, sign) list scen."""
-    alpha = np.zeros(len(scen))
-    for s, sg, weight in w.alpha:
-        for j, (idx, sign) in enumerate(scen):
-            if idx == s and sign == sg:
-                alpha[j] = weight
-                break
-    return alpha
-
-
 def multiplier_vertices(ctx: PointContext,
                         report: NecessaryReport) -> MultiplierVertices:
     """The multiplier pairs at the vertices of the joint polytope; at most
     ``DEFAULT_BUDGET`` supports are tried (see ``_polytope_vertices``)."""
     P = ctx.problem
     G = report.generators
-    scen = [(pr.index, pr.sign) for pr in G.grads_prov]
-    w = report.multipliers
-    partial = [] if w is None else [(w, _aligned_alpha(w, scen), scen)]
+    partial = [] if report.multipliers is None else [report.multipliers]
     if not _all_polyhedral(P):
         return MultiplierVertices(pairs=partial, exhaustive=False)
     # joint polytope over (alpha, cone weights, nA weights)
@@ -224,7 +190,7 @@ def multiplier_vertices(ctx: PointContext,
         w.stationarity_residual = _witness_residual(P, ctx.x, w)
         if w.stationarity_residual > 1e-7:
             continue
-        pairs.append((w, v[:m].copy(), scen))
+        pairs.append(w)
     pairs = pairs or partial
     return MultiplierVertices(pairs=pairs, exhaustive=bool(pairs))
 
@@ -313,9 +279,8 @@ def _worst_form(P: Problem, x, verts: MultiplierVertices, dirs):
     """Per direction h, the largest h'Bh over the Lagrangian Hessians B of
     the multiplier pairs; also the least of those values and a direction
     attaining it."""
-    bundles = [hessian_bundle(P, x, w, alpha, scen)
-               for w, alpha, scen in verts.pairs]
-    best = [max(float(h @ B.matrix @ h) for B in bundles) for h in dirs]
+    hessians = [hessian_bundle(P, x, w) for w in verts.pairs]
+    best = [max(float(h @ B @ h) for B in hessians) for h in dirs]
     k = min(range(len(dirs)), key=best.__getitem__)
     return best, best[k], dirs[k].tolist()
 

@@ -418,3 +418,23 @@ def test_discretize_caps_past_a_kink_in_t(tmp_path):
     assert code == 0
     assert err == "warning: block 0 kept 3 of its active points (cap d+1)\n"
     assert out.count("abs(") == 6
+
+
+def test_check_rejects_a_penalty_that_is_not_finite_and_nonnegative():
+    for value in ("-1", "nan", "inf"):
+        code, out, err = run_cli("check", "--registry", "bazaraa45",
+                                 "--penalty", value, "--json")
+        assert code == 1 and out == ""
+        assert err.startswith("error: --penalty must be a finite number")
+    assert run_cli("check", "--registry", "bazaraa45", "--penalty", "0")[0] \
+        == 3
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """The direction sampler imports scipy.stats on first use, so checks
+    that sample no directions never pay for it."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, conecert; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

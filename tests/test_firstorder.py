@@ -333,7 +333,8 @@ def test_necessary_bazaraa_multipliers():
     P, x, samp = registry.get("bazaraa45")
     rep = fo.necessary_check(PointContext(P, x, samp))
     assert rep.zero_in_D
-    duals = rep.multipliers.nlp_ineq[0]
+    blk, duals = rep.multipliers.duals[0]
+    assert blk is P.blocks[0]
     assert duals[0] == pytest.approx(152.0, abs=1e-6)
     assert duals[1] == pytest.approx(12.0, abs=1e-6)
 
@@ -497,7 +498,8 @@ def test_semiinfinite_direct_certification():
         '[semiinf] g="-x(1) - t*(1 - t)" grid=0:1:5\n')
     rep = fo.necessary_check(PointContext(P, (0.0,)))
     assert rep.zero_in_D and rep.agreement
-    support = rep.multipliers.semi_infinite[0]
+    blk, support = rep.multipliers.duals[0]
+    assert blk is P.blocks[0]
     assert set(support) <= {0, 4}
     assert sum(support.values()) == pytest.approx(1.0)
     assert rep.multipliers.stationarity_residual <= 1e-10
@@ -531,3 +533,57 @@ def test_reverify_roundtrip_bazaraa():
     report = json.loads(json.dumps(report))
     res = fo.reverify_report(P, report)
     assert res["ok"] and len(res["checks"]) >= 2
+
+
+def _witness_cases():
+    for name in registry.NAMES:
+        yield registry.get(name, dim=3 if name == "linf" else None)
+    yield (load_problem_text(
+        '[problem] dim=3\n[scenario] f="x(1)^2 + x(2)^2 + x(3)"\n'
+        '[scenario] f="x(1) - x(3)^2"\n'
+        '[nlp_eq] b="x(1) + x(2) + x(3)" b="x(1) - x(2)^2"\n'),
+        (0.0, 0.0, 0.0), None)
+    yield (load_problem_text(
+        '[problem] dim=2\n[scenario] f="x(1) + x(2)"\n'
+        '[scenario] f="x(1)^2 - x(2)"\n'
+        '[semiinf] g="t*x(1) + (1-t)*x(2) - t^2" grid=-1:1:9\n'),
+        (0.0, 0.0), None)
+    yield (load_problem_text(
+        '[problem] dim=2\n[scenario] f="x(2)"\n'
+        '[soc] g1="1" g2="x(1)" g3="x(2)"\n'), (0.0, -1.0), None)
+    # block order differs from the order of the kinds in the JSON form
+    yield (load_problem_text(
+        '[problem] dim=2\n[scenario] f="-x(1) + 2*x(2)"\n'
+        '[soc] g1="1" g2="x(1)" g3="x(2)"\n'
+        '[nlp_ineq] g="x(1) - x(2) - 1"\n'), (0.0, -1.0), None)
+
+
+@pytest.mark.parametrize("P, x, samp", list(_witness_cases()))
+def test_witness_json_rebuilds_the_witness(P, x, samp):
+    import json
+    w = fo.necessary_check(PointContext(P, x, samp)).multipliers
+    assert w is not None
+    again = fo.witness_from_json(P, json.loads(json.dumps(w.to_json())))
+    assert again.to_json() == w.to_json()
+    assert (again.alpha, again.nA) == (w.alpha, w.nA)
+    assert again.stationarity_residual == w.stationarity_residual
+    assert sorted(again.duals) == sorted(w.duals)
+    for (pos, blk, dual), (pos2, blk2, dual2) in zip(w.block_duals(),
+                                                     again.block_duals()):
+        assert pos == pos2 and blk is blk2 is P.blocks[pos]
+        if isinstance(dual, dict):
+            assert dual2 == dual
+        else:
+            np.testing.assert_array_equal(dual2, dual)
+    # every kind's table is written, even when empty
+    assert list(w.to_json()) == ["alpha", "nlp_ineq", "nlp_eq", "soc", "sdp",
+                                 "semi_infinite", "nA",
+                                 "stationarity_residual"]
+
+
+def test_witness_json_rejects_a_dual_under_another_kind():
+    P, x, samp = registry.get("bazaraa45")
+    data = fo.necessary_check(PointContext(P, x, samp)).multipliers.to_json()
+    data["nlp_eq"], data["nlp_ineq"] = data["nlp_ineq"], {}
+    with pytest.raises(ValueError, match="block 0 is nlp_ineq, not nlp_eq"):
+        fo.witness_from_json(P, data)

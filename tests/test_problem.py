@@ -290,3 +290,90 @@ def test_fold_constants_keeps_undefined_subtrees():
                             ex.Mul(ex.Func("sqrt", ex.Const(-1.0)),
                                    ex.Var(1)))
     assert ex.to_string(g) == "x(1) - abs(0.0) + sqrt(0.0 - 1.0)*x(1)"
+
+
+def _scan_kv(text, section, line):
+    """The character scanner ``_split_kv`` replaced, frozen as the
+    reference for its regular expression."""
+    pairs = []
+    i, n = 0, len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        j = i
+        while j < n and (text[j].isalnum() or text[j] in "_(),"):
+            j += 1
+        key = text[i:j]
+        if not key or j >= n or text[j] != "=":
+            raise ProblemFormatError(f"expected key=value, got {text[i:]!r}",
+                                     section, line)
+        j += 1
+        if j < n and text[j] == '"':
+            k = text.find('"', j + 1)
+            if k < 0:
+                raise ProblemFormatError("unterminated quoted value",
+                                         section, line)
+            value = text[j + 1:k]
+            i = k + 1
+        else:
+            k = j
+            while k < n and not text[k].isspace():
+                k += 1
+            value = text[j:k]
+            i = k
+        pairs.append((key, value, line))
+    return pairs
+
+
+def _split_outcome(split, text):
+    try:
+        return split(text, "s", 7)
+    except ProblemFormatError as err:
+        return str(err)
+
+
+def test_split_kv_matches_the_character_scanner(rng):
+    from conecert.problem import _split_kv
+    from conecert.registry import _FIXED, _linf_entry
+    texts = [line.split("]", 1)[-1]
+             for entry in [*_FIXED.values(), _linf_entry(3)]
+             for line in entry.text.splitlines()]
+    # whitespace beyond ASCII (NBSP, U+2028, tab), non-ASCII letters and
+    # digits, quotes and the key punctuation
+    alphabet = list('ab1_(),="  \t') + [" ", " ", "²", "٣", "é"]
+    texts += ["".join(rng.choice(alphabet, size=int(rng.integers(0, 12))))
+              for _ in range(5000)]
+    for text in texts:
+        assert (_split_outcome(_split_kv, text)
+                == _split_outcome(_scan_kv, text)), text
+
+
+def test_block_sections_read_what_they_print():
+    text = ('[problem] dim=2\n[scenario] f="x(1)^2 + x(2)"\n'
+            '[nlp_ineq] g="x(1) - 1" g="-x(2)"\n[nlp_eq] b="x(1) - x(2)"\n'
+            '[soc] g1="2" g2="x(1)" g3="x(2)"\n'
+            '[sdp] size=2 entry(1,1)="x(1) - 3" entry(1,2)="x(2)" '
+            'entry(2,2)="-1"\n'
+            '[semiinf] g="t*x(1) - 1" grid=0.0:1.0:3\n')
+    P = load_problem_text(text)
+    assert [blk.kind for blk in P.blocks] == [
+        "nlp_ineq", "nlp_eq", "soc", "sdp", "semi_infinite"]
+    assert cc.problem_to_text(load_problem_text(cc.problem_to_text(P))) \
+        == cc.problem_to_text(P)
+    assert load_problem_text(cc.problem_to_text(P)).blocks == P.blocks
+
+
+def test_scenario_errors_keep_file_order():
+    bad_scen = '[scenario] f="x(1)^"\n'
+    bad_block = '[nlp_ineq] h="x(1)"\n'
+    with pytest.raises(ProblemFormatError) as err:
+        load_problem_text('[problem] dim=1\n' + bad_scen + bad_block)
+    assert (err.value.section, err.value.line) == ("scenario", 2)
+    with pytest.raises(ProblemFormatError) as err:
+        load_problem_text('[problem] dim=1\n' + bad_block + bad_scen)
+    assert (err.value.section, err.value.line) == ("nlp_ineq", 2)
+    # two bad scenario texts: the first one raises
+    with pytest.raises(ProblemFormatError) as err:
+        load_problem_text('[problem] dim=1\n[scenario] f="x(2)"\n' + bad_scen)
+    assert (err.value.section, err.value.line) == ("scenario", 2)

@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,3 +35,14 @@ def test_readme_examples_run_in_order():
     # the scenario family example
     assert [f.members.tolist() for f in ns["fams"]] == [[0, 1], [2]]
     assert ns["fams"][0].tree(1) == ns["ex"].parse("x(1) + 0.25*x(2)", 2)
+
+
+def test_readme_multiplier_example():
+    ns = {"__name__": "readme"}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for block in _python_blocks():
+            exec(compile(block, str(README), "exec"), ns)
+    assert ns["blk"].kind == "nlp_ineq"
+    assert ns["dual"] == pytest.approx({0: 152.0, 1: 12.0})
+    assert ns["again"].to_json() == ns["w"].to_json()
+    assert ns["B"].shape == (2, 2)

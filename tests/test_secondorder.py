@@ -18,12 +18,21 @@ def _simple(text):
     return load_problem_text(text)
 
 
+def _dense_alpha(w, nec):
+    """The witness's scenario weights over every active scenario, zeros
+    included, in the order of the necessary check's generators."""
+    weights = {(s, sg): weight for s, sg, weight in w.alpha}
+    return np.array([weights.get((pr.index, pr.sign), 0.0)
+                     for pr in nec.generators.grads_prov])
+
+
 def _alphas(P, x, samp=None):
     """The scenario weights of the multiplier vertices at x."""
     ctx = PointContext(P, x, samp)
-    verts = so.multiplier_vertices(ctx, fo.necessary_check(ctx))
+    nec = fo.necessary_check(ctx)
+    verts = so.multiplier_vertices(ctx, nec)
     assert verts.exhaustive
-    return [alpha for _, alpha, _ in verts.pairs]
+    return [_dense_alpha(w, nec) for w in verts.pairs]
 
 
 def test_dd_single_scenario_unique():
@@ -53,15 +62,17 @@ def test_dd_all_weights_convex_and_stationary():
     for name in ("dem", "madsen", "bazaraa45"):
         P, x, samp = registry.get(name)
         ctx = PointContext(P, x, samp)
-        verts = so.multiplier_vertices(ctx, fo.necessary_check(ctx))
+        nec = fo.necessary_check(ctx)
+        verts = so.multiplier_vertices(ctx, nec)
         assert verts.exhaustive and verts.pairs
-        for w, v, _ in verts.pairs:
+        for w in verts.pairs:
+            v = _dense_alpha(w, nec)
             assert v.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(v >= -1e-12)
             assert w.stationarity_residual <= 1e-7
         if name == "madsen":
-            assert sorted(v.tolist() for _, v, _ in verts.pairs) == [
-                [0.0, 1.0], [1.0, 0.0]]
+            assert sorted(_dense_alpha(w, nec).tolist()
+                          for w in verts.pairs) == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_hessian_linear_problem_is_zero():
@@ -69,26 +80,24 @@ def test_hessian_linear_problem_is_zero():
                 '[nlp_ineq] g="-x(1)" g="-x(2)"\n')
     nec = fo.necessary_check(PointContext(P, (0.0, 0.0)))
     assert nec.zero_in_D
-    B = so.hessian_bundle(P, (0.0, 0.0), nec.multipliers,
-                          [w for _, _, w in nec.multipliers.alpha])
-    np.testing.assert_allclose(B.matrix, np.zeros((2, 2)), atol=1e-12)
+    B = so.hessian_bundle(P, (0.0, 0.0), nec.multipliers)
+    np.testing.assert_allclose(B, np.zeros((2, 2)), atol=1e-12)
 
 
 def test_hessian_bowl():
     P = _simple('[problem] dim=2\n[scenario] f="x(1)^2 + x(2)^2"\n')
     nec = fo.necessary_check(PointContext(P, (0.0, 0.0)))
-    B = so.hessian_bundle(P, (0.0, 0.0), nec.multipliers, [1.0])
-    np.testing.assert_allclose(B.matrix, 2 * np.eye(2), atol=1e-12)
+    B = so.hessian_bundle(P, (0.0, 0.0), nec.multipliers)
+    np.testing.assert_allclose(B, 2 * np.eye(2), atol=1e-12)
 
 
 def test_hessian_bazaraa_matches_finite_differences():
     P, x, samp = registry.get("bazaraa45")
     nec = fo.necessary_check(PointContext(P, x, samp))
-    alpha = [w for _, _, w in nec.multipliers.alpha]
-    B = so.hessian_bundle(P, x, nec.multipliers, alpha)
+    B = so.hessian_bundle(P, x, nec.multipliers)
     # constraints are linear, so the bundle equals the objective Hessian
     H_fd = fd_hessian(P.scenarios[0], np.asarray(x))
-    np.testing.assert_allclose(B.matrix, H_fd, rtol=1e-4, atol=1e-4)
+    np.testing.assert_allclose(B, H_fd, rtol=1e-4, atol=1e-4)
 
 
 def test_hessian_vs_fd_random_instances(rng):
@@ -103,13 +112,12 @@ def test_hessian_vs_fd_random_instances(rng):
             continue
         if np.max(np.abs(dual.hess)) > 1e3:
             continue
-        w = fo.MultiplierWitness(alpha=[(1, 1, 1.0)], nlp_ineq={}, nlp_eq={},
-                                 soc={}, sdp={}, semi_infinite={}, nA=[])
-        B = so.hessian_bundle(P, x, w, [1.0])
+        w = fo.MultiplierWitness(alpha=[(1, 1, 1.0)], duals={}, nA=[])
+        B = so.hessian_bundle(P, x, w)
         H_fd = fd_hessian(f, x)
         scale = max(1.0, float(np.max(np.abs(H_fd))))
-        assert np.max(np.abs(B.matrix - H_fd)) / scale < 1e-4
-        assert np.max(np.abs(B.matrix - B.matrix.T)) == 0.0
+        assert np.max(np.abs(B - H_fd)) / scale < 1e-4
+        assert np.max(np.abs(B - B.T)) == 0.0
         checked += 1
 
 
@@ -330,7 +338,7 @@ def test_vertex_budget_out_draws_no_refutation(monkeypatch):
     nec = fo.necessary_check(ctx)
     verts = so.multiplier_vertices(ctx, nec)
     assert verts.budget_exceeded and not verts.exhaustive
-    assert [w for w, _, _ in verts.pairs] == [nec.multipliers]
+    assert verts.pairs == [nec.multipliers]
     for test in (so.second_order_necessary, so.second_order_sufficient):
         rep = test(ctx, nec)
         assert not rep.refuted and not rep.multiplier_set_exhaustive
