@@ -44,6 +44,18 @@ def _add_tolerance_flags(p):
                        default=f.default)
 
 
+def _int_at_least(minimum: int):
+    """An argparse type: a decimal integer of at least ``minimum``."""
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"   # argparse names the type in its errors
+    return parse
+
+
 def _parse_point(text: str) -> tuple:
     try:
         return tuple(float(v) for v in text.split(","))
@@ -384,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--file", help="problem file")
     p_check.add_argument("--registry", help="built-in problem name; one of: "
                          + ", ".join(registry.NAMES))
-    p_check.add_argument("--dim", type=int, help="dimension for linf")
+    p_check.add_argument("--dim", type=_int_at_least(1),
+                         help="dimension for linf")
     p_check.add_argument("--at", help='candidate point "v1,v2,..."')
     p_check.add_argument("--flavor", choices=["plain", "generalised", "weak"],
                          help="also search a cadre of this flavor and "
@@ -401,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--json", action="store_true",
                          help="print the JSON report instead of text")
     p_check.add_argument("--out", help="also write the JSON report here")
-    p_check.add_argument("--soc-dirs", type=int, default=64)
-    p_check.add_argument("--sdp-dirs", type=int, default=64)
+    p_check.add_argument("--soc-dirs", type=_int_at_least(0), default=64)
+    p_check.add_argument("--sdp-dirs", type=_int_at_least(0), default=64)
     p_check.add_argument("--seed", type=int, default=0)
     _add_tolerance_flags(p_check)
     p_check.set_defaults(func=cmd_check)

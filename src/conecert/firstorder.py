@@ -18,9 +18,10 @@ import numpy as np
 from . import expr as ex
 from .cones import KeptRows, builtin_max, pair_dots, row_norms
 from .geometry import GeneratorSet, PointContext, Provenance, block_distances
-from .linkernel import (SCREEN_CHUNK, det, lp_chebyshev_center,
-                        lp_membership, rank, simplex_checked,
-                        solve_positive_combination, stacked_rank)
+from .linkernel import (SCREEN_CHUNK, combination_system, det,
+                        lp_chebyshev_center, lp_membership, rank,
+                        simplex_checked, solve_positive_combination,
+                        stacked_rank)
 from .problem import (BLOCK_CLASSES, NlpIneq, Problem, SemiInfinite,
                       activity, evaluate_objective)
 
@@ -300,7 +301,6 @@ def _subsets(n_grads, n_eta, n_na, k0, e, a):
 
 
 def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
-               p_max: int | None = None, Z: Zbasis | None = None,
                eps_det: float = 1e-8, budget: int = DEFAULT_BUDGET):
     """Search for a cadre over the generator families, smallest p first.
 
@@ -317,10 +317,6 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
     """
     if flavor not in ("plain", "generalised", "weak"):
         raise ValueError(f"unknown flavor {flavor!r}")
-    d = G.d
-    p_max = d + 1 if p_max is None else min(p_max, d + 1)
-    if p_min > p_max:
-        return None
     # both relaxed flavors draw the leading segment from the whole
     # subdifferential, so both get the verified hull point
     generalised = flavor in ("generalised", "weak")
@@ -328,9 +324,8 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
     if not grads:
         return None
     if flavor == "weak":
-        merged = list(G.eta) + list(G.nA)
-        merged_prov = list(G.eta_prov) + list(G.nA_prov)
-        eta_pool, eta_prov = _cone_pool(merged, merged_prov, True)
+        eta_pool, eta_prov = _cone_pool(
+            G.cone, list(G.eta_prov) + list(G.nA_prov), True)
         na_pool, na_prov = [], []
     else:
         aux = flavor == "generalised"
@@ -341,7 +336,7 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
     stacked = np.array(pool)
     sizes = (len(grads), len(eta_pool), len(na_pool))
     groups = (((p, k0, e), _subsets(*sizes, k0, e, p - k0 - e))
-              for p in range(p_min, p_max + 1)
+              for p in range(p_min, G.d + 2)
               for k0 in range(min(p, len(grads)), 0, -1)
               for e in range(min(p - k0, len(eta_pool)), -1, -1)
               if p - k0 - e <= len(na_pool))
@@ -352,7 +347,7 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
             if solve_positive_combination(vecs) is None:
                 continue
             result = verify_alternance(
-                vecs, k0=k0, i0=k0 + e, Z=Z, eps_det=eps_det, flavor=flavor,
+                vecs, k0=k0, i0=k0 + e, eps_det=eps_det, flavor=flavor,
                 provenance=[pool_prov[i] for i in sub])
             if isinstance(result, Cadre):
                 return result
@@ -574,7 +569,7 @@ def necessary_check(ctx: PointContext,
     _feasible_context(ctx)
     P = ctx.problem
     G = ctx.squared if squared else ctx.generators
-    weights = lp_membership(np.zeros(P.d), G.grads_F, list(G.eta) + list(G.nA))
+    weights = lp_membership(np.zeros(P.d), G.grads_F, G.cone)
     witness = None
     zero_in_D = weights is not None
     if zero_in_D:
@@ -640,13 +635,10 @@ def sufficient_check(ctx: PointContext,
     _feasible_context(ctx)
     P = ctx.problem
     G = ctx.squared if squared else ctx.generators
-    cone = list(G.eta) + list(G.nA)
-    interior = lp_chebyshev_center(G.grads_F, cone, d=P.d)
-    margin = interior.margin if interior.feasible else 0.0
-    radius = 0.0
-    if interior.feasible:
-        radius = math.inf if math.isinf(margin) else margin / math.sqrt(P.d)
-    verdict = interior.feasible and margin > P.tolerances.eps_pos
+    interior = lp_chebyshev_center(G.grads_F, G.cone)
+    margin = 0.0 if interior is None else interior
+    radius = margin / math.sqrt(P.d)
+    verdict = interior is not None and margin > P.tolerances.eps_pos
 
     complete = None
     budget_exceeded = False
@@ -722,37 +714,17 @@ class PenaltyReport:
                 "verified_at_2c": self.verified_at_2c}
 
 
-def _penalty_inclusion(P, c, G, groups) -> bool:
+def _penalty_inclusion(c, G, groups) -> bool:
     """Feasibility of 0 = sum(alpha grad_F) + c*sum(group weights) + cone(nA)
     with convex alpha and per-group total weight at most 1."""
-    d = P.d
-    nh = len(G.grads_F)
-    if nh == 0:
+    if not G.grads_F:
         return False
-    cols = []
-    cols.extend(np.asarray(v, dtype=float) for v in G.grads_F)
-    group_spans = []
+    cone, caps = [], []
     for vecs in groups:
-        start = len(cols)
-        cols.extend(c * np.asarray(v, dtype=float) for v in vecs)
-        group_spans.append((start, len(cols)))
-    na_start = len(cols)
-    cols.extend(np.asarray(v, dtype=float) for v in G.nA)
-    n_core = len(cols)
-    n_slack = len(group_spans)
-    n = n_core + n_slack
-    m = d + 1 + len(group_spans)
-    A = np.zeros((m, n))
-    b = np.zeros(m)
-    for j, v in enumerate(cols):
-        A[:d, j] = v
-    A[d, :nh] = 1.0
-    b[d] = 1.0
-    for gidx, (s, t) in enumerate(group_spans):
-        A[d + 1 + gidx, s:t] = 1.0
-        A[d + 1 + gidx, n_core + gidx] = 1.0
-        b[d + 1 + gidx] = 1.0
-    return simplex_checked(np.zeros(n), A, b).status == "optimal"
+        caps.append((len(cone), len(cone) + len(vecs)))
+        cone.extend(c * v for v in vecs)
+    A, b = combination_system(G.grads_F, cone + list(G.nA), caps)
+    return simplex_checked(np.zeros(A.shape[1]), A, b).status == "optimal"
 
 
 def penalty_subdiff_check(ctx: PointContext, c: float) -> PenaltyReport:
@@ -764,10 +736,10 @@ def penalty_subdiff_check(ctx: PointContext, c: float) -> PenaltyReport:
     P = ctx.problem
     G = ctx.generators
     groups = _penalty_groups(P, G)
-    ok = _penalty_inclusion(P, c, G, groups)
+    ok = _penalty_inclusion(c, G, groups)
     double = None
     if ok:
-        double = _penalty_inclusion(P, 2 * c, G, groups)
+        double = _penalty_inclusion(2 * c, G, groups)
     return PenaltyReport(c=c, value=penalty_value(P, ctx.x, c),
                          zero_in_subdiff=ok, verified_at_2c=double)
 

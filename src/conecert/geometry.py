@@ -72,6 +72,12 @@ class GeneratorSet:
     nA_prov: list = field(default_factory=list)
     sampled: bool = False
 
+    @property
+    def cone(self) -> list:
+        """The generators of the two normal cones, eta then nA: the cone
+        weights' columns in ``linkernel.combination_system``."""
+        return list(self.eta) + list(self.nA)
+
 
 def nA_generators(A: PolyhedralSet, x, eps_feas: float = 1e-8):
     """Extreme rays of the normal cone of the box/affine set at x."""

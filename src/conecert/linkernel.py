@@ -3,6 +3,12 @@
 Everything here works on problems with at most a few hundred variables.
 The simplex uses Bland's rule throughout, so it terminates on degenerate
 instances and produces the same answer on every run.
+
+First-order optimality in its KKT, normal-cone and exact-penalty forms
+is one linear system, 0 in co{grad f_i(x)} + cone(N_K(x)) + cone(N_A(x)),
+which ``combination_system`` lays out.  Membership, the interior margins,
+the penalty inclusion and the multiplier vertices differ only in the
+objective, the target and the caps on runs of cone weights.
 """
 
 from __future__ import annotations
@@ -12,12 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cones import axis_directions
+
 __all__ = [
     "det", "rank", "stacked_rank", "SCREEN_CHUNK",
     "solve_positive_combination",
     "LpResult", "simplex_solve", "simplex_checked",
-    "lp_membership", "lp_direction_margin", "lp_chebyshev_center",
-    "InteriorReport",
+    "combination_system", "lp_membership", "lp_direction_margin",
+    "lp_chebyshev_center",
 ]
 
 
@@ -221,93 +229,86 @@ def simplex_checked(c, A, b) -> LpResult:
 
 
 # ---------------------------------------------------------------------------
-# membership and interior tests over co(hull) + cone(cone)
+# the combination system and the membership and interior tests over it
 # ---------------------------------------------------------------------------
 
 
-def _stack(hull, cone, d):
-    cols = [np.asarray(v, dtype=float) for v in hull] + \
-           [np.asarray(v, dtype=float) for v in cone]
-    if cols:
-        return np.column_stack(cols)
-    return np.zeros((d, 0))
+def combination_system(hull, cone, caps=()):
+    """The equality system (A, b) of 0 in co(hull) + cone(cone), with the
+    weights of some runs of cone generators capped at a total of 1.
+
+    Columns are the hull weights lam, then the cone weights mu, then one
+    slack per cap.  Rows are the d coordinates, sum(lam_i hull_i) +
+    sum(mu_j cone_j) = 0; the convexity row, sum(lam) = 1; and per cap
+    (start, stop), sum(mu[start:stop]) + slack = 1.  A caller looking for
+    another target than 0 sets it in b[:d].  hull must be nonempty."""
+    nh, nc, d = len(hull), len(cone), len(hull[0])
+    A = np.zeros((d + 1 + len(caps), nh + nc + len(caps)))
+    A[:d, :nh + nc] = np.column_stack(
+        [np.asarray(v, dtype=float) for v in (*hull, *cone)])
+    A[d, :nh] = 1.0
+    b = np.zeros(len(A))
+    b[d:] = 1.0
+    for k, (start, stop) in enumerate(caps):
+        A[d + 1 + k, nh + start:nh + stop] = 1.0
+        A[d + 1 + k, nh + nc + k] = 1.0
+    return A, b
 
 
 def lp_membership(target, hull, cone=()):
     """Weights expressing target = sum(lam_i hull_i) + sum(mu_j cone_j)
     with lam >= 0, sum(lam) = 1, mu >= 0.  Returns (lam, mu) or None."""
-    target = np.asarray(target, dtype=float)
-    d = target.shape[0]
-    nh, nc = len(hull), len(cone)
+    nh = len(hull)
     if nh == 0:
         return None
-    A = np.zeros((d + 1, nh + nc))
-    A[:d] = _stack(hull, cone, d)
-    A[d, :nh] = 1.0
-    b = np.concatenate([target, [1.0]])
-    res = simplex_checked(np.zeros(nh + nc), A, b)
+    A, b = combination_system(hull, cone)
+    b[:-1] = target
+    res = simplex_checked(np.zeros(A.shape[1]), A, b)
     if res.status != "optimal":
         return None
     return res.x[:nh].copy(), res.x[nh:].copy()
 
 
-def lp_direction_margin(direction, hull, cone=()):
-    """max r >= 0 with r * direction in co(hull) + cone(cone).
-
-    Returns math.inf when unbounded and None when even r = 0 is
-    unattainable (the set does not contain the origin).
-    """
-    direction = np.asarray(direction, dtype=float)
-    d = direction.shape[0]
-    nh, nc = len(hull), len(cone)
-    if nh == 0:
-        return None
-    A = np.zeros((d + 1, nh + nc + 1))
-    A[:d, :nh + nc] = _stack(hull, cone, d)
-    A[:d, -1] = -direction
-    A[d, :nh] = 1.0
-    b = np.concatenate([np.zeros(d), [1.0]])
-    c = np.zeros(nh + nc + 1)
+def _margins(hull, cone, directions):
+    """For each direction u in turn, max r >= 0 with r * u in co(hull) +
+    cone(cone): math.inf when unbounded, None when even r = 0 is
+    unattainable (the set does not contain the origin).  Every u shares
+    one combination system, with one more column holding -u."""
+    A, b = combination_system(hull, cone)
+    A = np.column_stack([A, np.zeros(len(b))])
+    c = np.zeros(A.shape[1])
     c[-1] = -1.0
-    res = simplex_checked(c, A, b)
-    if res.status == "unbounded":
-        return math.inf
-    if res.status != "optimal":
-        return None
-    return float(res.x[-1])
+    for u in directions:
+        A[:-1, -1] = -np.asarray(u, dtype=float)
+        res = simplex_checked(c, A, b)
+        if res.status == "unbounded":
+            yield math.inf
+        else:
+            yield float(res.x[-1]) if res.status == "optimal" else None
 
 
-@dataclass
-class InteriorReport:
-    """Result of the directional interior test.
-
-    ``margin`` is the largest common r with r*u in the generated set for
-    every probe direction u (the 2d signed axes plus -ones/sqrt(d)); the
-    set then contains the l1 ball of that radius spanned by the axes, so
-    a Euclidean ball of radius margin/sqrt(d) is certified.
-    """
-
-    feasible: bool
-    margin: float  # may be math.inf
-
-
-def lp_chebyshev_center(hull, cone=(), d: int | None = None) -> InteriorReport:
-    """Directional interior certificate for co(hull) + cone(cone)."""
+def lp_direction_margin(direction, hull, cone=()):
+    """max r >= 0 with r * direction in co(hull) + cone(cone); math.inf
+    when unbounded, None when the set does not contain the origin."""
     if len(hull) == 0:
-        return InteriorReport(feasible=False, margin=0.0)
-    if d is None:
-        d = len(np.asarray(hull[0], dtype=float))
-    dirs = []
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = 1.0
-        dirs.append(e)
-        dirs.append(-e)
-    dirs.append(-np.ones(d) / math.sqrt(d))
-    overall = math.inf
-    for u in dirs:
-        r = lp_direction_margin(u, hull, cone)
+        return None
+    return next(_margins(hull, cone, [direction]))
+
+
+def lp_chebyshev_center(hull, cone=()):
+    """Directional interior margin of co(hull) + cone(cone): the largest
+    common r with r * u in the set for every probe direction u (the 2d
+    signed axes, then -ones/sqrt(d)), math.inf when no probe is bounded.
+    The set then contains the l1 ball of that radius spanned by the axes,
+    so a Euclidean ball of radius margin/sqrt(d) is certified.  None when
+    the set does not contain the origin."""
+    if len(hull) == 0:
+        return None
+    d = len(hull[0])
+    margin = math.inf
+    for r in _margins(hull, cone,
+                      axis_directions(d) + [-np.ones(d) / math.sqrt(d)]):
         if r is None:
-            return InteriorReport(feasible=False, margin=0.0)
-        overall = min(overall, r)
-    return InteriorReport(feasible=True, margin=overall)
+            return None
+        margin = min(margin, r)
+    return margin

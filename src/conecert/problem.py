@@ -508,7 +508,7 @@ class Sdp(_ConeBlock):
         name, size, entries = cls.section, None, {}
         for k, v, ln in pairs:
             if k == "size":
-                size = int(_parse_number(v, name, ln))
+                size = _parse_count("size", v, name, ln)
             elif k.startswith("entry(") and k.endswith(")"):
                 try:
                     i_s, j_s = k[6:-1].split(",")
@@ -517,7 +517,7 @@ class Sdp(_ConeBlock):
                     raise ProblemFormatError(f"bad entry key {k!r}", name, ln)
             else:
                 raise ProblemFormatError(f"unknown key {k!r}", name, ln)
-        if size is None or size < 1:
+        if size is None:
             raise ProblemFormatError("sdp needs size=l", name, line)
         rows = [[None] * size for _ in range(size)]
         for (i, j), (v, ln) in entries.items():
@@ -616,8 +616,8 @@ class SemiInfinite(_ScalarBlock):
             raise ProblemFormatError("grid must be a:b:n", name, ln)
         a = _parse_number(parts[0], name, ln)
         b = _parse_number(parts[1], name, ln)
-        n = int(_parse_number(parts[2], name, ln))
-        if n < 1 or (n == 1 and a != b) or b < a:
+        n = _parse_count("the grid's point count", parts[2], name, ln)
+        if (n == 1 and a != b) or b < a:
             raise ProblemFormatError("grid must satisfy a <= b, n >= 1",
                                      name, ln)
         grid = tuple(np.linspace(a, b, n).tolist())
@@ -953,6 +953,15 @@ def _parse_number(value: str, section, line) -> float:
         raise ProblemFormatError(f"not a number: {value!r}", section, line)
 
 
+def _parse_count(key: str, value: str, section, line) -> int:
+    """A count (dim, a matrix size, a grid's point count): a decimal
+    integer from 1 to 10^18 - 1, in ASCII digits."""
+    if not re.fullmatch(r"\s*\+?0*[1-9][0-9]{0,17}\s*", value):
+        raise ProblemFormatError(
+            f"{key} must be a positive integer, got {value!r}", section, line)
+    return int(value)
+
+
 def _parse_expr(text_value, d, section, line, params=()):
     try:
         return ex.parse(text_value, d, params)
@@ -1009,7 +1018,7 @@ def load_problem_text(text: str, source: str = "<memory>",
     if "dim" not in head:
         raise ProblemFormatError("missing dim", "problem", sections[0]["line"])
     dim_value, dim_line = head["dim"]
-    d = int(_parse_number(dim_value, "problem", dim_line))
+    d = _parse_count("dim", dim_value, "problem", dim_line)
     kind = head.get("kind", ("minimax", 0))[0]
 
     texts = []   # (scenario text, its line)

@@ -17,13 +17,14 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import expr as ex
-from .cones import KeptRows, row_norms
+from .cones import KeptRows, axis_directions, row_norms
 from .firstorder import (DEFAULT_BUDGET, CombinatorialBudgetExceeded,
                          MultiplierWitness, NecessaryReport,
                          _assemble_witness, _budgeted_chunks,
                          _witness_residual, directional_derivatives)
 from .geometry import PointContext
-from .linkernel import SCREEN_CHUNK, rank, stacked_rank
+from .linkernel import (SCREEN_CHUNK, combination_system, rank,
+                        stacked_rank)
 from .problem import Problem
 
 __all__ = [
@@ -170,17 +171,10 @@ def multiplier_vertices(ctx: PointContext,
     if not _all_polyhedral(P):
         return MultiplierVertices(pairs=partial, exhaustive=False)
     # joint polytope over (alpha, cone weights, nA weights)
-    cols = list(G.grads_F) + list(G.eta) + list(G.nA)
-    n = len(cols)
+    Aeq, beq = combination_system(G.grads_F, G.cone)
     m = len(G.grads_F)
-    Aeq = np.zeros((P.d + 1, n))
-    for j, v in enumerate(cols):
-        Aeq[:P.d, j] = v
-    Aeq[P.d, :m] = 1.0
-    beq = np.zeros(P.d + 1)
-    beq[P.d] = 1.0
     try:
-        verts = _polytope_vertices(Aeq, beq, n)
+        verts = _polytope_vertices(Aeq, beq, Aeq.shape[1])
     except CombinatorialBudgetExceeded:
         return MultiplierVertices(pairs=partial, exhaustive=False,
                                   budget_exceeded=True)
@@ -208,14 +202,9 @@ def _critical_directions(ctx: PointContext, G):
     All candidates are screened at once; the first of near-duplicate
     survivors is kept, in candidate order."""
     d = ctx.problem.d
-    axes = np.repeat(np.eye(d), 2, axis=0)
-    axes[1::2] *= -1.0
-    candidates = [axes]
-    rows = [np.asarray(v, dtype=float) for v in G.grads_F]
-    rows += [np.asarray(v, dtype=float) for v in G.eta]
-    rows += [np.asarray(v, dtype=float) for v in G.nA]
-    if rows:
-        M = np.vstack(rows)
+    candidates = [np.array(axis_directions(d))]
+    M = np.array([*G.grads_F, *G.cone], dtype=float).reshape(-1, d)
+    if len(M):
         _, s, Vt = np.linalg.svd(M)
         null = Vt[int(np.sum(s > 1e-10)):]
         candidates.append(np.stack([null, -null], axis=1).reshape(-1, d))

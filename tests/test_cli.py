@@ -438,3 +438,52 @@ def test_import_leaves_scipy_stats_unloaded():
          "import sys, conecert; print('scipy.stats' in sys.modules)"],
         capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_check_counts_must_be_positive_integers(tmp_path):
+    """dim, an sdp size and a grid's point count are counts: a value that
+    is not a decimal integer of at least 1 is an input error naming its
+    section and line.  inf and nan ended in a traceback before, and 2.7
+    and 2.5 were truncated silently."""
+    head = '[problem] dim=1\n[scenario] f="x(1)"\n'
+    cases = [
+        ("[problem] dim=inf\n", "dim", "'inf' in [problem] (line 1)"),
+        ("[problem] dim=nan\n", "dim", "'nan' in [problem] (line 1)"),
+        ('[problem] dim=2.7\n[scenario] f="x(1)"\n', "dim",
+         "'2.7' in [problem] (line 1)"),
+        ("[problem] dim=0\n", "dim", "'0' in [problem] (line 1)"),
+        # past 18 digits: no list of that length could be made
+        ("[problem] dim=" + "1" * 19 + "\n", "dim",
+         f"'{'1' * 19}' in [problem] (line 1)"),
+        (head + '[sdp] size=inf entry(1,1)="x(1)"\n', "size",
+         "'inf' in [sdp] (line 3)"),
+        (head + '[sdp] size=nan entry(1,1)="x(1)"\n', "size",
+         "'nan' in [sdp] (line 3)"),
+        (head + '[semiinf] g="x(1) - t" grid=0:1:inf\n',
+         "the grid's point count", "'inf' in [semiinf] (line 3)"),
+        (head + '[semiinf] g="x(1) - t" grid=0:1:nan\n',
+         "the grid's point count", "'nan' in [semiinf] (line 3)"),
+        (head + '[semiinf] g="x(1) - t" grid=0:1:2.5\n',
+         "the grid's point count", "'2.5' in [semiinf] (line 3)"),
+    ]
+    path = tmp_path / "count.prob"
+    for text, key, where in cases:
+        path.write_text(text)
+        code, out, err = run_cli("check", "--file", str(path), "--at", "0")
+        assert (code, out) == (1, "")
+        assert err == (f"error: {key} must be a positive integer, "
+                       f"got {where}\n")
+    # a count written as a decimal integer still loads
+    path.write_text(head + '[semiinf] g="x(1) - t" grid=0:1:2\n')
+    assert run_cli("check", "--file", str(path), "--at", "0")[0] != 1
+
+
+def test_check_rejects_negative_direction_counts_and_dimension_zero():
+    for flag, value, minimum in (("--soc-dirs", "-3", 0),
+                                 ("--sdp-dirs", "-1", 0), ("--dim", "0", 1)):
+        code, out, err = run_cli("check", "--registry", "linf", "--dim", "2",
+                                 flag, value)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: argument {flag}: must be at least "
+                            f"{minimum}, got {value}\n")
+    assert run_cli("check", "--registry", "dem", "--soc-dirs", "0")[0] == 0

@@ -293,13 +293,13 @@ def test_cadre_membership_oracle_agreement(rng):
             np.testing.assert_allclose(
                 np.column_stack(cadre.vectors) @ cadre.multipliers, 0.0,
                 atol=1e-8)
-        interior = lp_chebyshev_center(hull, cone, d=d)
-        if interior.feasible:
+        margin = lp_chebyshev_center(hull, cone)
+        if margin is not None:
             # a finite margin in every probe direction implies membership
             assert member
         if cadre is not None and cadre.complete:
             # complete alternance certifies the interior condition
-            assert interior.feasible and interior.margin > 1e-9
+            assert margin is not None and margin > 1e-9
         agree += 1
     assert agree == 200
 
@@ -520,6 +520,29 @@ def test_penalty_inclusion_monotone_on_fixtures():
         if seen_true:
             assert a
         seen_true = seen_true or a
+
+
+def _penalty_verdicts(constraints, objective, cs):
+    P = load_problem_text(f'[problem] dim=2\n[scenario] f="{objective}"\n'
+                          + constraints)
+    ctx = PointContext(P, (0.0, 0.0))
+    return [fo.penalty_subdiff_check(ctx, c).zero_in_subdiff for c in cs]
+
+
+def test_penalty_caps_follow_the_block_norm():
+    """The penalty term is c times the block norm of the violation, so the
+    normal-cone weights of its subdifferential are capped per group: one
+    cap for a semi-infinite block (a max over the grid), one per scalar
+    constraint of a separable block (l1).  At the origin, -x(1) is
+    stationary under x(1) + x(2)*t <= 0 on the grid {-1, 1} from c = 1
+    with one group, and from c = 1/2 as two inequalities."""
+    semi = '[semiinf] g="x(1) + x(2)*t" grid=-1:1:2\n'
+    assert _penalty_verdicts(semi, "-x(1)", (0.75, 1.05)) == [False, True]
+    ineq = '[nlp_ineq] g="x(1) - x(2)" g="x(1) + x(2)"\n'
+    assert _penalty_verdicts(ineq, "-x(1)", (0.45, 0.75)) == [False, True]
+    # both signs of an equality's gradient share its one cap
+    eq = '[nlp_eq] b="x(1) - x(2)^2"\n'
+    assert _penalty_verdicts(eq, "x(1) + x(2)^2", (0.9, 1.1)) == [False, True]
 
 
 def test_reverify_roundtrip_bazaraa():

@@ -158,18 +158,18 @@ def test_membership_with_cone():
 
 
 def test_interior_dem_positive_margin():
-    rep = lk.lp_chebyshev_center([(5, 1), (-5, 1), (0, -2)])
-    assert rep.feasible and rep.margin > 0
+    margin = lk.lp_chebyshev_center([(5, 1), (-5, 1), (0, -2)])
+    assert margin is not None and margin > 0
 
 
 def test_interior_single_point():
-    rep = lk.lp_chebyshev_center([(1, 0)])
-    assert not rep.feasible or rep.margin == 0.0
+    margin = lk.lp_chebyshev_center([(1, 0)])
+    assert margin is None or margin == 0.0
 
 
 def test_interior_cross_with_cone():
-    rep = lk.lp_chebyshev_center([(1, 0), (-1, 0)], [(0, 1), (0, -1)])
-    assert rep.feasible and rep.margin > 0
+    margin = lk.lp_chebyshev_center([(1, 0), (-1, 0)], [(0, 1), (0, -1)])
+    assert margin is not None and margin > 0
     # positive margin implies membership of the scaled axis targets
     for k in range(2):
         for s in (1.0, -1.0):
