@@ -6,10 +6,10 @@ minus, and the functions ``sin cos exp abs sqrt``.  Evaluation propagates
 a second-order forward-mode carrier (value, gradient, Hessian), so all
 derivatives are exact up to rounding, never finite differences.
 
-Values alone are evaluated at one point (``eval_value``) or at a stack of
-points held as the columns of an array (``eval_values``).  The stacked
-evaluation gives every value bit for bit as the one-point evaluation does,
-and flags the points where that would raise a DomainError.
+Values alone have one evaluator, over a stack of points held as the
+columns of an array (``eval_values``); a point is a stack of one column
+(``eval_value``).  Each undefined value carries its reason, the DomainError
+that evaluation at that one point raises.
 
 Many texts that differ only in their decimal literals, as the scenarios of
 a discretised Chebyshev fit do, are parsed together (``parse_families``):
@@ -32,8 +32,8 @@ __all__ = [
     "Dual2", "ExprError", "ExprSyntaxError", "UnknownIdentifier",
     "VariableIndexOutOfRange", "DomainError",
     "Column", "Family", "parse", "parse_families", "to_string", "eval2",
-    "eval_value", "eval_values", "substitute", "fold_constants",
-    "variables_used",
+    "eval_value", "eval_values", "eval_reasons", "raise_undefined",
+    "substitute", "fold_constants", "variables_used",
 ]
 
 
@@ -73,6 +73,22 @@ class DomainError(ExprError):
     beyond the floating-point range, ...)."""
 
 
+# why a value is undefined: a reason code indexes its DomainError message,
+# and 0 means the value is defined
+_REASONS = ("", "division by zero", "zero raised to a negative power",
+            "power outside the floating-point range",
+            "sqrt of a negative number")
+_DIV_ZERO, _ZERO_POW, _POW_RANGE, _SQRT_NEG = map(np.int8, range(1, 5))
+
+
+def _first(a, b):
+    """Per column, reason a where there is one, else reason b; either is
+    returned as it is when the other has none."""
+    if not np.count_nonzero(b):
+        return a
+    return np.where(a, a, b) if np.count_nonzero(a) else b
+
+
 # ---------------------------------------------------------------------------
 # forward-mode carrier
 # ---------------------------------------------------------------------------
@@ -110,7 +126,7 @@ class Dual2:
 
     def __truediv__(self, o: "Dual2") -> "Dual2":
         if o.value == 0.0:
-            raise DomainError("division by zero")
+            raise DomainError(_REASONS[_DIV_ZERO])
         value = self.value / o.value
         grad = (self.grad - value * o.grad) / o.value
         cross = np.outer(grad, o.grad)
@@ -139,11 +155,12 @@ _LVL_ADD, _LVL_MUL, _LVL_UNARY, _LVL_POW, _LVL_ATOM = 1, 2, 3, 4, 5
 
 class Expression:
     """A node of an expression tree.  Every kind implements ``text()``
-    (printed at precedence ``level``), ``value_at(x)`` (value only),
-    ``values_at(X)`` (the values at the columns of X, and a flag per column
-    where ``value_at`` would raise), ``dual_at(x, d)`` (value, gradient and
-    Hessian as a ``Dual2``), ``map_nodes(fn)`` (the tree rebuilt bottom-up
-    with ``fn`` applied to every node) and ``variables()``."""
+    (printed at precedence ``level``), ``values_at(X)`` (the values at the
+    columns of X, one row per variable, and a reason code per column: 0
+    where the value is defined, else the index in ``_REASONS`` of its
+    DomainError message), ``dual_at(x, d)`` (value, gradient and Hessian
+    as a ``Dual2``), ``map_nodes(fn)`` (the tree rebuilt bottom-up with
+    ``fn`` applied to every node) and ``variables()``."""
 
     __slots__ = ()
     level = _LVL_ATOM
@@ -176,12 +193,9 @@ class Const(Expression):
     def text(self) -> str:
         return repr(self.value)
 
-    def value_at(self, x) -> float:
-        return self.value
-
     def values_at(self, X):
         n = X.shape[1]
-        return np.full(n, self.value, dtype=float), np.zeros(n, dtype=bool)
+        return np.full(n, self.value, dtype=float), np.zeros(n, np.int8)
 
     def dual_at(self, x, d) -> Dual2:
         return _constant(self.value, d)
@@ -197,11 +211,8 @@ class Var(Expression):
     def text(self) -> str:
         return f"x({self.index})"
 
-    def value_at(self, x) -> float:
-        return float(x[self.index - 1])
-
     def values_at(self, X):
-        return X[self.index - 1], np.zeros(X.shape[1], dtype=bool)
+        return X[self.index - 1], np.zeros(X.shape[1], np.int8)
 
     def dual_at(self, x, d) -> Dual2:
         grad = np.zeros(d)
@@ -221,7 +232,7 @@ class Column(Expression):
     value: np.ndarray
 
     def values_at(self, X):
-        return self.value[:, None], np.zeros(X.shape[1], dtype=bool)
+        return self.value[:, None], np.zeros(X.shape[1], np.int8)
 
     def member(self, k) -> Expression:
         return Const(float(self.value[k]))
@@ -237,9 +248,6 @@ class Neg(Expression):
 
     def text(self) -> str:
         return "-" + _paren(self.arg, _LVL_UNARY)
-
-    def value_at(self, x) -> float:
-        return -self.arg.value_at(x)
 
     def values_at(self, X):
         v, bad = self.arg.values_at(X)
@@ -267,13 +275,10 @@ class _Binary(Expression):
         return (f"{_paren(self.lhs, self.level)}{self.sep}"
                 f"{_paren(self.rhs, self.level + 1)}")
 
-    def value_at(self, x) -> float:
-        return self.op(self.lhs.value_at(x), self.rhs.value_at(x))
-
     def values_at(self, X):
         lhs, lbad = self.lhs.values_at(X)
         rhs, rbad = self.rhs.values_at(X)
-        return self.op(lhs, rhs), lbad | rbad
+        return self.op(lhs, rhs), _first(lbad, rbad)
 
     def dual_at(self, x, d) -> Dual2:
         return self.op(self.lhs.dual_at(x, d), self.rhs.dual_at(x, d))
@@ -304,19 +309,11 @@ class Mul(_Binary):
 class Div(_Binary):
     op, sep, level = operator.truediv, "/", _LVL_MUL
 
-    def value_at(self, x) -> float:
-        denom = self.rhs.value_at(x)
-        if denom == 0.0:
-            raise DomainError("division by zero")
-        return self.lhs.value_at(x) / denom
-
     def values_at(self, X):
         denom, rbad = self.rhs.values_at(X)
         num, lbad = self.lhs.values_at(X)
-        return num / denom, lbad | rbad | (denom == 0.0)
-
-
-_POW_RANGE = "power outside the floating-point range"
+        own = (denom == 0.0) * _DIV_ZERO
+        return num / denom, _first(rbad, _first(own, lbad))
 
 
 @dataclass(frozen=True)
@@ -328,15 +325,6 @@ class Pow(Expression):
     def text(self) -> str:
         return f"{_paren(self.base, _LVL_ATOM)}^{self.exponent}"
 
-    def value_at(self, x) -> float:
-        base = self.base.value_at(x)
-        if self.exponent < 0 and base == 0.0:
-            raise DomainError("zero raised to a negative power")
-        try:
-            return base ** self.exponent
-        except OverflowError:
-            raise DomainError(_POW_RANGE) from None
-
     def values_at(self, X):
         base, bad = self.base.values_at(X)
         n, flat = self.exponent, base.ravel().tolist()
@@ -347,13 +335,15 @@ class Pow(Expression):
         except (OverflowError, ZeroDivisionError):
             pass
         out = np.empty(len(flat))
-        over = np.zeros(len(flat), dtype=bool)
+        own = np.zeros(len(flat), np.int8)
         for j, v in enumerate(flat):
             try:
                 out[j] = v ** n
-            except (OverflowError, ZeroDivisionError):
-                out[j], over[j] = math.nan, True
-        return out.reshape(base.shape), bad | over.reshape(base.shape)
+            except ZeroDivisionError:
+                out[j], own[j] = math.nan, _ZERO_POW
+            except OverflowError:
+                out[j], own[j] = math.nan, _POW_RANGE
+        return out.reshape(base.shape), _first(bad, own.reshape(base.shape))
 
     def dual_at(self, x, d) -> Dual2:
         u, n = self.base.dual_at(x, d), self.exponent
@@ -362,16 +352,16 @@ class Pow(Expression):
         if n == 1:
             return u
         if n < 0 and u.value == 0.0:
-            raise DomainError("zero raised to a negative power")
+            raise DomainError(_REASONS[_ZERO_POW])
         v = u.value
         try:
             with np.errstate(over="ignore"):
                 rule = v ** n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2)
         except OverflowError:
-            raise DomainError(_POW_RANGE) from None
+            raise DomainError(_REASONS[_POW_RANGE]) from None
         # a numpy float overflows to inf where a Python float raises
         if math.isfinite(v) and not all(map(math.isfinite, rule)):
-            raise DomainError(_POW_RANGE)
+            raise DomainError(_REASONS[_POW_RANGE])
         return _chain(u, *rule)
 
     def map_nodes(self, fn) -> Expression:
@@ -379,12 +369,6 @@ class Pow(Expression):
 
     def variables(self) -> set[int]:
         return self.base.variables()
-
-
-def _sqrt_value(v):
-    if v < 0.0:
-        raise DomainError("sqrt of a negative number")
-    return float(np.sqrt(v))
 
 
 def _sqrt_rule(v):
@@ -401,20 +385,18 @@ def _abs_rule(v):
     return abs(v), 1.0 if v > 0 else -1.0, 0.0
 
 
-# name -> (value-only f(v), stacked f over an array of values returning
-# the values and the flags of those where f(v) raises, derivative rule
-# v -> (f(v), f'(v), f''(v))).  Value-only evaluation allows abs at 0 and
-# sqrt(0), which only lack derivatives, not values.  numpy computes the
-# stacked values as it computes one value.
+# name -> (f over an array of values, returning the values and the reason
+# codes of those where f is undefined, derivative rule v -> (f(v), f'(v),
+# f''(v))).  Values exist for abs at 0 and sqrt(0), which only lack
+# derivatives.
 _FUNCS = {
-    "sin": (lambda v: float(np.sin(v)), lambda v: (np.sin(v), False),
+    "sin": (lambda v: (np.sin(v), 0),
             lambda v: (np.sin(v), np.cos(v), -np.sin(v))),
-    "cos": (lambda v: float(np.cos(v)), lambda v: (np.cos(v), False),
+    "cos": (lambda v: (np.cos(v), 0),
             lambda v: (np.cos(v), -np.sin(v), -np.cos(v))),
-    "exp": (lambda v: float(np.exp(v)), lambda v: (np.exp(v), False),
-            lambda v: (np.exp(v),) * 3),
-    "abs": (abs, lambda v: (np.abs(v), False), _abs_rule),
-    "sqrt": (_sqrt_value, lambda v: (np.sqrt(v), v < 0.0), _sqrt_rule),
+    "exp": (lambda v: (np.exp(v), 0), lambda v: (np.exp(v),) * 3),
+    "abs": (lambda v: (np.abs(v), 0), _abs_rule),
+    "sqrt": (lambda v: (np.sqrt(v), (v < 0.0) * _SQRT_NEG), _sqrt_rule),
 }
 FUNCTIONS = tuple(_FUNCS)
 
@@ -427,17 +409,14 @@ class Func(Expression):
     def text(self) -> str:
         return f"{self.name}({self.arg.text()})"
 
-    def value_at(self, x) -> float:
-        return _FUNCS[self.name][0](self.arg.value_at(x))
-
     def values_at(self, X):
         v, bad = self.arg.values_at(X)
-        out, own = _FUNCS[self.name][1](v)
-        return out, bad | own
+        out, own = _FUNCS[self.name][0](v)
+        return out, _first(bad, own)
 
     def dual_at(self, x, d) -> Dual2:
         u = self.arg.dual_at(x, d)
-        return _chain(u, *_FUNCS[self.name][2](u.value))
+        return _chain(u, *_FUNCS[self.name][1](u.value))
 
     def map_nodes(self, fn) -> Expression:
         return fn(Func(self.name, self.arg.map_nodes(fn)))
@@ -686,20 +665,38 @@ def eval2(e: Expression, x) -> Dual2:
     return e.dual_at(x, x.shape[0])
 
 
-def eval_value(e: Expression, x) -> float:
-    """Value-only evaluation (allows abs at 0 and sqrt(0), which only lack
-    derivatives, not values)."""
-    return e.value_at(x)
-
-
-def eval_values(e: Expression, X) -> tuple[np.ndarray, np.ndarray]:
-    """Value-only evaluation at every column of X (one row per variable):
-    the values, equal bit for bit to ``eval_value`` at each column, and a
-    flag per column that is set where ``eval_value`` would raise a
-    DomainError (the value there is meaningless)."""
+def eval_reasons(e: Expression, X) -> tuple[np.ndarray, np.ndarray]:
+    """The values of ``e`` at every column of X (one row per variable) and
+    a reason code per column, 0 where the value is defined; the code of an
+    undefined value is its DomainError, which ``raise_undefined`` raises.
+    Abs at 0 and sqrt(0) have values; they only lack derivatives."""
     X = np.ascontiguousarray(X, dtype=float)
     with np.errstate(all="ignore"):
         return e.values_at(X)
+
+
+def raise_undefined(reasons):
+    """Raise the DomainError of the first nonzero code of ``reasons`` (a
+    code or an array of codes, read in C order), if there is one."""
+    if np.count_nonzero(reasons):
+        reasons = np.ravel(reasons)
+        raise DomainError(_REASONS[reasons[np.flatnonzero(reasons)[0]]])
+
+
+def eval_value(e: Expression, x) -> float:
+    """The value of ``e`` at the point x, a stack of one column; an
+    undefined value raises its DomainError."""
+    vals, reasons = eval_reasons(e, np.reshape(x, (-1, 1)))
+    raise_undefined(reasons)
+    return float(vals[0])
+
+
+def eval_values(e: Expression, X) -> tuple[np.ndarray, np.ndarray]:
+    """The values of ``e`` at every column of X (one row per variable) and
+    a flag per column that is set where ``eval_value`` would raise a
+    DomainError (the value there is meaningless)."""
+    vals, reasons = eval_reasons(e, X)
+    return vals, reasons != 0
 
 
 def substitute(e: Expression, index: int, value: float) -> Expression:
@@ -716,10 +713,8 @@ def fold_constants(e: Expression) -> Expression:
     def fold(node):
         if node.variables():
             return node
-        try:
-            return Const(node.value_at(None))
-        except DomainError:
-            return node
+        vals, reasons = eval_reasons(node, np.empty((0, 1)))
+        return node if reasons[0] else Const(float(vals[0]))
     return e.map_nodes(fold)
 
 

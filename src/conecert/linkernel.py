@@ -43,27 +43,35 @@ def det(M) -> float:
 # enough to amortise the call, small enough to keep the stacks small
 SCREEN_CHUNK = 256
 
+# a singular value counts toward the rank above EPS_RANK times the largest
+EPS_RANK = 1e-9
+# solve_positive_combination: residual bound (relative to the largest
+# vector norm, at least 1) and the least multiplier that counts as positive
+EPS_RESIDUAL = 1e-8
+EPS_POS = 1e-8
+# pivots per simplex phase
+MAX_ITER = 20000
 
-def stacked_rank(stack, eps_rank: float = 1e-9):
+
+def stacked_rank(stack):
     """Ranks of the matrices stacked along the leading axes of ``stack``
-    (number of singular values above eps_rank times the largest), from one
+    (number of singular values above EPS_RANK times the largest), from one
     SVD call, and the singular values, largest first.  ``rank`` is this
     call on a single matrix, so a stacked screen agrees with it bit for
     bit."""
     sigma = np.linalg.svd(stack, compute_uv=False)
-    return np.sum(sigma > eps_rank * sigma[..., :1], axis=-1), sigma
+    return np.sum(sigma > EPS_RANK * sigma[..., :1], axis=-1), sigma
 
 
-def rank(M, eps_rank: float = 1e-9) -> int:
-    """Number of singular values above eps_rank * sigma_max."""
+def rank(M) -> int:
+    """Number of singular values above EPS_RANK * sigma_max."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0
-    return int(stacked_rank(M, eps_rank)[0])
+    return int(stacked_rank(M)[0])
 
 
-def solve_positive_combination(V, eps: float = 1e-8, eps_pos: float = 1e-8,
-                               eps_rank: float = 1e-9):
+def solve_positive_combination(V):
     """Multipliers beta > 0 with sum(beta_i * V_i) = 0, normalized beta_1 = 1.
 
     Requires rank([V_1..V_p]) = p - 1; solves the least-squares system for
@@ -75,11 +83,11 @@ def solve_positive_combination(V, eps: float = 1e-8, eps_pos: float = 1e-8,
     p = len(vecs)
     if p == 0:
         return None
-    scale = max(1.0, max(float(np.linalg.norm(v)) for v in vecs))
+    tol = EPS_RESIDUAL * max(1.0, max(float(np.linalg.norm(v)) for v in vecs))
     if p == 1:
-        return np.array([1.0]) if np.linalg.norm(vecs[0]) <= eps * scale else None
+        return np.array([1.0]) if np.linalg.norm(vecs[0]) <= tol else None
     M = np.column_stack(vecs)
-    if rank(M, eps_rank) != p - 1:
+    if rank(M) != p - 1:
         return None
     B = M[:, 1:]
     g = B.T @ B
@@ -89,10 +97,10 @@ def solve_positive_combination(V, eps: float = 1e-8, eps_pos: float = 1e-8,
     except np.linalg.LinAlgError:
         beta_tail = np.linalg.solve(g + 1e-12 * np.eye(p - 1), rhs)
     residual = float(np.linalg.norm(B @ beta_tail + M[:, 0]))
-    if residual > eps * scale:
+    if residual > tol:
         return None
     beta = np.concatenate(([1.0], beta_tail))
-    if np.any(beta[1:] <= eps_pos):
+    if np.any(beta[1:] <= EPS_POS):
         return None
     return beta
 
@@ -113,10 +121,10 @@ class LpResult:
 _PIVOT_TOL = 1e-9
 
 
-def _bland_iterate(T, basis, n_cols, max_iter):
+def _bland_iterate(T, basis, n_cols):
     """Run Bland-rule pivots on tableau T in place.  Returns status."""
     m = T.shape[0] - 1
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         reduced = T[-1, :n_cols]
         entering = -1
         for j in range(n_cols):
@@ -140,7 +148,7 @@ def _bland_iterate(T, basis, n_cols, max_iter):
             return "unbounded", it
         _pivot(T, leaving, entering)
         basis[leaving] = entering
-    return "iteration_limit", max_iter
+    return "iteration_limit", MAX_ITER
 
 
 def _pivot(T, row, col):
@@ -150,7 +158,7 @@ def _pivot(T, row, col):
             T[i] -= T[i, col] * T[row]
 
 
-def simplex_solve(c, A, b, max_iter: int = 20000) -> LpResult:
+def simplex_solve(c, A, b) -> LpResult:
     """Two-phase dense simplex for min c@x, Ax=b, x>=0 with Bland's rule."""
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -171,7 +179,7 @@ def simplex_solve(c, A, b, max_iter: int = 20000) -> LpResult:
     for i in range(m):
         T[-1, :n] -= T[i, :n]
         T[-1, -1] -= T[i, -1]
-    status, it1 = _bland_iterate(T, basis, n + m, max_iter)
+    status, it1 = _bland_iterate(T, basis, n + m)
     if status != "optimal" or -T[-1, -1] > 1e-7 * max(1.0, np.abs(b).max()):
         return LpResult("infeasible", iterations=it1)
 
@@ -203,7 +211,7 @@ def simplex_solve(c, A, b, max_iter: int = 20000) -> LpResult:
     for i, bi in enumerate(basis2):
         if T2[-1, bi] != 0.0:
             T2[-1] -= T2[-1, bi] * T2[i]
-    status, it2 = _bland_iterate(T2, basis2, n, max_iter)
+    status, it2 = _bland_iterate(T2, basis2, n)
     if status == "unbounded":
         return LpResult("unbounded", iterations=it1 + it2)
     if status != "optimal":

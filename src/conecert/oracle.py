@@ -57,9 +57,13 @@ def _equality_frame(A, d):
     return Vt[rank_E:].T  # d x (d - rank_E)
 
 
+# a sample refutes when its objective value is below F(x) - EPS_REFUTE
+EPS_REFUTE = 1e-9
+
+
 def growth_probe(P: Problem, x, order: int = 1, n_samples: int = 2000,
                  radius: float = 0.1, seed: int = 0,
-                 eps: float = 1e-9, min_feasible: int = 50) -> GrowthProbe:
+                 min_feasible: int = 50) -> GrowthProbe:
     """Sample feasible points near x and fit the growth constant
     min (F(y) - F(x)) / |y - x|^order; any strictly lower objective value
     refutes local optimality outright.
@@ -98,7 +102,7 @@ def growth_probe(P: Problem, x, order: int = 1, n_samples: int = 2000,
     Y, dist = Y[keep], dist[keep]
     F, undefined = objective_values(P, Y.T)
     Y, dist, F = Y[~undefined], dist[~undefined], F[~undefined]
-    lower = np.flatnonzero(F < F0 - eps)
+    lower = np.flatnonzero(F < F0 - EPS_REFUTE)
     if len(lower):
         first = int(lower[0])
         return GrowthProbe(order=order, n_feasible=first + 1, refuted=True,

@@ -136,10 +136,9 @@ class _Points:
     """Points stacked as the columns of ``X`` (one row per variable).
 
     ``values`` evaluates an expression at every point and collects in
-    ``undefined`` the points where a value is undefined (where the
-    one-point evaluation raises a DomainError).  ``raise_undefined`` raises
-    that error for the first undefined value met, so a one-point stack
-    fails as the one-point evaluation does."""
+    ``undefined`` the points where a value is undefined, and in ``reason``
+    the reason code (``expr.eval_reasons``) of the first undefined value
+    met."""
 
     # columns per evaluation when a block repeats the points (the
     # semi-infinite grid), which bounds the memory of a stacked evaluation
@@ -149,24 +148,19 @@ class _Points:
         self.X = np.ascontiguousarray(X, dtype=float)
         self.n = self.X.shape[1]
         self.undefined = np.zeros(self.n, dtype=bool)
-        self._first = None
+        self.reason = 0
 
     def values(self, e, X=None) -> np.ndarray:
         """Values of e at the columns of X: by default the points; else
         blocks of n columns, each block a copy of the points extended by
         parameter rows."""
         X = self.X if X is None else X
-        vals, bad = ex.eval_values(e, X)
-        if bad.any():
-            if self._first is None:
-                self._first = (e, X[:, np.argmax(bad)])
-            self.undefined |= bad.reshape(-1, self.n).any(axis=0)
+        vals, reasons = ex.eval_reasons(e, X)
+        if reasons.any():
+            if not self.reason:
+                self.reason = reasons[np.argmax(reasons != 0)]
+            self.undefined |= reasons.reshape(-1, self.n).any(axis=0)
         return vals
-
-    def raise_undefined(self):
-        if self._first is not None:
-            e, column = self._first
-            e.value_at(column)
 
 
 class _Block:
@@ -184,10 +178,17 @@ class _Block:
 
 class _ScalarBlock(_Block):
     """Blocks of scalar constraints; a dual is an {index: weight} table,
-    measured by its absolute sum.  Subclasses give ``_dual2(x, i)``, the
-    value, gradient and Hessian of constraint i in x."""
+    measured by its absolute sum.  Subclasses give ``_values(x)``, every
+    constraint's value at x, and ``_dual2(x, i)``, the value, gradient and
+    Hessian of constraint i in x.  A constraint g <= 0 is active where g
+    is within eps_active of 0 or above it."""
 
     polyhedral = True
+
+    def activity(self, x, tol, position):
+        return BlockActivity(position, self.kind, active=[
+            i for i, v in enumerate(self._values(x))
+            if abs(v) <= tol.eps_active or v > 0])
 
     def _grad(self, x, i) -> np.ndarray:
         return self._dual2(x, i).grad
@@ -249,6 +250,9 @@ class _NlpBlock(_ScalarBlock):
     def exprs(self) -> tuple:
         return getattr(self, self.key)
 
+    def _values(self, x):
+        return [ex.eval_value(e, x) for e in self.exprs]
+
     def _dual2(self, x, i):
         return ex.eval2(self.exprs[i], x)
 
@@ -273,18 +277,12 @@ class NlpIneq(_NlpBlock):
     kind = section = "nlp_ineq"
     key = "g"
 
-    def activity(self, x, tol, position):
-        vals = [ex.eval_value(g, x) for g in self.g]
-        return BlockActivity(position, self.kind, active=[
-            i for i, v in enumerate(vals)
-            if abs(v) <= tol.eps_active or v > 0])
-
     def violations(self, pts, position):
         return [(f"block {position} inequality {i + 1}", pts.values(g))
                 for i, g in enumerate(self.g)]
 
     def distance(self, x):
-        return sum(max(0.0, ex.eval_value(g, x)) for g in self.g)
+        return sum(max(0.0, v) for v in self._values(x))
 
     def normal_generators(self, x, state, sampling):
         return [(self._grad(x, i), Provenance("nlp_ineq", state.position, i),
@@ -306,7 +304,7 @@ class NlpEq(_NlpBlock):
                 for j, b in enumerate(self.b)]
 
     def distance(self, x):
-        return sum(abs(ex.eval_value(b, x)) for b in self.b)
+        return sum(abs(v) for v in self._values(x))
 
     def normal_generators(self, x, state, sampling):
         out = []
@@ -563,13 +561,13 @@ class SemiInfinite(_ScalarBlock):
         return ex.eval2(ex.fold_constants(g), x)
 
     def _values(self, x):
-        return [ex.eval_value(self.g, np.concatenate([x, [t]]))
-                for t in self.grid]
-
-    def activity(self, x, tol, position):
-        return BlockActivity(position, self.kind, active=[
-            j for j, v in enumerate(self._values(x))
-            if abs(v) <= tol.eps_active or v > 0])
+        """g at every grid point, in one stacked pass; an undefined value
+        raises the DomainError of the first such grid point."""
+        X = np.vstack([np.repeat(x[:, None], len(self.grid), axis=1),
+                       self.grid])
+        vals, reasons = ex.eval_reasons(self.g, X)
+        ex.raise_undefined(reasons)
+        return vals.tolist()
 
     def violations(self, pts, position):
         # the grid points in chunks, each chunk's columns t-major
@@ -616,6 +614,9 @@ class SemiInfinite(_ScalarBlock):
             raise ProblemFormatError("grid must be a:b:n", name, ln)
         a = _parse_number(parts[0], name, ln)
         b = _parse_number(parts[1], name, ln)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ProblemFormatError("grid ends must be finite numbers",
+                                     name, ln)
         n = _parse_count("the grid's point count", parts[2], name, ln)
         if (n == 1 and a != b) or b < a:
             raise ProblemFormatError("grid must satisfy a <= b, n >= 1",
@@ -717,34 +718,28 @@ class ActiveSets:
 
 def _deviations(P: Problem, X):
     """Every scenario's value at every column of X, less its target in a
-    Chebyshev problem, one row per scenario, and the flags of the undefined
-    values; one stacked pass per family."""
+    Chebyshev problem, one row per scenario, and the reason codes of the
+    undefined values (``expr.eval_reasons``); one stacked pass per
+    family."""
     shape = (len(P.scenarios), X.shape[1])
-    devs, bad = np.zeros(shape), np.zeros(shape, dtype=bool)
-    with np.errstate(all="ignore"):
-        for fam in P.scenarios.families:
-            if shape[1] == len(fam.members) == 1:
-                # one value: the one-point evaluation of its tree costs less
-                i = fam.members[0]
-                try:
-                    devs[i, 0] = P.scenarios[i].value_at(X[:, 0])
-                except ex.DomainError:
-                    bad[i, 0] = True
-                continue
-            # a template without a Column leaf gives one row for all
-            devs[fam.members], bad[fam.members] = fam.template.values_at(X)
-        if P.kind == "chebyshev":
+    devs, reasons = np.zeros(shape), np.zeros(shape, dtype=np.int8)
+    for fam in P.scenarios.families:
+        # a template without a Column leaf gives one row for all
+        devs[fam.members], reasons[fam.members] = ex.eval_reasons(
+            fam.template, X)
+    if P.kind == "chebyshev":
+        with np.errstate(all="ignore"):
             devs -= np.array(P.psi)[:, None]
-    return devs, bad
+    return devs, reasons
 
 
 def objective_values(P: Problem, X) -> tuple[np.ndarray, np.ndarray]:
     """F at each column of X, as ``evaluate_objective`` computes it, and the
     columns where a scenario value is undefined (F is meaningless there)."""
-    devs, bad = _deviations(P, np.ascontiguousarray(X, dtype=float))
+    devs, reasons = _deviations(P, np.ascontiguousarray(X, dtype=float))
     if P.kind == "chebyshev":
         devs = np.abs(devs)
-    return builtin_max(devs), bad.any(axis=0)
+    return builtin_max(devs), reasons.any(axis=0)
 
 
 def evaluate_objective(P: Problem, x) -> tuple[float, list]:
@@ -758,9 +753,8 @@ def evaluate_objective(P: Problem, x) -> tuple[float, list]:
     """
     x = np.asarray(x, dtype=float)
     eps = P.tolerances.eps_active
-    devs, bad = _deviations(P, x[:, None])
-    if bad.any():
-        ex.eval_value(P.scenarios[int(np.argmax(bad[:, 0]))], x)
+    devs, reasons = _deviations(P, x[:, None])
+    ex.raise_undefined(reasons)
     devs = devs[:, 0].tolist()
     if P.kind == "minimax":
         F = max(devs)
@@ -841,7 +835,7 @@ def check_feasible(P: Problem, x) -> FeasibilityReport:
     x = np.asarray(x, dtype=float)
     pts = _Points(x[:, None])
     amounts = _violations(P, pts)
-    pts.raise_undefined()
+    ex.raise_undefined(pts.reason)
     bad = [(desc, float(a[0])) for desc, a in amounts
            if not a[0] <= P.tolerances.eps_feas]
     worst = [amt for _, amt in bad]

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 
@@ -476,6 +477,23 @@ def test_check_counts_must_be_positive_integers(tmp_path):
     # a count written as a decimal integer still loads
     path.write_text(head + '[semiinf] g="x(1) - t" grid=0:1:2\n')
     assert run_cli("check", "--file", str(path), "--at", "0")[0] != 1
+
+
+def test_check_semiinf_grid_ends_must_be_finite(tmp_path):
+    """A grid end of inf or nan is an input error, reported alone.  Before,
+    grid=0:inf:3 and nan:1:3 printed numpy's RuntimeWarning and a message
+    about the grid's order, and inf:inf:1 loaded a grid point t = inf."""
+    path = tmp_path / "grid.prob"
+    for grid in ("0:inf:3", "nan:1:3", "inf:inf:1", "-inf:0:2", "0:nan:1"):
+        path.write_text('[problem] dim=1\n[scenario] f="x(1)"\n'
+                        f'[semiinf] g="x(1) - t" grid={grid}\n')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli("check", "--file", str(path), "--at",
+                                     "0")
+        assert (code, out, caught) == (1, "", []), grid
+        assert err == ("error: grid ends must be finite numbers in "
+                       "[semiinf] (line 3)\n"), grid
 
 
 def test_check_rejects_negative_direction_counts_and_dimension_zero():

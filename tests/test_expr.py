@@ -342,7 +342,11 @@ def _ref_eval_value(e, x):
         base = _ref_eval_value(e.base, x)
         if e.exponent < 0 and base == 0.0:
             raise ex.DomainError("zero raised to a negative power")
-        return base ** e.exponent
+        try:
+            return base ** e.exponent
+        except OverflowError:
+            raise ex.DomainError("power outside the floating-point "
+                                 "range") from None
     if isinstance(e, ex.Func):
         v = _ref_eval_value(e.arg, x)
         if e.name == "sin":
@@ -627,8 +631,8 @@ def test_non_ascii_digits_are_syntax_errors(text, offset):
 
 
 # ---------------------------------------------------------------------------
-# stacked evaluation: eval_values over a stack of points against eval_value
-# at each point
+# stacked evaluation: eval_reasons over a stack of points against the
+# frozen reference at each point
 # ---------------------------------------------------------------------------
 
 
@@ -638,20 +642,24 @@ def _same_float(a, b):
 
 
 def _assert_stacked_matches(node, X):
-    """eval_values gives eval_value's value at every column of X, bit for
-    bit, and flags exactly the columns where eval_value raises.  Returns
-    the messages raised."""
-    vals, bad = ex.eval_values(node, X)
-    assert vals.shape == bad.shape == (X.shape[1],)
+    """eval_reasons gives the reference's value at every column of X, bit
+    for bit, and where the reference raises, a reason that raises the same
+    message; eval_values flags exactly those columns.  Returns the
+    messages raised."""
+    vals, reasons = ex.eval_reasons(node, X)
+    assert vals.shape == reasons.shape == (X.shape[1],)
+    assert np.array_equal(ex.eval_values(node, X)[1], reasons != 0)
     raised = set()
     for j in range(X.shape[1]):
         with np.errstate(all="ignore"):
-            outcome = _outcome(ex.eval_value, node, X[:, j])
-        assert bool(bad[j]) == (outcome[0] == "raised"), (node, X[:, j])
-        if outcome[0] == "ok":
-            assert _same_float(vals[j], outcome[1]), (node, X[:, j])
+            ref = _outcome(_ref_eval_value, node, X[:, j])
+        if ref[0] == "ok":
+            assert reasons[j] == 0, (node, X[:, j])
+            assert _same_float(vals[j], ref[1]), (node, X[:, j])
         else:
-            raised.add(outcome[2])
+            assert _outcome(ex.raise_undefined, reasons[j]) == ref, (
+                node, X[:, j])
+            raised.add(ref[2])
     return raised
 
 
@@ -696,6 +704,31 @@ def test_stacked_values_match_on_random_trees(rng):
     assert raised == {"division by zero", "zero raised to a negative power",
                       "sqrt of a negative number",
                       "power outside the floating-point range"}
+
+
+@pytest.mark.parametrize("text,points,messages", [
+    ("sqrt(x(1))/x(2)", [(-1.0, 0.0)], ["division by zero"]),
+    ("x(2)/sqrt(x(1))", [(-1.0, 0.0)], ["sqrt of a negative number"]),
+    ("(x(1)^400)^-1", [(10.0, 0.0), (0.0, 0.0)],
+     ["power outside the floating-point range",
+      "zero raised to a negative power"]),
+    ("(x(1) - 1)^-1 + sqrt(x(1) - 2)", [(1.0, 0.0)],
+     ["zero raised to a negative power"]),
+])
+def test_competing_reasons_follow_the_evaluation_order(text, points,
+                                                       messages):
+    """Where two rules fail in one expression, the reason is the one met
+    first: a binary node's left operand; a quotient's denominator, then
+    division by zero, then its numerator; a power's base, then zero to a
+    negative power, then the range; a function's argument, then the
+    function."""
+    node = ex.parse(text, d=2)
+    X = np.array(points, dtype=float).T
+    assert _assert_stacked_matches(node, X) == set(messages)
+    for point, message in zip(points, messages):
+        with pytest.raises(ex.DomainError) as err:
+            ex.eval_value(node, point)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("text,point", [

@@ -4,14 +4,17 @@
 
 The corpus is the six fixed registry problems under each flag set, `linf`
 for d = 2..8 with the second-order and penalty checks, the sampled cone
-examples with more directions and other seeds, and a few small problem
-files whose penalty verdict flips with the penalty parameter.  Each case
-prints one header line, `== <argv> -> exit <code>`, then its report.
+examples with more directions and other seeds, a few small problem
+files whose penalty verdict flips with the penalty parameter, and small
+files with values undefined at the point.  Each case prints one header
+line, `== <argv> -> exit <code>`, then its report or error.
 
 Run it at two commits and compare the outputs with `cmp`: a change that
-claims to leave reports alone must print the same bytes.  The process
-exits 1 when any case exits 1 (a usage or input error), so a corpus case
-that stops loading does not pass unnoticed.
+claims to leave reports alone must print the same bytes.  The cases of
+`EXPECTED_ERRORS` must exit 1 (an undefined value is an input error);
+the process exits 1 when one of them does not, or when any other case
+exits 1 (a usage or input error), so a corpus case that stops loading
+does not pass unnoticed.
 """
 
 from __future__ import annotations
@@ -35,20 +38,41 @@ FLAG_SETS = ([], ["--second-order"], ["--penalty", "10"],
              ["--second-order", "--penalty", "1", "--oracle",
               "--flavor", "weak"])
 
-# small problems whose penalty verdict depends on the cap of each group of
-# cone weights: one group for a semi-infinite block, one per constraint
-# for separable blocks
+ONE = '[problem] dim=1\n[scenario] f="x(1)"\n'
 FILES = {
+    # small problems whose penalty verdict depends on the cap of each
+    # group of cone weights: one group for a semi-infinite block, one per
+    # constraint for separable blocks
     "semiinf.prob": '[problem] dim=2\n[scenario] f="-x(1)"\n'
                     '[semiinf] g="x(1) + x(2)*t" grid=-1:1:2\n',
     "nlp_ineq.prob": '[problem] dim=2\n[scenario] f="-x(1)"\n'
                      '[nlp_ineq] g="x(1) - x(2)" g="x(1) + x(2)"\n',
     "nlp_eq.prob": '[problem] dim=2\n[scenario] f="x(1) + x(2)^2"\n'
                    '[nlp_eq] b="x(1) - x(2)^2"\n',
+    # values undefined at the point, each an error naming the reason met
+    # first: in a scenario, a matrix entry, a power, a semi-infinite grid
+    # point and an expression with two undefined parts
+    "div.prob": '[problem] dim=1\n[scenario] f="1/x(1)"\n',
+    "sdp_sqrt.prob": ONE + '[sdp] size=1 entry(1,1)="sqrt(x(1))"\n',
+    "pow.prob": '[problem] dim=1\n[scenario] f="x(1)^400"\n',
+    "semiinf_div.prob": ONE + '[semiinf] g="x(1) - 1/t" grid=-1:1:3\n',
+    "two_reasons.prob": '[problem] dim=2\n'
+                        '[scenario] f="sqrt(x(1))/x(2) + (x(2) - 1)^-1"\n',
+    # undefined where the oracle samples (skipped there), and a matrix
+    # entry undefined at the point (infeasible)
+    "probe.prob": ONE + '[nlp_ineq] g="0.05 - x(1)" g="sqrt(x(1)) - 2"\n',
+    "sdp_nan.prob": ONE + '[sdp] size=2 entry(1,1)="exp(x(1)) - exp(x(1))" '
+                          'entry(1,2)="0" entry(2,2)="1"\n',
 }
 FILE_CASES = (("semiinf.prob", "0.75"), ("semiinf.prob", "1.05"),
               ("nlp_ineq.prob", "0.75"), ("nlp_eq.prob", "0.9"),
               ("nlp_eq.prob", "1.1"))
+# the cases that must exit 1: an undefined value at the point
+EXPECTED_ERRORS = [["--file", "div.prob", "--at=0"],
+                   ["--file", "sdp_sqrt.prob", "--at=-1"],
+                   ["--file", "pow.prob", "--at=10"],
+                   ["--file", "semiinf_div.prob", "--at=0"],
+                   ["--file", "two_reasons.prob", "--at=-1,1"]]
 
 
 def cases():
@@ -65,6 +89,9 @@ def cases():
                "--seed", str(seed)]
     for path, c in FILE_CASES:
         yield ["--file", path, "--at", "0,0", "--penalty", c]
+    yield ["--file", "probe.prob", "--at=0.05", "--oracle"]
+    yield ["--file", "sdp_nan.prob", "--at=1000"]
+    yield from EXPECTED_ERRORS
 
 
 def main() -> int:
@@ -82,7 +109,8 @@ def main() -> int:
                 with contextlib.redirect_stdout(out), \
                         contextlib.redirect_stderr(err):
                     code = cli.main(["check", *argv, "--json"])
-                failed += code == cli.EXIT_ERROR
+                failed += (code == cli.EXIT_ERROR) != (
+                    argv in EXPECTED_ERRORS)
                 print(f"== {' '.join(argv)} -> exit {code}")
                 print(out.getvalue() + err.getvalue(), end="")
         finally:
