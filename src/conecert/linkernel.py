@@ -21,7 +21,7 @@ import numpy as np
 from .cones import axis_directions
 
 __all__ = [
-    "det", "rank", "stacked_rank", "SCREEN_CHUNK",
+    "det", "rank", "stacked_rank", "stacked_null", "SCREEN_CHUNK",
     "solve_positive_combination",
     "LpResult", "simplex_solve", "simplex_checked",
     "combination_system", "lp_membership", "lp_direction_margin",
@@ -49,6 +49,11 @@ EPS_RANK = 1e-9
 # vector norm, at least 1) and the least multiplier that counts as positive
 EPS_RESIDUAL = 1e-8
 EPS_POS = 1e-8
+# a unit null vector whose first entry is at most EPS_LEAD in size has no
+# combination with beta_1 = 1 (columns 2..p dependent when it is 0), or
+# one whose largest weight is at least 1/(sqrt(p) EPS_LEAD) ~ 10^9 / sqrt(p)
+# times the first; solve_positive_combination rejects both
+EPS_LEAD = 1e-9
 # pivots per simplex phase
 MAX_ITER = 20000
 
@@ -63,6 +68,17 @@ def stacked_rank(stack):
     return np.sum(sigma > EPS_RANK * sigma[..., :1], axis=-1), sigma
 
 
+def stacked_null(stack):
+    """Null vectors of the d x p matrices stacked along the leading axes
+    of ``stack``, for those of rank p - 1: the last right singular vector
+    of each, unit length, from one full SVD call; and the singular values,
+    largest first.  ``solve_positive_combination`` takes its lead test
+    from this call on its one matrix, so a stacked screen agrees with it
+    bit for bit."""
+    _, sigma, vt = np.linalg.svd(stack, full_matrices=True)
+    return vt[..., -1, :], sigma
+
+
 def rank(M) -> int:
     """Number of singular values above EPS_RANK * sigma_max."""
     M = np.asarray(M, dtype=float)
@@ -74,10 +90,11 @@ def rank(M) -> int:
 def solve_positive_combination(V):
     """Multipliers beta > 0 with sum(beta_i * V_i) = 0, normalized beta_1 = 1.
 
-    Requires rank([V_1..V_p]) = p - 1; solves the least-squares system for
-    beta_2..beta_p restricted to the column space and accepts only when the
-    residual vanishes and every multiplier is strictly positive.  Returns
-    None when no such combination exists.
+    Requires rank([V_1..V_p]) = p - 1 and a null vector whose first
+    entry exceeds EPS_LEAD in size (``stacked_null``); solves the
+    least-squares system for beta_2..beta_p restricted to the column space
+    and accepts only when the residual vanishes and every multiplier is
+    strictly positive.  Returns None when no such combination exists.
     """
     vecs = [np.asarray(v, dtype=float) for v in V]
     p = len(vecs)
@@ -87,7 +104,7 @@ def solve_positive_combination(V):
     if p == 1:
         return np.array([1.0]) if np.linalg.norm(vecs[0]) <= tol else None
     M = np.column_stack(vecs)
-    if rank(M) != p - 1:
+    if rank(M) != p - 1 or abs(stacked_null(M)[0][0]) <= EPS_LEAD:
         return None
     B = M[:, 1:]
     g = B.T @ B

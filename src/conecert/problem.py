@@ -460,8 +460,8 @@ class Sdp(_ConeBlock):
         n = self.size
         M = np.empty((pts.n, n, n))
         for i in range(n):
-            for j in range(n):
-                M[:, i, j] = pts.values(self.G0[i][j])
+            for j in range(i, n):
+                M[:, i, j] = M[:, j, i] = pts.values(self.G0[i][j])
         # a matrix with an undefined or non-finite entry has no
         # eigenvalues: its amount is NaN, a violation; a NaN matrix in the
         # stack could make eigvalsh fail for every point
@@ -506,7 +506,7 @@ class Sdp(_ConeBlock):
         name, size, entries = cls.section, None, {}
         for k, v, ln in pairs:
             if k == "size":
-                size = _parse_count("size", v, name, ln)
+                size = _parse_count("size", v, MAX_SDP_SIZE, name, ln)
             elif k.startswith("entry(") and k.endswith(")"):
                 try:
                     i_s, j_s = k[6:-1].split(",")
@@ -617,7 +617,8 @@ class SemiInfinite(_ScalarBlock):
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ProblemFormatError("grid ends must be finite numbers",
                                      name, ln)
-        n = _parse_count("the grid's point count", parts[2], name, ln)
+        n = _parse_count("the grid's point count", parts[2],
+                         MAX_GRID_POINTS, name, ln)
         if (n == 1 and a != b) or b < a:
             raise ProblemFormatError("grid must satisfy a <= b, n >= 1",
                                      name, ln)
@@ -787,8 +788,8 @@ def _sdp_matrix(blk: Sdp, x) -> np.ndarray:
     n = blk.size
     M = np.zeros((n, n))
     for i in range(n):
-        for j in range(n):
-            M[i, j] = ex.eval_value(blk.G0[i][j], x)
+        for j in range(i, n):
+            M[i, j] = M[j, i] = ex.eval_value(blk.G0[i][j], x)
     return 0.5 * (M + M.T)
 
 
@@ -947,12 +948,28 @@ def _parse_number(value: str, section, line) -> float:
         raise ProblemFormatError(f"not a number: {value!r}", section, line)
 
 
-def _parse_count(key: str, value: str, section, line) -> int:
+# The largest count of each kind a problem file may ask for, checked
+# before anything of that size is allocated.
+# dim: the second-order tests and the oracle build d x d Hessians (8 MB
+# each at 1000) and the finite-difference Hessian makes 4 d^2 evaluations
+MAX_DIM = 1000
+# an [sdp] size: the loader lays out a size x size table before it checks
+# the entries, and every point's matrix takes an O(size^3) eigensolve
+MAX_SDP_SIZE = 1000
+# a [semiinf] grid is held as Python floats (about 32 bytes a point), and
+# each point is one scalar constraint evaluated at every point checked
+MAX_GRID_POINTS = 100_000
+
+
+def _parse_count(key: str, value: str, limit: int, section, line) -> int:
     """A count (dim, a matrix size, a grid's point count): a decimal
-    integer from 1 to 10^18 - 1, in ASCII digits."""
+    integer from 1 to ``limit``, in ASCII digits."""
     if not re.fullmatch(r"\s*\+?0*[1-9][0-9]{0,17}\s*", value):
         raise ProblemFormatError(
             f"{key} must be a positive integer, got {value!r}", section, line)
+    if int(value) > limit:
+        raise ProblemFormatError(
+            f"{key} must be at most {limit}, got {value!r}", section, line)
     return int(value)
 
 
@@ -1012,7 +1029,7 @@ def load_problem_text(text: str, source: str = "<memory>",
     if "dim" not in head:
         raise ProblemFormatError("missing dim", "problem", sections[0]["line"])
     dim_value, dim_line = head["dim"]
-    d = _parse_count("dim", dim_value, "problem", dim_line)
+    d = _parse_count("dim", dim_value, MAX_DIM, "problem", dim_line)
     kind = head.get("kind", ("minimax", 0))[0]
 
     texts = []   # (scenario text, its line)

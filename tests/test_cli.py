@@ -4,11 +4,13 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 
 from conecert import firstorder as fo
+from conecert import problem as pb
 from conecert import registry
 from conecert.cli import main
 
@@ -477,6 +479,41 @@ def test_check_counts_must_be_positive_integers(tmp_path):
     # a count written as a decimal integer still loads
     path.write_text(head + '[semiinf] g="x(1) - t" grid=0:1:2\n')
     assert run_cli("check", "--file", str(path), "--at", "0")[0] != 1
+
+
+def test_check_counts_past_their_limits_are_input_errors(tmp_path):
+    """dim, an sdp size and a grid's point count each have a limit, and a
+    larger count is an input error raised before anything of that size
+    is allocated: each one-line file loads within a small tracemalloc
+    peak.  Before, dim=1000000000 asked for gigabytes of bound lists."""
+    head = '[problem] dim=1\n[scenario] f="x(1)"\n'
+    cases = [
+        ("[problem] dim={}\n", "dim", pb.MAX_DIM, "[problem] (line 1)"),
+        (head + '[sdp] size={} entry(1,1)="x(1)"\n', "size",
+         pb.MAX_SDP_SIZE, "[sdp] (line 3)"),
+        (head + '[semiinf] g="x(1) - t" grid=0:1:{}\n',
+         "the grid's point count", pb.MAX_GRID_POINTS, "[semiinf] (line 3)"),
+    ]
+    path = tmp_path / "count.prob"
+    for text, key, limit, where in cases:
+        for count in (limit + 1, 10 ** 9, 10 ** 18 - 1):
+            path.write_text(text.format(count))
+            tracemalloc.start()
+            try:
+                code, out, err = run_cli("check", "--file", str(path),
+                                         "--at", "0")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (code, out) == (1, ""), count
+            assert err == (f"error: {key} must be at most {limit}, "
+                           f"got '{count}' in {where}\n")
+            assert peak < 2 ** 20, (key, count, peak)
+    # the limit itself still loads
+    path.write_text(head + '[semiinf] g="x(1) - t" grid=0:1:{}\n'.format(
+        pb.MAX_GRID_POINTS))
+    assert len(pb.load_problem_file(str(path)).blocks[0].grid) \
+        == pb.MAX_GRID_POINTS
 
 
 def test_check_semiinf_grid_ends_must_be_finite(tmp_path):

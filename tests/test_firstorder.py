@@ -1,11 +1,12 @@
 import math
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 import pytest
 
 import conecert as cc
 from conecert import firstorder as fo
+from conecert import linkernel as lk
 from conecert import registry
 from conecert.geometry import (GeneratorSet, PointContext, Provenance,
                                build_generator_set)
@@ -268,6 +269,119 @@ def test_find_cadre_budget_is_exact(name, dim, flavor, p_min):
         with pytest.raises(fo.CombinatorialBudgetExceeded) as err:
             fo.find_cadre(G, flavor, p_min=p_min, budget=budget)
         assert err.value.subsets_tried == budget + 1
+
+
+def _screen_pool(rng, d, kind):
+    """A small pool of vectors in R^d rich in positive combinations, made
+    degenerate by ``kind``."""
+    base = [rng.integers(-2, 3, size=d).astype(float) for _ in range(d + 1)]
+    pool = list(base)
+    for _ in range(d + 2):
+        pick = rng.choice(len(base), size=int(rng.integers(1, d + 1)),
+                          replace=False)
+        weights = np.exp(rng.uniform(-2, 2, size=len(pick)))
+        if kind == "zero":
+            # an exactly zero weight: a zero entry in the null vector
+            weights[0] = 0.0
+        pool.append(-sum(w * base[i] for w, i in zip(weights, pick)))
+    if kind == "lead":
+        # multiples of one vector: dependent tail columns, a zero lead
+        pool += [3.0 * base[0], -0.5 * base[0], 2.0 * base[1]]
+    elif kind == "parallel":
+        pool += [v * (1 + 1e-7) + 1e-9 * rng.standard_normal(d)
+                 for v in pool[:d]]
+    elif kind == "scaled":
+        pool = [v * 10.0 ** rng.choice([-3, 0, 3]) for v in pool]
+    return np.array([v for v in pool if np.any(v)])
+
+
+def test_rank_screen_keeps_every_positive_combination():
+    """Every subset that solve_positive_combination accepts survives the
+    rank and positivity screen, in order and whatever its slices, over
+    random pools with exact zero null entries, zero leads, near-parallel
+    columns and columns scaled to a condition number near 10^6; the
+    screen drops most of the rest."""
+    rng = np.random.default_rng(11)
+    accepted = survivors = kept = 0
+    for trial in range(24):
+        d = 2 + trial % 3
+        kind = ("plain", "zero", "lead", "parallel", "scaled")[trial % 5]
+        pool = _screen_pool(rng, d, kind)
+        for p in range(2, d + 2):
+            chunk = list(combinations(range(len(pool)), p))
+            # slices of 1, 2, 3, ... survivors, in order
+            screened = list(fo._rank_screen(pool, chunk, p, count(1)))
+            assert screened == sorted(screened)
+            ranks = [np.linalg.matrix_rank(pool[list(s)].T) for s in chunk]
+            survivors += sum(r == p - 1 for r in ranks)
+            kept += len(screened)
+            for sub in chunk:
+                if solve_positive_combination(pool[list(sub)]) is not None:
+                    accepted += 1
+                    assert sub in screened, (trial, kind, sub)
+    assert accepted > 100 and kept < survivors / 2
+
+
+def test_stacked_lead_test_matches_the_scalar_one():
+    """The screen's lead test and the one in solve_positive_combination
+    decide identically: the stacked null vectors are the single-matrix
+    ones bit for bit.  A subset the lead test rejects is rejected by the
+    scalar too, and one the scalar accepts, with weights up to 10^8
+    apart, passes the whole screen.  Two opposite vectors whose weights
+    are 10^10 apart pass the rank test and were accepted before the lead
+    test; now both the scalar and the screen reject them."""
+    rng = np.random.default_rng(5)
+    u, v, w = rng.standard_normal((3, 3))
+    mats = [np.column_stack([-(r * u + v), u, v])      # beta = (r, 1)
+            for r in np.geomspace(1e6, 1e8, 9)]
+    # near-dependent tail columns: null vector (1/r, 1, 1), lead ~ 1/r
+    mats += [np.column_stack([w, u, -(u + w / r)])
+             for r in np.geomspace(1e7, 1e11, 17)]
+    mats.append(np.column_stack([w, u, 2.0 * u]))       # lead exactly 0
+    stack = np.array(mats)
+    assert all(lk.rank(M) == 2 for M in stack)
+    nulls, sigma = lk.stacked_null(stack)
+    lead_out = np.abs(nulls[:, 0]) <= lk.EPS_LEAD
+    dropped = fo._surely_not_positive(nulls, sigma, 3)
+    for M, out, null, drop in zip(stack, lead_out, nulls, dropped):
+        one, _ = lk.stacked_null(M)
+        assert np.array_equal(one, null)
+        assert (abs(one[0]) <= lk.EPS_LEAD) == out
+        accepted = solve_positive_combination(M.T) is not None
+        assert not (out and accepted)
+        assert not (drop and accepted)
+    assert 0 < lead_out.sum() < len(lead_out) and dropped[lead_out].all()
+    assert all(solve_positive_combination(M.T) is not None
+               for M in stack[:9])
+    pair = np.array([u, -1e-8 * u, -1e-10 * u])
+    assert solve_positive_combination(pair[[0, 1]]) is not None
+    assert solve_positive_combination(pair[[0, 2]]) is None
+    assert list(fo._rank_screen(pair, [(0, 1), (0, 2)], 2, count(1))) \
+        == [(0, 1)]
+
+
+def test_find_cadre_scalar_calls_on_linf():
+    """Pinned calls of solve_positive_combination, the search's own (the
+    unscreened single vectors included) and verify_alternance's, on linf
+    d=6.  The plain complete search, 792 subsets of which 192 have rank
+    6, makes none; the generalised one, 293 of rank 6, makes two: one
+    for its cadre and one to verify it."""
+    P, x, sampling = registry.get("linf", 6)
+    G = PointContext(P, x, sampling).generators
+    calls = []
+
+    def counted(vecs):
+        calls.append(len(vecs))
+        return solve_positive_combination(vecs)
+
+    pinned = {("plain", 1): 14, ("plain", 7): 0,
+              ("generalised", 1): 15, ("generalised", 7): 2}
+    for (flavor, p_min), n in pinned.items():
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fo, "solve_positive_combination", counted)
+            fo.find_cadre(G, flavor, p_min=p_min)
+        assert len(calls) == n, (flavor, p_min)
 
 
 def test_find_cadre_needs_objective_vector():
