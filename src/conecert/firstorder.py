@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations, count, islice
+from itertools import chain, combinations, count
 
 import numpy as np
 
@@ -50,25 +50,114 @@ class NotFeasible(Exception):
     pass
 
 
-def _budgeted_chunks(groups, budget: int, search: str):
-    """The subsets of each (key, subsets) group, in order, as (key, chunk)
-    pairs of at most SCREEN_CHUNK subsets of one group; the budget search
-    of ``find_cadre`` and ``_polytope_vertices``.  Every subset handed out
-    counts against the budget.  The one after the budget's last is never
-    handed out: asking for it raises CombinatorialBudgetExceeded with
-    subsets_tried == budget + 1."""
+def _prefix_walk(columns, groups, budget: int, search: str):
+    """The subsets of each (key, segments) group, in order, as (key, block)
+    pairs; the budgeted search of ``find_cadre`` and ``_polytope_vertices``.
+
+    A group's subsets take ``count`` increasing indices from each of its
+    (start, stop, count) segments, range(start, stop), in turn, and come in
+    lexicographic order.  A block holds at most SCREEN_CHUNK subsets of
+    one group, one per row of an integer array.  The walk over the tree of
+    index prefixes (``_prefix_tree``) drops every subset below a large
+    subtree's linearly dependent prefix.  Every subset handed out or
+    dropped counts against the budget.  The one after the budget's last
+    is never handed out: asking for it raises CombinatorialBudgetExceeded
+    with subsets_tried == budget + 1."""
     tried = 0
-    for key, subsets in groups:
-        while chunk := list(islice(subsets,
-                                   min(SCREEN_CHUNK, budget - tried + 1))):
-            # the subset after the budget's last is never tried
-            over = tried + len(chunk) > budget
+    for key, segments in groups:
+        rest = np.empty((0, sum(c for _, _, c in segments)), dtype=np.intp)
+        for part in _prefix_tree(columns, segments):
+            size = part if isinstance(part, int) else len(part)
+            over = tried + size > budget
+            if not isinstance(part, int):
+                rest = np.concatenate([rest, part[:budget - tried]])
+            tried += size
+            whole = len(rest) if over else len(rest) - len(rest) % SCREEN_CHUNK
+            for start in range(0, whole, SCREEN_CHUNK):
+                yield key, rest[start:start + SCREEN_CHUNK]
+            rest = rest[whole:]
             if over:
-                chunk.pop()
-            yield key, chunk
-            tried += len(chunk)
-            if over:
-                raise CombinatorialBudgetExceeded(tried + 1, search)
+                raise CombinatorialBudgetExceeded(budget + 1, search)
+        if len(rest):
+            yield key, rest
+
+
+def _prefix_tree(columns, segments):
+    """The subsets of one group (see ``_prefix_walk``) in order, as index
+    blocks, with the size of each dropped subtree, an int, in its place.
+
+    A node is an index prefix; its children extend it by one admissible
+    index, and their subtrees shrink as that index grows.  The children
+    whose subtree holds at least SCREEN_CHUNK subsets (a product of
+    binomials) are checked together, by one stacked rank call on the rows
+    of ``columns`` that each indexes.  A child whose vectors have less
+    than full column rank (the EPS_RANK test) is dropped with its
+    subtree, since no subset below it is linearly independent; the others
+    are walked in turn.  The subtrees of the remaining, smaller children
+    follow whole, as one block, unchecked."""
+    # per index position: its segment, where a segment's first position
+    # starts, the segment's stop and the positions left in it after this
+    slots = [(s, start if k == 0 else None, stop, count - 1 - k)
+             for s, (start, stop, count) in enumerate(segments)
+             for k in range(count)]
+    # the subsets of the segments after each one
+    later = [math.prod(math.comb(stop - start, count)
+                       for start, stop, count in segments[s + 1:])
+             for s in range(len(segments))]
+    todo = [("node", np.empty(0, dtype=np.intp))]
+    while todo:
+        kind, *item = todo.pop()
+        if kind == "drop":
+            yield item[0]
+            continue
+        if kind == "rest":
+            # every subset below the prefix whose next index is at least lo
+            prefix, lo = item
+            s, _, stop, left = slots[len(prefix)]
+            block = _combination_rows(lo, stop, left + 1)
+            for segment in segments[s + 1:]:
+                if segment[2]:
+                    block = _joined(block, _combination_rows(*segment))
+            yield _joined(prefix[None], block) if len(prefix) else block
+            continue
+        prefix, = item
+        t = len(prefix)
+        if t == len(slots):
+            # the one, empty, subset of a group of no indices
+            yield prefix[None]
+            continue
+        s, first, stop, left = slots[t]
+        lo = prefix[-1] + 1 if first is None else first
+        hi = stop - left
+
+        def size(j):
+            return math.comb(int(stop - j - 1), left) * later[s]
+        mid = lo
+        while mid < hi and size(mid) >= SCREEN_CHUNK:
+            mid += 1
+        # pushed last first, so the walk keeps the lexicographic order
+        if mid < hi:
+            todo.append(("rest", prefix, mid))
+        if mid > lo:
+            heads = np.column_stack([np.tile(prefix, (mid - lo, 1)),
+                                     np.arange(lo, mid)])
+            ranks, _ = stacked_rank(columns[heads].transpose(0, 2, 1))
+            for head, r in zip(heads[::-1], ranks[::-1]):
+                todo.append(("node", head) if r == t + 1
+                            else ("drop", size(head[-1])))
+
+
+def _joined(a, b):
+    """Each row of a joined with each row of b, in order."""
+    return np.hstack([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))])
+
+
+def _combination_rows(start, stop, r: int):
+    """combinations(range(start, stop), r), in order, as the rows of an
+    integer array."""
+    n = math.comb(int(stop - start), r)
+    flat = chain.from_iterable(combinations(range(start, stop), r))
+    return np.fromiter(flat, dtype=np.intp, count=n * r).reshape(n, r)
 
 
 @dataclass(frozen=True)
@@ -289,17 +378,6 @@ def _hull_pool(grads, grads_prov, generalised: bool):
     return pool, prov
 
 
-def _subsets(n_grads, n_eta, n_na, k0, e, a):
-    """Index tuples into the joined pool (objective gradients, then cone
-    generators, then polyhedral-set generators), in enumeration order."""
-    eta = range(n_grads, n_grads + n_eta)
-    na = range(n_grads + n_eta, n_grads + n_eta + n_na)
-    for gi in combinations(range(n_grads), k0):
-        for ei in combinations(eta, e):
-            for ai in combinations(na, a):
-                yield gi + ei + ai
-
-
 def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
                eps_det: float = 1e-8, budget: int = DEFAULT_BUDGET):
     """Search for a cadre over the generator families, smallest p first.
@@ -310,13 +388,19 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
     generalised flavor extends the pools with verified interior points
     (sums of generators within one cone; a checked hull point); the weak
     flavor merges the two cone segments and adds their pairwise sums.
-    Subsets are screened in chunks (``_rank_screen``): one stacked rank
+    Subsets come from a walk over the tree of their index prefixes
+    (``_prefix_walk``): the walk checks the prefixes that head large
+    subtrees and skips every subset below a linearly dependent one.  The
+    rest are screened in chunks (``_rank_screen``): one stacked rank
     computation keeps those of rank p-1, which the positive-combination
     test demands, and stacked null-vector computations, over slices of
     these that double in size along the search, drop those whose null
     vector n proves that test fails, by its lead test (n_0 near 0) or by
     the signs of n_i / n_0.  The rest go on to it and to the alternance
-    test, in enumeration order.  Every subset counts against the budget.
+    test, in enumeration order.  A cadre must also pass the prefix test:
+    the first k of its vectors have rank k for every k < p (the EPS_RANK
+    test), so the walk's skips never decide which cadre comes first.
+    Every subset, skipped ones included, counts against the budget.
     Returns the first cadre found or None.
     """
     if flavor not in ("plain", "generalised", "weak"):
@@ -338,27 +422,35 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
     pool = grads + eta_pool + na_pool
     pool_prov = grads_prov + eta_prov + na_prov
     stacked = np.array(pool)
-    sizes = (len(grads), len(eta_pool), len(na_pool))
-    groups = (((p, k0, e), _subsets(*sizes, k0, e, p - k0 - e))
+    ng, ne, n = len(grads), len(eta_pool), len(pool)
+    groups = (((p, k0, e), ((0, ng, k0), (ng, ng + ne, e),
+                            (ng + ne, n, p - k0 - e)))
               for p in range(p_min, G.d + 2)
-              for k0 in range(min(p, len(grads)), 0, -1)
-              for e in range(min(p - k0, len(eta_pool)), -1, -1)
-              if p - k0 - e <= len(na_pool))
+              for k0 in range(min(p, ng), 0, -1)
+              for e in range(min(p - k0, ne), -1, -1)
+              if p - k0 - e <= n - ng - ne)
     # the positivity screen's slices double over the search, so a cadre
     # found early costs few null vectors and a long search few SVD calls
     widths = (4 << k for k in count())
-    for (p, k0, e), chunk in _budgeted_chunks(groups, budget,
-                                              "cadre search"):
-        for sub in _rank_screen(stacked, chunk, p, widths):
+    for (p, k0, e), block in _prefix_walk(stacked, groups, budget,
+                                          "cadre search"):
+        for sub in _rank_screen(stacked, block, p, widths):
             vecs = [pool[i] for i in sub]
             if solve_positive_combination(vecs) is None:
                 continue
             result = verify_alternance(
                 vecs, k0=k0, i0=k0 + e, eps_det=eps_det, flavor=flavor,
                 provenance=[pool_prov[i] for i in sub])
-            if isinstance(result, Cadre):
+            if isinstance(result, Cadre) and _independent_prefixes(vecs):
                 return result
     return None
+
+
+def _independent_prefixes(vecs) -> bool:
+    """True when the first k vectors have rank k for every k below their
+    number, by the EPS_RANK test: the prefix test of a cadre."""
+    M = np.column_stack(vecs)
+    return all(rank(M[:, :k]) == k for k in range(1, len(vecs)))
 
 
 def _rank_screen(stacked, chunk, p, widths):
@@ -376,7 +468,7 @@ def _rank_screen(stacked, chunk, p, widths):
     test, bit for bit, or by its sign test on the multipliers
     beta_i = n_i / n_0 of the null vector n.  For p = d + 1 those are the
     signed alternance determinants over the first (Cramer's rule)."""
-    if p == 1 or not chunk:
+    if p == 1 or not len(chunk):
         yield from chunk
         return
     mats = stacked[np.array(chunk)].transpose(0, 2, 1)

@@ -159,36 +159,36 @@ def hull_membership_bruteforce(target, hull, cone=(), eps: float = 1e-9) -> bool
 
 
 def fd_gradient(e: ex.Expression, x, step: float = 1e-5) -> np.ndarray:
+    """Central differences of e at x; the 2d shifted points, x + step e_i
+    then x - step e_i for each i, are evaluated as one stack."""
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
-    g = np.zeros(d)
-    for i in range(d):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += step
-        xm[i] -= step
-        g[i] = (ex.eval_value(e, xp) - ex.eval_value(e, xm)) / (2 * step)
-    return g
+    X = np.repeat(x[:, None], 2 * d, axis=1)
+    axis = np.arange(d)
+    X[axis, 2 * axis] += step
+    X[axis, 2 * axis + 1] -= step
+    vals, reasons = ex.eval_reasons(e, X)
+    ex.raise_undefined(reasons)
+    return (vals[0::2] - vals[1::2]) / (2 * step)
 
 
 def fd_hessian(e: ex.Expression, x, step: float = 1e-4) -> np.ndarray:
+    """Central second differences of e at x; the 4d^2 shifted points,
+    x +- step e_i +- step e_j for each (i, j), are evaluated as one
+    stack."""
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
-    H = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            xpp, xpm, xmp, xmm = (x.copy() for _ in range(4))
-            xpp[i] += step
-            xpp[j] += step
-            xpm[i] += step
-            xpm[j] -= step
-            xmp[i] -= step
-            xmp[j] += step
-            xmm[i] -= step
-            xmm[j] -= step
-            H[i, j] = (ex.eval_value(e, xpp) - ex.eval_value(e, xpm)
-                       - ex.eval_value(e, xmp) + ex.eval_value(e, xmm)) \
-                / (4 * step * step)
-    return H
+    X = np.repeat(x[:, None], 4 * d * d, axis=1)
+    rows, cols = np.divmod(np.arange(d * d), d)
+    # the signs of the i and j shifts of the four points of each (i, j)
+    for k, (si, sj) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
+        at = 4 * np.arange(d * d) + k
+        X[rows, at] += si * step
+        X[cols, at] += sj * step
+    vals, reasons = ex.eval_reasons(e, X)
+    ex.raise_undefined(reasons)
+    pp, pm, mp, mm = (vals[k::4] for k in range(4))
+    return ((pp - pm - mp + mm) / (4 * step * step)).reshape(d, d)
 
 
 def fd_check(e: ex.Expression, x, grad_step: float = 1e-5,

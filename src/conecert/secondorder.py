@@ -11,7 +11,6 @@ critical cone is sufficient regardless of the cone types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -20,7 +19,7 @@ from . import expr as ex
 from .cones import KeptRows, axis_directions, row_norms
 from .firstorder import (DEFAULT_BUDGET, CombinatorialBudgetExceeded,
                          MultiplierWitness, NecessaryReport,
-                         _assemble_witness, _budgeted_chunks,
+                         _assemble_witness, _prefix_walk,
                          _witness_residual, directional_derivatives)
 from .geometry import PointContext
 from .linkernel import (SCREEN_CHUNK, combination_system, rank,
@@ -44,28 +43,28 @@ def _polytope_vertices(Aeq, beq, n, budget: int = DEFAULT_BUDGET):
     """Vertices of {w >= 0 : Aeq w = beq} by basic-solution enumeration.
 
     Supports of every size up to min(m, n) are tried, so vertices of
-    degenerate systems (dependent equality rows) are not missed.  Each
-    chunk of supports is screened first (``_support_screen``); the scalar
-    test below still decides every support the screen lets through.  Every
-    support counts against the budget; trying one more raises
-    CombinatorialBudgetExceeded."""
+    degenerate systems (dependent equality rows) are not missed.  They
+    come from the walk over index prefixes that the cadre search uses
+    (``_prefix_walk``), one group per support size: it skips the supports
+    below a large subtree's linearly dependent prefix, which have no full
+    column rank either, so the rank tests below would reject them.  Each
+    chunk of supports is screened (``_support_screen``); the scalar test
+    below still decides every support the screen lets through.  Every
+    support, skipped ones included, counts against the budget; trying one
+    more raises CombinatorialBudgetExceeded."""
     m = Aeq.shape[0]
     verts = []
     scale = max(1.0, float(np.linalg.norm(beq)))
-    groups = ((size, combinations(range(n), size))
-              for size in range(0, min(m, n) + 1))
-    for _, chunk in _budgeted_chunks(groups, budget,
-                                     "multiplier-vertex enumeration"):
+    groups = ((size, ((0, n, size),)) for size in range(0, min(m, n) + 1))
+    for _, chunk in _prefix_walk(Aeq.T, groups, budget,
+                                 "multiplier-vertex enumeration"):
         for support in _support_screen(Aeq, beq, chunk, verts, scale):
-            B = Aeq[:, support] if support else np.zeros((m, 0))
-            if support and rank(B) < len(support):
+            B = Aeq[:, support]
+            if rank(B) < len(support):
                 continue
-            if support:
-                sol, *_ = np.linalg.lstsq(B, beq, rcond=None)
-            else:
-                sol = np.zeros(0)
+            sol, *_ = np.linalg.lstsq(B, beq, rcond=None)
             full = np.zeros(n)
-            full[list(support)] = sol
+            full[support] = sol
             if np.any(full < -1e-9):
                 continue
             if np.linalg.norm(Aeq @ full - beq) > 1e-8 * scale:
@@ -89,7 +88,7 @@ def _support_screen(Aeq, beq, chunk, verts, scale):
     vertex repeats one already kept.  The last covers supports whose
     basic solution has a (near) zero entry: in exact arithmetic their
     vertex is that of the smaller support without it, found earlier."""
-    if not chunk or not chunk[0]:
+    if not len(chunk) or not len(chunk[0]):
         return chunk
     k = len(chunk[0])
     m, n = Aeq.shape

@@ -1,5 +1,6 @@
 import math
-from itertools import combinations, count
+from collections import Counter
+from itertools import combinations, count, product
 
 import numpy as np
 import pytest
@@ -382,6 +383,121 @@ def test_find_cadre_scalar_calls_on_linf():
             mp.setattr(fo, "solve_positive_combination", counted)
             fo.find_cadre(G, flavor, p_min=p_min)
         assert len(calls) == n, (flavor, p_min)
+
+
+def _walk_pool(rng, d=6):
+    """18 vectors in R^d in three segments (0..6, 7..12, 13..17), rich in
+    linearly dependent prefixes: a pair a hair below the EPS_RANK
+    boundary and one a hair above it, exact +- pairs within and across
+    segments, and aux_sum-style triples (v_i, v_j, v_i + v_j)."""
+    u, w, v, z = np.linalg.qr(rng.standard_normal((d, 4)))[0].T
+    b = rng.integers(-2, 3, size=(6, d)).astype(float)
+    # sigma_min / sigma_max of [u, u + eps w] is eps / 2, to first order
+    return np.array([u, u + 1.5e-9 * w, v, v + 2.5e-9 * z, b[0], b[1], b[2],
+                     b[1] + b[2], -b[0], b[3], -b[3], b[4], b[3] + b[4],
+                     -b[1], b[5], -b[5], b[0] + b[5], b[2] + b[4]])
+
+
+_WALK_GROUPS = ([(("one", p), ((0, 18, p),)) for p in (4, 6)]
+                + [(("three", c), ((0, 7, c[0]), (7, 13, c[1]),
+                                   (13, 18, c[2])))
+                   for c in ((3, 2, 1), (2, 2, 2), (1, 3, 1), (2, 0, 2))])
+
+
+def _walk_reference(columns, groups, chunk):
+    """(key, subset, kept) for every subset of the groups, in order.  The
+    subsets come from itertools.combinations, segment by segment; one is
+    kept unless a proper prefix that heads at least ``chunk`` of them has
+    less than full column rank by the scalar rank test."""
+    ranks = {}
+    for key, segments in groups:
+        subsets = [sum(parts, ()) for parts in product(
+            *(combinations(range(a, b), c) for a, b, c in segments))]
+        heads = Counter(s[:k] for s in subsets for k in range(1, len(s)))
+        for s in subsets:
+            kept = True
+            for k in range(1, len(s)):
+                if heads[s[:k]] >= chunk:
+                    if s[:k] not in ranks:
+                        ranks[s[:k]] = lk.rank(columns[list(s[:k])].T)
+                    kept = kept and ranks[s[:k]] == k
+            yield key, s, kept
+
+
+def _walked(columns, groups, budget):
+    """The (key, subset) pairs the walk hands out, in order, and the
+    subsets_tried of the budget overrun that ends it (None without one)."""
+    out = []
+    try:
+        for key, block in fo._prefix_walk(columns, groups, budget, "walk"):
+            assert 0 < len(block) <= fo.SCREEN_CHUNK
+            out += [(key, tuple(map(int, row))) for row in block]
+    except fo.CombinatorialBudgetExceeded as err:
+        return out, err.subsets_tried
+    return out, None
+
+
+@pytest.mark.parametrize("chunk", [SCREEN_CHUNK, 8])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_prefix_walk_matches_brute_force(monkeypatch, chunk, seed):
+    """The walk hands out the subsets that survive a per-prefix rank filter
+    over the itertools enumeration, in order, and counts every dropped
+    subset against the budget: budgets of 0, inside a dropped subtree,
+    at a chunk's edge and at the full count give the same handed-out
+    subsets and subsets_tried as the reference.  A chunk of 8 puts the
+    prefix checks at every depth and in every segment."""
+    monkeypatch.setattr(fo, "SCREEN_CHUNK", chunk)
+    columns = _walk_pool(np.random.default_rng(seed))
+    assert lk.rank(columns[[0, 1]].T) == 1 and lk.rank(columns[[2, 3]].T) == 2
+    ref = list(_walk_reference(columns, _WALK_GROUPS, chunk))
+    kept = [(pos, (key, s)) for pos, (key, s, k) in enumerate(ref, 1) if k]
+    total = len(ref)
+    dropped = {pos for pos, (*_, k) in enumerate(ref, 1) if not k}
+    assert 0 < len(dropped) < total / 2
+    # inside a dropped run, with kept subsets before it
+    inside = min(pos for pos in dropped
+                 if pos > kept[0][0] and pos + 1 in dropped
+                 and pos - 1 in dropped)
+    # the last subset of the first full chunk of the first group
+    edge = kept[chunk - 1][0]
+    assert all(key == ref[0][0] for _, (key, _) in kept[:chunk])
+    for budget in (0, inside, edge - 1, edge, edge + 1, total - 1, total):
+        got, tried = _walked(columns, _WALK_GROUPS, budget)
+        assert got == [sub for pos, sub in kept if pos <= budget], budget
+        assert tried == (budget + 1 if budget < total else None), budget
+
+
+def test_prefix_walk_leaves_small_groups_unchecked(monkeypatch):
+    """A group of fewer than SCREEN_CHUNK subsets is handed out whole,
+    with no rank call, dependent prefixes and all."""
+    calls = []
+    monkeypatch.setattr(fo, "stacked_rank",
+                        lambda stack: calls.append(stack) or lk.stacked_rank(
+                            stack))
+    columns = _walk_pool(np.random.default_rng(0))
+    groups = [("small", ((0, 7, 2), (7, 13, 1), (13, 18, 1)))]
+    got, tried = _walked(columns, groups, fo.DEFAULT_BUDGET)
+    assert tried is None and not calls
+    assert [s for _, s in got] == [s for _, s, _ in _walk_reference(
+        columns, groups, SCREEN_CHUNK)]
+
+
+def test_find_cadre_applies_the_prefix_test(monkeypatch):
+    """A verified cadre is returned only when its first k vectors have
+    rank k for every k < p; one that fails sends the search on, so the
+    first cadre does not depend on which prefixes the walk checked."""
+    e1, e2, e3 = np.eye(3)
+    assert fo._independent_prefixes([e1, e2, e3, -(e1 + e2 + e3)])
+    assert not fo._independent_prefixes([e1, 2 * e1, -e1])
+    P, x, sampling = registry.get("linf", 3)
+    G = PointContext(P, x, sampling).generators
+    first = fo.find_cadre(G, "plain")
+    assert np.array_equal(first.vectors, [e1, -e1])
+    test = fo._independent_prefixes
+    monkeypatch.setattr(fo, "_independent_prefixes", lambda vecs: (
+        test(vecs) and not np.array_equal(vecs[0], e1)))
+    later = fo.find_cadre(G, "plain")
+    assert np.array_equal(later.vectors, [e2, -e2])
 
 
 def test_find_cadre_needs_objective_vector():

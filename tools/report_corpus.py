@@ -3,11 +3,12 @@
     python3 tools/report_corpus.py > reports.txt
 
 The corpus is the six fixed registry problems under each flag set, `linf`
-for d = 2..8 with the second-order and penalty checks, the sampled cone
-examples with more directions and other seeds, a few small problem
-files whose penalty verdict flips with the penalty parameter, and small
-files with values undefined at the point.  Each case prints one header
-line, `== <argv> -> exit <code>`, then its report or error.
+for d = 2..8 with the second-order and penalty checks and for d = 9, 10
+with the default flags, the sampled cone examples with more directions
+and other seeds, a few small problem files whose penalty verdict flips
+with the penalty parameter, and small files with values undefined at
+the point.  Each case prints one header line, `== <argv> -> exit
+<code>`, then its report or error.
 
 Run it at two commits and compare the outputs with `cmp`: a change that
 claims to leave reports alone must print the same bytes.  The cases of
@@ -82,6 +83,9 @@ def cases():
     for d in range(2, 9):
         yield ["--registry", "linf", "--dim", str(d), "--second-order",
                "--penalty", "1"]
+    # default flags: the complete generalised cadre search at its largest
+    for d in (9, 10):
+        yield ["--registry", "linf", "--dim", str(d)]
     yield ["--registry", "soc-example", "--soc-dirs", "512"]
     yield ["--registry", "sdp-example", "--sdp-dirs", "128"]
     for seed in (1, 2):
