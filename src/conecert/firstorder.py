@@ -52,7 +52,7 @@ class NotFeasible(Exception):
 
 def _prefix_walk(columns, groups, budget: int, search: str):
     """The subsets of each (key, segments) group, in order, as (key, block)
-    pairs; the budgeted search of ``find_cadre`` and ``_polytope_vertices``.
+    pairs; the budgeted search of ``find_cadre``.
 
     A group's subsets take ``count`` increasing indices from each of its
     (start, stop, count) segments, range(start, stop), in turn, and come in
@@ -497,7 +497,8 @@ def _surely_not_positive(nulls, sigma, d):
     sigma_p > 0 opens; and the normal-equations error of the scalar solve,
     about unit * (sigma_1 / s_tail)^2, where s_tail = |n_0| sigma_{p-1} -
     sigma_p bounds the least singular value of its tail columns from
-    below."""
+    below.  Where the scalar falls back on the null ratios themselves,
+    they are these bit for bit, so the distance is 0."""
     p = nulls.shape[1]
     unit = 16.0 * (d + 1) * (p + 1) * np.finfo(float).eps
     lead = np.abs(nulls[:, 0])

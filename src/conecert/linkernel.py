@@ -90,11 +90,14 @@ def rank(M) -> int:
 def solve_positive_combination(V):
     """Multipliers beta > 0 with sum(beta_i * V_i) = 0, normalized beta_1 = 1.
 
-    Requires rank([V_1..V_p]) = p - 1 and a null vector whose first
-    entry exceeds EPS_LEAD in size (``stacked_null``); solves the
-    least-squares system for beta_2..beta_p restricted to the column space
-    and accepts only when the residual vanishes and every multiplier is
-    strictly positive.  Returns None when no such combination exists.
+    Requires rank([V_1..V_p]) = p - 1 and a null vector n whose first
+    entry exceeds EPS_LEAD in size (``stacked_null``); solves the normal
+    equations for beta_2..beta_p and accepts only when the residual
+    vanishes and every multiplier is strictly positive.  The normal
+    equations square the condition number of V_2..V_p, so when their
+    solution misses the residual test, beta = n / n_1 takes its place
+    and must pass the same two tests.  Returns None when no such
+    combination exists.
     """
     vecs = [np.asarray(v, dtype=float) for v in V]
     p = len(vecs)
@@ -104,7 +107,10 @@ def solve_positive_combination(V):
     if p == 1:
         return np.array([1.0]) if np.linalg.norm(vecs[0]) <= tol else None
     M = np.column_stack(vecs)
-    if rank(M) != p - 1 or abs(stacked_null(M)[0][0]) <= EPS_LEAD:
+    if rank(M) != p - 1:
+        return None
+    null = stacked_null(M)[0]
+    if abs(null[0]) <= EPS_LEAD:
         return None
     B = M[:, 1:]
     g = B.T @ B
@@ -113,13 +119,13 @@ def solve_positive_combination(V):
         beta_tail = np.linalg.solve(g, rhs)
     except np.linalg.LinAlgError:
         beta_tail = np.linalg.solve(g + 1e-12 * np.eye(p - 1), rhs)
-    residual = float(np.linalg.norm(B @ beta_tail + M[:, 0]))
-    if residual > tol:
+    if np.linalg.norm(B @ beta_tail + M[:, 0]) > tol:
+        beta_tail = null[1:] / null[0]
+        if np.linalg.norm(B @ beta_tail + M[:, 0]) > tol:
+            return None
+    if np.any(beta_tail <= EPS_POS):
         return None
-    beta = np.concatenate(([1.0], beta_tail))
-    if np.any(beta[1:] <= EPS_POS):
-        return None
-    return beta
+    return np.concatenate(([1.0], beta_tail))
 
 
 # ---------------------------------------------------------------------------

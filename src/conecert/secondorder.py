@@ -10,7 +10,9 @@ critical cone is sufficient regardless of the cone types.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -19,8 +21,8 @@ from . import expr as ex
 from .cones import KeptRows, axis_directions, row_norms
 from .firstorder import (DEFAULT_BUDGET, CombinatorialBudgetExceeded,
                          MultiplierWitness, NecessaryReport,
-                         _assemble_witness, _prefix_walk,
-                         _witness_residual, directional_derivatives)
+                         _assemble_witness, _witness_residual,
+                         directional_derivatives)
 from .geometry import PointContext
 from .linkernel import (SCREEN_CHUNK, combination_system, rank,
                         stacked_rank)
@@ -42,37 +44,88 @@ EPS_CRIT = 1e-8
 def _polytope_vertices(Aeq, beq, n, budget: int = DEFAULT_BUDGET):
     """Vertices of {w >= 0 : Aeq w = beq} by basic-solution enumeration.
 
-    Supports of every size up to min(m, n) are tried, so vertices of
-    degenerate systems (dependent equality rows) are not missed.  They
-    come from the walk over index prefixes that the cadre search uses
-    (``_prefix_walk``), one group per support size: it skips the supports
-    below a large subtree's linearly dependent prefix, which have no full
-    column rank either, so the rank tests below would reject them.  Each
-    chunk of supports is screened (``_support_screen``); the scalar test
-    below still decides every support the screen lets through.  Every
-    support, skipped ones included, counts against the budget; trying one
-    more raises CombinatorialBudgetExceeded."""
+    Supports are tried by size up to min(m, n), then lexicographically, so
+    vertices of degenerate systems (dependent equality rows) are not
+    missed.  A vertex's support is a positive circuit of the columns and
+    -beq: every proper subset S of it has [Aeq_S beq] of full column rank.
+    So the walk goes level by level.  The supports of size k extend those
+    of the frontier of size k - 1 by one larger index, and one stays in
+    the frontier while [Aeq_S beq] has full column rank by the EPS_RANK
+    test.  Once it has not, every superset with a basic solution has the
+    same one, a vertex already kept or none, so a support containing that
+    of a kept vertex with [Aeq_S beq] dependent is dropped too.  So is one
+    whose [Aeq_S beq] has a least singular value, a lower bound on its
+    residual, that fails the residual test below with room for rounding.
+    The rest are screened in chunks (``_support_screen``), and the scalar
+    test below decides every support the screen lets through.  Every
+    support up to size min(m, n) counts against the budget, tried or not,
+    so more than ``budget`` of them raise CombinatorialBudgetExceeded
+    before the walk starts."""
     m = Aeq.shape[0]
-    verts = []
+    top = min(m, n)
+    if any(total > budget for total in accumulate(
+            math.comb(n, k) for k in range(top + 1))):
+        raise CombinatorialBudgetExceeded(budget + 1,
+                                          "multiplier-vertex enumeration")
+    verts, dependent = [], []
     scale = max(1.0, float(np.linalg.norm(beq)))
-    groups = ((size, ((0, n, size),)) for size in range(0, min(m, n) + 1))
-    for _, chunk in _prefix_walk(Aeq.T, groups, budget,
-                                 "multiplier-vertex enumeration"):
-        for support in _support_screen(Aeq, beq, chunk, verts, scale):
-            B = Aeq[:, support]
-            if rank(B) < len(support):
-                continue
-            sol, *_ = np.linalg.lstsq(B, beq, rcond=None)
-            full = np.zeros(n)
-            full[support] = sol
-            if np.any(full < -1e-9):
-                continue
-            if np.linalg.norm(Aeq @ full - beq) > 1e-8 * scale:
-                continue
-            full = np.maximum(full, 0.0)
-            if not any(np.linalg.norm(full - v) < 1e-8 for v in verts):
-                verts.append(full)
+    # the computed least singular value of [Aeq_S beq] is within
+    # unit * sigma_1 of the exact one, and the scalar residual of any w,
+    # at least that value times |(w, -1)|, is computed within
+    # unit * sigma_1 * (|w| + 1): 3 * unit * sigma_1 covers both
+    unit = 16.0 * (m + 1) * (n + 1) * np.finfo(float).eps
+    with_beq = np.column_stack([Aeq, beq])
+    frontier = np.empty((1, 0), dtype=np.intp)
+    for k in range(top + 1):
+        cand = _extensions(frontier, n) if k else frontier
+        grown = []
+        for start in range(0, len(cand), SCREEN_CHUNK):
+            chunk = cand[start:start + SCREEN_CHUNK]
+            if k < m:
+                ranks, sigma = stacked_rank(
+                    with_beq[:, np.insert(chunk, k, n, axis=1)]
+                    .transpose(1, 0, 2))
+                grown.append(chunk[ranks == k + 1])
+                chunk = chunk[sigma[:, k] - 3.0 * unit * sigma[:, 0]
+                              <= 1e-8 * scale]
+            if dependent and len(chunk):
+                held = np.zeros((len(chunk), n), dtype=bool)
+                np.put_along_axis(held, chunk, True, axis=1)
+                chunk = chunk[~np.any([held[:, kept].all(axis=1)
+                                       for kept in dependent], axis=0)]
+            for support in _support_screen(Aeq, beq, chunk, verts, scale):
+                B = Aeq[:, support]
+                if rank(B) < len(support):
+                    continue
+                sol, *_ = np.linalg.lstsq(B, beq, rcond=None)
+                full = np.zeros(n)
+                full[support] = sol
+                if np.any(full < -1e-9):
+                    continue
+                if np.linalg.norm(Aeq @ full - beq) > 1e-8 * scale:
+                    continue
+                full = np.maximum(full, 0.0)
+                if not any(np.linalg.norm(full - v) < 1e-8 for v in verts):
+                    verts.append(full)
+                    if rank(with_beq[:, np.append(support, n)]) <= k:
+                        dependent.append(support)
+        if not grown:
+            break
+        frontier = np.concatenate(grown)
     return verts
+
+
+def _extensions(supports, n):
+    """Each row of ``supports`` (increasing indices, rows in lexicographic
+    order) extended by every larger index below n, in lexicographic
+    order."""
+    lo = (supports[:, -1] + 1 if supports.shape[1]
+          else np.zeros(len(supports), dtype=np.intp))
+    counts = n - lo
+    rows = np.repeat(np.arange(len(supports)), counts)
+    offsets = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
+    return np.column_stack([supports[rows], lo[rows] + offsets])
 
 
 def _support_screen(Aeq, beq, chunk, verts, scale):

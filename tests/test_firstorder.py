@@ -361,6 +361,23 @@ def test_stacked_lead_test_matches_the_scalar_one():
         == [(0, 1)]
 
 
+def test_rank_screen_keeps_ill_conditioned_combinations():
+    """solve_positive_combination accepts [w, u, -(u + w / r)] up to
+    about r = 10^8 through the null vector's ratios; the screen keeps it
+    with any of its vectors first."""
+    rng = np.random.default_rng(3)
+    w, u = rng.standard_normal((2, 3))
+    accepted = 0
+    for r in np.geomspace(1e3, 1e9, 13):
+        for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            pool = np.array([w, u, -(u + w / r)])[list(order)]
+            if solve_positive_combination(pool) is not None:
+                accepted += 1
+                assert list(fo._rank_screen(pool, [(0, 1, 2)], 3,
+                                            count(1))) == [(0, 1, 2)]
+    assert accepted >= 3 * 10
+
+
 def test_find_cadre_scalar_calls_on_linf():
     """Pinned calls of solve_positive_combination, the search's own (the
     unscreened single vectors included) and verify_alternance's, on linf

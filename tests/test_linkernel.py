@@ -71,6 +71,32 @@ def test_positive_combination_single_vector():
     assert lk.solve_positive_combination([(1.0, 0.0)]) is None
 
 
+def test_positive_combination_with_ill_conditioned_tail():
+    """For [w, u, -(u + w / r)], whose combination is (1, r, r), the
+    normal equations square the tail's condition number and miss the
+    residual test from about r = 10^5 on; the null vector's ratios then
+    take their place and pass the same tests.  Where the normal
+    equations pass, their multipliers are returned bit for bit."""
+    rng = np.random.default_rng(3)
+    w, u = rng.standard_normal((2, 3))
+    fallbacks = 0
+    for r in (1e3, 1e4, 1e5, 1e6):
+        M = np.column_stack([w, u, -(u + w / r)])
+        beta = lk.solve_positive_combination(M.T)
+        assert beta is not None
+        np.testing.assert_allclose(beta, [1.0, r, r], rtol=1e-8)
+        B = M[:, 1:]
+        normal = np.linalg.solve(B.T @ B, -B.T @ M[:, 0])
+        tol = 1e-8 * max(1.0, np.linalg.norm(M, axis=0).max())
+        if np.linalg.norm(B @ normal + M[:, 0]) <= tol:
+            assert np.array_equal(beta[1:], normal)
+        else:
+            fallbacks += 1
+            null = lk.stacked_null(M)[0]
+            assert np.array_equal(beta[1:], null[1:] / null[0])
+    assert fallbacks
+
+
 def _brute_force_lp(c, A, b):
     """Optimal value by enumerating basic solutions; oracle for the simplex."""
     from itertools import combinations

@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -8,7 +9,7 @@ from conecert import firstorder as fo
 from conecert import registry
 from conecert import secondorder as so
 from conecert.geometry import PointContext, TangentTester
-from conecert.linkernel import rank
+from conecert.linkernel import EPS_RANK, combination_system, rank
 from conecert.oracle import fd_hessian, growth_probe
 from conecert.problem import load_problem_text
 from conftest import random_expression
@@ -324,6 +325,123 @@ def test_polytope_vertices_budget_counts_every_support():
         assert err.value.subsets_tried == budget + 1
         assert str(err.value).startswith("multiplier-vertex enumeration "
                                          "budget exhausted")
+
+
+def _integer_system(rng, zero=False, scale=1.0):
+    """A combination system in R^3 over 4 gradients and 5 cone columns with
+    small integer entries, the gradients scaled by ``scale`` (to unit norm
+    first when it is not 1); with ``zero``, the second gradient is 0."""
+    vecs = rng.integers(-2, 3, size=(9, 3)).astype(float)
+    vecs[:4][~vecs[:4].any(axis=1)] = 1.0
+    if scale != 1.0:
+        vecs[:4] *= scale / np.linalg.norm(vecs[:4], axis=1)[:, None]
+    if zero:
+        vecs[1] = 0.0
+    return combination_system(list(vecs[:4]), list(vecs[4:]))
+
+
+def _scaled_linf_system(d, scale):
+    """``_linf_system`` with the gradients scaled by ``scale``."""
+    Aeq, beq = _linf_system(d)
+    Aeq[:d] *= scale
+    return Aeq, beq
+
+
+def _near_pair_system(side):
+    """linf's gradients +-e_i in R^3 and two cone columns, with eps e_2
+    added to -e_1, eps of a few 10^-9: the pair (e_1, -e_1 + eps e_2)
+    with beq is linearly independent by the EPS_RANK test a hair above
+    the boundary (side 1.1) and dependent a hair below it (side 0.9)."""
+    e = np.eye(3)
+
+    def system(eps):
+        hull = [e[0], -e[0] + eps * e[1], e[1], -e[1], e[2], -e[2]]
+        return combination_system(hull, [e[0] + e[1], -e[1]])
+    Aeq, beq = system(1e-9)
+    sigma = np.linalg.svd(np.column_stack([Aeq[:, :2], beq]),
+                          compute_uv=False)
+    # sigma_min / sigma_max grows linearly with eps
+    Aeq, beq = system(side * 1e-9 * EPS_RANK / (sigma[-1] / sigma[0]))
+    assert rank(np.column_stack([Aeq[:, :2], beq])) == (3 if side > 1 else 2)
+    return Aeq, beq
+
+
+_LEVEL_SYSTEMS = {
+    **{f"linf{d}": partial(_linf_system, d) for d in (5, 6, 7)},
+    **{f"cone{s}": partial(_integer_system, np.random.default_rng(s))
+       for s in range(3)},
+    **{f"zero{s}": partial(_integer_system, np.random.default_rng(s), True)
+       for s in range(2)},
+    "pair-above": partial(_near_pair_system, 1.1),
+    "pair-below": partial(_near_pair_system, 0.9),
+    # gradients of norm 0.9e-9: every residual passes the absolute 1e-8
+    **{f"tiny{s}": partial(_integer_system, np.random.default_rng(s),
+                           scale=0.9e-9) for s in range(2)},
+    # gradients +-5e-9 e_i: each alone passes the residual test, but with
+    # beq it is independent, so the supports that contain it are tried
+    "linf2-tolerance": partial(_scaled_linf_system, 2, 5e-9),
+    **{f"dependent{s}": partial(_dependent_rows_system,
+                                np.random.default_rng(s)) for s in range(4)},
+}
+
+
+@pytest.mark.parametrize("system", list(_LEVEL_SYSTEMS))
+def test_polytope_vertices_walk_by_level_matches_reference(system):
+    """The level walk finds the vertices of the unscreened enumeration, in
+    its order and bit for bit: on linf, on systems with cone columns,
+    with a zero gradient, with a +- pair on either side of the EPS_RANK
+    boundary, with gradients so small that the residual bound works with
+    the absolute tolerance, and with dependent rows."""
+    Aeq, beq = _LEVEL_SYSTEMS[system]()
+    n = Aeq.shape[1]
+    got = so._polytope_vertices(Aeq, beq, n)
+    ref = _reference_vertices(Aeq, beq, n)
+    assert ref
+    assert len(got) == len(ref)
+    assert all(np.array_equal(u, v) for u, v in zip(got, ref))
+
+
+def test_polytope_vertices_skip_supersets_of_dependent_sets():
+    """A support is not tried below a prefix that is dependent with beq.
+    With linf's gradients scaled to 10^-9, each +-e_i pair sits on the
+    EPS_RANK boundary (sigma_min / sigma_max = 10^-9 exactly) and passes
+    the scalar rank test only through rounding, while its prefix, the
+    single gradient with beq, is dependent (ratio 10^-9 / 2); each
+    gradient alone passes the absolute residual test.  The reference
+    keeps the pairs as well, the walk the single gradients only."""
+    Aeq, beq = _scaled_linf_system(3, 1e-9)
+    n = Aeq.shape[1]
+    got = so._polytope_vertices(Aeq, beq, n)
+    ref = _reference_vertices(Aeq, beq, n)
+    assert [tuple(np.flatnonzero(v)) for v in got] == [(i,) for i in range(6)]
+    extra = [tuple(np.flatnonzero(v)) for v in ref[len(got):]]
+    assert all(np.array_equal(u, v) for u, v in zip(got, ref))
+    assert extra == [(0, 1), (2, 3), (4, 5)]
+    for first, _ in extra:
+        assert rank(np.column_stack([Aeq[:, first], beq])) == 1
+
+
+def test_polytope_vertices_linf7_work(monkeypatch):
+    """linf d=7 has 7 vertices among its 12,911 supports: the walk sends
+    only those 7 to the screen and rank-checks fewer than 4,000 supports
+    with beq."""
+    screened, ranked = [], []
+    screen, stacked = so._support_screen, so.stacked_rank
+
+    def counted_screen(Aeq, beq, chunk, *rest):
+        screened.extend(chunk)
+        return screen(Aeq, beq, chunk, *rest)
+
+    def counted_rank(stack):
+        ranked.append(len(stack))
+        return stacked(stack)
+    monkeypatch.setattr(so, "_support_screen", counted_screen)
+    monkeypatch.setattr(so, "stacked_rank", counted_rank)
+    Aeq, beq = _linf_system(7)
+    verts = so._polytope_vertices(Aeq, beq, Aeq.shape[1])
+    assert len(verts) == 7
+    assert len(screened) <= 7
+    assert sum(ranked) < 4000
 
 
 def test_vertex_budget_out_draws_no_refutation(monkeypatch):
