@@ -18,10 +18,10 @@ import numpy as np
 from . import expr as ex
 from .cones import KeptRows, builtin_max, pair_dots, row_norms
 from .geometry import GeneratorSet, PointContext, Provenance, block_distances
-from .linkernel import (EPS_LEAD, EPS_POS, SCREEN_CHUNK, combination_system,
-                        det, lp_chebyshev_center, lp_membership, rank,
-                        simplex_checked, solve_positive_combination,
-                        stacked_null, stacked_rank)
+from .linkernel import (SCREEN_CHUNK, combination_system, det,
+                        lp_chebyshev_center, lp_membership,
+                        positive_combinations, rank, simplex_checked,
+                        solve_positive_combination, stacked_rank)
 from .problem import (BLOCK_CLASSES, NlpIneq, Problem, SemiInfinite,
                       activity, evaluate_objective)
 
@@ -393,11 +393,10 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
     subtrees and skips every subset below a linearly dependent one.  The
     rest are screened in chunks (``_rank_screen``): one stacked rank
     computation keeps those of rank p-1, which the positive-combination
-    test demands, and stacked null-vector computations, over slices of
-    these that double in size along the search, drop those whose null
-    vector n proves that test fails, by its lead test (n_0 near 0) or by
-    the signs of n_i / n_0.  The rest go on to it and to the alternance
-    test, in enumeration order.  A cadre must also pass the prefix test:
+    test demands, and ``positive_combinations``, over slices of these
+    that double in size along the search, keeps those with a strictly
+    positive combination.  They go on to the alternance test, in
+    enumeration order.  A cadre must also pass the prefix test:
     the first k of its vectors have rank k for every k < p (the EPS_RANK
     test), so the walk's skips never decide which cadre comes first.
     Every subset, skipped ones included, counts against the budget.
@@ -434,10 +433,8 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
     widths = (4 << k for k in count())
     for (p, k0, e), block in _prefix_walk(stacked, groups, budget,
                                           "cadre search"):
-        for sub in _rank_screen(stacked, block, p, widths):
+        for sub, _ in _rank_screen(stacked, block, p, widths):
             vecs = [pool[i] for i in sub]
-            if solve_positive_combination(vecs) is None:
-                continue
             result = verify_alternance(
                 vecs, k0=k0, i0=k0 + e, eps_det=eps_det, flavor=flavor,
                 provenance=[pool_prov[i] for i in sub])
@@ -454,73 +451,28 @@ def _independent_prefixes(vecs) -> bool:
 
 
 def _rank_screen(stacked, chunk, p, widths):
-    """The subsets of the chunk whose vectors (rows of ``stacked``) have
-    rank p - 1 and may have a strictly positive combination, in order.
+    """(subset, beta) for each subset of the chunk whose vectors (rows of
+    ``stacked``) have a strictly positive combination beta, in order.
 
     One stacked SVD of singular values alone keeps the subsets of rank
-    p - 1; it is the scalar rank test, bit for bit.  A single vector
-    passes only when it is zero, and that test is relative to its own
-    norm, so p = 1 is not screened.  The survivors' one-dimensional null
-    spaces then come from one stacked full SVD (``stacked_null``) per
-    slice of survivors, the slices' widths drawn from ``widths`` as they
-    are reached.  A survivor is dropped only when the scalar
-    ``solve_positive_combination`` is sure to reject it: by the same lead
-    test, bit for bit, or by its sign test on the multipliers
-    beta_i = n_i / n_0 of the null vector n.  For p = d + 1 those are the
-    signed alternance determinants over the first (Cramer's rule)."""
-    if p == 1 or not len(chunk):
-        yield from chunk
+    p - 1; it is the scalar rank test, bit for bit.  A single vector is
+    not rank-checked: its test is relative to its own norm.
+    ``positive_combinations`` decides the survivors, one slice at a time,
+    the slices' widths drawn from ``widths`` as they are reached; each
+    beta is that of ``solve_positive_combination``, bit for bit."""
+    if not len(chunk):
         return
     mats = stacked[np.array(chunk)].transpose(0, 2, 1)
-    ranks, _ = stacked_rank(mats)
-    alive = np.flatnonzero(ranks == p - 1)
+    alive = np.arange(len(chunk))
+    if p > 1:
+        alive = np.flatnonzero(stacked_rank(mats)[0] == p - 1)
     start = 0
     while start < len(alive):
         part = alive[start:start + next(widths)]
         start += len(part)
-        nulls, sigma = stacked_null(mats[part])
-        for j in part[~_surely_not_positive(nulls, sigma, mats.shape[1])]:
-            yield chunk[j]
-
-
-def _surely_not_positive(nulls, sigma, d):
-    """For d x p matrices of rank p - 1 with unit null vectors ``nulls``
-    and singular values ``sigma`` (``stacked_null``): True where
-    ``solve_positive_combination`` rejects the columns for certain.
-
-    That is so when the lead entry n_0 is at most EPS_LEAD in size (the
-    scalar's own test), or when min_i n_i / n_0 lies at or below EPS_POS
-    by more than the distance to the scalar's multipliers.  That distance
-    adds three perturbation bounds: the null vector's rounding error, at
-    most about unit * sigma_1 / (sigma_{p-1} - sigma_p) (Wedin); the gap
-    between the exact null ratio and the least-squares solution, which
-    sigma_p > 0 opens; and the normal-equations error of the scalar solve,
-    about unit * (sigma_1 / s_tail)^2, where s_tail = |n_0| sigma_{p-1} -
-    sigma_p bounds the least singular value of its tail columns from
-    below.  Where the scalar falls back on the null ratios themselves,
-    they are these bit for bit, so the distance is 0."""
-    p = nulls.shape[1]
-    unit = 16.0 * (d + 1) * (p + 1) * np.finfo(float).eps
-    lead = np.abs(nulls[:, 0])
-    s1 = sigma[:, 0]
-    # the computed singular values are those of a matrix within unit * s1
-    s_low = sigma[:, p - 2] - unit * s1
-    s_null = (sigma[:, p - 1] if sigma.shape[1] >= p else 0.0) + unit * s1
-    gap = s_low - s_null
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err_null = 2.0 * unit * s1 / gap
-        lead_low = lead - err_null
-        beta = nulls[:, 1:] / nulls[:, :1]
-        d_null = err_null / lead * (1.0 + 1.0 / lead_low)
-        d_gap = 2.0 * s_null / (lead_low ** 2 * s_low)
-        s_tail = lead_low * s_low - s_null
-        tilt = unit * (s1 / s_tail) ** 2
-        bnorm = np.linalg.norm(beta, axis=1) + d_null + d_gap
-        d_solve = 4.0 * tilt / (1.0 - tilt) * (bnorm + 1.0)
-        delta = d_null + d_gap + d_solve + unit * bnorm
-        sound = (gap > 0) & (lead_low > 0) & (s_tail > 0) & (tilt < 0.5)
-        sign_out = np.min(beta, axis=1) + delta <= EPS_POS
-    return (lead <= EPS_LEAD) | (sound & sign_out)
+        for j, beta in zip(part, positive_combinations(mats[part])):
+            if not np.isnan(beta[0]):
+                yield chunk[j], beta
 
 
 # ---------------------------------------------------------------------------

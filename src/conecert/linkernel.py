@@ -21,8 +21,8 @@ import numpy as np
 from .cones import axis_directions
 
 __all__ = [
-    "det", "rank", "stacked_rank", "stacked_null", "SCREEN_CHUNK",
-    "solve_positive_combination",
+    "det", "rank", "stacked_rank", "SCREEN_CHUNK",
+    "solve_positive_combination", "positive_combinations",
     "LpResult", "simplex_solve", "simplex_checked",
     "combination_system", "lp_membership", "lp_direction_margin",
     "lp_chebyshev_center",
@@ -45,14 +45,14 @@ SCREEN_CHUNK = 256
 
 # a singular value counts toward the rank above EPS_RANK times the largest
 EPS_RANK = 1e-9
-# solve_positive_combination: residual bound (relative to the largest
-# vector norm, at least 1) and the least multiplier that counts as positive
+# positive_combinations: residual bound (relative to the largest vector
+# norm, at least 1) and the least multiplier that counts as positive
 EPS_RESIDUAL = 1e-8
 EPS_POS = 1e-8
 # a unit null vector whose first entry is at most EPS_LEAD in size has no
 # combination with beta_1 = 1 (columns 2..p dependent when it is 0), or
 # one whose largest weight is at least 1/(sqrt(p) EPS_LEAD) ~ 10^9 / sqrt(p)
-# times the first; solve_positive_combination rejects both
+# times the first; positive_combinations rejects both
 EPS_LEAD = 1e-9
 # pivots per simplex phase
 MAX_ITER = 20000
@@ -68,17 +68,6 @@ def stacked_rank(stack):
     return np.sum(sigma > EPS_RANK * sigma[..., :1], axis=-1), sigma
 
 
-def stacked_null(stack):
-    """Null vectors of the d x p matrices stacked along the leading axes
-    of ``stack``, for those of rank p - 1: the last right singular vector
-    of each, unit length, from one full SVD call; and the singular values,
-    largest first.  ``solve_positive_combination`` takes its lead test
-    from this call on its one matrix, so a stacked screen agrees with it
-    bit for bit."""
-    _, sigma, vt = np.linalg.svd(stack, full_matrices=True)
-    return vt[..., -1, :], sigma
-
-
 def rank(M) -> int:
     """Number of singular values above EPS_RANK * sigma_max."""
     M = np.asarray(M, dtype=float)
@@ -90,42 +79,74 @@ def rank(M) -> int:
 def solve_positive_combination(V):
     """Multipliers beta > 0 with sum(beta_i * V_i) = 0, normalized beta_1 = 1.
 
-    Requires rank([V_1..V_p]) = p - 1 and a null vector n whose first
-    entry exceeds EPS_LEAD in size (``stacked_null``); solves the normal
-    equations for beta_2..beta_p and accepts only when the residual
-    vanishes and every multiplier is strictly positive.  The normal
-    equations square the condition number of V_2..V_p, so when their
-    solution misses the residual test, beta = n / n_1 takes its place
-    and must pass the same two tests.  Returns None when no such
-    combination exists.
+    The EPS_RANK test must give [V_1..V_p] rank p - 1 (p > 1); then
+    ``positive_combinations`` decides it as a stack of one matrix.
+    Returns None when no such combination exists.
     """
     vecs = [np.asarray(v, dtype=float) for v in V]
-    p = len(vecs)
-    if p == 0:
+    if not vecs:
         return None
-    tol = EPS_RESIDUAL * max(1.0, max(float(np.linalg.norm(v)) for v in vecs))
-    if p == 1:
-        return np.array([1.0]) if np.linalg.norm(vecs[0]) <= tol else None
     M = np.column_stack(vecs)
-    if rank(M) != p - 1:
+    if len(vecs) > 1 and rank(M) != len(vecs) - 1:
         return None
-    null = stacked_null(M)[0]
-    if abs(null[0]) <= EPS_LEAD:
-        return None
-    B = M[:, 1:]
-    g = B.T @ B
-    rhs = -B.T @ M[:, 0]
+    beta = positive_combinations(M[None])[0]
+    return None if np.isnan(beta[0]) else beta
+
+
+def positive_combinations(stack):
+    """For each d x p matrix [V_1..V_p] stacked along the leading axis of
+    ``stack``, each of rank p - 1 when p > 1: the multipliers beta > 0
+    with sum(beta_i * V_i) = 0 and beta_1 = 1, or a row of NaN where
+    there are none.
+
+    A single vector has them when its norm is at most EPS_RESIDUAL.
+    Otherwise the unit null vector n, the last right singular vector,
+    must have |n_1| > EPS_LEAD.  The normal equations give
+    beta_2..beta_p; they square the condition number of V_2..V_p, so
+    when their solution misses the residual test, beta = n / n_1 takes
+    its place and must pass the same test.  Every multiplier must then
+    exceed EPS_POS.  Each step works on each matrix alone, so a matrix
+    gets the same multipliers, bit for bit, in any stack."""
+    stack = np.ascontiguousarray(stack, dtype=float)
+    p = stack.shape[2]
+    out = np.full((len(stack), p), np.nan)
+    if not len(stack):
+        return out
+    tol = EPS_RESIDUAL * np.maximum(
+        1.0, np.linalg.norm(stack, axis=1).max(axis=1))
+    if p == 1:
+        out[np.linalg.norm(stack[..., 0], axis=1) <= tol] = 1.0
+        return out
+    null = np.linalg.svd(stack, full_matrices=True)[2][:, -1]
+    live = np.flatnonzero(np.abs(null[:, 0]) > EPS_LEAD)
+    M, null, tol = stack[live], null[live], tol[live]
+    B = M[..., 1:]
+    Bt = B.transpose(0, 2, 1)
+    beta = _solve_each(Bt @ B, -Bt @ M[..., :1])[..., 0]
+
+    def misses(beta):
+        resid = (B @ beta[..., None])[..., 0] + M[..., 0]
+        return np.linalg.norm(resid, axis=1) > tol
+    redo = misses(beta)
+    if redo.any():
+        beta[redo] = null[redo, 1:] / null[redo, :1]
+        redo &= misses(beta)
+    ok = ~redo & np.all(beta > EPS_POS, axis=1)
+    out[live[ok], 0] = 1.0
+    out[live[ok], 1:] = beta[ok]
+    return out
+
+
+def _solve_each(g, rhs):
+    """np.linalg.solve over a stack; a singular matrix in it is solved
+    alone, shifted by 1e-12 times the identity."""
     try:
-        beta_tail = np.linalg.solve(g, rhs)
+        return np.linalg.solve(g, rhs)
     except np.linalg.LinAlgError:
-        beta_tail = np.linalg.solve(g + 1e-12 * np.eye(p - 1), rhs)
-    if np.linalg.norm(B @ beta_tail + M[:, 0]) > tol:
-        beta_tail = null[1:] / null[0]
-        if np.linalg.norm(B @ beta_tail + M[:, 0]) > tol:
-            return None
-    if np.any(beta_tail <= EPS_POS):
-        return None
-    return np.concatenate(([1.0], beta_tail))
+        if len(g) > 1:
+            return np.concatenate([_solve_each(g[i:i + 1], rhs[i:i + 1])
+                                   for i in range(len(g))])
+        return np.linalg.solve(g + 1e-12 * np.eye(g.shape[-1]), rhs)
 
 
 # ---------------------------------------------------------------------------

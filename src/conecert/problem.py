@@ -467,7 +467,7 @@ class Sdp(_ConeBlock):
         # stack could make eigvalsh fail for every point
         nonfinite = ~np.isfinite(M).all(axis=(1, 2))
         M[pts.undefined | nonfinite] = 0.0
-        sigma = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, -1]
+        sigma = np.linalg.eigvalsh(M)[:, -1]
         sigma[nonfinite] = math.nan
         return [(f"block {position} matrix cone", sigma)]
 
@@ -790,7 +790,7 @@ def _sdp_matrix(blk: Sdp, x) -> np.ndarray:
     for i in range(n):
         for j in range(i, n):
             M[i, j] = M[j, i] = ex.eval_value(blk.G0[i][j], x)
-    return 0.5 * (M + M.T)
+    return M
 
 
 @dataclass

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import expr as ex
 from .cones import KeptRows, axis_directions, row_norms
@@ -56,8 +55,7 @@ def _polytope_vertices(Aeq, beq, n, budget: int = DEFAULT_BUDGET):
     of a kept vertex with [Aeq_S beq] dependent is dropped too.  So is one
     whose [Aeq_S beq] has a least singular value, a lower bound on its
     residual, that fails the residual test below with room for rounding.
-    The rest are screened in chunks (``_support_screen``), and the scalar
-    test below decides every support the screen lets through.  Every
+    The scalar test below decides every support left.  Every
     support up to size min(m, n) counts against the budget, tried or not,
     so more than ``budget`` of them raise CombinatorialBudgetExceeded
     before the walk starts."""
@@ -93,7 +91,7 @@ def _polytope_vertices(Aeq, beq, n, budget: int = DEFAULT_BUDGET):
                 np.put_along_axis(held, chunk, True, axis=1)
                 chunk = chunk[~np.any([held[:, kept].all(axis=1)
                                        for kept in dependent], axis=0)]
-            for support in _support_screen(Aeq, beq, chunk, verts, scale):
+            for support in chunk:
                 B = Aeq[:, support]
                 if rank(B) < len(support):
                     continue
@@ -126,54 +124,6 @@ def _extensions(supports, n):
     offsets = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts,
                                                counts)
     return np.column_stack([supports[rows], lo[rows] + offsets])
-
-
-def _support_screen(Aeq, beq, chunk, verts, scale):
-    """The supports of the chunk (all of one size) that the scalar test in
-    ``_polytope_vertices`` could turn into a new vertex, in order.
-
-    One stacked SVD drops the rank-deficient supports; it is the scalar
-    rank test, bit for bit.  A stacked QR solve of the rest gives basic
-    solutions w that differ from the scalar least-squares ones by at most
-    delta, a perturbation bound (Wedin) built from each support's
-    condition number.  A support is dropped only when, even moved by
-    delta, its residual misses beq, an entry of w lies below -1e-9, or its
-    vertex repeats one already kept.  The last covers supports whose
-    basic solution has a (near) zero entry: in exact arithmetic their
-    vertex is that of the smaller support without it, found earlier."""
-    if not len(chunk) or not len(chunk[0]):
-        return chunk
-    k = len(chunk[0])
-    m, n = Aeq.shape
-    idx = np.array(chunk)
-    B = Aeq[:, idx].transpose(1, 0, 2)
-    ranks, sigma = stacked_rank(B)
-    keep = np.flatnonzero(ranks == k)
-    if not len(keep):
-        return []
-    idx, B, sigma = idx[keep], B[keep], sigma[keep]
-    Q, R = np.linalg.qr(B)
-    w = np.linalg.solve(R, Q.transpose(0, 2, 1) @ beq[:, None])[..., 0]
-    resid = np.linalg.norm((B @ w[..., None])[..., 0] - beq, axis=1)
-    # backward error of Householder QR and of the SVD least-squares solve,
-    # relative to |B|, with room for the rounding of the norms compared
-    unit = 16.0 * (m + 1) * (n + 1) * np.finfo(float).eps
-    smax = sigma[:, 0]
-    kappa = smax / sigma[:, -1]
-    tilt = unit * kappa
-    wnorm = np.linalg.norm(w, axis=1)
-    bound = 4.0 * tilt / (1.0 - tilt) * (2.0 * wnorm
-                                         + (kappa + 1.0) * resid / smax)
-    delta = np.where(tilt < 0.5, bound + unit * wnorm, np.inf)
-    drop = (resid - smax * delta - unit * (smax * wnorm + scale)
-            > 1e-8 * scale)
-    drop |= np.min(w, axis=1) + delta < -1e-9
-    if verts:
-        cand = np.zeros((len(idx), n))
-        np.put_along_axis(cand, idx, np.maximum(w, 0.0), axis=1)
-        near = cdist(cand, np.array(verts)).min(axis=1)
-        drop |= (near + delta) * (1.0 + unit) < 1e-8
-    return [chunk[j] for j, dropped in zip(keep, drop) if not dropped]
 
 
 def hessian_bundle(P: Problem, x, w: MultiplierWitness) -> np.ndarray:

@@ -389,6 +389,20 @@ def test_check_nan_matrix_entry_is_infeasible(tmp_path):
     assert math.isnan(feas["max_violation"])
 
 
+def test_check_huge_matrix_entry_is_feasible(tmp_path):
+    """An entry of -1e308 is finite, and the matrix's largest eigenvalue
+    is -1.  Symmetrising the symmetric matrix once more, as
+    0.5 (M + M^T), overflowed to -inf with a RuntimeWarning, and the
+    point read infeasible with a NaN violation."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, feas = _feasibility(
+            tmp_path, '[problem] dim=1\n[scenario] f="x(1)"\n[sdp] size=2 '
+            'entry(1,1)="-1e308" entry(1,2)="0" entry(2,2)="-1"\n', "0")
+    assert code == 2   # f = x(1) has no stationary point
+    assert feas == {"feasible": True, "max_violation": 0.0, "violations": []}
+
+
 def test_check_nan_inequality_is_infeasible(tmp_path):
     code, feas = _feasibility(
         tmp_path, '[problem] dim=1\n[scenario] f="x(1)"\n'
@@ -459,12 +473,14 @@ def test_check_rejects_a_penalty_that_is_not_finite_and_nonnegative():
 
 def test_import_leaves_scipy_stats_unloaded():
     """The direction sampler imports scipy.stats on first use, so checks
-    that sample no directions never pay for it."""
+    that sample no directions never pay for it; nothing imports
+    scipy.spatial."""
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, conecert; print('scipy.stats' in sys.modules)"],
+         "import sys, conecert; print('scipy.stats' in sys.modules,"
+         " 'scipy.spatial' in sys.modules)"],
         capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_check_counts_must_be_positive_integers(tmp_path):

@@ -296,94 +296,59 @@ def _screen_pool(rng, d, kind):
     return np.array([v for v in pool if np.any(v)])
 
 
-def test_rank_screen_keeps_every_positive_combination():
-    """Every subset that solve_positive_combination accepts survives the
-    rank and positivity screen, in order and whatever its slices, over
-    random pools with exact zero null entries, zero leads, near-parallel
-    columns and columns scaled to a condition number near 10^6; the
-    screen drops most of the rest."""
+def test_rank_screen_yields_the_scalar_combinations():
+    """The screen yields exactly the subsets that solve_positive_combination
+    accepts, in order and whatever its slices, each with the scalar's
+    multipliers bit for bit: over random pools with exact zero null
+    entries, zero leads, near-parallel columns and columns scaled to a
+    condition number near 10^6; over [-(r u + v), u, v], whose weights
+    are r apart; over [w, u, -(u + w / r)] in each rotation, whose null
+    vector (1/r, 1, 1) the normal equations miss from about r = 10^5
+    and whose lead test rejects it from about r = 10^9; and over two
+    opposite vectors whose weights are 10^8 or 10^10 apart."""
     rng = np.random.default_rng(11)
-    accepted = survivors = kept = 0
-    for trial in range(24):
-        d = 2 + trial % 3
-        kind = ("plain", "zero", "lead", "parallel", "scaled")[trial % 5]
-        pool = _screen_pool(rng, d, kind)
-        for p in range(2, d + 2):
-            chunk = list(combinations(range(len(pool)), p))
-            # slices of 1, 2, 3, ... survivors, in order
-            screened = list(fo._rank_screen(pool, chunk, p, count(1)))
-            assert screened == sorted(screened)
-            ranks = [np.linalg.matrix_rank(pool[list(s)].T) for s in chunk]
-            survivors += sum(r == p - 1 for r in ranks)
-            kept += len(screened)
-            for sub in chunk:
-                if solve_positive_combination(pool[list(sub)]) is not None:
-                    accepted += 1
-                    assert sub in screened, (trial, kind, sub)
-    assert accepted > 100 and kept < survivors / 2
-
-
-def test_stacked_lead_test_matches_the_scalar_one():
-    """The screen's lead test and the one in solve_positive_combination
-    decide identically: the stacked null vectors are the single-matrix
-    ones bit for bit.  A subset the lead test rejects is rejected by the
-    scalar too, and one the scalar accepts, with weights up to 10^8
-    apart, passes the whole screen.  Two opposite vectors whose weights
-    are 10^10 apart pass the rank test and were accepted before the lead
-    test; now both the scalar and the screen reject them."""
-    rng = np.random.default_rng(5)
+    pools = [_screen_pool(rng, 2 + trial % 3,
+                          ("plain", "zero", "lead", "parallel",
+                           "scaled")[trial % 5])
+             for trial in range(24)]
     u, v, w = rng.standard_normal((3, 3))
-    mats = [np.column_stack([-(r * u + v), u, v])      # beta = (r, 1)
-            for r in np.geomspace(1e6, 1e8, 9)]
-    # near-dependent tail columns: null vector (1/r, 1, 1), lead ~ 1/r
-    mats += [np.column_stack([w, u, -(u + w / r)])
-             for r in np.geomspace(1e7, 1e11, 17)]
-    mats.append(np.column_stack([w, u, 2.0 * u]))       # lead exactly 0
-    stack = np.array(mats)
-    assert all(lk.rank(M) == 2 for M in stack)
-    nulls, sigma = lk.stacked_null(stack)
-    lead_out = np.abs(nulls[:, 0]) <= lk.EPS_LEAD
-    dropped = fo._surely_not_positive(nulls, sigma, 3)
-    for M, out, null, drop in zip(stack, lead_out, nulls, dropped):
-        one, _ = lk.stacked_null(M)
-        assert np.array_equal(one, null)
-        assert (abs(one[0]) <= lk.EPS_LEAD) == out
-        accepted = solve_positive_combination(M.T) is not None
-        assert not (out and accepted)
-        assert not (drop and accepted)
-    assert 0 < lead_out.sum() < len(lead_out) and dropped[lead_out].all()
-    assert all(solve_positive_combination(M.T) is not None
-               for M in stack[:9])
+    apart = [np.array([-(r * u + v), u, v]) for r in np.geomspace(1e6, 1e8, 9)]
+    tails = [np.roll([w, u, -(u + w / r)], shift, axis=0)
+             for r in np.geomspace(1e3, 1e11, 17) for shift in range(3)]
     pair = np.array([u, -1e-8 * u, -1e-10 * u])
+    accepted = {}
+    for name, group in (("pools", pools), ("apart", apart),
+                        ("tails", tails), ("pair", [pair])):
+        accepted[name] = 0
+        for pool in group:
+            for p in range(1, len(pool[0]) + 2):
+                chunk = list(combinations(range(len(pool)), p))
+                # slices of 1, 2, 3, ... survivors, in order
+                screened = list(fo._rank_screen(pool, chunk, p, count(1)))
+                expected = [(sub, beta) for sub in chunk
+                            for beta in [solve_positive_combination(
+                                pool[list(sub)])]
+                            if beta is not None]
+                assert [sub for sub, _ in screened] == [
+                    sub for sub, _ in expected], (name, p)
+                assert all(np.array_equal(a, b) for (_, a), (_, b)
+                           in zip(screened, expected)), (name, p)
+                accepted[name] += len(expected)
+    assert accepted["pools"] > 100
+    assert all(solve_positive_combination(pool) is not None
+               for pool in apart)
+    assert 3 * 10 <= accepted["tails"] < len(tails)
     assert solve_positive_combination(pair[[0, 1]]) is not None
     assert solve_positive_combination(pair[[0, 2]]) is None
-    assert list(fo._rank_screen(pair, [(0, 1), (0, 2)], 2, count(1))) \
-        == [(0, 1)]
-
-
-def test_rank_screen_keeps_ill_conditioned_combinations():
-    """solve_positive_combination accepts [w, u, -(u + w / r)] up to
-    about r = 10^8 through the null vector's ratios; the screen keeps it
-    with any of its vectors first."""
-    rng = np.random.default_rng(3)
-    w, u = rng.standard_normal((2, 3))
-    accepted = 0
-    for r in np.geomspace(1e3, 1e9, 13):
-        for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            pool = np.array([w, u, -(u + w / r)])[list(order)]
-            if solve_positive_combination(pool) is not None:
-                accepted += 1
-                assert list(fo._rank_screen(pool, [(0, 1, 2)], 3,
-                                            count(1))) == [(0, 1, 2)]
-    assert accepted >= 3 * 10
 
 
 def test_find_cadre_scalar_calls_on_linf():
-    """Pinned calls of solve_positive_combination, the search's own (the
-    unscreened single vectors included) and verify_alternance's, on linf
-    d=6.  The plain complete search, 792 subsets of which 192 have rank
-    6, makes none; the generalised one, 293 of rank 6, makes two: one
-    for its cadre and one to verify it."""
+    """Pinned calls of solve_positive_combination on linf d=6.  The search
+    makes none of its own, single vectors included: the stacked
+    positive_combinations decides every subset, and only
+    verify_alternance calls the scalar, once per candidate.  The plain
+    complete search, 792 subsets of which 192 have rank 6, verifies
+    none; every other search verifies its cadre alone."""
     P, x, sampling = registry.get("linf", 6)
     G = PointContext(P, x, sampling).generators
     calls = []
@@ -392,8 +357,8 @@ def test_find_cadre_scalar_calls_on_linf():
         calls.append(len(vecs))
         return solve_positive_combination(vecs)
 
-    pinned = {("plain", 1): 14, ("plain", 7): 0,
-              ("generalised", 1): 15, ("generalised", 7): 2}
+    pinned = {("plain", 1): 1, ("plain", 7): 0,
+              ("generalised", 1): 1, ("generalised", 7): 1}
     for (flavor, p_min), n in pinned.items():
         calls.clear()
         with pytest.MonkeyPatch.context() as mp:

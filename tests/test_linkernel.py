@@ -92,9 +92,26 @@ def test_positive_combination_with_ill_conditioned_tail():
             assert np.array_equal(beta[1:], normal)
         else:
             fallbacks += 1
-            null = lk.stacked_null(M)[0]
+            null = np.linalg.svd(M)[2][-1]
             assert np.array_equal(beta[1:], null[1:] / null[0])
     assert fallbacks
+
+
+def test_positive_combinations_solves_a_singular_normal_matrix_alone():
+    """Columns of size 1e-170 make the normal matrix B^T B underflow to
+    0, and np.linalg.solve then fails for a whole stack.  That matrix is
+    solved alone, shifted as the scalar shifts it, and the others in the
+    stack keep their multipliers."""
+    plain = np.array([[-1.0, 1.0, 0.0], [-2.0, 0.0, 1.0]])
+    tiny = 1e-170 * plain
+    B = tiny[:, 1:]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(B.T @ B, -B.T @ tiny[:, 0])
+    out = lk.positive_combinations(np.array([plain, tiny, plain]))
+    assert np.array_equal(out[0], [1.0, 1.0, 2.0])
+    assert np.array_equal(out[2], out[0])
+    assert np.isnan(out[1]).all()
+    assert lk.solve_positive_combination(tiny.T) is None
 
 
 def _brute_force_lp(c, A, b):

@@ -423,24 +423,27 @@ def test_polytope_vertices_skip_supersets_of_dependent_sets():
 
 def test_polytope_vertices_linf7_work(monkeypatch):
     """linf d=7 has 7 vertices among its 12,911 supports: the walk sends
-    only those 7 to the screen and rank-checks fewer than 4,000 supports
-    with beq."""
-    screened, ranked = [], []
-    screen, stacked = so._support_screen, so.stacked_rank
+    only those 7 to the scalar vertex test and rank-checks fewer than
+    4,000 supports with beq."""
+    tested, ranked = [], []
+    scalar, stacked = so.rank, so.stacked_rank
+    Aeq, beq = _linf_system(7)
 
-    def counted_screen(Aeq, beq, chunk, *rest):
-        screened.extend(chunk)
-        return screen(Aeq, beq, chunk, *rest)
+    def counted_scalar(M):
+        # the scalar test's rank call; the other checks a kept vertex's
+        # support together with beq
+        if not np.array_equal(M[:, -1], beq):
+            tested.append(M.shape[1])
+        return scalar(M)
 
     def counted_rank(stack):
         ranked.append(len(stack))
         return stacked(stack)
-    monkeypatch.setattr(so, "_support_screen", counted_screen)
+    monkeypatch.setattr(so, "rank", counted_scalar)
     monkeypatch.setattr(so, "stacked_rank", counted_rank)
-    Aeq, beq = _linf_system(7)
     verts = so._polytope_vertices(Aeq, beq, Aeq.shape[1])
     assert len(verts) == 7
-    assert len(screened) <= 7
+    assert len(tested) <= 7
     assert sum(ranked) < 4000
 
 

@@ -15,7 +15,10 @@ claims to leave reports alone must print the same bytes.  The cases of
 `EXPECTED_ERRORS` must exit 1 (an undefined value is an input error);
 the process exits 1 when one of them does not, or when any other case
 exits 1 (a usage or input error), so a corpus case that stops loading
-does not pass unnoticed.
+does not pass unnoticed.  It also exits 1 when a case prints a Python
+warning to stderr (a `<file>:<line>: <Category>Warning: ` line, such as
+numpy's overflow `RuntimeWarning`), which two runs of one commit print
+alike.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import re
 import sys
 import tempfile
 
@@ -68,6 +72,8 @@ FILES = {
 FILE_CASES = (("semiinf.prob", "0.75"), ("semiinf.prob", "1.05"),
               ("nlp_ineq.prob", "0.75"), ("nlp_eq.prob", "0.9"),
               ("nlp_eq.prob", "1.1"))
+# a line that the warnings module prints: "<file>:<line>: <Category>: ..."
+WARNING_LINE = re.compile(r"^.*:\d+: \w*Warning: ", re.MULTILINE)
 # the cases that must exit 1: an undefined value at the point
 EXPECTED_ERRORS = [["--file", "div.prob", "--at=0"],
                    ["--file", "sdp_sqrt.prob", "--at=-1"],
@@ -113,8 +119,9 @@ def main() -> int:
                 with contextlib.redirect_stdout(out), \
                         contextlib.redirect_stderr(err):
                     code = cli.main(["check", *argv, "--json"])
-                failed += (code == cli.EXIT_ERROR) != (
+                failed += ((code == cli.EXIT_ERROR) != (
                     argv in EXPECTED_ERRORS)
+                    or bool(WARNING_LINE.search(err.getvalue())))
                 print(f"== {' '.join(argv)} -> exit {code}")
                 print(out.getvalue() + err.getvalue(), end="")
         finally:
