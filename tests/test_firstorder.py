@@ -296,50 +296,95 @@ def _screen_pool(rng, d, kind):
     return np.array([v for v in pool if np.any(v)])
 
 
-def test_rank_screen_yields_the_scalar_combinations():
+def _screen_matches_scalar(pool, p):
+    """Number of p-subsets of ``pool`` that solve_positive_combination
+    accepts, after asserting that the screen yields exactly those, in
+    order and in slices of 1, 2, 3, ... survivors, each with the
+    scalar's multipliers bit for bit."""
+    chunk = list(combinations(range(len(pool)), p))
+    screened = list(fo._rank_screen(pool, chunk, p, count(1)))
+    expected = [(sub, beta) for sub in chunk
+                for beta in [solve_positive_combination(pool[list(sub)])]
+                if beta is not None]
+    assert [sub for sub, _ in screened] == [sub for sub, _ in expected], p
+    assert all(np.array_equal(a, b)
+               for (_, a), (_, b) in zip(screened, expected)), p
+    return len(expected)
+
+
+def test_rank_screen_keeps_every_positive_combination():
     """The screen yields exactly the subsets that solve_positive_combination
-    accepts, in order and whatever its slices, each with the scalar's
-    multipliers bit for bit: over random pools with exact zero null
-    entries, zero leads, near-parallel columns and columns scaled to a
-    condition number near 10^6; over [-(r u + v), u, v], whose weights
-    are r apart; over [w, u, -(u + w / r)] in each rotation, whose null
-    vector (1/r, 1, 1) the normal equations miss from about r = 10^5
-    and whose lead test rejects it from about r = 10^9; and over two
-    opposite vectors whose weights are 10^8 or 10^10 apart."""
+    accepts, each with its multipliers, over random pools with exact zero
+    null entries, zero leads, near-parallel columns and columns scaled to
+    a condition number near 10^6; it drops most subsets of rank p - 1."""
     rng = np.random.default_rng(11)
-    pools = [_screen_pool(rng, 2 + trial % 3,
-                          ("plain", "zero", "lead", "parallel",
-                           "scaled")[trial % 5])
-             for trial in range(24)]
+    accepted = survivors = 0
+    for trial in range(24):
+        d = 2 + trial % 3
+        kind = ("plain", "zero", "lead", "parallel", "scaled")[trial % 5]
+        pool = _screen_pool(rng, d, kind)
+        for p in range(1, d + 2):
+            accepted += _screen_matches_scalar(pool, p)
+            if p > 1:
+                survivors += sum(
+                    np.linalg.matrix_rank(pool[list(s)].T) == p - 1
+                    for s in combinations(range(len(pool)), p))
+    assert 100 < accepted < survivors / 2
+
+
+def test_stacked_lead_test_matches_the_scalar_one():
+    """positive_combinations decides each matrix of a stack as it decides
+    that matrix alone, bit for bit, lead test included: a matrix whose
+    unit null vector has |n_1| <= EPS_LEAD gets no multipliers, and one
+    with weights up to 10^8 apart gets them and passes the screen.  Two
+    opposite vectors whose weights are 10^10 apart pass the rank test
+    but not the lead test."""
+    rng = np.random.default_rng(5)
     u, v, w = rng.standard_normal((3, 3))
-    apart = [np.array([-(r * u + v), u, v]) for r in np.geomspace(1e6, 1e8, 9)]
-    tails = [np.roll([w, u, -(u + w / r)], shift, axis=0)
-             for r in np.geomspace(1e3, 1e11, 17) for shift in range(3)]
+    mats = [np.column_stack([-(r * u + v), u, v])      # beta = (r, 1)
+            for r in np.geomspace(1e6, 1e8, 9)]
+    # near-dependent tail columns: null vector (1/r, 1, 1), lead ~ 1/r
+    mats += [np.column_stack([w, u, -(u + w / r)])
+             for r in np.geomspace(1e7, 1e11, 17)]
+    mats.append(np.column_stack([w, u, 2.0 * u]))       # lead exactly 0
+    stack = np.array(mats)
+    assert all(lk.rank(M) == 2 for M in stack)
+    lead_out = np.abs(np.linalg.svd(stack)[2][:, -1, 0]) <= lk.EPS_LEAD
+    betas = lk.positive_combinations(stack)
+    for M, out, beta in zip(stack, lead_out, betas):
+        assert np.array_equal(lk.positive_combinations(M[None])[0], beta,
+                              equal_nan=True)
+        scalar = solve_positive_combination(M.T)
+        assert np.isnan(beta).all() if scalar is None \
+            else np.array_equal(scalar, beta)
+        assert not (out and scalar is not None)
+    assert 0 < lead_out.sum() < len(lead_out)
+    assert np.isnan(betas[lead_out]).all()
+    assert not np.isnan(betas[:9]).any()
+    for M in stack[:9]:
+        assert _screen_matches_scalar(M.T, 3) == 1
     pair = np.array([u, -1e-8 * u, -1e-10 * u])
-    accepted = {}
-    for name, group in (("pools", pools), ("apart", apart),
-                        ("tails", tails), ("pair", [pair])):
-        accepted[name] = 0
-        for pool in group:
-            for p in range(1, len(pool[0]) + 2):
-                chunk = list(combinations(range(len(pool)), p))
-                # slices of 1, 2, 3, ... survivors, in order
-                screened = list(fo._rank_screen(pool, chunk, p, count(1)))
-                expected = [(sub, beta) for sub in chunk
-                            for beta in [solve_positive_combination(
-                                pool[list(sub)])]
-                            if beta is not None]
-                assert [sub for sub, _ in screened] == [
-                    sub for sub, _ in expected], (name, p)
-                assert all(np.array_equal(a, b) for (_, a), (_, b)
-                           in zip(screened, expected)), (name, p)
-                accepted[name] += len(expected)
-    assert accepted["pools"] > 100
-    assert all(solve_positive_combination(pool) is not None
-               for pool in apart)
-    assert 3 * 10 <= accepted["tails"] < len(tails)
     assert solve_positive_combination(pair[[0, 1]]) is not None
     assert solve_positive_combination(pair[[0, 2]]) is None
+    assert [sub for sub, _ in fo._rank_screen(
+        pair, [(0, 1), (0, 2)], 2, count(1))] == [(0, 1)]
+
+
+def test_rank_screen_keeps_ill_conditioned_combinations():
+    """[w, u, -(u + w / r)], whose null vector (1/r, 1, 1) the normal
+    equations miss from about r = 10^5, is accepted through the null
+    vector's ratios up to about r = 10^8 and rejected by the lead test
+    from about r = 10^9; the screen yields what the scalar accepts, with
+    its multipliers, whichever of the vectors comes first."""
+    rng = np.random.default_rng(3)
+    w, u = rng.standard_normal((2, 3))
+    accepted = tried = 0
+    for r in np.geomspace(1e3, 1e11, 17):
+        for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            pool = np.array([w, u, -(u + w / r)])[list(order)]
+            accepted += _screen_matches_scalar(pool, 3)
+            tried += 1
+    assert 3 * 10 <= accepted < tried
 
 
 def test_find_cadre_scalar_calls_on_linf():
