@@ -2,7 +2,9 @@
 projections, deterministic direction sampling, the spectral split of a
 symmetric matrix, the provenance record every generator carries, and the
 row-wise products, norms and maxima that screen a stack of points or
-directions bit for bit as a loop over them would.
+directions bit for bit as a loop over them would, and the one decision of
+what a unit direction is (``unit_rows``) and which directions are distinct
+(``distinct_rows``).
 
 Nothing here knows about problems; ``problem`` builds its blocks on these
 and ``geometry`` re-exports them.
@@ -18,8 +20,8 @@ from scipy.special import ndtri
 __all__ = [
     "EigenFailure", "Provenance", "SpectralData", "spectral_split",
     "project_soc", "project_psd_neg", "unit_directions", "axis_directions",
-    "sdp_null_directions", "KeptRows", "pair_dots", "row_norms",
-    "builtin_max",
+    "sdp_null_directions", "unit_rows", "distinct_rows", "pair_dots",
+    "row_norms", "builtin_max",
 ]
 
 
@@ -94,12 +96,13 @@ def project_psd_neg(M) -> np.ndarray:
     if np.max(np.abs(M - M.T)) > 1e-10:
         raise ValueError("matrix must be symmetric")
     try:
-        sigma, Q = np.linalg.eigh(0.5 * (M + M.T))
+        sigma, Q = np.linalg.eigh(M)
     except np.linalg.LinAlgError as err:
         raise EigenFailure(str(err)) from err
     clamped = np.minimum(sigma, 0.0)
     P = (Q * clamped) @ Q.T
-    return 0.5 * (P + P.T)
+    # halving first: P + P.T overflows for entries near the largest float
+    return 0.5 * P + 0.5 * P.T
 
 
 def unit_directions(dim: int, count: int, seed: int) -> list[np.ndarray]:
@@ -117,13 +120,7 @@ def unit_directions(dim: int, count: int, seed: int) -> list[np.ndarray]:
     # truncate to the requested count
     n_draw = 1 << max(1, (count + 1).bit_length())
     raw = sampler.random(n_draw)[1:count + 1]
-    out = []
-    for row in raw:
-        z = ndtri(np.clip(row, 1e-12, 1 - 1e-12))
-        norm = np.linalg.norm(z)
-        if norm > 1e-12:
-            out.append(z / norm)
-    return out
+    return list(unit_rows(ndtri(np.clip(raw, 1e-12, 1 - 1e-12)), 1e-12)[0])
 
 
 # A stacked matrix product may sum in another order than one dot product
@@ -161,28 +158,57 @@ def builtin_max(rows) -> np.ndarray:
     return out
 
 
-class KeptRows:
-    """Vectors kept in insertion order as the rows of one growing array, so
-    that a candidate is compared with every kept row in one call."""
+def unit_rows(V, floor: float):
+    """The rows of V whose norm (``row_norms``) is not below floor, each
+    divided by its norm, and their indices."""
+    V = np.asarray(V, dtype=float)
+    norms = row_norms(V)
+    idx = np.flatnonzero(~(norms < floor))
+    return V[idx] / norms[idx, None], idx
 
-    def __init__(self, dim: int):
-        self._rows = np.empty((8, dim))
-        self._n = 0
 
-    def near(self, v, tol: float, antipodal: bool = False) -> bool:
-        """Whether some kept row lies within tol of v (or of -v, when
-        antipodal)."""
-        kept = self._rows[:self._n]
-        dist = np.linalg.norm(kept - v, axis=1)
+# candidates compared with the kept rows at once; a block's (block x kept)
+# screen bounds the memory a comparison takes
+_DISTINCT_BLOCK = 64
+
+
+def distinct_rows(U, tol: float, antipodal: bool = False,
+                  kept=None) -> np.ndarray:
+    """Indices of the rows of U that are kept, in order: a row is dropped
+    when it lies within tol of one kept before it, a row of ``kept`` or
+    an earlier kept row of U (or within tol of its negation too, when
+    antipodal).  The distances are those of ``np.linalg.norm(kept - u,
+    axis=1)``, bit for bit.  Only the pairs whose first coordinates differ
+    by less than 2 tol get one: the computed norm of a difference is at
+    least its first coordinate's size times 1 - 2^-53 (for tol above
+    1e-150, where 4 tol^2 does not underflow)."""
+    U = np.asarray(U, dtype=float)
+    ref = np.empty((0, U.shape[-1])) if kept is None else np.asarray(
+        kept, dtype=float)
+    out = []
+    for start in range(0, len(U), _DISTINCT_BLOCK):
+        block = U[start:start + _DISTINCT_BLOCK]
+        rows = np.concatenate([ref, block])
+        maybe = np.abs(rows[:, 0] - block[:, :1]) < 2 * tol
         if antipodal:
-            dist = np.minimum(dist, np.linalg.norm(kept + v, axis=1))
-        return bool(np.any(dist < tol))
-
-    def append(self, v):
-        if self._n == len(self._rows):
-            self._rows = np.vstack([self._rows, np.empty_like(self._rows)])
-        self._rows[self._n] = v
-        self._n += 1
+            maybe |= np.abs(rows[:, 0] + block[:, :1]) < 2 * tol
+        i, j = np.nonzero(maybe)
+        dist = np.linalg.norm(rows[j] - block[i], axis=-1)
+        if antipodal:
+            dist = np.minimum(
+                dist, np.linalg.norm(rows[j] + block[i], axis=-1))
+        near = np.zeros(maybe.shape, dtype=bool)
+        near[i, j] = dist < tol
+        # a row is compared with the rows before it; those near none are
+        # kept, the others decided in order against the rows kept
+        near[:, len(ref):] &= np.tri(len(block), k=-1, dtype=bool)
+        taken = np.ones(len(rows), dtype=bool)
+        for k in np.flatnonzero(near.any(axis=1)):
+            taken[len(ref) + k] = not np.any(near[k] & taken)
+        new = np.flatnonzero(taken[len(ref):])
+        ref = np.concatenate([ref, block[new]])
+        out.extend(start + new)
+    return np.array(out, dtype=int)
 
 
 def axis_directions(dim: int) -> list[np.ndarray]:
@@ -203,31 +229,10 @@ def sdp_null_directions(Q0: np.ndarray, count: int, seed: int,
     l, r = Q0.shape
     if r == 0:
         return []
-    dirs: list[np.ndarray] = []
-    kept = KeptRows(l)
-
-    def push(q):
-        norm = np.linalg.norm(q)
-        if norm < 1e-12:
-            return
-        q = q / norm
-        if kept.near(q, 1e-9, antipodal=True):
-            return
-        kept.append(q)
-        dirs.append(q)
-
     proj = Q0 @ Q0.T
-    for i in range(l):
-        e = np.zeros(l)
-        e[i] = 1.0
-        if np.linalg.norm(proj @ e - e) <= 1e-9:
-            push(e)
-    for j in range(r):
-        push(Q0[:, j])
-    for q in extras:
-        push(np.asarray(q, dtype=float))
-    if r == 1:
-        return dirs
-    for u in unit_directions(r, count, seed):
-        push(Q0 @ u)
-    return dirs
+    dirs = [e for e in np.eye(l) if np.linalg.norm(proj @ e - e) <= 1e-9]
+    dirs += list(Q0.T) + [np.asarray(q, dtype=float) for q in extras]
+    if r > 1:
+        dirs += [Q0 @ u for u in unit_directions(r, count, seed)]
+    U, _ = unit_rows(np.array(dirs), 1e-12)
+    return list(U[distinct_rows(U, 1e-9, antipodal=True)])

@@ -16,7 +16,7 @@ from itertools import chain, combinations, count
 import numpy as np
 
 from . import expr as ex
-from .cones import KeptRows, builtin_max, pair_dots, row_norms
+from .cones import builtin_max, distinct_rows, pair_dots, unit_rows
 from .geometry import GeneratorSet, PointContext, Provenance, block_distances
 from .linkernel import (SCREEN_CHUNK, combination_system, det,
                         lp_chebyshev_center, lp_membership,
@@ -235,7 +235,8 @@ def verify_alternance(vectors, k0: int | None = None, i0: int | None = None,
     independent), computes the d+1 determinants of the matrices that drop
     one column each, and demands strictly alternating signs through p and
     vanishing determinants beyond.  On success the multipliers recovered by
-    Cramer's rule are cross-checked against the positive-combination solve.
+    Cramer's rule are cross-checked against the positive combination
+    that ``solve_positive_combination`` finds.
     """
     vecs = [np.asarray(v, dtype=float) for v in vectors]
     p = len(vecs)
@@ -248,8 +249,14 @@ def verify_alternance(vectors, k0: int | None = None, i0: int | None = None,
     i0 = p if i0 is None else i0
     if not (1 <= k0 <= p and k0 <= i0 <= p):
         raise ValueError("need 1 <= k0 <= i0 <= p")
-    Z = Z or Zbasis.canonical(d)
+    return _alternance(vecs, solve_positive_combination(vecs), k0, i0,
+                       Z or Zbasis.canonical(d), eps_det, flavor, provenance)
 
+
+def _alternance(vecs, combo, k0, i0, Z, eps_det, flavor, provenance):
+    """The test of ``verify_alternance`` on valid arguments, with combo the
+    positive combination of vecs (None when there is none)."""
+    p, d = len(vecs), len(vecs[0])
     # greedy padding keeping V_2..V_{d+1} linearly independent
     tail = vecs[1:]
     padding = []
@@ -286,7 +293,6 @@ def verify_alternance(vectors, k0: int | None = None, i0: int | None = None,
 
     beta = np.array([(-1) ** s * deltas[s] / deltas[0] for s in range(p)])
     beta[0] = 1.0
-    combo = solve_positive_combination(vecs)
     if combo is None:
         return AlternanceFailure("MultiplierMismatch")
     denom = np.maximum(np.abs(beta), 1.0)
@@ -308,27 +314,15 @@ def verify_alternance(vectors, k0: int | None = None, i0: int | None = None,
 _AUX_PAIR_CAP = 24
 
 
-def _unit_rows(pool) -> KeptRows:
-    units = KeptRows(len(pool[0]))
-    for v in pool:
-        norm = np.linalg.norm(v)
-        if norm > 0:
-            units.append(v / norm)
-    return units
-
-
-def _dedup_push(pool, prov, units: KeptRows, vec, pr):
-    """Append vec unless its direction repeats one in the pool, whose unit
-    vectors ``units`` holds."""
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        return
-    unit = vec / norm
-    if units.near(unit, 1e-12):
-        return
-    units.append(unit)
-    pool.append(vec)
-    prov.append(pr)
+def _extend_pool(pool, prov, vecs, vecs_prov):
+    """Append each of vecs, with its provenance, whose unit direction lies
+    1e-12 or more from that of every nonzero pool vector and of every one
+    appended before it."""
+    units, _ = unit_rows(np.array(pool), np.finfo(float).smallest_subnormal)
+    aux, idx = unit_rows(np.array(vecs), 1e-12)
+    for k in idx[distinct_rows(aux, 1e-12, kept=units)]:
+        pool.append(vecs[k])
+        prov.append(vecs_prov[k])
 
 
 def _cone_pool(base, base_prov, generalised: bool):
@@ -337,13 +331,11 @@ def _cone_pool(base, base_prov, generalised: bool):
     if not generalised or len(base) < 2 or len(base) > _AUX_PAIR_CAP:
         return pool, prov
     n = len(base)
-    units = _unit_rows(pool)
-    for i, j in combinations(range(n), 2):
-        _dedup_push(pool, prov, units, pool[i] + pool[j],
-                    Provenance("aux_sum", detail=(i, j)))
+    pairs = list(combinations(range(n), 2))
     total = np.sum([np.asarray(v, dtype=float) for v in base], axis=0)
-    _dedup_push(pool, prov, units, total,
-                Provenance("aux_sum", detail=tuple(range(n))))
+    _extend_pool(pool, prov, [pool[i] + pool[j] for i, j in pairs] + [total],
+                 [Provenance("aux_sum", detail=ij) for ij in pairs]
+                 + [Provenance("aux_sum", detail=tuple(range(n)))])
     return pool, prov
 
 
@@ -374,7 +366,7 @@ def _hull_pool(grads, grads_prov, generalised: bool):
     if np.linalg.norm(aux) < 1e-12:
         return pool, prov
     if lp_membership(aux, pool) is not None:
-        _dedup_push(pool, prov, _unit_rows(pool), aux, Provenance("aux_hull"))
+        _extend_pool(pool, prov, [aux], [Provenance("aux_hull")])
     return pool, prov
 
 
@@ -396,9 +388,10 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
     test demands, and ``positive_combinations``, over slices of these
     that double in size along the search, keeps those with a strictly
     positive combination.  They go on to the alternance test, in
-    enumeration order.  A cadre must also pass the prefix test:
-    the first k of its vectors have rank k for every k < p (the EPS_RANK
-    test), so the walk's skips never decide which cadre comes first.
+    enumeration order, with that combination.  A cadre must also pass the
+    prefix test: the first k of its vectors have rank k for every k < p
+    (the EPS_RANK test), so the walk's skips never decide which cadre
+    comes first.
     Every subset, skipped ones included, counts against the budget.
     Returns the first cadre found or None.
     """
@@ -431,13 +424,13 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
     # the positivity screen's slices double over the search, so a cadre
     # found early costs few null vectors and a long search few SVD calls
     widths = (4 << k for k in count())
+    Z = Zbasis.canonical(G.d)
     for (p, k0, e), block in _prefix_walk(stacked, groups, budget,
                                           "cadre search"):
-        for sub, _ in _rank_screen(stacked, block, p, widths):
+        for sub, beta in _rank_screen(stacked, block, p, widths):
             vecs = [pool[i] for i in sub]
-            result = verify_alternance(
-                vecs, k0=k0, i0=k0 + e, eps_det=eps_det, flavor=flavor,
-                provenance=[pool_prov[i] for i in sub])
+            result = _alternance(vecs, beta, k0, k0 + e, Z, eps_det, flavor,
+                                 [pool_prov[i] for i in sub])
             if isinstance(result, Cadre) and _independent_prefixes(vecs):
                 return result
     return None
@@ -773,11 +766,8 @@ def _min_feasible_slope(ctx: PointContext, grads, n_samples: int, seed: int):
     """Sampled lower envelope of the linearized growth: the least, over
     sampled linearized-feasible unit h, of max <v, h>, and the number of
     feasible samples."""
-    H = np.random.default_rng(seed).standard_normal((n_samples,
-                                                     ctx.problem.d))
-    norms = row_norms(H)
-    usable = ~(norms < 1e-12)
-    H = H[usable] / norms[usable, None]
+    H, _ = unit_rows(np.random.default_rng(seed).standard_normal(
+        (n_samples, ctx.problem.d)), 1e-12)
     H = H[ctx.tester.accepted(H)]
     if not len(H):
         return None, 0

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from . import expr as ex
-from .cones import row_norms
+from .cones import row_norms, unit_rows
 from .problem import (Problem, evaluate_objective, feasibility,
                       objective_values)
 
@@ -85,15 +85,13 @@ def growth_probe(P: Problem, x, order: int = 1, n_samples: int = 2000,
     # a direction, then a radius unless the direction is null: the
     # interleaving fixes the random stream, so the draws stay one by one
     U = np.empty((n_samples, k))
-    norms = np.empty(n_samples)
     radii = []
     for i in range(n_samples):
         U[i] = rng.standard_normal(k)
-        norms[i] = math.sqrt(U[i].dot(U[i]))   # as np.linalg.norm(U[i])
-        if not norms[i] < 1e-12:
+        # the norm of U[i] as unit_rows computes it
+        if not math.sqrt(U[i].dot(U[i])) < 1e-12:
             radii.append(radius * rng.random() ** (1.0 / k))
-    drawn = ~(norms < 1e-12)
-    steps = np.array(radii).reshape(-1, 1) * (U[drawn] / norms[drawn, None])
+    steps = np.array(radii).reshape(-1, 1) * unit_rows(U, 1e-12)[0]
     # one matrix-vector product per sample, as frame @ step computes it
     Y = x + np.matmul(frame, steps[:, :, None])[:, :, 0]
     feasible, _ = feasibility(P, Y.T)

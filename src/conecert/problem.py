@@ -62,9 +62,10 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import expr as ex
-from .cones import (KeptRows, Provenance, axis_directions, builtin_max,
-                    pair_dots, project_psd_neg, project_soc, row_norms,
-                    sdp_null_directions, spectral_split, unit_directions)
+from .cones import (EigenFailure, Provenance, axis_directions, builtin_max,
+                    distinct_rows, pair_dots, project_soc, row_norms,
+                    sdp_null_directions, spectral_split, unit_directions,
+                    unit_rows)
 
 __all__ = [
     "ToleranceSet", "PolyhedralSet", "NlpIneq", "NlpEq", "Soc", "Sdp",
@@ -367,16 +368,9 @@ class Soc(_ConeBlock):
         dirs += axis_directions(self.l)
         dirs += unit_directions(self.l, sampling.soc_dirs,
                                 sampling.seed + 7 * pos + 1)
-        out, seen = [], KeptRows(self.l)
-        for v in dirs:
-            v = np.asarray(v, dtype=float)
-            norm = np.linalg.norm(v)
-            if norm < 1e-12:
-                continue
-            v = v / norm
-            if seen.near(v, 1e-9):
-                continue
-            seen.append(v)
+        U, _ = unit_rows(np.array(dirs), 1e-12)
+        out = []
+        for v in U[distinct_rows(U, 1e-9)]:
             dual = np.concatenate([[-1.0], v])
             prov = Provenance("soc_apex", pos, detail=tuple(v.tolist()))
             out.append((J.T @ dual, prov, dual))
@@ -472,8 +466,15 @@ class Sdp(_ConeBlock):
         return [(f"block {position} matrix cone", sigma)]
 
     def distance(self, x):
-        M = _sdp_matrix(self, x)
-        return float(np.linalg.norm(M - project_psd_neg(M), "fro"))
+        """Frobenius distance to the negative-semidefinite cone: the norm
+        of the positive eigenvalues, 0.0 at a feasible point.  hypot
+        scales before squaring, so entries near the largest float do not
+        overflow."""
+        try:
+            sigma = np.linalg.eigvalsh(_sdp_matrix(self, x))
+        except np.linalg.LinAlgError as err:
+            raise EigenFailure(str(err)) from err
+        return math.hypot(*np.maximum(sigma, 0.0).tolist())
 
     def normal_generators(self, x, state, sampling):
         Q0 = state.null_basis

@@ -17,7 +17,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import expr as ex
-from .cones import KeptRows, axis_directions, row_norms
+from .cones import axis_directions, distinct_rows, unit_rows
 from .firstorder import (DEFAULT_BUDGET, CombinatorialBudgetExceeded,
                          MultiplierWitness, NecessaryReport,
                          _assemble_witness, _witness_residual,
@@ -212,17 +212,10 @@ def _critical_directions(ctx: PointContext, G):
         candidates.append(np.stack([null, -null], axis=1).reshape(-1, d))
     rng = np.random.default_rng(ctx.sampling.seed + 307)
     candidates.append(rng.standard_normal((N_CRITICAL_DIRS, d)))
-    H = np.vstack(candidates)
-    norms = row_norms(H)
-    usable = ~(norms < 1e-12)
-    H = H[usable] / norms[usable, None]
+    H, _ = unit_rows(np.vstack(candidates), 1e-12)
     flat = ~(np.abs(directional_derivatives(G.grads_F, H)) > EPS_CRIT)
-    out, kept = [], KeptRows(d)
-    for h in H[ctx.tester.accepted(H) & flat]:
-        if not kept.near(h, 1e-9):
-            kept.append(h)
-            out.append(h)
-    return out
+    H = H[ctx.tester.accepted(H) & flat]
+    return list(H[distinct_rows(H, 1e-9)])
 
 
 @dataclass

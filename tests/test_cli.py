@@ -403,6 +403,25 @@ def test_check_huge_matrix_entry_is_feasible(tmp_path):
     assert feas == {"feasible": True, "max_violation": 0.0, "violations": []}
 
 
+def test_penalty_of_huge_negative_definite_matrix_is_zero(tmp_path):
+    """Both matrices are negative definite, so x = 0 is feasible and the
+    penalty term is 0.0.  The distance to the cone was the Frobenius norm
+    of the matrix minus its reconstructed projection: with -1e308 on the
+    diagonal it overflowed to a NaN penalty with a RuntimeWarning, and
+    with -1e200 and 1e199 to an infinite one."""
+    path = tmp_path / "big.prob"
+    for entries in ('entry(1,1)="-1e308" entry(1,2)="0" entry(2,2)="-1"',
+                    'entry(1,1)="-1e200" entry(1,2)="1e199" '
+                    'entry(2,2)="-1e200"'):
+        path.write_text('[problem] dim=1\n[scenario] f="x(1)^2"\n'
+                        f'[sdp] size=2 {entries}\n')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, out, _ = run_cli("check", "--file", str(path), "--at=0",
+                                "--penalty", "1", "--json")
+        assert json.loads(out)["penalty"]["value"] == 0.0, entries
+
+
 def test_check_nan_inequality_is_infeasible(tmp_path):
     code, feas = _feasibility(
         tmp_path, '[problem] dim=1\n[scenario] f="x(1)"\n'

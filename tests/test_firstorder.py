@@ -388,12 +388,12 @@ def test_rank_screen_keeps_ill_conditioned_combinations():
 
 
 def test_find_cadre_scalar_calls_on_linf():
-    """Pinned calls of solve_positive_combination on linf d=6.  The search
-    makes none of its own, single vectors included: the stacked
-    positive_combinations decides every subset, and only
-    verify_alternance calls the scalar, once per candidate.  The plain
-    complete search, 792 subsets of which 192 have rank 6, verifies
-    none; every other search verifies its cadre alone."""
+    """Pinned calls of solve_positive_combination on linf d=6: none, single
+    vectors included.  The stacked positive_combinations decides every
+    subset, and the alternance test of each candidate takes the
+    combination it found.  The plain complete search, 792 subsets of
+    which 192 have rank 6, verifies none; every other search verifies
+    its cadre alone."""
     P, x, sampling = registry.get("linf", 6)
     G = PointContext(P, x, sampling).generators
     calls = []
@@ -402,8 +402,8 @@ def test_find_cadre_scalar_calls_on_linf():
         calls.append(len(vecs))
         return solve_positive_combination(vecs)
 
-    pinned = {("plain", 1): 1, ("plain", 7): 0,
-              ("generalised", 1): 1, ("generalised", 7): 1}
+    pinned = {("plain", 1): 0, ("plain", 7): 0,
+              ("generalised", 1): 0, ("generalised", 7): 0}
     for (flavor, p_min), n in pinned.items():
         calls.clear()
         with pytest.MonkeyPatch.context() as mp:

@@ -5,7 +5,7 @@ import pytest
 
 import conecert as cc
 from conecert import geometry as geo
-from conecert import registry
+from conecert import cones, registry
 from conecert.cones import spectral_split
 from conecert.problem import (PolyhedralSet, _sdp_matrix, activity,
                               load_problem_text)
@@ -225,22 +225,24 @@ def test_unit_directions_deterministic():
         assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
 
 
-def _loop_dedup(vectors, tol, antipodal):
-    kept = []
+def _loop_dedup(vectors, tol, antipodal, kept=()):
+    kept, out = list(kept), []
     for v in vectors:
         if any(min(np.linalg.norm(k - v),
                    np.linalg.norm(k + v) if antipodal else np.inf) < tol
                for k in kept):
             continue
         kept.append(v)
-    return kept
+        out.append(v)
+    return out
 
 
 @pytest.mark.parametrize("antipodal", [False, True])
-def test_kept_rows_filter_matches_pairwise_loop(rng, antipodal):
-    """The one-call comparison keeps the same vectors, in the same order,
-    as comparing with each kept vector in turn."""
-    from conecert.cones import KeptRows
+def test_kept_rows_filter_matches_pairwise_loop(rng, monkeypatch, antipodal):
+    """distinct_rows keeps the same vectors, in the same order, as
+    comparing each with every vector kept before it in turn, whether the
+    candidates fill one block or many, with or without rows kept before
+    them, and when far vectors share their first coordinate."""
     base = [v / np.linalg.norm(v) for v in rng.standard_normal((40, 4))]
     vectors = []
     for v in base:
@@ -248,13 +250,36 @@ def test_kept_rows_filter_matches_pairwise_loop(rng, antipodal):
         vectors.append(v + 1e-11 * rng.standard_normal(4))   # within tol
         vectors.append(v + 1e-7 * rng.standard_normal(4))    # beyond it
         vectors.append(-v)
+        vectors.append(np.r_[v[0], rng.standard_normal(3)])  # same lead
     order = rng.permutation(len(vectors))
     vectors = [vectors[i] for i in order]
-    kept, rows = [], KeptRows(4)
-    for v in vectors:
-        if not rows.near(v, 1e-9, antipodal=antipodal):
-            rows.append(v)
-            kept.append(v)
-    ref = _loop_dedup(vectors, 1e-9, antipodal)
-    assert len(kept) == len(ref) < len(vectors)
-    assert all(k is r for k, r in zip(kept, ref))
+    for block in (1, 7, cones._DISTINCT_BLOCK):
+        monkeypatch.setattr(cones, "_DISTINCT_BLOCK", block)
+        for n_kept in (0, 30):
+            before, cands = vectors[:n_kept], vectors[n_kept:]
+            idx = cones.distinct_rows(np.array(cands), 1e-9, antipodal,
+                                      kept=np.array(before).reshape(-1, 4))
+            kept = [cands[i] for i in idx]
+            ref = _loop_dedup(cands, 1e-9, antipodal, before)
+            assert len(kept) == len(ref) < len(cands)
+            assert all(k is r for k, r in zip(kept, ref))
+    assert len(vectors) > 2 * cones._DISTINCT_BLOCK
+
+
+def test_unit_rows_match_the_row_loop(rng):
+    """Each kept row is the row over its np.linalg.norm, bit for bit, under
+    both floors the callers use: nonzero norm, and norm not below 1e-12."""
+    V = rng.standard_normal((60, 3)) * 10.0 ** rng.integers(-14, 3, (60, 1))
+    V[::7] = 0.0
+    V[3] = [1e-12, 0.0, 0.0]           # exactly at the floor: kept
+    V[5] = [0.0, -5e-13, 0.0]          # below it, yet nonzero
+    tiny = np.finfo(float).smallest_subnormal
+    for floor, keeps in ((1e-12, lambda n: not n < 1e-12),
+                         (tiny, lambda n: n > 0)):
+        units, idx = cones.unit_rows(V, floor)
+        ref = [i for i, v in enumerate(V) if keeps(np.linalg.norm(v))]
+        assert idx.tolist() == ref
+        for u, i in zip(units, ref):
+            assert np.array_equal(u, V[i] / np.linalg.norm(V[i]))
+    assert 0 < len(cones.unit_rows(V, 1e-12)[1]) < len(
+        cones.unit_rows(V, tiny)[1]) < len(V)

@@ -17,7 +17,7 @@ from conecert import geometry as geo
 from conecert import oracle, registry
 from conecert import problem as pb
 from conecert import secondorder as so
-from conecert.cones import KeptRows, builtin_max
+from conecert.cones import builtin_max
 from conecert.problem import load_problem_text
 from test_cli import _count_calls
 
@@ -164,19 +164,18 @@ def _ref_critical_directions(tester, d, G, n_dirs, seed, eps_crit):
             candidates.append(-row)
     for _ in range(n_dirs):
         candidates.append(rng.standard_normal(d))
-    out, kept = [], KeptRows(d)
+    out = []
     for h in candidates:
         norm = np.linalg.norm(h)
         if norm < 1e-12:
             continue
         h = h / norm
-        if kept.near(h, 1e-9):
+        if any(np.linalg.norm(k - h) < 1e-9 for k in out):
             continue
         if not tester.accepts(h):
             continue
         if abs(_ref_directional_derivative(G.grads_F, h)) > eps_crit:
             continue
-        kept.append(h)
         out.append(h)
     return out
 

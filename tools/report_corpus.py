@@ -6,8 +6,9 @@ The corpus is the six fixed registry problems under each flag set, `linf`
 for d = 2..8 with the second-order and penalty checks and for d = 9, 10
 with the default flags, the sampled cone examples with more directions
 and other seeds, a few small problem files whose penalty verdict flips
-with the penalty parameter, and small files with values undefined at
-the point.  Each case prints one header line, `== <argv> -> exit
+with the penalty parameter, small files with values undefined at
+the point, and two negative-definite matrix blocks with entries near the
+largest float.  Each case prints one header line, `== <argv> -> exit
 <code>`, then its report or error.
 
 Run it at two commits and compare the outputs with `cmp`: a change that
@@ -44,6 +45,7 @@ FLAG_SETS = ([], ["--second-order"], ["--penalty", "10"],
               "--flavor", "weak"])
 
 ONE = '[problem] dim=1\n[scenario] f="x(1)"\n'
+SQUARE = '[problem] dim=1\n[scenario] f="x(1)^2"\n'
 FILES = {
     # small problems whose penalty verdict depends on the cap of each
     # group of cone weights: one group for a semi-infinite block, one per
@@ -68,6 +70,13 @@ FILES = {
     "probe.prob": ONE + '[nlp_ineq] g="0.05 - x(1)" g="sqrt(x(1)) - 2"\n',
     "sdp_nan.prob": ONE + '[sdp] size=2 entry(1,1)="exp(x(1)) - exp(x(1))" '
                           'entry(1,2)="0" entry(2,2)="1"\n',
+    # negative-definite matrices with entries near the largest float,
+    # feasible at 0: a penalty term of 0.0, printed without an overflow
+    # warning
+    "sdp_huge.prob": SQUARE + '[sdp] size=2 entry(1,1)="-1e308" '
+                              'entry(1,2)="0" entry(2,2)="-1"\n',
+    "sdp_large.prob": SQUARE + '[sdp] size=2 entry(1,1)="-1e200" '
+                               'entry(1,2)="1e199" entry(2,2)="-1e200"\n',
 }
 FILE_CASES = (("semiinf.prob", "0.75"), ("semiinf.prob", "1.05"),
               ("nlp_ineq.prob", "0.75"), ("nlp_eq.prob", "0.9"),
@@ -102,6 +111,8 @@ def cases():
     yield ["--file", "probe.prob", "--at=0.05", "--oracle"]
     yield ["--file", "sdp_nan.prob", "--at=1000"]
     yield from EXPECTED_ERRORS
+    for path in ("sdp_huge.prob", "sdp_large.prob"):
+        yield ["--file", path, "--at=0", "--penalty", "1"]
 
 
 def main() -> int:
