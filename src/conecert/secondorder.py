@@ -1,30 +1,32 @@
 """Second-order certificates: scenario-weight multipliers, Lagrangian
 Hessians, and sampled quadratic-form tests over the critical cone.
 
-Curvature corrections vanish for polyhedral cone blocks, so the quadratic
-form alone decides necessity there; with second-order-cone or matrix
-blocks present the correction is omitted and a negative form no longer
-refutes, which the reports flag explicitly.  Positivity of the form on the
-critical cone is sufficient regardless of the cone types.
+Along each sampled critical direction h the tests take the largest form
+h'B(w)h over the multiplier set.  B(w) is linear in the weights w of the
+combination system, so for polyhedral blocks that maximum is one LP per
+direction, with no vertex enumeration.  Curvature corrections vanish for
+polyhedral cone blocks, so the quadratic form alone decides necessity
+there; with second-order-cone or matrix blocks present the correction is
+omitted, the single reconstructed multiplier stands in for the set, and a
+negative form no longer refutes, which the reports flag explicitly.
+Positivity of the form on the critical cone is sufficient regardless of
+the cone types.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from . import expr as ex
 from .cones import axis_directions, distinct_rows, unit_rows
-from .firstorder import (DEFAULT_BUDGET, CombinatorialBudgetExceeded,
-                         MultiplierWitness, NecessaryReport,
+from .firstorder import (MultiplierWitness, NecessaryReport,
                          _assemble_witness, _witness_residual,
                          directional_derivatives)
 from .geometry import PointContext
-from .linkernel import (SCREEN_CHUNK, combination_system, rank,
-                        stacked_rank)
+from .linkernel import combination_system, simplex_checked
 from .problem import Problem
 
 __all__ = [
@@ -38,92 +40,6 @@ __all__ = [
 # decides whether a negative quadratic form refutes
 N_CRITICAL_DIRS = 512
 EPS_CRIT = 1e-8
-
-
-def _polytope_vertices(Aeq, beq, n, budget: int = DEFAULT_BUDGET):
-    """Vertices of {w >= 0 : Aeq w = beq} by basic-solution enumeration.
-
-    Supports are tried by size up to min(m, n), then lexicographically, so
-    vertices of degenerate systems (dependent equality rows) are not
-    missed.  A vertex's support is a positive circuit of the columns and
-    -beq: every proper subset S of it has [Aeq_S beq] of full column rank.
-    So the walk goes level by level.  The supports of size k extend those
-    of the frontier of size k - 1 by one larger index, and one stays in
-    the frontier while [Aeq_S beq] has full column rank by the EPS_RANK
-    test.  Once it has not, every superset with a basic solution has the
-    same one, a vertex already kept or none, so a support containing that
-    of a kept vertex with [Aeq_S beq] dependent is dropped too.  So is one
-    whose [Aeq_S beq] has a least singular value, a lower bound on its
-    residual, that fails the residual test below with room for rounding.
-    The scalar test below decides every support left.  Every
-    support up to size min(m, n) counts against the budget, tried or not,
-    so more than ``budget`` of them raise CombinatorialBudgetExceeded
-    before the walk starts."""
-    m = Aeq.shape[0]
-    top = min(m, n)
-    if any(total > budget for total in accumulate(
-            math.comb(n, k) for k in range(top + 1))):
-        raise CombinatorialBudgetExceeded(budget + 1,
-                                          "multiplier-vertex enumeration")
-    verts, dependent = [], []
-    scale = max(1.0, float(np.linalg.norm(beq)))
-    # the computed least singular value of [Aeq_S beq] is within
-    # unit * sigma_1 of the exact one, and the scalar residual of any w,
-    # at least that value times |(w, -1)|, is computed within
-    # unit * sigma_1 * (|w| + 1): 3 * unit * sigma_1 covers both
-    unit = 16.0 * (m + 1) * (n + 1) * np.finfo(float).eps
-    with_beq = np.column_stack([Aeq, beq])
-    frontier = np.empty((1, 0), dtype=np.intp)
-    for k in range(top + 1):
-        cand = _extensions(frontier, n) if k else frontier
-        grown = []
-        for start in range(0, len(cand), SCREEN_CHUNK):
-            chunk = cand[start:start + SCREEN_CHUNK]
-            if k < m:
-                ranks, sigma = stacked_rank(
-                    with_beq[:, np.insert(chunk, k, n, axis=1)]
-                    .transpose(1, 0, 2))
-                grown.append(chunk[ranks == k + 1])
-                chunk = chunk[sigma[:, k] - 3.0 * unit * sigma[:, 0]
-                              <= 1e-8 * scale]
-            if dependent and len(chunk):
-                held = np.zeros((len(chunk), n), dtype=bool)
-                np.put_along_axis(held, chunk, True, axis=1)
-                chunk = chunk[~np.any([held[:, kept].all(axis=1)
-                                       for kept in dependent], axis=0)]
-            for support in chunk:
-                B = Aeq[:, support]
-                if rank(B) < len(support):
-                    continue
-                sol, *_ = np.linalg.lstsq(B, beq, rcond=None)
-                full = np.zeros(n)
-                full[support] = sol
-                if np.any(full < -1e-9):
-                    continue
-                if np.linalg.norm(Aeq @ full - beq) > 1e-8 * scale:
-                    continue
-                full = np.maximum(full, 0.0)
-                if not any(np.linalg.norm(full - v) < 1e-8 for v in verts):
-                    verts.append(full)
-                    if rank(with_beq[:, np.append(support, n)]) <= k:
-                        dependent.append(support)
-        if not grown:
-            break
-        frontier = np.concatenate(grown)
-    return verts
-
-
-def _extensions(supports, n):
-    """Each row of ``supports`` (increasing indices, rows in lexicographic
-    order) extended by every larger index below n, in lexicographic
-    order."""
-    lo = (supports[:, -1] + 1 if supports.shape[1]
-          else np.zeros(len(supports), dtype=np.intp))
-    counts = n - lo
-    rows = np.repeat(np.arange(len(supports)), counts)
-    offsets = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts,
-                                               counts)
-    return np.column_stack([supports[rows], lo[rows] + offsets])
 
 
 def hessian_bundle(P: Problem, x, w: MultiplierWitness) -> np.ndarray:
@@ -150,45 +66,69 @@ def hessian_bundle(P: Problem, x, w: MultiplierWitness) -> np.ndarray:
 
 @dataclass
 class MultiplierVertices:
-    """Joint (dual, scenario weight) vertices.  Exhaustive for problems
-    whose blocks are all polyhedral, unless the enumeration ran out of its
-    budget; otherwise the single reconstructed witness, flagged partial."""
+    """Per direction, the largest quadratic form over the multiplier set,
+    and the multiplier pairs that attain it.  Exhaustive for problems whose
+    blocks are all polyhedral; otherwise, or when an LP or a witness check
+    fails, the forms of the single reconstructed witness, flagged
+    partial."""
 
-    pairs: list            # MultiplierWitness per vertex
+    pairs: list            # MultiplierWitness per distinct maximiser
+    values: list           # max h'B(w)h per direction; inf when unbounded
     exhaustive: bool
-    budget_exceeded: bool = False
 
 
 def _all_polyhedral(P: Problem) -> bool:
     return all(b.polyhedral for b in P.blocks)
 
 
-def multiplier_vertices(ctx: PointContext,
-                        report: NecessaryReport) -> MultiplierVertices:
-    """The multiplier pairs at the vertices of the joint polytope; at most
-    ``DEFAULT_BUDGET`` supports are tried (see ``_polytope_vertices``)."""
+def _form_maxima(ctx: PointContext, G, dirs):
+    """Per direction h, max h'B(w)h over {w >= 0 : Aw = b}, the
+    combination system of G, by one LP each: column j costs -h'H_j h,
+    with H_j the Hessian of the unit weight on column j alone (0 for the
+    nA columns).  An unbounded LP gives math.inf.  The witness of an
+    optimal w must pass the residual test, checked once per support.
+    None when an LP or a witness fails."""
     P = ctx.problem
-    G = report.generators
-    partial = [] if report.multipliers is None else [report.multipliers]
-    if not _all_polyhedral(P):
-        return MultiplierVertices(pairs=partial, exhaustive=False)
-    # joint polytope over (alpha, cone weights, nA weights)
-    Aeq, beq = combination_system(G.grads_F, G.cone)
+    A, b = combination_system(G.grads_F, G.cone)
     m = len(G.grads_F)
-    try:
-        verts = _polytope_vertices(Aeq, beq, Aeq.shape[1])
-    except CombinatorialBudgetExceeded:
-        return MultiplierVertices(pairs=partial, exhaustive=False,
-                                  budget_exceeded=True)
-    pairs = []
-    for v in verts:
-        w = _assemble_witness(ctx, G, v[:m], v[m:])
-        w.stationarity_residual = _witness_residual(P, ctx.x, w)
-        if w.stationarity_residual > 1e-7:
+    H = np.array([hessian_bundle(P, ctx.x,
+                                 _assemble_witness(ctx, G, e[:m], e[m:]))
+                  for e in np.eye(A.shape[1])])
+    D = np.array(dirs)
+    witnesses, values = {}, []
+    for q in np.einsum("jab,ka,kb->kj", H, D, D):
+        res = simplex_checked(-q, A, b)
+        if res.status == "unbounded":
+            values.append(math.inf)
             continue
-        pairs.append(w)
-    pairs = pairs or partial
-    return MultiplierVertices(pairs=pairs, exhaustive=bool(pairs))
+        if res.status != "optimal":
+            return None
+        support = tuple(np.flatnonzero(res.x > 0))
+        if support not in witnesses:
+            w = _assemble_witness(ctx, G, res.x[:m], res.x[m:])
+            w.stationarity_residual = _witness_residual(P, ctx.x, w)
+            witnesses[support] = w
+        if witnesses[support].stationarity_residual > 1e-7:
+            return None
+        values.append(float(q @ res.x))
+    return MultiplierVertices(list(witnesses.values()), values, True)
+
+
+def multiplier_vertices(ctx: PointContext, report: NecessaryReport,
+                        dirs) -> MultiplierVertices:
+    """The largest quadratic form along each direction of ``dirs`` over
+    the multiplier set of ``report``'s generators, and the multiplier
+    pairs, vertices of that set, that attain it (see ``_form_maxima``).
+    With curved blocks, or when an LP fails, the single witness of
+    ``report`` stands in, with ``exhaustive`` false."""
+    P = ctx.problem
+    if _all_polyhedral(P):
+        found = _form_maxima(ctx, report.generators, dirs)
+        if found is not None:
+            return found
+    w = report.multipliers
+    B = hessian_bundle(P, ctx.x, w)
+    return MultiplierVertices([w], [float(h @ B @ h) for h in dirs], False)
 
 
 # ---------------------------------------------------------------------------
@@ -246,35 +186,29 @@ class SecondOrderReport:
 
 
 def _second_order_inputs(ctx: PointContext, first: NecessaryReport):
-    """The multiplier vertices and the sampled critical directions for the
-    generator set of ``first``, computed once per point context and shared
-    by both second-order tests.  The memo entry holds the generator set,
+    """The sampled critical directions for the generator set of ``first``
+    and the largest forms along them, computed once per point context and
+    shared by both second-order tests.  Without a direction there is no
+    multiplier work, and the multiplier set counts as exhaustive when
+    every block is polyhedral.  The memo entry holds the generator set,
     so its id cannot be reused while the entry lives."""
     G = first.generators
     key = ("second_order", id(G))
     if key not in ctx.memo:
-        ctx.memo[key] = (G, multiplier_vertices(ctx, first),
-                         _critical_directions(ctx, G))
+        dirs = _critical_directions(ctx, G)
+        verts = (multiplier_vertices(ctx, first, dirs) if dirs else
+                 MultiplierVertices(pairs=[], values=[],
+                                    exhaustive=_all_polyhedral(ctx.problem)))
+        ctx.memo[key] = (G, verts, dirs)
     _, verts, dirs = ctx.memo[key]
     return verts, dirs
 
 
-def _worst_form(P: Problem, x, verts: MultiplierVertices, dirs):
-    """Per direction h, the largest h'Bh over the Lagrangian Hessians B of
-    the multiplier pairs; also the least of those values and a direction
-    attaining it."""
-    hessians = [hessian_bundle(P, x, w) for w in verts.pairs]
-    best = [max(float(h @ B @ h) for B in hessians) for h in dirs]
-    k = min(range(len(dirs)), key=best.__getitem__)
-    return best, best[k], dirs[k].tolist()
-
-
-def _budget_notes(verts: MultiplierVertices) -> list:
-    if not verts.budget_exceeded:
-        return []
-    return ["the multiplier-vertex enumeration ran out of its budget, so the "
-            "multiplier set is not exhaustive and a negative form refutes "
-            "nothing"]
+def _worst_form(verts: MultiplierVertices, dirs):
+    """The least of the largest forms along the directions, and a
+    direction attaining it."""
+    k = min(range(len(dirs)), key=verts.values.__getitem__)
+    return verts.values[k], dirs[k].tolist()
 
 
 def second_order_necessary(ctx: PointContext,
@@ -295,7 +229,6 @@ def second_order_necessary(ctx: PointContext,
                          "necessary check")
     verts, dirs = _second_order_inputs(ctx, first)
     polyhedral = _all_polyhedral(ctx.problem)
-    notes = _budget_notes(verts)
     if not dirs:
         return SecondOrderReport(
             mode="necessary", applicable=True, refuted=False, passed=True,
@@ -303,14 +236,13 @@ def second_order_necessary(ctx: PointContext,
             conservative_refutation_only=not polyhedral,
             multiplier_set_exhaustive=verts.exhaustive,
             n_directions=0, worst_value=None, witness_direction=None,
-            notes=notes + ["no nonzero critical directions found; the test "
-                           "is vacuously satisfied"])
-    _, worst, witness_dir = _worst_form(ctx.problem, ctx.x, verts, dirs)
+            notes=["no nonzero critical directions found; the test is "
+                   "vacuously satisfied"])
+    worst, witness_dir = _worst_form(verts, dirs)
     refuted = polyhedral and verts.exhaustive and worst < -EPS_CRIT
-    if not polyhedral:
-        notes.append("curved cone blocks present: the omitted curvature "
-                     "term could rescue a negative form, so no refutation "
-                     "is drawn")
+    notes = [] if polyhedral else [
+        "curved cone blocks present: the omitted curvature term could "
+        "rescue a negative form, so no refutation is drawn"]
     return SecondOrderReport(
         mode="necessary", applicable=True, refuted=refuted,
         passed=worst >= -EPS_CRIT, critical_cone_trivial=False,
@@ -332,7 +264,7 @@ def second_order_sufficient(ctx: PointContext,
                          "necessary check")
     verts, dirs = _second_order_inputs(ctx, first)
     notes = ["pass is over sampled directions only; it cannot certify the "
-             "full critical cone"] + _budget_notes(verts)
+             "full critical cone"]
     if not _all_polyhedral(P):
         notes.append("curvature terms are nonpositive here, so a positive "
                      "form without them implies the corrected condition for "
@@ -344,10 +276,10 @@ def second_order_sufficient(ctx: PointContext,
             multiplier_set_exhaustive=verts.exhaustive, n_directions=0,
             worst_value=None, witness_direction=None,
             notes=notes + ["critical cone sampling found only the origin"])
-    best, worst, witness_dir = _worst_form(P, ctx.x, verts, dirs)
+    worst, witness_dir = _worst_form(verts, dirs)
     return SecondOrderReport(
         mode="sufficient", applicable=True, refuted=False,
-        passed=all(v > P.tolerances.eps_pos for v in best),
+        passed=all(v > P.tolerances.eps_pos for v in verts.values),
         critical_cone_trivial=False,
         conservative_refutation_only=False,
         multiplier_set_exhaustive=verts.exhaustive,

@@ -60,14 +60,13 @@ def test_check_linf_11_walks_few_prefixes(monkeypatch):
     fewer than 1,000 matrices through stacked_rank, against 478,477 when
     every subset was rank-screened."""
     from conecert import linkernel as lk
-    from conecert import secondorder as so
     matrices = []
     stacked_rank = lk.stacked_rank
 
     def counted(stack):
         matrices.append(math.prod(np.shape(stack)[:-2]))
         return stacked_rank(stack)
-    for module in (lk, fo, so):
+    for module in (lk, fo):
         monkeypatch.setattr(module, "stacked_rank", counted)
     code, out, _ = run_cli("check", "--registry", "linf", "--dim", "11",
                            "--json")
@@ -298,6 +297,26 @@ def test_check_enumerates_second_order_data_once(monkeypatch, tmp_path):
     assert [t["mode"] for t in tests] == ["necessary", "sufficient"]
     assert tests[0]["n_directions"] == tests[1]["n_directions"] > 0
     assert counts == {"multiplier_vertices": 1, "_critical_directions": 1}
+
+
+def test_check_linf_second_order_does_no_multiplier_work(monkeypatch):
+    """linf d=11 has no critical direction at 0, so the second-order tests
+    solve no LP and look at no multiplier, and the multiplier set of its
+    polyhedral blocks counts as exhaustive."""
+    from conecert import secondorder
+    counts = _count_calls(monkeypatch,
+                          (secondorder, "multiplier_vertices"))
+    lps = []
+    simplex_checked = secondorder.simplex_checked
+    monkeypatch.setattr(secondorder, "simplex_checked",
+                        lambda *args: lps.append(1) or simplex_checked(*args))
+    code, out, _ = run_cli("check", "--registry", "linf", "--dim", "11",
+                           "--second-order", "--json")
+    tests = json.loads(out)["second_order"]
+    assert code == 0
+    assert [t["n_directions"] for t in tests] == [0, 0]
+    assert [t["multiplier_set_exhaustive"] for t in tests] == [True, True]
+    assert counts == {} and lps == []
 
 
 def test_flavor_search_reuses_the_checks_searches(monkeypatch):

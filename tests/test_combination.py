@@ -269,28 +269,25 @@ def test_penalty_groups_reach_the_caps():
 
 
 def test_vertex_systems_match_the_frozen_builder(monkeypatch):
-    seen = []
-
-    def capture(Aeq, beq, n, budget=fo.DEFAULT_BUDGET):
-        seen.append((np.array(Aeq), np.array(beq), n))
-        return []
-
-    monkeypatch.setattr(so, "_polytope_vertices", capture)
+    """The second-order LP of a polyhedral problem runs on the frozen
+    vertex system, one solve per direction; curved blocks solve none."""
+    seen = _recording(monkeypatch, so, "simplex_checked")
     built = 0
     for ctx, G in _generator_sets():
         report = fo.NecessaryReport(
-            feasible=True, zero_in_D=True, multipliers=None, cadre=None,
-            agreement=True, sampling_limited=False, budget_exceeded=False,
-            generators=G)
+            feasible=True, zero_in_D=True,
+            multipliers=fo.MultiplierWitness(alpha=[], duals={}, nA=[]),
+            cadre=None, agreement=True, sampling_limited=False,
+            budget_exceeded=False, generators=G)
         seen.clear()
-        so.multiplier_vertices(ctx, report)
+        so.multiplier_vertices(ctx, report, [np.eye(G.d)[0]])
         if not so._all_polyhedral(ctx.problem):
             assert seen == []
             continue
         Aeq, beq, n = _ref_vertex_system(G.d, G)
         assert len(seen) == 1
-        assert seen[0][2] == n
-        _assert_systems([seen[0][:2]], [(Aeq, beq)])
+        assert seen[0][0].shape == (n,)
+        _assert_systems([seen[0][1:]], [(Aeq, beq)])
         built += 1
     assert built == 9
 

@@ -1,3 +1,4 @@
+import math
 from functools import partial
 from itertools import combinations
 
@@ -8,8 +9,9 @@ import conecert as cc
 from conecert import firstorder as fo
 from conecert import registry
 from conecert import secondorder as so
+from conecert.cones import axis_directions
 from conecert.geometry import PointContext, TangentTester
-from conecert.linkernel import EPS_RANK, combination_system, rank
+from conecert.linkernel import EPS_RANK, LpResult, combination_system, rank
 from conecert.oracle import fd_hessian, growth_probe
 from conecert.problem import load_problem_text
 from conftest import random_expression
@@ -28,10 +30,10 @@ def _dense_alpha(w, nec):
 
 
 def _alphas(P, x, samp=None):
-    """The scenario weights of the multiplier vertices at x."""
+    """The scenario weights of the LP witnesses at x along the axes."""
     ctx = PointContext(P, x, samp)
     nec = fo.necessary_check(ctx)
-    verts = so.multiplier_vertices(ctx, nec)
+    verts = so.multiplier_vertices(ctx, nec, axis_directions(P.d))
     assert verts.exhaustive
     return [_dense_alpha(w, nec) for w in verts.pairs]
 
@@ -59,12 +61,21 @@ def test_dd_opposite_gradients_forced_half():
     np.testing.assert_allclose(alphas[0], [0.5, 0.5], atol=1e-9)
 
 
-def test_dd_all_weights_convex_and_stationary():
+def test_dd_all_weights_convex_and_stationary(monkeypatch):
+    """Along e_1 and e_2 the columns' forms are the weight on the first
+    active scenario and its negative, two opposite costs: on madsen they
+    reach both vertices of its multiplier set."""
     for name in ("dem", "madsen", "bazaraa45"):
         P, x, samp = registry.get(name)
         ctx = PointContext(P, x, samp)
         nec = fo.necessary_check(ctx)
-        verts = so.multiplier_vertices(ctx, nec)
+        lead = nec.generators.grads_prov[0].index
+
+        def lead_weight(P, x, w):
+            return np.diag([1.0, -1.0]) * sum(
+                weight for idx, _, weight in w.alpha if idx == lead)
+        monkeypatch.setattr(so, "hessian_bundle", lead_weight)
+        verts = so.multiplier_vertices(ctx, nec, list(np.eye(2)))
         assert verts.exhaustive and verts.pairs
         for w in verts.pairs:
             v = _dense_alpha(w, nec)
@@ -72,8 +83,9 @@ def test_dd_all_weights_convex_and_stationary():
             assert np.all(v >= -1e-12)
             assert w.stationarity_residual <= 1e-7
         if name == "madsen":
-            assert sorted(_dense_alpha(w, nec).tolist()
-                          for w in verts.pairs) == [[0.0, 1.0], [1.0, 0.0]]
+            assert [_dense_alpha(w, nec).tolist()
+                    for w in verts.pairs] == [[1.0, 0.0], [0.0, 1.0]]
+            assert verts.values == [1.0, 0.0]
 
 
 def test_hessian_linear_problem_is_zero():
@@ -290,43 +302,6 @@ def _dependent_rows_system(rng):
     return Aeq, Aeq @ w0
 
 
-@pytest.mark.parametrize("system", ["linf4", "dependent0", "dependent1",
-                                    "dependent2", "dependent3"])
-def test_polytope_vertices_match_unscreened_enumeration(system):
-    if system == "linf4":
-        Aeq, beq = _linf_system(4)
-    else:
-        Aeq, beq = _dependent_rows_system(
-            np.random.default_rng(int(system[-1])))
-    n = Aeq.shape[1]
-    got = so._polytope_vertices(Aeq, beq, n)
-    ref = _reference_vertices(Aeq, beq, n)
-    assert ref
-    assert len(got) == len(ref)
-    assert all(np.array_equal(u, v) for u, v in zip(got, ref))
-
-
-def test_polytope_vertices_budget_counts_every_support():
-    """As in the cadre search, every support counts against the budget,
-    across chunk boundaries, and the support after the budget's last is
-    reported as the one that ran it out."""
-    from math import comb
-    Aeq, beq = _linf_system(5)
-    n = Aeq.shape[1]
-    total = sum(comb(n, k) for k in range(min(Aeq.shape) + 1))
-    assert total > so.SCREEN_CHUNK
-    full = so._polytope_vertices(Aeq, beq, n)
-    within = so._polytope_vertices(Aeq, beq, n, budget=total)
-    assert len(within) == len(full)
-    assert all(np.array_equal(u, v) for u, v in zip(within, full))
-    for budget in (0, 1, so.SCREEN_CHUNK, so.SCREEN_CHUNK + 1, total - 1):
-        with pytest.raises(fo.CombinatorialBudgetExceeded) as err:
-            so._polytope_vertices(Aeq, beq, n, budget=budget)
-        assert err.value.subsets_tried == budget + 1
-        assert str(err.value).startswith("multiplier-vertex enumeration "
-                                         "budget exhausted")
-
-
 def _integer_system(rng, zero=False, scale=1.0):
     """A combination system in R^3 over 4 gradients and 5 cone columns with
     small integer entries, the gradients scaled by ``scale`` (to unit norm
@@ -367,7 +342,7 @@ def _near_pair_system(side):
 
 
 _LEVEL_SYSTEMS = {
-    **{f"linf{d}": partial(_linf_system, d) for d in (5, 6, 7)},
+    **{f"linf{d}": partial(_linf_system, d) for d in (4, 5, 6, 7)},
     **{f"cone{s}": partial(_integer_system, np.random.default_rng(s))
        for s in range(3)},
     **{f"zero{s}": partial(_integer_system, np.random.default_rng(s), True)
@@ -385,82 +360,115 @@ _LEVEL_SYSTEMS = {
 }
 
 
+# near the EPS_RANK boundary and with gradients below the absolute
+# residual tolerance 1e-8, the reference keeps near-solutions that are not
+# vertices, so values are defined only to that tolerance there
+_NEAR_TOLERANCE = {"pair-above", "pair-below", "tiny0", "tiny1",
+                   "linf2-tolerance"}
+
+
 @pytest.mark.parametrize("system", list(_LEVEL_SYSTEMS))
-def test_polytope_vertices_walk_by_level_matches_reference(system):
-    """The level walk finds the vertices of the unscreened enumeration, in
-    its order and bit for bit: on linf, on systems with cone columns,
-    with a zero gradient, with a +- pair on either side of the EPS_RANK
-    boundary, with gradients so small that the residual bound works with
-    the absolute tolerance, and with dependent rows."""
+def test_lp_maximum_matches_reference_vertices(system):
+    """A linear cost bounded over {w >= 0 : Aw = b} attains its maximum at
+    a vertex, so the one LP per direction gives the largest value over the
+    unscreened vertex enumeration, on seeded random costs: on linf, on
+    systems with cone columns, with a zero gradient and with dependent
+    rows.  Near the tolerances (a +- pair on either side of the EPS_RANK
+    boundary, tiny gradients) it never exceeds that value by more than
+    the residual tolerance.  A system whose weights are bounded never
+    gives an unbounded LP."""
     Aeq, beq = _LEVEL_SYSTEMS[system]()
     n = Aeq.shape[1]
-    got = so._polytope_vertices(Aeq, beq, n)
-    ref = _reference_vertices(Aeq, beq, n)
-    assert ref
-    assert len(got) == len(ref)
-    assert all(np.array_equal(u, v) for u, v in zip(got, ref))
+    verts = np.array(_reference_vertices(Aeq, beq, n))
+    bounded = so.simplex_checked(-np.ones(n), Aeq, beq).status == "optimal"
+    rng = np.random.default_rng(sum(map(ord, system)))
+    solved = 0
+    for q in rng.standard_normal((20, n)):
+        res = so.simplex_checked(-q, Aeq, beq)
+        if res.status == "unbounded" and not bounded:
+            continue
+        assert res.status == "optimal"
+        best = float(np.max(verts @ q))
+        if system in _NEAR_TOLERANCE:
+            assert q @ res.x <= best + 1e-8
+        else:
+            assert abs(q @ res.x - best) <= 1e-12 * max(1.0, abs(best))
+        solved += 1
+    assert solved
 
 
-def test_polytope_vertices_skip_supersets_of_dependent_sets():
-    """A support is not tried below a prefix that is dependent with beq.
-    With linf's gradients scaled to 10^-9, each +-e_i pair sits on the
-    EPS_RANK boundary (sigma_min / sigma_max = 10^-9 exactly) and passes
-    the scalar rank test only through rounding, while its prefix, the
-    single gradient with beq, is dependent (ratio 10^-9 / 2); each
-    gradient alone passes the absolute residual test.  The reference
-    keeps the pairs as well, the walk the single gradients only."""
-    Aeq, beq = _scaled_linf_system(3, 1e-9)
+@pytest.mark.parametrize("system", [f"dependent{s}" for s in range(4)])
+def test_lp_witness_is_unscreened_vertex(system):
+    """With a row of Aeq the sum of two others, the simplex drops the
+    redundant row and still returns a basic solution: each LP witness is
+    one of the vertices of the unscreened enumeration, and it is as good
+    as the witness of the same LP with the dependent row removed."""
+    Aeq, beq = _LEVEL_SYSTEMS[system]()
     n = Aeq.shape[1]
-    got = so._polytope_vertices(Aeq, beq, n)
-    ref = _reference_vertices(Aeq, beq, n)
-    assert [tuple(np.flatnonzero(v)) for v in got] == [(i,) for i in range(6)]
-    extra = [tuple(np.flatnonzero(v)) for v in ref[len(got):]]
-    assert all(np.array_equal(u, v) for u, v in zip(got, ref))
-    assert extra == [(0, 1), (2, 3), (4, 5)]
-    for first, _ in extra:
-        assert rank(np.column_stack([Aeq[:, first], beq])) == 1
+    verts = np.array(_reference_vertices(Aeq, beq, n))
+    reduced = np.delete(Aeq, 2, axis=0), np.delete(beq, 2)
+    rng = np.random.default_rng(sum(map(ord, system)))
+    for q in rng.standard_normal((20, n)):
+        res = so.simplex_checked(-q, Aeq, beq)
+        assert res.status == "optimal"
+        assert np.min(np.linalg.norm(verts - res.x, axis=1)) <= 1e-8
+        ref = so.simplex_checked(-q, *reduced)
+        assert ref.status == "optimal"
+        assert abs(q @ res.x - q @ ref.x) <= 1e-12 * max(1.0, abs(q @ ref.x))
 
 
-def test_polytope_vertices_linf7_work(monkeypatch):
-    """linf d=7 has 7 vertices among its 12,911 supports: the walk sends
-    only those 7 to the scalar vertex test and rank-checks fewer than
-    4,000 supports with beq."""
-    tested, ranked = [], []
-    scalar, stacked = so.rank, so.stacked_rank
-    Aeq, beq = _linf_system(7)
-
-    def counted_scalar(M):
-        # the scalar test's rank call; the other checks a kept vertex's
-        # support together with beq
-        if not np.array_equal(M[:, -1], beq):
-            tested.append(M.shape[1])
-        return scalar(M)
-
-    def counted_rank(stack):
-        ranked.append(len(stack))
-        return stacked(stack)
-    monkeypatch.setattr(so, "rank", counted_scalar)
-    monkeypatch.setattr(so, "stacked_rank", counted_rank)
-    verts = so._polytope_vertices(Aeq, beq, Aeq.shape[1])
-    assert len(verts) == 7
-    assert len(tested) <= 7
-    assert sum(ranked) < 4000
-
-
-def test_vertex_budget_out_draws_no_refutation(monkeypatch):
-    from functools import partial
+def test_lp_failure_draws_no_refutation(monkeypatch):
+    """When an LP fails, or its witness fails the residual test, the single
+    witness of the necessary check stands in for the multiplier set,
+    which is then not exhaustive, and the saddle is no longer refuted."""
     P = _simple('[problem] dim=2\n[scenario] f="x(1)^2 - x(2)^2"\n')
     ctx = PointContext(P, (0.0, 0.0))
     assert so.second_order_necessary(ctx, fo.necessary_check(ctx)).refuted
-    monkeypatch.setattr(so, "_polytope_vertices",
-                        partial(so._polytope_vertices, budget=0))
-    # a new context: the first one holds the full enumeration
-    ctx = PointContext(P, (0.0, 0.0))
+    for name, failing in (
+            ("simplex_checked", lambda c, A, b: LpResult("infeasible")),
+            ("_witness_residual", lambda P, x, w: 1.0)):
+        with monkeypatch.context() as patch:
+            patch.setattr(so, name, failing)
+            # a new context: the first one holds the LP results
+            ctx = PointContext(P, (0.0, 0.0))
+            nec = fo.necessary_check(ctx)
+            verts = so.multiplier_vertices(ctx, nec, axis_directions(2))
+            assert verts.pairs == [nec.multipliers] and not verts.exhaustive
+            assert verts.values == [2.0, 2.0, -2.0, -2.0]
+            for test in (so.second_order_necessary,
+                         so.second_order_sufficient):
+                rep = test(ctx, nec)
+                assert not rep.refuted and not rep.multiplier_set_exhaustive
+
+
+def _second_order(text, x):
+    P = _simple(text)
+    ctx = PointContext(P, x)
     nec = fo.necessary_check(ctx)
-    verts = so.multiplier_vertices(ctx, nec)
-    assert verts.budget_exceeded and not verts.exhaustive
-    assert verts.pairs == [nec.multipliers]
-    for test in (so.second_order_necessary, so.second_order_sufficient):
-        rep = test(ctx, nec)
-        assert not rep.refuted and not rep.multiplier_set_exhaustive
-        assert sum("ran out of its budget" in note for note in rep.notes) == 1
+    return (so.second_order_necessary(ctx, nec),
+            so.second_order_sufficient(ctx, nec))
+
+
+def test_unbounded_multiplier_set_refutes_nothing():
+    """The feasible set of pinch is {0}, since -x_2^2 <= x_1 <= -2 x_2^2,
+    so 0 is a global minimiser.  Its multiplier set is unbounded along
+    (lambda_1, lambda_2) = (t, 1 + t), where the form along (0, +-1) is
+    2t - 2: its vertex (1, 0, 1) alone gives -2, which refuted 0."""
+    nec, suf = _second_order(
+        '[problem] dim=2\n[scenario] f="x(1)"\n'
+        '[nlp_ineq] g="x(1) + 2*x(2)^2" g="-x(1) - x(2)^2"\n', (0.0, 0.0))
+    assert nec.n_directions > 0 and nec.multiplier_set_exhaustive
+    assert not nec.refuted and nec.passed
+    assert nec.worst_value == suf.worst_value == math.inf
+
+
+def test_form_is_the_largest_over_the_vertices():
+    """Along +-e_2 the two multiplier vertices of these three scenarios
+    give forms -1 and +1; the test takes the larger."""
+    nec, suf = _second_order(
+        '[problem] dim=2\n[scenario] f="x(1) + x(2)^2"\n'
+        '[scenario] f="-x(1) - 2*x(2)^2"\n[scenario] f="x(1) + 3*x(2)^2"\n',
+        (0.0, 0.0))
+    assert nec.n_directions == 2 and not nec.refuted
+    assert nec.worst_value == pytest.approx(1.0, rel=1e-12)
+    assert suf.passed

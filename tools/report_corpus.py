@@ -7,8 +7,9 @@ for d = 2..8 with the second-order and penalty checks and for d = 9, 10
 with the default flags, the sampled cone examples with more directions
 and other seeds, a few small problem files whose penalty verdict flips
 with the penalty parameter, small files with values undefined at
-the point, and two negative-definite matrix blocks with entries near the
-largest float.  Each case prints one header line, `== <argv> -> exit
+the point, two negative-definite matrix blocks with entries near the
+largest float, and three small files whose second-order tests have
+critical directions.  Each case prints one header line, `== <argv> -> exit
 <code>`, then its report or error.
 
 Run it at two commits and compare the outputs with `cmp`: a change that
@@ -77,6 +78,19 @@ FILES = {
                               'entry(1,2)="0" entry(2,2)="-1"\n',
     "sdp_large.prob": SQUARE + '[sdp] size=2 entry(1,1)="-1e200" '
                                'entry(1,2)="1e199" entry(2,2)="-1e200"\n',
+    # second-order tests with critical directions: a multiplier set
+    # unbounded along them (the only feasible point is 0), two multiplier
+    # vertices with forms -1 and +1 along +-e_2, and a point refuted by a
+    # negative form
+    "pinch.prob": '[problem] dim=2\n[scenario] f="x(1)"\n'
+                  '[nlp_ineq] g="x(1) + 2*x(2)^2" g="-x(1) - x(2)^2"\n',
+    "two_vertices.prob": '[problem] dim=2\n[scenario] f="x(1) + x(2)^2"\n'
+                         '[scenario] f="-x(1) - 2*x(2)^2"\n'
+                         '[scenario] f="x(1) + 3*x(2)^2"\n',
+    "ineq3.prob": '[problem] dim=3\n[scenario] f="x(1) + x(2)^2 - x(3)^2"\n'
+                  '[scenario] f="-x(2) + x(3)^2"\n'
+                  '[nlp_ineq] g="-x(1) + x(2) - x(3)^2" '
+                  'g="-x(1) - x(3)^2 + x(2)^2"\n',
 }
 FILE_CASES = (("semiinf.prob", "0.75"), ("semiinf.prob", "1.05"),
               ("nlp_ineq.prob", "0.75"), ("nlp_eq.prob", "0.9"),
@@ -113,6 +127,9 @@ def cases():
     yield from EXPECTED_ERRORS
     for path in ("sdp_huge.prob", "sdp_large.prob"):
         yield ["--file", path, "--at=0", "--penalty", "1"]
+    for path, at in (("pinch.prob", "0,0"), ("two_vertices.prob", "0,0"),
+                     ("ineq3.prob", "0,0,0")):
+        yield ["--file", path, "--at", at, "--second-order"]
 
 
 def main() -> int:
