@@ -9,6 +9,7 @@ refuted, or the search was sampling-limited), 1 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -418,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--sdp-dirs", type=_int_at_least(0), default=64)
     p_check.add_argument("--seed", type=int, default=0)
     _add_tolerance_flags(p_check)
-    p_check.set_defaults(func=cmd_check)
 
     p_ver = sub.add_parser("verify-alternance",
                            help="check the determinant conditions for "
@@ -432,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["plain", "generalised", "weak"])
     p_ver.add_argument("--eps-det", type=float, default=ToleranceSet().eps_det)
     p_ver.add_argument("--json", action="store_true")
-    p_ver.set_defaults(func=cmd_verify_alternance)
 
     p_disc = sub.add_parser("discretize",
                             help="replace semi-infinite blocks by their "
@@ -441,8 +440,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc.add_argument("--at", required=True)
     p_disc.add_argument("--out", help="output problem file (default stdout)")
     _add_tolerance_flags(p_disc)
-    p_disc.set_defaults(func=cmd_discretize)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves a parser
+    unchanged and returns a new namespace on every call.  The parser holds
+    no command function; ``main`` looks each up by name when it runs, so
+    a wrapped command (a tracer's, say) still runs."""
+    return build_parser()
 
 
 def _glue_values(argv):
@@ -456,15 +463,16 @@ def _glue_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(
+        args = _parser().parse_args(
             _glue_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as err:
         # argparse exits 2 on usage errors; map that onto the error code
         return EXIT_OK if err.code in (0, None) else EXIT_ERROR
+    command = {"check": cmd_check, "verify-alternance": cmd_verify_alternance,
+               "discretize": cmd_discretize}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except SystemExit as err:
         if isinstance(err.code, str):
             print(err.code, file=sys.stderr)

@@ -2,7 +2,10 @@
 
 Everything here works on problems with at most a few hundred variables.
 The simplex uses Bland's rule throughout, so it terminates on degenerate
-instances and produces the same answer on every run.
+instances and produces the same answer on every run.  Its phase 1 does not
+read the cost, so a ``Tableau`` keeps it: the interior margins and the
+second-order forms solve many objectives on one system from one phase 1,
+and every optimum is re-verified by its residual before anyone reads it.
 
 First-order optimality in its KKT, normal-cone and exact-penalty forms
 is one linear system, 0 in co{grad f_i(x)} + cone(N_K(x)) + cone(N_A(x)),
@@ -23,7 +26,7 @@ from .cones import axis_directions
 __all__ = [
     "det", "rank", "stacked_rank", "SCREEN_CHUNK",
     "solve_positive_combination", "positive_combinations",
-    "LpResult", "simplex_solve", "simplex_checked",
+    "LpResult", "Tableau", "simplex_solve", "simplex_checked",
     "combination_system", "lp_membership", "lp_direction_margin",
     "lp_chebyshev_center",
 ]
@@ -202,82 +205,114 @@ def _pivot(T, row, col):
             T[i] -= T[i, col] * T[row]
 
 
-def simplex_solve(c, A, b) -> LpResult:
-    """Two-phase dense simplex for min c@x, Ax=b, x>=0 with Bland's rule."""
-    c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
-    m, n = A.shape
-    A = A.copy()
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
+class Tableau:
+    """Phase 1 of the two-phase dense simplex for Ax = b, x >= 0, run once
+    and kept, so that many objectives re-optimise from it.
 
-    # phase 1 tableau: columns [original | artificial | rhs]
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = b
-    basis = list(range(n, n + m))
-    T[-1, :n + m] = 0.0
-    for i in range(m):
-        T[-1, :n] -= T[i, :n]
-        T[-1, -1] -= T[i, -1]
-    status, it1 = _bland_iterate(T, basis, n + m)
-    if status != "optimal" or -T[-1, -1] > 1e-7 * max(1.0, np.abs(b).max()):
-        return LpResult("infeasible", iterations=it1)
+    Rows with b_i < 0 are negated, an artificial variable per row starts
+    basic, and Bland pivots minimise their sum; the system is infeasible
+    when that sum stays above 1e-7 * max(1, max|b|).  The kept tableau
+    holds the artificial block, which is B^-1 of the final basis, so
+    ``solve`` can append a column that phase 1 never saw.  Phase 1 does
+    not read a cost, so ``Tableau(A, b).solve(c)`` is the one-shot
+    two-phase simplex bit for bit."""
 
-    # drive artificials out of the basis; drop rows that stay artificial
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            pivot_col = -1
-            for j in range(n):
-                if abs(T[i, j]) > _PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(T, i, pivot_col)
-                basis[i] = pivot_col
-                keep.append(i)
-            # else: redundant row, drop it
-        else:
+    def __init__(self, A, b):
+        self.A = np.array(A, dtype=float)
+        self.b = np.array(b, dtype=float)
+        m, n = self.A.shape
+        self.flip = np.where(self.b < 0, -1.0, 1.0)
+
+        # columns [original | artificial | rhs]
+        T = np.zeros((m + 1, n + m + 1))
+        T[:m, :n] = self.A * self.flip[:, None]
+        T[:m, n:n + m] = np.eye(m)
+        T[:m, -1] = self.b * self.flip
+        self.basis = list(range(n, n + m))
+        for i in range(m):
+            T[-1, :n] -= T[i, :n]
+            T[-1, -1] -= T[i, -1]
+        status, self.iterations = _bland_iterate(T, self.basis, n + m)
+        self.feasible = status == "optimal" and (
+            -T[-1, -1] <= 1e-7 * max(1.0, np.abs(self.b).max()))
+        self.T = T[:m]
+
+    def solve(self, c, column=None) -> LpResult:
+        """min c@x over [A | column] x = b, x >= 0, from the kept phase 1;
+        c covers the extra column when one is given.  Feasibility is phase
+        1's, on A alone: a system that needs the extra variable above 0 to
+        be feasible reads infeasible.  An optimal x is re-verified against
+        [A | column] and b (``_verified``)."""
+        A = self.A if column is None else np.column_stack([self.A, column])
+        return _verified(self._optimum(np.asarray(c, dtype=float), A),
+                         A, self.b)
+
+    def _optimum(self, c, A) -> LpResult:
+        """Phase 2 on a copy of the kept tableau, with the columns of A
+        past the original ones entered as B^-1 times their sign-flipped
+        entries.  Artificials still basic are driven out on the first
+        column, extra ones included, with an entry above the pivot
+        tolerance; a row with none is redundant and dropped."""
+        if not self.feasible:
+            return LpResult("infeasible", iterations=self.iterations)
+        m, n = self.A.shape
+        k = A.shape[1]
+        T = np.zeros((m, k + 1))
+        T[:, :n] = self.T[:, :n]
+        T[:, n:k] = self.T[:, n:n + m] @ (A[:, n:] * self.flip[:, None])
+        T[:, -1] = self.T[:, -1]
+        basis, keep = list(self.basis), []
+        for i in range(m):
+            if basis[i] >= n:
+                nonzero = np.flatnonzero(np.abs(T[i, :k]) > _PIVOT_TOL)
+                if not len(nonzero):
+                    continue
+                _pivot(T, i, nonzero[0])
+                basis[i] = int(nonzero[0])
             keep.append(i)
-    rows = keep + [m]
-    T2 = np.zeros((len(keep) + 1, n + 1))
-    T2[:len(keep), :n] = T[np.ix_(keep, range(n))]
-    T2[:len(keep), -1] = T[keep, -1]
-    basis2 = [basis[i] for i in keep]
 
-    # phase 2 objective row
-    T2[-1, :n] = c
-    T2[-1, -1] = 0.0
-    for i, bi in enumerate(basis2):
-        if T2[-1, bi] != 0.0:
-            T2[-1] -= T2[-1, bi] * T2[i]
-    status, it2 = _bland_iterate(T2, basis2, n)
-    if status == "unbounded":
-        return LpResult("unbounded", iterations=it1 + it2)
-    if status != "optimal":
-        return LpResult("infeasible", iterations=it1 + it2)
-    x = np.zeros(n)
-    for i, bi in enumerate(basis2):
-        x[bi] = T2[i, -1]
-    return LpResult("optimal", x=x, objective=float(c @ x), iterations=it1 + it2)
+        T2 = np.zeros((len(keep) + 1, k + 1))
+        T2[:-1] = T[keep]
+        T2[-1, :k] = c
+        basis2 = [basis[i] for i in keep]
+        for i, bi in enumerate(basis2):
+            if T2[-1, bi] != 0.0:
+                T2[-1] -= T2[-1, bi] * T2[i]
+        status, it2 = _bland_iterate(T2, basis2, k)
+        iterations = self.iterations + it2
+        if status != "optimal":
+            return LpResult("unbounded" if status == "unbounded"
+                            else "infeasible", iterations=iterations)
+        x = np.zeros(k)
+        for i, bi in enumerate(basis2):
+            x[bi] = T2[i, -1]
+        return LpResult("optimal", x=x, objective=float(c @ x),
+                        iterations=iterations)
 
 
-def simplex_checked(c, A, b) -> LpResult:
-    """``simplex_solve``, re-verified: an optimal x counts only when it
-    reproduces the constraints, ||Ax - b|| <= 1e-8 * max(1, max|A|).
-    One that does not reads as ``infeasible``, so no caller reports a
-    solution without the evidence for it."""
-    res = simplex_solve(c, A, b)
+def _verified(res, A, b) -> LpResult:
+    """An optimal x counts only when it reproduces the constraints,
+    ||Ax - b|| <= 1e-8 * max(1, max|A|); one that does not reads as
+    ``infeasible``, so no caller reports a solution without the evidence
+    for it."""
     if res.status != "optimal":
         return res
     residual = float(np.linalg.norm(A @ res.x - b))
     if residual > 1e-8 * max(1.0, float(np.max(np.abs(A)))):
         return LpResult("infeasible", iterations=res.iterations)
     return res
+
+
+def simplex_solve(c, A, b) -> LpResult:
+    """min c@x, Ax = b, x >= 0 by the two-phase dense simplex with Bland's
+    rule: ``Tableau(A, b).solve(c)``, its optimum re-verified."""
+    return Tableau(A, b).solve(c)
+
+
+def simplex_checked(c, A, b) -> LpResult:
+    """``simplex_solve``, under the name of the callers that read x: its
+    optimum is re-verified by ``_verified``."""
+    return simplex_solve(c, A, b)
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +359,24 @@ def lp_membership(target, hull, cone=()):
 def _margins(hull, cone, directions):
     """For each direction u in turn, max r >= 0 with r * u in co(hull) +
     cone(cone): math.inf when unbounded, None when even r = 0 is
-    unattainable (the set does not contain the origin).  Every u shares
-    one combination system, with one more column holding -u."""
+    unattainable (the set does not contain the origin), never negative.
+    Every u shares one combination system, so phase 1 runs once on it;
+    each probe re-optimises from that tableau with one more column, -u,
+    which can pin r = 0 on a row that phase 1 found redundant."""
     A, b = combination_system(hull, cone)
-    A = np.column_stack([A, np.zeros(len(b))])
-    c = np.zeros(A.shape[1])
+    tableau = Tableau(A, b)
+    c = np.zeros(A.shape[1] + 1)
     c[-1] = -1.0
+    column = np.zeros(len(b))
     for u in directions:
-        A[:-1, -1] = -np.asarray(u, dtype=float)
-        res = simplex_checked(c, A, b)
+        column[:-1] = -np.asarray(u, dtype=float)
+        res = tableau.solve(c, column)
         if res.status == "unbounded":
             yield math.inf
         else:
-            yield float(res.x[-1]) if res.status == "optimal" else None
+            # r >= 0 is a constraint: a rounded -0.0 or -1e-16 reads 0.0
+            yield (max(0.0, float(res.x[-1])) if res.status == "optimal"
+                   else None)
 
 
 def lp_direction_margin(direction, hull, cone=()):

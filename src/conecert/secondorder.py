@@ -26,7 +26,7 @@ from .firstorder import (MultiplierWitness, NecessaryReport,
                          _assemble_witness, _witness_residual,
                          directional_derivatives)
 from .geometry import PointContext
-from .linkernel import combination_system, simplex_checked
+from .linkernel import Tableau, combination_system
 from .problem import Problem
 
 __all__ = [
@@ -85,9 +85,11 @@ def _form_maxima(ctx: PointContext, G, dirs):
     """Per direction h, max h'B(w)h over {w >= 0 : Aw = b}, the
     combination system of G, by one LP each: column j costs -h'H_j h,
     with H_j the Hessian of the unit weight on column j alone (0 for the
-    nA columns).  An unbounded LP gives math.inf.  The witness of an
-    optimal w must pass the residual test, checked once per support.
-    None when an LP or a witness fails."""
+    nA columns).  Every LP re-optimises from one ``Tableau`` of (A, b),
+    whose phase 1 runs once and does not read the cost, so each value is
+    the one-shot LP's bit for bit.  An unbounded LP gives math.inf.  The
+    witness of an optimal w must pass the residual test, checked once per
+    support.  None when an LP or a witness fails."""
     P = ctx.problem
     A, b = combination_system(G.grads_F, G.cone)
     m = len(G.grads_F)
@@ -95,9 +97,9 @@ def _form_maxima(ctx: PointContext, G, dirs):
                                  _assemble_witness(ctx, G, e[:m], e[m:]))
                   for e in np.eye(A.shape[1])])
     D = np.array(dirs)
-    witnesses, values = {}, []
+    tableau, witnesses, values = Tableau(A, b), {}, []
     for q in np.einsum("jab,ka,kb->kj", H, D, D):
-        res = simplex_checked(-q, A, b)
+        res = tableau.solve(-q)
         if res.status == "unbounded":
             values.append(math.inf)
             continue

@@ -222,6 +222,34 @@ def test_usage_error_maps_to_one():
     assert code == 1
 
 
+def test_one_parser_serves_every_call(monkeypatch):
+    """main builds its parser once per process; each call still parses
+    into its own namespace, so no flag of one call reaches the next, a
+    command wrapped after the parser was built still runs, and usage
+    errors still exit 1."""
+    from conecert import cli
+    assert cli._parser() is cli._parser()
+    code, out, _ = run_cli("check", "--registry", "dem", "--at", "0,-3",
+                           "--seed", "7", "--second-order", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["seed"] == 7 and report["second_order"] is not None
+    code, out, _ = run_cli("check", "--registry", "dem", "--at", "0,-3")
+    assert code == 0 and not out.startswith("{")
+    code, out, _ = run_cli("check", "--registry", "dem", "--at", "0,-3",
+                           "--json")
+    report = json.loads(out)
+    assert report["seed"] == 0 and report["second_order"] is None
+    wrapped, check = [], cli.cmd_check
+    monkeypatch.setattr(cli, "cmd_check",
+                        lambda args: wrapped.append(args) or check(args))
+    assert run_cli("check", "--registry", "dem", "--at", "0,-3")[0] == 0
+    assert len(wrapped) == 1
+    for argv in (["check", "--bogus-flag"], ["check", "--dim", "0"], []):
+        code, _, err = run_cli(*argv)
+        assert code == 1 and "usage: conecert" in err
+
+
 def test_values_with_leading_minus_in_both_spellings(tmp_path):
     spaced = run_cli("check", "--registry", "dem", "--at", "-0.0,-3")
     glued = run_cli("check", "--registry", "dem", "--at=-0.0,-3")
@@ -307,9 +335,9 @@ def test_check_linf_second_order_does_no_multiplier_work(monkeypatch):
     counts = _count_calls(monkeypatch,
                           (secondorder, "multiplier_vertices"))
     lps = []
-    simplex_checked = secondorder.simplex_checked
-    monkeypatch.setattr(secondorder, "simplex_checked",
-                        lambda *args: lps.append(1) or simplex_checked(*args))
+    tableau = secondorder.Tableau
+    monkeypatch.setattr(secondorder, "Tableau",
+                        lambda *args: lps.append(1) or tableau(*args))
     code, out, _ = run_cli("check", "--registry", "linf", "--dim", "11",
                            "--second-order", "--json")
     tests = json.loads(out)["second_order"]
@@ -620,3 +648,20 @@ def test_check_rejects_negative_direction_counts_and_dimension_zero():
         assert err.endswith(f"error: argument {flag}: must be at least "
                             f"{minimum}, got {value}\n")
     assert run_cli("check", "--registry", "dem", "--soc-dirs", "0")[0] == 0
+
+
+def test_check_flat_gradients_have_no_interior(tmp_path):
+    """The gradients +-e_1 span one axis of the plane, so the combination
+    system's x(2) row is redundant: phase 1 drops it, and the +-e_2 probes
+    must still pin the margin at 0 rather than read it unbounded."""
+    path = tmp_path / "flat.prob"
+    path.write_text('[problem] dim=2\n[scenario] f="x(1)"\n'
+                    '[scenario] f="-x(1)"\n')
+    code, out, _ = run_cli("check", "--file", str(path), "--at", "0,0",
+                           "--json")
+    report = json.loads(out)
+    assert code == 3 and report["necessary"]["zero_in_D"]
+    suf = report["sufficient"]
+    assert not suf["zero_in_int_D"]
+    assert suf["margin"] == suf["radius"] == 0.0
+    assert math.copysign(1.0, suf["margin"]) == 1.0

@@ -3,7 +3,9 @@ builders it replaced: the membership LP, the direction-margin LP, the
 penalty inclusion with its per-group caps and the multiplier-vertex
 system.  Each must hand its solver the same A and b as before, and the
 interior margin must be the old per-probe minimum, None where the old
-report said infeasible."""
+report said infeasible.  The margins and the second-order forms solve
+every objective on one system from one kept phase 1 (``Tableau``); the
+frozen references solve each LP alone."""
 
 import math
 
@@ -13,6 +15,7 @@ from conecert import firstorder as fo
 from conecert import linkernel as lk
 from conecert import registry
 from conecert import secondorder as so
+from conecert.cones import axis_directions
 from conecert.geometry import GeneratorSet, PointContext, Provenance
 from conecert.problem import load_problem_text
 from conftest import random_generator_family
@@ -182,6 +185,28 @@ def _recording(monkeypatch, module, name):
     return calls
 
 
+def _recording_tableaux(monkeypatch, module):
+    """Patch module.Tableau to count the systems it is built on (phase 1
+    runs once per build) and to record, per solve, copies of the cost,
+    the system [A | column] and b, then solve."""
+    builds, calls = [], []
+
+    class Recording(lk.Tableau):
+        def __init__(self, A, b):
+            builds.append(1)
+            super().__init__(A, b)
+
+        def solve(self, c, column=None):
+            A = self.A if column is None else np.column_stack(
+                [self.A, column])
+            calls.append(tuple(np.array(a, dtype=float, copy=True)
+                               for a in (c, A, self.b)))
+            return super().solve(c, column)
+
+    monkeypatch.setattr(module, "Tableau", Recording)
+    return builds, calls
+
+
 def _assert_systems(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -192,7 +217,7 @@ def _assert_systems(got, want):
 
 def test_membership_and_margin_systems_match_the_frozen_builders(
         monkeypatch):
-    calls = _recording(monkeypatch, lk, "simplex_checked")
+    _, calls = _recording_tableaux(monkeypatch, lk)
     for _, G in _generator_sets():
         target = np.zeros(G.d)
         calls.clear()
@@ -222,19 +247,76 @@ def _chebyshev_cases():
 
 
 def test_interior_margin_is_the_old_probe_minimum(monkeypatch):
-    calls = _recording(monkeypatch, lk, "simplex_checked")
+    """The reference solves each probe alone; the margin solves them all
+    from one phase 1.  Where the origin lies outside the set, that phase
+    1 is infeasible and the first probe already reads None, while the
+    reference may find r * u in the set for some r > 0 and stop later."""
+    builds, calls = _recording_tableaux(monkeypatch, lk)
     outcomes = set()
     for d, hull, cone in _chebyshev_cases():
         calls.clear()
         feasible, margin = _ref_chebyshev_center(hull, cone, d)
-        want, calls[:] = list(calls), []
+        want, calls[:], builds[:] = list(calls), [], []
         got = lk.lp_chebyshev_center(hull, cone)
-        # the same LPs, in the same order, stopping at the same probe
-        _assert_systems(calls, want)
+        # the same LPs, in the same order, stopping at the same probe, or
+        # at the first one when the origin is outside the set
+        _assert_systems(calls, want if feasible else want[:1])
+        assert len(builds) == 1
         assert got == (margin if feasible else None)
         outcomes.add("none" if got is None else
                      "inf" if math.isinf(got) else "finite")
     assert outcomes == {"none", "inf", "finite"}
+
+
+def _random_wide_families(count, seed):
+    """Seeded families with d <= 8, a third of them with a coordinate
+    that is zero in every generator and a third with two equal
+    coordinates, so the combination system has a zero or a duplicated
+    row."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        d = int(rng.integers(1, 9))
+        hull, cone = random_generator_family(rng, d, int(rng.integers(1, 13)))
+        j = int(rng.integers(d))
+        for v in hull + cone:
+            if k % 3 == 1:
+                v[j] = 0.0
+            elif k % 3 == 2 and d > 1:
+                v[j] = v[j - 1]
+        yield d, hull, cone
+
+
+def test_margins_match_the_per_probe_reference_on_random_families():
+    """On 1,000 seeded families, each probe's margin from the kept phase
+    1 matches the frozen per-probe LP: None and inf exactly, finite values
+    within 1e-12 times max(1, |reference|).  Where the origin is outside
+    the set every probe reads None."""
+    outcomes = set()
+    for d, hull, cone in _random_wide_families(1000, 20261018):
+        probes = _ref_probes(d)
+        got = list(lk._margins(hull, cone, probes))
+        want = [_ref_direction_margin(u, hull, cone) for u in probes]
+        if None in want:
+            assert got == [None] * len(probes)
+            outcomes.add("none")
+            continue
+        for g, w in zip(got, want):
+            if math.isinf(w):
+                assert g == w
+                outcomes.add("inf")
+            else:
+                assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
+                outcomes.add("finite" if w > 1e-12 else "zero")
+    assert outcomes == {"none", "inf", "finite", "zero"}
+
+
+def test_linf9_margins_run_phase_one_once(monkeypatch):
+    """The 19 probes of linf d = 9 share one phase 1."""
+    G = PointContext(*registry.get("linf", dim=9)).generators
+    builds, calls = _recording_tableaux(monkeypatch, lk)
+    margin = lk.lp_chebyshev_center(G.grads_F, G.cone)
+    assert len(builds) == 1 and len(calls) == 19
+    assert margin == _ref_chebyshev_center(G.grads_F, G.cone, 9)[1]
 
 
 def test_interior_margin_reads_none_and_inf():
@@ -271,7 +353,7 @@ def test_penalty_groups_reach_the_caps():
 def test_vertex_systems_match_the_frozen_builder(monkeypatch):
     """The second-order LP of a polyhedral problem runs on the frozen
     vertex system, one solve per direction; curved blocks solve none."""
-    seen = _recording(monkeypatch, so, "simplex_checked")
+    tableaux, seen = _recording_tableaux(monkeypatch, so)
     built = 0
     for ctx, G in _generator_sets():
         report = fo.NecessaryReport(
@@ -280,16 +362,82 @@ def test_vertex_systems_match_the_frozen_builder(monkeypatch):
             cadre=None, agreement=True, sampling_limited=False,
             budget_exceeded=False, generators=G)
         seen.clear()
+        tableaux.clear()
         so.multiplier_vertices(ctx, report, [np.eye(G.d)[0]])
         if not so._all_polyhedral(ctx.problem):
-            assert seen == []
+            assert seen == [] and tableaux == []
             continue
         Aeq, beq, n = _ref_vertex_system(G.d, G)
-        assert len(seen) == 1
+        assert len(seen) == 1 and len(tableaux) == 1
         assert seen[0][0].shape == (n,)
         _assert_systems([seen[0][1:]], [(Aeq, beq)])
         built += 1
     assert built == 9
+
+
+def _ref_form_values(ctx, G, dirs):
+    """The second-order forms as ``secondorder._form_maxima`` computed
+    them with one ``simplex_checked`` per direction: inf when unbounded,
+    None when the LP fails."""
+    A, b = lk.combination_system(G.grads_F, G.cone)
+    m = len(G.grads_F)
+    H = np.array([so.hessian_bundle(ctx.problem, ctx.x,
+                                    fo._assemble_witness(ctx, G, e[:m],
+                                                         e[m:]))
+                  for e in np.eye(A.shape[1])])
+    D = np.array(dirs)
+    values = []
+    for q in np.einsum("jab,ka,kb->kj", H, D, D):
+        res = lk.simplex_checked(-q, A, b)
+        values.append(math.inf if res.status == "unbounded" else
+                      float(q @ res.x) if res.status == "optimal" else None)
+    return values
+
+
+# problems whose second-order tests have critical directions at 0
+_CRITICAL = (
+    '[problem] dim=2\n[scenario] f="x(1)"\n'
+    '[nlp_ineq] g="x(1) + 2*x(2)^2" g="-x(1) - x(2)^2"\n',
+    '[problem] dim=2\n[scenario] f="x(1) + x(2)^2"\n'
+    '[scenario] f="-x(1) - 2*x(2)^2"\n[scenario] f="x(1) + 3*x(2)^2"\n',
+    '[problem] dim=3\n[scenario] f="x(1) + x(2)^2 - x(3)^2"\n'
+    '[scenario] f="-x(2) + x(3)^2"\n'
+    '[nlp_ineq] g="-x(1) + x(2) - x(3)^2" g="-x(1) - x(3)^2 + x(2)^2"\n',
+)
+
+
+def _second_order_systems():
+    """(context, generator set, directions) of every polyhedral registry
+    set along its signed axes, and of the three problems above along
+    their sampled critical directions."""
+    for ctx, G in _generator_sets():
+        if so._all_polyhedral(ctx.problem):
+            yield ctx, G, axis_directions(G.d)
+    for text in _CRITICAL:
+        P = load_problem_text(text)
+        ctx = PointContext(P, (0.0,) * P.d)
+        yield ctx, ctx.generators, so._critical_directions(ctx,
+                                                            ctx.generators)
+
+
+def test_form_maxima_are_the_per_direction_lps(monkeypatch):
+    """Phase 1 does not read the cost, so the forms solved from one kept
+    tableau equal the one-shot LP per direction bit for bit, and phase 1
+    runs once per call however many directions there are."""
+    tableaux, solves = _recording_tableaux(monkeypatch, so)
+    n_dirs, values = set(), []
+    for ctx, G, dirs in _second_order_systems():
+        want = _ref_form_values(ctx, G, dirs)
+        tableaux.clear()
+        solves.clear()
+        got = so._form_maxima(ctx, G, dirs)
+        assert got is not None and got.values == want
+        assert len(tableaux) == 1 and len(solves) == len(dirs)
+        n_dirs.add(len(dirs))
+        values += want
+    assert max(n_dirs) >= 6 and math.inf in values
+    assert any(v < 0 for v in values) and any(0 < v < math.inf
+                                              for v in values)
 
 
 def test_cone_property_is_eta_then_nA():

@@ -237,14 +237,56 @@ def test_unverified_simplex_solutions_read_as_no_solution(monkeypatch):
     hull, cone = [(5, 1), (-5, 1), (0, -2)], [(0.0, -1.0)]
     assert lk.lp_membership(np.zeros(2), hull, cone) is not None
     assert lk.lp_direction_margin((0.0, 1.0), hull, cone) > 0
-    solve = lk.simplex_solve
+    optimum = lk.Tableau._optimum
 
-    def perturbed(c, A, b, **kw):
-        res = solve(c, A, b, **kw)
+    def perturbed(self, c, A):
+        res = optimum(self, c, A)
         if res.status == "optimal":
             res.x = res.x + 1e-6   # an "optimal" x that misses Ax = b
         return res
 
-    monkeypatch.setattr(lk, "simplex_solve", perturbed)
+    # phase 2 of every LP, one-shot or from a kept tableau, ends here
+    monkeypatch.setattr(lk.Tableau, "_optimum", perturbed)
     assert lk.lp_membership(np.zeros(2), hull, cone) is None
     assert lk.lp_direction_margin((0.0, 1.0), hull, cone) is None
+
+
+def test_interior_margin_of_a_segment_is_positive_zero():
+    """co{(1, 0), (-1, 0)} holds the origin on its boundary: the margin
+    is 0.0, never the -0.0 that the LP's pivots can leave in r."""
+    margin = lk.lp_chebyshev_center([(1, 0), (-1, 0)])
+    assert margin == 0.0 and math.copysign(1.0, margin) == 1.0
+
+
+def test_tableau_keeps_phase_one_for_every_cost(rng):
+    """One Tableau solves many costs: without an extra column each is the
+    one-shot LP bit for bit, with one it is the one-shot LP on [A |
+    column] to rounding.  Feasibility is phase 1's, on A alone, so a
+    system that only the extra column makes feasible reads infeasible."""
+    seen = set()
+    for _ in range(60):
+        m = int(rng.integers(1, 4))
+        n = int(rng.integers(m, 7))
+        A = rng.integers(-3, 4, size=(m, n)).astype(float)
+        b = A @ rng.random(n) * rng.choice([-1.0, 1.0])
+        tableau = lk.Tableau(A, b)
+        column = rng.integers(-3, 4, size=m).astype(float)
+        for c in rng.integers(-3, 4, size=(4, n + 1)).astype(float):
+            got, want = tableau.solve(c[:n]), lk.simplex_solve(c[:n], A, b)
+            assert got.status == want.status
+            assert got.status != "optimal" or np.array_equal(got.x, want.x)
+            got = tableau.solve(c, column)
+            want = lk.simplex_solve(c, np.column_stack([A, column]), b)
+            if not tableau.feasible:
+                assert got.status == "infeasible"
+                continue
+            assert got.status == want.status
+            if want.status == "optimal":
+                assert got.objective == pytest.approx(
+                    want.objective, rel=1e-9, abs=1e-9)
+            seen.add(got.status)
+    assert seen == {"optimal", "unbounded"}
+    infeasible = lk.Tableau(np.array([[1.0, 1.0], [1.0, 1.0]]),
+                            np.array([1.0, 2.0]))
+    assert not infeasible.feasible
+    assert infeasible.solve(np.zeros(3), np.ones(2)).status == "infeasible"

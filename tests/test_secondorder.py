@@ -11,7 +11,8 @@ from conecert import registry
 from conecert import secondorder as so
 from conecert.cones import axis_directions
 from conecert.geometry import PointContext, TangentTester
-from conecert.linkernel import EPS_RANK, LpResult, combination_system, rank
+from conecert.linkernel import (EPS_RANK, LpResult, Tableau,
+                                combination_system, rank)
 from conecert.oracle import fd_hessian, growth_probe
 from conecert.problem import load_problem_text
 from conftest import random_expression
@@ -380,11 +381,12 @@ def test_lp_maximum_matches_reference_vertices(system):
     Aeq, beq = _LEVEL_SYSTEMS[system]()
     n = Aeq.shape[1]
     verts = np.array(_reference_vertices(Aeq, beq, n))
-    bounded = so.simplex_checked(-np.ones(n), Aeq, beq).status == "optimal"
+    tableau = so.Tableau(Aeq, beq)
+    bounded = tableau.solve(-np.ones(n)).status == "optimal"
     rng = np.random.default_rng(sum(map(ord, system)))
     solved = 0
     for q in rng.standard_normal((20, n)):
-        res = so.simplex_checked(-q, Aeq, beq)
+        res = tableau.solve(-q)
         if res.status == "unbounded" and not bounded:
             continue
         assert res.status == "optimal"
@@ -406,15 +408,21 @@ def test_lp_witness_is_unscreened_vertex(system):
     Aeq, beq = _LEVEL_SYSTEMS[system]()
     n = Aeq.shape[1]
     verts = np.array(_reference_vertices(Aeq, beq, n))
-    reduced = np.delete(Aeq, 2, axis=0), np.delete(beq, 2)
+    tableau = so.Tableau(Aeq, beq)
+    reduced = so.Tableau(np.delete(Aeq, 2, axis=0), np.delete(beq, 2))
     rng = np.random.default_rng(sum(map(ord, system)))
     for q in rng.standard_normal((20, n)):
-        res = so.simplex_checked(-q, Aeq, beq)
+        res = tableau.solve(-q)
         assert res.status == "optimal"
         assert np.min(np.linalg.norm(verts - res.x, axis=1)) <= 1e-8
-        ref = so.simplex_checked(-q, *reduced)
+        ref = reduced.solve(-q)
         assert ref.status == "optimal"
         assert abs(q @ res.x - q @ ref.x) <= 1e-12 * max(1.0, abs(q @ ref.x))
+
+
+class _FailingTableau(Tableau):
+    def solve(self, c, column=None):
+        return LpResult("infeasible")
 
 
 def test_lp_failure_draws_no_refutation(monkeypatch):
@@ -425,7 +433,7 @@ def test_lp_failure_draws_no_refutation(monkeypatch):
     ctx = PointContext(P, (0.0, 0.0))
     assert so.second_order_necessary(ctx, fo.necessary_check(ctx)).refuted
     for name, failing in (
-            ("simplex_checked", lambda c, A, b: LpResult("infeasible")),
+            ("Tableau", _FailingTableau),
             ("_witness_residual", lambda P, x, w: 1.0)):
         with monkeypatch.context() as patch:
             patch.setattr(so, name, failing)

@@ -8,9 +8,10 @@ with the default flags, the sampled cone examples with more directions
 and other seeds, a few small problem files whose penalty verdict flips
 with the penalty parameter, small files with values undefined at
 the point, two negative-definite matrix blocks with entries near the
-largest float, and three small files whose second-order tests have
-critical directions.  Each case prints one header line, `== <argv> -> exit
-<code>`, then its report or error.
+largest float, three small files whose second-order tests have
+critical directions, and a file whose gradients span one axis of the
+plane, so the interior margin meets a redundant row.  Each case prints
+one header line, `== <argv> -> exit <code>`, then its report or error.
 
 Run it at two commits and compare the outputs with `cmp`: a change that
 claims to leave reports alone must print the same bytes.  The cases of
@@ -91,6 +92,10 @@ FILES = {
                   '[scenario] f="-x(2) + x(3)^2"\n'
                   '[nlp_ineq] g="-x(1) + x(2) - x(3)^2" '
                   'g="-x(1) - x(3)^2 + x(2)^2"\n',
+    # gradients +-e_1 only: phase 1 drops the x(2) row of the combination
+    # system, and the +-e_2 probes must still read margin 0
+    "flat.prob": '[problem] dim=2\n[scenario] f="x(1)"\n'
+                 '[scenario] f="-x(1)"\n',
 }
 FILE_CASES = (("semiinf.prob", "0.75"), ("semiinf.prob", "1.05"),
               ("nlp_ineq.prob", "0.75"), ("nlp_eq.prob", "0.9"),
@@ -130,6 +135,7 @@ def cases():
     for path, at in (("pinch.prob", "0,0"), ("two_vertices.prob", "0,0"),
                      ("ineq3.prob", "0,0,0")):
         yield ["--file", path, "--at", at, "--second-order"]
+    yield ["--file", "flat.prob", "--at", "0,0"]
 
 
 def main() -> int:
