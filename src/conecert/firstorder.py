@@ -141,7 +141,7 @@ def _prefix_tree(columns, segments):
         if mid > lo:
             heads = np.column_stack([np.tile(prefix, (mid - lo, 1)),
                                      np.arange(lo, mid)])
-            ranks, _ = stacked_rank(columns[heads].transpose(0, 2, 1))
+            ranks = stacked_rank(columns[heads].transpose(0, 2, 1))
             for head, r in zip(heads[::-1], ranks[::-1]):
                 todo.append(("node", head) if r == t + 1
                             else ("drop", size(head[-1])))
@@ -447,9 +447,10 @@ def _rank_screen(stacked, chunk, p, widths):
     """(subset, beta) for each subset of the chunk whose vectors (rows of
     ``stacked``) have a strictly positive combination beta, in order.
 
-    One stacked SVD of singular values alone keeps the subsets of rank
-    p - 1; it is the scalar rank test, bit for bit.  A single vector is
-    not rank-checked: its test is relative to its own norm.
+    One ``stacked_rank`` call keeps the subsets of rank p - 1: those of
+    full rank p are mostly decided by their volume, the rest by their
+    singular values, and each gets the rank of the scalar test.  A single
+    vector is not rank-checked: its test is relative to its own norm.
     ``positive_combinations`` decides the survivors, one slice at a time,
     the slices' widths drawn from ``widths`` as they are reached; each
     beta is that of ``solve_positive_combination``, bit for bit."""
@@ -458,7 +459,7 @@ def _rank_screen(stacked, chunk, p, widths):
     mats = stacked[np.array(chunk)].transpose(0, 2, 1)
     alive = np.arange(len(chunk))
     if p > 1:
-        alive = np.flatnonzero(stacked_rank(mats)[0] == p - 1)
+        alive = np.flatnonzero(stacked_rank(mats) == p - 1)
     start = 0
     while start < len(alive):
         part = alive[start:start + next(widths)]

@@ -48,6 +48,24 @@ SCREEN_CHUNK = 256
 
 # a singular value counts toward the rank above EPS_RANK times the largest
 EPS_RANK = 1e-9
+# the volume pre-decision of stacked_rank: a d x p matrix (p <= d) scaled
+# to U = M / max|M| whose Gram determinant det(U^T U) = vol(U)^2 is at
+# least VOLUME_RATIO * |U|_F^(2p) has rank p by the EPS_RANK test.  As
+# vol(U) = s_1...s_p <= s_p s_1^(p-1) and s_1 <= |U|_F, its singular
+# values have s_p / s_1 >= vol(U) / |U|_F^p >= sqrt(VOLUME_RATIO) = 1e-4.
+# The computed determinant is that of a Gram matrix off by about
+# (d + p) u |U|_F^2 per entry (forming it, then its LU; u the unit
+# roundoff, and |U|_F >= 1 as max|U| = 1), while passing the test puts
+# its least eigenvalue at VOLUME_RATIO |U|_F^2 or more, 10^6 times
+# larger; by Weyl the SVD's singular values err by about u s_1, so the
+# SVD reads s_p / s_1 >~ 10^-4, far above EPS_RANK.  Every other matrix
+# goes to the SVD.
+VOLUME_RATIO = 1e-8
+# ... only where max|M| lies in VOLUME_RANGE: outside it (and for a zero,
+# NaN or infinite max|M|) LAPACK's singular values can underflow to
+# subnormals or the largest overflow to inf, and its rank is not the one
+# the volume proves
+VOLUME_RANGE = (1e-250, 1e250)
 # positive_combinations: residual bound (relative to the largest vector
 # norm, at least 1) and the least multiplier that counts as positive
 EPS_RESIDUAL = 1e-8
@@ -62,21 +80,56 @@ MAX_ITER = 20000
 
 
 def stacked_rank(stack):
-    """Ranks of the matrices stacked along the leading axes of ``stack``
-    (number of singular values above EPS_RANK times the largest), from one
-    SVD call, and the singular values, largest first.  ``rank`` is this
-    call on a single matrix, so a stacked screen agrees with it bit for
-    bit."""
+    """Ranks of the d x p matrices stacked along the leading axes of
+    ``stack``: the number of singular values above EPS_RANK times the
+    largest.  When p <= d, one batched Gram determinant gives rank p to
+    each matrix whose volume proves it (see VOLUME_RATIO); the rest, and
+    every matrix of a wider stack, go through one SVD of singular values
+    alone (``_svd_ranks``).  Every rank is the one that SVD gives the
+    matrix alone, so a stacked screen agrees with ``rank`` on each
+    matrix."""
+    stack = np.asarray(stack, dtype=float)
+    *lead, d, p = stack.shape
+    if not 0 < p <= d:
+        return _svd_ranks(stack)
+    flat = stack.reshape(-1, d, p)
+    ranks = np.full(len(flat), p)
+    rest = np.flatnonzero(~_full_volume(flat))
+    if len(rest):
+        ranks[rest] = _svd_ranks(flat[rest])
+    return ranks.reshape(lead)
+
+
+def _full_volume(flat):
+    """For each d x p matrix of ``flat`` (p <= d): True when its volume
+    proves rank p by the EPS_RANK test (see VOLUME_RATIO)."""
+    scale = np.abs(flat).max(axis=(1, 2))
+    # NaN fails both comparisons, inf and 0 one of them; the matrices
+    # left out are zeroed, so they raise no warning and prove nothing
+    live = (scale >= VOLUME_RANGE[0]) & (scale <= VOLUME_RANGE[1])
+    U = (np.where(live[:, None, None], flat, 0.0)
+         / np.where(live, scale, 1.0)[:, None, None])
+    gram = U.transpose(0, 2, 1) @ U
+    frob2 = np.trace(gram, axis1=1, axis2=2)
+    # a column that underflowed to subnormals can leave a zero pivot
+    with np.errstate(divide="ignore"):
+        vol2 = np.linalg.det(gram)
+    return live & (vol2 >= VOLUME_RATIO * frob2 ** flat.shape[2])
+
+
+def _svd_ranks(stack):
+    """Ranks of the stacked matrices from their singular values alone."""
     sigma = np.linalg.svd(stack, compute_uv=False)
-    return np.sum(sigma > EPS_RANK * sigma[..., :1], axis=-1), sigma
+    return np.sum(sigma > EPS_RANK * sigma[..., :1], axis=-1)
 
 
 def rank(M) -> int:
-    """Number of singular values above EPS_RANK * sigma_max."""
+    """Number of singular values above EPS_RANK * sigma_max, from one SVD;
+    ``stacked_rank`` gives each matrix of a stack this rank."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0
-    return int(stacked_rank(M)[0])
+    return int(_svd_ranks(M))
 
 
 def solve_positive_combination(V):

@@ -149,8 +149,7 @@ def _critical_directions(ctx: PointContext, G):
     candidates = [np.array(axis_directions(d))]
     M = np.array([*G.grads_F, *G.cone], dtype=float).reshape(-1, d)
     if len(M):
-        _, s, Vt = np.linalg.svd(M)
-        null = Vt[int(np.sum(s > 1e-10)):]
+        null = _null_basis(M)
         candidates.append(np.stack([null, -null], axis=1).reshape(-1, d))
     rng = np.random.default_rng(ctx.sampling.seed + 307)
     candidates.append(rng.standard_normal((N_CRITICAL_DIRS, d)))
@@ -158,6 +157,14 @@ def _critical_directions(ctx: PointContext, G):
     flat = ~(np.abs(directional_derivatives(G.grads_F, H)) > EPS_CRIT)
     H = H[ctx.tester.accepted(H) & flat]
     return list(H[distinct_rows(H, 1e-9)])
+
+
+def _null_basis(M):
+    """Orthonormal rows spanning the null space of the m x d matrix M: the
+    right singular vectors past the singular values above 1e-10.  With
+    m >= d the thin SVD has all d of them and builds no m x m factor."""
+    _, s, Vt = np.linalg.svd(M, full_matrices=len(M) < M.shape[1])
+    return Vt[int(np.sum(s > 1e-10)):]
 
 
 @dataclass

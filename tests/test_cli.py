@@ -77,6 +77,34 @@ def test_check_linf_11_walks_few_prefixes(monkeypatch):
     assert 0 < sum(matrices) < 1000
 
 
+def test_check_sdp_128_decides_full_rank_subsets_by_volume(monkeypatch):
+    """The sampled sdp-example search rank-screens thousands of subsets,
+    nearly all of full rank; their volume decides them, so fewer than
+    1,000 matrices reach the SVD of stacked_rank, against 17,687 when
+    every matrix did, and the cadre and its determinants stay the same."""
+    from conecert import linkernel as lk
+    matrices = []
+    svd_ranks = lk._svd_ranks
+
+    def counted(stack):
+        matrices.append(math.prod(np.shape(stack)[:-2]))
+        return svd_ranks(stack)
+    monkeypatch.setattr(lk, "_svd_ranks", counted)
+    code, out, _ = run_cli("check", "--registry", "sdp-example",
+                           "--sdp-dirs", "128", "--second-order",
+                           "--penalty", "10", "--json")
+    report = json.loads(out)
+    cadre = report["necessary"]["cadre"]
+    assert code == 0
+    assert (cadre["p"], cadre["k0"], cadre["complete"]) == (4, 2, True)
+    assert cadre["vectors"] == [[-3.0, -3.0, -2.0], [0.0, 0.0, 2.0],
+                                [1.0, 2.0, 0.0], [2.0, -2.0, -1.0]]
+    assert cadre["determinants"] == [-12.0, 15.0, -23.999999999999993, 6.0]
+    assert report["sufficient"]["complete_alternance"]["determinants"] == \
+        cadre["determinants"]
+    assert 0 < sum(matrices) < 1000
+
+
 def test_check_missing_file_exit_one():
     code, _, err = run_cli("check", "--file", "missing.toml", "--at", "0")
     assert code == 1

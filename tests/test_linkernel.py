@@ -29,9 +29,9 @@ def test_rank_examples():
 
 
 def test_stacked_rank_matches_one_matrix_at_a_time(rng):
-    """The stacked screen reads the same singular values, bit for bit, as
-    one SVD per matrix built the way the scalar tests build it (columns
-    stacked), so its ranks agree with the scalar rank test."""
+    """The stacked screen gives each matrix the rank that one SVD of that
+    matrix, built the way the scalar tests build it (columns stacked),
+    gives it, so its ranks agree with the scalar rank test."""
     pool = np.vstack([rng.integers(-1, 2, size=(12, 5)).astype(float),
                       rng.standard_normal((6, 5)),
                       np.zeros((1, 5))])
@@ -39,13 +39,58 @@ def test_stacked_rank_matches_one_matrix_at_a_time(rng):
     for p in (2, 3, 5, 6):
         idx = np.array([rng.choice(len(pool), p, replace=False)
                         for _ in range(300)])
-        ranks, sigma = lk.stacked_rank(pool[idx].transpose(0, 2, 1))
-        for sub, r, sv in zip(idx, ranks, sigma):
+        ranks = lk.stacked_rank(pool[idx].transpose(0, 2, 1))
+        for sub, r in zip(idx, ranks):
             M = np.column_stack([pool[i] for i in sub])
             one = np.linalg.svd(M, compute_uv=False)
-            assert np.array_equal(sv, one)
             expected = 0 if one[0] <= 0 else int(np.sum(one > 1e-9 * one[0]))
             assert r == expected == lk.rank(M)
+
+
+def _volume_stacks(rng):
+    """Stacks of 1 to 300 d x p matrices (p <= d) that probe the volume
+    pre-decision of stacked_rank at its edges, by name."""
+    def normal(n, d, p):
+        return rng.standard_normal((n, d, p))
+    for n in (1, 31, 32, 300):
+        for d, p in ((2, 2), (3, 3), (4, 2), (6, 4)):
+            S = normal(n, d, p)
+            # a last column a relative offset of 10^-14 .. 10^-2 away
+            # from the first: on either side of VOLUME_RATIO and EPS_RANK
+            offset = 10.0 ** rng.uniform(-14, -2, (n, 1))
+            S[..., -1] = S[..., 0] + offset * normal(n, d, 1)[..., 0]
+            yield "near-threshold", S
+            yield "whole scale 10^+-307", (
+                rng.uniform(-1, 1, (n, d, p))
+                * 10.0 ** rng.choice([-307, 307], (n, 1, 1)))
+            yield "column scales 10^+-160", (
+                normal(n, d, p) * 10.0 ** rng.uniform(-160, 160, (n, 1, p)))
+            yield "integer", rng.integers(-2, 3, (n, d, p)).astype(float)
+            yield "zero-heavy", normal(n, d, p) * (rng.random((n, d, p)) < .3)
+            yield "1e250 and above", (rng.uniform(-1, 1, (n, d, p))
+                                      * 10.0 ** rng.uniform(250, 308,
+                                                            (n, 1, 1)))
+    # subnormal scales: LAPACK's singular values of these can underflow
+    # and give another rank than their volume proves
+    for d in (2, 3, 4, 5):
+        for p in range(1, d + 1):
+            yield "subnormal", normal(300, d, p) * 10.0 ** rng.uniform(
+                -324, -310, (300, 1, 1))
+
+
+@pytest.mark.filterwarnings("error")
+def test_stacked_rank_volume_decisions_match_the_svd():
+    """Whether its volume decides a matrix or the SVD does, stacked_rank
+    gives every matrix the rank of its own SVD: near the thresholds, at
+    extreme and mixed column scales, on integer, zero-heavy and subnormal
+    matrices and near the largest float, with no warning."""
+    rng = np.random.default_rng(18)
+    for name, S in _volume_stacks(rng):
+        ranks = lk.stacked_rank(S)
+        for M, r in zip(S, ranks):
+            one = np.linalg.svd(M, compute_uv=False)
+            expected = 0 if one[0] <= 0 else int(np.sum(one > 1e-9 * one[0]))
+            assert r == expected, (name, M)
 
 
 def test_positive_combination_dem():

@@ -254,6 +254,23 @@ def test_critical_cone_sample_invariants():
         assert abs(slope) <= so.EPS_CRIT
 
 
+def test_null_basis_matches_the_full_svd():
+    """The thin SVD of the critical-direction null basis gives the rows
+    of the full SVD, bit for bit, with fewer, as many and many more rows
+    than columns: random, rank-deficient and integer matrices."""
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3, 6, 10):
+        for m in (max(d - 2, 1), d, 4 * d, 600):
+            random = rng.standard_normal((m, d))
+            deficient = random[:, :max(d - 2, 1)] @ rng.standard_normal(
+                (max(d - 2, 1), d))
+            integer = rng.integers(-2, 3, (m, d)).astype(float)
+            for M in (random, deficient, integer):
+                _, s, Vt = np.linalg.svd(M)
+                full = Vt[int(np.sum(s > 1e-10)):]
+                assert np.array_equal(so._null_basis(M), full), (m, d)
+
+
 def _reference_vertices(Aeq, beq, n):
     """Basic-solution enumeration without the stacked screen: every
     support goes through the rank, least-squares, sign, residual and

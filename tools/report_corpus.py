@@ -9,9 +9,12 @@ and other seeds, a few small problem files whose penalty verdict flips
 with the penalty parameter, small files with values undefined at
 the point, two negative-definite matrix blocks with entries near the
 largest float, three small files whose second-order tests have
-critical directions, and a file whose gradients span one axis of the
-plane, so the interior margin meets a redundant row.  Each case prints
-one header line, `== <argv> -> exit <code>`, then its report or error.
+critical directions, a file whose gradients span one axis of the
+plane, so the interior margin meets a redundant row, and, last, the two
+largest sampled searches: `sdp-example` with 1,024 directions, which
+exhausts its subset budget, and `soc-example` with 4,096 directions and
+the second-order tests.  Each case prints one header line,
+`== <argv> -> exit <code>`, then its report or error.
 
 Run it at two commits and compare the outputs with `cmp`: a change that
 claims to leave reports alone must print the same bytes.  The cases of
@@ -136,6 +139,11 @@ def cases():
                      ("ineq3.prob", "0,0,0")):
         yield ["--file", path, "--at", at, "--second-order"]
     yield ["--file", "flat.prob", "--at", "0,0"]
+    # the budgeted search over about 10^6 subsets of 1,024 sampled matrix
+    # directions, and the null basis of 4,100 gradient and cone rows
+    yield ["--registry", "sdp-example", "--sdp-dirs", "1024"]
+    yield ["--registry", "soc-example", "--soc-dirs", "4096",
+           "--second-order"]
 
 
 def main() -> int:
