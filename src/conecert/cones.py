@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "EigenFailure", "Provenance", "SpectralData", "spectral_split",
@@ -112,8 +111,10 @@ def unit_directions(dim: int, count: int, seed: int) -> list[np.ndarray]:
         return []
     if dim == 1:
         return [np.array([1.0]), np.array([-1.0])][:max(count, 2)]
-    # imported here: scipy.stats takes longer to import than the rest of
-    # the package, and only the sampled cone blocks draw directions
+    # imported here: scipy.stats and scipy.special take longer to import
+    # than the rest of the package, and only the sampled cone blocks draw
+    # directions
+    from scipy.special import ndtri
     from scipy.stats import qmc
     sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
     # draw a power-of-two batch (Sobol balance), drop the leading point,

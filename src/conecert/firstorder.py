@@ -10,20 +10,21 @@ failed search is reported as sampling-limited rather than as a refutation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain, combinations, count
 
 import numpy as np
 
 from . import expr as ex
 from .cones import builtin_max, distinct_rows, pair_dots, unit_rows
-from .geometry import GeneratorSet, PointContext, Provenance, block_distances
+from .geometry import (GeneratorSet, PointContext, Provenance,
+                       block_distances, nA_vector)
 from .linkernel import (SCREEN_CHUNK, combination_system, det,
                         lp_chebyshev_center, lp_membership,
-                        positive_combinations, rank, simplex_checked,
+                        positive_combinations, rank, simplex_solve,
                         solve_positive_combination, stacked_rank)
 from .problem import (BLOCK_CLASSES, NlpIneq, Problem, SemiInfinite,
-                      activity, evaluate_objective)
+                      activity, evaluate_objective, scenario_derivatives)
 
 __all__ = [
     "Cadre", "AlternanceFailure", "Zbasis", "MultiplierWitness",
@@ -492,13 +493,30 @@ class MultiplierWitness:
         for pos in sorted(self.duals):
             yield (pos, *self.duals[pos])
 
-    def cone_gradient(self, P: Problem, x) -> np.ndarray:
-        """Gradient of the dual pairing: sum over blocks of
-        <dual, G_block(x)>."""
-        total = np.zeros(P.d)
+    def lagrangian(self, P: Problem, x, squared: bool = False):
+        """Gradient and Hessian in x of the witness's Lagrangian,
+        sum(alpha_i s_i f_i) + <lambda, G(x)> + <mu, x>: each scenario's
+        term from ``scenario_derivatives`` (squared deviations when
+        ``squared``), each block's pairing from its ``dual_derivatives``
+        and each polyhedral normal from ``nA_vector``.  The scenario terms
+        and the block pairings are summed apart, then added; the normals
+        have no Hessian."""
+        x = np.asarray(x, dtype=float)
+        d = P.d
+        grad, hess = np.zeros(d), np.zeros((d, d))
+        for scen, sign, weight in self.alpha:
+            g, H = scenario_derivatives(P, x, scen, sign, squared)
+            grad = grad + weight * g
+            hess = hess + weight * H
+        cone_grad, cone_hess = np.zeros(d), np.zeros((d, d))
         for _, blk, dual in self.block_duals():
-            total = total + blk.dual_gradient(x, dual)
-        return total
+            g, H = blk.dual_derivatives(x, dual)
+            cone_grad = cone_grad + g
+            cone_hess = cone_hess + H
+        grad = grad + cone_grad
+        for pr, weight in self.nA:
+            grad = grad + weight * nA_vector(P.set_A, d, pr)
+        return grad, hess + cone_hess
 
     def lambda_l1(self) -> float:
         """l1 size of the cone-constraint dual (used as a penalty threshold)."""
@@ -540,25 +558,9 @@ def _assemble_witness(ctx: PointContext, G: GeneratorSet,
 
 def _witness_residual(P: Problem, x, w: MultiplierWitness,
                       squared: bool = False) -> float:
-    """Recompute the stationarity residual from the structured duals."""
-    x = np.asarray(x, dtype=float)
-    total = np.zeros(P.d)
-    for scen, sign, weight in w.alpha:
-        dual = ex.eval2(P.scenarios[scen - 1], x)
-        grad = dual.grad
-        if P.kind == "chebyshev":
-            grad = ((dual.value - P.psi[scen - 1]) * dual.grad
-                    if squared else sign * dual.grad)
-        total = total + weight * grad
-    total = total + w.cone_gradient(P, x)
-    for pr, weight in w.nA:
-        vec = np.zeros(P.d)
-        if pr.kind == "bound":
-            vec[pr.index] = float(pr.sign)
-        elif pr.kind == "set_eq":
-            vec = pr.sign * np.asarray(P.set_A.E[pr.index], dtype=float)
-        total = total + weight * vec
-    return float(np.linalg.norm(total))
+    """The stationarity residual: the norm of the witness's Lagrangian
+    gradient (``MultiplierWitness.lagrangian``)."""
+    return float(np.linalg.norm(w.lagrangian(P, x, squared)[0]))
 
 
 def witness_from_json(P: Problem, data) -> MultiplierWitness:
@@ -810,9 +812,7 @@ class PenaltyReport:
     verified_at_2c: bool | None
 
     def to_json(self):
-        return {"c": self.c, "value": self.value,
-                "zero_in_subdiff": self.zero_in_subdiff,
-                "verified_at_2c": self.verified_at_2c}
+        return asdict(self)
 
 
 def _penalty_inclusion(c, G, groups) -> bool:
@@ -825,7 +825,7 @@ def _penalty_inclusion(c, G, groups) -> bool:
         caps.append((len(cone), len(cone) + len(vecs)))
         cone.extend(c * v for v in vecs)
     A, b = combination_system(G.grads_F, cone + list(G.nA), caps)
-    return simplex_checked(np.zeros(A.shape[1]), A, b).status == "optimal"
+    return simplex_solve(np.zeros(A.shape[1]), A, b).status == "optimal"
 
 
 def penalty_subdiff_check(ctx: PointContext, c: float) -> PenaltyReport:

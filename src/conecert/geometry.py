@@ -29,7 +29,7 @@ __all__ = [
     "SamplingSpec", "Provenance", "GeneratorSet", "SpectralData",
     "PointNotInSet", "EigenFailure", "PointContext",
     "project_soc", "project_psd_neg", "unit_directions",
-    "nA_generators", "build_generator_set", "TangentTester",
+    "nA_vector", "nA_generators", "build_generator_set", "TangentTester",
     "block_distances", "axis_directions", "sdp_null_directions",
 ]
 
@@ -79,11 +79,22 @@ class GeneratorSet:
         return list(self.eta) + list(self.nA)
 
 
+def nA_vector(A: PolyhedralSet, d: int, prov: Provenance) -> np.ndarray:
+    """The normal vector ``prov`` names: sign * e_i for a bound on x(i + 1),
+    sign times row i of E for an affine equality."""
+    if prov.kind == "bound":
+        vec = np.zeros(d)
+        vec[prov.index] = float(prov.sign)
+        return vec
+    return prov.sign * np.asarray(A.E[prov.index], dtype=float)
+
+
 def nA_generators(A: PolyhedralSet, x, eps_feas: float = 1e-8):
-    """Extreme rays of the normal cone of the box/affine set at x."""
+    """Extreme rays of the normal cone of the box/affine set at x, each
+    built by ``nA_vector`` from its provenance: -e_i and e_i for an active
+    lower and upper bound, both signs of each equality row."""
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
-    vecs, prov = [], []
     for i in range(d):
         if A.lb[i] != -math.inf and x[i] - A.lb[i] < -eps_feas:
             raise PointNotInSet(f"x({i + 1}) below its lower bound")
@@ -92,24 +103,16 @@ def nA_generators(A: PolyhedralSet, x, eps_feas: float = 1e-8):
     for row, rhs in zip(A.E, A.e):
         if abs(float(np.dot(row, x)) - rhs) > eps_feas:
             raise PointNotInSet("affine equality violated")
+    prov = []
     for i in range(d):
         if A.lb[i] != -math.inf and abs(x[i] - A.lb[i]) <= eps_feas:
-            e = np.zeros(d)
-            e[i] = -1.0
-            vecs.append(e)
             prov.append(Provenance("bound", index=i, sign=-1))
         if A.ub[i] != math.inf and abs(A.ub[i] - x[i]) <= eps_feas:
-            e = np.zeros(d)
-            e[i] = 1.0
-            vecs.append(e)
             prov.append(Provenance("bound", index=i, sign=1))
-    for r, row in enumerate(A.E):
-        row = np.asarray(row, dtype=float)
-        vecs.append(row.copy())
+    for r in range(len(A.E)):
         prov.append(Provenance("set_eq", index=r, sign=1))
-        vecs.append(-row)
         prov.append(Provenance("set_eq", index=r, sign=-1))
-    return vecs, prov
+    return [nA_vector(A, d, pr) for pr in prov], prov
 
 
 def build_generator_set(P: Problem, x, act: ActiveSets,

@@ -26,7 +26,7 @@ from .cones import axis_directions
 __all__ = [
     "det", "rank", "stacked_rank", "SCREEN_CHUNK",
     "solve_positive_combination", "positive_combinations",
-    "LpResult", "Tableau", "simplex_solve", "simplex_checked",
+    "LpResult", "Tableau", "simplex_solve",
     "combination_system", "lp_membership", "lp_direction_margin",
     "lp_chebyshev_center",
 ]
@@ -362,12 +362,6 @@ def simplex_solve(c, A, b) -> LpResult:
     return Tableau(A, b).solve(c)
 
 
-def simplex_checked(c, A, b) -> LpResult:
-    """``simplex_solve``, under the name of the callers that read x: its
-    optimum is re-verified by ``_verified``."""
-    return simplex_solve(c, A, b)
-
-
 # ---------------------------------------------------------------------------
 # the combination system and the membership and interior tests over it
 # ---------------------------------------------------------------------------
@@ -403,7 +397,7 @@ def lp_membership(target, hull, cone=()):
         return None
     A, b = combination_system(hull, cone)
     b[:-1] = target
-    res = simplex_checked(np.zeros(A.shape[1]), A, b)
+    res = simplex_solve(np.zeros(A.shape[1]), A, b)
     if res.status != "optimal":
         return None
     return res.x[:nh].copy(), res.x[nh:].copy()

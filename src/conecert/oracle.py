@@ -9,7 +9,7 @@ values, derivatives by central differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -41,9 +41,7 @@ class GrowthProbe:
     worst_point: list | None
 
     def to_json(self):
-        return {"order": self.order, "n_feasible": self.n_feasible,
-                "refuted": self.refuted, "constant": self.constant,
-                "worst_point": self.worst_point}
+        return asdict(self)
 
 
 def _equality_frame(A, d):

@@ -28,8 +28,8 @@ other module branches on the kind:
   direction in the rows of H;
 - ``add_dual(dual, provenance, amount)``: adds an LP weight times a
   generator's dual to the block's multiplier;
-- ``dual_gradient(x, dual)`` and ``dual_hessian(x, dual)``: first and
-  second derivatives of the pairing <dual, G_block(x)>;
+- ``dual_derivatives(x, dual)``: the gradient and Hessian in x of the
+  pairing <dual, G_block(x)>, each component differentiated once;
 - ``dual_size(dual)``, ``dual_to_json(dual)`` and ``dual_from_json(data)``:
   the size of a multiplier (summed into its l1 size) and its JSON form;
 - ``from_section(pairs, d, line)`` and ``to_text(d)``: the block read
@@ -74,7 +74,8 @@ __all__ = [
     "FeasibilityReport", "ProblemFormatError",
     "evaluate_objective", "objective_values", "activity", "check_feasible",
     "feasibility",
-    "subdifferential_generators", "squared_generators",
+    "scenario_derivatives", "subdifferential_generators",
+    "squared_generators",
     "load_problem_text", "load_problem_file", "problem_to_text",
 ]
 
@@ -199,18 +200,14 @@ class _ScalarBlock(_Block):
         dual[prov.index] = dual.get(prov.index, 0.0) + amount
         return dual
 
-    def dual_gradient(self, x, dual) -> np.ndarray:
-        total = np.zeros(len(x))
-        for i, weight in dual.items():
-            total = total + weight * self._grad(x, i)
-        return total
-
-    def dual_hessian(self, x, dual) -> np.ndarray:
+    def dual_derivatives(self, x, dual):
         d = len(x)
-        total = np.zeros((d, d))
+        grad, hess = np.zeros(d), np.zeros((d, d))
         for i, weight in dual.items():
-            total = total + weight * self._dual2(x, i).hess
-        return total
+            D = self._dual2(x, i)
+            grad = grad + weight * D.grad
+            hess = hess + weight * D.hess
+        return grad, hess
 
     def dual_size(self, dual) -> float:
         return sum(abs(w) for w in dual.values())
@@ -333,6 +330,15 @@ class Soc(_ConeBlock):
     def jacobian(self, x) -> np.ndarray:
         return np.array([ex.eval2(g, x).grad for g in self.g])
 
+    def dual_derivatives(self, x, dual):
+        comps = [ex.eval2(g, x) for g in self.g]
+        d = len(x)
+        hess = np.zeros((d, d))
+        for D, lam in zip(comps, dual):
+            if lam != 0.0:
+                hess = hess + lam * D.hess
+        return np.array([D.grad for D in comps]).T @ dual, hess
+
     def activity(self, x, tol, position):
         vals = self._values(x)
         if np.linalg.norm(vals) <= tol.eps_active:
@@ -392,17 +398,6 @@ class Soc(_ConeBlock):
             return JH[:, 0] >= row_norms(JH[:, 1:]) - eps
         return stays_in_cone
 
-    def dual_gradient(self, x, dual):
-        return self.jacobian(x).T @ dual
-
-    def dual_hessian(self, x, dual):
-        d = len(x)
-        total = np.zeros((d, d))
-        for g, lam in zip(self.g, dual):
-            if lam != 0.0:
-                total = total + lam * ex.eval2(g, x).hess
-        return total
-
     @classmethod
     def from_section(cls, pairs, d, line):
         name, comps = cls.section, {}
@@ -433,16 +428,16 @@ class Sdp(_ConeBlock):
     def size(self) -> int:
         return len(self.G0)
 
-    def entry_grads(self, x) -> np.ndarray:
-        """grads[i, j, :] = gradient of entry (i, j); symmetrized."""
+    def entry_derivatives(self, x):
+        """``eval2`` of each upper-triangle entry, keyed by (i, j), and
+        grads[i, j, :], the gradient of entry (i, j), symmetrized."""
         n = self.size
-        out = np.zeros((n, n, len(x)))
-        for i in range(n):
-            for j in range(i, n):
-                g = ex.eval2(self.G0[i][j], x).grad
-                out[i, j] = g
-                out[j, i] = g
-        return out
+        entries = {(i, j): ex.eval2(self.G0[i][j], x)
+                   for i in range(n) for j in range(i, n)}
+        grads = np.zeros((n, n, len(x)))
+        for (i, j), D in entries.items():
+            grads[i, j] = grads[j, i] = D.grad
+        return entries, grads
 
     def activity(self, x, tol, position):
         spec = spectral_split(_sdp_matrix(self, x), tol.eps_rank)
@@ -481,7 +476,7 @@ class Sdp(_ConeBlock):
         if Q0.shape[1] == 0:
             return []
         pos = state.position
-        grads = self.entry_grads(x)
+        _, grads = self.entry_derivatives(x)
         qs = sdp_null_directions(Q0, sampling.sdp_dirs,
                                  sampling.seed + 7 * pos + 3,
                                  sampling.extras_for(sampling.sdp_extra, pos))
@@ -489,18 +484,15 @@ class Sdp(_ConeBlock):
                  Provenance("sdp_null", pos, detail=tuple(q.tolist())),
                  np.outer(q, q)) for q in qs]
 
-    def dual_gradient(self, x, dual):
-        return np.einsum("ij,ijk->k", dual, self.entry_grads(x))
-
-    def dual_hessian(self, x, dual):
+    def dual_derivatives(self, x, dual):
+        entries, grads = self.entry_derivatives(x)
         d = len(x)
-        total = np.zeros((d, d))
-        for i in range(self.size):
-            for j in range(i, self.size):
-                w = dual[i, j] * (1.0 if i == j else 2.0)
-                if w != 0.0:
-                    total = total + w * ex.eval2(self.G0[i][j], x).hess
-        return total
+        hess = np.zeros((d, d))
+        for (i, j), D in entries.items():
+            w = dual[i, j] * (1.0 if i == j else 2.0)
+            if w != 0.0:
+                hess = hess + w * D.hess
+        return np.einsum("ij,ijk->k", dual, grads), hess
 
     @classmethod
     def from_section(cls, pairs, d, line):
@@ -846,30 +838,39 @@ def check_feasible(P: Problem, x) -> FeasibilityReport:
     return FeasibilityReport(feasible=not bad, max_violation=worst, violations=bad)
 
 
+def scenario_derivatives(P: Problem, x, index, sign, squared=False):
+    """Gradient and Hessian in x of scenario ``index``'s (1-based) term of
+    the Lagrangian: f in a minimax problem; in a Chebyshev problem
+    sign * (f - psi), or (f - psi)^2 / 2 in the squared-deviation
+    formulation, whose Hessian is (f - psi) * hess f + grad f grad f'."""
+    dual = ex.eval2(P.scenarios[index - 1], x)
+    if P.kind != "chebyshev":
+        if squared:
+            raise ValueError("squared generators are defined for chebyshev "
+                             "problems")
+        return dual.grad, dual.hess
+    if squared:
+        dev = dual.value - P.psi[index - 1]
+        return dev * dual.grad, (dev * dual.hess
+                                 + np.outer(dual.grad, dual.grad))
+    return sign * dual.grad, sign * dual.hess
+
+
 def subdifferential_generators(P: Problem, x, active_scenarios) -> list[np.ndarray]:
     """One gradient per active scenario, signed for Chebyshev problems.
 
     The order matches the active scenario list, so provenance stays aligned.
     """
     x = np.asarray(x, dtype=float)
-    out = []
-    for scen in active_scenarios:
-        grad = ex.eval2(P.scenarios[scen.index - 1], x).grad
-        out.append(scen.sign * grad if P.kind == "chebyshev" else grad)
-    return out
+    return [scenario_derivatives(P, x, s.index, s.sign)[0]
+            for s in active_scenarios]
 
 
 def squared_generators(P: Problem, x, active_scenarios) -> list[np.ndarray]:
     """Generators of the squared-deviation formulation: (f - psi) * grad f."""
-    if P.kind != "chebyshev":
-        raise ValueError("squared generators are defined for chebyshev problems")
     x = np.asarray(x, dtype=float)
-    out = []
-    for scen in active_scenarios:
-        dual = ex.eval2(P.scenarios[scen.index - 1], x)
-        dev = dual.value - P.psi[scen.index - 1]
-        out.append(dev * dual.grad)
-    return out
+    return [scenario_derivatives(P, x, s.index, s.sign, True)[0]
+            for s in active_scenarios]
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,10 @@ the cone types.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import expr as ex
 from .cones import axis_directions, distinct_rows, unit_rows
 from .firstorder import (MultiplierWitness, NecessaryReport,
                          _assemble_witness, _witness_residual,
@@ -43,20 +42,10 @@ EPS_CRIT = 1e-8
 
 
 def hessian_bundle(P: Problem, x, w: MultiplierWitness) -> np.ndarray:
-    """Hessian of the weighted Lagrangian: the objective Hessians weighted
-    by the witness's scenario weights, plus the second derivative of the
-    pairing with its block duals."""
-    x = np.asarray(x, dtype=float)
-    scen_part = np.zeros((P.d, P.d))
-    for idx, sign, weight in w.alpha:
-        hess = ex.eval2(P.scenarios[idx - 1], x).hess
-        if P.kind == "chebyshev":
-            hess = sign * hess
-        scen_part = scen_part + weight * hess
-    cons_part = np.zeros((P.d, P.d))
-    for _, blk, dual in w.block_duals():
-        cons_part = cons_part + blk.dual_hessian(x, dual)
-    return scen_part + cons_part
+    """Hessian of the witness's Lagrangian (``MultiplierWitness.lagrangian``):
+    the objective Hessians weighted by its scenario weights, plus the
+    second derivative of the pairing with its block duals."""
+    return w.lagrangian(P, x)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -171,27 +160,18 @@ def _null_basis(M):
 class SecondOrderReport:
     mode: str                      # 'necessary' | 'sufficient'
     applicable: bool
-    refuted: bool
-    passed: bool
-    critical_cone_trivial: bool
-    conservative_refutation_only: bool
-    multiplier_set_exhaustive: bool
-    n_directions: int
-    worst_value: float | None
-    witness_direction: list | None
-    notes: list
+    refuted: bool = False
+    passed: bool = False
+    critical_cone_trivial: bool = False
+    conservative_refutation_only: bool = False
+    multiplier_set_exhaustive: bool = False
+    n_directions: int = 0
+    worst_value: float | None = None
+    witness_direction: list | None = None
+    notes: list = field(default_factory=list)
 
     def to_json(self):
-        return {"mode": self.mode, "applicable": self.applicable,
-                "refuted": self.refuted, "passed": self.passed,
-                "critical_cone_trivial": self.critical_cone_trivial,
-                "conservative_refutation_only":
-                    self.conservative_refutation_only,
-                "multiplier_set_exhaustive": self.multiplier_set_exhaustive,
-                "n_directions": self.n_directions,
-                "worst_value": self.worst_value,
-                "witness_direction": self.witness_direction,
-                "notes": self.notes}
+        return asdict(self)
 
 
 def _second_order_inputs(ctx: PointContext, first: NecessaryReport):
@@ -227,10 +207,8 @@ def second_order_necessary(ctx: PointContext,
     curved blocks a negative form cannot refute and is only reported)."""
     if first.generators.nA:   # x lies on the boundary of A
         return SecondOrderReport(
-            mode="necessary", applicable=False, refuted=False, passed=False,
-            critical_cone_trivial=False, conservative_refutation_only=True,
-            multiplier_set_exhaustive=False, n_directions=0, worst_value=None,
-            witness_direction=None,
+            mode="necessary", applicable=False,
+            conservative_refutation_only=True,
             notes=["candidate sits on the boundary of the polyhedral set; "
                    "the necessary test is skipped there"])
     if not first.zero_in_D or first.multipliers is None:
@@ -240,11 +218,10 @@ def second_order_necessary(ctx: PointContext,
     polyhedral = _all_polyhedral(ctx.problem)
     if not dirs:
         return SecondOrderReport(
-            mode="necessary", applicable=True, refuted=False, passed=True,
+            mode="necessary", applicable=True, passed=True,
             critical_cone_trivial=True,
             conservative_refutation_only=not polyhedral,
             multiplier_set_exhaustive=verts.exhaustive,
-            n_directions=0, worst_value=None, witness_direction=None,
             notes=["no nonzero critical directions found; the test is "
                    "vacuously satisfied"])
     worst, witness_dir = _worst_form(verts, dirs)
@@ -254,7 +231,7 @@ def second_order_necessary(ctx: PointContext,
         "rescue a negative form, so no refutation is drawn"]
     return SecondOrderReport(
         mode="necessary", applicable=True, refuted=refuted,
-        passed=worst >= -EPS_CRIT, critical_cone_trivial=False,
+        passed=worst >= -EPS_CRIT,
         conservative_refutation_only=not polyhedral,
         multiplier_set_exhaustive=verts.exhaustive,
         n_directions=len(dirs), worst_value=worst,
@@ -280,17 +257,14 @@ def second_order_sufficient(ctx: PointContext,
                      "second-order-regular cones")
     if not dirs:
         return SecondOrderReport(
-            mode="sufficient", applicable=True, refuted=False, passed=True,
-            critical_cone_trivial=True, conservative_refutation_only=False,
-            multiplier_set_exhaustive=verts.exhaustive, n_directions=0,
-            worst_value=None, witness_direction=None,
+            mode="sufficient", applicable=True, passed=True,
+            critical_cone_trivial=True,
+            multiplier_set_exhaustive=verts.exhaustive,
             notes=notes + ["critical cone sampling found only the origin"])
     worst, witness_dir = _worst_form(verts, dirs)
     return SecondOrderReport(
-        mode="sufficient", applicable=True, refuted=False,
+        mode="sufficient", applicable=True,
         passed=all(v > P.tolerances.eps_pos for v in verts.values),
-        critical_cone_trivial=False,
-        conservative_refutation_only=False,
         multiplier_set_exhaustive=verts.exhaustive,
         n_directions=len(dirs), worst_value=worst,
         witness_direction=witness_dir, notes=notes)

@@ -566,15 +566,15 @@ def test_check_rejects_a_penalty_that_is_not_finite_and_nonnegative():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    """The direction sampler imports scipy.stats on first use, so checks
-    that sample no directions never pay for it; nothing imports
-    scipy.spatial."""
+    """The direction sampler imports scipy.stats and scipy.special on
+    first use, so checks that sample no directions never pay for them;
+    nothing imports scipy.spatial."""
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, conecert; print('scipy.stats' in sys.modules,"
-         " 'scipy.spatial' in sys.modules)"],
+         " 'scipy.spatial' in sys.modules, 'scipy.special' in sys.modules)"],
         capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.strip() == "False False False"
 
 
 def test_check_counts_must_be_positive_integers(tmp_path):

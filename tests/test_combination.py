@@ -59,7 +59,7 @@ def _ref_margin_system(direction, hull, cone):
 
 
 def _ref_direction_margin(direction, hull, cone):
-    res = lk.simplex_checked(*_ref_margin_system(direction, hull, cone))
+    res = lk.simplex_solve(*_ref_margin_system(direction, hull, cone))
     if res.status == "unbounded":
         return math.inf
     if res.status != "optimal":
@@ -232,7 +232,7 @@ def test_membership_and_margin_systems_match_the_frozen_builders(
 
 
 def test_membership_targets_other_than_zero(monkeypatch):
-    calls = _recording(monkeypatch, lk, "simplex_checked")
+    calls = _recording(monkeypatch, lk, "simplex_solve")
     for d, hull, cone in _random_families():
         target = np.arange(1.0, d + 1.0) / 3.0
         calls.clear()
@@ -331,7 +331,7 @@ def test_interior_margin_reads_none_and_inf():
 
 
 def test_penalty_systems_match_the_frozen_builder(monkeypatch):
-    calls = _recording(monkeypatch, fo, "simplex_checked")
+    calls = _recording(monkeypatch, fo, "simplex_solve")
     for ctx, G in _generator_sets():
         if G is not ctx.generators:
             continue   # the penalty check reads the plain set only
@@ -377,7 +377,7 @@ def test_vertex_systems_match_the_frozen_builder(monkeypatch):
 
 def _ref_form_values(ctx, G, dirs):
     """The second-order forms as ``secondorder._form_maxima`` computed
-    them with one ``simplex_checked`` per direction: inf when unbounded,
+    them with one ``simplex_solve`` per direction: inf when unbounded,
     None when the LP fails."""
     A, b = lk.combination_system(G.grads_F, G.cone)
     m = len(G.grads_F)
@@ -388,7 +388,7 @@ def _ref_form_values(ctx, G, dirs):
     D = np.array(dirs)
     values = []
     for q in np.einsum("jab,ka,kb->kj", H, D, D):
-        res = lk.simplex_checked(-q, A, b)
+        res = lk.simplex_solve(-q, A, b)
         values.append(math.inf if res.status == "unbounded" else
                       float(q @ res.x) if res.status == "optimal" else None)
     return values

@@ -46,3 +46,5 @@ def test_readme_multiplier_example():
     assert ns["dual"] == pytest.approx({0: 152.0, 1: 12.0})
     assert ns["again"].to_json() == ns["w"].to_json()
     assert ns["B"].shape == (2, 2)
+    assert (ns["H"] == ns["B"]).all()
+    assert float(np.linalg.norm(ns["grad"])) == ns["w"].stationarity_residual

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import conecert as cc
+from conecert import expr as ex
 from conecert import firstorder as fo
 from conecert import registry
 from conecert import secondorder as so
@@ -13,8 +14,8 @@ from conecert.cones import axis_directions
 from conecert.geometry import PointContext, TangentTester
 from conecert.linkernel import (EPS_RANK, LpResult, Tableau,
                                 combination_system, rank)
-from conecert.oracle import fd_hessian, growth_probe
-from conecert.problem import load_problem_text
+from conecert.oracle import fd_gradient, fd_hessian, growth_probe
+from conecert.problem import Sdp, Soc, load_problem_text
 from conftest import random_expression
 
 
@@ -133,6 +134,241 @@ def test_hessian_vs_fd_random_instances(rng):
         assert np.max(np.abs(B - H_fd)) / scale < 1e-4
         assert np.max(np.abs(B - B.T)) == 0.0
         checked += 1
+
+
+# The Lagrangian walks before ``MultiplierWitness.lagrangian``: the
+# gradient of ``_witness_residual`` with ``cone_gradient`` and the
+# blocks' ``dual_gradient``, and ``hessian_bundle`` with their
+# ``dual_hessian``, frozen as the reference of the one walk.
+
+def _frozen_dual_gradient(blk, x, dual):
+    if isinstance(blk, Soc):
+        return np.array([ex.eval2(g, x).grad for g in blk.g]).T @ dual
+    if isinstance(blk, Sdp):
+        n = blk.size
+        grads = np.zeros((n, n, len(x)))
+        for i in range(n):
+            for j in range(i, n):
+                g = ex.eval2(blk.G0[i][j], x).grad
+                grads[i, j] = g
+                grads[j, i] = g
+        return np.einsum("ij,ijk->k", dual, grads)
+    total = np.zeros(len(x))
+    for i, weight in dual.items():
+        total = total + weight * blk._dual2(x, i).grad
+    return total
+
+
+def _frozen_dual_hessian(blk, x, dual):
+    d = len(x)
+    total = np.zeros((d, d))
+    if isinstance(blk, Soc):
+        for g, lam in zip(blk.g, dual):
+            if lam != 0.0:
+                total = total + lam * ex.eval2(g, x).hess
+    elif isinstance(blk, Sdp):
+        for i in range(blk.size):
+            for j in range(i, blk.size):
+                w = dual[i, j] * (1.0 if i == j else 2.0)
+                if w != 0.0:
+                    total = total + w * ex.eval2(blk.G0[i][j], x).hess
+    else:
+        for i, weight in dual.items():
+            total = total + weight * blk._dual2(x, i).hess
+    return total
+
+
+def _frozen_gradient(P, x, w, squared=False):
+    x = np.asarray(x, dtype=float)
+    total = np.zeros(P.d)
+    for scen, sign, weight in w.alpha:
+        dual = ex.eval2(P.scenarios[scen - 1], x)
+        grad = dual.grad
+        if P.kind == "chebyshev":
+            grad = ((dual.value - P.psi[scen - 1]) * dual.grad
+                    if squared else sign * dual.grad)
+        total = total + weight * grad
+    cone = np.zeros(P.d)
+    for _, blk, dual in w.block_duals():
+        cone = cone + _frozen_dual_gradient(blk, x, dual)
+    total = total + cone
+    for pr, weight in w.nA:
+        vec = np.zeros(P.d)
+        if pr.kind == "bound":
+            vec[pr.index] = float(pr.sign)
+        elif pr.kind == "set_eq":
+            vec = pr.sign * np.asarray(P.set_A.E[pr.index], dtype=float)
+        total = total + weight * vec
+    return total
+
+
+def _frozen_hessian(P, x, w):
+    x = np.asarray(x, dtype=float)
+    scen_part = np.zeros((P.d, P.d))
+    for idx, sign, weight in w.alpha:
+        hess = ex.eval2(P.scenarios[idx - 1], x).hess
+        if P.kind == "chebyshev":
+            hess = sign * hess
+        scen_part = scen_part + weight * hess
+    cons_part = np.zeros((P.d, P.d))
+    for _, blk, dual in w.block_duals():
+        cons_part = cons_part + _frozen_dual_hessian(blk, x, dual)
+    return scen_part + cons_part
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype == float and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def _assert_frozen_walks(P, x, w, squared=False):
+    grad, hess = w.lagrangian(P, x, squared)
+    frozen = _frozen_gradient(P, x, w, squared)
+    _same_bits(grad, frozen)
+    assert fo._witness_residual(P, x, w, squared) == float(
+        np.linalg.norm(frozen))
+    if not squared:
+        _same_bits(hess, _frozen_hessian(P, x, w))
+        _same_bits(so.hessian_bundle(P, x, w), hess)
+
+
+def _weighted_sum(pairs):
+    """The expression sum(w_k c_k) of (weight, expression) pairs."""
+    terms = [ex.Mul(ex.Const(float(wk)), ck) for wk, ck in pairs]
+    total = terms[0]
+    for t in terms[1:]:
+        total = ex.Add(total, t)
+    return total
+
+
+CHEB_FIT = ('[problem] dim=2 kind=chebyshev\n'
+            '[scenario] f="exp(x(1)) + x(2)^2" psi=2\n'
+            '[scenario] f="exp(x(1)) - x(2)^2 + x(1)*x(2)" psi=0\n')
+FORM_FILES = (
+    ('[problem] dim=2\n[scenario] f="x(1)"\n'
+     '[nlp_ineq] g="x(1) + 2*x(2)^2" g="-x(1) - x(2)^2"\n', (0.0, 0.0)),
+    ('[problem] dim=2\n[scenario] f="x(1) + x(2)^2"\n'
+     '[scenario] f="-x(1) - 2*x(2)^2"\n[scenario] f="x(1) + 3*x(2)^2"\n',
+     (0.0, 0.0)),
+    ('[problem] dim=3\n[scenario] f="x(1) + x(2)^2 - x(3)^2"\n'
+     '[scenario] f="-x(2) + x(3)^2"\n'
+     '[nlp_ineq] g="-x(1) + x(2) - x(3)^2" g="-x(1) - x(3)^2 + x(2)^2"\n',
+     (0.0, 0.0, 0.0)))
+SCALAR_BLOCKS = ('[problem] dim=2\n'
+                 '[scenario] f="x(1)^2*x(2) + exp(x(2))"\n'
+                 '[nlp_ineq] g="x(1)^2 - x(2)" g="sin(x(1)*x(2))" g="x(2)"\n'
+                 '[nlp_eq] b="x(1)*x(2)^2" b="cos(x(2))"\n'
+                 '[semiinf] g="x(1)^2*t + x(2)^3 - t^2" grid=-1:1:5\n')
+
+
+def _components(blk, d):
+    """The block's scalar functions c_k of x, keyed as its dual is."""
+    if isinstance(blk, Soc):
+        return dict(enumerate(blk.g))
+    if isinstance(blk, Sdp):
+        return {(i, j): blk.G0[i][j]
+                for i in range(blk.size) for j in range(blk.size)}
+    if isinstance(blk, cc.SemiInfinite):
+        return {j: ex.substitute(blk.g, d + 1, t)
+                for j, t in enumerate(blk.grid)}
+    return dict(enumerate(blk.exprs))
+
+
+def _synthetic_duals(rng):
+    """(problem, x, block, dual) with seeded duals: both second-order-cone
+    blocks of soc-example (boundary and apex), the matrix block of
+    sdp-example with symmetric duals, and nonlinear scalar blocks; some
+    entries of each are zero."""
+    for name in ("soc-example", "sdp-example"):
+        P, x, _ = registry.get(name)
+        for blk in P.blocks:
+            for _ in range(3):
+                if isinstance(blk, Soc):
+                    dual = rng.standard_normal(blk.l + 1)
+                    dual[rng.integers(blk.l + 1)] = 0.0
+                else:
+                    M = rng.standard_normal((blk.size, blk.size))
+                    M[0, 1] = M[1, 2] = 0.0
+                    dual = M + M.T
+                yield P, x, blk, dual
+    P = load_problem_text(SCALAR_BLOCKS)
+    x = (0.3, -0.7)
+    for blk in P.blocks:
+        n = len(_components(blk, P.d))
+        for _ in range(3):
+            weights = rng.standard_normal(n)
+            weights[rng.integers(n)] = 0.0
+            yield P, x, blk, dict(enumerate(weights.tolist()))
+
+
+def test_lagrangian_matches_the_frozen_walks(rng):
+    """``MultiplierWitness.lagrangian`` gives the bits of the walks it
+    replaced: on every registry witness, a Chebyshev witness (plain and
+    squared), the form witnesses of three second-order files, and seeded
+    duals on every block kind, whose pairings also match finite
+    differences of sum(w_k c_k)."""
+    for name in registry.NAMES:
+        P, x, samp = registry.get(name, 3 if name == "linf" else None)
+        nec = fo.necessary_check(PointContext(P, x, samp))
+        assert nec.multipliers is not None, name
+        _assert_frozen_walks(P, x, nec.multipliers)
+    P = load_problem_text(CHEB_FIT)
+    x = (0.0, 0.0)
+    for squared in (False, True):
+        w = fo.necessary_check(PointContext(P, x), squared=squared)
+        w = w.multipliers
+        assert {sign for _, sign, _ in w.alpha} == {-1, 1}
+        _assert_frozen_walks(P, x, w, squared)
+    # the squared Hessian is that of sum(alpha_i (f_i - psi_i)^2 / 2)
+    half_squares = _weighted_sum(
+        (0.5 * weight, ex.Pow(ex.Sub(P.scenarios[i - 1],
+                                     ex.Const(P.psi[i - 1])), 2))
+        for i, _, weight in w.alpha)
+    _, hess = w.lagrangian(P, x, squared=True)
+    np.testing.assert_allclose(hess, fd_hessian(half_squares, x),
+                               atol=1e-6)
+    # the form witnesses: one per unit weight of the combination system,
+    # whose Hessians are the LP costs, and the maximisers kept
+    for text, x in FORM_FILES:
+        P = load_problem_text(text)
+        ctx = PointContext(P, x)
+        nec = fo.necessary_check(ctx)
+        G, m = nec.generators, len(nec.generators.grads_F)
+        verts, _ = so._second_order_inputs(ctx, nec)
+        units = [fo._assemble_witness(ctx, G, e[:m], e[m:])
+                 for e in np.eye(m + len(G.cone))]
+        assert len(units) > 2
+        for w in units + verts.pairs:
+            _assert_frozen_walks(P, x, w)
+    kinds = set()
+    for P, x, blk, dual in _synthetic_duals(rng):
+        kinds.add(blk.kind)
+        x = np.asarray(x, dtype=float)
+        grad, hess = blk.dual_derivatives(x, dual)
+        _same_bits(grad, _frozen_dual_gradient(blk, x, dual))
+        _same_bits(hess, _frozen_dual_hessian(blk, x, dual))
+        comps = _components(blk, P.d)
+        pairing = _weighted_sum((dual[k], c) for k, c in comps.items())
+        np.testing.assert_allclose(grad, fd_gradient(pairing, x), atol=1e-7)
+        np.testing.assert_allclose(hess, fd_hessian(pairing, x), atol=1e-5)
+        pos = P.blocks.index(blk)
+        w = fo.MultiplierWitness(alpha=[], duals={pos: (blk, dual)})
+        _assert_frozen_walks(P, x, w)
+        size = (sum(map(abs, dual.values())) if isinstance(dual, dict)
+                else float(np.linalg.norm(dual)))
+        assert w.lambda_l1() == size
+    assert kinds == {"soc", "sdp", "nlp_ineq", "nlp_eq", "semi_infinite"}
+    # seeded scenario weights with duals on every block at once
+    duals = {}
+    for P, x, blk, dual in _synthetic_duals(rng):
+        duals.setdefault(id(P), (P, x, {}))[2][P.blocks.index(blk)] = (
+            blk, dual)
+    for P, x, blocks in duals.values():
+        for _ in range(8):
+            alpha = [(i + 1, 1, rng.random())
+                     for i in range(len(P.scenarios))]
+            _assert_frozen_walks(P, x, fo.MultiplierWitness(alpha, blocks))
 
 
 def test_second_order_saddle_refuted_along_axis():
