@@ -588,11 +588,15 @@ def parse(text: str, d: int, params: tuple[str, ...] = ()) -> Expression:
 # A free literal: a number token with a '.' or an exponent, which can never
 # be an integer exponent or a variable index, so a text's shape does not
 # depend on it.  The look-behind admits only token starts (digits inside an
-# identifier stay in the shape).  A number token right after a word
-# character or '.' follows another token with no operator between them, a
-# syntax error; its skeleton fails too, and its texts go to ``parse``.
-_FREE_LITERAL = re.compile(r"(?<![\w.])((?:[0-9]+\.[0-9]*|\.[0-9]+)"
-                           r"(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+)")
+# identifier stay in the shape); it follows the literal's first character,
+# which it reads again, so the search skips to a digit or '.' before it
+# tests anything.  A number token right after a word character or '.'
+# follows another token with no operator between them, a syntax error; its
+# skeleton fails too, and its texts go to ``parse``.
+_EXPONENT = r"(?:[eE][+-]?[0-9]+)"
+_FREE_LITERAL = re.compile(
+    r"([0-9](?<![\w.][0-9])(?:[0-9]*\.[0-9]*" + _EXPONENT + r"?|[0-9]*"
+    + _EXPONENT + r")|\.(?<![\w.]\.)[0-9]+" + _EXPONENT + r"?)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -620,20 +624,24 @@ def parse_families(texts, d: int, params: tuple[str, ...] = ()) -> list:
     family, and each distinct skeleton is tokenized and parsed once, with
     the members' literals as the ``Column`` leaves.  The parser's
     unary-minus folding negates a whole column as it negates one literal,
-    so every member's tree equals its own parse.  A skeleton that does not
-    parse is not shared: its texts go through ``parse`` one at a time, so
-    that the first of them raises its own error.  Families come in the
-    order of their first members; nothing is kept between calls.
+    so every member's tree equals its own parse.  A family's literals are
+    collected as strings, member after member, in one flat list, and
+    converted by one ``map(float, ...)`` into its columns, so each value
+    has the bits its own parse gives it.  A skeleton that does not parse
+    is not shared: its texts go through ``parse`` one at a time, so that
+    the first of them raises its own error.  Families come in the order
+    of their first members; nothing is kept between calls.
     """
     shapes = {}
     for i, text in enumerate(texts):
         parts = _FREE_LITERAL.split(text)
         members, literals = shapes.setdefault(tuple(parts[::2]), ([], []))
         members.append(i)
-        literals.append([float(v) for v in parts[1::2]])
+        literals += parts[1::2]
     families = []
     for pieces, (members, literals) in shapes.items():
-        columns = np.array(literals).reshape(len(members), len(pieces) - 1)
+        columns = np.fromiter(map(float, literals), float, len(literals))
+        columns = columns.reshape(len(members), len(pieces) - 1)
         try:
             # each piece's end token gives way to the next literal
             tokens = _tokenize(pieces[0])

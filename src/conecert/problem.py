@@ -129,6 +129,7 @@ class BlockActivity:
     active: list = field(default_factory=list)   # constraint / grid indices
     soc_state: str = ""                          # 'inactive'|'boundary'|'origin'
     soc_value: np.ndarray | None = None
+    jacobian: np.ndarray | None = None           # soc only, unless inactive
     eigenvalues: np.ndarray | None = None        # descending, sdp only
     null_basis: np.ndarray | None = None         # columns span ker G0(x)
     sampled: bool = False    # the normal cone's generators are a sample
@@ -347,8 +348,10 @@ class Soc(_ConeBlock):
             state = "boundary"
         else:
             state = "inactive"
+        # the normal cone's generators and the tangent test both read J
+        J = None if state == "inactive" else self.jacobian(x)
         return BlockActivity(position, self.kind, soc_state=state,
-                             soc_value=vals,
+                             soc_value=vals, jacobian=J,
                              sampled=state == "origin" and self.l >= 2)
 
     def violations(self, pts, position):
@@ -363,7 +366,7 @@ class Soc(_ConeBlock):
     def normal_generators(self, x, state, sampling):
         if state.soc_state == "inactive":
             return []
-        J = self.jacobian(x)
+        J = state.jacobian
         pos = state.position
         if state.soc_state == "boundary":
             vals = state.soc_value
@@ -385,7 +388,7 @@ class Soc(_ConeBlock):
     def tangent_test(self, x, state, rows):
         if state.soc_state == "inactive":
             return lambda H, eps: np.ones(len(H), dtype=bool)
-        J = self.jacobian(x)
+        J = state.jacobian
         if state.soc_state == "boundary":
             ybar = state.soc_value[1:]
             # gradient of |ybar| - y0 composed with the Jacobian
@@ -642,11 +645,16 @@ class _Scenarios(Sequence):
 
     def __init__(self, families, trees=None):
         self.families = tuple(families)
-        self._where = {}
-        for fam in self.families:
-            for k, i in enumerate(fam.members.tolist()):
-                self._where[i] = (fam, k)
-        self._trees = list(trees) if trees else [None] * len(self._where)
+        sizes = [len(fam.members) for fam in self.families]
+        order = np.concatenate([fam.members for fam in self.families]
+                               or [np.empty(0, dtype=np.intp)])
+        starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        # scenario i is member _member[i] of family _family[i]
+        self._family = np.empty_like(order)
+        self._family[order] = np.repeat(np.arange(len(sizes)), sizes)
+        self._member = np.empty_like(order)
+        self._member[order] = np.arange(len(order)) - starts
+        self._trees = list(trees) if trees else [None] * len(order)
 
     @classmethod
     def of_trees(cls, trees):
@@ -660,8 +668,8 @@ class _Scenarios(Sequence):
     def __getitem__(self, i):
         i = range(len(self._trees))[i]
         if self._trees[i] is None:
-            fam, k = self._where[i]
-            self._trees[i] = fam.tree(k)
+            fam = self.families[self._family[i]]
+            self._trees[i] = fam.tree(int(self._member[i]))
         return self._trees[i]
 
 
@@ -891,62 +899,67 @@ class ProblemFormatError(Exception):
 
 
 # one key=value pair after optional whitespace: a key of alphanumerics and
-# "_(),", then a quoted value (group 3 is None when the quote never closes)
-# or a bare one; group 5 is the rest of the text when no pair starts there
-_KV = re.compile(r'\s*(?:([\w(),]+)=(?:"([^"]*)(")?|(\S*))|(\S.*))', re.S)
+# "_(),", then an opening quote, a quoted value and its closing quote
+# (empty when the quote never closes), or a bare value; the last group is
+# the rest of the text when no pair starts there
+_KV = re.compile(r'\s*(?:([\w(),]+)=(?:(")([^"]*)(")?|(\S*))|(\S.*))', re.S)
 
 
 def _split_kv(text: str, section: str, line: int):
     """Split 'key=value key2="quoted value"' pairs."""
-    pairs = []
-    for m in _KV.finditer(text):
-        key, quoted, closed, bare, rest = m.groups()
-        if rest is not None:
+    found = _KV.findall(text)
+    # both errors run to the end of the text, so only the last match can
+    # hold one
+    if found:
+        _, opened, _, closed, _, rest = found[-1]
+        if rest:
             raise ProblemFormatError(f"expected key=value, got {rest!r}",
                                      section, line)
-        if quoted is not None and closed is None:
+        if opened != closed:
             raise ProblemFormatError("unterminated quoted value",
                                      section, line)
-        pairs.append((key, bare if quoted is None else quoted, line))
-    return pairs
+    # a pair has a quoted or a bare value, and the other group is empty
+    return [(key, quoted or bare, line)
+            for key, _, quoted, _, bare, _ in found]
 
 
 def _parse_sections(text: str):
+    """The sections of a problem file as (name, line, pairs) tuples, where
+    pairs holds the (key, value, line) triples of the section's lines."""
     sections = []
-    current = None
+    pairs = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
-        stripped = line.strip()
-        if stripped.startswith("["):
-            end = stripped.find("]")
-            if end < 0:
+        if line[0] == "[":
+            name, closed, rest = line[1:].partition("]")
+            if not closed:
                 raise ProblemFormatError("unterminated section header",
                                          line=lineno)
-            name = stripped[1:end].strip()
-            current = {"name": name, "line": lineno, "pairs": []}
-            sections.append(current)
-            rest = stripped[end + 1:]
-            current["pairs"].extend(_split_kv(rest, name, lineno))
+            name = name.strip()
+            pairs = _split_kv(rest, name, lineno)
+            sections.append((name, lineno, pairs))
+        elif pairs is None:
+            raise ProblemFormatError("content before first section",
+                                     line=lineno)
         else:
-            if current is None:
-                raise ProblemFormatError("content before first section",
-                                         line=lineno)
-            current["pairs"].extend(
-                _split_kv(stripped, current["name"], lineno))
+            pairs += _split_kv(line, name, lineno)
     return sections
 
 
 def _parse_number(value: str, section, line) -> float:
-    v = value.strip().lower()
-    if v in ("inf", "+inf"):
-        return math.inf
-    if v == "-inf":
-        return -math.inf
     try:
         return float(value)
     except ValueError:
+        # float() reads these spellings of inf too, unless they are padded
+        # by a character that str.strip() removes and float() does not
+        # (U+001C to U+001F)
+        v = value.strip().lower()
+        if v in ("inf", "+inf"):
+            return math.inf
+        if v == "-inf":
+            return -math.inf
         raise ProblemFormatError(f"not a number: {value!r}", section, line)
 
 
@@ -983,19 +996,19 @@ def _parse_expr(text_value, d, section, line, params=()):
                                  section, line)
 
 
-def _scenario_entry(sec):
-    """((f text, its line), psi or None) of a [scenario] section."""
-    name, f_txt, target = sec["name"], None, None
-    for k, v, ln in sec["pairs"]:
+def _scenario_entry(pairs, line):
+    """(f text, its line, psi or None) of a [scenario] section."""
+    f_txt = f_line = target = None
+    for k, v, ln in pairs:
         if k == "f":
-            f_txt = (v, ln)
+            f_txt, f_line = v, ln
         elif k == "psi":
-            target = _parse_number(v, name, ln)
+            target = _parse_number(v, "scenario", ln)
         else:
-            raise ProblemFormatError(f"unknown key {k!r}", name, ln)
+            raise ProblemFormatError(f"unknown key {k!r}", "scenario", ln)
     if f_txt is None:
-        raise ProblemFormatError("scenario needs f=...", name, sec["line"])
-    return f_txt, target
+        raise ProblemFormatError("scenario needs f=...", "scenario", line)
+    return f_txt, f_line, target
 
 
 def _read_set(pairs, d, bounds, eq_rows, eq_rhs):
@@ -1024,27 +1037,26 @@ def _read_set(pairs, d, bounds, eq_rows, eq_rhs):
 def load_problem_text(text: str, source: str = "<memory>",
                       tolerances: ToleranceSet | None = None) -> Problem:
     sections = _parse_sections(text)
-    if not sections or sections[0]["name"] != "problem":
+    if not sections or sections[0][0] != "problem":
         raise ProblemFormatError("file must start with a [problem] section",
                                  line=1)
-    head = dict((k, (v, ln)) for k, v, ln in sections[0]["pairs"])
+    head = {k: (v, ln) for k, v, ln in sections[0][2]}
     if "dim" not in head:
-        raise ProblemFormatError("missing dim", "problem", sections[0]["line"])
+        raise ProblemFormatError("missing dim", "problem", sections[0][1])
     dim_value, dim_line = head["dim"]
     d = _parse_count("dim", dim_value, MAX_DIM, "problem", dim_line)
     kind = head.get("kind", ("minimax", 0))[0]
 
-    texts = []   # (scenario text, its line)
-    psi = []
+    texts, lines, psi = [], [], []   # per scenario: text, its line, target
     blocks = []
     bounds = {"lb": [-math.inf] * d, "ub": [math.inf] * d}
     eq_rows, eq_rhs = [], []
     try:
-        for sec in sections[1:]:
-            name, line, pairs = sec["name"], sec["line"], sec["pairs"]
+        for name, line, pairs in sections[1:]:
             if name == "scenario":
-                f_txt, target = _scenario_entry(sec)
+                f_txt, f_line, target = _scenario_entry(pairs, line)
                 texts.append(f_txt)
+                lines.append(f_line)
                 psi.append(target)
             elif name == "set":
                 _read_set(pairs, d, bounds, eq_rows, eq_rhs)
@@ -1054,23 +1066,23 @@ def load_problem_text(text: str, source: str = "<memory>",
             else:
                 raise ProblemFormatError(f"unknown section [{name}]",
                                          name, line)
-        families = ex.parse_families([t for t, _ in texts], d)
+        families = ex.parse_families(texts, d)
     except Exception:
         # errors keep file order: a bad scenario text read before the
         # failure raises its own error first
-        for f_txt, f_line in texts:
+        for f_txt, f_line in zip(texts, lines):
             _parse_expr(f_txt, d, "scenario", f_line)
         raise
 
     if not psi:
         raise ProblemFormatError("no [scenario] sections", "problem", 1)
     if kind == "chebyshev":
-        if any(t is None for t in psi):
+        if None in psi:
             raise ProblemFormatError("chebyshev scenarios all need psi=...",
                                      "scenario", 1)
         psi_t = tuple(psi)
     else:
-        if any(t is not None for t in psi):
+        if psi.count(None) != len(psi):
             raise ProblemFormatError("psi given but kind is not chebyshev",
                                      "scenario", 1)
         psi_t = ()

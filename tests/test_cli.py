@@ -338,6 +338,16 @@ def test_check_builds_point_data_once(monkeypatch):
                       "__init__": 1, "activity": 1}
 
 
+def test_check_evaluates_each_soc_jacobian_once(monkeypatch):
+    """The normal-cone generators and the tangent test of a second-order
+    cone block read the Jacobian kept with the block's activity: one
+    evaluation per block at the point (soc-example has two blocks)."""
+    counts = _count_calls(monkeypatch, (pb.Soc, "jacobian"))
+    code, out, _ = run_cli("check", "--registry", "soc-example", "--json")
+    assert code == 0 and json.loads(out)["necessary"]["zero_in_D"]
+    assert counts == {"jacobian": 2}
+
+
 def test_check_enumerates_second_order_data_once(monkeypatch, tmp_path):
     """Both second-order tests read one enumeration of the multiplier
     vertices and one sample of critical directions."""

@@ -1,8 +1,13 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 import conecert as cc
+from conecert import expr as ex
 from conecert import firstorder as fo
+from conecert import problem as pb
 from conecert import registry
 from conecert.geometry import PointContext
 from conecert.problem import (ProblemFormatError, ToleranceSet, activity,
@@ -347,6 +352,317 @@ def test_split_kv_matches_the_character_scanner(rng):
     for text in texts:
         assert (_split_outcome(_split_kv, text)
                 == _split_outcome(_scan_kv, text)), text
+
+
+# ---------------------------------------------------------------------------
+# the loader before its per-line passes were trimmed, frozen as the
+# reference for them: it must read every text to the same Problem, or fail
+# with the same error
+# ---------------------------------------------------------------------------
+
+
+_FROZEN_KV = re.compile(r'\s*(?:([\w(),]+)=(?:"([^"]*)(")?|(\S*))|(\S.*))',
+                        re.S)
+_FROZEN_FREE_LITERAL = re.compile(
+    r"(?<![\w.])((?:[0-9]+\.[0-9]*|\.[0-9]+)"
+    r"(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+)")
+
+
+def _frozen_split_kv(text, section, line):
+    pairs = []
+    for m in _FROZEN_KV.finditer(text):
+        key, quoted, closed, bare, rest = m.groups()
+        if rest is not None:
+            raise ProblemFormatError(f"expected key=value, got {rest!r}",
+                                     section, line)
+        if quoted is not None and closed is None:
+            raise ProblemFormatError("unterminated quoted value",
+                                     section, line)
+        pairs.append((key, bare if quoted is None else quoted, line))
+    return pairs
+
+
+def _frozen_parse_sections(text):
+    sections = []
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        stripped = line.strip()
+        if stripped.startswith("["):
+            end = stripped.find("]")
+            if end < 0:
+                raise ProblemFormatError("unterminated section header",
+                                         line=lineno)
+            name = stripped[1:end].strip()
+            current = {"name": name, "line": lineno, "pairs": []}
+            sections.append(current)
+            rest = stripped[end + 1:]
+            current["pairs"].extend(_frozen_split_kv(rest, name, lineno))
+        else:
+            if current is None:
+                raise ProblemFormatError("content before first section",
+                                         line=lineno)
+            current["pairs"].extend(
+                _frozen_split_kv(stripped, current["name"], lineno))
+    return sections
+
+
+def _frozen_parse_number(value, section, line):
+    v = value.strip().lower()
+    if v in ("inf", "+inf"):
+        return math.inf
+    if v == "-inf":
+        return -math.inf
+    try:
+        return float(value)
+    except ValueError:
+        raise ProblemFormatError(f"not a number: {value!r}", section, line)
+
+
+def _frozen_scenario_entry(sec):
+    name, f_txt, target = sec["name"], None, None
+    for k, v, ln in sec["pairs"]:
+        if k == "f":
+            f_txt = (v, ln)
+        elif k == "psi":
+            target = _frozen_parse_number(v, name, ln)
+        else:
+            raise ProblemFormatError(f"unknown key {k!r}", name, ln)
+    if f_txt is None:
+        raise ProblemFormatError("scenario needs f=...", name, sec["line"])
+    return f_txt, target
+
+
+def _frozen_parse_families(texts, d, params=()):
+    shapes = {}
+    for i, text in enumerate(texts):
+        parts = _FROZEN_FREE_LITERAL.split(text)
+        members, literals = shapes.setdefault(tuple(parts[::2]), ([], []))
+        members.append(i)
+        literals.append([float(v) for v in parts[1::2]])
+    families = []
+    for pieces, (members, literals) in shapes.items():
+        columns = np.array(literals).reshape(len(members), len(pieces) - 1)
+        try:
+            tokens = ex._tokenize(pieces[0])
+            for slot, piece in enumerate(pieces[1:]):
+                tokens[-1:] = [("lit", slot, 0)] + ex._tokenize(piece)
+            template = ex._parse_tokens(tokens, d, params,
+                                        [ex.Column(c) for c in columns.T])
+        except ex.ExprError:
+            families += [ex.Family(ex.parse(texts[i], d, params),
+                                   np.array([i])) for i in members]
+            continue
+        families.append(ex.Family(template, np.array(members)))
+    return families
+
+
+class _FrozenScenarios(pb._Scenarios):
+    def __init__(self, families):
+        self.families = tuple(families)
+        self._where = {}
+        for fam in self.families:
+            for k, i in enumerate(fam.members.tolist()):
+                self._where[i] = (fam, k)
+        self._trees = [None] * len(self._where)
+
+    def __getitem__(self, i):
+        i = range(len(self._trees))[i]
+        if self._trees[i] is None:
+            fam, k = self._where[i]
+            self._trees[i] = fam.tree(k)
+        return self._trees[i]
+
+
+def _frozen_load(text):
+    """``load_problem_text`` as it read files through the frozen passes
+    (the block sections and [set] read their numbers with
+    ``_frozen_parse_number``, patched in by the caller)."""
+    sections = _frozen_parse_sections(text)
+    if not sections or sections[0]["name"] != "problem":
+        raise ProblemFormatError("file must start with a [problem] section",
+                                 line=1)
+    head = dict((k, (v, ln)) for k, v, ln in sections[0]["pairs"])
+    if "dim" not in head:
+        raise ProblemFormatError("missing dim", "problem", sections[0]["line"])
+    dim_value, dim_line = head["dim"]
+    d = pb._parse_count("dim", dim_value, pb.MAX_DIM, "problem", dim_line)
+    kind = head.get("kind", ("minimax", 0))[0]
+    texts, psi, blocks = [], [], []
+    bounds = {"lb": [-math.inf] * d, "ub": [math.inf] * d}
+    eq_rows, eq_rhs = [], []
+    try:
+        for sec in sections[1:]:
+            name, line, pairs = sec["name"], sec["line"], sec["pairs"]
+            if name == "scenario":
+                f_txt, target = _frozen_scenario_entry(sec)
+                texts.append(f_txt)
+                psi.append(target)
+            elif name == "set":
+                pb._read_set(pairs, d, bounds, eq_rows, eq_rhs)
+            elif name in pb._SECTION_BLOCKS:
+                blocks.append(
+                    pb._SECTION_BLOCKS[name].from_section(pairs, d, line))
+            else:
+                raise ProblemFormatError(f"unknown section [{name}]",
+                                         name, line)
+        families = _frozen_parse_families([t for t, _ in texts], d)
+    except Exception:
+        for f_txt, f_line in texts:
+            pb._parse_expr(f_txt, d, "scenario", f_line)
+        raise
+    if not psi:
+        raise ProblemFormatError("no [scenario] sections", "problem", 1)
+    if kind == "chebyshev":
+        if any(t is None for t in psi):
+            raise ProblemFormatError("chebyshev scenarios all need psi=...",
+                                     "scenario", 1)
+        psi_t = tuple(psi)
+    else:
+        if any(t is not None for t in psi):
+            raise ProblemFormatError("psi given but kind is not chebyshev",
+                                     "scenario", 1)
+        psi_t = ()
+    try:
+        return pb.Problem(
+            d=d, kind=kind, scenarios=_FrozenScenarios(families), psi=psi_t,
+            blocks=tuple(blocks),
+            set_A=pb.PolyhedralSet(tuple(bounds["lb"]), tuple(bounds["ub"]),
+                                   tuple(eq_rows), tuple(eq_rhs)))
+    except ValueError as err:
+        raise ProblemFormatError(str(err), "problem", 1)
+
+
+def _template_parts(template):
+    """A family template with each Column replaced by a numbered marker,
+    and the bytes of each Column's values in marker order."""
+    columns = []
+
+    def mark(node):
+        if isinstance(node, ex.Column):
+            columns.append((node.value.dtype, node.value.tobytes()))
+            return ex.Var(-len(columns))
+        return node
+    return template.map_nodes(mark), columns
+
+
+def _load_outcome(load, text):
+    try:
+        P = load(text)
+    except Exception as err:   # noqa: BLE001 - the error is the outcome
+        return f"{type(err).__name__}: {err}"
+    fams = P.scenarios.families
+    return (P.d, P.kind, np.array(P.psi, dtype=float).tobytes(), P.blocks,
+            P.set_A, [(tree, tree.text()) for tree in
+                      map(P.scenarios.__getitem__, range(len(P.scenarios)))],
+            [(_template_parts(f.template), f.members.tolist()) for f in fams])
+
+
+def _cheb_fit_text(points=400, n=4):
+    """A discretised Chebyshev fit of t^n, one scenario per grid point."""
+    lines = [f"[problem] dim={n} kind=chebyshev"]
+    for t in np.cos(np.pi * np.arange(points) / (points - 1)).tolist():
+        terms = ["x(1)"]
+        for j in range(1, n):
+            a = t ** j
+            terms.append(f"{'-' if a < 0 else '+'} {abs(a)!r}*x({j + 1})")
+        lines.append(f'[scenario] f="{" ".join(terms)}" psi={t ** n!r}')
+    return "\n".join(lines) + "\n"
+
+
+def _mutate(rng, text):
+    """One seeded edit of one line: a dropped quote, a '#' inside a value
+    (and another in a trailing comment), another psi, a literal glued to
+    an identifier, '..5', an Arabic-Indic digit, a no-break space, a line
+    separator or a U+001F padding."""
+    lines = text.split("\n")
+    i = int(rng.integers(0, len(lines)))
+    line = lines[i]
+    kind = int(rng.integers(0, 9))
+    quotes = [k for k, c in enumerate(line) if c == '"']
+    pos = int(rng.integers(0, len(line) + 1))
+    if kind == 0 and quotes:
+        k = quotes[int(rng.integers(0, len(quotes)))]
+        line = line[:k] + line[k + 1:]
+    elif kind == 1 and len(quotes) >= 2:
+        k = int(rng.integers(quotes[0] + 1, quotes[1] + 1))
+        line = line[:k] + "#" + line[k:] + str(rng.choice(["", " # #"]))
+    elif kind == 2:
+        psi = str(rng.choice(["inf", "+inf", "-inf", "nan", "INF", " +Inf",
+                              "\x1finf", "1e999", "1_0", "\u0663.5", "",
+                              "0x1"]))
+        head, sep, _ = line.partition(" psi=")
+        line = (head if sep else line) + f' psi="{psi}"'
+    elif kind == 3:
+        line = line[:pos] + str(rng.choice(["a1.5", "x(1)1.5", "1.5e"]))\
+            + line[pos:]
+    elif kind == 4:
+        line = line[:pos] + "..5" + line[pos:]
+    elif kind == 5:
+        digits = [k for k, c in enumerate(line) if c.isdigit()]
+        if digits:
+            k = digits[int(rng.integers(0, len(digits)))]
+            line = line[:k] + chr(0x660 + int(line[k])) + line[k + 1:]
+    elif kind == 6:
+        spaces = [k for k, c in enumerate(line) if c == " "]
+        if spaces:
+            k = spaces[int(rng.integers(0, len(spaces)))]
+            line = line[:k] + "\u00a0" + line[k + 1:]
+    elif kind == 7:
+        line = line[:pos] + "\u2028" + line[pos:]
+    else:
+        line = line[:pos] + "\x1f" + line[pos:]
+    lines[i] = line
+    return "\n".join(lines)
+
+
+def test_loader_matches_the_frozen_parser(rng, monkeypatch):
+    """Every registry text, a 400-line Chebyshev file and seeded mutations
+    of them load to the same Problem as through the frozen passes, or fail
+    with the same error."""
+    from conecert.registry import _FIXED, _linf_entry
+    base = [e.text for e in [*_FIXED.values(), _linf_entry(3)]]
+    base.append(_cheb_fit_text())
+    texts = list(base)
+    # one to three edits of a registry text, one edit of the long file
+    for _ in range(400):
+        text = base[int(rng.integers(0, len(base) - 1))]
+        for _ in range(int(rng.integers(1, 4))):
+            text = _mutate(rng, text)
+        texts.append(text)
+    for _ in range(40):
+        texts.append(_mutate(rng, base[-1]))
+    errors = 0
+    for text in texts:
+        got = _load_outcome(load_problem_text, text)
+        with monkeypatch.context() as m:
+            m.setattr(pb, "_parse_number", _frozen_parse_number)
+            want = _load_outcome(_frozen_load, text)
+        assert got == want, text
+        errors += isinstance(got, str)
+    # the mutations reach both outcomes
+    assert 50 < errors < len(texts) - 50
+    for value in ["inf", " +INF ", "-inf\u2028", "\x1finf", "\x1f-inf",
+                  "nan", "1_0", "\u0663.5", "infinity", "", "1e999", "--1"]:
+        got, want = (_split_outcome(parse, value)
+                     for parse in (pb._parse_number, _frozen_parse_number))
+        assert (np.float64(got).tobytes() == np.float64(want).tobytes()
+                if isinstance(want, float) else got == want), value
+
+
+def test_free_literal_split_matches_the_frozen_pattern(rng):
+    alphabet = list("0123456789..eE+-x()a_ *") + ["\u0663", "\u00b2",
+                                                  "\u00e9", "\u00a0"]
+    lengths = rng.integers(0, 17, size=100_000)
+    chars = "".join([alphabet[k] for k in
+                     rng.integers(0, len(alphabet), size=int(lengths.sum()))])
+    ends = np.cumsum(lengths).tolist()
+    for start, end in zip([0] + ends, ends):
+        text = chars[start:end]
+        assert (ex._FREE_LITERAL.split(text)
+                == _FROZEN_FREE_LITERAL.split(text)), text
 
 
 def test_block_sections_read_what_they_print():

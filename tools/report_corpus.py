@@ -10,10 +10,11 @@ with the penalty parameter, small files with values undefined at
 the point, two negative-definite matrix blocks with entries near the
 largest float, three small files whose second-order tests have
 critical directions, a file whose gradients span one axis of the
-plane, so the interior margin meets a redundant row, and, last, the two
-largest sampled searches: `sdp-example` with 1,024 directions, which
-exhausts its subset budget, and `soc-example` with 4,096 directions and
-the second-order tests.  Each case prints one header line,
+plane, so the interior margin meets a redundant row, the two largest
+sampled searches: `sdp-example` with 1,024 directions, which exhausts its
+subset budget, and `soc-example` with 4,096 directions and the
+second-order tests, and, last, the least-deviation fit of t^4 on 401 grid
+points, one scenario per point.  Each case prints one header line,
 `== <argv> -> exit <code>`, then its report or error.
 
 Run it at two commits and compare the outputs with `cmp`: a change that
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import re
 import sys
@@ -100,6 +102,28 @@ FILES = {
     "flat.prob": '[problem] dim=2\n[scenario] f="x(1)"\n'
                  '[scenario] f="-x(1)"\n',
 }
+
+
+def chebyshev_fit(n=4, points=401):
+    """The best approximation of t^n by polynomials of degree < n on a
+    cosine grid of ``points`` points, written as a discretised Chebyshev
+    fit is written: one [scenario] line per grid point, signed ``repr``
+    coefficients, the target t^n as psi.  The grid holds the n+1 extrema
+    of T_n when n divides points - 1."""
+    lines = [f"[problem] dim={n} kind=chebyshev"]
+    for k in range(points):
+        t = math.cos(math.pi * k / (points - 1))
+        terms = ["x(1)"]
+        for j in range(1, n):
+            a = t ** j
+            terms.append(f"{'-' if a < 0 else '+'} {abs(a)!r}*x({j + 1})")
+        lines.append(f'[scenario] f="{" ".join(terms)}" psi={t ** n!r}')
+    return "\n".join(lines) + "\n"
+
+
+# t^4 - T_4(t)/8 = t^2 - 1/8 attains the least deviation 1/8 at the five
+# extrema of T_4: a scenario-heavy file, read line by line by the loader
+FILES["cheb4.prob"] = chebyshev_fit()
 FILE_CASES = (("semiinf.prob", "0.75"), ("semiinf.prob", "1.05"),
               ("nlp_ineq.prob", "0.75"), ("nlp_eq.prob", "0.9"),
               ("nlp_eq.prob", "1.1"))
@@ -144,6 +168,8 @@ def cases():
     yield ["--registry", "sdp-example", "--sdp-dirs", "1024"]
     yield ["--registry", "soc-example", "--soc-dirs", "4096",
            "--second-order"]
+    yield ["--file", "cheb4.prob", "--at=-0.125,0,1,0", "--second-order",
+           "--penalty", "10"]
 
 
 def main() -> int:
