@@ -357,9 +357,9 @@ def _hull_pool(grads, grads_prov, generalised: bool):
     prov = list(grads_prov)
     if not generalised or not pool:
         return pool, prov
-    zero = np.zeros_like(pool[0])
-    if lp_membership(zero, pool) is None:
-        return pool, prov
+    # the one LP below also decides whether 0 is in co(pool): when it is
+    # not, a strict separator h has <h, v> > 0 on the pool, so <h, aux> < 0
+    # for aux = -mean(S), which is then not in co(pool) either
     S = _greedy_independent(pool)
     if not S:
         return pool, prov
@@ -675,12 +675,12 @@ def necessary_check(ctx: PointContext,
     _feasible_context(ctx)
     P = ctx.problem
     G = ctx.squared if squared else ctx.generators
-    weights = lp_membership(np.zeros(P.d), G.grads_F, G.cone)
+    res = G.tableau.solve(0)
     witness = None
-    zero_in_D = weights is not None
+    zero_in_D = res.status == "optimal"
     if zero_in_D:
-        lam, mu = weights
-        witness = _assemble_witness(ctx, G, lam, mu)
+        m = len(G.grads_F)
+        witness = _assemble_witness(ctx, G, res.x[:m], res.x[m:])
         witness.stationarity_residual = _witness_residual(
             P, ctx.x, witness, squared=squared)
         if witness.stationarity_residual > 1e-8 * max(
@@ -741,7 +741,7 @@ def sufficient_check(ctx: PointContext,
     _feasible_context(ctx)
     P = ctx.problem
     G = ctx.squared if squared else ctx.generators
-    interior = lp_chebyshev_center(G.grads_F, G.cone)
+    interior = lp_chebyshev_center(G.tableau)
     margin = 0.0 if interior is None else interior
     radius = margin / math.sqrt(P.d)
     verdict = interior is not None and margin > P.tolerances.eps_pos

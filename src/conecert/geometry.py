@@ -21,6 +21,7 @@ import numpy as np
 from .cones import (EigenFailure, Provenance, SpectralData, axis_directions,
                     pair_dots, project_psd_neg, project_soc,
                     sdp_null_directions, unit_directions)
+from .linkernel import Tableau, combination_system
 from .problem import (ActiveSets, FeasibilityReport, PolyhedralSet, Problem,
                       activity, check_feasible, squared_generators,
                       subdifferential_generators)
@@ -60,6 +61,8 @@ class GeneratorSet:
     normal cone, nA the normal cone of the polyhedral set.  eta_dual holds
     the block-space dual each eta vector is the image of.  ``sampled`` is
     set when eta contains sampled (inner-approximation) directions.
+    ``tableau`` holds the set's one phase 1: membership, the interior
+    margins and the second-order forms all re-optimise from it.
     """
 
     d: int
@@ -77,6 +80,12 @@ class GeneratorSet:
         """The generators of the two normal cones, eta then nA: the cone
         weights' columns in ``linkernel.combination_system``."""
         return list(self.eta) + list(self.nA)
+
+    @cached_property
+    def tableau(self) -> Tableau:
+        """Phase 1 of the system of 0 in co(grads_F) + cone(cone), run on
+        first use; infeasible when grads_F is empty."""
+        return Tableau(*combination_system(self.grads_F, self.cone, d=self.d))
 
 
 def nA_vector(A: PolyhedralSet, d: int, prov: Provenance) -> np.ndarray:
@@ -186,10 +195,11 @@ class PointContext:
     use and then shared: feasibility, the objective with its active sets
     and block states (the matrix spectral data among them), the plain and
     squared generator sets (holding the one sample of apex and kernel
-    directions) and the tangent tester.  Build one per problem, point and
-    sampling, and pass it to each check.  ``memo`` holds what the checks
-    derive from these and share (the second-order tests keep their
-    multiplier vertices and critical directions there)."""
+    directions, and each its own phase 1, ``GeneratorSet.tableau``) and
+    the tangent tester.  Build one per problem, point and sampling, and
+    pass it to each check.  ``memo`` holds what the checks derive from
+    these and share (the second-order tests keep their multiplier vertices
+    and critical directions there)."""
 
     def __init__(self, problem: Problem, x,
                  sampling: SamplingSpec | None = None):

@@ -3,15 +3,15 @@
 Everything here works on problems with at most a few hundred variables.
 The simplex uses Bland's rule throughout, so it terminates on degenerate
 instances and produces the same answer on every run.  Its phase 1 does not
-read the cost, so a ``Tableau`` keeps it: the interior margins and the
-second-order forms solve many objectives on one system from one phase 1,
-and every optimum is re-verified by its residual before anyone reads it.
+read the cost, so a ``Tableau`` keeps it, and every optimum is re-verified
+by its residual before anyone reads it.
 
 First-order optimality in its KKT, normal-cone and exact-penalty forms
 is one linear system, 0 in co{grad f_i(x)} + cone(N_K(x)) + cone(N_A(x)),
-which ``combination_system`` lays out.  Membership, the interior margins,
-the penalty inclusion and the multiplier vertices differ only in the
-objective, the target and the caps on runs of cone weights.
+which ``combination_system`` lays out.  Membership, the interior margins
+and the second-order forms solve their objectives from the generator
+set's one ``Tableau`` of it (``geometry.GeneratorSet.tableau``); the
+penalty inclusion caps runs of cone weights, a system of its own.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ __all__ = [
     "det", "rank", "stacked_rank", "SCREEN_CHUNK",
     "solve_positive_combination", "positive_combinations",
     "LpResult", "Tableau", "simplex_solve",
-    "combination_system", "lp_membership", "lp_direction_margin",
-    "lp_chebyshev_center",
+    "combination_system", "lp_membership", "lp_chebyshev_center",
 ]
 
 
@@ -292,13 +291,14 @@ class Tableau:
 
     def solve(self, c, column=None) -> LpResult:
         """min c@x over [A | column] x = b, x >= 0, from the kept phase 1;
-        c covers the extra column when one is given.  Feasibility is phase
-        1's, on A alone: a system that needs the extra variable above 0 to
-        be feasible reads infeasible.  An optimal x is re-verified against
-        [A | column] and b (``_verified``)."""
+        c covers the extra column when one is given, and a scalar c costs
+        every column alike.  Feasibility is phase 1's, on A alone: a system
+        that needs the extra variable above 0 to be feasible reads
+        infeasible.  An optimal x is re-verified against [A | column] and b
+        (``_verified``)."""
         A = self.A if column is None else np.column_stack([self.A, column])
-        return _verified(self._optimum(np.asarray(c, dtype=float), A),
-                         A, self.b)
+        c = np.broadcast_to(np.asarray(c, dtype=float), A.shape[1:])
+        return _verified(self._optimum(c, A), A, self.b)
 
     def _optimum(self, c, A) -> LpResult:
         """Phase 2 on a copy of the kept tableau, with the columns of A
@@ -367,7 +367,7 @@ def simplex_solve(c, A, b) -> LpResult:
 # ---------------------------------------------------------------------------
 
 
-def combination_system(hull, cone, caps=()):
+def combination_system(hull, cone, caps=(), d=None):
     """The equality system (A, b) of 0 in co(hull) + cone(cone), with the
     weights of some runs of cone generators capped at a total of 1.
 
@@ -375,11 +375,12 @@ def combination_system(hull, cone, caps=()):
     slack per cap.  Rows are the d coordinates, sum(lam_i hull_i) +
     sum(mu_j cone_j) = 0; the convexity row, sum(lam) = 1; and per cap
     (start, stop), sum(mu[start:stop]) + slack = 1.  A caller looking for
-    another target than 0 sets it in b[:d].  hull must be nonempty."""
-    nh, nc, d = len(hull), len(cone), len(hull[0])
+    another target than 0 sets it in b[:d].  d is len(hull[0]) unless
+    given; an empty hull leaves the convexity row without a column, so the
+    system is infeasible."""
+    nh, nc, d = len(hull), len(cone), d or len(hull[0])
     A = np.zeros((d + 1 + len(caps), nh + nc + len(caps)))
-    A[:d, :nh + nc] = np.column_stack(
-        [np.asarray(v, dtype=float) for v in (*hull, *cone)])
+    A[:d, :nh + nc] = np.reshape([*hull, *cone], (nh + nc, d)).T
     A[d, :nh] = 1.0
     b = np.zeros(len(A))
     b[d:] = 1.0
@@ -393,9 +394,7 @@ def lp_membership(target, hull, cone=()):
     """Weights expressing target = sum(lam_i hull_i) + sum(mu_j cone_j)
     with lam >= 0, sum(lam) = 1, mu >= 0.  Returns (lam, mu) or None."""
     nh = len(hull)
-    if nh == 0:
-        return None
-    A, b = combination_system(hull, cone)
+    A, b = combination_system(hull, cone, d=len(target))
     b[:-1] = target
     res = simplex_solve(np.zeros(A.shape[1]), A, b)
     if res.status != "optimal":
@@ -403,18 +402,16 @@ def lp_membership(target, hull, cone=()):
     return res.x[:nh].copy(), res.x[nh:].copy()
 
 
-def _margins(hull, cone, directions):
-    """For each direction u in turn, max r >= 0 with r * u in co(hull) +
-    cone(cone): math.inf when unbounded, None when even r = 0 is
-    unattainable (the set does not contain the origin), never negative.
-    Every u shares one combination system, so phase 1 runs once on it;
-    each probe re-optimises from that tableau with one more column, -u,
-    which can pin r = 0 on a row that phase 1 found redundant."""
-    A, b = combination_system(hull, cone)
-    tableau = Tableau(A, b)
-    c = np.zeros(A.shape[1] + 1)
+def _margins(tableau, directions):
+    """For each direction u in turn, max r >= 0 with r * u in the set
+    whose combination system ``tableau`` holds (no caps): math.inf when
+    unbounded, None when even r = 0 is unattainable (the set does not
+    contain the origin), never negative.  Each probe re-optimises from the
+    kept phase 1 with one more column, -u, which can pin r = 0 on a row
+    that phase 1 found redundant."""
+    c = np.zeros(tableau.A.shape[1] + 1)
     c[-1] = -1.0
-    column = np.zeros(len(b))
+    column = np.zeros(len(tableau.b))
     for u in directions:
         column[:-1] = -np.asarray(u, dtype=float)
         res = tableau.solve(c, column)
@@ -426,26 +423,17 @@ def _margins(hull, cone, directions):
                    else None)
 
 
-def lp_direction_margin(direction, hull, cone=()):
-    """max r >= 0 with r * direction in co(hull) + cone(cone); math.inf
-    when unbounded, None when the set does not contain the origin."""
-    if len(hull) == 0:
-        return None
-    return next(_margins(hull, cone, [direction]))
-
-
-def lp_chebyshev_center(hull, cone=()):
-    """Directional interior margin of co(hull) + cone(cone): the largest
-    common r with r * u in the set for every probe direction u (the 2d
-    signed axes, then -ones/sqrt(d)), math.inf when no probe is bounded.
-    The set then contains the l1 ball of that radius spanned by the axes,
-    so a Euclidean ball of radius margin/sqrt(d) is certified.  None when
-    the set does not contain the origin."""
-    if len(hull) == 0:
-        return None
-    d = len(hull[0])
+def lp_chebyshev_center(tableau):
+    """Directional interior margin of the set whose combination system
+    ``tableau`` holds (no caps; d = len(b) - 1): the largest common r with
+    r * u in the set for every probe direction u (the 2d signed axes, then
+    -ones/sqrt(d)), math.inf when no probe is bounded.  The set then
+    contains the l1 ball of that radius spanned by the axes, so a Euclidean
+    ball of radius margin/sqrt(d) is certified.  None when the set does
+    not contain the origin."""
+    d = len(tableau.b) - 1
     margin = math.inf
-    for r in _margins(hull, cone,
+    for r in _margins(tableau,
                       axis_directions(d) + [-np.ones(d) / math.sqrt(d)]):
         if r is None:
             return None

@@ -1004,6 +1004,9 @@ def _scenario_entry(pairs, line):
             f_txt, f_line = v, ln
         elif k == "psi":
             target = _parse_number(v, "scenario", ln)
+            if not math.isfinite(target):
+                raise ProblemFormatError(f"psi must be finite, got {v!r}",
+                                         "scenario", ln)
         else:
             raise ProblemFormatError(f"unknown key {k!r}", "scenario", ln)
     if f_txt is None:

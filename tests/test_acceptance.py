@@ -15,7 +15,7 @@ from conecert import registry
 from conecert import secondorder as so
 from conecert.geometry import (PointContext, build_generator_set,
                                project_psd_neg, project_soc)
-from conecert.linkernel import lp_direction_margin, lp_membership
+from conecert.linkernel import _margins, lp_membership
 from conecert.oracle import (fd_hessian, growth_probe,
                              hull_membership_bruteforce)
 from conecert.problem import activity, evaluate_objective, load_problem_text
@@ -104,8 +104,7 @@ def test_criterion_05_counterexample():
                    [0, 0, -eps]):
         ok = ok and lp_membership(np.array(target, dtype=float),
                                   G.grads_F, cone) is not None
-    margin_up = lp_direction_margin(np.array([0.0, 0.0, 1.0]),
-                                    G.grads_F, cone)
+    margin_up = next(_margins(G.tableau, [np.array([0.0, 0.0, 1.0])]))
     ok = ok and margin_up == pytest.approx(1.0, abs=1e-9)
     ok = ok and fo.find_cadre(G, "generalised", p_min=4) is None
     weak = fo.find_cadre(G, "weak", p_min=4)

@@ -369,20 +369,30 @@ def test_check_linf_second_order_does_no_multiplier_work(monkeypatch):
     """linf d=11 has no critical direction at 0, so the second-order tests
     solve no LP and look at no multiplier, and the multiplier set of its
     polyhedral blocks counts as exhaustive."""
-    from conecert import secondorder
+    from conecert import geometry, secondorder
     counts = _count_calls(monkeypatch,
                           (secondorder, "multiplier_vertices"))
-    lps = []
-    tableau = secondorder.Tableau
-    monkeypatch.setattr(secondorder, "Tableau",
-                        lambda *args: lps.append(1) or tableau(*args))
+    lps, solves = [], []
+
+    class Counting(geometry.Tableau):
+        def __init__(self, *args):
+            lps.append(1)
+            super().__init__(*args)
+
+        def solve(self, *args):
+            solves.append(1)
+            return super().solve(*args)
+
+    monkeypatch.setattr(geometry, "Tableau", Counting)
     code, out, _ = run_cli("check", "--registry", "linf", "--dim", "11",
                            "--second-order", "--json")
     tests = json.loads(out)["second_order"]
     assert code == 0
     assert [t["n_directions"] for t in tests] == [0, 0]
     assert [t["multiplier_set_exhaustive"] for t in tests] == [True, True]
-    assert counts == {} and lps == []
+    # the generator set's one phase 1, and the solves of membership and
+    # of the 2 * 11 + 1 margin probes: the second-order tests add none
+    assert counts == {} and lps == [1] and len(solves) == 1 + 23
 
 
 def test_flavor_search_reuses_the_checks_searches(monkeypatch):

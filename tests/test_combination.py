@@ -7,11 +7,13 @@ report said infeasible.  The margins and the second-order forms solve
 every objective on one system from one kept phase 1 (``Tableau``); the
 frozen references solve each LP alone."""
 
+import json
 import math
 
 import numpy as np
 
 from conecert import firstorder as fo
+from conecert import geometry
 from conecert import linkernel as lk
 from conecert import registry
 from conecert import secondorder as so
@@ -185,15 +187,16 @@ def _recording(monkeypatch, module, name):
     return calls
 
 
-def _recording_tableaux(monkeypatch, module):
-    """Patch module.Tableau to count the systems it is built on (phase 1
-    runs once per build) and to record, per solve, copies of the cost,
-    the system [A | column] and b, then solve."""
+def _recording_tableaux(monkeypatch, *modules):
+    """Patch Tableau in each module to record copies of the systems (A, b)
+    it is built on (phase 1 runs once per build) and, per solve, copies of
+    the cost, the system [A | column] and b, then solve."""
     builds, calls = [], []
 
     class Recording(lk.Tableau):
         def __init__(self, A, b):
-            builds.append(1)
+            builds.append((np.array(A, dtype=float, copy=True),
+                           np.array(b, dtype=float, copy=True)))
             super().__init__(A, b)
 
         def solve(self, c, column=None):
@@ -203,8 +206,15 @@ def _recording_tableaux(monkeypatch, module):
                                for a in (c, A, self.b)))
             return super().solve(c, column)
 
-    monkeypatch.setattr(module, "Tableau", Recording)
+    for module in modules:
+        monkeypatch.setattr(module, "Tableau", Recording)
     return builds, calls
+
+
+def _set_tableau(d, hull, cone):
+    """The kept phase 1 of a generator set with these hull and cone
+    vectors (``GeneratorSet.tableau``)."""
+    return GeneratorSet(d=d, grads_F=list(hull), eta=list(cone)).tableau
 
 
 def _assert_systems(got, want):
@@ -217,7 +227,7 @@ def _assert_systems(got, want):
 
 def test_membership_and_margin_systems_match_the_frozen_builders(
         monkeypatch):
-    _, calls = _recording_tableaux(monkeypatch, lk)
+    _, calls = _recording_tableaux(monkeypatch, lk, geometry)
     for _, G in _generator_sets():
         target = np.zeros(G.d)
         calls.clear()
@@ -226,7 +236,7 @@ def test_membership_and_margin_systems_match_the_frozen_builders(
                                                        G.cone)])
         for u in _ref_probes(G.d):
             calls.clear()
-            lk.lp_direction_margin(u, G.grads_F, G.cone)
+            next(lk._margins(G.tableau, [u]))
             _assert_systems(calls, [_ref_margin_system(u, G.grads_F,
                                                        G.cone)])
 
@@ -251,13 +261,13 @@ def test_interior_margin_is_the_old_probe_minimum(monkeypatch):
     from one phase 1.  Where the origin lies outside the set, that phase
     1 is infeasible and the first probe already reads None, while the
     reference may find r * u in the set for some r > 0 and stop later."""
-    builds, calls = _recording_tableaux(monkeypatch, lk)
+    builds, calls = _recording_tableaux(monkeypatch, lk, geometry)
     outcomes = set()
     for d, hull, cone in _chebyshev_cases():
         calls.clear()
         feasible, margin = _ref_chebyshev_center(hull, cone, d)
         want, calls[:], builds[:] = list(calls), [], []
-        got = lk.lp_chebyshev_center(hull, cone)
+        got = lk.lp_chebyshev_center(_set_tableau(d, hull, cone))
         # the same LPs, in the same order, stopping at the same probe, or
         # at the first one when the origin is outside the set
         _assert_systems(calls, want if feasible else want[:1])
@@ -294,7 +304,7 @@ def test_margins_match_the_per_probe_reference_on_random_families():
     outcomes = set()
     for d, hull, cone in _random_wide_families(1000, 20261018):
         probes = _ref_probes(d)
-        got = list(lk._margins(hull, cone, probes))
+        got = list(lk._margins(_set_tableau(d, hull, cone), probes))
         want = [_ref_direction_margin(u, hull, cone) for u in probes]
         if None in want:
             assert got == [None] * len(probes)
@@ -313,8 +323,8 @@ def test_margins_match_the_per_probe_reference_on_random_families():
 def test_linf9_margins_run_phase_one_once(monkeypatch):
     """The 19 probes of linf d = 9 share one phase 1."""
     G = PointContext(*registry.get("linf", dim=9)).generators
-    builds, calls = _recording_tableaux(monkeypatch, lk)
-    margin = lk.lp_chebyshev_center(G.grads_F, G.cone)
+    builds, calls = _recording_tableaux(monkeypatch, geometry)
+    margin = lk.lp_chebyshev_center(G.tableau)
     assert len(builds) == 1 and len(calls) == 19
     assert margin == _ref_chebyshev_center(G.grads_F, G.cone, 9)[1]
 
@@ -322,12 +332,13 @@ def test_linf9_margins_run_phase_one_once(monkeypatch):
 def test_interior_margin_reads_none_and_inf():
     # the origin is outside co{(1, 1)}: no probe is attainable
     assert _ref_chebyshev_center([(1.0, 1.0)], (), 2) == (False, 0.0)
-    assert lk.lp_chebyshev_center([(1.0, 1.0)]) is None
+    assert lk.lp_chebyshev_center(_set_tableau(2, [(1.0, 1.0)], ())) is None
     # a cone spanning the plane leaves every probe unbounded
     cone = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
     assert _ref_chebyshev_center([(0.0, 0.0)], cone, 2) == (True, math.inf)
-    assert lk.lp_chebyshev_center([(0.0, 0.0)], cone) == math.inf
-    assert lk.lp_chebyshev_center([]) is None
+    assert lk.lp_chebyshev_center(_set_tableau(2, [(0.0, 0.0)], cone)) \
+        == math.inf
+    assert lk.lp_chebyshev_center(_set_tableau(2, [], ())) is None
 
 
 def test_penalty_systems_match_the_frozen_builder(monkeypatch):
@@ -353,7 +364,7 @@ def test_penalty_groups_reach_the_caps():
 def test_vertex_systems_match_the_frozen_builder(monkeypatch):
     """The second-order LP of a polyhedral problem runs on the frozen
     vertex system, one solve per direction; curved blocks solve none."""
-    tableaux, seen = _recording_tableaux(monkeypatch, so)
+    tableaux, seen = _recording_tableaux(monkeypatch, geometry)
     built = 0
     for ctx, G in _generator_sets():
         report = fo.NecessaryReport(
@@ -424,7 +435,7 @@ def test_form_maxima_are_the_per_direction_lps(monkeypatch):
     """Phase 1 does not read the cost, so the forms solved from one kept
     tableau equal the one-shot LP per direction bit for bit, and phase 1
     runs once per call however many directions there are."""
-    tableaux, solves = _recording_tableaux(monkeypatch, so)
+    tableaux, solves = _recording_tableaux(monkeypatch, geometry)
     n_dirs, values = set(), []
     for ctx, G, dirs in _second_order_systems():
         want = _ref_form_values(ctx, G, dirs)
@@ -447,3 +458,38 @@ def test_cone_property_is_eta_then_nA():
     assert [float(v[0]) for v in G.cone] == [1.0, -1.0]
     G.cone.append(np.array([2.0]))
     assert len(G.eta) == 1 and len(G.nA) == 1
+
+
+def _builds_on(builds, G):
+    """How many of the recorded builds ran phase 1 on G's system."""
+    A, b = lk.combination_system(G.grads_F, G.cone)
+    return sum(a.shape == A.shape and np.array_equal(a, A)
+               and np.array_equal(c, b) for a, c in builds)
+
+
+def test_one_phase_one_per_generator_set(monkeypatch, tmp_path, capsys):
+    """A check with the second-order tests, on a polyhedral file with
+    critical directions, runs phase 1 once on the generator set's system:
+    membership, the margins and the forms all re-optimise from it.  The
+    squared-deviation checks run it once more, on the squared set's own
+    system, and never again on either."""
+    from conecert import cli
+    builds, solves = _recording_tableaux(monkeypatch, lk, geometry)
+    path = tmp_path / "pinch.prob"
+    path.write_text(_CRITICAL[0])
+    cli.main(["check", "--file", str(path), "--at", "0,0", "--second-order",
+              "--json"])
+    tests = json.loads(capsys.readouterr().out)["second_order"]
+    assert min(t["n_directions"] for t in tests) > 0
+    ctx = PointContext(load_problem_text(_CRITICAL[0]), (0.0, 0.0))
+    assert _builds_on(builds, ctx.generators) == 1
+    # membership, 2d + 1 margin probes and one form per direction
+    assert len(solves) >= 1 + 5 + tests[0]["n_directions"]
+
+    ctx = PointContext(load_problem_text(CHEBYSHEV), (0.5, 0.0))
+    builds.clear()
+    for squared in (False, True):
+        fo.necessary_check(ctx, squared=squared)
+        fo.sufficient_check(ctx, squared=squared)
+    assert _builds_on(builds, ctx.generators) == 1
+    assert _builds_on(builds, ctx.squared) == 1

@@ -550,7 +550,7 @@ def test_cadre_membership_oracle_agreement(rng):
             np.testing.assert_allclose(
                 np.column_stack(cadre.vectors) @ cadre.multipliers, 0.0,
                 atol=1e-8)
-        margin = lp_chebyshev_center(hull, cone)
+        margin = lp_chebyshev_center(G.tableau)
         if margin is not None:
             # a finite margin in every probe direction implies membership
             assert member

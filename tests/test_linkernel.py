@@ -245,18 +245,30 @@ def test_membership_with_cone():
     assert weights is not None
 
 
+def _tableau(hull, cone=()):
+    """The kept phase 1 of the combination system of co(hull) +
+    cone(cone)."""
+    return lk.Tableau(*lk.combination_system(hull, cone))
+
+
+def _margin(direction, hull, cone=()):
+    """max r >= 0 with r * direction in co(hull) + cone(cone)."""
+    return next(lk._margins(_tableau(hull, cone), [direction]))
+
+
 def test_interior_dem_positive_margin():
-    margin = lk.lp_chebyshev_center([(5, 1), (-5, 1), (0, -2)])
+    margin = lk.lp_chebyshev_center(_tableau([(5, 1), (-5, 1), (0, -2)]))
     assert margin is not None and margin > 0
 
 
 def test_interior_single_point():
-    margin = lk.lp_chebyshev_center([(1, 0)])
+    margin = lk.lp_chebyshev_center(_tableau([(1, 0)]))
     assert margin is None or margin == 0.0
 
 
 def test_interior_cross_with_cone():
-    margin = lk.lp_chebyshev_center([(1, 0), (-1, 0)], [(0, 1), (0, -1)])
+    margin = lk.lp_chebyshev_center(_tableau([(1, 0), (-1, 0)],
+                                             [(0, 1), (0, -1)]))
     assert margin is not None and margin > 0
     # positive margin implies membership of the scaled axis targets
     for k in range(2):
@@ -270,18 +282,18 @@ def test_interior_cross_with_cone():
 def test_direction_margin_values():
     hull = [(1.0, 0.0)]
     cone = [(-1.0, 0.0), (0.0, -1.0)]
-    assert lk.lp_direction_margin((1.0, 0.0), hull, cone) == pytest.approx(1.0)
-    assert lk.lp_direction_margin((-1.0, 0.0), hull, cone) == math.inf
+    assert _margin((1.0, 0.0), hull, cone) == pytest.approx(1.0)
+    assert _margin((-1.0, 0.0), hull, cone) == math.inf
     # +e2 only reaches the origin
-    assert lk.lp_direction_margin((0.0, 1.0), hull, cone) == pytest.approx(0.0)
+    assert _margin((0.0, 1.0), hull, cone) == pytest.approx(0.0)
     # a direction the set never touches reports infeasible
-    assert lk.lp_direction_margin((0.0, 1.0), hull, ()) is None
+    assert _margin((0.0, 1.0), hull, ()) is None
 
 
 def test_unverified_simplex_solutions_read_as_no_solution(monkeypatch):
     hull, cone = [(5, 1), (-5, 1), (0, -2)], [(0.0, -1.0)]
     assert lk.lp_membership(np.zeros(2), hull, cone) is not None
-    assert lk.lp_direction_margin((0.0, 1.0), hull, cone) > 0
+    assert _margin((0.0, 1.0), hull, cone) > 0
     optimum = lk.Tableau._optimum
 
     def perturbed(self, c, A):
@@ -293,14 +305,22 @@ def test_unverified_simplex_solutions_read_as_no_solution(monkeypatch):
     # phase 2 of every LP, one-shot or from a kept tableau, ends here
     monkeypatch.setattr(lk.Tableau, "_optimum", perturbed)
     assert lk.lp_membership(np.zeros(2), hull, cone) is None
-    assert lk.lp_direction_margin((0.0, 1.0), hull, cone) is None
+    assert _margin((0.0, 1.0), hull, cone) is None
 
 
 def test_interior_margin_of_a_segment_is_positive_zero():
     """co{(1, 0), (-1, 0)} holds the origin on its boundary: the margin
     is 0.0, never the -0.0 that the LP's pivots can leave in r."""
-    margin = lk.lp_chebyshev_center([(1, 0), (-1, 0)])
+    margin = lk.lp_chebyshev_center(_tableau([(1, 0), (-1, 0)]))
     assert margin == 0.0 and math.copysign(1.0, margin) == 1.0
+
+
+def test_scalar_cost_costs_every_column_alike():
+    """``solve(0)`` is the feasibility LP with the zero cost vector."""
+    tableau = _tableau([(5, 1), (-5, 1), (0, -2)], [(0.0, -1.0)])
+    got, want = tableau.solve(0), tableau.solve(np.zeros(4))
+    assert got.status == want.status == "optimal"
+    assert np.array_equal(got.x, want.x) and got.objective == 0.0
 
 
 def test_tableau_keeps_phase_one_for_every_cost(rng):

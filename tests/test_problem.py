@@ -219,6 +219,20 @@ def test_chebyshev_requires_targets():
             '[problem] dim=1\n[scenario] f="x(1)" psi=1\n')
 
 
+def test_chebyshev_rejects_targets_that_are_not_finite():
+    """A NaN target once read as objective value nan, or was passed over
+    when a finite target came first; each spelling is now an input
+    error naming the line."""
+    for value in ("nan", "inf", "-inf", "+inf", "1e400"):
+        for first, second in ((value, "0.5"), ("0.5", value)):
+            with pytest.raises(ProblemFormatError, match="finite") as err:
+                load_problem_text(
+                    '[problem] dim=1 kind=chebyshev\n'
+                    f'[scenario] f="x(1)" psi={first}\n'
+                    f'[scenario] f="x(1)" psi={second}\n')
+            assert f"line {2 if first == value else 3}" in str(err.value)
+
+
 def test_plain_vs_squared_verdicts_agree(rng):
     # engineered Chebyshev instances with positive deviation at the probe
     for trial in range(25):
@@ -428,6 +442,10 @@ def _frozen_scenario_entry(sec):
             f_txt = (v, ln)
         elif k == "psi":
             target = _frozen_parse_number(v, name, ln)
+            # the format admits only a finite target (docs/problem-format.md)
+            if not math.isfinite(target):
+                raise ProblemFormatError(f"psi must be finite, got {v!r}",
+                                         name, ln)
         else:
             raise ProblemFormatError(f"unknown key {k!r}", name, ln)
     if f_txt is None:

@@ -634,7 +634,7 @@ def test_lp_maximum_matches_reference_vertices(system):
     Aeq, beq = _LEVEL_SYSTEMS[system]()
     n = Aeq.shape[1]
     verts = np.array(_reference_vertices(Aeq, beq, n))
-    tableau = so.Tableau(Aeq, beq)
+    tableau = Tableau(Aeq, beq)
     bounded = tableau.solve(-np.ones(n)).status == "optimal"
     rng = np.random.default_rng(sum(map(ord, system)))
     solved = 0
@@ -661,8 +661,8 @@ def test_lp_witness_is_unscreened_vertex(system):
     Aeq, beq = _LEVEL_SYSTEMS[system]()
     n = Aeq.shape[1]
     verts = np.array(_reference_vertices(Aeq, beq, n))
-    tableau = so.Tableau(Aeq, beq)
-    reduced = so.Tableau(np.delete(Aeq, 2, axis=0), np.delete(beq, 2))
+    tableau = Tableau(Aeq, beq)
+    reduced = Tableau(np.delete(Aeq, 2, axis=0), np.delete(beq, 2))
     rng = np.random.default_rng(sum(map(ord, system)))
     for q in rng.standard_normal((20, n)):
         res = tableau.solve(-q)
@@ -685,14 +685,21 @@ def test_lp_failure_draws_no_refutation(monkeypatch):
     P = _simple('[problem] dim=2\n[scenario] f="x(1)^2 - x(2)^2"\n')
     ctx = PointContext(P, (0.0, 0.0))
     assert so.second_order_necessary(ctx, fo.necessary_check(ctx)).refuted
-    for name, failing in (
-            ("Tableau", _FailingTableau),
-            ("_witness_residual", lambda P, x, w: 1.0)):
+
+    def failing_tableau(patch, G):
+        # after the necessary check, which read the set's own tableau
+        patch.setattr(G, "tableau", _FailingTableau(G.tableau.A,
+                                                    G.tableau.b))
+
+    def failing_residual(patch, G):
+        patch.setattr(so, "_witness_residual", lambda P, x, w: 1.0)
+
+    for plant in (failing_tableau, failing_residual):
         with monkeypatch.context() as patch:
-            patch.setattr(so, name, failing)
             # a new context: the first one holds the LP results
             ctx = PointContext(P, (0.0, 0.0))
             nec = fo.necessary_check(ctx)
+            plant(patch, nec.generators)
             verts = so.multiplier_vertices(ctx, nec, axis_directions(2))
             assert verts.pairs == [nec.multipliers] and not verts.exhaustive
             assert verts.values == [2.0, 2.0, -2.0, -2.0]

@@ -13,8 +13,9 @@ critical directions, a file whose gradients span one axis of the
 plane, so the interior margin meets a redundant row, the two largest
 sampled searches: `sdp-example` with 1,024 directions, which exhausts its
 subset budget, and `soc-example` with 4,096 directions and the
-second-order tests, and, last, the least-deviation fit of t^4 on 401 grid
-points, one scenario per point.  Each case prints one header line,
+second-order tests, the least-deviation fit of t^4 on 401 grid points,
+one scenario per point, and, last, a Chebyshev file with a NaN target,
+an input error.  Each case prints one header line,
 `== <argv> -> exit <code>`, then its report or error.
 
 Run it at two commits and compare the outputs with `cmp`: a change that
@@ -101,6 +102,10 @@ FILES = {
     # system, and the +-e_2 probes must still read margin 0
     "flat.prob": '[problem] dim=2\n[scenario] f="x(1)"\n'
                  '[scenario] f="-x(1)"\n',
+    # a NaN target: an input error, not an objective value of nan
+    "nan_psi.prob": '[problem] dim=1 kind=chebyshev\n'
+                    '[scenario] f="x(1)" psi=nan\n'
+                    '[scenario] f="x(1)" psi=0.5\n',
 }
 
 
@@ -129,12 +134,16 @@ FILE_CASES = (("semiinf.prob", "0.75"), ("semiinf.prob", "1.05"),
               ("nlp_eq.prob", "1.1"))
 # a line that the warnings module prints: "<file>:<line>: <Category>: ..."
 WARNING_LINE = re.compile(r"^.*:\d+: \w*Warning: ", re.MULTILINE)
-# the cases that must exit 1: an undefined value at the point
-EXPECTED_ERRORS = [["--file", "div.prob", "--at=0"],
-                   ["--file", "sdp_sqrt.prob", "--at=-1"],
-                   ["--file", "pow.prob", "--at=10"],
-                   ["--file", "semiinf_div.prob", "--at=0"],
-                   ["--file", "two_reasons.prob", "--at=-1,1"]]
+# the cases that must exit 1: an undefined value at the point, then a
+# target that is not finite, run last so that the cases before it print
+# the bytes they printed before it was added
+UNDEFINED = [["--file", "div.prob", "--at=0"],
+             ["--file", "sdp_sqrt.prob", "--at=-1"],
+             ["--file", "pow.prob", "--at=10"],
+             ["--file", "semiinf_div.prob", "--at=0"],
+             ["--file", "two_reasons.prob", "--at=-1,1"]]
+NAN_PSI = ["--file", "nan_psi.prob", "--at=0"]
+EXPECTED_ERRORS = UNDEFINED + [NAN_PSI]
 
 
 def cases():
@@ -156,7 +165,7 @@ def cases():
         yield ["--file", path, "--at", "0,0", "--penalty", c]
     yield ["--file", "probe.prob", "--at=0.05", "--oracle"]
     yield ["--file", "sdp_nan.prob", "--at=1000"]
-    yield from EXPECTED_ERRORS
+    yield from UNDEFINED
     for path in ("sdp_huge.prob", "sdp_large.prob"):
         yield ["--file", path, "--at=0", "--penalty", "1"]
     for path, at in (("pinch.prob", "0,0"), ("two_vertices.prob", "0,0"),
@@ -170,6 +179,7 @@ def cases():
            "--second-order"]
     yield ["--file", "cheb4.prob", "--at=-0.125,0,1,0", "--second-order",
            "--penalty", "10"]
+    yield NAN_PSI
 
 
 def main() -> int:
