@@ -218,7 +218,8 @@ def cmd_check(args) -> int:
 
     report["flavor_search"] = None
     if args.flavor:
-        cadre, complete = _flavor_search(args.flavor, ctx, nec, suf)
+        cadre, complete = _flavor_search(args.flavor, ctx.generators,
+                                         problem.tolerances.eps_det)
         report["flavor_search"] = {
             "flavor": args.flavor,
             "cadre": cadre.to_json() if cadre else None,
@@ -268,30 +269,18 @@ def cmd_check(args) -> int:
     return code
 
 
-def _flavor_search(flavor, ctx, nec, suf):
-    """The flavor's first cadre and its complete cadre, both None when a
-    search's budget ran out.  The necessary check already ran the plain
-    search and the sufficient check the complete generalised one, on the
-    same generators with the same budget, so their results are reused."""
-    G = ctx.generators
-    eps_det = ctx.problem.tolerances.eps_det
-    try:
-        if flavor == "plain":
-            if nec.budget_exceeded:
-                return None, None
-            cadre = nec.cadre
-        else:
-            cadre = fo.find_cadre(G, flavor, eps_det=eps_det)
-        if cadre is not None and cadre.complete:
-            return cadre, cadre
-        if flavor == "generalised":
-            if suf.budget_exceeded:
-                return None, None
-            return cadre, suf.complete_alternance
-        return cadre, fo.find_cadre(G, flavor, p_min=ctx.problem.d + 1,
-                                    eps_det=eps_det)
-    except fo.CombinatorialBudgetExceeded:
+def _flavor_search(flavor, G, eps_det):
+    """The flavor's first cadre over G and its complete cadre, both None
+    when a search's budget ran out.  A first search that found none, or a
+    complete one, walked every p = d + 1 subset, so it decides both."""
+    first, out = fo.cadre_search(G, flavor, eps_det=eps_det)
+    if out:
         return None, None
+    if first is None or first.complete:
+        return first, first
+    complete, out = fo.cadre_search(G, flavor, complete=True,
+                                    eps_det=eps_det)
+    return (None, None) if out else (first, complete)
 
 
 def _emit(args, report):

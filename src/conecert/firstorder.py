@@ -29,8 +29,8 @@ from .problem import (BLOCK_CLASSES, NlpIneq, Problem, SemiInfinite,
 __all__ = [
     "Cadre", "AlternanceFailure", "Zbasis", "MultiplierWitness",
     "CombinatorialBudgetExceeded", "NotFeasible",
-    "verify_alternance", "find_cadre", "directional_derivatives",
-    "necessary_check", "sufficient_check",
+    "verify_alternance", "find_cadre", "cadre_search",
+    "directional_derivatives", "necessary_check", "sufficient_check",
     "penalty_value", "penalty_subdiff_check", "semiinfinite_discretize",
     "NecessaryReport", "SufficientReport", "PenaltyReport",
 ]
@@ -371,6 +371,20 @@ def _hull_pool(grads, grads_prov, generalised: bool):
     return pool, prov
 
 
+def cadre_search(G: GeneratorSet, flavor="plain", complete=False,
+                 eps_det=1e-8, budget=DEFAULT_BUDGET):
+    """(cadre, budget_exceeded) of ``find_cadre`` over G, from p = d + 1
+    when ``complete``, the cadre None when the budget ran out; each search
+    runs once per set and arguments, and is kept on the set."""
+    def search():
+        try:
+            return find_cadre(G, flavor, p_min=G.d + 1 if complete else 1,
+                              eps_det=eps_det, budget=budget), False
+        except CombinatorialBudgetExceeded:
+            return None, True
+    return G.derived(("cadre", flavor, complete, eps_det, budget), search)
+
+
 def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
                eps_det: float = 1e-8, budget: int = DEFAULT_BUDGET):
     """Search for a cadre over the generator families, smallest p first.
@@ -399,19 +413,22 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
     if flavor not in ("plain", "generalised", "weak"):
         raise ValueError(f"unknown flavor {flavor!r}")
     # both relaxed flavors draw the leading segment from the whole
-    # subdifferential, so both get the verified hull point
+    # subdifferential, so both get the verified hull point: one LP per set
     generalised = flavor in ("generalised", "weak")
-    grads, grads_prov = _hull_pool(G.grads_F, G.grads_prov, generalised)
+    grads, grads_prov = G.derived(("hull_pool", generalised), lambda: (
+        _hull_pool(G.grads_F, G.grads_prov, generalised)))
     if not grads:
         return None
-    if flavor == "weak":
-        eta_pool, eta_prov = _cone_pool(
-            G.cone, list(G.eta_prov) + list(G.nA_prov), True)
-        na_pool, na_prov = [], []
-    else:
+
+    def cone_pools():
+        if flavor == "weak":
+            cone = _cone_pool(G.cone, [*G.eta_prov, *G.nA_prov], True)
+            return cone, ([], [])
         aux = flavor == "generalised"
-        eta_pool, eta_prov = _cone_pool(G.eta, G.eta_prov, aux)
-        na_pool, na_prov = _cone_pool(G.nA, G.nA_prov, aux)
+        return (_cone_pool(G.eta, G.eta_prov, aux),
+                _cone_pool(G.nA, G.nA_prov, aux))
+    (eta_pool, eta_prov), (na_pool, na_prov) = G.derived(
+        ("cone_pools", flavor), cone_pools)
     pool = grads + eta_pool + na_pool
     pool_prov = grads_prov + eta_prov + na_prov
     stacked = np.array(pool)
@@ -688,12 +705,7 @@ def necessary_check(ctx: PointContext,
             # never report an unverified witness
             zero_in_D = False
             witness = None
-    cadre = None
-    budget_exceeded = False
-    try:
-        cadre = find_cadre(G, "plain", eps_det=P.tolerances.eps_det)
-    except CombinatorialBudgetExceeded:
-        budget_exceeded = True
+    cadre, budget_exceeded = cadre_search(G, eps_det=P.tolerances.eps_det)
     agreement = (cadre is not None) == zero_in_D
     sampling_limited = G.sampled and (not zero_in_D or not agreement)
     return NecessaryReport(feasible=True, zero_in_D=zero_in_D,
@@ -746,14 +758,8 @@ def sufficient_check(ctx: PointContext,
     radius = margin / math.sqrt(P.d)
     verdict = interior is not None and margin > P.tolerances.eps_pos
 
-    complete = None
-    budget_exceeded = False
-    try:
-        complete = find_cadre(G, "generalised", p_min=P.d + 1,
-                              eps_det=P.tolerances.eps_det)
-    except CombinatorialBudgetExceeded:
-        budget_exceeded = True
-
+    complete, budget_exceeded = cadre_search(
+        G, "generalised", complete=True, eps_det=P.tolerances.eps_det)
     growth, _ = _min_feasible_slope(ctx, G.grads_F, GROWTH_SAMPLES,
                                     ctx.sampling.seed + 101)
     sampling_limited = G.sampled and not verdict
@@ -817,20 +823,22 @@ class PenaltyReport:
 
 def _penalty_inclusion(c, G, groups) -> bool:
     """Feasibility of 0 = sum(alpha grad_F) + c*sum(group weights) + cone(nA)
-    with convex alpha and per-group total weight at most 1."""
-    if not G.grads_F:
-        return False
+    with convex alpha and per-group total weight at most 1; without a
+    group (no eta) it is G's membership system, solved from its tableau."""
+    if not groups:
+        return G.tableau.solve(0).status == "optimal"
     cone, caps = [], []
     for vecs in groups:
         caps.append((len(cone), len(cone) + len(vecs)))
         cone.extend(c * v for v in vecs)
-    A, b = combination_system(G.grads_F, cone + list(G.nA), caps)
+    A, b = combination_system(G.grads_F, cone + list(G.nA), caps, d=G.d)
     return simplex_solve(np.zeros(A.shape[1]), A, b).status == "optimal"
 
 
 def penalty_subdiff_check(ctx: PointContext, c: float) -> PenaltyReport:
     """Inclusion 0 in subdiff(F + c dist)(x) + N_A(x) at a feasible x;
-    when it holds, it is checked at 2c as well."""
+    when it holds, it is checked at 2c as well, which without a cone group
+    is the same system."""
     if c < 0:
         raise ValueError("penalty parameter must be nonnegative")
     _feasible_context(ctx)
@@ -840,7 +848,7 @@ def penalty_subdiff_check(ctx: PointContext, c: float) -> PenaltyReport:
     ok = _penalty_inclusion(c, G, groups)
     double = None
     if ok:
-        double = _penalty_inclusion(2 * c, G, groups)
+        double = _penalty_inclusion(2 * c, G, groups) if groups else ok
     return PenaltyReport(c=c, value=penalty_value(P, ctx.x, c),
                          zero_in_subdiff=ok, verified_at_2c=double)
 

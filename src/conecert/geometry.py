@@ -61,8 +61,9 @@ class GeneratorSet:
     normal cone, nA the normal cone of the polyhedral set.  eta_dual holds
     the block-space dual each eta vector is the image of.  ``sampled`` is
     set when eta contains sampled (inner-approximation) directions.
-    ``tableau`` holds the set's one phase 1: membership, the interior
-    margins and the second-order forms all re-optimise from it.
+    ``tableau`` holds the set's one phase 1, and ``derived`` the rest the
+    checks compute from the set, each once: its cadre searches and their
+    pools, and its second-order inputs.
     """
 
     d: int
@@ -74,6 +75,8 @@ class GeneratorSet:
     nA: list = field(default_factory=list)
     nA_prov: list = field(default_factory=list)
     sampled: bool = False
+    # not an init field, so dataclasses.replace gives a new set an empty one
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def cone(self) -> list:
@@ -86,6 +89,13 @@ class GeneratorSet:
         """Phase 1 of the system of 0 in co(grads_F) + cone(cone), run on
         first use; infeasible when grads_F is empty."""
         return Tableau(*combination_system(self.grads_F, self.cone, d=self.d))
+
+    def derived(self, key, compute):
+        """``compute()`` on the first ask for ``key``, then kept; the key
+        names all the result depends on that the set does not fix."""
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
 
 
 def nA_vector(A: PolyhedralSet, d: int, prov: Provenance) -> np.ndarray:
@@ -195,18 +205,17 @@ class PointContext:
     use and then shared: feasibility, the objective with its active sets
     and block states (the matrix spectral data among them), the plain and
     squared generator sets (holding the one sample of apex and kernel
-    directions, and each its own phase 1, ``GeneratorSet.tableau``) and
-    the tangent tester.  Build one per problem, point and sampling, and
-    pass it to each check.  ``memo`` holds what the checks derive from
-    these and share (the second-order tests keep their multiplier vertices
-    and critical directions there)."""
+    directions) and the tangent tester.  Each generator set keeps what
+    the checks derive from it: its phase 1, its cadre searches and its
+    second-order inputs (``GeneratorSet.tableau`` and ``derived``).
+    Build one per problem, point and sampling, and pass it to each
+    check."""
 
     def __init__(self, problem: Problem, x,
                  sampling: SamplingSpec | None = None):
         self.problem = problem
         self.x = np.asarray(x, dtype=float)
         self.sampling = sampling or SamplingSpec()
-        self.memo = {}
 
     @cached_property
     def feasibility(self) -> FeasibilityReport:

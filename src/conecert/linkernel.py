@@ -10,8 +10,8 @@ First-order optimality in its KKT, normal-cone and exact-penalty forms
 is one linear system, 0 in co{grad f_i(x)} + cone(N_K(x)) + cone(N_A(x)),
 which ``combination_system`` lays out.  Membership, the interior margins
 and the second-order forms solve their objectives from the generator
-set's one ``Tableau`` of it (``geometry.GeneratorSet.tableau``); the
-penalty inclusion caps runs of cone weights, a system of its own.
+set's one ``Tableau`` of it (``geometry.GeneratorSet.tableau``), as does
+the penalty inclusion when it caps no run of cone weights.
 """
 
 from __future__ import annotations

@@ -174,21 +174,18 @@ class SecondOrderReport:
 
 def _second_order_inputs(ctx: PointContext, first: NecessaryReport):
     """The sampled critical directions for the generator set of ``first``
-    and the largest forms along them, computed once per point context and
-    shared by both second-order tests.  Without a direction there is no
-    multiplier work, and the multiplier set counts as exhaustive when
-    every block is polyhedral.  The memo entry holds the generator set,
-    so its id cannot be reused while the entry lives."""
-    G = first.generators
-    key = ("second_order", id(G))
-    if key not in ctx.memo:
-        dirs = _critical_directions(ctx, G)
+    and the largest forms along them, computed once and kept on the set,
+    so both second-order tests share them.  The set is one of the
+    context's, and ``first`` its necessary check, so the set alone names
+    them.  Without a direction there is no multiplier work, and the
+    multiplier set counts as exhaustive when every block is polyhedral."""
+    def compute():
+        dirs = _critical_directions(ctx, first.generators)
         verts = (multiplier_vertices(ctx, first, dirs) if dirs else
                  MultiplierVertices(pairs=[], values=[],
                                     exhaustive=_all_polyhedral(ctx.problem)))
-        ctx.memo[key] = (G, verts, dirs)
-    _, verts, dirs = ctx.memo[key]
-    return verts, dirs
+        return verts, dirs
+    return first.generators.derived(("second_order",), compute)
 
 
 def _worst_form(verts: MultiplierVertices, dirs):

@@ -409,22 +409,36 @@ def test_flavor_search_reuses_the_checks_searches(monkeypatch):
         monkeypatch.undo()
 
 
-def test_flavor_search_budget_out_is_inconclusive():
-    """When the reused search ran out of budget, both flavor results are
-    null, as when a fresh search runs out."""
-    from dataclasses import replace
-
+def test_flavor_search_budget_out_is_inconclusive(monkeypatch):
+    """When the first search, or the complete one after an incomplete
+    first cadre, runs out of budget, both flavor results are null, for
+    every flavor."""
     from conecert.cli import _flavor_search
     from conecert.geometry import PointContext
     P, x, sampling = registry.get("linf", 3)
-    ctx = PointContext(P, x, sampling)
-    nec = fo.necessary_check(ctx)
-    suf = fo.sufficient_check(ctx)
-    assert _flavor_search("generalised", ctx, nec, suf)[1] is not None
-    nec = replace(nec, cadre=None, budget_exceeded=True)
-    suf = replace(suf, complete_alternance=None, budget_exceeded=True)
-    for flavor in ("plain", "generalised"):
-        assert _flavor_search(flavor, ctx, nec, suf) == (None, None)
+    eps_det = P.tolerances.eps_det
+    real = fo.find_cadre
+
+    def generators():
+        return PointContext(P, x, sampling).generators
+
+    def capped(only_complete):
+        def search(G, flavor, p_min=1, **kw):
+            if p_min > 1 or not only_complete:
+                kw["budget"] = 3
+            return real(G, flavor, p_min=p_min, **kw)
+        monkeypatch.setattr(fo, "find_cadre", search)
+
+    for flavor in ("plain", "generalised", "weak"):
+        first, complete = _flavor_search(flavor, generators(), eps_det)
+        # no complete plain cadre: the plain search finds (first, None)
+        assert first.p == 2 and (complete is None) == (flavor == "plain")
+        for only_complete in (False, True):
+            capped(only_complete)
+            assert _flavor_search(flavor, generators(), eps_det) \
+                == (None, None)
+            monkeypatch.undo()
+
 
 def test_check_oracle_skips_undefined_samples(tmp_path):
     """The growth probe draws points left of 0, where sqrt(x(1)) is

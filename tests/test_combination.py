@@ -342,15 +342,33 @@ def test_interior_margin_reads_none_and_inf():
 
 
 def test_penalty_systems_match_the_frozen_builder(monkeypatch):
+    """A set with cone groups solves the frozen capped system.  Without a
+    group that system is the set's membership system: the check builds
+    none, and reads the frozen system's answer at c and at 2c."""
     calls = _recording(monkeypatch, fo, "simplex_solve")
+
+    def frozen(c, G, groups):
+        res = lk.simplex_solve(*_ref_penalty_system(G.d, c, G, groups))
+        return res.status == "optimal"
+    seen = set()
     for ctx, G in _generator_sets():
         if G is not ctx.generators:
             continue   # the penalty check reads the plain set only
         groups = fo._penalty_groups(ctx.problem, G)
+        seen.add(bool(groups))
         for c in (0.0, 0.5, 10.0):
             calls.clear()
-            fo._penalty_inclusion(c, G, groups)
-            _assert_systems(calls, [_ref_penalty_system(G.d, c, G, groups)])
+            if groups:
+                fo._penalty_inclusion(c, G, groups)
+                _assert_systems(calls, [_ref_penalty_system(G.d, c, G,
+                                                            groups)])
+                continue
+            rep = fo.penalty_subdiff_check(ctx, c)
+            assert calls == []
+            assert rep.zero_in_subdiff == frozen(c, G, groups)
+            assert rep.verified_at_2c == (frozen(2 * c, G, groups)
+                                          if rep.zero_in_subdiff else None)
+    assert seen == {False, True}
 
 
 def test_penalty_groups_reach_the_caps():
@@ -493,3 +511,89 @@ def test_one_phase_one_per_generator_set(monkeypatch, tmp_path, capsys):
         fo.sufficient_check(ctx, squared=squared)
     assert _builds_on(builds, ctx.generators) == 1
     assert _builds_on(builds, ctx.squared) == 1
+
+
+def _counting(monkeypatch, module, name):
+    """Patch module.name to note each call, then run it; returns the list
+    of notes."""
+    real, calls = getattr(module, name), []
+
+    def count(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, count)
+    return calls
+
+
+def test_relaxed_flavors_run_phase_one_once_per_set(monkeypatch, capsys):
+    """On dem, a check with the generalised or weak flavor search and a
+    penalty runs phase 1 twice: on the generator set's system, and for
+    the hull point that both relaxed flavors' pools share.  The penalty
+    inclusion has no cone group there, so it reads the set's tableau,
+    and its answer at c holds at 2c."""
+    from conecert import cli
+    builds, _ = _recording_tableaux(monkeypatch, lk, geometry)
+    searches = _counting(monkeypatch, fo, "find_cadre")
+    P, x, _ = registry.get("dem")
+    for flavor in ("generalised", "weak"):
+        builds.clear()
+        searches.clear()
+        assert cli.main(["check", "--registry", "dem", "--flavor", flavor,
+                         "--penalty", "10", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["penalty"]["verified_at_2c"] is True
+        assert report["flavor_search"]["complete"]["p"] == 3
+        # the plain, complete generalised and the flavor's first searches
+        assert len(searches) == 3 and len(builds) == 2
+        assert _builds_on(builds, PointContext(P, x).generators) == 1
+
+
+def test_refuted_weak_search_decides_its_complete_search(monkeypatch,
+                                                         capsys):
+    """At a refuted point of dem the weak search finds no cadre.  It
+    walked every p = d + 1 subset, so the complete weak search, which
+    finds none either, does not run: the check runs the plain, complete
+    generalised and weak searches, and two phase 1s."""
+    from conecert import cli
+    at = (1e-7, -3.0000001)
+    builds, _ = _recording_tableaux(monkeypatch, lk, geometry)
+    searches = _counting(monkeypatch, fo, "find_cadre")
+    assert cli.main(["check", "--registry", "dem", "--at=1e-7,-3.0000001",
+                     "--flavor", "weak", "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert not report["necessary"]["zero_in_D"]
+    assert report["flavor_search"] == {"flavor": "weak", "cadre": None,
+                                       "complete": None}
+    assert len(searches) == 3 and len(builds) == 2
+    monkeypatch.undo()
+    P, _, _ = registry.get("dem")
+    assert fo.find_cadre(PointContext(P, at).generators, "weak",
+                         p_min=3) is None
+
+
+def test_searches_are_kept_per_set_and_arguments(monkeypatch):
+    """A set keeps each search under all of its arguments, eps_det and
+    the budget among them.  The squared set keeps its own searches apart
+    from the plain set's, and a set made by dataclasses.replace starts
+    with none."""
+    from dataclasses import replace
+    ctx = PointContext(load_problem_text(CHEBYSHEV), (0.5, 0.0))
+    searches = _counting(monkeypatch, fo, "find_cadre")
+    G = ctx.generators
+    first = fo.cadre_search(G)
+    assert fo.necessary_check(ctx).cadre is first[0]
+    assert len(searches) == 1
+    S = ctx.squared
+    assert S.memo == {} and replace(G).memo == {}
+    squared = fo.necessary_check(ctx, squared=True).cadre
+    assert len(searches) == 2
+    monkeypatch.undo()
+    assert np.array_equal(squared.vectors, fo.find_cadre(S).vectors)
+    assert not np.array_equal(squared.vectors, first[0].vectors)
+    searches = _counting(monkeypatch, fo, "find_cadre")
+    for kwargs in ({"eps_det": 1e-6}, {"budget": 10 ** 5},
+                   {"complete": True}, {"flavor": "weak"}):
+        fo.cadre_search(G, **kwargs)
+    assert len(searches) == 4
+    assert fo.cadre_search(G) is first and len(searches) == 4
