@@ -278,8 +278,7 @@ def _flavor_search(flavor, G, eps_det):
         return None, None
     if first is None or first.complete:
         return first, first
-    complete, out = fo.cadre_search(G, flavor, complete=True,
-                                    eps_det=eps_det)
+    complete, out = fo.cadre_search(G, flavor, complete=True, eps_det=eps_det)
     return (None, None) if out else (first, complete)
 
 

@@ -363,7 +363,7 @@ def _hull_pool(grads, grads_prov, generalised: bool):
     S = _greedy_independent(pool)
     if not S:
         return pool, prov
-    aux = -np.mean(S, axis=0)
+    aux = 0.0 - np.mean(S, axis=0)   # -mean(S), with no -0.0 entry
     if np.linalg.norm(aux) < 1e-12:
         return pool, prov
     if lp_membership(aux, pool) is not None:
@@ -728,7 +728,7 @@ class SufficientReport:
 
     def to_json(self):
         def _num(v):
-            return None if v is None else float(v)
+            return None if v is None else float(v) + 0.0   # no -0.0
         return {
             "zero_in_int_D": self.zero_in_int_D,
             "margin": _num(self.margin),

@@ -139,17 +139,18 @@ def build_generator_set(P: Problem, x, act: ActiveSets,
     """The generator families at x: the objective's (sub)gradients, each
     block's normal-cone generators and the polyhedral set's."""
     x = np.asarray(x, dtype=float)
-    grads = subdifferential_generators(P, x, act.scenarios)
+    # adding 0.0 makes each -0.0 entry 0.0 and changes no other
+    grads = [v + 0.0 for v in subdifferential_generators(P, x, act.scenarios)]
     gprov = [Provenance("scenario", index=s.index, sign=s.sign)
              for s in act.scenarios]
     eta = [gen for ba, blk in zip(act.blocks, P.blocks)
            for gen in blk.normal_generators(x, ba, sampling)]
     na, nprov = nA_generators(P.set_A, x, P.tolerances.eps_feas)
     return GeneratorSet(d=P.d, grads_F=grads, grads_prov=gprov,
-                        eta=[v for v, _, _ in eta],
+                        eta=[v + 0.0 for v, _, _ in eta],
                         eta_prov=[pr for _, pr, _ in eta],
                         eta_dual=[dual for _, _, dual in eta],
-                        nA=na, nA_prov=nprov,
+                        nA=[v + 0.0 for v in na], nA_prov=nprov,
                         sampled=any(ba.sampled for ba in act.blocks))
 
 

@@ -732,6 +732,8 @@ def _deviations(P: Problem, X):
     if P.kind == "chebyshev":
         with np.errstate(all="ignore"):
             devs -= np.array(P.psi)[:, None]
+    # adding 0.0 makes each -0.0 value 0.0 and changes no other
+    devs += 0.0
     return devs, reasons
 
 
@@ -877,7 +879,8 @@ def subdifferential_generators(P: Problem, x, active_scenarios) -> list[np.ndarr
 def squared_generators(P: Problem, x, active_scenarios) -> list[np.ndarray]:
     """Generators of the squared-deviation formulation: (f - psi) * grad f."""
     x = np.asarray(x, dtype=float)
-    return [scenario_derivatives(P, x, s.index, s.sign, True)[0]
+    # adding 0.0 makes each -0.0 entry 0.0 and changes no other
+    return [scenario_derivatives(P, x, s.index, s.sign, True)[0] + 0.0
             for s in active_scenarios]
 
 

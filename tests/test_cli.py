@@ -440,6 +440,33 @@ def test_flavor_search_budget_out_is_inconclusive(monkeypatch):
             monkeypatch.undo()
 
 
+def _negative_zeros(value, path=""):
+    """The paths of the -0.0 numbers in a decoded JSON report."""
+    if isinstance(value, dict):
+        return [p for k, v in value.items()
+                for p in _negative_zeros(v, f"{path}.{k}")]
+    if isinstance(value, list):
+        return [p for v in value for p in _negative_zeros(v, path + "[]")]
+    if isinstance(value, float) and value == 0 and math.copysign(1, value) < 0:
+        return [path]
+    return []
+
+
+def test_reports_print_no_negative_zero(tmp_path):
+    """A zero that arithmetic signs prints as 0.0: the gradient entries and
+    values of -x(i) at 0, and -1 times a zero entry of an equality row."""
+    path = tmp_path / "neg.prob"
+    path.write_text('[problem] dim=1\n[scenario] f="-x(1)"\n'
+                    '[scenario] f="x(1)"\n')
+    for argv in (["--file", str(path), "--at", "0"],
+                 ["--registry", "linf", "--dim", "2"],
+                 ["--registry", "counterexample-3-2", "--flavor", "weak"],
+                 ["--registry", "counterexample-3-2", "--flavor",
+                  "generalised"]):
+        code, out, _ = run_cli("check", *argv, "--json")
+        assert code != 1 and _negative_zeros(json.loads(out)) == []
+
+
 def test_check_oracle_skips_undefined_samples(tmp_path):
     """The growth probe draws points left of 0, where sqrt(x(1)) is
     undefined; it skips them instead of ending the check with exit 1."""

@@ -509,6 +509,18 @@ def test_prefix_walk_leaves_small_groups_unchecked(monkeypatch):
         columns, groups, SCREEN_CHUNK)]
 
 
+def test_hull_point_has_no_negative_zero():
+    """The relaxed pools' hull point -mean(S) has 0.0 where the mean of
+    the independent gradients S is zero, not -0.0."""
+    e1, e2, _ = np.eye(3)
+    prov = [Provenance("scenario", index=i) for i in (1, 2, 3)]
+    pool, pool_prov = fo._hull_pool([e1, e2, np.array([-1.0, -2.0, 0.0])],
+                                    prov, True)
+    assert pool_prov[-1].kind == "aux_hull"
+    assert np.array_equal(pool[-1], [-0.5, -0.5, 0.0])
+    assert math.copysign(1.0, pool[-1][2]) == 1.0
+
+
 def test_find_cadre_applies_the_prefix_test(monkeypatch):
     """A verified cadre is returned only when its first k vectors have
     rank k for every k < p; one that fails sends the search on, so the
