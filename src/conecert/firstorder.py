@@ -373,9 +373,9 @@ def _hull_pool(grads, grads_prov, generalised: bool):
 
 def cadre_search(G: GeneratorSet, flavor="plain", complete=False,
                  eps_det=1e-8, budget=DEFAULT_BUDGET):
-    """(cadre, budget_exceeded) of ``find_cadre`` over G, from p = d + 1
-    when ``complete``, the cadre None when the budget ran out; each search
-    runs once per set and arguments, and is kept on the set."""
+    """(cadre, budget_exceeded): ``find_cadre`` over G, from p = d + 1 when
+    ``complete``, the cadre None when none is found or the budget runs out;
+    each search runs once per set and arguments and is kept on the set."""
     def search():
         try:
             return find_cadre(G, flavor, p_min=G.d + 1 if complete else 1,
