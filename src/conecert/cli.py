@@ -274,10 +274,8 @@ def _flavor_search(flavor, G, eps_det):
     when a search's budget ran out.  A first search that found none, or a
     complete one, walked every p = d + 1 subset, so it decides both."""
     first, out = fo.cadre_search(G, flavor, eps_det=eps_det)
-    if out:
-        return None, None
-    if first is None or first.complete:
-        return first, first
+    if first is None or first.complete:   # None too when out of budget
+        return (None, None) if out else (first, first)
     complete, out = fo.cadre_search(G, flavor, complete=True, eps_det=eps_det)
     return (None, None) if out else (first, complete)
 

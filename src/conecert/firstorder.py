@@ -371,18 +371,16 @@ def _hull_pool(grads, grads_prov, generalised: bool):
     return pool, prov
 
 
-def cadre_search(G: GeneratorSet, flavor="plain", complete=False,
-                 eps_det=1e-8, budget=DEFAULT_BUDGET):
-    """(cadre, budget_exceeded): ``find_cadre`` over G, from p = d + 1 when
-    ``complete``, the cadre None when none is found or the budget runs out;
-    each search runs once per set and arguments and is kept on the set."""
+def cadre_search(G, flavor="plain", complete=False, eps_det=1e-8):
+    """(cadre or None, budget_exceeded) of ``find_cadre`` over G, from
+    p = d + 1 when ``complete``; run once per set and arguments, and kept."""
     def search():
         try:
             return find_cadre(G, flavor, p_min=G.d + 1 if complete else 1,
-                              eps_det=eps_det, budget=budget), False
+                              eps_det=eps_det), False
         except CombinatorialBudgetExceeded:
             return None, True
-    return G.derived(("cadre", flavor, complete, eps_det, budget), search)
+    return G.derived(("cadre", flavor, complete, eps_det), search)
 
 
 def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,

@@ -175,10 +175,14 @@ class SecondOrderReport:
 def _second_order_inputs(ctx: PointContext, first: NecessaryReport):
     """The sampled critical directions for the generator set of ``first``
     and the largest forms along them, computed once and kept on the set,
-    so both second-order tests share them.  The set is one of the
+    so both second-order tests share them.  The set must be one of the
     context's, and ``first`` its necessary check, so the set alone names
     them.  Without a direction there is no multiplier work, and the
     multiplier set counts as exhaustive when every block is polyhedral."""
+    if all(first.generators is not ctx.__dict__.get(name)
+           for name in ("generators", "squared")):
+        raise ValueError("the necessary report is not of this context")
+
     def compute():
         dirs = _critical_directions(ctx, first.generators)
         verts = (multiplier_vertices(ctx, first, dirs) if dirs else

@@ -709,6 +709,24 @@ def test_lp_failure_draws_no_refutation(monkeypatch):
                 assert not rep.refuted and not rep.multiplier_set_exhaustive
 
 
+def test_second_order_needs_a_check_of_its_own_context():
+    """The second-order inputs are kept on the generator set, so a
+    necessary report of another context, whose sampling may differ, is
+    refused rather than answered from that context's directions."""
+    P = _simple('[problem] dim=2\n[scenario] f="x(1)^2 - x(2)^2"\n')
+    ctx, other = PointContext(P, (0.0, 0.0)), PointContext(P, (0.0, 0.0))
+    nec = fo.necessary_check(ctx)
+    for test in (so.second_order_necessary, so.second_order_sufficient):
+        with pytest.raises(ValueError, match="not of this context"):
+            test(other, nec)
+        assert test(ctx, nec).applicable
+    P = _simple('[problem] dim=1 kind=chebyshev\n'
+                '[scenario] f="x(1)" psi=1\n[scenario] f="x(1)" psi=-1\n')
+    ctx = PointContext(P, (0.0,))
+    assert so.second_order_necessary(
+        ctx, fo.necessary_check(ctx, squared=True)).applicable
+
+
 def _second_order(text, x):
     P = _simple(text)
     ctx = PointContext(P, x)
