@@ -20,6 +20,7 @@ import numpy as np
 from . import firstorder as fo
 from . import registry
 from . import secondorder as so
+from .cones import json_data
 from .expr import ExprError
 from .geometry import PointContext, SamplingSpec
 from .oracle import TooFewFeasibleSamples, growth_probe
@@ -78,7 +79,7 @@ def _load(args):
         raise SystemExit("error: give --file PATH or --registry NAME")
     sampling = SamplingSpec(
         soc_dirs=args.soc_dirs, sdp_dirs=args.sdp_dirs, seed=args.seed,
-        soc_extra=sampling.soc_extra, sdp_extra=sampling.sdp_extra)
+        soc_extra=sampling.soc_extra)
     if args.at is not None:
         candidate = _parse_point(args.at)
     if candidate is None:
@@ -174,7 +175,7 @@ def cmd_check(args) -> int:
         "schema": SCHEMA_VERSION,
         "problem": {"source": problem.source, "dim": problem.d,
                     "kind": problem.kind},
-        "candidate": list(map(float, x)),
+        "candidate": x,
         "seed": args.seed,
         "sampling": {"soc_dirs": sampling.soc_dirs,
                      "sdp_dirs": sampling.sdp_dirs, "seed": sampling.seed},
@@ -201,10 +202,8 @@ def cmd_check(args) -> int:
         "active": [{"scenario": s.index, "sign": s.sign, "value": s.value}
                    for s in ctx.act.scenarios]}
 
-    nec = fo.necessary_check(ctx)
-    report["necessary"] = nec.to_json()
-    suf = fo.sufficient_check(ctx)
-    report["sufficient"] = suf.to_json()
+    nec = report["necessary"] = fo.necessary_check(ctx)
+    suf = report["sufficient"] = fo.sufficient_check(ctx)
 
     refuted = False
     inconclusive = False
@@ -220,10 +219,8 @@ def cmd_check(args) -> int:
     if args.flavor:
         cadre, complete = _flavor_search(args.flavor, ctx.generators,
                                          problem.tolerances.eps_det)
-        report["flavor_search"] = {
-            "flavor": args.flavor,
-            "cadre": cadre.to_json() if cadre else None,
-            "complete": complete.to_json() if complete else None}
+        report["flavor_search"] = {"flavor": args.flavor, "cadre": cadre,
+                                   "complete": complete}
         if complete is None:
             inconclusive = True
 
@@ -233,7 +230,7 @@ def cmd_check(args) -> int:
         if nec.zero_in_D and nec.multipliers is not None:
             nec2 = so.second_order_necessary(ctx, nec)
             suf2 = so.second_order_sufficient(ctx, nec)
-            report["second_order"] = [nec2.to_json(), suf2.to_json()]
+            report["second_order"] = [nec2, suf2]
             if nec2.refuted:
                 refuted = True
             if not suf2.passed and not refuted:
@@ -243,16 +240,15 @@ def cmd_check(args) -> int:
 
     report["penalty"] = None
     if args.penalty is not None:
-        pen = fo.penalty_subdiff_check(ctx, args.penalty)
-        report["penalty"] = pen.to_json()
+        pen = report["penalty"] = fo.penalty_subdiff_check(ctx, args.penalty)
         if not pen.zero_in_subdiff and not refuted:
             inconclusive = True
 
     report["oracle"] = None
     if args.oracle:
         try:
-            probe = growth_probe(problem, x, order=1, seed=args.seed)
-            report["oracle"] = probe.to_json()
+            probe = report["oracle"] = growth_probe(problem, x, order=1,
+                                                   seed=args.seed)
             if probe.refuted:
                 refuted = True
         except TooFewFeasibleSamples as err:
@@ -281,6 +277,9 @@ def _flavor_search(flavor, G, eps_det):
 
 
 def _emit(args, report):
+    """Print the report, as JSON or as text, and write its JSON to
+    ``args.out`` when given; every value goes through ``json_data``."""
+    report = json_data(report)
     if args.json:
         print(json.dumps(report, indent=2))
     else:

@@ -1,6 +1,7 @@
 """Cone primitives shared by the constraint blocks and the generator sets:
 projections, deterministic direction sampling, the spectral split of a
-symmetric matrix, the provenance record every generator carries, and the
+symmetric matrix, the provenance record every generator carries, the one
+encoder of report values into JSON data (``json_data``), and the
 row-wise products, norms and maxima that screen a stack of points or
 directions bit for bit as a loop over them would, and the one decision of
 what a unit direction is (``unit_rows``) and which directions are distinct
@@ -12,16 +13,44 @@ and ``geometry`` re-exports them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 __all__ = [
-    "EigenFailure", "Provenance", "SpectralData", "spectral_split",
-    "project_soc", "project_psd_neg", "unit_directions", "axis_directions",
-    "sdp_null_directions", "unit_rows", "distinct_rows", "pair_dots",
-    "row_norms", "builtin_max",
+    "json_data", "Record", "EigenFailure", "Provenance", "SpectralData",
+    "spectral_split", "project_soc", "project_psd_neg", "unit_directions",
+    "axis_directions", "sdp_null_directions", "unit_rows", "distinct_rows",
+    "pair_dots", "row_norms", "builtin_max",
 ]
+
+
+def json_data(value):
+    """The JSON data of a report value: every float zero as 0.0, never
+    -0.0 (adding 0.0 changes no other float), a numpy scalar as the
+    Python number it holds, an array, list or tuple as a list, a dict
+    with its values encoded, a string, int, bool or None as it is, and
+    any other value, a record, by its ``to_json()``."""
+    if isinstance(value, float):
+        return float(value) + 0.0
+    if isinstance(value, (str, int)) or value is None:
+        return value
+    if isinstance(value, dict):
+        return {k: json_data(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_data(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return json_data(value.tolist())
+    return value.to_json()
+
+
+class Record:
+    """A report dataclass whose JSON form is its fields in order, each
+    through ``json_data``, less those whose metadata sets json=False."""
+
+    def to_json(self):
+        return {f.name: json_data(getattr(self, f.name))
+                for f in fields(self) if f.metadata.get("json", True)}
 
 
 class EigenFailure(Exception):
@@ -45,8 +74,8 @@ class Provenance:
         if self.index is not None:
             out["index"] = self.index
         if self.detail:
-            out["detail"] = list(self.detail)
-        return out
+            out["detail"] = self.detail
+        return json_data(out)
 
 
 @dataclass
@@ -222,17 +251,17 @@ def axis_directions(dim: int) -> list[np.ndarray]:
     return out
 
 
-def sdp_null_directions(Q0: np.ndarray, count: int, seed: int,
-                        extras) -> list[np.ndarray]:
+def sdp_null_directions(Q0: np.ndarray, count: int,
+                        seed: int) -> list[np.ndarray]:
     """Unit kernel vectors q: axis-aligned ones first, then the basis
-    columns, user extras, then sampled combinations.  q and -q give the
-    same generator, so antipodal duplicates are removed."""
+    columns, then sampled combinations.  q and -q give the same
+    generator, so antipodal duplicates are removed."""
     l, r = Q0.shape
     if r == 0:
         return []
     proj = Q0 @ Q0.T
     dirs = [e for e in np.eye(l) if np.linalg.norm(proj @ e - e) <= 1e-9]
-    dirs += list(Q0.T) + [np.asarray(q, dtype=float) for q in extras]
+    dirs += list(Q0.T)
     if r > 1:
         dirs += [Q0 @ u for u in unit_directions(r, count, seed)]
     U, _ = unit_rows(np.array(dirs), 1e-12)

@@ -10,13 +10,14 @@ failed search is reported as sampling-limited rather than as a refutation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain, combinations, count
 
 import numpy as np
 
 from . import expr as ex
-from .cones import builtin_max, distinct_rows, pair_dots, unit_rows
+from .cones import (Record, builtin_max, distinct_rows, json_data,
+                    pair_dots, unit_rows)
 from .geometry import (GeneratorSet, PointContext, Provenance,
                        block_distances, nA_vector)
 from .linkernel import (SCREEN_CHUNK, combination_system, det,
@@ -41,9 +42,9 @@ GROWTH_SAMPLES = 256
 
 
 class CombinatorialBudgetExceeded(Exception):
-    def __init__(self, subsets_tried: int, search: str = "cadre search"):
+    def __init__(self, subsets_tried: int):
         self.subsets_tried = subsets_tried
-        super().__init__(f"{search} budget exhausted after "
+        super().__init__(f"cadre search budget exhausted after "
                          f"{subsets_tried} subsets")
 
 
@@ -51,7 +52,7 @@ class NotFeasible(Exception):
     pass
 
 
-def _prefix_walk(columns, groups, budget: int, search: str):
+def _prefix_walk(columns, groups, budget: int):
     """The subsets of each (key, segments) group, in order, as (key, block)
     pairs; the budgeted search of ``find_cadre``.
 
@@ -78,7 +79,7 @@ def _prefix_walk(columns, groups, budget: int, search: str):
                 yield key, rest[start:start + SCREEN_CHUNK]
             rest = rest[whole:]
             if over:
-                raise CombinatorialBudgetExceeded(budget + 1, search)
+                raise CombinatorialBudgetExceeded(budget + 1)
         if len(rest):
             yield key, rest
 
@@ -202,17 +203,13 @@ class Cadre:
         return self.p == len(self.vectors[0]) + 1
 
     def to_json(self):
-        return {
+        return json_data({
             "p": self.p, "k0": self.k0, "i0": self.i0, "flavor": self.flavor,
-            "complete": self.complete,
-            "vectors": [list(map(float, v)) for v in self.vectors],
-            "provenance": [pr.to_json() if isinstance(pr, Provenance) else pr
-                           for pr in self.provenance],
-            "multipliers": [float(b) for b in self.multipliers],
-            "padding": [list(map(float, v)) for v in self.padding],
-            "determinants": [float(x) for x in self.determinants],
+            "complete": self.complete, "vectors": self.vectors,
+            "provenance": self.provenance, "multipliers": self.multipliers,
+            "padding": self.padding, "determinants": self.determinants,
             "residual": self.residual,
-        }
+        })
 
 
 @dataclass
@@ -259,19 +256,8 @@ def _alternance(vecs, combo, k0, i0, Z, eps_det, flavor, provenance):
     positive combination of vecs (None when there is none)."""
     p, d = len(vecs), len(vecs[0])
     # greedy padding keeping V_2..V_{d+1} linearly independent
-    tail = vecs[1:]
-    padding = []
-    for z in Z.as_arrays():
-        if len(tail) == d:
-            break
-        if not tail:
-            tail = [z]
-            padding.append(z)
-            continue
-        trial = np.column_stack(tail + [z])
-        if rank(trial) == len(tail) + 1:
-            tail.append(z)
-            padding.append(z)
+    padding = _greedy_independent(Z.as_arrays(), vecs[1:])
+    tail = vecs[1:] + padding
     if len(tail) != d or rank(np.column_stack(tail)) < d:
         return AlternanceFailure("RankDeficient")
 
@@ -340,16 +326,19 @@ def _cone_pool(base, base_prov, generalised: bool):
     return pool, prov
 
 
-def _greedy_independent(vectors):
-    chosen = []
+def _greedy_independent(vectors, start=()):
+    """Each of vectors, in order, that raises the rank of ``start`` and
+    the vectors picked before it by one (the EPS_RANK test), until they
+    number d; the picked ones."""
+    chosen, picked = list(start), []
     for v in vectors:
         if len(chosen) == len(v):
             break
-        trial = np.column_stack(chosen + [v]) if chosen else np.asarray(
-            v, dtype=float).reshape(-1, 1)
-        if rank(trial) == len(chosen) + 1:
-            chosen.append(np.asarray(v, dtype=float))
-    return chosen
+        v = np.asarray(v, dtype=float)
+        if rank(np.column_stack(chosen + [v])) == len(chosen) + 1:
+            chosen.append(v)
+            picked.append(v)
+    return picked
 
 
 def _hull_pool(grads, grads_prov, generalised: bool):
@@ -363,7 +352,7 @@ def _hull_pool(grads, grads_prov, generalised: bool):
     S = _greedy_independent(pool)
     if not S:
         return pool, prov
-    aux = 0.0 - np.mean(S, axis=0)   # -mean(S), with no -0.0 entry
+    aux = -np.mean(S, axis=0)
     if np.linalg.norm(aux) < 1e-12:
         return pool, prov
     if lp_membership(aux, pool) is not None:
@@ -441,8 +430,7 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
     # found early costs few null vectors and a long search few SVD calls
     widths = (4 << k for k in count())
     Z = Zbasis.canonical(G.d)
-    for (p, k0, e), block in _prefix_walk(stacked, groups, budget,
-                                          "cadre search"):
+    for (p, k0, e), block in _prefix_walk(stacked, groups, budget):
         for sub, beta in _rank_screen(stacked, block, p, widths):
             vecs = [pool[i] for i in sub]
             result = _alternance(vecs, beta, k0, k0 + e, Z, eps_det, flavor,
@@ -546,9 +534,9 @@ class MultiplierWitness:
             out[cls.kind] = {str(b): blk.dual_to_json(dual)
                              for b, (blk, dual) in self.duals.items()
                              if blk.kind == cls.kind}
-        out["nA"] = [{"prov": pr.to_json(), "weight": w} for pr, w in self.nA]
+        out["nA"] = [{"prov": pr, "weight": w} for pr, w in self.nA]
         out["stationarity_residual"] = self.stationarity_residual
-        return out
+        return json_data(out)
 
 
 def _assemble_witness(ctx: PointContext, G: GeneratorSet,
@@ -655,7 +643,7 @@ def directional_derivatives(grads, H) -> np.ndarray:
 
 
 @dataclass
-class NecessaryReport:
+class NecessaryReport(Record):
     feasible: bool
     zero_in_D: bool
     multipliers: MultiplierWitness | None
@@ -663,18 +651,7 @@ class NecessaryReport:
     agreement: bool
     sampling_limited: bool
     budget_exceeded: bool
-    generators: GeneratorSet
-
-    def to_json(self):
-        return {
-            "feasible": self.feasible,
-            "zero_in_D": self.zero_in_D,
-            "multipliers": self.multipliers.to_json() if self.multipliers else None,
-            "cadre": self.cadre.to_json() if self.cadre else None,
-            "agreement": self.agreement,
-            "sampling_limited": self.sampling_limited,
-            "budget_exceeded": self.budget_exceeded,
-        }
+    generators: GeneratorSet = field(metadata={"json": False})
 
 
 def _feasible_context(ctx: PointContext) -> None:
@@ -714,7 +691,7 @@ def necessary_check(ctx: PointContext,
 
 
 @dataclass
-class SufficientReport:
+class SufficientReport(Record):
     zero_in_int_D: bool
     margin: float
     radius: float
@@ -723,21 +700,6 @@ class SufficientReport:
     estimate_only: bool
     sampling_limited: bool
     budget_exceeded: bool
-
-    def to_json(self):
-        def _num(v):
-            return None if v is None else float(v) + 0.0   # no -0.0
-        return {
-            "zero_in_int_D": self.zero_in_int_D,
-            "margin": _num(self.margin),
-            "radius": _num(self.radius),
-            "complete_alternance": (self.complete_alternance.to_json()
-                                    if self.complete_alternance else None),
-            "growth_constant_estimate": _num(self.growth_constant_estimate),
-            "estimate_only": self.estimate_only,
-            "sampling_limited": self.sampling_limited,
-            "budget_exceeded": self.budget_exceeded,
-        }
 
 
 def sufficient_check(ctx: PointContext,
@@ -809,14 +771,11 @@ def _penalty_groups(P: Problem, G: GeneratorSet):
 
 
 @dataclass
-class PenaltyReport:
+class PenaltyReport(Record):
     c: float
     value: float
     zero_in_subdiff: bool
     verified_at_2c: bool | None
-
-    def to_json(self):
-        return asdict(self)
 
 
 def _penalty_inclusion(c, G, groups) -> bool:

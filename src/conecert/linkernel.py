@@ -81,19 +81,18 @@ MAX_ITER = 20000
 def stacked_rank(stack):
     """Ranks of the d x p matrices stacked along the leading axes of
     ``stack``: the number of singular values above EPS_RANK times the
-    largest.  When p <= d, one batched Gram determinant gives rank p to
-    each matrix whose volume proves it (see VOLUME_RATIO); the rest, and
-    every matrix of a wider stack, go through one SVD of singular values
-    alone (``_svd_ranks``).  Every rank is the one that SVD gives the
-    matrix alone, so a stacked screen agrees with ``rank`` on each
-    matrix."""
+    largest.  One batched Gram determinant gives rank min(d, p) to each
+    matrix whose volume proves it (see VOLUME_RATIO), taken of the
+    matrix's transpose when p > d, which has the same singular values;
+    the rest go through one SVD of their singular values alone
+    (``_svd_ranks``).  Every rank is the one that SVD gives the matrix
+    alone, so a stacked screen agrees with ``rank`` on each matrix."""
     stack = np.asarray(stack, dtype=float)
     *lead, d, p = stack.shape
-    if not 0 < p <= d:
-        return _svd_ranks(stack)
-    flat = stack.reshape(-1, d, p)
-    ranks = np.full(len(flat), p)
-    rest = np.flatnonzero(~_full_volume(flat))
+    flat = stack.reshape(math.prod(lead), d, p)
+    ranks = np.full(len(flat), min(d, p))
+    rest = np.flatnonzero(~_full_volume(
+        flat if p <= d else flat.transpose(0, 2, 1)))
     if len(rest):
         ranks[rest] = _svd_ranks(flat[rest])
     return ranks.reshape(lead)
@@ -101,8 +100,9 @@ def stacked_rank(stack):
 
 def _full_volume(flat):
     """For each d x p matrix of ``flat`` (p <= d): True when its volume
-    proves rank p by the EPS_RANK test (see VOLUME_RATIO)."""
-    scale = np.abs(flat).max(axis=(1, 2))
+    proves rank p by the EPS_RANK test (see VOLUME_RATIO); never for an
+    empty matrix."""
+    scale = np.abs(flat).max(axis=(1, 2), initial=0.0)
     # NaN fails both comparisons, inf and 0 one of them; the matrices
     # left out are zeroed, so they raise no warning and prove nothing
     live = (scale >= VOLUME_RANGE[0]) & (scale <= VOLUME_RANGE[1])

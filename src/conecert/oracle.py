@@ -9,13 +9,13 @@ values, derivatives by central differences.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import expr as ex
-from .cones import row_norms, unit_rows
+from .cones import Record, row_norms, unit_rows
 from .problem import (Problem, evaluate_objective, feasibility,
                       objective_values)
 
@@ -33,15 +33,12 @@ class TooFewFeasibleSamples(Exception):
 
 
 @dataclass
-class GrowthProbe:
+class GrowthProbe(Record):
     order: int
     n_feasible: int
     refuted: bool
     constant: float | None       # fitted growth constant, None when refuted
     worst_point: list | None
-
-    def to_json(self):
-        return asdict(self)
 
 
 def _equality_frame(A, d):

@@ -373,7 +373,8 @@ class Soc(_ConeBlock):
             dual = np.concatenate([[-vals[0]], vals[1:]])
             return [(J.T @ dual, Provenance("soc_boundary", pos), dual)]
         # apex: extreme dual rays (-1, v) over unit v, sampled
-        dirs = sampling.extras_for(sampling.soc_extra, pos)
+        dirs = [np.asarray(v, dtype=float)
+                for p, v in sampling.soc_extra if p == pos]
         dirs += axis_directions(self.l)
         dirs += unit_directions(self.l, sampling.soc_dirs,
                                 sampling.seed + 7 * pos + 1)
@@ -481,8 +482,7 @@ class Sdp(_ConeBlock):
         pos = state.position
         _, grads = self.entry_derivatives(x)
         qs = sdp_null_directions(Q0, sampling.sdp_dirs,
-                                 sampling.seed + 7 * pos + 3,
-                                 sampling.extras_for(sampling.sdp_extra, pos))
+                                 sampling.seed + 7 * pos + 3)
         return [(np.einsum("i,ijk,j->k", q, grads, q),
                  Provenance("sdp_null", pos, detail=tuple(q.tolist())),
                  np.outer(q, q)) for q in qs]
@@ -732,8 +732,6 @@ def _deviations(P: Problem, X):
     if P.kind == "chebyshev":
         with np.errstate(all="ignore"):
             devs -= np.array(P.psi)[:, None]
-    # adding 0.0 makes each -0.0 value 0.0 and changes no other
-    devs += 0.0
     return devs, reasons
 
 
@@ -879,8 +877,7 @@ def subdifferential_generators(P: Problem, x, active_scenarios) -> list[np.ndarr
 def squared_generators(P: Problem, x, active_scenarios) -> list[np.ndarray]:
     """Generators of the squared-deviation formulation: (f - psi) * grad f."""
     x = np.asarray(x, dtype=float)
-    # adding 0.0 makes each -0.0 entry 0.0 and changes no other
-    return [scenario_derivatives(P, x, s.index, s.sign, True)[0] + 0.0
+    return [scenario_derivatives(P, x, s.index, s.sign, True)[0]
             for s in active_scenarios]
 
 

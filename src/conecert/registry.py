@@ -26,7 +26,6 @@ class RegistryEntry:
     text: str
     candidate: tuple
     soc_extra: tuple = ()
-    sdp_extra: tuple = ()
     note: str = ""
 
 
@@ -157,7 +156,6 @@ def get(name: str, dim: int | None = None,
                        + ", ".join(NAMES))
     problem = load_problem_text(entry.text, source=f"registry:{entry.name}",
                                 tolerances=tolerances)
-    sampling = SamplingSpec(soc_extra=entry.soc_extra,
-                            sdp_extra=entry.sdp_extra)
+    sampling = SamplingSpec(soc_extra=entry.soc_extra)
     return problem, entry.candidate, sampling
 

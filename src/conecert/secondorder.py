@@ -16,11 +16,11 @@ the cone types.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import axis_directions, distinct_rows, unit_rows
+from .cones import Record, axis_directions, distinct_rows, unit_rows
 from .firstorder import (MultiplierWitness, NecessaryReport,
                          _assemble_witness, _witness_residual,
                          directional_derivatives)
@@ -155,7 +155,7 @@ def _null_basis(M):
 
 
 @dataclass
-class SecondOrderReport:
+class SecondOrderReport(Record):
     mode: str                      # 'necessary' | 'sufficient'
     applicable: bool
     refuted: bool = False
@@ -167,9 +167,6 @@ class SecondOrderReport:
     worst_value: float | None = None
     witness_direction: list | None = None
     notes: list = field(default_factory=list)
-
-    def to_json(self):
-        return asdict(self)
 
 
 def _second_order_inputs(ctx: PointContext, first: NecessaryReport):

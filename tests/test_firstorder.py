@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 from collections import Counter
 from itertools import combinations, count, product
@@ -6,6 +9,7 @@ import numpy as np
 import pytest
 
 import conecert as cc
+from conecert import cli
 from conecert import firstorder as fo
 from conecert import linkernel as lk
 from conecert import registry
@@ -14,7 +18,7 @@ from conecert.geometry import (GeneratorSet, PointContext, Provenance,
 from conecert.linkernel import (SCREEN_CHUNK, lp_membership,
                                 solve_positive_combination)
 from conecert.oracle import hull_membership_bruteforce
-from conecert.problem import activity, load_problem_text
+from conecert.problem import activity, load_problem_file, load_problem_text
 from conftest import random_generator_family
 
 SQ2 = math.sqrt(2.0)
@@ -456,7 +460,7 @@ def _walked(columns, groups, budget):
     subsets_tried of the budget overrun that ends it (None without one)."""
     out = []
     try:
-        for key, block in fo._prefix_walk(columns, groups, budget, "walk"):
+        for key, block in fo._prefix_walk(columns, groups, budget):
             assert 0 < len(block) <= fo.SCREEN_CHUNK
             out += [(key, tuple(map(int, row))) for row in block]
     except fo.CombinatorialBudgetExceeded as err:
@@ -509,16 +513,28 @@ def test_prefix_walk_leaves_small_groups_unchecked(monkeypatch):
         columns, groups, SCREEN_CHUNK)]
 
 
-def test_hull_point_has_no_negative_zero():
-    """The relaxed pools' hull point -mean(S) has 0.0 where the mean of
-    the independent gradients S is zero, not -0.0."""
-    e1, e2, _ = np.eye(3)
-    prov = [Provenance("scenario", index=i) for i in (1, 2, 3)]
-    pool, pool_prov = fo._hull_pool([e1, e2, np.array([-1.0, -2.0, 0.0])],
-                                    prov, True)
-    assert pool_prov[-1].kind == "aux_hull"
-    assert np.array_equal(pool[-1], [-0.5, -0.5, 0.0])
-    assert math.copysign(1.0, pool[-1][2]) == 1.0
+def test_hull_point_has_no_negative_zero(tmp_path):
+    """The relaxed pools' hull point -mean(S) is -0.0 where the mean of
+    the independent gradients S is zero, and a report prints it as 0.0.
+    Here S is (1, 1, 0), (-1, 1, 0), (0, 0, 1), and the hull point
+    completes the sufficient check's generalised alternance."""
+    path = tmp_path / "turned.prob"
+    path.write_text('[problem] dim=3\n'
+                    '[scenario] f="x(1) + x(2)"\n[scenario] f="-x(1) - x(2)"\n'
+                    '[scenario] f="-x(1) + x(2)"\n[scenario] f="x(1) - x(2)"\n'
+                    '[scenario] f="x(3)"\n[scenario] f="-x(3)"\n')
+    ctx = PointContext(load_problem_file(str(path)), np.zeros(3))
+    cadre = fo.sufficient_check(ctx).complete_alternance
+    assert cadre.provenance[-1].kind == "aux_hull"
+    assert math.copysign(1.0, cadre.vectors[-1][0]) == -1.0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check", "--file", str(path), "--at", "0,0,0",
+                         "--json"])
+    printed = json.loads(out.getvalue())["sufficient"]["complete_alternance"]
+    assert code == 0 and printed["provenance"][-1]["kind"] == "aux_hull"
+    assert printed["vectors"][-1] == [0.0, -2 / 3, -1 / 3]
+    assert math.copysign(1.0, printed["vectors"][-1][0]) == 1.0
 
 
 def test_find_cadre_applies_the_prefix_test(monkeypatch):

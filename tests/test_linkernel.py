@@ -48,17 +48,21 @@ def test_stacked_rank_matches_one_matrix_at_a_time(rng):
 
 
 def _volume_stacks(rng):
-    """Stacks of 1 to 300 d x p matrices (p <= d) that probe the volume
+    """Stacks of 1 to 300 d x p matrices, tall (p <= d) and wide (p > d,
+    decided by the volume of the transpose), that probe the volume
     pre-decision of stacked_rank at its edges, by name."""
     def normal(n, d, p):
         return rng.standard_normal((n, d, p))
     for n in (1, 31, 32, 300):
-        for d, p in ((2, 2), (3, 3), (4, 2), (6, 4)):
+        for d, p in ((2, 2), (3, 3), (4, 2), (6, 4), (1, 2), (2, 3),
+                     (3, 5), (5, 8)):
             S = normal(n, d, p)
-            # a last column a relative offset of 10^-14 .. 10^-2 away
-            # from the first: on either side of VOLUME_RATIO and EPS_RANK
+            # a last column (of a wide matrix: row) a relative offset of
+            # 10^-14 .. 10^-2 away from the first: on either side of
+            # VOLUME_RATIO and EPS_RANK
+            T = S if p <= d else S.transpose(0, 2, 1)
             offset = 10.0 ** rng.uniform(-14, -2, (n, 1))
-            S[..., -1] = S[..., 0] + offset * normal(n, d, 1)[..., 0]
+            T[..., -1] = T[..., 0] + offset * normal(n, T.shape[1], 1)[..., 0]
             yield "near-threshold", S
             yield "whole scale 10^+-307", (
                 rng.uniform(-1, 1, (n, d, p))
@@ -73,7 +77,7 @@ def _volume_stacks(rng):
     # subnormal scales: LAPACK's singular values of these can underflow
     # and give another rank than their volume proves
     for d in (2, 3, 4, 5):
-        for p in range(1, d + 1):
+        for p in range(1, d + 3):
             yield "subnormal", normal(300, d, p) * 10.0 ** rng.uniform(
                 -324, -310, (300, 1, 1))
 
@@ -91,6 +95,21 @@ def test_stacked_rank_volume_decisions_match_the_svd():
             one = np.linalg.svd(M, compute_uv=False)
             expected = 0 if one[0] <= 0 else int(np.sum(one > 1e-9 * one[0]))
             assert r == expected, (name, M)
+
+
+def test_stacked_rank_decides_wide_stacks_by_volume(monkeypatch, rng):
+    """A wide matrix of full row rank is decided by the volume of its
+    transpose, with no SVD; one with two equal rows still goes to its own
+    SVD."""
+    calls = []
+    svd_ranks = lk._svd_ranks
+    monkeypatch.setattr(lk, "_svd_ranks",
+                        lambda stack: calls.append(len(stack))
+                        or svd_ranks(stack))
+    S = rng.standard_normal((50, 3, 5))
+    S[:10, 2] = S[:10, 0]
+    assert lk.stacked_rank(S).tolist() == [2] * 10 + [3] * 40
+    assert calls == [10]
 
 
 def test_positive_combination_dem():

@@ -26,7 +26,8 @@ exits 1 (a usage or input error), so a corpus case that stops loading
 does not pass unnoticed.  It also exits 1 when a case prints a Python
 warning to stderr (a `<file>:<line>: <Category>Warning: ` line, such as
 numpy's overflow `RuntimeWarning`), which two runs of one commit print
-alike.
+alike, and when a report prints a number `-0.0`: reports write every
+zero unsigned.
 """
 
 from __future__ import annotations
@@ -134,6 +135,8 @@ FILE_CASES = (("semiinf.prob", "0.75"), ("semiinf.prob", "1.05"),
               ("nlp_eq.prob", "1.1"))
 # a line that the warnings module prints: "<file>:<line>: <Category>: ..."
 WARNING_LINE = re.compile(r"^.*:\d+: \w*Warning: ", re.MULTILINE)
+# a -0.0 that stands as a number of its own, not a part of -0.05 or a name
+NEGATIVE_ZERO = re.compile(r"(?<![\w.])-0\.0(?![\w.])")
 # the cases that must exit 1: an undefined value at the point, then a
 # target that is not finite, run last so that the cases before it print
 # the bytes they printed before it was added
@@ -199,7 +202,8 @@ def main() -> int:
                     code = cli.main(["check", *argv, "--json"])
                 failed += ((code == cli.EXIT_ERROR) != (
                     argv in EXPECTED_ERRORS)
-                    or bool(WARNING_LINE.search(err.getvalue())))
+                    or bool(WARNING_LINE.search(err.getvalue()))
+                    or bool(NEGATIVE_ZERO.search(out.getvalue())))
                 print(f"== {' '.join(argv)} -> exit {code}")
                 print(out.getvalue() + err.getvalue(), end="")
         finally:
