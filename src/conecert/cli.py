@@ -267,11 +267,19 @@ def cmd_check(args) -> int:
 
 def _flavor_search(flavor, G, eps_det):
     """The flavor's first cadre over G and its complete cadre, both None
-    when a search's budget ran out.  A first search that found none, or a
-    complete one, walked every p = d + 1 subset, so it decides both."""
+    when a search's budget ran out.  A complete first cadre decides both.
+    So does a first enumeration that found none, as it walked every
+    p = d + 1 subset.  The plain first cadre is read off the membership
+    LP's basis instead, and as every cadre is a membership witness, its
+    absence decides the complete search only when that LP is infeasible."""
     first, out = fo.cadre_search(G, flavor, eps_det=eps_det)
-    if first is None or first.complete:   # None too when out of budget
-        return (None, None) if out else (first, first)
+    if out:
+        return None, None
+    if first is not None and first.complete:
+        return first, first
+    if first is None and (flavor != "plain"
+                          or G.membership.status != "optimal"):
+        return None, None
     complete, out = fo.cadre_search(G, flavor, complete=True, eps_det=eps_det)
     return (None, None) if out else (first, complete)
 

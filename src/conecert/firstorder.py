@@ -20,7 +20,7 @@ from .cones import (Record, builtin_max, distinct_rows, json_data,
                     pair_dots, unit_rows)
 from .geometry import (GeneratorSet, PointContext, Provenance,
                        block_distances, nA_vector)
-from .linkernel import (SCREEN_CHUNK, combination_system, det,
+from .linkernel import (EPS_POS, SCREEN_CHUNK, combination_system, det,
                         lp_chebyshev_center, lp_membership,
                         positive_combinations, rank, simplex_solve,
                         solve_positive_combination, stacked_rank)
@@ -361,15 +361,48 @@ def _hull_pool(grads, grads_prov, generalised: bool):
 
 
 def cadre_search(G, flavor="plain", complete=False, eps_det=1e-8):
-    """(cadre or None, budget_exceeded) of ``find_cadre`` over G, from
-    p = d + 1 when ``complete``; run once per set and arguments, and kept."""
+    """(cadre or None, budget_exceeded) over G; run once per set and
+    arguments, and kept.  The plain first cadre is read off the membership
+    LP's basis (``_basis_cadre``) and never runs out of budget; every other
+    search is ``find_cadre``'s, from p = d + 1 when ``complete``."""
     def search():
+        if flavor == "plain" and not complete:
+            return _basis_cadre(G, eps_det), False
         try:
             return find_cadre(G, flavor, p_min=G.d + 1 if complete else 1,
                               eps_det=eps_det), False
         except CombinatorialBudgetExceeded:
             return None, True
     return G.derived(("cadre", flavor, complete, eps_det), search)
+
+
+def _basis_cadre(G: GeneratorSet, eps_det: float):
+    """The plain cadre on the support of G's basic membership optimum
+    (``GeneratorSet.membership``), or None when there is none.
+
+    The columns of positive weight, gradients, then eta, then nA (the
+    plain pool's order), stay independent with the convexity row
+    appended, and their weights combine them to 0 with at least one
+    gradient among them: a positive circuit, whose every p - 1 vectors are
+    independent.  A weight of at most EPS_POS times the largest gradient
+    weight counts as 0: the simplex leaves a degenerate basic variable at
+    rounding size, 1e-16 say, which would break the circuit.  The circuit
+    is reported only when it passes the alternance test and the prefix
+    test, as a cadre of ``find_cadre`` must."""
+    res = G.membership
+    if res.status != "optimal":
+        return None
+    m, n_eta = len(G.grads_F), len(G.eta)
+    sub = np.flatnonzero(res.x > EPS_POS * res.x[:m].max())
+    pool = [*G.grads_F, *G.eta, *G.nA]
+    prov = [*G.grads_prov, *G.eta_prov, *G.nA_prov]
+    result = verify_alternance(
+        [pool[i] for i in sub], k0=int(np.sum(sub < m)),
+        i0=int(np.sum(sub < m + n_eta)), eps_det=eps_det,
+        provenance=[prov[i] for i in sub])
+    if isinstance(result, Cadre) and _independent_prefixes(result.vectors):
+        return result
+    return None
 
 
 def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
@@ -667,7 +700,7 @@ def necessary_check(ctx: PointContext,
     _feasible_context(ctx)
     P = ctx.problem
     G = ctx.squared if squared else ctx.generators
-    res = G.tableau.solve(0)
+    res = G.membership
     witness = None
     zero_in_D = res.status == "optimal"
     if zero_in_D:
@@ -781,9 +814,10 @@ class PenaltyReport(Record):
 def _penalty_inclusion(c, G, groups) -> bool:
     """Feasibility of 0 = sum(alpha grad_F) + c*sum(group weights) + cone(nA)
     with convex alpha and per-group total weight at most 1; without a
-    group (no eta) it is G's membership system, solved from its tableau."""
+    group (no eta) it is G's membership system, whose kept optimum it
+    reads."""
     if not groups:
-        return G.tableau.solve(0).status == "optimal"
+        return G.membership.status == "optimal"
     cone, caps = [], []
     for vecs in groups:
         caps.append((len(cone), len(cone) + len(vecs)))

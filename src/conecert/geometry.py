@@ -21,7 +21,7 @@ import numpy as np
 from .cones import (EigenFailure, Provenance, SpectralData, axis_directions,
                     pair_dots, project_psd_neg, project_soc,
                     sdp_null_directions, unit_directions)
-from .linkernel import Tableau, combination_system
+from .linkernel import LpResult, Tableau, combination_system
 from .problem import (ActiveSets, FeasibilityReport, PolyhedralSet, Problem,
                       activity, check_feasible, squared_generators,
                       subdifferential_generators)
@@ -57,9 +57,10 @@ class GeneratorSet:
     normal cone, nA the normal cone of the polyhedral set.  eta_dual holds
     the block-space dual each eta vector is the image of.  ``sampled`` is
     set when eta contains sampled (inner-approximation) directions.
-    ``tableau`` holds the set's one phase 1, and ``derived`` the rest the
-    checks compute from the set, each once: its cadre searches and their
-    pools, and its second-order inputs.
+    ``tableau`` holds the set's one phase 1, ``membership`` the optimum of
+    its membership system, and ``derived`` the rest the checks compute
+    from the set, each once: its cadre searches and their pools, and its
+    second-order inputs.
     """
 
     d: int
@@ -85,6 +86,13 @@ class GeneratorSet:
         """Phase 1 of the system of 0 in co(grads_F) + cone(cone), run on
         first use; infeasible when grads_F is empty."""
         return Tableau(*combination_system(self.grads_F, self.cone, d=self.d))
+
+    @cached_property
+    def membership(self) -> LpResult:
+        """The weights of 0 in co(grads_F) + cone(cone), a basic optimum
+        solved from ``tableau`` on first use: the multipliers of the
+        necessary check and the support of its plain cadre."""
+        return self.tableau.solve(0)
 
     def derived(self, key, compute):
         """``compute()`` on the first ask for ``key``, then kept; the key
@@ -202,8 +210,9 @@ class PointContext:
     and block states (the matrix spectral data among them), the plain and
     squared generator sets (holding the one sample of apex and kernel
     directions) and the tangent tester.  Each generator set keeps what
-    the checks derive from it: its phase 1, its cadre searches and its
-    second-order inputs (``GeneratorSet.tableau`` and ``derived``).
+    the checks derive from it: its phase 1 and membership optimum, its
+    cadre searches and its second-order inputs (``GeneratorSet.tableau``,
+    ``membership`` and ``derived``).
     Build one per problem, point and sampling, and pass it to each
     check."""
 

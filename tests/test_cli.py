@@ -397,22 +397,41 @@ def test_check_linf_second_order_does_no_multiplier_work(monkeypatch):
 
 def test_flavor_search_reuses_the_checks_searches(monkeypatch):
     """The plain search of the necessary check and the complete
-    generalised search of the sufficient check are not run again."""
+    generalised search of the sufficient check are not run again.  The
+    plain first cadre is read off the membership basis, so it enumerates
+    nothing."""
     for flavor in ("plain", "generalised"):
         counts = _count_calls(monkeypatch, (fo, "find_cadre"))
         code, out, _ = run_cli("check", "--registry", "linf", "--dim", "3",
                                "--at=0,0,0", "--flavor", flavor, "--json")
         found = json.loads(out)["flavor_search"]
         assert found["cadre"]["p"] == 2
-        # necessary, sufficient, and one search of the flavor's own
-        assert counts == {"find_cadre": 3}
+        # sufficient, and one search of the flavor's own: the complete
+        # plain one, or the first generalised one
+        assert counts == {"find_cadre": 2}
         monkeypatch.undo()
+
+
+def test_plain_flavor_search_survives_a_failed_basis_read(monkeypatch):
+    """A plain first cadre missing where membership holds does not stand
+    for an exhausted search: the complete plain search still runs."""
+    monkeypatch.setattr(fo, "_basis_cadre", lambda G, eps_det: None)
+    code, out, _ = run_cli("check", "--registry", "dem", "--flavor", "plain",
+                           "--json")
+    report = json.loads(out)
+    assert report["necessary"]["zero_in_D"]
+    assert report["necessary"]["cadre"] is None
+    assert not report["necessary"]["agreement"]
+    found = report["flavor_search"]
+    assert found["cadre"] is None and found["complete"]["p"] == 3
 
 
 def test_flavor_search_budget_out_is_inconclusive(monkeypatch):
     """When the first search, or the complete one after an incomplete
     first cadre, runs out of budget, both flavor results are null, for
-    every flavor."""
+    every flavor.  The plain first cadre is read off the membership
+    basis and has no budget, so for plain only the complete search runs
+    out."""
     from conecert.cli import _flavor_search
     from conecert.geometry import PointContext
     P, x, sampling = registry.get("linf", 3)

@@ -544,17 +544,36 @@ def test_relaxed_flavors_run_phase_one_once_per_set(monkeypatch, capsys):
         report = json.loads(capsys.readouterr().out)
         assert report["penalty"]["verified_at_2c"] is True
         assert report["flavor_search"]["complete"]["p"] == 3
-        # the plain, complete generalised and the flavor's first searches
-        assert len(searches) == 3 and len(builds) == 2
+        # the complete generalised and the flavor's first searches; the
+        # plain cadre is read off the membership basis
+        assert len(searches) == 2 and len(builds) == 2
         assert _builds_on(builds, PointContext(P, x).generators) == 1
+
+
+def test_penalty_reads_the_kept_membership_optimum(monkeypatch, capsys):
+    """On dem the penalty inclusion has no cone group, so it reads the
+    membership optimum that the necessary check solved: a check with a
+    penalty solves the membership system once per generator set."""
+    from conecert import cli
+    builds, solves = _recording_tableaux(monkeypatch, lk, geometry)
+    assert cli.main(["check", "--registry", "dem", "--penalty", "10",
+                     "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["penalty"]["verified_at_2c"] is True
+    P, x, _ = registry.get("dem")
+    G = PointContext(P, x).generators
+    A, b = lk.combination_system(G.grads_F, G.cone)
+    assert _builds_on(builds, G) == 1
+    assert sum(not c.any() and a.shape == A.shape and np.array_equal(a, A)
+               and np.array_equal(rhs, b) for c, a, rhs in solves) == 1
 
 
 def test_refuted_weak_search_decides_its_complete_search(monkeypatch,
                                                          capsys):
     """At a refuted point of dem the weak search finds no cadre.  It
     walked every p = d + 1 subset, so the complete weak search, which
-    finds none either, does not run: the check runs the plain, complete
-    generalised and weak searches, and two phase 1s."""
+    finds none either, does not run: the check enumerates for the complete
+    generalised and weak searches alone, and runs two phase 1s."""
     from conecert import cli
     at = (1e-7, -3.0000001)
     builds, _ = _recording_tableaux(monkeypatch, lk, geometry)
@@ -565,7 +584,7 @@ def test_refuted_weak_search_decides_its_complete_search(monkeypatch,
     assert not report["necessary"]["zero_in_D"]
     assert report["flavor_search"] == {"flavor": "weak", "cadre": None,
                                        "complete": None}
-    assert len(searches) == 3 and len(builds) == 2
+    assert len(searches) == 2 and len(builds) == 2
     monkeypatch.undo()
     P, _, _ = registry.get("dem")
     assert fo.find_cadre(PointContext(P, at).generators, "weak",
@@ -574,26 +593,33 @@ def test_refuted_weak_search_decides_its_complete_search(monkeypatch,
 
 def test_searches_are_kept_per_set_and_arguments(monkeypatch):
     """A set keeps each search under all of its arguments, eps_det
-    among them.  The squared set keeps its own searches apart
-    from the plain set's, and a set made by dataclasses.replace starts
-    with none."""
+    among them.  The plain first search enumerates no subset: it reads
+    the set's kept membership optimum, which the necessary check solved.
+    The squared set keeps its own searches and optimum apart from the
+    plain set's, and a set made by dataclasses.replace starts with none."""
     from dataclasses import replace
     ctx = PointContext(load_problem_text(CHEBYSHEV), (0.5, 0.0))
+    eps_det = ctx.problem.tolerances.eps_det
+    _, solves = _recording_tableaux(monkeypatch, lk, geometry)
     searches = _counting(monkeypatch, fo, "find_cadre")
     G = ctx.generators
     first = fo.cadre_search(G)
     assert fo.necessary_check(ctx).cadre is first[0]
-    assert len(searches) == 1
+    assert searches == [] and len(solves) == 1
     S = ctx.squared
-    assert S.memo == {} and replace(G).memo == {}
+    for fresh in (S, replace(G)):
+        assert fresh.memo == {} and "membership" not in vars(fresh)
     squared = fo.necessary_check(ctx, squared=True).cadre
-    assert len(searches) == 2
+    assert searches == [] and len(solves) == 2
     monkeypatch.undo()
-    assert np.array_equal(squared.vectors, fo.find_cadre(S).vectors)
+    assert np.array_equal(squared.vectors,
+                          fo._basis_cadre(S, eps_det).vectors)
     assert not np.array_equal(squared.vectors, first[0].vectors)
     searches = _counting(monkeypatch, fo, "find_cadre")
     for kwargs in ({"eps_det": 1e-6}, {"complete": True},
                    {"flavor": "weak"}):
         fo.cadre_search(G, **kwargs)
-    assert len(searches) == 3
-    assert fo.cadre_search(G) is first and len(searches) == 3
+    # the sets' tableaux still record: no search solved membership again
+    assert len(searches) == 2 and len(solves) == 2
+    assert ("cadre", "plain", False, 1e-6) in G.memo
+    assert fo.cadre_search(G) is first and len(searches) == 2

@@ -563,6 +563,10 @@ def test_find_cadre_needs_objective_vector():
 
 
 def test_cadre_membership_oracle_agreement(rng):
+    """The enumerated cadre and the one read off the membership basis
+    exist exactly on members, as the oracle finds them; every basis
+    cadre passes ``verify_alternance`` with its determinants and
+    ``reverify_report``."""
     from conecert.linkernel import lp_chebyshev_center
     agree = 0
     for _ in range(200):
@@ -572,12 +576,20 @@ def test_cadre_membership_oracle_agreement(rng):
         G = _gen_set(d, hull, cone[:k], cone[k:])
         member = lp_membership(np.zeros(d), hull, cone) is not None
         cadre = fo.find_cadre(G, "plain")
+        basis, out = fo.cadre_search(G)
         oracle = hull_membership_bruteforce(np.zeros(d), hull, cone)
-        assert (cadre is not None) == member == oracle
+        assert (cadre is not None) == (basis is not None) == member == oracle
+        assert not out
         if cadre is not None:
             np.testing.assert_allclose(
                 np.column_stack(cadre.vectors) @ cadre.multipliers, 0.0,
                 atol=1e-8)
+            again = fo.verify_alternance(basis.vectors, basis.k0, basis.i0)
+            np.testing.assert_allclose(again.determinants,
+                                       basis.determinants)
+            report = {"candidate": [0.0] * d,
+                      "necessary": {"cadre": basis.to_json()}}
+            assert fo.reverify_report(None, report)["ok"]
         margin = lp_chebyshev_center(G.tableau)
         if margin is not None:
             # a finite margin in every probe direction implies membership
@@ -587,6 +599,52 @@ def test_cadre_membership_oracle_agreement(rng):
             assert margin is not None and margin > 1e-9
         agree += 1
     assert agree == 200
+
+
+def test_basis_cadre_drops_a_rounding_size_weight():
+    """The simplex leaves the first of these gradients basic at a weight
+    of about 3e-16.  Taken for support it would break the circuit; it
+    counts as 0, and the cadre is the other three."""
+    G = _gen_set(3, [(-1, -2, 1), (1, 0, -2), (2, 2, -1), (-2, -1, 0),
+                     (2, -1, 2)])
+    assert 0 < G.membership.x[0] < 1e-15
+    cadre, _ = fo.cadre_search(G)
+    assert [pr.index for pr in cadre.provenance] == [3, 4, 5]
+
+
+INEQ3 = ('[problem] dim=3\n[scenario] f="x(1) + x(2)^2 - x(3)^2"\n'
+         '[scenario] f="-x(2) + x(3)^2"\n'
+         '[nlp_ineq] g="-x(1) + x(2) - x(3)^2" '
+         'g="-x(1) - x(3)^2 + x(2)^2"\n')
+
+
+def test_basis_cadre_is_a_minimal_positive_circuit():
+    """At 0, ineq3's basis cadre is {scenario 1, scenario 2, nlp_ineq 0},
+    where the enumeration finds a p = 2 cadre first.  No proper subset of
+    its vectors has a positive combination."""
+    ctx = PointContext(load_problem_text(INEQ3), (0.0, 0.0, 0.0))
+    cadre = fo.necessary_check(ctx).cadre
+    assert [(pr.kind, pr.index) for pr in cadre.provenance] == [
+        ("scenario", 1), ("scenario", 2), ("nlp_ineq", 0)]
+    assert (cadre.p, cadre.k0, cadre.i0) == (3, 2, 3)
+    np.testing.assert_allclose(cadre.determinants, [-1, 1, -1, 0],
+                               atol=1e-12)
+    assert fo.find_cadre(ctx.generators).p == 2
+    for r in range(1, cadre.p):
+        for sub in combinations(cadre.vectors, r):
+            assert solve_positive_combination(sub) is None
+
+
+def test_necessary_sdp_1024_reads_its_cadre_off_the_basis():
+    """With 1,024 sampled matrix directions the subset enumeration spent
+    its budget and reported no cadre; the membership basis gives it."""
+    from dataclasses import replace
+    P, x, samp = registry.get("sdp-example")
+    rep = fo.necessary_check(PointContext(P, x, replace(samp, sdp_dirs=1024)))
+    assert rep.zero_in_D and rep.agreement and not rep.budget_exceeded
+    assert rep.cadre.p == 4
+    np.testing.assert_allclose(rep.cadre.determinants, [-12, 15, -24, 6],
+                               atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

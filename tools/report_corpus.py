@@ -11,8 +11,9 @@ the point, two negative-definite matrix blocks with entries near the
 largest float, three small files whose second-order tests have
 critical directions, a file whose gradients span one axis of the
 plane, so the interior margin meets a redundant row, the two largest
-sampled searches: `sdp-example` with 1,024 directions, which exhausts its
-subset budget, and `soc-example` with 4,096 directions and the
+sampled searches: `sdp-example` with 1,024 directions, whose plain
+cadre the membership basis gives where a smallest-p subset search
+exhausts its budget, and `soc-example` with 4,096 directions and the
 second-order tests, the least-deviation fit of t^4 on 401 grid points,
 one scenario per point, and, last, a Chebyshev file with a NaN target,
 an input error.  Each case prints one header line,
@@ -175,8 +176,9 @@ def cases():
                      ("ineq3.prob", "0,0,0")):
         yield ["--file", path, "--at", at, "--second-order"]
     yield ["--file", "flat.prob", "--at", "0,0"]
-    # the budgeted search over about 10^6 subsets of 1,024 sampled matrix
-    # directions, and the null basis of 4,100 gradient and cone rows
+    # the plain cadre and the complete generalised search over 1,024
+    # sampled matrix directions, and the null basis of 4,100 gradient and
+    # cone rows
     yield ["--registry", "sdp-example", "--sdp-dirs", "1024"]
     yield ["--registry", "soc-example", "--soc-dirs", "4096",
            "--second-order"]
