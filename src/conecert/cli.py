@@ -27,7 +27,7 @@ from .oracle import TooFewFeasibleSamples, growth_probe
 from .problem import (ProblemFormatError, ToleranceSet, load_problem_file,
                       problem_to_text)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -58,12 +58,21 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _finite_numbers(text: str) -> list:
+    """The comma-separated numbers of text; ValueError unless each one is
+    a finite number."""
+    values = [float(v) for v in text.split(",")]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"non-finite number in {text!r}")
+    return values
+
+
 def _parse_point(text: str) -> tuple:
     try:
-        return tuple(float(v) for v in text.split(","))
+        return tuple(_finite_numbers(text))
     except ValueError:
         raise SystemExit(f"error: bad point {text!r}; expected "
-                         f"comma-separated numbers")
+                         f"comma-separated finite numbers")
 
 
 def _load(args):
@@ -303,7 +312,7 @@ def _parse_vectors(text: str):
         chunk = chunk.strip()
         if not chunk:
             continue
-        vectors.append([float(v) for v in chunk.split(",")])
+        vectors.append(_finite_numbers(chunk))
     return vectors
 
 
@@ -315,20 +324,21 @@ def cmd_verify_alternance(args) -> int:
     else:
         text = args.vectors
     if not text:
-        print("error: give --vectors \"a,b;c,d;...\" or --vectors-file",
-              file=sys.stderr)
-        return EXIT_ERROR
+        raise SystemExit("error: give --vectors \"a,b;c,d;...\" or "
+                         "--vectors-file")
     try:
         vectors = _parse_vectors(text)
     except ValueError:
-        print("error: malformed vector input", file=sys.stderr)
-        return EXIT_ERROR
+        raise SystemExit("error: malformed vector input; expected finite "
+                         "numbers")
     if not vectors or len({len(v) for v in vectors}) != 1:
-        print("error: vectors must be non-empty and of equal length",
-              file=sys.stderr)
-        return EXIT_ERROR
-    result = fo.verify_alternance(vectors, k0=args.k0, i0=args.i0,
-                                  eps_det=args.eps_det, flavor=args.flavor)
+        raise SystemExit("error: vectors must be non-empty and of equal "
+                         "length")
+    try:
+        result = fo.verify_alternance(vectors, k0=args.k0, i0=args.i0,
+                                      eps_det=args.eps_det, flavor=args.flavor)
+    except ValueError as err:   # p or k0, i0 out of range
+        raise SystemExit(f"error: {err}")
     if isinstance(result, fo.Cadre):
         payload = {"schema": SCHEMA_VERSION, "accepted": True,
                    "cadre": result.to_json()}

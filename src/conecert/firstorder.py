@@ -554,11 +554,6 @@ class MultiplierWitness:
             grad = grad + weight * nA_vector(P.set_A, d, pr)
         return grad, hess + cone_hess
 
-    def lambda_l1(self) -> float:
-        """l1 size of the cone-constraint dual (used as a penalty threshold)."""
-        return sum((blk.dual_size(dual)
-                    for _, blk, dual in self.block_duals()), 0.0)
-
     def to_json(self):
         out = {"alpha": [{"scenario": s, "sign": sg, "weight": w}
                          for s, sg, w in self.alpha]}
@@ -683,7 +678,6 @@ class NecessaryReport(Record):
     cadre: Cadre | None
     agreement: bool
     sampling_limited: bool
-    budget_exceeded: bool
     generators: GeneratorSet = field(metadata={"json": False})
 
 
@@ -713,14 +707,15 @@ def necessary_check(ctx: PointContext,
             # never report an unverified witness
             zero_in_D = False
             witness = None
-    cadre, budget_exceeded = cadre_search(G, eps_det=P.tolerances.eps_det)
+    # the plain first cadre is read off the membership basis: it never
+    # runs out of budget
+    cadre, _ = cadre_search(G, eps_det=P.tolerances.eps_det)
     agreement = (cadre is not None) == zero_in_D
     sampling_limited = G.sampled and (not zero_in_D or not agreement)
     return NecessaryReport(feasible=True, zero_in_D=zero_in_D,
                            multipliers=witness, cadre=cadre,
                            agreement=agreement,
-                           sampling_limited=sampling_limited,
-                           budget_exceeded=budget_exceeded, generators=G)
+                           sampling_limited=sampling_limited, generators=G)
 
 
 @dataclass
@@ -730,7 +725,6 @@ class SufficientReport(Record):
     radius: float
     complete_alternance: Cadre | None
     growth_constant_estimate: float | None
-    estimate_only: bool
     sampling_limited: bool
     budget_exceeded: bool
 
@@ -759,7 +753,6 @@ def sufficient_check(ctx: PointContext,
     return SufficientReport(zero_in_int_D=verdict, margin=margin,
                             radius=radius, complete_alternance=complete,
                             growth_constant_estimate=growth,
-                            estimate_only=True,
                             sampling_limited=sampling_limited,
                             budget_exceeded=budget_exceeded)
 
@@ -808,40 +801,45 @@ class PenaltyReport(Record):
     c: float
     value: float
     zero_in_subdiff: bool
-    verified_at_2c: bool | None
+    c_min: float | None
 
 
-def _penalty_inclusion(c, G, groups) -> bool:
-    """Feasibility of 0 = sum(alpha grad_F) + c*sum(group weights) + cone(nA)
-    with convex alpha and per-group total weight at most 1; without a
-    group (no eta) it is G's membership system, whose kept optimum it
-    reads."""
+def _penalty_threshold(G: GeneratorSet, groups) -> float | None:
+    """The least c with 0 in co(grads_F) + c*sum(capped groups) + cone(nA):
+    None when no c suffices.  Weights mu = c * w turn each cap, a group's
+    weights w totalling at most 1, into sum(mu_group) <= t, so the least c
+    is one LP, min t over the combination system with each cap row read as
+    sum(mu_group) - t + slack = 0.  Without a group it is 0 when G's
+    membership system, whose kept optimum it reads, is feasible."""
     if not groups:
-        return G.membership.status == "optimal"
+        return 0.0 if G.membership.status == "optimal" else None
     cone, caps = [], []
     for vecs in groups:
         caps.append((len(cone), len(cone) + len(vecs)))
-        cone.extend(c * v for v in vecs)
+        cone.extend(vecs)
     A, b = combination_system(G.grads_F, cone + list(G.nA), caps, d=G.d)
-    return simplex_solve(np.zeros(A.shape[1]), A, b).status == "optimal"
+    # the cap rows' right-hand sides, 1, become the column of t
+    A = np.column_stack([A, np.r_[np.zeros(G.d + 1), -b[G.d + 1:]]])
+    b[G.d + 1:] = 0.0
+    res = simplex_solve(np.r_[np.zeros(A.shape[1] - 1), 1.0], A, b)
+    # t >= 0 is a constraint: a rounded -1e-16 reads 0.0
+    return max(0.0, float(res.x[-1])) if res.status == "optimal" else None
 
 
 def penalty_subdiff_check(ctx: PointContext, c: float) -> PenaltyReport:
-    """Inclusion 0 in subdiff(F + c dist)(x) + N_A(x) at a feasible x;
-    when it holds, it is checked at 2c as well, which without a cone group
-    is the same system."""
+    """Inclusion 0 in subdiff(F + c dist)(x) + N_A(x) at a feasible x,
+    decided as c >= c_min, the least penalty parameter for which it holds
+    (``_penalty_threshold``).  With sampled cone families c_min is that of
+    the sampled generators, an upper bound on the true threshold."""
     if c < 0:
         raise ValueError("penalty parameter must be nonnegative")
     _feasible_context(ctx)
     P = ctx.problem
-    G = ctx.generators
-    groups = _penalty_groups(P, G)
-    ok = _penalty_inclusion(c, G, groups)
-    double = None
-    if ok:
-        double = _penalty_inclusion(2 * c, G, groups) if groups else ok
+    c_min = _penalty_threshold(ctx.generators,
+                               _penalty_groups(P, ctx.generators))
     return PenaltyReport(c=c, value=penalty_value(P, ctx.x, c),
-                         zero_in_subdiff=ok, verified_at_2c=double)
+                         zero_in_subdiff=c_min is not None and c >= c_min,
+                         c_min=c_min)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ First-order optimality in its KKT, normal-cone and exact-penalty forms
 is one linear system, 0 in co{grad f_i(x)} + cone(N_K(x)) + cone(N_A(x)),
 which ``combination_system`` lays out.  Membership, the interior margins
 and the second-order forms solve their objectives from the generator
-set's one ``Tableau`` of it (``geometry.GeneratorSet.tableau``), as does
-the penalty inclusion when it caps no run of cone weights.
+set's one ``Tableau`` of it (``geometry.GeneratorSet.tableau``); so does
+the penalty threshold when it caps no run of cone weights.
 """
 
 from __future__ import annotations
@@ -426,15 +426,13 @@ def _margins(tableau, directions):
 def lp_chebyshev_center(tableau):
     """Directional interior margin of the set whose combination system
     ``tableau`` holds (no caps; d = len(b) - 1): the largest common r with
-    r * u in the set for every probe direction u (the 2d signed axes, then
-    -ones/sqrt(d)), math.inf when no probe is bounded.  The set then
-    contains the l1 ball of that radius spanned by the axes, so a Euclidean
-    ball of radius margin/sqrt(d) is certified.  None when the set does
-    not contain the origin."""
-    d = len(tableau.b) - 1
+    r * u in the set for each of the 2d signed axes u, so the radius of the
+    largest l1 ball about 0 in the set and the least of its support
+    function over |h|_inf = 1; math.inf when no probe is bounded, None
+    when the set does not contain the origin.  The Euclidean ball of
+    radius r/sqrt(d) lies in that l1 ball."""
     margin = math.inf
-    for r in _margins(tableau,
-                      axis_directions(d) + [-np.ones(d) / math.sqrt(d)]):
+    for r in _margins(tableau, axis_directions(len(tableau.b) - 1)):
         if r is None:
             return None
         margin = min(margin, r)

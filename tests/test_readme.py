@@ -29,6 +29,7 @@ def test_readme_examples_run_in_order():
                                [10.0, -10.0, 10.0], atol=1e-9)
     assert ns["suf"].radius > 0
     assert ns["pen"].zero_in_subdiff is True and ns["so2"].refuted is False
+    assert ns["pen"].c_min == 0.0
     # the stacked evaluation example
     assert ns["vals"][0] == 1.0
     assert ns["bad"].tolist() == [False, True, True]

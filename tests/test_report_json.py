@@ -88,7 +88,6 @@ def _necessary_to_json(self):
         "cadre": self.cadre.to_json() if self.cadre else None,
         "agreement": self.agreement,
         "sampling_limited": self.sampling_limited,
-        "budget_exceeded": self.budget_exceeded,
     }
 
 
@@ -102,7 +101,6 @@ def _sufficient_to_json(self):
         "complete_alternance": (self.complete_alternance.to_json()
                                 if self.complete_alternance else None),
         "growth_constant_estimate": _num(self.growth_constant_estimate),
-        "estimate_only": self.estimate_only,
         "sampling_limited": self.sampling_limited,
         "budget_exceeded": self.budget_exceeded,
     }
@@ -289,8 +287,7 @@ def test_necessary_report_leaves_out_its_generator_set():
     P, x, sampling = registry.get("dem")
     nec = fo.necessary_check(geo.PointContext(P, x, sampling))
     assert list(nec.to_json()) == ["feasible", "zero_in_D", "multipliers",
-                                   "cadre", "agreement", "sampling_limited",
-                                   "budget_exceeded"]
+                                   "cadre", "agreement", "sampling_limited"]
 
 
 def test_corpus_refuses_a_negative_zero():
