@@ -27,7 +27,7 @@ from .oracle import TooFewFeasibleSamples, growth_probe
 from .problem import (ProblemFormatError, ToleranceSet, load_problem_file,
                       problem_to_text)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -36,8 +36,17 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _tolerances_from(args) -> ToleranceSet:
-    return ToleranceSet(**{f.name: getattr(args, f.name)
-                           for f in fields(ToleranceSet)})
+    """The tolerances of the flags that args holds, the defaults for the
+    others; a value that is not a finite number > 0 is an input error,
+    reported with ToleranceSet's message, whose first word is the field
+    name, spelled as its flag."""
+    try:
+        return ToleranceSet(**{f.name: getattr(args, f.name)
+                               for f in fields(ToleranceSet)
+                               if hasattr(args, f.name)})
+    except ValueError as err:
+        name, rest = str(err).split(" ", 1)
+        raise SystemExit(f"error: --{name.replace('_', '-')} {rest}")
 
 
 def _add_tolerance_flags(p):
@@ -127,11 +136,6 @@ def _print_human(report):
         suf = report["sufficient"]
         out.append(f"sufficient (0 in int D): {suf['zero_in_int_D']}  "
                    f"radius: {suf['radius']}")
-        if suf.get("complete_alternance"):
-            c = suf["complete_alternance"]
-            dets = ", ".join(f"{v:.9g}" for v in c["determinants"])
-            out.append(f"  complete alternance ({c['flavor']}): "
-                       f"determinants [{dets}]")
     if "flavor_search" in report and report["flavor_search"]:
         fl = report["flavor_search"]
         if fl["cadre"] is None:
@@ -141,11 +145,12 @@ def _print_human(report):
             word = "complete" if c["complete"] else f"{c['p']}-point"
             out.append(f"{fl['flavor']} cadre search: {word} cadre found")
             comp = fl.get("complete")
-            if comp is not None and not c["complete"]:
+            if comp is not None:
                 dets = ", ".join(f"{v:.9g}" for v in comp["determinants"])
-                out.append(f"  complete {fl['flavor']} alternance found "
-                           f"separately: determinants [{dets}]")
-            elif comp is None:
+                where = "" if c["complete"] else " found separately"
+                out.append(f"  complete {fl['flavor']} alternance{where}: "
+                           f"determinants [{dets}]")
+            else:
                 out.append(f"  no complete {fl['flavor']} alternance; "
                            f"{c['p']}-point cadre found")
     if "second_order" in report and report["second_order"]:
@@ -276,7 +281,9 @@ def cmd_check(args) -> int:
 
 def _flavor_search(flavor, G, eps_det):
     """The flavor's first cadre over G and its complete cadre, both None
-    when a search's budget ran out.  A complete first cadre decides both.
+    when a search's budget ran out.  These are the check's only subset
+    enumerations, and the complete cadre is the report's one complete
+    alternance.  A complete first cadre decides both.
     So does a first enumeration that found none, as it walked every
     p = d + 1 subset.  The plain first cadre is read off the membership
     LP's basis instead, and as every cadre is a membership witness, its
@@ -334,9 +341,10 @@ def cmd_verify_alternance(args) -> int:
     if not vectors or len({len(v) for v in vectors}) != 1:
         raise SystemExit("error: vectors must be non-empty and of equal "
                          "length")
+    eps_det = _tolerances_from(args).eps_det
     try:
         result = fo.verify_alternance(vectors, k0=args.k0, i0=args.i0,
-                                      eps_det=args.eps_det, flavor=args.flavor)
+                                      eps_det=eps_det, flavor=args.flavor)
     except ValueError as err:   # p or k0, i0 out of range
         raise SystemExit(f"error: {err}")
     if isinstance(result, fo.Cadre):

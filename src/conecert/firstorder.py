@@ -37,8 +37,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10 ** 6
-# sampled unit directions behind the sufficient check's growth estimate
-GROWTH_SAMPLES = 256
 
 
 class CombinatorialBudgetExceeded(Exception):
@@ -641,21 +639,17 @@ def reverify_report(P: Problem, report: dict, eps: float = 1e-8) -> dict:
         ok, resid = _cadre_ok(nec["cadre"])
         out["checks"].append({"what": "necessary.cadre", "ok": ok,
                               "residual": resid})
-    suf = report.get("sufficient") or {}
-    if suf.get("complete_alternance"):
-        ok, resid = _cadre_ok(suf["complete_alternance"])
-        out["checks"].append({"what": "sufficient.complete_alternance",
-                              "ok": ok, "residual": resid})
     if nec.get("multipliers"):
         w = witness_from_json(P, nec["multipliers"])
         resid = _witness_residual(P, x, w)
         out["checks"].append({"what": "necessary.multipliers",
                               "ok": resid <= 1e-7, "residual": resid})
     fl = report.get("flavor_search") or {}
-    if fl.get("cadre"):
-        ok, resid = _cadre_ok(fl["cadre"])
-        out["checks"].append({"what": "flavor_search.cadre", "ok": ok,
-                              "residual": resid})
+    for key in ("cadre", "complete"):
+        if fl.get(key):
+            ok, resid = _cadre_ok(fl[key])
+            out["checks"].append({"what": f"flavor_search.{key}", "ok": ok,
+                                  "residual": resid})
     out["ok"] = all(c["ok"] for c in out["checks"])
     return out
 
@@ -723,10 +717,7 @@ class SufficientReport(Record):
     zero_in_int_D: bool
     margin: float
     radius: float
-    complete_alternance: Cadre | None
-    growth_constant_estimate: float | None
     sampling_limited: bool
-    budget_exceeded: bool
 
 
 def sufficient_check(ctx: PointContext,
@@ -735,39 +726,20 @@ def sufficient_check(ctx: PointContext,
 
     The reported radius is margin/sqrt(d): the common margin over the 2d
     signed axis directions spans an l1 ball inside the generated set, and
-    that ball contains the Euclidean ball of radius margin/sqrt(d).
+    that ball contains the Euclidean ball of radius margin/sqrt(d).  The
+    margin is the exact l-infinity growth constant, so the check samples
+    nothing and enumerates no subset; the complete alternance, an
+    equivalent certificate, is the flavor search's (``cadre_search``).
     """
     _feasible_context(ctx)
     P = ctx.problem
     G = ctx.squared if squared else ctx.generators
     interior = lp_chebyshev_center(G.tableau)
     margin = 0.0 if interior is None else interior
-    radius = margin / math.sqrt(P.d)
     verdict = interior is not None and margin > P.tolerances.eps_pos
-
-    complete, budget_exceeded = cadre_search(
-        G, "generalised", complete=True, eps_det=P.tolerances.eps_det)
-    growth, _ = _min_feasible_slope(ctx, G.grads_F, GROWTH_SAMPLES,
-                                    ctx.sampling.seed + 101)
-    sampling_limited = G.sampled and not verdict
     return SufficientReport(zero_in_int_D=verdict, margin=margin,
-                            radius=radius, complete_alternance=complete,
-                            growth_constant_estimate=growth,
-                            sampling_limited=sampling_limited,
-                            budget_exceeded=budget_exceeded)
-
-
-def _min_feasible_slope(ctx: PointContext, grads, n_samples: int, seed: int):
-    """Sampled lower envelope of the linearized growth: the least, over
-    sampled linearized-feasible unit h, of max <v, h>, and the number of
-    feasible samples."""
-    H, _ = unit_rows(np.random.default_rng(seed).standard_normal(
-        (n_samples, ctx.problem.d)), 1e-12)
-    H = H[ctx.tester.accepted(H)]
-    if not len(H):
-        return None, 0
-    best = min(directional_derivatives(grads, H).tolist())
-    return best, len(H)
+                            radius=margin / math.sqrt(P.d),
+                            sampling_limited=G.sampled and not verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,11 @@ class ToleranceSet:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"{f.name} must be strictly positive")
+            value = getattr(self, f.name)
+            # written so that NaN fails too
+            if not 0 < value < math.inf:
+                raise ValueError(f"{f.name} must be a finite number > 0, "
+                                 f"got {value}")
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
+import pytest
 
 from conecert import firstorder as fo
 from conecert import problem as pb
@@ -56,9 +58,9 @@ def test_check_linf_generalised_complete_fallback():
 
 def test_check_linf_11_walks_few_prefixes(monkeypatch):
     """The complete generalised search of linf d=11 skips every subset
-    below a dependent prefix such as (e_1, -e_1): the whole check passes
-    fewer than 1,000 matrices through stacked_rank, against 478,477 when
-    every subset was rank-screened."""
+    below a dependent prefix such as (e_1, -e_1): the whole check with
+    --flavor generalised passes fewer than 1,000 matrices through
+    stacked_rank, against 478,477 when every subset was rank-screened."""
     from conecert import linkernel as lk
     matrices = []
     stacked_rank = lk.stacked_rank
@@ -69,10 +71,9 @@ def test_check_linf_11_walks_few_prefixes(monkeypatch):
     for module in (lk, fo):
         monkeypatch.setattr(module, "stacked_rank", counted)
     code, out, _ = run_cli("check", "--registry", "linf", "--dim", "11",
-                           "--json")
-    report = json.loads(out)
-    complete = report["sufficient"]["complete_alternance"]
-    assert code == 0 and not report["sufficient"]["budget_exceeded"]
+                           "--flavor", "generalised", "--json")
+    complete = json.loads(out)["flavor_search"]["complete"]
+    assert code == 0
     assert complete["p"] == 12 and complete["flavor"] == "generalised"
     assert 0 < sum(matrices) < 1000
 
@@ -81,7 +82,9 @@ def test_check_sdp_128_decides_full_rank_subsets_by_volume(monkeypatch):
     """The sampled sdp-example search rank-screens thousands of subsets,
     nearly all of full rank; their volume decides them, so fewer than
     1,000 matrices reach the SVD of stacked_rank, against 17,687 when
-    every matrix did, and the cadre and its determinants stay the same."""
+    every matrix did, and the cadre and its determinants stay the same.
+    The complete generalised search's alternance has those determinants
+    too."""
     from conecert import linkernel as lk
     matrices = []
     svd_ranks = lk._svd_ranks
@@ -92,7 +95,8 @@ def test_check_sdp_128_decides_full_rank_subsets_by_volume(monkeypatch):
     monkeypatch.setattr(lk, "_svd_ranks", counted)
     code, out, _ = run_cli("check", "--registry", "sdp-example",
                            "--sdp-dirs", "128", "--second-order",
-                           "--penalty", "10", "--json")
+                           "--penalty", "10", "--flavor", "generalised",
+                           "--json")
     report = json.loads(out)
     cadre = report["necessary"]["cadre"]
     assert code == 0
@@ -100,7 +104,7 @@ def test_check_sdp_128_decides_full_rank_subsets_by_volume(monkeypatch):
     assert cadre["vectors"] == [[-3.0, -3.0, -2.0], [0.0, 0.0, 2.0],
                                 [1.0, 2.0, 0.0], [2.0, -2.0, -1.0]]
     assert cadre["determinants"] == [-12.0, 15.0, -23.999999999999993, 6.0]
-    assert report["sufficient"]["complete_alternance"]["determinants"] == \
+    assert report["flavor_search"]["complete"]["determinants"] == \
         cadre["determinants"]
     assert 0 < sum(matrices) < 1000
 
@@ -150,7 +154,7 @@ def test_json_report_roundtrip_and_reverify(tmp_path):
                            "--json", "--out", str(out_path))
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert report["exit_code"] == 0
     assert json.loads(out_path.read_text()) == report
     P, x, samp = registry.get("dem")
@@ -158,6 +162,40 @@ def test_json_report_roundtrip_and_reverify(tmp_path):
     assert res["ok"]
     names = {c["what"] for c in res["checks"]}
     assert "necessary.cadre" in names
+
+
+def test_reverify_checks_the_complete_alternance():
+    """The flavor search's complete alternance is the report's only one,
+    so a tampered determinant of it fails the re-check."""
+    code, out, _ = run_cli("check", "--registry", "dem", "--flavor",
+                           "generalised", "--json")
+    report = json.loads(out)
+    assert code == 0 and "complete_alternance" not in report["sufficient"]
+    P, _, _ = registry.get("dem")
+    res = fo.reverify_report(P, report)
+    assert res["ok"] and {c["what"] for c in res["checks"]} >= {
+        "flavor_search.cadre", "flavor_search.complete"}
+    report["flavor_search"]["complete"]["determinants"][1] *= 1.01
+    res = fo.reverify_report(P, report)
+    assert not res["ok"]
+    assert [c["what"] for c in res["checks"] if not c["ok"]] == [
+        "flavor_search.complete"]
+
+
+def test_check_enumerates_no_subsets(monkeypatch):
+    """A check without --flavor runs no subset search: linf d=12, whose
+    complete generalised search runs out of its budget, is certified by
+    the margin alone, with no budget in the report."""
+    calls = []
+    monkeypatch.setattr(fo, "find_cadre",
+                        lambda *args, **kwargs: calls.append(args))
+    code, out, _ = run_cli("check", "--registry", "linf", "--dim", "12",
+                           "--json")
+    suf = json.loads(out)["sufficient"]
+    assert code == 0 and calls == []
+    assert list(suf) == ["zero_in_int_D", "margin", "radius",
+                         "sampling_limited"]
+    assert suf["margin"] == 1.0
 
 
 def test_exit_codes_stable_across_runs():
@@ -230,6 +268,29 @@ def test_non_finite_candidate_is_an_input_error(tmp_path):
                    f"finite numbers")
 
 
+_TOLERANCE_FLAGS = [(command, "--" + f.name.replace("_", "-"))
+                    for command in ("check", "discretize")
+                    for f in fields(pb.ToleranceSet)]
+_TOLERANCE_FLAGS.append(("verify-alternance", "--eps-det"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command, flag", _TOLERANCE_FLAGS)
+def test_tolerance_outside_the_positive_numbers_is_an_input_error(
+        tmp_path, command, flag, value):
+    """A tolerance must be a finite number > 0: NaN would fail every
+    comparison, so the checks would read it as a refutation or crash."""
+    src = tmp_path / "si.prob"
+    src.write_text('[problem] dim=1\n[scenario] f="x(1)^2"\n')
+    argv = {"check": ["--registry", "dem"],
+            "discretize": ["--file", str(src), "--at=0"],
+            "verify-alternance": ["--vectors", "1,0;-1,0"]}[command]
+    assert _input_error(command, *argv, f"{flag}={value}") == (
+        1, f"error: {flag} must be a finite number > 0, got {float(value)}")
+    with pytest.raises(ValueError):
+        pb.ToleranceSet(**{flag[2:].replace("-", "_"): float(value)})
+
+
 def test_discretize_roundtrip(tmp_path):
     src = tmp_path / "si.prob"
     src.write_text('[problem] dim=2\n[scenario] f="x(1)^2 + x(2)^2"\n'
@@ -259,10 +320,14 @@ def test_discretize_warns_on_dropped(tmp_path):
 
 
 def test_main_entry_in_process(capsys):
-    code = main(["check", "--registry", "madsen", "--at", "0,1"])
+    """The complete alternance is printed once, by the flavor search."""
+    code = main(["check", "--registry", "madsen", "--at", "0,1",
+                 "--flavor", "generalised"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "generalised" in out
+    assert out.count("[-1, 1, -2]") == 1
+    assert "complete generalised alternance found separately: " \
+        "determinants [-1, 1, -2]" in out
 
 
 def test_convexity_flag_recorded_not_verified():
@@ -435,19 +500,18 @@ def test_check_linf_second_order_does_no_multiplier_work(monkeypatch):
 
 
 def test_flavor_search_reuses_the_checks_searches(monkeypatch):
-    """The plain search of the necessary check and the complete
-    generalised search of the sufficient check are not run again.  The
+    """The plain search of the necessary check is not run again: the
     plain first cadre is read off the membership basis, so it enumerates
-    nothing."""
+    nothing.  The default checks enumerate nothing either."""
     for flavor in ("plain", "generalised"):
         counts = _count_calls(monkeypatch, (fo, "find_cadre"))
         code, out, _ = run_cli("check", "--registry", "linf", "--dim", "3",
                                "--at=0,0,0", "--flavor", flavor, "--json")
         found = json.loads(out)["flavor_search"]
         assert found["cadre"]["p"] == 2
-        # sufficient, and one search of the flavor's own: the complete
-        # plain one, or the first generalised one
-        assert counts == {"find_cadre": 2}
+        # the flavor's own: the complete plain one, or the first and the
+        # complete generalised ones
+        assert counts == {"find_cadre": 1 if flavor == "plain" else 2}
         monkeypatch.undo()
 
 

@@ -619,9 +619,9 @@ def test_relaxed_flavors_run_phase_one_once_per_set(monkeypatch, capsys):
         report = json.loads(capsys.readouterr().out)
         assert report["penalty"]["c_min"] == 0.0
         assert report["flavor_search"]["complete"]["p"] == 3
-        # the complete generalised and the flavor's first searches; the
-        # plain cadre is read off the membership basis
-        assert len(searches) == 2 and len(builds) == 2
+        # the flavor's first search, complete here; the plain cadre is
+        # read off the membership basis
+        assert len(searches) == 1 and len(builds) == 2
         assert _builds_on(builds, PointContext(P, x).generators) == 1
 
 
@@ -647,8 +647,8 @@ def test_refuted_weak_search_decides_its_complete_search(monkeypatch,
                                                          capsys):
     """At a refuted point of dem the weak search finds no cadre.  It
     walked every p = d + 1 subset, so the complete weak search, which
-    finds none either, does not run: the check enumerates for the complete
-    generalised and weak searches alone, and runs two phase 1s."""
+    finds none either, does not run: the check enumerates for the first
+    weak search alone, and runs two phase 1s."""
     from conecert import cli
     at = (1e-7, -3.0000001)
     builds, _ = _recording_tableaux(monkeypatch, lk, geometry)
@@ -659,7 +659,7 @@ def test_refuted_weak_search_decides_its_complete_search(monkeypatch,
     assert not report["necessary"]["zero_in_D"]
     assert report["flavor_search"] == {"flavor": "weak", "cadre": None,
                                        "complete": None}
-    assert len(searches) == 2 and len(builds) == 2
+    assert len(searches) == 1 and len(builds) == 2
     monkeypatch.undo()
     P, _, _ = registry.get("dem")
     assert fo.find_cadre(PointContext(P, at).generators, "weak",

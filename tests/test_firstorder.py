@@ -516,22 +516,22 @@ def test_prefix_walk_leaves_small_groups_unchecked(monkeypatch):
 def test_hull_point_has_no_negative_zero(tmp_path):
     """The relaxed pools' hull point -mean(S) is -0.0 where the mean of
     the independent gradients S is zero, and a report prints it as 0.0.
-    Here S is (1, 1, 0), (-1, 1, 0), (0, 0, 1), and the hull point
-    completes the sufficient check's generalised alternance."""
+    Here S is (1, 1, 0), (-1, 1, 0), (0, 0, 1), and the hull point is the
+    last vector of the complete generalised alternance."""
     path = tmp_path / "turned.prob"
     path.write_text('[problem] dim=3\n'
                     '[scenario] f="x(1) + x(2)"\n[scenario] f="-x(1) - x(2)"\n'
                     '[scenario] f="-x(1) + x(2)"\n[scenario] f="x(1) - x(2)"\n'
                     '[scenario] f="x(3)"\n[scenario] f="-x(3)"\n')
     ctx = PointContext(load_problem_file(str(path)), np.zeros(3))
-    cadre = fo.sufficient_check(ctx).complete_alternance
+    cadre, _ = fo.cadre_search(ctx.generators, "generalised", complete=True)
     assert cadre.provenance[-1].kind == "aux_hull"
     assert math.copysign(1.0, cadre.vectors[-1][0]) == -1.0
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(["check", "--file", str(path), "--at", "0,0,0",
-                         "--json"])
-    printed = json.loads(out.getvalue())["sufficient"]["complete_alternance"]
+                         "--flavor", "generalised", "--json"])
+    printed = json.loads(out.getvalue())["flavor_search"]["complete"]
     assert code == 0 and printed["provenance"][-1]["kind"] == "aux_hull"
     assert printed["vectors"][-1] == [0.0, -2 / 3, -1 / 3]
     assert math.copysign(1.0, printed["vectors"][-1][0]) == 1.0
@@ -692,9 +692,6 @@ def test_sufficient_dem():
     P, x, samp = registry.get("dem")
     rep = fo.sufficient_check(PointContext(P, x, samp))
     assert rep.zero_in_int_D and rep.radius > 0
-    assert rep.complete_alternance is not None
-    assert rep.growth_constant_estimate is not None
-    assert rep.growth_constant_estimate > 0
 
 
 def test_sufficient_linf_without_plain_complete():
@@ -730,9 +727,11 @@ def test_interior_implies_membership_consistency():
         ctx = PointContext(P, x, samp)
         nec = fo.necessary_check(ctx)
         suf = fo.sufficient_check(ctx)
+        complete, _ = fo.cadre_search(ctx.generators, "generalised",
+                                      complete=True)
         if suf.zero_in_int_D:
             assert nec.zero_in_D
-        if suf.complete_alternance is not None:
+        if complete is not None:
             assert suf.zero_in_int_D  # complete alternance => interior
 
 
@@ -775,27 +774,8 @@ def test_penalty_zero_c_single_gradient():
 
 
 # ---------------------------------------------------------------------------
-# sampled growth estimate and discretization
+# discretization
 # ---------------------------------------------------------------------------
-
-
-def test_spot_check_dem_positive():
-    P, x, samp = registry.get("dem")
-    rep = fo.sufficient_check(PointContext(P, x, samp))
-    assert rep.growth_constant_estimate == pytest.approx(1.3193, abs=1e-4)
-
-
-def test_spot_check_refutes_linear():
-    # F = x(1) falls at unit rate along -e1, a sound refutation
-    P = load_problem_text('[problem] dim=1\n[scenario] f="x(1)"\n')
-    rep = fo.sufficient_check(PointContext(P, (0.0,)))
-    assert rep.growth_constant_estimate == -1.0
-
-
-def test_spot_check_madsen():
-    P, x, samp = registry.get("madsen")
-    rep = fo.sufficient_check(PointContext(P, x, samp))
-    assert rep.growth_constant_estimate == pytest.approx(1.0654, abs=1e-4)
 
 
 def test_discretize_active_points():

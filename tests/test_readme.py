@@ -27,7 +27,9 @@ def test_readme_examples_run_in_order():
     # the library example on the dem problem
     np.testing.assert_allclose(ns["nec"].cadre.determinants,
                                [10.0, -10.0, 10.0], atol=1e-9)
-    assert ns["suf"].radius > 0
+    assert ns["suf"].margin == 1.0 and ns["suf"].radius > 0
+    np.testing.assert_allclose(ns["full"].determinants, [10.0, -10.0, 10.0],
+                               atol=1e-9)
     assert ns["pen"].zero_in_subdiff is True and ns["so2"].refuted is False
     assert ns["pen"].c_min == 0.0
     # the stacked evaluation example

@@ -98,11 +98,7 @@ def _sufficient_to_json(self):
         "zero_in_int_D": self.zero_in_int_D,
         "margin": _num(self.margin),
         "radius": _num(self.radius),
-        "complete_alternance": (self.complete_alternance.to_json()
-                                if self.complete_alternance else None),
-        "growth_constant_estimate": _num(self.growth_constant_estimate),
         "sampling_limited": self.sampling_limited,
-        "budget_exceeded": self.budget_exceeded,
     }
 
 
@@ -299,3 +295,42 @@ def test_corpus_refuses_a_negative_zero():
     for text in ('"x": 0.0,', '"x": -0.05,', '-0.001', '1e-07', '-10.0',
                  '"source": "a-0.0b"'):
         assert not pattern.search(text), text
+
+
+def _verdicts(member=True, cadre=True, interior=True, complete=True,
+              c_min=0.0):
+    """A report of first-order verdicts, consistent with the defaults."""
+    return {"necessary": {"zero_in_D": member,
+                          "cadre": {"p": 3} if cadre else None},
+            "sufficient": {"zero_in_int_D": interior},
+            "flavor_search": {"flavor": "generalised",
+                              "complete": {"p": 3} if complete else None},
+            "penalty": {"c_min": c_min}}
+
+
+@pytest.mark.parametrize("planted, broken", [
+    ({"cadre": False}, "necessary.cadre <=> zero_in_D"),
+    ({"member": False, "cadre": False, "complete": False, "c_min": None},
+     "zero_in_int_D => zero_in_D"),
+    ({"interior": False}, "flavor_search.complete => zero_in_int_D"),
+    ({"c_min": None}, "penalty.c_min <=> zero_in_D"),
+])
+def test_corpus_refuses_a_report_that_breaks_an_implication(
+        monkeypatch, capsys, planted, broken):
+    """tools/report_corpus.py names the implication a planted report
+    breaks, and exits 1 on it."""
+    corpus = _corpus()
+    refuted = _verdicts(member=False, cadre=False, interior=False,
+                        complete=False, c_min=None)
+    for report in (_verdicts(), refuted, {"feasibility": {}}):
+        assert corpus.broken_implications(report) == []
+    report = _verdicts(**planted)
+    assert corpus.broken_implications(report) == [broken]
+
+    def check(argv):
+        print(json.dumps(report))
+        return cli.EXIT_OK
+    monkeypatch.setattr(corpus, "cases", lambda: iter([["--registry", "dem"]]))
+    monkeypatch.setattr(corpus.cli, "main", check)
+    assert corpus.main() == 1
+    assert f"breaks {broken}" in capsys.readouterr().err

@@ -1,8 +1,8 @@
 """The stacked sample screens against frozen copies of the one-sample loops
-they replaced.  The growth probe, the sampled slope of the sufficient
-check, the critical-direction screen, the tangent tester's per-block
-screen and check_feasible must give the same results bit for bit: the
-same samples, in the same order, with the same floats."""
+they replaced.  The growth probe, the critical-direction screen, the
+tangent tester's per-block screen and check_feasible must give the same
+results bit for bit: the same samples, in the same order, with the same
+floats."""
 
 import math
 import struct
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from conecert import expr as ex
-from conecert import firstorder as fo
 from conecert import geometry as geo
 from conecert import oracle, registry
 from conecert import problem as pb
@@ -124,24 +123,6 @@ class _RefTester:
 def _ref_directional_derivative(grads, h):
     h = np.asarray(h, dtype=float)
     return max(float(np.dot(v, h)) for v in grads)
-
-
-def _ref_min_feasible_slope(tester, d, grads, n_samples, seed):
-    rng = np.random.default_rng(seed)
-    best = None
-    kept = 0
-    for _ in range(n_samples):
-        h = rng.standard_normal(d)
-        norm = np.linalg.norm(h)
-        if norm < 1e-12:
-            continue
-        h /= norm
-        if not tester.accepts(h):
-            continue
-        kept += 1
-        val = _ref_directional_derivative(grads, h)
-        best = val if best is None else min(best, val)
-    return best, kept
 
 
 def _ref_critical_directions(tester, d, G, n_dirs, seed, eps_crit):
@@ -412,20 +393,6 @@ def test_probe_evaluates_the_problem_in_stacks(monkeypatch):
     assert probe.n_feasible > 100
     assert counts.get("check_feasible", 0) <= 1
     assert counts.get("evaluate_objective", 0) <= 1
-
-
-def test_min_feasible_slope_matches_the_loop():
-    for name, P, x, sampling in CASES:
-        if not pb.check_feasible(P, x).feasible:
-            continue
-        ctx = geo.PointContext(P, x, sampling)
-        for grads in (ctx.generators.grads_F,
-                      [-g for g in ctx.generators.grads_F]):
-            for seed in (101, 211):
-                got = fo._min_feasible_slope(ctx, grads, 256, seed)
-                ref = _ref_min_feasible_slope(_ref_tester(ctx), P.d, grads,
-                                              256, seed)
-                _assert_same(got, ref, name)
 
 
 def _critical_cases():

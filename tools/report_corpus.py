@@ -27,14 +27,16 @@ exits 1 (a usage or input error), so a corpus case that stops loading
 does not pass unnoticed.  It also exits 1 when a case prints a Python
 warning to stderr (a `<file>:<line>: <Category>Warning: ` line, such as
 numpy's overflow `RuntimeWarning`), which two runs of one commit print
-alike, and when a report prints a number `-0.0`: reports write every
-zero unsigned.
+alike, when a report prints a number `-0.0`: reports write every
+zero unsigned, and when a report breaks one of the paper's implications
+between its verdicts (`broken_implications`), named on stderr.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 import os
 import re
@@ -157,7 +159,7 @@ def cases():
     for d in range(2, 9):
         yield ["--registry", "linf", "--dim", str(d), "--second-order",
                "--penalty", "1"]
-    # default flags: the complete generalised cadre search at its largest
+    # default flags: the margin LP alone, with no subset search
     for d in (9, 10):
         yield ["--registry", "linf", "--dim", str(d)]
     yield ["--registry", "soc-example", "--soc-dirs", "512"]
@@ -176,15 +178,37 @@ def cases():
                      ("ineq3.prob", "0,0,0")):
         yield ["--file", path, "--at", at, "--second-order"]
     yield ["--file", "flat.prob", "--at", "0,0"]
-    # the plain cadre and the complete generalised search over 1,024
-    # sampled matrix directions, and the null basis of 4,100 gradient and
-    # cone rows
+    # the plain cadre over 1,024 sampled matrix directions, and the null
+    # basis of 4,100 gradient and cone rows
     yield ["--registry", "sdp-example", "--sdp-dirs", "1024"]
     yield ["--registry", "soc-example", "--soc-dirs", "4096",
            "--second-order"]
     yield ["--file", "cheb4.prob", "--at=-0.125,0,1,0", "--second-order",
            "--penalty", "10"]
     yield NAN_PSI
+
+
+def broken_implications(report) -> list:
+    """The implications between the report's verdicts that it breaks, by
+    name: a plain cadre exactly when 0 is in D, 0 in int D only when 0 is
+    in D, a complete alternance only when 0 is in int D, and a least
+    penalty parameter exactly when 0 is in D.  A report without the
+    first-order checks (an infeasible point) breaks none."""
+    nec, suf = report.get("necessary"), report.get("sufficient")
+    if not nec or not suf:
+        return []
+    member, interior = nec["zero_in_D"], suf["zero_in_int_D"]
+    complete = (report.get("flavor_search") or {}).get("complete")
+    pen = report.get("penalty")
+    holds = {
+        "necessary.cadre <=> zero_in_D": (nec["cadre"] is not None) == member,
+        "zero_in_int_D => zero_in_D": member or not interior,
+        "flavor_search.complete => zero_in_int_D":
+            complete is None or interior,
+        "penalty.c_min <=> zero_in_D":
+            pen is None or (pen["c_min"] is not None) == member,
+    }
+    return [name for name, ok in holds.items() if not ok]
 
 
 def main() -> int:
@@ -202,10 +226,15 @@ def main() -> int:
                 with contextlib.redirect_stdout(out), \
                         contextlib.redirect_stderr(err):
                     code = cli.main(["check", *argv, "--json"])
+                broken = broken_implications(
+                    json.loads(out.getvalue()) if out.getvalue() else {})
+                for name in broken:
+                    print(f"{' '.join(argv)}: breaks {name}", file=sys.stderr)
                 failed += ((code == cli.EXIT_ERROR) != (
                     argv in EXPECTED_ERRORS)
                     or bool(WARNING_LINE.search(err.getvalue()))
-                    or bool(NEGATIVE_ZERO.search(out.getvalue())))
+                    or bool(NEGATIVE_ZERO.search(out.getvalue()))
+                    or bool(broken))
                 print(f"== {' '.join(argv)} -> exit {code}")
                 print(out.getvalue() + err.getvalue(), end="")
         finally:
