@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--out", help="also write the JSON report here")
     p_check.add_argument("--soc-dirs", type=_int_at_least(0), default=64)
     p_check.add_argument("--sdp-dirs", type=_int_at_least(0), default=64)
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_tolerance_flags(p_check)
 
     p_ver = sub.add_parser("verify-alternance",

@@ -474,8 +474,7 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
 def _independent_prefixes(vecs) -> bool:
     """True when the first k vectors have rank k for every k below their
     number, by the EPS_RANK test: the prefix test of a cadre."""
-    M = np.column_stack(vecs)
-    return all(rank(M[:, :k]) == k for k in range(1, len(vecs)))
+    return len(_greedy_independent(vecs[:-1])) == len(vecs) - 1
 
 
 def _rank_screen(stacked, chunk, p, widths):

@@ -63,11 +63,13 @@ def growth_probe(P: Problem, x, order: int = 1, n_samples: int = 2000,
     min (F(y) - F(x)) / |y - x|^order; any strictly lower objective value
     refutes local optimality outright.
 
-    The samples are drawn one by one, then screened together: a sample
-    counts when it is feasible, lies off x and every constraint and
-    scenario value is defined there.  The first counted sample in draw
-    order with a lower value refutes; otherwise the constant is the first
-    least quotient."""
+    The stream is default_rng(seed + 17): the n_samples normals first, in
+    one draw, then one uniform r per non-null direction, which takes the
+    step radius * r^(1/k) along it in the equality frame.  The samples
+    are screened together: a sample counts when it is feasible, lies off
+    x and every constraint and scenario value is defined there.  The
+    first counted sample in draw order with a lower value refutes;
+    otherwise the constant is the first least quotient."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     x = np.asarray(x, dtype=float)
@@ -77,16 +79,10 @@ def growth_probe(P: Problem, x, order: int = 1, n_samples: int = 2000,
     k = frame.shape[1]
     if k == 0:
         raise TooFewFeasibleSamples(0, min_feasible)
-    # a direction, then a radius unless the direction is null: the
-    # interleaving fixes the random stream, so the draws stay one by one
-    U = np.empty((n_samples, k))
-    radii = []
-    for i in range(n_samples):
-        U[i] = rng.standard_normal(k)
-        # the norm of U[i] as unit_rows computes it
-        if not math.sqrt(U[i].dot(U[i])) < 1e-12:
-            radii.append(radius * rng.random() ** (1.0 / k))
-    steps = np.array(radii).reshape(-1, 1) * unit_rows(U, 1e-12)[0]
+    dirs, _ = unit_rows(rng.standard_normal((n_samples, k)), 1e-12)
+    # Python's float power: numpy's array power can differ from it by an ulp
+    radii = [radius * r ** (1.0 / k) for r in rng.random(len(dirs)).tolist()]
+    steps = np.array(radii).reshape(-1, 1) * dirs
     # one matrix-vector product per sample, as frame @ step computes it
     Y = x + np.matmul(frame, steps[:, :, None])[:, :, 0]
     feasible, _ = feasibility(P, Y.T)

@@ -852,7 +852,8 @@ def test_check_semiinf_grid_ends_must_be_finite(tmp_path):
 
 def test_check_rejects_negative_direction_counts_and_dimension_zero():
     for flag, value, minimum in (("--soc-dirs", "-3", 0),
-                                 ("--sdp-dirs", "-1", 0), ("--dim", "0", 1)):
+                                 ("--sdp-dirs", "-1", 0), ("--dim", "0", 1),
+                                 ("--seed", "-1", 0)):
         code, out, err = run_cli("check", "--registry", "linf", "--dim", "2",
                                  flag, value)
         assert (code, out) == (1, "")

@@ -23,6 +23,26 @@ def test_growth_refutes_linear():
     assert probe.refuted
 
 
+def test_growth_probe_draws_the_documented_stream():
+    """The stream is default_rng(seed + 17): every normal in one draw, then
+    one uniform radius per non-null normal.  On f = x(1) at 0 the first
+    negative normal refutes, at -radius * r_i."""
+    P = load_problem_text('[problem] dim=1\n[scenario] f="x(1)"\n')
+    n = 50
+    firsts = set()
+    for seed in range(6):
+        rng = np.random.default_rng(seed + 17)
+        u = rng.standard_normal((n, 1))[:, 0]
+        r = rng.random(n)
+        i = int(np.flatnonzero(u < 0)[0])
+        firsts.add(i)
+        probe = oracle.growth_probe(P, (0.0,), n_samples=n, seed=seed)
+        assert probe.refuted and probe.constant is None
+        assert probe.n_feasible == i + 1
+        assert probe.worst_point == [-0.1 * r[i]]
+    assert len(firsts) > 1
+
+
 def test_growth_linf_constant():
     for d in (2, 3):
         P, x, _ = registry.get("linf", dim=d)

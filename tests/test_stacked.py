@@ -163,8 +163,10 @@ def _ref_critical_directions(tester, d, G, n_dirs, seed, eps_crit):
 
 def _ref_growth_probe(P, x, order=1, n_samples=2000, radius=0.1, seed=0,
                       eps=1e-9, min_feasible=50, skip_undefined=False):
-    """The loop as it was; ``skip_undefined`` passes over a sample whose
-    evaluation raises instead of failing, as the stacked probe does."""
+    """The probe as a loop over one sample at a time, on the probe's
+    stream: every normal first, then one uniform per non-null normal;
+    ``skip_undefined`` passes over a sample whose evaluation raises
+    instead of failing, as the stacked probe does."""
     x = np.asarray(x, dtype=float)
     F0, _ = pb.evaluate_objective(P, x)
     rng = np.random.default_rng(seed + 17)
@@ -176,8 +178,8 @@ def _ref_growth_probe(P, x, order=1, n_samples=2000, radius=0.1, seed=0,
     best = math.inf
     worst_point = None
     refuted = False
-    for _ in range(n_samples):
-        u = rng.standard_normal(k)
+    normals = [rng.standard_normal(k) for _ in range(n_samples)]
+    for u in normals:
         norm = np.linalg.norm(u)
         if norm < 1e-12:
             continue
