@@ -54,6 +54,7 @@ trees puts each tree in a family of its own.
 
 from __future__ import annotations
 
+import codecs
 import math
 import re
 from collections.abc import Sequence
@@ -945,18 +946,21 @@ def _parse_sections(text: str):
 
 
 def _parse_number(value: str, section, line) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        # float() reads these spellings of inf too, unless they are padded
-        # by a character that str.strip() removes and float() does not
-        # (U+001C to U+001F)
-        v = value.strip().lower()
-        if v in ("inf", "+inf"):
-            return math.inf
-        if v == "-inf":
-            return -math.inf
-        raise ProblemFormatError(f"not a number: {value!r}", section, line)
+    """A number as ``float`` reads it, in ASCII and without the '_' digit
+    separators ``float`` also takes (the expression grammar has neither)."""
+    if value.isascii() and "_" not in value:
+        try:
+            return float(value)
+        except ValueError:
+            # float() reads these spellings of inf too, unless they are
+            # padded by a character that str.strip() removes and float()
+            # does not (U+001C to U+001F)
+            v = value.strip().lower()
+            if v in ("inf", "+inf"):
+                return math.inf
+            if v == "-inf":
+                return -math.inf
+    raise ProblemFormatError(f"not a number: {value!r}", section, line)
 
 
 # The largest count of each kind a problem file may ask for, checked
@@ -1119,9 +1123,16 @@ def _linear_row(node: ex.Expression, d: int, section, line):
 
 
 def load_problem_file(path, tolerances: ToleranceSet | None = None) -> Problem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_problem_text(fh.read(), source=str(path),
-                                 tolerances=tolerances)
+    """Load a problem file: UTF-8 text, with or without a byte order
+    mark."""
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ProblemFormatError(f"not UTF-8: byte {data[err.start]:#04x}",
+                                 line=data.count(b"\n", 0, err.start) + 1)
+    return load_problem_text(text, source=str(path), tolerances=tolerances)
 
 
 def _fmt_num(v: float) -> str:

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,16 @@ def random_generator_family(rng, d, n_total):
     cone = [rng.integers(-3, 4, size=d).astype(float) for _ in range(n_cone)]
     cone = [v for v in cone if np.linalg.norm(v) > 0]
     return hull, cone
+
+
+def perfbench_workloads():
+    """The benchmark's workload module, which generates its input files."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads
 
 
 @pytest.fixture

@@ -125,6 +125,28 @@ def test_check_non_ascii_digit_exit_one(tmp_path):
     assert err.startswith("error: ") and "syntax error at offset 6" in err
 
 
+def test_check_reads_a_file_with_a_byte_order_mark(tmp_path):
+    text = '[problem] dim=1\n[scenario] f="x(1)"\n[scenario] f="-x(1)"\n'
+    plain, bom = tmp_path / "plain.prob", tmp_path / "bom.prob"
+    plain.write_bytes(text.encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    got = run_cli("check", "--file", str(bom), "--at", "0", "--json")
+    want = run_cli("check", "--file", str(plain), "--at", "0", "--json")
+    assert got[0] == 0 and got[2] == ""
+    assert got == (want[0], want[1].replace("plain.prob", "bom.prob"), "")
+
+
+@pytest.mark.parametrize("command", [["check"], ["discretize"]])
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, command, bom):
+    path = tmp_path / "latin1.prob"
+    path.write_bytes(bom + b'[problem] dim=1\n[scenario] f="x(1)"\n'
+                     b'[scenario] f="-x(1)" # caf\xe9\n')
+    code, out, err = run_cli(*command, "--file", str(path), "--at", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: not UTF-8: byte 0xe9 (line 3)\n"
+
+
 def test_check_infeasible_point_refuted():
     code, out, _ = run_cli("check", "--registry", "bazaraa45", "--at", "0,0")
     assert code == 2

@@ -1,13 +1,12 @@
 import re
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conecert import expr as ex
 from conecert.oracle import fd_check
-from conftest import random_expression
+from conftest import perfbench_workloads, random_expression
 
 
 def test_parse_linear_combination():
@@ -509,17 +508,8 @@ def test_registry_expressions_match_reference():
     assert seen >= 80
 
 
-def _perfbench_workloads():
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-    return workloads
-
-
 def test_alternance_texts_match_reference():
-    workloads = _perfbench_workloads()
+    workloads = perfbench_workloads()
     for case in workloads.alternance_cases(seed=1):
         (text,) = case.files.values()
         d = int(re.search(r"dim=(\d+)", text).group(1))
@@ -676,7 +666,7 @@ def test_stacked_values_match_on_registry_expressions(rng):
 
 
 def test_stacked_values_match_on_alternance_expressions(rng):
-    workloads = _perfbench_workloads()
+    workloads = perfbench_workloads()
     for case in workloads.alternance_cases(seed=1):
         (text,) = case.files.values()
         d = int(re.search(r"dim=(\d+)", text).group(1))

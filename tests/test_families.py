@@ -11,8 +11,10 @@ import pytest
 
 from conecert import expr as ex
 from conecert import problem as pb
+from conecert import registry
 from conecert.problem import (Problem, evaluate_objective, load_problem_text,
                               objective_values, problem_to_text)
+from conftest import perfbench_workloads
 
 # ---------------------------------------------------------------------------
 # inputs
@@ -330,3 +332,178 @@ def test_no_family_or_tree_outlives_its_problem():
     A, B = load_problem_text(text), load_problem_text(text)
     assert not {id(f.template) for f in A.scenarios.families} & {
         id(f.template) for f in B.scenarios.families}
+
+
+# ---------------------------------------------------------------------------
+# compiled templates group texts as one split per text does
+# ---------------------------------------------------------------------------
+
+
+_SPLIT = ex._FREE_LITERAL.split
+
+
+def _split_shapes(texts):
+    """The grouping by one ``_FREE_LITERAL.split`` per text, kept as the
+    reference: each skeleton mapped to its members and their literals, in
+    the order of first members."""
+    shapes = {}
+    for i, text in enumerate(texts):
+        parts = _SPLIT(text)
+        members, literals = shapes.setdefault(tuple(parts[::2]), ([], []))
+        members.append(i)
+        literals += parts[1::2]
+    return shapes
+
+
+def _split_parse_families(texts, d, params=()):
+    """``parse_families`` over the reference grouping."""
+    families = []
+    for pieces, (members, literals) in _split_shapes(texts).items():
+        columns = np.fromiter(map(float, literals), float, len(literals))
+        columns = columns.reshape(len(members), len(pieces) - 1)
+        try:
+            tokens = ex._tokenize(pieces[0])
+            for slot, piece in enumerate(pieces[1:]):
+                tokens[-1:] = [("lit", slot, 0)] + ex._tokenize(piece)
+            template = ex._parse_tokens(tokens, d, params,
+                                        [ex.Column(c) for c in columns.T])
+        except ex.ExprError:
+            families += [ex.Family(ex.parse(texts[i], d, params),
+                                   np.array([i])) for i in members]
+            continue
+        families.append(ex.Family(template, np.array(members)))
+    return families
+
+
+def _layout(families):
+    """Each family's members, its template with every ``Column`` read as 0,
+    and the bytes of its columns, in tree order."""
+    out = []
+    for fam in families:
+        columns = []
+        skeleton = fam.template.map_nodes(
+            lambda n: columns.append(n.value.tobytes()) or ex.Const(0.0)
+            if isinstance(n, ex.Column) else n)
+        out.append((fam.members.tolist(), skeleton, skeleton.text(),
+                    columns))
+    return out
+
+
+def _assert_families_match_the_split(texts, d, params=()):
+    assert _layout(ex.parse_families(texts, d, params)) == _layout(
+        _split_parse_families(texts, d, params))
+
+
+class _CountingSplit:
+    """``_FREE_LITERAL`` with a count of its splits."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def split(self, text):
+        self.calls += 1
+        return _SPLIT(text)
+
+
+def test_families_match_the_split_on_registry_and_alternance_texts():
+    for entry in list(registry._FIXED.values()) + [
+            registry._linf_entry(d) for d in range(3, 7)]:
+        d = int(entry.text.split("dim=")[1].split()[0])
+        _assert_families_match_the_split(_scenario_texts(entry.text), d)
+    workloads = perfbench_workloads()
+    for seed in (1, 2, 3):
+        for case in workloads.alternance_cases(seed):
+            (text,) = case.files.values()
+            texts = _scenario_texts(text)
+            assert len(texts) >= 1201
+            _assert_families_match_the_split(
+                texts, int(text.split("dim=")[1].split()[0]))
+
+
+def test_families_match_the_split_on_interleaved_shapes(rng):
+    texts = _scenario_texts(_chebyshev_text(n=6, points=1201))
+    shapes = list(_split_shapes(texts))
+    assert len(shapes) == 2
+    first = [t for t in texts if tuple(_SPLIT(t)[::2]) == shapes[0]]
+    second = [t for t in texts if tuple(_SPLIT(t)[::2]) == shapes[1]]
+    abab = [t for pair in zip(first, second) for t in pair]
+    _assert_families_match_the_split(abab, 6)
+    # runs of random lengths, so that a text often follows the other shape
+    # with both templates compiled
+    runs, a, b = [], iter(first * 2), iter(second * 2)
+    for k in range(40):
+        runs += [next(b if k % 2 else a) for _ in range(rng.integers(1, 80))]
+    _assert_families_match_the_split(runs, 6)
+
+
+# piece material with every class of character the split's look-behind
+# reads, exponent letters and signs at piece ends and starts, and a
+# non-ASCII digit
+_PIECE_TOKENS = ("x(1)", "*", "+", "-", " ", "(", ")", "e", "E", "a1", "2",
+                 ".", "e-", "E+", "1e-", "e2", "E+1", "2*", "٣", "_")
+# free literals of every spelling, then strings that are none, or more
+_LITERALS = ("0.5", "1.", ".5", "1e5", "2.5E-3", "1.5e+3", "7.e2")
+_FILLS = _LITERALS + ("1.5e", "1e+", "9e9e9", "3..4", "12", "1.5.", ".5.",
+                      "1e5.3", "0x1", "1_0.5", "e5", "", "-0.5", "1.5e-7x",
+                      "5.e", "00.10", ".0e0")
+
+
+def test_template_hits_split_as_their_family_on_fuzzed_variants(
+        monkeypatch):
+    """Variants of random skeletons whose slots hold literals and strings
+    that look like them.  Each skeleton's template is compiled by its
+    first members, and every variant follows a member, so that it is
+    matched against the template first."""
+    import random
+    fuzz = random.Random(20261019)
+    counter = _CountingSplit()
+    monkeypatch.setattr(ex, "_FREE_LITERAL", counter)
+    variants = texts_seen = 0
+    for _ in range(400):
+        pieces = ["".join(fuzz.choices(_PIECE_TOKENS, k=fuzz.randrange(4)))
+                  for _ in range(fuzz.randrange(2, 6))]
+        base = "".join(p + fuzz.choice(_LITERALS) for p in pieces[:-1])
+        base += pieces[-1]
+        pieces = _SPLIT(base)[::2]     # the skeleton the split gives it
+        texts = [base] * ex._TEMPLATE_AT
+        for _ in range(128):
+            texts.append(base)
+            texts.append("".join(p + fuzz.choice(_FILLS)
+                                 for p in pieces[:-1]) + pieces[-1])
+        variants += 128
+        texts_seen += len(texts)
+        assert list(ex._shapes(texts).items()) == list(
+            _split_shapes(texts).items()), texts
+    assert variants >= 50_000
+    # over 10,000 texts were matched by a template, not split
+    assert texts_seen - counter.calls > 10_000
+
+
+def test_a_skeleton_ending_in_an_exponent_sign_gets_no_template():
+    # after "1e-" a literal must start with '.': "1e-5." would split as
+    # the literal "1e-5" and a piece "."
+    assert ex._template(("x(1)*1e-", "*x(2)")) is None
+    assert ex._template(("x(1)*1E+", "")) is None
+    assert ex._template(("x(1)*e", " - ", "")) is not None
+    texts = ["x(1)*1e-.5*x(2)"] * ex._TEMPLATE_AT + ["x(1)*1e-5.*x(2)"]
+    assert list(ex._shapes(texts).items()) == list(
+        _split_shapes(texts).items())
+    assert len(ex._shapes(texts)) == 2
+
+
+def test_families_below_the_template_size_compile_nothing(monkeypatch):
+    compiled = []
+    real = ex.re.compile
+    monkeypatch.setattr(ex.re, "compile",
+                        lambda *args: compiled.append(args) or real(*args))
+    n = ex._TEMPLATE_AT
+    # 50 shapes of n - 1 members, in runs and interleaved
+    values = np.random.default_rng(0).random(50 * (n - 1)).tolist()
+    runs = [f"x(1)^{s + 2} + {v!r}*x(2)"
+            for s in range(50) for v in values[s * (n - 1):(s + 1) * (n - 1)]]
+    ex.parse_families(runs, 2)
+    ex.parse_families([runs[s * (n - 1) + k]
+                       for k in range(n - 1) for s in range(50)], 2)
+    assert compiled == []
+    ex.parse_families(runs + ["x(1)^2 + 0.5*x(2)"], 2)
+    assert len(compiled) == 1

@@ -210,11 +210,11 @@ def test_corpus_file_reports_match_the_frozen_encoding(monkeypatch,
     the hand-written encoding printed."""
     corpus = _corpus()
     for path, text in corpus.FILES.items():
-        (tmp_path / path).write_text(text)
+        (tmp_path / path).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     argvs = [argv for argv in corpus.cases()
              if "--file" in argv and argv not in corpus.EXPECTED_ERRORS]
-    assert len(argvs) == 14
+    assert len(argvs) == 15
     for argv in argvs:
         _same_as_frozen(monkeypatch, argv)
 

@@ -15,8 +15,10 @@ sampled searches: `sdp-example` with 1,024 directions, whose plain
 cadre the membership basis gives where a smallest-p subset search
 exhausts its budget, and `soc-example` with 4,096 directions and the
 second-order tests, the least-deviation fit of t^4 on 401 grid points,
-one scenario per point, and, last, a Chebyshev file with a NaN target,
-an input error.  Each case prints one header line,
+one scenario per point, a Chebyshev file with a NaN target, an input
+error, and, last, a file that starts with a UTF-8 byte order mark and
+a target written with a '_' digit separator, an input error.  Each case
+prints one header line,
 `== <argv> -> exit <code>`, then its report or error.
 
 Run it at two commits and compare the outputs with `cmp`: a change that
@@ -110,6 +112,12 @@ FILES = {
     "nan_psi.prob": '[problem] dim=1 kind=chebyshev\n'
                     '[scenario] f="x(1)" psi=nan\n'
                     '[scenario] f="x(1)" psi=0.5\n',
+    # a byte order mark before the first section, which the loader skips
+    "bom.prob": '\ufeff' + ONE + '[scenario] f="-x(1)"\n',
+    # float() reads 1_0 as 10; a number outside an expression is ASCII
+    # without separators, as inside one
+    "underscore_psi.prob": '[problem] dim=1 kind=chebyshev\n'
+                           '[scenario] f="x(1)" psi=1_0\n',
 }
 
 
@@ -141,15 +149,17 @@ WARNING_LINE = re.compile(r"^.*:\d+: \w*Warning: ", re.MULTILINE)
 # a -0.0 that stands as a number of its own, not a part of -0.05 or a name
 NEGATIVE_ZERO = re.compile(r"(?<![\w.])-0\.0(?![\w.])")
 # the cases that must exit 1: an undefined value at the point, then a
-# target that is not finite, run last so that the cases before it print
-# the bytes they printed before it was added
+# target that is not finite and one that is not an ASCII number, run
+# after the cases that were there before them, which so print the same
+# bytes
 UNDEFINED = [["--file", "div.prob", "--at=0"],
              ["--file", "sdp_sqrt.prob", "--at=-1"],
              ["--file", "pow.prob", "--at=10"],
              ["--file", "semiinf_div.prob", "--at=0"],
              ["--file", "two_reasons.prob", "--at=-1,1"]]
 NAN_PSI = ["--file", "nan_psi.prob", "--at=0"]
-EXPECTED_ERRORS = UNDEFINED + [NAN_PSI]
+UNDERSCORE_PSI = ["--file", "underscore_psi.prob", "--at=0"]
+EXPECTED_ERRORS = UNDEFINED + [NAN_PSI, UNDERSCORE_PSI]
 
 
 def cases():
@@ -186,6 +196,8 @@ def cases():
     yield ["--file", "cheb4.prob", "--at=-0.125,0,1,0", "--second-order",
            "--penalty", "10"]
     yield NAN_PSI
+    yield ["--file", "bom.prob", "--at", "0"]
+    yield UNDERSCORE_PSI
 
 
 def broken_implications(report) -> list:
