@@ -87,8 +87,11 @@ def _parse_point(text: str) -> tuple:
 def _load(args):
     tol = _tolerances_from(args)
     if args.registry:
-        problem, candidate, sampling = registry.get(
-            args.registry, dim=args.dim, tolerances=tol)
+        try:
+            problem, candidate, sampling = registry.get(
+                args.registry, dim=args.dim, tolerances=tol)
+        except KeyError as err:   # an unknown name or a misplaced --dim
+            raise SystemExit(f"error: {err.args[0]}") from None
     elif args.file:
         problem = load_problem_file(args.file, tolerances=tol)
         candidate = None
@@ -489,8 +492,7 @@ def main(argv=None) -> int:
             print(err.code, file=sys.stderr)
             return EXIT_ERROR
         raise
-    except (OSError, ProblemFormatError, ExprError, KeyError,
-            fo.NotFeasible) as err:
+    except (OSError, ProblemFormatError, ExprError, fo.NotFeasible) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -2,14 +2,15 @@
 
 The grammar (documented in docs/grammar.md) covers constants, variables
 ``x(i)``, the binary operators ``+ - * /``, integer powers ``^``, unary
-minus, and the functions ``sin cos exp abs sqrt``.  Evaluation propagates
-a second-order forward-mode carrier (value, gradient, Hessian), so all
-derivatives are exact up to rounding, never finite differences.
+minus, and the functions ``sin cos exp abs sqrt``.
 
-Values alone have one evaluator, over a stack of points held as the
-columns of an array (``eval_values``); a point is a stack of one column
-(``eval_value``).  Each undefined value carries its reason, the DomainError
-that evaluation at that one point raises.
+Expressions have one evaluator, ``jets_at``, over a stack of points held
+as the columns of an array (``eval_jets``; a point is a stack of no axes,
+``eval2``).  It gives the values, each undefined one with its reason, and
+the gradients and Hessians in x(1..d) by second-order forward mode, exact
+up to rounding.  A subtree that does not depend on x(1..d), such as
+abs(0.0) or a term in a semi-infinite index t in row d+1, carries no
+derivative, so no derivative rule runs on it.
 
 Many texts that differ only in their decimal literals, as the scenarios of
 a discretised Chebyshev fit do, are parsed together (``parse_families``):
@@ -33,7 +34,7 @@ __all__ = [
     "VariableIndexOutOfRange", "DomainError",
     "Column", "Family", "parse", "parse_families", "to_string", "eval2",
     "eval_value", "eval_values", "eval_reasons", "raise_undefined",
-    "substitute", "fold_constants", "variables_used",
+    "eval_jets", "substitute",
 ]
 
 
@@ -77,71 +78,19 @@ class DomainError(ExprError):
 # and 0 means the value is defined
 _REASONS = ("", "division by zero", "zero raised to a negative power",
             "power outside the floating-point range",
-            "sqrt of a negative number")
-_DIV_ZERO, _ZERO_POW, _POW_RANGE, _SQRT_NEG = map(np.int8, range(1, 5))
+            "sqrt of a negative number",
+            "sqrt requires a strictly positive argument for differentiation",
+            "abs has no derivative at 0")
+(_DIV_ZERO, _ZERO_POW, _POW_RANGE, _SQRT_NEG, _SQRT_DIFF,
+ _ABS_KINK) = map(np.int8, range(1, 7))
 
 
 def _first(a, b):
     """Per column, reason a where there is one, else reason b; either is
-    returned as it is when the other has none."""
-    if not np.count_nonzero(b):
+    returned as it is when the other has none (None or no nonzero)."""
+    if b is None or not np.count_nonzero(b):
         return a
-    return np.where(a, a, b) if np.count_nonzero(a) else b
-
-
-# ---------------------------------------------------------------------------
-# forward-mode carrier
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Dual2:
-    """Second-order forward-mode carrier: value, gradient, Hessian.
-
-    The Hessian stays bitwise symmetric: every rule below builds it from
-    symmetric pieces (``outer(g, g)``, ``outer(a, b) + outer(b, a)``).
-    """
-
-    value: float
-    grad: np.ndarray
-    hess: np.ndarray
-
-    def __add__(self, o: "Dual2") -> "Dual2":
-        return Dual2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
-
-    def __sub__(self, o: "Dual2") -> "Dual2":
-        return Dual2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
-
-    def __neg__(self) -> "Dual2":
-        return Dual2(-self.value, -self.grad, -self.hess)
-
-    def __mul__(self, o: "Dual2") -> "Dual2":
-        cross = np.outer(self.grad, o.grad)
-        # build the rank-two part as one exactly-symmetric matrix before
-        # summing, so rounding cannot break H == H.T bitwise
-        sym = cross + cross.T
-        hess = o.value * self.hess + self.value * o.hess + sym
-        return Dual2(self.value * o.value,
-                     o.value * self.grad + self.value * o.grad, hess)
-
-    def __truediv__(self, o: "Dual2") -> "Dual2":
-        if o.value == 0.0:
-            raise DomainError(_REASONS[_DIV_ZERO])
-        value = self.value / o.value
-        grad = (self.grad - value * o.grad) / o.value
-        cross = np.outer(grad, o.grad)
-        sym = cross + cross.T
-        hess = (self.hess - sym - value * o.hess) / o.value
-        return Dual2(value, grad, hess)
-
-
-def _chain(u: Dual2, f0: float, f1: float, f2: float) -> Dual2:
-    """Carrier for f(u) given f(u.value), f'(u.value), f''(u.value)."""
-    return Dual2(f0, f1 * u.grad, f1 * u.hess + f2 * np.outer(u.grad, u.grad))
-
-
-def _constant(value: float, d: int) -> Dual2:
-    return Dual2(value, np.zeros(d), np.zeros((d, d)))
+    return b if a is None or not np.count_nonzero(a) else np.where(a, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +102,45 @@ def _constant(value: float, d: int) -> Dual2:
 _LVL_ADD, _LVL_MUL, _LVL_UNARY, _LVL_POW, _LVL_ATOM = 1, 2, 3, 4, 5
 
 
+@dataclass
+class Dual2:
+    """Value, gradient and Hessian at one point, as ``eval2`` gives them."""
+
+    value: float
+    grad: np.ndarray
+    hess: np.ndarray
+
+
+def _each(f, k):
+    """f with k unit axes appended: numbers per point, shaped to scale a
+    gradient (k = 1) or a Hessian (k = 2), whose axes come last, or a
+    template's column laid across the k axes of the points."""
+    return f.reshape(f.shape + (1,) * k) if f.ndim else f
+
+
+def _sym(g, h):
+    """g h' + h g' at each point: a matrix plus its transpose, so that it
+    is bitwise symmetric."""
+    cross = g[..., :, None] * h[..., None, :]
+    return cross + cross.swapaxes(-1, -2)
+
+
+def _compose(f1, f2, g, H):
+    """The gradient and Hessian of f(u) from f'(u), f''(u) and u's own."""
+    outer = g[..., :, None] * g[..., None, :]
+    return _each(f1, 1) * g, _each(f1, 2) * H + _each(f2, 2) * outer
+
+
 class Expression:
     """A node of an expression tree.  Every kind implements ``text()``
-    (printed at precedence ``level``), ``values_at(X)`` (the values at the
-    columns of X, one row per variable, and a reason code per column: 0
-    where the value is defined, else the index in ``_REASONS`` of its
-    DomainError message), ``dual_at(x, d)`` (value, gradient and Hessian
-    as a ``Dual2``), ``map_nodes(fn)`` (the tree rebuilt bottom-up with
-    ``fn`` applied to every node) and ``variables()``."""
+    (printed at precedence ``level``), ``jets_at(X, d)`` and
+    ``map_nodes(fn)`` (the tree rebuilt bottom-up with ``fn`` applied to
+    every node).  ``jets_at`` gives (values, reasons, grad, hess) at
+    the columns of X: a reason code per column, 0 where defined, else the
+    index in ``_REASONS`` of its DomainError (None: no reason); and the
+    derivatives in x(1..d) on the last axes, None where the node does not
+    depend on x(1..d).  Where it does, the reasons cover the derivative
+    too (abs at 0, sqrt at 0), a quotient's numerator first."""
 
     __slots__ = ()
     level = _LVL_ATOM
@@ -193,15 +173,8 @@ class Const(Expression):
     def text(self) -> str:
         return repr(self.value)
 
-    def values_at(self, X):
-        n = X.shape[1]
-        return np.full(n, self.value, dtype=float), np.zeros(n, np.int8)
-
-    def dual_at(self, x, d) -> Dual2:
-        return _constant(self.value, d)
-
-    def variables(self) -> set[int]:
-        return set()
+    def jets_at(self, X, d):
+        return np.full(X.shape[1:], self.value, dtype=float), None, None, None
 
 
 @dataclass(frozen=True)
@@ -211,16 +184,12 @@ class Var(Expression):
     def text(self) -> str:
         return f"x({self.index})"
 
-    def values_at(self, X):
-        return X[self.index - 1], np.zeros(X.shape[1], np.int8)
-
-    def dual_at(self, x, d) -> Dual2:
-        grad = np.zeros(d)
-        grad[self.index - 1] = 1.0
-        return Dual2(x[self.index - 1], grad, np.zeros((d, d)))
-
-    def variables(self) -> set[int]:
-        return {self.index}
+    def jets_at(self, X, d):
+        if self.index > d:
+            return X[self.index - 1], None, None, None
+        grad = np.zeros(X.shape[1:] + (d,))
+        grad[..., self.index - 1] = 1.0
+        return X[self.index - 1], None, grad, np.zeros(grad.shape + (d,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,14 +200,11 @@ class Column(Expression):
 
     value: np.ndarray
 
-    def values_at(self, X):
-        return self.value[:, None], np.zeros(X.shape[1], np.int8)
+    def jets_at(self, X, d):
+        return _each(self.value, X.ndim - 1), None, None, None
 
     def member(self, k) -> Expression:
         return Const(float(self.value[k]))
-
-    def variables(self) -> set[int]:
-        return set()
 
 
 @dataclass(frozen=True)
@@ -249,24 +215,19 @@ class Neg(Expression):
     def text(self) -> str:
         return "-" + _paren(self.arg, _LVL_UNARY)
 
-    def values_at(self, X):
-        v, bad = self.arg.values_at(X)
-        return -v, bad
-
-    def dual_at(self, x, d) -> Dual2:
-        return -self.arg.dual_at(x, d)
+    def jets_at(self, X, d):
+        v, bad, g, H = self.arg.jets_at(X, d)
+        return (-v, bad) + ((None, None) if g is None else (-g, -H))
 
     def map_nodes(self, fn) -> Expression:
         return fn(Neg(self.arg.map_nodes(fn)))
 
-    def variables(self) -> set[int]:
-        return self.arg.variables()
-
 
 @dataclass(frozen=True)
 class _Binary(Expression):
-    """``lhs op rhs``; each subclass names its operator ``op`` (applied to
-    floats and to ``Dual2`` alike), its printed separator and its level."""
+    """``lhs op rhs``; each subclass names its operator ``op`` on values,
+    its printed separator and its level, and ``rule`` differentiates it
+    where an operand has a derivative (None where the other has none)."""
 
     lhs: Expression
     rhs: Expression
@@ -275,19 +236,21 @@ class _Binary(Expression):
         return (f"{_paren(self.lhs, self.level)}{self.sep}"
                 f"{_paren(self.rhs, self.level + 1)}")
 
-    def values_at(self, X):
-        lhs, lbad = self.lhs.values_at(X)
-        rhs, rbad = self.rhs.values_at(X)
-        return self.op(lhs, rhs), _first(lbad, rbad)
+    def jets_at(self, X, d):
+        a, lbad, ga, Ha = self.lhs.jets_at(X, d)
+        b, rbad, gb, Hb = self.rhs.jets_at(X, d)
+        derivative = (None, None) if ga is None and gb is None else \
+            self.rule(a, ga, Ha, b, gb, Hb)
+        return (self.op(a, b), _first(lbad, rbad), *derivative)
 
-    def dual_at(self, x, d) -> Dual2:
-        return self.op(self.lhs.dual_at(x, d), self.rhs.dual_at(x, d))
+    def rule(self, a, ga, Ha, b, gb, Hb):   # a sum's or a difference's
+        if gb is None:
+            return ga, Ha
+        return self.op(0.0 if ga is None else ga, gb), \
+            self.op(0.0 if Ha is None else Ha, Hb)
 
     def map_nodes(self, fn) -> Expression:
         return fn(type(self)(self.lhs.map_nodes(fn), self.rhs.map_nodes(fn)))
-
-    def variables(self) -> set[int]:
-        return self.lhs.variables() | self.rhs.variables()
 
 
 @dataclass(frozen=True)
@@ -304,16 +267,64 @@ class Sub(_Binary):
 class Mul(_Binary):
     op, sep, level = operator.mul, "*", _LVL_MUL
 
+    def rule(self, a, ga, Ha, b, gb, Hb):
+        if gb is None:
+            return _each(b, 1) * ga, _each(b, 2) * Ha
+        if ga is None:
+            return _each(a, 1) * gb, _each(a, 2) * Hb
+        return (_each(b, 1) * ga + _each(a, 1) * gb,
+                _each(b, 2) * Ha + _each(a, 2) * Hb + _sym(ga, gb))
+
 
 @dataclass(frozen=True)
 class Div(_Binary):
     op, sep, level = operator.truediv, "/", _LVL_MUL
 
-    def values_at(self, X):
-        denom, rbad = self.rhs.values_at(X)
-        num, lbad = self.lhs.values_at(X)
-        own = (denom == 0.0) * _DIV_ZERO
-        return num / denom, _first(rbad, _first(own, lbad))
+    def jets_at(self, X, d):
+        num, lbad, ga, Ha = self.lhs.jets_at(X, d)
+        den, rbad, gb, Hb = self.rhs.jets_at(X, d)
+        value, own = num / den, (den == 0.0) * _DIV_ZERO
+        if ga is None and gb is None:
+            return value, _first(rbad, _first(own, lbad)), None, None
+        if gb is None:
+            grad, hess = ga / _each(den, 1), Ha / _each(den, 2)
+        else:
+            ga, Ha = (0.0, 0.0) if ga is None else (ga, Ha)
+            grad = (ga - _each(value, 1) * gb) / _each(den, 1)
+            hess = (Ha - _sym(grad, gb) - _each(value, 2) * Hb) / _each(den, 2)
+        return value, _first(lbad, _first(rbad, own)), grad, hess
+
+
+def _power_rule(v, n, slopes):
+    """v^n, with n v^(n-1) and n(n-1) v^(n-2) where ``slopes``, and the
+    reason code at the float v: zero to a negative power, or one of them
+    out of the floating-point range at a finite v."""
+    try:
+        rule = (v ** n, n * v ** (n - 1) if slopes else 0.0,
+                n * (n - 1) * v ** (n - 2) if slopes else 0.0)
+    except ZeroDivisionError:
+        return math.nan, math.nan, math.nan, _ZERO_POW
+    except OverflowError:
+        return math.nan, math.nan, math.nan, _POW_RANGE
+    finite = not math.isfinite(v) or all(map(math.isfinite, rule))
+    return (*rule, 0 if finite else _POW_RANGE)
+
+
+def _powers(base, n, slopes):
+    """``_power_rule`` at every element of base, as arrays of its shape
+    (codes None where all are 0).  Python's float power, not numpy's,
+    which rounds differently from the C library's pow that ``**`` calls."""
+    flat = base.ravel().tolist()
+    if not slopes:
+        try:
+            return (np.array([v ** n for v in flat]).reshape(base.shape),
+                    None, None, None)
+        except (OverflowError, ZeroDivisionError):
+            pass
+    rules = [_power_rule(v, n, slopes) for v in flat]
+    value, f1, f2, own = np.array(rules).T.reshape(4, *base.shape)
+    codes = any(rule[3] for rule in rules)
+    return value, f1, f2, own.astype(np.int8) if codes else None
 
 
 @dataclass(frozen=True)
@@ -325,78 +336,34 @@ class Pow(Expression):
     def text(self) -> str:
         return f"{_paren(self.base, _LVL_ATOM)}^{self.exponent}"
 
-    def values_at(self, X):
-        base, bad = self.base.values_at(X)
-        n, flat = self.exponent, base.ravel().tolist()
-        # Python's float power, element by element: numpy's power rounds
-        # differently from the C library's pow that ``**`` calls
-        try:
-            return np.array([v ** n for v in flat]).reshape(base.shape), bad
-        except (OverflowError, ZeroDivisionError):
-            pass
-        out = np.empty(len(flat))
-        own = np.zeros(len(flat), np.int8)
-        for j, v in enumerate(flat):
-            try:
-                out[j] = v ** n
-            except ZeroDivisionError:
-                out[j], own[j] = math.nan, _ZERO_POW
-            except OverflowError:
-                out[j], own[j] = math.nan, _POW_RANGE
-        return out.reshape(base.shape), _first(bad, own.reshape(base.shape))
-
-    def dual_at(self, x, d) -> Dual2:
-        u, n = self.base.dual_at(x, d), self.exponent
-        if n == 0:
-            return _constant(1.0, d)
-        if n == 1:
-            return u
-        if n < 0 and u.value == 0.0:
-            raise DomainError(_REASONS[_ZERO_POW])
-        v = u.value
-        try:
-            with np.errstate(over="ignore"):
-                rule = v ** n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2)
-        except OverflowError:
-            raise DomainError(_REASONS[_POW_RANGE]) from None
-        # a numpy float overflows to inf where a Python float raises
-        if math.isfinite(v) and not all(map(math.isfinite, rule)):
-            raise DomainError(_REASONS[_POW_RANGE])
-        return _chain(u, *rule)
+    def jets_at(self, X, d):
+        base, bad, g, H = self.base.jets_at(X, d)
+        n = self.exponent
+        slopes = g is not None and n not in (0, 1)
+        value, f1, f2, own = _powers(base, n, slopes)
+        if slopes:
+            g, H = _compose(f1, f2, g, H)
+        elif g is not None and n == 0:
+            g, H = np.zeros_like(g), np.zeros_like(H)
+        return value, _first(bad, own), g, H
 
     def map_nodes(self, fn) -> Expression:
         return fn(Pow(self.base.map_nodes(fn), self.exponent))
 
-    def variables(self) -> set[int]:
-        return self.base.variables()
 
-
-def _sqrt_rule(v):
-    if v <= 0.0:
-        raise DomainError("sqrt requires a strictly positive argument "
-                          "for differentiation")
-    s = np.sqrt(v)
-    return s, 0.5 / s, -0.25 / (s * v)
-
-
-def _abs_rule(v):
-    if v == 0.0:
-        raise DomainError("abs has no derivative at 0")
-    return abs(v), 1.0 if v > 0 else -1.0, 0.0
-
-
-# name -> (f over an array of values, returning the values and the reason
-# codes of those where f is undefined, derivative rule v -> (f(v), f'(v),
-# f''(v))).  Values exist for abs at 0 and sqrt(0), which only lack
-# derivatives.
+# name -> (f over an array of values v, returning f(v) and the reason codes
+# where f is undefined; the slopes f'(v) and f''(v) given v and f(v), with
+# the reason codes where f has no derivative, which cover those where it is
+# undefined).  Abs at 0 and sqrt(0) have values; they lack derivatives.
 _FUNCS = {
-    "sin": (lambda v: (np.sin(v), 0),
-            lambda v: (np.sin(v), np.cos(v), -np.sin(v))),
-    "cos": (lambda v: (np.cos(v), 0),
-            lambda v: (np.cos(v), -np.sin(v), -np.cos(v))),
-    "exp": (lambda v: (np.exp(v), 0), lambda v: (np.exp(v),) * 3),
-    "abs": (lambda v: (np.abs(v), 0), _abs_rule),
-    "sqrt": (lambda v: (np.sqrt(v), (v < 0.0) * _SQRT_NEG), _sqrt_rule),
+    "sin": (lambda v: (np.sin(v), None), lambda v, f: (np.cos(v), -f, None)),
+    "cos": (lambda v: (np.cos(v), None), lambda v, f: (-np.sin(v), -f, None)),
+    "exp": (lambda v: (np.exp(v), None), lambda v, f: (f, f, None)),
+    "abs": (lambda v: (np.abs(v), None),
+            lambda v, f: (np.where(v > 0.0, 1.0, -1.0), np.zeros_like(f),
+                          (v == 0.0) * _ABS_KINK)),
+    "sqrt": (lambda v: (np.sqrt(v), (v < 0.0) * _SQRT_NEG),
+             lambda v, f: (0.5 / f, -0.25 / (f * v), (v <= 0.0) * _SQRT_DIFF)),
 }
 FUNCTIONS = tuple(_FUNCS)
 
@@ -409,20 +376,17 @@ class Func(Expression):
     def text(self) -> str:
         return f"{self.name}({self.arg.text()})"
 
-    def values_at(self, X):
-        v, bad = self.arg.values_at(X)
-        out, own = _FUNCS[self.name][0](v)
-        return out, _first(bad, own)
-
-    def dual_at(self, x, d) -> Dual2:
-        u = self.arg.dual_at(x, d)
-        return _chain(u, *_FUNCS[self.name][1](u.value))
+    def jets_at(self, X, d):
+        v, bad, g, H = self.arg.jets_at(X, d)
+        values, slopes = _FUNCS[self.name]
+        value, own = values(v)
+        if g is not None:
+            f1, f2, own = slopes(v, value)
+            g, H = _compose(f1, f2, g, H)
+        return value, _first(bad, own), g, H
 
     def map_nodes(self, fn) -> Expression:
         return fn(Func(self.name, self.arg.map_nodes(fn)))
-
-    def variables(self) -> set[int]:
-        return self.arg.variables()
 
 
 # ---------------------------------------------------------------------------
@@ -729,20 +693,38 @@ def to_string(e: Expression) -> str:
     return e.text()
 
 
+def _jets(e: Expression, X, d: int):
+    """``e.jets_at(X, d)`` with a reason code for every column."""
+    X = np.ascontiguousarray(X, dtype=float)
+    with np.errstate(all="ignore"):   # an undefined value is a reason code
+        vals, reasons, grad, hess = e.jets_at(X, d)
+    if reasons is None:
+        reasons = np.zeros(X.shape[1:], np.int8)
+    return vals, reasons, grad, hess
+
+
+def eval_jets(e: Expression, X, d: int):
+    """Values, reason codes (``Expression``) and derivatives in x(1..d) of
+    ``e`` at the columns of X: ``grad[k]``, ``hess[k]`` at column k.  Rows
+    past d, such as a semi-infinite index, are not differentiated; a
+    family template's derivatives broadcast against its values."""
+    vals, reasons, grad, hess = _jets(e, X, d)
+    if grad is None:
+        grad, hess = np.zeros(vals.shape + (d,)), np.zeros(vals.shape + (d, d))
+    return vals, reasons, grad, hess
+
+
 def eval2(e: Expression, x) -> Dual2:
-    """Evaluate value, gradient, and Hessian of ``e`` at the point ``x``."""
-    x = np.asarray(x, dtype=float)
-    return e.dual_at(x, x.shape[0])
+    """Value, gradient and Hessian of ``e`` at the point ``x`` (a stack of
+    no axes); where one of them is undefined, its DomainError."""
+    vals, reasons, grad, hess = eval_jets(e, x, len(x))
+    raise_undefined(reasons)
+    return Dual2(float(vals), grad, hess)
 
 
 def eval_reasons(e: Expression, X) -> tuple[np.ndarray, np.ndarray]:
-    """The values of ``e`` at every column of X (one row per variable) and
-    a reason code per column, 0 where the value is defined; the code of an
-    undefined value is its DomainError, which ``raise_undefined`` raises.
-    Abs at 0 and sqrt(0) have values; they only lack derivatives."""
-    X = np.ascontiguousarray(X, dtype=float)
-    with np.errstate(all="ignore"):
-        return e.values_at(X)
+    """``eval_jets`` without derivatives: the values and reason codes."""
+    return _jets(e, X, 0)[:2]
 
 
 def raise_undefined(reasons):
@@ -754,11 +736,11 @@ def raise_undefined(reasons):
 
 
 def eval_value(e: Expression, x) -> float:
-    """The value of ``e`` at the point x, a stack of one column; an
-    undefined value raises its DomainError."""
-    vals, reasons = eval_reasons(e, np.reshape(x, (-1, 1)))
+    """The value of ``e`` at the point x, a stack of no axes (each
+    variable a number); an undefined value raises its DomainError."""
+    vals, reasons = eval_reasons(e, x)
     raise_undefined(reasons)
-    return float(vals[0])
+    return float(vals)
 
 
 def eval_values(e: Expression, X) -> tuple[np.ndarray, np.ndarray]:
@@ -775,18 +757,3 @@ def substitute(e: Expression, index: int, value: float) -> Expression:
     var = Var(index)
     return e.map_nodes(lambda node: Const(value) if node == var else node)
 
-
-def fold_constants(e: Expression) -> Expression:
-    """Replace every subtree without variables by its value, where that is
-    defined, so that differentiation never applies a derivative rule to a
-    subtree that does not vary (abs of a pinned t = 0, say)."""
-    def fold(node):
-        if node.variables():
-            return node
-        vals, reasons = eval_reasons(node, np.empty((0, 1)))
-        return node if reasons[0] else Const(float(vals[0]))
-    return e.map_nodes(fold)
-
-
-def variables_used(e: Expression) -> set[int]:
-    return e.variables()

@@ -837,7 +837,8 @@ def semiinfinite_discretize(P: Problem, x):
         chosen = list(ba.active)
         capped = False
         if len(chosen) > P.d + 1:
-            norms = [float(np.linalg.norm(blk._grad(x, j))) for j in chosen]
+            grads, _ = blk._derivatives(x, chosen)
+            norms = [float(np.linalg.norm(g)) for g in grads]
             order = sorted(range(len(chosen)),
                            key=lambda k: (-norms[k], chosen[k]))
             chosen = sorted(chosen[k] for k in order[:P.d + 1])

@@ -29,7 +29,8 @@ other module branches on the kind:
 - ``add_dual(dual, provenance, amount)``: adds an LP weight times a
   generator's dual to the block's multiplier;
 - ``dual_derivatives(x, dual)``: the gradient and Hessian in x of the
-  pairing <dual, G_block(x)>, each component differentiated once;
+  pairing <dual, G_block(x)>, each component differentiated once (a
+  semi-infinite block's grid points in one stack, t not differentiated);
 - ``dual_to_json(dual)`` and ``dual_from_json(data)``: a multiplier's
   JSON form;
 - ``from_section(pairs, d, line)`` and ``to_text(d)``: the block read
@@ -186,9 +187,9 @@ class _Block:
 class _ScalarBlock(_Block):
     """Blocks of scalar constraints; a dual is an {index: weight} table.
     Subclasses give ``_values(x)``, every constraint's value at x, and
-    ``_dual2(x, i)``, the value, gradient and Hessian of constraint i in x.
-    A constraint g <= 0 is active where g is within eps_active of 0 or
-    above it."""
+    ``_derivatives(x, indices)``, the gradients and the Hessians in x of
+    the constraints ``indices``, in their order.  A constraint g <= 0 is
+    active where g is within eps_active of 0 or above it."""
 
     polyhedral = True
 
@@ -196,9 +197,6 @@ class _ScalarBlock(_Block):
         return BlockActivity(position, self.kind, active=[
             i for i, v in enumerate(self._values(x))
             if abs(v) <= tol.eps_active or v > 0])
-
-    def _grad(self, x, i) -> np.ndarray:
-        return self._dual2(x, i).grad
 
     def add_dual(self, dual, prov, amount):
         dual = {} if dual is None else dual
@@ -208,10 +206,10 @@ class _ScalarBlock(_Block):
     def dual_derivatives(self, x, dual):
         d = len(x)
         grad, hess = np.zeros(d), np.zeros((d, d))
-        for i, weight in dual.items():
-            D = self._dual2(x, i)
-            grad = grad + weight * D.grad
-            hess = hess + weight * D.hess
+        for weight, g, H in zip(dual.values(),
+                                *self._derivatives(x, list(dual))):
+            grad = grad + weight * g
+            hess = hess + weight * H
         return grad, hess
 
     def dual_to_json(self, dual):
@@ -249,8 +247,9 @@ class _NlpBlock(_ScalarBlock):
     def _values(self, x):
         return [ex.eval_value(e, x) for e in self.exprs]
 
-    def _dual2(self, x, i):
-        return ex.eval2(self.exprs[i], x)
+    def _derivatives(self, x, indices):
+        duals = [ex.eval2(self.exprs[i], x) for i in indices]
+        return [D.grad for D in duals], [D.hess for D in duals]
 
     @classmethod
     def from_section(cls, pairs, d, line):
@@ -281,8 +280,9 @@ class NlpIneq(_NlpBlock):
         return sum(max(0.0, v) for v in self._values(x))
 
     def normal_generators(self, x, state, sampling):
-        return [(self._grad(x, i), Provenance("nlp_ineq", state.position, i),
-                 1.0) for i in state.active]
+        grads, _ = self._derivatives(x, state.active)
+        return [(g, Provenance("nlp_ineq", state.position, i), 1.0)
+                for i, g in zip(state.active, grads)]
 
 
 @dataclass(frozen=True)
@@ -304,8 +304,8 @@ class NlpEq(_NlpBlock):
 
     def normal_generators(self, x, state, sampling):
         out = []
-        for j in range(len(self.b)):
-            grad = self._grad(x, j)
+        grads, _ = self._derivatives(x, range(len(self.b)))
+        for j, grad in enumerate(grads):
             out.append((grad, Provenance("nlp_eq", state.position, j, sign=1),
                         1.0))
             out.append((-grad, Provenance("nlp_eq", state.position, j,
@@ -548,19 +548,21 @@ class SemiInfinite(_ScalarBlock):
             raise ValueError("semi-infinite grid must be sorted and "
                              "duplicate-free")
 
-    def _dual2(self, x, j):
-        # t pinned and terms in t alone folded, so only x is differentiated
-        g = ex.substitute(self.g, len(x) + 1, self.grid[j])
-        return ex.eval2(ex.fold_constants(g), x)
+    def _jets(self, x, indices, d):
+        """g's values and derivatives in x(1..d) at the grid points
+        ``indices``, one stack with t in row d+1; an undefined one raises
+        the DomainError of the first such grid point."""
+        t = np.array(self.grid)[indices]
+        X = np.vstack([np.repeat(x[:, None], len(t), axis=1), t])
+        vals, reasons, grads, hessians = ex.eval_jets(self.g, X, d)
+        ex.raise_undefined(reasons)
+        return vals, grads, hessians
 
     def _values(self, x):
-        """g at every grid point, in one stacked pass; an undefined value
-        raises the DomainError of the first such grid point."""
-        X = np.vstack([np.repeat(x[:, None], len(self.grid), axis=1),
-                       self.grid])
-        vals, reasons = ex.eval_reasons(self.g, X)
-        ex.raise_undefined(reasons)
-        return vals.tolist()
+        return self._jets(x, slice(None), 0)[0].tolist()
+
+    def _derivatives(self, x, indices):
+        return self._jets(x, list(indices), len(x))[1:]
 
     def violations(self, pts, position):
         # the grid points in chunks, each chunk's columns t-major
@@ -584,10 +586,10 @@ class SemiInfinite(_ScalarBlock):
         return max(0.0, max(self._values(x)))
 
     def normal_generators(self, x, state, sampling):
-        return [(self._grad(x, j),
-                 Provenance("semi_infinite", state.position, j,
-                            detail=(float(self.grid[j]),)), 1.0)
-                for j in state.active]
+        grads, _ = self._derivatives(x, state.active)
+        return [(g, Provenance("semi_infinite", state.position, j,
+                               detail=(float(self.grid[j]),)), 1.0)
+                for j, g in zip(state.active, grads)]
 
     @classmethod
     def from_section(cls, pairs, d, line):
@@ -1101,25 +1103,19 @@ def load_problem_text(text: str, source: str = "<memory>",
 
 
 def _linear_row(node: ex.Expression, d: int, section, line):
-    """Coefficients of an affine expression; rejects nonlinear eq= rows."""
-    base = np.zeros(d)
-    try:
-        dual0 = ex.eval2(node, base)
-        row = dual0.grad
-        if np.max(np.abs(dual0.hess)) > 0:
-            raise ProblemFormatError("eq rows must be affine", section, line)
-        probe = ex.eval2(node, np.ones(d))
-        if np.max(np.abs(probe.grad - row)) > 1e-12:
-            raise ProblemFormatError("eq rows must be affine", section, line)
-        if abs(dual0.value) > 0:
-            # constant offsets fold into the right-hand side
-            raise ProblemFormatError(
-                "write constants on the right-hand side of eq", section, line)
-    except ex.DomainError:
+    """Coefficients of an affine expression; rejects nonlinear eq= rows.
+    Its derivatives at 0 and at the point of ones, one stacked pass."""
+    vals, reasons, grads, hess = ex.eval_jets(
+        node, np.tile([0.0, 1.0], (d, 1)), d)
+    if (reasons.any() or np.max(np.abs(hess)) > 0
+            or np.max(np.abs(grads[1] - grads[0])) > 1e-12):
         raise ProblemFormatError("eq rows must be affine", section, line)
-    if np.all(row == 0):
+    if abs(vals[0]) > 0:   # constant offsets fold into the right-hand side
+        raise ProblemFormatError(
+            "write constants on the right-hand side of eq", section, line)
+    if np.all(grads[0] == 0):
         raise ProblemFormatError("eq row has no variables", section, line)
-    return row.tolist()
+    return grads[0].tolist()
 
 
 def load_problem_file(path, tolerances: ToleranceSet | None = None) -> Problem:

@@ -367,8 +367,27 @@ def test_convexity_flag_recorded_not_verified():
 
 
 def test_registry_unknown_name():
-    code, _, err = run_cli("check", "--registry", "nope", "--at", "0")
-    assert code == 1
+    """Each registry lookup failure is an input error printed like the
+    others, without the quotes of a KeyError."""
+    code, out, err = run_cli("check", "--registry", "nope", "--at", "0")
+    assert (code, out) == (1, "")
+    assert err == ("error: unknown registry problem 'nope'; known: dem, "
+                   "madsen, bazaraa45, linf, counterexample-3-2, "
+                   "soc-example, sdp-example\n")
+    assert run_cli("check", "--registry", "dem", "--dim", "3") == (
+        1, "", "error: dem does not take a dimension\n")
+    assert run_cli("check", "--registry", "linf") == (
+        1, "", "error: linf needs an explicit dimension\n")
+
+
+def test_a_key_error_from_a_bug_is_not_an_input_error(monkeypatch):
+    from conecert import cli
+
+    def broken(args):
+        raise KeyError("bug")
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    with pytest.raises(KeyError):
+        run_cli("check", "--registry", "dem")
 
 
 def test_usage_error_maps_to_one():
@@ -744,6 +763,19 @@ def test_check_kink_in_t_alone_is_differentiable_in_x(tmp_path):
     report = json.loads(out)
     assert report["feasibility"]["feasible"] is True
     assert report["necessary"]["zero_in_D"] is True
+
+
+def test_check_differentiates_past_constant_kinks(tmp_path):
+    """abs(0.0) and sqrt(0.0) are constants without derivatives, so no
+    derivative rule runs on them: differentiating them ended the check
+    with exit 1 and "error: abs has no derivative at 0"."""
+    path = tmp_path / "kinks.prob"
+    path.write_text('[problem] dim=1\n[scenario] f="x(1) + abs(0.0)"\n'
+                    '[scenario] f="-x(1)*sqrt(0.0) - x(1)"\n')
+    code, out, err = run_cli("check", "--file", str(path), "--at", "0",
+                             "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["necessary"]["zero_in_D"] is True
 
 
 def test_discretize_caps_past_a_kink_in_t(tmp_path):

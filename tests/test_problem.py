@@ -305,16 +305,16 @@ def test_semi_infinite_nan_anywhere_on_the_grid_is_a_violation():
 
 
 def test_semi_infinite_gradients_are_in_x_alone():
-    """t is pinned and terms in t alone are folded before differentiating,
-    so a kink in t at a grid point is harmless; the gradient is the x part
-    of the gradient in (x, t) wherever that exists."""
+    """t is a row that is not differentiated, so a kink in t at a grid
+    point is harmless; the gradient is the x part of the gradient in
+    (x, t) wherever that exists."""
     P = load_problem_text(
         '[problem] dim=2\n[scenario] f="x(1)"\n'
         '[semiinf] g="x(2) - 1 - abs(t) + x(1)*t^2 - sqrt(t + 1)*x(2)" '
         'grid=-1:1:5\n')
     blk, x = P.blocks[0], np.array([0.3, -0.7])
-    for j, t in enumerate(blk.grid):
-        got = blk._grad(x, j)
+    grads, _ = blk._derivatives(x, range(len(blk.grid)))
+    for t, got in zip(blk.grid, grads):
         if t in (0.0, -1.0):   # abs or sqrt has no derivative in t there
             with pytest.raises(cc.DomainError):
                 cc.eval2(blk.g, np.append(x, t))
@@ -324,15 +324,46 @@ def test_semi_infinite_gradients_are_in_x_alone():
         assert got.tolist() == [t * t, 1 - np.sqrt(t + 1)]
 
 
-def test_fold_constants_keeps_undefined_subtrees():
-    ex = cc.expr
-    g = ex.substitute(ex.parse("x(1) - abs(t) + sqrt(t - 1)*x(1)", 1, ("t",)),
-                      2, 0.0)
-    folded = ex.fold_constants(g)
-    assert folded == ex.Add(ex.Sub(ex.Var(1), ex.Const(0.0)),
-                            ex.Mul(ex.Func("sqrt", ex.Const(-1.0)),
-                                   ex.Var(1)))
-    assert ex.to_string(g) == "x(1) - abs(0.0) + sqrt(0.0 - 1.0)*x(1)"
+@pytest.mark.parametrize("eq,message", [
+    ("x(1)^2 + x(2) = 0", "eq rows must be affine"),
+    ("x(1)^4 - 1.3333333333333333*x(1)^3 + x(2) = 0",
+     "eq rows must be affine"),
+    ("1/x(1) + x(2) = 0", "eq rows must be affine"),
+    ("x(2) + 1 = 0", "write constants on the right-hand side of eq"),
+    ("0*x(2) = 1", "eq row has no variables"),
+])
+def test_eq_rows_are_read_off_two_points(eq, message):
+    """An eq= row is affine where it is defined, its Hessian is 0 and its
+    gradient is the same at 0 and at the point of ones.  A Hessian read
+    at 0 alone took x(1)^4 - 4/3 x(1)^3 + x(2), whose Hessian vanishes
+    there, for x(2)."""
+    head = '[problem] dim=2\n[scenario] f="x(2)"\n[set] eq='
+    with pytest.raises(ProblemFormatError) as err:
+        load_problem_text(head + f'"{eq}"\n')
+    assert message in str(err.value)
+    P = load_problem_text(head + '"2*x(1) - x(2) = 3"\n')
+    assert (P.set_A.E, P.set_A.e) == (((2.0, -1.0),), (3.0,))
+
+
+@pytest.mark.parametrize("text,at", [
+    ('"x(2) - 1 - abs(t) + x(1)*t^2 - sqrt(t + 1)*x(2)" grid=-1:1:5',
+     (0.3, -0.7)),
+    ('"x(2) - abs(t)" grid=-1:1:3', (0.0, 0.0)),
+    ('"-x(1)*sqrt(t + 1) - x(2) - t - 1" grid=-1:1:3', (0.0, 0.0)),
+    ('"exp(x(1)*t)/(x(2) - t) + abs(x(1) - t)^3*cos(t)" grid=-2:2:9',
+     (0.25, 3.0)),
+])
+def test_semi_infinite_stacked_derivatives_match_one_point(text, at):
+    """The gradients and Hessians of one stacked evaluation equal, bit for
+    bit, eval2 of g with t pinned at each grid point."""
+    P = load_problem_text('[problem] dim=2\n[scenario] f="x(1)"\n'
+                          f'[semiinf] g={text}\n')
+    blk, x = P.blocks[0], np.array(at)
+    indices = range(len(blk.grid))
+    for j, g, H in zip(indices, *blk._derivatives(x, indices)):
+        want = ex.eval2(ex.substitute(blk.g, 3, blk.grid[j]), x)
+        assert g.tobytes() == want.grad.tobytes()
+        assert H.tobytes() == want.hess.tobytes()
 
 
 def _scan_kv(text, section, line):

@@ -214,7 +214,7 @@ def test_corpus_file_reports_match_the_frozen_encoding(monkeypatch,
     monkeypatch.chdir(tmp_path)
     argvs = [argv for argv in corpus.cases()
              if "--file" in argv and argv not in corpus.EXPECTED_ERRORS]
-    assert len(argvs) == 15
+    assert len(argvs) == 16
     for argv in argvs:
         _same_as_frozen(monkeypatch, argv)
 

@@ -153,9 +153,9 @@ def _frozen_dual_gradient(blk, x, dual):
                 grads[i, j] = g
                 grads[j, i] = g
         return np.einsum("ij,ijk->k", dual, grads)
-    total = np.zeros(len(x))
+    total, comps = np.zeros(len(x)), _components(blk, len(x))
     for i, weight in dual.items():
-        total = total + weight * blk._dual2(x, i).grad
+        total = total + weight * ex.eval2(comps[i], x).grad
     return total
 
 
@@ -173,8 +173,9 @@ def _frozen_dual_hessian(blk, x, dual):
                 if w != 0.0:
                     total = total + w * ex.eval2(blk.G0[i][j], x).hess
     else:
+        comps = _components(blk, d)
         for i, weight in dual.items():
-            total = total + weight * blk._dual2(x, i).hess
+            total = total + weight * ex.eval2(comps[i], x).hess
     return total
 
 

@@ -9,7 +9,9 @@ and other seeds, a few small problem files whose penalty verdict flips
 with the penalty parameter, small files with values undefined at
 the point, two negative-definite matrix blocks with entries near the
 largest float, three small files whose second-order tests have
-critical directions, a file whose gradients span one axis of the
+critical directions, one (also with those tests) whose semi-infinite
+constraints are active at kinks in t, which is not differentiated, a
+file whose gradients span one axis of the
 plane, so the interior margin meets a redundant row, the two largest
 sampled searches: `sdp-example` with 1,024 directions, whose plain
 cadre the membership basis gives where a smallest-p subset search
@@ -104,6 +106,14 @@ FILES = {
                   '[scenario] f="-x(2) + x(3)^2"\n'
                   '[nlp_ineq] g="-x(1) + x(2) - x(3)^2" '
                   'g="-x(1) - x(3)^2 + x(2)^2"\n',
+    # semi-infinite constraints whose active grid points sit on kinks in
+    # t, abs(t) at t = 0 and sqrt(t + 1) at t = -1: t is not
+    # differentiated, so the gradients in x exist there
+    "kinks_in_t.prob": '[problem] dim=2\n[scenario] f="x(1) + x(2)"\n'
+                       '[scenario] f="-x(1)"\n'
+                       '[semiinf] g="x(2) - abs(t)" grid=-1:1:3\n'
+                       '[semiinf] g="-x(1)*sqrt(t + 1) - x(2) - t - 1" '
+                       'grid=-1:1:3\n',
     # gradients +-e_1 only: phase 1 drops the x(2) row of the combination
     # system, and the +-e_2 probes must still read margin 0
     "flat.prob": '[problem] dim=2\n[scenario] f="x(1)"\n'
@@ -185,7 +195,7 @@ def cases():
     for path in ("sdp_huge.prob", "sdp_large.prob"):
         yield ["--file", path, "--at=0", "--penalty", "1"]
     for path, at in (("pinch.prob", "0,0"), ("two_vertices.prob", "0,0"),
-                     ("ineq3.prob", "0,0,0")):
+                     ("ineq3.prob", "0,0,0"), ("kinks_in_t.prob", "0,0")):
         yield ["--file", path, "--at", at, "--second-order"]
     yield ["--file", "flat.prob", "--at", "0,0"]
     # the plain cadre over 1,024 sampled matrix directions, and the null
