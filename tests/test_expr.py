@@ -98,11 +98,14 @@ def test_domain_errors():
      "sqrt requires a strictly positive argument for differentiation"),
     # a constant subtree is not differentiated: its value's reason
     ("x(1) + sqrt(-1.0)", 0.0, "sqrt of a negative number"),
+    # 10^308 is a float, its slope 308*10^307 is not
+    ("x(1)^308", 10.0, "power outside the floating-point range"),
 ])
 def test_derivative_domain_errors_keep_their_messages(text, point, message):
     with pytest.raises(ex.DomainError) as err:
         ex.eval2(ex.parse(text, d=1), (point,))
     assert str(err.value) == message
+    assert _outcome(_ref_eval2, ex.parse(text, d=1), (point,))[2] == message
 
 
 @pytest.mark.parametrize("text,point,grad", [
