@@ -5,7 +5,11 @@ encoder of report values into JSON data (``json_data``), and the
 row-wise products, norms and maxima that screen a stack of points or
 directions bit for bit as a loop over them would, and the one decision of
 what a unit direction is (``unit_rows``) and which directions are distinct
-(``distinct_rows``).
+(``distinct_rows``).  The direction samplers return their directions as
+the rows of one array.  ``distinct_rows`` is a sorted sweep: it computes
+the distances of only the pairs whose first coordinates lie within 2 tol
+(a sort and about one distance per row for well-separated directions),
+never a screen of every row against every row kept.
 
 Nothing here knows about problems; ``problem`` builds its blocks on these
 and ``geometry`` re-exports them.
@@ -133,13 +137,14 @@ def project_psd_neg(M) -> np.ndarray:
     return 0.5 * P + 0.5 * P.T
 
 
-def unit_directions(dim: int, count: int, seed: int) -> list[np.ndarray]:
-    """Deterministic low-discrepancy unit vectors (Sobol points pushed
-    through the normal inverse CDF, then normalized)."""
+def unit_directions(dim: int, count: int, seed: int) -> np.ndarray:
+    """Deterministic low-discrepancy unit vectors, the rows of the result
+    (Sobol points pushed through the normal inverse CDF, then
+    normalized)."""
     if dim < 1 or count < 1:
-        return []
+        return np.empty((0, max(dim, 0)))
     if dim == 1:
-        return [np.array([1.0]), np.array([-1.0])][:max(count, 2)]
+        return np.array([[1.0], [-1.0]])
     # imported here: scipy.stats and scipy.special take longer to import
     # than the rest of the package, and only the sampled cone blocks draw
     # directions
@@ -150,7 +155,7 @@ def unit_directions(dim: int, count: int, seed: int) -> list[np.ndarray]:
     # truncate to the requested count
     n_draw = 1 << max(1, (count + 1).bit_length())
     raw = sampler.random(n_draw)[1:count + 1]
-    return list(unit_rows(ndtri(np.clip(raw, 1e-12, 1 - 1e-12)), 1e-12)[0])
+    return unit_rows(ndtri(np.clip(raw, 1e-12, 1 - 1e-12)), 1e-12)[0]
 
 
 # A stacked matrix product may sum in another order than one dot product
@@ -197,9 +202,25 @@ def unit_rows(V, floor: float):
     return V[idx] / norms[idx, None], idx
 
 
-# candidates compared with the kept rows at once; a block's (block x kept)
-# screen bounds the memory a comparison takes
-_DISTINCT_BLOCK = 64
+# the coordinates of the row pairs whose distances one step computes:
+# bounds the memory of a sweep over many rows that share a first coordinate
+_PAIR_CHUNK = 1 << 18
+
+
+def _window_pairs(lo, hi, limit):
+    """Chunks of (p, q) position pairs, q in [lo[p], hi[p]) for each p,
+    in order of p; no chunk holds more than ``limit`` pairs, or the pairs
+    of one p.  No chunk when there is no pair."""
+    counts = np.maximum(hi - lo, 0)
+    ends = np.cumsum(counts)
+    start, done = 0, 0
+    while done < ends[-1]:
+        stop = max(start + 1, int(np.searchsorted(ends, done + limit,
+                                                  "right")))
+        c = counts[start:stop]
+        p = np.repeat(np.arange(start, stop), c)
+        yield p, lo[p] + np.arange(len(p)) - np.repeat(np.cumsum(c) - c, c)
+        start, done = stop, ends[stop - 1]
 
 
 def distinct_rows(U, tol: float, antipodal: bool = False,
@@ -208,61 +229,94 @@ def distinct_rows(U, tol: float, antipodal: bool = False,
     when it lies within tol of one kept before it, a row of ``kept`` or
     an earlier kept row of U (or within tol of its negation too, when
     antipodal).  The distances are those of ``np.linalg.norm(kept - u,
-    axis=1)``, bit for bit.  Only the pairs whose first coordinates differ
-    by less than 2 tol get one: the computed norm of a difference is at
-    least its first coordinate's size times 1 - 2^-53 (for tol above
-    1e-150, where 4 tol^2 does not underflow)."""
+    axis=1)``, bit for bit.
+
+    Only the pairs whose first coordinates differ by less than 2 tol (or,
+    antipodal, sum to less) can be that near: the computed norm of a
+    difference is at least its first coordinate's size times 1 - 2^-53
+    (for tol above 1e-150, where 4 tol^2 does not underflow).  A sweep
+    finds them: the rows sorted by their first coordinate, each row's
+    window of later sorted rows is two ``searchsorted`` bounds, and the
+    distances of the windows' pairs are computed in chunks.  A finite row
+    equal to an earlier one is dropped before the sweep, as the loop
+    drops it: it lies at distance 0 from that row, and as near as that
+    row to every other.  Rows that lie within tol of no earlier row are
+    kept; the others are decided in order against the rows kept.  The cost is a sort and one distance per
+    pair in a window: about n log n for well-separated rows, and the
+    square of a group's size for distinct rows that tie in their first
+    coordinate."""
     U = np.asarray(U, dtype=float)
+    if not len(U):
+        return np.empty(0, dtype=int)
     ref = np.empty((0, U.shape[-1])) if kept is None else np.asarray(
-        kept, dtype=float)
-    out = []
-    for start in range(0, len(U), _DISTINCT_BLOCK):
-        block = U[start:start + _DISTINCT_BLOCK]
-        rows = np.concatenate([ref, block])
-        maybe = np.abs(rows[:, 0] - block[:, :1]) < 2 * tol
-        if antipodal:
-            maybe |= np.abs(rows[:, 0] + block[:, :1]) < 2 * tol
-        i, j = np.nonzero(maybe)
-        dist = np.linalg.norm(rows[j] - block[i], axis=-1)
-        if antipodal:
-            dist = np.minimum(
-                dist, np.linalg.norm(rows[j] + block[i], axis=-1))
-        near = np.zeros(maybe.shape, dtype=bool)
-        near[i, j] = dist < tol
-        # a row is compared with the rows before it; those near none are
-        # kept, the others decided in order against the rows kept
-        near[:, len(ref):] &= np.tri(len(block), k=-1, dtype=bool)
-        taken = np.ones(len(rows), dtype=bool)
-        for k in np.flatnonzero(near.any(axis=1)):
-            taken[len(ref) + k] = not np.any(near[k] & taken)
-        new = np.flatnonzero(taken[len(ref):])
-        ref = np.concatenate([ref, block[new]])
-        out.extend(start + new)
-    return np.array(out, dtype=int)
+        kept, dtype=float).reshape(-1, U.shape[-1])
+    rows = np.concatenate([ref, U])
+    # by the first coordinate, then the others, in order among equal rows
+    order = np.lexsort(rows.T[::-1])
+    lead = rows[order, 0]
+    taken = np.ones(len(rows), dtype=bool)
+    tie = np.flatnonzero(lead[1:] == lead[:-1]) + 1
+    if len(tie):
+        later = rows[order[tie]]
+        taken[order[tie[np.all(later == rows[order[tie - 1]], axis=1)
+                        & np.isfinite(later).all(axis=1)]]] = False
+        order = order[taken[order]]
+        lead = rows[order, 0]
+    after = np.arange(1, len(order) + 1)
+    # each window holds the later sorted rows whose first coordinate lies
+    # within 2 tol of the row's, bounds included (so rounding the bounds
+    # never leaves a near row out) ...
+    close = np.searchsorted(lead, lead + 2 * tol, "right")
+    windows = [(after, close)]
+    if antipodal:
+        # ... or within 2 tol of its negation, less the first window
+        windows.append((np.maximum.reduce([
+            np.searchsorted(lead, -lead - 2 * tol, "left"), close, after]),
+            np.searchsorted(lead, -lead + 2 * tol, "right")))
+    near = []
+    for lo, hi in windows:
+        for p, q in _window_pairs(lo, hi, _PAIR_CHUNK // rows.shape[1] + 1):
+            i, j = order[p], order[q]
+            early, late = np.minimum(i, j), np.maximum(i, j)
+            live = late >= len(ref)    # two rows of kept decide nothing
+            early, late = early[live], late[live]
+            dist = np.linalg.norm(rows[early] - rows[late], axis=-1)
+            if antipodal:
+                dist = np.minimum(
+                    dist, np.linalg.norm(rows[early] + rows[late], axis=-1))
+            near.append(np.stack([late, early])[:, dist < tol])
+    if near:
+        late, early = np.concatenate(near, axis=1)
+        by_row = np.argsort(late, kind="stable")
+        late, early = late[by_row], early[by_row]
+        # the rows near an earlier row, in order: each is kept when no row
+        # near it is
+        heads = np.flatnonzero(np.diff(late, prepend=-1))
+        for a, b in zip(heads, [*heads[1:], len(late)]):
+            taken[late[a]] = not taken[early[a:b]].any()
+    return np.flatnonzero(taken[len(ref):])
 
 
-def axis_directions(dim: int) -> list[np.ndarray]:
-    out = []
-    for k in range(dim):
-        e = np.zeros(dim)
-        e[k] = 1.0
-        out.append(e)
-        out.append(-e)
-    return out
+def axis_directions(dim: int) -> np.ndarray:
+    """The rows e_1, -e_1, e_2, -e_2, ..., e_dim, -e_dim."""
+    E = np.eye(dim)
+    return np.stack([E, -E], axis=1).reshape(2 * dim, dim)
 
 
 def sdp_null_directions(Q0: np.ndarray, count: int,
-                        seed: int) -> list[np.ndarray]:
-    """Unit kernel vectors q: axis-aligned ones first, then the basis
-    columns, then sampled combinations.  q and -q give the same
-    generator, so antipodal duplicates are removed."""
+                        seed: int) -> np.ndarray:
+    """Unit kernel vectors q, the rows of the result: axis-aligned ones
+    first, then the basis columns, then sampled combinations.  q and -q
+    give the same generator, so antipodal duplicates are removed."""
     l, r = Q0.shape
     if r == 0:
-        return []
-    proj = Q0 @ Q0.T
-    dirs = [e for e in np.eye(l) if np.linalg.norm(proj @ e - e) <= 1e-9]
-    dirs += list(Q0.T)
+        return np.empty((0, l))
+    # e_i lies in the kernel when its projection, column i, is e_i
+    E = np.eye(l)
+    dirs = [E[row_norms((Q0 @ Q0.T - E).T) <= 1e-9], Q0.T]
     if r > 1:
-        dirs += [Q0 @ u for u in unit_directions(r, count, seed)]
-    U, _ = unit_rows(np.array(dirs), 1e-12)
-    return list(U[distinct_rows(U, 1e-9, antipodal=True)])
+        # one matrix-vector product per sampled u, as Q0 @ u computes it
+        U = unit_directions(r, count, seed)
+        dirs.append(np.matmul(Q0, U[:, :, None])[:, :, 0])
+    U, _ = unit_rows(np.concatenate(dirs), 1e-12)
+    return U[distinct_rows(U, 1e-9, antipodal=True)]

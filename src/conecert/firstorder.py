@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from .cones import (Record, builtin_max, distinct_rows, json_data,
-                    pair_dots, unit_rows)
+                    pair_dots, row_norms, unit_rows)
 from .geometry import (GeneratorSet, PointContext, Provenance,
                        block_distances, nA_vector)
 from .linkernel import (EPS_POS, SCREEN_CHUNK, combination_system, det,
@@ -392,10 +392,10 @@ def _basis_cadre(G: GeneratorSet, eps_det: float):
         return None
     m, n_eta = len(G.grads_F), len(G.eta)
     sub = np.flatnonzero(res.x > EPS_POS * res.x[:m].max())
-    pool = [*G.grads_F, *G.eta, *G.nA]
+    pool = np.concatenate([np.reshape(G.grads_F, (m, G.d)), G.cone])
     prov = [*G.grads_prov, *G.eta_prov, *G.nA_prov]
     result = verify_alternance(
-        [pool[i] for i in sub], k0=int(np.sum(sub < m)),
+        list(pool[sub]), k0=int(np.sum(sub < m)),
         i0=int(np.sum(sub < m + n_eta)), eps_det=eps_det,
         provenance=[prov[i] for i in sub])
     if isinstance(result, Cadre) and _independent_prefixes(result.vectors):
@@ -578,7 +578,7 @@ def _assemble_witness(ctx: PointContext, G: GeneratorSet,
             blk = ctx.problem.blocks[pr.block]
             _, dual = w.duals.get(pr.block, (blk, None))
             w.duals[pr.block] = (blk, blk.add_dual(dual, pr,
-                                                   weight * G.eta_dual[k]))
+                                                   weight * G.eta_dual(k)))
         else:
             w.nA.append((G.nA_prov[k - n_eta], weight))
     return w
@@ -757,14 +757,23 @@ def penalty_value(P: Problem, x, c: float) -> float:
 
 def _penalty_groups(P: Problem, G: GeneratorSet):
     """Generator groups of the penalty-term subdifferential at a feasible x:
-    the normal-cone generators with unit-norm duals, one group per scalar
-    constraint of a separable block and one per other block.  The convex
-    weights within a group may total at most 1."""
-    groups = {}
-    for v, pr, dual in zip(G.eta, G.eta_prov, G.eta_dual):
-        key = (pr.block, pr.index if P.blocks[pr.block].separable else None)
-        groups.setdefault(key, []).append(v / np.linalg.norm(dual))
-    return list(groups.values())
+    the normal-cone generators with unit-norm duals, as the rows of one
+    array per group: one group per scalar constraint of a separable block
+    (its rows are consecutive in the block's family) and one per other
+    block.  The convex weights within a group may total at most 1."""
+    groups = []
+    for blk, fam in zip(P.blocks, G.families):
+        if not fam.prov:
+            continue
+        # the norm of each flattened dual, as np.linalg.norm(dual) reads it
+        unit = fam.vectors / row_norms(
+            fam.duals.reshape(len(fam.prov), -1))[:, None]
+        if not blk.separable:
+            groups.append(unit)
+            continue
+        index = np.array([pr.index for pr in fam.prov])
+        groups += np.split(unit, np.flatnonzero(index[1:] != index[:-1]) + 1)
+    return groups
 
 
 @dataclass
@@ -784,11 +793,10 @@ def _penalty_threshold(G: GeneratorSet, groups) -> float | None:
     membership system, whose kept optimum it reads, is feasible."""
     if not groups:
         return 0.0 if G.membership.status == "optimal" else None
-    cone, caps = [], []
-    for vecs in groups:
-        caps.append((len(cone), len(cone) + len(vecs)))
-        cone.extend(vecs)
-    A, b = combination_system(G.grads_F, cone + list(G.nA), caps, d=G.d)
+    ends = np.cumsum([len(vecs) for vecs in groups])
+    caps = list(zip([0, *ends[:-1].tolist()], ends.tolist()))
+    A, b = combination_system(G.grads_F, np.concatenate([*groups, G.nA]),
+                              caps, d=G.d)
     # the cap rows' right-hand sides, 1, become the column of t
     A = np.column_stack([A, np.r_[np.zeros(G.d + 1), -b[G.d + 1:]]])
     b[G.d + 1:] = 0.0

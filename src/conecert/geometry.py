@@ -54,9 +54,13 @@ class GeneratorSet:
     """Finite generator families for the first-order machinery.
 
     grads_F spans the objective subdifferential, eta the cone-constraint
-    normal cone, nA the normal cone of the polyhedral set.  eta_dual holds
-    the block-space dual each eta vector is the image of.  ``sampled`` is
-    set when eta contains sampled (inner-approximation) directions.
+    normal cone, nA the normal cone of the polyhedral set; eta and nA are
+    (n, d) arrays, one generator a row (a list of rows given is stacked).
+    ``families`` holds each block's ``problem.NormalFamily``, in block
+    order: eta and eta_prov are their rows, in that order, and their
+    duals the block-space multipliers the eta rows are the images of
+    (``eta_dual``).  ``sampled`` is set when eta contains sampled
+    (inner-approximation) directions.
     ``tableau`` holds the set's one phase 1, ``membership`` the optimum of
     its membership system, and ``derived`` the rest the checks compute
     from the set, each once: its cadre searches and their pools, and its
@@ -66,20 +70,32 @@ class GeneratorSet:
     d: int
     grads_F: list = field(default_factory=list)
     grads_prov: list = field(default_factory=list)
-    eta: list = field(default_factory=list)
+    eta: np.ndarray = field(default_factory=list)
     eta_prov: list = field(default_factory=list)
-    eta_dual: list = field(default_factory=list)
-    nA: list = field(default_factory=list)
+    families: list = field(default_factory=list)
+    nA: np.ndarray = field(default_factory=list)
     nA_prov: list = field(default_factory=list)
     sampled: bool = False
     # not an init field, so dataclasses.replace gives a new set an empty one
     memo: dict = field(default_factory=dict, init=False, repr=False)
 
+    def __post_init__(self):
+        self.eta = np.asarray(self.eta, dtype=float).reshape(-1, self.d)
+        self.nA = np.asarray(self.nA, dtype=float).reshape(-1, self.d)
+
     @property
-    def cone(self) -> list:
+    def cone(self) -> np.ndarray:
         """The generators of the two normal cones, eta then nA: the cone
         weights' columns in ``linkernel.combination_system``."""
-        return list(self.eta) + list(self.nA)
+        return np.concatenate([self.eta, self.nA])
+
+    def eta_dual(self, k):
+        """The block-space multiplier that eta row k is the image of."""
+        for fam in self.families:
+            if k < len(fam.prov):
+                return fam.duals[k]
+            k -= len(fam.prov)
+        raise IndexError("eta row out of range")
 
     @cached_property
     def tableau(self) -> Tableau:
@@ -146,37 +162,35 @@ def build_generator_set(P: Problem, x, act: ActiveSets,
     grads = subdifferential_generators(P, x, act.scenarios)
     gprov = [Provenance("scenario", index=s.index, sign=s.sign)
              for s in act.scenarios]
-    eta = [gen for ba, blk in zip(act.blocks, P.blocks)
-           for gen in blk.normal_generators(x, ba, sampling)]
+    families = [blk.normal_generators(x, ba, sampling)
+                for ba, blk in zip(act.blocks, P.blocks)]
     na, nprov = nA_generators(P.set_A, x, P.tolerances.eps_feas)
     return GeneratorSet(d=P.d, grads_F=grads, grads_prov=gprov,
-                        eta=[v for v, _, _ in eta],
-                        eta_prov=[pr for _, pr, _ in eta],
-                        eta_dual=[dual for _, _, dual in eta],
-                        nA=na, nA_prov=nprov,
+                        eta=np.concatenate([np.empty((0, P.d))] + [
+                            fam.vectors for fam in families]),
+                        eta_prov=[pr for fam in families for pr in fam.prov],
+                        families=families, nA=na, nA_prov=nprov,
                         sampled=any(ba.sampled for ba in act.blocks))
 
 
 class TangentTester:
     """Precomputed linearized-feasibility test at one point.
 
-    Each block tests directions against its normal-cone generators in
-    ``generators`` (or its own rows, see the blocks' ``tangent_test``),
-    the polyhedral set against its normal-cone generators.  ``screen`` and ``accepted``
-    test a stack of directions (the rows of H) at once."""
+    Each block tests directions against its family of normal-cone
+    generators in ``generators`` (or its own rows, see the blocks'
+    ``tangent_test``), the polyhedral set against its normal-cone
+    generators.  ``screen`` and ``accepted`` test a stack of directions
+    (the rows of H) at once."""
 
     def __init__(self, P: Problem, x, act: ActiveSets,
                  generators: GeneratorSet):
         x = np.asarray(x, dtype=float)
         self.eps = P.tolerances.eps_feas
-        rows = {ba.position: [] for ba in act.blocks}
-        for v, pr in zip(generators.eta, generators.eta_prov):
-            rows[pr.block].append(v)
-        self._tests = [blk.tangent_test(x, ba, rows[ba.position])
-                       for ba, blk in zip(act.blocks, P.blocks)]
+        self._tests = [blk.tangent_test(x, ba, fam.vectors)
+                       for ba, blk, fam in zip(act.blocks, P.blocks,
+                                               generators.families)]
         # bound rows and both signs of every affine equality row
-        nA = generators.nA
-        self._A_rows = np.array(nA, dtype=float).reshape(len(nA), P.d)
+        self._A_rows = generators.nA
 
     def screen(self, H) -> tuple[list, np.ndarray]:
         """For the directions in the rows of H: per block, whether each

@@ -380,7 +380,8 @@ def combination_system(hull, cone, caps=(), d=None):
     system is infeasible."""
     nh, nc, d = len(hull), len(cone), d or len(hull[0])
     A = np.zeros((d + 1 + len(caps), nh + nc + len(caps)))
-    A[:d, :nh + nc] = np.reshape([*hull, *cone], (nh + nc, d)).T
+    A[:d, :nh + nc] = np.concatenate([np.reshape(hull, (nh, d)),
+                                      np.reshape(cone, (nc, d))]).T
     A[d, :nh] = 1.0
     b = np.zeros(len(A))
     b[d:] = 1.0

@@ -19,13 +19,16 @@ other module branches on the kind:
   per point of the stack ``pts``, for check_feasible and feasibility;
 - ``distance(x)``: distance of the block value to its cone in the block
   norm, the exact-penalty term;
-- ``normal_generators(x, state, sampling)``: (vector, Provenance, dual)
-  triples generating the normal cone, where dual is the block-space
-  multiplier whose image under the derivative is the vector; apex and
-  kernel directions are sampled here and nowhere else;
+- ``normal_generators(x, state, sampling)``: the NormalFamily of
+  generators of the normal cone, one stack: the vectors as the rows of
+  an (n, d) array, the block-space multipliers whose images under the
+  derivative they are (n scalars for the scalar blocks, an (n, l+1) array
+  for a second-order cone, an (n, l, l) array for a matrix cone) and n
+  Provenance records; apex and kernel directions are sampled here and
+  nowhere else, and built as one stacked product;
 - ``tangent_test(x, state, rows)``: given the block's generator vectors,
-  a test ``(H, eps) -> bool array`` of linearized feasibility of each
-  direction in the rows of H;
+  the rows of an (n, d) array, a test ``(H, eps) -> bool array`` of
+  linearized feasibility of each direction in the rows of H;
 - ``add_dual(dual, provenance, amount)``: adds an LP weight times a
   generator's dual to the block's multiplier;
 - ``dual_derivatives(x, dual)``: the gradient and Hessian in x of the
@@ -60,6 +63,7 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,7 +74,8 @@ from .cones import (EigenFailure, Provenance, axis_directions, builtin_max,
                     unit_rows)
 
 __all__ = [
-    "ToleranceSet", "PolyhedralSet", "NlpIneq", "NlpEq", "Soc", "Sdp",
+    "ToleranceSet", "PolyhedralSet", "NormalFamily", "NlpIneq", "NlpEq",
+    "Soc", "Sdp",
     "SemiInfinite", "BLOCK_CLASSES", "Problem", "ActiveScenario",
     "BlockActivity", "ActiveSets",
     "FeasibilityReport", "ProblemFormatError",
@@ -140,6 +145,16 @@ class BlockActivity:
     sampled: bool = False    # the normal cone's generators are a sample
 
 
+class NormalFamily(NamedTuple):
+    """A block's normal-cone generators at a point: row k of ``vectors``
+    is the image under the block's derivative of the multiplier
+    ``duals[k]``, and ``prov[k]`` names it."""
+
+    vectors: np.ndarray   # (n, d)
+    duals: np.ndarray     # (n,), (n, l+1) or (n, l, l)
+    prov: list
+
+
 class _Points:
     """Points stacked as the columns of ``X`` (one row per variable).
 
@@ -180,8 +195,7 @@ class _Block:
     def tangent_test(self, x, state, rows):
         """Linearized feasibility: <r, h> <= eps for every generator r of
         the block's normal cone at x."""
-        R = np.array(rows, dtype=float).reshape(len(rows), len(x))
-        return lambda H, eps: np.all(pair_dots(H, R) <= eps, axis=1)
+        return lambda H, eps: np.all(pair_dots(H, rows) <= eps, axis=1)
 
 
 class _ScalarBlock(_Block):
@@ -281,8 +295,9 @@ class NlpIneq(_NlpBlock):
 
     def normal_generators(self, x, state, sampling):
         grads, _ = self._derivatives(x, state.active)
-        return [(g, Provenance("nlp_ineq", state.position, i), 1.0)
-                for i, g in zip(state.active, grads)]
+        return NormalFamily(
+            np.reshape(grads, (-1, len(x))), np.ones(len(state.active)),
+            [Provenance("nlp_ineq", state.position, i) for i in state.active])
 
 
 @dataclass(frozen=True)
@@ -303,14 +318,14 @@ class NlpEq(_NlpBlock):
         return sum(abs(v) for v in self._values(x))
 
     def normal_generators(self, x, state, sampling):
-        out = []
-        grads, _ = self._derivatives(x, range(len(self.b)))
-        for j, grad in enumerate(grads):
-            out.append((grad, Provenance("nlp_eq", state.position, j, sign=1),
-                        1.0))
-            out.append((-grad, Provenance("nlp_eq", state.position, j,
-                                          sign=-1), -1.0))
-        return out
+        # both signs of each constraint's gradient, in turn
+        grads = np.reshape(self._derivatives(x, range(len(self.b)))[0],
+                           (-1, len(x)))
+        return NormalFamily(
+            np.stack([grads, -grads], axis=1).reshape(-1, len(x)),
+            np.tile([1.0, -1.0], len(self.b)),
+            [Provenance("nlp_eq", state.position, j, sign=sign)
+             for j in range(len(self.b)) for sign in (1, -1)])
 
 
 @dataclass(frozen=True)
@@ -362,26 +377,29 @@ class Soc(_ConeBlock):
 
     def normal_generators(self, x, state, sampling):
         if state.soc_state == "inactive":
-            return []
+            return NormalFamily(np.empty((0, len(x))),
+                                np.empty((0, self.l + 1)), [])
         J = state.jacobian
         pos = state.position
         if state.soc_state == "boundary":
             vals = state.soc_value
             dual = np.concatenate([[-vals[0]], vals[1:]])
-            return [(J.T @ dual, Provenance("soc_boundary", pos), dual)]
+            return NormalFamily((J.T @ dual)[None], dual[None],
+                                [Provenance("soc_boundary", pos)])
         # apex: extreme dual rays (-1, v) over unit v, sampled
-        dirs = [np.asarray(v, dtype=float)
+        dirs = [np.asarray(v, dtype=float)[None]
                 for p, v in sampling.soc_extra if p == pos]
-        dirs += axis_directions(self.l)
-        dirs += unit_directions(self.l, sampling.soc_dirs,
-                                sampling.seed + 7 * pos + 1)
-        U, _ = unit_rows(np.array(dirs), 1e-12)
-        out = []
-        for v in U[distinct_rows(U, 1e-9)]:
-            dual = np.concatenate([[-1.0], v])
-            prov = Provenance("soc_apex", pos, detail=tuple(v.tolist()))
-            out.append((J.T @ dual, prov, dual))
-        return out
+        dirs += [axis_directions(self.l),
+                 unit_directions(self.l, sampling.soc_dirs,
+                                 sampling.seed + 7 * pos + 1)]
+        U, _ = unit_rows(np.concatenate(dirs), 1e-12)
+        V = U[distinct_rows(U, 1e-9)]
+        duals = np.column_stack([np.full(len(V), -1.0), V])
+        # one matrix-vector product per dual, as J.T @ dual computes it
+        return NormalFamily(
+            np.matmul(J.T, duals[:, :, None])[:, :, 0], duals,
+            [Provenance("soc_apex", pos, detail=tuple(v))
+             for v in V.tolist()])
 
     def tangent_test(self, x, state, rows):
         if state.soc_state == "inactive":
@@ -475,14 +493,19 @@ class Sdp(_ConeBlock):
     def normal_generators(self, x, state, sampling):
         Q0 = state.null_basis
         if Q0.shape[1] == 0:
-            return []
+            n = self.size
+            return NormalFamily(np.empty((0, len(x))), np.empty((0, n, n)),
+                                [])
         pos = state.position
         _, grads = self.entry_derivatives(x)
-        qs = sdp_null_directions(Q0, sampling.sdp_dirs,
-                                 sampling.seed + 7 * pos + 3)
-        return [(np.einsum("i,ijk,j->k", q, grads, q),
-                 Provenance("sdp_null", pos, detail=tuple(q.tolist())),
-                 np.outer(q, q)) for q in qs]
+        Q = sdp_null_directions(Q0, sampling.sdp_dirs,
+                                sampling.seed + 7 * pos + 3)
+        # the generator of q is q' dG q, its dual the outer product q q'
+        return NormalFamily(
+            np.einsum("ni,ijk,nj->nk", Q, grads, Q),
+            Q[:, :, None] * Q[:, None, :],
+            [Provenance("sdp_null", pos, detail=tuple(q))
+             for q in Q.tolist()])
 
     def dual_derivatives(self, x, dual):
         entries, grads = self.entry_derivatives(x)
@@ -587,9 +610,11 @@ class SemiInfinite(_ScalarBlock):
 
     def normal_generators(self, x, state, sampling):
         grads, _ = self._derivatives(x, state.active)
-        return [(g, Provenance("semi_infinite", state.position, j,
-                               detail=(float(self.grid[j]),)), 1.0)
-                for j, g in zip(state.active, grads)]
+        return NormalFamily(
+            grads, np.ones(len(state.active)),
+            [Provenance("semi_infinite", state.position, j,
+                        detail=(float(self.grid[j]),))
+             for j in state.active])
 
     @classmethod
     def from_section(cls, pairs, d, line):
@@ -1102,13 +1127,33 @@ def load_problem_text(text: str, source: str = "<memory>",
         raise ProblemFormatError(str(err), "problem", 1)
 
 
+def _x_dependence(node: ex.Expression):
+    """Whether node depends on x, or None when it is not affine in x: x
+    enters through sums, differences and negations, products with at most
+    one factor in x and quotients by a denominator free of x, never
+    through a power or a function."""
+    if isinstance(node, ex.Var):
+        return True
+    if isinstance(node, ex.Neg):
+        return _x_dependence(node.arg)
+    if isinstance(node, (ex.Pow, ex.Func)):
+        inner = _x_dependence(node.base if isinstance(node, ex.Pow)
+                              else node.arg)
+        return False if inner is False else None
+    if not isinstance(node, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
+        return False                        # a constant
+    lhs, rhs = _x_dependence(node.lhs), _x_dependence(node.rhs)
+    if lhs is None or rhs is None or (isinstance(node, ex.Div) and rhs) \
+            or (isinstance(node, ex.Mul) and lhs and rhs):
+        return None
+    return lhs or rhs
+
+
 def _linear_row(node: ex.Expression, d: int, section, line):
-    """Coefficients of an affine expression; rejects nonlinear eq= rows.
-    Its derivatives at 0 and at the point of ones, one stacked pass."""
-    vals, reasons, grads, hess = ex.eval_jets(
-        node, np.tile([0.0, 1.0], (d, 1)), d)
-    if (reasons.any() or np.max(np.abs(hess)) > 0
-            or np.max(np.abs(grads[1] - grads[0])) > 1e-12):
+    """Coefficients of an affine expression (``_x_dependence``), its
+    gradient at 0; rejects nonlinear eq= rows and rows undefined at 0."""
+    vals, reasons, grads, _ = ex.eval_jets(node, np.zeros((d, 1)), d)
+    if _x_dependence(node) is None or reasons.any():
         raise ProblemFormatError("eq rows must be affine", section, line)
     if abs(vals[0]) > 0:   # constant offsets fold into the right-hand side
         raise ProblemFormatError(

@@ -133,8 +133,8 @@ def _critical_directions(ctx: PointContext, G):
     All candidates are screened at once; the first of near-duplicate
     survivors is kept, in candidate order."""
     d = ctx.problem.d
-    candidates = [np.array(axis_directions(d))]
-    M = np.array([*G.grads_F, *G.cone], dtype=float).reshape(-1, d)
+    candidates = [axis_directions(d)]
+    M = np.concatenate([np.reshape(G.grads_F, (-1, d)), G.cone])
     if len(M):
         null = _null_basis(M)
         candidates.append(np.stack([null, -null], axis=1).reshape(-1, d))
@@ -201,7 +201,7 @@ def second_order_necessary(ctx: PointContext,
     """Sampled test: along every critical direction some multiplier pair
     must give a nonnegative quadratic form (polyhedral blocks only; with
     curved blocks a negative form cannot refute and is only reported)."""
-    if first.generators.nA:   # x lies on the boundary of A
+    if len(first.generators.nA):   # x lies on the boundary of A
         return SecondOrderReport(
             mode="necessary", applicable=False,
             conservative_refutation_only=True,

@@ -548,9 +548,10 @@ def test_cone_property_is_eta_then_nA():
     G = GeneratorSet(d=1, eta=[np.array([1.0])], nA=[np.array([-1.0])],
                      eta_prov=[Provenance("nlp_ineq", 0, 0)],
                      nA_prov=[Provenance("bound", index=0)])
-    assert [float(v[0]) for v in G.cone] == [1.0, -1.0]
-    G.cone.append(np.array([2.0]))
-    assert len(G.eta) == 1 and len(G.nA) == 1
+    cone = G.cone
+    assert cone.tolist() == [[1.0], [-1.0]]
+    cone[:] = 2.0   # a new array: writing to it leaves eta and nA alone
+    assert G.eta.tolist() == [[1.0]] and G.nA.tolist() == [[-1.0]]
 
 
 def _builds_on(builds, G):

@@ -112,7 +112,7 @@ def test_eta_empty_when_inactive():
         '[nlp_ineq] g="x(1) - 5"\n')
     G = geo.build_generator_set(P, (0.0, 0.0), activity(P, (0.0, 0.0)),
                                 geo.SamplingSpec())
-    assert G.eta == [] and not G.sampled
+    assert G.eta.shape == (0, 2) and not G.sampled
 
 
 def test_nA_generators_box_corner():
@@ -237,33 +237,126 @@ def _loop_dedup(vectors, tol, antipodal, kept=()):
     return out
 
 
-@pytest.mark.parametrize("antipodal", [False, True])
-def test_kept_rows_filter_matches_pairwise_loop(rng, monkeypatch, antipodal):
-    """distinct_rows keeps the same vectors, in the same order, as
-    comparing each with every vector kept before it in turn, whether the
-    candidates fill one block or many, with or without rows kept before
-    them, and when far vectors share their first coordinate."""
-    base = [v / np.linalg.norm(v) for v in rng.standard_normal((40, 4))]
+def _blocked_dedup(U, tol, antipodal=False, kept=None, block=64):
+    """distinct_rows as it was before the sweep: each block of candidates
+    screened against every row kept so far."""
+    U = np.asarray(U, dtype=float)
+    ref = np.empty((0, U.shape[-1])) if kept is None else np.asarray(
+        kept, dtype=float)
+    out = []
+    for start in range(0, len(U), block):
+        part = U[start:start + block]
+        rows = np.concatenate([ref, part])
+        maybe = np.abs(rows[:, 0] - part[:, :1]) < 2 * tol
+        if antipodal:
+            maybe |= np.abs(rows[:, 0] + part[:, :1]) < 2 * tol
+        i, j = np.nonzero(maybe)
+        dist = np.linalg.norm(rows[j] - part[i], axis=-1)
+        if antipodal:
+            dist = np.minimum(
+                dist, np.linalg.norm(rows[j] + part[i], axis=-1))
+        near = np.zeros(maybe.shape, dtype=bool)
+        near[i, j] = dist < tol
+        near[:, len(ref):] &= np.tri(len(part), k=-1, dtype=bool)
+        taken = np.ones(len(rows), dtype=bool)
+        for k in np.flatnonzero(near.any(axis=1)):
+            taken[len(ref) + k] = not np.any(near[k] & taken)
+        new = np.flatnonzero(taken[len(ref):])
+        ref = np.concatenate([ref, part[new]])
+        out.extend(start + new)
+    return np.array(out, dtype=int)
+
+
+def _near_copies(rng, base):
+    """Each row of base, a copy within 1e-9, one beyond it, its negation
+    and a far row with its first coordinate, in a random order."""
+    d = base.shape[1]
     vectors = []
     for v in base:
         vectors.append(v)
-        vectors.append(v + 1e-11 * rng.standard_normal(4))   # within tol
-        vectors.append(v + 1e-7 * rng.standard_normal(4))    # beyond it
+        vectors.append(v + 1e-11 * rng.standard_normal(d))   # within tol
+        vectors.append(v + 1e-7 * rng.standard_normal(d))    # beyond it
         vectors.append(-v)
-        vectors.append(np.r_[v[0], rng.standard_normal(3)])  # same lead
-    order = rng.permutation(len(vectors))
-    vectors = [vectors[i] for i in order]
-    for block in (1, 7, cones._DISTINCT_BLOCK):
-        monkeypatch.setattr(cones, "_DISTINCT_BLOCK", block)
-        for n_kept in (0, 30):
-            before, cands = vectors[:n_kept], vectors[n_kept:]
-            idx = cones.distinct_rows(np.array(cands), 1e-9, antipodal,
-                                      kept=np.array(before).reshape(-1, 4))
-            kept = [cands[i] for i in idx]
-            ref = _loop_dedup(cands, 1e-9, antipodal, before)
-            assert len(kept) == len(ref) < len(cands)
-            assert all(k is r for k, r in zip(kept, ref))
-    assert len(vectors) > 2 * cones._DISTINCT_BLOCK
+        vectors.append(np.r_[v[0], rng.standard_normal(d - 1)])  # same lead
+    return np.array(vectors)[rng.permutation(len(vectors))]
+
+
+@pytest.mark.parametrize("antipodal", [False, True])
+def test_kept_rows_filter_matches_pairwise_loop(rng, antipodal):
+    """distinct_rows keeps the same vectors, in the same order, as
+    comparing each with every vector kept before it in turn, and as the
+    blocked screen it replaced, with or without rows kept before them,
+    and when far vectors share their first coordinate."""
+    base = rng.standard_normal((40, 4))
+    vectors = list(_near_copies(rng, base / np.linalg.norm(
+        base, axis=1, keepdims=True)))
+    for n_kept in (0, 30):
+        before, cands = vectors[:n_kept], vectors[n_kept:]
+        kept_rows = np.array(before).reshape(-1, 4)
+        idx = cones.distinct_rows(np.array(cands), 1e-9, antipodal,
+                                  kept=kept_rows)
+        kept = [cands[i] for i in idx]
+        ref = _loop_dedup(cands, 1e-9, antipodal, before)
+        assert len(kept) == len(ref) < len(cands)
+        assert all(k is r for k, r in zip(kept, ref))
+        assert idx.tolist() == _blocked_dedup(
+            np.array(cands), 1e-9, antipodal, kept_rows).tolist()
+
+
+def _dedup_cases(rng):
+    """(rows, kept) pairs: exact ties in the first coordinate, antipodal
+    pairs around a first coordinate of 0, rows kept before, and 4,096
+    rows."""
+    axes = geo.axis_directions(300)
+    extra = rng.standard_normal((100, 300))
+    yield np.concatenate([axes, extra / np.linalg.norm(
+        extra, axis=1, keepdims=True), axes[:7]]), None
+    flat = rng.standard_normal((150, 3))
+    flat[:, 0] = rng.choice([0.0, -0.0, 3e-10, -3e-10, 1e-9], 150)
+    yield np.concatenate([flat, -flat, flat + 2e-10])[
+        rng.permutation(450)], None
+    many = rng.standard_normal((820, 3))
+    rows = _near_copies(rng, many / np.linalg.norm(many, axis=1,
+                                                   keepdims=True))
+    yield rows[:3000], rows[3000:]
+    yield rows[:4096], None
+
+
+@pytest.mark.parametrize("antipodal", [False, True])
+def test_sweep_matches_the_blocked_screen(rng, antipodal):
+    """On ties, antipodal pairs, kept rows and 4,096 rows the sweep keeps
+    the rows the blocked screen kept, and, on the antipodal pairs, the
+    pairwise loop."""
+    for rows, kept in _dedup_cases(rng):
+        for tol in (1e-9, 1e-12):
+            idx = cones.distinct_rows(rows, tol, antipodal, kept=kept)
+            ref = _blocked_dedup(rows, tol, antipodal, kept)
+            assert idx.tolist() == ref.tolist()
+            assert 0 < len(idx) <= len(rows)
+            if len(rows) < 1000 and rows.shape[1] < 10 and tol == 1e-9:
+                loop = _loop_dedup(list(rows), tol, antipodal,
+                                   [] if kept is None else list(kept))
+                assert [rows[i].tobytes() for i in idx] == [
+                    v.tobytes() for v in loop]
+
+
+@pytest.mark.parametrize("antipodal", [False, True])
+def test_sweep_computes_few_distances(rng, monkeypatch, antipodal):
+    """On 4,096 well-separated unit rows the sweep computes fewer than
+    10 n pair distances (the blocked screen computed one per pair of
+    rows whose first coordinates were near, and built a screen of every
+    row against every kept one)."""
+    n, norm, counted = 4096, np.linalg.norm, [0]
+
+    def counting(a, *args, **kwargs):
+        counted[0] += len(a)
+        return norm(a, *args, **kwargs)
+
+    rows = rng.standard_normal((n, 5))
+    rows /= norm(rows, axis=1, keepdims=True)
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    assert len(cones.distinct_rows(rows, 1e-9, antipodal)) == n
+    assert counted[0] < 10 * n
 
 
 def test_unit_rows_match_the_row_loop(rng):

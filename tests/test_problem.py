@@ -329,20 +329,33 @@ def test_semi_infinite_gradients_are_in_x_alone():
     ("x(1)^4 - 1.3333333333333333*x(1)^3 + x(2) = 0",
      "eq rows must be affine"),
     ("1/x(1) + x(2) = 0", "eq rows must be affine"),
+    # zero Hessian and equal gradients at 0 and at the point of ones
+    ("5*x(1)^3 - 7.5*x(1)^4 + 3*x(1)^5 + x(2) = 0",
+     "eq rows must be affine"),
+    ("x(1)*x(2) - x(2)*x(1) + x(2) = 0", "eq rows must be affine"),
+    ("x(2)/(x(1) - x(1) + 2) = 0", "eq rows must be affine"),
+    ("sin(x(1)) + x(2) = 0", "eq rows must be affine"),
+    ("x(2) + 1/(1 - 1) = 0", "eq rows must be affine"),
     ("x(2) + 1 = 0", "write constants on the right-hand side of eq"),
     ("0*x(2) = 1", "eq row has no variables"),
 ])
 def test_eq_rows_are_read_off_two_points(eq, message):
-    """An eq= row is affine where it is defined, its Hessian is 0 and its
-    gradient is the same at 0 and at the point of ones.  A Hessian read
-    at 0 alone took x(1)^4 - 4/3 x(1)^3 + x(2), whose Hessian vanishes
-    there, for x(2)."""
+    """An eq= row is affine by its structure: x enters through sums,
+    differences, negations, products with one factor in x and quotients
+    by a denominator free of x, never through a power or a function, and
+    the row is defined.  Its derivatives read at points took x(1)^4 -
+    4/3 x(1)^3 + x(2) (Hessian 0 at 0) and 5 x(1)^3 - 7.5 x(1)^4 +
+    3 x(1)^5 + x(2) (Hessian 0 and the same gradient at 0 and at the point
+    of ones) for x(2)."""
     head = '[problem] dim=2\n[scenario] f="x(2)"\n[set] eq='
     with pytest.raises(ProblemFormatError) as err:
         load_problem_text(head + f'"{eq}"\n')
     assert message in str(err.value)
     P = load_problem_text(head + '"2*x(1) - x(2) = 3"\n')
     assert (P.set_A.E, P.set_A.e) == (((2.0, -1.0),), (3.0,))
+    P = load_problem_text(
+        head + '"-(x(1)*2^2)/(4*cos(0)) + 0.5*x(2)*3 - x(2)/2 = 0"\n')
+    assert P.set_A.E == ((-1.0, 1.0),)
 
 
 @pytest.mark.parametrize("text,at", [

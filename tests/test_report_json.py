@@ -140,8 +140,9 @@ def _freeze(m):
     def build_generator_set(*args):
         G = build(*args)
         G.grads_F = [v + 0.0 for v in G.grads_F]
-        G.eta = [v + 0.0 for v in G.eta]
-        G.nA = [v + 0.0 for v in G.nA]
+        G.eta, G.nA = G.eta + 0.0, G.nA + 0.0
+        G.families = [fam._replace(vectors=fam.vectors + 0.0)
+                      for fam in G.families]
         return G
 
     def squared_generators(*args):

@@ -18,10 +18,10 @@ cadre the membership basis gives where a smallest-p subset search
 exhausts its budget, and `soc-example` with 4,096 directions and the
 second-order tests, the least-deviation fit of t^4 on 401 grid points,
 one scenario per point, a Chebyshev file with a NaN target, an input
-error, and, last, a file that starts with a UTF-8 byte order mark and
-a target written with a '_' digit separator, an input error.  Each case
-prints one header line,
-`== <argv> -> exit <code>`, then its report or error.
+error, a file that starts with a UTF-8 byte order mark, a target
+written with a '_' digit separator, an input error, and, last, an eq=
+row that is not affine, an input error.  Each case prints one header
+line, `== <argv> -> exit <code>`, then its report or error.
 
 Run it at two commits and compare the outputs with `cmp`: a change that
 claims to leave reports alone must print the same bytes.  The cases of
@@ -128,6 +128,11 @@ FILES = {
     # without separators, as inside one
     "underscore_psi.prob": '[problem] dim=1 kind=chebyshev\n'
                            '[scenario] f="x(1)" psi=1_0\n',
+    # an eq= row that is no affine function, though its Hessian is 0 and
+    # its gradient the same at 0 and at the point of ones
+    "quintic_eq.prob": '[problem] dim=2\n[scenario] f="x(1)"\n'
+                       '[set] eq="5*x(1)^3 - 7.5*x(1)^4 + 3*x(1)^5 + x(2) '
+                       '= 0"\n',
 }
 
 
@@ -159,9 +164,9 @@ WARNING_LINE = re.compile(r"^.*:\d+: \w*Warning: ", re.MULTILINE)
 # a -0.0 that stands as a number of its own, not a part of -0.05 or a name
 NEGATIVE_ZERO = re.compile(r"(?<![\w.])-0\.0(?![\w.])")
 # the cases that must exit 1: an undefined value at the point, then a
-# target that is not finite and one that is not an ASCII number, run
-# after the cases that were there before them, which so print the same
-# bytes
+# target that is not finite, one that is not an ASCII number and an eq=
+# row that is not affine, run after the cases that were there before
+# them, which so print the same bytes
 UNDEFINED = [["--file", "div.prob", "--at=0"],
              ["--file", "sdp_sqrt.prob", "--at=-1"],
              ["--file", "pow.prob", "--at=10"],
@@ -169,7 +174,8 @@ UNDEFINED = [["--file", "div.prob", "--at=0"],
              ["--file", "two_reasons.prob", "--at=-1,1"]]
 NAN_PSI = ["--file", "nan_psi.prob", "--at=0"]
 UNDERSCORE_PSI = ["--file", "underscore_psi.prob", "--at=0"]
-EXPECTED_ERRORS = UNDEFINED + [NAN_PSI, UNDERSCORE_PSI]
+QUINTIC_EQ = ["--file", "quintic_eq.prob", "--at", "1,0"]
+EXPECTED_ERRORS = UNDEFINED + [NAN_PSI, UNDERSCORE_PSI, QUINTIC_EQ]
 
 
 def cases():
@@ -208,6 +214,7 @@ def cases():
     yield NAN_PSI
     yield ["--file", "bom.prob", "--at", "0"]
     yield UNDERSCORE_PSI
+    yield QUINTIC_EQ
 
 
 def broken_implications(report) -> list:
