@@ -27,7 +27,7 @@ from .oracle import TooFewFeasibleSamples, growth_probe
 from .problem import (ProblemFormatError, ToleranceSet, load_problem_file,
                       problem_to_text)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -141,8 +141,10 @@ def _print_human(report):
                    f"radius: {suf['radius']}")
     if "flavor_search" in report and report["flavor_search"]:
         fl = report["flavor_search"]
+        budget = fl["stopped"] == "budget"
         if fl["cadre"] is None:
-            out.append(f"{fl['flavor']} cadre search: none found")
+            out.append(f"{fl['flavor']} cadre search: "
+                       + ("budget exhausted" if budget else "none found"))
         else:
             c = fl["cadre"]
             word = "complete" if c["complete"] else f"{c['p']}-point"
@@ -153,6 +155,9 @@ def _print_human(report):
                 where = "" if c["complete"] else " found separately"
                 out.append(f"  complete {fl['flavor']} alternance{where}: "
                            f"determinants [{dets}]")
+            elif budget:
+                out.append(f"  complete {fl['flavor']} alternance search: "
+                           "budget exhausted")
             else:
                 out.append(f"  no complete {fl['flavor']} alternance; "
                            f"{c['p']}-point cadre found")
@@ -234,10 +239,10 @@ def cmd_check(args) -> int:
 
     report["flavor_search"] = None
     if args.flavor:
-        cadre, complete = _flavor_search(args.flavor, ctx.generators,
-                                         problem.tolerances.eps_det)
+        cadre, complete, stopped = _flavor_search(
+            args.flavor, ctx.generators, problem.tolerances.eps_det)
         report["flavor_search"] = {"flavor": args.flavor, "cadre": cadre,
-                                   "complete": complete}
+                                   "complete": complete, "stopped": stopped}
         if complete is None:
             inconclusive = True
 
@@ -283,24 +288,25 @@ def cmd_check(args) -> int:
 
 
 def _flavor_search(flavor, G, eps_det):
-    """The flavor's first cadre over G and its complete cadre, both None
-    when a search's budget ran out.  These are the check's only subset
-    enumerations, and the complete cadre is the report's one complete
-    alternance.  A complete first cadre decides both.
-    So does a first enumeration that found none, as it walked every
+    """The flavor's first cadre over G, its complete cadre, and "budget"
+    when a subset search's budget ran out (else None).  These are the
+    check's only subset enumerations, and the complete cadre is the
+    report's one complete alternance.  A complete first cadre decides
+    both.  So does a first enumeration that found none, as it walked every
     p = d + 1 subset.  The plain first cadre is read off the membership
     LP's basis instead, and as every cadre is a membership witness, its
-    absence decides the complete search only when that LP is infeasible."""
+    absence decides the complete search only when that LP is infeasible.
+    A first cadre found stays when the complete search runs out."""
     first, out = fo.cadre_search(G, flavor, eps_det=eps_det)
     if out:
-        return None, None
+        return None, None, "budget"
     if first is not None and first.complete:
-        return first, first
+        return first, first, None
     if first is None and (flavor != "plain"
                           or G.membership.status != "optimal"):
-        return None, None
+        return None, None, None
     complete, out = fo.cadre_search(G, flavor, complete=True, eps_det=eps_det)
-    return (None, None) if out else (first, complete)
+    return (first, None, "budget") if out else (first, complete, None)
 
 
 def _emit(args, report):

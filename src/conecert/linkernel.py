@@ -218,6 +218,18 @@ class LpResult:
 
 
 _PIVOT_TOL = 1e-9
+# tableau entries per phase-2 slab: ``Tableau.solve_stack`` takes its
+# probes in chunks of about this many floats (at least one probe each), so
+# the 2d margin probes of a set at problem.MAX_DIM stay within a few MB
+SLAB_FLOATS = 2 ** 18
+# stand-ins for an infinite least ratio and for the basic index of a row
+# that is no leaving candidate
+_FLOAT_MAX = np.finfo(float).max
+_INT_MAX = np.iinfo(int).max
+# a ratio test over at most this many entries runs the row scan: there its
+# Python loop costs less than the stacked read's fixed numpy calls (about
+# 6 against 23 us at 4 x 3 entries, 50 against 36 us at 18 x 10)
+_SCAN_ENTRIES = 128
 
 
 def _bland_iterate(T, basis, n_cols):
@@ -232,22 +244,28 @@ def _bland_iterate(T, basis, n_cols):
                 break
         if entering < 0:
             return "optimal", it
-        col = T[:m, entering]
-        leaving = -1
-        best = math.inf
-        for i in range(m):
-            if col[i] > _PIVOT_TOL:
-                ratio = T[i, -1] / col[i]
-                if ratio < best - _PIVOT_TOL or (
-                        abs(ratio - best) <= _PIVOT_TOL
-                        and (leaving < 0 or basis[i] < basis[leaving])):
-                    best = ratio
-                    leaving = i
+        leaving = _ratio_scan(T[:m, entering], T[:m, -1], basis)
         if leaving < 0:
             return "unbounded", it
         _pivot(T, leaving, entering)
         basis[leaving] = entering
     return "iteration_limit", MAX_ITER
+
+
+def _ratio_scan(col, rhs, basis):
+    """Bland's leaving row: the scan over the rows with col > _PIVOT_TOL
+    in which a ratio rhs / col replaces the best when below it by more
+    than the tolerance, or within it with a smaller basic index; -1 when
+    no row qualifies."""
+    leaving, best = -1, math.inf
+    for i in range(len(col)):
+        if col[i] > _PIVOT_TOL:
+            ratio = rhs[i] / col[i]
+            if ratio < best - _PIVOT_TOL or (
+                    abs(ratio - best) <= _PIVOT_TOL
+                    and (leaving < 0 or basis[i] < basis[leaving])):
+                best, leaving = ratio, i
+    return leaving
 
 
 def _pivot(T, row, col):
@@ -257,6 +275,95 @@ def _pivot(T, row, col):
             T[i] -= T[i, col] * T[row]
 
 
+def _pivot_stack(S, probes, rows, cols):
+    """Pivot tableau S[probes[k]] on (rows[k], cols[k]) in place for every
+    k: ``_pivot`` on all of them at once, as one rank-1 update of the rows
+    whose pivot-column entry is nonzero (of either sign), masked over the
+    whole stack when every tableau pivots and most rows take part, and
+    gathered otherwise.  Each entry takes the division, product and
+    subtraction of the row loop, so the bits, signed zeros included, are
+    those of each tableau alone."""
+    prow = S[probes, rows] / S[probes, rows, cols][:, None]
+    S[probes, rows] = prow
+    factor = S[probes, :, cols]
+    factor[np.arange(len(probes)), rows] = 0.0
+    k, i = np.nonzero(factor)
+    if len(probes) < len(S) or 3 * len(k) < factor.size:
+        S[probes[k], i] -= factor[k, i, None] * prow[k]
+        return
+    mask = (factor != 0.0)[:, :, None]
+    np.subtract(S, np.multiply(factor[:, :, None], prow[:, None], out=None,
+                               where=mask), out=S, where=mask)
+
+
+def _leaving(col, rhs, basis):
+    """``_ratio_scan``'s leaving row of each tableau of a stack.
+
+    A stack of at most _SCAN_ENTRIES entries runs the scan.  In a larger
+    one, where the ratios within the tolerance of the least one are
+    within it of each other and more than it below every other ratio, the
+    scan provably ends on the least basic index among them, which is read
+    off all tableaux at once.  Any other tableau (a near tie spread wider
+    than the tolerance, or a NaN) runs the scan itself."""
+    if col.size <= _SCAN_ENTRIES:
+        return np.array([_ratio_scan(*row) for row in
+                         zip(col.tolist(), rhs.tolist(), basis.tolist())],
+                        dtype=int)
+    cand = col > _PIVOT_TOL
+    ratio = np.divide(rhs, col, out=np.full(col.shape, np.inf), where=cand)
+    # with no finite ratio the near set is empty, and inf - inf never taken
+    least = np.minimum(ratio.min(axis=1, keepdims=True), _FLOAT_MAX)
+    near = ratio - least <= _PIVOT_TOL
+    top = np.maximum.reduce(ratio, axis=1, where=near, initial=-np.inf,
+                            keepdims=True)
+    rest = np.minimum.reduce(ratio, axis=1, where=~near, initial=np.inf,
+                             keepdims=True)
+    clean = ((least >= top - _PIVOT_TOL) & (rest - top > _PIVOT_TOL)
+             & (rest - _PIVOT_TOL > top))
+    leaving = np.where(near, basis, _INT_MAX).argmin(axis=1)
+    leaving[~near[np.arange(len(col)), leaving]] = -1
+    if not clean.all():
+        for p in np.flatnonzero(~clean):
+            leaving[p] = _ratio_scan(col[p], rhs[p], basis[p])
+    return leaving
+
+
+def _bland_stack(S, basis, n_cols):
+    """``_bland_iterate`` on every tableau of the stack S in place, in
+    lockstep: each takes its own entering column and leaving row
+    (``_leaving``) and one ``_pivot_stack`` pivots them all.  basis[p]
+    holds the basic column of each row of S[p], -1 on a row left out (all
+    zeros, so never a leaving row).  Returns each tableau's status and
+    pivot count, as lists."""
+    q, m = basis.shape
+    status, iterations = ["iteration_limit"] * q, [MAX_ITER] * q
+    live = np.arange(q)
+    # while every tableau is live, its rows are read through views
+    view = slice(None)
+    for it in range(MAX_ITER):
+        negative = S[view, -1, :n_cols] < -_PIVOT_TOL
+        entering = negative.argmax(axis=1)
+        going = negative.any(axis=1)
+        if not going.all():
+            for p in live[~going]:
+                status[p], iterations[p] = "optimal", it
+            live, entering, view = live[going], entering[going], live[going]
+            if not len(live):
+                break
+        rows = _leaving(S[live, :m, entering], S[view, :m, -1], basis[view])
+        going = rows >= 0
+        if not going.all():
+            for p in live[~going]:
+                status[p], iterations[p] = "unbounded", it
+            live, entering, rows = live[going], entering[going], rows[going]
+            view = live
+            if not len(live):
+                break
+        _pivot_stack(S, live, rows, entering)
+        basis[live, rows] = entering
+    return status, iterations
+
+
 class Tableau:
     """Phase 1 of the two-phase dense simplex for Ax = b, x >= 0, run once
     and kept, so that many objectives re-optimise from it.
@@ -264,10 +371,14 @@ class Tableau:
     Rows with b_i < 0 are negated, an artificial variable per row starts
     basic, and Bland pivots minimise their sum; the system is infeasible
     when that sum stays above 1e-7 * max(1, max|b|).  The kept tableau
-    holds the artificial block, which is B^-1 of the final basis, so
-    ``solve`` can append a column that phase 1 never saw.  Phase 1 does
-    not read a cost, so ``Tableau(A, b).solve(c)`` is the one-shot
-    two-phase simplex bit for bit."""
+    holds the artificial block, which is B^-1 of the final basis, so a
+    solve can append columns that phase 1 never saw.  ``solve`` runs one
+    objective; ``solve_stack`` runs many, each with its own extra column,
+    from one drive-out of phase 1's leftover artificials and one phase 2
+    in lockstep on a stack of tableaux.  Every optimum is verified by its
+    residual before anyone reads it.  Phase 1 does not read a cost, so
+    ``Tableau(A, b).solve(c)`` is the one-shot two-phase simplex bit for
+    bit."""
 
     def __init__(self, A, b):
         self.A = np.array(A, dtype=float)
@@ -280,11 +391,12 @@ class Tableau:
         T[:m, :n] = self.A * self.flip[:, None]
         T[:m, n:n + m] = np.eye(m)
         T[:m, -1] = self.b * self.flip
-        self.basis = list(range(n, n + m))
+        basis = list(range(n, n + m))
         for i in range(m):
             T[-1, :n] -= T[i, :n]
             T[-1, -1] -= T[i, -1]
-        status, self.iterations = _bland_iterate(T, self.basis, n + m)
+        status, self.iterations = _bland_iterate(T, basis, n + m)
+        self.basis = np.array(basis, dtype=int)
         self.feasible = status == "optimal" and (
             -T[-1, -1] <= 1e-7 * max(1.0, np.abs(self.b).max()))
         self.T = T[:m]
@@ -301,33 +413,19 @@ class Tableau:
         return _verified(self._optimum(c, A), A, self.b)
 
     def _optimum(self, c, A) -> LpResult:
-        """Phase 2 on a copy of the kept tableau, with the columns of A
-        past the original ones entered as B^-1 times their sign-flipped
-        entries.  Artificials still basic are driven out on the first
-        column, extra ones included, with an entry above the pivot
-        tolerance; a row with none is redundant and dropped."""
+        """Phase 2 on the kept tableau with the columns of A past the
+        original ones driven in (``_drive_out``), by ``_bland_iterate``."""
         if not self.feasible:
             return LpResult("infeasible", iterations=self.iterations)
-        m, n = self.A.shape
+        n = self.A.shape[1]
         k = A.shape[1]
-        T = np.zeros((m, k + 1))
-        T[:, :n] = self.T[:, :n]
-        T[:, n:k] = self.T[:, n:n + m] @ (A[:, n:] * self.flip[:, None])
-        T[:, -1] = self.T[:, -1]
-        basis, keep = list(self.basis), []
-        for i in range(m):
-            if basis[i] >= n:
-                nonzero = np.flatnonzero(np.abs(T[i, :k]) > _PIVOT_TOL)
-                if not len(nonzero):
-                    continue
-                _pivot(T, i, nonzero[0])
-                basis[i] = int(nonzero[0])
-            keep.append(i)
-
-        T2 = np.zeros((len(keep) + 1, k + 1))
+        T, basis, keep, own = self._drive_out(A[:, n:])
+        if own:
+            T, basis, keep = own[0]
+        T2 = np.zeros((np.count_nonzero(keep) + 1, k + 1))
         T2[:-1] = T[keep]
         T2[-1, :k] = c
-        basis2 = [basis[i] for i in keep]
+        basis2 = list(basis[keep])
         for i, bi in enumerate(basis2):
             if T2[-1, bi] != 0.0:
                 T2[-1] -= T2[-1, bi] * T2[i]
@@ -342,6 +440,100 @@ class Tableau:
         return LpResult("optimal", x=x, objective=float(c @ x),
                         iterations=iterations)
 
+    def solve_stack(self, costs, columns) -> list:
+        """``solve(costs[p], columns[:, p])`` for every p, bit for bit, in
+        one pass.
+
+        Phase 1's leftover artificials are driven out once for all columns
+        (``_drive_out``).  Phase 2 then runs ``_bland_stack`` on a stack of
+        the resulting tableaux, [original | column | rhs] each, SLAB_FLOATS
+        entries at a time.  Every optimum is verified by one stacked
+        residual: x counts only when ||[A | column] x - b|| <= 1e-8 *
+        max(1, max|[A | column]|), and reads ``infeasible`` otherwise."""
+        m, n = self.A.shape
+        if not self.feasible:
+            return [LpResult("infeasible", iterations=self.iterations)
+                    for _ in costs]
+        W, basis, keep, own = self._drive_out(columns)
+        chunk = max(1, SLAB_FLOATS // ((m + 1) * (n + 2)))
+        out = []
+        for start in range(0, len(costs), chunk):
+            probes = np.arange(start, min(len(costs), start + chunk))
+            S = np.empty((len(probes), m + 1, n + 2))
+            S[:, :m, :n] = W[:, :n]
+            S[:, :m, n] = W[:, n + probes].T
+            S[:, :m, -1] = W[:, -1]
+            S[:, m, :-1] = costs[probes]
+            S[:, m, -1] = 0.0
+            B = np.tile(basis, (len(probes), 1))
+            K = np.tile(keep, (len(probes), 1))
+            for k, p in enumerate(probes if own else ()):
+                if p in own:
+                    S[k, :m], B[k], K[k] = own[p]
+            if not K.all():
+                S[:, :m][~K] = 0.0
+                B[~K] = -1
+            _reduce_costs(S, B)
+            status, iterations = _bland_stack(S, B, n + 1)
+            x = np.zeros((len(probes), n + 2))
+            x[np.arange(len(probes))[:, None], np.where(K, B, n + 1)] = \
+                S[:, :m, -1]
+            out.extend(self._verify_stack(status, iterations, x[:, :-1],
+                                          costs[probes], columns[:, probes]))
+        return out
+
+    def _drive_out(self, columns):
+        """The kept tableau [original | B^-1 columns | rhs] with phase 1's
+        artificials still basic driven out, row by row, each on its first
+        original column with an entry above the pivot tolerance; its basis
+        and the rows kept.  A row with none is redundant and dropped,
+        except for each extra column with an entry above the tolerance
+        there, which pivots into it: that column's system then goes on
+        alone, as a tableau [original | column | rhs] of its own, in the
+        last item, a dict from column index to (tableau, basis, rows
+        kept)."""
+        m, n = self.A.shape
+        W = np.empty((m, n + columns.shape[1] + 1))
+        W[:, :n] = self.T[:, :n]
+        # one matrix-vector product per column, as for a column alone
+        W[:, n:-1] = (self.T[:, n:n + m]
+                      @ (columns.T * self.flip)[:, :, None])[..., 0].T
+        W[:, -1] = self.T[:, -1]
+        basis, keep, own = self.basis.copy(), np.ones(m, dtype=bool), {}
+        for i in np.flatnonzero(self.basis >= n):
+            for T, B, K in own.values():
+                _drive_row(T, B, K, i, n + 1)
+            if _drive_row(W, basis, keep, i, n):
+                continue
+            for p in np.flatnonzero(np.abs(W[i, n:-1]) > _PIVOT_TOL):
+                if p not in own:
+                    T, B, K = W[:, np.r_[:n, n + p, -1]], basis.copy(), \
+                        keep.copy()
+                    K[i] = True
+                    _drive_row(T, B, K, i, n + 1)
+                    own[p] = T, B, K
+        return W, basis, keep, own
+
+    def _verify_stack(self, status, iterations, x, costs, columns):
+        """The LpResults of one slab, each optimum verified (see
+        ``solve_stack``) by one stacked residual."""
+        scale = np.maximum(max(1.0, float(np.abs(self.A).max(initial=0.0))),
+                           np.abs(columns).max(axis=0, initial=0.0))
+        # one matrix-vector product per x: a matrix product would have BLAS
+        # allocate its work buffer, which puts peak memory up
+        residual = np.linalg.norm((self.A @ x[:, :-1, None])[..., 0]
+                                  + x[:, -1:] * columns.T - self.b, axis=1)
+        out = []
+        for p, st in enumerate(status):
+            its = self.iterations + iterations[p]
+            if st == "optimal" and residual[p] <= 1e-8 * scale[p]:
+                out.append(LpResult("optimal", x=x[p], iterations=its,
+                                    objective=float(costs[p] @ x[p])))
+            else:
+                out.append(LpResult("unbounded" if st == "unbounded"
+                                    else "infeasible", iterations=its))
+        return out
+
 
 def _verified(res, A, b) -> LpResult:
     """An optimal x counts only when it reproduces the constraints,
@@ -354,6 +546,38 @@ def _verified(res, A, b) -> LpResult:
     if residual > 1e-8 * max(1.0, float(np.max(np.abs(A)))):
         return LpResult("infeasible", iterations=res.iterations)
     return res
+
+
+def _drive_row(T, basis, keep, i, k):
+    """Drive the artificial basic in row i of T out on the first of its
+    first k columns with an entry above the pivot tolerance; with none,
+    mark the row not kept.  True when it pivoted."""
+    nonzero = np.flatnonzero(np.abs(T[i, :k]) > _PIVOT_TOL)
+    if not len(nonzero):
+        keep[i] = False
+        return False
+    _pivot(T, i, nonzero[0])
+    basis[i] = nonzero[0]
+    return True
+
+
+def _reduce_costs(S, basis):
+    """Price out the basic columns of each cost row S[p, -1]: row by row in
+    order, the row's multiple that zeroes its basic column's cost is
+    subtracted, as a loop over the rows of each tableau alone would.  Only
+    the rows where some tableau has a nonzero such cost are visited."""
+    at = np.arange(len(S))[:, None]
+    start = 0
+    while True:
+        cost = np.where(basis[:, start:] >= 0,
+                        S[at, -1, basis[:, start:]], 0.0)
+        hit = np.flatnonzero((cost != 0.0).any(axis=0))
+        if not len(hit):
+            return
+        i = start + hit[0]
+        p = np.flatnonzero(cost[:, hit[0]] != 0.0)
+        S[p, -1] -= cost[p, hit[0], None] * S[p, i]
+        start = i + 1
 
 
 def simplex_solve(c, A, b) -> LpResult:
@@ -404,24 +628,29 @@ def lp_membership(target, hull, cone=()):
 
 
 def _margins(tableau, directions):
-    """For each direction u in turn, max r >= 0 with r * u in the set
-    whose combination system ``tableau`` holds (no caps): math.inf when
+    """For each direction u, max r >= 0 with r * u in the set whose
+    combination system ``tableau`` holds (no caps): math.inf when
     unbounded, None when even r = 0 is unattainable (the set does not
-    contain the origin), never negative.  Each probe re-optimises from the
-    kept phase 1 with one more column, -u, which can pin r = 0 on a row
-    that phase 1 found redundant."""
-    c = np.zeros(tableau.A.shape[1] + 1)
-    c[-1] = -1.0
-    column = np.zeros(len(tableau.b))
-    for u in directions:
-        column[:-1] = -np.asarray(u, dtype=float)
-        res = tableau.solve(c, column)
+    contain the origin) or the probe's weights fail their residual, never
+    negative.  Each probe is one more column, -u, which can pin r = 0 on a
+    row that phase 1 found redundant; all of them share one drive-out of
+    phase 1's leftover artificials and one stacked phase 2
+    (``Tableau.solve_stack``)."""
+    m, n = tableau.A.shape
+    columns = np.zeros((m, len(directions)))
+    columns[:-1] = -np.asarray(directions, dtype=float).reshape(
+        len(directions), m - 1).T
+    costs = np.zeros((len(directions), n + 1))
+    costs[:, -1] = -1.0
+    out = []
+    for res in tableau.solve_stack(costs, columns):
         if res.status == "unbounded":
-            yield math.inf
+            out.append(math.inf)
         else:
             # r >= 0 is a constraint: a rounded -0.0 or -1e-16 reads 0.0
-            yield (max(0.0, float(res.x[-1])) if res.status == "optimal"
-                   else None)
+            out.append(max(0.0, float(res.x[-1]))
+                       if res.status == "optimal" else None)
+    return out
 
 
 def lp_chebyshev_center(tableau):
@@ -430,11 +659,11 @@ def lp_chebyshev_center(tableau):
     r * u in the set for each of the 2d signed axes u, so the radius of the
     largest l1 ball about 0 in the set and the least of its support
     function over |h|_inf = 1; math.inf when no probe is bounded, None
-    when the set does not contain the origin.  The Euclidean ball of
-    radius r/sqrt(d) lies in that l1 ball."""
-    margin = math.inf
-    for r in _margins(tableau, axis_directions(len(tableau.b) - 1)):
-        if r is None:
-            return None
-        margin = min(margin, r)
-    return margin
+    when the set does not contain the origin.  The 2d probes are
+    ``_margins``'s: one drive-out, one stacked phase 2 and one residual
+    check of every probe's weights.  The Euclidean ball of radius
+    r/sqrt(d) lies in that l1 ball."""
+    margins = _margins(tableau, axis_directions(len(tableau.b) - 1))
+    if any(r is None for r in margins):
+        return None
+    return min([math.inf, *margins])

@@ -104,7 +104,7 @@ def test_criterion_05_counterexample():
                    [0, 0, -eps]):
         ok = ok and lp_membership(np.array(target, dtype=float),
                                   G.grads_F, cone) is not None
-    margin_up = next(_margins(G.tableau, [np.array([0.0, 0.0, 1.0])]))
+    margin_up = _margins(G.tableau, [np.array([0.0, 0.0, 1.0])])[0]
     ok = ok and margin_up == pytest.approx(1.0, abs=1e-9)
     ok = ok and fo.find_cadre(G, "generalised", p_min=4) is None
     weak = fo.find_cadre(G, "weak", p_min=4)

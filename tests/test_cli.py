@@ -176,7 +176,7 @@ def test_json_report_roundtrip_and_reverify(tmp_path):
                            "--json", "--out", str(out_path))
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == 3
+    assert report["schema"] == 4
     assert report["exit_code"] == 0
     assert json.loads(out_path.read_text()) == report
     P, x, samp = registry.get("dem")
@@ -517,7 +517,7 @@ def test_check_linf_second_order_does_no_multiplier_work(monkeypatch):
     from conecert import geometry, secondorder
     counts = _count_calls(monkeypatch,
                           (secondorder, "multiplier_vertices"))
-    lps, solves = [], []
+    lps, solves, stacked = [], [], []
 
     class Counting(geometry.Tableau):
         def __init__(self, *args):
@@ -528,6 +528,10 @@ def test_check_linf_second_order_does_no_multiplier_work(monkeypatch):
             solves.append(1)
             return super().solve(*args)
 
+        def solve_stack(self, costs, columns):
+            stacked.append(len(costs))
+            return super().solve_stack(costs, columns)
+
     monkeypatch.setattr(geometry, "Tableau", Counting)
     code, out, _ = run_cli("check", "--registry", "linf", "--dim", "11",
                            "--second-order", "--json")
@@ -535,9 +539,10 @@ def test_check_linf_second_order_does_no_multiplier_work(monkeypatch):
     assert code == 0
     assert [t["n_directions"] for t in tests] == [0, 0]
     assert [t["multiplier_set_exhaustive"] for t in tests] == [True, True]
-    # the generator set's one phase 1, and the solves of membership and
-    # of the 2 * 11 margin probes: the second-order tests add none
-    assert counts == {} and lps == [1] and len(solves) == 1 + 22
+    # the generator set's one phase 1, the membership solve and one
+    # stacked solve of the 2 * 11 margin probes: the second-order tests
+    # add none
+    assert counts == {} and lps == [1] and solves == [1] and stacked == [22]
 
 
 def test_flavor_search_reuses_the_checks_searches(monkeypatch):
@@ -571,11 +576,11 @@ def test_plain_flavor_search_survives_a_failed_basis_read(monkeypatch):
 
 
 def test_flavor_search_budget_out_is_inconclusive(monkeypatch):
-    """When the first search, or the complete one after an incomplete
-    first cadre, runs out of budget, both flavor results are null, for
-    every flavor.  The plain first cadre is read off the membership
-    basis and has no budget, so for plain only the complete search runs
-    out."""
+    """When the first search runs out of budget, both flavor results are
+    null; when only the complete one does, after an incomplete first
+    cadre, that cadre stays.  Either way the stop reads "budget", for every
+    flavor.  The plain first cadre is read off the membership basis and
+    has no budget, so for plain only the complete search runs out."""
     from conecert.cli import _flavor_search
     from conecert.geometry import PointContext
     P, x, sampling = registry.get("linf", 3)
@@ -593,14 +598,36 @@ def test_flavor_search_budget_out_is_inconclusive(monkeypatch):
         monkeypatch.setattr(fo, "find_cadre", search)
 
     for flavor in ("plain", "generalised", "weak"):
-        first, complete = _flavor_search(flavor, generators(), eps_det)
+        first, complete, stopped = _flavor_search(flavor, generators(),
+                                                  eps_det)
         # no complete plain cadre: the plain search finds (first, None)
         assert first.p == 2 and (complete is None) == (flavor == "plain")
+        assert stopped is None
         for only_complete in (False, True):
             capped(only_complete)
-            assert _flavor_search(flavor, generators(), eps_det) \
-                == (None, None)
+            got = _flavor_search(flavor, generators(), eps_det)
+            kept = only_complete or flavor == "plain"
+            assert got[1:] == (None, "budget")
+            assert (got[0] is not None and got[0].p == 2) if kept \
+                else got[0] is None
             monkeypatch.undo()
+
+
+def test_check_linf_12_reports_the_budget_stop():
+    """linf d=12 under --flavor generalised: the first search finds p = 2
+    and the complete one runs out of budget.  The report keeps the first
+    cadre and says that the budget stopped the search, and the text reads
+    "budget exhausted", not "none found"."""
+    argv = ("check", "--registry", "linf", "--dim", "12", "--flavor",
+            "generalised")
+    code, out, _ = run_cli(*argv, "--json")
+    found = json.loads(out)["flavor_search"]
+    assert code == 3
+    assert found["cadre"]["p"] == 2 and found["complete"] is None
+    assert found["stopped"] == "budget"
+    code, out, _ = run_cli(*argv)
+    assert code == 3 and "none found" not in out
+    assert "complete generalised alternance search: budget exhausted" in out
 
 
 def _negative_zeros(value, path=""):

@@ -4,9 +4,12 @@ penalty inclusion with its per-group caps and the multiplier-vertex
 system.  Each must hand its solver the same A and b as before, the
 penalty threshold the capped system turned into its least-parameter LP,
 and the interior margin must be the old per-probe minimum over the 2d
-signed axes, None where the old report said infeasible.  The margins and the second-order forms solve
-every objective on one system from one kept phase 1 (``Tableau``); the
-frozen references solve each LP alone."""
+signed axes, None where the old report said infeasible.  The margins and
+the second-order forms solve every objective on one system from one kept
+phase 1 (``Tableau``); the frozen references solve each LP alone.  The 2d
+margin probes share one stacked phase 2 (``Tableau.solve_stack``), which
+must read every margin of a frozen copy of the per-probe loop that it
+replaced, bit for bit."""
 
 import importlib.util
 import json
@@ -95,6 +98,101 @@ def _ref_chebyshev_center(hull, cone, d):
             return False, 0.0
         overall = min(overall, r)
     return True, overall
+
+
+# the per-probe margin loop on the kept phase 1, frozen: each probe copied
+# the kept tableau with its column appended, drove phase 1's leftover
+# artificials out again and ran Bland's rule row by row in Python
+
+_TOL = 1e-9
+
+
+def _ref_pivot(T, row, col):
+    T[row] /= T[row, col]
+    for i in range(T.shape[0]):
+        if i != row and T[i, col] != 0.0:
+            T[i] -= T[i, col] * T[row]
+
+
+def _ref_bland(T, basis, n_cols):
+    m = T.shape[0] - 1
+    for _ in range(lk.MAX_ITER):
+        entering = next((j for j in range(n_cols) if T[-1, j] < -_TOL), -1)
+        if entering < 0:
+            return "optimal"
+        col, leaving, best = T[:m, entering], -1, math.inf
+        for i in range(m):
+            if col[i] > _TOL:
+                ratio = T[i, -1] / col[i]
+                if ratio < best - _TOL or (
+                        abs(ratio - best) <= _TOL
+                        and (leaving < 0 or basis[i] < basis[leaving])):
+                    best, leaving = ratio, i
+        if leaving < 0:
+            return "unbounded"
+        _ref_pivot(T, leaving, entering)
+        basis[leaving] = entering
+    return "iteration_limit"
+
+
+def _ref_kept_margin(tableau, u):
+    """max r >= 0 with r * u in the set, as the per-probe loop read it off
+    the kept phase 1 (tableau.T, .basis, .flip): inf when unbounded, None
+    when infeasible or when x misses [A | -u] x = b."""
+    if not tableau.feasible:
+        return None
+    m, n = tableau.A.shape
+    A = np.column_stack([tableau.A, np.append(-np.asarray(u, float), 0.0)])
+    T = np.zeros((m, n + 2))
+    T[:, :n] = tableau.T[:, :n]
+    T[:, n:n + 1] = tableau.T[:, n:n + m] @ (A[:, n:] * tableau.flip[:, None])
+    T[:, -1] = tableau.T[:, -1]
+    basis, keep = list(tableau.basis), []
+    for i in range(m):
+        if basis[i] >= n:
+            nonzero = np.flatnonzero(np.abs(T[i, :n + 1]) > _TOL)
+            if not len(nonzero):
+                continue
+            _ref_pivot(T, i, nonzero[0])
+            basis[i] = int(nonzero[0])
+        keep.append(i)
+    T2 = np.zeros((len(keep) + 1, n + 2))
+    T2[:-1] = T[keep]
+    T2[-1, n] = -1.0
+    basis2 = [basis[i] for i in keep]
+    for i, bi in enumerate(basis2):
+        if T2[-1, bi] != 0.0:
+            T2[-1] -= T2[-1, bi] * T2[i]
+    status = _ref_bland(T2, basis2, n + 1)
+    if status == "unbounded":
+        return math.inf
+    if status != "optimal":
+        return None
+    x = np.zeros(n + 1)
+    for i, bi in enumerate(basis2):
+        x[bi] = T2[i, -1]
+    if np.linalg.norm(A @ x - tableau.b) > 1e-8 * max(1.0, np.abs(A).max()):
+        return None
+    return max(0.0, float(x[-1]))
+
+
+def _ref_kept_center(tableau):
+    """The interior margin as the per-probe loop took it: the least probe
+    margin, None at the first None."""
+    margin = math.inf
+    for u in _ref_probes(len(tableau.b) - 1):
+        r = _ref_kept_margin(tableau, u)
+        if r is None:
+            return None
+        margin = min(margin, r)
+    return margin
+
+
+def _same_bits(got, want):
+    """got and want are both None, or equal floats with the same sign."""
+    if got is None or want is None:
+        return got is want
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 def _ref_penalty_system(d, c, G, groups):
@@ -196,7 +294,8 @@ def _recording(monkeypatch, module, name):
 def _recording_tableaux(monkeypatch, *modules):
     """Patch Tableau in each module to record copies of the systems (A, b)
     it is built on (phase 1 runs once per build) and, per solve, copies of
-    the cost, the system [A | column] and b, then solve."""
+    the cost, the system [A | column] and b, then solve; a stacked solve
+    records one such triple per cost row and column."""
     builds, calls = [], []
 
     class Recording(lk.Tableau):
@@ -211,6 +310,13 @@ def _recording_tableaux(monkeypatch, *modules):
             calls.append(tuple(np.array(a, dtype=float, copy=True)
                                for a in (c, A, self.b)))
             return super().solve(c, column)
+
+        def solve_stack(self, costs, columns):
+            for c, column in zip(costs, columns.T):
+                calls.append(tuple(np.array(a, dtype=float, copy=True) for a
+                                   in (c, np.column_stack([self.A, column]),
+                                       self.b)))
+            return super().solve_stack(costs, columns)
 
     for module in modules:
         monkeypatch.setattr(module, "Tableau", Recording)
@@ -240,11 +346,11 @@ def test_membership_and_margin_systems_match_the_frozen_builders(
         lk.lp_membership(target, G.grads_F, G.cone)
         _assert_systems(calls, [_ref_membership_system(target, G.grads_F,
                                                        G.cone)])
-        for u in _ref_probes(G.d):
-            calls.clear()
-            next(lk._margins(G.tableau, [u]))
-            _assert_systems(calls, [_ref_margin_system(u, G.grads_F,
-                                                       G.cone)])
+        probes = _ref_probes(G.d)
+        calls.clear()
+        lk._margins(G.tableau, probes)
+        _assert_systems(calls, [_ref_margin_system(u, G.grads_F, G.cone)
+                                for u in probes])
 
 
 def test_membership_targets_other_than_zero(monkeypatch):
@@ -264,21 +370,22 @@ def _chebyshev_cases():
 
 def test_interior_margin_is_the_old_probe_minimum(monkeypatch):
     """The reference solves each probe alone; the margin solves them all
-    from one phase 1.  Where the origin lies outside the set, that phase
-    1 is infeasible and the first probe already reads None, while the
-    reference may find r * u in the set for some r > 0 and stop later."""
+    from one phase 1, as one stacked phase 2 over the same systems, and
+    reads the frozen per-probe loop's margin bit for bit.  Where the
+    origin lies outside the set, that phase 1 is infeasible and the margin
+    None, while the reference may find r * u in the set for some r > 0."""
     builds, calls = _recording_tableaux(monkeypatch, lk, geometry)
     outcomes = set()
     for d, hull, cone in _chebyshev_cases():
-        calls.clear()
         feasible, margin = _ref_chebyshev_center(hull, cone, d)
-        want, calls[:], builds[:] = list(calls), [], []
-        got = lk.lp_chebyshev_center(_set_tableau(d, hull, cone))
-        # the same LPs, in the same order, stopping at the same probe, or
-        # at the first one when the origin is outside the set
-        _assert_systems(calls, want if feasible else want[:1])
+        calls[:], builds[:] = [], []
+        tableau = _set_tableau(d, hull, cone)
+        got = lk.lp_chebyshev_center(tableau)
+        _assert_systems(calls, [_ref_margin_system(u, hull, cone)
+                                for u in _ref_probes(d)])
         assert len(builds) == 1
         assert got == (margin if feasible else None)
+        assert _same_bits(got, _ref_kept_center(tableau))
         outcomes.add("none" if got is None else
                      "inf" if math.isinf(got) else "finite")
     assert outcomes == {"none", "inf", "finite"}
@@ -302,15 +409,29 @@ def _random_wide_families(count, seed):
         yield d, hull, cone
 
 
-def test_margins_match_the_per_probe_reference_on_random_families():
+def test_margins_match_the_per_probe_reference_on_random_families(
+        monkeypatch):
     """On 1,000 seeded families, each probe's margin from the kept phase
-    1 matches the frozen per-probe LP: None and inf exactly, finite values
-    within 1e-12 times max(1, |reference|).  Where the origin is outside
-    the set every probe reads None."""
+    1 is the frozen per-probe loop's bit for bit, and matches the frozen
+    one-shot LP: None and inf exactly, finite values within 1e-12 times
+    max(1, |reference|).  Where the origin is outside the set every probe
+    reads None.  The families with a zero or a duplicated coordinate leave
+    phase 1 a redundant row, where some probes' own columns pivot in."""
+    real, own = lk._drive_row, []
+
+    def drive_row(T, basis, keep, i, k):
+        # a probe's own tableau [original | column | rhs]
+        own.append(k == T.shape[1] - 1)
+        return real(T, basis, keep, i, k)
+
+    monkeypatch.setattr(lk, "_drive_row", drive_row)
     outcomes = set()
     for d, hull, cone in _random_wide_families(1000, 20261018):
         probes = _ref_probes(d)
-        got = list(lk._margins(_set_tableau(d, hull, cone), probes))
+        tableau = _set_tableau(d, hull, cone)
+        got = lk._margins(tableau, probes)
+        kept = [_ref_kept_margin(tableau, u) for u in probes]
+        assert all(map(_same_bits, got, kept))
         want = [_ref_direction_margin(u, hull, cone) for u in probes]
         if None in want:
             assert got == [None] * len(probes)
@@ -323,16 +444,31 @@ def test_margins_match_the_per_probe_reference_on_random_families():
             else:
                 assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
                 outcomes.add("finite" if w > 1e-12 else "zero")
-    assert outcomes == {"none", "inf", "finite", "zero"}
+    assert outcomes == {"none", "inf", "finite", "zero"} and any(own)
 
 
-def test_linf9_margins_run_phase_one_once(monkeypatch):
-    """The 18 probes of linf d = 9 share one phase 1."""
-    G = PointContext(*registry.get("linf", dim=9)).generators
+@pytest.mark.parametrize("d", [9, 25, 50])
+def test_linf_margins_run_phase_one_once(monkeypatch, d):
+    """The 2d probes of linf share one phase 1 and one stacked solve, with
+    no Tableau.solve, in slabs of at most SLAB_FLOATS entries, and read
+    the frozen per-probe loop's margins bit for bit, in those slabs or in
+    slabs of one probe each."""
+    G = PointContext(*registry.get("linf", dim=d)).generators
     builds, calls = _recording_tableaux(monkeypatch, geometry)
+    solves = _counting(monkeypatch, lk.Tableau, "solve")
+    stacks = _counting(monkeypatch, lk.Tableau, "solve_stack")
+    slabs = _recording(monkeypatch, lk, "_bland_stack")
     margin = lk.lp_chebyshev_center(G.tableau)
-    assert len(builds) == 1 and len(calls) == 18
-    assert margin == _ref_chebyshev_center(G.grads_F, G.cone, 9)[1]
+    assert len(builds) == 1 and len(calls) == 2 * d
+    assert solves == [] and stacks == ["solve_stack"]
+    # every slab holds at most SLAB_FLOATS entries, and all probes
+    assert all(S.size <= lk.SLAB_FLOATS for S, *_ in slabs)
+    assert sum(len(S) for S, *_ in slabs) == 2 * d
+    want = [_ref_kept_margin(G.tableau, u) for u in _ref_probes(d)]
+    assert _same_bits(margin, min([math.inf, *want]))
+    assert margin == _ref_chebyshev_center(G.grads_F, G.cone, d)[1]
+    monkeypatch.setattr(lk, "SLAB_FLOATS", 1)
+    assert all(map(_same_bits, lk._margins(G.tableau, _ref_probes(d)), want))
 
 
 def test_interior_margin_reads_none_and_inf():
@@ -659,7 +795,7 @@ def test_refuted_weak_search_decides_its_complete_search(monkeypatch,
     report = json.loads(capsys.readouterr().out)
     assert not report["necessary"]["zero_in_D"]
     assert report["flavor_search"] == {"flavor": "weak", "cadre": None,
-                                       "complete": None}
+                                       "complete": None, "stopped": None}
     assert len(searches) == 1 and len(builds) == 2
     monkeypatch.undo()
     P, _, _ = registry.get("dem")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conecert import linkernel as lk
+from conecert.cones import axis_directions
 
 
 def test_det_examples():
@@ -272,7 +273,7 @@ def _tableau(hull, cone=()):
 
 def _margin(direction, hull, cone=()):
     """max r >= 0 with r * direction in co(hull) + cone(cone)."""
-    return next(lk._margins(_tableau(hull, cone), [direction]))
+    return lk._margins(_tableau(hull, cone), [direction])[0]
 
 
 def test_interior_dem_positive_margin():
@@ -312,7 +313,6 @@ def test_direction_margin_values():
 def test_unverified_simplex_solutions_read_as_no_solution(monkeypatch):
     hull, cone = [(5, 1), (-5, 1), (0, -2)], [(0.0, -1.0)]
     assert lk.lp_membership(np.zeros(2), hull, cone) is not None
-    assert _margin((0.0, 1.0), hull, cone) > 0
     optimum = lk.Tableau._optimum
 
     def perturbed(self, c, A):
@@ -321,10 +321,68 @@ def test_unverified_simplex_solutions_read_as_no_solution(monkeypatch):
             res.x = res.x + 1e-6   # an "optimal" x that misses Ax = b
         return res
 
-    # phase 2 of every LP, one-shot or from a kept tableau, ends here
+    # phase 2 of every single LP, one-shot or from a kept tableau, ends
+    # here; the stacked margin probes are the next test's
     monkeypatch.setattr(lk.Tableau, "_optimum", perturbed)
     assert lk.lp_membership(np.zeros(2), hull, cone) is None
-    assert _margin((0.0, 1.0), hull, cone) is None
+
+
+def test_a_stacked_probe_whose_weights_miss_the_system_reads_none(
+        monkeypatch):
+    """The stacked phase 2 hands every probe's weights to one residual
+    check: a probe whose weights miss [A | column] x = b reads None, the
+    others keep their margins, and the interior margin is None."""
+    tableau = _tableau([(5, 1), (-5, 1), (0, -2)], [(0.0, -1.0)])
+    probes = axis_directions(2)
+    want = lk._margins(tableau, probes)
+    assert None not in want
+    verify = lk.Tableau._verify_stack
+
+    def tampered(self, status, iterations, x, *rest):
+        x = x.copy()
+        x[1] += 1e-6   # probe 1's weights miss its system
+        return verify(self, status, iterations, x, *rest)
+
+    monkeypatch.setattr(lk.Tableau, "_verify_stack", tampered)
+    got = lk._margins(tableau, probes)
+    assert got[1] is None and got[:1] + got[2:] == want[:1] + want[2:]
+    assert lk.lp_chebyshev_center(tableau) is None
+
+
+def _ref_leaving(col, rhs, basis):
+    """Bland's ratio test of one tableau, as the row loop scans it."""
+    leaving, best = -1, math.inf
+    for i in range(len(col)):
+        if col[i] > lk._PIVOT_TOL:
+            ratio = rhs[i] / col[i]
+            if ratio < best - lk._PIVOT_TOL or (
+                    abs(ratio - best) <= lk._PIVOT_TOL
+                    and (leaving < 0 or basis[i] < basis[leaving])):
+                best, leaving = ratio, i
+    return leaving
+
+
+@pytest.mark.parametrize("scan_entries", [0, lk._SCAN_ENTRIES])
+def test_stacked_leaving_rows_are_the_row_scans(rng, monkeypatch,
+                                                scan_entries):
+    """The stacked ratio test picks each tableau's row of the row scan,
+    with ratios that tie exactly, lie within the tolerance of each other,
+    chain across it, or are infinite or missing; on stacks read at once
+    and on stacks small enough to be scanned."""
+    monkeypatch.setattr(lk, "_SCAN_ENTRIES", scan_entries)
+    for _ in range(300):
+        q, m = int(rng.integers(1, 40)), int(rng.integers(1, 7))
+        col = rng.choice([-1.0, 0.0, 1e-10, 0.5, 1.0, 2.0], size=(q, m))
+        steps = rng.integers(0, 4, size=(q, m)) * 0.6e-9
+        rhs = col * (rng.choice([0.0, 1.0, 3.0], size=(q, m)) + steps)
+        rhs[rng.random((q, m)) < 0.05] = np.inf
+        rhs[rng.random((q, m)) < 0.03] = np.nan
+        basis = np.array([rng.permutation(10)[:m] for _ in range(q)])
+        # both scans meet inf - inf when an infinite ratio comes first
+        with np.errstate(invalid="ignore"):
+            got = lk._leaving(col, rhs, basis)
+            want = [_ref_leaving(*row) for row in zip(col, rhs, basis)]
+        assert list(got) == want
 
 
 def test_interior_margin_of_a_segment_is_positive_zero():
@@ -374,3 +432,36 @@ def test_tableau_keeps_phase_one_for_every_cost(rng):
                             np.array([1.0, 2.0]))
     assert not infeasible.feasible
     assert infeasible.solve(np.zeros(3), np.ones(2)).status == "infeasible"
+
+
+def test_stacked_solves_are_the_single_solves(rng, monkeypatch):
+    """``solve_stack`` gives each cost and column the status, x (signed
+    zeros included), objective and pivot count of ``solve``, on systems
+    with dependent rows, whose redundant rows some columns pivot into,
+    and in slabs of any size."""
+    seen = set()
+    for k in range(80):
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(m, 8))
+        A = rng.integers(-2, 3, size=(m, n)).astype(float)
+        if k % 2 and m > 1:
+            A[-1] = A[0]
+        b = A @ rng.random(n) * rng.choice([-1.0, 1.0])
+        tableau = lk.Tableau(A, b)
+        q = int(rng.integers(1, 7))
+        costs = rng.integers(-3, 4, size=(q, n + 1)).astype(float)
+        columns = rng.integers(-2, 3, size=(m, q)).astype(float)
+        want = [tableau.solve(c, col) for c, col in zip(costs, columns.T)]
+        for slab in (lk.SLAB_FLOATS, 1):
+            monkeypatch.setattr(lk, "SLAB_FLOATS", slab)
+            got = tableau.solve_stack(costs, columns)
+            monkeypatch.undo()
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert (g.status, g.iterations) == (w.status, w.iterations)
+                if w.status == "optimal":
+                    assert np.array_equal(g.x, w.x)
+                    assert np.array_equal(np.signbit(g.x), np.signbit(w.x))
+                    assert g.objective == w.objective
+                seen.add(w.status)
+    assert seen == {"optimal", "unbounded", "infeasible"}
