@@ -222,14 +222,6 @@ _PIVOT_TOL = 1e-9
 # probes in chunks of about this many floats (at least one probe each), so
 # the 2d margin probes of a set at problem.MAX_DIM stay within a few MB
 SLAB_FLOATS = 2 ** 18
-# stand-ins for an infinite least ratio and for the basic index of a row
-# that is no leaving candidate
-_FLOAT_MAX = np.finfo(float).max
-_INT_MAX = np.iinfo(int).max
-# a ratio test over at most this many entries runs the row scan: there its
-# Python loop costs less than the stacked read's fixed numpy calls (about
-# 6 against 23 us at 4 x 3 entries, 50 against 36 us at 18 x 10)
-_SCAN_ENTRIES = 128
 
 
 def _bland_iterate(T, basis, n_cols):
@@ -277,64 +269,26 @@ def _pivot(T, row, col):
 
 def _pivot_stack(S, probes, rows, cols):
     """Pivot tableau S[probes[k]] on (rows[k], cols[k]) in place for every
-    k: ``_pivot`` on all of them at once, as one rank-1 update of the rows
-    whose pivot-column entry is nonzero (of either sign), masked over the
-    whole stack when every tableau pivots and most rows take part, and
-    gathered otherwise.  Each entry takes the division, product and
-    subtraction of the row loop, so the bits, signed zeros included, are
-    those of each tableau alone."""
+    k: ``_pivot`` on all of them at once, as one rank-1 update of the
+    gathered rows whose pivot-column entry is nonzero (of either sign).
+    Each entry takes the division, product and subtraction of the row
+    loop, so the bits, signed zeros included, are those of each tableau
+    alone."""
     prow = S[probes, rows] / S[probes, rows, cols][:, None]
     S[probes, rows] = prow
     factor = S[probes, :, cols]
     factor[np.arange(len(probes)), rows] = 0.0
     k, i = np.nonzero(factor)
-    if len(probes) < len(S) or 3 * len(k) < factor.size:
-        S[probes[k], i] -= factor[k, i, None] * prow[k]
-        return
-    mask = (factor != 0.0)[:, :, None]
-    np.subtract(S, np.multiply(factor[:, :, None], prow[:, None], out=None,
-                               where=mask), out=S, where=mask)
-
-
-def _leaving(col, rhs, basis):
-    """``_ratio_scan``'s leaving row of each tableau of a stack.
-
-    A stack of at most _SCAN_ENTRIES entries runs the scan.  In a larger
-    one, where the ratios within the tolerance of the least one are
-    within it of each other and more than it below every other ratio, the
-    scan provably ends on the least basic index among them, which is read
-    off all tableaux at once.  Any other tableau (a near tie spread wider
-    than the tolerance, or a NaN) runs the scan itself."""
-    if col.size <= _SCAN_ENTRIES:
-        return np.array([_ratio_scan(*row) for row in
-                         zip(col.tolist(), rhs.tolist(), basis.tolist())],
-                        dtype=int)
-    cand = col > _PIVOT_TOL
-    ratio = np.divide(rhs, col, out=np.full(col.shape, np.inf), where=cand)
-    # with no finite ratio the near set is empty, and inf - inf never taken
-    least = np.minimum(ratio.min(axis=1, keepdims=True), _FLOAT_MAX)
-    near = ratio - least <= _PIVOT_TOL
-    top = np.maximum.reduce(ratio, axis=1, where=near, initial=-np.inf,
-                            keepdims=True)
-    rest = np.minimum.reduce(ratio, axis=1, where=~near, initial=np.inf,
-                             keepdims=True)
-    clean = ((least >= top - _PIVOT_TOL) & (rest - top > _PIVOT_TOL)
-             & (rest - _PIVOT_TOL > top))
-    leaving = np.where(near, basis, _INT_MAX).argmin(axis=1)
-    leaving[~near[np.arange(len(col)), leaving]] = -1
-    if not clean.all():
-        for p in np.flatnonzero(~clean):
-            leaving[p] = _ratio_scan(col[p], rhs[p], basis[p])
-    return leaving
+    S[probes[k], i] -= factor[k, i, None] * prow[k]
 
 
 def _bland_stack(S, basis, n_cols):
     """``_bland_iterate`` on every tableau of the stack S in place, in
-    lockstep: each takes its own entering column and leaving row
-    (``_leaving``) and one ``_pivot_stack`` pivots them all.  basis[p]
-    holds the basic column of each row of S[p], -1 on a row left out (all
-    zeros, so never a leaving row).  Returns each tableau's status and
-    pivot count, as lists."""
+    lockstep: each takes its own entering column and, by its own row scan
+    (``_ratio_scan``), its leaving row, and one ``_pivot_stack`` pivots
+    them all.  basis[p] holds the basic column of each row of S[p], -1 on
+    a row left out (all zeros, so never a leaving row).  Returns each
+    tableau's status and pivot count, as lists."""
     q, m = basis.shape
     status, iterations = ["iteration_limit"] * q, [MAX_ITER] * q
     live = np.arange(q)
@@ -350,7 +304,12 @@ def _bland_stack(S, basis, n_cols):
             live, entering, view = live[going], entering[going], live[going]
             if not len(live):
                 break
-        rows = _leaving(S[live, :m, entering], S[view, :m, -1], basis[view])
+        # a stacked read of the ratios cost more than these scans on every
+        # stack the benchmark workloads meet (3-192 entries) and saved at
+        # most a tenth of linf's margins at d = 50..200, none at d = 400
+        rows = np.array([_ratio_scan(*tableau) for tableau in zip(
+            S[live, :m, entering].tolist(), S[view, :m, -1].tolist(),
+            basis[view].tolist())], dtype=int)
         going = rows >= 0
         if not going.all():
             for p in live[~going]:
@@ -414,14 +373,12 @@ class Tableau:
 
     def _optimum(self, c, A) -> LpResult:
         """Phase 2 on the kept tableau with the columns of A past the
-        original ones driven in (``_drive_out``), by ``_bland_iterate``."""
+        original ones entered, phase 1's leftover artificials driven out on
+        any column (``_drive_out``), by ``_bland_iterate``."""
         if not self.feasible:
             return LpResult("infeasible", iterations=self.iterations)
-        n = self.A.shape[1]
-        k = A.shape[1]
-        T, basis, keep, own = self._drive_out(A[:, n:])
-        if own:
-            T, basis, keep = own[0]
+        n, k = self.A.shape[1], A.shape[1]
+        T, basis, keep, _ = self._drive_out(A[:, n:], k)
         T2 = np.zeros((np.count_nonzero(keep) + 1, k + 1))
         T2[:-1] = T[keep]
         T2[-1, :k] = c
@@ -445,16 +402,19 @@ class Tableau:
         one pass.
 
         Phase 1's leftover artificials are driven out once for all columns
-        (``_drive_out``).  Phase 2 then runs ``_bland_stack`` on a stack of
-        the resulting tableaux, [original | column | rhs] each, SLAB_FLOATS
-        entries at a time.  Every optimum is verified by one stacked
+        (``_drive_out``) on the original columns; a column with an entry
+        above the pivot tolerance on a row dropped there has its tableau
+        driven out alone, when its slab is built, as ``solve`` drives it.
+        Phase 2 then runs ``_bland_stack`` on a stack of the resulting
+        tableaux, [original | column | rhs] each, SLAB_FLOATS entries at a
+        time.  Every optimum is verified by one stacked
         residual: x counts only when ||[A | column] x - b|| <= 1e-8 *
         max(1, max|[A | column]|), and reads ``infeasible`` otherwise."""
         m, n = self.A.shape
         if not self.feasible:
             return [LpResult("infeasible", iterations=self.iterations)
                     for _ in costs]
-        W, basis, keep, own = self._drive_out(columns)
+        W, basis, keep, alone = self._drive_out(columns, n)
         chunk = max(1, SLAB_FLOATS // ((m + 1) * (n + 2)))
         out = []
         for start in range(0, len(costs), chunk):
@@ -467,9 +427,11 @@ class Tableau:
             S[:, m, -1] = 0.0
             B = np.tile(basis, (len(probes), 1))
             K = np.tile(keep, (len(probes), 1))
-            for k, p in enumerate(probes if own else ()):
-                if p in own:
-                    S[k, :m], B[k], K[k] = own[p]
+            for k in np.flatnonzero(alone[probes]):
+                # as in solve: the column pivots into a row that phase 1
+                # left redundant, so its system is driven out alone
+                S[k, :m], B[k], K[k], _ = self._drive_out(
+                    columns[:, probes[k:k + 1]], n + 1)
             if not K.all():
                 S[:, :m][~K] = 0.0
                 B[~K] = -1
@@ -482,37 +444,27 @@ class Tableau:
                                           costs[probes], columns[:, probes]))
         return out
 
-    def _drive_out(self, columns):
+    def _drive_out(self, columns, k):
         """The kept tableau [original | B^-1 columns | rhs] with phase 1's
-        artificials still basic driven out, row by row, each on its first
-        original column with an entry above the pivot tolerance; its basis
-        and the rows kept.  A row with none is redundant and dropped,
-        except for each extra column with an entry above the tolerance
-        there, which pivots into it: that column's system then goes on
-        alone, as a tableau [original | column | rhs] of its own, in the
-        last item, a dict from column index to (tableau, basis, rows
-        kept)."""
+        artificials still basic driven out, row by row, each on the first
+        of its first k columns with an entry above the pivot tolerance; a
+        row with none is redundant and dropped.  Returns the tableau, its
+        basis, the rows kept and, for each column past the first k,
+        whether it has an entry above the tolerance on a dropped row (so
+        that, among the first k, it would have pivoted in there)."""
         m, n = self.A.shape
-        W = np.empty((m, n + columns.shape[1] + 1))
-        W[:, :n] = self.T[:, :n]
+        T = np.empty((m, n + columns.shape[1] + 1))
+        T[:, :n] = self.T[:, :n]
         # one matrix-vector product per column, as for a column alone
-        W[:, n:-1] = (self.T[:, n:n + m]
+        T[:, n:-1] = (self.T[:, n:n + m]
                       @ (columns.T * self.flip)[:, :, None])[..., 0].T
-        W[:, -1] = self.T[:, -1]
-        basis, keep, own = self.basis.copy(), np.ones(m, dtype=bool), {}
+        T[:, -1] = self.T[:, -1]
+        basis, keep = self.basis.copy(), np.ones(m, dtype=bool)
+        alone = np.zeros(T.shape[1] - 1 - k, dtype=bool)
         for i in np.flatnonzero(self.basis >= n):
-            for T, B, K in own.values():
-                _drive_row(T, B, K, i, n + 1)
-            if _drive_row(W, basis, keep, i, n):
-                continue
-            for p in np.flatnonzero(np.abs(W[i, n:-1]) > _PIVOT_TOL):
-                if p not in own:
-                    T, B, K = W[:, np.r_[:n, n + p, -1]], basis.copy(), \
-                        keep.copy()
-                    K[i] = True
-                    _drive_row(T, B, K, i, n + 1)
-                    own[p] = T, B, K
-        return W, basis, keep, own
+            if not _drive_row(T, basis, keep, i, k) and len(alone):
+                alone |= np.abs(T[i, k:-1]) > _PIVOT_TOL
+        return T, basis, keep, alone
 
     def _verify_stack(self, status, iterations, x, costs, columns):
         """The LpResults of one slab, each optimum verified (see

@@ -14,6 +14,7 @@ replaced, bit for bit."""
 import importlib.util
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -420,7 +421,7 @@ def test_margins_match_the_per_probe_reference_on_random_families(
     real, own = lk._drive_row, []
 
     def drive_row(T, basis, keep, i, k):
-        # a probe's own tableau [original | column | rhs]
+        # a probe's tableau [original | column | rhs], driven out alone
         own.append(k == T.shape[1] - 1)
         return real(T, basis, keep, i, k)
 
@@ -469,6 +470,32 @@ def test_linf_margins_run_phase_one_once(monkeypatch, d):
     assert margin == _ref_chebyshev_center(G.grads_F, G.cone, d)[1]
     monkeypatch.setattr(lk, "SLAB_FLOATS", 1)
     assert all(map(_same_bits, lk._margins(G.tableau, _ref_probes(d)), want))
+
+
+def test_padded_dimension_margins_stay_within_a_few_slabs(monkeypatch):
+    """A set whose hull ignores all but two of d = 60 coordinates leaves
+    phase 1 a redundant row per padded coordinate, and each of the 116
+    probes along those axes pivots its own column in there.  The margins
+    are the frozen per-probe loop's bit for bit, and the traced peak
+    memory stays within the shared drive-out tableau and a few slabs: the
+    probes driven out alone are not all held at once."""
+    d, n = 60, 60
+    rng = np.random.default_rng(20261019)
+    hull = np.zeros((n, d))
+    hull[:, :2] = rng.normal(size=(n, 2))
+    tableau = _set_tableau(d, hull, [])
+    probes = _ref_probes(d)
+    want = [_ref_kept_margin(tableau, u) for u in probes]
+    monkeypatch.setattr(lk, "SLAB_FLOATS", 2 ** 14)
+    tracemalloc.start()
+    try:
+        got = lk._margins(tableau, probes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(map(_same_bits, got, want)) and want[4:] == [0.0] * 116
+    shared = (d + 1) * (n + 2 * d + 1) * 8
+    assert peak <= 2 * shared + 6 * lk.SLAB_FLOATS * 8
 
 
 def test_interior_margin_reads_none_and_inf():

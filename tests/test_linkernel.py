@@ -349,42 +349,6 @@ def test_a_stacked_probe_whose_weights_miss_the_system_reads_none(
     assert lk.lp_chebyshev_center(tableau) is None
 
 
-def _ref_leaving(col, rhs, basis):
-    """Bland's ratio test of one tableau, as the row loop scans it."""
-    leaving, best = -1, math.inf
-    for i in range(len(col)):
-        if col[i] > lk._PIVOT_TOL:
-            ratio = rhs[i] / col[i]
-            if ratio < best - lk._PIVOT_TOL or (
-                    abs(ratio - best) <= lk._PIVOT_TOL
-                    and (leaving < 0 or basis[i] < basis[leaving])):
-                best, leaving = ratio, i
-    return leaving
-
-
-@pytest.mark.parametrize("scan_entries", [0, lk._SCAN_ENTRIES])
-def test_stacked_leaving_rows_are_the_row_scans(rng, monkeypatch,
-                                                scan_entries):
-    """The stacked ratio test picks each tableau's row of the row scan,
-    with ratios that tie exactly, lie within the tolerance of each other,
-    chain across it, or are infinite or missing; on stacks read at once
-    and on stacks small enough to be scanned."""
-    monkeypatch.setattr(lk, "_SCAN_ENTRIES", scan_entries)
-    for _ in range(300):
-        q, m = int(rng.integers(1, 40)), int(rng.integers(1, 7))
-        col = rng.choice([-1.0, 0.0, 1e-10, 0.5, 1.0, 2.0], size=(q, m))
-        steps = rng.integers(0, 4, size=(q, m)) * 0.6e-9
-        rhs = col * (rng.choice([0.0, 1.0, 3.0], size=(q, m)) + steps)
-        rhs[rng.random((q, m)) < 0.05] = np.inf
-        rhs[rng.random((q, m)) < 0.03] = np.nan
-        basis = np.array([rng.permutation(10)[:m] for _ in range(q)])
-        # both scans meet inf - inf when an infinite ratio comes first
-        with np.errstate(invalid="ignore"):
-            got = lk._leaving(col, rhs, basis)
-            want = [_ref_leaving(*row) for row in zip(col, rhs, basis)]
-        assert list(got) == want
-
-
 def test_interior_margin_of_a_segment_is_positive_zero():
     """co{(1, 0), (-1, 0)} holds the origin on its boundary: the margin
     is 0.0, never the -0.0 that the LP's pivots can leave in r."""
