@@ -3,7 +3,10 @@
 Everything here works on problems with at most a few hundred variables.
 The simplex uses Bland's rule throughout, so it terminates on degenerate
 instances and produces the same answer on every run.  Its phase 1 does not
-read the cost, so a ``Tableau`` keeps it, and every optimum is re-verified
+read the cost, so a ``Tableau`` keeps it.  Phase 2 has one path for one
+objective or many (``Tableau.solve_stack``): Bland's rule in lockstep on a
+stack of tableaux, a tableau left live alone going on in the scalar loop,
+where a single objective's pivots cost less, and every optimum re-verified
 by its residual before anyone reads it.
 
 First-order optimality in its KKT, normal-cone and exact-penalty forms
@@ -224,10 +227,11 @@ _PIVOT_TOL = 1e-9
 SLAB_FLOATS = 2 ** 18
 
 
-def _bland_iterate(T, basis, n_cols):
-    """Run Bland-rule pivots on tableau T in place.  Returns status."""
+def _bland_iterate(T, basis, n_cols, start=0):
+    """Run Bland-rule pivots on tableau T in place, counting from pivot
+    ``start``.  Returns the status and the pivot count."""
     m = T.shape[0] - 1
-    for it in range(MAX_ITER):
+    for it in range(start, MAX_ITER):
         reduced = T[-1, :n_cols]
         entering = -1
         for j in range(n_cols):
@@ -283,11 +287,15 @@ def _pivot_stack(S, probes, rows, cols):
 
 
 def _bland_stack(S, basis, n_cols):
-    """``_bland_iterate`` on every tableau of the stack S in place, in
-    lockstep: each takes its own entering column and, by its own row scan
-    (``_ratio_scan``), its leaving row, and one ``_pivot_stack`` pivots
-    them all.  basis[p] holds the basic column of each row of S[p], -1 on
-    a row left out (all zeros, so never a leaving row).  Returns each
+    """Phase 2 of one objective or many: ``_bland_iterate`` on every
+    tableau of the stack S in place, in lockstep.  Each takes its own
+    entering column and, by its own row scan (``_ratio_scan``), its leaving
+    row, and one ``_pivot_stack`` pivots them all.  A tableau left live
+    alone, a single objective's from the start, goes on in
+    ``_bland_iterate``: one pivot on one tableau costs 3-6 times less there
+    than a lockstep round, and ``_pivot`` gives the bits of
+    ``_pivot_stack``.  basis[p] holds the basic column of each row of S[p],
+    -1 on a row left out (all zeros, so never a leaving row).  Returns each
     tableau's status and pivot count, as lists."""
     q, m = basis.shape
     status, iterations = ["iteration_limit"] * q, [MAX_ITER] * q
@@ -295,15 +303,22 @@ def _bland_stack(S, basis, n_cols):
     # while every tableau is live, its rows are read through views
     view = slice(None)
     for it in range(MAX_ITER):
-        negative = S[view, -1, :n_cols] < -_PIVOT_TOL
-        entering = negative.argmax(axis=1)
-        going = negative.any(axis=1)
-        if not going.all():
-            for p in live[~going]:
-                status[p], iterations[p] = "optimal", it
-            live, entering, view = live[going], entering[going], live[going]
-            if not len(live):
-                break
+        if len(live) > 1:
+            negative = S[view, -1, :n_cols] < -_PIVOT_TOL
+            entering = negative.argmax(axis=1)
+            going = negative.any(axis=1)
+            if not going.all():
+                for p in live[~going]:
+                    status[p], iterations[p] = "optimal", it
+                live, entering = live[going], entering[going]
+                view = live
+        if len(live) < 2:
+            for p in live:
+                rows = basis[p].tolist()
+                status[p], iterations[p] = _bland_iterate(S[p], rows, n_cols,
+                                                          it)
+                basis[p] = rows
+            break
         # a stacked read of the ratios cost more than these scans on every
         # stack the benchmark workloads meet (3-192 entries) and saved at
         # most a tenth of linf's margins at d = 50..200, none at d = 400
@@ -316,8 +331,6 @@ def _bland_stack(S, basis, n_cols):
                 status[p], iterations[p] = "unbounded", it
             live, entering, rows = live[going], entering[going], rows[going]
             view = live
-            if not len(live):
-                break
         _pivot_stack(S, live, rows, entering)
         basis[live, rows] = entering
     return status, iterations
@@ -331,18 +344,21 @@ class Tableau:
     basic, and Bland pivots minimise their sum; the system is infeasible
     when that sum stays above 1e-7 * max(1, max|b|).  The kept tableau
     holds the artificial block, which is B^-1 of the final basis, so a
-    solve can append columns that phase 1 never saw.  ``solve`` runs one
-    objective; ``solve_stack`` runs many, each with its own extra column,
-    from one drive-out of phase 1's leftover artificials and one phase 2
-    in lockstep on a stack of tableaux.  Every optimum is verified by its
-    residual before anyone reads it.  Phase 1 does not read a cost, so
-    ``Tableau(A, b).solve(c)`` is the one-shot two-phase simplex bit for
-    bit."""
+    solve can append columns that phase 1 never saw.  Phase 2 has one
+    path, ``solve_stack``, for one objective or many: one drive-out of
+    phase 1's leftover artificials, one stacked phase 2 (``_bland_stack``,
+    which hands a lone live tableau to the scalar loop, as a single
+    objective's pivots cost less there) and one residual check of every
+    optimum before anyone reads it.  ``solve`` is its stack of one.  Phase
+    1 does not read a cost, so ``Tableau(A, b).solve(c)`` is the one-shot
+    two-phase simplex bit for bit."""
 
     def __init__(self, A, b):
         self.A = np.array(A, dtype=float)
         self.b = np.array(b, dtype=float)
         m, n = self.A.shape
+        # the residual bound's scale over A, max(1, max|A|)
+        self.scale = float(np.abs(self.A).max(initial=1.0))
         self.flip = np.where(self.b < 0, -1.0, 1.0)
 
         # columns [original | artificial | rhs]
@@ -361,85 +377,64 @@ class Tableau:
         self.T = T[:m]
 
     def solve(self, c, column=None) -> LpResult:
-        """min c@x over [A | column] x = b, x >= 0, from the kept phase 1;
-        c covers the extra column when one is given, and a scalar c costs
-        every column alike.  Feasibility is phase 1's, on A alone: a system
-        that needs the extra variable above 0 to be feasible reads
-        infeasible.  An optimal x is re-verified against [A | column] and b
-        (``_verified``)."""
-        A = self.A if column is None else np.column_stack([self.A, column])
-        c = np.broadcast_to(np.asarray(c, dtype=float), A.shape[1:])
-        return _verified(self._optimum(c, A), A, self.b)
+        """min c@x over [A | column] x = b, x >= 0, from the kept phase 1:
+        ``solve_stack`` of the one objective, as phase 2 has one path for
+        one objective or many; its lone tableau pivots in the scalar loop
+        (see ``_bland_stack``).  c covers the extra column when one is
+        given, and a scalar c costs every column alike.  Feasibility is
+        phase 1's, on A alone: a system that needs the extra variable above
+        0 to be feasible reads infeasible."""
+        costs = np.zeros((1, self.A.shape[1] + (column is not None)))
+        costs[0] = c
+        if column is not None:
+            column = np.asarray(column, dtype=float).reshape(-1, 1)
+        return self.solve_stack(costs, column)[0]
 
-    def _optimum(self, c, A) -> LpResult:
-        """Phase 2 on the kept tableau with the columns of A past the
-        original ones entered, phase 1's leftover artificials driven out on
-        any column (``_drive_out``), by ``_bland_iterate``."""
-        if not self.feasible:
-            return LpResult("infeasible", iterations=self.iterations)
-        n, k = self.A.shape[1], A.shape[1]
-        T, basis, keep, _ = self._drive_out(A[:, n:], k)
-        T2 = np.zeros((np.count_nonzero(keep) + 1, k + 1))
-        T2[:-1] = T[keep]
-        T2[-1, :k] = c
-        basis2 = list(basis[keep])
-        for i, bi in enumerate(basis2):
-            if T2[-1, bi] != 0.0:
-                T2[-1] -= T2[-1, bi] * T2[i]
-        status, it2 = _bland_iterate(T2, basis2, k)
-        iterations = self.iterations + it2
-        if status != "optimal":
-            return LpResult("unbounded" if status == "unbounded"
-                            else "infeasible", iterations=iterations)
-        x = np.zeros(k)
-        for i, bi in enumerate(basis2):
-            x[bi] = T2[i, -1]
-        return LpResult("optimal", x=x, objective=float(c @ x),
-                        iterations=iterations)
-
-    def solve_stack(self, costs, columns) -> list:
-        """``solve(costs[p], columns[:, p])`` for every p, bit for bit, in
-        one pass.
+    def solve_stack(self, costs, columns=None) -> list:
+        """min costs[p]@x over [A | columns[:, p]] x = b, x >= 0 for every
+        p, from the kept phase 1, as ``solve`` reads it.  Without columns
+        each cost covers A alone: a zero column stands in, never enters and
+        is cut from x.
 
         Phase 1's leftover artificials are driven out once for all columns
         (``_drive_out``) on the original columns; a column with an entry
-        above the pivot tolerance on a row dropped there has its tableau
-        driven out alone, when its slab is built, as ``solve`` drives it.
-        Phase 2 then runs ``_bland_stack`` on a stack of the resulting
-        tableaux, [original | column | rhs] each, SLAB_FLOATS entries at a
-        time.  Every optimum is verified by one stacked
+        above the pivot tolerance on a row left out there has its tableau
+        driven out alone, when its slab is built, on its first n + 1
+        columns.  Phase 2 then runs ``_bland_stack`` on a stack of the
+        resulting tableaux, [original | column | rhs] each, SLAB_FLOATS
+        entries at a time.  Every optimum is verified by one stacked
         residual: x counts only when ||[A | column] x - b|| <= 1e-8 *
-        max(1, max|[A | column]|), and reads ``infeasible`` otherwise."""
+        max(1, max|[A | column]|), and reads ``infeasible`` otherwise, so
+        no caller reports a solution without the evidence for it."""
         m, n = self.A.shape
         if not self.feasible:
             return [LpResult("infeasible", iterations=self.iterations)
                     for _ in costs]
-        W, basis, keep, alone = self._drive_out(columns, n)
+        if columns is None:
+            columns = np.zeros((m, len(costs)))
+        W, basis, alone = self._drive_out(columns, n)
         chunk = max(1, SLAB_FLOATS // ((m + 1) * (n + 2)))
         out = []
         for start in range(0, len(costs), chunk):
-            probes = np.arange(start, min(len(costs), start + chunk))
-            S = np.empty((len(probes), m + 1, n + 2))
+            probes = slice(start, start + chunk)
+            q = len(costs[probes])
+            S = np.zeros((q, m + 1, n + 2))
             S[:, :m, :n] = W[:, :n]
-            S[:, :m, n] = W[:, n + probes].T
+            S[:, :m, n] = W[:, n:-1][:, probes].T
             S[:, :m, -1] = W[:, -1]
-            S[:, m, :-1] = costs[probes]
-            S[:, m, -1] = 0.0
-            B = np.tile(basis, (len(probes), 1))
-            K = np.tile(keep, (len(probes), 1))
-            for k in np.flatnonzero(alone[probes]):
-                # as in solve: the column pivots into a row that phase 1
-                # left redundant, so its system is driven out alone
-                S[k, :m], B[k], K[k], _ = self._drive_out(
-                    columns[:, probes[k:k + 1]], n + 1)
-            if not K.all():
-                S[:, :m][~K] = 0.0
-                B[~K] = -1
+            S[:, m, :costs.shape[1]] = costs[probes]
+            B = basis[None].repeat(q, axis=0)
+            for k in alone[probes].nonzero()[0]:
+                # the column pivots into a row that phase 1 left
+                # redundant, so its system is driven out alone
+                S[k, :m], B[k], _ = self._drive_out(
+                    columns[:, start + k:start + k + 1], n + 1)
             _reduce_costs(S, B)
             status, iterations = _bland_stack(S, B, n + 1)
-            x = np.zeros((len(probes), n + 2))
-            x[np.arange(len(probes))[:, None], np.where(K, B, n + 1)] = \
-                S[:, :m, -1]
+            # a row left out (basic column -1) writes its 0 to the last
+            # entry, which is cut
+            x = np.zeros((q, n + 2))
+            x[np.arange(q)[:, None], B] = S[:, :m, -1]
             out.extend(self._verify_stack(status, iterations, x[:, :-1],
                                           costs[probes], columns[:, probes]))
         return out
@@ -448,10 +443,11 @@ class Tableau:
         """The kept tableau [original | B^-1 columns | rhs] with phase 1's
         artificials still basic driven out, row by row, each on the first
         of its first k columns with an entry above the pivot tolerance; a
-        row with none is redundant and dropped.  Returns the tableau, its
-        basis, the rows kept and, for each column past the first k,
-        whether it has an entry above the tolerance on a dropped row (so
-        that, among the first k, it would have pivoted in there)."""
+        row with none is redundant and left out: zeroed, so it never
+        leaves.  Returns the tableau, its basis (-1 on a row left out) and,
+        for each column past the first k, whether it has an entry above the
+        tolerance on a row left out (so that, among the first k, it would
+        have pivoted in there)."""
         m, n = self.A.shape
         T = np.empty((m, n + columns.shape[1] + 1))
         T[:, :n] = self.T[:, :n]
@@ -459,18 +455,19 @@ class Tableau:
         T[:, n:-1] = (self.T[:, n:n + m]
                       @ (columns.T * self.flip)[:, :, None])[..., 0].T
         T[:, -1] = self.T[:, -1]
-        basis, keep = self.basis.copy(), np.ones(m, dtype=bool)
+        basis = self.basis.copy()
         alone = np.zeros(T.shape[1] - 1 - k, dtype=bool)
         for i in np.flatnonzero(self.basis >= n):
-            if not _drive_row(T, basis, keep, i, k) and len(alone):
+            if not _drive_row(T, basis, i, k):
                 alone |= np.abs(T[i, k:-1]) > _PIVOT_TOL
-        return T, basis, keep, alone
+                T[i] = 0.0
+        return T, basis, alone
 
     def _verify_stack(self, status, iterations, x, costs, columns):
         """The LpResults of one slab, each optimum verified (see
-        ``solve_stack``) by one stacked residual."""
-        scale = np.maximum(max(1.0, float(np.abs(self.A).max(initial=0.0))),
-                           np.abs(columns).max(axis=0, initial=0.0))
+        ``solve_stack``) by one stacked residual; x is cut to the width of
+        the costs."""
+        scale = np.abs(columns).max(axis=0, initial=self.scale)
         # one matrix-vector product per x: a matrix product would have BLAS
         # allocate its work buffer, which puts peak memory up
         residual = np.linalg.norm((self.A @ x[:, :-1, None])[..., 0]
@@ -479,34 +476,22 @@ class Tableau:
         for p, st in enumerate(status):
             its = self.iterations + iterations[p]
             if st == "optimal" and residual[p] <= 1e-8 * scale[p]:
-                out.append(LpResult("optimal", x=x[p], iterations=its,
-                                    objective=float(costs[p] @ x[p])))
+                xp = x[p, :costs.shape[1]]
+                out.append(LpResult("optimal", x=xp, iterations=its,
+                                    objective=float(costs[p] @ xp)))
             else:
                 out.append(LpResult("unbounded" if st == "unbounded"
                                     else "infeasible", iterations=its))
         return out
 
 
-def _verified(res, A, b) -> LpResult:
-    """An optimal x counts only when it reproduces the constraints,
-    ||Ax - b|| <= 1e-8 * max(1, max|A|); one that does not reads as
-    ``infeasible``, so no caller reports a solution without the evidence
-    for it."""
-    if res.status != "optimal":
-        return res
-    residual = float(np.linalg.norm(A @ res.x - b))
-    if residual > 1e-8 * max(1.0, float(np.max(np.abs(A)))):
-        return LpResult("infeasible", iterations=res.iterations)
-    return res
-
-
-def _drive_row(T, basis, keep, i, k):
+def _drive_row(T, basis, i, k):
     """Drive the artificial basic in row i of T out on the first of its
     first k columns with an entry above the pivot tolerance; with none,
-    mark the row not kept.  True when it pivoted."""
+    leave the row out (basic column -1).  True when it pivoted."""
     nonzero = np.flatnonzero(np.abs(T[i, :k]) > _PIVOT_TOL)
     if not len(nonzero):
-        keep[i] = False
+        basis[i] = -1
         return False
     _pivot(T, i, nonzero[0])
     basis[i] = nonzero[0]
@@ -516,20 +501,16 @@ def _drive_row(T, basis, keep, i, k):
 def _reduce_costs(S, basis):
     """Price out the basic columns of each cost row S[p, -1]: row by row in
     order, the row's multiple that zeroes its basic column's cost is
-    subtracted, as a loop over the rows of each tableau alone would.  Only
-    the rows where some tableau has a nonzero such cost are visited."""
-    at = np.arange(len(S))[:, None]
-    start = 0
-    while True:
-        cost = np.where(basis[:, start:] >= 0,
-                        S[at, -1, basis[:, start:]], 0.0)
-        hit = np.flatnonzero((cost != 0.0).any(axis=0))
-        if not len(hit):
-            return
-        i = start + hit[0]
-        p = np.flatnonzero(cost[:, hit[0]] != 0.0)
-        S[p, -1] -= cost[p, hit[0], None] * S[p, i]
-        start = i + 1
+    subtracted, as a loop over the rows of each tableau alone would.  A
+    row is exactly 0 in every other row's basic column (each pivot makes
+    it so and keeps it), so a subtraction leaves the costs of the other
+    basic columns as they were, and every multiple is read before the
+    first; only the nonzero ones are subtracted.  A row left out (basic
+    column -1) reads the cost row's right-hand side, 0 before pricing."""
+    cost = S[np.arange(len(S))[:, None], -1, basis]
+    tableaux, rows = cost.nonzero()
+    for p, i in zip(tableaux.tolist(), rows.tolist()):
+        S[p, -1] -= cost[p, i] * S[p, i]
 
 
 def simplex_solve(c, A, b) -> LpResult:

@@ -73,20 +73,21 @@ def _form_maxima(ctx: PointContext, G, dirs):
     """Per direction h, max h'B(w)h over {w >= 0 : Aw = b}, the
     combination system of G, by one LP each: column j costs -h'H_j h,
     with H_j the Hessian of the unit weight on column j alone (0 for the
-    nA columns).  Every LP re-optimises from ``G.tableau``, whose phase 1
-    the necessary check already ran and which does not read the cost, so
-    each value is the one-shot LP's bit for bit.  An unbounded LP gives
-    math.inf.  The witness of an optimal w must pass the residual test,
-    checked once per support.  None when an LP or a witness fails."""
+    nA columns).  The LPs re-optimise as one stack from ``G.tableau``,
+    whose phase 1 the necessary check already ran and which does not read
+    the cost, so each value is the one-shot LP's bit for bit.  An
+    unbounded LP gives math.inf.  The witness of an optimal w must pass
+    the residual test, checked once per support.  None when an LP or a
+    witness fails."""
     P = ctx.problem
     m = len(G.grads_F)
     H = np.array([hessian_bundle(P, ctx.x,
                                  _assemble_witness(ctx, G, e[:m], e[m:]))
                   for e in np.eye(G.tableau.A.shape[1])])
     D = np.array(dirs)
+    Q = np.einsum("jab,ka,kb->kj", H, D, D)
     witnesses, values = {}, []
-    for q in np.einsum("jab,ka,kb->kj", H, D, D):
-        res = G.tableau.solve(-q)
+    for q, res in zip(Q, G.tableau.solve_stack(-Q)):
         if res.status == "unbounded":
             values.append(math.inf)
             continue

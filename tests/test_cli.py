@@ -528,7 +528,7 @@ def test_check_linf_second_order_does_no_multiplier_work(monkeypatch):
             solves.append(1)
             return super().solve(*args)
 
-        def solve_stack(self, costs, columns):
+        def solve_stack(self, costs, columns=None):
             stacked.append(len(costs))
             return super().solve_stack(costs, columns)
 
@@ -539,10 +539,11 @@ def test_check_linf_second_order_does_no_multiplier_work(monkeypatch):
     assert code == 0
     assert [t["n_directions"] for t in tests] == [0, 0]
     assert [t["multiplier_set_exhaustive"] for t in tests] == [True, True]
-    # the generator set's one phase 1, the membership solve and one
-    # stacked solve of the 2 * 11 margin probes: the second-order tests
-    # add none
-    assert counts == {} and lps == [1] and solves == [1] and stacked == [22]
+    # the generator set's one phase 1, the membership solve, a stack of
+    # one, and one stacked solve of the 2 * 11 margin probes: the
+    # second-order tests add none
+    assert counts == {} and lps == [1] and solves == [1]
+    assert stacked == [1, 22]
 
 
 def test_flavor_search_reuses_the_checks_searches(monkeypatch):

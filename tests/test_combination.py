@@ -9,7 +9,9 @@ the second-order forms solve every objective on one system from one kept
 phase 1 (``Tableau``); the frozen references solve each LP alone.  The 2d
 margin probes share one stacked phase 2 (``Tableau.solve_stack``), which
 must read every margin of a frozen copy of the per-probe loop that it
-replaced, bit for bit."""
+replaced, bit for bit; that loop's one-objective solve on the kept phase 1
+(``_ref_kept_solve``) is also the reference for ``Tableau.solve``, now a
+stack of one."""
 
 import importlib.util
 import json
@@ -101,9 +103,10 @@ def _ref_chebyshev_center(hull, cone, d):
     return True, overall
 
 
-# the per-probe margin loop on the kept phase 1, frozen: each probe copied
-# the kept tableau with its column appended, drove phase 1's leftover
-# artificials out again and ran Bland's rule row by row in Python
+# one solve on the kept phase 1, frozen as it ran before one stacked phase
+# 2 served every objective: it copied the kept tableau with its column
+# appended, drove phase 1's leftover artificials out again on any column,
+# ran Bland's rule row by row in Python and verified x by its residual
 
 _TOL = 1e-9
 
@@ -117,10 +120,10 @@ def _ref_pivot(T, row, col):
 
 def _ref_bland(T, basis, n_cols):
     m = T.shape[0] - 1
-    for _ in range(lk.MAX_ITER):
+    for it in range(lk.MAX_ITER):
         entering = next((j for j in range(n_cols) if T[-1, j] < -_TOL), -1)
         if entering < 0:
-            return "optimal"
+            return "optimal", it
         col, leaving, best = T[:m, entering], -1, math.inf
         for i in range(m):
             if col[i] > _TOL:
@@ -130,51 +133,79 @@ def _ref_bland(T, basis, n_cols):
                         and (leaving < 0 or basis[i] < basis[leaving])):
                     best, leaving = ratio, i
         if leaving < 0:
-            return "unbounded"
+            return "unbounded", it
         _ref_pivot(T, leaving, entering)
         basis[leaving] = entering
-    return "iteration_limit"
+    return "iteration_limit", lk.MAX_ITER
 
 
-def _ref_kept_margin(tableau, u):
-    """max r >= 0 with r * u in the set, as the per-probe loop read it off
-    the kept phase 1 (tableau.T, .basis, .flip): inf when unbounded, None
-    when infeasible or when x misses [A | -u] x = b."""
+def _ref_kept_solve(tableau, c, column=None):
+    """min c@x over [A | column] x = b, x >= 0 from the kept phase 1
+    (tableau.T, .basis, .flip, .iterations), as the one-objective solve
+    read it: an LpResult whose x counts only when it reproduces [A |
+    column] x = b within 1e-8 * max(1, max|[A | column]|)."""
     if not tableau.feasible:
-        return None
+        return lk.LpResult("infeasible", iterations=tableau.iterations)
     m, n = tableau.A.shape
-    A = np.column_stack([tableau.A, np.append(-np.asarray(u, float), 0.0)])
-    T = np.zeros((m, n + 2))
+    A = tableau.A if column is None else np.column_stack([tableau.A,
+                                                          column])
+    k = A.shape[1]
+    c = np.broadcast_to(np.asarray(c, dtype=float), (k,))
+    T = np.zeros((m, k + 1))
     T[:, :n] = tableau.T[:, :n]
-    T[:, n:n + 1] = tableau.T[:, n:n + m] @ (A[:, n:] * tableau.flip[:, None])
+    T[:, n:k] = tableau.T[:, n:n + m] @ (A[:, n:] * tableau.flip[:, None])
     T[:, -1] = tableau.T[:, -1]
     basis, keep = list(tableau.basis), []
     for i in range(m):
         if basis[i] >= n:
-            nonzero = np.flatnonzero(np.abs(T[i, :n + 1]) > _TOL)
+            nonzero = np.flatnonzero(np.abs(T[i, :k]) > _TOL)
             if not len(nonzero):
                 continue
             _ref_pivot(T, i, nonzero[0])
             basis[i] = int(nonzero[0])
         keep.append(i)
-    T2 = np.zeros((len(keep) + 1, n + 2))
+    T2 = np.zeros((len(keep) + 1, k + 1))
     T2[:-1] = T[keep]
-    T2[-1, n] = -1.0
+    T2[-1, :k] = c
     basis2 = [basis[i] for i in keep]
     for i, bi in enumerate(basis2):
         if T2[-1, bi] != 0.0:
             T2[-1] -= T2[-1, bi] * T2[i]
-    status = _ref_bland(T2, basis2, n + 1)
-    if status == "unbounded":
-        return math.inf
+    status, pivots = _ref_bland(T2, basis2, k)
+    iterations = tableau.iterations + pivots
     if status != "optimal":
-        return None
-    x = np.zeros(n + 1)
+        return lk.LpResult("unbounded" if status == "unbounded"
+                           else "infeasible", iterations=iterations)
+    x = np.zeros(k)
     for i, bi in enumerate(basis2):
         x[bi] = T2[i, -1]
     if np.linalg.norm(A @ x - tableau.b) > 1e-8 * max(1.0, np.abs(A).max()):
-        return None
-    return max(0.0, float(x[-1]))
+        return lk.LpResult("infeasible", iterations=iterations)
+    return lk.LpResult("optimal", x=x, objective=float(c @ x),
+                       iterations=iterations)
+
+
+def _assert_same_solve(got, want):
+    """got is want bit for bit: status, pivot count, x with the sign of
+    each zero, and the objective."""
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    if want.status == "optimal":
+        assert got.x.shape == want.x.shape and np.array_equal(got.x, want.x)
+        assert np.array_equal(np.signbit(got.x), np.signbit(want.x))
+        assert _same_bits(got.objective, want.objective)
+
+
+def _ref_kept_margin(tableau, u):
+    """max r >= 0 with r * u in the set, as the per-probe loop read it off
+    the kept phase 1: inf when unbounded, None when infeasible or when x
+    misses [A | -u] x = b."""
+    n = tableau.A.shape[1]
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    res = _ref_kept_solve(tableau, c, np.append(-np.asarray(u, float), 0.0))
+    if res.status == "unbounded":
+        return math.inf
+    return max(0.0, float(res.x[-1])) if res.status == "optimal" else None
 
 
 def _ref_kept_center(tableau):
@@ -295,9 +326,16 @@ def _recording(monkeypatch, module, name):
 def _recording_tableaux(monkeypatch, *modules):
     """Patch Tableau in each module to record copies of the systems (A, b)
     it is built on (phase 1 runs once per build) and, per solve, copies of
-    the cost, the system [A | column] and b, then solve; a stacked solve
-    records one such triple per cost row and column."""
-    builds, calls = [], []
+    the cost, the system [A | column] (A without a column) and b, then
+    solve; a stacked solve records one such triple per cost row and
+    column, unless a recorded solve called it as its stack of one."""
+    builds, calls, solving = [], [], []
+
+    def record(tableau, c, column):
+        A = tableau.A if column is None else np.column_stack(
+            [tableau.A, column])
+        calls.append(tuple(np.array(a, dtype=float, copy=True)
+                           for a in (c, A, tableau.b)))
 
     class Recording(lk.Tableau):
         def __init__(self, A, b):
@@ -306,17 +344,18 @@ def _recording_tableaux(monkeypatch, *modules):
             super().__init__(A, b)
 
         def solve(self, c, column=None):
-            A = self.A if column is None else np.column_stack(
-                [self.A, column])
-            calls.append(tuple(np.array(a, dtype=float, copy=True)
-                               for a in (c, A, self.b)))
-            return super().solve(c, column)
+            record(self, c, column)
+            solving.append(True)
+            try:
+                return super().solve(c, column)
+            finally:
+                solving.pop()
 
-        def solve_stack(self, costs, columns):
-            for c, column in zip(costs, columns.T):
-                calls.append(tuple(np.array(a, dtype=float, copy=True) for a
-                                   in (c, np.column_stack([self.A, column]),
-                                       self.b)))
+        def solve_stack(self, costs, columns=None):
+            if not solving:
+                for p, c in enumerate(costs):
+                    record(self, c,
+                           None if columns is None else columns[:, p])
             return super().solve_stack(costs, columns)
 
     for module in modules:
@@ -420,10 +459,10 @@ def test_margins_match_the_per_probe_reference_on_random_families(
     phase 1 a redundant row, where some probes' own columns pivot in."""
     real, own = lk._drive_row, []
 
-    def drive_row(T, basis, keep, i, k):
+    def drive_row(T, basis, i, k):
         # a probe's tableau [original | column | rhs], driven out alone
         own.append(k == T.shape[1] - 1)
-        return real(T, basis, keep, i, k)
+        return real(T, basis, i, k)
 
     monkeypatch.setattr(lk, "_drive_row", drive_row)
     outcomes = set()
@@ -690,16 +729,20 @@ def _second_order_systems():
 def test_form_maxima_are_the_per_direction_lps(monkeypatch):
     """Phase 1 does not read the cost, so the forms solved from one kept
     tableau equal the one-shot LP per direction bit for bit, and phase 1
-    runs once per call however many directions there are."""
+    runs once per call however many directions there are; all the
+    directions' LPs go to one stacked solve."""
     tableaux, solves = _recording_tableaux(monkeypatch, geometry)
+    stacks = _counting(monkeypatch, lk.Tableau, "solve_stack")
     n_dirs, values = set(), []
     for ctx, G, dirs in _second_order_systems():
         want = _ref_form_values(ctx, G, dirs)
         tableaux.clear()
         solves.clear()
+        stacks.clear()
         got = so._form_maxima(ctx, G, dirs)
         assert got is not None and got.values == want
         assert len(tableaux) == 1 and len(solves) == len(dirs)
+        assert stacks == ["solve_stack"]
         n_dirs.add(len(dirs))
         values += want
     assert max(n_dirs) >= 6 and math.inf in values

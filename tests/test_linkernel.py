@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conecert import firstorder as fo
 from conecert import linkernel as lk
+from conecert import registry
+from conecert import secondorder as so
 from conecert.cones import axis_directions
+from conecert.geometry import PointContext
+from test_combination import _assert_same_solve, _ref_kept_solve
 
 
 def test_det_examples():
@@ -311,20 +316,38 @@ def test_direction_margin_values():
 
 
 def test_unverified_simplex_solutions_read_as_no_solution(monkeypatch):
+    """Every objective solved from a kept phase 1 ends in one residual
+    check, ``Tableau._verify_stack``.  An "optimal" x that misses its
+    system reads as no solution in each single-objective caller:
+    ``lp_membership``, a generator set's membership (so the necessary
+    check finds 0 outside D), the penalty threshold and the LPs of the
+    second-order forms."""
     hull, cone = [(5, 1), (-5, 1), (0, -2)], [(0.0, -1.0)]
+
+    def contexts():
+        # new contexts each time: a context keeps its LP results
+        return (PointContext(*registry.get("dem")),
+                PointContext(*registry.get("bazaraa45")))
+
+    dem, baz = contexts()
+    dirs = axis_directions(baz.generators.d)
     assert lk.lp_membership(np.zeros(2), hull, cone) is not None
-    optimum = lk.Tableau._optimum
+    assert fo.necessary_check(dem).zero_in_D
+    assert fo.penalty_subdiff_check(baz, 1.0).c_min == 152.0
+    assert so._form_maxima(baz, baz.generators, dirs) is not None
+    verify = lk.Tableau._verify_stack
 
-    def perturbed(self, c, A):
-        res = optimum(self, c, A)
-        if res.status == "optimal":
-            res.x = res.x + 1e-6   # an "optimal" x that misses Ax = b
-        return res
+    def tampered(self, status, iterations, x, *rest):
+        # every x misses Ax = b: the convexity row sums to 1 + 1e-6 * nh
+        return verify(self, status, iterations, x + 1e-6, *rest)
 
-    # phase 2 of every single LP, one-shot or from a kept tableau, ends
-    # here; the stacked margin probes are the next test's
-    monkeypatch.setattr(lk.Tableau, "_optimum", perturbed)
+    monkeypatch.setattr(lk.Tableau, "_verify_stack", tampered)
+    dem, baz = contexts()
     assert lk.lp_membership(np.zeros(2), hull, cone) is None
+    assert dem.generators.membership.status == "infeasible"
+    assert not fo.necessary_check(dem).zero_in_D
+    assert fo.penalty_subdiff_check(baz, 1.0).c_min is None
+    assert so._form_maxima(baz, baz.generators, dirs) is None
 
 
 def test_a_stacked_probe_whose_weights_miss_the_system_reads_none(
@@ -367,8 +390,9 @@ def test_scalar_cost_costs_every_column_alike():
 def test_tableau_keeps_phase_one_for_every_cost(rng):
     """One Tableau solves many costs: without an extra column each is the
     one-shot LP bit for bit, with one it is the one-shot LP on [A |
-    column] to rounding.  Feasibility is phase 1's, on A alone, so a
-    system that only the extra column makes feasible reads infeasible."""
+    column] to rounding, and either is the frozen one-objective solve bit
+    for bit.  Feasibility is phase 1's, on A alone, so a system that only
+    the extra column makes feasible reads infeasible."""
     seen = set()
     for _ in range(60):
         m = int(rng.integers(1, 4))
@@ -381,7 +405,9 @@ def test_tableau_keeps_phase_one_for_every_cost(rng):
             got, want = tableau.solve(c[:n]), lk.simplex_solve(c[:n], A, b)
             assert got.status == want.status
             assert got.status != "optimal" or np.array_equal(got.x, want.x)
+            _assert_same_solve(got, _ref_kept_solve(tableau, c[:n]))
             got = tableau.solve(c, column)
+            _assert_same_solve(got, _ref_kept_solve(tableau, c, column))
             want = lk.simplex_solve(c, np.column_stack([A, column]), b)
             if not tableau.feasible:
                 assert got.status == "infeasible"
@@ -398,34 +424,114 @@ def test_tableau_keeps_phase_one_for_every_cost(rng):
     assert infeasible.solve(np.zeros(3), np.ones(2)).status == "infeasible"
 
 
+def _assert_frozen_solves(tableau, costs, columns, monkeypatch):
+    """``solve`` and ``solve_stack``, in slabs of SLAB_FLOATS entries and
+    of one tableau, give each cost (and column, where columns is not None)
+    the frozen one-objective solve's result bit for bit; returns those
+    results."""
+    want = [_ref_kept_solve(tableau, c, None if columns is None else
+                            columns[:, p]) for p, c in enumerate(costs)]
+    for p, (c, w) in enumerate(zip(costs, want)):
+        _assert_same_solve(tableau.solve(c, None if columns is None else
+                                         columns[:, p]), w)
+    for slab in (lk.SLAB_FLOATS, 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(lk, "SLAB_FLOATS", slab)
+            got = tableau.solve_stack(costs, columns)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_solve(g, w)
+    return want
+
+
+def _random_tableau(rng, k):
+    """A small integer system, every other one with a dependent row, so
+    that phase 1 leaves a redundant row that some columns pivot into."""
+    m = int(rng.integers(1, 5))
+    n = int(rng.integers(m, 8))
+    A = rng.integers(-2, 3, size=(m, n)).astype(float)
+    if k % 2 and m > 1:
+        A[-1] = A[0]
+    return lk.Tableau(A, A @ rng.random(n) * rng.choice([-1.0, 1.0]))
+
+
 def test_stacked_solves_are_the_single_solves(rng, monkeypatch):
-    """``solve_stack`` gives each cost and column the status, x (signed
-    zeros included), objective and pivot count of ``solve``, on systems
-    with dependent rows, whose redundant rows some columns pivot into,
-    and in slabs of any size."""
+    """``solve`` and ``solve_stack`` give each cost, with or without a
+    column, the status, x (signed zeros included), objective and pivot
+    count of the frozen one-objective solve, on systems with dependent
+    rows, whose redundant rows some columns pivot into, and in slabs of
+    any size."""
     seen = set()
     for k in range(80):
-        m = int(rng.integers(1, 5))
-        n = int(rng.integers(m, 8))
-        A = rng.integers(-2, 3, size=(m, n)).astype(float)
-        if k % 2 and m > 1:
-            A[-1] = A[0]
-        b = A @ rng.random(n) * rng.choice([-1.0, 1.0])
-        tableau = lk.Tableau(A, b)
+        tableau = _random_tableau(rng, k)
+        m, n = tableau.A.shape
         q = int(rng.integers(1, 7))
         costs = rng.integers(-3, 4, size=(q, n + 1)).astype(float)
         columns = rng.integers(-2, 3, size=(m, q)).astype(float)
-        want = [tableau.solve(c, col) for c, col in zip(costs, columns.T)]
-        for slab in (lk.SLAB_FLOATS, 1):
-            monkeypatch.setattr(lk, "SLAB_FLOATS", slab)
-            got = tableau.solve_stack(costs, columns)
-            monkeypatch.undo()
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert (g.status, g.iterations) == (w.status, w.iterations)
-                if w.status == "optimal":
-                    assert np.array_equal(g.x, w.x)
-                    assert np.array_equal(np.signbit(g.x), np.signbit(w.x))
-                    assert g.objective == w.objective
-                seen.add(w.status)
+        want = _assert_frozen_solves(tableau, costs, columns, monkeypatch)
+        want += _assert_frozen_solves(tableau, costs[:, :n], None,
+                                      monkeypatch)
+        seen.update(w.status for w in want)
     assert seen == {"optimal", "unbounded", "infeasible"}
+
+
+def test_a_lone_live_tableau_goes_on_in_the_scalar_loop(rng, monkeypatch):
+    """A stack whose tableaux all but one are optimal before their first
+    pivot hands the last one to ``_bland_iterate`` in the middle of the
+    stacked solve; so do stacks whose others finish after some pivots.
+    Every result is the frozen one-objective solve's, bit for bit."""
+    real, handed = lk._bland_iterate, []
+
+    def handed_off(T, basis, n_cols, start=0):
+        status, pivots = real(T, basis, n_cols, start)
+        handed.append((start, pivots - start))
+        return status, pivots
+
+    lone, later = 0, 0
+    for k in range(60):
+        tableau = _random_tableau(rng, k)
+        m, n = tableau.A.shape
+        for q in (3, 6):
+            costs = rng.integers(-3, 4, size=(q, n + 1)).astype(float)
+            columns = rng.integers(-2, 3, size=(m, q)).astype(float)
+            # every cost but the last is 0: optimal at round 0
+            zero = costs.copy()
+            zero[:-1] = 0.0
+            for stack in (zero, costs):
+                _assert_frozen_solves(tableau, stack, columns, monkeypatch)
+                handed.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(lk, "_bland_iterate", handed_off)
+                    tableau.solve_stack(stack, columns)
+                # one slab: at most one tableau is left live alone
+                assert len(handed) <= 1
+                if handed and stack is zero:
+                    start, pivots = handed[0]
+                    lone += start == 0 and pivots > 0
+                later += any(start > 0 for start, _ in handed)
+    assert lone and later
+
+
+def test_penalty_threshold_shaped_lps_are_the_frozen_solves(monkeypatch):
+    """LPs of the penalty threshold's shape, whose phase 2 takes many
+    pivots in the scalar loop, are the frozen one-objective solve's bit for
+    bit: min t over a combination system with capped cone groups, the hull
+    shifted off the origin so that the groups must carry it."""
+    rng = np.random.default_rng(20261020)
+    pivots = []
+    for _ in range(40):
+        d = int(rng.integers(3, 11))
+        hull = rng.normal(size=(int(rng.integers(d + 1, 4 * d)), d)) + 2.0
+        groups = [rng.normal(size=(int(rng.integers(2, 16)), d))
+                  for _ in range(int(rng.integers(1, 4)))]
+        nA = rng.normal(size=(int(rng.integers(0, 4)), d))
+        ends = np.cumsum([len(g) for g in groups]).tolist()
+        A, b = lk.combination_system(hull, np.concatenate([*groups, nA]),
+                                     list(zip([0, *ends[:-1]], ends)), d=d)
+        A = np.column_stack([A, np.r_[np.zeros(d + 1), -b[d + 1:]]])
+        b[d + 1:] = 0.0
+        tableau = lk.Tableau(A, b)
+        c = np.r_[np.zeros(A.shape[1] - 1), 1.0]
+        want, = _assert_frozen_solves(tableau, c[None], None, monkeypatch)
+        pivots.append(want.iterations - tableau.iterations)
+    assert max(pivots) >= 15

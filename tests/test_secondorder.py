@@ -672,8 +672,8 @@ def test_lp_witness_is_unscreened_vertex(system):
 
 
 class _FailingTableau(Tableau):
-    def solve(self, c, column=None):
-        return LpResult("infeasible")
+    def solve_stack(self, costs, columns=None):
+        return [LpResult("infeasible") for _ in costs]
 
 
 def test_lp_failure_draws_no_refutation(monkeypatch):
