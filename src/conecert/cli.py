@@ -313,13 +313,15 @@ def _emit(args, report):
     """Print the report, as JSON or as text, and write its JSON to
     ``args.out`` when given; every value goes through ``json_data``."""
     report = json_data(report)
+    out = getattr(args, "out", None)
+    encoded = json.dumps(report, indent=2) if args.json or out else None
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(encoded)
     else:
         _print_human(report)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(encoded)
 
 
 def _parse_vectors(text: str):

@@ -32,8 +32,8 @@ __all__ = [
     "Expression", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Func",
     "Dual2", "ExprError", "ExprSyntaxError", "UnknownIdentifier",
     "VariableIndexOutOfRange", "DomainError",
-    "Column", "Family", "parse", "parse_families", "to_string", "eval2",
-    "eval_value", "eval_values", "eval_reasons", "raise_undefined",
+    "Column", "Family", "parse", "parse_families", "skeletons", "to_string",
+    "eval2", "eval_value", "eval_values", "eval_reasons", "raise_undefined",
     "eval_jets", "substitute",
 ]
 
@@ -583,20 +583,14 @@ class Family:
 # A template slot: a free literal with a leading digit and a '.' (0.25, 5.,
 # 1.5e-3: every literal that repr writes but a one-digit mantissa with an
 # exponent, 1e-05), that no digit, '.', 'e' or 'E' follows.  Other
-# literals ('.5', '1e5') miss and are split.  The slot compiles in less
-# than half the time of the whole ``_FREE_LITERAL`` body.
+# literals ('.5', '1e5') miss, and their text is split.
 _SLOT = r"([0-9]+\.[0-9]*" + _EXPONENT + r"?)(?![0-9.eE])"
-# A family's template is compiled once it has this many members.  On a
-# 2-vCPU host (Python 3.11), compiling a 7-slot template takes as long as
-# 150-200 splits of its texts (0.9-1.4 ms against 6-8 us per split and
-# skeleton lookup), and a hit saves about 60 % of a split, so a template
-# pays for itself after 250-350 hits.  The families of a grid run to
-# thousands of texts; a file of many shapes of 100 texts compiles nothing.
-_TEMPLATE_AT = 128
 
 
-def _template(pieces):
-    """The ``fullmatch`` of the template of skeleton ``pieces``, or None.
+def _template(pieces, last=_SLOT):
+    """The ``fullmatch`` of the template of skeleton ``pieces`` (at least
+    two), or None; ``last`` is the pattern of its last slot, which what
+    follows holds for when it is ``_SLOT``.
 
     A text it matches splits into ``pieces`` and its groups, as the texts
     that made the skeleton did.  The split scans from the end of one
@@ -615,59 +609,44 @@ def _template(pieces):
       That is the group: a longer one would go on with a digit, '.', 'e'
       or 'E'.
     A text that splits into ``pieces`` misses the template when a slot
-    holds another form of literal; it is then split."""
+    holds another form of literal."""
     if any(piece[-2:-1] in ("e", "E") and piece[-1:] in ("+", "-")
            for piece in pieces[:-1]):
         return None
-    return re.compile(_SLOT.join(map(re.escape, pieces))).fullmatch
+    *head, tail = map(re.escape, pieces)
+    return re.compile(_SLOT.join(head) + last + tail).fullmatch
 
 
-def _shapes(texts) -> dict:
-    """The texts' skeletons, each mapped to its members' positions and
-    their literals (strings, member after member), in the order of first
-    members.  A text is first matched against the template of the previous
-    text's family, once that family has ``_TEMPLATE_AT`` members; a miss
-    is split by ``_FREE_LITERAL``."""
-    shapes, templates = {}, {}
-    match = None
+def skeletons(texts) -> dict:
+    """Each text's skeleton mapped to its members' positions and their
+    literals, strings, member after member, by one split per text."""
+    shapes = {}
     for i, text in enumerate(texts):
-        hit = match and match(text)
-        if hit:
-            members.append(i)
-            literals += hit.groups()
-            continue
         parts = _FREE_LITERAL.split(text)
-        pieces = tuple(parts[::2])
-        members, literals = shapes.setdefault(pieces, ([], []))
+        members, literals = shapes.setdefault(tuple(parts[::2]), ([], []))
         members.append(i)
         literals += parts[1::2]
-        match = templates.get(pieces)
-        if len(members) == _TEMPLATE_AT:
-            match = templates[pieces] = _template(pieces)
     return shapes
 
 
-def parse_families(texts, d: int, params: tuple[str, ...] = ()) -> list:
-    """Parse every text of ``texts`` as ``parse`` does, into families.
-
-    Each text falls into its skeleton, the text around its free literals,
-    and those literals (``_shapes``: one compiled template match per text
-    of a large family, else one regex split); the texts of one skeleton
-    form a family, and each distinct skeleton is tokenized and parsed
-    once, with the members' literals as the ``Column`` leaves.  The
-    parser's unary-minus folding negates a whole column as it negates one
-    literal, so every member's tree equals its own parse.  A family's
-    literals are collected as strings, member after member, in one flat
-    list, and converted by one ``map(float, ...)`` into its columns, so
-    each value has the bits its own parse gives it.  A skeleton that does
-    not parse is not shared: its texts go through ``parse`` one at a
-    time, so that the first of them raises its own error.  Families come
-    in the order of their first members; nothing is kept between calls.
-    """
+def parse_families(shapes, d: int, params: tuple[str, ...] = ()) -> list:
+    """Parse texts grouped by skeleton, as ``parse`` parses each, into
+    families.  ``shapes`` maps each skeleton, the text around a text's free
+    literals, to its texts' positions and their literals (``skeletons``; a
+    problem file's reader groups its [scenario] lines itself, matching
+    most lines once).  Each skeleton is parsed once, with the literals as
+    ``Column`` leaves; unary minus negates a whole column as it negates
+    one literal, so every member's tree equals its own parse.  A family's
+    literals are converted by one ``map(float, ...)``, so each value has
+    the bits its own parse gives it.  A skeleton that does not parse is
+    not shared: its texts, its pieces around each member's literals, go
+    through ``parse`` one at a time, so that the first raises its own
+    error.  Families come in the order of their first members."""
     families = []
-    for pieces, (members, literals) in _shapes(texts).items():
+    for pieces, (members, literals) in shapes.items():
+        k = len(pieces) - 1
         columns = np.fromiter(map(float, literals), float, len(literals))
-        columns = columns.reshape(len(members), len(pieces) - 1)
+        columns = columns.reshape(len(members), k)
         try:
             # each piece's end token gives way to the next literal
             tokens = _tokenize(pieces[0])
@@ -676,8 +655,9 @@ def parse_families(texts, d: int, params: tuple[str, ...] = ()) -> list:
             template = _parse_tokens(tokens, d, params,
                                      [Column(c) for c in columns.T])
         except ExprError:
-            families += [Family(parse(texts[i], d, params), np.array([i]))
-                         for i in members]
+            families += [Family(parse("".join(map(str.__add__, pieces, [
+                *literals[j * k:j * k + k], ""])), d, params), np.array([i]))
+                for j, i in enumerate(members)]
             continue
         families.append(Family(template, np.array(members)))
     return families

@@ -816,7 +816,9 @@ def penalty_subdiff_check(ctx: PointContext, c: float) -> PenaltyReport:
     P = ctx.problem
     c_min = _penalty_threshold(ctx.generators,
                                _penalty_groups(P, ctx.generators))
-    return PenaltyReport(c=c, value=penalty_value(P, ctx.x, c),
+    # penalty_value's arithmetic on the F(x) the point's activity holds
+    value = ctx.act.F_value + c * float(sum(block_distances(P, ctx.x)))
+    return PenaltyReport(c=c, value=value,
                          zero_in_subdiff=c_min is not None and c >= c_min,
                          c_min=c_min)
 

@@ -53,7 +53,8 @@ shape once and keeps the literals as arrays, ``evaluate_objective`` and
 ``objective_values`` evaluate one family at a time, stacked over its
 members, and ``P.scenarios[i]`` builds scenario i's tree on first access,
 which only the few active scenarios ever need.  A Problem built from
-trees puts each tree in a family of its own.
+trees puts each tree in a family of its own.  The loader reads most
+lines of a large shape by one match of a line template each.
 """
 
 from __future__ import annotations
@@ -947,12 +948,25 @@ def _split_kv(text: str, section: str, line: int):
             for key, _, quoted, _, bare, _ in found]
 
 
-def _parse_sections(text: str):
+def _parse_sections(text: str, shapes=None, psi=None):
     """The sections of a problem file as (name, line, pairs) tuples, where
-    pairs holds the (key, value, line) triples of the section's lines."""
-    sections = []
-    pairs = None
+    pairs holds the (key, value, line) triples of the section's lines.
+
+    Given a dict ``shapes`` and a list ``psi``, each [scenario] section
+    must be one line and goes there instead: its f skeleton maps to its
+    members and their literals, and ``psi`` gets its psi.  A line that
+    matches the template of the line before it (``_line_template``: its
+    family's line, a group for each free literal of f and for psi) is
+    read by that match alone, as its pairs and split would read it."""
+    sections, templates = [], {}
+    pairs = match = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        hit = match and match(raw)
+        if hit:
+            members.append(len(psi))
+            literals += hit.groups()
+            psi.append(literals.pop() or None)
+            continue
         line = raw.partition("#")[0].strip()
         if not line:
             continue
@@ -963,13 +977,63 @@ def _parse_sections(text: str):
                                          line=lineno)
             name = name.strip()
             pairs = _split_kv(rest, name, lineno)
-            sections.append((name, lineno, pairs))
+            match = None
+            if shapes is None or name != "scenario":
+                sections.append((name, lineno, pairs))
+                continue
+            f_txt, _, target = _scenario_entry(pairs, lineno)
+            parts = ex._FREE_LITERAL.split(f_txt)
+            key = tuple(parts[::2])
+            members, literals = shapes.setdefault(key, ([], []))
+            members.append(len(psi))
+            literals += parts[1::2]
+            psi.append(target)
+            if len(members) == _TEMPLATE_AT and pairs[-1][0] == (
+                    "f" if target is None else "psi"):
+                templates[key] = _line_template(
+                    raw, parts[1::2], None if target is None else pairs[-1][1])
+            match = templates.get(key)
+            # a line that continues the section fails, for the plain reader
+            pairs = None
         elif pairs is None:
             raise ProblemFormatError("content before first section",
                                      line=lineno)
         else:
             pairs += _split_kv(line, name, lineno)
     return sections
+
+
+# A family's line template is compiled at its member of this count.  On a
+# 2-vCPU host (Python 3.11), compiling the template of a 9-slot line of a
+# Chebyshev fit (about 1 ms) takes as long as reading 75 such lines by
+# their pairs (13 us each), and a hit takes 3-4.5 us, so a template pays
+# for itself after about 110 hits.  The families of a grid run to
+# thousands of lines; a file of many shapes of 100 lines compiles nothing.
+_TEMPLATE_AT = 128
+
+
+# A line template is made from a [scenario] line whose free literals are
+# those of its f value, then, when it has psi, psi's value (its last pair)
+# less its sign: the line escaped, with a group for each f literal and one
+# for psi's value, sign included, or an empty one without psi.  A line it
+# matches differs in its groups alone, which hold no quote, '#', '=',
+# bracket or whitespace, so it splits into the same pairs, with the groups
+# in f's value and psi's.  A quote or a bare value's edge bounds a literal
+# as a text's ends do, so its f text splits into f's pieces around its f
+# groups (``ex._template``).  Psi's group holds the characters of a number
+# and a sign, which ``_parse_number`` reads as ``float`` does, or fails.
+def _line_template(raw, f_literals, psi):
+    """The ``fullmatch`` of the template of [scenario] line ``raw``, or
+    None; its last pair is psi's, of value ``psi``, or it has no psi."""
+    parts = ex._FREE_LITERAL.split(raw)
+    pieces = parts[::2]
+    if psi is None:
+        return ex._template(pieces + [""], "()") if (
+            parts[1::2] == f_literals) else None
+    if parts[1::2] != f_literals + [psi.lstrip("+-")]:
+        return None
+    pieces[-2] = pieces[-2].rstrip("+-")
+    return ex._template(pieces, r"([-+.0-9eE]+)")
 
 
 def _parse_number(value: str, section, line) -> float:
@@ -1066,7 +1130,18 @@ def _read_set(pairs, d, bounds, eq_rows, eq_rhs):
 
 def load_problem_text(text: str, source: str = "<memory>",
                       tolerances: ToleranceSet | None = None) -> Problem:
-    sections = _parse_sections(text)
+    # [scenario] lines are read one by one, by line templates; a file with
+    # a [scenario] section over two lines, or with an error, is read again
+    # by the sections' pairs, which give its first error in file order
+    try:
+        return _load(text, source, tolerances, {})
+    except Exception:
+        return _load(text, source, tolerances, None)
+
+
+def _load(text, source, tolerances, shapes):
+    texts, f_lines, psi = [], [], []   # per scenario: text, its line, target
+    sections = _parse_sections(text, shapes, psi)
     if not sections or sections[0][0] != "problem":
         raise ProblemFormatError("file must start with a [problem] section",
                                  line=1)
@@ -1077,7 +1152,6 @@ def load_problem_text(text: str, source: str = "<memory>",
     d = _parse_count("dim", dim_value, MAX_DIM, "problem", dim_line)
     kind = head.get("kind", ("minimax", 0))[0]
 
-    texts, lines, psi = [], [], []   # per scenario: text, its line, target
     blocks = []
     bounds = {"lb": [-math.inf] * d, "ub": [math.inf] * d}
     eq_rows, eq_rhs = [], []
@@ -1086,7 +1160,7 @@ def load_problem_text(text: str, source: str = "<memory>",
             if name == "scenario":
                 f_txt, f_line, target = _scenario_entry(pairs, line)
                 texts.append(f_txt)
-                lines.append(f_line)
+                f_lines.append(f_line)
                 psi.append(target)
             elif name == "set":
                 _read_set(pairs, d, bounds, eq_rows, eq_rhs)
@@ -1096,11 +1170,11 @@ def load_problem_text(text: str, source: str = "<memory>",
             else:
                 raise ProblemFormatError(f"unknown section [{name}]",
                                          name, line)
-        families = ex.parse_families(texts, d)
+        families = ex.parse_families(shapes or ex.skeletons(texts), d)
     except Exception:
         # errors keep file order: a bad scenario text read before the
         # failure raises its own error first
-        for f_txt, f_line in zip(texts, lines):
+        for f_txt, f_line in zip(texts, f_lines):
             _parse_expr(f_txt, d, "scenario", f_line)
         raise
 
@@ -1110,7 +1184,11 @@ def load_problem_text(text: str, source: str = "<memory>",
         if None in psi:
             raise ProblemFormatError("chebyshev scenarios all need psi=...",
                                      "scenario", 1)
-        psi_t = tuple(psi)
+        # a template's psi is read here, as _parse_number reads a number
+        # of its characters, or fails for the plain reader
+        psi_t = tuple(map(float, psi))
+        if not all(map(math.isfinite, psi_t)):
+            raise ProblemFormatError("psi must be finite", "scenario")
     else:
         if psi.count(None) != len(psi):
             raise ProblemFormatError("psi given but kind is not chebyshev",

@@ -179,11 +179,32 @@ def test_json_report_roundtrip_and_reverify(tmp_path):
     assert report["schema"] == 4
     assert report["exit_code"] == 0
     assert json.loads(out_path.read_text()) == report
+    # one encoding, printed with a newline and written without one
+    assert out == out_path.read_text() + "\n"
     P, x, samp = registry.get("dem")
     res = fo.reverify_report(P, report)
     assert res["ok"]
     names = {c["what"] for c in res["checks"]}
     assert "necessary.cadre" in names
+
+
+def test_penalty_check_evaluates_the_objective_once(monkeypatch):
+    """The penalty value reads F(x) from the point's activity, so a check
+    with --penalty and no --oracle evaluates the scenarios once."""
+    from conecert import oracle
+    calls = []
+    real = pb.evaluate_objective
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    for module in (pb, fo, oracle):
+        monkeypatch.setattr(module, "evaluate_objective", counted)
+    code, out, _ = run_cli("check", "--registry", "bazaraa45", "--penalty",
+                           "200", "--json")
+    assert json.loads(out)["penalty"]["value"] == pytest.approx(
+        real(*registry.get("bazaraa45")[:2])[0])
+    assert code == 0 and len(calls) == 1
 
 
 def test_reverify_checks_the_complete_alternance():

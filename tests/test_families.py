@@ -81,9 +81,14 @@ def _same_tree(a, b):
     return a == b and a.text() == b.text()
 
 
+def _parse_families(texts, d, params=()):
+    """``parse_families`` of a list of texts, grouped by one split each."""
+    return ex.parse_families(ex.skeletons(texts), d, params)
+
+
 def _family_trees(texts, d, params=()):
     trees = [None] * len(texts)
-    for fam in ex.parse_families(texts, d, params):
+    for fam in _parse_families(texts, d, params):
         for k, i in enumerate(fam.members.tolist()):
             assert trees[i] is None
             trees[i] = fam.tree(k)
@@ -109,14 +114,14 @@ def test_family_trees_equal_their_own_parse_on_generated_texts(rng):
 
 
 def test_one_family_per_shape():
-    fams = ex.parse_families(["x(1) + 0.5", "2*x(1)", "x(1) + 1e-3",
-                              "3*x(1)", "-x(1) + 0.5", "x(1) + -0.5"], 1)
+    fams = _parse_families(["x(1) + 0.5", "2*x(1)", "x(1) + 1e-3",
+                            "3*x(1)", "-x(1) + 0.5", "x(1) + -0.5"], 1)
     assert [f.members.tolist() for f in fams] == [[0, 2], [1], [3], [4], [5]]
     # digits inside an identifier are not a literal
-    fams = ex.parse_families(["a1e5 + 0.5", "a1e5 + 0.25"], 1, ("a1e5",))
+    fams = _parse_families(["a1e5 + 0.5", "a1e5 + 0.25"], 1, ("a1e5",))
     assert [f.members.tolist() for f in fams] == [[0, 1]]
     # the generated fits of t^n have one shape per sign pattern of t^k
-    fams = ex.parse_families(_scenario_texts(_chebyshev_text()), 8)
+    fams = _parse_families(_scenario_texts(_chebyshev_text()), 8)
     assert len(fams) == 2
 
 
@@ -132,7 +137,7 @@ def test_a_text_that_does_not_parse_raises_its_own_error(text):
     with pytest.raises(ex.ExprError) as want:
         ex.parse(text, 2)
     with pytest.raises(ex.ExprError) as got:
-        ex.parse_families(["x(1) + 0.5", text, "x(2) + 0.25", text], 2)
+        _parse_families(["x(1) + 0.5", text, "x(2) + 0.25", text], 2)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
 
@@ -168,7 +173,7 @@ def _bits(a):
 
 def _assert_family_values_exact(texts, d, X):
     trees = [ex.parse(t, d) for t in texts]
-    for fam in ex.parse_families(texts, d):
+    for fam in _parse_families(texts, d):
         shape = (len(fam.members), X.shape[1])
         vals, bad = map(np.broadcast_to, ex.eval_values(fam.template, X),
                         (shape, shape))
@@ -335,7 +340,7 @@ def test_no_family_or_tree_outlives_its_problem():
 
 
 # ---------------------------------------------------------------------------
-# compiled templates group texts as one split per text does
+# line templates group [scenario] lines as one split per f text does
 # ---------------------------------------------------------------------------
 
 
@@ -389,9 +394,25 @@ def _layout(families):
     return out
 
 
-def _assert_families_match_the_split(texts, d, params=()):
-    assert _layout(ex.parse_families(texts, d, params)) == _layout(
-        _split_parse_families(texts, d, params))
+def _line_shapes(texts, psis=None):
+    """The line reader's grouping of a file of one [scenario] line per
+    text, with psi=psis[i] when given: the f skeletons, each mapped to its
+    members and their literals, and the psi values, as floats."""
+    lines = ["[problem] dim=2"]
+    for i, text in enumerate(texts):
+        lines.append(f'[scenario] f="{text}"'
+                     + (f" psi={psis[i]}" if psis else ""))
+    shapes, psi = {}, []
+    pb._parse_sections("\n".join(lines), shapes, psi)
+    return shapes, [p if p is None else float(p) for p in psi]
+
+
+def _assert_lines_group_as_the_split(texts, psis=None):
+    shapes, targets = _line_shapes(texts, psis)
+    assert list(shapes.items()) == list(_split_shapes(texts).items()), texts
+    want = [float(p) for p in psis] if psis else [None] * len(texts)
+    assert np.array(targets, dtype=float).tobytes() == np.array(
+        want, dtype=float).tobytes()
 
 
 class _CountingSplit:
@@ -405,35 +426,48 @@ class _CountingSplit:
         return _SPLIT(text)
 
 
-def test_families_match_the_split_on_registry_and_alternance_texts():
-    for entry in list(registry._FIXED.values()) + [
-            registry._linf_entry(d) for d in range(3, 7)]:
-        d = int(entry.text.split("dim=")[1].split()[0])
-        _assert_families_match_the_split(_scenario_texts(entry.text), d)
+def test_line_templates_read_registry_and_alternance_files_as_the_split(
+        monkeypatch):
+    counter = _CountingSplit()
+    monkeypatch.setattr(ex, "_FREE_LITERAL", counter)
+    files = [entry.text for entry in list(registry._FIXED.values()) + [
+        registry._linf_entry(d) for d in range(3, 7)]]
     workloads = perfbench_workloads()
     for seed in (1, 2, 3):
-        for case in workloads.alternance_cases(seed):
-            (text,) = case.files.values()
-            texts = _scenario_texts(text)
-            assert len(texts) >= 1201
-            _assert_families_match_the_split(
-                texts, int(text.split("dim=")[1].split()[0]))
+        files += [text for case in workloads.alternance_cases(seed)
+                  for text in case.files.values()]
+    lines = 0
+    for text in files:
+        d = int(text.split("dim=")[1].split()[0])
+        texts = _scenario_texts(text)
+        # the line reader alone, without the plain reader behind it
+        P = pb._load(text, "<memory>", None, {})
+        assert _layout(P.scenarios.families) == _layout(
+            _split_parse_families(texts, d))
+        psi = [float(line.rpartition("psi=")[2])
+               for line in text.splitlines() if "psi=" in line]
+        assert np.array(P.psi).tobytes() == np.array(psi).tobytes()
+        lines += len(texts)
+    # the split reads a text of each generated family's first members and
+    # one line of each family that compiles its template
+    assert lines > 9600 and counter.calls < 0.2 * lines
 
 
-def test_families_match_the_split_on_interleaved_shapes(rng):
+def test_line_templates_group_interleaved_shapes_as_the_split(rng):
     texts = _scenario_texts(_chebyshev_text(n=6, points=1201))
     shapes = list(_split_shapes(texts))
     assert len(shapes) == 2
     first = [t for t in texts if tuple(_SPLIT(t)[::2]) == shapes[0]]
     second = [t for t in texts if tuple(_SPLIT(t)[::2]) == shapes[1]]
     abab = [t for pair in zip(first, second) for t in pair]
-    _assert_families_match_the_split(abab, 6)
-    # runs of random lengths, so that a text often follows the other shape
+    _assert_lines_group_as_the_split(abab)
+    # runs of random lengths, so that a line often follows the other shape
     # with both templates compiled
     runs, a, b = [], iter(first * 2), iter(second * 2)
     for k in range(40):
         runs += [next(b if k % 2 else a) for _ in range(rng.integers(1, 80))]
-    _assert_families_match_the_split(runs, 6)
+    psis = [repr(v) for v in rng.normal(size=len(runs)).tolist()]
+    _assert_lines_group_as_the_split(runs, psis)
 
 
 # piece material with every class of character the split's look-behind
@@ -446,37 +480,49 @@ _LITERALS = ("0.5", "1.", ".5", "1e5", "2.5E-3", "1.5e+3", "7.e2")
 _FILLS = _LITERALS + ("1.5e", "1e+", "9e9e9", "3..4", "12", "1.5.", ".5.",
                       "1e5.3", "0x1", "1_0.5", "e5", "", "-0.5", "1.5e-7x",
                       "5.e", "00.10", ".0e0")
+# psi values of every spelling float reads, signed and not
+_PSIS = tuple(sign + v for sign in ("", "-", "+")
+              for v in _LITERALS + ("12", "0", "1e-400"))
+# the ones a template's psi slot takes: a sign, digits and a '.'
+_SLOT_PSIS = tuple(v for v in _PSIS
+                   if "." in v and v.lstrip("+-")[:1].isdigit())
 
 
 def test_template_hits_split_as_their_family_on_fuzzed_variants(
         monkeypatch):
-    """Variants of random skeletons whose slots hold literals and strings
-    that look like them.  Each skeleton's template is compiled by its
-    first members, and every variant follows a member, so that it is
-    matched against the template first."""
+    """Lines of random skeletons whose slots hold literals and strings
+    that look like them, and psi values of every spelling.  Each line
+    skeleton's template is compiled by its family's first members, and
+    every variant follows a member, so that it is matched against the
+    template first."""
     import random
     fuzz = random.Random(20261019)
     counter = _CountingSplit()
     monkeypatch.setattr(ex, "_FREE_LITERAL", counter)
-    variants = texts_seen = 0
+    variants = lines = 0
     for _ in range(400):
         pieces = ["".join(fuzz.choices(_PIECE_TOKENS, k=fuzz.randrange(4)))
                   for _ in range(fuzz.randrange(2, 6))]
         base = "".join(p + fuzz.choice(_LITERALS) for p in pieces[:-1])
         base += pieces[-1]
         pieces = _SPLIT(base)[::2]     # the skeleton the split gives it
-        texts = [base] * ex._TEMPLATE_AT
+        texts = [base] * pb._TEMPLATE_AT
+        psis = [fuzz.choice(_SLOT_PSIS)] * pb._TEMPLATE_AT
         for _ in range(128):
             texts.append(base)
             texts.append("".join(p + fuzz.choice(_FILLS)
                                  for p in pieces[:-1]) + pieces[-1])
+            psis += [fuzz.choice(_SLOT_PSIS), fuzz.choice(_PSIS)]
         variants += 128
-        texts_seen += len(texts)
-        assert list(ex._shapes(texts).items()) == list(
-            _split_shapes(texts).items()), texts
+        lines += len(texts)
+        # one file in four is a minimax file, without psi
+        if fuzz.random() < 0.75:
+            _assert_lines_group_as_the_split(texts, psis)
+        else:
+            _assert_lines_group_as_the_split(texts)
     assert variants >= 50_000
-    # over 10,000 texts were matched by a template, not split
-    assert texts_seen - counter.calls > 10_000
+    # thousands of lines were matched by a template, not split
+    assert lines - counter.calls > 5_000, lines - counter.calls
 
 
 def test_a_skeleton_ending_in_an_exponent_sign_gets_no_template():
@@ -485,10 +531,9 @@ def test_a_skeleton_ending_in_an_exponent_sign_gets_no_template():
     assert ex._template(("x(1)*1e-", "*x(2)")) is None
     assert ex._template(("x(1)*1E+", "")) is None
     assert ex._template(("x(1)*e", " - ", "")) is not None
-    texts = ["x(1)*1e-.5*x(2)"] * ex._TEMPLATE_AT + ["x(1)*1e-5.*x(2)"]
-    assert list(ex._shapes(texts).items()) == list(
-        _split_shapes(texts).items())
-    assert len(ex._shapes(texts)) == 2
+    texts = ["x(1)*1e-.5*x(2)"] * pb._TEMPLATE_AT + ["x(1)*1e-5.*x(2)"]
+    _assert_lines_group_as_the_split(texts)
+    assert len(_line_shapes(texts)[0]) == 2
 
 
 def test_families_below_the_template_size_compile_nothing(monkeypatch):
@@ -496,14 +541,14 @@ def test_families_below_the_template_size_compile_nothing(monkeypatch):
     real = ex.re.compile
     monkeypatch.setattr(ex.re, "compile",
                         lambda *args: compiled.append(args) or real(*args))
-    n = ex._TEMPLATE_AT
+    n = pb._TEMPLATE_AT
     # 50 shapes of n - 1 members, in runs and interleaved
     values = np.random.default_rng(0).random(50 * (n - 1)).tolist()
     runs = [f"x(1)^{s + 2} + {v!r}*x(2)"
             for s in range(50) for v in values[s * (n - 1):(s + 1) * (n - 1)]]
-    ex.parse_families(runs, 2)
-    ex.parse_families([runs[s * (n - 1) + k]
-                       for k in range(n - 1) for s in range(50)], 2)
+    load_problem_text(_problem_text(runs, "minimax"))
+    load_problem_text(_problem_text([runs[s * (n - 1) + k] for k in range(
+        n - 1) for s in range(50)], "chebyshev"))
     assert compiled == []
-    ex.parse_families(runs + ["x(1)^2 + 0.5*x(2)"], 2)
+    load_problem_text(_problem_text(runs + ["x(1)^2 + 0.5*x(2)"], "minimax"))
     assert len(compiled) == 1

@@ -663,12 +663,75 @@ def _cheb_fit_text(points=400, n=4):
     return "\n".join(lines) + "\n"
 
 
-def _mutate(rng, text):
+def _minimax_fit_text(points=300):
+    """A minimax file of one shape of scenario, one line per point."""
+    lines = ["[problem] dim=2 kind=minimax"]
+    for t in np.linspace(0.1, 0.9, points).tolist():
+        lines.append(f'[scenario] f="x(1) - {t!r}*x(2)"')
+    return "\n".join(lines) + "\n"
+
+
+def _late_lines(lines):
+    """The [scenario] lines past the first ``_TEMPLATE_AT`` + 1 of their
+    family, which its line template reads once it has compiled."""
+    counts, late = {}, []
+    for i, line in enumerate(lines):
+        if line.startswith("[scenario]") and '"' in line:
+            pieces = tuple(ex._FREE_LITERAL.split(line.split('"')[1])[::2])
+            counts[pieces] = counts.get(pieces, 0) + 1
+            if counts[pieces] > pb._TEMPLATE_AT + 1:
+                late.append(i)
+    return late
+
+
+def _mutate_late(rng, lines, i):
+    """One seeded edit of line i, a line a template reads: a continuation
+    line carrying psi=, a trailing comment, a '\\r\\n' ending, a psi or an
+    f literal out of the float range, the keys swapped, a key twice, an
+    unknown key, or a psi on a line that has none."""
+    line = lines[i]
+    head, sep, psi = line.rpartition(" psi=")
+    kind = int(rng.integers(0, 9))
+    if kind == 0:
+        lines.insert(i + 1, str(rng.choice(["psi=0.25", "  psi=-1.5e-3",
+                                            "psi=1.0e999 # late"])))
+    elif kind == 1:
+        line += str(rng.choice([" # a note", " # 1.5 and 2.5", "#", "\t#x"]))
+    elif kind == 2:
+        lines[:] = [ln + "\r" for ln in lines]
+        line += "\r"
+    elif kind == 3 and sep:
+        line = head + sep + str(rng.choice(["1.0e999", "-1.0e999", "1e999"]))
+    elif kind == 4:
+        parts = ex._FREE_LITERAL.split(line.split('"')[1])
+        if len(parts) > 1:
+            k = 2 * int(rng.integers(0, len(parts) // 2)) + 1
+            parts[k] = str(rng.choice(["9.9e999", "1.5e-999"]))
+            line = line.replace(line.split('"')[1], "".join(parts))
+    elif kind == 5 and sep:
+        line = f"[scenario] psi={psi} " + head.split("] ", 1)[1]
+    elif kind == 6:
+        f_pair = line.split("] ", 1)[1].split(" psi=")[0]
+        line = str(rng.choice([line + f" {f_pair}", f"{line}{sep}{psi}"]))
+    elif kind == 7:
+        line += str(rng.choice([" g=1", ' h="x(1)"']))
+    else:
+        line += str(rng.choice([" psi=0.5", " psi=-0.0"])) * (not sep)
+    lines[i] = line
+
+
+def _mutate(rng, text, late=False):
     """One seeded edit of one line: a dropped quote, a '#' inside a value
     (and another in a trailing comment), another psi, a literal glued to
     an identifier, '..5', an Arabic-Indic digit, a no-break space, a line
-    separator or a U+001F padding."""
+    separator or a U+001F padding; with ``late``, an edit of a line a
+    line template reads (``_mutate_late``)."""
     lines = text.split("\n")
+    if late:
+        late_lines = _late_lines(lines)
+        _mutate_late(rng, lines,
+                     late_lines[int(rng.integers(0, len(late_lines)))])
+        return "\n".join(lines)
     i = int(rng.integers(0, len(lines)))
     line = lines[i]
     kind = int(rng.integers(0, 9))
@@ -710,9 +773,10 @@ def _mutate(rng, text):
 
 
 def test_loader_matches_the_frozen_parser(rng, monkeypatch):
-    """Every registry text, a 400-line Chebyshev file and seeded mutations
-    of them load to the same Problem as through the frozen passes, or fail
-    with the same error."""
+    """Every registry text, a 400-line Chebyshev file, a 300-line minimax
+    file and seeded mutations of them, some after a line template has
+    compiled, load to the same Problem as through the frozen passes, or
+    fail with the same error, section and line."""
     from conecert.registry import _FIXED, _linf_entry
     base = [e.text for e in [*_FIXED.values(), _linf_entry(3)]]
     base.append(_cheb_fit_text())
@@ -725,6 +789,18 @@ def test_loader_matches_the_frozen_parser(rng, monkeypatch):
         texts.append(text)
     for _ in range(40):
         texts.append(_mutate(rng, base[-1]))
+    # one to three edits of lines past a compiled line template, in the
+    # Chebyshev file, in a fit of t^3 (whose psi changes sign) and in a
+    # minimax file of one shape, with a psi= on one line of it
+    odd, minimax = _cheb_fit_text(n=3), _minimax_fit_text()
+    lines = minimax.split("\n")
+    lines[250] += " psi=0.5"
+    texts += [odd, "\n".join(lines)]
+    for _ in range(120):
+        text = (base[-1], odd, minimax)[int(rng.integers(0, 3))]
+        for _ in range(int(rng.integers(1, 4))):
+            text = _mutate(rng, text, late=True)
+        texts.append(text)
     errors = 0
     for text in texts:
         got = _load_outcome(load_problem_text, text)
@@ -741,6 +817,74 @@ def test_loader_matches_the_frozen_parser(rng, monkeypatch):
                      for parse in (pb._parse_number, _frozen_parse_number))
         assert (np.float64(got).tobytes() == np.float64(want).tobytes()
                 if isinstance(want, float) else got == want), value
+
+
+def test_a_long_fit_reads_its_lines_by_template(monkeypatch):
+    """Each family of a 2,001-line fit splits its lines into pairs until
+    its line template compiles; the template reads the rest."""
+    calls = []
+    real = pb._split_kv
+    monkeypatch.setattr(pb, "_split_kv",
+                        lambda *args: calls.append(args) or real(*args))
+    P = load_problem_text(_cheb_fit_text(points=2001, n=8))
+    assert len(P.scenarios) == 2001 and len(P.scenarios.families) == 2
+    assert len(calls) <= 2 * pb._TEMPLATE_AT + 2
+
+
+def _fit_lines(points=300):
+    """The lines of a Chebyshev fit and the index of a line past its first
+    family's template."""
+    lines = _cheb_fit_text(points=points).split("\n")
+    return lines, _late_lines(lines)[0]
+
+
+def test_line_template_hazards():
+    """The cases a line template must leave to the pairs: each loads as
+    the frozen passes load it, or fails as they fail."""
+    lines, i = _fit_lines()
+    head, _, psi = lines[i].rpartition(" psi=")
+    f_pair = head.split("] ", 1)[1]
+    edits = {
+        # a continuation line adds its pairs to the section of the hit
+        # before it; here its psi replaces the line's own
+        "continued": lines[:i + 1] + ["  psi=0.125"] + lines[i + 1:],
+        "comment": lines[:i] + [lines[i] + " # t = 0.5"] + lines[i + 1:],
+        "crlf": [ln + "\r" for ln in lines],
+        "psi first": lines[:i] + [f"[scenario] psi={psi} {f_pair}"]
+        + lines[i + 1:],
+        "psi out of range": lines[:i] + [head + " psi=1.0e999"]
+        + lines[i + 1:],
+        # the first bad scenario in file order raises, before or after
+        # the one whose psi is out of range
+        "bad f first": lines[:2] + ['[scenario] f="x(1) +" psi=0.5']
+        + lines[3:i] + [head + " psi=1.0e999"] + lines[i + 1:],
+        "bad f after": lines[:i] + [head + " psi=1.0e999"] + lines[i + 1:-3]
+        + ['[scenario] f="x(1) +" psi=0.5'] + lines[-2:],
+    }
+    outcomes = {}
+    for name, edited in edits.items():
+        text = "\n".join(edited)
+        outcomes[name] = _load_outcome(load_problem_text, text)
+        assert outcomes[name] == _load_outcome(_frozen_load, text), name
+    assert outcomes["continued"][2] != _load_outcome(
+        load_problem_text, "\n".join(lines))[2]
+    assert outcomes["psi out of range"] == (
+        "ProblemFormatError: psi must be finite, got '1.0e999' in "
+        f"[scenario] (line {i + 1})")
+    assert outcomes["bad f first"].endswith("in [scenario] (line 3)")
+    assert outcomes["bad f after"] == outcomes["psi out of range"]
+    for name in ("comment", "crlf", "psi first"):
+        assert not isinstance(outcomes[name], str), name
+    # psi before f on every line, equal to f's literal up to the line that
+    # compiles a template, and another value after it: no template takes
+    # the first literal for f's
+    lines = ["[problem] dim=2 kind=chebyshev"] + [
+        f'[scenario] psi={v!r} f="x(1) + {v if k <= pb._TEMPLATE_AT else 0.5}'
+        f'*x(2)"' for k, v in enumerate(np.linspace(0.1, 0.9, 300).tolist())]
+    text = "\n".join(lines)
+    P = load_problem_text(text)
+    assert _load_outcome(lambda t: P, text) == _load_outcome(_frozen_load,
+                                                             text)
 
 
 def test_free_literal_split_matches_the_frozen_pattern(rng):
