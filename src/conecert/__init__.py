@@ -13,7 +13,7 @@ from .problem import (ActiveSets, NlpEq, NlpIneq, PolyhedralSet, Problem,
 from .geometry import (GeneratorSet, PointContext, SamplingSpec,
                        TangentTester, block_distances, build_generator_set,
                        nA_generators, project_psd_neg, project_soc)
-from .linkernel import (det, lp_chebyshev_center, lp_membership, rank,
+from .linkernel import (lp_chebyshev_center, lp_membership, rank,
                         simplex_solve, solve_positive_combination)
 from .firstorder import (Cadre, CombinatorialBudgetExceeded, NotFeasible,
                          Zbasis, find_cadre, necessary_check,

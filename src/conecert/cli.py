@@ -27,7 +27,7 @@ from .oracle import TooFewFeasibleSamples, growth_probe
 from .problem import (ProblemFormatError, ToleranceSet, load_problem_file,
                       problem_to_text)
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -111,6 +111,14 @@ def _load(args):
     return problem, np.asarray(candidate, dtype=float), sampling
 
 
+def _determinants(cadre) -> str:
+    """A cadre record's determinants as text, followed by the power of ten
+    they are divided by when it is not 0."""
+    dets = ", ".join(f"{v:.9g}" for v in cadre["determinants"])
+    k = cadre["determinants_exponent"]
+    return f"[{dets}]" + (f" x 1e{k}" if k else "")
+
+
 def _print_human(report):
     out = []
     out.append(f"problem: {report['problem']['source']}  "
@@ -130,9 +138,9 @@ def _print_human(report):
         out.append(f"necessary (0 in D): {nec['zero_in_D']}")
         if nec.get("cadre"):
             c = nec["cadre"]
-            dets = ", ".join(f"{v:.9g}" for v in c["determinants"])
             out.append(f"  cadre: p={c['p']} flavor={c['flavor']} "
-                       f"complete={c['complete']}  determinants: [{dets}]")
+                       f"complete={c['complete']}  determinants: "
+                       f"{_determinants(c)}")
         if nec.get("sampling_limited"):
             out.append("  note: sampling-limited search")
     if "sufficient" in report and report["sufficient"]:
@@ -151,10 +159,9 @@ def _print_human(report):
             out.append(f"{fl['flavor']} cadre search: {word} cadre found")
             comp = fl.get("complete")
             if comp is not None:
-                dets = ", ".join(f"{v:.9g}" for v in comp["determinants"])
                 where = "" if c["complete"] else " found separately"
                 out.append(f"  complete {fl['flavor']} alternance{where}: "
-                           f"determinants [{dets}]")
+                           f"determinants {_determinants(comp)}")
             elif budget:
                 out.append(f"  complete {fl['flavor']} alternance search: "
                            "budget exhausted")
@@ -364,8 +371,7 @@ def cmd_verify_alternance(args) -> int:
         if args.json:
             print(json.dumps(payload, indent=2))
         else:
-            dets = ", ".join(f"{v:.9g}" for v in result.determinants)
-            print(f"determinants: [{dets}]")
+            print(f"determinants: {_determinants(payload['cadre'])}")
             mults = ", ".join(f"{v:.9g}" for v in result.multipliers)
             print(f"multipliers: [{mults}]")
             print(f"accepted: p={result.p} complete={result.complete}")

@@ -10,6 +10,7 @@ failed search is reported as sampling-limited rather than as a refutation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from itertools import chain, combinations, count
 
@@ -20,7 +21,7 @@ from .cones import (Record, builtin_max, distinct_rows, json_data,
                     pair_dots, row_norms, unit_rows)
 from .geometry import (GeneratorSet, PointContext, Provenance,
                        block_distances, nA_vector)
-from .linkernel import (EPS_POS, SCREEN_CHUNK, combination_system, det,
+from .linkernel import (EPS_POS, EPS_RANK, SCREEN_CHUNK, combination_system,
                         lp_chebyshev_center, lp_membership,
                         positive_combinations, rank, simplex_solve,
                         solve_positive_combination, stacked_rank)
@@ -162,16 +163,10 @@ def _combination_rows(start, stop, r: int):
 
 @dataclass(frozen=True)
 class Zbasis:
-    """d linearly independent padding vectors; canonical basis by default."""
+    """d linearly independent padding vectors; ``verify_alternance`` pads
+    with the canonical basis when it is given none."""
 
     vectors: tuple
-
-    @staticmethod
-    def canonical(d: int) -> "Zbasis":
-        return Zbasis(tuple(tuple(row) for row in np.eye(d)))
-
-    def as_arrays(self):
-        return [np.asarray(v, dtype=float) for v in self.vectors]
 
 
 @dataclass
@@ -182,7 +177,9 @@ class Cadre:
     from the cone-constraint normal cone, vectors[i0:p] from the normal
     cone of the polyhedral set.  multipliers are the positive combination
     weights (first one normalized to 1); determinants are the padded
-    d+1 alternating determinant sequence.
+    d+1 alternating determinant sequence divided by
+    10^determinants_exponent, which is 0 unless some minor is not 0 or a
+    finite normal float (see ``_minors``).
     """
 
     p: int
@@ -194,6 +191,7 @@ class Cadre:
     multipliers: np.ndarray
     padding: list
     determinants: np.ndarray
+    determinants_exponent: int
     residual: float
 
     @property
@@ -206,6 +204,7 @@ class Cadre:
             "complete": self.complete, "vectors": self.vectors,
             "provenance": self.provenance, "multipliers": self.multipliers,
             "padding": self.padding, "determinants": self.determinants,
+            "determinants_exponent": self.determinants_exponent,
             "residual": self.residual,
         })
 
@@ -228,11 +227,12 @@ def verify_alternance(vectors, k0: int | None = None, i0: int | None = None,
     """Check the alternating-determinant conditions for the given vectors.
 
     Pads with vectors from Z (chosen greedily so the trailing columns stay
-    independent), computes the d+1 determinants of the matrices that drop
-    one column each, and demands strictly alternating signs through p and
-    vanishing determinants beyond.  On success the multipliers recovered by
-    Cramer's rule are cross-checked against the positive combination
-    that ``solve_positive_combination`` finds.
+    independent), takes the d+1 determinants of the matrices that drop
+    one column each from one solve (``_alternance``), and demands
+    strictly alternating signs through p and vanishing determinants
+    beyond.  On success the multipliers the determinants give by Cramer's
+    rule are cross-checked against the positive combination that
+    ``solve_positive_combination`` finds.
     """
     vecs = [np.asarray(v, dtype=float) for v in vectors]
     p = len(vecs)
@@ -245,51 +245,105 @@ def verify_alternance(vectors, k0: int | None = None, i0: int | None = None,
     i0 = p if i0 is None else i0
     if not (1 <= k0 <= p and k0 <= i0 <= p):
         raise ValueError("need 1 <= k0 <= i0 <= p")
+    pads = np.eye(d) if Z is None else np.array(Z.vectors, dtype=float)
     return _alternance(vecs, solve_positive_combination(vecs), k0, i0,
-                       Z or Zbasis.canonical(d), eps_det, flavor, provenance)
+                       pads, eps_det, flavor, provenance)
 
 
-def _alternance(vecs, combo, k0, i0, Z, eps_det, flavor, provenance):
+def _alternance(vecs, combo, k0, i0, pads, eps_det, flavor, provenance):
     """The test of ``verify_alternance`` on valid arguments, with combo the
-    positive combination of vecs (None when there is none)."""
+    positive combination of vecs (None when there is none) and pads the
+    vectors of Z as rows.
+
+    Write V = [V_1 .. V_{d+1}] for vecs and their padding, and Delta_s for
+    det V without column s.  The tail V_2 .. V_{d+1} is nonsingular, so
+    V z = 0 has one solution with z_1 = 1, and by Cramer's rule
+    Delta_s = (-1)^(s-1) z_s Delta_1: one solve gives every minor, and
+    one ``slogdet`` Delta_1 as a sign and a logarithm.  Delta_s
+    alternates in sign exactly when z_s > 0, so the sign test runs on z,
+    relative to max|z|, whatever the scale of the vectors: z_s must
+    exceed eps_det max|z| for s <= p, and |z_s| must not for s > p."""
     p, d = len(vecs), len(vecs[0])
-    # greedy padding keeping V_2..V_{d+1} linearly independent
-    padding = _greedy_independent(Z.as_arrays(), vecs[1:])
-    tail = vecs[1:] + padding
-    if len(tail) != d or rank(np.column_stack(tail)) < d:
+    tail = _padded_tail(np.array(vecs[1:]).reshape(p - 1, d).T, pads)
+    if tail is None:
         return AlternanceFailure("RankDeficient")
-
-    cols = [vecs[0]] + tail  # V_1 .. V_{d+1}
-    deltas = np.empty(d + 1)
-    for s in range(d + 1):
-        M = np.column_stack([cols[j] for j in range(d + 1) if j != s])
-        deltas[s] = det(M)
-
-    scale = max(1.0, float(np.max(np.abs(deltas))))
-    thresh = eps_det * scale
-    for s in range(p):
-        if abs(deltas[s]) <= thresh:
+    T, padding = tail
+    z = [1.0, *np.linalg.solve(T, -vecs[0]).tolist()]
+    # written so that a NaN, or an overflow to inf, fails each test
+    top = max(map(abs, z))
+    for s, zs in enumerate(z):
+        if s < p and not zs > eps_det * top:
             return AlternanceFailure("SignPatternViolated", s + 1)
-        if s > 0 and np.sign(deltas[s]) != -np.sign(deltas[s - 1]):
-            return AlternanceFailure("SignPatternViolated", s + 1)
-    for s in range(p, d + 1):
-        if abs(deltas[s]) > thresh:
+        if s >= p and not abs(zs) <= eps_det * top:
             return AlternanceFailure("NonzeroTailDeterminant", s + 1)
-
-    beta = np.array([(-1) ** s * deltas[s] / deltas[0] for s in range(p)])
-    beta[0] = 1.0
-    if combo is None:
+    if combo is None or any(abs(c - b) / max(b, 1.0) > 1e-8
+                            for c, b in zip(combo.tolist(), z)):
         return AlternanceFailure("MultiplierMismatch")
-    denom = np.maximum(np.abs(beta), 1.0)
-    if np.max(np.abs(combo - beta) / denom) > 1e-8:
-        return AlternanceFailure("MultiplierMismatch")
+    deltas, exponent = _minors(z, top, *np.linalg.slogdet(T))
     residual = float(np.linalg.norm(
         np.column_stack(vecs) @ combo))
     if provenance is None:
         provenance = [Provenance("unspecified")] * p
     return Cadre(p=p, k0=k0, i0=i0, flavor=flavor, vectors=vecs,
                  provenance=list(provenance), multipliers=combo,
-                 padding=padding, determinants=deltas, residual=residual)
+                 padding=padding, determinants=deltas,
+                 determinants_exponent=exponent, residual=residual)
+
+
+def _padded_tail(S, pads):
+    """(T, padding): T = [S, padding], d x d, where padding is the rows of
+    pads, in order, that keep the columns of T independent; None when the
+    columns of S are dependent or the rows cannot complete them.  A
+    vector counts as independent of the ones before it when its residual
+    off their span exceeds EPS_RANK times its norm.
+
+    Each round takes one QR of the columns kept so far, S first, followed
+    by the rows of pads not yet decided.  The diagonal of R holds each
+    column's residual off the span of the columns before it, exact up to
+    the first column that fails: the rows before that one are kept, that
+    one is dropped, and so is every later row whose residual off the
+    span of the columns kept before the round (the norm of its column of
+    R below them) fails, as the span only grows.  The next round starts
+    after the dropped row.  S of d columns takes one QR and no row."""
+    d, k = S.shape
+    cols, left = S, np.arange(len(pads) if k < d else 0)
+    while True:
+        n = cols.shape[1]
+        M = np.hstack([cols, pads[left].T])
+        # R in the upper triangle of h.T, the reflectors below it
+        h = np.linalg.qr(M, mode="raw")[0]
+        bound = EPS_RANK * np.linalg.norm(M, axis=0)
+        ok = (np.abs(h.diagonal()) > bound[:d]).tolist()
+        if not all(ok[:k]):
+            return None
+        # the first row that fails; the kept ones passed in their round
+        j = next((i for i in range(n, len(ok)) if not ok[i]), len(ok))
+        if j == d:
+            return M[:, :d], list(M[:, k:d].T)
+        live = np.linalg.norm(np.triu(h.T[n:, n:]), axis=0) > bound[n:]
+        cols, left = M[:, :j], left[j - n + 1:][live[j - n + 1:]]
+        if not len(left):
+            return None
+
+
+def _minors(z, top, sign, logdet):
+    """(determinants, k): the minors Delta_s = (-1)^(s-1) z_s Delta_1,
+    with Delta_1 = sign exp(logdet) and top = max|z|, divided by 10^k.
+    k is 0 when every minor is 0 or a finite normal float, so such
+    minors are reported as they are; otherwise it is the power of ten of
+    the largest minor, floor(log10 max|Delta_s|), taken in logarithms,
+    so no minor overflows or underflows unseen.  No minor is -0.0."""
+    sign, logdet = float(sign), float(logdet)
+    signed = [sign * (-zs if s % 2 else zs) for s, zs in enumerate(z)]
+    k = math.floor(math.log10(top) + logdet / math.log(10))
+    if k < 308:
+        # the largest minor is below 10^308: none overflows
+        delta_1 = math.exp(logdet)
+        deltas = [zs * delta_1 for zs in signed]
+        if all(abs(delta) >= sys.float_info.min or zs == 0
+               for zs, delta in zip(signed, deltas)):
+            return np.array(deltas) + 0.0, 0
+    return np.array(signed) * 10.0 ** (logdet / math.log(10) - k) + 0.0, k
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +514,12 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
     # the positivity screen's slices double over the search, so a cadre
     # found early costs few null vectors and a long search few SVD calls
     widths = (4 << k for k in count())
-    Z = Zbasis.canonical(G.d)
+    pads = np.eye(G.d)
     for (p, k0, e), block in _prefix_walk(stacked, groups, budget):
         for sub, beta in _rank_screen(stacked, block, p, widths):
             vecs = [pool[i] for i in sub]
-            result = _alternance(vecs, beta, k0, k0 + e, Z, eps_det, flavor,
-                                 [pool_prov[i] for i in sub])
+            result = _alternance(vecs, beta, k0, k0 + e, pads, eps_det,
+                                 flavor, [pool_prov[i] for i in sub])
             if isinstance(result, Cadre) and _independent_prefixes(vecs):
                 return result
     return None
@@ -615,8 +669,9 @@ def witness_from_json(P: Problem, data) -> MultiplierWitness:
 def reverify_report(P: Problem, report: dict, eps: float = 1e-8) -> dict:
     """Re-check the witnesses attached to a serialized report.
 
-    Recomputes the cadre combination residual and determinant sequence and
-    the multiplier stationarity residual from scratch; used by the JSON
+    Recomputes the cadre combination residual and determinant sequence,
+    on the report's power of ten, and the multiplier stationarity
+    residual from scratch; used by the JSON
     round-trip tests and by consumers of stored reports."""
     x = np.asarray(report["candidate"], dtype=float)
     out = {"ok": True, "checks": []}
@@ -628,9 +683,15 @@ def reverify_report(P: Problem, report: dict, eps: float = 1e-8) -> dict:
         scale = max(1.0, max(np.linalg.norm(v) for v in vecs))
         again = verify_alternance(vecs, k0=data["k0"], i0=data["i0"],
                                   flavor=data["flavor"])
-        dets_match = (isinstance(again, Cadre) and np.allclose(
-            again.determinants, data["determinants"], atol=1e-7,
-            rtol=1e-7))
+        # the two may round the largest minor to either side of a power
+        # of ten; a report before schema 5 has no exponent and its
+        # minors as they are
+        shift = (again.determinants_exponent
+                 - data.get("determinants_exponent", 0)
+                 if isinstance(again, Cadre) else math.inf)
+        dets_match = abs(shift) <= 1 and np.allclose(
+            again.determinants * 10.0 ** shift, data["determinants"],
+            atol=1e-7, rtol=1e-7)
         return resid <= eps * scale and dets_match, resid
 
     nec = report.get("necessary") or {}

@@ -27,21 +27,11 @@ import numpy as np
 from .cones import axis_directions
 
 __all__ = [
-    "det", "rank", "stacked_rank", "SCREEN_CHUNK",
+    "rank", "stacked_rank", "SCREEN_CHUNK",
     "solve_positive_combination", "positive_combinations",
     "LpResult", "Tableau", "simplex_solve",
     "combination_system", "lp_membership", "lp_chebyshev_center",
 ]
-
-
-def det(M) -> float:
-    """Determinant via LU with partial pivoting."""
-    M = np.asarray(M, dtype=float)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("det requires a square matrix")
-    if M.size == 0:
-        return 1.0
-    return float(np.linalg.det(M))
 
 
 # matrices per stacked rank screen in the subset enumerations: large
@@ -68,6 +58,10 @@ VOLUME_RATIO = 1e-8
 # subnormals or the largest overflow to inf, and its rank is not the one
 # the volume proves
 VOLUME_RANGE = (1e-250, 1e250)
+# _svd_ranks takes a matrix's singular values as LAPACK gives them when
+# the largest lies in this band, where LAPACK does not rescale the matrix
+# and a power-of-two scaling of it would scale every step exactly
+SVD_RANGE = (2.0 ** -400, 2.0 ** 400)
 # positive_combinations: residual bound (relative to the largest vector
 # norm, at least 1) and the least multiplier that counts as positive
 EPS_RESIDUAL = 1e-8
@@ -120,13 +114,26 @@ def _full_volume(flat):
 
 
 def _svd_ranks(stack):
-    """Ranks of the stacked matrices from their singular values alone."""
+    """Ranks of the stacked matrices from their singular values alone.
+    A matrix whose largest singular value lies outside SVD_RANGE, but is
+    not 0, is divided by the power of two of its largest |entry| and
+    decomposed again: its largest singular value could have overflowed
+    to inf, which leaves no finite one above the test, or lie among the
+    subnormals, where LAPACK's singular values lose the rank."""
     sigma = np.linalg.svd(stack, compute_uv=False)
+    top = sigma[..., 0]
+    if not SVD_RANGE[0] <= top.min() <= top.max() <= SVD_RANGE[1]:
+        off = (top != 0) & ~((top >= SVD_RANGE[0]) & (top <= SVD_RANGE[1]))
+        again = stack[off]
+        scale = np.abs(again).max(axis=(-2, -1), keepdims=True)
+        sigma[off] = np.linalg.svd(np.ldexp(again, -np.frexp(scale)[1]),
+                                   compute_uv=False)
     return np.sum(sigma > EPS_RANK * sigma[..., :1], axis=-1)
 
 
 def rank(M) -> int:
-    """Number of singular values above EPS_RANK * sigma_max, from one SVD;
+    """Number of singular values above EPS_RANK * sigma_max, from one SVD
+    (two at the ends of the float range, see ``_svd_ranks``);
     ``stacked_rank`` gives each matrix of a stack this rank."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:

@@ -103,7 +103,8 @@ def test_check_sdp_128_decides_full_rank_subsets_by_volume(monkeypatch):
     assert (cadre["p"], cadre["k0"], cadre["complete"]) == (4, 2, True)
     assert cadre["vectors"] == [[-3.0, -3.0, -2.0], [0.0, 0.0, 2.0],
                                 [1.0, 2.0, 0.0], [2.0, -2.0, -1.0]]
-    assert cadre["determinants"] == [-12.0, 15.0, -23.999999999999993, 6.0]
+    assert cadre["determinants"] == [-12.0, 15.0, -24.0, 6.0]
+    assert cadre["determinants_exponent"] == 0
     assert report["flavor_search"]["complete"]["determinants"] == \
         cadre["determinants"]
     assert 0 < sum(matrices) < 1000
@@ -176,7 +177,7 @@ def test_json_report_roundtrip_and_reverify(tmp_path):
                            "--json", "--out", str(out_path))
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == 4
+    assert report["schema"] == 5
     assert report["exit_code"] == 0
     assert json.loads(out_path.read_text()) == report
     # one encoding, printed with a newline and written without one
@@ -265,6 +266,29 @@ def test_verify_alternance_fixtures():
     code, out, _ = run_cli("verify-alternance", "--vectors", "1,0;1,0")
     assert code == 2
     assert "rejected" in out
+
+
+def test_verify_alternance_reports_minors_out_of_range_by_power_of_ten():
+    """Minors of about 10^450 and 10^-330 are printed divided by a power
+    of ten, which the text names and the JSON holds; minors in range are
+    printed as they are, with exponent 0."""
+    code, out, _ = run_cli("verify-alternance", "--vectors",
+                           "-1e150,-1e150,-1e150;1e150,0,0;0,1e150,0;"
+                           "0,0,1e150", "--json")
+    assert code == 0
+    cadre = json.loads(out)["cadre"]
+    k = cadre["determinants_exponent"]
+    assert k in (449, 450)
+    np.testing.assert_allclose(np.array(cadre["determinants"]) * 10.0 ** (
+        k - 450), [1, -1, 1, -1], rtol=1e-12)
+    code, out, _ = run_cli("verify-alternance", "--vectors",
+                           "-1e-110,-1e-110,-1e-110;1e-110,0,0;0,1e-110,0;"
+                           "0,0,1e-110")
+    assert code == 0
+    assert "determinants: [1, -1, 1, -1] x 1e-330" in out
+    code, out, _ = run_cli("verify-alternance", "--vectors",
+                           "5,1;-5,1;0,-2", "--json")
+    assert json.loads(out)["cadre"]["determinants_exponent"] == 0
 
 
 def test_verify_alternance_malformed_input():

@@ -94,6 +94,14 @@ def test_verify_nonzero_tail():
     assert isinstance(res, fo.AlternanceFailure)
 
 
+def test_verify_tail_test_is_relative_to_the_largest_minor():
+    """Minors -1e-3, 1e-3, -1e-10: the last is 1e-7 of the largest, so
+    not 0 under eps_det = 1e-8, though below eps_det itself (the old
+    absolute floor, which let it pass to the multiplier check)."""
+    res = fo.verify_alternance([(1e-3, -1e-7), (-1e-3, 0)])
+    assert (res.reason, res.index) == ("NonzeroTailDeterminant", 3)
+
+
 def test_verify_p1_zero_vector():
     res = fo.verify_alternance([(0.0, 0.0, 0.0)], k0=1, i0=1)
     assert isinstance(res, fo.Cadre)
@@ -123,6 +131,162 @@ def test_z_invariance(rng):
         if isinstance(a, fo.Cadre):
             np.testing.assert_allclose(a.multipliers, b.multipliers,
                                        rtol=1e-7, atol=1e-10)
+
+
+def _per_minor_alternance(vecs, combo, eps_det=1e-8):
+    """The alternance test as it was when each minor had its own
+    determinant, frozen: the canonical padding picked by one SVD rank per
+    candidate, the d+1 determinants of V less one column each, and the
+    sign tests against eps_det max(1, max|Delta|).  Returns ("Cadre",
+    padding, determinants) or (reason, index)."""
+    p, d = len(vecs), len(vecs[0])
+
+    def rank(cols):
+        sigma = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+        return int(np.sum(sigma > 1e-9 * sigma[0]))
+    chosen, padding = list(vecs[1:]), []
+    for v in np.eye(d):
+        if len(chosen) == d:
+            break
+        if rank(chosen + [v]) == len(chosen) + 1:
+            chosen.append(v)
+            padding.append(v)
+    if len(chosen) != d or rank(chosen) < d:
+        return "RankDeficient", None
+    cols = [vecs[0]] + chosen
+    deltas = np.array([np.linalg.det(np.column_stack(cols[:s] + cols[s + 1:]))
+                       for s in range(d + 1)])
+    thresh = eps_det * max(1.0, float(np.max(np.abs(deltas))))
+    for s in range(p):
+        if abs(deltas[s]) <= thresh or (
+                s > 0 and np.sign(deltas[s]) != -np.sign(deltas[s - 1])):
+            return "SignPatternViolated", s + 1
+    for s in range(p, d + 1):
+        if abs(deltas[s]) > thresh:
+            return "NonzeroTailDeterminant", s + 1
+    beta = np.array([(-1) ** s * deltas[s] / deltas[0] for s in range(p)])
+    beta[0] = 1.0
+    if combo is None or np.max(np.abs(combo - beta)
+                               / np.maximum(np.abs(beta), 1.0)) > 1e-8:
+        return "MultiplierMismatch", None
+    return "Cadre", padding, deltas
+
+
+def _alternance_sets(rng):
+    """(kind, vectors) of 1 to d+1 vectors in R^d, d <= 12, whose minors
+    are of order 1: a positive combination of Gaussian vectors (a cadre),
+    one with a negative weight (a sign violation), independent Gaussian
+    vectors (a nonzero tail or a sign violation), a Gaussian set with a
+    repeated vector (rank deficient), and integer vectors in {-1, 0, 1}
+    summing to 0, mostly zeros, whose padding must skip the unit vectors
+    they span."""
+    for d in range(1, 13):
+        for p in range(1, d + 2):
+            for kind in ("positive", "negative weight", "independent",
+                         "repeated", "integer"):
+                tail = rng.standard_normal((p - 1, d))
+                beta = rng.uniform(0.5, 2.0, p - 1)
+                if kind == "negative weight":
+                    if p < 3:
+                        continue
+                    beta[rng.integers(p - 1)] *= -1.0
+                if kind == "independent":
+                    if p > d:
+                        continue
+                    yield kind, list(rng.standard_normal((p, d)))
+                    continue
+                if kind == "repeated":
+                    if p < 3:
+                        continue
+                    tail[-1] = tail[0]
+                if kind == "integer":
+                    tail = rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0], (p - 1, d))
+                    beta = np.ones(p - 1)
+                yield kind, [-(beta @ tail)] + list(tail)
+
+
+def test_alternance_matches_the_per_minor_test():
+    """On sets whose minors are of order 1, the test from one solve takes
+    every decision that the per-minor test took: the same result type,
+    failure reason and index, the same padding, and determinants within
+    1e-12 of the largest."""
+    rng = np.random.default_rng(34)
+    kinds = Counter()
+    for kind, vecs in _alternance_sets(rng):
+        d = len(vecs[0])
+        combo = solve_positive_combination(vecs)
+        old = _per_minor_alternance(vecs, combo)
+        new = fo._alternance(vecs, combo, len(vecs), len(vecs),
+                             np.eye(d), 1e-8, "plain", None)
+        if isinstance(new, fo.Cadre):
+            assert old[0] == "Cadre", (kind, vecs, old)
+            assert new.determinants_exponent == 0
+            assert np.array_equal(np.array(new.padding).reshape(-1, d),
+                                  np.array(old[1]).reshape(-1, d))
+            scale = np.max(np.abs(old[2]))
+            assert np.max(np.abs(new.determinants - old[2])) <= 1e-12 * scale
+            skipped = not np.array_equal(old[1], np.eye(d)[:len(old[1])])
+            kinds[kind, "padding skips a unit vector"] += skipped
+        else:
+            assert (new.reason, new.index) == old, (kind, vecs)
+        kinds[kind, old[0]] += 1
+    for kind in ("positive", "integer"):
+        assert kinds[kind, "Cadre"] > 50
+    assert kinds["negative weight", "SignPatternViolated"] > 50
+    assert kinds["independent", "NonzeroTailDeterminant"] > 20
+    assert kinds["repeated", "RankDeficient"] > 50
+    assert kinds["integer", "RankDeficient"] >= 5
+    assert kinds["integer", "padding skips a unit vector"] > 20
+
+
+def _simplex_text(d: int, scale: str) -> str:
+    """The simplex family at 0: scenarios S*x(i) and -S*(x(1)+...+x(d)),
+    whose d+1 gradients form a complete cadre with minors of size S^d."""
+    rows = [f"[problem] dim={d}"]
+    rows += [f'[scenario] f="{scale}*x({i})"' for i in range(1, d + 1)]
+    total = " + ".join(f"x({i})" for i in range(1, d + 1))
+    rows.append(f'[scenario] f="-{scale}*({total})"')
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", ["0.001", "0.1", "1", "10", "1000"])
+def test_simplex_family_keeps_its_complete_cadre_at_any_scale(tmp_path,
+                                                              scale):
+    """At d = 110 the minors are about S^110, out of the float range at
+    S = 10^-3 and 10^3 and below the old absolute threshold at 0.1; the
+    sign test on the null vector keeps the complete cadre at every S,
+    with no warning, and its determinants stay finite, divided by a
+    power of ten outside the range."""
+    d = 110
+    path = tmp_path / "simplex.prob"
+    path.write_text(_simplex_text(d, scale), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check", "--file", str(path), "--at",
+                         ",".join(["0"] * d), "--json"])
+    assert code == cli.EXIT_OK
+    report = json.loads(out.getvalue())
+    assert fo.reverify_report(load_problem_file(str(path)), report)["ok"]
+    cadre = report["necessary"]["cadre"]
+    assert (cadre["p"], cadre["complete"]) == (d + 1, True)
+    dets = np.array(cadre["determinants"])
+    assert np.all(np.isfinite(dets))
+    # Delta_s = (-1)^(s-1) S^d, up to rounding: all equal in size
+    np.testing.assert_allclose(np.abs(dets), np.abs(dets[0]), rtol=1e-9)
+    assert np.all(dets[::2] > 0) and np.all(dets[1::2] < 0)
+    k = cadre["determinants_exponent"]
+    size = d * math.log10(float(scale))
+    assert math.log10(abs(dets[0])) + k == pytest.approx(size, abs=1e-9)
+    # in range as they are; out of range with a lead digit in [1, 10)
+    if abs(size) < 300:
+        assert k == 0
+    else:
+        assert k != 0 and 1 <= abs(dets[0]) < 10
+    # the re-check reads the minors on the report's power of ten
+    cadre["determinants_exponent"] += 2
+    assert not fo.reverify_report(None, {"candidate": [0.0] * d,
+                                         "necessary": {"cadre": cadre}})["ok"]
 
 
 # ---------------------------------------------------------------------------

@@ -12,26 +12,40 @@ from conecert.geometry import PointContext
 from test_combination import _assert_same_solve, _ref_kept_solve
 
 
-def test_det_examples():
-    assert lk.det([[-1, -2], [-1, 1]]) == pytest.approx(-3.0, abs=1e-12)
-    assert lk.det(np.eye(4)) == pytest.approx(1.0)
-    assert lk.det([[5, -5], [1, 1]]) == pytest.approx(10.0, abs=1e-12)
-
-
-def test_det_column_permutation_parity(rng):
-    for _ in range(100):
-        n = int(rng.integers(2, 5))
-        M = rng.standard_normal((n, n))
-        perm = rng.permutation(n)
-        parity = np.linalg.det(np.eye(n)[:, perm])  # +1 or -1
-        assert lk.det(M[:, perm]) == pytest.approx(parity * lk.det(M),
-                                                   rel=1e-9, abs=1e-12)
-
-
 def test_rank_examples():
     assert lk.rank(np.column_stack([(5, 1), (-5, 1), (0, -2)])) == 2
     assert lk.rank(np.zeros((3, 3))) == 0
     assert lk.rank(np.column_stack([(1, 0, 0), (0, 1, 0), (1, 1, 0)])) == 2
+
+
+def _svd_rank(M) -> int:
+    """The EPS_RANK rank of M from the SVD of M divided by the power of
+    two of its largest |entry|, which has M's singular values scaled
+    exactly within the float range."""
+    M = np.ldexp(M, -np.frexp(np.abs(M).max())[1])
+    one = np.linalg.svd(M, compute_uv=False)
+    return 0 if one[0] <= 0 else int(np.sum(one > 1e-9 * one[0]))
+
+
+def test_rank_at_the_ends_of_the_float_range(rng):
+    """A matrix whose largest singular value would overflow, and one of
+    subnormal entries, get their exact ranks: each is scaled by a power
+    of two before its SVD."""
+    assert lk.rank([[1.5e308, 0], [0, 1.5e308], [1e308, 1e308]]) == 2
+    assert lk.stacked_rank(np.array(
+        [[[1.5e308, 0], [0, 1.5e308], [1e308, 1e308]]])).tolist() == [2]
+    tiny = np.finfo(float).smallest_subnormal
+    assert lk.rank(tiny * np.array([[1.0, 0], [0, 1], [1, 1]])) == 2
+    assert lk.rank(tiny * np.array([[3.0, 6], [1, 2]])) == 1
+    # integer matrices scaled into the subnormals, every entry exact:
+    # the scaled SVD reads the integer matrix's rank
+    for _ in range(200):
+        d, p = rng.integers(2, 6, 2)
+        M = rng.integers(-4, 5, (d, p)).astype(float)
+        M[:, -1] = M[:, 0]                          # rank below p
+        exact = lk.rank(M)
+        assert lk.rank(M * tiny) == exact
+        assert lk.rank(M * 2.0 ** 1020) == exact
 
 
 def test_stacked_rank_matches_one_matrix_at_a_time(rng):
@@ -48,9 +62,7 @@ def test_stacked_rank_matches_one_matrix_at_a_time(rng):
         ranks = lk.stacked_rank(pool[idx].transpose(0, 2, 1))
         for sub, r in zip(idx, ranks):
             M = np.column_stack([pool[i] for i in sub])
-            one = np.linalg.svd(M, compute_uv=False)
-            expected = 0 if one[0] <= 0 else int(np.sum(one > 1e-9 * one[0]))
-            assert r == expected == lk.rank(M)
+            assert r == _svd_rank(M) == lk.rank(M)
 
 
 def _volume_stacks(rng):
@@ -91,16 +103,15 @@ def _volume_stacks(rng):
 @pytest.mark.filterwarnings("error")
 def test_stacked_rank_volume_decisions_match_the_svd():
     """Whether its volume decides a matrix or the SVD does, stacked_rank
-    gives every matrix the rank of its own SVD: near the thresholds, at
+    gives every matrix the rank of its own SVD, scaled by a power of two
+    (``_svd_rank``): near the thresholds, at
     extreme and mixed column scales, on integer, zero-heavy and subnormal
     matrices and near the largest float, with no warning."""
     rng = np.random.default_rng(18)
     for name, S in _volume_stacks(rng):
         ranks = lk.stacked_rank(S)
         for M, r in zip(S, ranks):
-            one = np.linalg.svd(M, compute_uv=False)
-            expected = 0 if one[0] <= 0 else int(np.sum(one > 1e-9 * one[0]))
-            assert r == expected, (name, M)
+            assert r == _svd_rank(M), (name, M)
 
 
 def test_stacked_rank_decides_wide_stacks_by_volume(monkeypatch, rng):

@@ -64,6 +64,7 @@ def _cadre_to_json(self):
         "multipliers": [float(b) for b in self.multipliers],
         "padding": [list(map(float, v)) for v in self.padding],
         "determinants": [float(x) for x in self.determinants],
+        "determinants_exponent": self.determinants_exponent,
         "residual": self.residual,
     }
 
