@@ -297,19 +297,22 @@ def _padded_tail(S, pads):
     vector counts as independent of the ones before it when its residual
     off their span exceeds EPS_RANK times its norm.
 
-    Each round takes one QR of the columns kept so far, S first, followed
-    by the rows of pads not yet decided.  The diagonal of R holds each
-    column's residual off the span of the columns before it, exact up to
-    the first column that fails: the rows before that one are kept, that
-    one is dropped, and so is every later row whose residual off the
-    span of the columns kept before the round (the norm of its column of
-    R below them) fails, as the span only grows.  The next round starts
-    after the dropped row.  S of d columns takes one QR and no row."""
+    The test runs on every vector divided by the power of two of its
+    largest |entry|.  That scaling is exact and leaves the test as it
+    is, but no norm or QR step then overflows or underflows, whatever
+    the scale of the vectors.  Each round takes one QR of the columns
+    kept so far, S first, followed by the rows of pads not yet decided.
+    The diagonal of R holds each column's residual off the span of the
+    columns before it, exact up to the first column that fails: the rows
+    before that one are kept, that one is dropped, and the next round
+    starts after it.  S of d columns takes one QR and no row."""
     d, k = S.shape
-    cols, left = S, np.arange(len(pads) if k < d else 0)
+    cols, left = _unit_columns(S), np.arange(len(pads) if k < d else 0)
+    units = _unit_columns(pads.T) if len(left) else None
+    kept = []
     while True:
         n = cols.shape[1]
-        M = np.hstack([cols, pads[left].T])
+        M = np.hstack([cols, units[:, left]]) if len(left) else cols
         # R in the upper triangle of h.T, the reflectors below it
         h = np.linalg.qr(M, mode="raw")[0]
         bound = EPS_RANK * np.linalg.norm(M, axis=0)
@@ -318,12 +321,19 @@ def _padded_tail(S, pads):
             return None
         # the first row that fails; the kept ones passed in their round
         j = next((i for i in range(n, len(ok)) if not ok[i]), len(ok))
+        kept.extend(left[:j - n].tolist())
         if j == d:
-            return M[:, :d], list(M[:, k:d].T)
-        live = np.linalg.norm(np.triu(h.T[n:, n:]), axis=0) > bound[n:]
-        cols, left = M[:, :j], left[j - n + 1:][live[j - n + 1:]]
+            padding = pads[kept]
+            return np.hstack([S, padding.T]), list(padding)
+        cols, left = M[:, :j], left[j - n + 1:]
         if not len(left):
             return None
+
+
+def _unit_columns(A):
+    """A with each column divided by the power of two of its largest
+    |entry|, so that entry lies in [1/2, 1); a zero column stays 0."""
+    return np.ldexp(A, -np.frexp(np.abs(A).max(axis=0))[1])
 
 
 def _minors(z, top, sign, logdet):
@@ -335,14 +345,16 @@ def _minors(z, top, sign, logdet):
     so no minor overflows or underflows unseen.  No minor is -0.0."""
     sign, logdet = float(sign), float(logdet)
     signed = [sign * (-zs if s % 2 else zs) for s, zs in enumerate(z)]
-    k = math.floor(math.log10(top) + logdet / math.log(10))
-    if k < 308:
-        # the largest minor is below 10^308: none overflows
+    try:
         delta_1 = math.exp(logdet)
-        deltas = [zs * delta_1 for zs in signed]
-        if all(abs(delta) >= sys.float_info.min or zs == 0
-               for zs, delta in zip(signed, deltas)):
-            return np.array(deltas) + 0.0, 0
+    except OverflowError:
+        delta_1 = math.inf
+    # Delta_1 itself (z_1 = 1) fails the test when it is inf
+    deltas = [zs * delta_1 for zs in signed]
+    if all(zs == 0 or sys.float_info.min <= abs(delta) <= sys.float_info.max
+           for zs, delta in zip(signed, deltas)):
+        return np.array(deltas) + 0.0, 0
+    k = math.floor(math.log10(top) + logdet / math.log(10))
     return np.array(signed) * 10.0 ** (logdet / math.log(10) - k) + 0.0, k
 
 

@@ -58,10 +58,6 @@ VOLUME_RATIO = 1e-8
 # subnormals or the largest overflow to inf, and its rank is not the one
 # the volume proves
 VOLUME_RANGE = (1e-250, 1e250)
-# _svd_ranks takes a matrix's singular values as LAPACK gives them when
-# the largest lies in this band, where LAPACK does not rescale the matrix
-# and a power-of-two scaling of it would scale every step exactly
-SVD_RANGE = (2.0 ** -400, 2.0 ** 400)
 # positive_combinations: residual bound (relative to the largest vector
 # norm, at least 1) and the least multiplier that counts as positive
 EPS_RESIDUAL = 1e-8
@@ -115,25 +111,20 @@ def _full_volume(flat):
 
 def _svd_ranks(stack):
     """Ranks of the stacked matrices from their singular values alone.
-    A matrix whose largest singular value lies outside SVD_RANGE, but is
-    not 0, is divided by the power of two of its largest |entry| and
-    decomposed again: its largest singular value could have overflowed
-    to inf, which leaves no finite one above the test, or lie among the
-    subnormals, where LAPACK's singular values lose the rank."""
-    sigma = np.linalg.svd(stack, compute_uv=False)
-    top = sigma[..., 0]
-    if not SVD_RANGE[0] <= top.min() <= top.max() <= SVD_RANGE[1]:
-        off = (top != 0) & ~((top >= SVD_RANGE[0]) & (top <= SVD_RANGE[1]))
-        again = stack[off]
-        scale = np.abs(again).max(axis=(-2, -1), keepdims=True)
-        sigma[off] = np.linalg.svd(np.ldexp(again, -np.frexp(scale)[1]),
-                                   compute_uv=False)
+    Each matrix is first divided by the power of two of its largest
+    |entry|, which scales its singular values exactly: unscaled, the
+    largest could overflow to inf, which leaves no finite one above the
+    test, or lie among the subnormals, where LAPACK's singular values
+    lose the rank."""
+    scale = np.abs(stack).max(axis=(-2, -1), keepdims=True)
+    sigma = np.linalg.svd(np.ldexp(stack, -np.frexp(scale)[1]),
+                          compute_uv=False)
     return np.sum(sigma > EPS_RANK * sigma[..., :1], axis=-1)
 
 
 def rank(M) -> int:
     """Number of singular values above EPS_RANK * sigma_max, from one SVD
-    (two at the ends of the float range, see ``_svd_ranks``);
+    (of M scaled by a power of two, see ``_svd_ranks``);
     ``stacked_rank`` gives each matrix of a stack this rank."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
@@ -171,14 +162,24 @@ def positive_combinations(stack):
     when their solution misses the residual test, beta = n / n_1 takes
     its place and must pass the same test.  Every multiplier must then
     exceed EPS_POS.  Each step works on each matrix alone, so a matrix
-    gets the same multipliers, bit for bit, in any stack."""
+    gets the same multipliers, bit for bit, in any stack.  Each matrix,
+    and the bound's floor 1 with it, is divided by the power of two of
+    its largest |entry| first: that scales every step exactly but the
+    shift of a singular normal matrix, and no norm or normal equation
+    then overflows or underflows."""
     stack = np.ascontiguousarray(stack, dtype=float)
     p = stack.shape[2]
     out = np.full((len(stack), p), np.nan)
     if not len(stack):
         return out
+    shift = -np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
+    stack = np.ldexp(stack, shift[:, None, None])
+    # the floor overflows to inf only for subnormal matrices, whose every
+    # residual lies below it unscaled
+    with np.errstate(over="ignore"):
+        floor = np.ldexp(1.0, shift)
     tol = EPS_RESIDUAL * np.maximum(
-        1.0, np.linalg.norm(stack, axis=1).max(axis=1))
+        floor, np.linalg.norm(stack, axis=1).max(axis=1))
     if p == 1:
         out[np.linalg.norm(stack[..., 0], axis=1) <= tol] = 1.0
         return out

@@ -270,8 +270,11 @@ def test_verify_alternance_fixtures():
 
 def test_verify_alternance_reports_minors_out_of_range_by_power_of_ten():
     """Minors of about 10^450 and 10^-330 are printed divided by a power
-    of ten, which the text names and the JSON holds; minors in range are
-    printed as they are, with exponent 0."""
+    of ten, which the text names and the JSON holds; minors in range,
+    up to the largest float, are printed as they are, with exponent 0.
+    Vectors whose squares overflow (1e160) or underflow (1e-170) are
+    tested as at scale 1, with no warning: a tail of two vectors
+    dependent up to rounding is RankDeficient."""
     code, out, _ = run_cli("verify-alternance", "--vectors",
                            "-1e150,-1e150,-1e150;1e150,0,0;0,1e150,0;"
                            "0,0,1e150", "--json")
@@ -289,6 +292,33 @@ def test_verify_alternance_reports_minors_out_of_range_by_power_of_ten():
     code, out, _ = run_cli("verify-alternance", "--vectors",
                            "5,1;-5,1;0,-2", "--json")
     assert json.loads(out)["cadre"]["determinants_exponent"] == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for vectors, minors in [("1.5e308;-1.5e308", [-1.5e308, 1.5e308]),
+                                ("1.2e154,0;0,1.2e154;-1.2e154,-1.2e154",
+                                 [1.44e308, -1.44e308, 1.44e308])]:
+            code, out, _ = run_cli("verify-alternance", "--vectors",
+                                   vectors, "--json")
+            cadre = json.loads(out)["cadre"]
+            assert code == 0 and cadre["determinants_exponent"] == 0
+            # exp(log det), as numpy's det takes it, is off by ~700 ulps
+            np.testing.assert_allclose(cadre["determinants"], minors,
+                                       rtol=1e-12)
+        for one, exact in [(1e160, 480), (1e-170, -510)]:
+            code, out, _ = run_cli("verify-alternance", "--vectors", ";".join(
+                ",".join(repr(c * one) for c in v) for v in
+                [(-1, -1, -1), (1, 0, 0), (0, 1, 0), (0, 0, 1)]), "--json")
+            assert code == 0
+            cadre = json.loads(out)["cadre"]
+            k = cadre["determinants_exponent"]
+            assert k in (exact - 1, exact)
+            np.testing.assert_allclose(np.array(cadre["determinants"])
+                                       * 10.0 ** (k - exact),
+                                       [1, -1, 1, -1], rtol=1e-12)
+            assert run_cli("verify-alternance", "--vectors", ";".join(
+                ",".join(repr(c * one) for c in v) for v in
+                [(-1, -1, -1), (1, 3, 0), (0.3, 0.9, 0)])) == (
+                2, "rejected: RankDeficient\n", "")
 
 
 def test_verify_alternance_malformed_input():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,20 +180,39 @@ def test_positive_combination_with_ill_conditioned_tail():
 
 
 def test_positive_combinations_solves_a_singular_normal_matrix_alone():
-    """Columns of size 1e-170 make the normal matrix B^T B underflow to
-    0, and np.linalg.solve then fails for a whole stack.  That matrix is
-    solved alone, shifted as the scalar shifts it, and the others in the
-    stack keep their multipliers."""
+    """Columns 1 and 2^-27 apart in direction make the normal matrix
+    B^T B singular in floats, and np.linalg.solve then fails for a whole
+    stack.  That matrix is solved alone, shifted as the scalar shifts
+    it, and the others in the stack keep their multipliers."""
     plain = np.array([[-1.0, 1.0, 0.0], [-2.0, 0.0, 1.0]])
-    tiny = 1e-170 * plain
-    B = tiny[:, 1:]
+    near = np.array([[-2.0, 1.0, 1.0], [-2.0 ** -27, 0.0, 2.0 ** -27]])
+    B = near[:, 1:]
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(B.T @ B, -B.T @ tiny[:, 0])
-    out = lk.positive_combinations(np.array([plain, tiny, plain]))
+        np.linalg.solve(B.T @ B, -B.T @ near[:, 0])
+    out = lk.positive_combinations(np.array([plain, near, plain]))
     assert np.array_equal(out[0], [1.0, 1.0, 2.0])
     assert np.array_equal(out[2], out[0])
-    assert np.isnan(out[1]).all()
-    assert lk.solve_positive_combination(tiny.T) is None
+    assert np.array_equal(out[1], lk.solve_positive_combination(near.T))
+    np.testing.assert_allclose(out[1], [1.0, 1.0, 1.0], rtol=1e-9)
+
+
+def test_positive_combinations_at_any_scale():
+    """Each matrix is scaled by a power of two before its normal
+    equations, so 1e-170 (whose B^T B underflows to 0 unscaled) and
+    1e170 (whose B^T B overflows) give the multipliers of scale 1, with
+    no warning, in a stack or alone."""
+    plain = np.array([[-1.0, 1.0, 0.0], [-2.0, 0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = lk.positive_combinations(
+            np.array([plain, 1e-170 * plain, 1e170 * plain]))
+        assert np.array_equal(out, [[1.0, 1.0, 2.0]] * 3)
+        for scale in (1e-170, 1e170, 2.0 ** -1070):
+            assert np.array_equal(lk.solve_positive_combination(
+                (scale * plain).T), [1.0, 1.0, 2.0])
+        # no combination is positive at any scale
+        assert np.isnan(lk.positive_combinations(
+            1e-170 * np.array([[[1.0, 1.0], [0.0, 1.0]]]))).all()
 
 
 def _brute_force_lp(c, A, b):
