@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from dataclasses import asdict, fields
@@ -20,7 +19,7 @@ import numpy as np
 from . import firstorder as fo
 from . import registry
 from . import secondorder as so
-from .cones import json_data
+from .cones import json_data, json_text
 from .expr import ExprError
 from .geometry import PointContext, SamplingSpec
 from .oracle import TooFewFeasibleSamples, growth_probe
@@ -318,14 +317,14 @@ def _flavor_search(flavor, G, eps_det):
 
 def _emit(args, report):
     """Print the report, as JSON or as text, and write its JSON to
-    ``args.out`` when given; every value goes through ``json_data``."""
-    report = json_data(report)
+    ``args.out`` when given: the JSON in one pass by ``json_text``, the
+    text from ``json_data``'s encoding."""
     out = getattr(args, "out", None)
-    encoded = json.dumps(report, indent=2) if args.json or out else None
+    encoded = json_text(report) if args.json or out else None
     if args.json:
         print(encoded)
     else:
-        _print_human(report)
+        _print_human(json_data(report))
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(encoded)
@@ -369,7 +368,7 @@ def cmd_verify_alternance(args) -> int:
         payload = {"schema": SCHEMA_VERSION, "accepted": True,
                    "cadre": result.to_json()}
         if args.json:
-            print(json.dumps(payload, indent=2))
+            print(json_text(payload))
         else:
             print(f"determinants: {_determinants(payload['cadre'])}")
             mults = ", ".join(f"{v:.9g}" for v in result.multipliers)
@@ -379,7 +378,7 @@ def cmd_verify_alternance(args) -> int:
     payload = {"schema": SCHEMA_VERSION, "accepted": False,
                "reason": str(result)}
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     else:
         print(f"rejected: {result}")
     return EXIT_REFUTED

@@ -1,8 +1,11 @@
 """Cone primitives shared by the constraint blocks and the generator sets:
 projections, deterministic direction sampling, the spectral split of a
-symmetric matrix, the provenance record every generator carries, the one
-encoder of report values into JSON data (``json_data``), and the
-row-wise products, norms and maxima that screen a stack of points or
+symmetric matrix, the provenance record every generator carries, the
+sequences that build the records of a sampled family only for the rows
+read (``ProvenanceRows``) and read several families as one
+(``SequenceChain``), the one encoder of report values into JSON data
+(``json_data``) and its one-pass writer of JSON text (``json_text``), and
+the row-wise products, norms and maxima that screen a stack of points or
 directions bit for bit as a loop over them would, and the one decision of
 what a unit direction is (``unit_rows``) and which directions are distinct
 (``distinct_rows``).  The direction samplers return their directions as
@@ -17,28 +20,70 @@ and ``geometry`` re-exports them.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 __all__ = [
-    "json_data", "Record", "EigenFailure", "Provenance", "SpectralData",
-    "spectral_split", "project_soc", "project_psd_neg", "unit_directions",
-    "axis_directions", "sdp_null_directions", "unit_rows", "distinct_rows",
-    "pair_dots", "row_norms", "builtin_max",
+    "json_data", "json_text", "Record", "EigenFailure", "Provenance",
+    "ProvenanceRows", "SequenceChain", "SpectralData", "spectral_split",
+    "project_soc", "project_psd_neg", "unit_directions", "axis_directions",
+    "sdp_null_directions", "unit_rows", "distinct_rows", "pair_dots",
+    "row_norms", "builtin_max",
 ]
 
+_NOT_SCALAR = object()
 
-def json_data(value):
-    """The JSON data of a report value: every float zero as 0.0, never
-    -0.0 (adding 0.0 changes no other float), a numpy scalar as the
-    Python number it holds, an array, list or tuple as a list, a dict
-    with its values encoded, a string, int, bool or None as it is, and
-    any other value, a record, by its ``to_json()``."""
+
+def _scalar(value):
+    """The JSON data of a scalar report value, the rules both walks apply:
+    every float zero as 0.0, never -0.0 (adding 0.0 changes no other
+    float), a numpy scalar as the Python value it holds, a string, int,
+    bool or None as it is; ``_NOT_SCALAR`` for any other value."""
     if isinstance(value, float):
         return float(value) + 0.0
     if isinstance(value, (str, int)) or value is None:
         return value
+    if isinstance(value, np.generic):
+        return _scalar(value.tolist())
+    return _NOT_SCALAR
+
+
+# Python's json writes these floats as bare tokens
+_FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _token(value) -> str:
+    """The JSON text ``json.dumps`` writes for a str, None, bool, int or
+    float (ASCII only, NaN and the infinities as bare tokens); a
+    TypeError, with json's message for a dict key, for any other value."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_TOKENS.get(text, text)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {value.__class__.__name__}")
+
+
+def json_data(value):
+    """The JSON data of a report value: a scalar by ``_scalar``, an array,
+    list or tuple as a list, a dict with its values encoded, and any other
+    value, a record, by its ``to_json()``."""
+    data = _scalar(value)
+    if data is not _NOT_SCALAR:
+        return data
     if isinstance(value, dict):
         return {k: json_data(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -46,6 +91,50 @@ def json_data(value):
     if isinstance(value, (np.ndarray, np.generic)):
         return json_data(value.tolist())
     return value.to_json()
+
+
+def json_text(value) -> str:
+    """``json.dumps(json_data(value), indent=2)``, written in one walk
+    that applies ``json_data``'s rules as it goes."""
+    parts = []
+    _write(value, parts, "\n")
+    return "".join(parts)
+
+
+def _write(value, parts, newline):
+    """Append to parts the text of value, whose lines inside it start
+    with newline and two spaces a level."""
+    data = _scalar(value)
+    if data is not _NOT_SCALAR:
+        parts.append(_token(data))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        head = "{" + inner
+        for k, v in value.items():
+            # a key is written as json writes it, without json_data's rules
+            key = k if isinstance(k, str) else _token(k)
+            parts.append(head + encode_basestring_ascii(key) + ": ")
+            _write(v, parts, inner)
+            head = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        head = "[" + inner
+        for v in value:
+            parts.append(head)
+            _write(v, parts, inner)
+            head = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, (np.ndarray, np.generic)):
+        _write(value.tolist(), parts, newline)
+    else:
+        _write(value.to_json(), parts, newline)
 
 
 class Record:
@@ -80,6 +169,57 @@ class Provenance:
         if self.detail:
             out["detail"] = self.detail
         return json_data(out)
+
+
+class ProvenanceRows(Sequence):
+    """The records ``Provenance(kind, block, detail=tuple(row))`` of the
+    rows of an array of sampled directions, record k built each time row
+    k is read: a sampled family has hundreds of rows, and a report names
+    the few of positive weight."""
+
+    __slots__ = ("kind", "block", "rows")
+
+    def __init__(self, kind: str, block: int, rows: np.ndarray):
+        self.kind, self.block, self.rows = kind, block, rows
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        return Provenance(self.kind, self.block,
+                          detail=tuple(self.rows[operator.index(k)].tolist()))
+
+    def __iter__(self):
+        for row in self.rows.tolist():
+            yield Provenance(self.kind, self.block, detail=tuple(row))
+
+
+class SequenceChain(Sequence):
+    """The items of several sequences, one after another, each read from
+    its sequence when asked for: ``SequenceChain([a, b])[k]`` is
+    ``[*a, *b][k]``, without the list."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = list(parts)
+
+    def __len__(self):
+        return sum(map(len, self.parts))
+
+    def __getitem__(self, k):
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        for part in self.parts:
+            if 0 <= k < len(part):
+                return part[k]
+            k -= len(part)
+        raise IndexError("SequenceChain index out of range")
+
+    def __iter__(self):
+        for part in self.parts:
+            yield from part
 
 
 @dataclass

@@ -17,8 +17,8 @@ from itertools import chain, combinations, count
 import numpy as np
 
 from . import expr as ex
-from .cones import (Record, builtin_max, distinct_rows, json_data,
-                    pair_dots, row_norms, unit_rows)
+from .cones import (Record, SequenceChain, builtin_max, distinct_rows,
+                    json_data, pair_dots, row_norms, unit_rows)
 from .geometry import (GeneratorSet, PointContext, Provenance,
                        block_distances, nA_vector)
 from .linkernel import (EPS_POS, EPS_RANK, SCREEN_CHUNK, combination_system,
@@ -378,9 +378,9 @@ def _extend_pool(pool, prov, vecs, vecs_prov):
 
 def _cone_pool(base, base_prov, generalised: bool):
     pool = [np.asarray(v, dtype=float) for v in base]
-    prov = list(base_prov)
     if not generalised or len(base) < 2 or len(base) > _AUX_PAIR_CAP:
-        return pool, prov
+        return pool, base_prov
+    prov = list(base_prov)
     n = len(base)
     pairs = list(combinations(range(n), 2))
     total = np.sum([np.asarray(v, dtype=float) for v in base], axis=0)
@@ -459,7 +459,7 @@ def _basis_cadre(G: GeneratorSet, eps_det: float):
     m, n_eta = len(G.grads_F), len(G.eta)
     sub = np.flatnonzero(res.x > EPS_POS * res.x[:m].max())
     pool = np.concatenate([np.reshape(G.grads_F, (m, G.d)), G.cone])
-    prov = [*G.grads_prov, *G.eta_prov, *G.nA_prov]
+    prov = SequenceChain([G.grads_prov, G.eta_prov, G.nA_prov])
     result = verify_alternance(
         list(pool[sub]), k0=int(np.sum(sub < m)),
         i0=int(np.sum(sub < m + n_eta)), eps_det=eps_det,
@@ -506,7 +506,8 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
 
     def cone_pools():
         if flavor == "weak":
-            cone = _cone_pool(G.cone, [*G.eta_prov, *G.nA_prov], True)
+            cone = _cone_pool(G.cone, SequenceChain([G.eta_prov, G.nA_prov]),
+                              True)
             return cone, ([], [])
         aux = flavor == "generalised"
         return (_cone_pool(G.eta, G.eta_prov, aux),
@@ -514,7 +515,7 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
     (eta_pool, eta_prov), (na_pool, na_prov) = G.derived(
         ("cone_pools", flavor), cone_pools)
     pool = grads + eta_pool + na_pool
-    pool_prov = grads_prov + eta_prov + na_prov
+    pool_prov = SequenceChain([grads_prov, eta_prov, na_prov])
     stacked = np.array(pool)
     ng, ne, n = len(grads), len(eta_pool), len(pool)
     groups = (((p, k0, e), ((0, ng, k0), (ng, ng + ne, e),
@@ -632,21 +633,23 @@ class MultiplierWitness:
 
 def _assemble_witness(ctx: PointContext, G: GeneratorSet,
                       lam, mu) -> MultiplierWitness:
+    """The witness of the weights lam on G's gradients and mu on its cone
+    generators, eta then nA: a block's dual sums, in row order, each
+    positive weight on its family's rows times that row's dual, so a row
+    of weight 0 is never read."""
     w = MultiplierWitness(alpha=[(pr.index, pr.sign, float(l))
                                  for pr, l in zip(G.grads_prov, lam) if l > 0])
-    n_eta = len(G.eta)
-    for k, weight in enumerate(mu):
-        if weight <= 0:
-            continue
-        weight = float(weight)
-        if k < n_eta:
-            pr = G.eta_prov[k]
-            blk = ctx.problem.blocks[pr.block]
-            _, dual = w.duals.get(pr.block, (blk, None))
-            w.duals[pr.block] = (blk, blk.add_dual(dual, pr,
-                                                   weight * G.eta_dual(k)))
-        else:
-            w.nA.append((G.nA_prov[k - n_eta], weight))
+    mu = np.asarray(mu, dtype=float)
+    start = 0
+    for pos, (blk, fam) in enumerate(zip(ctx.problem.blocks, G.families)):
+        weights = mu[start:start + len(fam.vectors)]
+        for j in np.flatnonzero(weights > 0).tolist():
+            _, dual = w.duals.get(pos, (blk, None))
+            w.duals[pos] = (blk, blk.add_dual(dual, fam, j,
+                                              float(weights[j])))
+        start += len(fam.vectors)
+    w.nA = [(pr, float(weight)) for pr, weight in
+            zip(G.nA_prov, mu[len(G.eta):]) if weight > 0]
     return w
 
 

@@ -13,13 +13,14 @@ from them remain valid; only completeness of a failed search degrades.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .cones import (EigenFailure, Provenance, SpectralData, axis_directions,
-                    pair_dots, project_psd_neg, project_soc,
+from .cones import (EigenFailure, Provenance, SequenceChain, SpectralData,
+                    axis_directions, pair_dots, project_psd_neg, project_soc,
                     sdp_null_directions, unit_directions)
 from .linkernel import LpResult, Tableau, combination_system
 from .problem import (ActiveSets, FeasibilityReport, PolyhedralSet, Problem,
@@ -58,9 +59,11 @@ class GeneratorSet:
     (n, d) arrays, one generator a row (a list of rows given is stacked).
     ``families`` holds each block's ``problem.NormalFamily``, in block
     order: eta and eta_prov are their rows, in that order, and their
-    duals the block-space multipliers the eta rows are the images of
-    (``eta_dual``).  ``sampled`` is set when eta contains sampled
-    (inner-approximation) directions.
+    duals the block-space multipliers the eta rows are the images of.
+    The set built at a point reads eta_prov through to the families'
+    records (a ``SequenceChain``), so a sampled family builds the record
+    of a row only when it is read.  ``sampled`` is set when eta contains
+    sampled (inner-approximation) directions.
     ``tableau`` holds the set's one phase 1, ``membership`` the optimum of
     its membership system, and ``derived`` the rest the checks compute
     from the set, each once: its cadre searches and their pools, and its
@@ -71,7 +74,7 @@ class GeneratorSet:
     grads_F: list = field(default_factory=list)
     grads_prov: list = field(default_factory=list)
     eta: np.ndarray = field(default_factory=list)
-    eta_prov: list = field(default_factory=list)
+    eta_prov: Sequence = field(default_factory=list)
     families: list = field(default_factory=list)
     nA: np.ndarray = field(default_factory=list)
     nA_prov: list = field(default_factory=list)
@@ -88,14 +91,6 @@ class GeneratorSet:
         """The generators of the two normal cones, eta then nA: the cone
         weights' columns in ``linkernel.combination_system``."""
         return np.concatenate([self.eta, self.nA])
-
-    def eta_dual(self, k):
-        """The block-space multiplier that eta row k is the image of."""
-        for fam in self.families:
-            if k < len(fam.prov):
-                return fam.duals[k]
-            k -= len(fam.prov)
-        raise IndexError("eta row out of range")
 
     @cached_property
     def tableau(self) -> Tableau:
@@ -168,7 +163,7 @@ def build_generator_set(P: Problem, x, act: ActiveSets,
     return GeneratorSet(d=P.d, grads_F=grads, grads_prov=gprov,
                         eta=np.concatenate([np.empty((0, P.d))] + [
                             fam.vectors for fam in families]),
-                        eta_prov=[pr for fam in families for pr in fam.prov],
+                        eta_prov=SequenceChain(fam.prov for fam in families),
                         families=families, nA=na, nA_prov=nprov,
                         sampled=any(ba.sampled for ba in act.blocks))
 

@@ -24,13 +24,15 @@ other module branches on the kind:
   an (n, d) array, the block-space multipliers whose images under the
   derivative they are (n scalars for the scalar blocks, an (n, l+1) array
   for a second-order cone, an (n, l, l) array for a matrix cone) and n
-  Provenance records; apex and kernel directions are sampled here and
-  nowhere else, and built as one stacked product;
+  Provenance records, those of sampled directions built when read; apex
+  and kernel directions are sampled here and nowhere else, and built as
+  one stacked product;
 - ``tangent_test(x, state, rows)``: given the block's generator vectors,
   the rows of an (n, d) array, a test ``(H, eps) -> bool array`` of
   linearized feasibility of each direction in the rows of H;
-- ``add_dual(dual, provenance, amount)``: adds an LP weight times a
-  generator's dual to the block's multiplier;
+- ``add_dual(dual, family, row, weight)``: adds an LP weight times the
+  dual of row ``row`` of the block's NormalFamily to the block's
+  multiplier;
 - ``dual_derivatives(x, dual)``: the gradient and Hessian in x of the
   pairing <dual, G_block(x)>, each component differentiated once (a
   semi-infinite block's grid points in one stack, t not differentiated);
@@ -69,10 +71,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr as ex
-from .cones import (EigenFailure, Provenance, axis_directions, builtin_max,
-                    distinct_rows, pair_dots, project_soc, row_norms,
-                    sdp_null_directions, spectral_split, unit_directions,
-                    unit_rows)
+from .cones import (EigenFailure, Provenance, ProvenanceRows, axis_directions,
+                    builtin_max, distinct_rows, pair_dots, project_soc,
+                    row_norms, sdp_null_directions, spectral_split,
+                    unit_directions, unit_rows)
 
 __all__ = [
     "ToleranceSet", "PolyhedralSet", "NormalFamily", "NlpIneq", "NlpEq",
@@ -149,11 +151,13 @@ class BlockActivity:
 class NormalFamily(NamedTuple):
     """A block's normal-cone generators at a point: row k of ``vectors``
     is the image under the block's derivative of the multiplier
-    ``duals[k]``, and ``prov[k]`` names it."""
+    ``duals[k]``, and ``prov[k]`` names it.  A sampled family's ``prov``
+    is a ``ProvenanceRows`` of its directions, which builds a record only
+    when it is read; the others' is a list."""
 
     vectors: np.ndarray   # (n, d)
     duals: np.ndarray     # (n,), (n, l+1) or (n, l, l)
-    prov: list
+    prov: Sequence
 
 
 class _Points:
@@ -213,9 +217,10 @@ class _ScalarBlock(_Block):
             i for i, v in enumerate(self._values(x))
             if abs(v) <= tol.eps_active or v > 0])
 
-    def add_dual(self, dual, prov, amount):
+    def add_dual(self, dual, family, row, weight):
+        index = family.prov[row].index
         dual = {} if dual is None else dual
-        dual[prov.index] = dual.get(prov.index, 0.0) + amount
+        dual[index] = dual.get(index, 0.0) + weight * family.duals[row]
         return dual
 
     def dual_derivatives(self, x, dual):
@@ -239,8 +244,8 @@ class _ConeBlock(_Block):
 
     polyhedral = False
 
-    def add_dual(self, dual, prov, amount):
-        return (0.0 if dual is None else dual) + amount
+    def add_dual(self, dual, family, row, weight):
+        return (0.0 if dual is None else dual) + weight * family.duals[row]
 
     def dual_to_json(self, dual):
         return dual.tolist()
@@ -399,8 +404,7 @@ class Soc(_ConeBlock):
         # one matrix-vector product per dual, as J.T @ dual computes it
         return NormalFamily(
             np.matmul(J.T, duals[:, :, None])[:, :, 0], duals,
-            [Provenance("soc_apex", pos, detail=tuple(v))
-             for v in V.tolist()])
+            ProvenanceRows("soc_apex", pos, V))
 
     def tangent_test(self, x, state, rows):
         if state.soc_state == "inactive":
@@ -504,9 +508,7 @@ class Sdp(_ConeBlock):
         # the generator of q is q' dG q, its dual the outer product q q'
         return NormalFamily(
             np.einsum("ni,ijk,nj->nk", Q, grads, Q),
-            Q[:, :, None] * Q[:, None, :],
-            [Provenance("sdp_null", pos, detail=tuple(q))
-             for q in Q.tolist()])
+            Q[:, :, None] * Q[:, None, :], ProvenanceRows("sdp_null", pos, Q))
 
     def dual_derivatives(self, x, dual):
         entries, grads = self.entry_derivatives(x)

@@ -3,14 +3,19 @@ per-row loops it replaced: the generators of every block, the penalty
 groups and the rows each block's tangent test reads must be the same
 floats, bit for bit, in the same order, at default sampling on every
 problem of the stacked-screen tests and at the sampled cone examples'
-larger direction counts."""
+larger direction counts.  A sampled family builds the provenance record
+of a row only when the row is read, so a check builds the records of
+the rows its report names and no others."""
 
+import contextlib
+import io
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conecert import cones, registry
+from conecert import cli, cones, registry
 from conecert import firstorder as fo
 from conecert import geometry as geo
 from conecert.cones import Provenance, unit_rows
@@ -145,13 +150,10 @@ def _assert_families_match(P, x, sampling):
         assert fam.duals.shape[:1] == (len(ref),)
         assert fam.duals.tobytes() == np.array(
             [dual for _, _, dual in ref]).tobytes()
-        assert fam.prov == [pr for _, pr, _ in ref]
+        assert list(fam.prov) == [pr for _, pr, _ in ref]
     assert G.eta.tobytes() == np.array(
         [v for v, _, _ in triples]).reshape(-1, P.d).tobytes()
-    assert G.eta_prov == [pr for _, pr, _ in triples]
-    for k in (0, len(triples) // 2, len(triples) - 1)[:len(triples)]:
-        assert np.asarray(G.eta_dual(k)).tobytes() == np.asarray(
-            triples[k][2], dtype=float).tobytes()
+    assert list(G.eta_prov) == [pr for _, pr, _ in triples]
     groups = fo._penalty_groups(P, G)
     ref_groups = _ref_penalty_groups(P, triples)
     assert len(groups) == len(ref_groups)
@@ -217,3 +219,78 @@ def test_tangent_tester_reads_each_block_family(name, monkeypatch):
     ctx.tester
     assert [rows is fam.vectors for rows, fam in zip(
         given, ctx.generators.families)] == [True] * len(P.blocks)
+
+
+# the sampled cone examples at the benchmark's direction counts and flags
+SAMPLED = [("soc-example", "soc_dirs", 512), ("sdp-example", "sdp_dirs", 128)]
+
+
+def _sampled_case(name, field, count):
+    P, x, sampling = registry.get(name)
+    return P, x, replace(sampling, seed=1, **{field: count})
+
+
+@pytest.mark.parametrize("name,field,count", SAMPLED)
+def test_sampled_records_read_as_the_eager_ones(name, field, count):
+    """Each record a family or eta_prov gives by index, from either end,
+    or in order, equals the per-row code's."""
+    P, x, sampling = _sampled_case(name, field, count)
+    act = activity(P, x)
+    G = geo.build_generator_set(P, x, act, sampling)
+    eager, lazy = [], 0
+    for ba, blk, fam in zip(act.blocks, P.blocks, G.families):
+        ref = [pr for _, pr, _ in _ref_generators(blk, x, ba, sampling)]
+        n = len(ref)
+        lazy += isinstance(fam.prov, cones.ProvenanceRows)
+        assert len(fam.prov) == n
+        assert [fam.prov[k] for k in range(n)] == ref
+        assert [fam.prov[k - n] for k in range(n)] == ref
+        assert [fam.prov[k] for k in np.arange(n)] == ref
+        with pytest.raises(IndexError):
+            fam.prov[n]
+        eager += ref
+    assert lazy == 1 and len(eager) > count
+    n = len(eager)
+    assert len(G.eta_prov) == n and list(G.eta_prov) == eager
+    assert [G.eta_prov[k] for k in range(-n, n)] == eager + eager
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            G.eta_prov[k]
+
+
+def _provenance_kinds(value):
+    """The kinds of the provenance records in a JSON report, in order."""
+    if isinstance(value, dict):
+        own = [value["kind"]] if "kind" in value and "sign" in value else []
+        return own + [k for v in value.values() for k in _provenance_kinds(v)]
+    if isinstance(value, list):
+        return [k for v in value for k in _provenance_kinds(v)]
+    return []
+
+
+@pytest.mark.parametrize("name,field,count", SAMPLED)
+def test_a_check_builds_only_the_sampled_records_its_report_names(
+        monkeypatch, name, field, count):
+    """Counted by wrapping Provenance.__init__: no more records than the
+    non-sampled families hold plus the sampled rows the report names."""
+    P, x, sampling = _sampled_case(name, field, count)
+    G = geo.PointContext(P, x, sampling).generators
+    fixed = len(G.grads_prov) + len(G.nA_prov) + sum(
+        len(fam.prov) for fam in G.families
+        if not isinstance(fam.prov, cones.ProvenanceRows))
+    built, init = [], Provenance.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Provenance, "__init__", counted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["check", "--registry", name, f"--{field.replace('_', '-')}",
+                  str(count), "--seed", "1", "--second-order", "--penalty",
+                  "10", "--json"])
+    named = [k for k in _provenance_kinds(json.loads(out.getvalue()))
+             if k in ("soc_apex", "sdp_null")]
+    assert len(built) <= fixed + len(named)
+    assert sum(pr.kind in ("soc_apex", "sdp_null") for pr in built) <= len(
+        named) < count

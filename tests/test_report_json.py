@@ -1,4 +1,5 @@
-"""The one report encoder, ``cones.json_data``.
+"""The one report encoder, ``cones.json_data``, and its one-pass writer
+of JSON text, ``cones.json_text``.
 
 Reports were once encoded by hand: each record's ``to_json`` copied out
 its fields, ``cmd_check`` converted the candidate to floats, and seven
@@ -26,7 +27,8 @@ from conecert import oracle
 from conecert import problem as pb
 from conecert import registry
 from conecert import secondorder as so
-from conecert.cones import Provenance, Record, json_data
+from conecert.cones import Provenance, Record, json_data, json_text
+from conftest import perfbench_workloads
 
 CORPUS = Path(__file__).resolve().parents[1] / "tools" / "report_corpus.py"
 
@@ -286,6 +288,104 @@ def test_necessary_report_leaves_out_its_generator_set():
     nec = fo.necessary_check(geo.PointContext(P, x, sampling))
     assert list(nec.to_json()) == ["feasible", "zero_in_D", "multipliers",
                                    "cadre", "agreement", "sampling_limited"]
+
+
+def _dumps(value):
+    return json.dumps(json_data(value), indent=2)
+
+
+def _captured_report(monkeypatch, argv):
+    """The report ``cmd_check`` hands to ``_emit`` for argv, unencoded."""
+    reports, emit = [], cli._emit
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_emit", lambda args, report: reports.append(report)
+                  or emit(args, report))
+        code, _, _ = _run(["check", *argv, "--json"])
+    assert code != cli.EXIT_ERROR and len(reports) == 1, argv
+    return reports[0]
+
+
+@pytest.mark.parametrize("name", registry.NAMES)
+def test_json_text_writes_the_bytes_of_dumps_on_every_registry_report(
+        monkeypatch, name):
+    """Under both flag sets of the benchmark's registry workload."""
+    workloads = perfbench_workloads()
+    dim = ["--dim", "3"] if name == "linf" else []
+    for flags in (workloads.SO + ("--oracle",), workloads.GEN):
+        report = _captured_report(monkeypatch,
+                                  ["--registry", name, *dim, *flags])
+        assert json_text(report) == _dumps(report), (name, flags)
+
+
+@pytest.mark.parametrize("value", [
+    -0.0, 0.0, 1.5, -2.5e-300, 1e308, math.nan, math.inf, -math.inf,
+    [-0.0, (-0.0, [-0.0]), ()], (-0.0, 1), {"a": -0.0, "b": (-0.0,)},
+    np.float64(-0.0), np.float32(-0.0), np.int64(-7), np.bool_(True),
+    np.bool_(False), np.array([[-0.0, math.nan], [math.inf, 2.0]]),
+    np.array([], dtype=float), np.zeros((2, 0)), np.array(3.5),
+    [np.float64(math.nan), np.int64(2**40), np.bool_(False)],
+    True, False, None, 0, -3, 2**70, "", "plain",
+    "caf\u00e9 \u2207 \U0001d53c",
+    "tab\tnew\nline \"quoted\" back\\slash \x00\x1f\x7f",
+    {}, [], (), {"": {}, "e": [], "n": None},
+    {"nested": [{"deep": [[[]], [{}], [-0.0]]}]},
+    Provenance("soc_apex", 0, detail=(-0.0, 0.5)),
+    Provenance("scenario", index=2, sign=-1),
+], ids=repr)
+def test_json_text_writes_the_bytes_of_dumps_on_edge_values(value):
+    assert json_text(value) == _dumps(value)
+    assert json_text([value, {"k": value}]) == _dumps([value, {"k": value}])
+
+
+def test_json_text_writes_nested_records_as_dumps_does():
+    cadre = fo.verify_alternance(
+        [[1.0, -0.0], [-1.0, 1.0], [0.0, -1.0]],
+        provenance=[Provenance("scenario", index=0, sign=-1),
+                    Provenance("soc_apex", 1, detail=(-0.0, 1.0)),
+                    Provenance("aux_sum", detail=(0, 2))])
+    assert isinstance(cadre, fo.Cadre)
+    inner = _Probe(zero=-0.0, values=np.array([-0.0, math.inf]),
+                   pairs=((1, -0.0),), inner=cadre)
+    value = {"cadre": cadre, "probe": _Probe(
+        zero=math.nan, values=np.array([]), pairs=(), inner=inner,
+        hidden=[object()])}
+    assert json_text(value) == _dumps(value)
+    assert '"detail": [\n' in json_text(value)
+
+
+@pytest.mark.parametrize("vectors", [
+    "1,0;-1,1;0,-1", "-0.0,1;0,-1", "1,0;1,0", "2,1e300;-1e300,1e-320"])
+def test_verify_alternance_prints_the_dumps_of_its_payload(vectors):
+    """Accepted and rejected: the bytes ``json.dumps(payload, indent=2)``
+    printed."""
+    code, out, _ = _run(["verify-alternance", "--vectors", vectors,
+                         "--json"])
+    result = fo.verify_alternance(cli._parse_vectors(vectors))
+    if isinstance(result, fo.Cadre):
+        payload = {"schema": cli.SCHEMA_VERSION, "accepted": True,
+                   "cadre": result.to_json()}
+    else:
+        payload = {"schema": cli.SCHEMA_VERSION, "accepted": False,
+                   "reason": str(result)}
+    assert (code == cli.EXIT_OK) == payload["accepted"]
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("key", [
+    1, -0.0, 0.0, 2.5, math.nan, math.inf, -math.inf, np.float64(-1.5),
+    True, False, None, 2**70, "\u00e9", (1, 2), np.int64(3),
+    np.bool_(True), np.str_("s")])
+def test_json_text_writes_a_dict_key_as_dumps_does_or_raises(key):
+    """A key is not a report value: json_data leaves it as it is, and
+    json writes a float key -0.0 as "-0.0"."""
+    value = {key: -0.0, "after": [key] if isinstance(key, str) else 1}
+    try:
+        want = _dumps(value)
+    except TypeError:
+        with pytest.raises(TypeError):
+            json_text(value)
+    else:
+        assert json_text(value) == want
 
 
 def test_corpus_refuses_a_negative_zero():
