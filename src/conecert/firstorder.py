@@ -1,10 +1,11 @@
 """First-order certificates: cadres, alternance, multipliers, penalties.
 
 The determinant test and the positive-combination test are two faces of the
-same certificate; both are always computed and cross-checked before a cadre
-is reported.  The membership and interior tests run on the finite generator
-families; for sampled families (second-order-cone apexes, matrix cones) a
-failed search is reported as sampling-limited rather than as a refutation.
+same certificate: one solve decides the signs and gives the multipliers,
+whose residual is checked before a cadre is reported.  The membership and
+interior tests run on the finite generator families; for sampled families
+(second-order-cone apexes, matrix cones) a failed search is reported as
+sampling-limited rather than as a refutation.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from .cones import (Record, SequenceChain, builtin_max, distinct_rows,
                     json_data, pair_dots, row_norms, unit_rows)
 from .geometry import (GeneratorSet, PointContext, Provenance,
                        block_distances, nA_vector)
-from .linkernel import (EPS_POS, EPS_RANK, SCREEN_CHUNK, combination_system,
-                        lp_chebyshev_center, lp_membership,
-                        positive_combinations, rank, simplex_solve,
-                        solve_positive_combination, stacked_rank)
+from .linkernel import (EPS_POS, EPS_RANK, SCREEN_CHUNK, combination_residual,
+                        combination_system, lp_chebyshev_center,
+                        lp_membership, positive_combinations, rank,
+                        simplex_solve, stacked_rank)
 from .problem import (BLOCK_CLASSES, NlpIneq, Problem, SemiInfinite,
                       activity, evaluate_objective, scenario_derivatives)
 
@@ -175,11 +176,11 @@ class Cadre:
 
     vectors[0:k0] come from the objective subdifferential, vectors[k0:i0]
     from the cone-constraint normal cone, vectors[i0:p] from the normal
-    cone of the polyhedral set.  multipliers are the positive combination
-    weights (first one normalized to 1); determinants are the padded
-    d+1 alternating determinant sequence divided by
-    10^determinants_exponent, which is 0 unless some minor is not 0 or a
-    finite normal float (see ``_minors``).
+    cone of the polyhedral set.  multipliers are the weights z_1..z_p of
+    the alternance test's null vector (z_1 = 1), residual the norm of
+    their combination; determinants are the padded d+1 alternating
+    determinant sequence divided by 10^determinants_exponent, which is 0
+    unless some minor is not 0 or a finite normal float (see ``_minors``).
     """
 
     p: int
@@ -211,8 +212,10 @@ class Cadre:
 
 @dataclass
 class AlternanceFailure:
+    """Why ``verify_alternance`` refused a set; index is the s of a minor."""
+
     reason: str        # 'RankDeficient'|'SignPatternViolated'|
-                       # 'NonzeroTailDeterminant'|'MultiplierMismatch'
+                       # 'NonzeroTailDeterminant'|'ResidualTooLarge'
     index: int | None = None
 
     def __str__(self):
@@ -230,9 +233,8 @@ def verify_alternance(vectors, k0: int | None = None, i0: int | None = None,
     independent), takes the d+1 determinants of the matrices that drop
     one column each from one solve (``_alternance``), and demands
     strictly alternating signs through p and vanishing determinants
-    beyond.  On success the multipliers the determinants give by Cramer's
-    rule are cross-checked against the positive combination that
-    ``solve_positive_combination`` finds.
+    beyond.  The multipliers, read off the same solve, must then pass
+    the residual test of ``linkernel.combination_residual``.
     """
     vecs = [np.asarray(v, dtype=float) for v in vectors]
     p = len(vecs)
@@ -246,13 +248,11 @@ def verify_alternance(vectors, k0: int | None = None, i0: int | None = None,
     if not (1 <= k0 <= p and k0 <= i0 <= p):
         raise ValueError("need 1 <= k0 <= i0 <= p")
     pads = np.eye(d) if Z is None else np.array(Z.vectors, dtype=float)
-    return _alternance(vecs, solve_positive_combination(vecs), k0, i0,
-                       pads, eps_det, flavor, provenance)
+    return _alternance(vecs, k0, i0, pads, eps_det, flavor, provenance)
 
 
-def _alternance(vecs, combo, k0, i0, pads, eps_det, flavor, provenance):
-    """The test of ``verify_alternance`` on valid arguments, with combo the
-    positive combination of vecs (None when there is none) and pads the
+def _alternance(vecs, k0, i0, pads, eps_det, flavor, provenance):
+    """The test of ``verify_alternance`` on valid arguments, with pads the
     vectors of Z as rows.
 
     Write V = [V_1 .. V_{d+1}] for vecs and their padding, and Delta_s for
@@ -262,13 +262,15 @@ def _alternance(vecs, combo, k0, i0, pads, eps_det, flavor, provenance):
     one ``slogdet`` Delta_1 as a sign and a logarithm.  Delta_s
     alternates in sign exactly when z_s > 0, so the sign test runs on z,
     relative to max|z|, whatever the scale of the vectors: z_s must
-    exceed eps_det max|z| for s <= p, and |z_s| must not for s > p."""
+    exceed eps_det max|z| for s <= p, and |z_s| must not for s > p.
+    z_1..z_p are the multipliers; their residual checks the rounded
+    solve, as a re-check of the report does."""
     p, d = len(vecs), len(vecs[0])
     tail = _padded_tail(np.array(vecs[1:]).reshape(p - 1, d).T, pads)
     if tail is None:
         return AlternanceFailure("RankDeficient")
     T, padding = tail
-    z = [1.0, *np.linalg.solve(T, -vecs[0]).tolist()]
+    z = _null_vector(vecs[0], T)
     # written so that a NaN, or an overflow to inf, fails each test
     top = max(map(abs, z))
     for s, zs in enumerate(z):
@@ -276,18 +278,21 @@ def _alternance(vecs, combo, k0, i0, pads, eps_det, flavor, provenance):
             return AlternanceFailure("SignPatternViolated", s + 1)
         if s >= p and not abs(zs) <= eps_det * top:
             return AlternanceFailure("NonzeroTailDeterminant", s + 1)
-    if combo is None or any(abs(c - b) / max(b, 1.0) > 1e-8
-                            for c, b in zip(combo.tolist(), z)):
-        return AlternanceFailure("MultiplierMismatch")
+    residual, ok = combination_residual(vecs, z[:p])
+    if not ok:
+        return AlternanceFailure("ResidualTooLarge")
     deltas, exponent = _minors(z, top, *np.linalg.slogdet(T))
-    residual = float(np.linalg.norm(
-        np.column_stack(vecs) @ combo))
     if provenance is None:
         provenance = [Provenance("unspecified")] * p
     return Cadre(p=p, k0=k0, i0=i0, flavor=flavor, vectors=vecs,
-                 provenance=list(provenance), multipliers=combo,
+                 provenance=list(provenance), multipliers=np.array(z[:p]),
                  padding=padding, determinants=deltas,
                  determinants_exponent=exponent, residual=residual)
+
+
+def _null_vector(v1, T):
+    """z with z_1 = 1 and [v1, T] z = 0, T nonsingular: one solve."""
+    return [1.0, *np.linalg.solve(T, -v1).tolist()]
 
 
 def _padded_tail(S, pads):
@@ -390,17 +395,15 @@ def _cone_pool(base, base_prov, generalised: bool):
     return pool, prov
 
 
-def _greedy_independent(vectors, start=()):
-    """Each of vectors, in order, that raises the rank of ``start`` and
-    the vectors picked before it by one (the EPS_RANK test), until they
-    number d; the picked ones."""
-    chosen, picked = list(start), []
+def _greedy_independent(vectors):
+    """Each of vectors, in order, that raises the rank of the ones picked
+    before it by one (the EPS_RANK test), until they number d."""
+    picked = []
     for v in vectors:
-        if len(chosen) == len(v):
+        if len(picked) == len(v):
             break
         v = np.asarray(v, dtype=float)
-        if rank(np.column_stack(chosen + [v])) == len(chosen) + 1:
-            chosen.append(v)
+        if rank(np.column_stack(picked + [v])) == len(picked) + 1:
             picked.append(v)
     return picked
 
@@ -447,12 +450,12 @@ def _basis_cadre(G: GeneratorSet, eps_det: float):
     The columns of positive weight, gradients, then eta, then nA (the
     plain pool's order), stay independent with the convexity row
     appended, and their weights combine them to 0 with at least one
-    gradient among them: a positive circuit, whose every p - 1 vectors are
-    independent.  A weight of at most EPS_POS times the largest gradient
-    weight counts as 0: the simplex leaves a degenerate basic variable at
-    rounding size, 1e-16 say, which would break the circuit.  The circuit
-    is reported only when it passes the alternance test and the prefix
-    test, as a cadre of ``find_cadre`` must."""
+    gradient among them: a positive circuit, whose combination spans a
+    one-dimensional null space, so every p - 1 of its vectors are
+    independent; the alternance test re-checks that, so there is no prefix
+    test.  A weight of at most EPS_POS times the largest gradient weight
+    counts as 0: the simplex leaves a degenerate basic variable at
+    rounding size, 1e-16 say, which would break the circuit."""
     res = G.membership
     if res.status != "optimal":
         return None
@@ -464,9 +467,7 @@ def _basis_cadre(G: GeneratorSet, eps_det: float):
         list(pool[sub]), k0=int(np.sum(sub < m)),
         i0=int(np.sum(sub < m + n_eta)), eps_det=eps_det,
         provenance=[prov[i] for i in sub])
-    if isinstance(result, Cadre) and _independent_prefixes(result.vectors):
-        return result
-    return None
+    return result if isinstance(result, Cadre) else None
 
 
 def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
@@ -487,12 +488,11 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
     test demands, and ``positive_combinations``, over slices of these
     that double in size along the search, keeps those with a strictly
     positive combination.  They go on to the alternance test, in
-    enumeration order, with that combination.  A cadre must also pass the
-    prefix test: the first k of its vectors have rank k for every k < p
-    (the EPS_RANK test), so the walk's skips never decide which cadre
-    comes first.
-    Every subset, skipped ones included, counts against the budget.
-    Returns the first cadre found or None.
+    enumeration order.  A cadre must also pass the prefix test: the first
+    k of its vectors have rank k for every k < p (the EPS_RANK test), so
+    the walk's skips never decide which cadre comes first.  Every subset,
+    skipped ones included, counts against the budget.  Returns the first
+    cadre found or None.
     """
     if flavor not in ("plain", "generalised", "weak"):
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -529,10 +529,10 @@ def find_cadre(G: GeneratorSet, flavor: str = "plain", p_min: int = 1,
     widths = (4 << k for k in count())
     pads = np.eye(G.d)
     for (p, k0, e), block in _prefix_walk(stacked, groups, budget):
-        for sub, beta in _rank_screen(stacked, block, p, widths):
+        for sub in _rank_screen(stacked, block, p, widths):
             vecs = [pool[i] for i in sub]
-            result = _alternance(vecs, beta, k0, k0 + e, pads, eps_det,
-                                 flavor, [pool_prov[i] for i in sub])
+            result = _alternance(vecs, k0, k0 + e, pads, eps_det, flavor,
+                                 [pool_prov[i] for i in sub])
             if isinstance(result, Cadre) and _independent_prefixes(vecs):
                 return result
     return None
@@ -545,16 +545,15 @@ def _independent_prefixes(vecs) -> bool:
 
 
 def _rank_screen(stacked, chunk, p, widths):
-    """(subset, beta) for each subset of the chunk whose vectors (rows of
-    ``stacked``) have a strictly positive combination beta, in order.
+    """Each subset of the chunk whose vectors (rows of ``stacked``) have a
+    strictly positive combination, in order.
 
     One ``stacked_rank`` call keeps the subsets of rank p - 1: those of
     full rank p are mostly decided by their volume, the rest by their
     singular values, and each gets the rank of the scalar test.  A single
     vector is not rank-checked: its test is relative to its own norm.
     ``positive_combinations`` decides the survivors, one slice at a time,
-    the slices' widths drawn from ``widths`` as they are reached; each
-    beta is that of ``solve_positive_combination``, bit for bit."""
+    the slices' widths drawn from ``widths`` as they are reached."""
     if not len(chunk):
         return
     mats = stacked[np.array(chunk)].transpose(0, 2, 1)
@@ -565,9 +564,8 @@ def _rank_screen(stacked, chunk, p, widths):
     while start < len(alive):
         part = alive[start:start + next(widths)]
         start += len(part)
-        for j, beta in zip(part, positive_combinations(mats[part])):
-            if not np.isnan(beta[0]):
-                yield chunk[j], beta
+        kept = ~np.isnan(positive_combinations(mats[part])[:, 0])
+        yield from (chunk[j] for j in part[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -681,21 +679,19 @@ def witness_from_json(P: Problem, data) -> MultiplierWitness:
         stationarity_residual=data.get("stationarity_residual", math.nan))
 
 
-def reverify_report(P: Problem, report: dict, eps: float = 1e-8) -> dict:
+def reverify_report(P: Problem, report: dict) -> dict:
     """Re-check the witnesses attached to a serialized report.
 
-    Recomputes the cadre combination residual and determinant sequence,
-    on the report's power of ten, and the multiplier stationarity
-    residual from scratch; used by the JSON
+    Recomputes the cadre combination residual (``combination_residual``),
+    the determinant sequence, on the report's power of ten, and the
+    multiplier stationarity residual from scratch; used by the JSON
     round-trip tests and by consumers of stored reports."""
     x = np.asarray(report["candidate"], dtype=float)
     out = {"ok": True, "checks": []}
 
-    def _cadre_ok(data):
-        vecs = [np.asarray(v, dtype=float) for v in data["vectors"]]
-        beta = np.asarray(data["multipliers"], dtype=float)
-        resid = float(np.linalg.norm(np.column_stack(vecs) @ beta))
-        scale = max(1.0, max(np.linalg.norm(v) for v in vecs))
+    def _cadre_check(what, data):
+        vecs = data["vectors"]
+        resid, small = combination_residual(vecs, data["multipliers"])
         again = verify_alternance(vecs, k0=data["k0"], i0=data["i0"],
                                   flavor=data["flavor"])
         # the two may round the largest minor to either side of a power
@@ -707,13 +703,11 @@ def reverify_report(P: Problem, report: dict, eps: float = 1e-8) -> dict:
         dets_match = abs(shift) <= 1 and np.allclose(
             again.determinants * 10.0 ** shift, data["determinants"],
             atol=1e-7, rtol=1e-7)
-        return resid <= eps * scale and dets_match, resid
+        return {"what": what, "ok": small and dets_match, "residual": resid}
 
     nec = report.get("necessary") or {}
     if nec.get("cadre"):
-        ok, resid = _cadre_ok(nec["cadre"])
-        out["checks"].append({"what": "necessary.cadre", "ok": ok,
-                              "residual": resid})
+        out["checks"].append(_cadre_check("necessary.cadre", nec["cadre"]))
     if nec.get("multipliers"):
         w = witness_from_json(P, nec["multipliers"])
         resid = _witness_residual(P, x, w)
@@ -722,9 +716,8 @@ def reverify_report(P: Problem, report: dict, eps: float = 1e-8) -> dict:
     fl = report.get("flavor_search") or {}
     for key in ("cadre", "complete"):
         if fl.get(key):
-            ok, resid = _cadre_ok(fl[key])
-            out["checks"].append({"what": f"flavor_search.{key}", "ok": ok,
-                                  "residual": resid})
+            out["checks"].append(_cadre_check(f"flavor_search.{key}",
+                                              fl[key]))
     out["ok"] = all(c["ok"] for c in out["checks"])
     return out
 

@@ -29,6 +29,7 @@ from .cones import axis_directions
 __all__ = [
     "rank", "stacked_rank", "SCREEN_CHUNK",
     "solve_positive_combination", "positive_combinations",
+    "combination_residual",
     "LpResult", "Tableau", "simplex_solve",
     "combination_system", "lp_membership", "lp_chebyshev_center",
 ]
@@ -133,12 +134,9 @@ def rank(M) -> int:
 
 
 def solve_positive_combination(V):
-    """Multipliers beta > 0 with sum(beta_i * V_i) = 0, normalized beta_1 = 1.
-
-    The EPS_RANK test must give [V_1..V_p] rank p - 1 (p > 1); then
-    ``positive_combinations`` decides it as a stack of one matrix.
-    Returns None when no such combination exists.
-    """
+    """beta > 0 with sum(beta_i * V_i) = 0 and beta_1 = 1, or None: the
+    EPS_RANK test for rank p - 1, then ``positive_combinations`` on one
+    matrix.  No check calls it: it is the screen's one-matrix reference."""
     vecs = [np.asarray(v, dtype=float) for v in V]
     if not vecs:
         return None
@@ -162,24 +160,14 @@ def positive_combinations(stack):
     when their solution misses the residual test, beta = n / n_1 takes
     its place and must pass the same test.  Every multiplier must then
     exceed EPS_POS.  Each step works on each matrix alone, so a matrix
-    gets the same multipliers, bit for bit, in any stack.  Each matrix,
-    and the bound's floor 1 with it, is divided by the power of two of
-    its largest |entry| first: that scales every step exactly but the
-    shift of a singular normal matrix, and no norm or normal equation
-    then overflows or underflows."""
+    gets the same multipliers, bit for bit, in any stack, scaled by
+    ``_scaled_bound``: exactly, but for a singular normal matrix's shift."""
     stack = np.ascontiguousarray(stack, dtype=float)
     p = stack.shape[2]
     out = np.full((len(stack), p), np.nan)
     if not len(stack):
         return out
-    shift = -np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
-    stack = np.ldexp(stack, shift[:, None, None])
-    # the floor overflows to inf only for subnormal matrices, whose every
-    # residual lies below it unscaled
-    with np.errstate(over="ignore"):
-        floor = np.ldexp(1.0, shift)
-    tol = EPS_RESIDUAL * np.maximum(
-        floor, np.linalg.norm(stack, axis=1).max(axis=1))
+    stack, _, tol = _scaled_bound(stack)
     if p == 1:
         out[np.linalg.norm(stack[..., 0], axis=1) <= tol] = 1.0
         return out
@@ -201,6 +189,29 @@ def positive_combinations(stack):
     out[live[ok], 0] = 1.0
     out[live[ok], 1:] = beta[ok]
     return out
+
+
+def _scaled_bound(stack):
+    """(scaled, shift, tol): each d x p matrix times 2^shift, to a largest
+    |entry| in [1/2, 1), and EPS_RESIDUAL max(1, max column norm) so scaled."""
+    shift = -np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
+    stack = np.ldexp(stack, shift[:, None, None])
+    # the floor overflows to inf only for subnormal matrices, whose every
+    # residual lies below it unscaled
+    with np.errstate(over="ignore"):
+        floor = np.ldexp(1.0, shift)
+    tol = EPS_RESIDUAL * np.maximum(
+        floor, np.linalg.norm(stack, axis=1).max(axis=1))
+    return stack, shift, tol
+
+
+def combination_residual(vectors, beta):
+    """(|sum beta_s v_s|, whether it passes the bound of ``_scaled_bound``),
+    both on the vectors so scaled; the norm scaled back, inf past range."""
+    M, shift, tol = _scaled_bound(np.asarray(vectors, dtype=float).T[None])
+    r = np.linalg.norm(M[0] @ np.asarray(beta, dtype=float))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(r, -shift[0])), bool(r <= tol[0])
 
 
 def _solve_each(g, rhs):

@@ -209,17 +209,21 @@ def test_alternance_matches_the_per_minor_test():
     """On sets whose minors are of order 1, the test from one solve takes
     every decision that the per-minor test took: the same result type,
     failure reason and index, the same padding, and determinants within
-    1e-12 of the largest."""
+    1e-12 of the largest.  Its multipliers, z_1..z_p of its own solve,
+    agree to 1e-8 with those of ``solve_positive_combination``, which the
+    per-minor test cross-checked."""
     rng = np.random.default_rng(34)
     kinds = Counter()
     for kind, vecs in _alternance_sets(rng):
         d = len(vecs[0])
         combo = solve_positive_combination(vecs)
         old = _per_minor_alternance(vecs, combo)
-        new = fo._alternance(vecs, combo, len(vecs), len(vecs),
-                             np.eye(d), 1e-8, "plain", None)
+        new = fo._alternance(vecs, len(vecs), len(vecs), np.eye(d), 1e-8,
+                             "plain", None)
         if isinstance(new, fo.Cadre):
             assert old[0] == "Cadre", (kind, vecs, old)
+            assert np.all(np.abs(new.multipliers - combo)
+                          <= 1e-8 * np.maximum(combo, 1.0))
             assert new.determinants_exponent == 0
             assert np.array_equal(np.array(new.padding).reshape(-1, d),
                                   np.array(old[1]).reshape(-1, d))
@@ -283,6 +287,8 @@ def test_simplex_family_keeps_its_complete_cadre_at_any_scale(tmp_path,
         assert k == 0
     else:
         assert k != 0 and 1 <= abs(dets[0]) < 10
+    # the basis cadre runs no prefix test; it holds all the same
+    assert fo._independent_prefixes(cadre["vectors"])
     # the re-check reads the minors on the report's power of ten
     cadre["determinants_exponent"] += 2
     assert not fo.reverify_report(None, {"candidate": [0.0] * d,
@@ -467,22 +473,18 @@ def _screen_pool(rng, d, kind):
 def _screen_matches_scalar(pool, p):
     """Number of p-subsets of ``pool`` that solve_positive_combination
     accepts, after asserting that the screen yields exactly those, in
-    order and in slices of 1, 2, 3, ... survivors, each with the
-    scalar's multipliers bit for bit."""
+    order and in slices of 1, 2, 3, ... survivors."""
     chunk = list(combinations(range(len(pool)), p))
     screened = list(fo._rank_screen(pool, chunk, p, count(1)))
-    expected = [(sub, beta) for sub in chunk
-                for beta in [solve_positive_combination(pool[list(sub)])]
-                if beta is not None]
-    assert [sub for sub, _ in screened] == [sub for sub, _ in expected], p
-    assert all(np.array_equal(a, b)
-               for (_, a), (_, b) in zip(screened, expected)), p
+    expected = [sub for sub in chunk
+                if solve_positive_combination(pool[list(sub)]) is not None]
+    assert screened == expected, p
     return len(expected)
 
 
 def test_rank_screen_keeps_every_positive_combination():
     """The screen yields exactly the subsets that solve_positive_combination
-    accepts, each with its multipliers, over random pools with exact zero
+    accepts, over random pools with exact zero
     null entries, zero leads, near-parallel columns and columns scaled to
     a condition number near 10^6; it drops most subsets of rank p - 1."""
     rng = np.random.default_rng(11)
@@ -534,16 +536,16 @@ def test_stacked_lead_test_matches_the_scalar_one():
     pair = np.array([u, -1e-8 * u, -1e-10 * u])
     assert solve_positive_combination(pair[[0, 1]]) is not None
     assert solve_positive_combination(pair[[0, 2]]) is None
-    assert [sub for sub, _ in fo._rank_screen(
-        pair, [(0, 1), (0, 2)], 2, count(1))] == [(0, 1)]
+    assert list(fo._rank_screen(
+        pair, [(0, 1), (0, 2)], 2, count(1))) == [(0, 1)]
 
 
 def test_rank_screen_keeps_ill_conditioned_combinations():
     """[w, u, -(u + w / r)], whose null vector (1/r, 1, 1) the normal
     equations miss from about r = 10^5, is accepted through the null
     vector's ratios up to about r = 10^8 and rejected by the lead test
-    from about r = 10^9; the screen yields what the scalar accepts, with
-    its multipliers, whichever of the vectors comes first."""
+    from about r = 10^9; the screen yields what the scalar accepts,
+    whichever of the vectors comes first."""
     rng = np.random.default_rng(3)
     w, u = rng.standard_normal((2, 3))
     accepted = tried = 0
@@ -555,13 +557,14 @@ def test_rank_screen_keeps_ill_conditioned_combinations():
     assert 3 * 10 <= accepted < tried
 
 
-def test_find_cadre_scalar_calls_on_linf():
+def test_find_cadre_scalar_calls_on_linf(monkeypatch):
     """Pinned calls of solve_positive_combination on linf d=6: none, single
-    vectors included.  The stacked positive_combinations decides every
-    subset, and the alternance test of each candidate takes the
-    combination it found.  The plain complete search, 792 subsets of
-    which 192 have rank 6, verifies none; every other search verifies
-    its cadre alone."""
+    vectors included.  The stacked positive_combinations screens every
+    subset, and the alternance test of each candidate finds its
+    multipliers in its own solve.  The plain complete search, 792 subsets
+    of which 192 have rank 6, verifies none; every other search verifies
+    its cadre alone.  A default check of every registry problem calls it
+    neither."""
     P, x, sampling = registry.get("linf", 6)
     G = PointContext(P, x, sampling).generators
     calls = []
@@ -570,14 +573,17 @@ def test_find_cadre_scalar_calls_on_linf():
         calls.append(len(vecs))
         return solve_positive_combination(vecs)
 
-    pinned = {("plain", 1): 0, ("plain", 7): 0,
-              ("generalised", 1): 0, ("generalised", 7): 0}
-    for (flavor, p_min), n in pinned.items():
-        calls.clear()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fo, "solve_positive_combination", counted)
-            fo.find_cadre(G, flavor, p_min=p_min)
-        assert len(calls) == n, (flavor, p_min)
+    # firstorder holds no name of its own for it, so every call is counted
+    assert not hasattr(fo, "solve_positive_combination")
+    monkeypatch.setattr(lk, "solve_positive_combination", counted)
+    for flavor, p_min in product(("plain", "generalised"), (1, 7)):
+        fo.find_cadre(G, flavor, p_min=p_min)
+    for name in registry.NAMES:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["check", "--registry", name]
+                            + ["--dim", "6"] * (name == "linf"))
+        assert code != cli.EXIT_ERROR, name
+    assert calls == []
 
 
 def _walk_pool(rng, d=6):
@@ -797,6 +803,71 @@ def test_basis_cadre_is_a_minimal_positive_circuit():
     for r in range(1, cadre.p):
         for sub in combinations(cadre.vectors, r):
             assert solve_positive_combination(sub) is None
+
+
+def test_basis_cadres_pass_the_prefix_test():
+    """The basis cadre runs no prefix test: its vectors form a positive
+    circuit, so every p - 1 of them are independent, and the alternance
+    test re-checks it.  Every basis cadre of each registry problem, of
+    linf d = 2..11 and of each positive set of ``_alternance_sets`` taken
+    as gradients passes the test all the same (the simplex family's is
+    checked in test_simplex_family_keeps_its_complete_cadre_at_any_scale)."""
+    problems = [registry.get(name) for name in registry.NAMES
+                if name != "linf"]
+    problems += [registry.get("linf", d) for d in range(2, 12)]
+    cadres = [fo.necessary_check(PointContext(*entry)).cadre
+              for entry in problems]
+    cadres += [fo.cadre_search(_gen_set(len(vecs[0]), vecs))[0]
+               for kind, vecs in _alternance_sets(np.random.default_rng(34))
+               if kind == "positive"]
+    cadres = [cadre for cadre in cadres if cadre is not None]
+    assert len(cadres) > 80
+    assert Counter(cadre.p for cadre in cadres)[2] < len(cadres) / 2
+    for cadre in cadres:
+        assert fo._independent_prefixes(cadre.vectors)
+
+
+def test_a_wrong_null_vector_is_refused(monkeypatch):
+    """With the alternance test's solve returning z_2, z_3, ... off by a
+    factor 1 + 1e-6, which keeps every sign, the multipliers miss the
+    residual test: verify_alternance, the basis cadre of necessary_check,
+    find_cadre and ``verify-alternance --json`` refuse the dem cadre as
+    ResidualTooLarge."""
+    solve = fo._null_vector
+    monkeypatch.setattr(fo, "_null_vector", lambda v1, T: [
+        zs * (1 + 1e-6) if s else zs for s, zs in enumerate(solve(v1, T))])
+    res = fo.verify_alternance([(5, 1), (-5, 1), (0, -2)])
+    assert (res.reason, res.index) == ("ResidualTooLarge", None)
+    ctx = PointContext(*registry.get("dem"))
+    rep = fo.necessary_check(ctx)
+    assert rep.zero_in_D and rep.cadre is None
+    assert fo.find_cadre(ctx.generators) is None
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify-alternance", "--vectors", "5,1;-5,1;0,-2",
+                         "--json"])
+    assert code == cli.EXIT_REFUTED
+    assert json.loads(out.getvalue())["reason"] == "ResidualTooLarge"
+
+
+@pytest.mark.filterwarnings("error")
+def test_reverify_refuses_tampered_multipliers_at_any_scale():
+    """The re-check decides the residual on the vectors divided by a power
+    of two.  Multipliers changed to [1, 5, 1] are refused at 1e160 and
+    1e300, where every norm overflows unscaled, as at 1 and 1e150, with
+    no warning; the reported ones pass; ok is a Python bool."""
+    for one in (1.0, 1e150, 1e160, 1e300):
+        cadre = fo.verify_alternance([(one, 0), (-one, one), (0, -one)])
+        report = {"candidate": [0.0, 0.0],
+                  "necessary": {"cadre": cadre.to_json()}}
+        res = fo.reverify_report(None, report)
+        assert res["ok"] is True and res["checks"][0]["ok"] is True
+        report["necessary"]["cadre"]["multipliers"] = [1.0, 5.0, 1.0]
+        res = fo.reverify_report(None, report)
+        assert res["ok"] is False and res["checks"][0]["ok"] is False
+        # 1 (1, 0) + 5 (-1, 1) + 1 (0, -1) = (-4, 4), times the scale
+        assert res["checks"][0]["residual"] == pytest.approx(
+            math.sqrt(32) * one, rel=1e-15)
 
 
 def test_necessary_sdp_1024_reads_its_cadre_off_the_basis():
