@@ -16,10 +16,9 @@ from .geometry import (GeneratorSet, PointContext, SamplingSpec,
 from .linkernel import (lp_chebyshev_center, lp_membership, rank,
                         simplex_solve, solve_positive_combination)
 from .firstorder import (Cadre, CombinatorialBudgetExceeded, NotFeasible,
-                         Zbasis, find_cadre, necessary_check,
-                         penalty_subdiff_check, penalty_value,
-                         semiinfinite_discretize, sufficient_check,
-                         verify_alternance)
+                         find_cadre, necessary_check, penalty_subdiff_check,
+                         penalty_value, semiinfinite_discretize,
+                         sufficient_check, verify_alternance)
 from .secondorder import (hessian_bundle, multiplier_vertices,
                           second_order_necessary, second_order_sufficient)
 from .oracle import (fd_check, growth_probe, hull_membership_bruteforce)

@@ -26,7 +26,7 @@ from .oracle import TooFewFeasibleSamples, growth_probe
 from .problem import (ProblemFormatError, ToleranceSet, load_problem_file,
                       problem_to_text)
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 EXIT_OK = 0
 EXIT_ERROR = 1

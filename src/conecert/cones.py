@@ -1,11 +1,12 @@
 """Cone primitives shared by the constraint blocks and the generator sets:
 projections, deterministic direction sampling, the spectral split of a
-symmetric matrix, the provenance record every generator carries, the
-sequences that build the records of a sampled family only for the rows
-read (``ProvenanceRows``) and read several families as one
-(``SequenceChain``), the one encoder of report values into JSON data
-(``json_data``) and its one-pass writer of JSON text (``json_text``), and
-the row-wise products, norms and maxima that screen a stack of points or
+symmetric matrix, report records (``Record``) and the provenance record
+every generator carries, the sequences that build the records of a
+sampled family only for the rows read (``ProvenanceRows``) and read
+several families as one (``SequenceChain``), the one encoder of report
+values into JSON data (``json_data``) and its one-pass writer of JSON
+text (``json_text``), both reading a record's ``json_fields()``, and the
+row-wise products, norms and maxima that screen a stack of points or
 directions bit for bit as a loop over them would, and the one decision of
 what a unit direction is (``unit_rows``) and which directions are distinct
 (``distinct_rows``).  The direction samplers return their directions as
@@ -80,7 +81,7 @@ def _token(value) -> str:
 def json_data(value):
     """The JSON data of a report value: a scalar by ``_scalar``, an array,
     list or tuple as a list, a dict with its values encoded, and any other
-    value, a record, by its ``to_json()``."""
+    value, a record, as the encoding of its ``json_fields()``."""
     data = _scalar(value)
     if data is not _NOT_SCALAR:
         return data
@@ -90,7 +91,7 @@ def json_data(value):
         return [json_data(v) for v in value]
     if isinstance(value, (np.ndarray, np.generic)):
         return json_data(value.tolist())
-    return value.to_json()
+    return json_data(value.json_fields())
 
 
 def json_text(value) -> str:
@@ -134,16 +135,20 @@ def _write(value, parts, newline):
     elif isinstance(value, (np.ndarray, np.generic)):
         _write(value.tolist(), parts, newline)
     else:
-        _write(value.to_json(), parts, newline)
+        _write(value.json_fields(), parts, newline)
 
 
 class Record:
-    """A report dataclass whose JSON form is its fields in order, each
-    through ``json_data``, less those whose metadata sets json=False."""
+    """A report dataclass.  ``json_fields()``, which both writers read
+    and walk once, gives its raw fields in order, less those whose
+    metadata sets json=False; ``to_json()`` is its JSON data."""
+
+    def json_fields(self) -> dict:
+        return {f.name: getattr(self, f.name)
+                for f in fields(self) if f.metadata.get("json", True)}
 
     def to_json(self):
-        return {f.name: json_data(getattr(self, f.name))
-                for f in fields(self) if f.metadata.get("json", True)}
+        return json_data(self)
 
 
 class EigenFailure(Exception):
@@ -151,7 +156,7 @@ class EigenFailure(Exception):
 
 
 @dataclass(frozen=True)
-class Provenance:
+class Provenance(Record):
     kind: str            # 'scenario'|'nlp_ineq'|'nlp_eq'|'soc_boundary'|
                          # 'soc_apex'|'sdp_null'|'semi_infinite'|'bound'|
                          # 'set_eq'|'aux_sum'|'aux_hull'
@@ -160,7 +165,7 @@ class Provenance:
     sign: int = 1
     detail: tuple = ()         # sampled direction, when applicable
 
-    def to_json(self):
+    def json_fields(self):
         out = {"kind": self.kind, "sign": self.sign}
         if self.block is not None:
             out["block"] = self.block
@@ -168,7 +173,7 @@ class Provenance:
             out["index"] = self.index
         if self.detail:
             out["detail"] = self.detail
-        return json_data(out)
+        return out
 
 
 class ProvenanceRows(Sequence):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from .cones import (Record, SequenceChain, builtin_max, distinct_rows,
-                    json_data, pair_dots, row_norms, unit_rows)
+                    pair_dots, row_norms, unit_rows)
 from .geometry import (GeneratorSet, PointContext, Provenance,
                        block_distances, nA_vector)
 from .linkernel import (EPS_POS, EPS_RANK, SCREEN_CHUNK, combination_residual,
@@ -30,7 +30,7 @@ from .problem import (BLOCK_CLASSES, NlpIneq, Problem, SemiInfinite,
                       activity, evaluate_objective, scenario_derivatives)
 
 __all__ = [
-    "Cadre", "AlternanceFailure", "Zbasis", "MultiplierWitness",
+    "Cadre", "AlternanceFailure", "MultiplierWitness",
     "CombinatorialBudgetExceeded", "NotFeasible",
     "verify_alternance", "find_cadre", "cadre_search",
     "directional_derivatives", "necessary_check", "sufficient_check",
@@ -162,31 +162,26 @@ def _combination_rows(start, stop, r: int):
     return np.fromiter(flat, dtype=np.intp, count=n * r).reshape(n, r)
 
 
-@dataclass(frozen=True)
-class Zbasis:
-    """d linearly independent padding vectors; ``verify_alternance`` pads
-    with the canonical basis when it is given none."""
-
-    vectors: tuple
-
-
 @dataclass
-class Cadre:
+class Cadre(Record):
     """A p-point cadre / alternance certificate.
 
     vectors[0:k0] come from the objective subdifferential, vectors[k0:i0]
     from the cone-constraint normal cone, vectors[i0:p] from the normal
     cone of the polyhedral set.  multipliers are the weights z_1..z_p of
     the alternance test's null vector (z_1 = 1), residual the norm of
-    their combination; determinants are the padded d+1 alternating
-    determinant sequence divided by 10^determinants_exponent, which is 0
-    unless some minor is not 0 or a finite normal float (see ``_minors``).
+    their combination; padding the 1-based indices of the rows of Z (the
+    axes e_i by default) that complete vectors[1:] to a basis;
+    determinants the padded d+1 alternating determinant sequence
+    divided by 10^determinants_exponent, which is 0 unless some minor is
+    not 0 or a finite normal float (see ``_minors``).
     """
 
     p: int
     k0: int
     i0: int
     flavor: str                  # 'plain' | 'generalised' | 'weak'
+    complete: bool = field(init=False)    # p == d + 1
     vectors: list
     provenance: list
     multipliers: np.ndarray
@@ -195,19 +190,8 @@ class Cadre:
     determinants_exponent: int
     residual: float
 
-    @property
-    def complete(self) -> bool:
-        return self.p == len(self.vectors[0]) + 1
-
-    def to_json(self):
-        return json_data({
-            "p": self.p, "k0": self.k0, "i0": self.i0, "flavor": self.flavor,
-            "complete": self.complete, "vectors": self.vectors,
-            "provenance": self.provenance, "multipliers": self.multipliers,
-            "padding": self.padding, "determinants": self.determinants,
-            "determinants_exponent": self.determinants_exponent,
-            "residual": self.residual,
-        })
+    def __post_init__(self):
+        self.complete = self.p == len(self.vectors[0]) + 1
 
 
 @dataclass
@@ -225,16 +209,16 @@ class AlternanceFailure:
 
 
 def verify_alternance(vectors, k0: int | None = None, i0: int | None = None,
-                      Z: Zbasis | None = None, eps_det: float = 1e-8,
+                      Z=None, eps_det: float = 1e-8,
                       flavor: str = "plain", provenance=None):
     """Check the alternating-determinant conditions for the given vectors.
 
-    Pads with vectors from Z (chosen greedily so the trailing columns stay
-    independent), takes the d+1 determinants of the matrices that drop
-    one column each from one solve (``_alternance``), and demands
-    strictly alternating signs through p and vanishing determinants
-    beyond.  The multipliers, read off the same solve, must then pass
-    the residual test of ``linkernel.combination_residual``.
+    Pads with rows of Z, the unit axes when None (chosen greedily so the
+    trailing columns stay independent), takes the d+1 determinants of the
+    matrices that drop one column each from one solve (``_alternance``),
+    and demands strictly alternating signs through p and vanishing
+    determinants beyond.  The multipliers, read off the same solve, must
+    then pass the residual test of ``linkernel.combination_residual``.
     """
     vecs = [np.asarray(v, dtype=float) for v in vectors]
     p = len(vecs)
@@ -247,13 +231,13 @@ def verify_alternance(vectors, k0: int | None = None, i0: int | None = None,
     i0 = p if i0 is None else i0
     if not (1 <= k0 <= p and k0 <= i0 <= p):
         raise ValueError("need 1 <= k0 <= i0 <= p")
-    pads = np.eye(d) if Z is None else np.array(Z.vectors, dtype=float)
+    pads = np.eye(d) if Z is None else np.asarray(Z, dtype=float)
     return _alternance(vecs, k0, i0, pads, eps_det, flavor, provenance)
 
 
 def _alternance(vecs, k0, i0, pads, eps_det, flavor, provenance):
     """The test of ``verify_alternance`` on valid arguments, with pads the
-    vectors of Z as rows.
+    rows of Z.
 
     Write V = [V_1 .. V_{d+1}] for vecs and their padding, and Delta_s for
     det V without column s.  The tail V_2 .. V_{d+1} is nonsingular, so
@@ -296,8 +280,9 @@ def _null_vector(v1, T):
 
 
 def _padded_tail(S, pads):
-    """(T, padding): T = [S, padding], d x d, where padding is the rows of
-    pads, in order, that keep the columns of T independent; None when the
+    """(T, padding): T = [S, pads[k - 1] for k in padding], d x d, where
+    padding is the increasing 1-based indices of the rows of pads that
+    keep the columns of T independent; None when the
     columns of S are dependent or the rows cannot complete them.  A
     vector counts as independent of the ones before it when its residual
     off their span exceeds EPS_RANK times its norm.
@@ -328,8 +313,7 @@ def _padded_tail(S, pads):
         j = next((i for i in range(n, len(ok)) if not ok[i]), len(ok))
         kept.extend(left[:j - n].tolist())
         if j == d:
-            padding = pads[kept]
-            return np.hstack([S, padding.T]), list(padding)
+            return np.hstack([S, pads[kept].T]), [k + 1 for k in kept]
         cols, left = M[:, :j], left[j - n + 1:]
         if not len(left):
             return None
@@ -574,7 +558,7 @@ def _rank_screen(stacked, chunk, p, widths):
 
 
 @dataclass
-class MultiplierWitness:
+class MultiplierWitness(Record):
     """Structured dual data reassembled from membership-LP weights.
 
     ``duals`` maps a block's position to the block and its dual, whose
@@ -616,7 +600,7 @@ class MultiplierWitness:
             grad = grad + weight * nA_vector(P.set_A, d, pr)
         return grad, hess + cone_hess
 
-    def to_json(self):
+    def json_fields(self):
         out = {"alpha": [{"scenario": s, "sign": sg, "weight": w}
                          for s, sg, w in self.alpha]}
         # one table per block kind, each keyed by block position
@@ -626,7 +610,7 @@ class MultiplierWitness:
                              if blk.kind == cls.kind}
         out["nA"] = [{"prov": pr, "weight": w} for pr, w in self.nA]
         out["stationarity_residual"] = self.stationarity_residual
-        return json_data(out)
+        return out
 
 
 def _assemble_witness(ctx: PointContext, G: GeneratorSet,
@@ -683,9 +667,10 @@ def reverify_report(P: Problem, report: dict) -> dict:
     """Re-check the witnesses attached to a serialized report.
 
     Recomputes the cadre combination residual (``combination_residual``),
-    the determinant sequence, on the report's power of ten, and the
-    multiplier stationarity residual from scratch; used by the JSON
-    round-trip tests and by consumers of stored reports."""
+    the determinant sequence, on the report's power of ten, the padding
+    axes (from schema 6) and the multiplier stationarity residual from
+    scratch; used by the JSON round-trip tests and by consumers of stored
+    reports."""
     x = np.asarray(report["candidate"], dtype=float)
     out = {"ok": True, "checks": []}
 
@@ -703,7 +688,11 @@ def reverify_report(P: Problem, report: dict) -> dict:
         dets_match = abs(shift) <= 1 and np.allclose(
             again.determinants * 10.0 ** shift, data["determinants"],
             atol=1e-7, rtol=1e-7)
-        return {"what": what, "ok": small and dets_match, "residual": resid}
+        # before schema 6 the padding is vectors, not compared
+        pads = data["padding"]
+        ok = small and dets_match and (any(type(k) is not int for k in pads)
+                                       or again.padding == pads)
+        return {"what": what, "ok": ok, "residual": resid}
 
     nec = report.get("necessary") or {}
     if nec.get("cadre"):

@@ -152,7 +152,7 @@ def test_criterion_08_random_triple_agreement():
     ortho = {}
     for dd in (1, 2, 3):
         Qd, _ = np.linalg.qr(rng.standard_normal((dd, dd)))
-        ortho[dd] = fo.Zbasis(tuple(tuple(row) for row in Qd.T))
+        ortho[dd] = Qd.T
     n_member = 0
     for trial in range(500):
         d = int(rng.integers(1, 4))

@@ -177,7 +177,7 @@ def test_json_report_roundtrip_and_reverify(tmp_path):
                            "--json", "--out", str(out_path))
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == 5
+    assert report["schema"] == 6
     assert report["exit_code"] == 0
     assert json.loads(out_path.read_text()) == report
     # one encoding, printed with a newline and written without one
@@ -224,6 +224,62 @@ def test_reverify_checks_the_complete_alternance():
     assert not res["ok"]
     assert [c["what"] for c in res["checks"] if not c["ok"]] == [
         "flavor_search.complete"]
+
+
+def test_reverify_checks_the_padding_axes():
+    """A report names its padding by axis index, and the re-check
+    requires the axes it picks itself: the determinants are recomputed
+    with its own padding, so only this comparison sees a changed index."""
+    code, out, _ = run_cli("check", "--registry", "linf", "--dim", "3",
+                           "--json")
+    report = json.loads(out)
+    assert code == 0 and report["necessary"]["cadre"]["padding"] == [2, 3]
+    P, _, _ = registry.get("linf", dim=3)
+    assert fo.reverify_report(P, report)["ok"]
+    report["necessary"]["cadre"]["padding"][0] = 1
+    res = fo.reverify_report(P, report)
+    assert not res["ok"]
+    assert [c["what"] for c in res["checks"] if not c["ok"]] == [
+        "necessary.cadre"]
+
+
+def test_the_first_determinant_follows_from_the_report_alone():
+    """In the default report of each fixed registry problem and of linf at
+    d = 2..11, Delta_1 is det T for the padded tail T = [v_2 .. v_p, e_i
+    for i in padding], rebuilt here from the report's vectors and padding
+    with numpy alone: the padding is d - p + 1 increasing axis indices in
+    1..d, and slogdet(T) gives determinants[0] 10^determinants_exponent
+    to 1e-9 relative."""
+    seen = 0
+    for name, dim in [(n, None) for n in registry.NAMES if n != "linf"] + [
+            ("linf", d) for d in range(2, 12)]:
+        size = [] if dim is None else ["--dim", str(dim)]
+        code, out, _ = run_cli("check", "--registry", name, *size, "--json")
+        assert code == 0, (name, dim)
+        cadre = json.loads(out)["necessary"]["cadre"]
+        V = np.array(cadre["vectors"], dtype=float)
+        p, d = V.shape
+        pads = cadre["padding"]
+        assert all(type(k) is int for k in pads), (name, dim)
+        assert len(pads) == d - p + 1 and pads == sorted(set(pads))
+        assert all(1 <= k <= d for k in pads), (name, dim)
+        T = np.column_stack([*V[1:], *np.eye(d)[np.array(pads, int) - 1]])
+        sign, logdet = np.linalg.slogdet(T)
+        first = cadre["determinants"][0]
+        assert sign == np.sign(first), (name, dim)
+        want = math.log(abs(first)) + cadre["determinants_exponent"] * \
+            math.log(10)
+        assert abs(logdet - want) <= 1e-9, (name, dim, logdet, want)
+        seen += 1
+    assert seen == len(registry.NAMES) - 1 + 10
+
+
+def test_linf_200_report_is_linear_in_d():
+    """The padding of 199 axes takes 199 ints, not 199 vectors of 200
+    floats: the report is under 100 KB (646 KB with the vectors)."""
+    code, out, _ = run_cli("check", "--registry", "linf", "--dim", "200",
+                           "--json")
+    assert code == 0 and len(out.encode()) < 100_000
 
 
 def test_check_enumerates_no_subsets(monkeypatch):

@@ -4,9 +4,11 @@ of JSON text, ``cones.json_text``.
 Reports were once encoded by hand: each record's ``to_json`` copied out
 its fields, ``cmd_check`` converted the candidate to floats, and seven
 sites added 0.0 where values were produced so that no report printed
--0.0.  Frozen copies of those bodies and sites are kept here: under them
-every check must print the text it prints through the encoder, byte for
-byte, zero signs and key order included.
+-0.0.  Frozen copies of those bodies and sites are kept here, put back
+as each record's ``json_fields`` hook: under them every check must print
+the text it prints through the encoder, byte for byte, zero signs and key
+order included.  The frozen cadre body writes its padding as the axis
+indices of schema 6, the one change of the encoding since.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 from conecert import cli
+from conecert import cones
 from conecert import firstorder as fo
 from conecert import geometry as geo
 from conecert import oracle
@@ -64,7 +67,7 @@ def _cadre_to_json(self):
         "provenance": [pr.to_json() if isinstance(pr, Provenance) else pr
                        for pr in self.provenance],
         "multipliers": [float(b) for b in self.multipliers],
-        "padding": [list(map(float, v)) for v in self.padding],
+        "padding": [int(k) for k in self.padding],
         "determinants": [float(x) for x in self.determinants],
         "determinants_exponent": self.determinants_exponent,
         "residual": self.residual,
@@ -173,7 +176,7 @@ def _freeze(m):
                       (fo.PenaltyReport, _as_dict),
                       (so.SecondOrderReport, _as_dict),
                       (oracle.GrowthProbe, _as_dict)):
-        m.setattr(cls, "to_json", body)
+        m.setattr(cls, "json_fields", body)
     m.setattr(cli, "_emit", _emit)
 
 
@@ -281,6 +284,26 @@ def test_records_encode_their_fields_in_order():
     assert json_data(probe) == data and _signs(data) == [1.0] * 5
     # a record's to_json is already JSON data: the encoder leaves it be
     assert json_data({"probe": probe}) == {"probe": data}
+    # the writers' hook hands them the fields as they are
+    raw = probe.json_fields()
+    assert list(raw) == list(data) and raw["values"] is probe.values
+
+
+def test_json_text_walks_each_record_once(monkeypatch):
+    """``json_text`` writes a whole report, records included, without
+    ``json_data``: no record encodes its fields before the writer walks
+    them."""
+    report = _captured_report(monkeypatch, [
+        "--registry", "soc-example", "--flavor", "generalised",
+        "--second-order", "--penalty", "10", "--oracle"])
+    want = _dumps(report)
+
+    def refused(value):
+        raise AssertionError("json_data called while writing")
+    for module in (cones, cli, fo, so, oracle, geo, pb):
+        if hasattr(module, "json_data"):
+            monkeypatch.setattr(module, "json_data", refused)
+    assert json_text(report) == want
 
 
 def test_necessary_report_leaves_out_its_generator_set():
