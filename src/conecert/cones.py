@@ -1,5 +1,7 @@
 """Cone primitives shared by the constraint blocks and the generator sets:
-projections, deterministic direction sampling, the spectral split of a
+projections, deterministic direction sampling (scrambled Sobol points
+through the inverse normal CDF, ``sobol_points`` and ``ndtri``, drawn
+with numpy alone as scipy draws them), the spectral split of a
 symmetric matrix, report records (``Record``) and the provenance record
 every generator carries, the sequences that build the records of a
 sampled family only for the rows read (``ProvenanceRows``) and read
@@ -21,17 +23,21 @@ and ``geometry`` re-exports them.
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
+from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "json_data", "json_text", "Record", "EigenFailure", "Provenance",
     "ProvenanceRows", "SequenceChain", "SpectralData", "spectral_split",
-    "project_soc", "project_psd_neg", "unit_directions", "axis_directions",
+    "project_soc", "project_psd_neg", "sobol_points", "ndtri",
+    "unit_directions", "axis_directions",
     "sdp_null_directions", "unit_rows", "distinct_rows", "pair_dots",
     "row_norms", "builtin_max",
 ]
@@ -282,24 +288,213 @@ def project_psd_neg(M) -> np.ndarray:
     return 0.5 * P + 0.5 * P.T
 
 
+# The sampled directions are scrambled Sobol points (Joe and Kuo's
+# direction numbers, Matousek's linear matrix scrambling plus a digital
+# shift) pushed through the inverse normal CDF, drawn as
+# scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed) and
+# scipy.special.ndtri draw them, bit for bit, with numpy alone.
+SOBOL_BITS = 30
+# the largest dimension the vendored direction numbers cover
+MAX_SOBOL_DIM = 1000
+_SOBOL_TABLE = Path(__file__).with_name("sobol_directions.txt")
+# for each bit column j: the shifts j and SOBOL_BITS - 1 - j, and the
+# integer 2^(SOBOL_BITS - 1 - j)
+_BIT_LOW = np.arange(SOBOL_BITS, dtype=np.uint32)
+_BIT_HIGH = _BIT_LOW[::-1].copy()
+_COLUMN_BIT = np.ones(SOBOL_BITS, dtype=np.uint32) << _BIT_HIGH
+# entry (p, i): 2^(SOBOL_BITS - 1 - p) below the diagonal, 0 on and above
+_STRICT_LOWER = np.tril(np.ones((SOBOL_BITS, SOBOL_BITS), dtype=np.uint32),
+                        -1) << _BIT_HIGH[:, None]
+
+
+def _sobol_row(s: int, a: int, m: list) -> list:
+    """One dimension's direction numbers from its Joe-Kuo row: the initial
+    m_1 .. m_s, then the recurrence of Bratley and Fox (ACM TOMS 14,
+    1988) on the primitive polynomial x^s + a_1 x^(s-1) + ... + 1, each
+    number j scaled by 2^(SOBOL_BITS - 1 - j)."""
+    poly = (1 << s) | (a << 1) | 1
+    v = list(m)
+    for j in range(s, SOBOL_BITS):
+        new = v[j - s]
+        for k in range(s):
+            if (poly >> (s - 1 - k)) & 1:
+                new ^= v[j - k - 1] << (k + 1)
+        v.append(new)
+    return [x << (SOBOL_BITS - 1 - j) for j, x in enumerate(v)]
+
+
+def _direction_numbers(dim: int) -> np.ndarray:
+    """The unscrambled direction numbers of the first ``dim`` dimensions,
+    a (dim, SOBOL_BITS) uint32 array: the first dimension's are all 1,
+    the others follow from the rows of the vendored table."""
+    if not 1 <= dim <= MAX_SOBOL_DIM:
+        raise ValueError(f"sampled directions need 1 <= dim <= "
+                         f"{MAX_SOBOL_DIM}, got {dim}")
+    rows = [_COLUMN_BIT.tolist()]
+    with _SOBOL_TABLE.open(encoding="ascii") as fh:
+        for line in fh:
+            if len(rows) == dim:
+                break
+            if not line.startswith("#"):
+                _, s, a, *m = map(int, line.split())
+                rows.append(_sobol_row(s, a, m))
+    return np.array(rows, dtype=np.uint32)
+
+
+# this table and the next are constants of the direction numbers and of
+# the point count, not of the seed: each is built once for a dimension or
+# a count and kept, read-only, for the few a process asks for
+@functools.lru_cache(maxsize=8)
+def _direction_bits(dim: int) -> np.ndarray:
+    """Entry [k, i, j]: bit SOBOL_BITS - 1 - i of direction number j of
+    dimension k (uint8)."""
+    bits = ((_direction_numbers(dim)[:, None, :] >> _BIT_HIGH[:, None]) & 1
+            ).astype(np.uint8)
+    bits.flags.writeable = False
+    return bits
+
+
+@functools.lru_cache(maxsize=8)
+def _gray_columns(n: int) -> np.ndarray:
+    """The column each step 1 .. n - 1 of a Gray-code draw XORs in: the
+    lowest set bit of the step's index."""
+    low = np.zeros(n - 1, dtype=np.intp)
+    for b in range(1, (n - 1).bit_length()):
+        low[(1 << b) - 1::1 << b] = b
+    low.flags.writeable = False
+    return low
+
+
+def sobol_points(dim: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of the scrambled Sobol sequence in [0, 1)^dim,
+    the rows of the result: what
+    ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed).random(n)``
+    returns."""
+    if not 1 <= n <= 1 << SOBOL_BITS:
+        raise ValueError(f"a Sobol draw holds 1 to 2^{SOBOL_BITS} points, "
+                         f"got {n}")
+    rng = np.random.default_rng(seed)
+    # scipy's draws, in its order and dtype: the shift's bits, then the
+    # scrambling matrices, of which only the strict lower triangle is read
+    # (the diagonal is 1)
+    shift = rng.integers(0, 2, size=(dim, SOBOL_BITS), dtype=np.uint32)
+    shift = np.bitwise_or.reduce(shift << _BIT_LOW, axis=1)
+    ltm = rng.integers(0, 2, size=(dim, SOBOL_BITS, SOBOL_BITS),
+                       dtype=np.uint32)
+    # column i of each matrix as an integer, row p its bit
+    # SOBOL_BITS - 1 - p: a sum of distinct powers of two
+    cols = np.einsum("kpi,pi->ki", ltm, _STRICT_LOWER) + _COLUMN_BIT
+    # scrambling is a product over GF(2): each direction number becomes
+    # the XOR of the columns of the bits it has set, most significant
+    # first
+    v = np.bitwise_xor.reduce(cols[:, :, None] * _direction_bits(dim),
+                              axis=1)
+    # Gray-code order: point i is the shift XOR the columns of the lowest
+    # set bit of 1 .. i, one cumulative XOR
+    quasi = np.empty((n, dim), dtype=np.uint32)
+    quasi[0] = shift
+    quasi[1:] = v.T[_gray_columns(n)]
+    np.bitwise_xor.accumulate(quasi, axis=0, out=quasi)
+    return quasi * (1.0 / (1 << SOBOL_BITS))
+
+
+# cephes' ndtri (S. L. Moshier), the inverse normal CDF scipy.special.ndtri
+# computes: a rational function in y - 1/2 on [exp(-2), 1 - exp(-2)], and
+# one in 1/x, x = sqrt(-2 log y), on each tail, another past x = 8
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+             -5.66762857469070293439E1, 1.39312609387279679503E1,
+             -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+             8.63602421390890590575E1, -2.25462687854119370527E2,
+             2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+             5.71628192246421288162E1, 4.40805073893200834700E1,
+             1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+             -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+             4.13172038254672030440E1, 1.50425385692907503408E1,
+             2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+             3.93881025292474443415E0, 1.33303460815807542389E0,
+             2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6,
+             6.23974539184983293730E-9)
+_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+             1.37702099489081330271E0, 2.16236993594496635890E-1,
+             1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _ratio(x, p, q):
+    """x P(x) / Q(x), P and Q by Horner's rule as cephes' polevl and p1evl
+    (Q's leading 1 not stored), one rounding per multiply and per add."""
+    num = p[0] * x + p[1]
+    for c in p[2:]:
+        num *= x
+        num += c
+    den = x + q[0]
+    for c in q[1:]:
+        den *= x
+        den += c
+    num *= x
+    num /= den
+    return num
+
+
+def _logs(values: np.ndarray) -> np.ndarray:
+    """math.log of each value: the platform's libm log that cephes calls;
+    numpy's own log can differ from it in the last bit."""
+    return np.fromiter(map(math.log, values.tolist()), float, len(values))
+
+
+def ndtri(p) -> np.ndarray:
+    """The inverse standard normal CDF of each p, bit for bit as
+    scipy.special.ndtri: -inf at 0, inf at 1, nan outside [0, 1] and at
+    nan."""
+    y = np.asarray(p, dtype=float)
+    out = np.empty(y.shape)
+    upper = y > 1.0 - _EXP_M2
+    z = np.where(upper, 1.0 - y, y)
+    centre = z > _EXP_M2
+    w = z[centre] - 0.5
+    w += w * _ratio(w * w, _NDTRI_P0, _NDTRI_Q0)
+    w *= _S2PI
+    out[centre] = w
+    tail = ~centre
+    t = z[tail]
+    if t.size and not t.min() > 0.0:
+        # 0 and 1, and the values outside [0, 1] or nan: no log
+        ends = tail & ~(z > 0.0)
+        out[ends] = np.where(y[ends] == 0.0, -np.inf,
+                             np.where(y[ends] == 1.0, np.inf, np.nan))
+        tail &= ~ends
+        t = z[tail]
+    x = np.sqrt(-2.0 * _logs(t))
+    r = 1.0 / x
+    x1 = _ratio(r, _NDTRI_P1, _NDTRI_Q1)
+    far = x >= 8.0
+    if far.any():
+        x1[far] = _ratio(r[far], _NDTRI_P2, _NDTRI_Q2)
+    x = x - _logs(x) / x - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
 def unit_directions(dim: int, count: int, seed: int) -> np.ndarray:
     """Deterministic low-discrepancy unit vectors, the rows of the result
-    (Sobol points pushed through the normal inverse CDF, then
+    (scrambled Sobol points pushed through the normal inverse CDF, then
     normalized)."""
     if dim < 1 or count < 1:
         return np.empty((0, max(dim, 0)))
     if dim == 1:
         return np.array([[1.0], [-1.0]])
-    # imported here: scipy.stats and scipy.special take longer to import
-    # than the rest of the package, and only the sampled cone blocks draw
-    # directions
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-    sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    # draw a power-of-two batch (Sobol balance), drop the leading point,
-    # truncate to the requested count
-    n_draw = 1 << max(1, (count + 1).bit_length())
-    raw = sampler.random(n_draw)[1:count + 1]
+    # the leading point is dropped
+    raw = sobol_points(dim, count + 1, seed)[1:]
     return unit_rows(ndtri(np.clip(raw, 1e-12, 1 - 1e-12)), 1e-12)[0]
 
 

@@ -224,7 +224,9 @@ def verify_alternance(vectors, k0: int | None = None, i0: int | None = None,
     p = len(vecs)
     if p == 0:
         raise ValueError("need at least one vector")
-    d = vecs[0].shape[0]
+    if vecs[0].ndim != 1 or any(v.shape != vecs[0].shape for v in vecs):
+        raise ValueError("the vectors must be 1-D and of one length")
+    d = len(vecs[0])
     if not 1 <= p <= d + 1:
         raise ValueError(f"p must lie in 1..{d + 1}")
     k0 = p if k0 is None else k0
@@ -232,6 +234,9 @@ def verify_alternance(vectors, k0: int | None = None, i0: int | None = None,
     if not (1 <= k0 <= p and k0 <= i0 <= p):
         raise ValueError("need 1 <= k0 <= i0 <= p")
     pads = np.eye(d) if Z is None else np.asarray(Z, dtype=float)
+    if pads.ndim != 2 or pads.shape[1] != d:
+        raise ValueError(f"Z must be 2-D with {d} columns, got shape "
+                         f"{pads.shape}")
     return _alternance(vecs, k0, i0, pads, eps_det, flavor, provenance)
 
 

@@ -71,10 +71,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr as ex
-from .cones import (EigenFailure, Provenance, ProvenanceRows, axis_directions,
-                    builtin_max, distinct_rows, pair_dots, project_soc,
-                    row_norms, sdp_null_directions, spectral_split,
-                    unit_directions, unit_rows)
+from .cones import (MAX_SOBOL_DIM, EigenFailure, Provenance, ProvenanceRows,
+                    axis_directions, builtin_max, distinct_rows, pair_dots,
+                    project_soc, row_norms, sdp_null_directions,
+                    spectral_split, unit_directions, unit_rows)
 
 __all__ = [
     "ToleranceSet", "PolyhedralSet", "NormalFamily", "NlpIneq", "NlpEq",
@@ -426,9 +426,17 @@ class Soc(_ConeBlock):
     def from_section(cls, pairs, d, line):
         name, comps = cls.section, {}
         for k, v, ln in pairs:
-            if not (k.startswith("g") and k[1:].isdigit()):
+            # g and an index in ASCII digits, leading zeros allowed
+            index = re.fullmatch(r"g0*([0-9]+)", k)
+            if index is None:
                 raise ProblemFormatError(f"unknown key {k!r}", name, ln)
-            comps[int(k[1:])] = (v, ln)
+            index = index[1]
+            if len(index) > len(str(MAX_SOC_SIZE)) \
+                    or int(index) > MAX_SOC_SIZE:
+                raise ProblemFormatError(
+                    f"soc has at most {MAX_SOC_SIZE} components, got {k!r}",
+                    name, ln)
+            comps[int(index)] = (v, ln)
         if not comps or sorted(comps) != list(range(1, len(comps) + 1)):
             raise ProblemFormatError("soc needs g1..gk consecutively",
                                      name, line)
@@ -1062,8 +1070,12 @@ def _parse_number(value: str, section, line) -> float:
 # each at 1000) and the finite-difference Hessian makes 4 d^2 evaluations
 MAX_DIM = 1000
 # an [sdp] size: the loader lays out a size x size table before it checks
-# the entries, and every point's matrix takes an O(size^3) eigensolve
+# the entries, and every point's matrix takes an O(size^3) eigensolve; its
+# sampled kernel directions lie in at most size <= MAX_SOBOL_DIM dimensions
 MAX_SDP_SIZE = 1000
+# a [soc]'s components g1 .. gk: the apex samples directions in R^(k-1),
+# which the vendored Sobol direction numbers cover up to MAX_SOBOL_DIM
+MAX_SOC_SIZE = MAX_SOBOL_DIM + 1
 # a [semiinf] grid is held as Python floats (about 32 bytes a point), and
 # each point is one scalar constraint evaluated at every point checked
 MAX_GRID_POINTS = 100_000

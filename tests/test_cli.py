@@ -962,15 +962,23 @@ def test_check_rejects_a_penalty_that_is_not_finite_and_nonnegative():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    """The direction sampler imports scipy.stats and scipy.special on
-    first use, so checks that sample no directions never pay for them;
-    nothing imports scipy.spatial."""
+    """No scipy module is loaded by importing conecert or by a sampled
+    cone check: the direction sampler draws with numpy alone."""
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, conecert; print('scipy.stats' in sys.modules,"
-         " 'scipy.spatial' in sys.modules, 'scipy.special' in sys.modules)"],
+         "import contextlib, io, sys\n"
+         "import conecert\n"
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+         "from conecert.cli import main\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         "    codes = [main(['check', '--registry', 'soc-example',\n"
+         "                   '--soc-dirs', '512']),\n"
+         "             main(['check', '--registry', 'sdp-example',\n"
+         "                   '--sdp-dirs', '128'])]\n"
+         "print(codes)\n"
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False False False"
+    assert proc.stdout.splitlines() == ["[]", "[0, 0]", "[]"]
 
 
 def test_check_counts_must_be_positive_integers(tmp_path):
@@ -1044,6 +1052,31 @@ def test_check_counts_past_their_limits_are_input_errors(tmp_path):
         pb.MAX_GRID_POINTS))
     assert len(pb.load_problem_file(str(path)).blocks[0].grid) \
         == pb.MAX_GRID_POINTS
+
+
+def test_check_soc_components_past_their_limit_are_input_errors(tmp_path):
+    """A [soc] has at most MAX_SOC_SIZE = 1001 components (l = 1000, the
+    dimensions the vendored Sobol direction numbers cover); a component
+    past it is an input error naming the key, section and line, raised
+    before anything of its size is allocated.  A component index in
+    non-ASCII digits is an unknown key; before, g\u00b2 ended in a
+    traceback from int()."""
+    head = '[problem] dim=1\n[scenario] f="x(1)"\n[soc] g1="x(1)"\n'
+    path = tmp_path / "soc.prob"
+    for key in (f"g{pb.MAX_SOC_SIZE + 1}", "g1000000000", "g" + "9" * 5000):
+        path.write_text(head + f'  {key}="x(1)"\n')
+        code, out, err = run_cli("check", "--file", str(path), "--at", "0")
+        assert (code, out) == (1, ""), key
+        assert err == (f"error: soc has at most {pb.MAX_SOC_SIZE} "
+                       f"components, got {key!r} in [soc] (line 4)\n")
+    path.write_text(head + '  g\u00b2="x(1)"\n', encoding="utf-8")
+    code, out, err = run_cli("check", "--file", str(path), "--at", "0")
+    assert (code, out, err) == (
+        1, "", "error: unknown key 'g\u00b2' in [soc] (line 4)\n")
+    # the limit itself loads, with leading zeros in a key as before
+    comps = " ".join(f'g{i}="x(1)"' for i in range(2, pb.MAX_SOC_SIZE + 1))
+    problem = pb.load_problem_text(head.replace('g1=', 'g001=') + comps)
+    assert problem.blocks[0].l == pb.MAX_SOC_SIZE - 1 == 1000
 
 
 def test_check_semiinf_grid_ends_must_be_finite(tmp_path):

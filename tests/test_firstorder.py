@@ -108,6 +108,23 @@ def test_verify_p1_zero_vector():
     assert res.p == 1 and not res.complete
 
 
+def test_verify_rejects_vectors_and_z_of_other_shapes():
+    """Every vector has length d and Z is 2-D with d columns, or a
+    ValueError says so.  Before, Z of shorter rows raised numpy's hstack
+    error from inside the padding."""
+    with pytest.raises(ValueError, match="2-D with 3 columns"):
+        fo.verify_alternance([(1, 0, 0), (-1, 0, 0)], Z=np.eye(2))
+    with pytest.raises(ValueError, match="2-D with 3 columns"):
+        fo.verify_alternance([(1, 0, 0), (-1, 0, 0)], Z=np.ones(3))
+    with pytest.raises(ValueError, match="1-D and of one length"):
+        fo.verify_alternance([(1, 0, 0), (-1, 0)])
+    with pytest.raises(ValueError, match="1-D and of one length"):
+        fo.verify_alternance([np.eye(2)])
+    # Z of d columns and any number of rows is still read
+    res = fo.verify_alternance([(1, 0, 0), (-1, 0, 0)], Z=np.eye(3)[::-1])
+    assert isinstance(res, fo.Cadre)
+
+
 def test_verify_cramer_multipliers():
     res = fo.verify_alternance([(5, 1), (-5, 1), (0, -2)], k0=3, i0=3)
     beta_cramer = [(-1) ** s * res.determinants[s] / res.determinants[0]
