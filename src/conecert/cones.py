@@ -516,10 +516,19 @@ def pair_dots(H, R) -> np.ndarray:
     return np.matmul(H[:, None, None, :], R[:, :, None])[:, :, 0, 0]
 
 
+@np.errstate(over="raise")
 def row_norms(H) -> np.ndarray:
-    """np.linalg.norm of each row of H, computed as for one row."""
+    """np.linalg.norm of each row of H, computed as for one row, or hypot's
+    norm where the squares overflow (inf only past the largest float)."""
     H = np.ascontiguousarray(H, dtype=float)
-    return np.sqrt(np.matmul(H[:, None, :], H[:, :, None])[:, 0, 0])
+    try:
+        return np.sqrt(np.matmul(H[:, None, :], H[:, :, None])[:, 0, 0])
+    except FloatingPointError:   # a square past the largest float
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.matmul(H[:, None, :], H[:, :, None])[:, 0, 0])
+            big = norms == math.inf
+            norms[big] = np.hypot.reduce(H[big], axis=1)
+        return norms
 
 
 def builtin_max(rows) -> np.ndarray:

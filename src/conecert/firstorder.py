@@ -409,7 +409,7 @@ def _hull_pool(grads, grads_prov, generalised: bool):
     if not S:
         return pool, prov
     aux = -np.mean(S, axis=0)
-    if np.linalg.norm(aux) < 1e-12:
+    if row_norms(aux[None])[0] < 1e-12:
         return pool, prov
     if lp_membership(aux, pool) is not None:
         _extend_pool(pool, prov, [aux], [Provenance("aux_hull")])
@@ -910,8 +910,7 @@ def semiinfinite_discretize(P: Problem, x):
         chosen = list(ba.active)
         capped = False
         if len(chosen) > P.d + 1:
-            grads, _ = blk._derivatives(x, chosen)
-            norms = [float(np.linalg.norm(g)) for g in grads]
+            norms = row_norms(blk.jets(x, chosen, derivatives=True)[1])
             order = sorted(range(len(chosen)),
                            key=lambda k: (-norms[k], chosen[k]))
             chosen = sorted(chosen[k] for k in order[:P.d + 1])

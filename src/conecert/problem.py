@@ -13,6 +13,10 @@ Each block kind is one class (NlpIneq, NlpEq, Soc, Sdp, SemiInfinite) that
 carries every operation the rest of the package needs from a block, so no
 other module branches on the kind:
 
+- ``components`` and ``jets(x, rows=None, derivatives=False)``: the
+  block's functions of x (a matrix cone's entries on and above the
+  diagonal, row by row) and the one way the operations below read them:
+  their values at x, on request with gradients and Hessians;
 - ``activity(x, tol, position)``: the block's BlockActivity at x (active
   indices, second-order-cone state, matrix spectral data);
 - ``violations(pts, position)``: (description, amounts) pairs, one amount
@@ -20,13 +24,10 @@ other module branches on the kind:
 - ``distance(x)``: distance of the block value to its cone in the block
   norm, the exact-penalty term;
 - ``normal_generators(x, state, sampling)``: the NormalFamily of
-  generators of the normal cone, one stack: the vectors as the rows of
-  an (n, d) array, the block-space multipliers whose images under the
-  derivative they are (n scalars for the scalar blocks, an (n, l+1) array
-  for a second-order cone, an (n, l, l) array for a matrix cone) and n
-  Provenance records, those of sampled directions built when read; apex
-  and kernel directions are sampled here and nowhere else, and built as
-  one stacked product;
+  generators of the normal cone, one stack (n scalar multipliers for the
+  scalar blocks, an (n, l+1) array for a second-order cone, an (n, l, l)
+  array for a matrix cone); apex and kernel directions are sampled here
+  and nowhere else, and built as one stacked product;
 - ``tangent_test(x, state, rows)``: given the block's generator vectors,
   the rows of an (n, d) array, a test ``(H, eps) -> bool array`` of
   linearized feasibility of each direction in the rows of H;
@@ -34,8 +35,7 @@ other module branches on the kind:
   dual of row ``row`` of the block's NormalFamily to the block's
   multiplier;
 - ``dual_derivatives(x, dual)``: the gradient and Hessian in x of the
-  pairing <dual, G_block(x)>, each component differentiated once (a
-  semi-infinite block's grid points in one stack, t not differentiated);
+  pairing <dual, G_block(x)>, from one ``jets`` call;
 - ``dual_to_json(dual)`` and ``dual_from_json(data)``: a multiplier's
   JSON form;
 - ``from_section(pairs, d, line)`` and ``to_text(d)``: the block read
@@ -66,6 +66,7 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -197,6 +198,20 @@ class _Block:
 
     separable = False
 
+    def jets(self, x, rows=None, derivatives=False):
+        """The values at x of the components (all, or those of the indices
+        ``rows``), one ``eval_value`` each, in order; with ``derivatives``,
+        also their gradients (n, d) and Hessians (n, d, d), one ``eval2``
+        each.  The first undefined component raises its DomainError."""
+        comps = self.components if rows is None else [
+            self.components[i] for i in rows]
+        if not derivatives:
+            return np.array([ex.eval_value(e, x) for e in comps])
+        duals = [ex.eval2(e, x) for e in comps]
+        return (np.array([D.value for D in duals]),
+                np.array([D.grad for D in duals]).reshape(-1, len(x)),
+                np.array([D.hess for D in duals]).reshape(-1, len(x), len(x)))
+
     def tangent_test(self, x, state, rows):
         """Linearized feasibility: <r, h> <= eps for every generator r of
         the block's normal cone at x."""
@@ -204,18 +219,22 @@ class _Block:
 
 
 class _ScalarBlock(_Block):
-    """Blocks of scalar constraints; a dual is an {index: weight} table.
-    Subclasses give ``_values(x)``, every constraint's value at x, and
-    ``_derivatives(x, indices)``, the gradients and the Hessians in x of
-    the constraints ``indices``, in their order.  A constraint g <= 0 is
-    active where g is within eps_active of 0 or above it."""
+    """Blocks of scalar constraints; a dual is an {index: weight} table.  A
+    constraint g <= 0 is active where g is within eps_active of 0 or above
+    it; its generator is its gradient, named by ``_provenance``."""
 
     polyhedral = True
 
     def activity(self, x, tol, position):
         return BlockActivity(position, self.kind, active=[
-            i for i, v in enumerate(self._values(x))
+            i for i, v in enumerate(self.jets(x).tolist())
             if abs(v) <= tol.eps_active or v > 0])
+
+    def normal_generators(self, x, state, sampling):
+        grads = self.jets(x, state.active, derivatives=True)[1]
+        return NormalFamily(
+            grads, np.ones(len(state.active)),
+            [self._provenance(state.position, i) for i in state.active])
 
     def add_dual(self, dual, family, row, weight):
         index = family.prov[row].index
@@ -224,10 +243,9 @@ class _ScalarBlock(_Block):
         return dual
 
     def dual_derivatives(self, x, dual):
-        d = len(x)
-        grad, hess = np.zeros(d), np.zeros((d, d))
-        for weight, g, H in zip(dual.values(),
-                                *self._derivatives(x, list(dual))):
+        grad, hess = np.zeros(len(x)), np.zeros((len(x), len(x)))
+        _, grads, hessians = self.jets(x, list(dual), derivatives=True)
+        for weight, g, H in zip(dual.values(), grads, hessians):
             grad = grad + weight * g
             hess = hess + weight * H
         return grad, hess
@@ -237,6 +255,15 @@ class _ScalarBlock(_Block):
 
     def dual_from_json(self, data):
         return {int(i): w for i, w in data.items()}
+
+
+def _weighted_hessian(weights, hessians, d):
+    """sum(w_k H_k) over the weights that are not 0, in order."""
+    hess = np.zeros((d, d))
+    for w, H in zip(weights, hessians):
+        if w != 0.0:
+            hess = hess + w * H
+    return hess
 
 
 class _ConeBlock(_Block):
@@ -261,15 +288,8 @@ class _NlpBlock(_ScalarBlock):
     separable = True
 
     @property
-    def exprs(self) -> tuple:
+    def components(self) -> tuple:
         return getattr(self, self.key)
-
-    def _values(self, x):
-        return [ex.eval_value(e, x) for e in self.exprs]
-
-    def _derivatives(self, x, indices):
-        duals = [ex.eval2(self.exprs[i], x) for i in indices]
-        return [D.grad for D in duals], [D.hess for D in duals]
 
     @classmethod
     def from_section(cls, pairs, d, line):
@@ -283,7 +303,7 @@ class _NlpBlock(_ScalarBlock):
 
     def to_text(self, d):
         return f"[{self.section}] " + " ".join(
-            f'{self.key}="{ex.to_string(e)}"' for e in self.exprs)
+            f'{self.key}="{ex.to_string(e)}"' for e in self.components)
 
 
 @dataclass(frozen=True)
@@ -297,13 +317,10 @@ class NlpIneq(_NlpBlock):
                 for i, g in enumerate(self.g)]
 
     def distance(self, x):
-        return sum(max(0.0, v) for v in self._values(x))
+        return sum(max(0.0, v) for v in self.jets(x).tolist())
 
-    def normal_generators(self, x, state, sampling):
-        grads, _ = self._derivatives(x, state.active)
-        return NormalFamily(
-            np.reshape(grads, (-1, len(x))), np.ones(len(state.active)),
-            [Provenance("nlp_ineq", state.position, i) for i in state.active])
+    def _provenance(self, position, i):
+        return Provenance("nlp_ineq", position, i)
 
 
 @dataclass(frozen=True)
@@ -321,12 +338,11 @@ class NlpEq(_NlpBlock):
                 for j, b in enumerate(self.b)]
 
     def distance(self, x):
-        return sum(abs(v) for v in self._values(x))
+        return sum(abs(v) for v in self.jets(x).tolist())
 
     def normal_generators(self, x, state, sampling):
         # both signs of each constraint's gradient, in turn
-        grads = np.reshape(self._derivatives(x, range(len(self.b)))[0],
-                           (-1, len(x)))
+        grads = self.jets(x, derivatives=True)[1]
         return NormalFamily(
             np.stack([grads, -grads], axis=1).reshape(-1, len(x)),
             np.tile([1.0, -1.0], len(self.b)),
@@ -343,23 +359,16 @@ class Soc(_ConeBlock):
     def l(self) -> int:
         return len(self.g) - 1
 
-    def _values(self, x) -> np.ndarray:
-        return np.array([ex.eval_value(g, x) for g in self.g])
-
-    def jacobian(self, x) -> np.ndarray:
-        return np.array([ex.eval2(g, x).grad for g in self.g])
+    @property
+    def components(self) -> tuple:
+        return self.g
 
     def dual_derivatives(self, x, dual):
-        comps = [ex.eval2(g, x) for g in self.g]
-        d = len(x)
-        hess = np.zeros((d, d))
-        for D, lam in zip(comps, dual):
-            if lam != 0.0:
-                hess = hess + lam * D.hess
-        return np.array([D.grad for D in comps]).T @ dual, hess
+        _, J, hessians = self.jets(x, derivatives=True)
+        return J.T @ dual, _weighted_hessian(dual, hessians, len(x))
 
     def activity(self, x, tol, position):
-        vals = self._values(x)
+        vals = self.jets(x)
         if np.linalg.norm(vals) <= tol.eps_active:
             state = "origin"
         elif abs(vals[0] - float(np.linalg.norm(vals[1:]))) <= tol.eps_active:
@@ -367,7 +376,7 @@ class Soc(_ConeBlock):
         else:
             state = "inactive"
         # the normal cone's generators and the tangent test both read J
-        J = None if state == "inactive" else self.jacobian(x)
+        J = self.jets(x, derivatives=True)[1] if state != "inactive" else None
         return BlockActivity(position, self.kind, soc_state=state,
                              soc_value=vals, jacobian=J,
                              sampled=state == "origin" and self.l >= 2)
@@ -378,7 +387,7 @@ class Soc(_ConeBlock):
                  row_norms(vals[1:].T) - vals[0])]
 
     def distance(self, x):
-        vals = self._values(x)
+        vals = self.jets(x)
         return float(np.linalg.norm(vals - project_soc(vals)))
 
     def normal_generators(self, x, state, sampling):
@@ -451,6 +460,20 @@ class Soc(_ConeBlock):
             f'g{i + 1}="{ex.to_string(g)}"' for i, g in enumerate(self.g))
 
 
+@lru_cache(maxsize=8)
+def _sdp_layout(n):
+    """The rows, the columns and the weights in <dual, G0(x)> (2 off the
+    diagonal, for the mirror) of a size-n matrix cone's components, and
+    the (n, n) table of the component of each entry."""
+    i, j = np.triu_indices(n)
+    table = np.empty((n, n), dtype=np.intp)
+    table[i, j] = table[j, i] = np.arange(len(i))
+    layout = i, j, np.where(i == j, 1.0, 2.0), table
+    for a in layout:   # shared by every block of the size
+        a.flags.writeable = False
+    return layout
+
+
 @dataclass(frozen=True)
 class Sdp(_ConeBlock):
     G0: tuple  # l rows of l expressions, symmetric; G0(x) must be neg. semidefinite
@@ -460,29 +483,24 @@ class Sdp(_ConeBlock):
     def size(self) -> int:
         return len(self.G0)
 
-    def entry_derivatives(self, x):
-        """``eval2`` of each upper-triangle entry, keyed by (i, j), and
-        grads[i, j, :], the gradient of entry (i, j), symmetrized."""
-        n = self.size
-        entries = {(i, j): ex.eval2(self.G0[i][j], x)
-                   for i in range(n) for j in range(i, n)}
-        grads = np.zeros((n, n, len(x)))
-        for (i, j), D in entries.items():
-            grads[i, j] = grads[j, i] = D.grad
-        return entries, grads
+    @cached_property
+    def components(self) -> tuple:
+        return tuple(e for i, row in enumerate(self.G0) for e in row[i:])
+
+    def matrices(self, rows):
+        """The symmetric matrices of ``rows``, one row per component: axes
+        0 and 1 of the result run over the matrix, the rest are a row's."""
+        return np.asarray(rows)[_sdp_layout(self.size)[3]]
 
     def activity(self, x, tol, position):
-        spec = spectral_split(_sdp_matrix(self, x), tol.eps_rank)
+        spec = spectral_split(self.matrices(self.jets(x)), tol.eps_rank)
         return BlockActivity(position, self.kind, eigenvalues=spec.eigenvalues,
                              null_basis=spec.null_basis,
                              sampled=spec.null_basis.shape[1] > 1)
 
     def violations(self, pts, position):
-        n = self.size
-        M = np.empty((pts.n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                M[:, i, j] = M[:, j, i] = pts.values(self.G0[i][j])
+        M = self.matrices([pts.values(e) for e in self.components]).transpose(
+            2, 0, 1)
         # a matrix with an undefined or non-finite entry has no
         # eigenvalues: its amount is NaN, a violation; a NaN matrix in the
         # stack could make eigvalsh fail for every point
@@ -498,7 +516,7 @@ class Sdp(_ConeBlock):
         scales before squaring, so entries near the largest float do not
         overflow."""
         try:
-            sigma = np.linalg.eigvalsh(_sdp_matrix(self, x))
+            sigma = np.linalg.eigvalsh(self.matrices(self.jets(x)))
         except np.linalg.LinAlgError as err:
             raise EigenFailure(str(err)) from err
         return math.hypot(*np.maximum(sigma, 0.0).tolist())
@@ -506,11 +524,10 @@ class Sdp(_ConeBlock):
     def normal_generators(self, x, state, sampling):
         Q0 = state.null_basis
         if Q0.shape[1] == 0:
-            n = self.size
-            return NormalFamily(np.empty((0, len(x))), np.empty((0, n, n)),
-                                [])
+            return NormalFamily(np.empty((0, len(x))),
+                                np.empty((0, self.size, self.size)), [])
         pos = state.position
-        _, grads = self.entry_derivatives(x)
+        grads = self.matrices(self.jets(x, derivatives=True)[1])
         Q = sdp_null_directions(Q0, sampling.sdp_dirs,
                                 sampling.seed + 7 * pos + 3)
         # the generator of q is q' dG q, its dual the outer product q q'
@@ -519,14 +536,10 @@ class Sdp(_ConeBlock):
             Q[:, :, None] * Q[:, None, :], ProvenanceRows("sdp_null", pos, Q))
 
     def dual_derivatives(self, x, dual):
-        entries, grads = self.entry_derivatives(x)
-        d = len(x)
-        hess = np.zeros((d, d))
-        for (i, j), D in entries.items():
-            w = dual[i, j] * (1.0 if i == j else 2.0)
-            if w != 0.0:
-                hess = hess + w * D.hess
-        return np.einsum("ij,ijk->k", dual, grads), hess
+        _, grads, hessians = self.jets(x, derivatives=True)
+        i, j, mirrored, _ = _sdp_layout(self.size)
+        return (np.einsum("ij,ijk->k", dual, self.matrices(grads)),
+                _weighted_hessian(dual[i, j] * mirrored, hessians, len(x)))
 
     @classmethod
     def from_section(cls, pairs, d, line):
@@ -535,11 +548,11 @@ class Sdp(_ConeBlock):
             if k == "size":
                 size = _parse_count("size", v, MAX_SDP_SIZE, name, ln)
             elif k.startswith("entry(") and k.endswith(")"):
-                try:
-                    i_s, j_s = k[6:-1].split(",")
-                    entries[(int(i_s), int(j_s))] = (v, ln)
-                except ValueError:
+                # indices in ASCII digits, leading zeros allowed
+                index = re.fullmatch(r"entry\(([0-9]+),([0-9]+)\)", k)
+                if index is None:
                     raise ProblemFormatError(f"bad entry key {k!r}", name, ln)
+                entries[(int(index[1]), int(index[2]))] = (v, ln)
             else:
                 raise ProblemFormatError(f"unknown key {k!r}", name, ln)
         if size is None:
@@ -549,9 +562,8 @@ class Sdp(_ConeBlock):
             if not (1 <= i <= size and 1 <= j <= size):
                 raise ProblemFormatError(f"entry({i},{j}) outside matrix",
                                          name, ln)
-            node = _parse_expr(v, d, name, ln)
-            rows[i - 1][j - 1] = node
-            rows[j - 1][i - 1] = node
+            rows[i - 1][j - 1] = rows[j - 1][i - 1] = _parse_expr(
+                v, d, name, ln)
         for i in range(size):
             for j in range(i, size):
                 if rows[i][j] is None:
@@ -560,11 +572,9 @@ class Sdp(_ConeBlock):
         return cls(tuple(tuple(r) for r in rows))
 
     def to_text(self, d):
-        parts = [f"size={self.size}"]
-        for i in range(self.size):
-            for j in range(i, self.size):
-                parts.append(f'entry({i + 1},{j + 1})='
-                             f'"{ex.to_string(self.G0[i][j])}"')
+        parts = [f"size={self.size}"] + [
+            f'entry({i + 1},{j + 1})="{ex.to_string(e)}"'
+            for i, j, e in zip(*_sdp_layout(self.size)[:2], self.components)]
         return "[sdp] " + " ".join(parts)
 
 
@@ -582,21 +592,16 @@ class SemiInfinite(_ScalarBlock):
             raise ValueError("semi-infinite grid must be sorted and "
                              "duplicate-free")
 
-    def _jets(self, x, indices, d):
-        """g's values and derivatives in x(1..d) at the grid points
-        ``indices``, one stack with t in row d+1; an undefined one raises
-        the DomainError of the first such grid point."""
-        t = np.array(self.grid)[indices]
-        X = np.vstack([np.repeat(x[:, None], len(t), axis=1), t])
-        vals, reasons, grads, hessians = ex.eval_jets(self.g, X, d)
+    def jets(self, x, rows=None, derivatives=False):
+        """``_Block.jets`` of g at the grid points (all, or those of the
+        indices ``rows``): one stack, with t in row d+1, not differentiated;
+        the first undefined grid point raises its DomainError."""
+        t = np.array(self.grid)[slice(None) if rows is None else list(rows)]
+        X = np.vstack([np.repeat(np.reshape(x, (-1, 1)), len(t), axis=1), t])
+        vals, reasons, grads, hessians = ex.eval_jets(
+            self.g, X, len(x) if derivatives else 0)
         ex.raise_undefined(reasons)
-        return vals, grads, hessians
-
-    def _values(self, x):
-        return self._jets(x, slice(None), 0)[0].tolist()
-
-    def _derivatives(self, x, indices):
-        return self._jets(x, list(indices), len(x))[1:]
+        return (vals, grads, hessians) if derivatives else vals
 
     def violations(self, pts, position):
         # the grid points in chunks, each chunk's columns t-major
@@ -617,15 +622,11 @@ class SemiInfinite(_ScalarBlock):
                  np.where(nan, math.nan, amounts))]
 
     def distance(self, x):
-        return max(0.0, max(self._values(x)))
+        return max(0.0, max(self.jets(x).tolist()))
 
-    def normal_generators(self, x, state, sampling):
-        grads, _ = self._derivatives(x, state.active)
-        return NormalFamily(
-            grads, np.ones(len(state.active)),
-            [Provenance("semi_infinite", state.position, j,
-                        detail=(float(self.grid[j]),))
-             for j in state.active])
+    def _provenance(self, position, j):
+        return Provenance("semi_infinite", position, j,
+                          detail=(float(self.grid[j]),))
 
     @classmethod
     def from_section(cls, pairs, d, line):
@@ -818,15 +819,6 @@ def activity(P: Problem, x) -> ActiveSets:
     blocks = [blk.activity(x, P.tolerances, pos)
               for pos, blk in enumerate(P.blocks)]
     return ActiveSets(F_value=F, scenarios=scen, blocks=blocks)
-
-
-def _sdp_matrix(blk: Sdp, x) -> np.ndarray:
-    n = blk.size
-    M = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            M[i, j] = M[j, i] = ex.eval_value(blk.G0[i][j], x)
-    return M
 
 
 @dataclass

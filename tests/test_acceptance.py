@@ -133,8 +133,8 @@ def test_criterion_06_soc_example():
 
 def test_criterion_07_sdp_example():
     P, x, samp = registry.get("sdp-example")
-    from conecert.problem import _sdp_matrix
-    M = _sdp_matrix(P.blocks[0], np.asarray(x, dtype=float))
+    blk = P.blocks[0]
+    M = blk.matrices(blk.jets(x))
     ok = np.max(np.abs(M - np.diag([0.0, -1.0, 0.0]))) <= 1e-10
     G = build_generator_set(P, x, activity(P, x), samp)
     rows = [tuple(np.round(v, 9)) for v, p in zip(G.eta, G.eta_prov)

@@ -617,11 +617,17 @@ def test_check_builds_point_data_once(monkeypatch):
 def test_check_evaluates_each_soc_jacobian_once(monkeypatch):
     """The normal-cone generators and the tangent test of a second-order
     cone block read the Jacobian kept with the block's activity: one
-    evaluation per block at the point (soc-example has two blocks)."""
-    counts = _count_calls(monkeypatch, (pb.Soc, "jacobian"))
+    evaluation per block at the point (soc-example has two blocks), as
+    counted by the calls of ``jets`` with derivatives."""
+    calls, jets = [], pb.Soc.jets
+
+    def counted(self, x, rows=None, derivatives=False):
+        calls.append(derivatives)
+        return jets(self, x, rows, derivatives)
+    monkeypatch.setattr(pb.Soc, "jets", counted)
     code, out, _ = run_cli("check", "--registry", "soc-example", "--json")
     assert code == 0 and json.loads(out)["necessary"]["zero_in_D"]
-    assert counts == {"jacobian": 2}
+    assert calls.count(True) == 2
 
 
 def test_check_enumerates_second_order_data_once(monkeypatch, tmp_path):
@@ -1077,6 +1083,49 @@ def test_check_soc_components_past_their_limit_are_input_errors(tmp_path):
     comps = " ".join(f'g{i}="x(1)"' for i in range(2, pb.MAX_SOC_SIZE + 1))
     problem = pb.load_problem_text(head.replace('g1=', 'g001=') + comps)
     assert problem.blocks[0].l == pb.MAX_SOC_SIZE - 1 == 1000
+
+
+def test_check_sdp_entry_indices_are_ascii_digits(tmp_path):
+    """An [sdp] entry key takes its indices in ASCII digits, leading zeros
+    allowed, as a [soc] key does; any other index is a bad entry key.
+    Before, int() read entry(\u0661,\u0661) as entry(1,1) and
+    entry(1_0,1_0) as entry(10,10), and both files were checked."""
+    head = '[problem] dim=1\n[scenario] f="x(1)"\n[sdp] size={}\n'
+    path = tmp_path / "sdp.prob"
+    for size, key in ((1, "entry(\u0661,\u0661)"), (10, "entry(1_0,1_0)")):
+        entries = [f'entry({i},{j})="{-1 if i == j else 0}"'
+                   for i in range(1, size + 1) for j in range(i, size + 1)]
+        entries[-1] = f'{key}="-1"'
+        path.write_text(head.format(size) + "\n".join(entries) + "\n",
+                        encoding="utf-8")
+        code, out, err = run_cli("check", "--file", str(path), "--at", "0")
+        assert (code, out) == (1, ""), key
+        assert err == (f"error: bad entry key {key!r} in [sdp] "
+                       f"(line {len(entries) + 3})\n")
+    problem = pb.load_problem_text(head.format(2) + 'entry(01,001)="x(1)" '
+                                   'entry(1,02)="0" entry(002,2)="-1"\n')
+    assert pb.problem_to_text(problem).endswith(
+        '[sdp] size=2 entry(1,1)="x(1)" entry(1,2)="0.0" '
+        'entry(2,2)="-1.0"\n')
+
+
+def test_check_huge_gradients_raise_no_overflow_warning(tmp_path):
+    """Scenario gradients with entries of 1e160 have squares past the
+    largest float; their norms (the hull pool's auxiliary vector, the unit
+    rows of the pool) come from ``row_norms``, which takes hypot's norm of
+    such a row, so no flavor warns of an overflow, and each exits 2.
+    Before, numpy warned of an overflow in dot and in matmul under
+    --flavor weak and generalised."""
+    path = tmp_path / "tri.prob"
+    path.write_text('[problem] dim=2\n[scenario] f="1e160*x(1)"\n'
+                    '[scenario] f="-1e160*x(1) + 1e160*x(2)"\n'
+                    '[scenario] f="-1e160*x(2)"\n')
+    for flavor in ("plain", "weak", "generalised"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli("check", "--file", str(path),
+                                   "--at", "0,0", "--flavor", flavor)
+        assert (code, err) == (2, ""), flavor
 
 
 def test_check_semiinf_grid_ends_must_be_finite(tmp_path):

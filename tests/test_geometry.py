@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ import conecert as cc
 from conecert import geometry as geo
 from conecert import cones, registry
 from conecert.cones import spectral_split
-from conecert.problem import (PolyhedralSet, _sdp_matrix, activity,
-                              load_problem_text)
+from conecert.problem import PolyhedralSet, activity, load_problem_text
 
 SQ2 = math.sqrt(2.0)
 
@@ -170,8 +170,9 @@ def test_tangent_membership_sdp_direction():
     blk = P.blocks[0]
     h = np.array([-1.0, 0.0, 0.0])
     tau = 1e-6
-    lam0 = np.linalg.eigvalsh(_sdp_matrix(blk, np.asarray(x)))[-1]
-    lam1 = np.linalg.eigvalsh(_sdp_matrix(blk, np.asarray(x) + tau * h))[-1]
+    lam0 = np.linalg.eigvalsh(blk.matrices(blk.jets(x)))[-1]
+    lam1 = np.linalg.eigvalsh(
+        blk.matrices(blk.jets(np.asarray(x) + tau * h)))[-1]
     assert (lam1 - lam0) / tau <= 1e-3
 
 
@@ -204,7 +205,8 @@ def test_block_distances_shared_with_penalty():
 
 def test_spectral_data_invariants():
     P, x, _ = registry.get("sdp-example")
-    M = _sdp_matrix(P.blocks[0], np.asarray(x, dtype=float))
+    blk = P.blocks[0]
+    M = blk.matrices(blk.jets(x))
     spec = spectral_split(M, P.tolerances.eps_rank)
     Q = spec.Q
     assert np.max(np.abs(Q.T @ Q - np.eye(3))) <= 1e-10
@@ -376,3 +378,25 @@ def test_unit_rows_match_the_row_loop(rng):
             assert np.array_equal(u, V[i] / np.linalg.norm(V[i]))
     assert 0 < len(cones.unit_rows(V, 1e-12)[1]) < len(
         cones.unit_rows(V, tiny)[1]) < len(V)
+
+
+def test_row_norms_stay_finite_where_squares_overflow(rng):
+    """A row whose squares overflow takes hypot's norm, finite when it is
+    representable, and no warning is raised; every other row has
+    np.linalg.norm's bits, rows whose squares underflow included.
+    Before, rows of 1e160 had norm inf and matmul warned of the
+    overflow."""
+    V = rng.standard_normal((60, 3)) * 10.0 ** rng.integers(-200, 150,
+                                                            (60, 1))
+    big = np.array([[1e160, -1e160], [3e200, 4e200], [1e308, 1e308],
+                    [1.5e308, 1.5e308], [math.inf, 1.0], [math.nan, 1e300],
+                    [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms, got = cones.row_norms(V), cones.row_norms(big)
+    for v, norm in zip(V, norms):
+        assert norm.tobytes() == np.float64(np.linalg.norm(v)).tobytes()
+    np.testing.assert_allclose(got[:3], [math.hypot(*r) for r in big[:3]],
+                               rtol=1e-15)
+    assert got[3] == got[4] == math.inf and math.isnan(got[5])
+    assert got[6] == 0.0

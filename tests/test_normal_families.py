@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conecert import cli, cones, registry
+from conecert import expr as ex
 from conecert import firstorder as fo
 from conecert import geometry as geo
 from conecert.cones import Provenance, unit_rows
@@ -79,7 +80,9 @@ def _ref_sdp(blk, x, state, sampling):
     if Q0.shape[1] == 0:
         return []
     pos = state.position
-    _, grads = blk.entry_derivatives(x)
+    n = blk.size
+    grads = np.array([[ex.eval2(blk.G0[i][j], x).grad for j in range(n)]
+                      for i in range(n)])
     qs = _ref_sdp_null_directions(Q0, sampling.sdp_dirs,
                                   sampling.seed + 7 * pos + 3)
     return [(np.einsum("i,ijk,j->k", q, grads, q),
@@ -96,12 +99,12 @@ def _ref_generators(blk, x, state, sampling):
         return _ref_sdp(blk, x, state, sampling)
     if blk.kind == "nlp_eq":
         out = []
-        grads, _ = blk._derivatives(x, range(len(blk.b)))
+        grads = [ex.eval2(b, x).grad for b in blk.b]
         for j, grad in enumerate(grads):
             out.append((grad, Provenance("nlp_eq", pos, j, sign=1), 1.0))
             out.append((-grad, Provenance("nlp_eq", pos, j, sign=-1), -1.0))
         return out
-    grads, _ = blk._derivatives(x, state.active)
+    grads = blk.jets(x, state.active, derivatives=True)[1]
     if blk.kind == "nlp_ineq":
         return [(g, Provenance("nlp_ineq", pos, i), 1.0)
                 for i, g in zip(state.active, grads)]

@@ -313,7 +313,7 @@ def test_semi_infinite_gradients_are_in_x_alone():
         '[semiinf] g="x(2) - 1 - abs(t) + x(1)*t^2 - sqrt(t + 1)*x(2)" '
         'grid=-1:1:5\n')
     blk, x = P.blocks[0], np.array([0.3, -0.7])
-    grads, _ = blk._derivatives(x, range(len(blk.grid)))
+    _, grads, _ = blk.jets(x, derivatives=True)
     for t, got in zip(blk.grid, grads):
         if t in (0.0, -1.0):   # abs or sqrt has no derivative in t there
             with pytest.raises(cc.DomainError):
@@ -373,7 +373,8 @@ def test_semi_infinite_stacked_derivatives_match_one_point(text, at):
                           f'[semiinf] g={text}\n')
     blk, x = P.blocks[0], np.array(at)
     indices = range(len(blk.grid))
-    for j, g, H in zip(indices, *blk._derivatives(x, indices)):
+    for j, g, H in zip(indices,
+                       *blk.jets(x, indices, derivatives=True)[1:]):
         want = ex.eval2(ex.substitute(blk.g, 3, blk.grid[j]), x)
         assert g.tobytes() == want.grad.tobytes()
         assert H.tobytes() == want.hess.tobytes()
@@ -928,3 +929,66 @@ def test_scenario_errors_keep_file_order():
     with pytest.raises(ProblemFormatError) as err:
         load_problem_text('[problem] dim=1\n[scenario] f="x(2)"\n' + bad_scen)
     assert (err.value.section, err.value.line) == ("scenario", 2)
+
+
+BLOCK_KINDS = ('[problem] dim=2\n[scenario] f="x(1)"\n'
+               '[nlp_ineq] g="x(1)^2 - x(2)" g="sin(x(1)*x(2))" g="x(2)"\n'
+               '[nlp_eq] b="x(1)*x(2)^2" b="cos(x(2))" b="exp(x(1))"\n'
+               '[semiinf] g="x(1)^2*t + sin(x(2))*t^3 - exp(t)" '
+               'grid=-1:1:7\n')
+
+
+def _jets_cases():
+    """(problem, point, block) for every block of the registry problems
+    and of a file with scalar blocks, a [semiinf] one among them."""
+    for name in registry.NAMES:
+        P, x, _ = registry.get(name, 3 if name == "linf" else None)
+        for blk in P.blocks:
+            yield P, np.asarray(x, dtype=float), blk
+    P = load_problem_text(BLOCK_KINDS)
+    for blk in P.blocks:
+        yield P, np.array([0.3, -0.7]), blk
+
+
+def test_jets_equal_one_evaluation_per_component():
+    """``jets`` gives, bit for bit, each component's ``eval_value`` and,
+    with derivatives, its ``eval2`` value, gradient and Hessian, over all
+    rows, a subset of rows in reverse order and no rows.  A semi-infinite
+    block's components are g at its grid points, t pinned."""
+    kinds = set()
+    for P, x, blk in _jets_cases():
+        kinds.add(blk.kind)
+        comps = (list(blk.components) if blk.kind != "semi_infinite" else
+                 [ex.substitute(blk.g, P.d + 1, t) for t in blk.grid])
+        n = len(comps)
+        for rows in (None, list(range(n - 1, -1, -2)), []):
+            picked = comps if rows is None else [comps[i] for i in rows]
+            want = np.array([ex.eval_value(c, x) for c in picked])
+            assert blk.jets(x, rows).tobytes() == want.tobytes()
+            vals, grads, hessians = blk.jets(x, rows, derivatives=True)
+            duals = [ex.eval2(c, x) for c in picked]
+            assert vals.tobytes() == want.tobytes()
+            assert grads.shape == (len(picked), P.d)
+            assert hessians.shape == (len(picked), P.d, P.d)
+            for g, H, D in zip(grads, hessians, duals):
+                assert g.tobytes() == D.grad.tobytes()
+                assert H.tobytes() == D.hess.tobytes()
+        if blk.kind == "sdp":
+            M = [[ex.eval_value(e, x) for e in row] for row in blk.G0]
+            assert blk.matrices(blk.jets(x)).tobytes() == np.array(
+                M).tobytes()
+    assert kinds == {"nlp_ineq", "nlp_eq", "soc", "sdp", "semi_infinite"}
+
+
+def test_soc_activity_reads_every_value_before_a_derivative():
+    """At x = 0, g1 = abs(x(1)) has a value and no derivative, and
+    g2 = sqrt(x(1) - 1) has no value: the block's activity raises g2's
+    DomainError, since it reads every value before the Jacobian; a walk
+    that took the derivatives first would raise g1's."""
+    P = load_problem_text('[problem] dim=1\n[scenario] f="x(1)"\n'
+                          '[soc] g1="abs(x(1))" g2="sqrt(x(1) - 1)"\n')
+    blk, x = P.blocks[0], np.zeros(1)
+    with pytest.raises(cc.DomainError, match="^sqrt of a negative number$"):
+        blk.activity(x, P.tolerances, 0)
+    with pytest.raises(cc.DomainError, match="^abs has no derivative at 0$"):
+        blk.jets(x, derivatives=True)

@@ -51,3 +51,25 @@ def test_readme_multiplier_example():
     assert ns["B"].shape == (2, 2)
     assert (ns["H"] == ns["B"]).all()
     assert float(np.linalg.norm(ns["grad"])) == ns["w"].stationarity_residual
+
+
+def test_readme_jets_example():
+    """The [sdp] block's jets at the sdp-example candidate: six entries,
+    their 6 x 3 Jacobian, G0(x) = diag(0, -1, 0) and symmetric gradients,
+    bit for bit those of one eval_value and eval2 per entry."""
+    from conecert import expr as ex
+    ns = {"__name__": "readme"}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for block in _python_blocks():
+            exec(compile(block, str(README), "exec"), ns)
+    sdp, x = ns["sdp"], np.asarray(ns["x"], dtype=float)
+    assert sdp.kind == "sdp" and len(sdp.components) == 6
+    assert ns["G_jac"].shape == (6, 3) and ns["G_hess"].shape == (6, 3, 3)
+    np.testing.assert_allclose(ns["G_x"], np.diag([0.0, -1.0, 0.0]),
+                               atol=1e-12)
+    assert (ns["dG"] == ns["dG"].transpose(1, 0, 2)).all()
+    for i in range(3):
+        for j in range(3):
+            entry = sdp.G0[i][j]
+            assert ns["G_x"][i, j] == ex.eval_value(entry, x)
+            assert (ns["dG"][i, j] == ex.eval2(entry, x).grad).all()

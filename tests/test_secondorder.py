@@ -273,7 +273,7 @@ def _components(blk, d):
     if isinstance(blk, cc.SemiInfinite):
         return {j: ex.substitute(blk.g, d + 1, t)
                 for j, t in enumerate(blk.grid)}
-    return dict(enumerate(blk.exprs))
+    return dict(enumerate(blk.components))
 
 
 def _synthetic_duals(rng):
