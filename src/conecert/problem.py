@@ -66,7 +66,7 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -192,6 +192,20 @@ class _Points:
         return vals
 
 
+class _Jets:
+    """(values, gradients (n, d), Hessians (n, d, d)) of n ``eval2``
+    results, read by index or unpacking; an item is stacked only when
+    read, as most callers read only the gradients."""
+
+    def __init__(self, duals, d):
+        self._duals, self._d = duals, d
+
+    def __getitem__(self, k):   # unpacking reads items 0, 1, 2, then 3
+        k = range(3)[k]
+        return np.array([(D.value, D.grad, D.hess)[k] for D in self._duals]
+                        ).reshape(-1, *(self._d,) * k)
+
+
 class _Block:
     """Defaults shared by every block kind (the protocol is listed in the
     module docstring)."""
@@ -201,16 +215,13 @@ class _Block:
     def jets(self, x, rows=None, derivatives=False):
         """The values at x of the components (all, or those of the indices
         ``rows``), one ``eval_value`` each, in order; with ``derivatives``,
-        also their gradients (n, d) and Hessians (n, d, d), one ``eval2``
+        the values, gradients (n, d) and Hessians (n, d, d), one ``eval2``
         each.  The first undefined component raises its DomainError."""
         comps = self.components if rows is None else [
             self.components[i] for i in rows]
         if not derivatives:
             return np.array([ex.eval_value(e, x) for e in comps])
-        duals = [ex.eval2(e, x) for e in comps]
-        return (np.array([D.value for D in duals]),
-                np.array([D.grad for D in duals]).reshape(-1, len(x)),
-                np.array([D.hess for D in duals]).reshape(-1, len(x), len(x)))
+        return _Jets([ex.eval2(e, x) for e in comps], len(x))
 
     def tangent_test(self, x, state, rows):
         """Linearized feasibility: <r, h> <= eps for every generator r of
@@ -460,20 +471,6 @@ class Soc(_ConeBlock):
             f'g{i + 1}="{ex.to_string(g)}"' for i, g in enumerate(self.g))
 
 
-@lru_cache(maxsize=8)
-def _sdp_layout(n):
-    """The rows, the columns and the weights in <dual, G0(x)> (2 off the
-    diagonal, for the mirror) of a size-n matrix cone's components, and
-    the (n, n) table of the component of each entry."""
-    i, j = np.triu_indices(n)
-    table = np.empty((n, n), dtype=np.intp)
-    table[i, j] = table[j, i] = np.arange(len(i))
-    layout = i, j, np.where(i == j, 1.0, 2.0), table
-    for a in layout:   # shared by every block of the size
-        a.flags.writeable = False
-    return layout
-
-
 @dataclass(frozen=True)
 class Sdp(_ConeBlock):
     G0: tuple  # l rows of l expressions, symmetric; G0(x) must be neg. semidefinite
@@ -487,10 +484,18 @@ class Sdp(_ConeBlock):
     def components(self) -> tuple:
         return tuple(e for i, row in enumerate(self.G0) for e in row[i:])
 
+    @cached_property
+    def _component_table(self):
+        """The (l, l) table of the component of each entry: entry (i, j),
+        i <= j, is component offset[i] + j."""
+        r = np.arange(self.size)
+        offset = r * (2 * self.size - 1 - r) // 2
+        return offset[np.minimum.outer(r, r)] + np.maximum.outer(r, r)
+
     def matrices(self, rows):
         """The symmetric matrices of ``rows``, one row per component: axes
         0 and 1 of the result run over the matrix, the rest are a row's."""
-        return np.asarray(rows)[_sdp_layout(self.size)[3]]
+        return np.asarray(rows)[self._component_table]
 
     def activity(self, x, tol, position):
         spec = spectral_split(self.matrices(self.jets(x)), tol.eps_rank)
@@ -537,9 +542,12 @@ class Sdp(_ConeBlock):
 
     def dual_derivatives(self, x, dual):
         _, grads, hessians = self.jets(x, derivatives=True)
-        i, j, mirrored, _ = _sdp_layout(self.size)
+        # the entries on and above the diagonal, row by row; each above
+        # the diagonal pairs with its mirror too
+        r = np.arange(self.size)
+        weights = (dual * np.where(r[:, None] == r, 1.0, 2.0))[r[:, None] <= r]
         return (np.einsum("ij,ijk->k", dual, self.matrices(grads)),
-                _weighted_hessian(dual[i, j] * mirrored, hessians, len(x)))
+                _weighted_hessian(weights, hessians, len(x)))
 
     @classmethod
     def from_section(cls, pairs, d, line):
@@ -549,19 +557,23 @@ class Sdp(_ConeBlock):
                 size = _parse_count("size", v, MAX_SDP_SIZE, name, ln)
             elif k.startswith("entry(") and k.endswith(")"):
                 # indices in ASCII digits, leading zeros allowed
-                index = re.fullmatch(r"entry\(([0-9]+),([0-9]+)\)", k)
+                index = re.fullmatch(r"entry\(0*([0-9]+),0*([0-9]+)\)", k)
                 if index is None:
                     raise ProblemFormatError(f"bad entry key {k!r}", name, ln)
-                entries[(int(index[1]), int(index[2]))] = (v, ln)
+                entries[index[1], index[2]] = (v, ln)
             else:
                 raise ProblemFormatError(f"unknown key {k!r}", name, ln)
         if size is None:
             raise ProblemFormatError("sdp needs size=l", name, line)
         rows = [[None] * size for _ in range(size)]
         for (i, j), (v, ln) in entries.items():
-            if not (1 <= i <= size and 1 <= j <= size):
+            # an index longer than the size's digits is past it; int()
+            # refuses strings of more than 4,300 digits
+            if max(len(i), len(j)) > len(str(size)) or not (
+                    1 <= int(i) <= size and 1 <= int(j) <= size):
                 raise ProblemFormatError(f"entry({i},{j}) outside matrix",
                                          name, ln)
+            i, j = int(i), int(j)
             rows[i - 1][j - 1] = rows[j - 1][i - 1] = _parse_expr(
                 v, d, name, ln)
         for i in range(size):
@@ -573,8 +585,8 @@ class Sdp(_ConeBlock):
 
     def to_text(self, d):
         parts = [f"size={self.size}"] + [
-            f'entry({i + 1},{j + 1})="{ex.to_string(e)}"'
-            for i, j, e in zip(*_sdp_layout(self.size)[:2], self.components)]
+            f'entry({i + 1},{j + 1})="{ex.to_string(row[j])}"'
+            for i, row in enumerate(self.G0) for j in range(i, self.size)]
         return "[sdp] " + " ".join(parts)
 
 
@@ -917,9 +929,7 @@ class ProblemFormatError(Exception):
     def __init__(self, message, section=None, line=None):
         self.section = section
         self.line = line
-        where = ""
-        if section is not None:
-            where = f" in [{section}]"
+        where = "" if section is None else f" in [{section}]"
         if line is not None:
             where += f" (line {line})"
         super().__init__(f"{message}{where}")
@@ -1261,11 +1271,7 @@ def load_problem_file(path, tolerances: ToleranceSet | None = None) -> Problem:
 
 
 def _fmt_num(v: float) -> str:
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return repr(float(v))
+    return repr(float(v))   # "inf" and "-inf" for the infinities
 
 
 def problem_to_text(P: Problem) -> str:

@@ -1102,10 +1102,19 @@ def test_check_sdp_entry_indices_are_ascii_digits(tmp_path):
         assert (code, out) == (1, ""), key
         assert err == (f"error: bad entry key {key!r} in [sdp] "
                        f"(line {len(entries) + 3})\n")
+    # an index past int()'s 4,300 digits is outside the matrix, as is
+    # any other index past the size; leading zeros do not count
+    for key, at in (("entry(" + "9" * 5000 + ",1)", "9" * 5000 + ",1"),
+                    ("entry(" + "0" * 5000 + "2,1)", "2,1")):
+        path.write_text(head.format(1) + f'{key}="-1"\n')
+        code, out, err = run_cli("check", "--file", str(path), "--at", "0")
+        assert (code, out) == (1, ""), key[:12]
+        assert err == f"error: entry({at}) outside matrix in [sdp] (line 4)\n"
     problem = pb.load_problem_text(head.format(2) + 'entry(01,001)="x(1)" '
-                                   'entry(1,02)="0" entry(002,2)="-1"\n')
+                                   'entry(1,02)="0" entry(002,2)="-1"\n'
+                                   f'entry({"0" * 5000}1,1)="x(1) - 1"\n')
     assert pb.problem_to_text(problem).endswith(
-        '[sdp] size=2 entry(1,1)="x(1)" entry(1,2)="0.0" '
+        '[sdp] size=2 entry(1,1)="x(1) - 1.0" entry(1,2)="0.0" '
         'entry(2,2)="-1.0"\n')
 
 
