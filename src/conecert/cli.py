@@ -19,11 +19,12 @@ import numpy as np
 from . import firstorder as fo
 from . import registry
 from . import secondorder as so
-from .cones import json_data, json_text
+from .cones import MAX_DIRECTIONS, json_data, json_text
 from .expr import ExprError
 from .geometry import PointContext, SamplingSpec
 from .oracle import TooFewFeasibleSamples, growth_probe
-from .problem import (ProblemFormatError, ToleranceSet, load_problem_file,
+from .problem import (MAX_DIM, ProblemFormatError, ToleranceSet,
+                      _parse_number, _read_count, load_problem_file,
                       problem_to_text)
 
 SCHEMA_VERSION = 6
@@ -50,37 +51,61 @@ def _tolerances_from(args) -> ToleranceSet:
 
 def _add_tolerance_flags(p):
     for f in fields(ToleranceSet):
-        p.add_argument("--" + f.name.replace("_", "-"), type=float,
+        p.add_argument("--" + f.name.replace("_", "-"), type=_number,
                        default=f.default)
 
 
-def _int_at_least(minimum: int):
-    """An argparse type: a decimal integer of at least ``minimum``."""
+# Numbers and counts on the command line are read as a problem file reads
+# them: in ASCII, without '_' separators.
+def _number(text: str) -> float:
+    """An argparse type: a number, read by ``problem._parse_number``."""
+    try:
+        return _parse_number(text, None, None)
+    except ProblemFormatError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def _count(minimum: int, limit: int):
+    """An argparse type: an integer from ``minimum`` to ``limit``, read as
+    ``problem._read_count`` reads a count."""
     def parse(text):
-        value = int(text)
-        if value < minimum:
+        count = _read_count(text, limit)
+        if count is None or count > limit:
             raise argparse.ArgumentTypeError(
-                f"must be at least {minimum}, got {value}")
-        return value
-    parse.__name__ = "int"   # argparse names the type in its errors
+                f"must be an integer of at most {limit}, got {text!r}")
+        if count < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {text}")
+        return count
     return parse
 
 
-def _finite_numbers(text: str) -> list:
-    """The comma-separated numbers of text; ValueError unless each one is
-    a finite number."""
-    values = [float(v) for v in text.split(",")]
+def _finite_numbers(text: str, error: str) -> tuple:
+    """The comma-separated numbers of text, each read by ``_number``;
+    SystemExit(error) unless each one is a finite number."""
+    try:
+        values = tuple(_parse_number(v, None, None) for v in text.split(","))
+    except ProblemFormatError:
+        values = (math.nan,)
     if not all(map(math.isfinite, values)):
-        raise ValueError(f"non-finite number in {text!r}")
+        raise SystemExit(error)
     return values
 
 
-def _parse_point(text: str) -> tuple:
-    try:
-        return tuple(_finite_numbers(text))
-    except ValueError:
-        raise SystemExit(f"error: bad point {text!r}; expected "
-                         f"comma-separated finite numbers")
+def _parse_point(text: str, d: int) -> np.ndarray:
+    """The point ``text`` as a candidate for a problem of dimension d."""
+    x = _finite_numbers(text, f"error: bad point {text!r}; expected "
+                              f"comma-separated finite numbers")
+    if len(x) != d:
+        raise SystemExit(f"error: candidate has {len(x)} components, "
+                         f"problem dimension is {d}")
+    return np.asarray(x, dtype=float)
+
+
+def _parse_vectors(text: str) -> list:
+    return [_finite_numbers(chunk, "error: malformed vector input; "
+                                   "expected finite numbers")
+            for chunk in text.split(";") if chunk.strip()]
 
 
 def _load(args):
@@ -101,12 +126,9 @@ def _load(args):
         soc_dirs=args.soc_dirs, sdp_dirs=args.sdp_dirs, seed=args.seed,
         soc_extra=sampling.soc_extra)
     if args.at is not None:
-        candidate = _parse_point(args.at)
+        return problem, _parse_point(args.at, problem.d), sampling
     if candidate is None:
         raise SystemExit("error: no candidate point; give --at \"v1,v2,...\"")
-    if len(candidate) != problem.d:
-        raise SystemExit(f"error: candidate has {len(candidate)} components, "
-                         f"problem dimension is {problem.d}")
     return problem, np.asarray(candidate, dtype=float), sampling
 
 
@@ -330,16 +352,6 @@ def _emit(args, report):
             fh.write(encoded)
 
 
-def _parse_vectors(text: str):
-    vectors = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        vectors.append(_finite_numbers(chunk))
-    return vectors
-
-
 def cmd_verify_alternance(args) -> int:
     if args.vectors_file:
         with open(args.vectors_file, "r", encoding="utf-8") as fh:
@@ -350,11 +362,7 @@ def cmd_verify_alternance(args) -> int:
     if not text:
         raise SystemExit("error: give --vectors \"a,b;c,d;...\" or "
                          "--vectors-file")
-    try:
-        vectors = _parse_vectors(text)
-    except ValueError:
-        raise SystemExit("error: malformed vector input; expected finite "
-                         "numbers")
+    vectors = _parse_vectors(text)
     if not vectors or len({len(v) for v in vectors}) != 1:
         raise SystemExit("error: vectors must be non-empty and of equal "
                          "length")
@@ -385,18 +393,9 @@ def cmd_verify_alternance(args) -> int:
 
 
 def cmd_discretize(args) -> int:
-    tol = _tolerances_from(args)
-    try:
-        problem = load_problem_file(args.file, tolerances=tol)
-    except (OSError, ProblemFormatError, ExprError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    x = _parse_point(args.at)
-    if len(x) != problem.d:
-        print(f"error: candidate has {len(x)} components, problem "
-              f"dimension is {problem.d}", file=sys.stderr)
-        return EXIT_ERROR
-    discretized, actions = fo.semiinfinite_discretize(problem, x)
+    problem = load_problem_file(args.file, tolerances=_tolerances_from(args))
+    discretized, actions = fo.semiinfinite_discretize(
+        problem, _parse_point(args.at, problem.d))
     for position, what, points in actions:
         if what == "dropped":
             print(f"warning: block {position} inactive at the point; dropped",
@@ -424,14 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--file", help="problem file")
     p_check.add_argument("--registry", help="built-in problem name; one of: "
                          + ", ".join(registry.NAMES))
-    p_check.add_argument("--dim", type=_int_at_least(1),
+    p_check.add_argument("--dim", type=_count(1, MAX_DIM),
                          help="dimension for linf")
     p_check.add_argument("--at", help='candidate point "v1,v2,..."')
     p_check.add_argument("--flavor", choices=["plain", "generalised", "weak"],
                          help="also search a cadre of this flavor and "
                               "require completeness")
     p_check.add_argument("--second-order", action="store_true")
-    p_check.add_argument("--penalty", type=float, metavar="C",
+    p_check.add_argument("--penalty", type=_number, metavar="C",
                          help="run the penalty stationarity check at C")
     p_check.add_argument("--oracle", action="store_true",
                          help="cross-check with the sampling growth probe")
@@ -442,9 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--json", action="store_true",
                          help="print the JSON report instead of text")
     p_check.add_argument("--out", help="also write the JSON report here")
-    p_check.add_argument("--soc-dirs", type=_int_at_least(0), default=64)
-    p_check.add_argument("--sdp-dirs", type=_int_at_least(0), default=64)
-    p_check.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_check.add_argument("--soc-dirs", type=_count(0, MAX_DIRECTIONS),
+                         default=64)
+    p_check.add_argument("--sdp-dirs", type=_count(0, MAX_DIRECTIONS),
+                         default=64)
+    # a seed has at most the 18 digits of a count in a problem file
+    p_check.add_argument("--seed", type=_count(0, 10 ** 18 - 1), default=0)
     _add_tolerance_flags(p_check)
 
     p_ver = sub.add_parser("verify-alternance",
@@ -453,11 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--vectors", help='inline "a,b;c,d;..."')
     p_ver.add_argument("--vectors-file", help="one comma-separated vector "
                                               "per line")
-    p_ver.add_argument("--k0", type=int, default=None)
-    p_ver.add_argument("--i0", type=int, default=None)
+    p_ver.add_argument("--k0", type=_count(1, 10 ** 18 - 1))
+    p_ver.add_argument("--i0", type=_count(1, 10 ** 18 - 1))
     p_ver.add_argument("--flavor", default="plain",
                        choices=["plain", "generalised", "weak"])
-    p_ver.add_argument("--eps-det", type=float, default=ToleranceSet().eps_det)
+    p_ver.add_argument("--eps-det", type=_number,
+                       default=ToleranceSet().eps_det)
     p_ver.add_argument("--json", action="store_true")
 
     p_disc = sub.add_parser("discretize",

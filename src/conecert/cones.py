@@ -294,6 +294,9 @@ def project_psd_neg(M) -> np.ndarray:
 # scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed) and
 # scipy.special.ndtri draw them, bit for bit, with numpy alone.
 SOBOL_BITS = 30
+# the most directions a sampler draws: ``unit_directions`` draws one point
+# more than it returns
+MAX_DIRECTIONS = (1 << SOBOL_BITS) - 1
 # the largest dimension the vendored direction numbers cover
 MAX_SOBOL_DIM = 1000
 _SOBOL_TABLE = Path(__file__).with_name("sobol_directions.txt")

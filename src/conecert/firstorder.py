@@ -27,7 +27,8 @@ from .linkernel import (EPS_POS, EPS_RANK, SCREEN_CHUNK, combination_residual,
                         lp_membership, positive_combinations, rank,
                         simplex_solve, stacked_rank)
 from .problem import (BLOCK_CLASSES, NlpIneq, Problem, SemiInfinite,
-                      activity, evaluate_objective, scenario_derivatives)
+                      _stored_index, activity, evaluate_objective,
+                      scenario_derivatives)
 
 __all__ = [
     "Cadre", "AlternanceFailure", "MultiplierWitness",
@@ -656,10 +657,11 @@ def witness_from_json(P: Problem, data) -> MultiplierWitness:
     duals = {}
     for cls in BLOCK_CLASSES:
         for b, dual in data[cls.kind].items():
-            blk = P.blocks[int(b)]
+            b = _stored_index(b, len(P.blocks), "block")
+            blk = P.blocks[b]
             if blk.kind != cls.kind:
                 raise ValueError(f"block {b} is {blk.kind}, not {cls.kind}")
-            duals[int(b)] = (blk, blk.dual_from_json(dual))
+            duals[b] = (blk, blk.dual_from_json(dual))
     return MultiplierWitness(
         alpha=[(rec["scenario"], rec["sign"], rec["weight"])
                for rec in data["alpha"]],

@@ -265,7 +265,9 @@ class _ScalarBlock(_Block):
         return {str(i): w for i, w in dual.items()}
 
     def dual_from_json(self, data):
-        return {int(i): w for i, w in data.items()}
+        return {_stored_index(i, self.size, f"{self.kind} constraint"):
+                _stored_number(w, f"{self.kind} weight")
+                for i, w in data.items()}
 
 
 def _weighted_hessian(weights, hessians, d):
@@ -301,6 +303,10 @@ class _NlpBlock(_ScalarBlock):
     @property
     def components(self) -> tuple:
         return getattr(self, self.key)
+
+    @property
+    def size(self) -> int:
+        return len(self.components)
 
     @classmethod
     def from_section(cls, pairs, d, line):
@@ -446,17 +452,15 @@ class Soc(_ConeBlock):
     def from_section(cls, pairs, d, line):
         name, comps = cls.section, {}
         for k, v, ln in pairs:
-            # g and an index in ASCII digits, leading zeros allowed
-            index = re.fullmatch(r"g0*([0-9]+)", k)
+            index = _read_count(k[1:], MAX_SOC_SIZE, key=True) \
+                if k.startswith("g") else None
             if index is None:
                 raise ProblemFormatError(f"unknown key {k!r}", name, ln)
-            index = index[1]
-            if len(index) > len(str(MAX_SOC_SIZE)) \
-                    or int(index) > MAX_SOC_SIZE:
+            if index > MAX_SOC_SIZE:
                 raise ProblemFormatError(
                     f"soc has at most {MAX_SOC_SIZE} components, got {k!r}",
                     name, ln)
-            comps[int(index)] = (v, ln)
+            comps[index] = (v, ln)
         if not comps or sorted(comps) != list(range(1, len(comps) + 1)):
             raise ProblemFormatError("soc needs g1..gk consecutively",
                                      name, line)
@@ -556,7 +560,6 @@ class Sdp(_ConeBlock):
             if k == "size":
                 size = _parse_count("size", v, MAX_SDP_SIZE, name, ln)
             elif k.startswith("entry(") and k.endswith(")"):
-                # indices in ASCII digits, leading zeros allowed
                 index = re.fullmatch(r"entry\(0*([0-9]+),0*([0-9]+)\)", k)
                 if index is None:
                     raise ProblemFormatError(f"bad entry key {k!r}", name, ln)
@@ -566,14 +569,11 @@ class Sdp(_ConeBlock):
         if size is None:
             raise ProblemFormatError("sdp needs size=l", name, line)
         rows = [[None] * size for _ in range(size)]
-        for (i, j), (v, ln) in entries.items():
-            # an index longer than the size's digits is past it; int()
-            # refuses strings of more than 4,300 digits
-            if max(len(i), len(j)) > len(str(size)) or not (
-                    1 <= int(i) <= size and 1 <= int(j) <= size):
-                raise ProblemFormatError(f"entry({i},{j}) outside matrix",
-                                         name, ln)
-            i, j = int(i), int(j)
+        for key, (v, ln) in entries.items():
+            i, j = (_read_count(k, size, key=True) for k in key)
+            if not (1 <= i <= size and 1 <= j <= size):
+                raise ProblemFormatError(f"entry({','.join(key)}) outside "
+                                         f"matrix", name, ln)
             rows[i - 1][j - 1] = rows[j - 1][i - 1] = _parse_expr(
                 v, d, name, ln)
         for i in range(size):
@@ -635,6 +635,10 @@ class SemiInfinite(_ScalarBlock):
 
     def distance(self, x):
         return max(0.0, max(self.jets(x).tolist()))
+
+    @property
+    def size(self) -> int:
+        return len(self.grid)
 
     def _provenance(self, position, j):
         return Provenance("semi_infinite", position, j,
@@ -1083,16 +1087,52 @@ MAX_SOC_SIZE = MAX_SOBOL_DIM + 1
 MAX_GRID_POINTS = 100_000
 
 
+# a count: ASCII digits, leading zeros allowed, with spaces around them and
+# a sign before them
+_COUNT = re.compile(r"\s*([-+]?)0*([0-9]+)\s*")
+
+
+def _read_count(text: str, limit: int, key: bool = False):
+    """The integer ``text`` writes as a count (as an index in a key when
+    ``key``: digits alone), or None; past ``limit``, +-(limit + 1), so
+    that int() never reads more digits than it takes (4,300)."""
+    m = _COUNT.fullmatch(text)
+    if m is None or key and not text.isdigit():
+        return None
+    n = int(m[2]) if len(m[2]) <= len(str(limit)) else limit + 1
+    return min(n, limit + 1) * (-1 if m[1] == "-" else 1)
+
+
+def _stored_index(value, count: int, what: str, first: int = 0) -> int:
+    """Index ``value`` of one of ``count`` items numbered from ``first`` in
+    a stored report: a JSON integer or a table key (an index in a key,
+    ``_read_count``); ValueError naming ``what`` for any other value."""
+    last = first + count - 1
+    index = _read_count(value, last, True) if isinstance(value, str) else value
+    if type(index) is not int or not first <= index <= last:
+        raise ValueError(f"{what} {value!r} is not one of {first}..{last}")
+    return index
+
+
+def _stored_number(value, what: str) -> float:
+    """A finite JSON number of a stored report; ValueError naming ``what``
+    for any other value."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{what} {value!r} is not a finite number")
+    return float(value)
+
+
 def _parse_count(key: str, value: str, limit: int, section, line) -> int:
-    """A count (dim, a matrix size, a grid's point count): a decimal
-    integer from 1 to ``limit``, in ASCII digits."""
-    if not re.fullmatch(r"\s*\+?0*[1-9][0-9]{0,17}\s*", value):
+    """A count (dim, a matrix size, a grid's point count) of at most 18
+    digits, read by ``_read_count``: an integer from 1 to ``limit``."""
+    count = _read_count(value, 10 ** 18 - 1)
+    if count is None or not 1 <= count < 10 ** 18:
         raise ProblemFormatError(
             f"{key} must be a positive integer, got {value!r}", section, line)
-    if int(value) > limit:
+    if count > limit:
         raise ProblemFormatError(
             f"{key} must be at most {limit}, got {value!r}", section, line)
-    return int(value)
+    return count
 
 
 def _parse_expr(text_value, d, section, line, params=()):
