@@ -232,16 +232,42 @@ class _Binary(Expression):
     lhs: Expression
     rhs: Expression
 
+    # A long sum or product parses into a deep left spine of binary nodes,
+    # deeper than the interpreter's recursion limit; each method below
+    # walks the spine by a loop, from its innermost node out, and recurses
+    # into the right operands alone.
+    def spine(self) -> list:
+        """This node and its left operands while they are binary nodes,
+        outermost first."""
+        spine, node = [self], self.lhs
+        while isinstance(node, _Binary):
+            spine.append(node)
+            node = node.lhs
+        return spine
+
     def text(self) -> str:
-        return (f"{_paren(self.lhs, self.level)}{self.sep}"
-                f"{_paren(self.rhs, self.level + 1)}")
+        spine = self.spine()
+        parts = [spine[-1].lhs.text()]
+        for node in reversed(spine):
+            if node.lhs.level < node.level:
+                parts = ["(", *parts, ")"]
+            parts += [node.sep, _paren(node.rhs, node.level + 1)]
+        return "".join(parts)
 
     def jets_at(self, X, d):
-        a, lbad, ga, Ha = self.lhs.jets_at(X, d)
-        b, rbad, gb, Hb = self.rhs.jets_at(X, d)
-        derivative = (None, None) if ga is None and gb is None else \
-            self.rule(a, ga, Ha, b, gb, Hb)
-        return (self.op(a, b), _first(lbad, rbad), *derivative)
+        spine = self.spine()
+        jets = spine[-1].lhs.jets_at(X, d)
+        for node in reversed(spine):
+            jets = node.combine(jets, node.rhs.jets_at(X, d))
+        return jets
+
+    def combine(self, lhs, rhs):
+        """The node's jets from its operands' (``jets_at``)."""
+        (a, lbad, ga, Ha), (b, rbad, gb, Hb) = lhs, rhs
+        if ga is None and gb is None:
+            return self.op(a, b), _first(lbad, rbad), None, None
+        return (self.op(a, b), _first(lbad, rbad),
+                *self.rule(a, ga, Ha, b, gb, Hb))
 
     def rule(self, a, ga, Ha, b, gb, Hb):   # a sum's or a difference's
         if gb is None:
@@ -250,7 +276,11 @@ class _Binary(Expression):
             self.op(0.0 if Ha is None else Ha, Hb)
 
     def map_nodes(self, fn) -> Expression:
-        return fn(type(self)(self.lhs.map_nodes(fn), self.rhs.map_nodes(fn)))
+        spine = self.spine()
+        node = spine[-1].lhs.map_nodes(fn)
+        for old in reversed(spine):
+            node = fn(type(old)(node, old.rhs.map_nodes(fn)))
+        return node
 
 
 @dataclass(frozen=True)
@@ -280,9 +310,8 @@ class Mul(_Binary):
 class Div(_Binary):
     op, sep, level = operator.truediv, "/", _LVL_MUL
 
-    def jets_at(self, X, d):
-        num, lbad, ga, Ha = self.lhs.jets_at(X, d)
-        den, rbad, gb, Hb = self.rhs.jets_at(X, d)
+    def combine(self, lhs, rhs):
+        (num, lbad, ga, Ha), (den, rbad, gb, Hb) = lhs, rhs
         value, own = num / den, (den == 0.0) * _DIV_ZERO
         if ga is None and gb is None:
             return value, _first(rbad, _first(own, lbad)), None, None
@@ -531,7 +560,10 @@ class _Parser:
 
 def _parse_tokens(tokens, d, params, literals=()) -> Expression:
     parser = _Parser(tokens, d, params, literals)
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:   # parentheses or signs nested past the limit
+        raise ExprError("expression nested too deeply") from None
     tok = parser.peek()
     if tok[0] != "end":
         raise ExprSyntaxError(tok[2], "end of input")

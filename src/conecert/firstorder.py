@@ -27,8 +27,8 @@ from .linkernel import (EPS_POS, EPS_RANK, SCREEN_CHUNK, combination_residual,
                         lp_membership, positive_combinations, rank,
                         simplex_solve, stacked_rank)
 from .problem import (BLOCK_CLASSES, NlpIneq, Problem, SemiInfinite,
-                      _stored_index, activity, evaluate_objective,
-                      scenario_derivatives)
+                      _stored_array, _stored_index, _stored_number, activity,
+                      evaluate_objective, scenario_derivatives)
 
 __all__ = [
     "Cadre", "AlternanceFailure", "MultiplierWitness",
@@ -649,24 +649,38 @@ def _witness_residual(P: Problem, x, w: MultiplierWitness,
 
 
 def witness_from_json(P: Problem, data) -> MultiplierWitness:
-    """Rebuild a multiplier witness of the problem P from its JSON form."""
-    def _prov(d):
-        return Provenance(kind=d["kind"], block=d.get("block"),
-                          index=d.get("index"), sign=d.get("sign", 1),
-                          detail=tuple(d.get("detail", ())))
+    """Rebuild a multiplier witness of the problem P from its JSON form.
+    Each index must name a scenario, a block of its table's kind, one of
+    the block's constraints, a bound or an equality row of P, each sign
+    be 1 or -1 and each weight a finite number; ValueError otherwise."""
+    def sign(value):
+        if type(value) is not int or value not in (1, -1):
+            raise ValueError(f"sign {value!r} is not 1 or -1")
+        return value
+
+    def normal(rec):
+        kind = rec["prov"]["kind"]
+        if kind not in ("bound", "set_eq"):
+            raise ValueError(f"nA kind {kind!r} is not bound or set_eq")
+        rows = P.d if kind == "bound" else len(P.set_A.E)
+        return (Provenance(kind, index=_stored_index(
+            rec["prov"]["index"], rows, f"{kind} index"),
+            sign=sign(rec["prov"]["sign"])),
+            _stored_number(rec["weight"], "nA weight"))
     duals = {}
     for cls in BLOCK_CLASSES:
         for b, dual in data[cls.kind].items():
-            b = _stored_index(b, len(P.blocks), "block")
+            b = _stored_index(b, len(P.blocks), "block", key=True)
             blk = P.blocks[b]
             if blk.kind != cls.kind:
                 raise ValueError(f"block {b} is {blk.kind}, not {cls.kind}")
             duals[b] = (blk, blk.dual_from_json(dual))
     return MultiplierWitness(
-        alpha=[(rec["scenario"], rec["sign"], rec["weight"])
+        alpha=[(_stored_index(rec["scenario"], len(P.scenarios), "scenario",
+                              first=1), sign(rec["sign"]),
+                _stored_number(rec["weight"], "alpha weight"))
                for rec in data["alpha"]],
-        duals=duals,
-        nA=[(_prov(rec["prov"]), rec["weight"]) for rec in data["nA"]],
+        duals=duals, nA=[normal(rec) for rec in data["nA"]],
         stationarity_residual=data.get("stationarity_residual", math.nan))
 
 
@@ -677,13 +691,19 @@ def reverify_report(P: Problem, report: dict) -> dict:
     the determinant sequence, on the report's power of ten, the padding
     axes (from schema 6) and the multiplier stationarity residual from
     scratch; used by the JSON round-trip tests and by consumers of stored
-    reports."""
-    x = np.asarray(report["candidate"], dtype=float)
+    reports.  No field of a record is trusted: one that is missing, of
+    the wrong type or shape, or an index outside the problem fails its
+    check, with the reason in ``reason``, and nothing raises."""
     out = {"ok": True, "checks": []}
 
-    def _cadre_check(what, data):
-        vecs = data["vectors"]
-        resid, small = combination_residual(vecs, data["multipliers"])
+    def cadre_check(data):
+        for key in ("k0", "i0"):
+            if type(data[key]) is not int:
+                raise ValueError(f"cadre {key} {data[key]!r} is not an "
+                                 f"integer")
+        vecs = _stored_array(data["vectors"], "cadre vectors")
+        resid, small = combination_residual(
+            vecs, _stored_array(data["multipliers"], "cadre multipliers"))
         again = verify_alternance(vecs, k0=data["k0"], i0=data["i0"],
                                   flavor=data["flavor"])
         # the two may round the largest minor to either side of a power
@@ -693,27 +713,39 @@ def reverify_report(P: Problem, report: dict) -> dict:
                  - data.get("determinants_exponent", 0)
                  if isinstance(again, Cadre) else math.inf)
         dets_match = abs(shift) <= 1 and np.allclose(
-            again.determinants * 10.0 ** shift, data["determinants"],
+            again.determinants * 10.0 ** shift,
+            _stored_array(data["determinants"], "cadre determinants"),
             atol=1e-7, rtol=1e-7)
         # before schema 6 the padding is vectors, not compared
         pads = data["padding"]
         ok = small and dets_match and (any(type(k) is not int for k in pads)
                                        or again.padding == pads)
-        return {"what": what, "ok": ok, "residual": resid}
+        return {"ok": ok, "residual": resid}
+
+    def multipliers_check(data):
+        x = _stored_array(report["candidate"], "candidate", (P.d,))
+        resid = _witness_residual(P, x, witness_from_json(P, data))
+        return {"ok": resid <= 1e-7, "residual": resid}
+
+    def run(what, check, data):
+        try:
+            out["checks"].append({"what": what, **check(data)})
+        except KeyError as err:
+            out["checks"].append({"what": what, "ok": False,
+                                  "reason": f"no field {err}"})
+        except (AttributeError, TypeError, ValueError, ex.ExprError) as err:
+            out["checks"].append({"what": what, "ok": False,
+                                  "reason": str(err)})
 
     nec = report.get("necessary") or {}
     if nec.get("cadre"):
-        out["checks"].append(_cadre_check("necessary.cadre", nec["cadre"]))
+        run("necessary.cadre", cadre_check, nec["cadre"])
     if nec.get("multipliers"):
-        w = witness_from_json(P, nec["multipliers"])
-        resid = _witness_residual(P, x, w)
-        out["checks"].append({"what": "necessary.multipliers",
-                              "ok": resid <= 1e-7, "residual": resid})
+        run("necessary.multipliers", multipliers_check, nec["multipliers"])
     fl = report.get("flavor_search") or {}
     for key in ("cadre", "complete"):
         if fl.get(key):
-            out["checks"].append(_cadre_check(f"flavor_search.{key}",
-                                              fl[key]))
+            run(f"flavor_search.{key}", cadre_check, fl[key])
     out["ok"] = all(c["ok"] for c in out["checks"])
     return out
 

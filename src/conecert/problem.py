@@ -37,7 +37,8 @@ other module branches on the kind:
 - ``dual_derivatives(x, dual)``: the gradient and Hessian in x of the
   pairing <dual, G_block(x)>, from one ``jets`` call;
 - ``dual_to_json(dual)`` and ``dual_from_json(data)``: a multiplier's
-  JSON form;
+  JSON form, read back against the block (ValueError for a key, weight
+  or array that does not fit it);
 - ``from_section(pairs, d, line)`` and ``to_text(d)``: the block read
   from and printed as its section of the problem file format (d is the
   problem dimension).
@@ -237,9 +238,9 @@ class _ScalarBlock(_Block):
     polyhedral = True
 
     def activity(self, x, tol, position):
-        return BlockActivity(position, self.kind, active=[
-            i for i, v in enumerate(self.jets(x).tolist())
-            if abs(v) <= tol.eps_active or v > 0])
+        v = self.jets(x)   # a NaN value is never active
+        return BlockActivity(position, self.kind, active=np.flatnonzero(
+            (np.abs(v) <= tol.eps_active) | (v > 0)).tolist())
 
     def normal_generators(self, x, state, sampling):
         grads = self.jets(x, state.active, derivatives=True)[1]
@@ -265,7 +266,8 @@ class _ScalarBlock(_Block):
         return {str(i): w for i, w in dual.items()}
 
     def dual_from_json(self, data):
-        return {_stored_index(i, self.size, f"{self.kind} constraint"):
+        return {_stored_index(i, self.size, f"{self.kind} constraint",
+                              key=True):
                 _stored_number(w, f"{self.kind} weight")
                 for i, w in data.items()}
 
@@ -291,7 +293,7 @@ class _ConeBlock(_Block):
         return dual.tolist()
 
     def dual_from_json(self, data):
-        return np.asarray(data, dtype=float)
+        return _stored_array(data, f"{self.kind} dual", self.dual_shape)
 
 
 class _NlpBlock(_ScalarBlock):
@@ -379,6 +381,10 @@ class Soc(_ConeBlock):
     @property
     def components(self) -> tuple:
         return self.g
+
+    @property
+    def dual_shape(self) -> tuple:
+        return (len(self.g),)
 
     def dual_derivatives(self, x, dual):
         _, J, hessians = self.jets(x, derivatives=True)
@@ -483,6 +489,10 @@ class Sdp(_ConeBlock):
     @property
     def size(self) -> int:
         return len(self.G0)
+
+    @property
+    def dual_shape(self) -> tuple:
+        return (self.size, self.size)
 
     @cached_property
     def components(self) -> tuple:
@@ -604,11 +614,18 @@ class SemiInfinite(_ScalarBlock):
             raise ValueError("semi-infinite grid must be sorted and "
                              "duplicate-free")
 
+    @cached_property
+    def _points(self):
+        """The grid as one read-only array, built once per block."""
+        t = np.array(self.grid)
+        t.flags.writeable = False
+        return t
+
     def jets(self, x, rows=None, derivatives=False):
         """``_Block.jets`` of g at the grid points (all, or those of the
         indices ``rows``): one stack, with t in row d+1, not differentiated;
         the first undefined grid point raises its DomainError."""
-        t = np.array(self.grid)[slice(None) if rows is None else list(rows)]
+        t = self._points if rows is None else self._points[list(rows)]
         X = np.vstack([np.repeat(np.reshape(x, (-1, 1)), len(t), axis=1), t])
         vals, reasons, grads, hessians = ex.eval_jets(
             self.g, X, len(x) if derivatives else 0)
@@ -622,7 +639,7 @@ class SemiInfinite(_ScalarBlock):
 
         def rows():
             for lo in range(0, len(self.grid), step):
-                t = np.array(self.grid[lo:lo + step])
+                t = self._points[lo:lo + step]
                 X = np.vstack([np.tile(pts.X, len(t)), np.repeat(t, pts.n)])
                 chunk = pts.values(self.g, X).reshape(len(t), pts.n)
                 nan[:] |= np.isnan(chunk).any(axis=0)
@@ -642,7 +659,7 @@ class SemiInfinite(_ScalarBlock):
 
     def _provenance(self, position, j):
         return Provenance("semi_infinite", position, j,
-                          detail=(float(self.grid[j]),))
+                          detail=(float(self._points[j]),))
 
     @classmethod
     def from_section(cls, pairs, d, line):
@@ -1103,15 +1120,30 @@ def _read_count(text: str, limit: int, key: bool = False):
     return min(n, limit + 1) * (-1 if m[1] == "-" else 1)
 
 
-def _stored_index(value, count: int, what: str, first: int = 0) -> int:
+def _stored_index(value, count: int, what: str, first: int = 0,
+                  key: bool = False) -> int:
     """Index ``value`` of one of ``count`` items numbered from ``first`` in
-    a stored report: a JSON integer or a table key (an index in a key,
-    ``_read_count``); ValueError naming ``what`` for any other value."""
+    a stored report: a JSON integer, or a table key read as an index in a
+    key (``_read_count``) when ``key``; ValueError naming ``what`` for any
+    other value."""
     last = first + count - 1
-    index = _read_count(value, last, True) if isinstance(value, str) else value
+    index = _read_count(value, last, True) if key else value
     if type(index) is not int or not first <= index <= last:
         raise ValueError(f"{what} {value!r} is not one of {first}..{last}")
     return index
+
+
+def _stored_array(value, what: str, shape=None) -> np.ndarray:
+    """A JSON array of numbers of a stored report, of ``shape`` when given;
+    ValueError naming ``what`` for any other value."""
+    try:
+        array = np.asarray(value)
+    except ValueError:   # a ragged list
+        array = np.asarray(None)
+    if array.dtype.kind not in "iuf" or shape not in (None, array.shape):
+        raise ValueError(f"{what} is not an array of numbers"
+                         + ("" if shape is None else f" of shape {shape}"))
+    return array.astype(float)
 
 
 def _stored_number(value, what: str) -> float:
@@ -1276,11 +1308,15 @@ def _x_dependence(node: ex.Expression):
         return False if inner is False else None
     if not isinstance(node, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
         return False                        # a constant
-    lhs, rhs = _x_dependence(node.lhs), _x_dependence(node.rhs)
-    if lhs is None or rhs is None or (isinstance(node, ex.Div) and rhs) \
-            or (isinstance(node, ex.Mul) and lhs and rhs):
-        return None
-    return lhs or rhs
+    spine = node.spine()   # a loop: a long sum is a deep spine
+    lhs = _x_dependence(spine[-1].lhs)
+    for node in reversed(spine):
+        rhs = _x_dependence(node.rhs)
+        if lhs is None or rhs is None or (isinstance(node, ex.Div) and rhs) \
+                or (isinstance(node, ex.Mul) and lhs and rhs):
+            return None
+        lhs = lhs or rhs
+    return lhs
 
 
 def _linear_row(node: ex.Expression, d: int, section, line):

@@ -14,7 +14,7 @@ from conecert import firstorder as fo
 from conecert import linkernel as lk
 from conecert import registry
 from conecert.geometry import (GeneratorSet, PointContext, Provenance,
-                               build_generator_set)
+                               SamplingSpec, build_generator_set)
 from conecert.linkernel import (SCREEN_CHUNK, lp_membership,
                                 solve_positive_combination)
 from conecert.oracle import hull_membership_bruteforce
@@ -1142,6 +1142,97 @@ def test_reverify_roundtrip_bazaraa():
     report = json.loads(json.dumps(report))
     res = fo.reverify_report(P, report)
     assert res["ok"] and len(res["checks"]) >= 2
+
+
+
+_DISK = ('[problem] dim=2\n[scenario] f="x(1)"\n'
+         '[soc] g1="1" g2="x(1)" g3="x(2)"\n')
+
+
+def _stored_report(problem, x):
+    """The necessary record of a check at x, through JSON text."""
+    nec = fo.necessary_check(PointContext(problem, x, SamplingSpec()))
+    return json.loads(json.dumps({"candidate": list(x),
+                                  "necessary": nec.to_json()}))
+
+
+def _tampered(name, edit):
+    """A stored report of registry problem ``name`` (or of the unit disk
+    at (-1, 0)) with ``edit`` applied to its multipliers and cadre."""
+    if name == "disk":
+        problem, x = load_problem_text(_DISK), (-1.0, 0.0)
+    else:
+        problem, x, _ = registry.get(name)
+    report = _stored_report(problem, x)
+    assert fo.reverify_report(problem, report)["ok"] is True
+    nec = report["necessary"]
+    edit(nec["multipliers"], nec["cadre"], report)
+    return problem, report
+
+
+def _rekey(table, old, new):
+    table[new] = table.pop(old)
+
+
+_TAMPERINGS = [
+    # a scenario is numbered from 1; -1 wrapped to scenario 2 before
+    ("madsen", lambda m, c, r: m["alpha"][0].update(scenario=-1),
+     "necessary.multipliers", "scenario -1 is not one of 1..3"),
+    ("madsen", lambda m, c, r: m["alpha"][0].update(scenario=4),
+     "necessary.multipliers", "scenario 4 is not one of 1..3"),
+    ("madsen", lambda m, c, r: m["alpha"][0].update(scenario="2"),
+     "necessary.multipliers", "scenario '2' is not one of 1..3"),
+    ("madsen", lambda m, c, r: m["alpha"][0].update(sign=2),
+     "necessary.multipliers", "sign 2 is not 1 or -1"),
+    ("madsen", lambda m, c, r: m["alpha"][0].update(weight="1"),
+     "necessary.multipliers", "alpha weight '1' is not a finite number"),
+    ("madsen", lambda m, c, r: m["nA"][0]["prov"].update(index=2),
+     "necessary.multipliers", "bound index 2 is not one of 0..1"),
+    ("madsen", lambda m, c, r: m["nA"][0]["prov"].update(kind="soc_apex"),
+     "necessary.multipliers", "nA kind 'soc_apex' is not bound or set_eq"),
+    ("madsen", lambda m, c, r: m.pop("alpha"),
+     "necessary.multipliers", "no field 'alpha'"),
+    ("madsen", lambda m, c, r: r.update(candidate=[0.0]),
+     "necessary.multipliers",
+     "candidate is not an array of numbers of shape (2,)"),
+    ("madsen", lambda m, c, r: c.update(k0=9),
+     "necessary.cadre", "need 1 <= k0 <= i0 <= p"),
+    ("madsen", lambda m, c, r: c.update(i0="2"),
+     "necessary.cadre", "cadre i0 '2' is not an integer"),
+    # a constraint key is an index in a key, of one of the block's
+    # constraints; "-1" wrapped and "2" raised IndexError before
+    ("bazaraa45", lambda m, c, r: _rekey(m["nlp_ineq"]["0"], "1", "-1"),
+     "necessary.multipliers", "nlp_ineq constraint '-1' is not one of 0..1"),
+    ("bazaraa45", lambda m, c, r: _rekey(m["nlp_ineq"]["0"], "1", "2"),
+     "necessary.multipliers", "nlp_ineq constraint '2' is not one of 0..1"),
+    ("bazaraa45", lambda m, c, r: _rekey(m["nlp_ineq"], "0", "1"),
+     "necessary.multipliers", "block '1' is not one of 0..0"),
+    ("bazaraa45", lambda m, c, r: m.update(soc=m.pop("nlp_ineq")),
+     "necessary.multipliers", "no field 'nlp_ineq'"),
+    ("disk", lambda m, c, r: m["soc"]["0"].pop(),
+     "necessary.multipliers",
+     "soc dual is not an array of numbers of shape (3,)"),
+    ("sdp-example", lambda m, c, r: m["sdp"]["0"].pop(),
+     "necessary.multipliers",
+     "sdp dual is not an array of numbers of shape (3, 3)"),
+    ("sdp-example", lambda m, c, r: m["sdp"]["0"][0].pop(),
+     "necessary.multipliers",
+     "sdp dual is not an array of numbers of shape (3, 3)"),
+]
+
+
+@pytest.mark.parametrize("name, edit, what, reason", _TAMPERINGS)
+def test_reverify_refuses_each_malformed_field(name, edit, what, reason):
+    """A stored witness is read against the problem: an index outside
+    it, a sign, weight or dual of the wrong type or shape and a missing
+    field each fail their check, with the reason, and the re-check never
+    raises.  Before, some of these re-checked ok and the others raised
+    IndexError, TypeError or KeyError."""
+    problem, report = _tampered(name, edit)
+    res = fo.reverify_report(problem, report)
+    assert res["ok"] is False
+    failed = [c for c in res["checks"] if not c["ok"]]
+    assert failed == [{"what": what, "ok": False, "reason": reason}]
 
 
 def _witness_cases():

@@ -205,6 +205,26 @@ def test_problem_format_semiinf_grid():
     np.testing.assert_allclose(blk.grid, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
+def test_semiinf_grid_is_one_array_and_activity_matches_the_loop(rng):
+    """A semi-infinite block keeps its grid as one read-only array, built
+    once, and takes its active points with one flatnonzero: the list the
+    loop over the values gave, a NaN value never active."""
+    P = load_problem_text('[problem] dim=2\n[scenario] f="x(1)"\n'
+                          '[semiinf] g="x(1)*t + x(2)" grid=-1:1:401\n')
+    blk, tol = P.blocks[0], ToleranceSet()
+    assert blk._points is blk._points and not blk._points.flags.writeable
+    assert blk._points.tolist() == list(blk.grid)
+    for x in [(0.0, 0.0), (1.0, -1.0), (math.nan, 0.0), (math.inf, 0.0),
+              (-1e-9, 5e-9), *rng.uniform(-1, 1, size=(20, 2))]:
+        values = blk.jets(np.array(x)).tolist()
+        assert blk.activity(np.array(x), tol, 0).active == [
+            i for i, v in enumerate(values)
+            if abs(v) <= tol.eps_active or v > 0], x
+    rows = [400, 0, 7]
+    assert blk.jets(np.array([1.0, 2.0]), rows).tolist() == [
+        blk.grid[i] + 2.0 for i in rows]
+
+
 def test_problem_rejects_rank_deficient_equalities():
     with pytest.raises(ProblemFormatError):
         load_problem_text(
