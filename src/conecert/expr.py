@@ -255,6 +255,9 @@ class _Binary(Expression):
         return "".join(parts)
 
     def jets_at(self, X, d):
+        if not isinstance(self.lhs, _Binary):   # most nodes: no walk
+            return self.combine(self.lhs.jets_at(X, d),
+                                self.rhs.jets_at(X, d))
         spine = self.spine()
         jets = spine[-1].lhs.jets_at(X, d)
         for node in reversed(spine):
