@@ -12,6 +12,7 @@ as ``python -m conecert.cli`` in a subprocess and fails on a traceback.
 import contextlib
 import copy
 import io
+import itertools
 import json
 
 from conecert import firstorder as fo
@@ -93,7 +94,7 @@ _NUMBER_SURFACES = ("psi", "lb", "--at", "--vectors", "--penalty",
 def spelled_inputs(directory):
     """(surface, spelling, argv, accepted) for each spelling of its kind
     sent to each command-line surface; problem files go in directory."""
-    files = iter(range(10 ** 6))
+    files = itertools.count()
 
     def write(text):
         path = directory / f"spelled-{next(files)}.prob"
@@ -161,8 +162,8 @@ def test_every_surface_reads_spellings_as_the_file_grammar_does(tmp_path):
 def test_direction_counts_stop_at_the_samplers_limit():
     """unit_directions draws one point more than it returns, and a draw
     holds at most 2^30 points; a count past it is refused before any
-    draw.  Before, --soc-dirs 1073741824 ended in the sampler's
-    ValueError."""
+    draw, whatever the problem.  Before, --soc-dirs 1073741824 on a
+    problem with a [soc] block ended in the sampler's ValueError."""
     from conecert.cones import MAX_DIRECTIONS, SOBOL_BITS
     assert MAX_DIRECTIONS == (1 << SOBOL_BITS) - 1
     for flag in ("--soc-dirs", "--sdp-dirs"):
@@ -194,7 +195,7 @@ def test_stored_dual_keys_are_indices_in_keys():
     """A stored witness names each block and constraint by an index in
     a key: ASCII digits, leading zeros allowed, no sign or space.  Any
     other key fails the re-check with its reason; before, int() read
-    "٣" and " 3 " as 3, and "-1" wrapped to the last block."""
+    "٣" and " 3 " as 3, and "-3" wrapped around to block 1."""
     problem, report = _witness_report()
     duals = report["necessary"]["multipliers"]["nlp_ineq"]
     assert duals == {"3": {"3": 1.0}}
