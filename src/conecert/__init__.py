@@ -8,8 +8,7 @@ from .expr import (Dual2, DomainError, ExprError, ExprSyntaxError,
 from .problem import (ActiveSets, NlpEq, NlpIneq, PolyhedralSet, Problem,
                       Sdp, SemiInfinite, Soc, ToleranceSet, activity,
                       check_feasible, evaluate_objective, load_problem_file,
-                      load_problem_text, problem_to_text,
-                      squared_generators, subdifferential_generators)
+                      load_problem_text, problem_to_text, ScenarioJets)
 from .geometry import (GeneratorSet, PointContext, SamplingSpec,
                        TangentTester, block_distances, build_generator_set,
                        nA_generators, project_psd_neg, project_soc)

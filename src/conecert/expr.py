@@ -8,9 +8,12 @@ Expressions have one evaluator, ``jets_at``, over a stack of points held
 as the columns of an array (``eval_jets``; a point is a stack of no axes,
 ``eval2``).  It gives the values, each undefined one with its reason, and
 the gradients and Hessians in x(1..d) by second-order forward mode, exact
-up to rounding.  A subtree that does not depend on x(1..d), such as
-abs(0.0) or a term in a semi-infinite index t in row d+1, carries no
-derivative, so no derivative rule runs on it.
+up to rounding, the Hessians only when asked for (order 2).  A subtree
+that does not depend on x(1..d), such as abs(0.0) or a term in a
+semi-infinite index t in row d+1, carries no derivative, so no
+derivative rule runs on it, and one affine in x(1..d) carries no Hessian,
+so a linear scenario never allocates a d x d array (``jets``; Griewank and
+Walther, *Evaluating Derivatives*, on sparsity in forward mode).
 
 Many texts that differ only in their decimal literals, as the scenarios of
 a discretised Chebyshev fit do, are parsed together (``parse_families``):
@@ -34,7 +37,7 @@ __all__ = [
     "VariableIndexOutOfRange", "DomainError",
     "Column", "Family", "parse", "parse_families", "skeletons", "to_string",
     "eval2", "eval_value", "eval_values", "eval_reasons", "raise_undefined",
-    "eval_jets", "substitute",
+    "eval_jets", "jets", "substitute",
 ]
 
 
@@ -125,22 +128,45 @@ def _sym(g, h):
     return cross + cross.swapaxes(-1, -2)
 
 
-def _compose(f1, f2, g, H):
-    """The gradient and Hessian of f(u) from f'(u), f''(u) and u's own."""
+def _plus(*terms):
+    """The sum, left to right, of the terms that are not None (a Hessian
+    that is 0); None when every term is."""
+    total = None
+    for term in terms:
+        if term is not None:
+            total = term if total is None else total + term
+    return total
+
+
+def _times(f, H):
+    """f H at each point; None where H is None."""
+    return None if H is None else _each(f, 2) * H
+
+
+def _compose(f1, f2, g, H, order):
+    """The gradient and, at order 2, the Hessian of f(u) from f'(u),
+    f''(u) and u's own."""
+    grad = _each(f1, 1) * g
+    if order < 2:
+        return grad, None
     outer = g[..., :, None] * g[..., None, :]
-    return _each(f1, 1) * g, _each(f1, 2) * H + _each(f2, 2) * outer
+    return grad, _plus(_times(f1, H), _each(f2, 2) * outer)
 
 
 class Expression:
     """A node of an expression tree.  Every kind implements ``text()``
-    (printed at precedence ``level``), ``jets_at(X, d)`` and
+    (printed at precedence ``level``), ``jets_at(X, d, order)`` and
     ``map_nodes(fn)`` (the tree rebuilt bottom-up with ``fn`` applied to
     every node).  ``jets_at`` gives (values, reasons, grad, hess) at
     the columns of X: a reason code per column, 0 where defined, else the
     index in ``_REASONS`` of its DomainError (None: no reason); and the
-    derivatives in x(1..d) on the last axes, None where the node does not
-    depend on x(1..d).  Where it does, the reasons cover the derivative
-    too (abs at 0, sqrt at 0), a quotient's numerator first."""
+    derivatives in x(1..d) on the last axes, the Hessians at order 2
+    only.  A derivative that is 0 by the node's form is None: the
+    gradient where the node does not depend on x(1..d), the Hessian where
+    it is affine in them (a ``Var``, and sums, negations, quotients by
+    and products with a factor free of x(1..d) of such nodes).  Where the
+    node depends on x(1..d), the reasons cover the derivative too (abs at
+    0, sqrt at 0), a quotient's numerator first."""
 
     __slots__ = ()
     level = _LVL_ATOM
@@ -173,7 +199,7 @@ class Const(Expression):
     def text(self) -> str:
         return repr(self.value)
 
-    def jets_at(self, X, d):
+    def jets_at(self, X, d, order):
         return np.full(X.shape[1:], self.value, dtype=float), None, None, None
 
 
@@ -184,12 +210,12 @@ class Var(Expression):
     def text(self) -> str:
         return f"x({self.index})"
 
-    def jets_at(self, X, d):
+    def jets_at(self, X, d, order):
         if self.index > d:
             return X[self.index - 1], None, None, None
         grad = np.zeros(X.shape[1:] + (d,))
         grad[..., self.index - 1] = 1.0
-        return X[self.index - 1], None, grad, np.zeros(grad.shape + (d,))
+        return X[self.index - 1], None, grad, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,27 +226,73 @@ class Column(Expression):
 
     value: np.ndarray
 
-    def jets_at(self, X, d):
+    def jets_at(self, X, d, order):
         return _each(self.value, X.ndim - 1), None, None, None
 
     def member(self, k) -> Expression:
         return Const(float(self.value[k]))
 
 
+class _Unary(Expression):
+    """A node of one operand, ``operand``; each subclass prints itself
+    around its operand's text (``wrap``), differentiates itself from its
+    operand's jets (``apply``) and is rebuilt over a new operand
+    (``over``)."""
+
+    # A chain of unary nodes (2,000 powers ^1, 960 minus signs) is deeper
+    # than the interpreter's recursion limit; each method below walks the
+    # chain by a loop, from its innermost node out, and recurses into the
+    # operand below the chain alone.
+    def chain(self) -> tuple:
+        """This node and its operands while they are unary nodes,
+        outermost first, and the operand below them."""
+        chain, node = [self], self.operand
+        while isinstance(node, _Unary):
+            chain.append(node)
+            node = node.operand
+        return chain, node
+
+    def text(self) -> str:
+        chain, node = self.chain()
+        text, level = node.text(), node.level
+        for node in reversed(chain):
+            text, level = node.wrap(text, level), node.level
+        return text
+
+    def jets_at(self, X, d, order):
+        chain, node = self.chain()
+        jets = node.jets_at(X, d, order)
+        for node in reversed(chain):
+            jets = node.apply(jets, order)
+        return jets
+
+    def map_nodes(self, fn) -> Expression:
+        chain, node = self.chain()
+        node = node.map_nodes(fn)
+        for old in reversed(chain):
+            node = fn(old.over(node))
+        return node
+
+
 @dataclass(frozen=True)
-class Neg(Expression):
+class Neg(_Unary):
     arg: Expression
     level = _LVL_UNARY
 
-    def text(self) -> str:
-        return "-" + _paren(self.arg, _LVL_UNARY)
+    @property
+    def operand(self) -> Expression:
+        return self.arg
 
-    def jets_at(self, X, d):
-        v, bad, g, H = self.arg.jets_at(X, d)
-        return (-v, bad) + ((None, None) if g is None else (-g, -H))
+    def over(self, operand) -> Expression:
+        return Neg(operand)
 
-    def map_nodes(self, fn) -> Expression:
-        return fn(Neg(self.arg.map_nodes(fn)))
+    def wrap(self, text, level) -> str:
+        return "-" + (f"({text})" if level < _LVL_UNARY else text)
+
+    def apply(self, jets, order):
+        v, bad, g, H = jets
+        return (-v, bad, None if g is None else -g,
+                None if H is None else -H)
 
 
 @dataclass(frozen=True)
@@ -254,29 +326,32 @@ class _Binary(Expression):
             parts += [node.sep, _paren(node.rhs, node.level + 1)]
         return "".join(parts)
 
-    def jets_at(self, X, d):
+    def jets_at(self, X, d, order):
         if not isinstance(self.lhs, _Binary):   # most nodes: no walk
-            return self.combine(self.lhs.jets_at(X, d),
-                                self.rhs.jets_at(X, d))
+            return self.combine(self.lhs.jets_at(X, d, order),
+                                self.rhs.jets_at(X, d, order), order)
         spine = self.spine()
-        jets = spine[-1].lhs.jets_at(X, d)
+        jets = spine[-1].lhs.jets_at(X, d, order)
         for node in reversed(spine):
-            jets = node.combine(jets, node.rhs.jets_at(X, d))
+            jets = node.combine(jets, node.rhs.jets_at(X, d, order), order)
         return jets
 
-    def combine(self, lhs, rhs):
+    def combine(self, lhs, rhs, order):
         """The node's jets from its operands' (``jets_at``)."""
         (a, lbad, ga, Ha), (b, rbad, gb, Hb) = lhs, rhs
         if ga is None and gb is None:
             return self.op(a, b), _first(lbad, rbad), None, None
         return (self.op(a, b), _first(lbad, rbad),
-                *self.rule(a, ga, Ha, b, gb, Hb))
+                *self.rule(a, ga, Ha, b, gb, Hb, order))
 
-    def rule(self, a, ga, Ha, b, gb, Hb):   # a sum's or a difference's
-        if gb is None:
-            return ga, Ha
-        return self.op(0.0 if ga is None else ga, gb), \
-            self.op(0.0 if Ha is None else Ha, Hb)
+    def rule(self, a, ga, Ha, b, gb, Hb, order):   # a sum's or a difference's
+        return self.apply_op(ga, gb), self.apply_op(Ha, Hb)
+
+    def apply_op(self, u, v):
+        """u op v, where None is 0."""
+        if v is None:
+            return u
+        return self.op(0.0 if u is None else u, v)
 
     def map_nodes(self, fn) -> Expression:
         spine = self.spine()
@@ -300,30 +375,39 @@ class Sub(_Binary):
 class Mul(_Binary):
     op, sep, level = operator.mul, "*", _LVL_MUL
 
-    def rule(self, a, ga, Ha, b, gb, Hb):
+    def rule(self, a, ga, Ha, b, gb, Hb, order):
         if gb is None:
-            return _each(b, 1) * ga, _each(b, 2) * Ha
+            return _each(b, 1) * ga, _times(b, Ha)
         if ga is None:
-            return _each(a, 1) * gb, _each(a, 2) * Hb
-        return (_each(b, 1) * ga + _each(a, 1) * gb,
-                _each(b, 2) * Ha + _each(a, 2) * Hb + _sym(ga, gb))
+            return _each(a, 1) * gb, _times(a, Hb)
+        grad = _each(b, 1) * ga + _each(a, 1) * gb
+        if order < 2:
+            return grad, None
+        return grad, _plus(_times(b, Ha), _times(a, Hb), _sym(ga, gb))
 
 
 @dataclass(frozen=True)
 class Div(_Binary):
     op, sep, level = operator.truediv, "/", _LVL_MUL
 
-    def combine(self, lhs, rhs):
+    def combine(self, lhs, rhs, order):
         (num, lbad, ga, Ha), (den, rbad, gb, Hb) = lhs, rhs
         value, own = num / den, (den == 0.0) * _DIV_ZERO
         if ga is None and gb is None:
             return value, _first(rbad, _first(own, lbad)), None, None
+        hess = None
         if gb is None:
-            grad, hess = ga / _each(den, 1), Ha / _each(den, 2)
+            grad = ga / _each(den, 1)
+            if Ha is not None:
+                hess = Ha / _each(den, 2)
         else:
-            ga, Ha = (0.0, 0.0) if ga is None else (ga, Ha)
-            grad = (ga - _each(value, 1) * gb) / _each(den, 1)
-            hess = (Ha - _sym(grad, gb) - _each(value, 2) * Hb) / _each(den, 2)
+            grad = ((0.0 if ga is None else ga)
+                    - _each(value, 1) * gb) / _each(den, 1)
+            if order == 2:
+                hess = (0.0 if Ha is None else Ha) - _sym(grad, gb)
+                if Hb is not None:
+                    hess = hess - _each(value, 2) * Hb
+                hess = hess / _each(den, 2)
         return value, _first(lbad, _first(rbad, own)), grad, hess
 
 
@@ -360,27 +444,32 @@ def _powers(base, n, slopes):
 
 
 @dataclass(frozen=True)
-class Pow(Expression):
+class Pow(_Unary):
     base: Expression
     exponent: int
     level = _LVL_POW
 
-    def text(self) -> str:
-        return f"{_paren(self.base, _LVL_ATOM)}^{self.exponent}"
+    @property
+    def operand(self) -> Expression:
+        return self.base
 
-    def jets_at(self, X, d):
-        base, bad, g, H = self.base.jets_at(X, d)
+    def over(self, operand) -> Expression:
+        return Pow(operand, self.exponent)
+
+    def wrap(self, text, level) -> str:
+        return (f"({text})" if level < _LVL_ATOM else text) \
+            + f"^{self.exponent}"
+
+    def apply(self, jets, order):
+        base, bad, g, H = jets
         n = self.exponent
         slopes = g is not None and n not in (0, 1)
         value, f1, f2, own = _powers(base, n, slopes)
         if slopes:
-            g, H = _compose(f1, f2, g, H)
+            g, H = _compose(f1, f2, g, H, order)
         elif g is not None and n == 0:
-            g, H = np.zeros_like(g), np.zeros_like(H)
+            g, H = np.zeros_like(g), None
         return value, _first(bad, own), g, H
-
-    def map_nodes(self, fn) -> Expression:
-        return fn(Pow(self.base.map_nodes(fn), self.exponent))
 
 
 # name -> (f over an array of values v, returning f(v) and the reason codes
@@ -401,24 +490,28 @@ FUNCTIONS = tuple(_FUNCS)
 
 
 @dataclass(frozen=True)
-class Func(Expression):
+class Func(_Unary):
     name: str
     arg: Expression
 
-    def text(self) -> str:
-        return f"{self.name}({self.arg.text()})"
+    @property
+    def operand(self) -> Expression:
+        return self.arg
 
-    def jets_at(self, X, d):
-        v, bad, g, H = self.arg.jets_at(X, d)
+    def over(self, operand) -> Expression:
+        return Func(self.name, operand)
+
+    def wrap(self, text, level) -> str:
+        return f"{self.name}({text})"
+
+    def apply(self, jets, order):
+        v, bad, g, H = jets
         values, slopes = _FUNCS[self.name]
         value, own = values(v)
         if g is not None:
             f1, f2, own = slopes(v, value)
-            g, H = _compose(f1, f2, g, H)
+            g, H = _compose(f1, f2, g, H, order)
         return value, _first(bad, own), g, H
-
-    def map_nodes(self, fn) -> Expression:
-        return fn(Func(self.name, self.arg.map_nodes(fn)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +555,12 @@ def _integer(tok, what: str) -> int:
         raise ExprSyntaxError(tok[2], f"{what} of fewer digits") from None
 
 
+# the longest run of unary minus signs read; a longer one is the input
+# error "expression nested too deeply", as nesting past the parser's
+# recursion is
+MAX_SIGNS = 1000
+
+
 class _Parser:
     def __init__(self, tokens, dim: int, params, literals=()):
         self.tokens = tokens
@@ -503,13 +602,19 @@ class _Parser:
         return node
 
     def parse_unary(self) -> Expression:
-        if self.peek()[0] == "-":
+        # a run of minus signs is read by a loop and bounded by its length,
+        # not by how deep the interpreter's stack already is
+        signs = 0
+        while self.peek()[0] == "-":
             self.take()
-            arg = self.parse_unary()
-            if isinstance(arg, (Const, Column)):
-                return type(arg)(-arg.value)
-            return Neg(arg)
-        return self.parse_power()
+            signs += 1
+        if signs > MAX_SIGNS:
+            raise ExprError("expression nested too deeply")
+        node = self.parse_power()
+        for _ in range(signs):
+            node = (type(node)(-node.value)
+                    if isinstance(node, (Const, Column)) else Neg(node))
+        return node
 
     def parse_power(self) -> Expression:
         node = self.parse_atom()
@@ -593,8 +698,10 @@ def parse(text: str, d: int, params: tuple[str, ...] = ()) -> Expression:
 # follows another token with no operator between them, a syntax error; its
 # skeleton fails too, and its texts go to ``parse``.
 _EXPONENT = r"(?:[eE][+-]?[0-9]+)"
+# The leading digits are read once, ahead of the choice between a '.' and
+# an exponent, so a digit run is not scanned again for the second.
 _FREE_LITERAL = re.compile(
-    r"([0-9](?<![\w.][0-9])(?:[0-9]*\.[0-9]*" + _EXPONENT + r"?|[0-9]*"
+    r"([0-9](?<![\w.][0-9])[0-9]*(?:\.[0-9]*" + _EXPONENT + r"?|"
     + _EXPONENT + r")|\.(?<![\w.]\.)[0-9]+" + _EXPONENT + r"?)")
 
 
@@ -613,6 +720,16 @@ class Family:
     def tree(self, k: int) -> Expression:
         """The tree of member k, equal to ``parse`` of its text."""
         return self.template.map_nodes(lambda node: node.member(k))
+
+    def stacked(self, ks) -> Expression:
+        """The template of the members at the positions ``ks`` alone: each
+        ``Column`` cut to their rows, in the order of ``ks``."""
+        ks = list(ks)
+        if len(ks) == len(self.members) and ks == list(range(len(ks))):
+            return self.template
+        return self.template.map_nodes(
+            lambda node: Column(node.value[ks]) if isinstance(node, Column)
+            else node)
 
 
 # A template slot: a free literal with a leading digit and a '.' (0.25, 5.,
@@ -708,11 +825,15 @@ def to_string(e: Expression) -> str:
     return e.text()
 
 
-def _jets(e: Expression, X, d: int):
-    """``e.jets_at(X, d)`` with a reason code for every column."""
+def jets(e: Expression, X, d: int, order: int = 2):
+    """``e.jets_at(X, d, order)`` with a reason code for every column: the
+    values, reason codes and derivatives in x(1..d) of ``e`` at the
+    columns of X, each derivative None where it is 0 by the form of
+    ``e`` (``Expression``) and the Hessians None below order 2.  A family
+    template's derivatives broadcast against its values."""
     X = np.ascontiguousarray(X, dtype=float)
     with np.errstate(all="ignore"):   # an undefined value is a reason code
-        vals, reasons, grad, hess = e.jets_at(X, d)
+        vals, reasons, grad, hess = e.jets_at(X, d, order)
     if reasons is None:
         reasons = np.zeros(X.shape[1:], np.int8)
     return vals, reasons, grad, hess
@@ -720,12 +841,15 @@ def _jets(e: Expression, X, d: int):
 
 def eval_jets(e: Expression, X, d: int):
     """Values, reason codes (``Expression``) and derivatives in x(1..d) of
-    ``e`` at the columns of X: ``grad[k]``, ``hess[k]`` at column k.  Rows
-    past d, such as a semi-infinite index, are not differentiated; a
-    family template's derivatives broadcast against its values."""
-    vals, reasons, grad, hess = _jets(e, X, d)
+    ``e`` at the columns of X: ``grad[k]``, ``hess[k]`` at column k, a
+    derivative that is 0 as an array of zeros.  Rows past d, such as a
+    semi-infinite index, are not differentiated; a family template's
+    derivatives broadcast against its values."""
+    vals, reasons, grad, hess = jets(e, X, d)
     if grad is None:
-        grad, hess = np.zeros(vals.shape + (d,)), np.zeros(vals.shape + (d, d))
+        grad = np.zeros(vals.shape + (d,))
+    if hess is None:
+        hess = np.zeros(grad.shape + (d,))
     return vals, reasons, grad, hess
 
 
@@ -739,7 +863,7 @@ def eval2(e: Expression, x) -> Dual2:
 
 def eval_reasons(e: Expression, X) -> tuple[np.ndarray, np.ndarray]:
     """``eval_jets`` without derivatives: the values and reason codes."""
-    return _jets(e, X, 0)[:2]
+    return jets(e, X, 0)[:2]
 
 
 def raise_undefined(reasons):

@@ -26,9 +26,9 @@ from .linkernel import (EPS_POS, EPS_RANK, SCREEN_CHUNK, combination_residual,
                         combination_system, lp_chebyshev_center,
                         lp_membership, positive_combinations, rank,
                         simplex_solve, stacked_rank)
-from .problem import (BLOCK_CLASSES, NlpIneq, Problem, SemiInfinite,
-                      _stored_array, _stored_index, _stored_number, activity,
-                      evaluate_objective, scenario_derivatives)
+from .problem import (BLOCK_CLASSES, NlpIneq, Problem, ScenarioJets,
+                      SemiInfinite, _stored_array, _stored_index,
+                      _stored_weight, activity, evaluate_objective)
 
 __all__ = [
     "Cadre", "AlternanceFailure", "MultiplierWitness",
@@ -581,30 +581,38 @@ class MultiplierWitness(Record):
         for pos in sorted(self.duals):
             yield (pos, *self.duals[pos])
 
-    def lagrangian(self, P: Problem, x, squared: bool = False):
-        """Gradient and Hessian in x of the witness's Lagrangian,
-        sum(alpha_i s_i f_i) + <lambda, G(x)> + <mu, x>: each scenario's
-        term from ``scenario_derivatives`` (squared deviations when
-        ``squared``), each block's pairing from its ``dual_derivatives``
-        and each polyhedral normal from ``nA_vector``.  The scenario terms
-        and the block pairings are summed apart, then added; the normals
-        have no Hessian."""
-        x = np.asarray(x, dtype=float)
+    def lagrangian(self, jets: ScenarioJets, squared: bool = False,
+                   order: int = 2):
+        """Gradient and, at order 2, Hessian in x of the witness's
+        Lagrangian, sum(alpha_i s_i f_i) + <lambda, G(x)> + <mu, x>, at
+        the point of ``jets``: each scenario's term read from that table
+        (``ScenarioJets.terms``; squared deviations when ``squared``),
+        each block's pairing from its ``dual_derivatives`` and each
+        polyhedral normal from ``nA_vector``.  The scenario terms and the
+        block pairings are summed apart, then added; the normals have no
+        Hessian, and a scenario term whose Hessian is 0 adds none.  At
+        order 1 the Hessian is None."""
+        P, x = jets.problem, jets.x
         d = P.d
-        grad, hess = np.zeros(d), np.zeros((d, d))
-        for scen, sign, weight in self.alpha:
-            g, H = scenario_derivatives(P, x, scen, sign, squared)
+        second = order == 2
+        grad, hess = np.zeros(d), np.zeros((d, d)) if second else None
+        terms = jets.terms([(scen, sign) for scen, sign, _ in self.alpha],
+                           squared, order)
+        for (g, H), (_, _, weight) in zip(terms, self.alpha):
             grad = grad + weight * g
-            hess = hess + weight * H
-        cone_grad, cone_hess = np.zeros(d), np.zeros((d, d))
+            if H is not None:
+                hess = hess + weight * H
+        cone_grad = np.zeros(d)
+        cone_hess = np.zeros((d, d)) if second else None
         for _, blk, dual in self.block_duals():
             g, H = blk.dual_derivatives(x, dual)
             cone_grad = cone_grad + g
-            cone_hess = cone_hess + H
+            if second:
+                cone_hess = cone_hess + H
         grad = grad + cone_grad
         for pr, weight in self.nA:
             grad = grad + weight * nA_vector(P.set_A, d, pr)
-        return grad, hess + cone_hess
+        return grad, hess + cone_hess if second else None
 
     def json_fields(self):
         out = {"alpha": [{"scenario": s, "sign": sg, "weight": w}
@@ -641,18 +649,26 @@ def _assemble_witness(ctx: PointContext, G: GeneratorSet,
     return w
 
 
-def _witness_residual(P: Problem, x, w: MultiplierWitness,
+def _witness_residual(jets: ScenarioJets, w: MultiplierWitness,
                       squared: bool = False) -> float:
     """The stationarity residual: the norm of the witness's Lagrangian
-    gradient (``MultiplierWitness.lagrangian``)."""
-    return float(np.linalg.norm(w.lagrangian(P, x, squared)[0]))
+    gradient (``MultiplierWitness.lagrangian``, at order 1)."""
+    return float(np.linalg.norm(w.lagrangian(jets, squared, order=1)[0]))
+
+
+# how far the scenario weights of a stored witness may sum from 1; those of
+# a membership-LP solution are convex up to far smaller rounding
+ALPHA_SUM_TOL = 1e-9
 
 
 def witness_from_json(P: Problem, data) -> MultiplierWitness:
     """Rebuild a multiplier witness of the problem P from its JSON form.
     Each index must name a scenario, a block of its table's kind, one of
     the block's constraints, a bound or an equality row of P, each sign
-    be 1 or -1 and each weight a finite number; ValueError otherwise."""
+    be 1 or -1 and each weight a finite number.  The weights must mean a
+    multiplier: the scenario (alpha), inequality, grid and nA weights are
+    nonnegative, and the alpha weights sum to 1 within ``ALPHA_SUM_TOL``
+    (an empty witness has none).  ValueError otherwise."""
     def sign(value):
         if type(value) is not int or value not in (1, -1):
             raise ValueError(f"sign {value!r} is not 1 or -1")
@@ -666,7 +682,7 @@ def witness_from_json(P: Problem, data) -> MultiplierWitness:
         return (Provenance(kind, index=_stored_index(
             rec["prov"]["index"], rows, f"{kind} index"),
             sign=sign(rec["prov"]["sign"])),
-            _stored_number(rec["weight"], "nA weight"))
+            _stored_weight(rec["weight"], "nA weight"))
     duals = {}
     for cls in BLOCK_CLASSES:
         for b, dual in data[cls.kind].items():
@@ -675,12 +691,15 @@ def witness_from_json(P: Problem, data) -> MultiplierWitness:
             if blk.kind != cls.kind:
                 raise ValueError(f"block {b} is {blk.kind}, not {cls.kind}")
             duals[b] = (blk, blk.dual_from_json(dual))
+    alpha = [(_stored_index(rec["scenario"], len(P.scenarios), "scenario",
+                            first=1), sign(rec["sign"]),
+              _stored_weight(rec["weight"], "alpha weight"))
+             for rec in data["alpha"]]
+    total = math.fsum(weight for _, _, weight in alpha)
+    if not abs(total - 1.0) <= ALPHA_SUM_TOL:
+        raise ValueError(f"alpha weights sum to {total!r}, not 1")
     return MultiplierWitness(
-        alpha=[(_stored_index(rec["scenario"], len(P.scenarios), "scenario",
-                              first=1), sign(rec["sign"]),
-                _stored_number(rec["weight"], "alpha weight"))
-               for rec in data["alpha"]],
-        duals=duals, nA=[normal(rec) for rec in data["nA"]],
+        alpha=alpha, duals=duals, nA=[normal(rec) for rec in data["nA"]],
         stationarity_residual=data.get("stationarity_residual", math.nan))
 
 
@@ -724,7 +743,8 @@ def reverify_report(P: Problem, report: dict) -> dict:
 
     def multipliers_check(data):
         x = _stored_array(report["candidate"], "candidate", (P.d,))
-        resid = _witness_residual(P, x, witness_from_json(P, data))
+        resid = _witness_residual(ScenarioJets(P, x),
+                                  witness_from_json(P, data))
         return {"ok": resid <= 1e-7, "residual": resid}
 
     def run(what, check, data):
@@ -791,7 +811,7 @@ def necessary_check(ctx: PointContext,
         m = len(G.grads_F)
         witness = _assemble_witness(ctx, G, res.x[:m], res.x[m:])
         witness.stationarity_residual = _witness_residual(
-            P, ctx.x, witness, squared=squared)
+            ctx.jets, witness, squared=squared)
         if witness.stationarity_residual > 1e-8 * max(
                 1.0, max(np.linalg.norm(v) for v in G.grads_F)):
             # never report an unverified witness

@@ -24,8 +24,7 @@ from .cones import (EigenFailure, Provenance, SequenceChain, SpectralData,
                     sdp_null_directions, unit_directions)
 from .linkernel import LpResult, Tableau, combination_system
 from .problem import (ActiveSets, FeasibilityReport, PolyhedralSet, Problem,
-                      activity, check_feasible, squared_generators,
-                      subdifferential_generators)
+                      ScenarioJets, activity, check_feasible)
 
 __all__ = [
     "SamplingSpec", "Provenance", "GeneratorSet", "SpectralData",
@@ -149,12 +148,13 @@ def nA_generators(A: PolyhedralSet, x, eps_feas: float = 1e-8):
     return [nA_vector(A, d, pr) for pr in prov], prov
 
 
-def build_generator_set(P: Problem, x, act: ActiveSets,
+def build_generator_set(jets: ScenarioJets, act: ActiveSets,
                         sampling: SamplingSpec) -> GeneratorSet:
-    """The generator families at x: the objective's (sub)gradients, each
-    block's normal-cone generators and the polyhedral set's."""
-    x = np.asarray(x, dtype=float)
-    grads = subdifferential_generators(P, x, act.scenarios)
+    """The generator families at the point of ``jets``: the objective's
+    (sub)gradients, read from that table, each block's normal-cone
+    generators and the polyhedral set's."""
+    P, x = jets.problem, jets.x
+    grads = jets.gradients(act.scenarios)
     gprov = [Provenance("scenario", index=s.index, sign=s.sign)
              for s in act.scenarios]
     families = [blk.normal_generators(x, ba, sampling)
@@ -216,12 +216,13 @@ def block_distances(P: Problem, x) -> list[float]:
 class PointContext:
     """The data every check needs at one point, each part computed on first
     use and then shared: feasibility, the objective with its active sets
-    and block states (the matrix spectral data among them), the plain and
-    squared generator sets (holding the one sample of apex and kernel
-    directions) and the tangent tester.  Each generator set keeps what
-    the checks derive from it: its phase 1 and membership optimum, its
-    cadre searches and its second-order inputs (``GeneratorSet.tableau``,
-    ``membership`` and ``derived``).
+    and block states (the matrix spectral data among them), the scenario
+    jets (each active scenario differentiated once per derivative order),
+    the plain and squared generator sets (holding the one sample of apex
+    and kernel directions) and the tangent tester.  Each generator set
+    keeps what the checks derive from it: its phase 1 and membership
+    optimum, its cadre searches and its second-order inputs
+    (``GeneratorSet.tableau``, ``membership`` and ``derived``).
     Build one per problem, point and sampling, and pass it to each
     check."""
 
@@ -240,15 +241,18 @@ class PointContext:
         return activity(self.problem, self.x)
 
     @cached_property
+    def jets(self) -> ScenarioJets:
+        return ScenarioJets(self.problem, self.x)
+
+    @cached_property
     def generators(self) -> GeneratorSet:
-        return build_generator_set(self.problem, self.x, self.act,
-                                   self.sampling)
+        return build_generator_set(self.jets, self.act, self.sampling)
 
     @cached_property
     def squared(self) -> GeneratorSet:
         """The generator set of the squared-deviation formulation."""
-        return replace(self.generators, grads_F=squared_generators(
-            self.problem, self.x, self.act.scenarios))
+        return replace(self.generators, grads_F=self.jets.gradients(
+            self.act.scenarios, squared=True))
 
     @cached_property
     def tester(self) -> TangentTester:

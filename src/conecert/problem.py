@@ -54,9 +54,10 @@ shape.  A discretised Chebyshev fit has thousands of scenarios that differ
 only in their decimal literals; loading such a file parses each distinct
 shape once and keeps the literals as arrays, ``evaluate_objective`` and
 ``objective_values`` evaluate one family at a time, stacked over its
-members, and ``P.scenarios[i]`` builds scenario i's tree on first access,
-which only the few active scenarios ever need.  A Problem built from
-trees puts each tree in a family of its own.  The loader reads most
+members, and so does ``ScenarioJets`` for the derivatives of the active
+scenarios, stacked over those members alone.  ``P.scenarios[i]`` builds
+scenario i's tree on first access.  A Problem built from trees puts each
+tree in a family of its own.  The loader reads most
 lines of a large shape by one match of a line template each.
 """
 
@@ -77,6 +78,7 @@ from .cones import (MAX_SOBOL_DIM, EigenFailure, Provenance, ProvenanceRows,
                     axis_directions, builtin_max, distinct_rows, pair_dots,
                     project_soc, row_norms, sdp_null_directions,
                     spectral_split, unit_directions, unit_rows)
+from .linkernel import SLAB_FLOATS, rank
 
 __all__ = [
     "ToleranceSet", "PolyhedralSet", "NormalFamily", "NlpIneq", "NlpEq",
@@ -86,8 +88,7 @@ __all__ = [
     "FeasibilityReport", "ProblemFormatError",
     "evaluate_objective", "objective_values", "activity", "check_feasible",
     "feasibility",
-    "scenario_derivatives", "subdifferential_generators",
-    "squared_generators",
+    "ScenarioJets",
     "load_problem_text", "load_problem_file", "problem_to_text",
 ]
 
@@ -123,9 +124,11 @@ class PolyhedralSet:
         return PolyhedralSet(lb=(-math.inf,) * d, ub=(math.inf,) * d)
 
     def validate(self, d: int):
-        from .linkernel import rank
         if len(self.lb) != d or len(self.ub) != d:
             raise ValueError("bound vectors must have length d")
+        if any(map(math.isnan, (*self.lb, *self.ub, *self.e))):
+            raise ValueError("bounds and equality right-hand sides must not "
+                             "be NaN")
         for lo, hi in zip(self.lb, self.ub):
             if lo > hi:
                 raise ValueError("lb must not exceed ub")
@@ -231,11 +234,13 @@ class _Block:
 
 
 class _ScalarBlock(_Block):
-    """Blocks of scalar constraints; a dual is an {index: weight} table.  A
+    """Blocks of scalar constraints; a dual is an {index: weight} table,
+    its weights nonnegative unless ``signed_duals`` (an equality's).  A
     constraint g <= 0 is active where g is within eps_active of 0 or above
     it; its generator is its gradient, named by ``_provenance``."""
 
     polyhedral = True
+    signed_duals = False
 
     def activity(self, x, tol, position):
         v = self.jets(x)   # a NaN value is never active
@@ -266,9 +271,10 @@ class _ScalarBlock(_Block):
         return {str(i): w for i, w in dual.items()}
 
     def dual_from_json(self, data):
+        weight = _stored_number if self.signed_duals else _stored_weight
         return {_stored_index(i, self.size, f"{self.kind} constraint",
                               key=True):
-                _stored_number(w, f"{self.kind} weight")
+                weight(w, f"{self.kind} weight")
                 for i, w in data.items()}
 
 
@@ -347,6 +353,7 @@ class NlpEq(_NlpBlock):
     b: tuple  # expressions b_j(x) = 0
     kind = section = "nlp_eq"
     key = "b"
+    signed_duals = True
 
     def activity(self, x, tol, position):
         return BlockActivity(position, self.kind,
@@ -707,6 +714,15 @@ BLOCK_CLASSES = (NlpIneq, NlpEq, Soc, Sdp, SemiInfinite)
 _SECTION_BLOCKS = {cls.section: cls for cls in BLOCK_CLASSES}
 
 
+def _rows(a, n, axes):
+    """The n members' rows of a stacked jet whose rows have ``axes`` axes:
+    numbers, or views; a jet that no ``Column`` reaches, or None (a
+    derivative that is 0), is every member's."""
+    if a is None or a.ndim == axes:
+        return [a if axes or a is None else a.item()] * n
+    return list(a) if axes else a.tolist()
+
+
 class _Scenarios(Sequence):
     """The scenario trees, grouped into families; a tree is built from its
     family on first access and kept for the life of the sequence.  Threads
@@ -741,6 +757,35 @@ class _Scenarios(Sequence):
             self._trees[i] = fam.tree(int(self._member[i]))
         return self._trees[i]
 
+    def jets(self, x, numbers, order):
+        """{s: (value, reason, grad, hess)} for the scenarios numbered
+        ``numbers`` (from 1, distinct) at the point x, as ``expr.jets``
+        gives them (hess None at order 1 and where the scenario is affine
+        in x), keyed by the numbers given: one stacked pass per family
+        over its template with each ``Column`` cut to those members
+        (``Family.stacked``), so no member's own tree is built.  At order
+        2 a family's members go a slab at a time, so that no Hessian stack
+        holds more than ``SLAB_FLOATS`` entries."""
+        d = len(x)
+        step = len(numbers) if order < 2 else max(1, SLAB_FLOATS // (d * d))
+        indices = np.asarray(numbers, dtype=np.intp) - 1
+        groups = {}   # family -> its (scenario, member position) pairs
+        for pair, f in zip(zip(numbers, self._member[indices].tolist()),
+                           self._family[indices].tolist()):
+            groups.setdefault(f, []).append(pair)
+        out, zero = {}, np.zeros(d)   # the gradient of a constant scenario
+        for f, pairs in groups.items():
+            for lo in range(0, len(pairs), step):
+                part, ks = zip(*pairs[lo:lo + step])
+                vals, reasons, grads, hess = ex.jets(
+                    self.families[f].stacked(ks), x, d, order)
+                n = len(part)
+                out.update(zip(part, zip(
+                    _rows(vals, n, 0), _rows(reasons, n, 0),
+                    _rows(zero if grads is None else grads, n, 1),
+                    _rows(hess, n, 2))))
+        return out
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -773,7 +818,7 @@ class Problem:
         return replace(self, tolerances=tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActiveScenario:
     index: int   # 1-based scenario number
     sign: int    # +1 for minimax; +1/-1 deviation sign for chebyshev
@@ -816,33 +861,33 @@ def objective_values(P: Problem, X) -> tuple[np.ndarray, np.ndarray]:
 def evaluate_objective(P: Problem, x) -> tuple[float, list]:
     """F(x) and the active scenario list.
 
-    For Chebyshev problems each active scenario carries the sign of its
-    deviation; a deviation within eps_active of zero is expanded into both
-    signs, since either signed copy attains the maximum there.  An
-    undefined scenario value raises the DomainError of the first such
-    scenario.
+    F is Python's ``max`` over the deviations (``cones.builtin_max``), and
+    a scenario is active where F - v <= eps_active, v its deviation, or
+    its absolute value in a Chebyshev problem, where a NaN deviation is
+    active too (F - |v| > eps_active fails).  For Chebyshev problems each
+    active scenario carries the sign of its deviation; a deviation within
+    eps_active of zero is expanded into both signs, since either signed
+    copy attains the maximum there.  An undefined scenario value raises
+    the DomainError of the first such scenario.
     """
     x = np.asarray(x, dtype=float)
     eps = P.tolerances.eps_active
     devs, reasons = _deviations(P, x[:, None])
     ex.raise_undefined(reasons)
-    devs = devs[:, 0].tolist()
+    devs = devs[:, 0]
+    size = devs if P.kind == "minimax" else np.abs(devs)
+    F = float(builtin_max(size))
+    with np.errstate(invalid="ignore"):   # inf - inf is NaN, as in floats
+        gaps = F - size
     if P.kind == "minimax":
-        F = max(devs)
-        act = [ActiveScenario(i + 1, 1, v)
-               for i, v in enumerate(devs) if F - v <= eps]
-        return F, act
-    F = max(abs(v) for v in devs)
-    act = []
-    for i, v in enumerate(devs):
-        if F - abs(v) > eps:
-            continue
-        if abs(v) <= eps:
-            act.append(ActiveScenario(i + 1, 1, v))
-            act.append(ActiveScenario(i + 1, -1, v))
-        else:
-            act.append(ActiveScenario(i + 1, 1 if v > 0 else -1, v))
-    return F, act
+        kept = np.flatnonzero(gaps <= eps)
+        return F, [ActiveScenario(i + 1, 1, v) for i, v in
+                   zip(kept.tolist(), devs[kept].tolist())]
+    kept = np.flatnonzero(~(gaps > eps))
+    return F, [ActiveScenario(i + 1, sign, v)
+               for i, v in zip(kept.tolist(), devs[kept].tolist())
+               for sign in ((1, -1) if abs(v) <= eps else
+                            (1 if v > 0 else -1,))]
 
 
 def activity(P: Problem, x) -> ActiveSets:
@@ -906,39 +951,72 @@ def check_feasible(P: Problem, x) -> FeasibilityReport:
     return FeasibilityReport(feasible=not bad, max_violation=worst, violations=bad)
 
 
-def scenario_derivatives(P: Problem, x, index, sign, squared=False):
-    """Gradient and Hessian in x of scenario ``index``'s (1-based) term of
-    the Lagrangian: f in a minimax problem; in a Chebyshev problem
-    sign * (f - psi), or (f - psi)^2 / 2 in the squared-deviation
-    formulation, whose Hessian is (f - psi) * hess f + grad f grad f'."""
-    dual = ex.eval2(P.scenarios[index - 1], x)
-    if P.kind != "chebyshev":
-        if squared:
+class ScenarioJets:
+    """The scenarios' jets at one point x, the data that the first-order
+    forms (generators, multipliers, cadres) and the second-order forms
+    share: each scenario's value, gradient and, at order 2, Hessian,
+    computed at most once per derivative order, for the scenarios asked
+    for, by one stacked pass per family (``_Scenarios.jets``).  A
+    ``geometry.PointContext`` holds one per point; its generator set asks
+    for the active scenarios first."""
+
+    def __init__(self, P: Problem, x):
+        self.problem = P
+        self.x = np.asarray(x, dtype=float)
+        self._rows = {1: {}, 2: {}}   # order -> {index: row}
+
+    def rows(self, indices, order: int = 1) -> list:
+        """(value, reason, grad, hess) of each scenario of ``indices``
+        (1-based), in order, hess None at order 1 and where the scenario
+        is affine; the first of them whose value or derivative is
+        undefined raises its DomainError.  The first ask at order 2 takes
+        every scenario the table holds at order 1 too, in the same pass:
+        the second-order forms read the Hessians of the active scenarios
+        one multiplier at a time."""
+        rows = self._rows[order]
+        held = self._rows[1] if order == 2 else ()
+        todo = [i for i in dict.fromkeys([*indices, *held]) if i not in rows]
+        if todo:
+            rows.update(self.problem.scenarios.jets(self.x, todo, order))
+        out = [rows[i] for i in indices]
+        for row in out:
+            if row[1]:
+                ex.raise_undefined(row[1])
+        return out
+
+    def terms(self, scenarios, squared: bool = False,
+              order: int = 1) -> list:
+        """The gradient and, at order 2, the Hessian in x of each
+        (index, sign) scenario term of the Lagrangian, as pairs: f in a
+        minimax problem; in a Chebyshev problem sign * (f - psi), or
+        (f - psi)^2 / 2 in the squared-deviation formulation, whose
+        gradient (f - psi) grad f generates its subdifferential and whose
+        Hessian is (f - psi) * hess f + grad f grad f'.  A Hessian that is
+        0 by the scenario's form, and every Hessian at order 1, is None."""
+        P = self.problem
+        if squared and P.kind != "chebyshev":
             raise ValueError("squared generators are defined for chebyshev "
                              "problems")
-        return dual.grad, dual.hess
-    if squared:
-        dev = dual.value - P.psi[index - 1]
-        return dev * dual.grad, (dev * dual.hess
-                                 + np.outer(dual.grad, dual.grad))
-    return sign * dual.grad, sign * dual.hess
+        scenarios = list(scenarios)
+        rows = self.rows([index for index, _ in scenarios], order)
+        if P.kind != "chebyshev":
+            return [(g, H) for _, _, g, H in rows]
+        out = []
+        for (index, sign), (value, _, g, H) in zip(scenarios, rows):
+            if not squared:
+                out.append((sign * g, None if H is None else sign * H))
+                continue
+            dev = value - P.psi[index - 1]
+            outer = None if order < 2 else np.outer(g, g)
+            out.append((dev * g, outer if H is None else dev * H + outer))
+        return out
 
-
-def subdifferential_generators(P: Problem, x, active_scenarios) -> list[np.ndarray]:
-    """One gradient per active scenario, signed for Chebyshev problems.
-
-    The order matches the active scenario list, so provenance stays aligned.
-    """
-    x = np.asarray(x, dtype=float)
-    return [scenario_derivatives(P, x, s.index, s.sign)[0]
-            for s in active_scenarios]
-
-
-def squared_generators(P: Problem, x, active_scenarios) -> list[np.ndarray]:
-    """Generators of the squared-deviation formulation: (f - psi) * grad f."""
-    x = np.asarray(x, dtype=float)
-    return [scenario_derivatives(P, x, s.index, s.sign, True)[0]
-            for s in active_scenarios]
+    def gradients(self, active, squared: bool = False) -> list:
+        """The term gradients of the active scenarios (``ActiveScenario``),
+        in their order: the objective's subdifferential generators, signed
+        in a Chebyshev problem, or those of the squared deviations."""
+        return [g for g, _ in self.terms(
+            [(s.index, s.sign) for s in active], squared)]
 
 
 # ---------------------------------------------------------------------------
@@ -1154,6 +1232,16 @@ def _stored_number(value, what: str) -> float:
     return float(value)
 
 
+def _stored_weight(value, what: str) -> float:
+    """A finite JSON number of a stored report that is not negative: the
+    weight of a generator of a cone; ValueError naming ``what`` for any
+    other value."""
+    weight = _stored_number(value, what)
+    if weight < 0:
+        raise ValueError(f"{what} {value!r} is negative")
+    return weight
+
+
 def _parse_count(key: str, value: str, limit: int, section, line) -> int:
     """A count (dim, a matrix size, a grid's point count) of at most 18
     digits, read by ``_read_count``: an integer from 1 to ``limit``."""
@@ -1202,6 +1290,9 @@ def _read_set(pairs, d, bounds, eq_rows, eq_rhs):
             if len(vals) != d:
                 raise ProblemFormatError(
                     f"{k} needs {d} comma-separated values", name, ln)
+            if any(map(math.isnan, vals)):
+                raise ProblemFormatError(f"{k} values must not be NaN",
+                                         name, ln)
             bounds[k] = vals
         elif k == "eq":
             if "=" not in v:
@@ -1209,6 +1300,9 @@ def _read_set(pairs, d, bounds, eq_rows, eq_rhs):
                                          "\"<expr> = <number>\"", name, ln)
             lhs_txt, rhs_txt = v.rsplit("=", 1)
             rhs = _parse_number(rhs_txt, name, ln)
+            if math.isnan(rhs):
+                raise ProblemFormatError("eq right-hand side must not be NaN",
+                                         name, ln)
             node = _parse_expr(lhs_txt, d, name, ln)
             eq_rows.append(tuple(_linear_row(node, d, name, ln)))
             eq_rhs.append(rhs)

@@ -25,7 +25,7 @@ from .firstorder import (MultiplierWitness, NecessaryReport,
                          _assemble_witness, _witness_residual,
                          directional_derivatives)
 from .geometry import PointContext
-from .problem import Problem
+from .problem import Problem, ScenarioJets
 
 __all__ = [
     "hessian_bundle", "second_order_necessary",
@@ -40,11 +40,12 @@ N_CRITICAL_DIRS = 512
 EPS_CRIT = 1e-8
 
 
-def hessian_bundle(P: Problem, x, w: MultiplierWitness) -> np.ndarray:
-    """Hessian of the witness's Lagrangian (``MultiplierWitness.lagrangian``):
-    the objective Hessians weighted by its scenario weights, plus the
-    second derivative of the pairing with its block duals."""
-    return w.lagrangian(P, x)[1]
+def hessian_bundle(jets: ScenarioJets, w: MultiplierWitness) -> np.ndarray:
+    """Hessian of the witness's Lagrangian (``MultiplierWitness.lagrangian``)
+    at the point of ``jets``: the objective Hessians weighted by its
+    scenario weights, plus the second derivative of the pairing with its
+    block duals."""
+    return w.lagrangian(jets)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +80,8 @@ def _form_maxima(ctx: PointContext, G, dirs):
     unbounded LP gives math.inf.  The witness of an optimal w must pass
     the residual test, checked once per support.  None when an LP or a
     witness fails."""
-    P = ctx.problem
     m = len(G.grads_F)
-    H = np.array([hessian_bundle(P, ctx.x,
+    H = np.array([hessian_bundle(ctx.jets,
                                  _assemble_witness(ctx, G, e[:m], e[m:]))
                   for e in np.eye(G.tableau.A.shape[1])])
     D = np.array(dirs)
@@ -96,7 +96,7 @@ def _form_maxima(ctx: PointContext, G, dirs):
         support = tuple(np.flatnonzero(res.x > 0))
         if support not in witnesses:
             w = _assemble_witness(ctx, G, res.x[:m], res.x[m:])
-            w.stationarity_residual = _witness_residual(P, ctx.x, w)
+            w.stationarity_residual = _witness_residual(ctx.jets, w)
             witnesses[support] = w
         if witnesses[support].stationarity_residual > 1e-7:
             return None
@@ -117,7 +117,7 @@ def multiplier_vertices(ctx: PointContext, report: NecessaryReport,
         if found is not None:
             return found
     w = report.multipliers
-    B = hessian_bundle(P, ctx.x, w)
+    B = hessian_bundle(ctx.jets, w)
     return MultiplierVertices([w], [float(h @ B @ h) for h in dirs], False)
 
 

@@ -18,7 +18,8 @@ from conecert.geometry import (PointContext, build_generator_set,
 from conecert.linkernel import _margins, lp_membership
 from conecert.oracle import (fd_hessian, growth_probe,
                              hull_membership_bruteforce)
-from conecert.problem import activity, evaluate_objective, load_problem_text
+from conecert.problem import (ScenarioJets, activity, evaluate_objective,
+                              load_problem_text)
 from conftest import random_expression, random_generator_family
 
 SQ2 = math.sqrt(2.0)
@@ -61,7 +62,7 @@ def test_criterion_03_madsen():
     P, x, samp = registry.get("madsen")
     _, act = evaluate_objective(P, x)
     ok = {s.index for s in act} == {1, 2}
-    G = build_generator_set(P, x, activity(P, x), samp)
+    G = build_generator_set(ScenarioJets(P, x), activity(P, x), samp)
     gen = fo.find_cadre(G, "generalised", p_min=P.d + 1)
     ok = ok and gen is not None and np.allclose(
         gen.determinants, [-1, 1, -2], atol=1e-9)
@@ -78,7 +79,7 @@ def test_criterion_04_linf_family():
     details = []
     for d in (2, 3, 4):
         P, x, samp = registry.get("linf", dim=d)
-        G = build_generator_set(P, x, activity(P, x), samp)
+        G = build_generator_set(ScenarioJets(P, x), activity(P, x), samp)
         plain = fo.find_cadre(G, "plain")
         ok = ok and plain is not None and plain.p == 2
         ok = ok and fo.find_cadre(G, "plain", p_min=d + 1) is None
@@ -96,7 +97,7 @@ def test_criterion_04_linf_family():
 
 def test_criterion_05_counterexample():
     P, x, samp = registry.get("counterexample-3-2")
-    G = build_generator_set(P, x, activity(P, x), samp)
+    G = build_generator_set(ScenarioJets(P, x), activity(P, x), samp)
     cone = list(G.eta) + list(G.nA)
     eps = 1e-6
     ok = lp_membership(np.zeros(3), G.grads_F, cone) is not None
@@ -120,7 +121,7 @@ def test_criterion_06_soc_example():
     states = {blk.position: blk.soc_state for blk in act.blocks}
     ok = states == {0: "boundary", 1: "origin"}
     # the published direction is part of the sampling set
-    G = build_generator_set(P, x, act, samp)
+    G = build_generator_set(ScenarioJets(P, x), act, samp)
     apex = {tuple(np.round(v, 9)) for v, p in zip(G.eta, G.eta_prov)
             if p.kind == "soc_apex"}
     ok = ok and tuple(np.round([-1 / SQ2, -3 / SQ2], 9)) in apex
@@ -136,7 +137,7 @@ def test_criterion_07_sdp_example():
     blk = P.blocks[0]
     M = blk.matrices(blk.jets(x))
     ok = np.max(np.abs(M - np.diag([0.0, -1.0, 0.0]))) <= 1e-10
-    G = build_generator_set(P, x, activity(P, x), samp)
+    G = build_generator_set(ScenarioJets(P, x), activity(P, x), samp)
     rows = [tuple(np.round(v, 9)) for v, p in zip(G.eta, G.eta_prov)
             if p.kind == "sdp_null"]
     ok = ok and rows[0] == (1.0, 2.0, 0.0) and rows[1] == (2.0, -2.0, -1.0)
@@ -243,7 +244,7 @@ def test_criterion_10_directional_derivative():
         h /= np.linalg.norm(h)
         try:
             F0, act = evaluate_objective(P, x)
-            gens = (cc.subdifferential_generators(P, x, act))
+            gens = (cc.ScenarioJets(P, x).gradients(act))
         except cc.DomainError:
             continue
         # keep finite-difference resolution meaningful: skip near-ties

@@ -687,7 +687,7 @@ def _ref_form_values(ctx, G, dirs):
     None when the LP fails."""
     A, b = lk.combination_system(G.grads_F, G.cone)
     m = len(G.grads_F)
-    H = np.array([so.hessian_bundle(ctx.problem, ctx.x,
+    H = np.array([so.hessian_bundle(ctx.jets,
                                     fo._assemble_witness(ctx, G, e[:m],
                                                          e[m:]))
                   for e in np.eye(A.shape[1])])

@@ -806,10 +806,18 @@ def _assert_jets_match_eval2(node, X, d):
     """eval_jets over the stack X, differentiated in x(1..d), gives at
     each column what eval2 gives at that column's first d rows with the
     rows past d pinned: the value bit for bit, equal derivatives, and
-    where eval2 raises, a reason that raises the same message."""
+    where eval2 raises, a reason that raises the same message.  ``jets``
+    at order 1 gives the same values, reasons and gradients bit for bit
+    and no Hessian, and at order 2 a None Hessian only where it is 0."""
     vals, reasons, grads, hessians = ex.eval_jets(node, X, d)
     assert grads.shape == (X.shape[1], d)
     assert hessians.shape == (X.shape[1], d, d)
+    first = ex.jets(node, X, d, 1)
+    assert first[0].tobytes() == vals.tobytes()
+    assert first[1].tobytes() == reasons.tobytes() and first[3] is None
+    assert (np.zeros_like(grads) if first[2] is None else
+            np.broadcast_to(first[2], grads.shape)).tobytes() == grads.tobytes()
+    assert ex.jets(node, X, d)[3] is not None or not hessians.any()
     for j in range(X.shape[1]):
         pinned = node
         for index in range(d + 1, X.shape[0] + 1):

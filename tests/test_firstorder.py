@@ -18,7 +18,8 @@ from conecert.geometry import (GeneratorSet, PointContext, Provenance,
 from conecert.linkernel import (SCREEN_CHUNK, lp_membership,
                                 solve_positive_combination)
 from conecert.oracle import hull_membership_bruteforce
-from conecert.problem import activity, load_problem_file, load_problem_text
+from conecert.problem import (ScenarioJets, activity, load_problem_file,
+                              load_problem_text)
 from conftest import random_generator_family
 
 SQ2 = math.sqrt(2.0)
@@ -321,7 +322,7 @@ def test_simplex_family_keeps_its_complete_cadre_at_any_scale(tmp_path,
 def test_find_cadre_linf_plain_two_point():
     for d in (2, 3, 4):
         P, x, samp = registry.get("linf", dim=d)
-        G = build_generator_set(P, x, activity(P, x), samp)
+        G = build_generator_set(ScenarioJets(P, x), activity(P, x), samp)
         cadre = fo.find_cadre(G, "plain")
         assert cadre.p == 2
         assert fo.find_cadre(G, "plain", p_min=d + 1) is None
@@ -338,7 +339,7 @@ def test_madsen_plain_search_stops_at_two_points():
     # is smallest p first, which the published analysis of this problem
     # relies on.  Both behaviors are pinned here.
     P, x, samp = registry.get("madsen")
-    G = build_generator_set(P, x, activity(P, x), samp)
+    G = build_generator_set(ScenarioJets(P, x), activity(P, x), samp)
     plain = fo.find_cadre(G, "plain")
     assert plain.p == 2
     assert {tuple(v) for v in plain.vectors} == {(1.0, 0.0), (-1.0, 0.0)}
@@ -351,7 +352,7 @@ def test_madsen_plain_search_stops_at_two_points():
 
 def test_find_cadre_counterexample():
     P, x, samp = registry.get("counterexample-3-2")
-    G = build_generator_set(P, x, activity(P, x), samp)
+    G = build_generator_set(ScenarioJets(P, x), activity(P, x), samp)
     plain = fo.find_cadre(G, "plain")
     assert plain.p == 3
     assert {tuple(np.round(v, 9)) for v in plain.vectors} == \
@@ -921,7 +922,7 @@ def test_necessary_dem_wrong_point():
     assert rep.cadre is None and rep.agreement
     # independent confirmation by the brute-force oracle
     _, act = cc.evaluate_objective(P, (0.0, 0.0))
-    gens = cc.subdifferential_generators(P, (0.0, 0.0), act)
+    gens = cc.ScenarioJets(P, (0.0, 0.0)).gradients(act)
     assert not hull_membership_bruteforce(np.zeros(2), gens)
 
 
@@ -951,7 +952,7 @@ def test_sufficient_linf_without_plain_complete():
     P, x, samp = registry.get("linf", dim=2)
     rep = fo.sufficient_check(PointContext(P, x, samp))
     assert rep.zero_in_int_D and rep.radius > 0
-    G = build_generator_set(P, x, activity(P, x), samp)
+    G = build_generator_set(ScenarioJets(P, x), activity(P, x), samp)
     assert fo.find_cadre(G, "plain", p_min=3) is None
 
 
@@ -1147,6 +1148,10 @@ def test_reverify_roundtrip_bazaraa():
 
 _DISK = ('[problem] dim=2\n[scenario] f="x(1)"\n'
          '[soc] g1="1" g2="x(1)" g3="x(2)"\n')
+# at (0, 0) its witness weighs the grid point t = 0
+_GRID = ('[problem] dim=2\n[scenario] f="x(1) + x(2)"\n'
+         '[scenario] f="x(1)^2 - x(2)"\n'
+         '[semiinf] g="t*x(1) + (1-t)*x(2) - t^2" grid=-1:1:9\n')
 
 
 def _stored_report(problem, x):
@@ -1158,9 +1163,12 @@ def _stored_report(problem, x):
 
 def _tampered(name, edit):
     """A stored report of registry problem ``name`` (or of the unit disk
-    at (-1, 0)) with ``edit`` applied to its multipliers and cadre."""
+    at (-1, 0), or of ``_GRID`` at 0) with ``edit`` applied to its
+    multipliers and cadre."""
     if name == "disk":
         problem, x = load_problem_text(_DISK), (-1.0, 0.0)
+    elif name == "grid":
+        problem, x = load_problem_text(_GRID), (0.0, 0.0)
     else:
         problem, x, _ = registry.get(name)
     report = _stored_report(problem, x)
@@ -1172,6 +1180,14 @@ def _tampered(name, edit):
 
 def _rekey(table, old, new):
     table[new] = table.pop(old)
+
+
+def _negated(m):
+    """Every weight of the stored witness m with its sign flipped."""
+    for rec in m["alpha"] + m["nA"]:
+        rec["weight"] = -rec["weight"]
+    for table in m["nlp_ineq"].values():
+        table.update((i, -w) for i, w in table.items())
 
 
 _TAMPERINGS = [
@@ -1218,6 +1234,23 @@ _TAMPERINGS = [
     ("sdp-example", lambda m, c, r: m["sdp"]["0"][0].pop(),
      "necessary.multipliers",
      "sdp dual is not an array of numbers of shape (3, 3)"),
+    # weights that mean no multiplier: a negative weight on a cone's
+    # generator, scenario weights that are not convex, and the empty and
+    # negated witnesses, which re-checked ok before (a zero residual)
+    ("madsen", lambda m, c, r: m["alpha"][0].update(weight=-1.0),
+     "necessary.multipliers", "alpha weight -1.0 is negative"),
+    ("madsen", lambda m, c, r: m["alpha"][0].update(weight=0.5),
+     "necessary.multipliers", "alpha weights sum to 0.5, not 1"),
+    ("bazaraa45", lambda m, c, r: m["nlp_ineq"]["0"].update({"1": -1.0}),
+     "necessary.multipliers", "nlp_ineq weight -1.0 is negative"),
+    ("grid", lambda m, c, r: m["semi_infinite"]["0"].update({"4": -1.0}),
+     "necessary.multipliers", "semi_infinite weight -1.0 is negative"),
+    ("madsen", lambda m, c, r: m["nA"][0].update(weight=-1.0),
+     "necessary.multipliers", "nA weight -1.0 is negative"),
+    ("bazaraa45", lambda m, c, r: m.update(alpha=[], nlp_ineq={}),
+     "necessary.multipliers", "alpha weights sum to 0.0, not 1"),
+    ("bazaraa45", lambda m, c, r: _negated(m),
+     "necessary.multipliers", "nlp_ineq weight -152.0 is negative"),
 ]
 
 

@@ -8,7 +8,8 @@ import conecert as cc
 from conecert import geometry as geo
 from conecert import cones, registry
 from conecert.cones import spectral_split
-from conecert.problem import PolyhedralSet, activity, load_problem_text
+from conecert.problem import (PolyhedralSet, ScenarioJets, activity,
+                              load_problem_text)
 
 SQ2 = math.sqrt(2.0)
 
@@ -86,7 +87,7 @@ def test_project_psd_neg_variational(rng):
 
 def test_eta_soc_example_rows():
     P, x, samp = registry.get("soc-example")
-    G = geo.build_generator_set(P, x, activity(P, x), samp)
+    G = geo.build_generator_set(ScenarioJets(P, x), activity(P, x), samp)
     vecs, prov = G.eta, G.eta_prov
     assert G.sampled
     boundary_rows = [v for v, p in zip(vecs, prov) if p.kind == "soc_boundary"]
@@ -98,7 +99,7 @@ def test_eta_soc_example_rows():
 
 def test_eta_sdp_example_rows():
     P, x, samp = registry.get("sdp-example")
-    G = geo.build_generator_set(P, x, activity(P, x), samp)
+    G = geo.build_generator_set(ScenarioJets(P, x), activity(P, x), samp)
     vecs, prov = G.eta, G.eta_prov
     rows = [tuple(np.round(v, 9)) for v, p in zip(vecs, prov)
             if p.kind == "sdp_null"]
@@ -110,7 +111,8 @@ def test_eta_empty_when_inactive():
     P = load_problem_text(
         '[problem] dim=2\n[scenario] f="x(1)"\n'
         '[nlp_ineq] g="x(1) - 5"\n')
-    G = geo.build_generator_set(P, (0.0, 0.0), activity(P, (0.0, 0.0)),
+    G = geo.build_generator_set(ScenarioJets(P, (0.0, 0.0)),
+                                activity(P, (0.0, 0.0)),
                                 geo.SamplingSpec())
     assert G.eta.shape == (0, 2) and not G.sampled
 

@@ -20,7 +20,7 @@ from conecert import expr as ex
 from conecert import firstorder as fo
 from conecert import geometry as geo
 from conecert.cones import Provenance, unit_rows
-from conecert.problem import activity
+from conecert.problem import ScenarioJets, activity
 from test_geometry import _blocked_dedup
 from test_stacked import CASES, IDS
 
@@ -141,7 +141,7 @@ def _assert_families_match(P, x, sampling):
     equal the per-row code's, bit for bit; the kinds of generator met."""
     x = np.asarray(x, dtype=float)
     act = activity(P, x)
-    G = geo.build_generator_set(P, x, act, sampling)
+    G = geo.build_generator_set(ScenarioJets(P, x), act, sampling)
     triples = []
     assert len(G.families) == len(P.blocks)
     for ba, blk, fam in zip(act.blocks, P.blocks, G.families):
@@ -239,7 +239,7 @@ def test_sampled_records_read_as_the_eager_ones(name, field, count):
     or in order, equals the per-row code's."""
     P, x, sampling = _sampled_case(name, field, count)
     act = activity(P, x)
-    G = geo.build_generator_set(P, x, act, sampling)
+    G = geo.build_generator_set(ScenarioJets(P, x), act, sampling)
     eager, lazy = [], 0
     for ba, blk, fam in zip(act.blocks, P.blocks, G.families):
         ref = [pr for _, pr, _ in _ref_generators(blk, x, ba, sampling)]

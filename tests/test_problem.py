@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import re
 
@@ -77,7 +79,7 @@ def test_feasibility_bound_violation():
 def test_subdifferential_generators_dem():
     P, x, _ = registry.get("dem")
     _, act = evaluate_objective(P, x)
-    gens = cc.subdifferential_generators(P, x, act)
+    gens = cc.ScenarioJets(P, x).gradients(act)
     got = {tuple(np.round(g, 9)) for g in gens}
     assert got == {(5.0, 1.0), (-5.0, 1.0), (0.0, -2.0)}
 
@@ -85,7 +87,7 @@ def test_subdifferential_generators_dem():
 def test_subdifferential_generators_madsen():
     P, x, _ = registry.get("madsen")
     _, act = evaluate_objective(P, x)
-    gens = cc.subdifferential_generators(P, x, act)
+    gens = cc.ScenarioJets(P, x).gradients(act)
     got = {tuple(np.round(g, 9)) for g in gens}
     assert got == {(1.0, 2.0), (1.0, 0.0)}
 
@@ -97,7 +99,7 @@ def test_chebyshev_sign_flip():
     x = (0.0, 0.0)  # deviation -1 < 0
     _, act = evaluate_objective(C, x)
     assert [(s.index, s.sign) for s in act] == [(1, -1)]
-    gens = cc.subdifferential_generators(C, x, act)
+    gens = cc.ScenarioJets(C, x).gradients(act)
     np.testing.assert_allclose(gens[0], [-1.0, -1.0])
 
 
@@ -107,7 +109,7 @@ def test_chebyshev_zero_tie_gets_both_signs():
         '[scenario] f="x(1)" psi=0\n')
     _, act = evaluate_objective(C, (0.0,))
     assert [(s.index, s.sign) for s in act] == [(1, 1), (1, -1)]
-    gens = cc.subdifferential_generators(C, (0.0,), act)
+    gens = cc.ScenarioJets(C, (0.0,)).gradients(act)
     np.testing.assert_allclose(gens, [[1.0], [-1.0]])
 
 
@@ -122,8 +124,8 @@ def test_squared_generators_scale_by_deviation(rng):
         x = rng.uniform(-1, 1, size=2)
         try:
             F, act = evaluate_objective(C, x)
-            signed = cc.subdifferential_generators(C, x, act)
-            squared = cc.squared_generators(C, x, act)
+            signed = cc.ScenarioJets(C, x).gradients(act)
+            squared = cc.ScenarioJets(C, x).gradients(act, squared=True)
         except cc.DomainError:
             continue
         if F <= 1e-9:
@@ -140,7 +142,7 @@ def test_squared_generators_fixed():
         '[scenario] f="x(1)" psi=-2\n')
     x = (0.0, 0.0)  # deviation +2, F = 2, signed gen (1, 0)
     _, act = evaluate_objective(C, x)
-    sq = cc.squared_generators(C, x, act)
+    sq = cc.ScenarioJets(C, x).gradients(act, squared=True)
     np.testing.assert_allclose(sq[0], [2.0, 0.0])
 
 
@@ -148,7 +150,7 @@ def test_directional_derivative_matches_fd(rng):
     P, x, _ = registry.get("dem")
     x = np.asarray(x, dtype=float)
     _, act = evaluate_objective(P, x)
-    gens = cc.subdifferential_generators(P, x, act)
+    gens = cc.ScenarioJets(P, x).gradients(act)
     for _ in range(20):
         h = rng.standard_normal(2)
         h /= np.linalg.norm(h)
@@ -1012,3 +1014,92 @@ def test_soc_activity_reads_every_value_before_a_derivative():
         blk.activity(x, P.tolerances, 0)
     with pytest.raises(cc.DomainError, match="^abs has no derivative at 0$"):
         blk.jets(x, derivatives=True)
+
+
+# ---------------------------------------------------------------------------
+# the scenario table: one stacked pass per family, each tree's own bits
+# ---------------------------------------------------------------------------
+
+# members whose Hessians are not 0, so that a Hessian stack spans several
+# slabs once SLAB_FLOATS is shrunk
+_CURVED = "".join(f'[scenario] f="sin({0.1 * k!r}*x(1))*x(2)^2 - {k!r}*x(3)"\n'
+                  for k in range(1, 41))
+
+
+def _table_cases():
+    """(problem, point, scenarios asked for): every scenario of each
+    registry problem at its candidate; of the 2,001-point fit of t^8 at
+    its optimum, the active ones and every 40th; every curved member."""
+    for name in registry.NAMES:
+        P, x, _ = registry.get(name, 3 if name == "linf" else None)
+        yield P, np.asarray(x, dtype=float), range(1, len(P.scenarios) + 1)
+    n = 8
+    P = load_problem_text(_cheb_fit_text(points=2001, n=n))
+    x = -np.polynomial.chebyshev.cheb2poly([0] * n + [1])[:n] / 2.0 ** (n - 1)
+    _, act = evaluate_objective(P, x)
+    assert len(act) == n + 1
+    yield P, x, [s.index for s in act] + list(range(1, 2002, 40))
+    P = load_problem_text("[problem] dim=3\n" + _CURVED)
+    yield P, np.array([0.3, -0.7, 2.0]), range(40, 0, -1)
+
+
+@pytest.mark.parametrize("slab", [None, 1])
+def test_scenario_table_is_each_tree_evaluated_alone(monkeypatch, slab):
+    """``ScenarioJets`` gives each scenario's value, gradient and, at
+    order 2, Hessian bit for bit as ``eval_jets`` of its own tree, from
+    one stacked pass per family over the members asked for; a Hessian it
+    gives as None (an affine scenario) is 0 there.  A second ask runs no
+    pass, and one Hessian slab per member changes no bit."""
+    if slab:
+        monkeypatch.setattr(pb, "SLAB_FLOATS", slab)
+    passes, real = [], ex.jets
+
+    def jets(e, X, d, order=2):
+        passes.append(order)
+        return real(e, X, d, order)
+    monkeypatch.setattr(ex, "jets", jets)
+    for P, x, asked in _table_cases():
+        d, asked = P.d, list(asked)
+        families = {int(P.scenarios._family[i - 1]) for i in asked}
+        table = pb.ScenarioJets(P, x)
+        for order in (1, 2):
+            del passes[:]
+            rows = table.rows(asked, order)
+            assert table.rows(asked, order) == rows
+            chunks = (len(set(asked)) if slab == 1 and order == 2
+                      else len(families))
+            assert passes == [order] * chunks
+            for i, (value, reason, grad, hess) in zip(asked, rows):
+                vals, reasons, g, H = ex.eval_jets(P.scenarios[i - 1], x, d)
+                assert reason == reasons == 0
+                assert np.float64(value).tobytes() == vals.tobytes()
+                assert grad.tobytes() == g.tobytes()
+                if order == 1:
+                    assert hess is None
+                else:
+                    assert (np.zeros((d, d)) if hess is None
+                            else hess).tobytes() == H.tobytes()
+
+
+def test_a_first_order_check_builds_no_hessian(monkeypatch):
+    """The default check of linf at d = 200 differentiates its 400 active
+    scenarios once, to order 1, and builds no d x d Hessian: every jet
+    pass is of order 1 or 0 (values alone) and gives no Hessian, and no
+    ``eval2`` runs.  Before, each scenario's gradient came from an
+    ``eval2`` that built a 200 x 200 Hessian, twice per scenario in the
+    witness's residual."""
+    from conecert import cli
+    seen, real = [], ex.jets
+
+    def jets(e, X, d, order=2):
+        out = real(e, X, d, order)
+        seen.append((d, order, out[3] is not None))
+        return out
+    monkeypatch.setattr(ex, "jets", jets)
+    monkeypatch.setattr(ex, "eval2", lambda *args: pytest.fail("eval2 ran"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["check", "--registry", "linf", "--dim", "200",
+                         "--json"]) == 0
+    differentiated = [s for s in seen if s[0]]
+    assert len(differentiated) == 400
+    assert {s[1:] for s in differentiated} == {(1, False)}

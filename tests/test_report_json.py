@@ -140,7 +140,7 @@ def _freeze(m):
     the gradients, cone and polyhedral generators of
     ``build_generator_set``, the squared generators, the scenario
     deviations and the hull point."""
-    build, squared = geo.build_generator_set, geo.squared_generators
+    build, gradients = geo.build_generator_set, pb.ScenarioJets.gradients
     deviations, hull_pool = pb._deviations, fo._hull_pool
 
     def build_generator_set(*args):
@@ -151,8 +151,8 @@ def _freeze(m):
                       for fam in G.families]
         return G
 
-    def squared_generators(*args):
-        return [v + 0.0 for v in squared(*args)]
+    def squared_generators(*args, **kwargs):
+        return [v + 0.0 for v in gradients(*args, **kwargs)]
 
     def _deviations(P, X):
         devs, reasons = deviations(P, X)
@@ -165,7 +165,7 @@ def _freeze(m):
         return pool, prov
 
     m.setattr(geo, "build_generator_set", build_generator_set)
-    m.setattr(geo, "squared_generators", squared_generators)
+    m.setattr(pb.ScenarioJets, "gradients", squared_generators)
     m.setattr(pb, "_deviations", _deviations)
     m.setattr(fo, "_hull_pool", _hull_pool)
     for cls, body in ((Provenance, _provenance_to_json),

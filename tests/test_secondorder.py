@@ -15,7 +15,7 @@ from conecert.geometry import PointContext, TangentTester
 from conecert.linkernel import (EPS_RANK, LpResult, Tableau,
                                 combination_system, rank)
 from conecert.oracle import fd_gradient, fd_hessian, growth_probe
-from conecert.problem import Sdp, Soc, load_problem_text
+from conecert.problem import ScenarioJets, Sdp, Soc, load_problem_text
 from conftest import random_expression
 
 
@@ -73,7 +73,7 @@ def test_dd_all_weights_convex_and_stationary(monkeypatch):
         nec = fo.necessary_check(ctx)
         lead = nec.generators.grads_prov[0].index
 
-        def lead_weight(P, x, w):
+        def lead_weight(jets, w):
             return np.diag([1.0, -1.0]) * sum(
                 weight for idx, _, weight in w.alpha if idx == lead)
         monkeypatch.setattr(so, "hessian_bundle", lead_weight)
@@ -95,21 +95,21 @@ def test_hessian_linear_problem_is_zero():
                 '[nlp_ineq] g="-x(1)" g="-x(2)"\n')
     nec = fo.necessary_check(PointContext(P, (0.0, 0.0)))
     assert nec.zero_in_D
-    B = so.hessian_bundle(P, (0.0, 0.0), nec.multipliers)
+    B = so.hessian_bundle(ScenarioJets(P, (0.0, 0.0)), nec.multipliers)
     np.testing.assert_allclose(B, np.zeros((2, 2)), atol=1e-12)
 
 
 def test_hessian_bowl():
     P = _simple('[problem] dim=2\n[scenario] f="x(1)^2 + x(2)^2"\n')
     nec = fo.necessary_check(PointContext(P, (0.0, 0.0)))
-    B = so.hessian_bundle(P, (0.0, 0.0), nec.multipliers)
+    B = so.hessian_bundle(ScenarioJets(P, (0.0, 0.0)), nec.multipliers)
     np.testing.assert_allclose(B, 2 * np.eye(2), atol=1e-12)
 
 
 def test_hessian_bazaraa_matches_finite_differences():
     P, x, samp = registry.get("bazaraa45")
     nec = fo.necessary_check(PointContext(P, x, samp))
-    B = so.hessian_bundle(P, x, nec.multipliers)
+    B = so.hessian_bundle(ScenarioJets(P, x), nec.multipliers)
     # constraints are linear, so the bundle equals the objective Hessian
     H_fd = fd_hessian(P.scenarios[0], np.asarray(x))
     np.testing.assert_allclose(B, H_fd, rtol=1e-4, atol=1e-4)
@@ -128,7 +128,7 @@ def test_hessian_vs_fd_random_instances(rng):
         if np.max(np.abs(dual.hess)) > 1e3:
             continue
         w = fo.MultiplierWitness(alpha=[(1, 1, 1.0)], duals={}, nA=[])
-        B = so.hessian_bundle(P, x, w)
+        B = so.hessian_bundle(ScenarioJets(P, x), w)
         H_fd = fd_hessian(f, x)
         scale = max(1.0, float(np.max(np.abs(H_fd))))
         assert np.max(np.abs(B - H_fd)) / scale < 1e-4
@@ -224,14 +224,15 @@ def _same_bits(a, b):
 
 
 def _assert_frozen_walks(P, x, w, squared=False):
-    grad, hess = w.lagrangian(P, x, squared)
+    jets = ScenarioJets(P, x)
+    grad, hess = w.lagrangian(jets, squared)
     frozen = _frozen_gradient(P, x, w, squared)
     _same_bits(grad, frozen)
-    assert fo._witness_residual(P, x, w, squared) == float(
+    assert fo._witness_residual(jets, w, squared) == float(
         np.linalg.norm(frozen))
     if not squared:
         _same_bits(hess, _frozen_hessian(P, x, w))
-        _same_bits(so.hessian_bundle(P, x, w), hess)
+        _same_bits(so.hessian_bundle(jets, w), hess)
 
 
 def _weighted_sum(pairs):
@@ -326,7 +327,7 @@ def test_lagrangian_matches_the_frozen_walks(rng):
         (0.5 * weight, ex.Pow(ex.Sub(P.scenarios[i - 1],
                                      ex.Const(P.psi[i - 1])), 2))
         for i, _, weight in w.alpha)
-    _, hess = w.lagrangian(P, x, squared=True)
+    _, hess = w.lagrangian(ScenarioJets(P, x), squared=True)
     np.testing.assert_allclose(hess, fd_hessian(half_squares, x),
                                atol=1e-6)
     # the form witnesses: one per unit weight of the combination system,
@@ -690,7 +691,7 @@ def test_lp_failure_draws_no_refutation(monkeypatch):
                                                     G.tableau.b))
 
     def failing_residual(patch, G):
-        patch.setattr(so, "_witness_residual", lambda P, x, w: 1.0)
+        patch.setattr(so, "_witness_residual", lambda jets, w: 1.0)
 
     for plant in (failing_tableau, failing_residual):
         with monkeypatch.context() as patch:

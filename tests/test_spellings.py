@@ -30,6 +30,8 @@ KEY_INDICES = {"3", "03"}
 NUMBER_SPELLINGS = ["1", "1.5e-3", " 2 ", "1_0", "١", "inf", "nan"]
 NUMBERS = {"1", "1.5e-3", " 2 ", "inf", "nan"}
 FINITE = {"1", "1.5e-3", " 2 "}
+# a bound may be infinite; a NaN bound made every point infeasible
+BOUNDS = NUMBERS - {"nan"}
 
 _SDP = ('[problem] dim=1\n[scenario] f="x(1)^2"\n[sdp] size={size} '
         'entry(1,1)="-1" entry(1,2)="0" entry(1,{index})="0" '
@@ -73,7 +75,7 @@ SURFACES = {
                                  f'[scenario] f="x(1)" psi="{s}"\n'
                                  '[scenario] f="-x(1)" psi=0\n'),
         "--at", "0"]),
-    "lb": (NUMBERS, lambda write, s: [
+    "lb": (BOUNDS, lambda write, s: [
         "check", "--file", write('[problem] dim=1\n[scenario] f="x(1)"\n'
                                  f'[set] lb="{s}"\n'), "--at", "0"]),
     "--at": (FINITE, lambda write, s: [
@@ -108,23 +110,27 @@ def spelled_inputs(directory):
 
 
 def deep_inputs(directory):
-    """(argv, the exit codes allowed) for a 5,000-term sum, a check that
-    runs, and for 3,000 nested parentheses and 5,000 minus signs in a
-    row, input errors."""
+    """(argv, the exit codes allowed) for a 5,000-term sum and a chain of
+    2,000 powers ^1, checks that run, for 960 minus signs in a row, which
+    discretize prints, and for 3,000 nested parentheses and 5,000 minus
+    signs in a row, input errors."""
     head = '[problem] dim=1\n[scenario] f="-x(1)"\n'
-    texts = (" + ".join(["x(1)"] * 5000), "(" * 3000 + "x(1)" + ")" * 3000,
-             "-" * 5000 + "x(1)")
-    for name, text, codes in zip(("sum", "parens", "signs"), texts,
-                                 ({0, 2, 3}, {1}, {1})):
+    cases = (("sum", " + ".join(["x(1)"] * 5000), "check", {0, 2, 3}),
+             ("powers", "x(1)" + "^1" * 2000, "check", {0, 2, 3}),
+             ("signs-960", "-" * 960 + "x(1)", "discretize", {0}),
+             ("parens", "(" * 3000 + "x(1)" + ")" * 3000, "check", {1}),
+             ("signs", "-" * 5000 + "x(1)", "check", {1}))
+    for name, text, command, codes in cases:
         path = directory / f"deep-{name}.prob"
         path.write_text(head + f'[scenario] f="{text}"\n')
-        yield ["check", "--file", str(path), "--at", "0"], codes
+        yield [command, "--file", str(path), "--at", "0"], codes
 
 
 def malformed_inputs(directory):
     """(argv, the exit codes allowed) of each malformed command line of
     these tests: every refused spelling (exit 1), the deep nestings (exit
-    1) and the long sum (0, 2 or 3)."""
+    1), the long sum and the chain of powers (0, 2 or 3) and the printed
+    chain of minus signs (0)."""
     for _, _, argv, accepted in spelled_inputs(directory):
         if not accepted:
             yield argv, {1}
@@ -221,18 +227,32 @@ def test_long_sums_check_and_deep_nesting_is_an_input_error(tmp_path):
     """A sum of 5,000 terms parses into a left spine 5,000 nodes deep,
     which evaluation, printing and rebuilding walk by loops: it checks,
     and prints and reads back to the same text, as does an [set] equality
-    row of 5,000 terms.  3,000 nested parentheses and 5,000 minus signs
-    in a row pass the parser's depth limit and are input errors.  Before,
-    each ended in a RecursionError."""
+    row of 5,000 terms.  So do a chain of 2,000 powers ^1 and one of 960
+    minus signs, unary nodes walked by loops too; before, checking the
+    first and printing the second ended in a RecursionError.  3,000
+    nested parentheses and 5,000 minus signs in a row pass the parser's
+    depth limit and are input errors.  Before, each ended in a
+    RecursionError."""
     for argv, codes in deep_inputs(tmp_path):
         code, out, err = run_cli(*argv)
         assert code in codes, argv[2]
+        if argv[0] == "discretize":
+            assert out.count("-") == 961 and err == ""
         if codes == {1}:
             assert out == "" and err.endswith(
                 ": expression nested too deeply in [scenario] (line 3)\n")
     problem = pb.load_problem_file(tmp_path / "deep-sum.prob")
     text = pb.problem_to_text(problem)
     assert text.count("x(1)") == 5001
+    assert pb.problem_to_text(pb.load_problem_text(text)) == text
+    # a power's base that is a power prints in parentheses
+    text = pb.problem_to_text(pb.load_problem_file(
+        tmp_path / "deep-powers.prob"))
+    assert text.endswith('f="' + "(" * 1999 + "x(1)^1" + ")^1" * 1999
+                         + '"\n')
+    text = pb.problem_to_text(pb.load_problem_file(
+        tmp_path / "deep-signs-960.prob"))
+    assert text.endswith('f="' + "-" * 960 + 'x(1)"\n')
     assert pb.problem_to_text(pb.load_problem_text(text)) == text
     long_sum = " + ".join(["x(1)"] * 5000)
     problem = pb.load_problem_text('[problem] dim=1\n[scenario] f="x(1)"\n'
