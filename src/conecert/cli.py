@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 every requested certificate was obtained, 2 the candidate
-was refuted (infeasible, membership excluded with exact generators, or a
-sound sampled refutation), 3 inconclusive (certificate absent but nothing
-refuted, or the search was sampling-limited), 1 usage or input error.
+Exit codes: 1 usage or input error; otherwise ``verdict.verdict`` of the
+report, by the rule table of ``verdict.RULE`` ("Exit codes" in
+docs/report-schema.md): 2 refuted, 3 inconclusive, 0 every requested
+certificate obtained.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ from .oracle import TooFewFeasibleSamples, growth_probe
 from .problem import (MAX_DIM, ProblemFormatError, ToleranceSet,
                       _parse_number, _read_count, load_problem_file,
                       problem_to_text)
+# the exit codes, which tools and tests read as cli.EXIT_*
+from .verdict import (EXIT_ERROR, EXIT_INCONCLUSIVE, EXIT_OK,  # noqa: F401
+                      EXIT_REFUTED, verdict)
 
-SCHEMA_VERSION = 6
-
-EXIT_OK = 0
-EXIT_ERROR = 1
-EXIT_REFUTED = 2
-EXIT_INCONCLUSIVE = 3
+SCHEMA_VERSION = 7
 
 
 def _tolerances_from(args) -> ToleranceSet:
@@ -213,6 +211,7 @@ def _print_human(report):
                    "certificate implies global optimality (declaration is "
                    "not verified)")
     out.append(f"verdict: exit {report['exit_code']}")
+    out.extend(f"  because: {name}" for name in report["because"])
     print("\n".join(out))
 
 
@@ -242,77 +241,38 @@ def cmd_check(args) -> int:
     report["feasibility"] = {
         "feasible": feas.feasible, "max_violation": feas.max_violation,
         "violations": [{"where": w, "amount": a} for w, a in feas.violations]}
-    if not feas.feasible:
-        report["exit_code"] = EXIT_REFUTED
-        _emit(args, report)
-        return EXIT_REFUTED
-
-    report["objective"] = {
-        "value": ctx.act.F_value,
-        "active": [{"scenario": s.index, "sign": s.sign, "value": s.value}
-                   for s in ctx.act.scenarios]}
-
-    nec = report["necessary"] = fo.necessary_check(ctx)
-    suf = report["sufficient"] = fo.sufficient_check(ctx)
-
-    refuted = False
-    inconclusive = False
-    if not nec.zero_in_D:
-        if nec.sampling_limited:
-            inconclusive = True
-        else:
-            refuted = True
-    if not suf.zero_in_int_D and not refuted:
-        inconclusive = True
-
-    report["flavor_search"] = None
-    if args.flavor:
-        cadre, complete, stopped = _flavor_search(
-            args.flavor, ctx.generators, problem.tolerances.eps_det)
-        report["flavor_search"] = {"flavor": args.flavor, "cadre": cadre,
-                                   "complete": complete, "stopped": stopped}
-        if complete is None:
-            inconclusive = True
-
-    report["second_order"] = None
-    if args.second_order:
-        report["second_order"] = []
-        if nec.zero_in_D and nec.multipliers is not None:
-            nec2 = so.second_order_necessary(ctx, nec)
-            suf2 = so.second_order_sufficient(ctx, nec)
-            report["second_order"] = [nec2, suf2]
-            if nec2.refuted:
-                refuted = True
-            if not suf2.passed and not refuted:
-                inconclusive = True
-        else:
-            inconclusive = True
-
-    report["penalty"] = None
-    if args.penalty is not None:
-        pen = report["penalty"] = fo.penalty_subdiff_check(ctx, args.penalty)
-        if not pen.zero_in_subdiff and not refuted:
-            inconclusive = True
-
-    report["oracle"] = None
-    if args.oracle:
-        try:
-            probe = report["oracle"] = growth_probe(problem, x, order=1,
-                                                   seed=args.seed)
-            if probe.refuted:
-                refuted = True
-        except TooFewFeasibleSamples as err:
-            report["oracle"] = {"error": str(err)}
-
-    if refuted:
-        code = EXIT_REFUTED
-    elif inconclusive:
-        code = EXIT_INCONCLUSIVE
-    else:
-        code = EXIT_OK
-    report["exit_code"] = code
+    if feas.feasible:
+        report["objective"] = {
+            "value": ctx.act.F_value,
+            "active": [{"scenario": s.index, "sign": s.sign,
+                        "value": s.value} for s in ctx.act.scenarios]}
+        nec = report["necessary"] = fo.necessary_check(ctx)
+        report["sufficient"] = fo.sufficient_check(ctx)
+        report["flavor_search"] = None
+        if args.flavor:
+            cadre, complete, stopped = _flavor_search(
+                args.flavor, ctx.generators, problem.tolerances.eps_det)
+            report["flavor_search"] = dict(flavor=args.flavor, cadre=cadre,
+                                           complete=complete, stopped=stopped)
+        # [] when there is no multiplier to test at
+        report["second_order"] = None
+        if args.second_order:
+            report["second_order"] = (
+                [so.second_order_necessary(ctx, nec),
+                 so.second_order_sufficient(ctx, nec)]
+                if nec.zero_in_D and nec.multipliers is not None else [])
+        report["penalty"] = (None if args.penalty is None
+                             else fo.penalty_subdiff_check(ctx, args.penalty))
+        report["oracle"] = None
+        if args.oracle:
+            try:
+                report["oracle"] = growth_probe(problem, x, order=1,
+                                                seed=args.seed)
+            except TooFewFeasibleSamples as err:
+                report["oracle"] = {"error": str(err)}
+    report["exit_code"], report["because"] = verdict(report)
     _emit(args, report)
-    return code
+    return report["exit_code"]
 
 
 def _flavor_search(flavor, G, eps_det):

@@ -149,6 +149,10 @@ class Record:
     and walk once, gives its raw fields in order, less those whose
     metadata sets json=False; ``to_json()`` is its JSON data."""
 
+    # a field read by name, as a key of its JSON data is read
+    def get(self, name):
+        return getattr(self, name, None)
+
     def json_fields(self) -> dict:
         return {f.name: getattr(self, f.name)
                 for f in fields(self) if f.metadata.get("json", True)}

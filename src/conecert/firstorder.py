@@ -20,8 +20,8 @@ import numpy as np
 from . import expr as ex
 from .cones import (Record, SequenceChain, builtin_max, distinct_rows,
                     pair_dots, row_norms, unit_rows)
-from .geometry import (GeneratorSet, PointContext, Provenance,
-                       block_distances, nA_vector)
+from .geometry import (GeneratorSet, PointContext, PointNotInSet,
+                       Provenance, block_distances, nA_generators, nA_vector)
 from .linkernel import (EPS_POS, EPS_RANK, SCREEN_CHUNK, combination_residual,
                         combination_system, lp_chebyshev_center,
                         lp_membership, positive_combinations, rank,
@@ -29,6 +29,7 @@ from .linkernel import (EPS_POS, EPS_RANK, SCREEN_CHUNK, combination_residual,
 from .problem import (BLOCK_CLASSES, NlpIneq, Problem, ScenarioJets,
                       SemiInfinite, _stored_array, _stored_index,
                       _stored_weight, activity, evaluate_objective)
+from .verdict import verdict
 
 __all__ = [
     "Cadre", "AlternanceFailure", "MultiplierWitness",
@@ -703,6 +704,35 @@ def witness_from_json(P: Problem, data) -> MultiplierWitness:
         stationarity_residual=data.get("stationarity_residual", math.nan))
 
 
+def _weights_at_active(P: Problem, x, w: MultiplierWitness) -> None:
+    """ValueError unless each weight of w sits on what is active at x, by
+    the check's own rules: a scenario and sign among the active pairs of
+    ``evaluate_objective``, a scalar constraint in its block's
+    ``activity`` under eps_active, and a bound or equality row among the
+    normals of ``nA_generators`` under eps_feas.  A cone dual is not
+    read."""
+    active = {(s.index, s.sign) for s in evaluate_objective(P, x)[1]}
+    for scen, sign, _ in w.alpha:
+        if (scen, sign) not in active:
+            raise ValueError(f"alpha weight on scenario {scen}, sign "
+                             f"{sign}, which is not active at the candidate")
+    for pos, blk, dual in w.block_duals():
+        # a scalar block's dual is a {constraint: weight} table
+        if isinstance(dual, dict):
+            idle = sorted(set(dual) - set(
+                blk.activity(x, P.tolerances, pos).active))
+            if idle:
+                raise ValueError(f"{blk.kind} weight on constraint {idle[0]}"
+                                 f" of block {pos}, which is not active at "
+                                 f"the candidate")
+    normals = set(nA_generators(P.set_A, x, P.tolerances.eps_feas)[1])
+    for pr, _ in w.nA:
+        if pr not in normals:
+            raise ValueError(f"nA weight on {pr.kind} {pr.index}, sign "
+                             f"{pr.sign}, which is not active at the "
+                             f"candidate")
+
+
 def reverify_report(P: Problem, report: dict) -> dict:
     """Re-check the witnesses attached to a serialized report.
 
@@ -712,7 +742,11 @@ def reverify_report(P: Problem, report: dict) -> dict:
     scratch; used by the JSON round-trip tests and by consumers of stored
     reports.  No field of a record is trusted: one that is missing, of
     the wrong type or shape, or an index outside the problem fails its
-    check, with the reason in ``reason``, and nothing raises."""
+    check, with the reason in ``reason``, and nothing raises.  A
+    multiplier weight must sit on what is active at the candidate
+    (``_weights_at_active``), and a report's ``exit_code`` and
+    ``because`` (from schema 7) must be those ``verdict.verdict`` gives
+    its records."""
     out = {"ok": True, "checks": []}
 
     def cadre_check(data):
@@ -743,9 +777,19 @@ def reverify_report(P: Problem, report: dict) -> dict:
 
     def multipliers_check(data):
         x = _stored_array(report["candidate"], "candidate", (P.d,))
-        resid = _witness_residual(ScenarioJets(P, x),
-                                  witness_from_json(P, data))
+        w = witness_from_json(P, data)
+        _weights_at_active(P, x, w)
+        resid = _witness_residual(ScenarioJets(P, x), w)
         return {"ok": resid <= 1e-7, "residual": resid}
+
+    def verdict_check(data):
+        code, because = verdict(data)
+        stored = data["exit_code"], data.get("because", because)
+        if stored != (code, because):
+            raise ValueError(f"exit_code {stored[0]!r} because {stored[1]!r}"
+                             f", but its records give exit {code} because "
+                             f"{because!r}")
+        return {"ok": True}
 
     def run(what, check, data):
         try:
@@ -753,7 +797,8 @@ def reverify_report(P: Problem, report: dict) -> dict:
         except KeyError as err:
             out["checks"].append({"what": what, "ok": False,
                                   "reason": f"no field {err}"})
-        except (AttributeError, TypeError, ValueError, ex.ExprError) as err:
+        except (AttributeError, TypeError, ValueError, ex.ExprError,
+                PointNotInSet) as err:
             out["checks"].append({"what": what, "ok": False,
                                   "reason": str(err)})
 
@@ -766,6 +811,8 @@ def reverify_report(P: Problem, report: dict) -> dict:
     for key in ("cadre", "complete"):
         if fl.get(key):
             run(f"flavor_search.{key}", cadre_check, fl[key])
+    if "exit_code" in report:
+        run("exit_code", verdict_check, report)
     out["ok"] = all(c["ok"] for c in out["checks"])
     return out
 

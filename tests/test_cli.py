@@ -177,8 +177,9 @@ def test_json_report_roundtrip_and_reverify(tmp_path):
                            "--json", "--out", str(out_path))
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == 6
-    assert report["exit_code"] == 0
+    assert report["schema"] == 7
+    assert report["exit_code"] == 0 and report["because"] == []
+    assert list(report)[-2:] == ["exit_code", "because"]
     assert json.loads(out_path.read_text()) == report
     # one encoding, printed with a newline and written without one
     assert out == out_path.read_text() + "\n"

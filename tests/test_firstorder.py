@@ -1211,6 +1211,9 @@ _TAMPERINGS = [
     ("madsen", lambda m, c, r: r.update(candidate=[0.0]),
      "necessary.multipliers",
      "candidate is not an array of numbers of shape (2,)"),
+    # a candidate outside the box has no normal cone there
+    ("madsen", lambda m, c, r: r.update(candidate=[0.0, 0.5]),
+     "necessary.multipliers", "x(2) below its lower bound"),
     ("madsen", lambda m, c, r: c.update(k0=9),
      "necessary.cadre", "need 1 <= k0 <= i0 <= p"),
     ("madsen", lambda m, c, r: c.update(i0="2"),
@@ -1266,6 +1269,84 @@ def test_reverify_refuses_each_malformed_field(name, edit, what, reason):
     assert res["ok"] is False
     failed = [c for c in res["checks"] if not c["ok"]]
     assert failed == [{"what": what, "ok": False, "reason": reason}]
+
+
+# at 0, F = 0 and scenario 2 (x(1) - 1 = -1) is not active, though its
+# gradient is scenario 1's
+_THREE = ('[problem] dim=1\n[scenario] f="x(1)"\n[scenario] f="x(1) - 1"\n'
+          '[scenario] f="-x(1)"\n')
+
+
+def _moved_alpha(m):
+    for rec in m["alpha"]:
+        if rec["scenario"] == 1:
+            rec["scenario"] = 2
+
+
+def _inactive_bound(m):
+    """Weight 1 on the inactive upper bound, and 1 more on the active lower
+    one: the same residual, 0."""
+    m["nA"][0]["weight"] += 1.0
+    m["nA"].append({"prov": {"kind": "bound", "sign": 1, "index": 0},
+                    "weight": 1.0})
+
+
+@pytest.mark.parametrize("text, edit, reason", [
+    (_THREE, _moved_alpha,
+     "alpha weight on scenario 2, sign 1, which is not active at the "
+     "candidate"),
+    # -x(1) - 1 <= 0 has the gradient of the active -x(1) <= 0
+    ('[problem] dim=1\n[scenario] f="x(1)"\n'
+     '[nlp_ineq] g="-x(1)" g="-x(1) - 1"\n',
+     lambda m: _rekey(m["nlp_ineq"]["0"], "0", "1"),
+     "nlp_ineq weight on constraint 1 of block 0, which is not active at "
+     "the candidate"),
+    ('[problem] dim=1\n[scenario] f="x(1)"\n[set] lb="0" ub="5"\n',
+     _inactive_bound,
+     "nA weight on bound 0, sign 1, which is not active at the candidate"),
+], ids=["scenario", "nlp_ineq", "bound"])
+def test_reverify_refuses_a_weight_on_what_is_not_active(text, edit, reason):
+    """A multiplier weight moved onto a scenario, an inequality or a bound
+    that is not active at the candidate leaves the stationarity residual
+    at 0, and re-checked ok before; it fails by the check's own activity
+    rules."""
+    problem = load_problem_text(text)
+    report = _stored_report(problem, (0.0,))
+    assert fo.reverify_report(problem, report)["ok"] is True
+    edit(report["necessary"]["multipliers"])
+    assert fo._witness_residual(
+        ScenarioJets(problem, np.zeros(1)), fo.witness_from_json(
+            problem, report["necessary"]["multipliers"])) == 0.0
+    res = fo.reverify_report(problem, report)
+    assert [c for c in res["checks"] if not c["ok"]] == [
+        {"what": "necessary.multipliers", "ok": False, "reason": reason}]
+
+
+def test_reverify_recomputes_the_exit_code(tmp_path):
+    """A stored report's exit code and ``because`` must be those the
+    exit-code rule gives its records: edited, either fails the
+    ``exit_code`` check, whose reason names both."""
+    path = tmp_path / "three.prob"
+    path.write_text(_THREE, encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check", "--file", str(path), "--at", "0",
+                         "--json"])
+    report = json.loads(out.getvalue())
+    problem = load_problem_file(str(path))
+    assert code == cli.EXIT_OK
+    res = fo.reverify_report(problem, report)
+    assert res["ok"] is True and res["checks"][-1] == {"what": "exit_code",
+                                                       "ok": True}
+    for key, value, reason in (
+            ("exit_code", 2, "exit_code 2 because [], but its records give "
+                             "exit 0 because []"),
+            ("because", ["infeasible"], "exit_code 0 because ['infeasible'],"
+                                        " but its records give exit 0 "
+                                        "because []")):
+        res = fo.reverify_report(problem, {**report, key: value})
+        assert [c for c in res["checks"] if not c["ok"]] == [
+            {"what": "exit_code", "ok": False, "reason": reason}]
 
 
 def _witness_cases():

@@ -32,8 +32,11 @@ does not pass unnoticed.  It also exits 1 when a case prints a Python
 warning to stderr (a `<file>:<line>: <Category>Warning: ` line, such as
 numpy's overflow `RuntimeWarning`), which two runs of one commit print
 alike, when a report prints a number `-0.0`: reports write every
-zero unsigned, and when a report breaks one of the paper's implications
-between its verdicts (`broken_implications`), named on stderr.
+zero unsigned, when a report breaks one of the paper's implications
+between its verdicts (`conecert.verdict.broken_implications`), named on
+stderr, and when a case's exit code is not the one that
+`conecert.verdict.verdict` gives the report it printed, also named on
+stderr.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
 
 from conecert import cli  # noqa: E402
+from conecert.verdict import broken_implications, verdict  # noqa: E402
 
 FIXED = ("dem", "madsen", "bazaraa45", "counterexample-3-2", "soc-example",
          "sdp-example")
@@ -217,29 +221,6 @@ def cases():
     yield QUINTIC_EQ
 
 
-def broken_implications(report) -> list:
-    """The implications between the report's verdicts that it breaks, by
-    name: a plain cadre exactly when 0 is in D, 0 in int D only when 0 is
-    in D, a complete alternance only when 0 is in int D, and a least
-    penalty parameter exactly when 0 is in D.  A report without the
-    first-order checks (an infeasible point) breaks none."""
-    nec, suf = report.get("necessary"), report.get("sufficient")
-    if not nec or not suf:
-        return []
-    member, interior = nec["zero_in_D"], suf["zero_in_int_D"]
-    complete = (report.get("flavor_search") or {}).get("complete")
-    pen = report.get("penalty")
-    holds = {
-        "necessary.cadre <=> zero_in_D": (nec["cadre"] is not None) == member,
-        "zero_in_int_D => zero_in_D": member or not interior,
-        "flavor_search.complete => zero_in_int_D":
-            complete is None or interior,
-        "penalty.c_min <=> zero_in_D":
-            pen is None or (pen["c_min"] is not None) == member,
-    }
-    return [name for name, ok in holds.items() if not ok]
-
-
 def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -255,15 +236,20 @@ def main() -> int:
                 with contextlib.redirect_stdout(out), \
                         contextlib.redirect_stderr(err):
                     code = cli.main(["check", *argv, "--json"])
-                broken = broken_implications(
-                    json.loads(out.getvalue()) if out.getvalue() else {})
+                report = json.loads(out.getvalue()) if out.getvalue() else {}
+                broken = broken_implications(report)
                 for name in broken:
                     print(f"{' '.join(argv)}: breaks {name}", file=sys.stderr)
+                # the exit code, again from the printed report alone
+                again = verdict(report)[0] if report else code
+                if again != code:
+                    print(f"{' '.join(argv)}: exit {code}, but its report "
+                          f"gives exit {again}", file=sys.stderr)
                 failed += ((code == cli.EXIT_ERROR) != (
                     argv in EXPECTED_ERRORS)
                     or bool(WARNING_LINE.search(err.getvalue()))
                     or bool(NEGATIVE_ZERO.search(out.getvalue()))
-                    or bool(broken))
+                    or bool(broken) or again != code)
                 print(f"== {' '.join(argv)} -> exit {code}")
                 print(out.getvalue() + err.getvalue(), end="")
         finally:
