@@ -457,7 +457,9 @@ class Pow(_Unary):
         return Pow(operand, self.exponent)
 
     def wrap(self, text, level) -> str:
-        return (f"({text})" if level < _LVL_ATOM else text) \
+        # powers chain left to right, as they parse: a power's base that
+        # is a power needs no parentheses
+        return (f"({text})" if level < _LVL_POW else text) \
             + f"^{self.exponent}"
 
     def apply(self, jets, order):

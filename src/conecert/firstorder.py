@@ -28,7 +28,8 @@ from .linkernel import (EPS_POS, EPS_RANK, SCREEN_CHUNK, combination_residual,
                         simplex_solve, stacked_rank)
 from .problem import (BLOCK_CLASSES, NlpIneq, Problem, ScenarioJets,
                       SemiInfinite, _stored_array, _stored_index,
-                      _stored_weight, activity, evaluate_objective)
+                      _stored_tolerances, _stored_weight, activity,
+                      evaluate_objective)
 from .verdict import verdict
 
 __all__ = [
@@ -606,7 +607,7 @@ class MultiplierWitness(Record):
         cone_grad = np.zeros(d)
         cone_hess = np.zeros((d, d)) if second else None
         for _, blk, dual in self.block_duals():
-            g, H = blk.dual_derivatives(x, dual)
+            g, H = blk.dual_derivatives(x, dual, order)
             cone_grad = cone_grad + g
             if second:
                 cone_hess = cone_hess + H
@@ -742,14 +743,17 @@ def reverify_report(P: Problem, report: dict) -> dict:
     scratch; used by the JSON round-trip tests and by consumers of stored
     reports.  No field of a record is trusted: one that is missing, of
     the wrong type or shape, or an index outside the problem fails its
-    check, with the reason in ``reason``, and nothing raises.  A
-    multiplier weight must sit on what is active at the candidate
+    check, with the reason in ``reason``, and nothing raises.  The cadres
+    and the multipliers are held to the ``tolerances`` the report states
+    (``_stored_tolerances``), under which they were found.  A multiplier
+    weight must sit on what is active at the candidate
     (``_weights_at_active``), and a report's ``exit_code`` and
     ``because`` (from schema 7) must be those ``verdict.verdict`` gives
     its records."""
     out = {"ok": True, "checks": []}
 
     def cadre_check(data):
+        eps_det = _stored_tolerances(report["tolerances"]).eps_det
         for key in ("k0", "i0"):
             if type(data[key]) is not int:
                 raise ValueError(f"cadre {key} {data[key]!r} is not an "
@@ -758,7 +762,7 @@ def reverify_report(P: Problem, report: dict) -> dict:
         resid, small = combination_residual(
             vecs, _stored_array(data["multipliers"], "cadre multipliers"))
         again = verify_alternance(vecs, k0=data["k0"], i0=data["i0"],
-                                  flavor=data["flavor"])
+                                  eps_det=eps_det, flavor=data["flavor"])
         # the two may round the largest minor to either side of a power
         # of ten; a report before schema 5 has no exponent and its
         # minors as they are
@@ -776,10 +780,11 @@ def reverify_report(P: Problem, report: dict) -> dict:
         return {"ok": ok, "residual": resid}
 
     def multipliers_check(data):
-        x = _stored_array(report["candidate"], "candidate", (P.d,))
-        w = witness_from_json(P, data)
-        _weights_at_active(P, x, w)
-        resid = _witness_residual(ScenarioJets(P, x), w)
+        Q = P.with_tolerances(_stored_tolerances(report["tolerances"]))
+        x = _stored_array(report["candidate"], "candidate", (Q.d,))
+        w = witness_from_json(Q, data)
+        _weights_at_active(Q, x, w)
+        resid = _witness_residual(ScenarioJets(Q, x), w)
         return {"ok": resid <= 1e-7, "residual": resid}
 
     def verdict_check(data):
@@ -1011,14 +1016,13 @@ def semiinfinite_discretize(P: Problem, x):
         chosen = list(ba.active)
         capped = False
         if len(chosen) > P.d + 1:
-            norms = row_norms(blk.jets(x, chosen, derivatives=True)[1])
+            norms = row_norms(blk.jets(x, chosen, 1)[1])
             order = sorted(range(len(chosen)),
                            key=lambda k: (-norms[k], chosen[k]))
             chosen = sorted(chosen[k] for k in order[:P.d + 1])
             capped = True
-        exprs = tuple(ex.substitute(blk.g, P.d + 1, blk.grid[j])
-                      for j in chosen)
-        new_blocks.append(NlpIneq(exprs))
+        # g with t pinned at each chosen grid point
+        new_blocks.append(NlpIneq(tuple(blk.table[j] for j in chosen)))
         actions.append((ba.position, "capped" if capped else "kept",
                         [blk.grid[j] for j in chosen]))
     Q = replace(P, blocks=tuple(new_blocks), source=P.source + "#discretized")

@@ -13,10 +13,10 @@ Each block kind is one class (NlpIneq, NlpEq, Soc, Sdp, SemiInfinite) that
 carries every operation the rest of the package needs from a block, so no
 other module branches on the kind:
 
-- ``components`` and ``jets(x, rows=None, derivatives=False)``: the
-  block's functions of x (a matrix cone's entries on and above the
-  diagonal, row by row) and the one way the operations below read them:
-  their values at x, on request with gradients and Hessians;
+- ``table`` and ``jets(x, rows=None, order=0)``: the block's functions
+  of x (``components``: a matrix cone's entries on and above the
+  diagonal, row by row; or g at the grid points) and the one way the
+  operations below read them, to the derivative order each one needs;
 - ``activity(x, tol, position)``: the block's BlockActivity at x (active
   indices, second-order-cone state, matrix spectral data);
 - ``violations(pts, position)``: (description, amounts) pairs, one amount
@@ -34,8 +34,8 @@ other module branches on the kind:
 - ``add_dual(dual, family, row, weight)``: adds an LP weight times the
   dual of row ``row`` of the block's NormalFamily to the block's
   multiplier;
-- ``dual_derivatives(x, dual)``: the gradient and Hessian in x of the
-  pairing <dual, G_block(x)>, from one ``jets`` call;
+- ``dual_derivatives(x, dual, order)``: the gradient and, at order 2,
+  the Hessian in x of the pairing <dual, G_block(x)>, from one ``jets``;
 - ``dual_to_json(dual)`` and ``dual_from_json(data)``: a multiplier's
   JSON form, read back against the block (ValueError for a key, weight
   or array that does not fit it);
@@ -49,10 +49,11 @@ reports), ``section`` (its section name in problem files), ``polyhedral``
 ``separable`` (the block distance sums over scalar constraints, so each is
 its own penalty group).
 
-Scenarios are held in families (``expr.Family``), one per expression
-shape.  A discretised Chebyshev fit has thousands of scenarios that differ
-only in their decimal literals; loading such a file parses each distinct
-shape once and keeps the literals as arrays, ``evaluate_objective`` and
+Scenarios, like a block's functions, are held in a ``_FunctionTable``
+of families (``expr.Family``), one per expression shape.  A discretised
+Chebyshev fit has thousands of scenarios that differ only in their
+decimal literals; loading such a file parses each distinct shape once
+and keeps the literals as arrays, ``evaluate_objective`` and
 ``objective_values`` evaluate one family at a time, stacked over its
 members, and so does ``ScenarioJets`` for the derivatives of the active
 scenarios, stacked over those members alone.  ``P.scenarios[i]`` builds
@@ -196,36 +197,38 @@ class _Points:
         return vals
 
 
-class _Jets:
-    """(values, gradients (n, d), Hessians (n, d, d)) of n ``eval2``
-    results, read by index or unpacking; an item is stacked only when
-    read, as most callers read only the gradients."""
-
-    def __init__(self, duals, d):
-        self._duals, self._d = duals, d
-
-    def __getitem__(self, k):   # unpacking reads items 0, 1, 2, then 3
-        k = range(3)[k]
-        return np.array([(D.value, D.grad, D.hess)[k] for D in self._duals]
-                        ).reshape(-1, *(self._d,) * k)
-
-
 class _Block:
     """Defaults shared by every block kind (the protocol is listed in the
     module docstring)."""
 
     separable = False
 
-    def jets(self, x, rows=None, derivatives=False):
-        """The values at x of the components (all, or those of the indices
-        ``rows``), one ``eval_value`` each, in order; with ``derivatives``,
-        the values, gradients (n, d) and Hessians (n, d, d), one ``eval2``
-        each.  The first undefined component raises its DomainError."""
-        comps = self.components if rows is None else [
-            self.components[i] for i in rows]
-        if not derivatives:
-            return np.array([ex.eval_value(e, x) for e in comps])
-        return _Jets([ex.eval2(e, x) for e in comps], len(x))
+    @cached_property
+    def table(self):
+        """The components as a function table, each its own family."""
+        return _FunctionTable.of_trees(self.components)
+
+    def jets(self, x, rows=None, order=0):
+        """(values, gradients (n, d), Hessians (n, d, d)) at x of the
+        table's functions (all, or those of the indices ``rows``), in
+        order, by ``_FunctionTable.passes``, the derivatives None below
+        their order and zero-filled where 0 by form (``expr.eval_jets``);
+        the first undefined function raises its DomainError."""
+        rows = range(len(self.table)) if rows is None else rows
+        n, d = len(rows), len(x)
+        vals, reasons = np.empty(n), np.zeros(n, dtype=np.int8)
+        grads = np.zeros((n, d)) if order else None
+        hess = np.zeros((n, d, d)) if order == 2 else None
+        for part, (v, r, g, H) in self.table.passes(x, rows, order):
+            if part[-1] - part[0] == len(part) - 1:   # a run of positions
+                part = slice(part[0], part[-1] + 1)
+            vals[part], reasons[part] = v, r
+            if g is not None:
+                grads[part] = g
+            if H is not None:
+                hess[part] = H
+        ex.raise_undefined(reasons)
+        return vals, grads, hess
 
     def tangent_test(self, x, state, rows):
         """Linearized feasibility: <r, h> <= eps for every generator r of
@@ -243,12 +246,12 @@ class _ScalarBlock(_Block):
     signed_duals = False
 
     def activity(self, x, tol, position):
-        v = self.jets(x)   # a NaN value is never active
+        v = self.jets(x)[0]   # a NaN value is never active
         return BlockActivity(position, self.kind, active=np.flatnonzero(
             (np.abs(v) <= tol.eps_active) | (v > 0)).tolist())
 
     def normal_generators(self, x, state, sampling):
-        grads = self.jets(x, state.active, derivatives=True)[1]
+        grads = self.jets(x, state.active, 1)[1]
         return NormalFamily(
             grads, np.ones(len(state.active)),
             [self._provenance(state.position, i) for i in state.active])
@@ -259,27 +262,27 @@ class _ScalarBlock(_Block):
         dual[index] = dual.get(index, 0.0) + weight * family.duals[row]
         return dual
 
-    def dual_derivatives(self, x, dual):
-        grad, hess = np.zeros(len(x)), np.zeros((len(x), len(x)))
-        _, grads, hessians = self.jets(x, list(dual), derivatives=True)
-        for weight, g, H in zip(dual.values(), grads, hessians):
-            grad = grad + weight * g
-            hess = hess + weight * H
-        return grad, hess
+    def dual_derivatives(self, x, dual, order):
+        _, grads, hessians = self.jets(x, list(dual), order)
+        weights = list(dual.values())
+        return (sum((w * g for w, g in zip(weights, grads)), np.zeros(len(x))),
+                _weighted_hessian(weights, hessians, len(x)))
 
     def dual_to_json(self, dual):
         return {str(i): w for i, w in dual.items()}
 
     def dual_from_json(self, data):
         weight = _stored_number if self.signed_duals else _stored_weight
-        return {_stored_index(i, self.size, f"{self.kind} constraint",
+        return {_stored_index(i, len(self.table), f"{self.kind} constraint",
                               key=True):
                 weight(w, f"{self.kind} weight")
                 for i, w in data.items()}
 
 
 def _weighted_hessian(weights, hessians, d):
-    """sum(w_k H_k) over the weights that are not 0, in order."""
+    """sum(w_k H_k) over the weights that are not 0, in order, or None."""
+    if hessians is None:
+        return None
     hess = np.zeros((d, d))
     for w, H in zip(weights, hessians):
         if w != 0.0:
@@ -312,10 +315,6 @@ class _NlpBlock(_ScalarBlock):
     def components(self) -> tuple:
         return getattr(self, self.key)
 
-    @property
-    def size(self) -> int:
-        return len(self.components)
-
     @classmethod
     def from_section(cls, pairs, d, line):
         texts = [v for k, v, _ in pairs if k == cls.key]
@@ -342,7 +341,7 @@ class NlpIneq(_NlpBlock):
                 for i, g in enumerate(self.g)]
 
     def distance(self, x):
-        return sum(max(0.0, v) for v in self.jets(x).tolist())
+        return sum(max(0.0, v) for v in self.jets(x)[0].tolist())
 
     def _provenance(self, position, i):
         return Provenance("nlp_ineq", position, i)
@@ -364,11 +363,11 @@ class NlpEq(_NlpBlock):
                 for j, b in enumerate(self.b)]
 
     def distance(self, x):
-        return sum(abs(v) for v in self.jets(x).tolist())
+        return sum(abs(v) for v in self.jets(x)[0].tolist())
 
     def normal_generators(self, x, state, sampling):
         # both signs of each constraint's gradient, in turn
-        grads = self.jets(x, derivatives=True)[1]
+        grads = self.jets(x, order=1)[1]
         return NormalFamily(
             np.stack([grads, -grads], axis=1).reshape(-1, len(x)),
             np.tile([1.0, -1.0], len(self.b)),
@@ -393,12 +392,12 @@ class Soc(_ConeBlock):
     def dual_shape(self) -> tuple:
         return (len(self.g),)
 
-    def dual_derivatives(self, x, dual):
-        _, J, hessians = self.jets(x, derivatives=True)
+    def dual_derivatives(self, x, dual, order):
+        _, J, hessians = self.jets(x, order=order)
         return J.T @ dual, _weighted_hessian(dual, hessians, len(x))
 
     def activity(self, x, tol, position):
-        vals = self.jets(x)
+        vals = self.jets(x)[0]
         if np.linalg.norm(vals) <= tol.eps_active:
             state = "origin"
         elif abs(vals[0] - float(np.linalg.norm(vals[1:]))) <= tol.eps_active:
@@ -406,7 +405,7 @@ class Soc(_ConeBlock):
         else:
             state = "inactive"
         # the normal cone's generators and the tangent test both read J
-        J = self.jets(x, derivatives=True)[1] if state != "inactive" else None
+        J = self.jets(x, order=1)[1] if state != "inactive" else None
         return BlockActivity(position, self.kind, soc_state=state,
                              soc_value=vals, jacobian=J,
                              sampled=state == "origin" and self.l >= 2)
@@ -417,7 +416,7 @@ class Soc(_ConeBlock):
                  row_norms(vals[1:].T) - vals[0])]
 
     def distance(self, x):
-        vals = self.jets(x)
+        vals = self.jets(x)[0]
         return float(np.linalg.norm(vals - project_soc(vals)))
 
     def normal_generators(self, x, state, sampling):
@@ -519,7 +518,7 @@ class Sdp(_ConeBlock):
         return np.asarray(rows)[self._component_table]
 
     def activity(self, x, tol, position):
-        spec = spectral_split(self.matrices(self.jets(x)), tol.eps_rank)
+        spec = spectral_split(self.matrices(self.jets(x)[0]), tol.eps_rank)
         return BlockActivity(position, self.kind, eigenvalues=spec.eigenvalues,
                              null_basis=spec.null_basis,
                              sampled=spec.null_basis.shape[1] > 1)
@@ -542,7 +541,7 @@ class Sdp(_ConeBlock):
         scales before squaring, so entries near the largest float do not
         overflow."""
         try:
-            sigma = np.linalg.eigvalsh(self.matrices(self.jets(x)))
+            sigma = np.linalg.eigvalsh(self.matrices(self.jets(x)[0]))
         except np.linalg.LinAlgError as err:
             raise EigenFailure(str(err)) from err
         return math.hypot(*np.maximum(sigma, 0.0).tolist())
@@ -553,7 +552,7 @@ class Sdp(_ConeBlock):
             return NormalFamily(np.empty((0, len(x))),
                                 np.empty((0, self.size, self.size)), [])
         pos = state.position
-        grads = self.matrices(self.jets(x, derivatives=True)[1])
+        grads = self.matrices(self.jets(x, order=1)[1])
         Q = sdp_null_directions(Q0, sampling.sdp_dirs,
                                 sampling.seed + 7 * pos + 3)
         # the generator of q is q' dG q, its dual the outer product q q'
@@ -561,8 +560,8 @@ class Sdp(_ConeBlock):
             np.einsum("ni,ijk,nj->nk", Q, grads, Q),
             Q[:, :, None] * Q[:, None, :], ProvenanceRows("sdp_null", pos, Q))
 
-    def dual_derivatives(self, x, dual):
-        _, grads, hessians = self.jets(x, derivatives=True)
+    def dual_derivatives(self, x, dual, order):
+        _, grads, hessians = self.jets(x, order=order)
         # the entries on and above the diagonal, row by row; each above
         # the diagonal pairs with its mirror too
         r = np.arange(self.size)
@@ -611,6 +610,7 @@ class Sdp(_ConeBlock):
 class SemiInfinite(_ScalarBlock):
     g: ex.Expression  # in x(1..d) and the parameter t = x(d+1)
     grid: tuple       # sorted, duplicate-free points of the compact index set
+    d: int            # the dimension of x
     kind = "semi_infinite"
     section = "semiinf"
 
@@ -628,16 +628,13 @@ class SemiInfinite(_ScalarBlock):
         t.flags.writeable = False
         return t
 
-    def jets(self, x, rows=None, derivatives=False):
-        """``_Block.jets`` of g at the grid points (all, or those of the
-        indices ``rows``): one stack, with t in row d+1, not differentiated;
-        the first undefined grid point raises its DomainError."""
-        t = self._points if rows is None else self._points[list(rows)]
-        X = np.vstack([np.repeat(np.reshape(x, (-1, 1)), len(t), axis=1), t])
-        vals, reasons, grads, hessians = ex.eval_jets(
-            self.g, X, len(x) if derivatives else 0)
-        ex.raise_undefined(reasons)
-        return (vals, grads, hessians) if derivatives else vals
+    @cached_property
+    def table(self):
+        """g at the grid points: one family, t a ``Column`` of the grid."""
+        t, var = ex.Column(self._points), ex.Var(self.d + 1)
+        return _FunctionTable([ex.Family(
+            self.g.map_nodes(lambda node: t if node == var else node),
+            np.arange(len(self.grid)))])
 
     def violations(self, pts, position):
         # the grid points in chunks, each chunk's columns t-major
@@ -658,11 +655,7 @@ class SemiInfinite(_ScalarBlock):
                  np.where(nan, math.nan, amounts))]
 
     def distance(self, x):
-        return max(0.0, max(self.jets(x).tolist()))
-
-    @property
-    def size(self) -> int:
-        return len(self.grid)
+        return max(0.0, max(self.jets(x)[0].tolist()))
 
     def _provenance(self, position, j):
         return Provenance("semi_infinite", position, j,
@@ -697,7 +690,7 @@ class SemiInfinite(_ScalarBlock):
         grid = tuple(np.linspace(a, b, n).tolist())
         g = _parse_expr(g_txt[0], d, name, g_txt[1], params=("t",))
         try:
-            return cls(g, grid)
+            return cls(g, grid, d)
         except ValueError as err:
             raise ProblemFormatError(str(err), name, ln)
 
@@ -723,10 +716,10 @@ def _rows(a, n, axes):
     return list(a) if axes else a.tolist()
 
 
-class _Scenarios(Sequence):
-    """The scenario trees, grouped into families; a tree is built from its
-    family on first access and kept for the life of the sequence.  Threads
-    that build one tree at once build equal trees, and either is kept."""
+class _FunctionTable(Sequence):
+    """Scenarios or a block's components, in families; a tree is built
+    from its family on first access and kept for the table's life (of
+    two threads' equal trees, either)."""
 
     def __init__(self, families, trees=None):
         self.families = tuple(families)
@@ -734,7 +727,7 @@ class _Scenarios(Sequence):
         order = np.concatenate([fam.members for fam in self.families]
                                or [np.empty(0, dtype=np.intp)])
         starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
-        # scenario i is member _member[i] of family _family[i]
+        # function i is member _member[i] of family _family[i]
         self._family = np.empty_like(order)
         self._family[order] = np.repeat(np.arange(len(sizes)), sizes)
         self._member = np.empty_like(order)
@@ -757,33 +750,35 @@ class _Scenarios(Sequence):
             self._trees[i] = fam.tree(int(self._member[i]))
         return self._trees[i]
 
+    def passes(self, x, rows, order):
+        """(positions in ``rows``, ``expr.jets`` at x) of one pass per
+        family over its template cut to its members in ``rows``
+        (``Family.stacked``), building no member's tree; at order 2 in
+        slabs, no Hessian stack over ``SLAB_FLOATS`` entries."""
+        d, rows = len(x), np.asarray(rows, dtype=np.intp)
+        step = max(1, len(rows) if order < 2 else SLAB_FLOATS // (d * d))
+        members = self._member[rows].tolist()
+        groups = {}   # family -> the positions of its members in rows
+        for pos, f in enumerate(self._family[rows].tolist()):
+            groups.setdefault(f, []).append(pos)
+        for f, positions in groups.items():
+            for lo in range(0, len(positions), step):
+                part = positions[lo:lo + step]
+                yield part, ex.jets(self.families[f].stacked(
+                    [members[p] for p in part]), x, d if order else 0, order)
+
     def jets(self, x, numbers, order):
-        """{s: (value, reason, grad, hess)} for the scenarios numbered
-        ``numbers`` (from 1, distinct) at the point x, as ``expr.jets``
-        gives them (hess None at order 1 and where the scenario is affine
-        in x), keyed by the numbers given: one stacked pass per family
-        over its template with each ``Column`` cut to those members
-        (``Family.stacked``), so no member's own tree is built.  At order
-        2 a family's members go a slab at a time, so that no Hessian stack
-        holds more than ``SLAB_FLOATS`` entries."""
-        d = len(x)
-        step = len(numbers) if order < 2 else max(1, SLAB_FLOATS // (d * d))
-        indices = np.asarray(numbers, dtype=np.intp) - 1
-        groups = {}   # family -> its (scenario, member position) pairs
-        for pair, f in zip(zip(numbers, self._member[indices].tolist()),
-                           self._family[indices].tolist()):
-            groups.setdefault(f, []).append(pair)
-        out, zero = {}, np.zeros(d)   # the gradient of a constant scenario
-        for f, pairs in groups.items():
-            for lo in range(0, len(pairs), step):
-                part, ks = zip(*pairs[lo:lo + step])
-                vals, reasons, grads, hess = ex.jets(
-                    self.families[f].stacked(ks), x, d, order)
-                n = len(part)
-                out.update(zip(part, zip(
-                    _rows(vals, n, 0), _rows(reasons, n, 0),
-                    _rows(zero if grads is None else grads, n, 1),
-                    _rows(hess, n, 2))))
+        """{s: (value, reason, grad, hess)} at x of the functions numbered
+        ``numbers`` (from 1, distinct), by ``passes``: hess None at order
+        1 and where the function is affine in x, as ``expr.jets`` gives."""
+        out, zero = {}, np.zeros(len(x))   # the gradient of a constant
+        for part, (vals, reasons, grads, hess) in self.passes(
+                x, np.asarray(numbers, dtype=np.intp) - 1, order):
+            n = len(part)
+            out.update(zip([numbers[p] for p in part], zip(
+                _rows(vals, n, 0), _rows(reasons, n, 0),
+                _rows(zero if grads is None else grads, n, 1),
+                _rows(hess, n, 2))))
         return out
 
 
@@ -799,9 +794,9 @@ class Problem:
     source: str = "<memory>"
 
     def __post_init__(self):
-        if not isinstance(self.scenarios, _Scenarios):
+        if not isinstance(self.scenarios, _FunctionTable):
             object.__setattr__(self, "scenarios",
-                               _Scenarios.of_trees(self.scenarios))
+                               _FunctionTable.of_trees(self.scenarios))
         if self.d < 1:
             raise ValueError("dimension must be at least 1")
         if not self.scenarios:
@@ -956,7 +951,7 @@ class ScenarioJets:
     forms (generators, multipliers, cadres) and the second-order forms
     share: each scenario's value, gradient and, at order 2, Hessian,
     computed at most once per derivative order, for the scenarios asked
-    for, by one stacked pass per family (``_Scenarios.jets``).  A
+    for, by one stacked pass per family (``_FunctionTable.jets``).  A
     ``geometry.PointContext`` holds one per point; its generator set asks
     for the active scenarios first."""
 
@@ -1232,6 +1227,16 @@ def _stored_number(value, what: str) -> float:
     return float(value)
 
 
+def _stored_tolerances(value) -> ToleranceSet:
+    """The tolerance set a stored report states: a table of the
+    ``ToleranceSet`` fields, each a finite JSON number in its range;
+    KeyError for a missing field, ValueError naming any other value."""
+    if not isinstance(value, dict):
+        raise ValueError(f"tolerances {value!r} is not a table")
+    return ToleranceSet(**{f.name: _stored_number(value[f.name], f.name)
+                           for f in fields(ToleranceSet)})
+
+
 def _stored_weight(value, what: str) -> float:
     """A finite JSON number of a stored report that is not negative: the
     weight of a generator of a cone; ValueError naming ``what`` for any
@@ -1378,7 +1383,7 @@ def _load(text, source, tolerances, shapes):
         psi_t = ()
     try:
         return Problem(
-            d=d, kind=kind, scenarios=_Scenarios(families), psi=psi_t,
+            d=d, kind=kind, scenarios=_FunctionTable(families), psi=psi_t,
             blocks=tuple(blocks),
             set_A=PolyhedralSet(tuple(bounds["lb"]), tuple(bounds["ub"]),
                                 tuple(eq_rows), tuple(eq_rhs)),

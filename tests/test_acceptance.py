@@ -135,7 +135,7 @@ def test_criterion_06_soc_example():
 def test_criterion_07_sdp_example():
     P, x, samp = registry.get("sdp-example")
     blk = P.blocks[0]
-    M = blk.matrices(blk.jets(x))
+    M = blk.matrices(blk.jets(x)[0])
     ok = np.max(np.abs(M - np.diag([0.0, -1.0, 0.0]))) <= 1e-10
     G = build_generator_set(ScenarioJets(P, x), activity(P, x), samp)
     rows = [tuple(np.round(v, 9)) for v, p in zip(G.eta, G.eta_prov)

@@ -162,10 +162,13 @@ def test_roundtrip_fixed_cases():
         "-(x(1) + x(2))^3",
         "sin(cos(x(1)))/(1.0 + x(2)^2)",
         "x(1)^-2*(-3.5)",
+        "(x(1)^2)^-3 + x(2)^1^1",
     ]
     for text in cases:
         node = ex.parse(text, d=2)
         assert ex.parse(ex.to_string(node), d=2) == node
+    # a chain of powers prints as it parses, left to right
+    assert ex.to_string(ex.parse("(x(1)^2)^-3", d=1)) == "x(1)^2^-3"
 
 
 def test_roundtrip_random(rng):
@@ -294,7 +297,8 @@ def _ref_to_string(e):
     if isinstance(e, ex.Div):
         return f"{_ref_paren(e.lhs, 2)}/{_ref_paren(e.rhs, 3)}"
     if isinstance(e, ex.Pow):
-        return f"{_ref_paren(e.base, 5)}^{e.exponent}"
+        # powers chain left to right, as they parse
+        return f"{_ref_paren(e.base, 4)}^{e.exponent}"
     if isinstance(e, ex.Func):
         return f"{e.name}({_ref_to_string(e.arg)})"
     raise TypeError(f"not an Expression: {e!r}")

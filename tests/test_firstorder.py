@@ -22,6 +22,10 @@ from conecert.problem import (ScenarioJets, activity, load_problem_file,
                               load_problem_text)
 from conftest import random_generator_family
 
+# the tolerances a default check states in its report
+TOLERANCES = {"eps_active": 1e-8, "eps_rank": 1e-9, "eps_det": 1e-8,
+              "eps_feas": 1e-8, "eps_pos": 1e-8}
+
 SQ2 = math.sqrt(2.0)
 
 
@@ -311,6 +315,7 @@ def test_simplex_family_keeps_its_complete_cadre_at_any_scale(tmp_path,
     # the re-check reads the minors on the report's power of ten
     cadre["determinants_exponent"] += 2
     assert not fo.reverify_report(None, {"candidate": [0.0] * d,
+                                         "tolerances": TOLERANCES,
                                          "necessary": {"cadre": cadre}})["ok"]
 
 
@@ -776,7 +781,7 @@ def test_cadre_membership_oracle_agreement(rng):
             again = fo.verify_alternance(basis.vectors, basis.k0, basis.i0)
             np.testing.assert_allclose(again.determinants,
                                        basis.determinants)
-            report = {"candidate": [0.0] * d,
+            report = {"candidate": [0.0] * d, "tolerances": TOLERANCES,
                       "necessary": {"cadre": basis.to_json()}}
             assert fo.reverify_report(None, report)["ok"]
         margin = lp_chebyshev_center(G.tableau)
@@ -877,7 +882,7 @@ def test_reverify_refuses_tampered_multipliers_at_any_scale():
     no warning; the reported ones pass; ok is a Python bool."""
     for one in (1.0, 1e150, 1e160, 1e300):
         cadre = fo.verify_alternance([(one, 0), (-one, one), (0, -one)])
-        report = {"candidate": [0.0, 0.0],
+        report = {"candidate": [0.0, 0.0], "tolerances": TOLERANCES,
                   "necessary": {"cadre": cadre.to_json()}}
         res = fo.reverify_report(None, report)
         assert res["ok"] is True and res["checks"][0]["ok"] is True
@@ -1138,8 +1143,8 @@ def test_reverify_roundtrip_bazaraa():
     ctx = PointContext(P, x, samp)
     nec = fo.necessary_check(ctx)
     suf = fo.sufficient_check(ctx)
-    report = {"candidate": list(x), "necessary": nec.to_json(),
-              "sufficient": suf.to_json()}
+    report = {"candidate": list(x), "tolerances": TOLERANCES,
+              "necessary": nec.to_json(), "sufficient": suf.to_json()}
     report = json.loads(json.dumps(report))
     res = fo.reverify_report(P, report)
     assert res["ok"] and len(res["checks"]) >= 2
@@ -1158,6 +1163,7 @@ def _stored_report(problem, x):
     """The necessary record of a check at x, through JSON text."""
     nec = fo.necessary_check(PointContext(problem, x, SamplingSpec()))
     return json.loads(json.dumps({"candidate": list(x),
+                                  "tolerances": TOLERANCES,
                                   "necessary": nec.to_json()}))
 
 
@@ -1320,6 +1326,57 @@ def test_reverify_refuses_a_weight_on_what_is_not_active(text, edit, reason):
     res = fo.reverify_report(problem, report)
     assert [c for c in res["checks"] if not c["ok"]] == [
         {"what": "necessary.multipliers", "ok": False, "reason": reason}]
+
+
+def test_reverify_holds_a_report_to_its_tolerances(tmp_path):
+    """A check at --eps-active 1e-5 puts weight on a scenario 1e-6 below
+    the maximum; the re-check reads activity under the report's own
+    tolerances, so it passes.  Before, it used the problem's defaults,
+    under which that scenario is not active, and failed.  A missing,
+    malformed or out-of-range tolerance fails the checks that read it,
+    with its reason, and nothing raises."""
+    path = tmp_path / "near.prob"
+    path.write_text('[problem] dim=1\n[scenario] f="x(1) - 1e-6"\n'
+                    '[scenario] f="-x(1)"\n', encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check", "--file", str(path), "--at", "0",
+                         "--eps-active", "1e-5", "--json"])
+    report = json.loads(out.getvalue())
+    assert code == cli.EXIT_OK
+    assert report["tolerances"] == {**TOLERANCES, "eps_active": 1e-5}
+    problem = load_problem_file(str(path))
+    res = fo.reverify_report(problem, report)
+    assert res["ok"] is True
+    assert [c["what"] for c in res["checks"]] == [
+        "necessary.cadre", "necessary.multipliers", "exit_code"]
+    for tolerances, reason in (
+            (None, "no field 'tolerances'"),
+            ({k: v for k, v in TOLERANCES.items() if k != "eps_det"},
+             "no field 'eps_det'"),
+            ([1e-5], "tolerances [1e-05] is not a table"),
+            ({**TOLERANCES, "eps_active": "1e-5"},
+             "eps_active '1e-5' is not a finite number"),
+            ({**TOLERANCES, "eps_active": True},
+             "eps_active True is not a finite number"),
+            ({**TOLERANCES, "eps_det": math.nan},
+             "eps_det nan is not a finite number"),
+            ({**TOLERANCES, "eps_feas": 0},
+             "eps_feas must be a finite number > 0, got 0.0")):
+        tampered = {k: v for k, v in report.items() if k != "tolerances"}
+        if tolerances is not None:
+            tampered["tolerances"] = tolerances
+        res = fo.reverify_report(problem, tampered)
+        assert res["ok"] is False
+        assert [c for c in res["checks"] if not c["ok"]] == [
+            {"what": what, "ok": False, "reason": reason}
+            for what in ("necessary.cadre", "necessary.multipliers")]
+    # under the defaults, scenario 1 is not active at 0
+    res = fo.reverify_report(problem, {**report, "tolerances": TOLERANCES})
+    assert [c for c in res["checks"] if not c["ok"]] == [
+        {"what": "necessary.multipliers", "ok": False,
+         "reason": "alpha weight on scenario 1, sign 1, which is not active "
+                   "at the candidate"}]
 
 
 def test_reverify_recomputes_the_exit_code(tmp_path):

@@ -172,9 +172,9 @@ def test_tangent_membership_sdp_direction():
     blk = P.blocks[0]
     h = np.array([-1.0, 0.0, 0.0])
     tau = 1e-6
-    lam0 = np.linalg.eigvalsh(blk.matrices(blk.jets(x)))[-1]
+    lam0 = np.linalg.eigvalsh(blk.matrices(blk.jets(x)[0]))[-1]
     lam1 = np.linalg.eigvalsh(
-        blk.matrices(blk.jets(np.asarray(x) + tau * h)))[-1]
+        blk.matrices(blk.jets(np.asarray(x) + tau * h)[0]))[-1]
     assert (lam1 - lam0) / tau <= 1e-3
 
 
@@ -208,7 +208,7 @@ def test_block_distances_shared_with_penalty():
 def test_spectral_data_invariants():
     P, x, _ = registry.get("sdp-example")
     blk = P.blocks[0]
-    M = blk.matrices(blk.jets(x))
+    M = blk.matrices(blk.jets(x)[0])
     spec = spectral_split(M, P.tolerances.eps_rank)
     Q = spec.Q
     assert np.max(np.abs(Q.T @ Q - np.eye(3))) <= 1e-10

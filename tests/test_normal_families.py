@@ -104,7 +104,7 @@ def _ref_generators(blk, x, state, sampling):
             out.append((grad, Provenance("nlp_eq", pos, j, sign=1), 1.0))
             out.append((-grad, Provenance("nlp_eq", pos, j, sign=-1), -1.0))
         return out
-    grads = blk.jets(x, state.active, derivatives=True)[1]
+    grads = blk.jets(x, state.active, 1)[1]
     if blk.kind == "nlp_ineq":
         return [(g, Provenance("nlp_ineq", pos, i), 1.0)
                 for i, g in zip(state.active, grads)]

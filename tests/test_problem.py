@@ -218,12 +218,12 @@ def test_semiinf_grid_is_one_array_and_activity_matches_the_loop(rng):
     assert blk._points.tolist() == list(blk.grid)
     for x in [(0.0, 0.0), (1.0, -1.0), (math.nan, 0.0), (math.inf, 0.0),
               (-1e-9, 5e-9), *rng.uniform(-1, 1, size=(20, 2))]:
-        values = blk.jets(np.array(x)).tolist()
+        values = blk.jets(np.array(x))[0].tolist()
         assert blk.activity(np.array(x), tol, 0).active == [
             i for i, v in enumerate(values)
             if abs(v) <= tol.eps_active or v > 0], x
     rows = [400, 0, 7]
-    assert blk.jets(np.array([1.0, 2.0]), rows).tolist() == [
+    assert blk.jets(np.array([1.0, 2.0]), rows)[0].tolist() == [
         blk.grid[i] + 2.0 for i in rows]
 
 
@@ -335,7 +335,7 @@ def test_semi_infinite_gradients_are_in_x_alone():
         '[semiinf] g="x(2) - 1 - abs(t) + x(1)*t^2 - sqrt(t + 1)*x(2)" '
         'grid=-1:1:5\n')
     blk, x = P.blocks[0], np.array([0.3, -0.7])
-    _, grads, _ = blk.jets(x, derivatives=True)
+    _, grads, _ = blk.jets(x, order=1)
     for t, got in zip(blk.grid, grads):
         if t in (0.0, -1.0):   # abs or sqrt has no derivative in t there
             with pytest.raises(cc.DomainError):
@@ -396,7 +396,7 @@ def test_semi_infinite_stacked_derivatives_match_one_point(text, at):
     blk, x = P.blocks[0], np.array(at)
     indices = range(len(blk.grid))
     for j, g, H in zip(indices,
-                       *blk.jets(x, indices, derivatives=True)[1:]):
+                       *blk.jets(x, indices, 2)[1:]):
         want = ex.eval2(ex.substitute(blk.g, 3, blk.grid[j]), x)
         assert g.tobytes() == want.grad.tobytes()
         assert H.tobytes() == want.hess.tobytes()
@@ -573,7 +573,7 @@ def _frozen_parse_families(texts, d, params=()):
     return families
 
 
-class _FrozenScenarios(pb._Scenarios):
+class _FrozenScenarios(pb._FunctionTable):
     def __init__(self, families):
         self.families = tuple(families)
         self._where = {}
@@ -957,12 +957,14 @@ BLOCK_KINDS = ('[problem] dim=2\n[scenario] f="x(1)"\n'
                '[nlp_ineq] g="x(1)^2 - x(2)" g="sin(x(1)*x(2))" g="x(2)"\n'
                '[nlp_eq] b="x(1)*x(2)^2" b="cos(x(2))" b="exp(x(1))"\n'
                '[semiinf] g="x(1)^2*t + sin(x(2))*t^3 - exp(t)" '
-               'grid=-1:1:7\n')
+               'grid=-1:1:7\n'
+               '[semiinf] g="sin(3*t)*x(1) + t^2*x(2)^2 '
+               '- exp(t)*x(1)*x(2) - 1" grid=-1:1:401\n')
 
 
 def _jets_cases():
     """(problem, point, block) for every block of the registry problems
-    and of a file with scalar blocks, a [semiinf] one among them."""
+    and of a file with scalar blocks, two [semiinf] ones among them."""
     for name in registry.NAMES:
         P, x, _ = registry.get(name, 3 if name == "linf" else None)
         for blk in P.blocks:
@@ -972,33 +974,43 @@ def _jets_cases():
         yield P, np.array([0.3, -0.7]), blk
 
 
-def test_jets_equal_one_evaluation_per_component():
-    """``jets`` gives, bit for bit, each component's ``eval_value`` and,
-    with derivatives, its ``eval2`` value, gradient and Hessian, over all
-    rows, a subset of rows in reverse order and no rows.  A semi-infinite
-    block's components are g at its grid points, t pinned."""
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_jets_equal_one_evaluation_per_component(order):
+    """``jets`` at each order gives, bit for bit, each component's
+    ``eval_value`` and, from order 1, its ``eval2`` gradient and, at
+    order 2, its Hessian, over all rows, a subset of rows in reverse
+    order, a few scattered rows and no rows; a derivative it does not
+    give is None.  A semi-infinite block's components are g at its grid
+    points, t pinned."""
     kinds = set()
     for P, x, blk in _jets_cases():
         kinds.add(blk.kind)
         comps = (list(blk.components) if blk.kind != "semi_infinite" else
                  [ex.substitute(blk.g, P.d + 1, t) for t in blk.grid])
         n = len(comps)
-        for rows in (None, list(range(n - 1, -1, -2)), []):
+        scattered = [i for i in (400, 7, 3, 0) if i < n]
+        for rows in (None, list(range(n - 1, -1, -2)), scattered, []):
             picked = comps if rows is None else [comps[i] for i in rows]
             want = np.array([ex.eval_value(c, x) for c in picked])
-            assert blk.jets(x, rows).tobytes() == want.tobytes()
-            vals, grads, hessians = blk.jets(x, rows, derivatives=True)
-            duals = [ex.eval2(c, x) for c in picked]
+            vals, grads, hessians = blk.jets(x, rows, order)
             assert vals.tobytes() == want.tobytes()
-            assert grads.shape == (len(picked), P.d)
-            assert hessians.shape == (len(picked), P.d, P.d)
-            for g, H, D in zip(grads, hessians, duals):
-                assert g.tobytes() == D.grad.tobytes()
-                assert H.tobytes() == D.hess.tobytes()
+            if order == 0:
+                assert grads is None
+            else:
+                assert grads.shape == (len(picked), P.d)
+                duals = [ex.eval2(c, x) for c in picked]
+                assert grads.tobytes() == np.array(
+                    [D.grad for D in duals]).reshape(-1, P.d).tobytes()
+            if order < 2:
+                assert hessians is None
+            else:
+                assert hessians.shape == (len(picked), P.d, P.d)
+                assert hessians.tobytes() == np.array(
+                    [D.hess for D in duals]).reshape(-1, P.d, P.d).tobytes()
         if blk.kind == "sdp":
             M = [[ex.eval_value(e, x) for e in row] for row in blk.G0]
-            assert blk.matrices(blk.jets(x)).tobytes() == np.array(
-                M).tobytes()
+            assert blk.matrices(blk.jets(x, order=order)[0]).tobytes() == \
+                np.array(M).tobytes()
     assert kinds == {"nlp_ineq", "nlp_eq", "soc", "sdp", "semi_infinite"}
 
 
@@ -1013,7 +1025,7 @@ def test_soc_activity_reads_every_value_before_a_derivative():
     with pytest.raises(cc.DomainError, match="^sqrt of a negative number$"):
         blk.activity(x, P.tolerances, 0)
     with pytest.raises(cc.DomainError, match="^abs has no derivative at 0$"):
-        blk.jets(x, derivatives=True)
+        blk.jets(x, order=1)
 
 
 # ---------------------------------------------------------------------------
@@ -1081,14 +1093,34 @@ def test_scenario_table_is_each_tree_evaluated_alone(monkeypatch, slab):
                             else hess).tobytes() == H.tobytes()
 
 
-def test_a_first_order_check_builds_no_hessian(monkeypatch):
-    """The default check of linf at d = 200 differentiates its 400 active
-    scenarios once, to order 1, and builds no d x d Hessian: every jet
-    pass is of order 1 or 0 (values alone) and gives no Hessian, and no
-    ``eval2`` runs.  Before, each scenario's gradient came from an
-    ``eval2`` that built a 200 x 200 Hessian, twice per scenario in the
-    witness's residual."""
+# a [semiinf] block curved in x, active at the grid point t = 0 at 0
+_CURVED_GRID = ('[problem] dim=2\n[scenario] f="x(1) + x(2)"\n'
+                '[scenario] f="x(1)^2 - x(2)"\n'
+                '[semiinf] g="t*x(1)^2 + (1-t)*x(2) - t^2*exp(x(1))" '
+                'grid=-1:1:9\n')
+
+
+@pytest.mark.parametrize("argv, code, passes", [
+    (["--registry", "linf", "--dim", "200"], 0, 400),
+    (["--registry", "soc-example"], 0, None),
+    (["--registry", "sdp-example"], 0, None),
+    (["--registry", "bazaraa45"], 0, None),
+    (["--file", "{grid}", "--at", "0,0"], 3, None),
+], ids=["linf", "soc", "sdp", "bazaraa45", "semiinf"])
+def test_a_first_order_check_builds_no_hessian(monkeypatch, tmp_path, argv,
+                                               code, passes):
+    """A default check differentiates each active scenario and each block
+    component it reads once, to order 1, and builds no d x d Hessian:
+    every jet pass is of order 1 or 0 (values alone) and gives no
+    Hessian, and no ``eval2`` runs.  The linf check at d = 200 makes 400
+    such passes, one per active scenario.  Before, each scenario's
+    gradient came from an ``eval2`` that built a 200 x 200 Hessian, twice
+    per scenario in the witness's residual, and each block component's
+    too (its normal-cone generators and its share of that residual); a
+    [semiinf] block's grid went through one order-2 pass."""
     from conecert import cli
+    grid = tmp_path / "grid.prob"
+    grid.write_text(_CURVED_GRID, encoding="utf-8")
     seen, real = [], ex.jets
 
     def jets(e, X, d, order=2):
@@ -1098,8 +1130,8 @@ def test_a_first_order_check_builds_no_hessian(monkeypatch):
     monkeypatch.setattr(ex, "jets", jets)
     monkeypatch.setattr(ex, "eval2", lambda *args: pytest.fail("eval2 ran"))
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["check", "--registry", "linf", "--dim", "200",
-                         "--json"]) == 0
+        assert cli.main(["check", *(a.format(grid=grid) for a in argv),
+                         "--json"]) == code
     differentiated = [s for s in seen if s[0]]
-    assert len(differentiated) == 400
+    assert differentiated and passes in (None, len(differentiated))
     assert {s[1:] for s in differentiated} == {(1, False)}

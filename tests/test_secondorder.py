@@ -347,8 +347,11 @@ def test_lagrangian_matches_the_frozen_walks(rng):
     for P, x, blk, dual in _synthetic_duals(rng):
         kinds.add(blk.kind)
         x = np.asarray(x, dtype=float)
-        grad, hess = blk.dual_derivatives(x, dual)
+        grad, hess = blk.dual_derivatives(x, dual, 2)
         _same_bits(grad, _frozen_dual_gradient(blk, x, dual))
+        first, none = blk.dual_derivatives(x, dual, 1)
+        _same_bits(first, grad)
+        assert none is None
         _same_bits(hess, _frozen_dual_hessian(blk, x, dual))
         comps = _components(blk, P.d)
         pairing = _weighted_sum((dual[k], c) for k, c in comps.items())

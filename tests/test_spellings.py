@@ -191,7 +191,9 @@ def _witness_report():
               'g="-x(1)"\n')
     problem = pb.load_problem_text(text)
     ctx = PointContext(problem, [0.0], SamplingSpec())
-    report = {"candidate": [0.0],
+    report = {"candidate": [0.0], "tolerances": {
+                  "eps_active": 1e-8, "eps_rank": 1e-9, "eps_det": 1e-8,
+                  "eps_feas": 1e-8, "eps_pos": 1e-8},
               "necessary": json.loads(json.dumps(
                   fo.necessary_check(ctx).to_json()))}
     return problem, report
@@ -229,7 +231,8 @@ def test_long_sums_check_and_deep_nesting_is_an_input_error(tmp_path):
     and prints and reads back to the same text, as does an [set] equality
     row of 5,000 terms.  So do a chain of 2,000 powers ^1 and one of 960
     minus signs, unary nodes walked by loops too; before, checking the
-    first and printing the second ended in a RecursionError.  3,000
+    first and printing the second ended in a RecursionError; the chain
+    of powers prints without parentheses, as it parses.  3,000
     nested parentheses and 5,000 minus signs in a row pass the parser's
     depth limit and are input errors.  Before, each ended in a
     RecursionError."""
@@ -245,11 +248,17 @@ def test_long_sums_check_and_deep_nesting_is_an_input_error(tmp_path):
     text = pb.problem_to_text(problem)
     assert text.count("x(1)") == 5001
     assert pb.problem_to_text(pb.load_problem_text(text)) == text
-    # a power's base that is a power prints in parentheses
+    # a chain of powers prints as it parses, left to right, with no
+    # parentheses, and reads back through the loader and discretize;
+    # before, it printed 1,999 nested parentheses, which the loader
+    # refused
     text = pb.problem_to_text(pb.load_problem_file(
         tmp_path / "deep-powers.prob"))
-    assert text.endswith('f="' + "(" * 1999 + "x(1)^1" + ")^1" * 1999
-                         + '"\n')
+    assert text.endswith('f="x(1)' + "^1" * 2000 + '"\n')
+    assert pb.problem_to_text(pb.load_problem_text(text)) == text
+    code, out, err = run_cli("discretize", "--file",
+                             str(tmp_path / "deep-powers.prob"), "--at", "0")
+    assert (code, out, err) == (0, text, "")
     text = pb.problem_to_text(pb.load_problem_file(
         tmp_path / "deep-signs-960.prob"))
     assert text.endswith('f="' + "-" * 960 + 'x(1)"\n')
