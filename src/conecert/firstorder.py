@@ -27,9 +27,9 @@ from .linkernel import (EPS_POS, EPS_RANK, SCREEN_CHUNK, combination_residual,
                         lp_membership, positive_combinations, rank,
                         simplex_solve, stacked_rank)
 from .problem import (BLOCK_CLASSES, NlpIneq, Problem, ScenarioJets,
-                      SemiInfinite, _stored_array, _stored_index,
-                      _stored_tolerances, _stored_weight, activity,
-                      evaluate_objective)
+                      SemiInfinite, ToleranceSet, _stored_array,
+                      _stored_index, _stored_tolerances, _stored_weight,
+                      activity, evaluate_objective)
 from .verdict import verdict
 
 __all__ = [
@@ -734,6 +734,21 @@ def _weights_at_active(P: Problem, x, w: MultiplierWitness) -> None:
                              f"candidate")
 
 
+def _report_tolerances(own: ToleranceSet, report: dict, *names):
+    """The re-check's own tolerances with those ``names`` the report
+    states (``_stored_tolerances``) in their place: a stated eps_active
+    or eps_feas may be tighter than its own, not looser, and a stated
+    eps_det, which bounds minors from both sides, must be its own;
+    ValueError naming both values otherwise."""
+    stated = _stored_tolerances(report["tolerances"])
+    for name in names:
+        theirs, mine = getattr(stated, name), getattr(own, name)
+        if theirs > mine or (name == "eps_det" and theirs != mine):
+            raise ValueError(f"the report states {name} {theirs!r}, "
+                             f"which the re-check's {mine!r} does not allow")
+    return replace(own, **{n: getattr(stated, n) for n in names})
+
+
 def reverify_report(P: Problem, report: dict) -> dict:
     """Re-check the witnesses attached to a serialized report.
 
@@ -744,16 +759,18 @@ def reverify_report(P: Problem, report: dict) -> dict:
     reports.  No field of a record is trusted: one that is missing, of
     the wrong type or shape, or an index outside the problem fails its
     check, with the reason in ``reason``, and nothing raises.  The cadres
-    and the multipliers are held to the ``tolerances`` the report states
-    (``_stored_tolerances``), under which they were found.  A multiplier
-    weight must sit on what is active at the candidate
+    and the multipliers are held to the ``tolerances`` the report states,
+    as far as P's allow them (``_report_tolerances``; the defaults where
+    P is None, which re-checks cadres alone).  A multiplier weight must
+    sit on what is active at the candidate
     (``_weights_at_active``), and a report's ``exit_code`` and
     ``because`` (from schema 7) must be those ``verdict.verdict`` gives
     its records."""
     out = {"ok": True, "checks": []}
+    own = ToleranceSet() if P is None else P.tolerances
 
     def cadre_check(data):
-        eps_det = _stored_tolerances(report["tolerances"]).eps_det
+        eps_det = _report_tolerances(own, report, "eps_det").eps_det
         for key in ("k0", "i0"):
             if type(data[key]) is not int:
                 raise ValueError(f"cadre {key} {data[key]!r} is not an "
@@ -780,7 +797,8 @@ def reverify_report(P: Problem, report: dict) -> dict:
         return {"ok": ok, "residual": resid}
 
     def multipliers_check(data):
-        Q = P.with_tolerances(_stored_tolerances(report["tolerances"]))
+        Q = P.with_tolerances(
+            _report_tolerances(own, report, "eps_active", "eps_feas"))
         x = _stored_array(report["candidate"], "candidate", (Q.d,))
         w = witness_from_json(Q, data)
         _weights_at_active(Q, x, w)

@@ -214,7 +214,7 @@ class _Block:
         order, by ``_FunctionTable.passes``, the derivatives None below
         their order and zero-filled where 0 by form (``expr.eval_jets``);
         the first undefined function raises its DomainError."""
-        rows = range(len(self.table)) if rows is None else rows
+        rows = np.arange(len(self.table)) if rows is None else rows
         n, d = len(rows), len(x)
         vals, reasons = np.empty(n), np.zeros(n, dtype=np.int8)
         grads = np.zeros((n, d)) if order else None
@@ -805,6 +805,9 @@ class Problem:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if self.kind == "chebyshev" and len(self.psi) != len(self.scenarios):
             raise ValueError("chebyshev problems need a target per scenario")
+        # a semi-infinite block's t is x(d+1) of its own d
+        if any(getattr(b, "d", self.d) != self.d for b in self.blocks):
+            raise ValueError("a semi-infinite block's d must be the problem's")
         if self.set_A is None:
             object.__setattr__(self, "set_A", PolyhedralSet.free(self.d))
         self.set_A.validate(self.d)

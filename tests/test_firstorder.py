@@ -18,8 +18,8 @@ from conecert.geometry import (GeneratorSet, PointContext, Provenance,
 from conecert.linkernel import (SCREEN_CHUNK, lp_membership,
                                 solve_positive_combination)
 from conecert.oracle import hull_membership_bruteforce
-from conecert.problem import (ScenarioJets, activity, load_problem_file,
-                              load_problem_text)
+from conecert.problem import (ScenarioJets, ToleranceSet, activity,
+                              load_problem_file, load_problem_text)
 from conftest import random_generator_family
 
 # the tolerances a default check states in its report
@@ -1326,15 +1326,28 @@ def test_reverify_refuses_a_weight_on_what_is_not_active(text, edit, reason):
     res = fo.reverify_report(problem, report)
     assert [c for c in res["checks"] if not c["ok"]] == [
         {"what": "necessary.multipliers", "ok": False, "reason": reason}]
+    # loosening the stated tolerances with the weight does not get it past
+    report["tolerances"] = {**TOLERANCES, "eps_active": 1.0,
+                            "eps_feas": 10.0, "eps_det": 1e-300}
+    res = fo.reverify_report(problem, report)
+    assert [c for c in res["checks"] if not c["ok"]] == [
+        {"what": "necessary.cadre", "ok": False,
+         "reason": "the report states eps_det 1e-300, which the "
+                   "re-check's 1e-08 does not allow"},
+        {"what": "necessary.multipliers", "ok": False,
+         "reason": "the report states eps_active 1.0, which the "
+                   "re-check's 1e-08 does not allow"}]
 
 
 def test_reverify_holds_a_report_to_its_tolerances(tmp_path):
     """A check at --eps-active 1e-5 puts weight on a scenario 1e-6 below
-    the maximum; the re-check reads activity under the report's own
-    tolerances, so it passes.  Before, it used the problem's defaults,
-    under which that scenario is not active, and failed.  A missing,
-    malformed or out-of-range tolerance fails the checks that read it,
-    with its reason, and nothing raises."""
+    the maximum.  The re-check reads activity under the report's own
+    tolerances where the problem's allow them: it passes against the
+    problem at eps_active 1e-5 or looser, and against the defaults it
+    fails, with a reason that names both tolerances.  A report that
+    states a tighter tolerance is held to it.  A missing, malformed or
+    out-of-range tolerance fails the checks that read it, with its
+    reason, and nothing raises."""
     path = tmp_path / "near.prob"
     path.write_text('[problem] dim=1\n[scenario] f="x(1) - 1e-6"\n'
                     '[scenario] f="-x(1)"\n', encoding="utf-8")
@@ -1345,11 +1358,25 @@ def test_reverify_holds_a_report_to_its_tolerances(tmp_path):
     report = json.loads(out.getvalue())
     assert code == cli.EXIT_OK
     assert report["tolerances"] == {**TOLERANCES, "eps_active": 1e-5}
-    problem = load_problem_file(str(path))
-    res = fo.reverify_report(problem, report)
-    assert res["ok"] is True
-    assert [c["what"] for c in res["checks"]] == [
-        "necessary.cadre", "necessary.multipliers", "exit_code"]
+    defaults = load_problem_file(str(path))
+    res = fo.reverify_report(defaults, report)
+    assert [c for c in res["checks"] if not c["ok"]] == [
+        {"what": "necessary.multipliers", "ok": False,
+         "reason": "the report states eps_active 1e-05, which the "
+                   "re-check's 1e-08 does not allow"}]
+    for eps_active in (1e-5, 1e-4):
+        res = fo.reverify_report(defaults.with_tolerances(
+            ToleranceSet(eps_active=eps_active)), report)
+        assert res["ok"] is True
+        assert [c["what"] for c in res["checks"]] == [
+            "necessary.cadre", "necessary.multipliers", "exit_code"]
+    problem = defaults.with_tolerances(ToleranceSet(eps_active=1e-5))
+    # stated tighter, scenario 1 is not active at 0
+    res = fo.reverify_report(problem, {**report, "tolerances": TOLERANCES})
+    assert [c for c in res["checks"] if not c["ok"]] == [
+        {"what": "necessary.multipliers", "ok": False,
+         "reason": "alpha weight on scenario 1, sign 1, which is not active "
+                   "at the candidate"}]
     for tolerances, reason in (
             (None, "no field 'tolerances'"),
             ({k: v for k, v in TOLERANCES.items() if k != "eps_det"},
@@ -1371,12 +1398,6 @@ def test_reverify_holds_a_report_to_its_tolerances(tmp_path):
         assert [c for c in res["checks"] if not c["ok"]] == [
             {"what": what, "ok": False, "reason": reason}
             for what in ("necessary.cadre", "necessary.multipliers")]
-    # under the defaults, scenario 1 is not active at 0
-    res = fo.reverify_report(problem, {**report, "tolerances": TOLERANCES})
-    assert [c for c in res["checks"] if not c["ok"]] == [
-        {"what": "necessary.multipliers", "ok": False,
-         "reason": "alpha weight on scenario 1, sign 1, which is not active "
-                   "at the candidate"}]
 
 
 def test_reverify_recomputes_the_exit_code(tmp_path):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,6 +206,11 @@ def test_problem_format_semiinf_grid():
         '[semiinf] g="x(1)*t - 1" grid=0:1:5\n')
     blk = P.blocks[0]
     np.testing.assert_allclose(blk.grid, [0.0, 0.25, 0.5, 0.75, 1.0])
+    # t is x(d+1) of the block's own d, which must be the problem's: else
+    # its table would take x(1) for t, or leave t to be differentiated
+    for d, blk_d in ((2, 1), (1, 2)):
+        with pytest.raises(ValueError, match="semi-infinite block's d"):
+            replace(P, d=d, set_A=None, blocks=(replace(blk, d=blk_d),))
 
 
 def test_semiinf_grid_is_one_array_and_activity_matches_the_loop(rng):
