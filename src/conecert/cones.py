@@ -539,21 +539,15 @@ def row_norms(H) -> np.ndarray:
 
 
 def builtin_max(rows) -> np.ndarray:
-    """Column by column, Python's ``max`` over the rows in order: a row
-    replaces the running value only where it is strictly greater, so NaN
-    and signed zeros come out as the builtin's do.  The rows of a 2-D
-    array, or the numbers of a 1-D one, are reduced at once: the answer is
-    the first row's NaN, or else the first of the largest numbers that are
-    not NaN.  Any other iterable of rows is reduced as its rows come."""
-    if isinstance(rows, np.ndarray):
-        at = np.argmax(np.where(np.isnan(rows), -np.inf, rows), axis=0)
-        top = rows[at] if rows.ndim == 1 else rows[at, np.arange(at.size)]
-        return np.where(np.isnan(rows[0]), rows[0], top)
-    rows = iter(rows)
-    out = next(rows)
-    for row in rows:
-        out = np.where(row > out, row, out)
-    return out
+    """Column by column, Python's ``max`` over the rows of a 2-D array in
+    order, or over the numbers of a 1-D one: a row replaces the running
+    value only where it is strictly greater, so NaN and signed zeros come
+    out as the builtin's do.  The rows are reduced at once: the answer is
+    the first row's NaN, or else the first of the largest numbers that
+    are not NaN."""
+    at = np.argmax(np.where(np.isnan(rows), -np.inf, rows), axis=0)
+    top = rows[at] if rows.ndim == 1 else rows[at, np.arange(at.size)]
+    return np.where(np.isnan(rows[0]), rows[0], top)
 
 
 def unit_rows(V, floor: float):

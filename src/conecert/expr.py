@@ -724,10 +724,10 @@ class Family:
         return self.template.map_nodes(lambda node: node.member(k))
 
     def stacked(self, ks) -> Expression:
-        """The template of the members at the positions ``ks`` alone: each
-        ``Column`` cut to their rows, in the order of ``ks``."""
-        ks = list(ks)
-        if len(ks) == len(self.members) and ks == list(range(len(ks))):
+        """The template of the members at the positions ``ks`` (a list or
+        a slice) alone: each ``Column`` cut to their rows, in order."""
+        if type(ks) is list and len(ks) == len(self.members) and \
+                ks == list(range(len(ks))):
             return self.template
         return self.template.map_nodes(
             lambda node: Column(node.value[ks]) if isinstance(node, Column)

@@ -20,7 +20,8 @@ other module branches on the kind:
 - ``activity(x, tol, position)``: the block's BlockActivity at x (active
   indices, second-order-cone state, matrix spectral data);
 - ``violations(pts, position)``: (description, amounts) pairs, one amount
-  per point of the stack ``pts``, for check_feasible and feasibility;
+  per point of the stack ``pts``, for check_feasible and feasibility,
+  from the block's ``table`` read at every point at once;
 - ``distance(x)``: distance of the block value to its cone in the block
   norm, the exact-penalty term;
 - ``normal_generators(x, state, sampling)``: the NormalFamily of
@@ -55,7 +56,8 @@ Chebyshev fit has thousands of scenarios that differ only in their
 decimal literals; loading such a file parses each distinct shape once
 and keeps the literals as arrays, ``evaluate_objective`` and
 ``objective_values`` evaluate one family at a time, stacked over its
-members, and so does ``ScenarioJets`` for the derivatives of the active
+members (``_FunctionTable.stack``, in slabs over a wide stack of
+points), and so does ``ScenarioJets`` for the derivatives of the active
 scenarios, stacked over those members alone.  ``P.scenarios[i]`` builds
 scenario i's tree on first access.  A Problem built from trees puts each
 tree in a family of its own.  The loader reads most
@@ -169,14 +171,9 @@ class NormalFamily(NamedTuple):
 class _Points:
     """Points stacked as the columns of ``X`` (one row per variable).
 
-    ``values`` evaluates an expression at every point and collects in
+    ``values`` evaluates a function table at every point and collects in
     ``undefined`` the points where a value is undefined, and in ``reason``
-    the reason code (``expr.eval_reasons``) of the first undefined value
-    met."""
-
-    # columns per evaluation when a block repeats the points (the
-    # semi-infinite grid), which bounds the memory of a stacked evaluation
-    MAX_COLUMNS = 1 << 16
+    the reason code of the first undefined value met (``note``)."""
 
     def __init__(self, X):
         self.X = np.ascontiguousarray(X, dtype=float)
@@ -184,17 +181,18 @@ class _Points:
         self.undefined = np.zeros(self.n, dtype=bool)
         self.reason = 0
 
-    def values(self, e, X=None) -> np.ndarray:
-        """Values of e at the columns of X: by default the points; else
-        blocks of n columns, each block a copy of the points extended by
-        parameter rows."""
-        X = self.X if X is None else X
-        vals, reasons = ex.eval_reasons(e, X)
-        if reasons.any():
-            if not self.reason:
-                self.reason = reasons[np.argmax(reasons != 0)]
-            self.undefined |= reasons.reshape(-1, self.n).any(axis=0)
+    def values(self, table) -> np.ndarray:
+        """The table's values at the points, one row per function."""
+        vals, reasons, _, _ = table.stack(self.X)
+        self.note(reasons)
         return vals
+
+    def note(self, reasons):
+        """Record reason codes, one per point on the last axis."""
+        if np.count_nonzero(reasons):
+            if not self.reason:
+                self.reason = reasons.flat[np.argmax(reasons != 0)]
+            self.undefined |= reasons.reshape(-1, self.n).any(axis=0)
 
 
 class _Block:
@@ -211,22 +209,9 @@ class _Block:
     def jets(self, x, rows=None, order=0):
         """(values, gradients (n, d), Hessians (n, d, d)) at x of the
         table's functions (all, or those of the indices ``rows``), in
-        order, by ``_FunctionTable.passes``, the derivatives None below
-        their order and zero-filled where 0 by form (``expr.eval_jets``);
-        the first undefined function raises its DomainError."""
-        rows = np.arange(len(self.table)) if rows is None else rows
-        n, d = len(rows), len(x)
-        vals, reasons = np.empty(n), np.zeros(n, dtype=np.int8)
-        grads = np.zeros((n, d)) if order else None
-        hess = np.zeros((n, d, d)) if order == 2 else None
-        for part, (v, r, g, H) in self.table.passes(x, rows, order):
-            if part[-1] - part[0] == len(part) - 1:   # a run of positions
-                part = slice(part[0], part[-1] + 1)
-            vals[part], reasons[part] = v, r
-            if g is not None:
-                grads[part] = g
-            if H is not None:
-                hess[part] = H
+        order (``_FunctionTable.stack``); the first undefined function
+        raises its DomainError."""
+        vals, reasons, grads, hess = self.table.stack(x, rows, order)
         ex.raise_undefined(reasons)
         return vals, grads, hess
 
@@ -337,8 +322,8 @@ class NlpIneq(_NlpBlock):
     key = "g"
 
     def violations(self, pts, position):
-        return [(f"block {position} inequality {i + 1}", pts.values(g))
-                for i, g in enumerate(self.g)]
+        return [(f"block {position} inequality {i + 1}", v)
+                for i, v in enumerate(pts.values(self.table))]
 
     def distance(self, x):
         return sum(max(0.0, v) for v in self.jets(x)[0].tolist())
@@ -359,8 +344,8 @@ class NlpEq(_NlpBlock):
                              active=list(range(len(self.b))))
 
     def violations(self, pts, position):
-        return [(f"block {position} equality {j + 1}", np.abs(pts.values(b)))
-                for j, b in enumerate(self.b)]
+        return [(f"block {position} equality {j + 1}", v)
+                for j, v in enumerate(np.abs(pts.values(self.table)))]
 
     def distance(self, x):
         return sum(abs(v) for v in self.jets(x)[0].tolist())
@@ -411,7 +396,7 @@ class Soc(_ConeBlock):
                              sampled=state == "origin" and self.l >= 2)
 
     def violations(self, pts, position):
-        vals = np.array([pts.values(g) for g in self.g])
+        vals = pts.values(self.table)
         return [(f"block {position} second-order cone",
                  row_norms(vals[1:].T) - vals[0])]
 
@@ -524,8 +509,7 @@ class Sdp(_ConeBlock):
                              sampled=spec.null_basis.shape[1] > 1)
 
     def violations(self, pts, position):
-        M = self.matrices([pts.values(e) for e in self.components]).transpose(
-            2, 0, 1)
+        M = self.matrices(pts.values(self.table)).transpose(2, 0, 1)
         # a matrix with an undefined or non-finite entry has no
         # eigenvalues: its amount is NaN, a violation; a NaN matrix in the
         # stack could make eigvalsh fail for every point
@@ -637,22 +621,18 @@ class SemiInfinite(_ScalarBlock):
             np.arange(len(self.grid)))])
 
     def violations(self, pts, position):
-        # the grid points in chunks, each chunk's columns t-major
-        step = max(1, pts.MAX_COLUMNS // max(pts.n, 1))
-        nan = np.zeros(pts.n, dtype=bool)
-
-        def rows():
-            for lo in range(0, len(self.grid), step):
-                t = self._points[lo:lo + step]
-                X = np.vstack([np.tile(pts.X, len(t)), np.repeat(t, pts.n)])
-                chunk = pts.values(self.g, X).reshape(len(t), pts.n)
-                nan[:] |= np.isnan(chunk).any(axis=0)
-                yield from chunk
-        # the maximum skips a NaN after the first grid point; NaN anywhere
-        # on the grid is a violation
-        amounts = builtin_max(rows())
+        # the maximum over the grid in order is each slab's maximum, then
+        # the maximum of those: a later value replaces the running one
+        # only where it is strictly greater; NaN anywhere on the grid is a
+        # violation, though the maximum skips it after the first value
+        nan, tops = np.zeros(pts.n, dtype=bool), []
+        for _, (v, r, _, _) in self.table.passes(pts.X):
+            v, r = np.broadcast_arrays(np.atleast_2d(v), r)
+            pts.note(r)
+            nan |= np.isnan(v).any(axis=0)
+            tops.append(builtin_max(v))
         return [(f"block {position} semi-infinite",
-                 np.where(nan, math.nan, amounts))]
+                 np.where(nan, math.nan, builtin_max(np.array(tops))))]
 
     def distance(self, x):
         return max(0.0, max(self.jets(x)[0].tolist()))
@@ -750,22 +730,71 @@ class _FunctionTable(Sequence):
             self._trees[i] = fam.tree(int(self._member[i]))
         return self._trees[i]
 
-    def passes(self, x, rows, order):
-        """(positions in ``rows``, ``expr.jets`` at x) of one pass per
-        family over its template cut to its members in ``rows``
-        (``Family.stacked``), building no member's tree; at order 2 in
-        slabs, no Hessian stack over ``SLAB_FLOATS`` entries."""
-        d, rows = len(x), np.asarray(rows, dtype=np.intp)
-        step = max(1, len(rows) if order < 2 else SLAB_FLOATS // (d * d))
-        members = self._member[rows].tolist()
-        groups = {}   # family -> the positions of its members in rows
-        for pos, f in enumerate(self._family[rows].tolist()):
-            groups.setdefault(f, []).append(pos)
-        for f, positions in groups.items():
-            for lo in range(0, len(positions), step):
-                part = positions[lo:lo + step]
-                yield part, ex.jets(self.families[f].stacked(
-                    [members[p] for p in part]), x, d if order else 0, order)
+    @cached_property
+    def _positions(self):
+        """Each family's functions, in member order: a range where they
+        run in order, else their indices."""
+        out = []
+        for fam in self.families:
+            m = fam.members.tolist()
+            run = range(m[0], m[-1] + 1)
+            out.append(run if m == list(run) else fam.members)
+        return out
+
+    def passes(self, X, rows=None, order=0):
+        """(positions, ``expr.jets`` at X) of one pass per family: X is one
+        point or, at order 0, a stack of points (its columns).  Every
+        function, each family's template in table order (positions a range
+        where they run in order), or those of the indices ``rows``, the
+        template cut to its members there (``Family.stacked``).  No pass
+        holds more than ``SLAB_FLOATS`` numbers per function (a value per
+        point at order 0, a Hessian's d^2 at order 2); a one-point pass
+        below order 2 is not cut."""
+        d = len(X) if order else 0
+        per = d * d if order == 2 else 1 if order else np.size(X[0])
+        step = max(1, SLAB_FLOATS // per) if per > 1 else len(self)
+        if rows is None:
+            groups = ((fam, at, None)
+                      for fam, at in zip(self.families, self._positions))
+        else:
+            rows = np.asarray(rows, dtype=np.intp)
+            members = self._member[rows].tolist()
+            found = {}   # family -> the positions of its members in rows
+            for pos, f in enumerate(self._family[rows].tolist()):
+                found.setdefault(f, []).append(pos)
+            groups = ((self.families[f], at, [members[p] for p in at])
+                      for f, at in found.items())
+        for fam, at, ks in groups:   # ks: the members, None for all
+            if len(at) <= step:
+                yield at, ex.jets(fam.template if ks is None else
+                                  fam.stacked(ks), X, d, order)
+                continue
+            for lo in range(0, len(at), step):
+                cut = slice(lo, lo + step) if ks is None else ks[lo:lo + step]
+                yield at[lo:lo + step], ex.jets(fam.stacked(cut), X, d, order)
+
+    def stack(self, X, rows=None, order=0):
+        """(values, reasons, gradients, Hessians) of the functions (all,
+        or those of the indices ``rows``, in order) at X by ``passes``, one
+        row per function: a value per point of a stack X; at one point the
+        derivatives, None below their order and zero-filled where 0 by
+        form (``expr.eval_jets``)."""
+        n, d = len(self) if rows is None else len(rows), len(X)
+        shape = (n,) + np.shape(X)[1:]
+        vals, reasons = np.empty(shape), np.zeros(shape, dtype=np.int8)
+        grads = np.zeros((n, d)) if order else None
+        hess = np.zeros((n, d, d)) if order == 2 else None
+        for part, (v, r, g, H) in self.passes(X, rows, order):
+            if type(part) is range:
+                part = slice(part.start, part.stop)
+            elif type(part) is list and part[-1] - part[0] == len(part) - 1:
+                part = slice(part[0], part[-1] + 1)   # rows in order
+            vals[part], reasons[part] = v, r
+            if g is not None:
+                grads[part] = g
+            if H is not None:
+                hess[part] = H
+        return vals, reasons, grads, hess
 
     def jets(self, x, numbers, order):
         """{s: (value, reason, grad, hess)} at x of the functions numbered
@@ -833,14 +862,8 @@ class ActiveSets:
 def _deviations(P: Problem, X):
     """Every scenario's value at every column of X, less its target in a
     Chebyshev problem, one row per scenario, and the reason codes of the
-    undefined values (``expr.eval_reasons``); one stacked pass per
-    family."""
-    shape = (len(P.scenarios), X.shape[1])
-    devs, reasons = np.zeros(shape), np.zeros(shape, dtype=np.int8)
-    for fam in P.scenarios.families:
-        # a template without a Column leaf gives one row for all
-        devs[fam.members], reasons[fam.members] = ex.eval_reasons(
-            fam.template, X)
+    undefined values (``_FunctionTable.stack``)."""
+    devs, reasons, _, _ = P.scenarios.stack(X)
     if P.kind == "chebyshev":
         with np.errstate(all="ignore"):
             devs -= np.array(P.psi)[:, None]
@@ -1395,44 +1418,19 @@ def _load(text, source, tolerances, shapes):
         raise ProblemFormatError(str(err), "problem", 1)
 
 
-def _x_dependence(node: ex.Expression):
-    """Whether node depends on x, or None when it is not affine in x: x
-    enters through sums, differences and negations, products with at most
-    one factor in x and quotients by a denominator free of x, never
-    through a power or a function."""
-    if isinstance(node, ex.Var):
-        return True
-    if isinstance(node, ex.Neg):
-        return _x_dependence(node.arg)
-    if isinstance(node, (ex.Pow, ex.Func)):
-        inner = _x_dependence(node.base if isinstance(node, ex.Pow)
-                              else node.arg)
-        return False if inner is False else None
-    if not isinstance(node, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
-        return False                        # a constant
-    spine = node.spine()   # a loop: a long sum is a deep spine
-    lhs = _x_dependence(spine[-1].lhs)
-    for node in reversed(spine):
-        rhs = _x_dependence(node.rhs)
-        if lhs is None or rhs is None or (isinstance(node, ex.Div) and rhs) \
-                or (isinstance(node, ex.Mul) and lhs and rhs):
-            return None
-        lhs = lhs or rhs
-    return lhs
-
-
 def _linear_row(node: ex.Expression, d: int, section, line):
-    """Coefficients of an affine expression (``_x_dependence``), its
-    gradient at 0; rejects nonlinear eq= rows and rows undefined at 0."""
-    vals, reasons, grads, _ = ex.eval_jets(node, np.zeros((d, 1)), d)
-    if _x_dependence(node) is None or reasons.any():
+    """Coefficients of an affine expression, its gradient at 0: one whose
+    Hessian is 0 by its form (``expr.Expression``); rejects nonlinear eq=
+    rows and rows undefined at 0."""
+    val, reason, grad, hess = ex.jets(node, np.zeros(d), d, 2)
+    if hess is not None or reason:
         raise ProblemFormatError("eq rows must be affine", section, line)
-    if abs(vals[0]) > 0:   # constant offsets fold into the right-hand side
+    if abs(val) > 0:   # constant offsets fold into the right-hand side
         raise ProblemFormatError(
             "write constants on the right-hand side of eq", section, line)
-    if np.all(grads[0] == 0):
+    if grad is None or np.all(grad == 0):
         raise ProblemFormatError("eq row has no variables", section, line)
-    return grads[0].tolist()
+    return grad.tolist()
 
 
 def load_problem_file(path, tolerances: ToleranceSet | None = None) -> Problem:

@@ -365,16 +365,19 @@ def test_semi_infinite_gradients_are_in_x_alone():
     ("sin(x(1)) + x(2) = 0", "eq rows must be affine"),
     ("x(2) + 1/(1 - 1) = 0", "eq rows must be affine"),
     ("x(2) + 1 = 0", "write constants on the right-hand side of eq"),
+    # x(1)^0 is 1, with gradient 0 and no Hessian
+    ("x(1)^0 + x(2) = 0", "write constants on the right-hand side of eq"),
     ("0*x(2) = 1", "eq row has no variables"),
 ])
 def test_eq_rows_are_read_off_two_points(eq, message):
-    """An eq= row is affine by its structure: x enters through sums,
-    differences, negations, products with one factor in x and quotients
-    by a denominator free of x, never through a power or a function, and
-    the row is defined.  Its derivatives read at points took x(1)^4 -
-    4/3 x(1)^3 + x(2) (Hessian 0 at 0) and 5 x(1)^3 - 7.5 x(1)^4 +
-    3 x(1)^5 + x(2) (Hessian 0 and the same gradient at 0 and at the point
-    of ones) for x(2)."""
+    """An eq= row is affine by its form: the evaluator carries no Hessian
+    for it (docs/grammar.md), as for x entering through sums,
+    differences, negations, products with one factor in x, quotients by a
+    denominator free of x and a power ^1, never through another power or
+    a function, and the row is defined at 0.  Its derivatives read at
+    points took x(1)^4 - 4/3 x(1)^3 + x(2) (Hessian 0 at 0) and
+    5 x(1)^3 - 7.5 x(1)^4 + 3 x(1)^5 + x(2) (Hessian 0 and the same
+    gradient at 0 and at the point of ones) for x(2)."""
     head = '[problem] dim=2\n[scenario] f="x(2)"\n[set] eq='
     with pytest.raises(ProblemFormatError) as err:
         load_problem_text(head + f'"{eq}"\n')
@@ -384,6 +387,8 @@ def test_eq_rows_are_read_off_two_points(eq, message):
     P = load_problem_text(
         head + '"-(x(1)*2^2)/(4*cos(0)) + 0.5*x(2)*3 - x(2)/2 = 0"\n')
     assert P.set_A.E == ((-1.0, 1.0),)
+    P = load_problem_text(head + '"x(1)^1 + x(2) = 0"\n')
+    assert P.set_A.E == ((1.0, 1.0),)
 
 
 @pytest.mark.parametrize("text,at", [
@@ -1141,3 +1146,28 @@ def test_a_first_order_check_builds_no_hessian(monkeypatch, tmp_path, argv,
     differentiated = [s for s in seen if s[0]]
     assert differentiated and passes in (None, len(differentiated))
     assert {s[1:] for s in differentiated} == {(1, False)}
+
+
+def test_checks_evaluate_through_the_function_table(monkeypatch, tmp_path):
+    """Every value and derivative a check reads, its second-order, penalty
+    and growth-probe parts included, and every one ``discretize`` reads,
+    comes from the function table's passes (``expr.jets``): no
+    ``eval_reasons``, ``eval_value`` or ``eval2`` runs.  The finite
+    differences of ``oracle.fd_*`` keep ``eval_reasons``: they are
+    references independent of what they check."""
+    from conecert import cli
+    grid = tmp_path / "grid.prob"
+    grid.write_text(_CURVED_GRID, encoding="utf-8")
+    for name in ("eval_reasons", "eval_value", "eval2"):
+        monkeypatch.setattr(ex, name, lambda *args, name=name: pytest.fail(
+            f"{name} ran"))
+    checks = [["--registry", name] + ["--dim", "3"] * (name == "linf")
+              for name in registry.NAMES]
+    checks.append(["--file", str(grid), "--at", "0,0"])
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        for argv in checks:
+            assert cli.main(["check", *argv, "--second-order", "--penalty",
+                             "10", "--oracle", "--json"]) in (0, 2, 3), argv
+        assert cli.main(["discretize", "--file", str(grid),
+                         "--at", "0,0"]) == 0

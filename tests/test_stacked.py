@@ -504,18 +504,38 @@ def test_undefined_matrix_entries_reach_no_eigensolver(monkeypatch):
 
 
 def test_semi_infinite_chunks_keep_the_grid_order(monkeypatch):
-    """A stack wider than one evaluation is split along the grid; the
-    maximum still runs over the grid in order."""
+    """A stack wider than one slab is split along the grid; the maximum
+    still runs over the grid in order.  On a grid of 7 points, slabs of 1,
+    2 and 3 points put a NaN (inf * 0 at t = 0) and tied maxima 0.0 and
+    -0.0 on their boundaries: each point's amount is max() over the grid
+    in order, or NaN where a value on the grid is NaN."""
     text, x = _FILES["semiinf-curved"]
     P = load_problem_text(text)
     pts = np.asarray(x) + np.random.default_rng(4).normal(
         scale=0.3, size=(40, 2))
     wide = pb.feasibility(P, pts.T)
-    monkeypatch.setattr(pb._Points, "MAX_COLUMNS", 3 * 40)
+    monkeypatch.setattr(pb, "SLAB_FLOATS", 3 * 40)
     assert all(np.array_equal(a, b)
                for a, b in zip(pb.feasibility(P, pts.T), wide))
     for y in pts[:5]:
         _assert_same(pb.check_feasible(P, y), _ref_check_feasible(P, y))
+    blk = load_problem_text('[problem] dim=1\n[scenario] f="x(1)"\n'
+                            '[semiinf] g="x(1)*t" grid=-1:1:7\n').blocks[0]
+    X = np.array([[0.0, -0.0, math.inf, 1.0]])
+    want = []
+    for y in X[0].tolist():
+        vals = [y * t for t in blk.grid]
+        want.append(math.nan if any(map(math.isnan, vals)) else max(vals))
+    assert [_bits(v) for v in want[:2]] == [_bits(-0.0), _bits(0.0)]
+    for slab in (1, 2, 3, 7):
+        monkeypatch.setattr(pb, "SLAB_FLOATS", slab * X.shape[1])
+        pts = pb._Points(X)
+        [(_, got)] = blk.violations(pts, 0)
+        _assert_same(got.tolist(), want, slab)
+        assert not pts.undefined.any()
+    # a stack of no points has no amounts
+    [(_, got)] = blk.violations(pb._Points(np.empty((1, 0))), 0)
+    assert got.shape == (0,)
 
 
 def test_objective_values_match_evaluate_objective(rng):
