@@ -17,9 +17,10 @@ Walther, *Evaluating Derivatives*, on sparsity in forward mode).
 
 Many texts that differ only in their decimal literals, as the scenarios of
 a discretised Chebyshev fit do, are parsed together (``parse_families``):
-each distinct shape is parsed once into a ``Family``, whose template
-holds every member's literals as arrays.  The template evaluates all
-members at once, and a member's own tree is built on request.
+each shape of two or more texts is parsed once into a ``Family``, whose
+template holds every member's literals as arrays, and a text of a shape
+of its own is parsed into its tree.  The template evaluates all members
+at once, and a member's own tree is built on request.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ __all__ = [
     "Expression", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Func",
     "Dual2", "ExprError", "ExprSyntaxError", "UnknownIdentifier",
     "VariableIndexOutOfRange", "DomainError",
-    "Column", "Family", "parse", "parse_families", "skeletons", "to_string",
+    "Column", "Family", "family", "parse", "parse_families", "skeletons",
+    "to_string",
     "eval2", "eval_value", "eval_values", "eval_reasons", "raise_undefined",
     "eval_jets", "jets", "substitute",
 ]
@@ -712,9 +714,9 @@ class Family:
     """Parsed texts of one shape.  ``template`` is their common tree, in
     which each free literal is a ``Column`` holding its value in every
     member, in the order of ``members``, the members' positions in the
-    parsed list.  ``eval_values(template, X)`` evaluates every member at
-    once, one row per member (a template without a ``Column`` gives one
-    row, the same for all)."""
+    parsed list, increasing.  ``eval_values(template, X)`` evaluates every
+    member at once, one row per member (a template without a ``Column``
+    gives one row, the same for all)."""
 
     template: Expression
     members: np.ndarray
@@ -724,11 +726,9 @@ class Family:
         return self.template.map_nodes(lambda node: node.member(k))
 
     def stacked(self, ks) -> Expression:
-        """The template of the members at the positions ``ks`` (a list or
-        a slice) alone: each ``Column`` cut to their rows, in order."""
-        if type(ks) is list and len(ks) == len(self.members) and \
-                ks == list(range(len(ks))):
-            return self.template
+        """The template of the members at the positions ``ks`` (an array of
+        them or a slice) alone: each ``Column`` cut to their rows, in
+        order."""
         return self.template.map_nodes(
             lambda node: Column(node.value[ks]) if isinstance(node, Column)
             else node)
@@ -783,38 +783,52 @@ def skeletons(texts) -> dict:
     return shapes
 
 
-def parse_families(shapes, d: int, params: tuple[str, ...] = ()) -> list:
+def family(pieces, members, literals, d: int, params: tuple[str, ...] = ()):
+    """The ``Family`` of the texts ``members`` of the skeleton ``pieces``
+    (the text around their free literals; ``literals``, strings, member
+    after member), or None when the skeleton does not parse.  It is parsed
+    once, with the literals as ``Column`` leaves; unary minus negates a
+    whole column as it negates one literal, so every member's tree equals
+    its own parse.  The literals are converted by one ``map(float, ...)``,
+    so each value has the bits its own parse gives it."""
+    columns = np.fromiter(map(float, literals), float, len(literals))
+    columns = columns.reshape(len(members), len(pieces) - 1)
+    try:
+        # each piece's end token gives way to the next literal
+        tokens = _tokenize(pieces[0])
+        for slot, piece in enumerate(pieces[1:]):
+            tokens[-1:] = [("lit", slot, 0)] + _tokenize(piece)
+        template = _parse_tokens(tokens, d, params,
+                                 [Column(c) for c in columns.T])
+    except ExprError:
+        return None
+    return Family(template, np.array(members))
+
+
+def parse_families(shapes, d: int, params: tuple[str, ...] = ()) -> tuple:
     """Parse texts grouped by skeleton, as ``parse`` parses each, into
-    families.  ``shapes`` maps each skeleton, the text around a text's free
-    literals, to its texts' positions and their literals (``skeletons``; a
-    problem file's reader groups its [scenario] lines itself, matching
-    most lines once).  Each skeleton is parsed once, with the literals as
-    ``Column`` leaves; unary minus negates a whole column as it negates
-    one literal, so every member's tree equals its own parse.  A family's
-    literals are converted by one ``map(float, ...)``, so each value has
-    the bits its own parse gives it.  A skeleton that does not parse is
-    not shared: its texts, its pieces around each member's literals, go
-    through ``parse`` one at a time, so that the first raises its own
-    error.  Families come in the order of their first members."""
+    (trees, families).  ``shapes`` maps each skeleton, the text around a
+    text's free literals, to its texts' positions and their literals
+    (``skeletons``; a problem file's reader groups its [scenario] lines
+    itself, matching most lines once).  A skeleton of two or more members
+    that parses is one ``family``; ``families`` come in the order of their
+    first members.  Every other text, a skeleton of its own or one that
+    does not parse, is parsed alone, its pieces around its literals, and
+    ``trees`` holds its tree at its position (None at a family member's),
+    so that the first that does not parse raises its own error."""
+    trees = [None] * sum(len(members) for members, _ in shapes.values())
     families = []
     for pieces, (members, literals) in shapes.items():
+        if len(members) > 1:
+            fam = family(pieces, members, literals, d, params)
+            if fam is not None:
+                families.append(fam)
+                continue
         k = len(pieces) - 1
-        columns = np.fromiter(map(float, literals), float, len(literals))
-        columns = columns.reshape(len(members), k)
-        try:
-            # each piece's end token gives way to the next literal
-            tokens = _tokenize(pieces[0])
-            for slot, piece in enumerate(pieces[1:]):
-                tokens[-1:] = [("lit", slot, 0)] + _tokenize(piece)
-            template = _parse_tokens(tokens, d, params,
-                                     [Column(c) for c in columns.T])
-        except ExprError:
-            families += [Family(parse("".join(map(str.__add__, pieces, [
-                *literals[j * k:j * k + k], ""])), d, params), np.array([i]))
-                for j, i in enumerate(members)]
-            continue
-        families.append(Family(template, np.array(members)))
-    return families
+        for j, i in enumerate(members):
+            trees[i] = parse("".join(map(str.__add__, pieces, [
+                *literals[j * k:j * k + k], ""])), d, params)
+    return trees, families
 
 
 # ---------------------------------------------------------------------------

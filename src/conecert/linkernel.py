@@ -251,13 +251,10 @@ def _bland_iterate(T, basis, n_cols, start=0):
     ``start``.  Returns the status and the pivot count."""
     m = T.shape[0] - 1
     for it in range(start, MAX_ITER):
-        reduced = T[-1, :n_cols]
-        entering = -1
-        for j in range(n_cols):
-            if reduced[j] < -_PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        # the first column whose reduced cost is below -_PIVOT_TOL
+        negative = T[-1, :n_cols] < -_PIVOT_TOL
+        entering = int(negative.argmax())
+        if not negative[entering]:
             return "optimal", it
         leaving = _ratio_scan(T[:m, entering], T[:m, -1], basis)
         if leaving < 0:
@@ -284,10 +281,14 @@ def _ratio_scan(col, rhs, basis):
 
 
 def _pivot(T, row, col):
+    """Pivot T on (row, col) in place: one rank-1 update of the rows whose
+    pivot-column entry is nonzero (a NaN is), each entry by the division,
+    product and subtraction of a loop over the rows (``_pivot_stack``)."""
     T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * T[row]
+    factor = T[:, col].copy()
+    factor[row] = 0.0
+    i = np.flatnonzero(factor)
+    T[i] -= factor[i, None] * T[row]
 
 
 def _pivot_stack(S, probes, rows, cols):

@@ -50,18 +50,20 @@ reports), ``section`` (its section name in problem files), ``polyhedral``
 ``separable`` (the block distance sums over scalar constraints, so each is
 its own penalty group).
 
-Scenarios, like a block's functions, are held in a ``_FunctionTable``
-of families (``expr.Family``), one per expression shape.  A discretised
+Scenarios, like a block's functions, are held in a ``_FunctionTable``:
+a scenario of an expression shape of its own as its tree, the scenarios
+of a shared shape as one family (``expr.Family``).  A discretised
 Chebyshev fit has thousands of scenarios that differ only in their
 decimal literals; loading such a file parses each distinct shape once
-and keeps the literals as arrays, ``evaluate_objective`` and
-``objective_values`` evaluate one family at a time, stacked over its
-members (``_FunctionTable.stack``, in slabs over a wide stack of
-points), and so does ``ScenarioJets`` for the derivatives of the active
-scenarios, stacked over those members alone.  ``P.scenarios[i]`` builds
-scenario i's tree on first access.  A Problem built from trees puts each
-tree in a family of its own.  The loader reads most
-lines of a large shape by one match of a line template each.
+and keeps the literals as arrays.  ``evaluate_objective`` and
+``objective_values`` read the table in one walk, each tree alone and
+each family stacked over its members (``_FunctionTable.stack``, in
+slabs over a wide stack of points), and so does ``ScenarioJets`` for
+the derivatives of the active scenarios, a family stacked over those
+members alone.  ``P.scenarios[i]`` builds a family member's tree on
+first access.  A Problem built from trees keeps them as they are.  The
+loader reads most lines of a large shape by one match of a line
+template each.
 """
 
 from __future__ import annotations
@@ -203,7 +205,7 @@ class _Block:
 
     @cached_property
     def table(self):
-        """The components as a function table, each its own family."""
+        """The components as a function table, each a tree."""
         return _FunctionTable.of_trees(self.components)
 
     def jets(self, x, rows=None, order=0):
@@ -616,7 +618,7 @@ class SemiInfinite(_ScalarBlock):
     def table(self):
         """g at the grid points: one family, t a ``Column`` of the grid."""
         t, var = ex.Column(self._points), ex.Var(self.d + 1)
-        return _FunctionTable([ex.Family(
+        return _FunctionTable([None] * len(self.grid), [ex.Family(
             self.g.map_nodes(lambda node: t if node == var else node),
             np.arange(len(self.grid)))])
 
@@ -635,7 +637,7 @@ class SemiInfinite(_ScalarBlock):
                  np.where(nan, math.nan, builtin_max(np.array(tops))))]
 
     def distance(self, x):
-        return max(0.0, max(self.jets(x)[0].tolist()))
+        return max(0.0, float(builtin_max(self.jets(x)[0])))
 
     def _provenance(self, position, j):
         return Provenance("semi_infinite", position, j,
@@ -696,118 +698,183 @@ def _rows(a, n, axes):
     return list(a) if axes else a.tolist()
 
 
-class _FunctionTable(Sequence):
-    """Scenarios or a block's components, in families; a tree is built
-    from its family on first access and kept for the table's life (of
-    two threads' equal trees, either)."""
+def _run(at):
+    """Increasing rows (a list or an array) as a slice where they run in
+    order, else as they are."""
+    if at[-1] - at[0] == len(at) - 1:
+        return slice(at[0], at[-1] + 1)
+    return at
 
-    def __init__(self, families, trees=None):
-        self.families = tuple(families)
-        sizes = [len(fam.members) for fam in self.families]
-        order = np.concatenate([fam.members for fam in self.families]
-                               or [np.empty(0, dtype=np.intp)])
-        starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
-        # function i is member _member[i] of family _family[i]
-        self._family = np.empty_like(order)
-        self._family[order] = np.repeat(np.arange(len(sizes)), sizes)
-        self._member = np.empty_like(order)
-        self._member[order] = np.arange(len(order)) - starts
-        self._trees = list(trees) if trees else [None] * len(order)
+
+class _FunctionTable(Sequence):
+    """Scenarios or a block's components: each function a tree, or a
+    member of a family (``expr.Family``), the functions of one shape of two
+    or more.  A member's tree is built from its family on first access and
+    kept for the table's life (of two threads' equal trees, either).
+
+    Every read is one walk over the table's units: a tree, whose jets fill
+    its own row, or a family's template, whose jets fill its members'
+    rows (``_units``)."""
+
+    def __init__(self, trees, families=()):
+        self._trees = list(trees)   # a tree at its row, None at a member's
+        self._built = {}   # the members' trees built so far, by row
+        self._families = tuple(families)   # members increasing
+        # the units of a walk over every function, with no family cut
+        self._whole = [(i, tree) for i, tree in enumerate(self._trees)
+                       if tree is not None]
+        self._whole += [(_run(fam.members), fam.template)
+                        for fam in self._families]
+        self._widest = max((len(fam.members) for fam in self._families),
+                           default=0)
+        if self._families:
+            # row i of a family is member _member[i] of family _family[i]
+            self._family = np.zeros(len(self._trees), dtype=np.intp)
+            self._member = np.zeros(len(self._trees), dtype=np.intp)
+            for f, fam in enumerate(self._families):
+                self._family[fam.members] = f
+                self._member[fam.members] = np.arange(len(fam.members))
+        self._skeletons = {}
 
     @classmethod
     def of_trees(cls, trees):
-        trees = tuple(trees)
-        return cls([ex.Family(f, np.array([i])) for i, f in enumerate(trees)],
-                   trees)
+        return cls(trees)
+
+    @classmethod
+    def of_shapes(cls, shapes, d, params=()):
+        """The table of texts grouped by skeleton (``expr.parse_families``);
+        a skeleton of one member keeps its pieces and literals for
+        ``families``."""
+        table = cls(*ex.parse_families(shapes, d, params))
+        table._skeletons = {
+            members[0]: (pieces, members, literals, d, params)
+            for pieces, (members, literals) in shapes.items()
+            if len(members) == 1 and literals}
+        return table
 
     def __len__(self):
         return len(self._trees)
 
     def __getitem__(self, i):
         i = range(len(self._trees))[i]
-        if self._trees[i] is None:
-            fam = self.families[self._family[i]]
-            self._trees[i] = fam.tree(int(self._member[i]))
-        return self._trees[i]
+        tree = self._trees[i]
+        if tree is None:
+            tree = self._built.get(i)
+        if tree is None:
+            fam = self._families[self._family[i]]
+            tree = self._built[i] = fam.tree(int(self._member[i]))
+        return tree
 
     @cached_property
-    def _positions(self):
-        """Each family's functions, in member order: a range where they
-        run in order, else their indices."""
-        out = []
-        for fam in self.families:
-            m = fam.members.tolist()
-            run = range(m[0], m[-1] + 1)
-            out.append(run if m == list(run) else fam.members)
-        return out
+    def families(self):
+        """The functions by shape, each group an ``expr.Family``, in the
+        order of their first members: the table's families, and a family
+        of one member for each tree, parsed here from its skeleton where
+        the table was read from texts (``of_shapes``; its free literals
+        ``Column`` leaves), else the tree as its template.  No read goes
+        through it."""
+        out = dict(zip([int(fam.members[0]) for fam in self._families],
+                       self._families))
+        for i, tree in enumerate(self._trees):
+            if tree is not None:
+                out[i] = (i in self._skeletons and ex.family(
+                    *self._skeletons[i])) or ex.Family(tree, np.array([i]))
+        return [out[i] for i in sorted(out)]
 
-    def passes(self, X, rows=None, order=0):
-        """(positions, ``expr.jets`` at X) of one pass per family: X is one
-        point or, at order 0, a stack of points (its columns).  Every
-        function, each family's template in table order (positions a range
-        where they run in order), or those of the indices ``rows``, the
-        template cut to its members there (``Family.stacked``).  No pass
-        holds more than ``SLAB_FLOATS`` numbers per function (a value per
-        point at order 0, a Hessian's d^2 at order 2); a one-point pass
-        below order 2 is not cut."""
-        d = len(X) if order else 0
-        per = d * d if order == 2 else 1 if order else np.size(X[0])
+    def _units(self, rows, per):
+        """The walk over the functions (all, or those of the indices
+        ``rows``, in order): (at, expression) pairs, a tree and its row, or
+        a family's template and its rows, a slice where they run in order.
+        A family's template is cut to its members among ``rows``
+        (``Family.stacked``), and to slabs: no pass holds more than
+        ``SLAB_FLOATS`` numbers per function, ``per`` each (a value per
+        point at order 0, a Hessian's d^2 at order 2); a pass of one
+        number per function is not cut."""
         step = max(1, SLAB_FLOATS // per) if per > 1 else len(self)
         if rows is None:
-            groups = ((fam, at, None)
-                      for fam, at in zip(self.families, self._positions))
-        else:
-            rows = np.asarray(rows, dtype=np.intp)
-            members = self._member[rows].tolist()
-            found = {}   # family -> the positions of its members in rows
-            for pos, f in enumerate(self._family[rows].tolist()):
-                found.setdefault(f, []).append(pos)
-            groups = ((self.families[f], at, [members[p] for p in at])
-                      for f, at in found.items())
-        for fam, at, ks in groups:   # ks: the members, None for all
-            if len(at) <= step:
-                yield at, ex.jets(fam.template if ks is None else
-                                  fam.stacked(ks), X, d, order)
-                continue
-            for lo in range(0, len(at), step):
-                cut = slice(lo, lo + step) if ks is None else ks[lo:lo + step]
-                yield at[lo:lo + step], ex.jets(fam.stacked(cut), X, d, order)
+            if step >= self._widest:
+                return self._whole
+            units = [unit for unit in self._whole if type(unit[0]) is int]
+            for fam in self._families:
+                for lo in range(0, len(fam.members), step):
+                    units.append((_run(fam.members[lo:lo + step]),
+                                  fam.stacked(slice(lo, lo + step))))
+            return units
+        trees, units, held = self._trees, [], []
+        for pos, i in enumerate(rows):
+            tree = trees[i]
+            if tree is None:
+                held.append(pos)
+            else:
+                units.append((pos, tree))
+        if held:   # family members, a family at a time
+            held = np.array(held)
+            picked = np.asarray(rows)[held]
+            fams, members = self._family[picked], self._member[picked]
+            for f in set(fams.tolist()):
+                mine = fams == f
+                at, ks = held[mine], members[mine]
+                for lo in range(0, len(at), step):
+                    units.append((_run(at[lo:lo + step]),
+                                  self._families[f].stacked(ks[lo:lo + step])))
+        return units
+
+    def passes(self, X):
+        """(rows, ``expr.jets`` at X) of the functions at the stack of
+        points X, one unit of ``stack``'s walk at a time: for a reduction
+        over a table whose values at X are too many to hold at once."""
+        X = np.ascontiguousarray(X, dtype=float)
+        for at, e in self._units(None, np.size(X[0])):
+            yield at, ex.jets(e, X, 0, 0)
 
     def stack(self, X, rows=None, order=0):
         """(values, reasons, gradients, Hessians) of the functions (all,
-        or those of the indices ``rows``, in order) at X by ``passes``, one
-        row per function: a value per point of a stack X; at one point the
-        derivatives, None below their order and zero-filled where 0 by
-        form (``expr.eval_jets``)."""
+        or those of the indices ``rows``, in order) at X in one walk, one
+        row per function: X is one point or, at order 0, a stack of points
+        (its columns), a value per point; at one point the derivatives,
+        None below their order and zero-filled where 0 by form
+        (``expr.eval_jets``)."""
+        X = np.ascontiguousarray(X, dtype=float)
         n, d = len(self) if rows is None else len(rows), len(X)
-        shape = (n,) + np.shape(X)[1:]
+        shape = (n,) + X.shape[1:]
         vals, reasons = np.empty(shape), np.zeros(shape, dtype=np.int8)
         grads = np.zeros((n, d)) if order else None
         hess = np.zeros((n, d, d)) if order == 2 else None
-        for part, (v, r, g, H) in self.passes(X, rows, order):
-            if type(part) is range:
-                part = slice(part.start, part.stop)
-            elif type(part) is list and part[-1] - part[0] == len(part) - 1:
-                part = slice(part[0], part[-1] + 1)   # rows in order
-            vals[part], reasons[part] = v, r
-            if g is not None:
-                grads[part] = g
-            if H is not None:
-                hess[part] = H
+        per = d * d if order == 2 else 1 if order else np.size(X[0])
+        with np.errstate(all="ignore"):   # an undefined value is a reason
+            for at, e in self._units(rows, per):
+                v, r, g, H = e.jets_at(X, d if order else 0, order)
+                vals[at] = v
+                if r is not None:
+                    reasons[at] = r
+                if g is not None:
+                    grads[at] = g
+                if H is not None:
+                    hess[at] = H
         return vals, reasons, grads, hess
 
     def jets(self, x, numbers, order):
         """{s: (value, reason, grad, hess)} at x of the functions numbered
-        ``numbers`` (from 1, distinct), by ``passes``: hess None at order
-        1 and where the function is affine in x, as ``expr.jets`` gives."""
-        out, zero = {}, np.zeros(len(x))   # the gradient of a constant
-        for part, (vals, reasons, grads, hess) in self.passes(
-                x, np.asarray(numbers, dtype=np.intp) - 1, order):
-            n = len(part)
-            out.update(zip([numbers[p] for p in part], zip(
-                _rows(vals, n, 0), _rows(reasons, n, 0),
-                _rows(zero if grads is None else grads, n, 1),
-                _rows(hess, n, 2))))
+        ``numbers`` (from 1, distinct, a list) in one walk: hess None at
+        order 1 and where the function is affine in x, as ``expr.jets``
+        gives."""
+        x = np.ascontiguousarray(x, dtype=float)
+        d, out = len(x), {}
+        zero = np.zeros(d)   # the gradient of a constant
+        with np.errstate(all="ignore"):   # an undefined value is a reason
+            for at, e in self._units([s - 1 for s in numbers],
+                                     d * d if order == 2 else 1):
+                v, r, g, H = e.jets_at(x, d if order else 0, order)
+                if type(at) is int:   # a tree's row
+                    out[numbers[at]] = (float(v), 0 if r is None else int(r),
+                                        zero if g is None else g, H)
+                    continue
+                keys = numbers[at] if type(at) is slice else [
+                    numbers[p] for p in at]
+                n = len(keys)
+                out.update(zip(keys, zip(
+                    _rows(v, n, 0), [0] * n if r is None else _rows(r, n, 0),
+                    _rows(zero if g is None else g, n, 1), _rows(H, n, 2))))
         return out
 
 
@@ -815,7 +882,7 @@ class _FunctionTable(Sequence):
 class Problem:
     d: int
     kind: str  # 'minimax' | 'chebyshev'
-    scenarios: Sequence     # expressions f_omega (a tuple, or parsed families)
+    scenarios: Sequence     # expressions f_omega (a tuple, or a parsed table)
     psi: tuple = ()         # chebyshev targets, one per scenario
     blocks: tuple = ()
     set_A: PolyhedralSet | None = None
@@ -977,7 +1044,7 @@ class ScenarioJets:
     forms (generators, multipliers, cadres) and the second-order forms
     share: each scenario's value, gradient and, at order 2, Hessian,
     computed at most once per derivative order, for the scenarios asked
-    for, by one stacked pass per family (``_FunctionTable.jets``).  A
+    for, by one walk of the table (``_FunctionTable.jets``).  A
     ``geometry.PointContext`` holds one per point; its generator set asks
     for the active scenarios first."""
 
@@ -1383,7 +1450,7 @@ def _load(text, source, tolerances, shapes):
             else:
                 raise ProblemFormatError(f"unknown section [{name}]",
                                          name, line)
-        families = ex.parse_families(shapes or ex.skeletons(texts), d)
+        scenarios = _FunctionTable.of_shapes(shapes or ex.skeletons(texts), d)
     except Exception:
         # errors keep file order: a bad scenario text read before the
         # failure raises its own error first
@@ -1409,7 +1476,7 @@ def _load(text, source, tolerances, shapes):
         psi_t = ()
     try:
         return Problem(
-            d=d, kind=kind, scenarios=_FunctionTable(families), psi=psi_t,
+            d=d, kind=kind, scenarios=scenarios, psi=psi_t,
             blocks=tuple(blocks),
             set_A=PolyhedralSet(tuple(bounds["lb"]), tuple(bounds["ub"]),
                                 tuple(eq_rows), tuple(eq_rhs)),

@@ -82,16 +82,19 @@ def _same_tree(a, b):
 
 
 def _parse_families(texts, d, params=()):
-    """``parse_families`` of a list of texts, grouped by one split each."""
+    """``parse_families`` of a list of texts, grouped by one split each:
+    (trees, families)."""
     return ex.parse_families(ex.skeletons(texts), d, params)
 
 
 def _family_trees(texts, d, params=()):
-    trees = [None] * len(texts)
-    for fam in _parse_families(texts, d, params):
+    """Each text's tree: parsed alone, or built from its family."""
+    trees, families = _parse_families(texts, d, params)
+    for fam in families:
         for k, i in enumerate(fam.members.tolist()):
             assert trees[i] is None
             trees[i] = fam.tree(k)
+    assert None not in trees
     return trees
 
 
@@ -114,14 +117,22 @@ def test_family_trees_equal_their_own_parse_on_generated_texts(rng):
 
 
 def test_one_family_per_shape():
-    fams = _parse_families(["x(1) + 0.5", "2*x(1)", "x(1) + 1e-3",
-                            "3*x(1)", "-x(1) + 0.5", "x(1) + -0.5"], 1)
-    assert [f.members.tolist() for f in fams] == [[0, 2], [1], [3], [4], [5]]
+    texts = ["x(1) + 0.5", "2*x(1)", "x(1) + 1e-3", "3*x(1)", "-x(1) + 0.5",
+             "x(1) + -0.5"]
+    # a shape of two or more texts is a family, a shape of its own a tree
+    trees, fams = _parse_families(texts, 1)
+    assert [f.members.tolist() for f in fams] == [[0, 2]]
+    assert [i for i, tree in enumerate(trees) if tree is not None] == [
+        1, 3, 4, 5]
+    # a table read from the texts gives every shape's family
+    table = pb._FunctionTable.of_shapes(ex.skeletons(texts), 1)
+    assert [f.members.tolist() for f in table.families] == [
+        [0, 2], [1], [3], [4], [5]]
     # digits inside an identifier are not a literal
-    fams = _parse_families(["a1e5 + 0.5", "a1e5 + 0.25"], 1, ("a1e5",))
+    _, fams = _parse_families(["a1e5 + 0.5", "a1e5 + 0.25"], 1, ("a1e5",))
     assert [f.members.tolist() for f in fams] == [[0, 1]]
     # the generated fits of t^n have one shape per sign pattern of t^k
-    fams = _parse_families(_scenario_texts(_chebyshev_text()), 8)
+    _, fams = _parse_families(_scenario_texts(_chebyshev_text()), 8)
     assert len(fams) == 2
 
 
@@ -173,7 +184,7 @@ def _bits(a):
 
 def _assert_family_values_exact(texts, d, X):
     trees = [ex.parse(t, d) for t in texts]
-    for fam in _parse_families(texts, d):
+    for fam in _parse_families(texts, d)[1]:
         shape = (len(fam.members), X.shape[1])
         vals, bad = map(np.broadcast_to, ex.eval_values(fam.template, X),
                         (shape, shape))

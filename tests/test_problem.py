@@ -1070,28 +1070,39 @@ def _table_cases():
 def test_scenario_table_is_each_tree_evaluated_alone(monkeypatch, slab):
     """``ScenarioJets`` gives each scenario's value, gradient and, at
     order 2, Hessian bit for bit as ``eval_jets`` of its own tree, from
-    one stacked pass per family over the members asked for; a Hessian it
-    gives as None (an affine scenario) is 0 there.  A second ask runs no
-    pass, and one Hessian slab per member changes no bit."""
+    one walk of the table per derivative order over the scenarios asked
+    for, whose units are each tree alone and each family stacked over its
+    members asked for; a Hessian it gives as None (an affine scenario) is
+    0 there.  A second ask walks no more, and one Hessian slab per member
+    changes no bit."""
     if slab:
         monkeypatch.setattr(pb, "SLAB_FLOATS", slab)
-    passes, real = [], ex.jets
+    walks, real_jets, real_units = [], pb._FunctionTable.jets, \
+        pb._FunctionTable._units
 
-    def jets(e, X, d, order=2):
-        passes.append(order)
-        return real(e, X, d, order)
-    monkeypatch.setattr(ex, "jets", jets)
+    def jets(table, x, numbers, order):
+        walks.append(order)
+        return real_jets(table, x, numbers, order)
+
+    def units(table, rows, per):
+        out = real_units(table, rows, per)
+        walks.append(len(out))
+        return out
+    monkeypatch.setattr(pb._FunctionTable, "jets", jets)
+    monkeypatch.setattr(pb._FunctionTable, "_units", units)
     for P, x, asked in _table_cases():
         d, asked = P.d, list(asked)
-        families = {int(P.scenarios._family[i - 1]) for i in asked}
+        # each scenario's unit: its tree, or its family
+        unit = {i: g for g, fam in enumerate(P.scenarios.families)
+                for i in fam.members.tolist()}
         table = pb.ScenarioJets(P, x)
         for order in (1, 2):
-            del passes[:]
+            del walks[:]
             rows = table.rows(asked, order)
             assert table.rows(asked, order) == rows
             chunks = (len(set(asked)) if slab == 1 and order == 2
-                      else len(families))
-            assert passes == [order] * chunks
+                      else len({unit[i - 1] for i in asked}))
+            assert walks == [order, chunks]
             for i, (value, reason, grad, hess) in zip(asked, rows):
                 vals, reasons, g, H = ex.eval_jets(P.scenarios[i - 1], x, d)
                 assert reason == reasons == 0
@@ -1104,6 +1115,62 @@ def test_scenario_table_is_each_tree_evaluated_alone(monkeypatch, slab):
                             else hess).tobytes() == H.tobytes()
 
 
+def _walk_cases():
+    """(table, point): every block's table of ``_jets_cases`` (every block
+    kind, two [semiinf] grids among them), the scenario table of every
+    registry problem at its candidate, and a mixed table, the two
+    families of a 41-point fit of t^4 and one line of another shape."""
+    for _, x, blk in _jets_cases():
+        yield blk.table, x
+    for name in registry.NAMES:
+        P, x, _ = registry.get(name, 3 if name == "linf" else None)
+        yield P.scenarios, np.asarray(x, dtype=float)
+    P = load_problem_text(_cheb_fit_text(points=41, n=4) + (
+        '[scenario] f="x(1)^2 + 0.5*x(2) - x(3)*x(4)" psi=0.25\n'))
+    assert sorted(len(f.members) for f in P.scenarios.families)[:2] == [1, 20]
+    yield P.scenarios, np.array([0.3, -0.7, 0.2, 1.1])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_a_walk_is_each_function_evaluated_alone(order):
+    """One walk of a function table gives, bit for bit, what ``eval_jets``
+    gives each of its functions' own trees: ``stack`` at one point to the
+    derivative order asked for, zero-filled where 0 by form, and at a
+    stack of 5 points; ``jets`` at one point, over the functions in
+    reverse order, a Hessian it gives as None 0 there."""
+    rng = np.random.default_rng(5)
+    for table, x in _walk_cases():
+        d, trees = len(x), list(table)
+        want = [ex.eval_jets(f, x, d) for f in trees]
+        vals, reasons, grads, hess = table.stack(x, None, order)
+        for got, k in ((vals, 0), (reasons, 1), (grads, 2), (hess, 3)):
+            if k < 2 or order >= k - 1:
+                assert got.tobytes() == np.array(
+                    [w[k] for w in want], dtype=got.dtype).tobytes()
+            else:
+                assert got is None
+        numbers = list(range(len(trees), 0, -1))
+        rows = table.jets(x, numbers, order)
+        assert sorted(rows) == sorted(numbers)
+        for s in numbers:
+            value, reason, grad, H = rows[s]
+            w = want[s - 1]
+            assert np.float64(value).tobytes() == w[0].tobytes()
+            assert reason == w[1] == 0
+            if order:
+                assert grad.tobytes() == w[2].tobytes()
+            if order == 2:
+                assert (np.zeros((d, d)) if H is None else H).tobytes() \
+                    == w[3].tobytes()
+            else:
+                assert H is None
+        X = x[:, None] + 0.25 * rng.standard_normal((d, 5))
+        vals, reasons, _, _ = table.stack(X, None, order=0)
+        want = [ex.eval_jets(f, X, d)[:2] for f in trees]
+        assert vals.tobytes() == np.array([w[0] for w in want]).tobytes()
+        assert reasons.tobytes() == np.array([w[1] for w in want]).tobytes()
+
+
 # a [semiinf] block curved in x, active at the grid point t = 0 at 0
 _CURVED_GRID = ('[problem] dim=2\n[scenario] f="x(1) + x(2)"\n'
                 '[scenario] f="x(1)^2 - x(2)"\n'
@@ -1111,7 +1178,7 @@ _CURVED_GRID = ('[problem] dim=2\n[scenario] f="x(1) + x(2)"\n'
                 'grid=-1:1:9\n')
 
 
-@pytest.mark.parametrize("argv, code, passes", [
+@pytest.mark.parametrize("argv, code, functions", [
     (["--registry", "linf", "--dim", "200"], 0, 400),
     (["--registry", "soc-example"], 0, None),
     (["--registry", "sdp-example"], 0, None),
@@ -1119,33 +1186,44 @@ _CURVED_GRID = ('[problem] dim=2\n[scenario] f="x(1) + x(2)"\n'
     (["--file", "{grid}", "--at", "0,0"], 3, None),
 ], ids=["linf", "soc", "sdp", "bazaraa45", "semiinf"])
 def test_a_first_order_check_builds_no_hessian(monkeypatch, tmp_path, argv,
-                                               code, passes):
-    """A default check differentiates each active scenario and each block
-    component it reads once, to order 1, and builds no d x d Hessian:
-    every jet pass is of order 1 or 0 (values alone) and gives no
-    Hessian, and no ``eval2`` runs.  The linf check at d = 200 makes 400
-    such passes, one per active scenario.  Before, each scenario's
-    gradient came from an ``eval2`` that built a 200 x 200 Hessian, twice
-    per scenario in the witness's residual, and each block component's
-    too (its normal-cone generators and its share of that residual); a
-    [semiinf] block's grid went through one order-2 pass."""
+                                               code, functions):
+    """A default check differentiates the active scenarios and the block
+    components it reads to order 1 and builds no d x d Hessian: every
+    walk of a function table (``stack``, ``jets``) is of order 1 or 0
+    (values alone) and gives no Hessian, and no ``eval2`` runs.  The linf
+    check at d = 200 differentiates 400 functions, each active scenario
+    once.  Before, each scenario's gradient came from an ``eval2`` that
+    built a 200 x 200 Hessian, twice per scenario in the witness's
+    residual, and each block component's too (its normal-cone generators
+    and its share of that residual); a [semiinf] block's grid went through
+    one order-2 pass."""
     from conecert import cli
     grid = tmp_path / "grid.prob"
     grid.write_text(_CURVED_GRID, encoding="utf-8")
-    seen, real = [], ex.jets
+    seen = []   # per walk: its order, its functions, whether a Hessian
+    real_stack, real_jets = pb._FunctionTable.stack, pb._FunctionTable.jets
 
-    def jets(e, X, d, order=2):
-        out = real(e, X, d, order)
-        seen.append((d, order, out[3] is not None))
+    def stack(table, X, rows=None, order=0):
+        out = real_stack(table, X, rows, order)
+        seen.append((order, len(out[0]), out[3] is not None))
         return out
-    monkeypatch.setattr(ex, "jets", jets)
+
+    def jets(table, x, numbers, order):
+        out = real_jets(table, x, numbers, order)
+        seen.append((order, len(out),
+                     any(row[3] is not None for row in out.values())))
+        return out
+    monkeypatch.setattr(pb._FunctionTable, "stack", stack)
+    monkeypatch.setattr(pb._FunctionTable, "jets", jets)
     monkeypatch.setattr(ex, "eval2", lambda *args: pytest.fail("eval2 ran"))
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["check", *(a.format(grid=grid) for a in argv),
                          "--json"]) == code
     differentiated = [s for s in seen if s[0]]
-    assert differentiated and passes in (None, len(differentiated))
-    assert {s[1:] for s in differentiated} == {(1, False)}
+    assert differentiated and functions in (
+        None, sum(n for _, n, _ in differentiated))
+    assert {(order, hess) for order, _, hess in differentiated} == {
+        (1, False)}
 
 
 def test_checks_evaluate_through_the_function_table(monkeypatch, tmp_path):

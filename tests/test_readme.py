@@ -36,7 +36,9 @@ def test_readme_examples_run_in_order():
     assert ns["vals"][0] == 1.0
     assert ns["bad"].tolist() == [False, True, True]
     # the scenario family example
-    assert [f.members.tolist() for f in ns["fams"]] == [[0, 1], [2]]
+    assert [f.members.tolist() for f in ns["fams"]] == [[0, 1]]
+    assert ns["trees"][:2] == [None, None]
+    assert ns["trees"][2] == ns["ex"].parse("x(1) - 0.25*x(2)", 2)
     assert ns["fams"][0].tree(1) == ns["ex"].parse("x(1) + 0.25*x(2)", 2)
 
 

@@ -538,6 +538,30 @@ def test_semi_infinite_chunks_keep_the_grid_order(monkeypatch):
     assert got.shape == (0,)
 
 
+def test_semi_infinite_distance_is_the_builtin_max_of_the_grid():
+    """``SemiInfinite.distance`` is max(0, the builtin ``max`` over the
+    grid in order), bit for bit as the expression it replaced, at a NaN
+    first on the grid (inf * 0 at t = 0, which the maximum keeps), a NaN
+    later on it (which the maximum skips), signed zeros, values all
+    below 0 and a tied positive maximum."""
+    P = load_problem_text('[problem] dim=2\n[scenario] f="x(1)"\n'
+                          '[semiinf] g="x(1)*t + x(2)" grid=0:1:3\n'
+                          '[semiinf] g="x(1)*t + x(2)" grid=-1:1:5\n'
+                          '[semiinf] g="x(1)*t*t + x(2)" grid=-1:1:5\n')
+    seen = set()
+    for x in ([math.inf, 0.0], [0.0, -0.0], [0.0, -1.0], [1.0, 0.0],
+              [-1.0, 0.5]):
+        x = np.array(x)
+        for blk in P.blocks:
+            v = blk.jets(x)[0].tolist()
+            nan = [math.isnan(a) for a in v]
+            seen.add("nan first" if nan[0] else "nan later" if any(nan)
+                     else "signed zeros" if {_bits(a) for a in v} >= {
+                         _bits(0.0), _bits(-0.0)} else "numbers")
+            assert _bits(blk.distance(x)) == _bits(max(0.0, max(v)))
+    assert seen == {"nan first", "nan later", "signed zeros", "numbers"}
+
+
 def test_objective_values_match_evaluate_objective(rng):
     for name, P, x, _ in CASES:
         X = np.asarray(x, dtype=float) + rng.normal(scale=0.5,
